@@ -16,9 +16,9 @@ package mrbcdist
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
+	"mrbc/internal/bitset"
 	"mrbc/internal/core"
 	"mrbc/internal/dgalois"
 	"mrbc/internal/elastic"
@@ -155,26 +155,109 @@ func pipelineDepth(opts Options, nSources int) int {
 	return d
 }
 
+// none marks an empty slab slot and the end of a chain.
+const none = -1
+
+// hostState is one host's engine plus its round state for one batch.
+// The round state is a set of flat slabs indexed by local proxy ID
+// (DESIGN.md §5, "Host round state"): compute phases and unpack calls —
+// both serial per host — write them, and the pack calls, which run in
+// parallel across destination pairs, only read them.
 type hostState struct {
 	part   *partition.Part
 	engine *core.Engine
 	runner *core.Runner // non-nil iff Options.EngineWorkers > 1
 
-	// Per-round staging.
-	flags     []core.Flag      // this host's locally-detected flags
-	synced    []core.Flag      // (v,s) synchronized this round, to relax/accumulate
-	cands     []core.Candidate // distance candidates created this round
-	flagSet   map[uint64]bool
-	candSet   map[uint64]uint32 // master-side candidate union: (v,s) -> min dist
-	proposals []proposal        // master-side buffered mirror proposals
+	flags  []core.Flag      // this host's locally-detected flags
+	synced []core.Flag      // (v,s) synchronized this round, to relax/accumulate
+	nBcast int              // synced[:nBcast] are the pairs this host's masters broadcast
+	cands  []core.Candidate // distance candidates created this round
 
-	// Per-round lookup tables, built once per round in a compute phase
-	// and read (never written) by the pack calls, which run in
-	// parallel across destination pairs.
-	flagByV   map[uint32]core.Flag        // vertex -> this host's due flag
-	bcastByV  map[uint32]int              // vertex -> source to broadcast
-	candByV   map[uint32][]core.Candidate // vertex -> this round's mirror candidates
-	mergedByV map[uint32][]core.Candidate // vertex -> merged candidates to broadcast
+	due   []int32 // source of this host's due flag at the vertex, or none
+	bcast []int32 // source the vertex's master broadcasts this round, or none
+
+	// Per-vertex chains. head[v] is the first element of v's chain;
+	// touched holds every vertex with a chain or a backward claim in
+	// bcast. Walking touched visits vertices in ascending index order,
+	// which fixes the order of synced — the relax and δ-accumulation
+	// order — run to run. Chain elements live in proposals while a
+	// forward round arbitrates and in candNodes while CandidateSync
+	// disseminates; the two never overlap in time.
+	head      []int32
+	touched   *bitset.Set
+	proposals []proposal // this round's mirror proposals, then the master's own
+	candNodes []candNode // this round's distance candidates
+}
+
+func newHostState(p *partition.Part, eng *core.Engine, run *core.Runner) *hostState {
+	n := p.NumProxies()
+	slab := make([]int32, 3*n)
+	for i := range slab {
+		slab[i] = none
+	}
+	return &hostState{
+		part:    p,
+		engine:  eng,
+		runner:  run,
+		due:     slab[:n:n],
+		bcast:   slab[n : 2*n : 2*n],
+		head:    slab[2*n:],
+		touched: bitset.New(n),
+	}
+}
+
+// resetRound returns the slabs to all-none by undoing exactly what the
+// previous round set: O(flags + touched) plus a scan of touched's
+// ⌈proxies/64⌉ words, never a pass over the proxies.
+func (st *hostState) resetRound() {
+	for _, f := range st.flags {
+		st.due[f.V] = none
+	}
+	for _, f := range st.synced[:st.nBcast] {
+		st.bcast[f.V] = none
+	}
+	// Arbitration and the backward union drain touched themselves; what
+	// is left here are the candidate chains of a CandidateSync round.
+	st.drainTouched(func(v uint32) { st.head[v] = none })
+	st.synced, st.nBcast = st.synced[:0], 0
+	st.candNodes = st.candNodes[:0]
+}
+
+// drainTouched visits the touched vertices in ascending index order and
+// empties the set.
+func (st *hostState) drainTouched(visit func(v uint32)) {
+	st.touched.ForEach(func(v int) bool {
+		visit(uint32(v))
+		return true
+	})
+	st.touched.Reset()
+}
+
+// markDue publishes the round's flags to the pack calls. The engine
+// emits at most one flag per vertex per round.
+func (st *hostState) markDue() {
+	for _, f := range st.flags {
+		st.due[f.V] = int32(f.Src)
+	}
+}
+
+// encodeSlots packs one update for every vertex of a shared list whose
+// slot is not none, handing emit the slot's value. A slab holds one
+// value per vertex per round, so a vertex-level bitvector suffices.
+func encodeSlots(w *gluon.Writer, list []uint32, slot []int32, emit func(lid uint32, val int, w *gluon.Writer)) {
+	if len(list) == 0 {
+		return
+	}
+	marked := w.Scratch(len(list))
+	for pos, lid := range list {
+		if slot[lid] != none {
+			marked.Set(pos)
+		}
+	}
+	gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
+		lid := list[pos]
+		emit(lid, int(slot[lid]), w)
+	})
 }
 
 // progressGauges are the engine's live-progress instruments, resolved
@@ -201,25 +284,32 @@ func newProgressGauges(reg *obs.Registry) progressGauges {
 // local label values; masters arbitrate proposals per vertex.
 type proposal struct {
 	v     uint32 // master-side local ID
-	src   int
 	dist  uint32
+	src   int32
+	next  int32 // next proposal for v in arrival order, or none
 	sigma float64
 	own   bool // the master's own proposal: its σ partial is already in the engine
 }
 
 // less orders proposals for the same vertex lexicographically by
 // (dist, src) — the order of the list Lv.
-func (p proposal) less(q proposal) bool {
+func (p *proposal) less(q *proposal) bool {
 	if p.dist != q.dist {
 		return p.dist < q.dist
 	}
 	return p.src < q.src
 }
 
-// key packs (local vertex, source index) into one map key; source
-// indices are bounded by the batch size, capped at 2^20 in Run.
-func key(v uint32, s int) uint64 { return uint64(v)<<20 | uint64(s) }
+// candNode is one (source, distance) candidate in a vertex's chain.
+type candNode struct {
+	src  int32
+	next int32  // next candidate for the vertex, or none
+	dist uint32 // mirror chains: the round's minimum; master chains read the engine instead
+}
 
+// maxBatch clamps Options.BatchSize. Source indices live in int32 slab
+// slots and travel as u32, and an engine's label array is dense in
+// (proxies × batch), so memory runs out long before this does.
 const maxBatch = 1 << 20
 
 // Run computes BC restricted to sources over the partitioned graph
@@ -348,17 +438,7 @@ func makeStates(cluster *dgalois.Cluster, pt *partition.Partitioning, batch []ui
 			})
 			run = core.NewRunner(eng, opts.EngineWorkers)
 		}
-		st := &hostState{
-			part:      p,
-			engine:    eng,
-			runner:    run,
-			flagSet:   make(map[uint64]bool),
-			candSet:   make(map[uint64]uint32),
-			flagByV:   make(map[uint32]core.Flag),
-			bcastByV:  make(map[uint32]int),
-			candByV:   make(map[uint32][]core.Candidate),
-			mergedByV: make(map[uint32][]core.Candidate),
-		}
+		st := newHostState(p, eng, run)
 		for i, s := range batch {
 			if l, ok := p.LocalID(s); ok {
 				st.engine.InitSource(l, i, p.IsMaster[l])
@@ -378,20 +458,15 @@ func closeRunners(states []*hostState) {
 	}
 }
 
-// forwardFlagsFn is compute phase A of a forward round: collect the
-// round's due flags, rebuild the pack lookup tables, and fold this
+// forwardFlagsFn is compute phase A of a forward round: reset the round
+// state, collect the round's due flags for the pack calls, and fold this
 // host's activity (due pairs + pending entries) into *activity.
 func forwardFlagsFn(states []*hostState, r int, activity *int64) func(h int) {
 	return func(h int) {
 		st := states[h]
+		st.resetRound()
 		st.flags = st.engine.ForwardFlags(r, st.flags[:0])
-		st.synced = st.synced[:0]
-		clear(st.flagSet)
-		clear(st.flagByV)
-		clear(st.bcastByV)
-		for _, f := range st.flags {
-			st.flagByV[f.V] = f
-		}
+		st.markDue()
 		p := int64(len(st.flags))
 		if st.engine.PendingUnsent() {
 			p++
@@ -410,9 +485,6 @@ func relaxFn(states []*hostState, sync SyncMode) func(h int) {
 	return func(h int) {
 		st := states[h]
 		st.cands = st.cands[:0]
-		for k := range st.candSet {
-			delete(st.candSet, k)
-		}
 		switch {
 		case st.runner != nil && sync == CandidateSync:
 			st.cands = st.runner.RelaxAllCandidates(st.synced, st.cands)
@@ -430,19 +502,14 @@ func relaxFn(states []*hostState, sync SyncMode) func(h int) {
 	}
 }
 
-// backwardFlagsFn collects one backward round's due flags and rebuilds
-// the pack lookup tables.
+// backwardFlagsFn resets the round state and collects one backward
+// round's due flags for the pack calls.
 func backwardFlagsFn(states []*hostState, r int) func(h int) {
 	return func(h int) {
 		st := states[h]
+		st.resetRound()
 		st.flags = st.engine.BackwardFlags(r, st.flags[:0])
-		st.synced = st.synced[:0]
-		clear(st.flagSet)
-		clear(st.flagByV)
-		clear(st.bcastByV)
-		for _, f := range st.flags {
-			st.flagByV[f.V] = f
-		}
+		st.markDue()
 	}
 }
 
@@ -612,31 +679,23 @@ func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostS
 	cluster.Exchange(pack, unpack)
 }
 
+// emitLabels writes the forward payload of (lid, src): this host's
+// current (dist, σ).
+func (st *hostState) emitLabels(lid uint32, src int, w *gluon.Writer) {
+	d := st.engine.Get(lid, src)
+	w.U32(uint32(src))
+	w.U32(d.Dist)
+	w.F64(d.Sigma)
+}
+
 // fwdReduceExchange builds the forward reduce step: due mirror proxies
 // -> master (proposals are buffered; nothing is merged until
 // arbitration picks the winners).
 func fwdReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		list := topo.MirrorList(from, to)
-		if len(list) == 0 || len(st.flags) == 0 {
-			return
+		if st := states[from]; len(st.flags) > 0 {
+			encodeSlots(w, topo.MirrorList(from, to), st.due, st.emitLabels)
 		}
-		// At most one due source per vertex per round on one host,
-		// so a vertex-level bitvector suffices.
-		marked := w.Scratch(len(list))
-		for pos, lid := range list {
-			if _, ok := st.flagByV[lid]; ok {
-				marked.Set(pos)
-			}
-		}
-		gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-			f := st.flagByV[list[pos]]
-			d := st.engine.Get(f.V, f.Src)
-			w.U32(uint32(f.Src))
-			w.U32(d.Dist)
-			w.F64(d.Sigma)
-		})
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
 		st := states[to]
@@ -644,7 +703,7 @@ func fwdReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to
 		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 			st.proposals = append(st.proposals, proposal{
 				v:     list[pos],
-				src:   int(rd.U32()),
+				src:   int32(rd.U32()),
 				dist:  rd.U32(),
 				sigma: rd.F64(),
 			})
@@ -657,46 +716,53 @@ func fwdReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to
 // lexicographically smallest proposal wins; losers are dropped (their
 // hosts keep the entry unsent, and the winner's broadcast pushes their
 // schedule to a later round). The winner's σ partials are merged and
-// the label finalized.
+// the label finalized. One pass chains the proposals per vertex, one
+// pass over the touched vertices picks each chain's winner and folds it.
 func fwdArbitrateFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) {
 	return func(h int) {
 		st := states[h]
 		for _, f := range st.flags {
 			if st.part.IsMaster[f.V] {
 				d := st.engine.Get(f.V, f.Src)
-				st.proposals = append(st.proposals, proposal{v: f.V, src: f.Src, dist: d.Dist, own: true})
+				st.proposals = append(st.proposals, proposal{v: f.V, src: int32(f.Src), dist: d.Dist, own: true})
 			}
 		}
-		winners := make(map[uint32]proposal, len(st.proposals))
-		for _, p := range st.proposals {
-			if cur, ok := winners[p.v]; !ok || p.less(cur) {
-				winners[p.v] = p
+		// Newest first: pushing each proposal onto the front of its
+		// vertex's chain leaves every chain in arrival order.
+		for i := len(st.proposals) - 1; i >= 0; i-- {
+			p := &st.proposals[i]
+			p.next = st.head[p.v]
+			st.head[p.v] = int32(i)
+			st.touched.Set(int(p.v))
+		}
+		// Ascending vertex order: st.synced's order is the relax order, and
+		// with it the order σ partials accumulate downstream.
+		st.drainTouched(func(v uint32) {
+			first := st.head[v]
+			st.head[v] = none
+			w := &st.proposals[first]
+			for i := w.next; i != none; i = st.proposals[i].next {
+				if p := &st.proposals[i]; p.less(w) {
+					w = p
+				}
 			}
-		}
-		// Winners are processed in ascending vertex order, not map order:
-		// st.synced's order is the relax order, and with it the order σ
-		// partials accumulate downstream — it must not vary run to run.
-		order := make([]uint32, 0, len(winners))
-		for v := range winners {
-			order = append(order, v)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, v := range order {
-			w := winners[v]
-			for _, p := range st.proposals {
-				if p.v != w.v || p.src != w.src || p.own {
+			src := int(w.src)
+			// The winner's partials fold in arrival order: sender host
+			// ascending, the fixed floating-point order of the σ sum.
+			for i := first; i != none; i = st.proposals[i].next {
+				p := &st.proposals[i]
+				if p.src != w.src || p.own {
 					continue
 				}
 				if p.dist != w.dist {
-					panic(fmt.Sprintf("mrbcdist: proposals for (%d,%d) disagree on distance", p.v, p.src))
+					panic(fmt.Sprintf("mrbcdist: proposals for (%d,%d) disagree on distance", v, src))
 				}
-				st.engine.MergePartial(p.v, p.src, p.dist, p.sigma)
+				st.engine.MergePartial(v, src, p.dist, p.sigma)
 			}
-			d := st.engine.Get(w.v, w.src)
-			st.engine.ApplySync(w.v, w.src, d.Dist, d.Sigma, r)
-			st.synced = append(st.synced, core.Flag{V: w.v, Src: w.src})
-			st.flagSet[key(w.v, w.src)] = true
-			st.bcastByV[w.v] = w.src
+			d := st.engine.Get(v, src)
+			st.engine.ApplySync(v, src, d.Dist, d.Sigma, r)
+			st.synced = append(st.synced, core.Flag{V: v, Src: src})
+			st.bcast[v] = w.src
 			// Every winner is master-owned and ApplySync rejects double
 			// synchronization, so this fires exactly once per
 			// (batch, vertex, source) — the forward half of the
@@ -704,9 +770,10 @@ func fwdArbitrateFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h in
 			if tr.Detail() {
 				tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirForward,
 					Batch: int32(bi), Round: int32(r), Host: int32(h),
-					V: int32(st.part.GlobalID[w.v]), Src: int32(w.src)})
+					V: int32(st.part.GlobalID[v]), Src: int32(src)})
 			}
-		}
+		})
+		st.nBcast = len(st.synced)
 		st.proposals = st.proposals[:0]
 	}
 }
@@ -715,25 +782,9 @@ func fwdArbitrateFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h in
 // all mirrors.
 func fwdBroadcastExchange(states []*hostState, topo *gluon.Topology, r int) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		list := topo.MasterList(to, from)
-		if len(list) == 0 || len(st.flagSet) == 0 {
-			return
+		if st := states[from]; st.nBcast > 0 {
+			encodeSlots(w, topo.MasterList(to, from), st.bcast, st.emitLabels)
 		}
-		marked := w.Scratch(len(list))
-		for pos, lid := range list {
-			if _, ok := st.bcastByV[lid]; ok {
-				marked.Set(pos)
-			}
-		}
-		gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-			lid := list[pos]
-			src := st.bcastByV[lid]
-			d := st.engine.Get(lid, src)
-			w.U32(uint32(src))
-			w.U32(d.Dist)
-			w.F64(d.Sigma)
-		})
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
 		st := states[to]
@@ -765,67 +816,82 @@ func syncCandidates(cluster *dgalois.Cluster, topo *gluon.Topology, states []*ho
 	cluster.Exchange(pack, unpack)
 }
 
-// encodeCandidates packs per-vertex candidate lists for the marked
-// vertices of one shared list.
-func encodeCandidates(w *gluon.Writer, list []uint32, byV map[uint32][]core.Candidate, dist func(c core.Candidate) uint32) {
-	if len(list) == 0 || len(byV) == 0 {
+// chainCandidate files candidate (src, dist) in v's chain, one node per
+// source holding its minimum distance. A mirror's chain keeps arrival
+// order and a master's ascends by source — the orders the reduce and
+// the broadcast put candidates on the wire in.
+func (st *hostState) chainCandidate(v uint32, src int32, dist uint32) {
+	bySrc := st.part.IsMaster[v]
+	prev, i := int32(none), st.head[v]
+	for i != none {
+		n := &st.candNodes[i]
+		if n.src == src {
+			if dist < n.dist {
+				n.dist = dist
+			}
+			return
+		}
+		if bySrc && n.src > src {
+			break
+		}
+		prev, i = i, n.next
+	}
+	st.candNodes = append(st.candNodes, candNode{src: src, dist: dist, next: i})
+	id := int32(len(st.candNodes) - 1)
+	if prev == none {
+		st.head[v] = id
+		st.touched.Set(int(v))
+	} else {
+		st.candNodes[prev].next = id
+	}
+}
+
+// encodeCandidates packs the candidate chains of one shared list's
+// vertices.
+func (st *hostState) encodeCandidates(w *gluon.Writer, list []uint32, dist func(lid uint32, n *candNode) uint32) {
+	if len(st.candNodes) == 0 {
 		return
 	}
-	marked := w.Scratch(len(list))
-	for pos, lid := range list {
-		if _, ok := byV[lid]; ok {
-			marked.Set(pos)
+	encodeSlots(w, list, st.head, func(lid uint32, first int, w *gluon.Writer) {
+		cnt := uint32(0)
+		for i := int32(first); i != none; i = st.candNodes[i].next {
+			cnt++
 		}
-	}
-	gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-		cs := byV[list[pos]]
-		w.U32(uint32(len(cs)))
-		for _, c := range cs {
-			w.U32(uint32(c.Src))
-			w.U32(dist(c))
+		w.U32(cnt)
+		for i := int32(first); i != none; i = st.candNodes[i].next {
+			n := &st.candNodes[i]
+			w.U32(uint32(n.src))
+			w.U32(dist(lid, n))
 		}
 	})
 }
 
-// candGroupFn groups this round's candidates by vertex once per host,
-// in a compute phase: the pack calls of the reduce below run in
-// parallel per destination pair and only read the map. Parallel
-// intra-round relaxations can propose the same (v, src) pair more than
-// once (and how often depends on vertex processing order); the master
-// min-folds anyway, so keep only the minimum distance per pair — the
-// wire volume stays deterministic across runs.
-func candGroupFn(states []*hostState) func(h int) {
-	return func(h int) {
-		st := states[h]
-		clear(st.candByV)
-		for _, c := range st.cands {
-			cs := st.candByV[c.V]
-			dup := false
-			for i := range cs {
-				if cs[i].Src == c.Src {
-					if c.Dist < cs[i].Dist {
-						cs[i].Dist = c.Dist
-					}
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				st.candByV[c.V] = append(cs, c)
-			}
+// chainOwn chains this round's own candidates at the host's master (or
+// mirror) vertices.
+func (st *hostState) chainOwn(masters bool) {
+	for _, c := range st.cands {
+		if st.part.IsMaster[c.V] == masters {
+			st.chainCandidate(c.V, int32(c.Src), c.Dist)
 		}
 	}
 }
 
+// candGroupFn chains this round's candidates per mirror vertex, in a
+// compute phase: the pack calls of the reduce below run in parallel per
+// destination pair and only read the chains. Parallel intra-round
+// relaxations can propose the same (v, src) pair more than once (and
+// how often depends on vertex processing order); the master min-folds
+// anyway, so a chain keeps only the minimum distance per pair — the
+// wire volume stays deterministic across runs.
+func candGroupFn(states []*hostState) func(h int) {
+	return func(h int) { states[h].chainOwn(false) }
+}
+
 // candReduceExchange builds the candidate reduce step: mirror
-// candidates -> masters.
+// candidates -> masters, which union them into the master's chain.
 func candReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		if len(st.candByV) == 0 {
-			return
-		}
-		encodeCandidates(w, topo.MirrorList(from, to), st.candByV, func(c core.Candidate) uint32 { return c.Dist })
+		states[from].encodeCandidates(w, topo.MirrorList(from, to), func(_ uint32, n *candNode) uint32 { return n.dist })
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
 		st := states[to]
@@ -834,46 +900,20 @@ func candReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, t
 			lid := list[pos]
 			cnt := int(rd.U32())
 			for i := 0; i < cnt; i++ {
-				src := int(rd.U32())
+				src := rd.U32()
 				d := rd.U32()
-				st.engine.MergeCandidate(lid, src, d)
-				kk := key(lid, src)
-				if cur, ok := st.candSet[kk]; !ok || d < cur {
-					st.candSet[kk] = d
-				}
+				st.engine.MergeCandidate(lid, int(src), d)
+				st.chainCandidate(lid, int32(src), d)
 			}
 		})
 	}
 	return pack, unpack
 }
 
-// candMergeFn folds the masters' own local candidates into the union,
-// then groups the merged union by vertex for the broadcast packs.
+// candMergeFn folds the masters' own local candidates into the union
+// the reduce's unpack started.
 func candMergeFn(states []*hostState) func(h int) {
-	return func(h int) {
-		st := states[h]
-		for _, c := range st.cands {
-			if st.part.IsMaster[c.V] {
-				kk := key(c.V, c.Src)
-				if cur, ok := st.candSet[kk]; !ok || c.Dist < cur {
-					st.candSet[kk] = c.Dist
-				}
-			}
-		}
-		clear(st.mergedByV)
-		// Sorted (v, src) order keeps each vertex's merged candidate list —
-		// and with it the broadcast's wire bytes — identical across runs.
-		keys := make([]uint64, 0, len(st.candSet))
-		for kk := range st.candSet {
-			keys = append(keys, kk)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, kk := range keys {
-			v := uint32(kk >> 20)
-			s := int(kk & (1<<20 - 1))
-			st.mergedByV[v] = append(st.mergedByV[v], core.Candidate{V: v, Src: s})
-		}
-	}
+	return func(h int) { states[h].chainOwn(true) }
 }
 
 // candBroadcastExchange builds the candidate broadcast step: merged
@@ -882,11 +922,8 @@ func candMergeFn(states []*hostState) func(h int) {
 func candBroadcastExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
 		st := states[from]
-		if len(st.mergedByV) == 0 {
-			return
-		}
-		encodeCandidates(w, topo.MasterList(to, from), st.mergedByV, func(c core.Candidate) uint32 {
-			return st.engine.Get(c.V, c.Src).Dist
+		st.encodeCandidates(w, topo.MasterList(to, from), func(lid uint32, n *candNode) uint32 {
+			return st.engine.Get(lid, int(n.src)).Dist
 		})
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
@@ -920,25 +957,17 @@ func syncBackward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*host
 func backReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
 		st := states[from]
-		list := topo.MirrorList(from, to)
-		if len(list) == 0 || len(st.flags) == 0 {
+		if len(st.flags) == 0 {
 			return
 		}
-		marked := w.Scratch(len(list))
-		for pos, lid := range list {
-			if _, ok := st.flagByV[lid]; ok {
-				marked.Set(pos)
-			}
-		}
-		gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-			f := st.flagByV[list[pos]]
-			w.U32(uint32(f.Src))
-			w.F64(st.engine.DeltaPartial(f.V, f.Src))
+		encodeSlots(w, topo.MirrorList(from, to), st.due, func(lid uint32, src int, w *gluon.Writer) {
+			w.U32(uint32(src))
+			w.F64(st.engine.DeltaPartial(lid, src))
 			// Hand the partial to the master; the broadcast below
 			// restores the final value. Each mirror vertex appears
 			// in exactly one (from, to) shared list, so this write
 			// is safe under the pair-parallel pack loop.
-			st.engine.ApplyDeltaSync(f.V, f.Src, 0)
+			st.engine.ApplyDeltaSync(lid, src, 0)
 		})
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
@@ -946,12 +975,25 @@ func backReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, t
 		list := topo.MasterList(from, to)
 		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 			lid := list[pos]
-			src := int(rd.U32())
-			st.engine.AddDeltaPartial(lid, src, rd.F64())
-			st.flagSet[key(lid, src)] = true
+			src := rd.U32()
+			st.engine.AddDeltaPartial(lid, int(src), rd.F64())
+			st.claimBackward(lid, int32(src))
 		})
 	}
 	return pack, unpack
+}
+
+// claimBackward records that (v, src) synchronizes at this host's
+// master this round. Algorithm 5 schedules one source per vertex per
+// round on every proxy alike (round R − τ + 1, τ being the common
+// forward sync round), so a second source claiming the slot means the
+// proxies' schedules diverged.
+func (st *hostState) claimBackward(v uint32, src int32) {
+	if cur := st.bcast[v]; cur != none && cur != src {
+		panic(fmt.Sprintf("mrbcdist: sources %d and %d both claim vertex %d's backward slot", cur, src, v))
+	}
+	st.bcast[v] = src
+	st.touched.Set(int(v))
 }
 
 // backUnionFn builds the master-side union compute of one backward
@@ -961,31 +1003,25 @@ func backUnionFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) 
 		st := states[h]
 		for _, f := range st.flags {
 			if st.part.IsMaster[f.V] {
-				st.flagSet[key(f.V, f.Src)] = true
+				st.claimBackward(f.V, int32(f.Src))
 			}
 		}
-		// Sorted (v, src) order: st.synced's order is the δ-accumulation
-		// order at the predecessors, which must not vary run to run.
-		keys := make([]uint64, 0, len(st.flagSet))
-		for kk := range st.flagSet {
-			keys = append(keys, kk)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, kk := range keys {
-			v := uint32(kk >> 20)
-			s := int(kk & (1<<20 - 1))
-			st.synced = append(st.synced, core.Flag{V: v, Src: s})
-			st.bcastByV[v] = s
-			// flagSet is the master-side union of this round's due pairs
+		// Ascending vertex order: st.synced's order is the δ-accumulation
+		// order at the predecessors.
+		st.drainTouched(func(v uint32) {
+			src := int(st.bcast[v])
+			st.synced = append(st.synced, core.Flag{V: v, Src: src})
+			// The claims are the master-side union of this round's due pairs
 			// (its own flags plus mirror partials), so each (v, src)
 			// appears at its master in exactly one backward round — the
 			// round Algorithm 5 schedules as A = R − τ + 1.
 			if tr.Detail() {
 				tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirBackward,
 					Batch: int32(bi), Round: int32(r), Host: int32(h),
-					V: int32(st.part.GlobalID[v]), Src: int32(s)})
+					V: int32(st.part.GlobalID[v]), Src: int32(src)})
 			}
-		}
+		})
+		st.nBcast = len(st.synced)
 	}
 }
 
@@ -994,19 +1030,10 @@ func backUnionFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) 
 func backBroadcastExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
 		st := states[from]
-		list := topo.MasterList(to, from)
-		if len(list) == 0 || len(st.flagSet) == 0 {
+		if st.nBcast == 0 {
 			return
 		}
-		marked := w.Scratch(len(list))
-		for pos, lid := range list {
-			if _, ok := st.bcastByV[lid]; ok {
-				marked.Set(pos)
-			}
-		}
-		gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-			lid := list[pos]
-			src := st.bcastByV[lid]
+		encodeSlots(w, topo.MasterList(to, from), st.bcast, func(lid uint32, src int, w *gluon.Writer) {
 			w.U32(uint32(src))
 			w.F64(st.engine.DeltaPartial(lid, src))
 		})

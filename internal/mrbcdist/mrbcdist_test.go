@@ -175,16 +175,30 @@ func TestQuickAgainstBrandes(t *testing.T) {
 	}
 }
 
-func BenchmarkDistributedMRBC(b *testing.B) {
-	g := gen.RMAT(10, 8, 1)
+// benchRun times whole distributed runs on 4 in-process hosts. The two
+// shapes below are benchmark/'s rmat_mem_h4 and road_mem_h4 jobs at seed
+// 1, so `go test -run '^$' -bench Run -cpuprofile cpu.out
+// ./internal/mrbcdist` profiles what the harness measures.
+func benchRun(b *testing.B, g *graph.Graph, numSources, batch int) {
+	if testing.Short() {
+		b.Skip("whole-run benchmark")
+	}
 	pt := partition.CartesianCut(g, 4)
-	sources := brandes.FirstKSources(g, 0, 32)
+	sources := brandes.FirstKSources(g, 0, numSources)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Run(g, pt, sources, Options{BatchSize: 32})
+		_, _ = Run(g, pt, sources, Options{BatchSize: batch})
 	}
 }
+
+// BenchmarkRunRMAT: power-law, few fat rounds — arbitration handles
+// thousands of proposals per round.
+func BenchmarkRunRMAT(b *testing.B) { benchRun(b, gen.RMAT(13, 14, 1), 64, 32) }
+
+// BenchmarkRunRoad: degree ≤ 4, diameter ≈ 250 — hundreds of near-empty
+// rounds, so per-round reset cost dominates the handlers.
+func BenchmarkRunRoad(b *testing.B) { benchRun(b, gen.RoadGrid(128, 128, 1), 32, 16) }
 
 func TestSyncModesAgreeAndArbitrationIsCheaper(t *testing.T) {
 	g := gen.RMAT(9, 8, 21)
