@@ -134,8 +134,9 @@ type Cluster struct {
 	// the original buffer matrix, byte- and accounting-identical. A
 	// remote transport (ClusterOptions.Transport) puts the cluster in
 	// SPMD mode: this process runs exactly one host (localHost ≥ 0),
-	// Compute/pack/unpack touch only that host, and cross-process
-	// control decisions go through AllReduce.
+	// Compute/pack/unpack touch only that host, inline on the calling
+	// goroutine, and cross-process control decisions go through
+	// AllReduce.
 	transport gluon.Transport
 	mem       *gluon.MemTransport
 	streamer  gluon.Streamer // per-sender gather, remote backends only
@@ -160,9 +161,10 @@ type Cluster struct {
 	xmu  sync.Mutex
 	xerr *FaultError
 
-	// Persistent exchange workers and the per-exchange phase state
-	// they read. The bound task funcs are created once so dispatching
-	// a phase allocates nothing.
+	// Persistent exchange workers (nil in SPMD mode, whose phases run on
+	// the caller) and the per-exchange phase state they read. The bound
+	// task funcs are created once so dispatching a phase allocates
+	// nothing.
 	pool         *workerPool
 	packFn       func(from, to int, w *gluon.Writer)
 	unpackFn     func(to, from int, data []byte, dec *gluon.Decoder)
@@ -250,7 +252,8 @@ type ClusterOptions struct {
 	Metrics *obs.Registry
 	// Workers overrides the exchange worker-pool size (0: the default
 	// min(GOMAXPROCS, host pairs)). Event content is independent of the
-	// worker count — golden-trace tests sweep this.
+	// worker count — golden-trace tests sweep this. Unused with a remote
+	// Transport: an SPMD cluster has one local host and no pool.
 	Workers int
 	// Transport overrides the byte-moving backend. Nil selects the
 	// in-process MemTransport (the default simulated cluster). A remote
@@ -412,19 +415,26 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 			c.decoders[i] = gluon.NewDecoder()
 		}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if pairs := hosts * (hosts - 1); workers > pairs {
-			workers = pairs
+	if c.localHost < 0 {
+		workers := opts.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+			if pairs := hosts * (hosts - 1); workers > pairs {
+				workers = pairs
+			}
 		}
+		if workers < 1 {
+			workers = 1
+		}
+		c.pool = newWorkerPool(workers)
+		c.packTaskFn = c.packTask
+		c.unpackTaskFn = c.unpackTask
+		// The workers hold no reference back to the cluster while idle,
+		// so an abandoned cluster is collectable; the finalizer then
+		// releases its worker goroutines for callers that never call
+		// Close.
+		runtime.SetFinalizer(c, (*Cluster).Close)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	c.pool = newWorkerPool(workers)
-	c.packTaskFn = c.packTask
-	c.unpackTaskFn = c.unpackTask
 	if c.plan != nil {
 		c.seqOut = make([][]uint32, hosts)
 		c.seqIn = make([][]uint32, hosts)
@@ -434,17 +444,16 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		}
 		c.faults.PerHost = make([]HostFaultStats, hosts)
 	}
-	// The workers hold no reference back to the cluster while idle, so
-	// an abandoned cluster is collectable; the finalizer then releases
-	// its worker goroutines for callers that never call Close.
-	runtime.SetFinalizer(c, (*Cluster).Close)
 	return c
 }
 
-// Close releases the cluster's worker goroutines. Safe to call more
-// than once; a finalizer calls it for clusters that are simply dropped.
+// Close releases the cluster's worker goroutines (an SPMD cluster has
+// none). Safe to call more than once; a finalizer calls it for pooled
+// clusters that are simply dropped.
 func (c *Cluster) Close() {
-	c.closeOnce.Do(func() { close(c.pool.quit) })
+	if c.pool != nil {
+		c.closeOnce.Do(func() { close(c.pool.quit) })
+	}
 }
 
 // NumHosts returns the cluster size.
@@ -609,32 +618,38 @@ func (c *Cluster) nextSeq() int64 {
 	return c.seq
 }
 
-// Compute runs fn(host) on every host concurrently as one BSP compute
-// phase, recording per-host compute time and the round's load
-// imbalance.
+// Compute runs fn(host) on every local host as one BSP compute phase,
+// recording per-host compute time and the round's load imbalance.
+// In-process the hosts run concurrently, one goroutine each; the single
+// host of an SPMD cluster runs on the caller.
 func (c *Cluster) Compute(fn func(host int)) {
 	seq := c.nextSeq()
 	start := time.Now()
 	round := c.roundsC.Load() - c.baseRounds
 	durations := make([]time.Duration, c.hosts)
-	var wg sync.WaitGroup
-	for h := 0; h < c.hosts; h++ {
-		if !c.isLocal(h) {
-			continue
+	if h := c.localHost; h >= 0 {
+		// SPMD: one local host, nothing to run it side by side with.
+		t0 := time.Now()
+		fn(h)
+		durations[h] = time.Since(t0)
+		c.hostRoundG[h].Set(round)
+	} else {
+		var wg sync.WaitGroup
+		for h := 0; h < c.hosts; h++ {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				t0 := time.Now()
+				fn(h)
+				durations[h] = time.Since(t0)
+				// Published before the barrier: a telemetry scrape while
+				// other hosts still compute sees this host ahead, which is
+				// exactly the straggler signal /progressz derives.
+				c.hostRoundG[h].Set(round)
+			}(h)
 		}
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			t0 := time.Now()
-			fn(h)
-			durations[h] = time.Since(t0)
-			// Published before the barrier: a telemetry scrape while
-			// other hosts still compute sees this host ahead, which is
-			// exactly the straggler signal /progressz derives.
-			c.hostRoundG[h].Set(round)
-		}(h)
+		wg.Wait()
 	}
-	wg.Wait()
 	wall := time.Since(start)
 	c.computeWall += wall
 	c.computeHist.Observe(wall.Seconds())
@@ -684,7 +699,7 @@ func (c *Cluster) BeginRound() {
 // run in parallel on the worker pool, so the counters are atomics.
 func (c *Cluster) packTask(i int) {
 	from, to := i/c.hosts, i%c.hosts
-	if from == to || !c.isLocal(from) {
+	if from == to {
 		return
 	}
 	w := c.curWriters[from][to]
@@ -742,9 +757,6 @@ func (c *Cluster) packTask(i int) {
 // exchange arrived or the stall deadline converts the wait into a
 // structured error.
 func (c *Cluster) unpackTask(to int) {
-	if !c.isLocal(to) {
-		return
-	}
 	if c.streamer != nil {
 		// Per-sender streaming gather: consume senders in the fixed
 		// 0..hosts-1 order (the deterministic apply order), but start
@@ -838,11 +850,19 @@ func (c *Cluster) checkExchangeErr() {
 	}
 }
 
-// runPackPhase dispatches the pair-parallel pack loop for the current
-// exchange (shared by the perfect and reliable paths).
+// runPackPhase runs the pack loop for the current exchange (shared by
+// the perfect and reliable paths): pair-parallel on the worker pool
+// in-process, the local host's hosts−1 destinations in order on the
+// caller in SPMD mode.
 func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer)) {
 	c.packFn = pack
-	c.pool.runAll(c.hosts*c.hosts, c.packTaskFn)
+	if c.localHost >= 0 {
+		for to := 0; to < c.hosts; to++ {
+			c.packTask(c.localHost*c.hosts + to)
+		}
+	} else {
+		c.pool.runAll(c.hosts*c.hosts, c.packTaskFn)
+	}
 	c.packFn = nil
 }
 
@@ -1003,7 +1023,11 @@ func (c *Cluster) complete(t *PendingExchange) {
 	c.curUnpack = t.hostUnpack
 	c.curPairUnpack = t.pairUnpack
 	c.unpackFn = t.unpack
-	c.pool.runAll(c.hosts, c.unpackTaskFn)
+	if c.localHost >= 0 {
+		c.unpackTask(c.localHost)
+	} else {
+		c.pool.runAll(c.hosts, c.unpackTaskFn)
+	}
 	c.unpackFn = nil
 	t.unpack = nil
 	end := time.Now()
@@ -1162,7 +1186,9 @@ func (s *Stats) Add(o Stats) {
 // indexed tasks claimed off a shared atomic counter. Dispatching a
 // phase costs two channel operations per worker and zero allocations,
 // which is what keeps Exchange allocation-free at steady state (a `go`
-// statement per phase would allocate).
+// statement per phase would allocate). Only in-process clusters have
+// one: the pool runs hosts side by side, and an SPMD cluster (remote
+// transport, one local host) runs its phases on the caller instead.
 type workerPool struct {
 	workers int
 	wake    chan struct{} // one token per worker per phase

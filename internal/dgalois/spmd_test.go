@@ -1,0 +1,82 @@
+package dgalois
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"mrbc/internal/gluon"
+)
+
+// spmdStub is a remote transport owning one host: it records the order
+// of Sends and answers GatherFrom with a one-byte payload naming the
+// sender. Everything else a Cluster may call on a transport is left to
+// the nil embedded interface — the SPMD phases must not need it.
+type spmdStub struct {
+	gluon.Transport
+	hosts, self int
+	sent        []int
+}
+
+func (s *spmdStub) Hosts() int       { return s.hosts }
+func (s *spmdStub) Local(h int) bool { return h == s.self }
+
+func (s *spmdStub) Send(exchange, from, to int, buf []byte) error {
+	s.sent = append(s.sent, to)
+	return nil
+}
+
+func (s *spmdStub) GatherFrom(exchange, to, from int) ([]byte, error) {
+	return []byte{byte(from)}, nil
+}
+
+// TestSPMDPhasesRunInline pins the shape of a one-host-per-process
+// cluster: it owns no pool goroutines, Compute runs the local host on
+// the caller, the pack phase visits the local host's hosts−1
+// destinations in order and the unpack phase its hosts−1 senders in
+// order — all on the caller, which the plain (unsynchronized) appends
+// below let the race detector confirm.
+func TestSPMDPhasesRunInline(t *testing.T) {
+	const hosts, self = 4, 1
+	stub := &spmdStub{hosts: hosts, self: self}
+	before := runtime.NumGoroutine()
+	c := NewClusterOpts(hosts, ClusterOptions{Transport: stub})
+	defer c.Close()
+	// (Pool workers of earlier tests' clusters may still be exiting, so
+	// the count can only be trusted not to grow.)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("an SPMD cluster started %d goroutines, want none", after-before)
+	}
+
+	var computed []int
+	c.Compute(func(h int) {
+		computed = append(computed, h)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("Compute ran with %d goroutines live, %d before: not inline", n, before)
+		}
+	})
+	if !reflect.DeepEqual(computed, []int{self}) {
+		t.Fatalf("Compute ran hosts %v, want [%d]", computed, self)
+	}
+
+	var packed, unpacked []int
+	c.Exchange(func(from, to int, w *gluon.Writer) {
+		if from != self {
+			t.Errorf("packed for remote sender %d", from)
+		}
+		packed = append(packed, to)
+		w.U32(uint32(to))
+	}, func(to, from int, data []byte, dec *gluon.Decoder) {
+		if to != self || len(data) != 1 || int(data[0]) != from {
+			t.Errorf("unpack(to %d, from %d, %v)", to, from, data)
+		}
+		unpacked = append(unpacked, from)
+	})
+	want := []int{0, 2, 3}
+	if !reflect.DeepEqual(packed, want) || !reflect.DeepEqual(stub.sent, want) || !reflect.DeepEqual(unpacked, want) {
+		t.Fatalf("packed %v, sent %v, unpacked %v; want %v each", packed, stub.sent, unpacked, want)
+	}
+	if st := c.Stats(); st.Messages != hosts-1 || st.Bytes != 4*(hosts-1) {
+		t.Fatalf("stats = %d messages / %d bytes, want %d / %d", st.Messages, st.Bytes, hosts-1, 4*(hosts-1))
+	}
+}

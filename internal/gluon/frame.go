@@ -40,14 +40,21 @@ var ErrBadFrame = errors.New("gluon: bad frame")
 // EncodeFrame wraps payload in a frame with the given sequence number.
 func EncodeFrame(seq uint32, payload []byte) []byte {
 	out := make([]byte, FrameOverhead+len(payload))
-	copy(out, frameMagic[:])
-	binary.LittleEndian.PutUint32(out[4:], seq)
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(payload)))
 	copy(out[FrameOverhead:], payload)
-	crc := crc32.Update(0, crcTable, out[4:12])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(out[12:], crc)
+	sealFrame(out, seq)
 	return out
+}
+
+// sealFrame writes the header of a frame whose payload already sits at
+// frame[FrameOverhead:], so a sender that builds the payload in place
+// pays one buffer per frame instead of payload plus copy.
+func sealFrame(frame []byte, seq uint32) {
+	copy(frame, frameMagic[:])
+	binary.LittleEndian.PutUint32(frame[4:], seq)
+	binary.LittleEndian.PutUint32(frame[8:], uint32(len(frame)-FrameOverhead))
+	crc := crc32.Update(0, crcTable, frame[4:12])
+	crc = crc32.Update(crc, crcTable, frame[FrameOverhead:])
+	binary.LittleEndian.PutUint32(frame[12:], crc)
 }
 
 // DecodeFrame parses a frame, returning its sequence number and

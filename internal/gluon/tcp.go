@@ -1,12 +1,14 @@
 package gluon
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,26 +23,67 @@ import (
 // hang — exactly like DeadlineSteps does on the simulated network.
 //
 // Connections are asymmetric: each host dials every other host once
-// and writes its hello/data/reduce records on that connection; acks
-// travel back on the same connection. The reverse direction is the
-// peer's own dialed connection. Record payloads inside the frame:
+// and writes its hello/data/reduce records on that connection;
+// standalone acks travel back on the same connection. The reverse
+// direction is the peer's own dialed connection. Record payloads inside
+// the frame:
 //
-//	hello  [1][u32 host]                     frame seq 0, sent once per connection
-//	data   [2][u32 exchange][sync payload]   frame seq = channel seq (1-based)
-//	ack    [3][u32 cumulative seq]           frame seq 0
-//	reduce [4][u32 rseq][op][u64 value]      frame seq = channel seq
+//	hello  [1][u32 host][u32 epoch]                  frame seq 0, sent once per connection
+//	data   [2][u32 exchange][u32 ack][sync payload]  frame seq = channel seq (1-based)
+//	ack    [3][u32 cumulative seq]                   frame seq 0
+//	reduce [4][u32 rseq][op][u64 value][u32 ack]     frame seq = channel seq
 //
 // Data and reduce records share one per-peer sequence space, so a
 // single cumulative ack covers both. An empty data payload is the
 // explicit nothing-this-exchange marker the Transport contract
 // requires; it is counted as Control, not as a logical message, so
 // per-host Stats from a multi-process run sum to the in-process run's.
+//
+// Acks ride on reverse traffic. Every data and reduce record carries,
+// in its ack field, the highest seq its sender has accepted from the
+// record's destination — stamped at first transmission and stale on a
+// retransmission, which is harmless because acks are monotone. A
+// standalone ack record is written only when nothing carried it:
+//
+//   - tick flush: an ack owed across one full StepInterval with no
+//     outbound record to that peer (an idle or one-directional link),
+//   - duplicate or out-of-order record: answered at once, so a sender
+//     that missed an ack converges,
+//   - a standalone ack arrived while one is owed the other way: its
+//     sender evidently has no traffic for an ack to ride back on,
+//   - Close: every peer is sent one before the drain — each answers
+//     with the ack Close is waiting for — and records that arrive while
+//     closing are acked at once (no later record will).
+//
+// So a BSP exchange costs one write and one read per record, and the
+// frames a host writes on its dialed connection are exactly its hello,
+// records and retransmissions — what they were before acks moved.
 
 const (
 	recHello byte = 1
 	recData  byte = 2
 	recAck   byte = 3
 	recRed   byte = 4
+
+	dataHeadLen = 9  // [2][u32 exchange][u32 ack]
+	reduceLen   = 18 // [4][u32 rseq][op][u64 value][u32 ack]
+	reduceAckAt = 14
+
+	// recvBufSize is the read buffer on a connection's record side:
+	// large enough that header and payload of a typical record (and a
+	// few queued ones) come out of one read, small enough that a mesh's
+	// worth of them does not show in the resident set. Payloads larger
+	// than the buffer are read straight into their own slice.
+	recvBufSize = 8 << 10
+	// ackBufSize is the read buffer on the ack side, where only 21-byte
+	// standalone acks arrive.
+	ackBufSize = 64
+
+	// A peer keeps up to maxFreeFrames acked frame buffers of at most
+	// maxPooledFrame bytes for its next records, so steady-state sends
+	// allocate nothing without pinning a large message's memory.
+	maxFreeFrames  = 8
+	maxPooledFrame = 64 << 10
 )
 
 // TCPOptions tunes the TCP backend's reliability loop. The zero value
@@ -53,8 +96,8 @@ type TCPOptions struct {
 	// StepInterval is the wall-clock length of one reliability step
 	// (default 25 ms).
 	StepInterval time.Duration
-	// RetrySteps is how many steps an unacked record waits before the
-	// sender retransmits its queue (default 8).
+	// RetrySteps is how many steps without ack progress an unacked
+	// record waits before the sender retransmits its queue (default 8).
 	RetrySteps int
 	// DialTimeout bounds a single (re-)dial attempt (default 2 s).
 	DialTimeout time.Duration
@@ -94,20 +137,38 @@ type TCPTransport struct {
 	ln    net.Listener
 	peers []*tcpPeer // nil at index self
 
-	mu       sync.Mutex
-	inSeq    []uint32               // highest accepted seq per sender
-	inConns  []net.Conn             // current accepted conn per sender (ack path)
-	boxes    map[int]*exchangeBox   // keyed by exchange index
-	reduces  map[uint32]*reduceCell // keyed by reduce round
-	rseq     uint32                 // local reduce round counter
-	progress chan struct{}          // nudged on any receive progress
+	mu        sync.Mutex
+	inSeq     []uint32               // highest accepted seq per sender
+	ackOwed   []uint8                // per sender: ackNone, ackFresh or ackStale
+	closing   bool                   // Close has begun: ack every record at once
+	inConns   []net.Conn             // current accepted conn per sender (ack path)
+	boxes     map[int]*exchangeBox   // keyed by exchange index
+	freeBoxes []*exchangeBox         // fully consumed boxes, reset for reuse
+	reduces   map[uint32]*reduceCell // keyed by reduce round
+	rseq      uint32                 // local reduce round counter
+
+	ticker      *time.Ticker  // one StepInterval clock for every wait loop
+	progress    chan struct{} // nudged on any receive progress
+	ackProgress chan struct{} // nudged on any ack progress; only Close listens
 
 	stats []ChannelStats // [from*hosts+to], self row live, others zero
+
+	stalled atomic.Bool // a wait loop hit the stall deadline
 
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
+
+// ackOwed states. A fresh record makes its sender's ack ackFresh; the
+// first tick that finds it still owed ages it to ackStale and the next
+// one flushes it, so a standalone ack goes out only after a full
+// StepInterval in which no outbound record carried it.
+const (
+	ackNone uint8 = iota
+	ackFresh
+	ackStale
+)
 
 type exchangeBox struct {
 	bufs   [][]byte
@@ -135,19 +196,23 @@ func NewTCPTransport(self int, addrs []string, ln net.Listener, opts TCPOptions)
 	if ln == nil {
 		return nil, errors.New("gluon: tcp transport needs a listener")
 	}
+	opts = opts.withDefaults()
 	t := &TCPTransport{
-		self:     self,
-		hosts:    hosts,
-		opts:     opts.withDefaults(),
-		ln:       ln,
-		peers:    make([]*tcpPeer, hosts),
-		inSeq:    make([]uint32, hosts),
-		inConns:  make([]net.Conn, hosts),
-		boxes:    make(map[int]*exchangeBox),
-		reduces:  make(map[uint32]*reduceCell),
-		progress: make(chan struct{}, 1),
-		stats:    make([]ChannelStats, hosts*hosts),
-		closed:   make(chan struct{}),
+		self:        self,
+		hosts:       hosts,
+		opts:        opts,
+		ticker:      time.NewTicker(opts.StepInterval),
+		ln:          ln,
+		peers:       make([]*tcpPeer, hosts),
+		inSeq:       make([]uint32, hosts),
+		ackOwed:     make([]uint8, hosts),
+		inConns:     make([]net.Conn, hosts),
+		boxes:       make(map[int]*exchangeBox),
+		reduces:     make(map[uint32]*reduceCell),
+		progress:    make(chan struct{}, 1),
+		ackProgress: make(chan struct{}, 1),
+		stats:       make([]ChannelStats, hosts*hosts),
+		closed:      make(chan struct{}),
 	}
 	for h := 0; h < hosts; h++ {
 		if h == self {
@@ -180,10 +245,9 @@ func (t *TCPTransport) Send(exchange, from, to int, buf []byte) error {
 	if to == from || to < 0 || to >= t.hosts {
 		return fmt.Errorf("gluon: tcp Send to invalid host %d", to)
 	}
-	body := make([]byte, 5+len(buf))
-	body[0] = recData
-	binary.LittleEndian.PutUint32(body[1:], uint32(exchange))
-	copy(body[5:], buf)
+	var head [dataHeadLen]byte
+	head[0] = recData
+	binary.LittleEndian.PutUint32(head[1:], uint32(exchange))
 	t.mu.Lock()
 	s := &t.stats[from*t.hosts+to]
 	if len(buf) > 0 {
@@ -192,8 +256,48 @@ func (t *TCPTransport) Send(exchange, from, to int, buf []byte) error {
 	} else {
 		s.Control++
 	}
+	ack := t.takeAckLocked(to)
 	t.mu.Unlock()
-	return t.peers[to].enqueue(body)
+	binary.LittleEndian.PutUint32(head[5:], ack)
+	return t.peers[to].enqueue(head[:], buf)
+}
+
+// takeAckLocked returns the cumulative ack owed to peer h for the
+// caller to put on the wire, and marks it carried. Called with t.mu
+// held.
+func (t *TCPTransport) takeAckLocked(h int) uint32 {
+	t.ackOwed[h] = ackNone
+	return t.inSeq[h]
+}
+
+// waitStep is the wait shared by Gather, GatherFrom and AllReduce: it
+// blocks until receive progress, the next reliability tick, or Close,
+// keeps *steps as the count of consecutive ticks without progress, and
+// reports false once the transport is closed. All waits share the
+// transport's one ticker, so a tick that fired with nobody waiting is
+// seen by the next wait at once; that skews a stall count by at most
+// one step.
+func (t *TCPTransport) waitStep(steps *int) bool {
+	select {
+	case <-t.progress:
+		*steps = 0
+	case <-t.ticker.C:
+		*steps++
+	case <-t.closed:
+		return false
+	}
+	return true
+}
+
+// expired reports whether a wait has used up the stall budget, and
+// notes that it has: the caller is about to fail its run, and Close
+// need not linger for acks on the run's behalf.
+func (t *TCPTransport) expired(steps int) bool {
+	if steps <= t.opts.DeadlineSteps {
+		return false
+	}
+	t.stalled.Store(true)
+	return true
 }
 
 // Gather blocks until every peer's message for the exchange arrived
@@ -212,6 +316,7 @@ func (t *TCPTransport) Gather(exchange, to int) ([][]byte, error) {
 		t.mu.Lock()
 		box := t.boxes[exchange]
 		if box != nil && box.n == t.hosts-1 {
+			// The caller keeps box.bufs, so this box is not recycled.
 			delete(t.boxes, exchange)
 			t.mu.Unlock()
 			return box.bufs, nil
@@ -220,15 +325,10 @@ func (t *TCPTransport) Gather(exchange, to int) ([][]byte, error) {
 		if err := t.peerError(); err != nil {
 			return nil, err
 		}
-		select {
-		case <-t.progress:
-			steps = 0
-		case <-time.After(t.opts.StepInterval):
-			steps++
-		case <-t.closed:
+		if !t.waitStep(&steps) {
 			return nil, &TransportError{Host: -1, Exchange: exchange, Steps: steps, Reason: "transport closed"}
 		}
-		if steps > t.opts.DeadlineSteps {
+		if t.expired(steps) {
 			host, pending := t.firstMissing(exchange)
 			if stalled := t.mostStalledPeer(); stalled >= 0 {
 				host = stalled
@@ -265,6 +365,7 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 				box.nTaken++
 				if box.nTaken == t.hosts-1 {
 					delete(t.boxes, exchange)
+					t.recycleBoxLocked(box)
 				}
 			}
 			t.mu.Unlock()
@@ -274,15 +375,10 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 		if err := t.peerError(); err != nil {
 			return nil, err
 		}
-		select {
-		case <-t.progress:
-			steps = 0
-		case <-time.After(t.opts.StepInterval):
-			steps++
-		case <-t.closed:
+		if !t.waitStep(&steps) {
 			return nil, &TransportError{Host: from, Exchange: exchange, Steps: steps, Reason: "transport closed"}
 		}
-		if steps > t.opts.DeadlineSteps {
+		if t.expired(steps) {
 			host := from
 			if stalled := t.mostStalledPeer(); stalled >= 0 {
 				host = stalled
@@ -307,19 +403,21 @@ func (t *TCPTransport) AllReduce(host int, local int64, op ReduceOp) (int64, err
 	t.rseq++
 	r := t.rseq
 	t.mu.Unlock()
-	body := make([]byte, 14)
-	body[0] = recRed
-	binary.LittleEndian.PutUint32(body[1:], r)
-	body[5] = byte(op)
-	binary.LittleEndian.PutUint64(body[6:], uint64(local))
+	var rec [reduceLen]byte
+	rec[0] = recRed
+	binary.LittleEndian.PutUint32(rec[1:], r)
+	rec[5] = byte(op)
+	binary.LittleEndian.PutUint64(rec[6:], uint64(local))
 	for h, p := range t.peers {
 		if p == nil {
 			continue
 		}
 		t.mu.Lock()
 		t.stats[t.self*t.hosts+h].Control++
+		ack := t.takeAckLocked(h)
 		t.mu.Unlock()
-		if err := p.enqueue(body); err != nil {
+		binary.LittleEndian.PutUint32(rec[reduceAckAt:], ack)
+		if err := p.enqueue(rec[:], nil); err != nil {
 			return 0, err
 		}
 	}
@@ -336,15 +434,10 @@ func (t *TCPTransport) AllReduce(host int, local int64, op ReduceOp) (int64, err
 		if err := t.peerError(); err != nil {
 			return 0, err
 		}
-		select {
-		case <-t.progress:
-			steps = 0
-		case <-time.After(t.opts.StepInterval):
-			steps++
-		case <-t.closed:
+		if !t.waitStep(&steps) {
 			return 0, &TransportError{Host: -1, Exchange: -1, Steps: steps, Reason: "transport closed"}
 		}
-		if steps > t.opts.DeadlineSteps {
+		if t.expired(steps) {
 			t.mu.Lock()
 			pending := t.hosts - 1
 			if cell := t.reduces[r]; cell != nil {
@@ -385,16 +478,32 @@ func (t *TCPTransport) Stats(from, to int) ChannelStats {
 // Close tears the backend down: the listener, every connection, and
 // the retry goroutines. In-flight Gather/AllReduce calls return a
 // structured transport-closed error. Before tearing down, Close
-// lingers (bounded by the stall budget) until every outbound record
-// has been acked: hosts finish the final exchange at different times,
+// sends every peer a standalone ack — no later record will carry what
+// it owes, and the peers answer with what they owe — and lingers
+// (bounded by the stall budget) until every outbound record has been
+// acked: hosts finish the final exchange at different times,
 // and a fast host quitting immediately would strip the retransmission
 // machinery out from under a last frame the network dropped — turning
 // a recoverable loss into a peer's stall. Peers already in permanent
-// error are not waited for.
+// error are not waited for, and a transport whose own wait already hit
+// the stall deadline does not linger at all: its run has failed, and
+// the records still unacked are the ones the dead peer never will.
 func (t *TCPTransport) Close() error {
 	t.closeOnce.Do(func() {
-		t.drainOutbound()
+		t.mu.Lock()
+		t.closing = true
+		t.mu.Unlock()
+		// Owed or not: a standalone ack is answered in kind (readAcks),
+		// which brings this side's last acks in without waiting for the
+		// peers' next tick.
+		for h := range t.peers {
+			t.writeAck(h, ackNone)
+		}
+		if !t.stalled.Load() {
+			t.drainOutbound()
+		}
 		close(t.closed)
+		t.ticker.Stop()
 		t.ln.Close()
 		for _, p := range t.peers {
 			if p != nil {
@@ -415,28 +524,35 @@ func (t *TCPTransport) Close() error {
 }
 
 // drainOutbound blocks until every peer's unacked queue is empty or in
-// permanent error, or one stall budget elapses. The step loops are
-// still running, so stale queues keep being retransmitted while we
-// wait.
+// permanent error, or one stall budget elapses. It wakes on ack
+// progress rather than polling; the step loops are still running, so
+// stale queues keep being retransmitted meanwhile.
 func (t *TCPTransport) drainOutbound() {
-	deadline := time.Now().Add(time.Duration(t.opts.DeadlineSteps) * t.opts.StepInterval)
-	for {
-		pending := false
-		for _, p := range t.peers {
-			if p == nil {
-				continue
-			}
-			p.mu.Lock()
-			if p.err == nil && len(p.unacked) > 0 {
-				pending = true
-			}
-			p.mu.Unlock()
-		}
-		if !pending || time.Now().After(deadline) {
+	budget := time.NewTimer(time.Duration(t.opts.DeadlineSteps) * t.opts.StepInterval)
+	defer budget.Stop()
+	for t.outboundPending() {
+		select {
+		case <-t.ackProgress:
+		case <-budget.C:
 			return
 		}
-		time.Sleep(t.opts.StepInterval)
 	}
+}
+
+func (t *TCPTransport) outboundPending() bool {
+	for _, p := range t.peers {
+		if p == nil {
+			continue
+		}
+		p.mu.Lock()
+		p.trimLocked()
+		pending := p.err == nil && len(p.unacked) > 0
+		p.mu.Unlock()
+		if pending {
+			return true
+		}
+	}
+	return false
 }
 
 // peerError returns the first permanent peer failure, if any.
@@ -461,7 +577,9 @@ func (t *TCPTransport) peerError() error {
 // diagnosis of WHO is dead: a peer ignoring retransmissions is far
 // stronger evidence than a missing payload, which any upstream stall
 // can explain — and the elastic coordinator's survivor vote needs every
-// host to name the true victim, not the first casualty it noticed.
+// host to name the true victim, not the first casualty it noticed. A
+// live but idle peer never qualifies: its tick flush acks within two
+// steps.
 func (t *TCPTransport) mostStalledPeer() (host int) {
 	host = -1
 	best := 0
@@ -470,6 +588,7 @@ func (t *TCPTransport) mostStalledPeer() (host int) {
 			continue
 		}
 		p.mu.Lock()
+		p.trimLocked()
 		if len(p.unacked) > 0 && p.waitSteps > best {
 			best = p.waitSteps
 			host = p.host
@@ -500,9 +619,9 @@ func (t *TCPTransport) firstMissing(exchange int) (host, pending int) {
 	return host, pending
 }
 
-func (t *TCPTransport) nudge() {
+func nudge(ch chan struct{}) {
 	select {
-	case t.progress <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
@@ -533,12 +652,13 @@ func (t *TCPTransport) acceptLoop() {
 func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
+	br := bufio.NewReaderSize(conn, recvBufSize)
 	// First frame must be the hello identifying the dialing host: 9
 	// bytes [recHello][u32 host][u32 epoch], or the legacy 5-byte form
 	// without the epoch (treated as epoch 0). A dialer from another
 	// membership epoch — a killed host's socket still retransmitting, or
 	// a survivor not yet rolled over — is dropped at the door.
-	_, body, err := readFrame(conn)
+	_, body, err := readFrame(br)
 	if err != nil || (len(body) != 5 && len(body) != 9) || body[0] != recHello {
 		return
 	}
@@ -560,63 +680,96 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	t.inConns[from] = conn
 	t.mu.Unlock()
 	for {
-		seq, body, err := readFrame(conn)
+		seq, body, err := readFrame(br)
 		if err != nil {
 			return
 		}
 		if len(body) == 0 {
 			continue
 		}
-		t.receiveRecord(conn, from, seq, body)
+		t.receiveRecord(from, seq, body)
 	}
 }
 
-// receiveRecord runs the cumulative-seq dedup filter and dispatches
-// accepted data/reduce records. Every data/reduce frame is answered
-// with a cumulative ack (duplicates re-ack, so a sender that missed an
-// ack still converges).
-func (t *TCPTransport) receiveRecord(conn net.Conn, from int, seq uint32, body []byte) {
-	switch body[0] {
-	case recData, recRed:
-		t.mu.Lock()
-		fresh := seq == t.inSeq[from]+1
-		if fresh {
-			t.inSeq[from] = seq
-			t.dispatchLocked(from, body)
-		}
-		ack := t.inSeq[from]
-		// Receiver-side acks are control traffic on the return channel.
-		t.stats[t.self*t.hosts+from].Control++
-		t.mu.Unlock()
-		writeFrame(conn, 0, []byte{recAck, byte(ack), byte(ack >> 8), byte(ack >> 16), byte(ack >> 24)})
-		if fresh {
-			t.nudge()
+// receiveRecord hands the record's piggybacked ack to the sender's
+// peer, runs the cumulative-seq dedup filter and dispatches an accepted
+// record. The ack a fresh record earns is left for the next outbound
+// record (or the tick flush) to carry; a duplicate or out-of-order one
+// is re-acked at once, so a sender that missed an ack still converges.
+func (t *TCPTransport) receiveRecord(from int, seq uint32, body []byte) {
+	switch {
+	case body[0] == recData && len(body) >= dataHeadLen:
+		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[5:]))
+	case body[0] == recRed && len(body) == reduceLen:
+		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[reduceAckAt:]))
+	default:
+		return
+	}
+	t.mu.Lock()
+	fresh := seq == t.inSeq[from]+1
+	if fresh {
+		t.inSeq[from] = seq
+		t.dispatchLocked(from, body)
+		if t.ackOwed[from] == ackNone {
+			t.ackOwed[from] = ackFresh
 		}
 	}
+	ackNow := !fresh || t.closing
+	t.mu.Unlock()
+	if fresh {
+		nudge(t.progress)
+	}
+	if ackNow {
+		t.writeAck(from, ackNone)
+	}
+}
+
+// ageAck is the tick flush: an ack still owed from before the previous
+// tick is written, a fresh one becomes stale.
+func (t *TCPTransport) ageAck(h int) {
+	t.writeAck(h, ackStale)
+	t.mu.Lock()
+	if t.ackOwed[h] == ackFresh {
+		t.ackOwed[h] = ackStale
+	}
+	t.mu.Unlock()
+}
+
+// writeAck sends a standalone cumulative ack to peer h, on the
+// connection h dialed, if the ack owed has reached minAge (ackNone:
+// unconditionally). Receiver-side acks are control traffic on the
+// return channel.
+func (t *TCPTransport) writeAck(h int, minAge uint8) {
+	t.mu.Lock()
+	conn := t.inConns[h]
+	if t.ackOwed[h] < minAge || conn == nil {
+		t.mu.Unlock()
+		return
+	}
+	ack := t.takeAckLocked(h)
+	t.stats[t.self*t.hosts+h].Control++
+	t.mu.Unlock()
+	// A failed write is a dead connection: the peer re-dials,
+	// retransmits, and the duplicate is re-acked.
+	_ = writeFrame(conn, 0, []byte{recAck, byte(ack), byte(ack >> 8), byte(ack >> 16), byte(ack >> 24)})
 }
 
 func (t *TCPTransport) dispatchLocked(from int, body []byte) {
 	switch body[0] {
 	case recData:
-		if len(body) < 5 {
-			return
-		}
 		ex := int(binary.LittleEndian.Uint32(body[1:]))
 		box := t.boxes[ex]
 		if box == nil {
-			box = &exchangeBox{bufs: make([][]byte, t.hosts), got: make([]bool, t.hosts), taken: make([]bool, t.hosts)}
+			box = t.newBoxLocked()
 			t.boxes[ex] = box
 		}
 		if box.got[from] {
 			return
 		}
 		box.got[from] = true
-		box.bufs[from] = body[5:]
+		box.bufs[from] = body[dataHeadLen:]
 		box.n++
 	case recRed:
-		if len(body) != 14 {
-			return
-		}
 		r := binary.LittleEndian.Uint32(body[1:])
 		op := ReduceOp(body[5])
 		v := int64(binary.LittleEndian.Uint64(body[6:]))
@@ -630,22 +783,52 @@ func (t *TCPTransport) dispatchLocked(from int, body []byte) {
 	}
 }
 
+func (t *TCPTransport) newBoxLocked() *exchangeBox {
+	if k := len(t.freeBoxes) - 1; k >= 0 {
+		box := t.freeBoxes[k]
+		t.freeBoxes = t.freeBoxes[:k]
+		return box
+	}
+	return &exchangeBox{bufs: make([][]byte, t.hosts), got: make([]bool, t.hosts), taken: make([]bool, t.hosts)}
+}
+
+// recycleBoxLocked resets a box GatherFrom has fully consumed — the
+// payloads were handed out one by one, nothing refers to the box — and
+// keeps it for a later exchange. At most the open-exchange window's
+// worth of boxes ever exists.
+func (t *TCPTransport) recycleBoxLocked(box *exchangeBox) {
+	clear(box.bufs)
+	clear(box.got)
+	clear(box.taken)
+	box.n, box.nTaken = 0, 0
+	t.freeBoxes = append(t.freeBoxes, box)
+}
+
 // tcpPeer is the sender side of one outbound channel: it owns the
 // dialed connection, the unacked queue, and the step loop that
-// retransmits, re-dials, and declares the peer dead after the stall
-// deadline.
+// retransmits, re-dials, flushes the acks owed to the peer, and
+// declares it dead after the stall deadline.
 type tcpPeer struct {
 	t    *TCPTransport
 	host int
 	addr string
 
+	// ackIn is the highest cumulative ack the peer has sent, by either
+	// route. Readers only raise it; whoever next holds mu trims the
+	// queue to it (trimLocked). The receive path therefore never waits
+	// on mu, which a sender holds across a blocking socket write — two
+	// hosts writing large records to each other would otherwise each
+	// stop reading to wait for the other's write.
+	ackIn atomic.Uint32
+
 	mu         sync.Mutex
 	conn       net.Conn
 	seq        uint32 // last assigned channel seq
-	acked      uint32 // highest cumulative ack received
+	acked      uint32 // ackIn as of the last trim
 	unacked    []tcpRecord
-	idleSteps  int
-	waitSteps  int
+	free       [][]byte // acked frame buffers for reuse
+	idleSteps  int      // steps without ack progress since the last (re)transmission
+	waitSteps  int      // steps without ack progress
 	retries    int64
 	retryBytes int64
 	redials    int64
@@ -668,29 +851,85 @@ func newTCPPeer(t *TCPTransport, host int, addr string) *tcpPeer {
 	return p
 }
 
-// enqueue assigns the record its channel seq, appends it to the
-// unacked queue, and attempts an immediate transmission. Transmission
-// failures are left to the step loop's re-dial/retry machinery.
-func (p *tcpPeer) enqueue(body []byte) error {
+// enqueue frames head∥payload as the channel's next record, appends it
+// to the unacked queue, and attempts an immediate transmission.
+// Transmission failures are left to the step loop's re-dial/retry
+// machinery.
+func (p *tcpPeer) enqueue(head, payload []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
 		return p.err
 	}
+	p.trimLocked()
+	frame := p.frameLocked(FrameOverhead + len(head) + len(payload))
+	n := copy(frame[FrameOverhead:], head)
+	copy(frame[FrameOverhead+n:], payload)
 	p.seq++
-	rec := tcpRecord{seq: p.seq, frame: EncodeFrame(p.seq, body)}
-	p.unacked = append(p.unacked, rec)
+	sealFrame(frame, p.seq)
+	p.unacked = append(p.unacked, tcpRecord{seq: p.seq, frame: frame})
 	if p.ensureConnLocked() {
-		if err := p.writeLocked(rec.frame); err != nil {
+		if err := p.writeLocked(frame); err != nil {
 			p.dropConnLocked()
 		}
 	}
 	return nil
 }
 
-// stepLoop is the reliability clock: every StepInterval it checks ack
-// progress, retransmits a stale queue, re-dials a dead connection, and
-// converts DeadlineSteps of no progress into a permanent peer error.
+// frameLocked returns an n-byte frame buffer, reusing an acked one when
+// it is large enough.
+func (p *tcpPeer) frameLocked(n int) []byte {
+	if k := len(p.free) - 1; k >= 0 {
+		f := p.free[k]
+		p.free[k] = nil
+		p.free = p.free[:k]
+		if cap(f) >= n {
+			return f[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// ackTo records a cumulative ack from the peer. Lock-free: see ackIn.
+func (p *tcpPeer) ackTo(ack uint32) {
+	for {
+		cur := p.ackIn.Load()
+		if ack <= cur {
+			return
+		}
+		if p.ackIn.CompareAndSwap(cur, ack) {
+			nudge(p.t.ackProgress)
+			return
+		}
+	}
+}
+
+// trimLocked drops the records the peer has acked since the last trim
+// and, if there were any, restarts the no-ack-progress clocks. Called
+// with p.mu held, before anything that reads the queue or the clocks.
+func (p *tcpPeer) trimLocked() {
+	ack := p.ackIn.Load()
+	if ack == p.acked {
+		return
+	}
+	p.acked = ack
+	p.idleSteps, p.waitSteps = 0, 0
+	k := 0
+	for k < len(p.unacked) && p.unacked[k].seq <= ack {
+		if f := p.unacked[k].frame; len(p.free) < maxFreeFrames && cap(f) <= maxPooledFrame {
+			p.free = append(p.free, f)
+		}
+		k++
+	}
+	n := copy(p.unacked, p.unacked[k:])
+	clear(p.unacked[n:])
+	p.unacked = p.unacked[:n]
+}
+
+// stepLoop is the reliability clock: every StepInterval it flushes an
+// ack nothing carried, checks ack progress, retransmits a stale queue,
+// re-dials a dead connection, and converts DeadlineSteps of no
+// progress into a permanent peer error.
 func (p *tcpPeer) stepLoop() {
 	defer p.t.wg.Done()
 	ticker := time.NewTicker(p.t.opts.StepInterval)
@@ -701,7 +940,9 @@ func (p *tcpPeer) stepLoop() {
 			return
 		case <-ticker.C:
 		}
+		p.t.ageAck(p.host)
 		p.mu.Lock()
+		p.trimLocked()
 		if p.err != nil || len(p.unacked) == 0 {
 			p.idleSteps = 0
 			p.waitSteps = 0
@@ -714,7 +955,7 @@ func (p *tcpPeer) stepLoop() {
 			p.err = &TransportError{Host: p.host, Exchange: -1, Pending: len(p.unacked), Steps: p.waitSteps,
 				Reason: fmt.Sprintf("no ack progress from peer %d", p.host)}
 			p.mu.Unlock()
-			p.t.nudge()
+			nudge(p.t.progress)
 			continue
 		}
 		if p.idleSteps >= p.t.opts.RetrySteps {
@@ -782,13 +1023,13 @@ func (p *tcpPeer) dropConnLocked() {
 	}
 }
 
-// readAcks consumes cumulative acks from the dialed connection and
-// trims the unacked queue. Exits when the connection dies; the step
-// loop re-dials.
+// readAcks consumes standalone cumulative acks from the dialed
+// connection. Exits when the connection dies; the step loop re-dials.
 func (p *tcpPeer) readAcks(conn net.Conn) {
 	defer p.t.wg.Done()
+	br := bufio.NewReaderSize(conn, ackBufSize)
 	for {
-		_, body, err := readFrame(conn)
+		_, body, err := readFrame(br)
 		if err != nil {
 			p.mu.Lock()
 			if p.conn == conn {
@@ -800,22 +1041,10 @@ func (p *tcpPeer) readAcks(conn net.Conn) {
 		if len(body) != 5 || body[0] != recAck {
 			continue
 		}
-		ack := binary.LittleEndian.Uint32(body[1:])
-		p.mu.Lock()
-		if ack > p.acked {
-			p.acked = ack
-			p.waitSteps = 0
-			n := 0
-			for _, rec := range p.unacked {
-				if rec.seq > ack {
-					p.unacked[n] = rec
-					n++
-				}
-			}
-			clear(p.unacked[n:])
-			p.unacked = p.unacked[:n]
-		}
-		p.mu.Unlock()
+		p.ackTo(binary.LittleEndian.Uint32(body[1:]))
+		// A peer acking standalone has nothing on its way here for an
+		// ack to come back on, and may be waiting for ours in Close.
+		p.t.writeAck(p.host, ackFresh)
 	}
 }
 
@@ -826,13 +1055,15 @@ func (p *tcpPeer) close() {
 	p.mu.Unlock()
 }
 
-// readFrame reads one gluon frame off a stream: the fixed header
-// first, then exactly the payload length the (checksum-protected)
-// header declares. Any decode failure is returned as an error — the
-// caller treats the connection as dead and the retry path recovers.
-func readFrame(r io.Reader) (seq uint32, payload []byte, err error) {
-	hdr := make([]byte, FrameOverhead)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+// readFrame reads one gluon frame off a buffered stream: it peeks at
+// the fixed header, then reads header and exactly the payload length
+// the (checksum-protected) header declares into one fresh slice, which
+// the returned payload aliases. Any decode failure is returned as an
+// error — the caller treats the connection as dead and the retry path
+// recovers.
+func readFrame(br *bufio.Reader) (seq uint32, payload []byte, err error) {
+	hdr, err := br.Peek(FrameOverhead)
+	if err != nil {
 		return 0, nil, err
 	}
 	if [4]byte(hdr[:4]) != frameMagic {
@@ -843,8 +1074,7 @@ func readFrame(r io.Reader) (seq uint32, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
 	}
 	buf := make([]byte, FrameOverhead+int(plen))
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[FrameOverhead:]); err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return 0, nil, err
 	}
 	return DecodeFrame(buf)

@@ -338,3 +338,73 @@ func TestTCPTransportCloseUnblocksGather(t *testing.T) {
 		t.Fatal("Gather still blocked after Close")
 	}
 }
+
+// TestTCPTransportCloseDoesNotWaitAStep pins Close's drain: the last
+// operation's records are always unacked when Close begins (their acks
+// would have ridden on a next record that never comes), so Close sends
+// each peer a standalone ack, which the peer answers with the one it
+// owes, and wakes on ack progress. After an exchange, four hosts
+// closing together — four processes finishing a job — or one after the
+// other — a harness tearing down its mesh — each return in well under
+// one step, where polling the queue once per step cost every teardown
+// at least one.
+func TestTCPTransportCloseDoesNotWaitAStep(t *testing.T) {
+	for _, together := range []bool{true, false} {
+		name := "one by one"
+		if together {
+			name = "together"
+		}
+		t.Run(name, func(t *testing.T) {
+			const hosts = 4
+			step := 500 * time.Millisecond
+			c := tcpCluster(t, hosts, TCPOptions{StepInterval: step})
+			defer c.done()
+			unacked := 0
+			var wg sync.WaitGroup
+			for h := 0; h < hosts; h++ {
+				wg.Add(1)
+				go func(h int) {
+					defer wg.Done()
+					tr := c.view(h)
+					for to := 0; to < hosts; to++ {
+						if to != h {
+							if err := tr.Send(0, h, to, confPayload(1, h, to)); err != nil {
+								t.Errorf("host %d send: %v", h, err)
+							}
+						}
+					}
+					if _, err := tr.Gather(0, h); err != nil {
+						t.Errorf("host %d gather: %v", h, err)
+					}
+				}(h)
+			}
+			wg.Wait()
+			for h := 0; h < hosts; h++ {
+				for _, p := range c.view(h).(*TCPTransport).peers {
+					if p != nil {
+						unacked += p.pending()
+					}
+				}
+			}
+			if unacked == 0 {
+				t.Error("no host had an unacked record at Close: the test no longer exercises the drain")
+			}
+			closeTimed := func(h int) {
+				start := time.Now()
+				c.view(h).Close()
+				if took := time.Since(start); took >= step {
+					t.Errorf("host %d: Close took %v, a full %v step or more", h, took, step)
+				}
+			}
+			for h := 0; h < hosts; h++ {
+				if together {
+					wg.Add(1)
+					go func(h int) { defer wg.Done(); closeTimed(h) }(h)
+				} else {
+					closeTimed(h)
+				}
+			}
+			wg.Wait()
+		})
+	}
+}

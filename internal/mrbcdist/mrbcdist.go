@@ -78,7 +78,8 @@ type Options struct {
 	// the telemetry endpoint's /progressz view derives from.
 	Metrics *obs.Registry
 	// Workers overrides the cluster's exchange worker-pool size (0:
-	// automatic). Trace content is independent of this value.
+	// automatic). Trace content is independent of this value. Unused
+	// with a remote Transport (dgalois.ClusterOptions.Workers).
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend (gluon.TCPTransport)

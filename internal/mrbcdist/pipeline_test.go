@@ -157,7 +157,7 @@ func TestPipelineHiddenTimeAccounted(t *testing.T) {
 
 // tcpViews builds an N-host localhost TCP mesh (listeners first so the
 // address book is complete before any transport dials).
-func tcpViews(t *testing.T, hosts int) []gluon.Transport {
+func tcpViews(t testing.TB, hosts int) []gluon.Transport {
 	t.Helper()
 	lns := make([]net.Listener, hosts)
 	addrs := make([]string, hosts)
@@ -184,15 +184,23 @@ func tcpViews(t *testing.T, hosts int) []gluon.Transport {
 // over a real localhost TCP mesh) and returns the elementwise sum of
 // the per-host score vectors. The vectors are disjoint by master
 // ownership, so the sum is exact.
-func runTCPSPMD(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) []float64 {
+func runTCPSPMD(t testing.TB, g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) []float64 {
+	t.Helper()
+	views := tcpViews(t, pt.NumHosts)
+	defer closeViews(views)
+	return runSPMD(t, views, g, pt, sources, opts)
+}
+
+func closeViews(views []gluon.Transport) {
+	for _, v := range views {
+		v.Close()
+	}
+}
+
+// runSPMD is runTCPSPMD over a mesh the caller owns.
+func runSPMD(t testing.TB, views []gluon.Transport, g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) []float64 {
 	t.Helper()
 	hosts := pt.NumHosts
-	views := tcpViews(t, hosts)
-	defer func() {
-		for _, v := range views {
-			v.Close()
-		}
-	}()
 	perHost := make([][]float64, hosts)
 	errs := make([]error, hosts)
 	var wg sync.WaitGroup
@@ -306,5 +314,63 @@ func TestPipelineUnrecoverableFaultErrors(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("pipelined runner hung on permanently stalled host")
+	}
+}
+
+// benchRunTCP times benchmark/'s rmat_tcp_h4 job at seed 1 — four SPMD
+// goroutines over a loopback mesh, the way four bcd processes would
+// run it — with the mesh brought up (one all-reduce dials every peer
+// both ways) and closed outside the timer. With BenchmarkRunMemSameJob
+// it gives the TCP/in-process ratio without the harness:
+// `go test -run '^$' -bench 'RunTCP|RunMemSameJob' -cpuprofile cpu.out
+// ./internal/mrbcdist`.
+func benchRunTCP(b *testing.B, depth int) {
+	if testing.Short() {
+		b.Skip("whole-run benchmark over localhost TCP")
+	}
+	g, pt, sources := tcpBenchJob()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		views := tcpViews(b, pt.NumHosts)
+		var wg sync.WaitGroup
+		for h, v := range views {
+			wg.Add(1)
+			go func(h int, v gluon.Transport) {
+				defer wg.Done()
+				if _, err := v.AllReduce(h, 0, gluon.ReduceSum); err != nil {
+					b.Errorf("connect host %d: %v", h, err)
+				}
+			}(h, v)
+		}
+		wg.Wait()
+		b.StartTimer()
+		runSPMD(b, views, g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth})
+		b.StopTimer()
+		closeViews(views)
+		b.StartTimer()
+	}
+}
+
+func tcpBenchJob() (*graph.Graph, *partition.Partitioning, []uint32) {
+	g := gen.RMAT(11, 7, 1)
+	return g, partition.CartesianCut(g, 4), brandes.FirstKSources(g, 0, 256)
+}
+
+func BenchmarkRunTCP(b *testing.B)       { benchRunTCP(b, 1) }
+func BenchmarkRunTCPDepth4(b *testing.B) { benchRunTCP(b, 4) }
+
+// BenchmarkRunMemSameJob is the BenchmarkRunTCP job on the in-process
+// transport: the denominator of the TCP/in-process ratio.
+func BenchmarkRunMemSameJob(b *testing.B) {
+	if testing.Short() {
+		b.Skip("whole-run benchmark")
+	}
+	g, pt, sources := tcpBenchJob()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = Run(g, pt, sources, Options{BatchSize: 4})
 	}
 }

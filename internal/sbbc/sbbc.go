@@ -63,7 +63,8 @@ type Options struct {
 	// /progressz view derives from.
 	Metrics *obs.Registry
 	// Workers overrides the cluster's exchange worker-pool size (0:
-	// automatic). Trace content is independent of this value.
+	// automatic). Trace content is independent of this value. Unused
+	// with a remote Transport (dgalois.ClusterOptions.Workers).
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend runs this process
