@@ -49,7 +49,7 @@ func writeHostFiles(t *testing.T, dir string, hosts, exchanges int) []string {
 				obs.Event{Kind: obs.KindPhase, Seq: seq + 2, Round: round,
 					Host: int32(h), Phase: obs.PhaseUnpack, Bytes: recvd,
 					Messages: int64(hosts - 1),
-					StartNs: start + 70_000, DurNs: 5_000},
+					StartNs:  start + 70_000, DurNs: 5_000},
 				obs.Event{Kind: obs.KindPhase, Seq: seq + 1, Round: round,
 					Host: -1, Phase: obs.PhaseExchange,
 					StartNs: start + 50_000, DurNs: 30_000})

@@ -45,7 +45,7 @@ type CommsBenchRow struct {
 	// Mix is the adaptive run's per-format message breakdown.
 	Mix gluon.EncodingCounts `json:"format_mix"`
 
-	DenseCommNs    int64 `json:"dense_comm_ns"`    // non-overlapped comm wall time
+	DenseCommNs    int64 `json:"dense_comm_ns"` // non-overlapped comm wall time
 	AdaptiveCommNs int64 `json:"adaptive_comm_ns"`
 
 	// ReductionVsSeed is SeedDenseBytes / AdaptiveBytes (higher is

@@ -34,10 +34,10 @@ type FaultBenchRow struct {
 	OverheadVsRaw float64 `json:"overhead_vs_raw"` // ns ratio, 1.0 = free
 	PaperBytes    int64   `json:"paper_bytes"`     // logical sync volume (identical across modes)
 	PaperMessages int64   `json:"paper_messages"`
-	FrameBytes    int64   `json:"frame_bytes"`  // framing overhead, framed/faulty only
-	RetryBytes    int64   `json:"retry_bytes"`  // retransmitted payload, faulty only
-	RetryMessages int64   `json:"retry_msgs"`   // retransmissions, faulty only
-	AckBytes      int64   `json:"ack_bytes"`    // ack traffic, framed/faulty only
+	FrameBytes    int64   `json:"frame_bytes"` // framing overhead, framed/faulty only
+	RetryBytes    int64   `json:"retry_bytes"` // retransmitted payload, faulty only
+	RetryMessages int64   `json:"retry_msgs"`  // retransmissions, faulty only
+	AckBytes      int64   `json:"ack_bytes"`   // ack traffic, framed/faulty only
 	DeliverySteps int64   `json:"delivery_steps"`
 }
 

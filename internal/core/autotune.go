@@ -75,14 +75,15 @@ func AutotuneBatch(g *graph.Graph, sources []uint32, candidates []int, probeSour
 		}
 		start := time.Now()
 		var stats RunStats
-		opts := Options{BatchSize: k}.withDefaults()
+		loop := &batchLoop{g: g, kmax: min(k, len(probe)), opts: Options{BatchSize: k}.withDefaults()}
 		for off := 0; off < len(probe); off += k {
 			end := off + k
 			if end > len(probe) {
 				end = len(probe)
 			}
-			runBatch(g, probe[off:end], scratch, &stats, opts)
+			loop.run(probe[off:end], scratch, &stats)
 		}
+		loop.close()
 		if elapsed := time.Since(start); bestTime < 0 || elapsed < bestTime {
 			bestTime = elapsed
 			best = k

@@ -2,50 +2,45 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"mrbc/internal/bitset"
 	"mrbc/internal/graph"
 )
 
-// This file implements the batched MRBC engine with the data-structure
-// optimizations of Section 4.3:
+// This file implements the batched MRBC engine with the data structures
+// of Section 4.3 laid out as structure-of-arrays (DESIGN.md §5, "Engine
+// label layout"):
 //
-//   - Av: a dense, unsorted per-vertex array with one struct per source
-//     holding (dist, sigma, delta), giving O(1) access and spatial
-//     locality (SrcData).
-//   - Mv: a flat sorted map from distance to a dense bitvector of the
-//     sources currently at that distance (replacing the Boost flat_map),
-//     which supports lexicographic iteration of the ordered list Lv and
-//     logarithmic search.
+//   - Av: the per-source labels live in four flat slabs — dist, sigma,
+//     delta, tau — indexed v·k+s, so one label read is one load and a
+//     vertex's k distances share two cache lines at k = 32.
+//   - Mv: the sorted distance -> source-set map of vertex v is the first
+//     mapLen entries of the region [v·k, (v+1)·k) of mvDist/mvSet. At
+//     k ≤ 64 an entry's source set is the mvSet word itself; above, it
+//     names a slot of ⌈k/64⌉ words in the owning shard's slab.
+//   - One 20-byte record per vertex carries the schedule: the number of
+//     sent entries, the first unsent entry, the Mv length and the round
+//     the vertex is enqueued for.
 //
-// Rather than storing the round in which each message was sent, the
-// send round is derived from the map contents (distance + position),
-// exactly as the paper describes ("we can derive the round in which the
-// σsv is ready to be sent using dsv in the map, the current round
-// number, and the number of already sent dependencies").
+// The send round is derived, not stored ("we can derive the round in
+// which the σsv is ready to be sent using dsv in the map, the current
+// round number, and the number of already sent dependencies"): sends at
+// a vertex are lexicographically monotone, so the first unsent entry
+// sits at position sentCount+1 and is due in round dist + sentCount + 1.
+// Because that round is known the moment an entry is created or
+// improved, flag discovery is a round-indexed bucket scheduler (a
+// calendar queue with lazy deletion), sharded by vertex ownership into
+// contiguous ranges so the shared-memory runner can execute a round's
+// compute phase on several goroutines without locks (see parallel.go).
 //
-// Because the schedule r = dsv + ℓrv(dsv, s) is known the moment an
-// entry is created or improved, flag discovery does not need a per-round
-// scan over all vertices: the engine keeps a round-indexed bucket
-// scheduler (a calendar queue with lazy deletion) that moves a vertex
-// between round buckets whenever its first-unsent entry changes, making
-// ForwardFlags O(|flags| + stale entries) per round. The buckets are
-// additionally sharded by vertex ownership — contiguous vertex ranges,
-// so adjacent vertices' labels stay inside one shard's (and hence one
-// worker's) cache lines — so that the shared-memory runner can execute
-// the per-round compute phase on multiple goroutines without locks or
-// atomics on the hot path. Concatenating per-shard results in shard
-// order recovers the global ascending vertex order, the property the
-// parallel runtime's determinism rests on (see parallel.go).
-//
-// The engine holds one host's local view. The distributed
-// implementation (internal/mrbcdist) runs one engine per host and uses
-// Gluon-style reductions between rounds; the shared-memory runner
-// (mrbc.go) runs a single engine over the whole graph with trivial
-// reductions.
+// An engine is built once and Reset between batches. It holds one
+// host's local view: internal/mrbcdist runs one per host with
+// Gluon-style reductions between rounds, mrbc.go runs a single one over
+// the whole graph with trivial reductions.
 
-// SrcData is one element of the dense per-source array Av.
+// SrcData is the (dist, sigma, delta) label triple of one (vertex,
+// source) pair, as Get returns it.
 type SrcData struct {
 	Dist  uint32 // graph.InfDist when the source has not reached here
 	Sigma float64
@@ -60,171 +55,44 @@ type Flag struct {
 	Src int
 }
 
-// shardAlloc is a shard-local slab allocator for the per-vertex distance
-// maps: the source bitsets (recycled through a free list) and the
-// fixed-capacity dists/sets slices a vertex's map lives in. It replaces
-// per-entry heap allocations on the hot relax path with amortized-zero
-// allocation, and being per-shard it needs no locks under the parallel
-// compute phase. Storage is carved lazily, so engines whose activity
-// touches few vertices (per-host distributed engines) stay cheap.
-type shardAlloc struct {
-	k   int
-	wps int // words per set
-	// bitset slabs + free list.
-	freeSets   []*bitset.Set
-	setStructs []bitset.Set // unused pre-initialized sets of the current slab
-	// distMap slice slabs. A vertex holds at most k distinct distances,
-	// so every map gets capacity-k slices once, on first touch.
-	mapDists []uint32
-	mapSets  []*bitset.Set
-}
-
-const allocSlabVertices = 256
-
-func (a *shardAlloc) init(k int) {
-	a.k = k
-	a.wps = bitset.WordsFor(k)
-}
-
-func (a *shardAlloc) getSet() *bitset.Set {
-	if n := len(a.freeSets); n > 0 {
-		s := a.freeSets[n-1]
-		a.freeSets = a.freeSets[:n-1]
-		return s
-	}
-	if len(a.setStructs) == 0 {
-		a.setStructs = make([]bitset.Set, allocSlabVertices)
-		words := make([]uint64, allocSlabVertices*a.wps)
-		for i := range a.setStructs {
-			a.setStructs[i] = bitset.FromWords(words[i*a.wps:(i+1)*a.wps], a.k)
-		}
-	}
-	s := &a.setStructs[0]
-	a.setStructs = a.setStructs[1:]
-	return s
-}
-
-func (a *shardAlloc) putSet(s *bitset.Set) {
-	a.freeSets = append(a.freeSets, s) // freed sets are empty (last bit cleared)
-}
-
-// carveMap returns empty dists/sets slices with capacity k for one
-// vertex's distance map.
-func (a *shardAlloc) carveMap() ([]uint32, []*bitset.Set) {
-	if len(a.mapDists) < a.k {
-		a.mapDists = make([]uint32, allocSlabVertices*a.k)
-		a.mapSets = make([]*bitset.Set, allocSlabVertices*a.k)
-	}
-	d, s := a.mapDists[:0:a.k], a.mapSets[:0:a.k]
-	a.mapDists = a.mapDists[a.k:]
-	a.mapSets = a.mapSets[a.k:]
-	return d, s
-}
-
-// distMap is the flat sorted distance -> source-bitvector map Mv.
-type distMap struct {
-	dists []uint32
-	sets  []*bitset.Set
-}
-
-func (m *distMap) add(a *shardAlloc, s int, d uint32) {
-	if m.dists == nil {
-		m.dists, m.sets = a.carveMap()
-	}
-	// Fast path: relaxations mostly reach a vertex at nondecreasing
-	// distances, so the entry is usually at (or appends past) the tail.
-	n := len(m.dists)
-	i := n
-	if n > 0 {
-		if last := m.dists[n-1]; last == d {
-			m.sets[n-1].Set(s)
-			return
-		} else if last > d {
-			i = sort.Search(n, func(i int) bool { return m.dists[i] >= d })
-		}
-	}
-	if i < n && m.dists[i] == d {
-		m.sets[i].Set(s)
-		return
-	}
-	set := a.getSet()
-	set.Set(s)
-	m.dists = append(m.dists, 0)
-	m.sets = append(m.sets, nil)
-	copy(m.dists[i+1:], m.dists[i:])
-	copy(m.sets[i+1:], m.sets[i:])
-	m.dists[i] = d
-	m.sets[i] = set
-}
-
-func (m *distMap) remove(a *shardAlloc, s int, d uint32) {
-	n := len(m.dists)
-	i := n - 1
-	if i < 0 || m.dists[i] != d { // tail fast path, else binary search
-		i = sort.Search(n, func(i int) bool { return m.dists[i] >= d })
-	}
-	if i >= n || m.dists[i] != d || !m.sets[i].Test(s) {
-		panic(fmt.Sprintf("core: distMap missing (d=%d, s=%d)", d, s))
-	}
-	m.sets[i].Clear(s)
-	if m.sets[i].None() {
-		a.putSet(m.sets[i])
-		m.dists = append(m.dists[:i], m.dists[i+1:]...)
-		m.sets = append(m.sets[:i], m.sets[i+1:]...)
-	}
-}
-
-// vertexState is the per-vertex label set of Section 4.2/4.3.
-type vertexState struct {
-	data []SrcData  // Av
-	dmap distMap    // Mv
-	sent bitset.Set // backed by the engine's slab (see NewEngineOpts)
-	tau  []int32    // round each source's labels were synchronized (finalized)
-
-	// Incremental schedule state. Per vertex, synchronizations happen
-	// in strictly increasing lexicographic (dist, source) order — the
-	// sent entries always form a lexicographic prefix of the ordered
-	// list — so the first unsent entry sits at position sentCount+1
-	// and its scheduled round is dist + sentCount + 1. This derives
-	// the send round from "dsv in the map, the current round number,
-	// and the number of already sent dependencies" exactly as §4.3
-	// describes, in O(1) per query instead of a map walk.
-	sentCount int
+// vertexSched is the per-vertex schedule record. Per vertex,
+// synchronizations happen in strictly increasing lexicographic
+// (dist, source) order — the sent entries always form a lexicographic
+// prefix of the ordered list — so the first unsent entry sits at
+// position sentCount+1 and its scheduled round is dist + sentCount + 1,
+// in O(1) per query instead of a map walk.
+type vertexSched struct {
+	sentCount int32
 	fuDist    uint32 // first (lexicographically least) unsent entry
 	fuSrc     int32  // -1 when no unsent entry exists
-
+	mapLen    int32  // live Mv entries
+	// sched is the forward round the vertex is currently enqueued for
+	// (bucket mode), or -1 when it has no unsent entry / was collected
+	// this round. Only the vertex's owner mutates it.
+	sched int32
 }
+
+var idleVertex = vertexSched{fuSrc: -1, sched: -1}
 
 // noteUnsent updates the first-unsent pointer after entry (s, d) was
 // inserted or lowered while unsent.
-func (st *vertexState) noteUnsent(s int, d uint32) {
-	if st.fuSrc == int32(s) {
+func (rec *vertexSched) noteUnsent(s int, d uint32) {
+	if rec.fuSrc == int32(s) {
 		// The tracked entry itself moved (distance improvements only
 		// lower it); it remains the minimum.
-		st.fuDist = d
+		rec.fuDist = d
 		return
 	}
-	if st.fuSrc < 0 || d < st.fuDist || (d == st.fuDist && int32(s) < st.fuSrc) {
-		st.fuDist, st.fuSrc = d, int32(s)
+	if rec.fuSrc < 0 || d < rec.fuDist || (d == rec.fuDist && int32(s) < rec.fuSrc) {
+		rec.fuDist, rec.fuSrc = d, int32(s)
 	}
 }
 
-// advanceFU finds the new first unsent entry after the previous one was
-// synchronized. Sends are lexicographically monotone — every entry
-// below the one just sent is already sent — so the scan resumes at the
-// distance bucket of the previous first-unsent entry instead of
-// position 0, and within each bucket the first unsent source is found
-// by one bitset difference.
-func (st *vertexState) advanceFU() {
-	prev := st.fuDist
-	i := sort.Search(len(st.dmap.dists), func(i int) bool { return st.dmap.dists[i] >= prev })
-	for ; i < len(st.dmap.dists); i++ {
-		if s := st.dmap.sets[i].FirstAndNot(&st.sent); s >= 0 {
-			st.fuDist, st.fuSrc = st.dmap.dists[i], int32(s)
-			return
-		}
-	}
-	st.fuSrc = -1
+// backFlag is a Flag packed to 8 bytes for the backward schedule, which
+// holds one per reached (vertex, source) pair.
+type backFlag struct {
+	v uint32
+	s int32
 }
 
 // engineShard holds one ownership shard's scheduler state. A shard
@@ -237,39 +105,91 @@ type engineShard struct {
 	// buckets[r-1] holds vertices tentatively due in forward round r.
 	// Deletion is lazy: a vertex is re-appended when its due round
 	// changes, and collection skips copies whose round no longer
-	// matches sched[v].
+	// matches the vertex's sched.
 	buckets [][]uint32
 	// freeBuckets recycles the slices of collected rounds.
 	freeBuckets [][]uint32
-	// backByRound[r-1] holds the Algorithm 5 flags of backward round r.
-	backByRound [][]Flag
+	// backByRound[r-1] holds the Algorithm 5 flags of backward round r,
+	// carved out of backArena; backCounts is the counting pass's scratch.
+	backByRound [][]backFlag
+	backArena   []backFlag
+	backCounts  []int32
 	// nextHint is a verified lower bound on the shard's next non-empty
 	// bucket round: every bucket strictly before it is empty. Lowered on
 	// insert, advanced by NextForwardRound's scan, it makes the per-round
 	// scan amortized O(1) per shard instead of O(round span) — the cost
 	// that would otherwise grow with the shard count.
 	nextHint int32
-	// alloc hands out the shard's distMap bitsets.
-	alloc shardAlloc
+	// setWords is the slab of Mv source sets for batches above 64
+	// sources: slot i is words [i·wps, (i+1)·wps). An emptied set's slot
+	// returns through freeSlots with all its words zero.
+	setWords  []uint64
+	setSlots  int
+	freeSlots []uint32
 	// pending counts (v,s) pairs inserted but not yet synchronized.
 	pending int64
 	_       [56]byte
 }
 
+// setSlabChunk is the number of set slots a shard's slab grows by.
+const setSlabChunk = 256
+
+func (sh *engineShard) allocSlot(wps int) int {
+	if n := len(sh.freeSlots); n > 0 {
+		slot := sh.freeSlots[n-1]
+		sh.freeSlots = sh.freeSlots[:n-1]
+		return int(slot)
+	}
+	slot := sh.setSlots
+	sh.setSlots++
+	if sh.setSlots*wps > len(sh.setWords) {
+		sh.setWords = append(sh.setWords, make([]uint64, setSlabChunk*wps)...)
+	}
+	return slot
+}
+
+// reset empties the shard's scheduler and set slab, keeping every
+// slice's capacity. wps is the slot width the slab was used at.
+func (sh *engineShard) reset(wps int) {
+	for i, b := range sh.buckets {
+		if cap(b) > 0 {
+			sh.freeBuckets = append(sh.freeBuckets, b[:0])
+		}
+		sh.buckets[i] = nil
+	}
+	sh.buckets = sh.buckets[:0]
+	sh.backByRound = sh.backByRound[:0]
+	sh.nextHint = 0
+	clear(sh.setWords[:sh.setSlots*wps])
+	sh.setSlots = 0
+	sh.freeSlots = sh.freeSlots[:0]
+	sh.pending = 0
+}
+
 // Engine is one host's MRBC state over a local graph.
 type Engine struct {
-	g  *graph.Graph
-	k  int
-	st []vertexState
+	g    *graph.Graph
+	n    int
+	k    int // current batch size, and the stride of every label slab
+	kmax int // construction-time batch size: the largest k Reset accepts
+	wps  int // words per source set at the current stride: ⌈k/64⌉
 
-	scan   bool          // legacy O(n)-scan flag discovery (baseline)
-	shards []engineShard // ownership shards; len >= 1
-	// sched[v] is the forward round vertex v is currently enqueued
-	// for (bucket mode), or -1 when it has no unsent entry / was
-	// collected this round. Only v's owner mutates sched[v].
-	sched    []int32
-	fwdRound int // last collected forward round, for schedule sanity checks
-	totalR   int // forward termination round, set by StartBackward
+	// Label slabs, indexed v·k+s. Each has length n·k and capacity
+	// n·kmax. dist is built with the engine; the rest are made on the
+	// first label write (allocLabels), which a run pays once.
+	dist   []uint32 // graph.InfDist: not reached
+	sigma  []float64
+	delta  []float64
+	tau    []int32  // round the pair's labels were synchronized (finalized)
+	mvDist []uint32 // Mv distances, ascending within a vertex's region
+	mvSet  []uint64 // Mv source sets: the word itself (wps == 1) or a slab slot
+	sent   []uint64 // v·wps + s/64: the pair has been synchronized
+	vs     []vertexSched
+
+	scan     bool          // legacy O(n)-scan flag discovery (baseline)
+	shards   []engineShard // ownership shards; len >= 1
+	fwdRound int           // last collected forward round, for schedule sanity checks
+	totalR   int           // forward termination round, set by StartBackward
 }
 
 // EngineOpts configures optional Engine behavior.
@@ -294,7 +214,8 @@ func NewEngine(g *graph.Graph, k int) *Engine {
 	return NewEngineOpts(g, k, EngineOpts{})
 }
 
-// NewEngineOpts creates an engine with explicit scheduler options.
+// NewEngineOpts creates an engine with explicit scheduler options. k is
+// the largest batch the engine will run; Reset selects smaller ones.
 func NewEngineOpts(g *graph.Graph, k int, opts EngineOpts) *Engine {
 	if k <= 0 {
 		panic("core: batch size must be positive")
@@ -310,38 +231,69 @@ func NewEngineOpts(g *graph.Graph, k int, opts EngineOpts) *Engine {
 	}
 	e := &Engine{
 		g:      g,
-		k:      k,
-		st:     make([]vertexState, n),
+		n:      n,
+		kmax:   k,
+		dist:   make([]uint32, n*k),
+		sent:   make([]uint64, n*bitset.WordsFor(k)),
+		vs:     make([]vertexSched, n),
 		scan:   opts.Scan,
 		shards: make([]engineShard, shards),
 	}
-	for i := range e.shards {
-		e.shards[i].alloc.init(k)
-	}
-	// Per-vertex storage is carved out of three slabs rather than 3n
-	// small allocations: the dense label arrays Av, the sync rounds τ,
-	// and the sent bitvectors.
-	data := make([]SrcData, n*k)
-	for i := range data {
-		data[i].Dist = graph.InfDist
-	}
-	tau := make([]int32, n*k)
-	wps := bitset.WordsFor(k)
-	sentWords := make([]uint64, n*wps)
-	for v := range e.st {
-		st := &e.st[v]
-		st.data = data[v*k : (v+1)*k : (v+1)*k]
-		st.tau = tau[v*k : (v+1)*k : (v+1)*k]
-		st.sent = bitset.FromWords(sentWords[v*wps:(v+1)*wps], k)
-		st.fuSrc = -1
-	}
-	if !e.scan {
-		e.sched = make([]int32, n)
-		for v := range e.sched {
-			e.sched[v] = -1
-		}
-	}
+	e.blank()
+	e.setStride(k)
 	return e
+}
+
+// blank writes the construction value over dist and the vertex records.
+func (e *Engine) blank() {
+	for i := range e.dist {
+		e.dist[i] = graph.InfDist
+	}
+	for v := range e.vs {
+		e.vs[v] = idleVertex
+	}
+}
+
+// setStride points the label slabs at batch size k.
+func (e *Engine) setStride(k int) {
+	e.k, e.wps = k, bitset.WordsFor(k)
+	e.dist = e.dist[:e.n*k]
+	if e.sigma != nil {
+		e.sigma, e.delta, e.tau = e.sigma[:e.n*k], e.delta[:e.n*k], e.tau[:e.n*k]
+		e.mvDist, e.mvSet = e.mvDist[:e.n*k], e.mvSet[:e.n*k]
+	}
+}
+
+// allocLabels makes the slabs construction deferred. Every entry point
+// that can create the engine's first finite entry calls it; they all run
+// before any parallel phase has work to do.
+func (e *Engine) allocLabels() {
+	full, used := e.n*e.kmax, e.n*e.k
+	e.sigma = make([]float64, used, full)
+	e.delta = make([]float64, used, full)
+	e.tau = make([]int32, used, full)
+	e.mvDist = make([]uint32, used, full)
+	e.mvSet = make([]uint64, used, full)
+}
+
+// Reset returns the engine to the state NewEngineOpts(g, k, opts) would
+// build, for a batch of k ≤ the construction-time batch size, keeping
+// every slab and scheduler slice. It is valid at any point of a batch,
+// including one abandoned mid-forward or mid-backward.
+func (e *Engine) Reset(k int) {
+	if k <= 0 || k > e.kmax {
+		panic(fmt.Sprintf("core: Reset to batch size %d outside [1,%d]", k, e.kmax))
+	}
+	e.blank()
+	clear(e.sigma)
+	clear(e.delta)
+	clear(e.tau)
+	clear(e.sent[:e.n*e.wps])
+	for i := range e.shards {
+		e.shards[i].reset(e.wps)
+	}
+	e.fwdRound, e.totalR = 0, 0
+	e.setStride(k)
 }
 
 // K returns the batch size.
@@ -353,8 +305,35 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // NumShards returns the number of vertex-ownership shards.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
+// idx returns the slab index of (v, s). Every public entry point goes
+// through it: in a flat slab an out-of-range source would silently alias
+// the next vertex's labels.
+func (e *Engine) idx(v uint32, s int) int {
+	if uint(s) >= uint(e.k) {
+		// An error value, not a formatted string, so that idx stays
+		// within the inlining budget of the one-line accessors.
+		panic(sourceRangeError{s, e.k})
+	}
+	return int(v)*e.k + s
+}
+
+type sourceRangeError struct{ s, k int }
+
+func (err sourceRangeError) Error() string {
+	return fmt.Sprintf("core: source index %d out of range [0,%d)", err.s, err.k)
+}
+
 // Get returns the current labels of (v, s).
-func (e *Engine) Get(v uint32, s int) SrcData { return e.st[v].data[s] }
+func (e *Engine) Get(v uint32, s int) SrcData {
+	i := e.idx(v, s)
+	d := SrcData{Dist: e.dist[i]}
+	// An unreached pair's σ and δ are zero — and before the first label
+	// write their slabs do not exist yet.
+	if d.Dist != graph.InfDist {
+		d.Sigma, d.Delta = e.sigma[i], e.delta[i]
+	}
+	return d
+}
 
 // ParallelShards is the ownership shard count runner-driven engines
 // use: a fixed fan-out (clamped to n) chosen independently of the
@@ -382,32 +361,173 @@ func (e *Engine) shardOf(v uint32) int {
 	if len(e.shards) == 1 {
 		return 0
 	}
-	return int(uint64(v) * uint64(len(e.shards)) / uint64(len(e.st)))
+	return int(uint64(v) * uint64(len(e.shards)) / uint64(e.n))
 }
 
 // shardRange returns the contiguous vertex range [lo, hi) owned by a
 // shard: the inverse of shardOf.
 func (e *Engine) shardRange(shard int) (lo, hi int) {
-	n := len(e.st)
+	n := e.n
 	s := len(e.shards)
 	return (shard*n + s - 1) / s, ((shard+1)*n + s - 1) / s
 }
 
-// reschedule records v's current due round in the bucket scheduler
-// after a mutation that may have changed it. Stale copies left in old
-// buckets (lazy deletion) are skipped at collection because sched[v]
-// no longer names their round.
-func (e *Engine) reschedule(v uint32) {
+// lowerBound returns the first index of ascending a holding a value >= d.
+func lowerBound(a []uint32, d uint32) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); a[mid] < d {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// setOf returns the words of the Mv source set stored at entry ent.
+func (e *Engine) setOf(sh *engineShard, ent int) []uint64 {
+	if e.wps == 1 {
+		return e.mvSet[ent : ent+1]
+	}
+	off := int(e.mvSet[ent]) * e.wps
+	return sh.setWords[off : off+e.wps]
+}
+
+// mvAdd files source s under distance d in v's ordered map Mv. A vertex
+// holds at most k distinct distances, so its region never overflows.
+func (e *Engine) mvAdd(sh *engineShard, v uint32, s int, d uint32) {
+	rec := &e.vs[v]
+	base, n := int(v)*e.k, int(rec.mapLen)
+	dists := e.mvDist[base : base+n]
+	// Relaxations mostly reach a vertex at nondecreasing distances, so
+	// the entry is usually at (or appends past) the tail.
+	i := n
+	if n > 0 && dists[n-1] >= d {
+		i = n - 1
+		if dists[i] > d {
+			i = lowerBound(dists, d)
+		}
+		if dists[i] == d {
+			e.setOf(sh, base+i)[s>>6] |= 1 << (uint(s) & 63)
+			return
+		}
+	}
+	rec.mapLen++
+	dists = e.mvDist[base : base+n+1]
+	sets := e.mvSet[base : base+n+1]
+	copy(dists[i+1:], dists[i:n])
+	copy(sets[i+1:], sets[i:n])
+	dists[i] = d
+	if e.wps == 1 {
+		sets[i] = 1 << uint(s)
+		return
+	}
+	slot := sh.allocSlot(e.wps)
+	sets[i] = uint64(slot)
+	sh.setWords[slot*e.wps+s>>6] |= 1 << (uint(s) & 63)
+}
+
+// mvRemove takes source s out of distance d's set in v's Mv, dropping
+// the entry when its set empties.
+func (e *Engine) mvRemove(sh *engineShard, v uint32, s int, d uint32) {
+	rec := &e.vs[v]
+	base, n := int(v)*e.k, int(rec.mapLen)
+	dists := e.mvDist[base : base+n]
+	i := n - 1
+	if i < 0 || dists[i] != d { // tail fast path, else binary search
+		i = lowerBound(dists, d)
+	}
+	var set []uint64
+	if i < n && dists[i] == d {
+		set = e.setOf(sh, base+i)
+	}
+	bit := uint64(1) << (uint(s) & 63)
+	if set == nil || set[s>>6]&bit == 0 {
+		panic(fmt.Sprintf("core: Mv entry missing (v=%d, d=%d, s=%d)", v, d, s))
+	}
+	set[s>>6] &^= bit
+	for _, w := range set {
+		if w != 0 {
+			return
+		}
+	}
+	if e.wps > 1 {
+		sh.freeSlots = append(sh.freeSlots, uint32(e.mvSet[base+i]))
+	}
+	sets := e.mvSet[base : base+n]
+	copy(dists[i:], dists[i+1:])
+	copy(sets[i:], sets[i+1:])
+	rec.mapLen--
+}
+
+// advanceFU finds v's new first unsent entry after the previous one was
+// synchronized. Sends are lexicographically monotone — every entry
+// below the one just sent is already sent — so the scan resumes at the
+// distance of the previous first-unsent entry instead of position 0,
+// and within each distance the first unsent source is one
+// set-difference away.
+func (e *Engine) advanceFU(sh *engineShard, v uint32) {
+	rec := &e.vs[v]
+	base, n := int(v)*e.k, int(rec.mapLen)
+	dists := e.mvDist[base : base+n]
+	sent := e.sent[int(v)*e.wps : (int(v)+1)*e.wps]
+	for i := lowerBound(dists, rec.fuDist); i < n; i++ {
+		for j, w := range e.setOf(sh, base+i) {
+			if w &^= sent[j]; w != 0 {
+				rec.fuDist, rec.fuSrc = dists[i], int32(j<<6+bits.TrailingZeros64(w))
+				return
+			}
+		}
+	}
+	rec.fuSrc = -1
+}
+
+// isSent reports whether (v, s) has been synchronized.
+func (e *Engine) isSent(v uint32, s int) bool {
+	return e.sent[int(v)*e.wps+s>>6]&(1<<(uint(s)&63)) != 0
+}
+
+// insert creates the unsent entry (v, s) at distance d with σ partial
+// sigma and schedules it.
+func (e *Engine) insert(v uint32, s, i int, d uint32, sigma float64) {
+	sh := &e.shards[e.shardOf(v)]
+	e.dist[i] = d
+	e.sigma[i] = sigma
+	e.mvAdd(sh, v, s, d)
+	e.vs[v].noteUnsent(s, d)
+	sh.pending++
+	e.reschedule(sh, v)
+}
+
+// improve lowers the unsent entry (v, s) from distance cur to d,
+// replacing its σ partial (partials at the stale distance are
+// discarded), and reschedules it.
+func (e *Engine) improve(v uint32, s, i int, cur, d uint32, sigma float64) {
+	sh := &e.shards[e.shardOf(v)]
+	e.mvRemove(sh, v, s, cur)
+	e.mvAdd(sh, v, s, d)
+	e.dist[i] = d
+	e.sigma[i] = sigma
+	e.vs[v].noteUnsent(s, d)
+	e.reschedule(sh, v)
+}
+
+// reschedule records v's current due round in the bucket scheduler of
+// its shard sh after a mutation that may have changed it. Stale copies left in old
+// buckets (lazy deletion) are skipped at collection because the
+// vertex's sched no longer names their round.
+func (e *Engine) reschedule(sh *engineShard, v uint32) {
 	if e.scan {
 		return
 	}
-	st := &e.st[v]
-	if st.fuSrc < 0 {
-		e.sched[v] = -1
+	rec := &e.vs[v]
+	if rec.fuSrc < 0 {
+		rec.sched = -1
 		return
 	}
-	due := int32(st.fuDist) + int32(st.sentCount) + 1
-	if e.sched[v] == due {
+	due := int32(rec.fuDist) + rec.sentCount + 1
+	if rec.sched == due {
 		return
 	}
 	// A due round equal to the current round is legitimate: a master
@@ -418,8 +538,7 @@ func (e *Engine) reschedule(v uint32) {
 	if int(due) < e.fwdRound {
 		panic(fmt.Sprintf("core: vertex %d scheduled into past round %d (current %d)", v, due, e.fwdRound))
 	}
-	e.sched[v] = due
-	sh := &e.shards[e.shardOf(v)]
+	rec.sched = due
 	if due < sh.nextHint {
 		sh.nextHint = due
 	}
@@ -440,31 +559,30 @@ func (e *Engine) reschedule(v uint32) {
 // initial σ: the master proxy carries σ=1 while mirror proxies carry 0
 // so the cross-host sum reduction counts the single empty path once.
 func (e *Engine) InitSource(v uint32, s int, withSigma bool) {
-	st := &e.st[v]
-	if st.data[s].Dist != graph.InfDist {
+	i := e.idx(v, s)
+	if e.dist[i] != graph.InfDist {
 		panic(fmt.Sprintf("core: vertex %d already initialized for source %d", v, s))
 	}
-	sh := &e.shards[e.shardOf(v)]
-	st.data[s].Dist = 0
-	if withSigma {
-		st.data[s].Sigma = 1
+	if e.sigma == nil {
+		e.allocLabels()
 	}
-	st.dmap.add(&sh.alloc, s, 0)
-	st.noteUnsent(s, 0)
-	sh.pending++
-	e.reschedule(v)
+	sigma := 0.0
+	if withSigma {
+		sigma = 1
+	}
+	e.insert(v, s, i, 0, sigma)
 }
 
 // nextDue returns the scheduled round and source of v's first unsent
 // entry, or (-1, -1) if all entries are sent. Scheduled round =
 // distance + lexicographic position (1-based), the send rule of
-// Algorithm 3; the position is sentCount+1 (see vertexState).
+// Algorithm 3; the position is sentCount+1 (see vertexSched).
 func (e *Engine) nextDue(v uint32) (round int, src int) {
-	st := &e.st[v]
-	if st.fuSrc < 0 {
+	rec := &e.vs[v]
+	if rec.fuSrc < 0 {
 		return -1, -1
 	}
-	return int(st.fuDist) + st.sentCount + 1, int(st.fuSrc)
+	return int(rec.fuDist) + int(rec.sentCount) + 1, int(rec.fuSrc)
 }
 
 // ForwardFlags appends to dst the (vertex, source) pairs scheduled to
@@ -476,7 +594,7 @@ func (e *Engine) nextDue(v uint32) (round int, src int) {
 // nondecreasing round order.
 func (e *Engine) ForwardFlags(r int, dst []Flag) []Flag {
 	if e.scan {
-		for v := range e.st {
+		for v := range e.vs {
 			due, src := e.nextDue(uint32(v))
 			if due == r {
 				dst = append(dst, Flag{V: uint32(v), Src: src})
@@ -502,14 +620,14 @@ func (e *Engine) forwardFlagsShard(r, shard int, dst []Flag) []Flag {
 		return dst
 	}
 	for _, v := range sh.buckets[r-1] {
-		if e.sched[v] != int32(r) {
+		if e.vs[v].sched != int32(r) {
 			continue // stale lazily-deleted copy
 		}
 		due, src := e.nextDue(v)
 		if due != r {
 			panic(fmt.Sprintf("core: scheduler desync: vertex %d in bucket %d but due %d", v, r, due))
 		}
-		e.sched[v] = -1
+		e.vs[v].sched = -1
 		dst = append(dst, Flag{V: v, Src: src})
 	}
 	if b := sh.buckets[r-1]; cap(b) > 0 {
@@ -565,32 +683,35 @@ func (e *Engine) dueEstimate(r int) int {
 // synchronized in round r, marking the entry sent. Safe to call on
 // hosts that had no local entry, a stale entry, or the final entry.
 func (e *Engine) ApplySync(v uint32, s int, dist uint32, sigma float64, r int) {
-	st := &e.st[v]
+	i := e.idx(v, s)
+	if e.sigma == nil {
+		e.allocLabels()
+	}
 	sh := &e.shards[e.shardOf(v)]
-	cur := st.data[s].Dist
-	switch {
+	switch cur := e.dist[i]; {
 	case cur == graph.InfDist:
-		st.dmap.add(&sh.alloc, s, dist)
+		e.mvAdd(sh, v, s, dist)
 		sh.pending++
 	case cur < dist:
 		panic(fmt.Sprintf("core: sync for (%d,%d) with dist %d worse than local %d", v, s, dist, cur))
 	case cur > dist:
-		st.dmap.remove(&sh.alloc, s, cur)
-		st.dmap.add(&sh.alloc, s, dist)
+		e.mvRemove(sh, v, s, cur)
+		e.mvAdd(sh, v, s, dist)
 	}
-	st.data[s].Dist = dist
-	st.data[s].Sigma = sigma
-	if st.sent.Test(s) {
+	e.dist[i] = dist
+	e.sigma[i] = sigma
+	if e.isSent(v, s) {
 		panic(fmt.Sprintf("core: (%d,%d) synchronized twice", v, s))
 	}
-	st.sent.Set(s)
-	st.tau[s] = int32(r)
-	st.sentCount++
-	if st.fuSrc == int32(s) {
-		st.advanceFU()
+	e.sent[int(v)*e.wps+s>>6] |= 1 << (uint(s) & 63)
+	e.tau[i] = int32(r)
+	rec := &e.vs[v]
+	rec.sentCount++
+	if rec.fuSrc == int32(s) {
+		e.advanceFU(sh, v)
 	}
 	sh.pending--
-	e.reschedule(v)
+	e.reschedule(sh, v)
 }
 
 // Candidate records a (vertex, source, dist) ordered-list update that
@@ -617,39 +738,27 @@ type Candidate struct {
 // touches only w's shard, so workers owning disjoint shards may call
 // it concurrently. Reports whether w's ordered list changed (insert or
 // improvement), i.e. whether a distributed run must disseminate a
-// candidate.
+// candidate. s is in range: it comes from a validated flag.
 func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) bool {
-	st := &e.st[w]
-	cur := st.data[s].Dist
+	i := int(w)*e.k + s
+	cur := e.dist[i]
 	switch {
 	case cur == graph.InfDist:
-		sh := &e.shards[e.shardOf(w)]
-		st.data[s].Dist = cand
-		st.data[s].Sigma = sigma
-		st.dmap.add(&sh.alloc, s, cand)
-		st.noteUnsent(s, cand)
-		sh.pending++
-		e.reschedule(w)
+		e.insert(w, s, i, cand, sigma)
 		return true
 	case cur == cand:
-		if st.sent.Test(s) {
+		if e.isSent(w, s) {
 			// A σ contribution arriving after (w,s) synchronized
 			// would mean a predecessor finalized after its
 			// successor, violating the pipelining invariant.
 			panic(fmt.Sprintf("core: late sigma contribution to sent entry (%d,%d)", w, s))
 		}
-		st.data[s].Sigma += sigma
+		e.sigma[i] += sigma
 	case cur > cand:
-		if st.sent.Test(s) {
+		if e.isSent(w, s) {
 			panic(fmt.Sprintf("core: improvement for sent entry (%d,%d)", w, s))
 		}
-		sh := &e.shards[e.shardOf(w)]
-		st.dmap.remove(&sh.alloc, s, cur)
-		st.dmap.add(&sh.alloc, s, cand)
-		st.data[s].Dist = cand
-		st.data[s].Sigma = sigma
-		st.noteUnsent(s, cand)
-		e.reschedule(w)
+		e.improve(w, s, i, cur, cand, sigma)
 		return true
 	}
 	// cur < cand: the contribution is to a non-shortest path.
@@ -663,10 +772,10 @@ func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) bool {
 // improvements) are appended to cands for proxy dissemination; σ-only
 // updates change no list positions and need none.
 func (e *Engine) RelaxOut(v uint32, s int, cands []Candidate) []Candidate {
-	src := e.st[v].data[s]
-	cand := src.Dist + 1
+	i := e.idx(v, s)
+	cand, sigma := e.dist[i]+1, e.sigma[i]
 	for _, w := range e.g.OutNeighbors(v) {
-		if e.applyRelax(w, s, cand, src.Sigma) {
+		if e.applyRelax(w, s, cand, sigma) {
 			cands = append(cands, Candidate{V: w, Src: s, Dist: cand})
 		}
 	}
@@ -677,10 +786,10 @@ func (e *Engine) RelaxOut(v uint32, s int, cands []Candidate) []Candidate {
 // have no other proxies to inform (the shared-memory path and
 // arbitration-mode distributed runs). It allocates nothing.
 func (e *Engine) RelaxOutLocal(v uint32, s int) {
-	src := e.st[v].data[s]
-	cand := src.Dist + 1
+	i := e.idx(v, s)
+	cand, sigma := e.dist[i]+1, e.sigma[i]
 	for _, w := range e.g.OutNeighbors(v) {
-		e.applyRelax(w, s, cand, src.Sigma)
+		e.applyRelax(w, s, cand, sigma)
 	}
 }
 
@@ -690,28 +799,20 @@ func (e *Engine) RelaxOutLocal(v uint32, s int) {
 // contributions holds σ = 0 for the pair until the scheduled sync.
 // Reports whether the local list changed.
 func (e *Engine) MergeCandidate(v uint32, s int, dist uint32) bool {
-	st := &e.st[v]
-	sh := &e.shards[e.shardOf(v)]
-	cur := st.data[s].Dist
+	i := e.idx(v, s)
+	if e.sigma == nil {
+		e.allocLabels()
+	}
+	cur := e.dist[i]
 	switch {
 	case cur == graph.InfDist:
-		st.data[s].Dist = dist
-		st.data[s].Sigma = 0
-		st.dmap.add(&sh.alloc, s, dist)
-		st.noteUnsent(s, dist)
-		sh.pending++
-		e.reschedule(v)
+		e.insert(v, s, i, dist, 0)
 		return true
 	case cur > dist:
-		if st.sent.Test(s) {
+		if e.isSent(v, s) {
 			panic(fmt.Sprintf("core: candidate improves sent entry (%d,%d)", v, s))
 		}
-		st.dmap.remove(&sh.alloc, s, cur)
-		st.dmap.add(&sh.alloc, s, dist)
-		st.data[s].Dist = dist
-		st.data[s].Sigma = 0 // stale-distance partials are discarded
-		st.noteUnsent(s, dist)
-		e.reschedule(v)
+		e.improve(v, s, i, cur, dist, 0)
 		return true
 	default:
 		// cur <= dist: the local list already reflects (or beats) it.
@@ -724,33 +825,24 @@ func (e *Engine) MergeCandidate(v uint32, s int, dist uint32) bool {
 // mirror partials (min on distance; σ partials sum at the minimum
 // distance and are discarded at larger distances).
 func (e *Engine) MergePartial(v uint32, s int, dist uint32, sigma float64) {
-	st := &e.st[v]
-	cur := st.data[s].Dist
+	i := e.idx(v, s)
+	if e.sigma == nil {
+		e.allocLabels()
+	}
+	cur := e.dist[i]
 	switch {
 	case cur == graph.InfDist:
-		sh := &e.shards[e.shardOf(v)]
-		st.data[s].Dist = dist
-		st.data[s].Sigma = sigma
-		st.dmap.add(&sh.alloc, s, dist)
-		st.noteUnsent(s, dist)
-		sh.pending++
-		e.reschedule(v)
+		e.insert(v, s, i, dist, sigma)
 	case cur == dist:
-		if st.sent.Test(s) {
+		if e.isSent(v, s) {
 			panic(fmt.Sprintf("core: partial for already-synchronized (%d,%d)", v, s))
 		}
-		st.data[s].Sigma += sigma
+		e.sigma[i] += sigma
 	case cur > dist:
-		if st.sent.Test(s) {
+		if e.isSent(v, s) {
 			panic(fmt.Sprintf("core: improvement for already-synchronized (%d,%d)", v, s))
 		}
-		sh := &e.shards[e.shardOf(v)]
-		st.dmap.remove(&sh.alloc, s, cur)
-		st.dmap.add(&sh.alloc, s, dist)
-		st.data[s].Dist = dist
-		st.data[s].Sigma = sigma
-		st.noteUnsent(s, dist)
-		e.reschedule(v)
+		e.improve(v, s, i, cur, dist, sigma)
 	}
 	// cur < dist: the incoming partial is at a non-minimal distance and
 	// contributes nothing.
@@ -759,7 +851,7 @@ func (e *Engine) MergePartial(v uint32, s int, dist uint32, sigma float64) {
 // AddDeltaPartial folds another proxy's δ partial into this host's
 // value (sum reduction of the backward phase).
 func (e *Engine) AddDeltaPartial(v uint32, s int, delta float64) {
-	e.st[v].data[s].Delta += delta
+	e.delta[e.idx(v, s)] += delta
 }
 
 // PendingUnsent reports whether any finite-distance entry on this host
@@ -796,39 +888,44 @@ func (e *Engine) StartBackward(R int) {
 func (e *Engine) startBackwardShard(shard, R int) {
 	lo, hi := e.shardRange(shard)
 	sh := &e.shards[shard]
+	sh.backByRound = sh.backByRound[:0]
+	if e.sigma == nil {
+		return // no label was ever written
+	}
+	dist, tau := e.dist[lo*e.k:hi*e.k], e.tau[lo*e.k:hi*e.k]
 	// Counting pass: exact per-round sizes, so the shard's flags live in
 	// one arena instead of append-grown round slices.
-	var counts []int32
+	counts := sh.backCounts[:0]
 	total := 0
-	for v := lo; v < hi; v++ {
-		st := &e.st[v]
-		for s := 0; s < e.k; s++ {
-			if st.data[s].Dist == graph.InfDist {
-				continue
-			}
-			r := R - int(st.tau[s]) + 1
-			for len(counts) < r {
-				counts = append(counts, 0)
-			}
-			counts[r-1]++
-			total++
+	for i, d := range dist {
+		if d == graph.InfDist {
+			continue
 		}
+		r := R - int(tau[i]) + 1
+		for len(counts) < r {
+			counts = append(counts, 0)
+		}
+		counts[r-1]++
+		total++
 	}
-	arena := make([]Flag, total)
-	sh.backByRound = make([][]Flag, len(counts))
+	sh.backCounts = counts
+	if cap(sh.backArena) < total {
+		sh.backArena = make([]backFlag, total)
+	}
+	arena := sh.backArena[:total]
 	off := 0
-	for r, c := range counts {
-		sh.backByRound[r] = arena[off : off : off+int(c)]
+	for _, c := range counts {
+		sh.backByRound = append(sh.backByRound, arena[off:off:off+int(c)])
 		off += int(c)
 	}
 	for v := lo; v < hi; v++ {
-		st := &e.st[v]
+		row := (v - lo) * e.k
 		for s := 0; s < e.k; s++ {
-			if st.data[s].Dist == graph.InfDist {
+			if dist[row+s] == graph.InfDist {
 				continue
 			}
-			r := R - int(st.tau[s]) + 1
-			sh.backByRound[r-1] = append(sh.backByRound[r-1], Flag{V: uint32(v), Src: s})
+			r := R - int(tau[row+s]) + 1
+			sh.backByRound[r-1] = append(sh.backByRound[r-1], backFlag{v: uint32(v), s: int32(s)})
 		}
 	}
 }
@@ -861,7 +958,10 @@ func (e *Engine) backwardFlagsShard(r, shard int, dst []Flag) []Flag {
 	if r < 1 || r > len(sh.backByRound) {
 		return dst
 	}
-	return append(dst, sh.backByRound[r-1]...)
+	for _, f := range sh.backByRound[r-1] {
+		dst = append(dst, Flag{V: f.v, Src: int(f.s)})
+	}
+	return dst
 }
 
 // BackwardRounds returns the number of rounds the backward phase needs:
@@ -877,11 +977,11 @@ func (e *Engine) BackwardRounds() int {
 }
 
 // DeltaPartial returns this host's current δ partial for (v, s).
-func (e *Engine) DeltaPartial(v uint32, s int) float64 { return e.st[v].data[s].Delta }
+func (e *Engine) DeltaPartial(v uint32, s int) float64 { return e.delta[e.idx(v, s)] }
 
 // ApplyDeltaSync installs the reduced final dependency value for (v,s).
 func (e *Engine) ApplyDeltaSync(v uint32, s int, delta float64) {
-	e.st[v].data[s].Delta = delta
+	e.delta[e.idx(v, s)] = delta
 }
 
 // AccumulateIn performs the backward compute phase for a synchronized
@@ -889,17 +989,16 @@ func (e *Engine) ApplyDeltaSync(v uint32, s int, delta float64) {
 // locally-owned in-edge to predecessors in the shortest-path DAG
 // (Steps 7-9 of Algorithm 5).
 func (e *Engine) AccumulateIn(v uint32, s int) {
-	st := &e.st[v]
-	if st.data[s].Sigma == 0 {
+	i := e.idx(v, s)
+	if e.sigma[i] == 0 {
 		panic(fmt.Sprintf("core: zero sigma at (%d,%d) during accumulation", v, s))
 	}
-	m := (1 + st.data[s].Delta) / st.data[s].Sigma
-	dv := st.data[s].Dist
+	m := (1 + e.delta[i]) / e.sigma[i]
+	dv := e.dist[i]
 	for _, u := range e.g.InNeighbors(v) {
-		pu := &e.st[u]
-		du := pu.data[s].Dist
-		if du != graph.InfDist && du+1 == dv {
-			pu.data[s].Delta += pu.data[s].Sigma * m
+		j := int(u)*e.k + s
+		if du := e.dist[j]; du+1 == dv && du != graph.InfDist {
+			e.delta[j] += e.sigma[j] * m
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -144,57 +146,93 @@ func TestEngineZeroBatchSizePanics(t *testing.T) {
 	NewEngine(gen.Path(3), 0)
 }
 
+// mvEngine returns a labelled engine over a two-vertex graph for
+// driving the Mv primitives directly, plus its only shard.
+func mvEngine(k int) (*Engine, *engineShard) {
+	e := NewEngine(gen.Path(2), k)
+	e.allocLabels()
+	return e, &e.shards[0]
+}
+
+// mvOf returns vertex v's Mv as parallel (distance, sources) lists.
+func mvOf(e *Engine, v uint32) (dists []uint32, srcs [][]int) {
+	sh := &e.shards[e.shardOf(v)]
+	base := int(v) * e.k
+	for i := 0; i < int(e.vs[v].mapLen); i++ {
+		dists = append(dists, e.mvDist[base+i])
+		var set []int
+		for j, w := range e.setOf(sh, base+i) {
+			for ; w != 0; w &= w - 1 {
+				set = append(set, j<<6+bits.TrailingZeros64(w))
+			}
+		}
+		srcs = append(srcs, set)
+	}
+	return dists, srcs
+}
+
 func TestDistMapOrdering(t *testing.T) {
-	var m distMap
-	var a shardAlloc
-	a.init(8)
-	m.add(&a, 3, 5)
-	m.add(&a, 1, 2)
-	m.add(&a, 4, 5)
-	m.add(&a, 0, 9)
-	if len(m.dists) != 3 || m.dists[0] != 2 || m.dists[1] != 5 || m.dists[2] != 9 {
-		t.Fatalf("dists = %v", m.dists)
-	}
-	if !m.sets[1].Test(3) || !m.sets[1].Test(4) {
-		t.Fatal("distance-5 set wrong")
-	}
-	m.remove(&a, 3, 5)
-	if m.sets[1].Test(3) {
-		t.Fatal("remove failed")
-	}
-	m.remove(&a, 4, 5)
-	if len(m.dists) != 2 {
-		t.Fatal("empty distance bucket not removed")
+	for _, k := range []int{8, 100} { // inline word, slab slots
+		e, sh := mvEngine(k)
+		e.mvAdd(sh, 1, 3, 5)
+		e.mvAdd(sh, 1, 1, 2)
+		e.mvAdd(sh, 1, 4, 5)
+		e.mvAdd(sh, 1, k-1, 9)
+		e.mvAdd(sh, 1, 2, 7) // lands between two live entries
+		dists, srcs := mvOf(e, 1)
+		if !reflect.DeepEqual(dists, []uint32{2, 5, 7, 9}) ||
+			!reflect.DeepEqual(srcs, [][]int{{1}, {3, 4}, {2}, {k - 1}}) {
+			t.Fatalf("k=%d: Mv = %v %v", k, dists, srcs)
+		}
+		e.mvRemove(sh, 1, 3, 5)
+		if _, srcs = mvOf(e, 1); !reflect.DeepEqual(srcs[1], []int{4}) {
+			t.Fatalf("k=%d: remove left %v at distance 5", k, srcs[1])
+		}
+		e.mvRemove(sh, 1, 4, 5)
+		if dists, srcs = mvOf(e, 1); !reflect.DeepEqual(dists, []uint32{2, 7, 9}) ||
+			!reflect.DeepEqual(srcs, [][]int{{1}, {2}, {k - 1}}) {
+			t.Fatalf("k=%d: emptied distance not removed: %v %v", k, dists, srcs)
+		}
+		if d, _ := mvOf(e, 0); d != nil {
+			t.Fatalf("k=%d: vertex 0's region disturbed: %v", k, d)
+		}
 	}
 }
 
 func TestDistMapRecyclesSets(t *testing.T) {
-	var m distMap
-	var a shardAlloc
-	a.init(4)
-	m.add(&a, 1, 3)
-	freed := m.sets[0]
-	m.remove(&a, 1, 3)
-	m.add(&a, 2, 7)
-	if m.sets[0] != freed {
-		t.Fatal("expected the freed set to be recycled")
+	e, sh := mvEngine(100)
+	e.mvAdd(sh, 0, 70, 3)
+	freed := e.mvSet[0]
+	e.mvRemove(sh, 0, 70, 3)
+	if e.vs[0].mapLen != 0 {
+		t.Fatal("emptied distance not removed")
 	}
-	if m.sets[0].Test(1) || !m.sets[0].Test(2) {
-		t.Fatal("recycled set has stale bits")
+	e.mvAdd(sh, 1, 2, 7)
+	if e.mvSet[e.k] != freed || sh.setSlots != 1 {
+		t.Fatalf("expected slot %d to be recycled, got %d of %d carved", freed, e.mvSet[e.k], sh.setSlots)
+	}
+	if _, srcs := mvOf(e, 1); !reflect.DeepEqual(srcs, [][]int{{2}}) {
+		t.Fatalf("recycled set has stale bits: %v", srcs)
 	}
 }
 
 func TestDistMapRemoveMissingPanics(t *testing.T) {
-	var m distMap
-	var a shardAlloc
-	a.init(4)
-	m.add(&a, 1, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.remove(&a, 2, 3)
+	for name, remove := range map[string]func(e *Engine, sh *engineShard){
+		"source": func(e *Engine, sh *engineShard) { e.mvRemove(sh, 0, 2, 3) },
+		"dist":   func(e *Engine, sh *engineShard) { e.mvRemove(sh, 0, 1, 4) },
+		"empty":  func(e *Engine, sh *engineShard) { e.mvRemove(sh, 1, 1, 3) },
+	} {
+		e, sh := mvEngine(4)
+		e.mvAdd(sh, 0, 1, 3)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			remove(e, sh)
+		}()
+	}
 }
 
 // Property: engine BC equals Brandes on random graphs with random

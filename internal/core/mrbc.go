@@ -117,6 +117,18 @@ type RunStats struct {
 	FailedSteals int64
 }
 
+// add folds another run's counters into s.
+func (s *RunStats) add(o RunStats) {
+	s.Batches += o.Batches
+	s.ForwardRounds += o.ForwardRounds
+	s.BackwardRounds += o.BackwardRounds
+	s.LabelsSynced += o.LabelsSynced
+	s.InlineRounds += o.InlineRounds
+	s.ParallelRounds += o.ParallelRounds
+	s.Steals += o.Steals
+	s.FailedSteals += o.FailedSteals
+}
+
 // Rounds returns the total BSP rounds across phases and batches.
 func (s RunStats) Rounds() int { return s.ForwardRounds + s.BackwardRounds }
 
@@ -151,11 +163,14 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, RunStats) {
 		}
 		batches = append(batches, sources[start:end])
 	}
+	kmax := min(opts.BatchSize, len(sources)) // the first batch's size
 	if opts.Parallelism == 1 || len(batches) <= 1 {
 		scores := make([]float64, n)
 		var stats RunStats
+		loop := &batchLoop{g: g, kmax: kmax, opts: opts}
+		defer loop.close()
 		for _, b := range batches {
-			runBatch(g, b, scores, &stats, opts)
+			loop.run(b, scores, &stats)
 		}
 		return scores, stats
 	}
@@ -180,8 +195,10 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, RunStats) {
 			defer wg.Done()
 			local := make([]float64, n)
 			partials[w] = local
+			loop := &batchLoop{g: g, kmax: kmax, opts: opts}
+			defer loop.close()
 			for b := range next {
-				runBatch(g, b, local, &partStats[w], opts)
+				loop.run(b, local, &partStats[w])
 			}
 		}(w)
 	}
@@ -192,77 +209,96 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, RunStats) {
 		for v, x := range partials[w] {
 			scores[v] += x
 		}
-		stats.Batches += partStats[w].Batches
-		stats.ForwardRounds += partStats[w].ForwardRounds
-		stats.BackwardRounds += partStats[w].BackwardRounds
-		stats.LabelsSynced += partStats[w].LabelsSynced
+		stats.add(partStats[w])
 	}
 	return scores, stats
 }
 
-// runBatch executes one k-source batch: the forward k-SSP phase of
-// Algorithm 3 with global termination detection (Lemma 8), then the
-// backward accumulation phase of Algorithm 5. opts must already have
-// defaults applied.
-func runBatch(g *graph.Graph, batch []uint32, scores []float64, stats *RunStats, opts Options) {
-	stats.Batches++
-	if opts.Workers > 1 {
-		// The shard count comes from the graph (ParallelShards), not
-		// from Workers: over-partitioning gives the stealing scheduler
-		// slack, and a worker-independent fan-out keeps every
-		// application order — hence every float64 sum — identical
-		// across worker counts.
-		e := NewEngineOpts(g, len(batch), EngineOpts{Shards: ParallelShards(g.NumVertices())})
-		if e.NumShards() > 1 {
-			for i, s := range batch {
-				e.InitSource(s, i, true)
-			}
-			run := NewRunner(e, opts.Workers)
-			defer run.Close()
-			R := run.forward(stats)
-			stats.ForwardRounds += R
-			stats.BackwardRounds += run.backward(R, stats)
-			run.fold(batch, scores)
-			run.flushRunStats(stats)
-			return
-		}
-		// Single-vertex graph collapsed to one shard: fall through
-		// sequential.
+// batchLoop runs a sequence of batches on one engine — and, with
+// Workers > 1, one Runner, so its pool and outboxes persist too. The
+// engine is built for the first batch and Reset for every later one.
+type batchLoop struct {
+	g     *graph.Graph
+	kmax  int     // largest batch the loop will see
+	opts  Options // with defaults applied
+	e     *Engine
+	r     *Runner // non-nil iff the engine is sharded
+	flags []Flag
+}
+
+func (l *batchLoop) close() {
+	if l.r != nil {
+		l.r.Close()
 	}
-	e := NewEngineOpts(g, len(batch), EngineOpts{Scan: opts.Scheduler == ScanScheduler})
+}
+
+// engine returns the loop's engine, clean and at stride k.
+func (l *batchLoop) engine(k int) *Engine {
+	if l.e == nil {
+		eo := EngineOpts{Scan: l.opts.Scheduler == ScanScheduler}
+		if l.opts.Workers > 1 {
+			// The shard count comes from the graph (ParallelShards), not
+			// from Workers: over-partitioning gives the stealing scheduler
+			// slack, and a worker-independent fan-out keeps every
+			// application order — hence every float64 sum — identical
+			// across worker counts. A single-vertex graph collapses to one
+			// shard and runs sequentially.
+			eo.Shards = ParallelShards(l.g.NumVertices())
+		}
+		l.e = NewEngineOpts(l.g, l.kmax, eo)
+		if l.e.NumShards() > 1 {
+			l.r = NewRunner(l.e, l.opts.Workers)
+		}
+		if k == l.kmax {
+			return l.e
+		}
+	}
+	if l.r != nil {
+		l.r.Reset(k)
+	} else {
+		l.e.Reset(k)
+	}
+	return l.e
+}
+
+// run executes one k-source batch: the forward k-SSP phase of
+// Algorithm 3 with global termination detection (Lemma 8), then the
+// backward accumulation phase of Algorithm 5.
+func (l *batchLoop) run(batch []uint32, scores []float64, stats *RunStats) {
+	stats.Batches++
+	e := l.engine(len(batch))
 	for i, s := range batch {
 		e.InitSource(s, i, true)
 	}
+	if run := l.r; run != nil {
+		R := run.forward(stats)
+		stats.ForwardRounds += R
+		stats.BackwardRounds += run.backward(R, stats)
+		run.fold(batch, scores)
+		run.flushRunStats(stats)
+		return
+	}
 
 	// Forward phase.
-	var flags []Flag
-	R := forwardPhase(e, &flags, stats)
+	R := forwardPhase(e, &l.flags, stats)
 	stats.ForwardRounds += R
 
 	// Backward phase.
 	e.StartBackward(R)
 	back := e.BackwardRounds()
+	flags := l.flags
 	for r := 1; r <= back; r++ {
 		flags = e.BackwardFlags(r, flags[:0])
-		for _, f := range flags {
-			e.ApplyDeltaSync(f.V, f.Src, e.DeltaPartial(f.V, f.Src))
-		}
 		for _, f := range flags {
 			e.AccumulateIn(f.V, f.Src)
 		}
 		stats.LabelsSynced += int64(len(flags))
 	}
+	l.flags = flags
 	stats.BackwardRounds += back
 
 	// Fold dependencies into the scores (BC(w) += δs•(w), w ≠ s).
-	for v := 0; v < g.NumVertices(); v++ {
-		for i, s := range batch {
-			d := e.Get(uint32(v), i)
-			if d.Dist != graph.InfDist && uint32(v) != s {
-				scores[v] += d.Delta
-			}
-		}
-	}
+	foldRange(e, batch, scores, 0, l.g.NumVertices())
 }
 
 // forwardPhase runs the sequential forward loop on e to quiescence,

@@ -81,11 +81,11 @@ type deltaUpdate struct {
 	val float64
 }
 
-// WorkerStats is one worker's scheduler counters over a Runner's
-// lifetime: how many shard-tasks it executed, how many of those it
-// stole from another worker's deque, how many steal sweeps found every
-// deque empty (idle exits), and how many phase-boundary counter
-// flushes it performed.
+// WorkerStats is one worker's scheduler counters since the Runner was
+// built or last Reset: how many shard-tasks it executed, how many of
+// those it stole from another worker's deque, how many steal sweeps
+// found every deque empty (idle exits), and how many phase-boundary
+// counter flushes it performed.
 type WorkerStats struct {
 	Tasks        int64
 	Steals       int64
@@ -222,10 +222,10 @@ type Runner struct {
 	pool  *wsPool // nil when workers == 1
 	tasks int     // generation chunk count == len(e.shards)
 
-	flags    [][]Flag            // per-shard flag scratch
-	relaxOut [][][]relaxUpdate   // [from][to] outboxes
-	deltaOut [][][]deltaUpdate   // [from][to] outboxes
-	cands    [][]Candidate       // per-target-shard candidate scratch
+	flags    [][]Flag          // per-shard flag scratch
+	relaxOut [][][]relaxUpdate // [from][to] outboxes
+	deltaOut [][][]deltaUpdate // [from][to] outboxes
+	cands    [][]Candidate     // per-target-shard candidate scratch
 
 	inlineRounds   int64
 	parallelRounds int64
@@ -282,6 +282,25 @@ func (r *Runner) WorkerStats() []WorkerStats {
 	return out
 }
 
+// Reset prepares the runner and its engine for the next batch of k
+// sources (see Engine.Reset): the pool's goroutines and the outboxes'
+// capacity stay, updates a batch abandoned mid-round left staged are
+// dropped, and the scheduler counters restart from zero so WorkerStats
+// and flushRunStats report one batch at a time.
+func (r *Runner) Reset(k int) {
+	r.e.Reset(k)
+	for from := range r.relaxOut {
+		for to := range r.relaxOut[from] {
+			r.relaxOut[from][to] = r.relaxOut[from][to][:0]
+			r.deltaOut[from][to] = r.deltaOut[from][to][:0]
+		}
+	}
+	r.inlineRounds, r.parallelRounds = 0, 0
+	if r.pool != nil {
+		clear(r.pool.cells)
+	}
+}
+
 // Close shuts down the worker pool. The runner must not be used after.
 func (r *Runner) Close() {
 	if r.pool != nil {
@@ -304,11 +323,11 @@ func (r *Runner) runPhase(fn func(task, worker int)) {
 func (r *Runner) stageRelax(flags []Flag, out [][]relaxUpdate) {
 	e := r.e
 	for _, f := range flags {
-		src := e.st[f.V].data[f.Src]
-		cand := src.Dist + 1
+		i := e.idx(f.V, f.Src)
+		cand, sigma := e.dist[i]+1, e.sigma[i]
 		for _, w := range e.g.OutNeighbors(f.V) {
 			t := e.shardOf(w)
-			out[t] = append(out[t], relaxUpdate{w: w, src: int32(f.Src), dist: cand, sigma: src.Sigma})
+			out[t] = append(out[t], relaxUpdate{w: w, src: int32(f.Src), dist: cand, sigma: sigma})
 		}
 	}
 }
@@ -341,18 +360,17 @@ func (r *Runner) applyRelaxInbox(sh int, collect bool) {
 func (r *Runner) stageDelta(flags []Flag, out [][]deltaUpdate) {
 	e := r.e
 	for _, f := range flags {
-		st := &e.st[f.V]
-		if st.data[f.Src].Sigma == 0 {
+		i := e.idx(f.V, f.Src)
+		if e.sigma[i] == 0 {
 			panic(fmt.Sprintf("core: zero sigma at (%d,%d) during accumulation", f.V, f.Src))
 		}
-		m := (1 + st.data[f.Src].Delta) / st.data[f.Src].Sigma
-		dv := st.data[f.Src].Dist
+		m := (1 + e.delta[i]) / e.sigma[i]
+		dv := e.dist[i]
 		for _, u := range e.g.InNeighbors(f.V) {
-			pu := &e.st[u]
-			du := pu.data[f.Src].Dist
-			if du != graph.InfDist && du+1 == dv {
+			j := int(u)*e.k + f.Src
+			if du := e.dist[j]; du+1 == dv && du != graph.InfDist {
 				t := e.shardOf(u)
-				out[t] = append(out[t], deltaUpdate{u: u, src: int32(f.Src), val: pu.data[f.Src].Sigma * m})
+				out[t] = append(out[t], deltaUpdate{u: u, src: int32(f.Src), val: e.sigma[j] * m})
 			}
 		}
 	}
@@ -368,7 +386,7 @@ func (r *Runner) applyDeltaInbox(sh int) {
 	for from := 0; from < r.tasks; from++ {
 		ups := r.deltaOut[from][sh]
 		for _, u := range ups {
-			e.st[u.u].data[u.src].Delta += u.val
+			e.delta[int(u.u)*e.k+int(u.src)] += u.val
 		}
 		r.deltaOut[from][sh] = ups[:0]
 	}
@@ -484,16 +502,18 @@ func (r *Runner) fold(batch []uint32, scores []float64) {
 
 func foldRange(e *Engine, batch []uint32, scores []float64, lo, hi int) {
 	for v := lo; v < hi; v++ {
+		row := v * e.k
 		for i, s := range batch {
-			d := e.st[v].data[i]
-			if d.Dist != graph.InfDist && uint32(v) != s {
-				scores[v] += d.Delta
+			if e.dist[row+i] != graph.InfDist && uint32(v) != s {
+				scores[v] += e.delta[row+i]
 			}
 		}
 	}
 }
 
-// flushRunStats folds the runner's scheduler counters into stats.
+// flushRunStats folds the current batch's scheduler counters into
+// stats: Reset zeroes them, so a runner that lives across batches adds
+// each batch's delta, never its lifetime totals. Call once per batch.
 func (r *Runner) flushRunStats(stats *RunStats) {
 	stats.InlineRounds += r.inlineRounds
 	stats.ParallelRounds += r.parallelRounds

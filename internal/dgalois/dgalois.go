@@ -199,18 +199,18 @@ type exchangeTally struct {
 // goroutine (or be externally serialized, as the pipelined batch
 // turnstile does) — the Cluster is not a thread-safe object.
 type PendingExchange struct {
-	c        *Cluster
-	inUse    bool
-	detached bool // true between BeginExchange and Complete
-	ex       int
-	packSeq  int64
-	unpackSeq int64
-	round    int64
-	batch    int32
-	start    time.Time
-	packEnd  time.Time
-	writers  [][]*gluon.Writer
-	hostPack []exchangeTally
+	c          *Cluster
+	inUse      bool
+	detached   bool // true between BeginExchange and Complete
+	ex         int
+	packSeq    int64
+	unpackSeq  int64
+	round      int64
+	batch      int32
+	start      time.Time
+	packEnd    time.Time
+	writers    [][]*gluon.Writer
+	hostPack   []exchangeTally
 	hostUnpack []exchangeTally
 	// pairPack/pairUnpack tally each directed (from, to) link of the
 	// exchange (indexed from*hosts+to), feeding the KindLink events the

@@ -385,9 +385,9 @@ func TestEncodingCountsTick(t *testing.T) {
 		mark(m)
 		EncodeUpdates(w, listLen, m, func(pos int, w *Writer) { w.Byte(0) })
 	}
-	one(func(m *bitset.Set) { m.Set(5) }, 10000)                                   // sparse
-	one(func(m *bitset.Set) { m.Fill() }, 64)                                      // all
-	one(func(m *bitset.Set) { m.Set(0); m.Set(2); m.Set(4); m.Set(6) }, 8)         // dense-ish tiny list
+	one(func(m *bitset.Set) { m.Set(5) }, 10000)                           // sparse
+	one(func(m *bitset.Set) { m.Fill() }, 64)                              // all
+	one(func(m *bitset.Set) { m.Set(0); m.Set(2); m.Set(4); m.Set(6) }, 8) // dense-ish tiny list
 	c := w.TakeCounts()
 	if c.Total() != 3 || c.Sparse != 1 || c.All != 1 || c.Dense != 1 {
 		t.Fatalf("counts = %+v", c)

@@ -115,7 +115,7 @@ type Options struct {
 	// Checkpoint, when non-nil, persists a boundary snapshot into the
 	// sink after every source batch: the scores folded so far plus the
 	// cluster's deterministic counter cursor. Batch boundaries are exact
-	// recovery units (all other engine state is rebuilt per batch), so a
+	// recovery units (all other engine state is reset per batch), so a
 	// run resumed from any persisted boundary is bitwise identical to the
 	// uninterrupted run from that point on. Requires the serial batch
 	// loop (PipelineDepth ≤ 1): a pipelined run has no single boundary at
@@ -355,6 +355,8 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	cluster.SetEncoding(opts.Encoding)
 	scores := make([]float64, n)
 	prog := newProgressGauges(opts.Metrics)
+	pool := &statePool{kmax: min(opts.BatchSize, len(sources))}
+	defer pool.close()
 	startBatch := 0
 	if rs := opts.Resume; rs != nil {
 		if rs.Hosts != pt.NumHosts {
@@ -374,7 +376,7 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	}
 	err := dgalois.Capture(func() {
 		if depth > 1 {
-			runPipelined(cluster, topo, pt, sources, scores, opts, depth, prog)
+			runPipelined(cluster, topo, pt, pool, sources, scores, opts, depth, prog)
 			return
 		}
 		for start, bi := startBatch*opts.BatchSize, startBatch; start < len(sources); start, bi = start+opts.BatchSize, bi+1 {
@@ -382,7 +384,7 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 			if end > len(sources) {
 				end = len(sources)
 			}
-			runBatch(cluster, topo, pt, sources[start:end], scores, opts, bi, prog)
+			runBatch(cluster, topo, pt, pool, sources[start:end], scores, opts, bi, prog)
 			saveCheckpoint(cluster, scores, bi+1, opts)
 		}
 	})
@@ -421,40 +423,83 @@ func saveCheckpoint(cluster *dgalois.Cluster, scores []float64, next int, opts O
 	}
 }
 
-// makeStates builds one batch's per-host engine state in a single BSP
-// compute phase (shared by the serial and pipelined batch runners).
-func makeStates(cluster *dgalois.Cluster, pt *partition.Partitioning, batch []uint32, opts Options) []*hostState {
+// statePool keeps a run's per-host engine states between batches: a
+// batch takes a set, resets it and hands it back when it retires, so a
+// run builds one engine (and one worker pool) per host per in-flight
+// batch for its whole life. The serial loop calls it from one goroutine
+// and the pipelined one only while holding the turn, so it needs no
+// lock.
+type statePool struct {
+	kmax int // the run's largest batch: what engines are built for
+	free [][]*hostState
+	all  [][]*hostState
+}
+
+// makeStates readies one batch's per-host engine state in a single BSP
+// compute phase (shared by the serial and pipelined batch runners): a
+// pooled set reset to the batch's size, or a newly built one when every
+// set is in flight. The round-state slabs need no reset of their own —
+// the first round's resetRound undoes what the previous batch's last
+// round left, exactly as it does between rounds.
+func (p *statePool) makeStates(cluster *dgalois.Cluster, pt *partition.Partitioning, batch []uint32, opts Options) []*hostState {
 	k := len(batch)
-	states := make([]*hostState, pt.NumHosts)
+	var states []*hostState
+	if n := len(p.free); n > 0 {
+		states, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		states = make([]*hostState, pt.NumHosts)
+		p.all = append(p.all, states)
+	}
 	cluster.Compute(func(h int) {
-		p := pt.Parts[h]
-		eng := core.NewEngine(p.Local, k)
-		var run *core.Runner
-		if opts.EngineWorkers > 1 {
-			// The runner needs a sharded engine; contiguous sharding keeps
-			// flag emission in the serial ascending order, so the sync
-			// protocol above sees no difference.
-			eng = core.NewEngineOpts(p.Local, k, core.EngineOpts{
-				Shards: core.ParallelShards(p.Local.NumVertices()),
-			})
-			run = core.NewRunner(eng, opts.EngineWorkers)
+		st := states[h]
+		built := st == nil
+		if built {
+			part := pt.Parts[h]
+			var eo core.EngineOpts
+			if opts.EngineWorkers > 1 {
+				// The runner needs a sharded engine; contiguous sharding keeps
+				// flag emission in the serial ascending order, so the sync
+				// protocol above sees no difference.
+				eo.Shards = core.ParallelShards(part.Local.NumVertices())
+			}
+			eng := core.NewEngineOpts(part.Local, p.kmax, eo)
+			var run *core.Runner
+			if opts.EngineWorkers > 1 {
+				run = core.NewRunner(eng, opts.EngineWorkers)
+			}
+			st = newHostState(part, eng, run)
+			states[h] = st
 		}
-		st := newHostState(p, eng, run)
+		switch {
+		case built && k == p.kmax: // a new engine is clean at this stride
+		case st.runner != nil:
+			st.runner.Reset(k)
+		default:
+			st.engine.Reset(k)
+		}
 		for i, s := range batch {
-			if l, ok := p.LocalID(s); ok {
-				st.engine.InitSource(l, i, p.IsMaster[l])
+			if l, ok := st.part.LocalID(s); ok {
+				st.engine.InitSource(l, i, st.part.IsMaster[l])
 			}
 		}
-		states[h] = st
 	})
 	return states
 }
 
-// closeRunners releases the per-host worker pools of a batch's states.
-func closeRunners(states []*hostState) {
-	for _, st := range states {
-		if st != nil && st.runner != nil {
-			st.runner.Close()
+// release returns a retired batch's states to the pool.
+func (p *statePool) release(states []*hostState) {
+	p.free = append(p.free, states)
+}
+
+// close releases the worker pools of every set the run built, whether
+// it was returned or abandoned by a batch a fault plan panicked out of
+// its rounds.
+func (p *statePool) close() {
+	for _, states := range p.all {
+		for _, st := range states {
+			if st != nil && st.runner != nil {
+				st.runner.Close()
+			}
 		}
 	}
 }
@@ -548,8 +593,8 @@ func localBackwardRounds(states []*hostState) int {
 // finished batch: one worker event per (batch, host, worker) for
 // `bctrace imbalance -per-worker`, and cumulative registry counters
 // (flat index host·EngineWorkers+worker) for the live /progressz
-// intra-host skew view. Runner pools are per-batch, so WorkerStats here
-// is exactly this batch's tally.
+// intra-host skew view. A runner's counters restart at every batch's
+// reset, so WorkerStats here is exactly this batch's tally.
 func emitWorkerStats(states []*hostState, opts Options, bi int) {
 	if opts.EngineWorkers <= 1 {
 		return
@@ -604,16 +649,13 @@ func foldScores(states []*hostState, batch []uint32, scores []float64) {
 	}
 }
 
-func runBatch(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Partitioning, batch []uint32, scores []float64, opts Options, bi int, prog progressGauges) {
+func runBatch(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Partitioning, pool *statePool, batch []uint32, scores []float64, opts Options, bi int, prog progressGauges) {
 	k := len(batch)
 	tr := opts.Trace
 	prog.batch.Set(int64(bi))
 	prog.round.Set(0)
 	prog.backward.Set(0)
-	states := makeStates(cluster, pt, batch, opts)
-	// Worker pools must not leak even when a fault plan panics the run
-	// out of the batch loop.
-	defer closeRunners(states)
+	states := pool.makeStates(cluster, pt, batch, opts)
 
 	// ---- Forward phase (Algorithm 3 as BSP rounds). ----
 	R := 0
@@ -664,6 +706,7 @@ func runBatch(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Part
 	}
 	emitWorkerStats(states, opts, bi)
 	foldScores(states, batch, scores)
+	pool.release(states)
 }
 
 // syncForward implements the round-r label synchronization: due

@@ -135,6 +135,7 @@ type pipeRunner struct {
 	cluster *dgalois.Cluster
 	topo    *gluon.Topology
 	pt      *partition.Partitioning
+	pool    *statePool
 	sources []uint32
 	scores  []float64
 	opts    Options
@@ -155,14 +156,13 @@ type pipeBatch struct {
 	batch     []uint32
 	states    []*hostState
 	fwd, back int
-	stashed   bool // states handed to r.finished; retire owns cleanup
 }
 
 // runPipelined executes the batch loop software-pipelined at the given
 // depth (≥ 2, already clamped to the batch count). Panics — fault
 // aborts included — propagate to the caller exactly as the serial
 // loop's would, after every batch goroutine unwound.
-func runPipelined(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Partitioning, sources []uint32, scores []float64, opts Options, depth int, prog progressGauges) {
+func runPipelined(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Partitioning, pool *statePool, sources []uint32, scores []float64, opts Options, depth int, prog progressGauges) {
 	nBatches := (len(sources) + opts.BatchSize - 1) / opts.BatchSize
 	order := make([]int, depth)
 	for i := range order {
@@ -172,6 +172,7 @@ func runPipelined(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.
 		cluster:   cluster,
 		topo:      topo,
 		pt:        pt,
+		pool:      pool,
 		sources:   sources,
 		scores:    scores,
 		opts:      opts,
@@ -185,11 +186,6 @@ func runPipelined(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.
 		r.spawn(bi)
 	}
 	r.wg.Wait()
-	// On an abort, batches stashed but never retired still own engine
-	// runner pools; release them (retired batches already did).
-	for _, b := range r.finished {
-		closeRunners(b.states)
-	}
 	cluster.SetStream(-1)
 	if r.t.cause != nil {
 		// Re-raise the first failure on the coordinator goroutine: a
@@ -250,15 +246,7 @@ func (b *pipeBatch) run() {
 	tr := opts.Trace
 	b.take()
 	r.prog.batch.Set(int64(b.bi))
-	b.states = makeStates(cluster, r.pt, b.batch, opts)
-	// Worker pools must not leak when a fault plan panics the batch out
-	// of its rounds; after finish() stashes the batch, retirement owns
-	// them.
-	defer func() {
-		if !b.stashed {
-			closeRunners(b.states)
-		}
-	}()
+	b.states = r.pool.makeStates(cluster, r.pt, b.batch, opts)
 
 	// ---- Forward phase. ----
 	R := 0
@@ -316,7 +304,6 @@ func (b *pipeBatch) run() {
 // unstarted batch.
 func (b *pipeBatch) finish() {
 	r := b.r
-	b.stashed = true
 	r.finished[b.bi] = b
 	for {
 		d := r.finished[r.retireNext]
@@ -346,5 +333,5 @@ func (r *pipeRunner) retire(d *pipeBatch) {
 	}
 	emitWorkerStats(d.states, r.opts, d.bi)
 	foldScores(d.states, d.batch, r.scores)
-	closeRunners(d.states)
+	r.pool.release(d.states)
 }

@@ -387,7 +387,7 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewCluster(pt.NumHosts)
 	defer cluster.Close()
-	states := makeStates(cluster, pt, []uint32{0}, Options{})
+	states := (&statePool{kmax: 1}).makeStates(cluster, pt, []uint32{0}, Options{})
 	for _, st := range states {
 		for l, gid := range st.part.GlobalID {
 			if gid == 0 {

@@ -58,7 +58,7 @@ func synthRun(t *testing.T, hosts, exchanges int, off, skew []float64) []HostTra
 				obs.Event{Kind: obs.KindPhase, Seq: seq + 2, Round: round,
 					Host: int32(h), Phase: obs.PhaseUnpack, Bytes: recvd,
 					Messages: int64(hosts - 1),
-					StartNs: own(h, packStart+20_000), DurNs: int64(skew[h] * 5_000)},
+					StartNs:  own(h, packStart+20_000), DurNs: int64(skew[h] * 5_000)},
 				obs.Event{Kind: obs.KindPhase, Seq: seq + 1, Round: round,
 					Host: -1, Phase: obs.PhaseExchange,
 					StartNs: own(h, packStart), DurNs: int64(skew[h] * 30_000)})

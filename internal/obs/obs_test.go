@@ -254,7 +254,7 @@ func TestSumTotals(t *testing.T) {
 	got := Sum(sampleEvents())
 	want := Totals{
 		PackBytes: 64, PackMessages: 2, UnpackBytes: 64, UnpackMessages: 2,
-		Sparse: 2,
+		Sparse:  2,
 		Retries: 1, RetryBytes: 80, FrameBytes: 32, AckMessages: 2, AckBytes: 24,
 		DeliverySteps: 3, MaxSteps: 3, Injected: 1,
 	}
