@@ -219,32 +219,6 @@ func BenchmarkAblationPartitionPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSyncModes compares the two schedule-consistency
-// schemes of the distributed forward phase (DESIGN.md §5): master-side
-// arbitration (default) versus full candidate-distance dissemination.
-func BenchmarkAblationSyncModes(b *testing.B) {
-	g, sources := ablationWorkload()
-	pt := partition.CartesianCut(g, 4)
-	for _, tc := range []struct {
-		name string
-		mode mrbcdist.SyncMode
-	}{
-		{"Arbitration", mrbcdist.ArbitrationSync},
-		{"CandidateSync", mrbcdist.CandidateSync},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var bytes int64
-			var rounds int
-			for i := 0; i < b.N; i++ {
-				_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: 16, Sync: tc.mode})
-				bytes, rounds = stats.Bytes, stats.Rounds
-			}
-			b.ReportMetric(float64(bytes), "comm-bytes")
-			b.ReportMetric(float64(rounds), "rounds")
-		})
-	}
-}
-
 // BenchmarkAblationDirectionOptimization compares plain push SBBC with
 // the direction-optimizing (push/pull) variant on a dense power-law
 // input where large frontiers favor pulling.

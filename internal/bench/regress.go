@@ -73,11 +73,9 @@ type regressConfig struct {
 	run     func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, batch int) (int64, int64, int)
 }
 
-func runMRBC(sync mrbcdist.SyncMode) func(*graph.Graph, *partition.Partitioning, []uint32, int) (int64, int64, int) {
-	return func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, batch int) (int64, int64, int) {
-		_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: batch, Sync: sync, Metrics: Telemetry})
-		return stats.Bytes, stats.Messages, stats.Rounds
-	}
+func runMRBC(g *graph.Graph, pt *partition.Partitioning, sources []uint32, batch int) (int64, int64, int) {
+	_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: batch, Metrics: Telemetry})
+	return stats.Bytes, stats.Messages, stats.Rounds
 }
 
 func runSBBC(g *graph.Graph, pt *partition.Partitioning, sources []uint32, _ int) (int64, int64, int) {
@@ -85,7 +83,7 @@ func runSBBC(g *graph.Graph, pt *partition.Partitioning, sources []uint32, _ int
 	return stats.Bytes, stats.Messages, stats.Rounds
 }
 
-// regressConfigs is the guarded set: both MRBC sync modes, the SBBC
+// regressConfigs is the guarded set: MRBC, the SBBC
 // baseline, and both structural input classes (high-diameter grid,
 // low-diameter power law) — small enough for CI, wide enough that a
 // regression in any engine or either traversal regime trips it.
@@ -97,9 +95,8 @@ func regressConfigs(s Scale) []regressConfig {
 		rmat = func() *graph.Graph { return gen.RMAT(11, 8, 103) }
 	}
 	return []regressConfig{
-		{"mrbc-arb/roadgrid/2h", grid, 8, 8, 2, runMRBC(mrbcdist.ArbitrationSync)},
-		{"mrbc-arb/rmat/2h", rmat, 8, 8, 2, runMRBC(mrbcdist.ArbitrationSync)},
-		{"mrbc-cand/rmat/2h", rmat, 8, 8, 2, runMRBC(mrbcdist.CandidateSync)},
+		{"mrbc-arb/roadgrid/2h", grid, 8, 8, 2, runMRBC},
+		{"mrbc-arb/rmat/2h", rmat, 8, 8, 2, runMRBC},
 		{"sbbc/rmat/2h", rmat, 8, 0, 2, runSBBC},
 	}
 }

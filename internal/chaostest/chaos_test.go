@@ -50,16 +50,13 @@ type engine struct {
 
 var engines = []engine{
 	{"mrbc-arb", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.ArbitrationSync, Fault: plan})
-	}},
-	{"mrbc-cand", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.CandidateSync, Fault: plan})
+		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Fault: plan})
 	}},
 	// Software-pipelined batches (small batches so the 16-source jobs
 	// really keep two in flight): the reliable transport's retransmission
 	// machinery must compose with the per-batch exchange-ID streams.
 	{"mrbc-arb-pipe2", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 4, Sync: mrbcdist.ArbitrationSync, Fault: plan, PipelineDepth: 2})
+		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 4, Fault: plan, PipelineDepth: 2})
 	}},
 	{"sbbc", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
 		return sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{Fault: plan})
@@ -248,11 +245,6 @@ func TestTraceAccountingOracle(t *testing.T) {
 		{"mrbc-arb", func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error) {
 			_, s, err := mrbcdist.RunChecked(g, partition.EdgeCut(g, hosts), sources,
 				mrbcdist.Options{BatchSize: 8, Encoding: enc, Fault: plan, Trace: tr})
-			return s, err
-		}},
-		{"mrbc-cand", func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error) {
-			_, s, err := mrbcdist.RunChecked(g, partition.CartesianCut(g, hosts), sources,
-				mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.CandidateSync, Encoding: enc, Fault: plan, Trace: tr})
 			return s, err
 		}},
 		{"sbbc", func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error) {

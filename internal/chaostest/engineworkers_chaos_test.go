@@ -26,21 +26,20 @@ func TestFaultScheduleEngineWorkers(t *testing.T) {
 		seeds = 4
 	}
 	for seed := 0; seed < seeds; seed++ {
-		sync := []mrbcdist.SyncMode{mrbcdist.ArbitrationSync, mrbcdist.CandidateSync}[seed%2]
 		hosts := []int{2, 4}[(seed/2)%2]
 		pc := cuts[(seed/4)%len(cuts)]
 		plan := dgalois.RandomPlan(uint64(1000+seed), maxRate, hosts)
 		pt := pc.make(g, hosts)
 		got, stats, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
-			BatchSize: 16, Sync: sync, Fault: plan, EngineWorkers: 4,
+			BatchSize: 16, Fault: plan, EngineWorkers: 4,
 		})
 		if err != nil {
-			t.Fatalf("seed=%d sync=%d %s hosts=%d: recoverable plan errored: %v",
-				seed, sync, pc.name, hosts, err)
+			t.Fatalf("seed=%d %s hosts=%d: recoverable plan errored: %v",
+				seed, pc.name, hosts, err)
 		}
 		if !approxEqual(got, oracle, 1e-9) {
-			t.Fatalf("seed=%d sync=%d %s hosts=%d: BC diverged from Brandes oracle under EngineWorkers=4",
-				seed, sync, pc.name, hosts)
+			t.Fatalf("seed=%d %s hosts=%d: BC diverged from Brandes oracle under EngineWorkers=4",
+				seed, pc.name, hosts)
 		}
 		if stats.Faults == nil {
 			t.Fatalf("seed=%d: stats carry no fault accounting", seed)

@@ -54,6 +54,13 @@ type daemon struct {
 	cmd     *exec.Cmd
 	ctrl    string
 	metrics string
+	reaped  sync.Once
+}
+
+// reap waits for the process to exit. KillHost, ReplaceHost and Close
+// may all get to the same daemon, and exec.Cmd.Wait must run only once.
+func (d *daemon) reap() {
+	d.reaped.Do(func() { d.cmd.Wait() })
 }
 
 // Cluster is a handle on a running set of bcd daemons. Daemons are
@@ -212,9 +219,9 @@ func (c *Cluster) KillHost(h int) error {
 	d := c.hosts[h]
 	if d.cmd.Process != nil {
 		d.cmd.Process.Kill()
+		c.opts.logf("clusterrun: killed bcd[%d] (pid %d)", h, d.cmd.Process.Pid)
 	}
-	go d.cmd.Wait()
-	c.opts.logf("clusterrun: killed bcd[%d] (pid %d)", h, d.cmd.Process.Pid)
+	go d.reap()
 	return nil
 }
 
@@ -230,7 +237,7 @@ func (c *Cluster) ReplaceHost(h int) (string, error) {
 	}
 	if old := c.hosts[h]; old != nil && old.cmd.Process != nil {
 		old.cmd.Process.Kill()
-		go old.cmd.Wait()
+		go old.reap()
 	}
 	if n := len(c.spares); n > 0 {
 		d := c.spares[n-1]
@@ -265,7 +272,7 @@ func (c *Cluster) Close() {
 	}
 	for _, d := range all {
 		if d != nil {
-			d.cmd.Wait()
+			d.reap()
 		}
 	}
 }

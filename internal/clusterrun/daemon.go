@@ -94,11 +94,17 @@ func ServeControl(ln net.Listener, opts DaemonOptions) error {
 func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 	defer conn.Close()
 	dec := json.NewDecoder(conn)
+	// SPMD processes must agree on every option that shapes the exchange
+	// sequence, so a spec field this build does not know is an error, not
+	// something to run without.
+	dec.DisallowUnknownFields()
 	enc := json.NewEncoder(conn)
 
 	var req controlRequest
 	if err := dec.Decode(&req); err != nil {
-		return false, fmt.Errorf("decode request: %w", err)
+		err = fmt.Errorf("decode request: %w", err)
+		enc.Encode(controlReply{Err: err.Error()})
+		return false, err
 	}
 	if req.Op != "prepare" {
 		enc.Encode(controlReply{Err: fmt.Sprintf("expected prepare, got %q", req.Op)})
@@ -116,7 +122,9 @@ func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 
 	req = controlRequest{}
 	if err := dec.Decode(&req); err != nil {
-		return false, fmt.Errorf("decode start: %w", err)
+		err = fmt.Errorf("decode start: %w", err)
+		enc.Encode(controlReply{Err: err.Error()})
+		return false, err
 	}
 	if req.Op != "start" || req.Spec == nil {
 		enc.Encode(controlReply{Err: "expected start with a spec"})

@@ -49,8 +49,6 @@ type JobSpec struct {
 	Sources []uint32 `json:"sources"`
 	// BatchSize is mrbcdist's k (0: its default).
 	BatchSize int `json:"batch_size,omitempty"`
-	// CandidateSync selects mrbcdist's CandidateSync mode.
-	CandidateSync bool `json:"candidate_sync,omitempty"`
 	// EngineWorkers is mrbcdist's intra-host worker count.
 	EngineWorkers int `json:"engine_workers,omitempty"`
 	// PipelineDepth is mrbcdist's software-pipelining window: how many
@@ -184,9 +182,6 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 			EngineWorkers: spec.EngineWorkers,
 			PipelineDepth: spec.PipelineDepth,
 			Epoch:         spec.Epoch,
-		}
-		if spec.CandidateSync {
-			opts.Sync = mrbcdist.CandidateSync
 		}
 		if spec.CheckpointDir != "" {
 			if spec.PipelineDepth > 1 {

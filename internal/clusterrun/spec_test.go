@@ -1,0 +1,183 @@
+package clusterrun
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"mrbc/internal/brandes"
+	"mrbc/internal/dgalois"
+	"mrbc/internal/gen"
+	"mrbc/internal/graph"
+	"mrbc/internal/mrbcdist"
+	"mrbc/internal/obs"
+	"mrbc/internal/sbbc"
+)
+
+// savedGraph writes a small power-law graph where RunJob will load it
+// from, as the daemons do.
+func savedGraph(t *testing.T) (*graph.Graph, string) {
+	t.Helper()
+	g := gen.RMAT(7, 8, 11)
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := g.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return g, path
+}
+
+// TestRunJobMatchesEngines: with no transport RunJob runs the whole
+// simulated cluster, so its result must be the engine's own, bit for
+// bit — the spec adds a file load and a partition name, nothing else.
+func TestRunJobMatchesEngines(t *testing.T) {
+	g, path := savedGraph(t)
+	sources := brandes.FirstKSources(g, 0, 24)
+	const hosts = 4
+	for _, part := range []string{"edgecut", "cartesian"} {
+		pt, err := BuildPartitioning(g, part, hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type jobCase struct {
+			name   string
+			spec   JobSpec
+			scores []float64
+			stats  dgalois.Stats
+		}
+		scores, stats := sbbc.Run(g, pt, sources)
+		cases := []jobCase{{"sbbc", JobSpec{Engine: "sbbc"}, scores, stats}}
+		for _, depth := range []int{0, 2} {
+			scores, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: 8, PipelineDepth: depth})
+			cases = append(cases, jobCase{fmt.Sprintf("mrbcdist/depth%d", depth),
+				JobSpec{Engine: "mrbcdist", BatchSize: 8, PipelineDepth: depth}, scores, stats})
+		}
+		for _, c := range cases {
+			spec := c.spec
+			spec.GraphPath, spec.Partition, spec.Hosts, spec.Sources = path, part, hosts, sources
+			res, err := RunJob(&spec, nil, nil, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", part, c.name, err)
+			}
+			if res.Fault != nil {
+				t.Fatalf("%s/%s: fault %+v", part, c.name, res.Fault)
+			}
+			if res.Rounds != c.stats.Rounds || res.Bytes != c.stats.Bytes || res.Messages != c.stats.Messages {
+				t.Errorf("%s/%s: %d rounds / %d B / %d msgs, engine %d / %d / %d", part, c.name,
+					res.Rounds, res.Bytes, res.Messages, c.stats.Rounds, c.stats.Bytes, c.stats.Messages)
+			}
+			if len(res.Scores) != len(c.scores) {
+				t.Fatalf("%s/%s: %d scores, engine %d", part, c.name, len(res.Scores), len(c.scores))
+			}
+			for v := range c.scores {
+				if math.Float64bits(res.Scores[v]) != math.Float64bits(c.scores[v]) {
+					t.Fatalf("%s/%s: score[%d] = %v, engine %v", part, c.name, v, res.Scores[v], c.scores[v])
+				}
+			}
+		}
+	}
+}
+
+// TestRunJobRefusals: a spec RunJob cannot honour fails before any engine
+// starts — no result, nothing registered for a cluster, no checkpoint
+// directory created.
+func TestRunJobRefusals(t *testing.T) {
+	_, path := savedGraph(t)
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	base := JobSpec{GraphPath: path, Hosts: 2, Sources: []uint32{0, 1}}
+	for _, c := range []struct {
+		want string
+		edit func(*JobSpec)
+	}{
+		{"load graph", func(s *JobSpec) { s.GraphPath = filepath.Join(ckpt, "missing.bin") }},
+		{`unknown engine "brandes"`, func(s *JobSpec) { s.Engine = "brandes" }},
+		{`unknown partition "vertexcut"`, func(s *JobSpec) { s.Partition = "vertexcut" }},
+		{"resume_batch 2 without checkpoint_dir", func(s *JobSpec) { s.ResumeBatch = 2 }},
+		{"requires serial batches", func(s *JobSpec) { s.CheckpointDir, s.PipelineDepth = ckpt, 2 }},
+		{"does not support checkpoint/resume", func(s *JobSpec) { s.Engine, s.CheckpointDir = "sbbc", ckpt }},
+		{"does not support checkpoint/resume", func(s *JobSpec) { s.Engine, s.ResumeBatch = "sbbc", 1 }},
+	} {
+		spec := base
+		c.edit(&spec)
+		reg := obs.NewRegistry()
+		res, err := RunJob(&spec, nil, nil, reg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("want an error naming %q, got %v", c.want, err)
+		}
+		if res != nil {
+			t.Errorf("%s: refused job returned a result", c.want)
+		}
+		if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.CounterVecs) != 0 {
+			t.Errorf("%s: refused job populated the registry: %+v", c.want, snap)
+		}
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused job created the checkpoint directory (stat: %v)", err)
+	}
+}
+
+// TestFaultRoundTrip: every FaultError field survives the JSON
+// projection a daemon relays to the coordinator.
+func TestFaultRoundTrip(t *testing.T) {
+	if err := (*Fault)(nil).AsError(); err != nil {
+		t.Fatalf("nil fault gave %v", err)
+	}
+	want := dgalois.FaultError{Host: 3, Exchange: 17, Step: 40, Pending: 5, Killed: true, Reason: "host 3 stalled"}
+	if n := reflect.TypeOf(want).NumField(); n != reflect.TypeOf(Fault{}).NumField() {
+		t.Fatalf("FaultError has %d fields, Fault %d", n, reflect.TypeOf(Fault{}).NumField())
+	}
+	data, err := json.Marshal(Fault{Host: want.Host, Exchange: want.Exchange, Step: want.Step,
+		Pending: want.Pending, Killed: want.Killed, Reason: want.Reason})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Fault
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	var got *dgalois.FaultError
+	if !errors.As(f.AsError(), &got) || *got != want {
+		t.Fatalf("round trip gave %+v, want %+v", got, want)
+	}
+}
+
+// TestServeJobRejectsUnknownSpecField: a start spec carrying an option
+// this build does not know (here the removed candidate_sync) must be
+// answered with an error, not run under different settings and not
+// dropped as a bare EOF.
+func TestServeJobRejectsUnknownSpecField(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := serveJob(server, DaemonOptions{})
+		done <- err
+	}()
+	enc, dec := json.NewEncoder(client), json.NewDecoder(client)
+	var rep controlReply
+	if err := enc.Encode(controlRequest{Op: "prepare"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&rep); err != nil || !rep.OK {
+		t.Fatalf("prepare: %v, reply %+v", err, rep)
+	}
+	if _, err := client.Write([]byte(`{"op":"start","spec":{"hosts":1,"candidate_sync":true}}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	rep = controlReply{}
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("no reply to the undecodable start: %v", err)
+	}
+	if rep.OK || !strings.Contains(rep.Err, "candidate_sync") {
+		t.Fatalf("reply %+v, want an error naming the unknown field", rep)
+	}
+	if err := <-done; err == nil {
+		t.Fatal("serveJob reported success")
+	}
+}

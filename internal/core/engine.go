@@ -714,38 +714,17 @@ func (e *Engine) ApplySync(v uint32, s int, dist uint32, sigma float64, r int) {
 	e.reschedule(sh, v)
 }
 
-// Candidate records a (vertex, source, dist) ordered-list update that
-// a distributed run must disseminate to the vertex's other proxies.
-//
-// Keeping the per-proxy ordered lists identical is what makes the
-// schedule r = dsv + ℓrv(dsv, s) evaluate consistently on every host:
-// a proxy that cannot see a lexicographically smaller candidate held
-// by another host would fire too early, synchronizing σ before every
-// predecessor contribution has arrived. Distances of candidates are
-// therefore synchronized as they are created (cheap: one uint32, no
-// σ), while the σ and δ labels keep the paper's delayed
-// synchronization and are exchanged exactly once, in the scheduled
-// round.
-type Candidate struct {
-	V    uint32
-	Src  int
-	Dist uint32
-}
-
 // applyRelax folds one relaxation contribution (distance cand, σ-part
 // sigma) from a just-synchronized in-neighbor into w's labels: the
-// target-vertex half of RelaxOut (Steps 13-17 of Algorithm 3). It
+// target-vertex half of RelaxOutLocal (Steps 13-17 of Algorithm 3). It
 // touches only w's shard, so workers owning disjoint shards may call
-// it concurrently. Reports whether w's ordered list changed (insert or
-// improvement), i.e. whether a distributed run must disseminate a
-// candidate. s is in range: it comes from a validated flag.
-func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) bool {
+// it concurrently. s is in range: it comes from a validated flag.
+func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) {
 	i := int(w)*e.k + s
 	cur := e.dist[i]
 	switch {
 	case cur == graph.InfDist:
 		e.insert(w, s, i, cand, sigma)
-		return true
 	case cur == cand:
 		if e.isSent(w, s) {
 			// A σ contribution arriving after (w,s) synchronized
@@ -759,64 +738,19 @@ func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) bool {
 			panic(fmt.Sprintf("core: improvement for sent entry (%d,%d)", w, s))
 		}
 		e.improve(w, s, i, cur, cand, sigma)
-		return true
 	}
 	// cur < cand: the contribution is to a non-shortest path.
-	return false
 }
 
-// RelaxOut performs the compute phase for a synchronized (v, s): it
-// relaxes every locally-owned out-edge of v, accumulating distance and
-// σ partials into the targets' proxies (Steps 11-17 of Algorithm 3, as
-// local label updates per Section 4.2). Distance changes (inserts and
-// improvements) are appended to cands for proxy dissemination; σ-only
-// updates change no list positions and need none.
-func (e *Engine) RelaxOut(v uint32, s int, cands []Candidate) []Candidate {
-	i := e.idx(v, s)
-	cand, sigma := e.dist[i]+1, e.sigma[i]
-	for _, w := range e.g.OutNeighbors(v) {
-		if e.applyRelax(w, s, cand, sigma) {
-			cands = append(cands, Candidate{V: w, Src: s, Dist: cand})
-		}
-	}
-	return cands
-}
-
-// RelaxOutLocal is RelaxOut without candidate collection, for runs that
-// have no other proxies to inform (the shared-memory path and
-// arbitration-mode distributed runs). It allocates nothing.
+// RelaxOutLocal performs the compute phase for a synchronized (v, s):
+// it relaxes every locally-owned out-edge of v, accumulating distance
+// and σ partials into the targets' proxies (Steps 11-17 of Algorithm 3,
+// as local label updates per Section 4.2). It allocates nothing.
 func (e *Engine) RelaxOutLocal(v uint32, s int) {
 	i := e.idx(v, s)
 	cand, sigma := e.dist[i]+1, e.sigma[i]
 	for _, w := range e.g.OutNeighbors(v) {
 		e.applyRelax(w, s, cand, sigma)
-	}
-}
-
-// MergeCandidate installs a candidate distance received from another
-// proxy of v: the ordered list gains the entry (or improves it) but σ
-// partials remain strictly local — a proxy with no local in-edge
-// contributions holds σ = 0 for the pair until the scheduled sync.
-// Reports whether the local list changed.
-func (e *Engine) MergeCandidate(v uint32, s int, dist uint32) bool {
-	i := e.idx(v, s)
-	if e.sigma == nil {
-		e.allocLabels()
-	}
-	cur := e.dist[i]
-	switch {
-	case cur == graph.InfDist:
-		e.insert(v, s, i, dist, 0)
-		return true
-	case cur > dist:
-		if e.isSent(v, s) {
-			panic(fmt.Sprintf("core: candidate improves sent entry (%d,%d)", v, s))
-		}
-		e.improve(v, s, i, cur, dist, 0)
-		return true
-	default:
-		// cur <= dist: the local list already reflects (or beats) it.
-		return false
 	}
 }
 

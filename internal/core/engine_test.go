@@ -375,20 +375,6 @@ func TestEngineMergePrimitivesDirect(t *testing.T) {
 		t.Fatalf("worse merge changed state: %+v", d)
 	}
 
-	// Candidates carry distance only; σ partials stay local.
-	if !e.MergeCandidate(2, 1, 5) {
-		t.Fatal("insert candidate should report a change")
-	}
-	if e.MergeCandidate(2, 1, 7) {
-		t.Fatal("worse candidate should report no change")
-	}
-	if !e.MergeCandidate(2, 1, 3) {
-		t.Fatal("better candidate should report a change")
-	}
-	if d := e.Get(2, 1); d.Dist != 3 || d.Sigma != 0 {
-		t.Fatalf("candidate state: %+v", d)
-	}
-
 	e.AddDeltaPartial(2, 1, 1.25)
 	e.AddDeltaPartial(2, 1, 0.75)
 	if got := e.DeltaPartial(2, 1); got != 2 {

@@ -225,7 +225,6 @@ type Runner struct {
 	flags    [][]Flag          // per-shard flag scratch
 	relaxOut [][][]relaxUpdate // [from][to] outboxes
 	deltaOut [][][]deltaUpdate // [from][to] outboxes
-	cands    [][]Candidate     // per-target-shard candidate scratch
 
 	inlineRounds   int64
 	parallelRounds int64
@@ -248,7 +247,6 @@ func NewRunner(e *Engine, workers int) *Runner {
 		flags:    make([][]Flag, s),
 		relaxOut: make([][][]relaxUpdate, s),
 		deltaOut: make([][][]deltaUpdate, s),
-		cands:    make([][]Candidate, s),
 	}
 	for i := 0; i < s; i++ {
 		r.relaxOut[i] = make([][]relaxUpdate, s)
@@ -333,24 +331,15 @@ func (r *Runner) stageRelax(flags []Flag, out [][]relaxUpdate) {
 }
 
 // applyRelaxInbox drains the relax outboxes addressed to shard sh in
-// from-shard order, optionally collecting list-change candidates.
-func (r *Runner) applyRelaxInbox(sh int, collect bool) {
+// from-shard order.
+func (r *Runner) applyRelaxInbox(sh int) {
 	e := r.e
-	var cb []Candidate
-	if collect {
-		cb = r.cands[sh][:0]
-	}
 	for from := 0; from < r.tasks; from++ {
 		ups := r.relaxOut[from][sh]
 		for _, u := range ups {
-			if e.applyRelax(u.w, int(u.src), u.dist, u.sigma) && collect {
-				cb = append(cb, Candidate{V: u.w, Src: int(u.src), Dist: u.dist})
-			}
+			e.applyRelax(u.w, int(u.src), u.dist, u.sigma)
 		}
 		r.relaxOut[from][sh] = ups[:0]
-	}
-	if collect {
-		r.cands[sh] = cb
 	}
 }
 
@@ -437,7 +426,7 @@ func (r *Runner) forward(stats *RunStats) int {
 			R = rnd
 			stats.LabelsSynced += total
 		}
-		r.runPhase(func(sh, w int) { r.applyRelaxInbox(sh, false) })
+		r.runPhase(func(sh, w int) { r.applyRelaxInbox(sh) })
 		r.parallelRounds++
 	}
 	if e.PendingUnsent() {
@@ -529,44 +518,20 @@ func (r *Runner) flushRunStats(stats *RunStats) {
 // pool when the list is large enough. The distributed runner hands it
 // each round's synchronized set.
 func (r *Runner) RelaxAll(flags []Flag) {
-	r.relaxAll(flags, false, nil)
-}
-
-// RelaxAllCandidates is RelaxAll with ordered-list change collection
-// for candidate dissemination (the RelaxOut analogue). The returned
-// slice holds the same candidate multiset a serial RelaxOut loop
-// produces, grouped by target shard rather than by source flag.
-func (r *Runner) RelaxAllCandidates(flags []Flag, cands []Candidate) []Candidate {
-	return r.relaxAll(flags, true, cands)
-}
-
-func (r *Runner) relaxAll(flags []Flag, collect bool, cands []Candidate) []Candidate {
 	e := r.e
 	if r.pool == nil || len(flags) <= inlineFrontierLimit {
 		r.inlineRounds++
-		if collect {
-			for _, f := range flags {
-				cands = e.RelaxOut(f.V, f.Src, cands)
-			}
-			return cands
-		}
 		for _, f := range flags {
 			e.RelaxOutLocal(f.V, f.Src)
 		}
-		return nil
+		return
 	}
 	n := len(flags)
 	r.runPhase(func(chunk, w int) {
 		r.stageRelax(flags[n*chunk/r.tasks:n*(chunk+1)/r.tasks], r.relaxOut[chunk])
 	})
-	r.runPhase(func(sh, w int) { r.applyRelaxInbox(sh, collect) })
+	r.runPhase(func(sh, w int) { r.applyRelaxInbox(sh) })
 	r.parallelRounds++
-	if collect {
-		for sh := 0; sh < r.tasks; sh++ {
-			cands = append(cands, r.cands[sh]...)
-		}
-	}
-	return cands
 }
 
 // AccumulateAll performs the backward compute phase for a list of

@@ -210,9 +210,7 @@ func TestEngineSourceIndexOutOfRangePanics(t *testing.T) {
 		"Get":             func(s int) { e.Get(1, s) },
 		"InitSource":      func(s int) { e.InitSource(2, s, true) },
 		"ApplySync":       func(s int) { e.ApplySync(1, s, 0, 1, 1) },
-		"MergeCandidate":  func(s int) { e.MergeCandidate(1, s, 3) },
 		"MergePartial":    func(s int) { e.MergePartial(1, s, 3, 1) },
-		"RelaxOut":        func(s int) { e.RelaxOut(1, s, nil) },
 		"RelaxOutLocal":   func(s int) { e.RelaxOutLocal(1, s) },
 		"AccumulateIn":    func(s int) { e.AccumulateIn(1, s) },
 		"AddDeltaPartial": func(s int) { e.AddDeltaPartial(1, s, 1) },
@@ -410,21 +408,20 @@ func TestEngineInvariantPanics(t *testing.T) {
 		{"batch size must be positive", func() { NewEngine(gen.Path(3), -1) }},
 		{"already initialized", func() { e := synced(); e.InitSource(0, 0, true) }},
 		{"synchronized twice", func() { e := synced(); e.ApplySync(0, 0, 0, 1, 2) }},
-		{"worse than local", func() { e := synced(); e.MergeCandidate(1, 0, 1); e.ApplySync(1, 0, 2, 1, 2) }},
+		{"worse than local", func() { e := synced(); e.MergePartial(1, 0, 1, 0); e.ApplySync(1, 0, 2, 1, 2) }},
 		{"late sigma contribution", func() { e := synced(); e.applyRelax(0, 0, 0, 1) }},
 		{"improvement for sent entry", func() {
 			e := synced()
 			e.ApplySync(1, 0, 3, 1, 4)
 			e.RelaxOutLocal(0, 0) // reaches vertex 1 at distance 1 < 3
 		}},
-		{"candidate improves sent entry", func() { e := synced(); e.ApplySync(1, 0, 3, 1, 4); e.MergeCandidate(1, 0, 2) }},
 		{"partial for already-synchronized", func() { e := synced(); e.MergePartial(0, 0, 0, 1) }},
 		{"improvement for already-synchronized", func() { e := synced(); e.ApplySync(1, 0, 3, 1, 4); e.MergePartial(1, 0, 2, 1) }},
-		{"zero sigma", func() { e := synced(); e.MergeCandidate(1, 0, 1); e.AccumulateIn(1, 0) }},
+		{"zero sigma", func() { e := synced(); e.MergePartial(1, 0, 1, 0); e.AccumulateIn(1, 0) }},
 		{"scheduled into past round", func() {
 			e := synced()
 			e.ForwardFlags(5, nil)
-			e.MergeCandidate(1, 0, 1) // due in round 2
+			e.MergePartial(1, 0, 1, 0) // due in round 2
 		}},
 		{"missed its scheduled round", func() {
 			e := NewEngineOpts(gen.Path(3), 2, EngineOpts{Scan: true})

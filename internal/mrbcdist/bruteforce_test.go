@@ -10,11 +10,11 @@ import (
 	"mrbc/internal/partition"
 )
 
-// TestBruteForceBothSyncModes sweeps thousands of tiny random
-// configurations through both schedule-consistency schemes and checks
-// exact agreement with the sequential oracle. This is the regression
-// net for the cross-host scheduling subtleties DESIGN.md §5 describes.
-func TestBruteForceBothSyncModes(t *testing.T) {
+// TestBruteForceAgainstBrandes sweeps thousands of tiny random
+// configurations and checks exact agreement with the sequential oracle.
+// This is the regression net for the cross-host scheduling subtleties
+// (the §4.3 distance-tie gap) DESIGN.md §5 describes.
+func TestBruteForceAgainstBrandes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long brute-force sweep")
 	}
@@ -34,16 +34,14 @@ func TestBruteForceBothSyncModes(t *testing.T) {
 			sources[i] = uint32(s)
 		}
 		want := brandes.Sequential(g, sources)
-		for _, mode := range []SyncMode{ArbitrationSync, CandidateSync} {
-			for _, pt := range []*partition.Partitioning{
-				partition.EdgeCut(g, hosts), partition.CartesianCut(g, hosts),
-			} {
-				got, _ := Run(g, pt, sources, Options{BatchSize: k, Sync: mode})
-				for v := range got {
-					if math.Abs(got[v]-want[v]) > 1e-9 {
-						t.Fatalf("seed=%d n=%d hosts=%d k=%d mode=%d policy=%s: BC[%d]=%v want %v",
-							seed, n, hosts, k, mode, pt.Policy, v, got[v], want[v])
-					}
+		for _, pt := range []*partition.Partitioning{
+			partition.EdgeCut(g, hosts), partition.CartesianCut(g, hosts),
+		} {
+			got, _ := Run(g, pt, sources, Options{BatchSize: k})
+			for v := range got {
+				if math.Abs(got[v]-want[v]) > 1e-9 {
+					t.Fatalf("seed=%d n=%d hosts=%d k=%d policy=%s: BC[%d]=%v want %v",
+						seed, n, hosts, k, pt.Policy, v, got[v], want[v])
 				}
 			}
 		}

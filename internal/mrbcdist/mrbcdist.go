@@ -6,12 +6,17 @@
 // dictated by the algorithm (the Proxy Synchronization Rule of §4.3),
 // and its dependency label only in round Asv = R − τsv of Algorithm 5.
 //
+// Proxies of one vertex can disagree on that round when two sources tie
+// on distance, so due proxies only propose and the vertex's master
+// synchronizes the lexicographically smallest proposal (DESIGN.md §5).
+//
 // Sources are processed in batches of k (the batch size studied in
 // Figure 1); each batch costs at most k + H forward rounds and the
-// same again backward (Lemma 8). With Options.PipelineDepth > 1 the
-// batches are software-pipelined (pipeline.go): while one batch's
-// exchange is on the wire, another batch computes — scores and the
-// model trace stay bitwise identical to the serial loop.
+// same again backward (Lemma 8). A batch's rounds are written once
+// (batchRun); with Options.PipelineDepth > 1 several batches run that
+// body as coroutines (pipeline.go): while one batch's exchange is on
+// the wire, another batch computes — scores and the model trace stay
+// bitwise identical to the serial loop.
 package mrbcdist
 
 import (
@@ -28,35 +33,11 @@ import (
 	"mrbc/internal/partition"
 )
 
-// SyncMode selects how the forward phase keeps the per-proxy schedules
-// of Algorithm 3 consistent across hosts. Both modes are exact; they
-// trade communication volume differently (an ablation DESIGN.md §5
-// calls out).
-type SyncMode int
-
-const (
-	// ArbitrationSync (default): proxies propose their locally-due
-	// (vertex, source) label; the master keeps only the
-	// lexicographically smallest proposal per vertex and synchronizes
-	// it. A losing proxy's schedule shifts by exactly one round,
-	// because the broadcast inserts the winning (already-sent) entry
-	// below the loser in its ordered list. Costs no extra messages.
-	ArbitrationSync SyncMode = iota
-	// CandidateSync additionally disseminates candidate distances as
-	// relaxations create them, keeping every proxy's ordered list
-	// bit-identical to the CONGEST list. Costs one (src, dist) pair
-	// per list change but reproduces CONGEST rounds exactly.
-	CandidateSync
-)
-
 // Options configures a distributed MRBC run.
 type Options struct {
 	// BatchSize is k, the number of sources per batch. Defaults to 32
 	// (the paper's small-graph setting, §5.2).
 	BatchSize int
-	// Sync selects the schedule-consistency scheme; defaults to
-	// ArbitrationSync.
-	Sync SyncMode
 	// Fault routes every exchange through the framed ack/retry
 	// transport under the given plan (nil: perfect network). Use
 	// RunChecked to receive the structured error an unrecoverable
@@ -169,25 +150,21 @@ type hostState struct {
 	engine *core.Engine
 	runner *core.Runner // non-nil iff Options.EngineWorkers > 1
 
-	flags  []core.Flag      // this host's locally-detected flags
-	synced []core.Flag      // (v,s) synchronized this round, to relax/accumulate
-	nBcast int              // synced[:nBcast] are the pairs this host's masters broadcast
-	cands  []core.Candidate // distance candidates created this round
+	flags  []core.Flag // this host's locally-detected flags
+	synced []core.Flag // (v,s) synchronized this round, to relax/accumulate
+	nBcast int         // synced[:nBcast] are the pairs this host's masters broadcast
 
 	due   []int32 // source of this host's due flag at the vertex, or none
 	bcast []int32 // source the vertex's master broadcasts this round, or none
 
-	// Per-vertex chains. head[v] is the first element of v's chain;
-	// touched holds every vertex with a chain or a backward claim in
-	// bcast. Walking touched visits vertices in ascending index order,
-	// which fixes the order of synced — the relax and δ-accumulation
-	// order — run to run. Chain elements live in proposals while a
-	// forward round arbitrates and in candNodes while CandidateSync
-	// disseminates; the two never overlap in time.
+	// Per-vertex proposal chains. head[v] is the first element of v's
+	// chain in proposals; touched holds every vertex with a chain or a
+	// backward claim in bcast. Walking touched visits vertices in
+	// ascending index order, which fixes the order of synced — the relax
+	// and δ-accumulation order — run to run.
 	head      []int32
 	touched   *bitset.Set
 	proposals []proposal // this round's mirror proposals, then the master's own
-	candNodes []candNode // this round's distance candidates
 }
 
 func newHostState(p *partition.Part, eng *core.Engine, run *core.Runner) *hostState {
@@ -208,8 +185,9 @@ func newHostState(p *partition.Part, eng *core.Engine, run *core.Runner) *hostSt
 }
 
 // resetRound returns the slabs to all-none by undoing exactly what the
-// previous round set: O(flags + touched) plus a scan of touched's
-// ⌈proxies/64⌉ words, never a pass over the proxies.
+// previous round set: O(flags + broadcasts), never a pass over the
+// proxies. Arbitration and the backward union drain head and touched
+// themselves.
 func (st *hostState) resetRound() {
 	for _, f := range st.flags {
 		st.due[f.V] = none
@@ -217,11 +195,7 @@ func (st *hostState) resetRound() {
 	for _, f := range st.synced[:st.nBcast] {
 		st.bcast[f.V] = none
 	}
-	// Arbitration and the backward union drain touched themselves; what
-	// is left here are the candidate chains of a CandidateSync round.
-	st.drainTouched(func(v uint32) { st.head[v] = none })
 	st.synced, st.nBcast = st.synced[:0], 0
-	st.candNodes = st.candNodes[:0]
 }
 
 // drainTouched visits the touched vertices in ascending index order and
@@ -301,13 +275,6 @@ func (p *proposal) less(q *proposal) bool {
 	return p.src < q.src
 }
 
-// candNode is one (source, distance) candidate in a vertex's chain.
-type candNode struct {
-	src  int32
-	next int32  // next candidate for the vertex, or none
-	dist uint32 // mirror chains: the round's minimum; master chains read the engine instead
-}
-
 // maxBatch clamps Options.BatchSize. Source indices live in int32 slab
 // slots and travel as u32, and an engine's label array is dense in
 // (proxies × batch), so memory runs out long before this does.
@@ -354,7 +321,6 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	defer cluster.Close()
 	cluster.SetEncoding(opts.Encoding)
 	scores := make([]float64, n)
-	prog := newProgressGauges(opts.Metrics)
 	pool := &statePool{kmax: min(opts.BatchSize, len(sources))}
 	defer pool.close()
 	startBatch := 0
@@ -374,17 +340,17 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 				Batch: int32(startBatch), Host: int32(cluster.LocalHost())})
 		}
 	}
+	j := &job{cluster: cluster, topo: topo, pt: pt, pool: pool, sources: sources,
+		scores: scores, opts: opts, prog: newProgressGauges(opts.Metrics)}
 	err := dgalois.Capture(func() {
 		if depth > 1 {
-			runPipelined(cluster, topo, pt, pool, sources, scores, opts, depth, prog)
+			runPipelined(j, depth)
 			return
 		}
-		for start, bi := startBatch*opts.BatchSize, startBatch; start < len(sources); start, bi = start+opts.BatchSize, bi+1 {
-			end := start + opts.BatchSize
-			if end > len(sources) {
-				end = len(sources)
-			}
-			runBatch(cluster, topo, pt, pool, sources[start:end], scores, opts, bi, prog)
+		for bi := startBatch; bi*opts.BatchSize < len(sources); bi++ {
+			b := j.newBatch(bi, nil)
+			b.run()
+			b.retire()
 			saveCheckpoint(cluster, scores, bi+1, opts)
 		}
 	})
@@ -436,11 +402,10 @@ type statePool struct {
 }
 
 // makeStates readies one batch's per-host engine state in a single BSP
-// compute phase (shared by the serial and pipelined batch runners): a
-// pooled set reset to the batch's size, or a newly built one when every
-// set is in flight. The round-state slabs need no reset of their own —
-// the first round's resetRound undoes what the previous batch's last
-// round left, exactly as it does between rounds.
+// compute phase: a pooled set reset to the batch's size, or a newly
+// built one when every set is in flight. The round-state slabs need no
+// reset of their own — the first round's resetRound undoes what the
+// previous batch's last round left, exactly as it does between rounds.
 func (p *statePool) makeStates(cluster *dgalois.Cluster, pt *partition.Partitioning, batch []uint32, opts Options) []*hostState {
 	k := len(batch)
 	var states []*hostState
@@ -523,27 +488,16 @@ func forwardFlagsFn(states []*hostState, r int, activity *int64) func(h int) {
 
 // relaxFn is compute phase B of a forward round: relax the synchronized
 // entries locally — through the host's work-stealing runner when
-// EngineWorkers fanned one out, serially otherwise. Only CandidateSync
-// disseminates the distance candidates the relaxations create, so only
-// it pays to collect them; ArbitrationSync uses the allocation-free
-// local path.
-func relaxFn(states []*hostState, sync SyncMode) func(h int) {
+// EngineWorkers fanned one out, serially otherwise.
+func relaxFn(states []*hostState) func(h int) {
 	return func(h int) {
 		st := states[h]
-		st.cands = st.cands[:0]
-		switch {
-		case st.runner != nil && sync == CandidateSync:
-			st.cands = st.runner.RelaxAllCandidates(st.synced, st.cands)
-		case st.runner != nil:
+		if st.runner != nil {
 			st.runner.RelaxAll(st.synced)
-		case sync == CandidateSync:
-			for _, f := range st.synced {
-				st.cands = st.engine.RelaxOut(f.V, f.Src, st.cands)
-			}
-		default:
-			for _, f := range st.synced {
-				st.engine.RelaxOutLocal(f.V, f.Src)
-			}
+			return
+		}
+		for _, f := range st.synced {
+			st.engine.RelaxOutLocal(f.V, f.Src)
 		}
 	}
 }
@@ -629,7 +583,7 @@ func emitWorkerStats(states []*hostState, opts Options, bi int) {
 // global scores (only the local hosts' masters in SPMD mode: the
 // per-process vectors are disjoint and sum to the full scores). The
 // iteration order — hosts ascending, then local vertices, then batch
-// index — is the floating-point fold order both batch runners replay.
+// index — is the floating-point fold order at every pipeline depth.
 func foldScores(states []*hostState, batch []uint32, scores []float64) {
 	for _, st := range states {
 		if st == nil {
@@ -649,78 +603,130 @@ func foldScores(states []*hostState, batch []uint32, scores []float64) {
 	}
 }
 
-func runBatch(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Partitioning, pool *statePool, batch []uint32, scores []float64, opts Options, bi int, prog progressGauges) {
-	k := len(batch)
-	tr := opts.Trace
-	prog.batch.Set(int64(bi))
-	prog.round.Set(0)
-	prog.backward.Set(0)
-	states := pool.makeStates(cluster, pt, batch, opts)
+// job is what every batch of one run shares.
+type job struct {
+	cluster *dgalois.Cluster
+	topo    *gluon.Topology
+	pt      *partition.Partitioning
+	pool    *statePool
+	sources []uint32
+	scores  []float64
+	opts    Options
+	prog    progressGauges
+}
+
+// batchRun is one source batch's pass over the cluster. The round body
+// below exists once; the only thing PipelineDepth changes about it is
+// how exchange waits for the wire.
+type batchRun struct {
+	*job
+	bi        int
+	batch     []uint32
+	states    []*hostState
+	pipe      *pipeRunner // nil: the serial loop, every exchange completes in place
+	fwd, back int         // rounds each phase took
+}
+
+func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
+	start := bi * j.opts.BatchSize
+	end := min(start+j.opts.BatchSize, len(j.sources))
+	return &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
+}
+
+// run executes the batch's forward and backward phases; retire is its
+// epilogue.
+func (b *batchRun) run() {
+	b.prog.batch.Set(int64(b.bi))
+	b.prog.round.Set(0)
+	b.prog.backward.Set(0)
+	b.states = b.pool.makeStates(b.cluster, b.pt, b.batch, b.opts)
 
 	// ---- Forward phase (Algorithm 3 as BSP rounds). ----
-	R := 0
-	for r := 1; ; r++ {
-		cluster.BeginRound()
-		var activity int64
-		cluster.Compute(forwardFlagsFn(states, r, &activity))
-		// Global quiescence: in SPMD mode the local sum is only this
-		// host's share, so fold across processes (identity in-process).
-		activity = cluster.AllReduce(activity, gluon.ReduceSum)
-		prog.round.Set(int64(r))
-		prog.frontier.Set(activity)
-		if activity == 0 {
-			break
-		}
-		R = r
-		syncForward(cluster, topo, states, r, tr, bi)
-		cluster.Compute(relaxFn(states, opts.Sync))
-		// In CandidateSync mode, additionally disseminate candidate
-		// distances so every proxy's ordered list stays identical to
-		// the CONGEST list (ArbitrationSync instead resolves schedule
-		// ties at the master).
-		if opts.Sync == CandidateSync {
-			syncCandidates(cluster, topo, states)
-		}
+	for r := 1; b.forwardRound(r); r++ {
+		b.fwd = r
 	}
 
 	// ---- Backward phase (Algorithm 5 as BSP rounds). ----
-	cluster.Compute(func(h int) { states[h].engine.StartBackward(R) })
+	b.cluster.Compute(func(h int) { b.states[h].engine.StartBackward(b.fwd) })
 	// Every process must run the same number of backward rounds — the
 	// deepest host's (identity in-process).
-	maxBack := int(cluster.AllReduce(int64(localBackwardRounds(states)), gluon.ReduceMax))
-	prog.backward.Set(1)
-	for r := 1; r <= maxBack; r++ {
-		cluster.BeginRound()
-		prog.round.Set(int64(r))
-		cluster.Compute(backwardFlagsFn(states, r))
-		syncBackward(cluster, topo, states, r, tr, bi)
-		cluster.Compute(accumulateFn(states))
+	b.back = int(b.cluster.AllReduce(int64(localBackwardRounds(b.states)), gluon.ReduceMax))
+	b.prog.backward.Set(1)
+	for r := 1; r <= b.back; r++ {
+		b.backwardRound(r)
 	}
-
-	// One summary event per batch: K sources, R forward rounds, maxBack
-	// backward rounds — the inputs of the Lemma 8 bound
-	// fwd + back + 1 ≤ 2(k+H) + 1 the trace harness checks.
-	if tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(bi), Host: -1,
-			K: int32(k), FwdRounds: int32(R), BackRounds: int32(maxBack)})
-	}
-	emitWorkerStats(states, opts, bi)
-	foldScores(states, batch, scores)
-	pool.release(states)
 }
 
-// syncForward implements the round-r label synchronization: due
-// mirrors propose (src, dist, σ-partial) to masters; masters arbitrate
-// one winner per vertex (the lexicographically smallest proposal — in
-// CandidateSync mode at most one proposal per vertex exists, so
-// arbitration is a no-op), merge the winner's σ partials, apply the
-// finalized value, and broadcast (src, dist, σ) to every mirror.
-func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState, r int, tr *obs.Trace, bi int) {
-	pack, unpack := fwdReduceExchange(states, topo)
-	cluster.Exchange(pack, unpack)
-	cluster.Compute(fwdArbitrateFn(states, r, tr, bi))
-	pack, unpack = fwdBroadcastExchange(states, topo, r)
-	cluster.Exchange(pack, unpack)
+// exchange is the one depth-dependent step. The serial loop runs the
+// exchange in place. A pipelined batch sends it, hands the turn to the
+// next batch while the bytes are on the wire, and completes it when the
+// turn comes back; under a fault plan the exchange already ran
+// synchronously inside BeginExchange (Complete is a no-op) but the turn
+// still rotates, so the global operation order stays the same
+// deterministic function of the batch schedule.
+func (b *batchRun) exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
+	if b.pipe == nil {
+		b.cluster.Exchange(pack, unpack)
+		return
+	}
+	p := b.cluster.BeginExchange(pack, unpack)
+	b.pipe.t.yield()
+	b.pipe.take(b.bi)
+	p.Complete()
+}
+
+// forwardRound runs forward round r and reports whether any host had
+// work in it; the first idle round ends the phase. Label
+// synchronization: due mirrors propose (src, dist, σ-partial) to
+// masters; masters arbitrate one winner per vertex (the
+// lexicographically smallest proposal), merge the winner's σ partials,
+// apply the finalized value, and broadcast (src, dist, σ) to every
+// mirror.
+func (b *batchRun) forwardRound(r int) (active bool) {
+	b.cluster.BeginRound()
+	var activity int64
+	b.cluster.Compute(forwardFlagsFn(b.states, r, &activity))
+	// Global quiescence: in SPMD mode the local sum is only this
+	// host's share, so fold across processes (identity in-process).
+	activity = b.cluster.AllReduce(activity, gluon.ReduceSum)
+	b.prog.round.Set(int64(r))
+	b.prog.frontier.Set(activity)
+	if activity == 0 {
+		return false
+	}
+	b.exchange(fwdReduceExchange(b.states, b.topo))
+	b.cluster.Compute(fwdArbitrateFn(b.states, r, b.opts.Trace, b.bi))
+	b.exchange(fwdBroadcastExchange(b.states, b.topo, r))
+	b.cluster.Compute(relaxFn(b.states))
+	return true
+}
+
+// backwardRound runs backward round r, synchronizing the dependency
+// labels of its flagged pairs: mirrors push δ partials (then reset
+// them), masters sum and broadcast the final dependency.
+func (b *batchRun) backwardRound(r int) {
+	b.cluster.BeginRound()
+	b.prog.round.Set(int64(r))
+	b.cluster.Compute(backwardFlagsFn(b.states, r))
+	b.exchange(backReduceExchange(b.states, b.topo))
+	b.cluster.Compute(backUnionFn(b.states, r, b.opts.Trace, b.bi))
+	b.exchange(backBroadcastExchange(b.states, b.topo))
+	b.cluster.Compute(accumulateFn(b.states))
+}
+
+// retire is the per-batch epilogue: one summary event (K sources and
+// the forward and backward round counts — the inputs of the Lemma 8
+// bound fwd + back + 1 ≤ 2(k+H) + 1 the trace harness checks), the
+// worker counters, the score fold. Batches retire in index order, which
+// fixes the floating-point fold order.
+func (b *batchRun) retire() {
+	if tr := b.opts.Trace; tr.Enabled() {
+		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(b.bi), Host: -1,
+			K: int32(len(b.batch)), FwdRounds: int32(b.fwd), BackRounds: int32(b.back)})
+	}
+	emitWorkerStats(b.states, b.opts, b.bi)
+	foldScores(b.states, b.batch, b.scores)
+	b.pool.release(b.states)
 }
 
 // emitLabels writes the forward payload of (lid, src): this host's
@@ -843,157 +849,6 @@ func fwdBroadcastExchange(states []*hostState, topo *gluon.Topology, r int) (fun
 		})
 	}
 	return pack, unpack
-}
-
-// syncCandidates disseminates this round's distance candidates:
-// mirrors push (src, dist) lists to masters, masters merge (min) and
-// broadcast the merged candidates to every mirror. Only distances
-// travel — σ partials stay local until the pair's scheduled round —
-// so this preserves the delayed-synchronization optimization while
-// keeping every proxy's ordered list identical.
-func syncCandidates(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState) {
-	cluster.Compute(candGroupFn(states))
-	pack, unpack := candReduceExchange(states, topo)
-	cluster.Exchange(pack, unpack)
-	cluster.Compute(candMergeFn(states))
-	pack, unpack = candBroadcastExchange(states, topo)
-	cluster.Exchange(pack, unpack)
-}
-
-// chainCandidate files candidate (src, dist) in v's chain, one node per
-// source holding its minimum distance. A mirror's chain keeps arrival
-// order and a master's ascends by source — the orders the reduce and
-// the broadcast put candidates on the wire in.
-func (st *hostState) chainCandidate(v uint32, src int32, dist uint32) {
-	bySrc := st.part.IsMaster[v]
-	prev, i := int32(none), st.head[v]
-	for i != none {
-		n := &st.candNodes[i]
-		if n.src == src {
-			if dist < n.dist {
-				n.dist = dist
-			}
-			return
-		}
-		if bySrc && n.src > src {
-			break
-		}
-		prev, i = i, n.next
-	}
-	st.candNodes = append(st.candNodes, candNode{src: src, dist: dist, next: i})
-	id := int32(len(st.candNodes) - 1)
-	if prev == none {
-		st.head[v] = id
-		st.touched.Set(int(v))
-	} else {
-		st.candNodes[prev].next = id
-	}
-}
-
-// encodeCandidates packs the candidate chains of one shared list's
-// vertices.
-func (st *hostState) encodeCandidates(w *gluon.Writer, list []uint32, dist func(lid uint32, n *candNode) uint32) {
-	if len(st.candNodes) == 0 {
-		return
-	}
-	encodeSlots(w, list, st.head, func(lid uint32, first int, w *gluon.Writer) {
-		cnt := uint32(0)
-		for i := int32(first); i != none; i = st.candNodes[i].next {
-			cnt++
-		}
-		w.U32(cnt)
-		for i := int32(first); i != none; i = st.candNodes[i].next {
-			n := &st.candNodes[i]
-			w.U32(uint32(n.src))
-			w.U32(dist(lid, n))
-		}
-	})
-}
-
-// chainOwn chains this round's own candidates at the host's master (or
-// mirror) vertices.
-func (st *hostState) chainOwn(masters bool) {
-	for _, c := range st.cands {
-		if st.part.IsMaster[c.V] == masters {
-			st.chainCandidate(c.V, int32(c.Src), c.Dist)
-		}
-	}
-}
-
-// candGroupFn chains this round's candidates per mirror vertex, in a
-// compute phase: the pack calls of the reduce below run in parallel per
-// destination pair and only read the chains. Parallel intra-round
-// relaxations can propose the same (v, src) pair more than once (and
-// how often depends on vertex processing order); the master min-folds
-// anyway, so a chain keeps only the minimum distance per pair — the
-// wire volume stays deterministic across runs.
-func candGroupFn(states []*hostState) func(h int) {
-	return func(h int) { states[h].chainOwn(false) }
-}
-
-// candReduceExchange builds the candidate reduce step: mirror
-// candidates -> masters, which union them into the master's chain.
-func candReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		states[from].encodeCandidates(w, topo.MirrorList(from, to), func(_ uint32, n *candNode) uint32 { return n.dist })
-	}
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
-		st := states[to]
-		list := topo.MasterList(from, to)
-		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
-			lid := list[pos]
-			cnt := int(rd.U32())
-			for i := 0; i < cnt; i++ {
-				src := rd.U32()
-				d := rd.U32()
-				st.engine.MergeCandidate(lid, int(src), d)
-				st.chainCandidate(lid, int32(src), d)
-			}
-		})
-	}
-	return pack, unpack
-}
-
-// candMergeFn folds the masters' own local candidates into the union
-// the reduce's unpack started.
-func candMergeFn(states []*hostState) func(h int) {
-	return func(h int) { states[h].chainOwn(true) }
-}
-
-// candBroadcastExchange builds the candidate broadcast step: merged
-// candidates -> all mirrors, with the master's post-merge (minimum)
-// distance.
-func candBroadcastExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		st.encodeCandidates(w, topo.MasterList(to, from), func(lid uint32, n *candNode) uint32 {
-			return st.engine.Get(lid, int(n.src)).Dist
-		})
-	}
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
-		st := states[to]
-		list := topo.MirrorList(to, from)
-		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
-			lid := list[pos]
-			cnt := int(rd.U32())
-			for i := 0; i < cnt; i++ {
-				src := int(rd.U32())
-				st.engine.MergeCandidate(lid, src, rd.U32())
-			}
-		})
-	}
-	return pack, unpack
-}
-
-// syncBackward synchronizes the dependency labels of backward-flagged
-// pairs: mirrors push δ partials (then reset them), masters sum and
-// broadcast the final dependency.
-func syncBackward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState, r int, tr *obs.Trace, bi int) {
-	pack, unpack := backReduceExchange(states, topo)
-	cluster.Exchange(pack, unpack)
-	cluster.Compute(backUnionFn(states, r, tr, bi))
-	pack, unpack = backBroadcastExchange(states, topo)
-	cluster.Exchange(pack, unpack)
 }
 
 // backReduceExchange builds the backward reduce step: due mirrors hand

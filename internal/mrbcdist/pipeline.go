@@ -1,13 +1,15 @@
 package mrbcdist
 
-// Software-pipelined batch execution (Options.PipelineDepth > 1).
+// Software-pipelined batch execution (Options.PipelineDepth > 1): one
+// round body, two ways to wait.
 //
 // The serial loop in RunChecked finishes batch b's backward pass
 // before batch b+1's forward pass starts, so every exchange's wire
-// wait sits on the critical path. Here up to `depth` batches run as
-// coroutines over the one shared cluster: a batch packs and sends an
-// exchange (dgalois.BeginExchange), hands the cluster to the next
-// batch while its bytes are on the wire, and unpacks
+// wait sits on the critical path. Here up to `depth` batches run the
+// same batchRun body (mrbcdist.go) as coroutines over the one shared
+// cluster; the difference is confined to batchRun.exchange, which packs
+// and sends (dgalois.BeginExchange), hands the cluster to the next
+// batch while the bytes are on the wire, and unpacks
 // (PendingExchange.Complete) when its turn comes back. The compute the
 // other batches do in between hides the wire wait — that hidden time
 // is what dgalois.Stats.HiddenTime and the exchange events' HiddenNs
@@ -40,14 +42,7 @@ package mrbcdist
 // transport buffers, and the reliable transport's seq/ack machinery
 // stays per-stream.
 
-import (
-	"sync"
-
-	"mrbc/internal/dgalois"
-	"mrbc/internal/gluon"
-	"mrbc/internal/obs"
-	"mrbc/internal/partition"
-)
+import "sync"
 
 // turnstile serializes cluster access across batch goroutines. order
 // holds the batch indices currently in rotation; order[pos] owns the
@@ -132,61 +127,37 @@ func (t *turnstile) fail(cause any) {
 // touched only while holding the turn (plus the post-Wait cleanup,
 // which wg.Wait orders after every goroutine).
 type pipeRunner struct {
-	cluster *dgalois.Cluster
-	topo    *gluon.Topology
-	pt      *partition.Partitioning
-	pool    *statePool
-	sources []uint32
-	scores  []float64
-	opts    Options
-	prog    progressGauges
-	t       *turnstile
-	wg      sync.WaitGroup
+	*job
+	t  *turnstile
+	wg sync.WaitGroup
 
 	nBatches   int
-	nextStart  int                // next batch index to enter the rotation
-	retireNext int                // next batch index to fold into scores
-	finished   map[int]*pipeBatch // done but awaiting in-order retirement
-}
-
-// pipeBatch is one batch's coroutine state.
-type pipeBatch struct {
-	r         *pipeRunner
-	bi        int
-	batch     []uint32
-	states    []*hostState
-	fwd, back int
+	nextStart  int               // next batch index to enter the rotation
+	retireNext int               // next batch index to fold into scores
+	finished   map[int]*batchRun // done but awaiting in-order retirement
 }
 
 // runPipelined executes the batch loop software-pipelined at the given
 // depth (≥ 2, already clamped to the batch count). Panics — fault
 // aborts included — propagate to the caller exactly as the serial
 // loop's would, after every batch goroutine unwound.
-func runPipelined(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Partitioning, pool *statePool, sources []uint32, scores []float64, opts Options, depth int, prog progressGauges) {
-	nBatches := (len(sources) + opts.BatchSize - 1) / opts.BatchSize
+func runPipelined(j *job, depth int) {
 	order := make([]int, depth)
 	for i := range order {
 		order[i] = i
 	}
 	r := &pipeRunner{
-		cluster:   cluster,
-		topo:      topo,
-		pt:        pt,
-		pool:      pool,
-		sources:   sources,
-		scores:    scores,
-		opts:      opts,
-		prog:      prog,
+		job:       j,
 		t:         newTurnstile(order),
-		nBatches:  nBatches,
+		nBatches:  (len(j.sources) + j.opts.BatchSize - 1) / j.opts.BatchSize,
 		nextStart: depth,
-		finished:  make(map[int]*pipeBatch, depth),
+		finished:  make(map[int]*batchRun, depth),
 	}
 	for bi := 0; bi < depth; bi++ {
 		r.spawn(bi)
 	}
 	r.wg.Wait()
-	cluster.SetStream(-1)
+	r.cluster.SetStream(-1)
 	if r.t.cause != nil {
 		// Re-raise the first failure on the coordinator goroutine: a
 		// fault abort unwinds to dgalois.Capture, anything else is a bug
@@ -199,12 +170,7 @@ func runPipelined(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.
 // panic — a fault abort, a pipeAbort echo, or a genuine bug — through
 // turnstile.fail, which keeps only the first cause.
 func (r *pipeRunner) spawn(bi int) {
-	start := bi * r.opts.BatchSize
-	end := start + r.opts.BatchSize
-	if end > len(r.sources) {
-		end = len(r.sources)
-	}
-	b := &pipeBatch{r: r, bi: bi, batch: r.sources[start:end]}
+	b := r.newBatch(bi, r)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -213,97 +179,25 @@ func (r *pipeRunner) spawn(bi int) {
 				r.t.fail(v)
 			}
 		}()
+		r.take(bi)
 		b.run()
+		r.finish(b)
 	}()
 }
 
-// take blocks until it is this batch's turn, then routes the cluster's
+// take blocks until it is batch bi's turn, then routes the cluster's
 // exchange identifiers and event tags onto the batch's stream.
-func (b *pipeBatch) take() {
-	b.r.t.acquire(b.bi)
-	b.r.cluster.SetStream(b.bi)
+func (r *pipeRunner) take(bi int) {
+	r.t.acquire(bi)
+	r.cluster.SetStream(bi)
 }
 
-// await is the software-pipelining step: hand the turn to the next
-// batch while the detached exchange's bytes are on the wire, complete
-// the exchange when the turn returns. Under a fault plan the exchange
-// already ran synchronously inside BeginExchange (Complete is a no-op)
-// but the turn still rotates, so the global operation order stays the
-// same deterministic function of the batch schedule.
-func (b *pipeBatch) await(p *dgalois.PendingExchange) {
-	b.r.t.yield()
-	b.take()
-	p.Complete()
-}
-
-// run executes one batch start to finish: the exact operation sequence
-// of runBatch, with each Exchange split into BeginExchange / yield /
-// Complete. See the package comment at the top of this file for why
-// this preserves bitwise determinism.
-func (b *pipeBatch) run() {
-	r := b.r
-	cluster, topo, opts := r.cluster, r.topo, r.opts
-	tr := opts.Trace
-	b.take()
-	r.prog.batch.Set(int64(b.bi))
-	b.states = r.pool.makeStates(cluster, r.pt, b.batch, opts)
-
-	// ---- Forward phase. ----
-	R := 0
-	for fr := 1; ; fr++ {
-		cluster.BeginRound()
-		var activity int64
-		cluster.Compute(forwardFlagsFn(b.states, fr, &activity))
-		activity = cluster.AllReduce(activity, gluon.ReduceSum)
-		r.prog.round.Set(int64(fr))
-		r.prog.frontier.Set(activity)
-		if activity == 0 {
-			break
-		}
-		R = fr
-		pack, unpack := fwdReduceExchange(b.states, topo)
-		b.await(cluster.BeginExchange(pack, unpack))
-		cluster.Compute(fwdArbitrateFn(b.states, fr, tr, b.bi))
-		pack, unpack = fwdBroadcastExchange(b.states, topo, fr)
-		b.await(cluster.BeginExchange(pack, unpack))
-		cluster.Compute(relaxFn(b.states, opts.Sync))
-		if opts.Sync == CandidateSync {
-			cluster.Compute(candGroupFn(b.states))
-			pack, unpack = candReduceExchange(b.states, topo)
-			b.await(cluster.BeginExchange(pack, unpack))
-			cluster.Compute(candMergeFn(b.states))
-			pack, unpack = candBroadcastExchange(b.states, topo)
-			b.await(cluster.BeginExchange(pack, unpack))
-		}
-	}
-
-	// ---- Backward phase. ----
-	cluster.Compute(func(h int) { b.states[h].engine.StartBackward(R) })
-	maxBack := int(cluster.AllReduce(int64(localBackwardRounds(b.states)), gluon.ReduceMax))
-	r.prog.backward.Set(1)
-	for br := 1; br <= maxBack; br++ {
-		cluster.BeginRound()
-		r.prog.round.Set(int64(br))
-		cluster.Compute(backwardFlagsFn(b.states, br))
-		pack, unpack := backReduceExchange(b.states, topo)
-		b.await(cluster.BeginExchange(pack, unpack))
-		cluster.Compute(backUnionFn(b.states, br, tr, b.bi))
-		pack, unpack = backBroadcastExchange(b.states, topo)
-		b.await(cluster.BeginExchange(pack, unpack))
-		cluster.Compute(accumulateFn(b.states))
-	}
-
-	b.fwd, b.back = R, maxBack
-	b.finish()
-}
-
-// finish runs in the batch's final turn: stash the completed batch,
+// finish runs in batch b's final turn: stash the completed batch,
 // retire every batch whose predecessors are all retired (in index
 // order — the serial score-fold and summary-event order), release the
 // batch's identifier stream, and hand its rotation slot to the next
 // unstarted batch.
-func (b *pipeBatch) finish() {
-	r := b.r
+func (r *pipeRunner) finish(b *batchRun) {
 	r.finished[b.bi] = b
 	for {
 		d := r.finished[r.retireNext]
@@ -312,7 +206,7 @@ func (b *pipeBatch) finish() {
 		}
 		delete(r.finished, r.retireNext)
 		r.retireNext++
-		r.retire(d)
+		d.retire()
 	}
 	r.cluster.EndStream(b.bi)
 	next := -1
@@ -322,16 +216,4 @@ func (b *pipeBatch) finish() {
 		r.spawn(next)
 	}
 	r.t.leave(next)
-}
-
-// retire emits batch d's summary and worker events and folds its
-// scores — the per-batch epilogue of the serial loop, byte for byte.
-func (r *pipeRunner) retire(d *pipeBatch) {
-	if tr := r.opts.Trace; tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(d.bi), Host: -1,
-			K: int32(len(d.batch)), FwdRounds: int32(d.fwd), BackRounds: int32(d.back)})
-	}
-	emitWorkerStats(d.states, r.opts, d.bi)
-	foldScores(d.states, d.batch, r.scores)
-	r.pool.release(d.states)
 }

@@ -34,7 +34,7 @@ func modelStream(events []obs.Event) []obs.Event {
 }
 
 // TestPipelineDepthsBitwiseAgree is the determinism contract of the
-// software-pipelined batch runner: for every sync mode and engine
+// software-pipelined batch runner: for every cut and engine
 // configuration, depths 1, 2, and 4 must produce bit-identical scores,
 // identical paper-model volume, and an identical model-event stream
 // (sends + batch summaries) — the only thing the depth may change is
@@ -50,7 +50,6 @@ func TestPipelineDepthsBitwiseAgree(t *testing.T) {
 		pt   *partition.Partitioning
 	}{
 		{"arb/edge-cut", Options{BatchSize: 8}, partition.EdgeCut(g, 4)},
-		{"cand/edge-cut", Options{BatchSize: 8, Sync: CandidateSync}, partition.EdgeCut(g, 4)},
 		{"arb/cartesian", Options{BatchSize: 8}, partition.CartesianCut(g, 4)},
 		{"arb/workers-4", Options{BatchSize: 8, EngineWorkers: 4}, partition.EdgeCut(g, 4)},
 	}

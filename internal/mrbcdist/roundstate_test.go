@@ -195,8 +195,8 @@ func checkClean(t *testing.T, st *hostState) {
 			t.Fatalf("vertex %d keeps round state after reset: due %d bcast %d head %d", v, st.due[v], st.bcast[v], st.head[v])
 		}
 	}
-	if st.touched.Any() || st.nBcast != 0 || len(st.synced) != 0 || len(st.candNodes) != 0 {
-		t.Fatal("touched set, broadcast count, synced list or candidate pool not empty after reset")
+	if st.touched.Any() || st.nBcast != 0 || len(st.synced) != 0 {
+		t.Fatal("touched set, broadcast count or synced list not empty after reset")
 	}
 }
 
@@ -374,9 +374,9 @@ func steadyAllocs(round func()) float64 {
 
 // roundAllocs returns the steady-state heap allocations of one forward
 // and one backward round of a single-source batch on layeredGraph(width,
-// layers) over 4 in-process hosts, and the proposals a forward round
-// arbitrates. Every proxy is told its vertex's distance up front (what
-// CandidateSync does round by round), so each round synchronizes exactly
+// layers) over 4 in-process hosts — the shipped round body, driven at
+// depth 1 — and the proposals a forward round arbitrates. Every proxy is
+// told its vertex's distance up front, so each round synchronizes exactly
 // one layer at all of its proxies and the engines' own slab allocator —
 // which carves storage the first time a vertex is reached — stays out of
 // the measured rounds: what is left is the handlers and the cluster.
@@ -384,17 +384,17 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	const layers, warm = 12, 3
 	g := layeredGraph(width, layers)
 	pt := partition.CartesianCut(g, 4)
-	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewCluster(pt.NumHosts)
 	defer cluster.Close()
-	states := (&statePool{kmax: 1}).makeStates(cluster, pt, []uint32{0}, Options{})
-	for _, st := range states {
+	b := &batchRun{job: &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil)}}
+	b.states = (&statePool{kmax: 1}).makeStates(cluster, pt, []uint32{0}, Options{})
+	for _, st := range b.states {
 		for l, gid := range st.part.GlobalID {
 			if gid == 0 {
 				continue
 			}
 			layer := (int(gid) - 1) % layers
-			st.engine.MergeCandidate(uint32(l), 0, uint32(layer+1))
+			st.engine.MergePartial(uint32(l), 0, uint32(layer+1), 0)
 			if layer == warm {
 				proposals++
 			}
@@ -403,14 +403,9 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	r := 0
 	forward := func() {
 		r++
-		cluster.BeginRound()
-		var activity int64
-		cluster.Compute(forwardFlagsFn(states, r, &activity))
-		if activity == 0 {
+		if !b.forwardRound(r) {
 			t.Fatalf("forward round %d is empty", r)
 		}
-		syncForward(cluster, topo, states, r, nil, 0)
-		cluster.Compute(relaxFn(states, ArbitrationSync))
 	}
 	for r < warm {
 		forward()
@@ -420,16 +415,13 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 		forward()
 	}
 	R := r
-	cluster.Compute(func(h int) { states[h].engine.StartBackward(R) })
+	cluster.Compute(func(h int) { b.states[h].engine.StartBackward(R) })
 	r = 0
 	backward := func() {
 		r++
-		cluster.BeginRound()
-		cluster.Compute(backwardFlagsFn(states, r))
-		syncBackward(cluster, topo, states, r, nil, 0)
-		cluster.Compute(accumulateFn(states))
+		b.backwardRound(r)
 		synced := 0
-		for _, st := range states {
+		for _, st := range b.states {
 			synced += len(st.synced)
 		}
 		if synced == 0 {

@@ -50,11 +50,11 @@ type tracedEngine struct {
 	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int)
 }
 
-func mrbcRunner(sync mrbcdist.SyncMode, batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
+func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
 	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
 		t.Helper()
 		_, _, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
-			BatchSize: batch, Sync: sync, Fault: plan, Trace: tr, Workers: workers,
+			BatchSize: batch, Fault: plan, Trace: tr, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -75,8 +75,7 @@ func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning,
 }
 
 var tracedEngines = []tracedEngine{
-	{"mrbc-arb", mrbcRunner(mrbcdist.ArbitrationSync, 8)},
-	{"mrbc-cand", mrbcRunner(mrbcdist.CandidateSync, 8)},
+	{"mrbc-arb", mrbcRunner(8)},
 	{"sbbc", sbbcRunner()},
 }
 
@@ -133,7 +132,7 @@ func goldenEvents(t *testing.T, workers int, plan *dgalois.FaultPlan) []obs.Even
 	pt := partition.CartesianCut(g, 2)
 	sources := brandes.FirstKSources(g, 0, 8)
 	tr := obs.NewTrace(traceCap, obs.LevelDetail)
-	mrbcRunner(mrbcdist.ArbitrationSync, 4)(t, g, pt, sources, tr, plan, workers)
+	mrbcRunner(4)(t, g, pt, sources, tr, plan, workers)
 	return requireComplete(t, tr)
 }
 
@@ -255,26 +254,22 @@ func TestPerturbedTraceFixtureFails(t *testing.T) {
 	}
 }
 
-// TestSyncModesShareRoundStructure cross-checks the two forward
-// synchronization schemes: CandidateSync reproduces CONGEST rounds
-// exactly, so its batches can never use more forward rounds than
-// allowed, and both modes must satisfy reversal symmetry on the same
-// input (their traces differ — arbitration shifts losing proxies — but
-// both stay within Lemma 8).
+// TestSyncModesShareRoundStructure checks Lemma 8 and reversal symmetry
+// where arbitration does the most work: a road grid in batches of 6 over
+// an edge cut, so distance ties between sources are common and losing
+// proxies' schedules shift.
 func TestSyncModesShareRoundStructure(t *testing.T) {
 	g := gen.RoadGrid(6, 6, 7)
 	sources := brandes.FirstKSources(g, 0, 12)
 	h := maxFiniteDistance(g, sources)
 	pt := partition.EdgeCut(g, 4)
-	for _, sync := range []mrbcdist.SyncMode{mrbcdist.ArbitrationSync, mrbcdist.CandidateSync} {
-		tr := obs.NewTrace(traceCap, obs.LevelDetail)
-		mrbcRunner(sync, 6)(t, g, pt, sources, tr, nil, 0)
-		events := requireComplete(t, tr)
-		if err := obs.CheckRoundBounds(events, h); err != nil {
-			t.Fatalf("sync mode %d: %v", sync, err)
-		}
-		if err := obs.CheckReversal(events); err != nil {
-			t.Fatalf("sync mode %d: %v", sync, err)
-		}
+	tr := obs.NewTrace(traceCap, obs.LevelDetail)
+	mrbcRunner(6)(t, g, pt, sources, tr, nil, 0)
+	events := requireComplete(t, tr)
+	if err := obs.CheckRoundBounds(events, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckReversal(events); err != nil {
+		t.Fatal(err)
 	}
 }
