@@ -24,12 +24,13 @@
 // the reliable path. A nil trace costs a single predictable branch per
 // phase: the steady-state Exchange stays allocation-free either way.
 //
-// The communication phase is allocation-free at steady state: the
-// cluster keeps one reusable gluon.Writer per ordered host pair and
-// one gluon.Decoder per receiving host, and a persistent worker pool
-// runs the pack work parallel over (from, to) pairs — finer-grained
-// than one goroutine per sender, which matters when one sender's pack
-// work dwarfs the others' — without spawning goroutines per exchange.
+// Every phase is allocation-free at steady state: the cluster keeps one
+// reusable gluon.Writer per ordered host pair and one gluon.Decoder per
+// receiving host, and one persistent worker pool runs the hosts of a
+// compute phase, the pack work parallel over (from, to) pairs —
+// finer-grained than one goroutine per sender, which matters when one
+// sender's pack work dwarfs the others' — and the receivers of an
+// unpack, without spawning a goroutine per phase.
 package dgalois
 
 import (
@@ -93,6 +94,7 @@ type Cluster struct {
 	commWall       time.Duration
 	hiddenWall     time.Duration // exchange wait hidden behind detached compute
 	perHostCompute []time.Duration
+	durations      []time.Duration // the current compute phase's per-host times
 	imbalanceSum   float64
 	imbalanceN     int
 
@@ -161,16 +163,18 @@ type Cluster struct {
 	xmu  sync.Mutex
 	xerr *FaultError
 
-	// Persistent exchange workers (nil in SPMD mode, whose phases run on
-	// the caller) and the per-exchange phase state they read. The bound
-	// task funcs are created once so dispatching a phase allocates
-	// nothing.
-	pool         *workerPool
-	packFn       func(from, to int, w *gluon.Writer)
-	unpackFn     func(to, from int, data []byte, dec *gluon.Decoder)
-	packTaskFn   func(i int)
-	unpackTaskFn func(i int)
-	closeOnce    sync.Once
+	// Persistent workers (nil in SPMD mode, whose phases run on the
+	// caller) and the per-phase state they read. The bound task funcs are
+	// created once so dispatching a phase allocates nothing.
+	pool          *workerPool
+	computeFn     func(host int)
+	computeRound  int64
+	packFn        func(from, to int, w *gluon.Writer)
+	unpackFn      func(to, from int, data []byte, dec *gluon.Decoder)
+	computeTaskFn func(i int)
+	packTaskFn    func(i int)
+	unpackTaskFn  func(i int)
+	closeOnce     sync.Once
 
 	// Fault-tolerant transport state (reliable.go); plan == nil keeps
 	// the perfect-network fast path equivalent to the seed behavior.
@@ -199,16 +203,19 @@ type exchangeTally struct {
 // goroutine (or be externally serialized, as the pipelined batch
 // turnstile does) — the Cluster is not a thread-safe object.
 type PendingExchange struct {
-	c          *Cluster
-	inUse      bool
-	detached   bool // true between BeginExchange and Complete
-	ex         int
-	packSeq    int64
-	unpackSeq  int64
-	round      int64
-	batch      int32
-	start      time.Time
-	packEnd    time.Time
+	c         *Cluster
+	inUse     bool
+	detached  bool // true between BeginExchange and Complete
+	empty     bool // in-process, and no pack produced a buffer: nothing to unpack
+	ex        int
+	packSeq   int64
+	unpackSeq int64
+	round     int64
+	batch     int32
+	// start and packEnd bracket the pack phase, as offsets from the
+	// cluster's epoch (Cluster.now).
+	start      time.Duration
+	packEnd    time.Duration
 	writers    [][]*gluon.Writer
 	hostPack   []exchangeTally
 	hostUnpack []exchangeTally
@@ -250,10 +257,13 @@ type ClusterOptions struct {
 	// Metrics is the registry the cluster's counters live in; nil gives
 	// the cluster a private registry (snapshot via Cluster.Metrics).
 	Metrics *obs.Registry
-	// Workers overrides the exchange worker-pool size (0: the default
-	// min(GOMAXPROCS, host pairs)). Event content is independent of the
-	// worker count — golden-trace tests sweep this. Unused with a remote
-	// Transport: an SPMD cluster has one local host and no pool.
+	// Workers overrides the size of the worker pool (0: the default
+	// min(GOMAXPROCS, host pairs)). The pool runs every phase — the
+	// hosts of a compute phase as well as the packs and unpacks of an
+	// exchange — and the calling goroutine works alongside it, so at most
+	// Workers+1 hosts compute side by side. Event content is independent
+	// of the worker count — golden-trace tests sweep this. Unused with a
+	// remote Transport: an SPMD cluster has one local host and no pool.
 	Workers int
 	// Transport overrides the byte-moving backend. Nil selects the
 	// in-process MemTransport (the default simulated cluster). A remote
@@ -299,6 +309,7 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		hosts:          hosts,
 		epoch:          time.Now(),
 		perHostCompute: make([]time.Duration, hosts),
+		durations:      make([]time.Duration, hosts),
 		plan:           opts.Plan,
 		trace:          opts.Trace,
 		metrics:        opts.Metrics,
@@ -427,6 +438,7 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 			workers = 1
 		}
 		c.pool = newWorkerPool(workers)
+		c.computeTaskFn = c.computeTask
 		c.packTaskFn = c.packTask
 		c.unpackTaskFn = c.unpackTask
 		// The workers hold no reference back to the cluster while idle,
@@ -452,7 +464,7 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 // clusters that are simply dropped.
 func (c *Cluster) Close() {
 	if c.pool != nil {
-		c.closeOnce.Do(func() { close(c.pool.quit) })
+		c.closeOnce.Do(func() { close(c.pool.wake) })
 	}
 }
 
@@ -618,42 +630,33 @@ func (c *Cluster) nextSeq() int64 {
 	return c.seq
 }
 
+// now reads the cluster's clock: the monotonic offset from its epoch,
+// which is what trace timestamps are. One clock read, where time.Now
+// takes two.
+func (c *Cluster) now() time.Duration { return time.Since(c.epoch) }
+
 // Compute runs fn(host) on every local host as one BSP compute phase,
 // recording per-host compute time and the round's load imbalance.
-// In-process the hosts run concurrently, one goroutine each; the single
-// host of an SPMD cluster runs on the caller.
+// In-process the hosts run on the worker pool, as many side by side as
+// it has workers; the single host of an SPMD cluster runs on the caller.
+// fn must not wait for another host's fn.
 func (c *Cluster) Compute(fn func(host int)) {
 	seq := c.nextSeq()
-	start := time.Now()
+	start := c.now()
 	round := c.roundsC.Load() - c.baseRounds
-	durations := make([]time.Duration, c.hosts)
+	c.computeFn, c.computeRound = fn, round
 	if h := c.localHost; h >= 0 {
 		// SPMD: one local host, nothing to run it side by side with.
-		t0 := time.Now()
-		fn(h)
-		durations[h] = time.Since(t0)
-		c.hostRoundG[h].Set(round)
+		c.computeTask(h)
 	} else {
-		var wg sync.WaitGroup
-		for h := 0; h < c.hosts; h++ {
-			wg.Add(1)
-			go func(h int) {
-				defer wg.Done()
-				t0 := time.Now()
-				fn(h)
-				durations[h] = time.Since(t0)
-				// Published before the barrier: a telemetry scrape while
-				// other hosts still compute sees this host ahead, which is
-				// exactly the straggler signal /progressz derives.
-				c.hostRoundG[h].Set(round)
-			}(h)
-		}
-		wg.Wait()
+		c.pool.runAll(c.hosts, c.computeTaskFn)
 	}
-	wall := time.Since(start)
+	c.computeFn = nil
+	wall := c.now() - start
 	c.computeWall += wall
 	c.computeHist.Observe(wall.Seconds())
 
+	durations := c.durations
 	for h, d := range durations {
 		c.perHostCompute[h] += d
 	}
@@ -665,7 +668,7 @@ func (c *Cluster) Compute(fn func(host int)) {
 		c.imbalanceN++
 	}
 	if c.trace != nil {
-		base := start.Sub(c.epoch).Nanoseconds()
+		base := start.Nanoseconds()
 		var maxD time.Duration
 		for _, d := range durations {
 			if d > maxD {
@@ -685,6 +688,18 @@ func (c *Cluster) Compute(fn func(host int)) {
 				StartNs: base + d.Nanoseconds(), DurNs: (maxD - d).Nanoseconds()})
 		}
 	}
+}
+
+// computeTask runs the current compute phase's function for host h and
+// times it.
+func (c *Cluster) computeTask(h int) {
+	t0 := c.now()
+	c.computeFn(h)
+	c.durations[h] = c.now() - t0
+	// Published before the barrier: a telemetry scrape while other hosts
+	// still compute sees this host ahead, which is exactly the straggler
+	// signal /progressz derives.
+	c.hostRoundG[h].Set(c.computeRound)
 }
 
 // BeginRound marks the start of a BSP round (for the round counter and
@@ -851,19 +866,26 @@ func (c *Cluster) checkExchangeErr() {
 }
 
 // runPackPhase runs the pack loop for the current exchange (shared by
-// the perfect and reliable paths): pair-parallel on the worker pool
-// in-process, the local host's hosts−1 destinations in order on the
-// caller in SPMD mode.
-func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer)) {
+// the perfect and reliable paths) and returns how many messages it
+// sent: pair-parallel on the worker pool in-process, where the
+// coordinator first opens the exchange's transport slot so that no Send
+// has to; the local host's hosts−1 destinations in order on the caller
+// in SPMD mode. The count is the cluster counter's rise, so another
+// cluster packing into a shared registry can only inflate it: an exchange
+// is never taken for empty when it is not.
+func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer)) (sent int64) {
+	before := c.messagesC.Load()
 	c.packFn = pack
 	if c.localHost >= 0 {
 		for to := 0; to < c.hosts; to++ {
 			c.packTask(c.localHost*c.hosts + to)
 		}
 	} else {
+		c.mem.Open(c.curEx)
 		c.pool.runAll(c.hosts*c.hosts, c.packTaskFn)
 	}
 	c.packFn = nil
+	return c.messagesC.Load() - before
 }
 
 // claimTicket hands out a free exchange ticket. The caller bound
@@ -894,12 +916,12 @@ func (t *PendingExchange) resetTallies() {
 // emitExchangeEvents publishes the per-host pack/unpack phase events
 // plus the cluster-wide exchange slice. Only hosts that moved data
 // appear, so event content mirrors the message-level accounting.
-func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end time.Time, hidden time.Duration) {
+func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hidden time.Duration) {
 	round := int32(t.round)
-	packBase := t.start.Sub(c.epoch).Nanoseconds()
-	packDur := t.packEnd.Sub(t.start).Nanoseconds()
-	unpackBase := completeStart.Sub(c.epoch).Nanoseconds()
-	unpackDur := end.Sub(completeStart).Nanoseconds()
+	packBase := t.start.Nanoseconds()
+	packDur := (t.packEnd - t.start).Nanoseconds()
+	unpackBase := completeStart.Nanoseconds()
+	unpackDur := (end - completeStart).Nanoseconds()
 	for h := range t.hostPack {
 		if ht := &t.hostPack[h]; ht.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.packSeq, Round: round, Batch: t.batch,
@@ -941,7 +963,7 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end time
 	}
 	c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.packSeq, Round: round, Batch: t.batch,
 		Host: -1, Phase: obs.PhaseExchange,
-		StartNs: packBase, DurNs: end.Sub(t.start).Nanoseconds(),
+		StartNs: packBase, DurNs: (end - t.start).Nanoseconds(),
 		HiddenNs: hidden.Nanoseconds()})
 }
 
@@ -1008,40 +1030,50 @@ func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Wri
 	c.curWriters = t.writers
 	c.curPack = t.hostPack
 	c.curPairPack = t.pairPack
-	t.start = time.Now()
-	c.runPackPhase(pack)
-	t.packEnd = time.Now()
+	t.start = c.now()
+	sent := c.runPackPhase(pack)
+	t.packEnd = c.now()
 	c.checkExchangeErr()
+	// In process, an exchange that sent no message has nothing to unpack:
+	// Complete frees its transport slot and runs no unpack phase. Remote
+	// receivers still synchronize on their peers' empty markers. The
+	// paper-model Stats cannot tell the difference — an empty buffer was
+	// never a message — and the trace still gets its exchange event.
+	t.empty = sent == 0 && c.localHost < 0
 	t.unpack = unpack
 }
 
 // complete runs the unpack phase of a begun exchange and retires its
 // ticket.
 func (c *Cluster) complete(t *PendingExchange) {
-	completeStart := time.Now()
-	c.curEx = t.ex
-	c.curUnpack = t.hostUnpack
-	c.curPairUnpack = t.pairUnpack
-	c.unpackFn = t.unpack
-	if c.localHost >= 0 {
-		c.unpackTask(c.localHost)
-	} else {
-		c.pool.runAll(c.hosts, c.unpackTaskFn)
-	}
-	c.unpackFn = nil
-	t.unpack = nil
-	end := time.Now()
-	var hidden time.Duration
+	// An exchange completed in place resumes where its pack phase ended.
+	completeStart := t.packEnd
 	if t.detached {
-		// The gap between the pack finishing and Complete being called
-		// was covered by the caller's own compute: exchange wait the
-		// pipeline hid. Only the pack and unpack phases themselves count
-		// as non-overlapped communication.
-		if hidden = completeStart.Sub(t.packEnd); hidden < 0 {
-			hidden = 0
-		}
+		completeStart = c.now()
 	}
-	wall := t.packEnd.Sub(t.start) + end.Sub(completeStart)
+	end := completeStart
+	if t.empty {
+		c.mem.Reclaim(t.ex)
+	} else {
+		c.curEx = t.ex
+		c.curUnpack = t.hostUnpack
+		c.curPairUnpack = t.pairUnpack
+		c.unpackFn = t.unpack
+		if c.localHost >= 0 {
+			c.unpackTask(c.localHost)
+		} else {
+			c.pool.runAll(c.hosts, c.unpackTaskFn)
+		}
+		c.unpackFn = nil
+		end = c.now()
+	}
+	t.unpack = nil
+	// The gap between the pack finishing and a detached exchange's
+	// Complete was covered by the caller's own compute: exchange wait the
+	// pipeline hid. Only the pack and unpack phases themselves count as
+	// non-overlapped communication.
+	hidden := completeStart - t.packEnd
+	wall := t.packEnd - t.start + end - completeStart
 	c.commWall += wall
 	c.hiddenWall += hidden
 	c.commHist.Observe(wall.Seconds())
@@ -1059,7 +1091,7 @@ func (c *Cluster) complete(t *PendingExchange) {
 // and recovery-work deltas aggregated over the local host's outgoing
 // channels. The in-process backend emits nothing here, keeping the
 // canonical golden trace byte-identical to the pre-transport substrate.
-func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.Time) {
+func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.Duration) {
 	if c.localHost < 0 {
 		return
 	}
@@ -1084,8 +1116,8 @@ func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.
 		Retries:    d.Retries,
 		RetryBytes: d.RetryBytes,
 		Redials:    d.Redials,
-		StartNs:    start.Sub(c.epoch).Nanoseconds(),
-		DurNs:      end.Sub(start).Nanoseconds()})
+		StartNs:    start.Nanoseconds(),
+		DurNs:      (end - start).Nanoseconds()})
 }
 
 // Stats is a snapshot of execution costs. Bytes and Messages are the
@@ -1182,19 +1214,19 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// workerPool is a fixed set of long-lived goroutines that execute
-// indexed tasks claimed off a shared atomic counter. Dispatching a
-// phase costs two channel operations per worker and zero allocations,
-// which is what keeps Exchange allocation-free at steady state (a `go`
+// workerPool is a fixed set of long-lived goroutines that, together with
+// the goroutine dispatching a phase, execute indexed tasks claimed off a
+// shared atomic counter. Dispatching a phase costs one channel send per
+// woken worker, at most one receive, and zero allocations (a `go`
 // statement per phase would allocate). Only in-process clusters have
 // one: the pool runs hosts side by side, and an SPMD cluster (remote
 // transport, one local host) runs its phases on the caller instead.
 type workerPool struct {
 	workers int
-	wake    chan struct{} // one token per worker per phase
-	done    chan struct{}
-	quit    chan struct{}
-	next    int64 // atomic task cursor
+	wake    chan struct{} // one token per woken worker per phase; closed to release the workers
+	done    chan struct{} // one token per phase, from whoever finishes last
+	next    atomic.Int64  // task cursor
+	pending atomic.Int32  // participants (woken workers and the caller) still in the phase
 	total   int64
 	run     func(i int) // current phase body; published via wake
 }
@@ -1203,8 +1235,7 @@ func newWorkerPool(workers int) *workerPool {
 	p := &workerPool{
 		workers: workers,
 		wake:    make(chan struct{}, workers),
-		done:    make(chan struct{}, workers),
-		quit:    make(chan struct{}),
+		done:    make(chan struct{}, 1),
 	}
 	for i := 0; i < workers; i++ {
 		go p.loop()
@@ -1213,35 +1244,45 @@ func newWorkerPool(workers int) *workerPool {
 }
 
 func (p *workerPool) loop() {
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.wake:
+	for range p.wake {
+		if p.work() {
+			p.done <- struct{}{}
 		}
-		for {
-			i := atomic.AddInt64(&p.next, 1) - 1
-			if i >= p.total {
-				break
-			}
-			p.run(int(i))
-		}
-		p.done <- struct{}{}
 	}
 }
 
-// runAll executes fn(0..total-1) across the pool and returns when all
-// tasks finished. The channel handshake orders the writes to run/total
-// before any worker reads them, and the workers' task effects before
-// the caller resumes.
+// work claims and runs tasks until none is left, and reports whether the
+// caller was the phase's last participant to finish.
+func (p *workerPool) work() (last bool) {
+	for {
+		i := p.next.Add(1) - 1
+		if i >= p.total {
+			return p.pending.Add(-1) == 0
+		}
+		p.run(int(i))
+	}
+}
+
+// runAll executes fn(0..total-1) across the pool and the calling
+// goroutine and returns when all tasks finished. It wakes every worker
+// the phase has a task for and then works itself: a phase of tiny tasks
+// is over before the workers are up and costs their wake-up only, and a
+// phase of long ones still has GOMAXPROCS workers on it (a pool one
+// short, with the caller as its last worker, leaves the one woken worker
+// in the caller's runnext, out of an idle P's reach, for as long as the
+// caller's own task runs). The channel send orders the writes to
+// run/total before any worker reads them; the pending counter orders
+// every participant's task effects before the caller resumes.
 func (p *workerPool) runAll(total int, fn func(i int)) {
 	p.run = fn
 	p.total = int64(total)
-	atomic.StoreInt64(&p.next, 0)
-	for i := 0; i < p.workers; i++ {
+	p.next.Store(0)
+	n := min(p.workers, total)
+	p.pending.Store(int32(n + 1))
+	for i := 0; i < n; i++ {
 		p.wake <- struct{}{}
 	}
-	for i := 0; i < p.workers; i++ {
+	if !p.work() {
 		<-p.done
 	}
 	p.run = nil

@@ -11,17 +11,26 @@ import (
 	"mrbc/internal/obs"
 )
 
+// TestComputeRunsAllHosts pins the dispatch contract at every pool
+// size, the one-worker pool included: each host's function runs exactly
+// once per phase, whoever claims it.
 func TestComputeRunsAllHosts(t *testing.T) {
-	c := NewCluster(8)
-	defer c.Close()
-	var count int64
-	c.Compute(func(h int) { atomic.AddInt64(&count, 1) })
-	if count != 8 {
-		t.Fatalf("compute ran on %d hosts", count)
-	}
-	st := c.Stats()
-	if st.Hosts != 8 {
-		t.Fatalf("Hosts = %d", st.Hosts)
+	for _, workers := range []int{0, 1, 2, 3, 16} {
+		const hosts, phases = 8, 50
+		c := NewClusterOpts(hosts, ClusterOptions{Workers: workers})
+		var visits [hosts]int64
+		for p := 0; p < phases; p++ {
+			c.Compute(func(h int) { atomic.AddInt64(&visits[h], 1) })
+		}
+		c.Close()
+		for h, n := range visits {
+			if n != phases {
+				t.Fatalf("workers=%d: host %d ran %d times in %d phases", workers, h, n, phases)
+			}
+		}
+		if st := c.Stats(); st.Hosts != hosts {
+			t.Fatalf("Hosts = %d", st.Hosts)
+		}
 	}
 }
 
@@ -564,5 +573,96 @@ func TestSharedRegistryStatsArePerRun(t *testing.T) {
 	}
 	if got := snap.Counters["dgalois_bytes_total"]; got != 2*first.Bytes {
 		t.Fatalf("registry bytes_total = %d, want cumulative %d", got, 2*first.Bytes)
+	}
+}
+
+// TestComputeZeroAllocs is TestExchangeZeroAllocs for the other phase
+// kind: a compute phase runs on the persistent pool through a bound task
+// func, so with the tracer off or on it allocates nothing.
+func TestComputeZeroAllocs(t *testing.T) {
+	for _, tr := range []*obs.Trace{nil, obs.NewTrace(1<<10, obs.LevelPhase)} {
+		c := NewClusterOpts(4, ClusterOptions{Trace: tr})
+		var visits [4]int64
+		fn := func(h int) { visits[h]++ }
+		for i := 0; i < 3; i++ {
+			c.Compute(fn)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { c.Compute(fn) }); allocs != 0 {
+			t.Fatalf("steady-state Compute (tracing %t) allocates %.1f objects/op, want 0", tr != nil, allocs)
+		}
+		c.Close()
+	}
+}
+
+// TestEmptyExchangeSkipsUnpack pins the skip rule: an in-process exchange
+// whose packs wrote nothing runs no unpack callback and gives its
+// transport slot back (a window of w admits w open exchanges, so a slot
+// that leaked would overflow it on the second pass), yet still emits its
+// exchange event and counts as an exchange; the next non-empty exchange
+// is delivered as ever.
+func TestEmptyExchangeSkipsUnpack(t *testing.T) {
+	for _, window := range []int{1, 4} {
+		const hosts, passes = 4, 3
+		tr := obs.NewTrace(1<<10, obs.LevelPhase)
+		c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, MaxInflight: window,
+			Transport: gluon.NewMemTransportWindow(hosts, window)})
+		var unpacked int64
+		unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
+		pending := make([]*PendingExchange, window)
+		for p := 0; p < passes; p++ {
+			for k := range pending {
+				pending[k] = c.BeginExchange(func(from, to int, w *gluon.Writer) {}, unpack)
+			}
+			for _, t := range pending {
+				t.Complete()
+			}
+		}
+		if unpacked != 0 {
+			t.Fatalf("window %d: %d unpack callbacks ran for exchanges that sent nothing", window, unpacked)
+		}
+		exchanges := 0
+		for _, e := range tr.Events() {
+			if e.Kind == obs.KindPhase && e.Phase == obs.PhaseExchange {
+				exchanges++
+			}
+		}
+		if want := passes * window; exchanges != want {
+			t.Fatalf("window %d: %d exchange events, want %d", window, exchanges, want)
+		}
+		if st := c.Stats(); st.Messages != 0 || st.Bytes != 0 {
+			t.Fatalf("window %d: empty exchanges counted %d messages, %d bytes", window, st.Messages, st.Bytes)
+		}
+		c.Exchange(func(from, to int, w *gluon.Writer) { w.Byte(1) }, unpack)
+		if unpacked != hosts*(hosts-1) {
+			t.Fatalf("window %d: %d buffers delivered after the empty exchanges, want %d", window, unpacked, hosts*(hosts-1))
+		}
+		c.Close()
+	}
+}
+
+// BenchmarkEmptyExchange and BenchmarkEmptyCompute are the fixed price of
+// a phase: four hosts, bodies that do nothing (the in-tree form of the
+// benchmark's dgalois.empty_exchange_us / dgalois.empty_compute_us
+// probes).
+func BenchmarkEmptyExchange(b *testing.B) {
+	c := NewCluster(4)
+	defer c.Close()
+	pack := func(from, to int, w *gluon.Writer) {}
+	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Exchange(pack, unpack)
+	}
+}
+
+func BenchmarkEmptyCompute(b *testing.B) {
+	c := NewCluster(4)
+	defer c.Close()
+	fn := func(h int) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Compute(fn)
 	}
 }

@@ -3,7 +3,6 @@ package dgalois
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"mrbc/internal/gluon"
 	"mrbc/internal/obs"
@@ -76,7 +75,7 @@ func (c *Cluster) exchangeReliable(pack func(from, to int, w *gluon.Writer), unp
 	t.round = c.roundsC.Load() - c.baseRounds
 	t.batch = c.eventBatch
 	fBefore := c.faults
-	start := time.Now()
+	start := c.now()
 	t.start = start
 	p := c.plan
 	ex := c.exchanges
@@ -97,7 +96,7 @@ func (c *Cluster) exchangeReliable(pack func(from, to int, w *gluon.Writer), unp
 	// construction), from which the delivery-step loop below picks them
 	// up for framed, faulted redelivery.
 	c.runPackPhase(pack)
-	packEnd := time.Now()
+	packEnd := c.now()
 	t.packEnd = packEnd
 
 	// Frame every non-empty buffer. EncodeFrame copies the payload, so
@@ -125,7 +124,7 @@ func (c *Cluster) exchangeReliable(pack func(from, to int, w *gluon.Writer), unp
 	for unacked > 0 {
 		step++
 		if step > deadline {
-			c.commWall += time.Since(start)
+			c.commWall += c.now() - start
 			panic(abortPanic{err: c.deadlineError(chans, ex, step)})
 		}
 		// Stall accounting: once per silenced host per step while the
@@ -281,8 +280,8 @@ func (c *Cluster) exchangeReliable(pack func(from, to int, w *gluon.Writer), unp
 	if step > c.faults.MaxDeliverySteps {
 		c.faults.MaxDeliverySteps = step
 	}
-	end := time.Now()
-	wall := end.Sub(start)
+	end := c.now()
+	wall := end - start
 	c.commWall += wall
 	c.commHist.Observe(wall.Seconds())
 	if c.trace != nil {
@@ -302,7 +301,7 @@ func (c *Cluster) exchangeReliable(pack func(from, to int, w *gluon.Writer), unp
 			Steps:       int64(step),
 			Injected:    injected,
 			Stalled:     f.StalledSteps - fBefore.StalledSteps,
-			StartNs:     start.Sub(c.epoch).Nanoseconds(),
+			StartNs:     start.Nanoseconds(),
 			DurNs:       wall.Nanoseconds()})
 	}
 	t.inUse = false

@@ -35,7 +35,7 @@ import (
 )
 
 // Topology precomputes, for a partitioning, the shared-vertex lists
-// every ordered host pair synchronizes over.
+// every ordered host pair synchronizes over, and their inverse.
 type Topology struct {
 	pt *partition.Partitioning
 	// mirrorsByMaster[a][b]: local IDs (on host a) of proxies whose
@@ -45,6 +45,21 @@ type Topology struct {
 	// mirrorsByMaster[a][b] entry-for-entry, i.e., the same vertices
 	// translated to host b's local IDs.
 	masterSide [][][]uint32
+	// The inverse of the lists above, one CSR per host:
+	// slots[a][slotOff[a][l]:slotOff[a][l+1]] are the list positions
+	// local ID l of host a occupies — a mirror's one position in
+	// MirrorList(a, master), a master's position in MasterList(b, a) for
+	// every host b that mirrors it. Marks.Mark walks it.
+	slotOff [][]uint32
+	slots   [][]listSlot
+}
+
+// listSlot is one position of one shared list. set indexes the owning
+// host's Marks.sets: the peer for a mirror's reduce-direction list,
+// NumHosts + the peer for a master's broadcast-direction list.
+type listSlot struct {
+	set uint32
+	pos uint32
 }
 
 // NewTopology builds the proxy topology for a partitioning.
@@ -53,9 +68,15 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	h := pt.NumHosts
 	t.mirrorsByMaster = make([][][]uint32, h)
 	t.masterSide = make([][][]uint32, h)
+	t.slotOff = make([][]uint32, h)
+	t.slots = make([][]listSlot, h)
 	for a := 0; a < h; a++ {
 		t.mirrorsByMaster[a] = make([][]uint32, h)
 		t.masterSide[a] = make([][]uint32, h)
+		// Two spare entries: the counts go in at l+2, so that after the
+		// prefix sum entry l+1 is where l's slots start and can serve as
+		// the fill cursor, which leaves it at l+1's start.
+		t.slotOff[a] = make([]uint32, pt.Parts[a].NumProxies()+2)
 	}
 	for a, p := range pt.Parts {
 		for l, gid := range p.GlobalID {
@@ -69,7 +90,31 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 			}
 			t.mirrorsByMaster[a][m] = append(t.mirrorsByMaster[a][m], uint32(l))
 			t.masterSide[a][m] = append(t.masterSide[a][m], ml)
+			t.slotOff[a][l+2]++
+			t.slotOff[m][ml+2]++
 		}
+	}
+	for a, off := range t.slotOff {
+		for l := 1; l < len(off); l++ {
+			off[l] += off[l-1]
+		}
+		t.slots[a] = make([]listSlot, off[len(off)-1])
+	}
+	// One pass over the shared lists fills both sides' slots.
+	for a := 0; a < h; a++ {
+		for m := 0; m < h; m++ {
+			masters := t.masterSide[a][m]
+			for pos, l := range t.mirrorsByMaster[a][m] {
+				ml := masters[pos]
+				t.slots[a][t.slotOff[a][l+1]] = listSlot{set: uint32(m), pos: uint32(pos)}
+				t.slotOff[a][l+1]++
+				t.slots[m][t.slotOff[m][ml+1]] = listSlot{set: uint32(h + a), pos: uint32(pos)}
+				t.slotOff[m][ml+1]++
+			}
+		}
+	}
+	for a, off := range t.slotOff {
+		t.slotOff[a] = off[:len(off)-1]
 	}
 	return t
 }
@@ -85,6 +130,83 @@ func (t *Topology) MasterList(a, b int) []uint32 { return t.masterSide[a][b] }
 
 // Partitioning returns the underlying partitioning.
 func (t *Topology) Partitioning() *partition.Partitioning { return t.pt }
+
+// Marks is one host's set of proxies whose label must cross to a peer in
+// the next sync step, kept as marked positions of the shared lists
+// themselves, so that packing a pair costs what the pair marked and
+// never a scan of its list. The invariant every engine keeps: a
+// position is set where the proxy is marked and cleared by the pack that
+// ships it, so each marking compute or unpack is followed by the
+// exchange of its direction before the same proxies can be marked again.
+//
+// Mark belongs to the host's serial contexts (its compute and unpack
+// callbacks); the Encode methods of distinct peers touch distinct sets
+// and may run concurrently, as pair-parallel pack callbacks do.
+type Marks struct {
+	slotOff []uint32 // the host's share of the topology's inverse index
+	slots   []listSlot
+	sets    []markSet // reduce-direction sets by peer, then broadcast-direction
+}
+
+// markSet is the marked positions of one shared list, as the words of a
+// bitset over the list, and their count.
+type markSet struct {
+	list  []uint32
+	words []uint64
+	n     int
+}
+
+// NewMarks returns host's empty mark structure.
+func (t *Topology) NewMarks(host int) *Marks {
+	h := t.pt.NumHosts
+	m := &Marks{slotOff: t.slotOff[host], slots: t.slots[host], sets: make([]markSet, 2*h)}
+	for peer := 0; peer < h; peer++ {
+		m.sets[peer].list = t.MirrorList(host, peer)
+		m.sets[h+peer].list = t.MasterList(peer, host)
+	}
+	for i := range m.sets {
+		m.sets[i].words = make([]uint64, bitset.WordsFor(len(m.sets[i].list)))
+	}
+	return m
+}
+
+// Mark records that proxy lid's label must be synchronized: reduced to
+// its master if lid is a mirror, broadcast to every host mirroring it if
+// lid is a master. Marking a marked proxy, or one no other host shares,
+// does nothing.
+func (m *Marks) Mark(lid uint32) {
+	for _, sl := range m.slots[m.slotOff[lid]:m.slotOff[lid+1]] {
+		s := &m.sets[sl.set]
+		if w, bit := &s.words[sl.pos/64], uint64(1)<<(sl.pos%64); *w&bit == 0 {
+			*w |= bit
+			s.n++
+		}
+	}
+}
+
+// EncodeReduce appends to w the sync message for the marked mirrors
+// mastered by host to — EncodeUpdates over MirrorList(host, to), emit
+// writing each marked proxy's payload — and unmarks them. With nothing
+// marked for the pair it returns at once.
+func (m *Marks) EncodeReduce(w *Writer, to int, emit func(lid uint32, w *Writer)) {
+	m.sets[to].encode(w, emit)
+}
+
+// EncodeBroadcast is EncodeReduce for the marked masters that host to
+// mirrors, over MasterList(to, host).
+func (m *Marks) EncodeBroadcast(w *Writer, to int, emit func(lid uint32, w *Writer)) {
+	m.sets[len(m.sets)/2+to].encode(w, emit)
+}
+
+func (s *markSet) encode(w *Writer, emit func(lid uint32, w *Writer)) {
+	if s.n == 0 {
+		return
+	}
+	marked := bitset.FromWords(s.words, len(s.list))
+	EncodeUpdates(w, len(s.list), &marked, func(pos int, w *Writer) { emit(s.list[pos], w) })
+	marked.Reset()
+	s.n = 0
+}
 
 // Format identifies a sync-metadata encoding. FormatAuto is the
 // default (and the Writer zero value): EncodeUpdates picks the

@@ -495,3 +495,103 @@ func benchmarkDecode(b *testing.B, listLen, stride int) {
 func BenchmarkDecodeUpdatesSparse(b *testing.B) { benchmarkDecode(b, 1<<16, 1024) }
 func BenchmarkDecodeUpdatesDense(b *testing.B)  { benchmarkDecode(b, 1<<16, 2) }
 func BenchmarkDecodeUpdatesAll(b *testing.B)    { benchmarkDecode(b, 1<<16, 1) }
+
+// scanPack is the list-scan pack every engine used to carry, kept as the
+// reference for Marks: test one bit per entry of the shared list, then
+// EncodeUpdates over the marked positions.
+func scanPack(w *Writer, list []uint32, marked *bitset.Set, emit func(lid uint32, w *Writer)) {
+	if len(list) == 0 {
+		return
+	}
+	at := w.Scratch(len(list))
+	for pos, lid := range list {
+		if marked.Test(int(lid)) {
+			at.Set(pos)
+		}
+	}
+	EncodeUpdates(w, len(list), at, func(pos int, w *Writer) { emit(list[pos], w) })
+}
+
+// TestMarksMatchListScanQuick is the property behind the O(marked) packs:
+// for random shared lists (random graphs, cuts and host counts) and
+// random mark sets — empty, one proxy, all, dense, sparse — packing from
+// the mark structure yields, pair by pair and direction by direction, the
+// bytes, EncodingCounts and ByteCounts of the list scan, under the
+// adaptive picker and every forced format, and leaves the structure
+// empty.
+func TestMarksMatchListScanQuick(t *testing.T) {
+	emit := func(lid uint32, w *Writer) { w.U32(lid ^ 0x9e3779b9) }
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := gen.ErdosRenyi(20+rng.Intn(200), 40+rng.Intn(900), seed)
+		hosts := 2 + rng.Intn(4)
+		pt := partition.EdgeCut(g, hosts)
+		if rng.Intn(2) == 0 {
+			pt = partition.CartesianCut(g, hosts)
+		}
+		topo := NewTopology(pt)
+		host := rng.Intn(hosts)
+		np := pt.Parts[host].NumProxies()
+		marked := bitset.New(np)
+		kind := rng.Intn(5)
+		switch kind {
+		case 1:
+			if np > 0 {
+				marked.Set(rng.Intn(np))
+			}
+		case 2:
+			marked.Fill()
+		case 3, 4:
+			density := []float64{0.7, 0.02}[kind-3]
+			for l := 0; l < np; l++ {
+				if rng.Float64() < density {
+					marked.Set(l)
+				}
+			}
+		}
+		formats := []Format{FormatAuto, FormatDense, FormatSparse}
+		if kind == 2 {
+			formats = append(formats, FormatAll)
+		}
+		marks := topo.NewMarks(host)
+		for _, f := range formats {
+			marked.ForEach(func(l int) bool {
+				marks.Mark(uint32(l))
+				marks.Mark(uint32(l)) // marking twice is marking once
+				return true
+			})
+			for peer := 0; peer < hosts; peer++ {
+				for dir, list := range [][]uint32{topo.MirrorList(host, peer), topo.MasterList(peer, host)} {
+					got, want := &Writer{}, &Writer{}
+					got.ForceFormat(f)
+					want.ForceFormat(f)
+					scanPack(want, list, marked, emit)
+					if dir == 0 {
+						marks.EncodeReduce(got, peer, emit)
+					} else {
+						marks.EncodeBroadcast(got, peer, emit)
+					}
+					if string(got.Bytes()) != string(want.Bytes()) ||
+						got.TakeCounts() != want.TakeCounts() || got.TakeByteCounts() != want.TakeByteCounts() {
+						t.Logf("seed %d, %v, host %d -> %d, dir %d: %d bytes from the marks, %d from the scan",
+							seed, f, host, peer, dir, got.Len(), want.Len())
+						return false
+					}
+				}
+			}
+			for peer := 0; peer < hosts; peer++ {
+				left := &Writer{}
+				marks.EncodeReduce(left, peer, emit)
+				marks.EncodeBroadcast(left, peer, emit)
+				if left.Len() != 0 {
+					t.Logf("seed %d: marks for peer %d survived the pack that shipped them", seed, peer)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

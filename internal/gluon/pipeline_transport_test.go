@@ -100,6 +100,37 @@ func TestMemTransportBufferedAndReclaim(t *testing.T) {
 	m.Reclaim(6) // unknown exchange: no-op
 }
 
+// TestMemTransportOpenClaimsTheSlot: an exchange opened ahead of its
+// Sends owns its slot from then on (opening twice is opening once), so a
+// second exchange overflows a window of 1 before either sent anything,
+// and the Sends that follow land in the opened slot.
+func TestMemTransportOpenClaimsTheSlot(t *testing.T) {
+	m := NewMemTransportWindow(2, 1)
+	defer m.Close()
+	m.Open(3)
+	m.Open(3)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("opening a second exchange in a window of 1 did not panic")
+			}
+		}()
+		m.Open(4)
+	}()
+	if err := m.Send(3, 0, 1, []byte{5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Buffered(3, 0, 1); !bytes.Equal(got, []byte{5}) {
+		t.Fatalf("Buffered returned %x after Open and Send", got)
+	}
+	for to := 0; to < 2; to++ {
+		if _, err := m.Gather(3, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Open(4) // every receiver gathered: the slot is free again
+}
+
 // TestTCPGatherFromArbitraryOrder exercises the Streamer half of the
 // TCP backend the way the pipelined unpack path uses it: one GatherFrom
 // per remote sender, in whatever order the receiver likes, plus the

@@ -3,6 +3,7 @@ package gluon
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Transport is the byte-moving boundary of the BSP exchange: it carries
@@ -190,8 +191,11 @@ type MemTransport struct {
 	hosts  int
 	window int
 	// slots hold the inbox matrices of the concurrently-open exchanges.
-	// Slot claim/free is guarded by mu; the inbox cells themselves are
-	// written lock-free (distinct (from, to) pairs never share a cell).
+	// Claiming a slot takes mu; finding an open exchange's slot and
+	// freeing it are atomic reads and writes of the slot's id, so once an
+	// exchange is open (Open, or its first Send) no Send or Gather of it
+	// locks. The inbox cells themselves are plain writes (distinct
+	// (from, to) pairs never share a cell).
 	mu    sync.Mutex
 	slots []memSlot
 	// stats[from*hosts+to], written only by the (from, to) pack task —
@@ -208,11 +212,11 @@ type MemTransport struct {
 // cells are left in place — every remote channel is re-sent before the
 // next gather of a reusing exchange, and diagonal cells stay nil.
 type memSlot struct {
-	id int
+	id atomic.Int64
 	// inbox[to][from]: the exchange's buffer on each channel.
 	inbox    [][][]byte
-	gathered []bool
-	n        int
+	gathered []bool       // written by the receiver's Gather only, until the release
+	n        atomic.Int32 // receivers that gathered
 }
 
 // NewMemTransport returns an in-process transport for the given host
@@ -236,7 +240,7 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 	m.slots = make([]memSlot, window)
 	for i := range m.slots {
 		s := &m.slots[i]
-		s.id = -1
+		s.id.Store(-1)
 		s.inbox = make([][][]byte, hosts)
 		for to := range s.inbox {
 			s.inbox[to] = make([][]byte, hosts)
@@ -252,38 +256,46 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 // concurrently.
 func (m *MemTransport) Window() int { return m.window }
 
-// slotFor returns the slot holding exchange, claiming a free one when
-// claim is set and the exchange has no slot yet.
-func (m *MemTransport) slotFor(exchange int, claim bool) *memSlot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var free *memSlot
+// slot returns the slot holding exchange, nil if it is not open.
+func (m *MemTransport) slot(exchange int) *memSlot {
 	for i := range m.slots {
-		s := &m.slots[i]
-		if s.id == exchange {
+		if s := &m.slots[i]; s.id.Load() == int64(exchange) {
 			return s
 		}
-		if free == nil && s.id == -1 {
-			free = s
-		}
 	}
-	if !claim {
-		return nil
-	}
-	if free == nil {
-		panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, m.window))
-	}
-	free.id = exchange
-	return free
+	return nil
 }
 
-// releaseLocked returns a slot to the free pool. Caller holds m.mu.
-func (s *memSlot) releaseLocked() {
-	s.id = -1
-	s.n = 0
+// open returns exchange's slot, claiming a free one if it has none yet.
+func (m *MemTransport) open(exchange int) *memSlot {
+	if s := m.slot(exchange); s != nil {
+		return s
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s := m.slot(exchange); s != nil {
+		return s
+	}
+	if free := m.slot(-1); free != nil {
+		free.id.Store(int64(exchange))
+		return free
+	}
+	panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, m.window))
+}
+
+// Open claims exchange's slot ahead of its Sends. A caller that opens
+// each exchange from one goroutine before fanning out its Sends (the
+// dgalois coordinator) keeps every Send off the lock; an exchange nobody
+// opened is opened by whichever Send or Gather comes first.
+func (m *MemTransport) Open(exchange int) { m.open(exchange) }
+
+// release returns the slot to the free pool.
+func (s *memSlot) release() {
 	for i := range s.gathered {
 		s.gathered[i] = false
 	}
+	s.n.Store(0)
+	s.id.Store(-1)
 }
 
 // Hosts returns the cluster size.
@@ -301,8 +313,7 @@ func (m *MemTransport) Backend() string { return "inproc" }
 // Gather of this exchange returns (the BSP barrier guarantees the
 // writer is not reused before then).
 func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
-	slot := m.slotFor(exchange, true)
-	slot.inbox[to][from] = buf
+	m.open(exchange).inbox[to][from] = buf
 	s := &m.stats[from*m.hosts+to]
 	if len(buf) > 0 {
 		s.Messages++
@@ -318,17 +329,14 @@ func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
 // already sequenced every Send before the first Gather. Once every
 // receiver gathered, the exchange's slot returns to the free pool.
 func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
-	slot := m.slotFor(exchange, true)
+	slot := m.open(exchange)
 	bufs := slot.inbox[to]
-	m.mu.Lock()
 	if !slot.gathered[to] {
 		slot.gathered[to] = true
-		slot.n++
-		if slot.n == m.hosts {
-			slot.releaseLocked()
+		if int(slot.n.Add(1)) == m.hosts {
+			slot.release()
 		}
 	}
-	m.mu.Unlock()
 	return bufs, nil
 }
 
@@ -337,24 +345,18 @@ func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
 // uses it to pick up the packed payloads it frames and delivers through
 // its simulated lossy network; it pairs with Reclaim instead of Gather.
 func (m *MemTransport) Buffered(exchange, from, to int) []byte {
-	slot := m.slotFor(exchange, false)
-	if slot == nil {
-		return nil
+	if slot := m.slot(exchange); slot != nil {
+		return slot.inbox[to][from]
 	}
-	return slot.inbox[to][from]
+	return nil
 }
 
 // Reclaim releases an exchange's buffer slot without gathering it, for
 // callers (the reliable exchange path) that consume the buffers through
 // Buffered instead.
 func (m *MemTransport) Reclaim(exchange int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.slots {
-		if s := &m.slots[i]; s.id == exchange {
-			s.releaseLocked()
-			return
-		}
+	if s := m.slot(exchange); s != nil {
+		s.release()
 	}
 }
 

@@ -58,8 +58,9 @@ type Options struct {
 	// gauges (mrbc_batch, mrbc_round, mrbc_frontier, mrbc_backward) that
 	// the telemetry endpoint's /progressz view derives from.
 	Metrics *obs.Registry
-	// Workers overrides the cluster's exchange worker-pool size (0:
-	// automatic). Trace content is independent of this value. Unused
+	// Workers overrides the size of the cluster's worker pool, which
+	// runs the hosts' compute phases as well as their packs and unpacks
+	// (0: automatic). Trace content is independent of this value. Unused
 	// with a remote Transport (dgalois.ClusterOptions.Workers).
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
@@ -156,6 +157,9 @@ type hostState struct {
 
 	due   []int32 // source of this host's due flag at the vertex, or none
 	bcast []int32 // source the vertex's master broadcasts this round, or none
+	// marks holds the mirrors with a due slot and the masters with a
+	// bcast slot until the reduce and the broadcast pack ship them.
+	marks *gluon.Marks
 
 	// Per-vertex proposal chains. head[v] is the first element of v's
 	// chain in proposals; touched holds every vertex with a chain or a
@@ -167,7 +171,7 @@ type hostState struct {
 	proposals []proposal // this round's mirror proposals, then the master's own
 }
 
-func newHostState(p *partition.Part, eng *core.Engine, run *core.Runner) *hostState {
+func newHostState(p *partition.Part, marks *gluon.Marks, eng *core.Engine, run *core.Runner) *hostState {
 	n := p.NumProxies()
 	slab := make([]int32, 3*n)
 	for i := range slab {
@@ -180,6 +184,7 @@ func newHostState(p *partition.Part, eng *core.Engine, run *core.Runner) *hostSt
 		due:     slab[:n:n],
 		bcast:   slab[n : 2*n : 2*n],
 		head:    slab[2*n:],
+		marks:   marks,
 		touched: bitset.New(n),
 	}
 }
@@ -208,31 +213,16 @@ func (st *hostState) drainTouched(visit func(v uint32)) {
 	st.touched.Reset()
 }
 
-// markDue publishes the round's flags to the pack calls. The engine
+// markDue publishes the round's flags to the pack calls: a due mirror
+// is marked for the reduce (a due master proposes to itself). The engine
 // emits at most one flag per vertex per round.
 func (st *hostState) markDue() {
 	for _, f := range st.flags {
 		st.due[f.V] = int32(f.Src)
-	}
-}
-
-// encodeSlots packs one update for every vertex of a shared list whose
-// slot is not none, handing emit the slot's value. A slab holds one
-// value per vertex per round, so a vertex-level bitvector suffices.
-func encodeSlots(w *gluon.Writer, list []uint32, slot []int32, emit func(lid uint32, val int, w *gluon.Writer)) {
-	if len(list) == 0 {
-		return
-	}
-	marked := w.Scratch(len(list))
-	for pos, lid := range list {
-		if slot[lid] != none {
-			marked.Set(pos)
+		if !st.part.IsMaster[f.V] {
+			st.marks.Mark(f.V)
 		}
 	}
-	gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-		lid := list[pos]
-		emit(lid, int(slot[lid]), w)
-	})
 }
 
 // progressGauges are the engine's live-progress instruments, resolved
@@ -340,7 +330,7 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 				Batch: int32(startBatch), Host: int32(cluster.LocalHost())})
 		}
 	}
-	j := &job{cluster: cluster, topo: topo, pt: pt, pool: pool, sources: sources,
+	j := &job{cluster: cluster, topo: topo, pool: pool, sources: sources,
 		scores: scores, opts: opts, prog: newProgressGauges(opts.Metrics)}
 	err := dgalois.Capture(func() {
 		if depth > 1 {
@@ -406,7 +396,8 @@ type statePool struct {
 // built one when every set is in flight. The round-state slabs need no
 // reset of their own — the first round's resetRound undoes what the
 // previous batch's last round left, exactly as it does between rounds.
-func (p *statePool) makeStates(cluster *dgalois.Cluster, pt *partition.Partitioning, batch []uint32, opts Options) []*hostState {
+func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, batch []uint32, opts Options) []*hostState {
+	pt := topo.Partitioning()
 	k := len(batch)
 	var states []*hostState
 	if n := len(p.free); n > 0 {
@@ -432,7 +423,7 @@ func (p *statePool) makeStates(cluster *dgalois.Cluster, pt *partition.Partition
 			if opts.EngineWorkers > 1 {
 				run = core.NewRunner(eng, opts.EngineWorkers)
 			}
-			st = newHostState(part, eng, run)
+			st = newHostState(part, topo.NewMarks(h), eng, run)
 			states[h] = st
 		}
 		switch {
@@ -607,7 +598,6 @@ func foldScores(states []*hostState, batch []uint32, scores []float64) {
 type job struct {
 	cluster *dgalois.Cluster
 	topo    *gluon.Topology
-	pt      *partition.Partitioning
 	pool    *statePool
 	sources []uint32
 	scores  []float64
@@ -639,7 +629,7 @@ func (b *batchRun) run() {
 	b.prog.batch.Set(int64(b.bi))
 	b.prog.round.Set(0)
 	b.prog.backward.Set(0)
-	b.states = b.pool.makeStates(b.cluster, b.pt, b.batch, b.opts)
+	b.states = b.pool.makeStates(b.cluster, b.topo, b.batch, b.opts)
 
 	// ---- Forward phase (Algorithm 3 as BSP rounds). ----
 	for r := 1; b.forwardRound(r); r++ {
@@ -731,8 +721,8 @@ func (b *batchRun) retire() {
 
 // emitLabels writes the forward payload of (lid, src): this host's
 // current (dist, σ).
-func (st *hostState) emitLabels(lid uint32, src int, w *gluon.Writer) {
-	d := st.engine.Get(lid, src)
+func (st *hostState) emitLabels(lid uint32, src int32, w *gluon.Writer) {
+	d := st.engine.Get(lid, int(src))
 	w.U32(uint32(src))
 	w.U32(d.Dist)
 	w.F64(d.Sigma)
@@ -743,9 +733,8 @@ func (st *hostState) emitLabels(lid uint32, src int, w *gluon.Writer) {
 // arbitration picks the winners).
 func fwdReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
-		if st := states[from]; len(st.flags) > 0 {
-			encodeSlots(w, topo.MirrorList(from, to), st.due, st.emitLabels)
-		}
+		st := states[from]
+		st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.due[lid], w) })
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
 		st := states[to]
@@ -813,6 +802,7 @@ func fwdArbitrateFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h in
 			st.engine.ApplySync(v, src, d.Dist, d.Sigma, r)
 			st.synced = append(st.synced, core.Flag{V: v, Src: src})
 			st.bcast[v] = w.src
+			st.marks.Mark(v)
 			// Every winner is master-owned and ApplySync rejects double
 			// synchronization, so this fires exactly once per
 			// (batch, vertex, source) — the forward half of the
@@ -832,9 +822,8 @@ func fwdArbitrateFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h in
 // all mirrors.
 func fwdBroadcastExchange(states []*hostState, topo *gluon.Topology, r int) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
-		if st := states[from]; st.nBcast > 0 {
-			encodeSlots(w, topo.MasterList(to, from), st.bcast, st.emitLabels)
-		}
+		st := states[from]
+		st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.bcast[lid], w) })
 	}
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
 		st := states[to]
@@ -856,10 +845,8 @@ func fwdBroadcastExchange(states []*hostState, topo *gluon.Topology, r int) (fun
 func backReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
 		st := states[from]
-		if len(st.flags) == 0 {
-			return
-		}
-		encodeSlots(w, topo.MirrorList(from, to), st.due, func(lid uint32, src int, w *gluon.Writer) {
+		st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
+			src := int(st.due[lid])
 			w.U32(uint32(src))
 			w.F64(st.engine.DeltaPartial(lid, src))
 			// Hand the partial to the master; the broadcast below
@@ -910,6 +897,7 @@ func backUnionFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) 
 		st.drainTouched(func(v uint32) {
 			src := int(st.bcast[v])
 			st.synced = append(st.synced, core.Flag{V: v, Src: src})
+			st.marks.Mark(v)
 			// The claims are the master-side union of this round's due pairs
 			// (its own flags plus mirror partials), so each (v, src)
 			// appears at its master in exactly one backward round — the
@@ -929,10 +917,8 @@ func backUnionFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) 
 func backBroadcastExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
 	pack := func(from, to int, w *gluon.Writer) {
 		st := states[from]
-		if st.nBcast == 0 {
-			return
-		}
-		encodeSlots(w, topo.MasterList(to, from), st.bcast, func(lid uint32, src int, w *gluon.Writer) {
+		st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
+			src := int(st.bcast[lid])
 			w.U32(uint32(src))
 			w.F64(st.engine.DeltaPartial(lid, src))
 		})

@@ -171,6 +171,13 @@ func (c roundCase) part() *partition.Part {
 	return &partition.Part{GlobalID: ids, IsMaster: c.isMaster}
 }
 
+// marks is the mark structure of a host that shares no vertex: the
+// handlers under test mark into it, nothing packs from it.
+func (c roundCase) marks() *gluon.Marks {
+	pt := &partition.Partitioning{NumHosts: 1, Parts: []*partition.Part{c.part()}, MasterOf: make([]int32, c.n)}
+	return gluon.NewTopology(pt).NewMarks(0)
+}
+
 func (c roundCase) ref() *refState {
 	return &refState{isMaster: c.isMaster, engine: c.engine(), flags: c.flags,
 		flagSet: map[uint64]bool{}, bcastByV: map[uint32]int32{}}
@@ -215,7 +222,7 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 		ref.proposals = append(ref.proposals, c.mirror...)
 		ref.arbitrate(r)
 
-		st := newHostState(c.part(), c.engine(), nil)
+		st := newHostState(c.part(), c.marks(), c.engine(), nil)
 		st.flags = append(st.flags, c.flags...)
 		st.markDue()
 		st.proposals = append(st.proposals, c.mirror...)
@@ -271,7 +278,7 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 		ref := c.ref()
 		ref.backUnion(received)
 
-		st := newHostState(c.part(), c.engine(), nil)
+		st := newHostState(c.part(), c.marks(), c.engine(), nil)
 		st.flags = append(st.flags, c.flags...)
 		st.markDue()
 		for _, f := range received {
@@ -324,7 +331,7 @@ func TestRoundStatePanics(t *testing.T) {
 	c := roundCase{n: 2, k: 3, isMaster: []bool{true, true}}
 	disagree := []proposal{{v: 1, src: 2, dist: 3, sigma: 1}, {v: 1, src: 2, dist: 4, sigma: 1}}
 
-	st := newHostState(c.part(), c.engine(), nil)
+	st := newHostState(c.part(), c.marks(), c.engine(), nil)
 	st.proposals = append(st.proposals, disagree...)
 	got := mustPanic(t, func() { fwdArbitrateFn([]*hostState{st}, 1, nil, 0)(0) })
 	ref := c.ref()
@@ -333,7 +340,7 @@ func TestRoundStatePanics(t *testing.T) {
 		t.Fatalf("slab panicked %q, oracle %q", got, want)
 	}
 
-	st = newHostState(c.part(), c.engine(), nil)
+	st = newHostState(c.part(), c.marks(), c.engine(), nil)
 	st.claimBackward(1, 0)
 	st.claimBackward(1, 0) // several mirrors claiming the same pair is the normal case
 	if got := mustPanic(t, func() { st.claimBackward(1, 2) }); !strings.Contains(got, "sources 0 and 2 both claim vertex 1") {
@@ -387,7 +394,7 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	cluster := dgalois.NewCluster(pt.NumHosts)
 	defer cluster.Close()
 	b := &batchRun{job: &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil)}}
-	b.states = (&statePool{kmax: 1}).makeStates(cluster, pt, []uint32{0}, Options{})
+	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, []uint32{0}, Options{})
 	for _, st := range b.states {
 		for l, gid := range st.part.GlobalID {
 			if gid == 0 {

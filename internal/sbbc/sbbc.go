@@ -25,11 +25,55 @@ type hostState struct {
 	sigma []float64
 	delta []float64
 
-	frontier   []uint32    // local vertices finalized at the previous level
-	inFrontier *bitset.Set // dedup for frontier construction
-	dirty      *bitset.Set // proxies updated in this round's compute
-	masterOut  *bitset.Set // masters whose value must broadcast
-	relaxed    int64       // activity counter for termination
+	frontier   []uint32     // local vertices finalized at the previous level
+	inFrontier *bitset.Set  // dedup for frontier construction
+	dirty      *bitset.Set  // proxies relaxed in this forward round's compute
+	masterOut  *bitset.Set  // masters finalized this forward round
+	marks      *gluon.Marks // proxies the next exchange of their direction ships
+	relaxed    int64        // activity counter for termination
+
+	// The backward phase's schedule, built once per source: the reached
+	// proxies counting-sorted by dist, ascending inside a level;
+	// level l is byLevel[levelStart[l]:levelStart[l+1]].
+	byLevel    []uint32
+	levelStart []uint32
+}
+
+// relax records a forward relaxation of proxy w: dirty for the frontier
+// build, marked for the sync that follows.
+func (st *hostState) relax(w uint32) {
+	st.dirty.Set(int(w))
+	st.marks.Mark(w)
+	st.relaxed++
+}
+
+// emitLabels writes the forward payload of proxy lid: its (dist, σ).
+func (st *hostState) emitLabels(lid uint32, w *gluon.Writer) {
+	w.U32(st.dist[lid])
+	w.F64(st.sigma[lid])
+}
+
+// bucketLevels builds the backward schedule from the final distances.
+func (st *hostState) bucketLevels(levels uint32) {
+	// Counts go in at dist+2, so that after the prefix sum entry dist+1
+	// is the level's fill cursor and ends as the next level's start.
+	start := append(st.levelStart[:0], make([]uint32, levels+3)...)
+	for _, d := range st.dist {
+		if d != graph.InfDist {
+			start[d+2]++
+		}
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	st.byLevel = append(st.byLevel[:0], make([]uint32, start[levels+2])...)
+	for w, d := range st.dist {
+		if d != graph.InfDist {
+			st.byLevel[start[d+1]] = uint32(w)
+			start[d+1]++
+		}
+	}
+	st.levelStart = start[:levels+2]
 }
 
 // Options configures SBBC.
@@ -62,8 +106,9 @@ type Options struct {
 	// (sbbc_source, sbbc_level, sbbc_frontier) the telemetry endpoint's
 	// /progressz view derives from.
 	Metrics *obs.Registry
-	// Workers overrides the cluster's exchange worker-pool size (0:
-	// automatic). Trace content is independent of this value. Unused
+	// Workers overrides the size of the cluster's worker pool, which
+	// runs the hosts' compute phases as well as their packs and unpacks
+	// (0: automatic). Trace content is independent of this value. Unused
 	// with a remote Transport (dgalois.ClusterOptions.Workers).
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
@@ -154,6 +199,7 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 			inFrontier: bitset.New(np),
 			dirty:      bitset.New(np),
 			masterOut:  bitset.New(np),
+			marks:      topo.NewMarks(h),
 		}
 	}
 	scores := make([]float64, n)
@@ -231,8 +277,7 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 					if acc > 0 {
 						st.dist[w] = level
 						st.sigma[w] = acc
-						st.dirty.Set(w)
-						st.relaxed++
+						st.relax(uint32(w))
 					}
 				}
 			} else {
@@ -243,11 +288,9 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 						case st.dist[w] == graph.InfDist:
 							st.dist[w] = level
 							st.sigma[w] = su
-							st.dirty.Set(int(w))
-							st.relaxed++
-						case st.dist[w] == level:
+							st.relax(w)
+						case st.dist[w] == level: // relaxed, so marked, earlier in this loop
 							st.sigma[w] += su
-							st.dirty.Set(int(w))
 							st.relaxed++
 						}
 					}
@@ -279,13 +322,11 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 		prog.level.Set(int64(l))
 		cluster.Compute(func(h int) {
 			st := states[h]
-			st.dirty.Reset()
-			st.masterOut.Reset()
+			if l == forwardLevels {
+				st.bucketLevels(forwardLevels)
+			}
 			local := st.part.Local
-			for w := 0; w < st.part.NumProxies(); w++ {
-				if st.dist[w] != l {
-					continue
-				}
+			for _, w := range st.byLevel[st.levelStart[l]:st.levelStart[l+1]] {
 				// A level-l master's dependency is consumed (and its
 				// broadcast would happen) in backward round
 				// forwardLevels − l + 1 = R − τ + 1: the reversal of its
@@ -296,10 +337,10 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 						Host: int32(h), V: int32(st.part.GlobalID[w]), Src: 0})
 				}
 				coeff := (1 + st.delta[w]) / st.sigma[w]
-				for _, v := range local.InNeighbors(uint32(w)) {
+				for _, v := range local.InNeighbors(w) {
 					if st.dist[v] != graph.InfDist && st.dist[v]+1 == l {
 						st.delta[v] += st.sigma[v] * coeff
-						st.dirty.Set(int(v))
+						st.marks.Mark(v)
 					}
 				}
 			}
@@ -315,9 +356,7 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 	}
 
 	// Fold master dependencies into the scores.
-	cluster.Compute(func(h int) { _ = h })
-	for h, st := range states {
-		_ = h
+	for _, st := range states {
 		if st == nil {
 			continue
 		}
@@ -329,29 +368,14 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 	}
 }
 
-// syncForward reduces (min dist, σ-partial sum) from dirty mirrors to
+// syncForward reduces (min dist, σ-partial sum) from relaxed mirrors to
 // masters and broadcasts finalized values to every mirror, rebuilding
 // the next frontier on each host.
 func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState, level uint32, tr *obs.Trace, si int) {
-	// Reduce: dirty mirrors -> masters.
+	// Reduce: relaxed mirrors -> masters.
 	cluster.Exchange(
 		func(from, to int, w *gluon.Writer) {
-			st := states[from]
-			list := topo.MirrorList(from, to)
-			if len(list) == 0 {
-				return
-			}
-			marked := w.Scratch(len(list))
-			for pos, lid := range list {
-				if st.dirty.Test(int(lid)) {
-					marked.Set(pos)
-				}
-			}
-			gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-				lid := list[pos]
-				w.U32(st.dist[lid])
-				w.F64(st.sigma[lid])
-			})
+			states[from].marks.EncodeReduce(w, to, states[from].emitLabels)
 		},
 		func(to, from int, data []byte, dec *gluon.Decoder) {
 			st := states[to]
@@ -364,16 +388,20 @@ func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostS
 				case st.dist[lid] == graph.InfDist || d < st.dist[lid]:
 					st.dist[lid] = d
 					st.sigma[lid] = sg
-					st.masterOut.Set(int(lid))
 				case d == st.dist[lid]:
 					st.sigma[lid] += sg
-					st.masterOut.Set(int(lid))
+				default:
+					return
 				}
+				st.masterOut.Set(int(lid))
+				st.marks.Mark(lid)
 			})
 		},
 	)
 
-	// Masters that were relaxed locally must also broadcast.
+	// Masters relaxed locally were marked for the broadcast as they were
+	// relaxed; with the ones the reduce updated they are the masters
+	// finalized this level, which join the frontier.
 	cluster.Compute(func(h int) {
 		st := states[h]
 		st.dirty.ForEach(func(l int) bool {
@@ -382,7 +410,6 @@ func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostS
 			}
 			return true
 		})
-		// Masters finalized this level join the frontier.
 		st.masterOut.ForEach(func(l int) bool {
 			if st.dist[l] == level && !st.inFrontier.Test(l) {
 				st.inFrontier.Set(l)
@@ -403,22 +430,7 @@ func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostS
 	// Broadcast: masters -> all mirrors.
 	cluster.Exchange(
 		func(from, to int, w *gluon.Writer) {
-			st := states[from]
-			list := topo.MasterList(to, from) // from's local IDs of vertices mirrored on `to`
-			if len(list) == 0 {
-				return
-			}
-			marked := w.Scratch(len(list))
-			for pos, lid := range list {
-				if st.masterOut.Test(int(lid)) {
-					marked.Set(pos)
-				}
-			}
-			gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-				lid := list[pos]
-				w.U32(st.dist[lid])
-				w.F64(st.sigma[lid])
-			})
+			states[from].marks.EncodeBroadcast(w, to, states[from].emitLabels)
 		},
 		func(to, from int, data []byte, dec *gluon.Decoder) {
 			st := states[to]
@@ -437,23 +449,14 @@ func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostS
 }
 
 // syncBackward reduces δ partials (sum) to masters and broadcasts the
-// finalized dependencies back to mirrors.
+// finalized dependencies back to mirrors. A master whose δ the compute
+// or the reduce touched is marked for the broadcast then and there, so
+// no phase sits between the two exchanges.
 func syncBackward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState) {
 	cluster.Exchange(
 		func(from, to int, w *gluon.Writer) {
 			st := states[from]
-			list := topo.MirrorList(from, to)
-			if len(list) == 0 {
-				return
-			}
-			marked := w.Scratch(len(list))
-			for pos, lid := range list {
-				if st.dirty.Test(int(lid)) {
-					marked.Set(pos)
-				}
-			}
-			gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-				lid := list[pos]
+			st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
 				w.F64(st.delta[lid])
 				// The partial has been handed to the master; reset so a
 				// later broadcast can overwrite without double counting.
@@ -468,36 +471,15 @@ func syncBackward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*host
 			dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
 				lid := list[pos]
 				st.delta[lid] += r.F64()
-				st.masterOut.Set(int(lid))
+				st.marks.Mark(lid)
 			})
 		},
 	)
-
-	cluster.Compute(func(h int) {
-		st := states[h]
-		st.dirty.ForEach(func(l int) bool {
-			if st.part.IsMaster[l] {
-				st.masterOut.Set(l)
-			}
-			return true
-		})
-	})
-
 	cluster.Exchange(
 		func(from, to int, w *gluon.Writer) {
 			st := states[from]
-			list := topo.MasterList(to, from)
-			if len(list) == 0 {
-				return
-			}
-			marked := w.Scratch(len(list))
-			for pos, lid := range list {
-				if st.masterOut.Test(int(lid)) {
-					marked.Set(pos)
-				}
-			}
-			gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-				w.F64(st.delta[list[pos]])
+			st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
+				w.F64(st.delta[lid])
 			})
 		},
 		func(to, from int, data []byte, dec *gluon.Decoder) {

@@ -146,6 +146,20 @@ func BenchmarkDistributedSBBC(b *testing.B) {
 	}
 }
 
+// BenchmarkWebSBBC is the in-tree twin of the benchmark's web_sbbc_h4
+// workload (seed 1): ~20000 one-source rounds of mostly empty exchanges,
+// where the fixed price of a round is the whole bill.
+func BenchmarkWebSBBC(b *testing.B) {
+	g := gen.WebCrawl(11, 8, 3, 80, 1)
+	pt := partition.CartesianCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = Run(g, pt, sources)
+	}
+}
+
 func TestDirectionOptimizingMatchesPush(t *testing.T) {
 	inputs := map[string]*graph.Graph{
 		"rmat": gen.RMAT(9, 16, 17), // dense power-law: pull should trigger

@@ -40,7 +40,9 @@ type PushOptions struct {
 	// (vprog_round, vprog_active) the telemetry endpoint's /progressz
 	// view derives from.
 	Metrics *obs.Registry
-	// Workers overrides the exchange worker-pool size (0: automatic).
+	// Workers overrides the size of the cluster's worker pool, which runs
+	// the hosts' compute phases as well as their packs and unpacks (0:
+	// automatic).
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend runs this process
@@ -119,6 +121,7 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 		inActive *bitset.Set
 		dirty    *bitset.Set
 		out      *bitset.Set
+		marks    *gluon.Marks // improved proxies, until their sync ships them
 	}
 	states := make([]*hostState, pt.NumHosts)
 	cluster.Compute(func(h int) {
@@ -130,6 +133,7 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 			inActive: bitset.New(np),
 			dirty:    bitset.New(np),
 			out:      bitset.New(np),
+			marks:    topo.NewMarks(h),
 		}
 		for l, gid := range p.GlobalID {
 			label, active := prog.Init(gid)
@@ -156,6 +160,7 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 					if prog.Better(cand, st.labels[w]) {
 						st.labels[w] = cand
 						st.dirty.Set(int(w))
+						st.marks.Mark(w)
 					}
 				}
 			}
@@ -179,19 +184,7 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 		cluster.Exchange(
 			func(from, to int, w *gluon.Writer) {
 				st := states[from]
-				list := topo.MirrorList(from, to)
-				if len(list) == 0 {
-					return
-				}
-				marked := w.Scratch(len(list))
-				for pos, lid := range list {
-					if st.dirty.Test(int(lid)) {
-						marked.Set(pos)
-					}
-				}
-				gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-					w.U64(st.labels[list[pos]])
-				})
+				st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) { w.U64(st.labels[lid]) })
 			},
 			func(to, from int, data []byte, dec *gluon.Decoder) {
 				st := states[to]
@@ -201,13 +194,14 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 					if v := r.U64(); prog.Better(v, st.labels[lid]) {
 						st.labels[lid] = v
 						st.out.Set(int(lid))
+						st.marks.Mark(lid)
 					}
 				})
 			},
 		)
 
-		// Masters improved locally must broadcast too; activate the
-		// changed masters.
+		// Masters improved locally broadcast too (they were marked as
+		// they improved); activate the changed masters.
 		cluster.Compute(func(h int) {
 			st := states[h]
 			st.dirty.ForEach(func(l int) bool {
@@ -230,19 +224,7 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 		cluster.Exchange(
 			func(from, to int, w *gluon.Writer) {
 				st := states[from]
-				list := topo.MasterList(to, from)
-				if len(list) == 0 {
-					return
-				}
-				marked := w.Scratch(len(list))
-				for pos, lid := range list {
-					if st.out.Test(int(lid)) {
-						marked.Set(pos)
-					}
-				}
-				gluon.EncodeUpdates(w, len(list), marked, func(pos int, w *gluon.Writer) {
-					w.U64(st.labels[list[pos]])
-				})
+				st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) { w.U64(st.labels[lid]) })
 			},
 			func(to, from int, data []byte, dec *gluon.Decoder) {
 				st := states[to]
