@@ -110,11 +110,13 @@ type Options struct {
 	// Workers bounds shared-memory parallelism. For ABBC, MFBC, and
 	// parallel Brandes it is the worker-goroutine count. Shared-memory
 	// MRBC has two composable levels: Workers sets the batch-level
-	// parallelism (whole batches run concurrently on private engines),
-	// and each batch additionally splits its per-round compute phase
-	// across GOMAXPROCS/Workers goroutines (intra-batch parallelism;
-	// see core.Options). When Workers == 0 the intra-batch level
-	// defaults to GOMAXPROCS, so a single batch still uses every core.
+	// parallelism (whole batches run concurrently on private engines
+	// and retire in batch order, so scores do not depend on it), and
+	// the cores that leaves, GOMAXPROCS/Workers per batch, split each
+	// round's compute phase (intra-batch parallelism; see
+	// core.Options). Workers == 0 uses every core: one engine per core
+	// while there are batches to fill them, intra-batch workers for the
+	// cores that outnumber the batches.
 	Workers int
 	// ChunkSize is the ABBC worklist chunk size; default 8 (the paper
 	// uses 64 for road networks).
@@ -173,9 +175,9 @@ func Betweenness(g *Graph, sources []uint32, opts Options) (*Result, error) {
 		res.Rounds = stats.ForwardIterations + stats.BackwardIterations
 	case MRBC:
 		if opts.Hosts <= 1 {
-			// Workers maps to batch-level parallelism; leaving
-			// core.Options.Workers zero lets each batch default its
-			// intra-batch workers to GOMAXPROCS/Parallelism.
+			// Workers maps to batch-level parallelism; core.planShared
+			// resolves a zero to one engine per core and gives the
+			// cores left over to intra-batch workers.
 			scores, stats := core.BC(g, sources, core.Options{
 				BatchSize:   opts.BatchSize,
 				Parallelism: opts.Workers,

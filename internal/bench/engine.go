@@ -74,13 +74,13 @@ type engineVariant struct {
 func engineVariants() []engineVariant {
 	return []engineVariant{
 		{"scan", func(k int) core.Options {
-			return core.Options{BatchSize: k, Scheduler: core.ScanScheduler}
+			return core.Options{BatchSize: k, Parallelism: 1, Scheduler: core.ScanScheduler}
 		}},
 		{"bucket", func(k int) core.Options {
-			return core.Options{BatchSize: k, Workers: 1}
+			return core.Options{BatchSize: k, Parallelism: 1, Workers: 1}
 		}},
 		{"bucket-parallel", func(k int) core.Options {
-			return core.Options{BatchSize: k, Workers: runtime.GOMAXPROCS(0)}
+			return core.Options{BatchSize: k, Parallelism: 1, Workers: runtime.GOMAXPROCS(0)}
 		}},
 	}
 }

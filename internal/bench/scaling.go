@@ -135,7 +135,7 @@ func ScalingBench(scale Scale) ScalingReport {
 		sources := brandes.FirstKSources(g, 0, in.sources)
 		var bucketNs int64
 		measure := func(variant string, workers int) {
-			opts := core.Options{BatchSize: in.batch, Workers: workers}
+			opts := core.Options{BatchSize: in.batch, Parallelism: 1, Workers: workers}
 			_, stats := core.BC(g, sources, opts) // warm-up + counters
 			res := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

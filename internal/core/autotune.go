@@ -20,23 +20,27 @@ import (
 // the full machine.
 const autotuneWorkCrossover = 1 << 15
 
+// sharedLabelBudget bounds the label slabs (labelBytesPerPair per
+// vertex·source per engine, TestEngineMemoryBudget) of the engines
+// planShared runs side by side: past it, cores go to intra-batch
+// workers on fewer engines instead.
+const (
+	sharedLabelBudget = 1 << 30
+	labelBytesPerPair = 36
+)
+
 // AutotuneWorkers picks the intra-batch worker count for a batched run
 // over g from the machine width (runtime.GOMAXPROCS) and the expected
 // per-batch work n·k (the frontier mass all rounds share). Options
 // resolves Workers=0 through it.
 func AutotuneWorkers(g *graph.Graph, batchSize int) int {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	maxw := runtime.GOMAXPROCS(0)
-	w := int(int64(g.NumVertices()) * int64(batchSize) / autotuneWorkCrossover)
-	if w < 1 {
-		return 1
-	}
-	if w > maxw {
-		return maxw
-	}
-	return w
+	return autotuneWorkers(int64(g.NumVertices())*int64(max(batchSize, 1)), runtime.GOMAXPROCS(0))
+}
+
+// autotuneWorkers is one worker per crossover-multiple of nk labels,
+// within [1, maxw].
+func autotuneWorkers(nk int64, maxw int) int {
+	return int(max(1, min(nk/autotuneWorkCrossover, int64(maxw))))
 }
 
 // AutotuneBatch picks a batch size for MRBC by probing: the paper
@@ -65,23 +69,16 @@ func AutotuneBatch(g *graph.Graph, sources []uint32, candidates []int, probeSour
 	probe := sources[:probeSources]
 	best := candidates[0]
 	bestTime := time.Duration(-1)
-	scratch := make([]float64, g.NumVertices())
 	for _, k := range candidates {
 		if k <= 0 {
 			continue
 		}
-		for i := range scratch {
-			scratch[i] = 0
-		}
 		start := time.Now()
 		var stats RunStats
-		loop := &batchLoop{g: g, kmax: min(k, len(probe)), opts: Options{BatchSize: k}.withDefaults()}
+		// The probe runs the engine BC would plan for all the sources.
+		loop := &batchLoop{g: g, kmax: min(k, len(probe)), opts: Options{BatchSize: k}.planned(g, len(sources))}
 		for off := 0; off < len(probe); off += k {
-			end := off + k
-			if end > len(probe) {
-				end = len(probe)
-			}
-			loop.run(probe[off:end], scratch, &stats)
+			loop.compute(probe[off:min(off+k, len(probe))], &stats)
 		}
 		loop.close()
 		if elapsed := time.Since(start); bestTime < 0 || elapsed < bestTime {

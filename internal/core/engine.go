@@ -88,13 +88,6 @@ func (rec *vertexSched) noteUnsent(s int, d uint32) {
 	}
 }
 
-// backFlag is a Flag packed to 8 bytes for the backward schedule, which
-// holds one per reached (vertex, source) pair.
-type backFlag struct {
-	v uint32
-	s int32
-}
-
 // engineShard holds one ownership shard's scheduler state. A shard
 // owns a contiguous vertex range (see shardOf/shardRange) and each
 // shard's state is touched by exactly one worker per parallel phase, so
@@ -109,10 +102,11 @@ type engineShard struct {
 	buckets [][]uint32
 	// freeBuckets recycles the slices of collected rounds.
 	freeBuckets [][]uint32
-	// backByRound[r-1] holds the Algorithm 5 flags of backward round r,
-	// carved out of backArena; backCounts is the counting pass's scratch.
-	backByRound [][]backFlag
-	backArena   []backFlag
+	// backByRound[r-1] holds the Algorithm 5 flags of backward round r as
+	// pair indices v·k+s, ascending, carved out of backArena — 4 bytes per
+	// reached pair; backCounts is the counting pass's scratch.
+	backByRound [][]uint32
+	backArena   []uint32
 	backCounts  []int32
 	// nextHint is a verified lower bound on the shard's next non-empty
 	// bucket round: every bucket strictly before it is empty. Lowered on
@@ -222,6 +216,11 @@ func NewEngineOpts(g *graph.Graph, k int, opts EngineOpts) *Engine {
 	}
 	g.EnsureInEdges()
 	n := g.NumVertices()
+	if int64(n)*int64(k) >= 1<<32 {
+		// The backward schedule names a pair by its 4-byte slab index; the
+		// label slabs of such an engine would be over 150 GB.
+		panic(fmt.Sprintf("core: %d vertices × %d sources exceed 2^32 (vertex, source) pairs", n, k))
+	}
 	shards := opts.Shards
 	if shards < 1 {
 		shards = 1
@@ -816,9 +815,10 @@ func (e *Engine) StartBackward(R int) {
 // round: the level-synchronous sweep's per-shard setup. It touches only
 // the shard's own vertex range and bucket state, so the parallel
 // runtime calls it concurrently for distinct shards (with e.totalR set
-// by the caller beforehand). Vertices are scanned in ascending order,
-// so each round's flags are ascending (vertex, source) within the
-// shard — and, ranges being contiguous, across shards in shard order.
+// by the caller beforehand). The shard's slab range is scanned in
+// ascending pair index, so each round's flags are ascending (vertex,
+// source) within the shard — and, ranges being contiguous, across
+// shards in shard order.
 func (e *Engine) startBackwardShard(shard, R int) {
 	lo, hi := e.shardRange(shard)
 	sh := &e.shards[shard]
@@ -844,7 +844,9 @@ func (e *Engine) startBackwardShard(shard, R int) {
 	}
 	sh.backCounts = counts
 	if cap(sh.backArena) < total {
-		sh.backArena = make([]backFlag, total)
+		// Headroom: batches reach slightly different pair counts, and an
+		// arena re-made at every new maximum costs the sum of the maxima.
+		sh.backArena = make([]uint32, total+total/8)
 	}
 	arena := sh.backArena[:total]
 	off := 0
@@ -852,14 +854,10 @@ func (e *Engine) startBackwardShard(shard, R int) {
 		sh.backByRound = append(sh.backByRound, arena[off:off:off+int(c)])
 		off += int(c)
 	}
-	for v := lo; v < hi; v++ {
-		row := (v - lo) * e.k
-		for s := 0; s < e.k; s++ {
-			if dist[row+s] == graph.InfDist {
-				continue
-			}
-			r := R - int(tau[row+s]) + 1
-			sh.backByRound[r-1] = append(sh.backByRound[r-1], backFlag{v: uint32(v), s: int32(s)})
+	for i, d := range dist {
+		if d != graph.InfDist {
+			r := R - int(tau[i]) + 1
+			sh.backByRound[r-1] = append(sh.backByRound[r-1], uint32(lo*e.k+i))
 		}
 	}
 }
@@ -892,8 +890,9 @@ func (e *Engine) backwardFlagsShard(r, shard int, dst []Flag) []Flag {
 	if r < 1 || r > len(sh.backByRound) {
 		return dst
 	}
-	for _, f := range sh.backByRound[r-1] {
-		dst = append(dst, Flag{V: f.v, Src: int(f.s)})
+	k := uint32(e.k)
+	for _, p := range sh.backByRound[r-1] {
+		dst = append(dst, Flag{V: p / k, Src: int(p % k)})
 	}
 	return dst
 }

@@ -326,12 +326,14 @@ func TestEngineRoundsMatchExactCongest(t *testing.T) {
 func TestEngineParallelBatchesMatchSequential(t *testing.T) {
 	g := gen.RMAT(9, 8, 31)
 	sources := brandes.FirstKSources(g, 0, 64)
-	seq, seqStats := BC(g, sources, Options{BatchSize: 8})
-	par, parStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 4})
-	if !approxEqual(seq, par, 1e-9) {
-		t.Fatal("parallel batches changed BC")
+	seq, seqStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1, Workers: 1})
+	par, parStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 4, Workers: 1})
+	for v := range seq {
+		if math.Float64bits(seq[v]) != math.Float64bits(par[v]) {
+			t.Fatalf("parallel batches changed BC(%d): %v, sequential %v (not bitwise equal)", v, par[v], seq[v])
+		}
 	}
-	if seqStats.Batches != parStats.Batches || seqStats.LabelsSynced != parStats.LabelsSynced {
+	if seqStats != parStats {
 		t.Fatalf("stats diverged: %+v vs %+v", seqStats, parStats)
 	}
 }

@@ -45,9 +45,9 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		want := brandes.Sequential(in.g, sources)
 		for _, bs := range []int{1, 7, 32} {
 			t.Run(fmt.Sprintf("%s/k=%d", in.name, bs), func(t *testing.T) {
-				scan, scanStats := BC(in.g, sources, Options{BatchSize: bs, Scheduler: ScanScheduler})
-				bucket, bucketStats := BC(in.g, sources, Options{BatchSize: bs, Workers: 1})
-				par, parStats := BC(in.g, sources, Options{BatchSize: bs, Workers: 4})
+				scan, scanStats := BC(in.g, sources, Options{BatchSize: bs, Parallelism: 1, Scheduler: ScanScheduler})
+				bucket, bucketStats := BC(in.g, sources, Options{BatchSize: bs, Parallelism: 1, Workers: 1})
+				par, parStats := BC(in.g, sources, Options{BatchSize: bs, Parallelism: 1, Workers: 4})
 
 				if d := maxAbsDiff(scan, want); d > 1e-9 {
 					t.Fatalf("scan engine vs Brandes: max abs diff %g", d)
@@ -121,7 +121,7 @@ func TestParallelWorkerSweep(t *testing.T) {
 	sources := brandes.FirstKSources(g, 0, 20)
 	want := brandes.Sequential(g, sources)
 	for _, w := range []int{2, 3, 8, 64} {
-		got, stats := BC(g, sources, Options{BatchSize: 8, Workers: w})
+		got, stats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1, Workers: w})
 		if d := maxAbsDiff(got, want); d > 1e-9 {
 			t.Fatalf("workers=%d: max abs diff %g", w, d)
 		}
@@ -136,7 +136,7 @@ func TestParallelWorkerSweep(t *testing.T) {
 func TestBothParallelLevelsCompose(t *testing.T) {
 	g := gen.RMAT(9, 8, 31)
 	sources := brandes.FirstKSources(g, 0, 64)
-	want, wantStats := BC(g, sources, Options{BatchSize: 8, Workers: 1})
+	want, wantStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1, Workers: 1})
 	got, gotStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 2, Workers: 2})
 	if d := maxAbsDiff(got, want); d > 1e-9 {
 		t.Fatalf("composed parallelism changed BC: %g", d)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"mrbc/internal/graph"
 )
@@ -25,26 +26,30 @@ const (
 
 // Options configures a batched MRBC run.
 //
-// Parallelism and Workers are the two independent levels of
-// shared-memory parallelism:
+// Parallelism and Workers are the two levels of shared-memory
+// parallelism; planShared resolves whichever is left unset:
 //
-//   - Parallelism (batch-level) runs whole batches concurrently, each
-//     on its own engine with a private score vector — the
-//     source-level parallelism of the paper's single-host runs.
+//   - Parallelism (batch-level, the first level) runs whole batches
+//     concurrently, each on its own serial-cost engine, and retires
+//     them in batch order into one score vector — the source-level
+//     parallelism of the paper's single-host runs, bit-identical to the
+//     serial loop.
 //   - Workers (intra-batch) splits each round's compute phase of one
 //     batch across goroutines by vertex ownership (see parallel.go) —
-//     useful when there are few batches (or one) but many cores.
+//     for the cores that outnumber the batches.
 type Options struct {
 	// BatchSize is k, the number of sources processed simultaneously
 	// (Figure 1 studies its effect). Defaults to 32, the paper's
 	// small-graph setting.
 	BatchSize int
 	// Parallelism runs up to this many batches concurrently, each on
-	// its own engine. Defaults to 1 (sequential batches).
+	// its own engine. 0 fills the machine: GOMAXPROCS (divided by an
+	// explicit Workers) engines, at most one per batch and at most
+	// sharedLabelBudget of label slabs.
 	Parallelism int
-	// Workers is the intra-batch worker count per batch. 0 selects
-	// AutotuneWorkers (frontier-size crossover, capped at
-	// GOMAXPROCS/Parallelism so the two levels compose without
+	// Workers is the intra-batch worker count per batch. 0 autotunes
+	// over the cores Parallelism leaves (frontier-size crossover, capped
+	// at GOMAXPROCS/Parallelism so the two levels compose without
 	// oversubscribing); 1 disables intra-batch parallelism and runs
 	// the serial bucket path — no pool, no deques, no per-shard
 	// outboxes.
@@ -56,45 +61,39 @@ type Options struct {
 
 const defaultBatchSize = 32
 
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = defaultBatchSize
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0) / o.Parallelism
-		if o.Workers < 1 {
-			o.Workers = 1
-		}
-	}
+// planShared resolves (Parallelism, Workers) for a run of the given
+// number of batches of k sources over n vertices on procs cores. Whole
+// batches come first: an engine per core, never more than there are
+// batches or than sharedLabelBudget holds; intra-batch workers get the
+// cores that are left, so a one-batch run is the staged Runner's and a
+// one-core run the serial loop.
+func planShared(procs, batches, n, k int, o Options) (par, workers int) {
 	if o.Scheduler == ScanScheduler {
 		// The scan path predates vertex-ownership sharding and is
 		// single-threaded within a batch.
 		o.Workers = 1
 	}
-	return o
+	nk := max(int64(n)*int64(k), 1)
+	if par = o.Parallelism; par <= 0 {
+		par = min(procs/max(1, o.Workers), int(sharedLabelBudget/(labelBytesPerPair*nk)))
+	}
+	par = max(1, min(par, batches))
+	if workers = o.Workers; workers <= 0 {
+		workers = autotuneWorkers(nk, procs/par)
+	}
+	return par, workers
 }
 
-// withAutotune resolves Workers=0 via the frontier-size crossover
-// heuristic (AutotuneWorkers) before the GOMAXPROCS fallback applies,
-// dividing by Parallelism so the two levels compose.
-func (o Options) withAutotune(g *graph.Graph) Options {
-	if o.Workers <= 0 && o.Scheduler != ScanScheduler {
-		k := o.BatchSize
-		if k <= 0 {
-			k = defaultBatchSize
-		}
-		par := o.Parallelism
-		if par < 1 {
-			par = 1
-		}
-		if o.Workers = AutotuneWorkers(g, k) / par; o.Workers < 1 {
-			o.Workers = 1
-		}
+// planned fills in BatchSize and the planShared levels for a run over
+// numSources sources of g.
+func (o Options) planned(g *graph.Graph, numSources int) Options {
+	if o.BatchSize <= 0 {
+		o.BatchSize = defaultBatchSize
 	}
-	return o.withDefaults()
+	batches := (numSources + o.BatchSize - 1) / o.BatchSize
+	o.Parallelism, o.Workers = planShared(runtime.GOMAXPROCS(0), batches,
+		g.NumVertices(), min(o.BatchSize, numSources), o)
+	return o
 }
 
 // RunStats reports the model-level execution costs of a batched run,
@@ -147,7 +146,7 @@ func (s RunStats) RoundsPerSource(numSources int) float64 {
 // with the label synchronizations a distributed run would perform
 // counted in the stats).
 func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, RunStats) {
-	opts = opts.withAutotune(g)
+	opts = opts.planned(g, len(sources))
 	n := g.NumVertices()
 	for _, s := range sources {
 		if int(s) >= n {
@@ -157,61 +156,90 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, RunStats) {
 	g.EnsureInEdges() // build once, before engines share the graph
 	var batches [][]uint32
 	for start := 0; start < len(sources); start += opts.BatchSize {
-		end := start + opts.BatchSize
-		if end > len(sources) {
-			end = len(sources)
-		}
-		batches = append(batches, sources[start:end])
+		batches = append(batches, sources[start:min(start+opts.BatchSize, len(sources))])
 	}
 	kmax := min(opts.BatchSize, len(sources)) // the first batch's size
-	if opts.Parallelism == 1 || len(batches) <= 1 {
-		scores := make([]float64, n)
-		var stats RunStats
-		loop := &batchLoop{g: g, kmax: kmax, opts: opts}
-		defer loop.close()
-		for _, b := range batches {
-			loop.run(b, scores, &stats)
-		}
-		return scores, stats
-	}
-
-	// Batches are independent; run them on a worker pool with private
-	// score vectors and merge.
-	workers := opts.Parallelism
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	partials := make([][]float64, workers)
-	partStats := make([]RunStats, workers)
-	next := make(chan []uint32, len(batches))
-	for _, b := range batches {
-		next <- b
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]float64, n)
-			partials[w] = local
-			loop := &batchLoop{g: g, kmax: kmax, opts: opts}
-			defer loop.close()
-			for b := range next {
-				loop.run(b, local, &partStats[w])
-			}
-		}(w)
-	}
-	wg.Wait()
 	scores := make([]float64, n)
 	var stats RunStats
-	for w := 0; w < workers; w++ {
-		for v, x := range partials[w] {
-			scores[v] += x
-		}
-		stats.add(partStats[w])
-	}
+	// Batches are independent until they fold: each worker computes on
+	// an engine of its own, and the folds into the one score vector
+	// happen in batch order, so every float64 sum is the serial loop's.
+	runOrdered(len(batches), opts.Parallelism, func() (compute, retire func(int), done func()) {
+		loop := &batchLoop{g: g, kmax: kmax, opts: opts}
+		var own RunStats
+		compute = func(i int) { own = RunStats{}; loop.compute(batches[i], &own) }
+		retire = func(i int) { loop.fold(batches[i], scores); stats.add(own) }
+		return compute, retire, loop.close
+	})
 	return scores, stats
+}
+
+// runOrdered runs tasks 0..n-1 on up to workers goroutines, each with
+// the compute/retire/done triple one newWorker call hands it. A worker
+// claims the next index, computes it concurrently with the others, then
+// retires it in its turn: retire(i) runs only after retire(i-1)
+// returned, never two at once. A panic anywhere stops further claims,
+// wakes every worker waiting for a turn the lost task would never pass
+// on, and is re-raised on the caller once all workers have exited. One
+// worker is a plain loop on the caller.
+func runOrdered(n, workers int, newWorker func() (compute, retire func(i int), done func())) {
+	if workers = min(workers, n); workers <= 1 {
+		compute, retire, done := newWorker()
+		defer done()
+		for i := 0; i < n; i++ {
+			compute(i)
+			retire(i)
+		}
+		return
+	}
+	var (
+		next   atomic.Int64
+		mu     sync.Mutex
+		passed = sync.NewCond(&mu)
+		turn   int // the index allowed to retire; guarded by mu
+		failed any // first panic value; guarded by mu
+		wg     sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					next.Store(int64(n))
+					mu.Lock()
+					if failed == nil {
+						failed = p
+					}
+					mu.Unlock()
+					passed.Broadcast()
+				}
+			}()
+			compute, retire, done := newWorker()
+			defer done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				compute(i)
+				mu.Lock()
+				for turn != i && failed == nil {
+					passed.Wait()
+				}
+				abort := failed != nil
+				mu.Unlock()
+				if abort {
+					return
+				}
+				retire(i)
+				mu.Lock()
+				turn++
+				mu.Unlock()
+				passed.Broadcast()
+			}
+		}()
+	}
+	wg.Wait()
+	if failed != nil {
+		panic(failed)
+	}
 }
 
 // batchLoop runs a sequence of batches on one engine — and, with
@@ -261,10 +289,10 @@ func (l *batchLoop) engine(k int) *Engine {
 	return l.e
 }
 
-// run executes one k-source batch: the forward k-SSP phase of
-// Algorithm 3 with global termination detection (Lemma 8), then the
-// backward accumulation phase of Algorithm 5.
-func (l *batchLoop) run(batch []uint32, scores []float64, stats *RunStats) {
+// compute executes one k-source batch up to its fold: the forward
+// k-SSP phase of Algorithm 3 with global termination detection
+// (Lemma 8), then the backward accumulation phase of Algorithm 5.
+func (l *batchLoop) compute(batch []uint32, stats *RunStats) {
 	stats.Batches++
 	e := l.engine(len(batch))
 	for i, s := range batch {
@@ -274,7 +302,6 @@ func (l *batchLoop) run(batch []uint32, scores []float64, stats *RunStats) {
 		R := run.forward(stats)
 		stats.ForwardRounds += R
 		stats.BackwardRounds += run.backward(R, stats)
-		run.fold(batch, scores)
 		run.flushRunStats(stats)
 		return
 	}
@@ -296,9 +323,16 @@ func (l *batchLoop) run(batch []uint32, scores []float64, stats *RunStats) {
 	}
 	l.flags = flags
 	stats.BackwardRounds += back
+}
 
-	// Fold dependencies into the scores (BC(w) += δs•(w), w ≠ s).
-	foldRange(e, batch, scores, 0, l.g.NumVertices())
+// fold adds the dependencies of the batch compute just ran into the
+// scores (BC(w) += δs•(w), w ≠ s).
+func (l *batchLoop) fold(batch []uint32, scores []float64) {
+	if l.r != nil {
+		l.r.fold(batch, scores)
+		return
+	}
+	foldRange(l.e, batch, scores, 0, l.g.NumVertices())
 }
 
 // forwardPhase runs the sequential forward loop on e to quiescence,
@@ -350,7 +384,8 @@ func APSPBatchOpts(g *graph.Graph, batch []uint32, opts Options) (dist [][]uint3
 	if len(batch) == 0 {
 		return nil, nil, stats
 	}
-	opts = opts.withAutotune(g)
+	opts.BatchSize = len(batch)
+	opts = opts.planned(g, len(batch))
 	for _, s := range batch {
 		if int(s) >= g.NumVertices() {
 			panic(fmt.Sprintf("core: source %d out of range", s))

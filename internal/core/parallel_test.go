@@ -67,8 +67,8 @@ func TestRunToRunDeterminismUnderStealing(t *testing.T) {
 	for i := range sources {
 		sources[i] = uint32(i * 3)
 	}
-	opts := Options{BatchSize: 8, Workers: 4}
-	ref, refStats := BC(g, sources, Options{BatchSize: 8, Workers: 1})
+	opts := Options{BatchSize: 8, Parallelism: 1, Workers: 4}
+	ref, refStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1, Workers: 1})
 	for run := 0; run < 5; run++ {
 		got, stats := BC(g, sources, opts)
 		if stats.ParallelRounds == 0 {
@@ -92,7 +92,7 @@ func TestRunToRunDeterminismUnderStealing(t *testing.T) {
 func TestTinyFrontiersStayInline(t *testing.T) {
 	g := gen.RoadGrid(4, 4, 7) // 16 vertices × batch 8 = 128 ≤ gate
 	sources := []uint32{0, 3, 5, 7, 9, 11, 13, 15}
-	_, stats := BC(g, sources, Options{BatchSize: 8, Workers: 8})
+	_, stats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1, Workers: 8})
 	if stats.ParallelRounds != 0 {
 		t.Fatalf("tiny frontier fanned out: %d parallel rounds", stats.ParallelRounds)
 	}

@@ -275,8 +275,8 @@ func footprint(e *Engine) (labels, schedule int) {
 	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.sent), 8)
 	for i := range e.shards {
 		sh := &e.shards[i]
-		schedule += size(cap(sh.backArena), unsafe.Sizeof(backFlag{})) +
-			size(cap(sh.backByRound), unsafe.Sizeof([]backFlag(nil))) + size(cap(sh.backCounts), 4) +
+		schedule += size(cap(sh.backArena), 4) +
+			size(cap(sh.backByRound), unsafe.Sizeof([]uint32(nil))) + size(cap(sh.backCounts), 4) +
 			size(cap(sh.setWords), 8) + size(cap(sh.freeSlots), 4) +
 			size(cap(sh.buckets)+cap(sh.freeBuckets), unsafe.Sizeof([]uint32(nil)))
 		for _, b := range sh.buckets[:cap(sh.buckets)] {
@@ -291,12 +291,14 @@ func footprint(e *Engine) (labels, schedule int) {
 
 // TestEngineMemoryBudget pins the engine's stated memory budget
 // (DESIGN.md §5, "Engine label layout"): 36 bytes of label slabs per
-// (vertex · source), and — after a full batch — at most 8 more for the
-// backward schedule plus (20 + 8·⌈k/64⌉)/k for the per-vertex record and
-// sent bits, with one byte of slack for the calendar queue.
+// (vertex · source), and — after a full batch — at most 4.5 more per
+// reached pair for the backward schedule (a 4-byte pair index in an
+// arena grown with one eighth of headroom) plus (20 + 8·⌈k/64⌉)/k for
+// the per-vertex record and sent bits, with one byte of slack for the
+// calendar queue.
 func TestEngineMemoryBudget(t *testing.T) {
-	if unsafe.Sizeof(vertexSched{}) != 20 || unsafe.Sizeof(backFlag{}) != 8 {
-		t.Fatalf("record sizes %d/%d, budget assumes 20/8", unsafe.Sizeof(vertexSched{}), unsafe.Sizeof(backFlag{}))
+	if unsafe.Sizeof(vertexSched{}) != 20 {
+		t.Fatalf("vertex record is %d bytes, budget assumes 20", unsafe.Sizeof(vertexSched{}))
 	}
 	g := gen.RMAT(10, 8, 3)
 	n := g.NumVertices()
@@ -312,7 +314,7 @@ func TestEngineMemoryBudget(t *testing.T) {
 			t.Errorf("k=%d: %d label bytes, want 36 per (vertex·source) = %d", k, labels, 36*n*k)
 		}
 		perPair := float64(schedule) / float64(n*k)
-		if limit := 8 + 28/float64(k) + 1; perPair > limit {
+		if limit := 4.5 + 28/float64(k) + 1; perPair > limit {
 			t.Errorf("k=%d: schedule state is %.2f bytes per (vertex·source), budget %.2f", k, perPair, limit)
 		}
 		t.Logf("k=%d: %.2f bytes per (vertex·source)", k, float64(labels+schedule)/float64(n*k))
@@ -326,7 +328,7 @@ func TestEngineMemoryBudget(t *testing.T) {
 func TestParallelBatchesMergeEveryStat(t *testing.T) {
 	g := gen.RMAT(10, 8, 17)
 	sources := brandes.FirstKSources(g, 0, 48)
-	opts := Options{BatchSize: 16, Workers: 2}
+	opts := Options{BatchSize: 16, Parallelism: 1, Workers: 2}
 
 	// Ground truth: every batch on a loop of its own, summed.
 	var want RunStats
@@ -348,14 +350,20 @@ func TestParallelBatchesMergeEveryStat(t *testing.T) {
 	}
 }
 
+// BenchmarkSharedRMAT is the in-tree twin of the rmat_shared workload,
+// one row per design: the default plan, the serial loop, the staged
+// intra-batch Runner at two workers, and two whole-batch engines.
 func BenchmarkSharedRMAT(b *testing.B) {
 	g := gen.RMAT(13, 14, 1)
 	sources := brandes.FirstKSources(g, 0, 256)
-	for _, workers := range []int{0, 1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, row := range []struct {
+		name         string
+		par, workers int
+	}{{"plan=auto", 0, 0}, {"serial", 1, 1}, {"intra=2", 1, 2}, {"batch=2", 2, 1}} {
+		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _ = BC(g, sources, Options{BatchSize: 32, Workers: workers})
+				_, _ = BC(g, sources, Options{BatchSize: 32, Parallelism: row.par, Workers: row.workers})
 			}
 		})
 	}

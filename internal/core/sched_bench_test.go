@@ -27,25 +27,25 @@ func benchmarkEngine(b *testing.B, g *graph.Graph, numSources int, opts Options)
 func roadCorridor() *graph.Graph { return gen.RoadGrid(40000, 1, 104) }
 
 func BenchmarkMRBCRoadGridScan(b *testing.B) {
-	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Scheduler: ScanScheduler})
+	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Parallelism: 1, Scheduler: ScanScheduler})
 }
 
 func BenchmarkMRBCRoadGridBucket(b *testing.B) {
-	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Workers: 1})
+	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Parallelism: 1, Workers: 1})
 }
 
 func BenchmarkMRBCRoadGridBucketParallel(b *testing.B) {
-	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Workers: runtime.GOMAXPROCS(0)})
+	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Parallelism: 1, Workers: runtime.GOMAXPROCS(0)})
 }
 
 func BenchmarkMRBCRMATScan(b *testing.B) {
-	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Scheduler: ScanScheduler})
+	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1, Scheduler: ScanScheduler})
 }
 
 func BenchmarkMRBCRMATBucket(b *testing.B) {
-	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Workers: 1})
+	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1, Workers: 1})
 }
 
 func BenchmarkMRBCRMATBucketParallel(b *testing.B) {
-	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Workers: runtime.GOMAXPROCS(0)})
+	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1, Workers: runtime.GOMAXPROCS(0)})
 }
