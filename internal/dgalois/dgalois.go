@@ -137,8 +137,8 @@ type Cluster struct {
 	// remote transport (ClusterOptions.Transport) puts the cluster in
 	// SPMD mode: this process runs exactly one host (localHost ≥ 0),
 	// Compute/pack/unpack touch only that host, inline on the calling
-	// goroutine, and cross-process control decisions go through
-	// AllReduce.
+	// goroutine, and cross-process control decisions ride an exchange
+	// (ExchangeSum).
 	transport gluon.Transport
 	mem       *gluon.MemTransport
 	streamer  gluon.Streamer // per-sender gather, remote backends only
@@ -205,8 +205,9 @@ type exchangeTally struct {
 type PendingExchange struct {
 	c         *Cluster
 	inUse     bool
-	detached  bool // true between BeginExchange and Complete
-	empty     bool // in-process, and no pack produced a buffer: nothing to unpack
+	detached  bool  // true between BeginExchange and Complete
+	empty     bool  // in-process, and no pack produced a buffer: nothing to unpack
+	sum       int64 // the caller's term, and once complete every host's (Sum)
 	ex        int
 	packSeq   int64
 	unpackSeq int64
@@ -227,10 +228,9 @@ type PendingExchange struct {
 	unpack     func(to, from int, data []byte, dec *gluon.Decoder)
 }
 
-// noopPending is what BeginExchange returns when the exchange already
-// ran synchronously (the reliable fault-plan path); its Complete is a
-// no-op.
-var noopPending = &PendingExchange{}
+// Sum returns the sum an exchange begun with BeginExchangeSum carried:
+// valid after Complete, until the cluster's next exchange.
+func (p *PendingExchange) Sum() int64 { return p.sum }
 
 // Complete finishes a detached exchange: it blocks until every peer's
 // buffer arrived (remote backends), runs the unpack phase, and folds
@@ -536,25 +536,6 @@ func (c *Cluster) Restore(cur Cursor) {
 
 func (c *Cluster) isLocal(h int) bool { return c.localHost < 0 || h == c.localHost }
 
-// AllReduce folds one control value per process across the cluster
-// (activity sums, max-round decisions). In-process — where the caller
-// already folded over every host — it is the identity; in SPMD mode it
-// is a genuine blocking all-reduce over the transport. An unreachable
-// cluster aborts via the same structured *FaultError path as a failed
-// exchange.
-func (c *Cluster) AllReduce(local int64, op gluon.ReduceOp) int64 {
-	if c.localHost < 0 {
-		return local
-	}
-	v, err := c.transport.AllReduce(c.localHost, local, op)
-	if err != nil {
-		fe := faultErrorFrom(err)
-		c.markDead(fe.Host)
-		panic(abortPanic{err: fe})
-	}
-	return v
-}
-
 // Metrics returns the registry holding the cluster's counters (the one
 // injected via ClusterOptions.Metrics, or the private default).
 func (c *Cluster) Metrics() *obs.Registry { return c.metrics }
@@ -766,45 +747,30 @@ func (c *Cluster) packTask(i int) {
 	}
 }
 
-// unpackTask consumes every buffer addressed to host i, serially per
-// receiver (receivers run in parallel with each other). On a remote
-// transport the Gather blocks until every peer's message for the
-// exchange arrived or the stall deadline converts the wait into a
-// structured error.
+// unpackTask consumes every buffer addressed to host to, serially per
+// receiver (receivers run in parallel with each other), in the fixed
+// sender order 0..hosts-1 — the deterministic apply order. A remote
+// transport blocks until the message arrived or the stall deadline makes
+// the wait a structured error. One that streams is gathered per sender:
+// early peers' deserialization overlaps late peers' wire time, and each
+// payload is consumed before the next is asked for, which ends its loan.
 func (c *Cluster) unpackTask(to int) {
-	if c.streamer != nil {
-		// Per-sender streaming gather: consume senders in the fixed
-		// 0..hosts-1 order (the deterministic apply order), but start
-		// unpacking each as soon as its bytes arrive instead of waiting
-		// for the whole exchange. Early peers' deserialization overlaps
-		// late peers' wire time.
-		for from := 0; from < c.hosts; from++ {
-			if from == to {
-				continue
-			}
-			buf, err := c.streamer.GatherFrom(c.curEx, to, from)
-			if err != nil {
-				c.noteTransportError(err)
-				return
-			}
-			if len(buf) > 0 {
-				c.unpackFn(to, from, buf, c.decoders[to])
-				if c.trace != nil {
-					c.curUnpack[to].bytes += int64(len(buf))
-					c.curUnpack[to].messages++
-					c.tallyUnpackPair(from, to, int64(len(buf)))
-				}
-			}
+	var bufs [][]byte
+	var err error
+	if c.streamer == nil {
+		bufs, err = c.transport.Gather(c.curEx, to)
+	}
+	for from := 0; from < c.hosts && err == nil; from++ {
+		if from == to {
+			continue
 		}
-		return
-	}
-	bufs, err := c.transport.Gather(c.curEx, to)
-	if err != nil {
-		c.noteTransportError(err)
-		return
-	}
-	for from := 0; from < c.hosts; from++ {
-		if buf := bufs[from]; len(buf) > 0 {
+		var buf []byte
+		if c.streamer == nil {
+			buf = bufs[from]
+		} else {
+			buf, err = c.streamer.GatherFrom(c.curEx, to, from)
+		}
+		if len(buf) > 0 {
 			c.unpackFn(to, from, buf, c.decoders[to])
 			if c.trace != nil {
 				c.curUnpack[to].bytes += int64(len(buf))
@@ -812,6 +778,9 @@ func (c *Cluster) unpackTask(to int) {
 				c.tallyUnpackPair(from, to, int64(len(buf)))
 			}
 		}
+	}
+	if err != nil {
+		c.noteTransportError(err)
 	}
 }
 
@@ -984,13 +953,22 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 // (mirror lists of distinct pairs are disjoint, so per-vertex writes
 // are safe).
 func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
-	if c.plan != nil {
-		c.exchangeReliable(pack, unpack)
-		return
+	c.exchange(0, false, pack, unpack)
+}
+
+// ExchangeSum is Exchange carrying a BSP loop's global vote: it returns
+// the sum of local over the cluster, the loop's quiescence test being
+// `if c.ExchangeSum(activity, pack, unpack) == 0 { break }`. In process
+// the caller has summed over every host already, and a zero returns at
+// once without opening an exchange. An SPMD process sends its term in
+// the header of every message and adds its peers' as they arrive: the
+// idle round costs one exchange of empty markers — a wait a pipelined
+// batch can overlap — and no round pays a standalone all-reduce.
+func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) int64 {
+	if c.localHost < 0 && local == 0 {
+		return 0
 	}
-	t := c.claimTicket()
-	c.begin(t, pack, unpack)
-	c.complete(t)
+	return c.exchange(local, false, pack, unpack).sum
 }
 
 // BeginExchange starts a detached exchange: the pack phase runs and
@@ -1002,16 +980,36 @@ func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func
 // ClusterOptions.MaxInflight exchanges may be open at once. Under a
 // fault plan the exchange runs synchronously through the reliable
 // delivery loop instead (its step-clocked retransmission is the
-// simulated network's wire time) and the returned ticket's Complete is
-// a no-op.
+// simulated network's wire time) and the returned ticket's Complete
+// only hands the ticket back.
 func (c *Cluster) BeginExchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+	return c.exchange(0, true, pack, unpack)
+}
+
+// BeginExchangeSum is ExchangeSum detached. In process a zero local
+// opens nothing and returns nil.
+func (c *Cluster) BeginExchangeSum(local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+	if c.localHost < 0 && local == 0 {
+		return nil
+	}
+	return c.exchange(local, true, pack, unpack)
+}
+
+// exchange runs an exchange carrying local under a ticket, up to its
+// pack phase if detached. A fault plan's runs whole and at once, on a
+// ticket of its own: the one returned only carries the sum.
+func (c *Cluster) exchange(local int64, detached bool, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	if c.plan != nil {
 		c.exchangeReliable(pack, unpack)
-		return noopPending
 	}
 	t := c.claimTicket()
-	t.detached = true
-	c.begin(t, pack, unpack)
+	t.detached, t.sum = detached, local
+	if c.plan == nil {
+		c.begin(t, pack, unpack)
+	}
+	if !detached {
+		c.complete(t)
+	}
 	return t
 }
 
@@ -1031,6 +1029,11 @@ func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Wri
 	c.curPack = t.hostPack
 	c.curPairPack = t.pairPack
 	t.start = c.now()
+	if c.localHost >= 0 {
+		if err := c.transport.Propose(t.ex, c.localHost, t.sum); err != nil {
+			c.noteTransportError(err)
+		}
+	}
 	sent := c.runPackPhase(pack)
 	t.packEnd = c.now()
 	c.checkExchangeErr()
@@ -1046,6 +1049,10 @@ func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Wri
 // complete runs the unpack phase of a begun exchange and retires its
 // ticket.
 func (c *Cluster) complete(t *PendingExchange) {
+	if c.plan != nil { // the exchange ran inside BeginExchange
+		t.inUse = false
+		return
+	}
 	// An exchange completed in place resumes where its pack phase ended.
 	completeStart := t.packEnd
 	if t.detached {
@@ -1059,8 +1066,13 @@ func (c *Cluster) complete(t *PendingExchange) {
 		c.curUnpack = t.hostUnpack
 		c.curPairUnpack = t.pairUnpack
 		c.unpackFn = t.unpack
-		if c.localHost >= 0 {
-			c.unpackTask(c.localHost)
+		if h := c.localHost; h >= 0 {
+			c.unpackTask(h)
+			// Every peer is gathered: the transport has every term.
+			var err error
+			if t.sum, err = c.transport.Sum(t.ex, h); err != nil {
+				c.noteTransportError(err)
+			}
 		} else {
 			c.pool.runAll(c.hosts, c.unpackTaskFn)
 		}

@@ -666,3 +666,43 @@ func BenchmarkEmptyCompute(b *testing.B) {
 		c.Compute(fn)
 	}
 }
+
+// TestExchangeSumInProcess pins the in-process half of the primitive:
+// the caller's value is already the cluster's, so a zero opens no
+// exchange — no pack, no event, no sequence number, and from
+// BeginExchangeSum no ticket — and anything else runs exactly an
+// Exchange and comes back unchanged. A fault plan changes how the
+// exchange is delivered, not what it returns.
+func TestExchangeSumInProcess(t *testing.T) {
+	for _, plan := range []*FaultPlan{nil, {Seed: 1}} {
+		const hosts = 4
+		tr := obs.NewTrace(1<<10, obs.LevelPhase)
+		c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, Plan: plan, MaxInflight: 2})
+		var packed, unpacked int64
+		pack := func(from, to int, w *gluon.Writer) { atomic.AddInt64(&packed, 1); w.Byte(1) }
+		unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
+
+		if got := c.ExchangeSum(0, pack, unpack); got != 0 {
+			t.Fatalf("ExchangeSum(0) = %d", got)
+		}
+		if p := c.BeginExchangeSum(0, pack, unpack); p != nil {
+			t.Fatal("BeginExchangeSum(0) opened an exchange in process")
+		}
+		if packed != 0 || len(tr.Events()) != 0 || c.Cursor().Seq != 0 {
+			t.Fatalf("a zero vote ran %d packs, emitted %d events, took %d sequence numbers", packed, len(tr.Events()), c.Cursor().Seq)
+		}
+
+		const pairs = hosts * (hosts - 1)
+		if got := c.ExchangeSum(-7, pack, unpack); got != -7 || packed != pairs || unpacked != pairs {
+			t.Fatalf("ExchangeSum(-7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
+		}
+		p, q := c.BeginExchangeSum(5, pack, unpack), c.BeginExchangeSum(6, pack, unpack)
+		q.Complete()
+		p.Complete()
+		if p.Sum() != 5 || q.Sum() != 6 || unpacked != 3*pairs {
+			t.Fatalf("detached sums %d and %d after %d unpacks, want 5, 6 and %d", p.Sum(), q.Sum(), unpacked, 3*pairs)
+		}
+		c.Exchange(pack, unpack) // both tickets came back
+		c.Close()
+	}
+}

@@ -10,12 +10,14 @@ import (
 
 // spmdStub is a remote transport owning one host: it records the order
 // of Sends and answers GatherFrom with a one-byte payload naming the
-// sender. Everything else a Cluster may call on a transport is left to
-// the nil embedded interface — the SPMD phases must not need it.
+// sender, and sums an exchange as if every peer proposed 1. Everything
+// else a Cluster may call on a transport is left to the nil embedded
+// interface — the SPMD phases must not need it.
 type spmdStub struct {
 	gluon.Transport
 	hosts, self int
 	sent        []int
+	mine        int64
 }
 
 func (s *spmdStub) Hosts() int       { return s.hosts }
@@ -29,6 +31,10 @@ func (s *spmdStub) Send(exchange, from, to int, buf []byte) error {
 func (s *spmdStub) GatherFrom(exchange, to, from int) ([]byte, error) {
 	return []byte{byte(from)}, nil
 }
+
+// Every peer proposes 1 to every exchange.
+func (s *spmdStub) Propose(exchange, host int, local int64) error { s.mine = local; return nil }
+func (s *spmdStub) Sum(exchange, host int) (int64, error)         { return s.mine + int64(s.hosts-1), nil }
 
 // TestSPMDPhasesRunInline pins the shape of a one-host-per-process
 // cluster: it owns no pool goroutines, Compute runs the local host on
@@ -75,6 +81,17 @@ func TestSPMDPhasesRunInline(t *testing.T) {
 	want := []int{0, 2, 3}
 	if !reflect.DeepEqual(packed, want) || !reflect.DeepEqual(stub.sent, want) || !reflect.DeepEqual(unpacked, want) {
 		t.Fatalf("packed %v, sent %v, unpacked %v; want %v each", packed, stub.sent, unpacked, want)
+	}
+	// An SPMD process cannot take its own zero for the cluster's: the
+	// exchange runs and returns every host's sum.
+	ran := false
+	if got := c.ExchangeSum(0, func(from, to int, w *gluon.Writer) { ran = true }, func(to, from int, data []byte, dec *gluon.Decoder) {}); got != hosts-1 || !ran {
+		t.Fatalf("ExchangeSum(0) = %d (packed: %v), want %d from an exchange that ran", got, ran, hosts-1)
+	}
+	if p := c.BeginExchangeSum(5, func(from, to int, w *gluon.Writer) {}, func(to, from int, data []byte, dec *gluon.Decoder) {}); p == nil {
+		t.Fatal("BeginExchangeSum returned the nil ticket in SPMD mode")
+	} else if p.Complete(); p.Sum() != 5+hosts-1 {
+		t.Fatalf("detached sum = %d, want %d", p.Sum(), 5+hosts-1)
 	}
 	if st := c.Stats(); st.Messages != hosts-1 || st.Bytes != 4*(hosts-1) {
 		t.Fatalf("stats = %d messages / %d bytes, want %d / %d", st.Messages, st.Bytes, hosts-1, 4*(hosts-1))

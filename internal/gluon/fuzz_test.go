@@ -2,6 +2,8 @@ package gluon
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -103,6 +105,92 @@ func FuzzDecodeUpdates(f *testing.F) {
 		})
 		if applied == 0 {
 			t.Fatal("decoder returned without applying any position")
+		}
+	})
+}
+
+// FuzzReceiveRecord asserts the TCP receive path is memory-safe on
+// arbitrary record bodies — what a peer's frame can carry once its
+// checksum has passed — handed over the way serveConn does: short ones in
+// the connection's control array, the rest in a free-list buffer. A
+// record is accepted (the sender's sequence advances) exactly when it is
+// a data record with a whole 17-byte header or an 18-byte reduce; a 9- to
+// 16-byte data body, whole under the header without the sum field, is
+// dropped and never indexed. An accepted data record's payload comes back
+// from GatherFrom byte for byte, after the array it may have been read
+// into is overwritten.
+func FuzzReceiveRecord(f *testing.F) {
+	data := func(exchange, ack uint32, sum uint64, payload []byte) []byte {
+		b := make([]byte, dataHeadLen, dataHeadLen+len(payload))
+		b[0] = recData
+		binary.LittleEndian.PutUint32(b[1:], exchange)
+		binary.LittleEndian.PutUint32(b[5:], ack)
+		binary.LittleEndian.PutUint64(b[9:], sum)
+		return append(b, payload...)
+	}
+	f.Add(data(3, 0, 7, []byte("payload")))
+	f.Add(data(4, 9, 1<<63, nil))
+	f.Add(data(5, 0, 0, []byte{1}))
+	f.Add(data(6, 0, 0, bytes.Repeat([]byte{0xee}, 300)))
+	f.Add(data(7, 0, 0, nil)[:9])
+	f.Add(data(8, 0, 0, nil)[:16])
+	f.Add([]byte{recData})
+	f.Add([]byte{recRed, 1, 0, 0, 0, byte(ReduceSum), 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{recRed, 1, 0, 0, 0, 9, 5})
+	f.Add([]byte{recAck, 1, 0, 0, 0})
+	f.Add([]byte{recHello, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xff})
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Host 1 exists only as the sender named to receiveRecord: nothing is
+	// ever sent to it, so its address is never dialed.
+	tr, err := NewTCPTransport(0, []string{ln.Addr().String(), "127.0.0.1:1"}, ln, TCPOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { tr.Close() })
+	var ctl [FrameOverhead + reduceLen]byte
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) == 0 || (body[0] == recRed && len(body) == reduceLen && body[5] != byte(ReduceSum) && body[5] != byte(ReduceMax)) {
+			return // serveConn skips empty bodies; an unknown reduce op panics by contract
+		}
+		want := append([]byte(nil), body...)
+		var frame []byte
+		buf := ctl[:]
+		tr.mu.Lock()
+		seq := tr.inSeq[1] + 1
+		if FrameOverhead+len(body) > len(ctl) {
+			frame = takeFrame(&tr.recv, FrameOverhead+len(body))
+			buf = frame
+		}
+		tr.mu.Unlock()
+		rec := buf[FrameOverhead : FrameOverhead+len(body)]
+		copy(rec, body)
+		kept := tr.receiveRecord(1, seq, rec, frame)
+
+		wellFormed := (want[0] == recData && len(want) >= dataHeadLen) || (want[0] == recRed && len(want) == reduceLen)
+		tr.mu.Lock()
+		accepted := tr.inSeq[1] == seq
+		tr.mu.Unlock()
+		if accepted != wellFormed {
+			t.Fatalf("record % x: accepted %v, well-formed %v", want, accepted, wellFormed)
+		}
+		if kept != (wellFormed && want[0] == recData) {
+			t.Fatalf("record % x: buffer kept %v", want, kept)
+		}
+		if !kept {
+			return
+		}
+		clear(ctl[:])
+		got, err := tr.GatherFrom(int(binary.LittleEndian.Uint32(want[1:])), 0, 1)
+		if err != nil || !bytes.Equal(got, want[dataHeadLen:]) {
+			t.Fatalf("record % x: gathered % x, %v", want, got, err)
+		}
+		if sum, err := tr.Sum(int(binary.LittleEndian.Uint32(want[1:])), 0); err != nil || uint64(sum) != binary.LittleEndian.Uint64(want[9:]) {
+			t.Fatalf("record % x: sum %d, %v", want, sum, err)
 		}
 	})
 }

@@ -28,16 +28,24 @@ import (
 // direction is the peer's own dialed connection. Record payloads inside
 // the frame:
 //
-//	hello  [1][u32 host][u32 epoch]                  frame seq 0, sent once per connection
-//	data   [2][u32 exchange][u32 ack][sync payload]  frame seq = channel seq (1-based)
-//	ack    [3][u32 cumulative seq]                   frame seq 0
-//	reduce [4][u32 rseq][op][u64 value][u32 ack]     frame seq = channel seq
+//	hello  [1][u32 host][u32 epoch]                           frame seq 0, sent once per connection
+//	data   [2][u32 exchange][u32 ack][u64 sum][sync payload]  frame seq = channel seq (1-based)
+//	ack    [3][u32 cumulative seq]                            frame seq 0
+//	reduce [4][u32 rseq][op][u64 value][u32 ack]              frame seq = channel seq
 //
 // Data and reduce records share one per-peer sequence space, so a
 // single cumulative ack covers both. An empty data payload is the
 // explicit nothing-this-exchange marker the Transport contract
 // requires; it is counted as Control, not as a logical message, so
 // per-host Stats from a multi-process run sum to the in-process run's.
+// The sum field is the sender's term of the exchange's sum (Propose):
+// framing like the ack, outside Messages/Bytes.
+//
+// A record is read into a buffer from a bounded per-transport free list
+// and its payload lent to the gathering caller until its next gather
+// call, when the buffer returns to the list: a warm exchange allocates
+// nothing on either side. Reduces and empty markers are read into a
+// fixed array per connection instead.
 //
 // Acks ride on reverse traffic. Every data and reduce record carries,
 // in its ack field, the highest seq its sender has accepted from the
@@ -65,7 +73,7 @@ const (
 	recAck   byte = 3
 	recRed   byte = 4
 
-	dataHeadLen = 9  // [2][u32 exchange][u32 ack]
+	dataHeadLen = 17 // [2][u32 exchange][u32 ack][u64 sum]
 	reduceLen   = 18 // [4][u32 rseq][op][u64 value][u32 ack]
 	reduceAckAt = 14
 
@@ -80,11 +88,32 @@ const (
 	ackBufSize = 64
 
 	// A peer keeps up to maxFreeFrames acked frame buffers of at most
-	// maxPooledFrame bytes for its next records, so steady-state sends
-	// allocate nothing without pinning a large message's memory.
+	// maxPooledFrame bytes for its next records, the receive side as many
+	// per peer for the records it reads: a steady-state exchange allocates
+	// nothing without pinning a large message's memory.
 	maxFreeFrames  = 8
 	maxPooledFrame = 64 << 10
 )
+
+// takeFrame returns an n-byte buffer, the newest free one if large enough.
+func takeFrame(free *[][]byte, n int) []byte {
+	if k := len(*free) - 1; k >= 0 {
+		f := (*free)[k]
+		(*free)[k] = nil
+		*free = (*free)[:k]
+		if cap(f) >= n {
+			return f[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// keepFrame puts f on the free list unless that holds max or f is large.
+func keepFrame(free *[][]byte, max int, f []byte) {
+	if f != nil && len(*free) < max && cap(f) <= maxPooledFrame {
+		*free = append(*free, f)
+	}
+}
 
 // TCPOptions tunes the TCP backend's reliability loop. The zero value
 // selects the defaults noted on each field.
@@ -144,6 +173,10 @@ type TCPTransport struct {
 	inConns   []net.Conn             // current accepted conn per sender (ack path)
 	boxes     map[int]*exchangeBox   // keyed by exchange index
 	freeBoxes []*exchangeBox         // fully consumed boxes, reset for reuse
+	recv      [][]byte               // free buffers to read records into
+	lent      []byte                 // recv buffer behind the payload GatherFrom returned last
+	sumEx     int                    // exchange gathered last, -1 before the first
+	sum       int64                  // and the sum of its terms
 	reduces   map[uint32]*reduceCell // keyed by reduce round
 	rseq      uint32                 // local reduce round counter
 
@@ -171,11 +204,12 @@ const (
 )
 
 type exchangeBox struct {
-	bufs   [][]byte
+	frames [][]byte // per sender, the buffer its record was read into; nil for an empty marker
 	got    []bool
-	n      int    // peers heard from
 	taken  []bool // consumed by GatherFrom
 	nTaken int
+	mine   int64 // the local host's term of the exchange's sum
+	sum    int64 // mine plus the terms of the peers heard from
 }
 
 type reduceCell struct {
@@ -208,6 +242,7 @@ func NewTCPTransport(self int, addrs []string, ln net.Listener, opts TCPOptions)
 		ackOwed:     make([]uint8, hosts),
 		inConns:     make([]net.Conn, hosts),
 		boxes:       make(map[int]*exchangeBox),
+		sumEx:       -1,
 		reduces:     make(map[uint32]*reduceCell),
 		progress:    make(chan struct{}, 1),
 		ackProgress: make(chan struct{}, 1),
@@ -257,9 +292,39 @@ func (t *TCPTransport) Send(exchange, from, to int, buf []byte) error {
 		s.Control++
 	}
 	ack := t.takeAckLocked(to)
+	if box := t.boxes[exchange]; box != nil {
+		binary.LittleEndian.PutUint64(head[9:], uint64(box.mine))
+	}
 	t.mu.Unlock()
 	binary.LittleEndian.PutUint32(head[5:], ack)
 	return t.peers[to].enqueue(head[:], buf)
+}
+
+// Propose sets the term of the exchange's sum that the exchange's Sends
+// will carry.
+func (t *TCPTransport) Propose(exchange, host int, local int64) error {
+	if host != t.self {
+		return fmt.Errorf("gluon: tcp Propose for non-local host %d (self %d)", host, t.self)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	box := t.boxLocked(exchange)
+	box.mine, box.sum = local, box.sum+local
+	return nil
+}
+
+// Sum returns the sum of the terms of the exchange gathered last: the
+// local host's own and the one each peer's record carried.
+func (t *TCPTransport) Sum(exchange, host int) (int64, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.hosts == 1 && exchange != t.sumEx { // no peer: gathered as it stands
+		t.finishLocked(exchange, t.boxLocked(exchange))
+	}
+	if host != t.self || exchange != t.sumEx {
+		return 0, fmt.Errorf("gluon: tcp Sum of exchange %d for host %d: host %d gathered exchange %d last", exchange, host, t.self, t.sumEx)
+	}
+	return t.sum, nil
 }
 
 // takeAckLocked returns the cumulative ack owed to peer h for the
@@ -270,7 +335,7 @@ func (t *TCPTransport) takeAckLocked(h int) uint32 {
 	return t.inSeq[h]
 }
 
-// waitStep is the wait shared by Gather, GatherFrom and AllReduce: it
+// waitStep is the wait shared by GatherFrom and AllReduce: it
 // blocks until receive progress, the next reliability tick, or Close,
 // keeps *steps as the count of consecutive ticks without progress, and
 // reports false once the transport is closed. All waits share the
@@ -302,48 +367,28 @@ func (t *TCPTransport) expired(steps int) bool {
 
 // Gather blocks until every peer's message for the exchange arrived
 // (empty markers included) or the stall deadline expires, then returns
-// the payloads indexed by sender.
+// the payloads indexed by sender. The caller owns them: each loan is
+// written off, its buffer never returns to the free list.
 func (t *TCPTransport) Gather(exchange, to int) ([][]byte, error) {
-	if to != t.self {
-		return nil, fmt.Errorf("gluon: tcp Gather for non-local host %d (self %d)", to, t.self)
-	}
-	if t.hosts == 1 {
-		// No peers, nothing ever arrives; an empty box would wait forever.
-		return make([][]byte, 1), nil
-	}
-	steps := 0
-	for {
-		t.mu.Lock()
-		box := t.boxes[exchange]
-		if box != nil && box.n == t.hosts-1 {
-			// The caller keeps box.bufs, so this box is not recycled.
-			delete(t.boxes, exchange)
-			t.mu.Unlock()
-			return box.bufs, nil
-		}
-		t.mu.Unlock()
-		if err := t.peerError(); err != nil {
+	bufs := make([][]byte, t.hosts)
+	for from := range bufs {
+		buf, err := t.GatherFrom(exchange, to, from)
+		if err != nil {
 			return nil, err
 		}
-		if !t.waitStep(&steps) {
-			return nil, &TransportError{Host: -1, Exchange: exchange, Steps: steps, Reason: "transport closed"}
-		}
-		if t.expired(steps) {
-			host, pending := t.firstMissing(exchange)
-			if stalled := t.mostStalledPeer(); stalled >= 0 {
-				host = stalled
-			}
-			return nil, &TransportError{Host: host, Exchange: exchange, Pending: pending, Steps: steps,
-				Reason: "stall deadline exceeded waiting for exchange messages"}
-		}
+		bufs[from] = buf
+		t.mu.Lock()
+		t.lent = nil
+		t.mu.Unlock()
 	}
+	return bufs, nil
 }
 
 // GatherFrom returns one sender's payload for the exchange as soon as
 // it arrives (the Streamer interface): the per-sender half of Gather,
 // letting the caller unpack early peers while late peers' bytes are
-// still in flight. The exchange's box is released once every remote
-// sender has been consumed this way.
+// still in flight. The payload is on loan until the next gather call;
+// the exchange's box is released once every remote sender was consumed.
 func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 	if to != t.self {
 		return nil, fmt.Errorf("gluon: tcp GatherFrom for non-local host %d (self %d)", to, t.self)
@@ -357,16 +402,19 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 	steps := 0
 	for {
 		t.mu.Lock()
+		// The previous call's payload is dead, its buffer free again.
+		keepFrame(&t.recv, maxFreeFrames*(t.hosts-1), t.lent)
+		t.lent = nil
 		box := t.boxes[exchange]
-		if box != nil && box.got[from] {
-			buf := box.bufs[from]
-			if !box.taken[from] {
-				box.taken[from] = true
-				box.nTaken++
-				if box.nTaken == t.hosts-1 {
-					delete(t.boxes, exchange)
-					t.recycleBoxLocked(box)
-				}
+		if box != nil && box.got[from] && !box.taken[from] {
+			var buf []byte
+			if t.lent = box.frames[from]; t.lent != nil {
+				buf = t.lent[FrameOverhead+dataHeadLen:]
+			}
+			box.taken[from] = true
+			box.nTaken++
+			if box.nTaken == t.hosts-1 {
+				t.finishLocked(exchange, box)
 			}
 			t.mu.Unlock()
 			return buf, nil
@@ -598,27 +646,6 @@ func (t *TCPTransport) mostStalledPeer() (host int) {
 	return host
 }
 
-// firstMissing names the lowest-numbered sender whose message for the
-// exchange has not arrived, plus the total number still missing.
-func (t *TCPTransport) firstMissing(exchange int) (host, pending int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	host = -1
-	box := t.boxes[exchange]
-	for h := 0; h < t.hosts; h++ {
-		if h == t.self {
-			continue
-		}
-		if box == nil || !box.got[h] {
-			pending++
-			if host < 0 {
-				host = h
-			}
-		}
-	}
-	return host, pending
-}
-
 func nudge(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
@@ -658,7 +685,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	// without the epoch (treated as epoch 0). A dialer from another
 	// membership epoch — a killed host's socket still retransmitting, or
 	// a survivor not yet rolled over — is dropped at the door.
-	_, body, err := readFrame(br)
+	_, body, _, err := readFrame(br, nil, newFrame)
 	if err != nil || (len(body) != 5 && len(body) != 9) || body[0] != recHello {
 		return
 	}
@@ -679,15 +706,25 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	}
 	t.inConns[from] = conn
 	t.mu.Unlock()
+	// Control records — reduces, empty markers — are read here and never
+	// touch the free list.
+	var ctl [FrameOverhead + reduceLen]byte
+	grow := func(n int) []byte {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return takeFrame(&t.recv, n)
+	}
 	for {
-		seq, body, err := readFrame(br)
+		seq, body, frame, err := readFrame(br, ctl[:], grow)
+		kept := err == nil && len(body) > 0 && t.receiveRecord(from, seq, body, frame)
+		if frame != nil && !kept {
+			t.mu.Lock()
+			keepFrame(&t.recv, maxFreeFrames*(t.hosts-1), frame)
+			t.mu.Unlock()
+		}
 		if err != nil {
 			return
 		}
-		if len(body) == 0 {
-			continue
-		}
-		t.receiveRecord(from, seq, body)
 	}
 }
 
@@ -696,20 +733,22 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 // record. The ack a fresh record earns is left for the next outbound
 // record (or the tick flush) to carry; a duplicate or out-of-order one
 // is re-acked at once, so a sender that missed an ack still converges.
-func (t *TCPTransport) receiveRecord(from int, seq uint32, body []byte) {
+// frame is the free-list buffer body sits in, if any; kept reports that
+// a box took it over, as a malformed or unexpected record's is not.
+func (t *TCPTransport) receiveRecord(from int, seq uint32, body, frame []byte) (kept bool) {
 	switch {
 	case body[0] == recData && len(body) >= dataHeadLen:
 		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[5:]))
 	case body[0] == recRed && len(body) == reduceLen:
 		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[reduceAckAt:]))
 	default:
-		return
+		return false
 	}
 	t.mu.Lock()
 	fresh := seq == t.inSeq[from]+1
 	if fresh {
 		t.inSeq[from] = seq
-		t.dispatchLocked(from, body)
+		kept = t.dispatchLocked(from, body, frame)
 		if t.ackOwed[from] == ackNone {
 			t.ackOwed[from] = ackFresh
 		}
@@ -722,6 +761,7 @@ func (t *TCPTransport) receiveRecord(from int, seq uint32, body []byte) {
 	if ackNow {
 		t.writeAck(from, ackNone)
 	}
+	return kept
 }
 
 // ageAck is the tick flush: an ack still owed from before the previous
@@ -754,21 +794,23 @@ func (t *TCPTransport) writeAck(h int, minAge uint8) {
 	_ = writeFrame(conn, 0, []byte{recAck, byte(ack), byte(ack >> 8), byte(ack >> 16), byte(ack >> 24)})
 }
 
-func (t *TCPTransport) dispatchLocked(from int, body []byte) {
+func (t *TCPTransport) dispatchLocked(from int, body, frame []byte) (kept bool) {
 	switch body[0] {
 	case recData:
-		ex := int(binary.LittleEndian.Uint32(body[1:]))
-		box := t.boxes[ex]
-		if box == nil {
-			box = t.newBoxLocked()
-			t.boxes[ex] = box
-		}
+		box := t.boxLocked(int(binary.LittleEndian.Uint32(body[1:])))
 		if box.got[from] {
-			return
+			return false
+		}
+		if len(body) > dataHeadLen && frame == nil {
+			// A payload short enough to have been read into the
+			// connection's array, which the next record overwrites.
+			frame = takeFrame(&t.recv, FrameOverhead+len(body))
+			copy(frame[FrameOverhead:], body)
 		}
 		box.got[from] = true
-		box.bufs[from] = body[dataHeadLen:]
-		box.n++
+		box.frames[from] = frame
+		box.sum += int64(binary.LittleEndian.Uint64(body[9:]))
+		return true
 	case recRed:
 		r := binary.LittleEndian.Uint32(body[1:])
 		op := ReduceOp(body[5])
@@ -776,31 +818,40 @@ func (t *TCPTransport) dispatchLocked(from int, body []byte) {
 		cell := t.reduces[r]
 		if cell == nil {
 			t.reduces[r] = &reduceCell{acc: v, n: 1}
-			return
+			return false
 		}
 		cell.acc = op.Apply(cell.acc, v)
 		cell.n++
 	}
+	return false
 }
 
-func (t *TCPTransport) newBoxLocked() *exchangeBox {
-	if k := len(t.freeBoxes) - 1; k >= 0 {
-		box := t.freeBoxes[k]
-		t.freeBoxes = t.freeBoxes[:k]
+// boxLocked returns the exchange's box, opening it if there is none yet.
+func (t *TCPTransport) boxLocked(exchange int) *exchangeBox {
+	box := t.boxes[exchange]
+	if box != nil {
 		return box
 	}
-	return &exchangeBox{bufs: make([][]byte, t.hosts), got: make([]bool, t.hosts), taken: make([]bool, t.hosts)}
+	if k := len(t.freeBoxes) - 1; k >= 0 {
+		box = t.freeBoxes[k]
+		t.freeBoxes = t.freeBoxes[:k]
+	} else {
+		box = &exchangeBox{frames: make([][]byte, t.hosts), got: make([]bool, t.hosts), taken: make([]bool, t.hosts)}
+	}
+	t.boxes[exchange] = box
+	return box
 }
 
-// recycleBoxLocked resets a box GatherFrom has fully consumed — the
-// payloads were handed out one by one, nothing refers to the box — and
-// keeps it for a later exchange. At most the open-exchange window's
-// worth of boxes ever exists.
-func (t *TCPTransport) recycleBoxLocked(box *exchangeBox) {
-	clear(box.bufs)
+// finishLocked retires the box of an exchange gathered from every peer —
+// the payloads were handed out one by one, nothing refers to it — keeping
+// the sum, and the box for a later exchange.
+func (t *TCPTransport) finishLocked(exchange int, box *exchangeBox) {
+	delete(t.boxes, exchange)
+	t.sumEx, t.sum = exchange, box.sum
+	clear(box.frames)
 	clear(box.got)
 	clear(box.taken)
-	box.n, box.nTaken = 0, 0
+	box.nTaken, box.mine, box.sum = 0, 0, 0
 	t.freeBoxes = append(t.freeBoxes, box)
 }
 
@@ -862,7 +913,7 @@ func (p *tcpPeer) enqueue(head, payload []byte) error {
 		return p.err
 	}
 	p.trimLocked()
-	frame := p.frameLocked(FrameOverhead + len(head) + len(payload))
+	frame := takeFrame(&p.free, FrameOverhead+len(head)+len(payload))
 	n := copy(frame[FrameOverhead:], head)
 	copy(frame[FrameOverhead+n:], payload)
 	p.seq++
@@ -874,20 +925,6 @@ func (p *tcpPeer) enqueue(head, payload []byte) error {
 		}
 	}
 	return nil
-}
-
-// frameLocked returns an n-byte frame buffer, reusing an acked one when
-// it is large enough.
-func (p *tcpPeer) frameLocked(n int) []byte {
-	if k := len(p.free) - 1; k >= 0 {
-		f := p.free[k]
-		p.free[k] = nil
-		p.free = p.free[:k]
-		if cap(f) >= n {
-			return f[:n]
-		}
-	}
-	return make([]byte, n)
 }
 
 // ackTo records a cumulative ack from the peer. Lock-free: see ackIn.
@@ -916,9 +953,7 @@ func (p *tcpPeer) trimLocked() {
 	p.idleSteps, p.waitSteps = 0, 0
 	k := 0
 	for k < len(p.unacked) && p.unacked[k].seq <= ack {
-		if f := p.unacked[k].frame; len(p.free) < maxFreeFrames && cap(f) <= maxPooledFrame {
-			p.free = append(p.free, f)
-		}
+		keepFrame(&p.free, maxFreeFrames, p.unacked[k].frame)
 		k++
 	}
 	n := copy(p.unacked, p.unacked[k:])
@@ -1028,8 +1063,9 @@ func (p *tcpPeer) dropConnLocked() {
 func (p *tcpPeer) readAcks(conn net.Conn) {
 	defer p.t.wg.Done()
 	br := bufio.NewReaderSize(conn, ackBufSize)
+	var ctl [FrameOverhead + 5]byte
 	for {
-		_, body, err := readFrame(br)
+		_, body, _, err := readFrame(br, ctl[:], newFrame)
 		if err != nil {
 			p.mu.Lock()
 			if p.conn == conn {
@@ -1057,28 +1093,36 @@ func (p *tcpPeer) close() {
 
 // readFrame reads one gluon frame off a buffered stream: it peeks at
 // the fixed header, then reads header and exactly the payload length
-// the (checksum-protected) header declares into one fresh slice, which
-// the returned payload aliases. Any decode failure is returned as an
-// error — the caller treats the connection as dead and the retry path
-// recovers.
-func readFrame(br *bufio.Reader) (seq uint32, payload []byte, err error) {
+// the (checksum-protected) header declares — into small if the frame
+// fits, else into a buffer from grow, also returned as grown — which the
+// returned payload aliases. Any decode failure is returned as an error —
+// the caller treats the connection as dead and the retry path recovers.
+func readFrame(br *bufio.Reader, small []byte, grow func(n int) []byte) (seq uint32, payload, grown []byte, err error) {
 	hdr, err := br.Peek(FrameOverhead)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
 	if [4]byte(hdr[:4]) != frameMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+		return 0, nil, nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
 	}
 	plen := binary.LittleEndian.Uint32(hdr[8:])
 	if plen > 1<<30 {
-		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
+		return 0, nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
 	}
-	buf := make([]byte, FrameOverhead+int(plen))
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, nil, err
+	n := FrameOverhead + int(plen)
+	if n > len(small) {
+		grown = grow(n)
+		small = grown
 	}
-	return DecodeFrame(buf)
+	if _, err := io.ReadFull(br, small[:n]); err != nil {
+		return 0, nil, grown, err
+	}
+	seq, payload, err = DecodeFrame(small[:n])
+	return seq, payload, grown, err
 }
+
+// newFrame is readFrame's grow for callers that keep no buffers.
+func newFrame(n int) []byte { return make([]byte, n) }
 
 // writeFrame frames and writes one record. Safe for use from the
 // receiver path (acks); senders go through tcpPeer so retries reuse

@@ -7,9 +7,9 @@ import (
 )
 
 // Transport is the byte-moving boundary of the BSP exchange: it carries
-// one framed sync buffer per ordered host pair per exchange, plus the
-// small all-reduce control values the SPMD engine loops use for global
-// termination decisions. Two backends exist:
+// one framed sync buffer per ordered host pair per exchange, and with it
+// the one int64 per host whose sum the SPMD engine loops read as their
+// global termination vote. Two backends exist:
 //
 //   - MemTransport: the in-process delivery the simulated cluster has
 //     always used — every host lives in one address space and a "send"
@@ -48,13 +48,23 @@ import (
 //     barrier instead (all Sends of the exchange complete before any
 //     Gather — the dgalois worker-pool handshake provides exactly
 //     this), so it never waits.
+//   - Propose gives an exchange a host's term of its sum, before the
+//     host's first Send of the exchange: remote backends carry the term
+//     in the header of every message, empty markers included, outside
+//     Messages/Bytes. A host that does not propose contributes 0.
+//   - Sum returns the sum of every host's term for the exchange the
+//     host gathered last. It never blocks: it is defined from when the
+//     host has gathered every peer of the exchange (Gather, or GatherFrom
+//     each) until its next gather call, and an error outside that span.
 //   - AllReduce folds one int64 per host with a commutative operation;
 //     every host must call it the same number of times, in lockstep
 //     with its exchanges. It moves control bytes only: nothing it sends
-//     appears in data-channel stats' Messages/Bytes.
+//     appears in data-channel stats' Messages/Bytes. No engine loop
+//     calls it; drivers use it as the barrier that brings a mesh up.
 //   - Concurrent use: Send for distinct (from, to) pairs, Gather for
-//     distinct receivers, and AllReduce for distinct hosts may run
-//     concurrently (the conformance suite runs them under -race).
+//     distinct receivers, and Propose, Sum and AllReduce for distinct
+//     hosts may run concurrently (the conformance suite runs them under
+//     -race).
 type Transport interface {
 	// Hosts returns the cluster size.
 	Hosts() int
@@ -70,6 +80,10 @@ type Transport interface {
 	// Gather returns the exchange's payloads addressed to local host
 	// `to`, indexed by sender.
 	Gather(exchange, to int) ([][]byte, error)
+	// Propose sets local host's term of the sum its Sends will carry.
+	Propose(exchange, host int, local int64) error
+	// Sum returns the sum of the exchange local host gathered last.
+	Sum(exchange, host int) (int64, error)
 	// AllReduce combines one value per host with op across the cluster
 	// and returns the folded result to every host.
 	AllReduce(host int, local int64, op ReduceOp) (int64, error)
@@ -93,8 +107,9 @@ type Transport interface {
 // For a given (exchange, to) a caller must use either Gather or
 // GatherFrom, never both, and must call GatherFrom exactly once per
 // remote sender. GatherFrom(e, to, to) returns (nil, nil) without
-// consuming anything. The returned payload follows Gather's validity
-// rule.
+// consuming anything. The returned payload is valid until the receiver's
+// next gather call (GatherFrom or Gather): a backend may receive into
+// buffers it reuses, so a caller consumes a payload before it asks again.
 type Streamer interface {
 	GatherFrom(exchange, to, from int) ([]byte, error)
 }
@@ -202,8 +217,14 @@ type MemTransport struct {
 	// distinct channels never share a slot, so plain fields race-free
 	// under the caller's BSP barrier.
 	stats []ChannelStats
+	sums  []memSum // per host: the exchange it gathered last and its sum
 
 	reduce memReduce
+}
+
+type memSum struct {
+	gathered int // 1 + the exchange, so that the zero value names none
+	sum      int64
 }
 
 // memSlot is one open exchange's preallocated inbox matrix. id is the
@@ -217,6 +238,7 @@ type memSlot struct {
 	inbox    [][][]byte
 	gathered []bool       // written by the receiver's Gather only, until the release
 	n        atomic.Int32 // receivers that gathered
+	sum      atomic.Int64 // the terms proposed so far
 }
 
 // NewMemTransport returns an in-process transport for the given host
@@ -248,6 +270,7 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 		s.gathered = make([]bool, hosts)
 	}
 	m.stats = make([]ChannelStats, hosts*hosts)
+	m.sums = make([]memSum, hosts)
 	m.reduce.init(hosts)
 	return m
 }
@@ -295,6 +318,7 @@ func (s *memSlot) release() {
 		s.gathered[i] = false
 	}
 	s.n.Store(0)
+	s.sum.Store(0)
 	s.id.Store(-1)
 }
 
@@ -333,11 +357,27 @@ func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
 	bufs := slot.inbox[to]
 	if !slot.gathered[to] {
 		slot.gathered[to] = true
+		m.sums[to] = memSum{exchange + 1, slot.sum.Load()}
 		if int(slot.n.Add(1)) == m.hosts {
 			slot.release()
 		}
 	}
 	return bufs, nil
+}
+
+// Propose adds host's term to the exchange's sum. The caller's barrier
+// puts every host's Propose, like its Sends, before the first Gather.
+func (m *MemTransport) Propose(exchange, host int, local int64) error {
+	m.open(exchange).sum.Add(local)
+	return nil
+}
+
+// Sum returns the sum of the exchange as host's Gather of it found it.
+func (m *MemTransport) Sum(exchange, host int) (int64, error) {
+	if s := m.sums[host]; s.gathered == exchange+1 {
+		return s.sum, nil
+	}
+	return 0, fmt.Errorf("gluon: Sum of exchange %d, which host %d did not gather last", exchange, host)
 }
 
 // Buffered returns the buffer held on the exchange's (from → to)

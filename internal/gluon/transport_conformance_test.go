@@ -408,3 +408,117 @@ func TestTCPTransportCloseDoesNotWaitAStep(t *testing.T) {
 		})
 	}
 }
+
+// confTerm is host h's term of exchange e's sum; every third exchange
+// nobody proposes to.
+func confTerm(e, h int) (term int64, proposes bool) {
+	return int64(1000*e + 7*h - 3), e%3 != 2
+}
+
+// runConformanceSum drives the sum an exchange carries with `window`
+// exchanges open at once: every host proposes its term (or, every third
+// exchange, nothing), sends — in every other exchange only empty
+// markers — and after gathering reads the same sum of every host's term.
+// Backends that stream are gathered per sender in odd exchanges.
+func runConformanceSum(t *testing.T, hosts, window int, c *conformanceCluster) {
+	t.Helper()
+	defer c.done()
+	const rounds = 6
+	bar := newBarrier(hosts)
+	var wg sync.WaitGroup
+	for h := 0; h < hosts; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			tr := c.view(h)
+			st, streams := tr.(Streamer)
+			for base := 0; base < rounds*window; base += window {
+				for e := base; e < base+window; e++ {
+					if term, ok := confTerm(e, h); ok {
+						if err := tr.Propose(e, h, term); err != nil {
+							t.Errorf("host %d: propose ex %d: %v", h, e, err)
+							return
+						}
+					}
+					for to := 0; to < hosts; to++ {
+						var payload []byte
+						if e%2 == 1 {
+							payload = confPayload(e, h, to)
+						}
+						if to != h {
+							if err := tr.Send(e, h, to, payload); err != nil {
+								t.Errorf("host %d: send ex %d to %d: %v", h, e, to, err)
+								return
+							}
+						}
+					}
+				}
+				bar.wait() // the in-process backend's BSP barrier
+				for e := base; e < base+window; e++ {
+					var err error
+					if streams && e%2 == 1 {
+						for from := 0; from < hosts && err == nil; from++ {
+							_, err = st.GatherFrom(e, h, from)
+						}
+					} else {
+						_, err = tr.Gather(e, h)
+					}
+					if err != nil {
+						t.Errorf("host %d: gather ex %d: %v", h, e, err)
+						return
+					}
+					var want int64
+					for p := 0; p < hosts; p++ {
+						if term, ok := confTerm(e, p); ok {
+							want += term
+						}
+					}
+					if got, err := tr.Sum(e, h); err != nil || got != want {
+						t.Errorf("host %d: Sum(ex %d) = %d, %v; want %d", h, e, got, err, want)
+						return
+					}
+					if hosts > 1 {
+						if got, err := tr.Sum(e+1, h); err == nil {
+							t.Errorf("host %d: Sum of ex %d, not gathered yet, = %d without error", h, e+1, got)
+							return
+						}
+					}
+				}
+				bar.wait()
+			}
+		}(h)
+	}
+	wg.Wait()
+	// The terms are framing: only the odd exchanges' payloads are messages.
+	for from := 0; from < hosts; from++ {
+		for to := 0; to < hosts; to++ {
+			var want int64
+			for e := 0; e < rounds*window; e++ {
+				if from != to && e%2 == 1 && len(confPayload(e, from, to)) > 0 {
+					want++
+				}
+			}
+			if st := c.view(from).Stats(from, to); st.Messages != want {
+				t.Errorf("%s: stats[%d→%d].Messages = %d, want %d", c.name, from, to, st.Messages, want)
+			}
+		}
+	}
+}
+
+// TestTransportConformanceExchangeSum pins Propose/Sum on both backends,
+// at strict BSP and with four exchanges open.
+func TestTransportConformanceExchangeSum(t *testing.T) {
+	for _, hosts := range []int{1, 2, 4} {
+		for _, window := range []int{1, 4} {
+			hosts, window := hosts, window
+			t.Run(fmt.Sprintf("inproc/%d/window%d", hosts, window), func(t *testing.T) {
+				m := NewMemTransportWindow(hosts, window)
+				runConformanceSum(t, hosts, window, &conformanceCluster{name: m.Backend(),
+					view: func(int) Transport { return m }, done: func() { m.Close() }})
+			})
+			t.Run(fmt.Sprintf("tcp/%d/window%d", hosts, window), func(t *testing.T) {
+				runConformanceSum(t, hosts, window, tcpCluster(t, hosts, TCPOptions{}))
+			})
+		}
+	}
+}

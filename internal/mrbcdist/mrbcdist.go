@@ -67,8 +67,8 @@ type Options struct {
 	// in-process simulated network). A remote backend (gluon.TCPTransport)
 	// runs this process as one host of a multi-process SPMD cluster:
 	// every process executes the same batch loop, engine state exists
-	// only for the local host, termination decisions go through the
-	// transport's all-reduce, and the returned scores hold only the
+	// only for the local host, the termination vote rides each round's
+	// reduce exchange, and the returned scores hold only the
 	// local host's master contributions (zero elsewhere) — the
 	// coordinator sums the per-process vectors elementwise.
 	Transport gluon.Transport
@@ -460,78 +460,55 @@ func (p *statePool) close() {
 	}
 }
 
-// forwardFlagsFn is compute phase A of a forward round: reset the round
+// forwardFlags is compute phase A of forward round b.r: reset the round
 // state, collect the round's due flags for the pack calls, and fold this
-// host's activity (due pairs + pending entries) into *activity.
-func forwardFlagsFn(states []*hostState, r int, activity *int64) func(h int) {
-	return func(h int) {
-		st := states[h]
-		st.resetRound()
-		st.flags = st.engine.ForwardFlags(r, st.flags[:0])
-		st.markDue()
-		p := int64(len(st.flags))
-		if st.engine.PendingUnsent() {
-			p++
-		}
-		atomic.AddInt64(activity, p)
+// host's activity (due pairs + pending entries) into b.activity.
+func (b *batchRun) forwardFlags(h int) {
+	st := b.states[h]
+	st.resetRound()
+	st.flags = st.engine.ForwardFlags(b.r, st.flags[:0])
+	st.markDue()
+	p := int64(len(st.flags))
+	if st.engine.PendingUnsent() {
+		p++
 	}
+	atomic.AddInt64(&b.activity, p)
 }
 
-// relaxFn is compute phase B of a forward round: relax the synchronized
+// relax is compute phase B of a forward round: relax the synchronized
 // entries locally — through the host's work-stealing runner when
 // EngineWorkers fanned one out, serially otherwise.
-func relaxFn(states []*hostState) func(h int) {
-	return func(h int) {
-		st := states[h]
-		if st.runner != nil {
-			st.runner.RelaxAll(st.synced)
-			return
-		}
-		for _, f := range st.synced {
-			st.engine.RelaxOutLocal(f.V, f.Src)
-		}
+func (b *batchRun) relax(h int) {
+	st := b.states[h]
+	if st.runner != nil {
+		st.runner.RelaxAll(st.synced)
+		return
+	}
+	for _, f := range st.synced {
+		st.engine.RelaxOutLocal(f.V, f.Src)
 	}
 }
 
-// backwardFlagsFn resets the round state and collects one backward
-// round's due flags for the pack calls.
-func backwardFlagsFn(states []*hostState, r int) func(h int) {
-	return func(h int) {
-		st := states[h]
-		st.resetRound()
-		st.flags = st.engine.BackwardFlags(r, st.flags[:0])
-		st.markDue()
-	}
+// backwardFlags resets the round state and collects backward round
+// b.r's due flags for the pack calls.
+func (b *batchRun) backwardFlags(h int) {
+	st := b.states[h]
+	st.resetRound()
+	st.flags = st.engine.BackwardFlags(b.r, st.flags[:0])
+	st.markDue()
 }
 
-// accumulateFn folds one backward round's synchronized dependencies
-// into the predecessors' δ partials.
-func accumulateFn(states []*hostState) func(h int) {
-	return func(h int) {
-		st := states[h]
-		if st.runner != nil {
-			st.runner.AccumulateAll(st.synced)
-			return
-		}
-		for _, f := range st.synced {
-			st.engine.AccumulateIn(f.V, f.Src)
-		}
+// accumulate folds one backward round's synchronized dependencies into
+// the predecessors' δ partials.
+func (b *batchRun) accumulate(h int) {
+	st := b.states[h]
+	if st.runner != nil {
+		st.runner.AccumulateAll(st.synced)
+		return
 	}
-}
-
-// localBackwardRounds returns the deepest local host's backward round
-// count (the all-reduce folds it across processes).
-func localBackwardRounds(states []*hostState) int {
-	maxBack := 0
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		if b := st.engine.BackwardRounds(); b > maxBack {
-			maxBack = b
-		}
+	for _, f := range st.synced {
+		st.engine.AccumulateIn(f.V, f.Src)
 	}
-	return maxBack
 }
 
 // emitWorkerStats publishes the per-worker scheduler counters of one
@@ -615,12 +592,32 @@ type batchRun struct {
 	states    []*hostState
 	pipe      *pipeRunner // nil: the serial loop, every exchange completes in place
 	fwd, back int         // rounds each phase took
+	r         int         // the round in progress, forward or backward
+	activity  int64       // forward: due pairs + pending entries over the local hosts
+	phases    phases
+}
+
+// phases are a batch's compute functions and exchange steps, which read
+// b.r: bound once per batch, so that a round builds no closure.
+type phases struct {
+	forwardFlags, arbitrate, relax, backwardFlags, union, accumulate func(h int)
+	fwdReduce, fwdBroadcast, backReduce, backBroadcast               syncStep
+}
+
+// syncStep is the two halves of one exchange.
+type syncStep struct {
+	pack   func(from, to int, w *gluon.Writer)
+	unpack func(to, from int, data []byte, dec *gluon.Decoder)
 }
 
 func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	start := bi * j.opts.BatchSize
 	end := min(start+j.opts.BatchSize, len(j.sources))
-	return &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
+	b := &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
+	b.phases = phases{b.forwardFlags, b.arbitrate, b.relax, b.backwardFlags, b.union, b.accumulate,
+		syncStep{b.packDueLabels, b.unpackProposals}, syncStep{b.packBcastLabels, b.unpackLabels},
+		syncStep{b.packDueDeltas, b.unpackDeltaPartials}, syncStep{b.packBcastDeltas, b.unpackDeltas}}
+	return b
 }
 
 // run executes the batch's forward and backward phases; retire is its
@@ -638,13 +635,27 @@ func (b *batchRun) run() {
 
 	// ---- Backward phase (Algorithm 5 as BSP rounds). ----
 	b.cluster.Compute(func(h int) { b.states[h].engine.StartBackward(b.fwd) })
-	// Every process must run the same number of backward rounds — the
-	// deepest host's (identity in-process).
-	b.back = int(b.cluster.AllReduce(int64(localBackwardRounds(b.states)), gluon.ReduceMax))
+	b.back = b.backwardDepth()
 	b.prog.backward.Set(1)
 	for r := 1; r <= b.back; r++ {
 		b.backwardRound(r)
 	}
+}
+
+// backwardDepth is the number of backward rounds every process must run,
+// the deepest host's, known without an all-reduce: a pair synchronized in
+// forward round τ is due in backward round R − τ + 1 (R = b.fwd), so no
+// host goes deeper than R, and a source's own pair, lexicographically
+// first in its vertex's list, synchronized in round τ = 1 (Lemma 8's
+// schedule), so some host goes exactly that deep. A local host deeper
+// than R means the schedules diverged.
+func (b *batchRun) backwardDepth() int {
+	for h, st := range b.states {
+		if st != nil && st.engine.BackwardRounds() > b.fwd {
+			panic(fmt.Sprintf("mrbcdist: batch %d: host %d has %d backward rounds after %d forward rounds", b.bi, h, st.engine.BackwardRounds(), b.fwd))
+		}
+	}
+	return b.fwd
 }
 
 // exchange is the one depth-dependent step. The serial loop runs the
@@ -654,12 +665,30 @@ func (b *batchRun) run() {
 // synchronously inside BeginExchange (Complete is a no-op) but the turn
 // still rotates, so the global operation order stays the same
 // deterministic function of the batch schedule.
-func (b *batchRun) exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
+func (b *batchRun) exchange(x syncStep) {
 	if b.pipe == nil {
-		b.cluster.Exchange(pack, unpack)
+		b.cluster.Exchange(x.pack, x.unpack)
 		return
 	}
-	p := b.cluster.BeginExchange(pack, unpack)
+	b.overlap(b.cluster.BeginExchange(x.pack, x.unpack))
+}
+
+// exchangeSum is exchange carrying the round's quiescence vote: it
+// returns the cluster-wide sum of local (dgalois.ExchangeSum). In
+// process a zero opens no exchange, and the turn does not rotate.
+func (b *batchRun) exchangeSum(local int64, x syncStep) int64 {
+	if b.pipe == nil {
+		return b.cluster.ExchangeSum(local, x.pack, x.unpack)
+	}
+	p := b.cluster.BeginExchangeSum(local, x.pack, x.unpack)
+	if p == nil {
+		return 0
+	}
+	b.overlap(p)
+	return p.Sum()
+}
+
+func (b *batchRun) overlap(p *dgalois.PendingExchange) {
 	b.pipe.t.yield()
 	b.pipe.take(b.bi)
 	p.Complete()
@@ -674,20 +703,19 @@ func (b *batchRun) exchange(pack func(from, to int, w *gluon.Writer), unpack fun
 // mirror.
 func (b *batchRun) forwardRound(r int) (active bool) {
 	b.cluster.BeginRound()
-	var activity int64
-	b.cluster.Compute(forwardFlagsFn(b.states, r, &activity))
-	// Global quiescence: in SPMD mode the local sum is only this
-	// host's share, so fold across processes (identity in-process).
-	activity = b.cluster.AllReduce(activity, gluon.ReduceSum)
+	b.r, b.activity = r, 0
+	b.cluster.Compute(b.phases.forwardFlags)
+	// Global quiescence: in SPMD mode the local sum is only this host's
+	// share, so the reduce exchange carries it and returns every host's.
+	activity := b.exchangeSum(b.activity, b.phases.fwdReduce)
 	b.prog.round.Set(int64(r))
 	b.prog.frontier.Set(activity)
 	if activity == 0 {
 		return false
 	}
-	b.exchange(fwdReduceExchange(b.states, b.topo))
-	b.cluster.Compute(fwdArbitrateFn(b.states, r, b.opts.Trace, b.bi))
-	b.exchange(fwdBroadcastExchange(b.states, b.topo, r))
-	b.cluster.Compute(relaxFn(b.states))
+	b.cluster.Compute(b.phases.arbitrate)
+	b.exchange(b.phases.fwdBroadcast)
+	b.cluster.Compute(b.phases.relax)
 	return true
 }
 
@@ -696,12 +724,13 @@ func (b *batchRun) forwardRound(r int) (active bool) {
 // them), masters sum and broadcast the final dependency.
 func (b *batchRun) backwardRound(r int) {
 	b.cluster.BeginRound()
+	b.r = r
 	b.prog.round.Set(int64(r))
-	b.cluster.Compute(backwardFlagsFn(b.states, r))
-	b.exchange(backReduceExchange(b.states, b.topo))
-	b.cluster.Compute(backUnionFn(b.states, r, b.opts.Trace, b.bi))
-	b.exchange(backBroadcastExchange(b.states, b.topo))
-	b.cluster.Compute(accumulateFn(b.states))
+	b.cluster.Compute(b.phases.backwardFlags)
+	b.exchange(b.phases.backReduce)
+	b.cluster.Compute(b.phases.union)
+	b.exchange(b.phases.backBroadcast)
+	b.cluster.Compute(b.phases.accumulate)
 }
 
 // retire is the per-batch epilogue: one summary event (K sources and
@@ -728,145 +757,138 @@ func (st *hostState) emitLabels(lid uint32, src int32, w *gluon.Writer) {
 	w.F64(d.Sigma)
 }
 
-// fwdReduceExchange builds the forward reduce step: due mirror proxies
-// -> master (proposals are buffered; nothing is merged until
-// arbitration picks the winners).
-func fwdReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.due[lid], w) })
-	}
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
-		st := states[to]
-		list := topo.MasterList(from, to)
-		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
-			st.proposals = append(st.proposals, proposal{
-				v:     list[pos],
-				src:   int32(rd.U32()),
-				dist:  rd.U32(),
-				sigma: rd.F64(),
-			})
-		})
-	}
-	return pack, unpack
+// packDueLabels and unpackProposals are the forward reduce step: due
+// mirror proxies -> master (proposals are buffered; nothing is merged
+// until arbitration picks the winners).
+func (b *batchRun) packDueLabels(from, to int, w *gluon.Writer) {
+	st := b.states[from]
+	st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.due[lid], w) })
 }
 
-// fwdArbitrateFn builds the arbitration compute: per vertex, the
-// lexicographically smallest proposal wins; losers are dropped (their
+func (b *batchRun) unpackProposals(to, from int, data []byte, dec *gluon.Decoder) {
+	st := b.states[to]
+	list := b.topo.MasterList(from, to)
+	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
+		st.proposals = append(st.proposals, proposal{
+			v:     list[pos],
+			src:   int32(rd.U32()),
+			dist:  rd.U32(),
+			sigma: rd.F64(),
+		})
+	})
+}
+
+// arbitrate is the master-side compute of forward round b.r: per vertex,
+// the lexicographically smallest proposal wins; losers are dropped (their
 // hosts keep the entry unsent, and the winner's broadcast pushes their
 // schedule to a later round). The winner's σ partials are merged and
 // the label finalized. One pass chains the proposals per vertex, one
 // pass over the touched vertices picks each chain's winner and folds it.
-func fwdArbitrateFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) {
-	return func(h int) {
-		st := states[h]
-		for _, f := range st.flags {
-			if st.part.IsMaster[f.V] {
-				d := st.engine.Get(f.V, f.Src)
-				st.proposals = append(st.proposals, proposal{v: f.V, src: int32(f.Src), dist: d.Dist, own: true})
+func (b *batchRun) arbitrate(h int) {
+	st, r, tr := b.states[h], b.r, b.opts.Trace
+	for _, f := range st.flags {
+		if st.part.IsMaster[f.V] {
+			d := st.engine.Get(f.V, f.Src)
+			st.proposals = append(st.proposals, proposal{v: f.V, src: int32(f.Src), dist: d.Dist, own: true})
+		}
+	}
+	// Newest first: pushing each proposal onto the front of its
+	// vertex's chain leaves every chain in arrival order.
+	for i := len(st.proposals) - 1; i >= 0; i-- {
+		p := &st.proposals[i]
+		p.next = st.head[p.v]
+		st.head[p.v] = int32(i)
+		st.touched.Set(int(p.v))
+	}
+	// Ascending vertex order: st.synced's order is the relax order, and
+	// with it the order σ partials accumulate downstream.
+	st.drainTouched(func(v uint32) {
+		first := st.head[v]
+		st.head[v] = none
+		w := &st.proposals[first]
+		for i := w.next; i != none; i = st.proposals[i].next {
+			if p := &st.proposals[i]; p.less(w) {
+				w = p
 			}
 		}
-		// Newest first: pushing each proposal onto the front of its
-		// vertex's chain leaves every chain in arrival order.
-		for i := len(st.proposals) - 1; i >= 0; i-- {
+		src := int(w.src)
+		// The winner's partials fold in arrival order: sender host
+		// ascending, the fixed floating-point order of the σ sum.
+		for i := first; i != none; i = st.proposals[i].next {
 			p := &st.proposals[i]
-			p.next = st.head[p.v]
-			st.head[p.v] = int32(i)
-			st.touched.Set(int(p.v))
+			if p.src != w.src || p.own {
+				continue
+			}
+			if p.dist != w.dist {
+				panic(fmt.Sprintf("mrbcdist: proposals for (%d,%d) disagree on distance", v, src))
+			}
+			st.engine.MergePartial(v, src, p.dist, p.sigma)
 		}
-		// Ascending vertex order: st.synced's order is the relax order, and
-		// with it the order σ partials accumulate downstream.
-		st.drainTouched(func(v uint32) {
-			first := st.head[v]
-			st.head[v] = none
-			w := &st.proposals[first]
-			for i := w.next; i != none; i = st.proposals[i].next {
-				if p := &st.proposals[i]; p.less(w) {
-					w = p
-				}
-			}
-			src := int(w.src)
-			// The winner's partials fold in arrival order: sender host
-			// ascending, the fixed floating-point order of the σ sum.
-			for i := first; i != none; i = st.proposals[i].next {
-				p := &st.proposals[i]
-				if p.src != w.src || p.own {
-					continue
-				}
-				if p.dist != w.dist {
-					panic(fmt.Sprintf("mrbcdist: proposals for (%d,%d) disagree on distance", v, src))
-				}
-				st.engine.MergePartial(v, src, p.dist, p.sigma)
-			}
-			d := st.engine.Get(v, src)
-			st.engine.ApplySync(v, src, d.Dist, d.Sigma, r)
-			st.synced = append(st.synced, core.Flag{V: v, Src: src})
-			st.bcast[v] = w.src
-			st.marks.Mark(v)
-			// Every winner is master-owned and ApplySync rejects double
-			// synchronization, so this fires exactly once per
-			// (batch, vertex, source) — the forward half of the
-			// reversal-symmetry invariant.
-			if tr.Detail() {
-				tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirForward,
-					Batch: int32(bi), Round: int32(r), Host: int32(h),
-					V: int32(st.part.GlobalID[v]), Src: int32(src)})
-			}
-		})
-		st.nBcast = len(st.synced)
-		st.proposals = st.proposals[:0]
-	}
+		d := st.engine.Get(v, src)
+		st.engine.ApplySync(v, src, d.Dist, d.Sigma, r)
+		st.synced = append(st.synced, core.Flag{V: v, Src: src})
+		st.bcast[v] = w.src
+		st.marks.Mark(v)
+		// Every winner is master-owned and ApplySync rejects double
+		// synchronization, so this fires exactly once per
+		// (batch, vertex, source) — the forward half of the
+		// reversal-symmetry invariant.
+		if tr.Detail() {
+			tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirForward,
+				Batch: int32(b.bi), Round: int32(r), Host: int32(h),
+				V: int32(st.part.GlobalID[v]), Src: int32(src)})
+		}
+	})
+	st.nBcast = len(st.synced)
+	st.proposals = st.proposals[:0]
 }
 
-// fwdBroadcastExchange builds the forward broadcast step: masters ->
-// all mirrors.
-func fwdBroadcastExchange(states []*hostState, topo *gluon.Topology, r int) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.bcast[lid], w) })
-	}
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
-		st := states[to]
-		list := topo.MirrorList(to, from)
-		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
-			lid := list[pos]
-			src := int(rd.U32())
-			dist := rd.U32()
-			sigma := rd.F64()
-			st.engine.ApplySync(lid, src, dist, sigma, r)
-			st.synced = append(st.synced, core.Flag{V: lid, Src: src})
-		})
-	}
-	return pack, unpack
+// packBcastLabels and unpackLabels are the forward broadcast step:
+// masters -> all mirrors.
+func (b *batchRun) packBcastLabels(from, to int, w *gluon.Writer) {
+	st := b.states[from]
+	st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.bcast[lid], w) })
 }
 
-// backReduceExchange builds the backward reduce step: due mirrors hand
-// their δ partials to the masters (and reset them locally).
-func backReduceExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
-			src := int(st.due[lid])
-			w.U32(uint32(src))
-			w.F64(st.engine.DeltaPartial(lid, src))
-			// Hand the partial to the master; the broadcast below
-			// restores the final value. Each mirror vertex appears
-			// in exactly one (from, to) shared list, so this write
-			// is safe under the pair-parallel pack loop.
-			st.engine.ApplyDeltaSync(lid, src, 0)
-		})
-	}
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
-		st := states[to]
-		list := topo.MasterList(from, to)
-		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
-			lid := list[pos]
-			src := rd.U32()
-			st.engine.AddDeltaPartial(lid, int(src), rd.F64())
-			st.claimBackward(lid, int32(src))
-		})
-	}
-	return pack, unpack
+func (b *batchRun) unpackLabels(to, from int, data []byte, dec *gluon.Decoder) {
+	st, r := b.states[to], b.r
+	list := b.topo.MirrorList(to, from)
+	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
+		lid := list[pos]
+		src := int(rd.U32())
+		dist := rd.U32()
+		sigma := rd.F64()
+		st.engine.ApplySync(lid, src, dist, sigma, r)
+		st.synced = append(st.synced, core.Flag{V: lid, Src: src})
+	})
+}
+
+// packDueDeltas and unpackDeltaPartials are the backward reduce step:
+// due mirrors hand their δ partials to the masters (and reset them
+// locally).
+func (b *batchRun) packDueDeltas(from, to int, w *gluon.Writer) {
+	st := b.states[from]
+	st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
+		src := int(st.due[lid])
+		w.U32(uint32(src))
+		w.F64(st.engine.DeltaPartial(lid, src))
+		// Hand the partial to the master; the broadcast below
+		// restores the final value. Each mirror vertex appears
+		// in exactly one (from, to) shared list, so this write
+		// is safe under the pair-parallel pack loop.
+		st.engine.ApplyDeltaSync(lid, src, 0)
+	})
+}
+
+func (b *batchRun) unpackDeltaPartials(to, from int, data []byte, dec *gluon.Decoder) {
+	st := b.states[to]
+	list := b.topo.MasterList(from, to)
+	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
+		lid := list[pos]
+		src := rd.U32()
+		st.engine.AddDeltaPartial(lid, int(src), rd.F64())
+		st.claimBackward(lid, int32(src))
+	})
 }
 
 // claimBackward records that (v, src) synchronizes at this host's
@@ -882,56 +904,52 @@ func (st *hostState) claimBackward(v uint32, src int32) {
 	st.touched.Set(int(v))
 }
 
-// backUnionFn builds the master-side union compute of one backward
-// round: the host's own flags plus the mirror partials just received.
-func backUnionFn(states []*hostState, r int, tr *obs.Trace, bi int) func(h int) {
-	return func(h int) {
-		st := states[h]
-		for _, f := range st.flags {
-			if st.part.IsMaster[f.V] {
-				st.claimBackward(f.V, int32(f.Src))
-			}
+// union is the master-side compute of backward round b.r: the host's own
+// flags plus the mirror partials just received.
+func (b *batchRun) union(h int) {
+	st, r, tr := b.states[h], b.r, b.opts.Trace
+	for _, f := range st.flags {
+		if st.part.IsMaster[f.V] {
+			st.claimBackward(f.V, int32(f.Src))
 		}
-		// Ascending vertex order: st.synced's order is the δ-accumulation
-		// order at the predecessors.
-		st.drainTouched(func(v uint32) {
-			src := int(st.bcast[v])
-			st.synced = append(st.synced, core.Flag{V: v, Src: src})
-			st.marks.Mark(v)
-			// The claims are the master-side union of this round's due pairs
-			// (its own flags plus mirror partials), so each (v, src)
-			// appears at its master in exactly one backward round — the
-			// round Algorithm 5 schedules as A = R − τ + 1.
-			if tr.Detail() {
-				tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirBackward,
-					Batch: int32(bi), Round: int32(r), Host: int32(h),
-					V: int32(st.part.GlobalID[v]), Src: int32(src)})
-			}
-		})
-		st.nBcast = len(st.synced)
 	}
+	// Ascending vertex order: st.synced's order is the δ-accumulation
+	// order at the predecessors.
+	st.drainTouched(func(v uint32) {
+		src := int(st.bcast[v])
+		st.synced = append(st.synced, core.Flag{V: v, Src: src})
+		st.marks.Mark(v)
+		// The claims are the master-side union of this round's due pairs
+		// (its own flags plus mirror partials), so each (v, src)
+		// appears at its master in exactly one backward round — the
+		// round Algorithm 5 schedules as A = R − τ + 1.
+		if tr.Detail() {
+			tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirBackward,
+				Batch: int32(b.bi), Round: int32(r), Host: int32(h),
+				V: int32(st.part.GlobalID[v]), Src: int32(src)})
+		}
+	})
+	st.nBcast = len(st.synced)
 }
 
-// backBroadcastExchange builds the backward broadcast step: masters
-// push the summed dependency back to every mirror.
-func backBroadcastExchange(states []*hostState, topo *gluon.Topology) (func(from, to int, w *gluon.Writer), func(to, from int, data []byte, dec *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		st := states[from]
-		st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
-			src := int(st.bcast[lid])
-			w.U32(uint32(src))
-			w.F64(st.engine.DeltaPartial(lid, src))
-		})
-	}
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
-		st := states[to]
-		list := topo.MirrorList(to, from)
-		dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
-			lid := list[pos]
-			src := int(rd.U32())
-			st.engine.ApplyDeltaSync(lid, src, rd.F64())
-			st.synced = append(st.synced, core.Flag{V: lid, Src: src})
-		})
-	}
-	return pack, unpack
+// packBcastDeltas and unpackDeltas are the backward broadcast step:
+// masters push the summed dependency back to every mirror.
+func (b *batchRun) packBcastDeltas(from, to int, w *gluon.Writer) {
+	st := b.states[from]
+	st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
+		src := int(st.bcast[lid])
+		w.U32(uint32(src))
+		w.F64(st.engine.DeltaPartial(lid, src))
+	})
+}
+
+func (b *batchRun) unpackDeltas(to, from int, data []byte, dec *gluon.Decoder) {
+	st := b.states[to]
+	list := b.topo.MirrorList(to, from)
+	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
+		lid := list[pos]
+		src := int(rd.U32())
+		st.engine.ApplyDeltaSync(lid, src, rd.F64())
+		st.synced = append(st.synced, core.Flag{V: lid, Src: src})
+	})
 }

@@ -21,11 +21,10 @@ package mrbcdist
 //   - Cluster operations are serialized by a turnstile: exactly one
 //     batch at a time may touch the cluster, and the rotation evolves
 //     as a pure function of the batch schedule (each batch's round
-//     counts come out of cluster.AllReduce, so every SPMD process
-//     computes the same rotation and therefore issues the same global
-//     operation sequence — which is what keeps the TCP transport's
-//     lock-step all-reduce and per-exchange identifier matching
-//     sound).
+//     counts come out of its reduce exchanges' sums, the same on every
+//     SPMD process, so all compute the same rotation and issue the same
+//     operation sequence — which keeps the TCP transport's per-exchange
+//     identifier matching sound).
 //   - Within a batch, operations run in exactly the serial order; the
 //     only transformation is that an exchange's unpack is deferred
 //     across other batches' turns. Apply order inside an exchange is

@@ -194,6 +194,12 @@ func bcastSet(st *hostState) map[uint32]int32 {
 	return m
 }
 
+// oneHostRound is a batch of one host in round r, for calling a round's
+// master-side phase on st directly.
+func oneHostRound(st *hostState, r int) *batchRun {
+	return &batchRun{job: &job{}, states: []*hostState{st}, r: r}
+}
+
 // checkClean fails unless resetRound left every slab at none.
 func checkClean(t *testing.T, st *hostState) {
 	t.Helper()
@@ -226,7 +232,7 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 		st.flags = append(st.flags, c.flags...)
 		st.markDue()
 		st.proposals = append(st.proposals, c.mirror...)
-		fwdArbitrateFn([]*hostState{st}, r, nil, 0)(0)
+		oneHostRound(st, r).arbitrate(0)
 
 		if !reflect.DeepEqual(st.synced, ref.synced) && len(st.synced)+len(ref.synced) > 0 {
 			t.Logf("seed %d: synced %v, oracle %v", seed, st.synced, ref.synced)
@@ -284,7 +290,7 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 		for _, f := range received {
 			st.claimBackward(f.V, int32(f.Src))
 		}
-		backUnionFn([]*hostState{st}, 1, nil, 0)(0)
+		oneHostRound(st, 1).union(0)
 
 		if !reflect.DeepEqual(st.synced, ref.synced) && len(st.synced)+len(ref.synced) > 0 {
 			t.Logf("seed %d: synced %v, oracle %v", seed, st.synced, ref.synced)
@@ -333,7 +339,7 @@ func TestRoundStatePanics(t *testing.T) {
 
 	st := newHostState(c.part(), c.marks(), c.engine(), nil)
 	st.proposals = append(st.proposals, disagree...)
-	got := mustPanic(t, func() { fwdArbitrateFn([]*hostState{st}, 1, nil, 0)(0) })
+	got := mustPanic(t, func() { oneHostRound(st, 1).arbitrate(0) })
 	ref := c.ref()
 	ref.proposals = append(ref.proposals, disagree...)
 	if want := mustPanic(t, func() { ref.arbitrate(1) }); got != want || !strings.Contains(got, "(1,2) disagree on distance") {
@@ -393,8 +399,10 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	pt := partition.CartesianCut(g, 4)
 	cluster := dgalois.NewCluster(pt.NumHosts)
 	defer cluster.Close()
-	b := &batchRun{job: &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil)}}
-	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, []uint32{0}, Options{})
+	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil),
+		sources: []uint32{0}, opts: Options{BatchSize: 1}}
+	b := j.newBatch(0, nil)
+	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch, Options{})
 	for _, st := range b.states {
 		for l, gid := range st.part.GlobalID {
 			if gid == 0 {

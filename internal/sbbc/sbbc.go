@@ -114,8 +114,8 @@ type Options struct {
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend runs this process
 	// as one host of a multi-process SPMD cluster: engine state exists
-	// only for the local host, termination goes through the transport's
-	// all-reduce, and the returned scores hold only the local host's
+	// only for the local host, the termination vote rides each level's
+	// reduce exchange, and the returned scores hold only the local host's
 	// master contributions (the coordinator sums per-process vectors).
 	Transport gluon.Transport
 }
@@ -210,12 +210,7 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 		level:    opts.Metrics.Gauge("sbbc_level"),
 		frontier: opts.Metrics.Gauge("sbbc_frontier"),
 	}
-	err := dgalois.Capture(func() {
-		for si, s := range sources {
-			prog.source.Set(int64(si))
-			runSource(cluster, topo, states, s, scores, opts, si, prog)
-		}
-	})
+	err := dgalois.Capture(func() { runSources(cluster, topo, states, sources, scores, opts, prog) })
 	return scores, cluster.Stats(), err
 }
 
@@ -227,12 +222,25 @@ type sourceProgress struct {
 	frontier *obs.Gauge // vertices relaxed in the current round
 }
 
-func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState, src uint32, scores []float64, opts Options, si int, prog sourceProgress) {
+// runSources processes the sources one at a time. The compute functions
+// and exchange halves of a round are built here, once per run: a source
+// costs ~2L+1 rounds of mostly empty exchanges, and a closure per phase
+// was most of what such a round allocated. They read the source and the
+// level in progress from the variables declared first.
+func runSources(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState, sources []uint32, scores []float64, opts Options, prog sourceProgress) {
 	tr := opts.Trace
+	var (
+		si            int    // index of the source in progress
+		src           uint32 // and the source
+		level         uint32 // BFS level (forward), level being accumulated (backward)
+		forwardLevels uint32
+		active        int64 // relaxations over the local hosts this forward round
+	)
+
 	// Initialize labels. Every proxy of the source holds its final
 	// value immediately (dist 0, σ 1): there is nothing to reduce for
 	// the source itself.
-	cluster.Compute(func(h int) {
+	initSource := func(h int) {
 		st := states[h]
 		for i := range st.dist {
 			st.dist[i] = graph.InfDist
@@ -246,163 +254,87 @@ func runSource(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSta
 			st.sigma[l] = 1
 			st.frontier = append(st.frontier, l)
 		}
-	})
+	}
 
-	// Forward phase: one BSP round per BFS level.
-	level := uint32(0)
-	for {
-		cluster.BeginRound()
-		level++
-		var active int64
-		cluster.Compute(func(h int) {
-			st := states[h]
-			st.dirty.Reset()
-			st.masterOut.Reset()
-			st.relaxed = 0
-			local := st.part.Local
-			if opts.DirectionOptimizing && st.shouldPull(opts.Alpha) {
-				// Pull: every unvisited proxy scans its local in-edges
-				// for frontier predecessors; yields the same partials
-				// as pushing along the frontier's out-edges.
-				for w := 0; w < st.part.NumProxies(); w++ {
-					if st.dist[w] != graph.InfDist {
-						continue
+	// The compute of forward round `level`.
+	expand := func(h int) {
+		st := states[h]
+		st.dirty.Reset()
+		st.masterOut.Reset()
+		st.relaxed = 0
+		local := st.part.Local
+		if opts.DirectionOptimizing && st.shouldPull(opts.Alpha) {
+			// Pull: every unvisited proxy scans its local in-edges
+			// for frontier predecessors; yields the same partials
+			// as pushing along the frontier's out-edges.
+			for w := 0; w < st.part.NumProxies(); w++ {
+				if st.dist[w] != graph.InfDist {
+					continue
+				}
+				var acc float64
+				for _, u := range local.InNeighbors(uint32(w)) {
+					if st.dist[u] == level-1 {
+						acc += st.sigma[u]
 					}
-					var acc float64
-					for _, u := range local.InNeighbors(uint32(w)) {
-						if st.dist[u] == level-1 {
-							acc += st.sigma[u]
-						}
-					}
-					if acc > 0 {
+				}
+				if acc > 0 {
+					st.dist[w] = level
+					st.sigma[w] = acc
+					st.relax(uint32(w))
+				}
+			}
+		} else {
+			for _, u := range st.frontier {
+				su := st.sigma[u]
+				for _, w := range local.OutNeighbors(u) {
+					switch {
+					case st.dist[w] == graph.InfDist:
 						st.dist[w] = level
-						st.sigma[w] = acc
-						st.relax(uint32(w))
-					}
-				}
-			} else {
-				for _, u := range st.frontier {
-					su := st.sigma[u]
-					for _, w := range local.OutNeighbors(u) {
-						switch {
-						case st.dist[w] == graph.InfDist:
-							st.dist[w] = level
-							st.sigma[w] = su
-							st.relax(w)
-						case st.dist[w] == level: // relaxed, so marked, earlier in this loop
-							st.sigma[w] += su
-							st.relaxed++
-						}
+						st.sigma[w] = su
+						st.relax(w)
+					case st.dist[w] == level: // relaxed, so marked, earlier in this loop
+						st.sigma[w] += su
+						st.relaxed++
 					}
 				}
 			}
-			// Next frontier assembles from broadcasts and local master
-			// updates below.
-			st.frontier = st.frontier[:0]
-			st.inFrontier.Reset()
-			atomic.AddInt64(&active, st.relaxed)
+		}
+		// Next frontier assembles from broadcasts and local master
+		// updates below.
+		st.frontier = st.frontier[:0]
+		st.inFrontier.Reset()
+		atomic.AddInt64(&active, st.relaxed)
+	}
+
+	// Forward reduce, (min dist, σ-partial sum): relaxed mirrors -> masters.
+	packLabels := func(from, to int, w *gluon.Writer) {
+		states[from].marks.EncodeReduce(w, to, states[from].emitLabels)
+	}
+	reduceLabels := func(to, from int, data []byte, dec *gluon.Decoder) {
+		st := states[to]
+		list := topo.MasterList(from, to)
+		dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
+			lid := list[pos]
+			d := r.U32()
+			sg := r.F64()
+			switch {
+			case st.dist[lid] == graph.InfDist || d < st.dist[lid]:
+				st.dist[lid] = d
+				st.sigma[lid] = sg
+			case d == st.dist[lid]:
+				st.sigma[lid] += sg
+			default:
+				return
+			}
+			st.masterOut.Set(int(lid))
+			st.marks.Mark(lid)
 		})
-		// Global quiescence: fold the per-process relaxation counts
-		// (identity in-process).
-		active = cluster.AllReduce(active, gluon.ReduceSum)
-		prog.level.Set(int64(level))
-		prog.frontier.Set(active)
-		if active == 0 {
-			break
-		}
-		syncForward(cluster, topo, states, level, tr, si)
 	}
-	forwardLevels := level - 1 // last round found an empty frontier
-
-	// Backward phase: one BSP round per level, from the deepest level
-	// inward. Dependencies of level-L vertices are final when level L+1
-	// has been processed and synchronized.
-	for l := forwardLevels; l >= 1; l-- {
-		cluster.BeginRound()
-		prog.level.Set(int64(l))
-		cluster.Compute(func(h int) {
-			st := states[h]
-			if l == forwardLevels {
-				st.bucketLevels(forwardLevels)
-			}
-			local := st.part.Local
-			for _, w := range st.byLevel[st.levelStart[l]:st.levelStart[l+1]] {
-				// A level-l master's dependency is consumed (and its
-				// broadcast would happen) in backward round
-				// forwardLevels − l + 1 = R − τ + 1: the reversal of its
-				// forward finalization at level τ = l.
-				if tr.Detail() && st.part.IsMaster[w] {
-					tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirBackward,
-						Batch: int32(si), Round: int32(forwardLevels - l + 1),
-						Host: int32(h), V: int32(st.part.GlobalID[w]), Src: 0})
-				}
-				coeff := (1 + st.delta[w]) / st.sigma[w]
-				for _, v := range local.InNeighbors(w) {
-					if st.dist[v] != graph.InfDist && st.dist[v]+1 == l {
-						st.delta[v] += st.sigma[v] * coeff
-						st.marks.Mark(v)
-					}
-				}
-			}
-		})
-		syncBackward(cluster, topo, states)
-	}
-
-	// One summary event per source (a batch of K = 1): eccentricity
-	// many rounds each way, the inputs of the Lemma 8 bound.
-	if tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(si), Host: -1,
-			K: 1, FwdRounds: int32(forwardLevels), BackRounds: int32(forwardLevels)})
-	}
-
-	// Fold master dependencies into the scores.
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		for l, gid := range st.part.GlobalID {
-			if st.part.IsMaster[l] && gid != src && st.dist[l] != graph.InfDist {
-				scores[gid] += st.delta[l]
-			}
-		}
-	}
-}
-
-// syncForward reduces (min dist, σ-partial sum) from relaxed mirrors to
-// masters and broadcasts finalized values to every mirror, rebuilding
-// the next frontier on each host.
-func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState, level uint32, tr *obs.Trace, si int) {
-	// Reduce: relaxed mirrors -> masters.
-	cluster.Exchange(
-		func(from, to int, w *gluon.Writer) {
-			states[from].marks.EncodeReduce(w, to, states[from].emitLabels)
-		},
-		func(to, from int, data []byte, dec *gluon.Decoder) {
-			st := states[to]
-			list := topo.MasterList(from, to)
-			dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
-				lid := list[pos]
-				d := r.U32()
-				sg := r.F64()
-				switch {
-				case st.dist[lid] == graph.InfDist || d < st.dist[lid]:
-					st.dist[lid] = d
-					st.sigma[lid] = sg
-				case d == st.dist[lid]:
-					st.sigma[lid] += sg
-				default:
-					return
-				}
-				st.masterOut.Set(int(lid))
-				st.marks.Mark(lid)
-			})
-		},
-	)
 
 	// Masters relaxed locally were marked for the broadcast as they were
 	// relaxed; with the ones the reduce updated they are the masters
 	// finalized this level, which join the frontier.
-	cluster.Compute(func(h int) {
+	buildFrontier := func(h int) {
 		st := states[h]
 		st.dirty.ForEach(func(l int) bool {
 			if st.part.IsMaster[l] {
@@ -425,69 +357,145 @@ func syncForward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostS
 			}
 			return true
 		})
-	})
+	}
 
-	// Broadcast: masters -> all mirrors.
-	cluster.Exchange(
-		func(from, to int, w *gluon.Writer) {
-			states[from].marks.EncodeBroadcast(w, to, states[from].emitLabels)
-		},
-		func(to, from int, data []byte, dec *gluon.Decoder) {
-			st := states[to]
-			list := topo.MirrorList(to, from)
-			dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
-				lid := list[pos]
-				st.dist[lid] = r.U32()
-				st.sigma[lid] = r.F64()
-				if st.dist[lid] == level && !st.inFrontier.Test(int(lid)) {
-					st.inFrontier.Set(int(lid))
-					st.frontier = append(st.frontier, lid)
+	// Forward broadcast: masters -> all mirrors, rebuilding the next
+	// frontier on each host.
+	packFinalLabels := func(from, to int, w *gluon.Writer) {
+		states[from].marks.EncodeBroadcast(w, to, states[from].emitLabels)
+	}
+	applyLabels := func(to, from int, data []byte, dec *gluon.Decoder) {
+		st := states[to]
+		list := topo.MirrorList(to, from)
+		dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
+			lid := list[pos]
+			st.dist[lid] = r.U32()
+			st.sigma[lid] = r.F64()
+			if st.dist[lid] == level && !st.inFrontier.Test(int(lid)) {
+				st.inFrontier.Set(int(lid))
+				st.frontier = append(st.frontier, lid)
+			}
+		})
+	}
+
+	// The compute of the backward round of level `level`.
+	accumulate := func(h int) {
+		st, l := states[h], level
+		if l == forwardLevels {
+			st.bucketLevels(forwardLevels)
+		}
+		local := st.part.Local
+		for _, w := range st.byLevel[st.levelStart[l]:st.levelStart[l+1]] {
+			// A level-l master's dependency is consumed (and its
+			// broadcast would happen) in backward round
+			// forwardLevels − l + 1 = R − τ + 1: the reversal of its
+			// forward finalization at level τ = l.
+			if tr.Detail() && st.part.IsMaster[w] {
+				tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirBackward,
+					Batch: int32(si), Round: int32(forwardLevels - l + 1),
+					Host: int32(h), V: int32(st.part.GlobalID[w]), Src: 0})
+			}
+			coeff := (1 + st.delta[w]) / st.sigma[w]
+			for _, v := range local.InNeighbors(w) {
+				if st.dist[v] != graph.InfDist && st.dist[v]+1 == l {
+					st.delta[v] += st.sigma[v] * coeff
+					st.marks.Mark(v)
 				}
-			})
-		},
-	)
-}
+			}
+		}
+	}
 
-// syncBackward reduces δ partials (sum) to masters and broadcasts the
-// finalized dependencies back to mirrors. A master whose δ the compute
-// or the reduce touched is marked for the broadcast then and there, so
-// no phase sits between the two exchanges.
-func syncBackward(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostState) {
-	cluster.Exchange(
-		func(from, to int, w *gluon.Writer) {
-			st := states[from]
-			st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
-				w.F64(st.delta[lid])
-				// The partial has been handed to the master; reset so a
-				// later broadcast can overwrite without double counting.
-				// Each mirror vertex appears in exactly one (from, to)
-				// list, so the write is safe under pair-parallel packs.
-				st.delta[lid] = 0
-			})
-		},
-		func(to, from int, data []byte, dec *gluon.Decoder) {
-			st := states[to]
-			list := topo.MasterList(from, to)
-			dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
-				lid := list[pos]
-				st.delta[lid] += r.F64()
-				st.marks.Mark(lid)
-			})
-		},
-	)
-	cluster.Exchange(
-		func(from, to int, w *gluon.Writer) {
-			st := states[from]
-			st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
-				w.F64(st.delta[lid])
-			})
-		},
-		func(to, from int, data []byte, dec *gluon.Decoder) {
-			st := states[to]
-			list := topo.MirrorList(to, from)
-			dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
-				st.delta[list[pos]] = r.F64()
-			})
-		},
-	)
+	// Backward reduce, δ partials (sum): mirrors -> masters. A master
+	// whose δ the compute or the reduce touched is marked for the
+	// broadcast then and there, so no phase sits between the two
+	// exchanges.
+	packDeltas := func(from, to int, w *gluon.Writer) {
+		st := states[from]
+		st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
+			w.F64(st.delta[lid])
+			// The partial has been handed to the master; reset so a
+			// later broadcast can overwrite without double counting.
+			// Each mirror vertex appears in exactly one (from, to)
+			// list, so the write is safe under pair-parallel packs.
+			st.delta[lid] = 0
+		})
+	}
+	reduceDeltas := func(to, from int, data []byte, dec *gluon.Decoder) {
+		st := states[to]
+		list := topo.MasterList(from, to)
+		dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
+			lid := list[pos]
+			st.delta[lid] += r.F64()
+			st.marks.Mark(lid)
+		})
+	}
+
+	// Backward broadcast: the finalized dependencies back to mirrors.
+	packFinalDeltas := func(from, to int, w *gluon.Writer) {
+		st := states[from]
+		st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
+			w.F64(st.delta[lid])
+		})
+	}
+	applyDeltas := func(to, from int, data []byte, dec *gluon.Decoder) {
+		st := states[to]
+		list := topo.MirrorList(to, from)
+		dec.DecodeUpdates(len(list), data, func(pos int, r *gluon.Reader) {
+			st.delta[list[pos]] = r.F64()
+		})
+	}
+
+	for si, src = range sources {
+		prog.source.Set(int64(si))
+		cluster.Compute(initSource)
+
+		// Forward phase: one BSP round per BFS level. The reduce exchange
+		// carries the round's relaxation count and returns its sum over
+		// the cluster: zero is global quiescence, the round found an empty
+		// frontier and there was nothing to synchronize.
+		for level = 1; ; level++ {
+			cluster.BeginRound()
+			active = 0
+			cluster.Compute(expand)
+			relaxed := cluster.ExchangeSum(active, packLabels, reduceLabels)
+			prog.level.Set(int64(level))
+			prog.frontier.Set(relaxed)
+			if relaxed == 0 {
+				break
+			}
+			cluster.Compute(buildFrontier)
+			cluster.Exchange(packFinalLabels, applyLabels)
+		}
+		forwardLevels = level - 1
+
+		// Backward phase: one BSP round per level, from the deepest level
+		// inward. Dependencies of level-L vertices are final when level L+1
+		// has been processed and synchronized.
+		for level = forwardLevels; level >= 1; level-- {
+			cluster.BeginRound()
+			prog.level.Set(int64(level))
+			cluster.Compute(accumulate)
+			cluster.Exchange(packDeltas, reduceDeltas)
+			cluster.Exchange(packFinalDeltas, applyDeltas)
+		}
+
+		// One summary event per source (a batch of K = 1): eccentricity
+		// many rounds each way, the inputs of the Lemma 8 bound.
+		if tr.Enabled() {
+			tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(si), Host: -1,
+				K: 1, FwdRounds: int32(forwardLevels), BackRounds: int32(forwardLevels)})
+		}
+
+		// Fold master dependencies into the scores.
+		for _, st := range states {
+			if st == nil {
+				continue
+			}
+			for l, gid := range st.part.GlobalID {
+				if st.part.IsMaster[l] && gid != src && st.dist[l] != graph.InfDist {
+					scores[gid] += st.delta[l]
+				}
+			}
+		}
+	}
 }

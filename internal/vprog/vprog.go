@@ -174,14 +174,10 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 				local++
 			}
 		}
-		// Global quiescence across processes (identity in-process).
-		if cluster.AllReduce(local, gluon.ReduceSum) == 0 {
-			activeG.Set(0)
-			break
-		}
-
-		// Reduce dirty mirrors to masters with the Better reduction.
-		cluster.Exchange(
+		// Reduce dirty mirrors to masters with the Better reduction. The
+		// exchange carries the hosts' activity: a sum of zero is global
+		// quiescence.
+		if cluster.ExchangeSum(local,
 			func(from, to int, w *gluon.Writer) {
 				st := states[from]
 				st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) { w.U64(st.labels[lid]) })
@@ -198,7 +194,10 @@ func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog
 					}
 				})
 			},
-		)
+		) == 0 {
+			activeG.Set(0)
+			break
+		}
 
 		// Masters improved locally broadcast too (they were marked as
 		// they improved); activate the changed masters.
