@@ -108,15 +108,12 @@ type Options struct {
 	// BatchSize is k for batched algorithms (MRBC, MFBC); default 32.
 	BatchSize int
 	// Workers bounds shared-memory parallelism. For ABBC, MFBC, and
-	// parallel Brandes it is the worker-goroutine count. Shared-memory
-	// MRBC has two composable levels: Workers sets the batch-level
-	// parallelism (whole batches run concurrently on private engines
-	// and retire in batch order, so scores do not depend on it), and
-	// the cores that leaves, GOMAXPROCS/Workers per batch, split each
-	// round's compute phase (intra-batch parallelism; see
-	// core.Options). Workers == 0 uses every core: one engine per core
-	// while there are batches to fill them, intra-batch workers for the
-	// cores that outnumber the batches.
+	// parallel Brandes it is the worker-goroutine count. For
+	// shared-memory MRBC it is the number of batches that run
+	// concurrently, each on a private engine; they retire in batch
+	// order, so scores do not depend on it (core.Options.Parallelism).
+	// Workers == 0 uses every core, one engine per core while there are
+	// batches to fill them.
 	Workers int
 	// ChunkSize is the ABBC worklist chunk size; default 8 (the paper
 	// uses 64 for road networks).
@@ -176,8 +173,7 @@ func Betweenness(g *Graph, sources []uint32, opts Options) (*Result, error) {
 	case MRBC:
 		if opts.Hosts <= 1 {
 			// Workers maps to batch-level parallelism; core.planShared
-			// resolves a zero to one engine per core and gives the
-			// cores left over to intra-batch workers.
+			// resolves a zero to one engine per core.
 			scores, stats := core.BC(g, sources, core.Options{
 				BatchSize:   opts.BatchSize,
 				Parallelism: opts.Workers,

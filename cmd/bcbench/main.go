@@ -1,7 +1,7 @@
 // Command bcbench regenerates the paper's evaluation (Section 5):
 // every table and figure, on the synthetic input suite documented in
-// DESIGN.md §3, plus the substrate experiments (engine, faults, comms,
-// obs, regress) that guard the implementation.
+// DESIGN.md §3, plus the substrate experiments (faults, comms, obs,
+// pipeline, regress) that guard the implementation.
 //
 // Usage:
 //
@@ -116,35 +116,6 @@ var experiments = map[string]func(out io.Writer, ctx runCtx) error{
 	},
 	"summary": func(out io.Writer, ctx runCtx) error {
 		fmt.Fprintln(out, bench.FormatSummary(bench.Summarize(ctx.inputs, ctx.scale)))
-		return nil
-	},
-	// Engine-variant comparison (JSON); not part of the paper's
-	// evaluation, so not included in "all".
-	"engine": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatEngineBench(bench.EngineBench(ctx.scale)))
-		return nil
-	},
-	// Multicore worker-sweep scaling (JSON, emitted as
-	// BENCH_scaling.json); not in "all". Errors if the fresh
-	// measurement violates the scaling floors for this machine.
-	"scaling": func(out io.Writer, ctx runCtx) error {
-		report := bench.ScalingBench(ctx.scale)
-		fmt.Fprintln(out, bench.FormatScalingBench(report))
-		return bench.CheckScalingBench(report)
-	},
-	// Regenerate BENCH_scaling.json from the current build; not in
-	// "all".
-	"scaling-baseline": func(out io.Writer, ctx runCtx) error {
-		report := bench.ScalingBench(ctx.scale)
-		if err := bench.CheckScalingBench(report); err != nil {
-			return err
-		}
-		path := filepath.Join(ctx.baselineDir, bench.ScalingBaselineFile)
-		if err := bench.WriteScalingBaseline(path, report); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, bench.FormatScalingBench(report))
-		fmt.Fprintf(out, "wrote %s\n", path)
 		return nil
 	},
 	// Reliable-transport overhead (JSON); not in "all".

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	bctrace summary trace.jsonl [more.jsonl ...]
-//	bctrace imbalance [-per-worker] trace.jsonl [more.jsonl ...]
+//	bctrace imbalance trace.jsonl [more.jsonl ...]
 //	bctrace rounds [-overlap] trace.jsonl
 //	bctrace check [-H max-distance] trace.jsonl
 //	bctrace diff a.jsonl b.jsonl
@@ -44,7 +44,6 @@ commands:
   summary    per-phase volume totals and encoding-format counts
              (many per-host files: adds a per-host breakdown)
   imbalance  per-host compute load and the max/mean imbalance ratio
-             (-per-worker adds intra-host engine-worker scheduler totals)
   rounds     per-round latency and the critical-path host
              (-overlap adds exchange time vs. time hidden behind
              pipelined compute per round)
@@ -70,7 +69,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	case "summary":
 		return streamCmd(rest, stdout, stderr, runSummary)
 	case "imbalance":
-		return runImbalanceCmd(rest, stdout, stderr)
+		return streamCmd(rest, stdout, stderr, runImbalance)
 	case "rounds":
 		return runRoundsCmd(rest, stdout, stderr)
 	case "check":
@@ -204,26 +203,9 @@ func runSummary(er *obs.EventReader, out io.Writer) error {
 // does, so printed ratios compare exactly against computed ones.
 func formatG(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// runImbalanceCmd parses imbalance's flags and streams the trace.
-func runImbalanceCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("bctrace imbalance", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	perWorker := fs.Bool("per-worker", false, "additionally report per-(host, worker) engine-scheduler totals from worker events")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	return streamCmd(fs.Args(), stdout, stderr, func(er *obs.EventReader, out io.Writer) error {
-		return runImbalance(er, out, *perWorker)
-	})
-}
-
-func runImbalance(er *obs.EventReader, out io.Writer, perWorker bool) error {
+func runImbalance(er *obs.EventReader, out io.Writer) error {
 	var a obs.ImbalanceAccum
-	var wa obs.WorkerAccum
-	if _, err := drain(er, func(e obs.Event) {
-		a.Observe(e)
-		wa.Observe(e)
-	}); err != nil {
+	if _, err := drain(er, a.Observe); err != nil {
 		return err
 	}
 	r := a.Report()
@@ -242,19 +224,6 @@ func runImbalance(er *obs.EventReader, out io.Writer, perWorker bool) error {
 	fmt.Fprintf(out, "phases         %d\n", r.Phases)
 	fmt.Fprintf(out, "imbalance.mean %s\n", formatG(r.Mean))
 	fmt.Fprintf(out, "imbalance.max  %s\n", formatG(r.MaxRatio))
-	if !perWorker {
-		return nil
-	}
-	wr := wa.Report()
-	if len(wr.PerWorker) == 0 {
-		return fmt.Errorf("trace carries no worker events (recorded without EngineWorkers > 1?)")
-	}
-	fmt.Fprintf(out, "host  worker  tasks      steals     failed     flushes    batches\n")
-	for _, w := range wr.PerWorker {
-		fmt.Fprintf(out, "%-4d  %-6d  %-9d  %-9d  %-9d  %-9d  %d\n",
-			w.Host, w.Worker, w.Tasks, w.Steals, w.FailedSteals, w.Flushes, w.Batches)
-	}
-	fmt.Fprintf(out, "worker.max_share %s\n", formatG(wr.MaxShare))
 	return nil
 }
 

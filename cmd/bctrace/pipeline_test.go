@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"mrbc/internal/obs"
 	"mrbc/internal/partition"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/pipeline_trace.jsonl from a fresh run")
 
 // pipelineFixture is a committed phase-level trace of a 2-host run with
 // PipelineDepth=2, carrying HiddenNs on its exchange events. Timings

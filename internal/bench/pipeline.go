@@ -23,8 +23,7 @@ import (
 // BENCH_pipeline.json; the regress guard re-validates that document
 // against CheckPipelineBench.
 //
-// Like the scaling floors, the TCP speedup floor is honest about
-// hardware: it arms only for a full-scale document recorded without the
+// The TCP speedup floor is honest about hardware: it arms only for a full-scale document recorded without the
 // race detector on a machine with at least as many cores as cluster
 // processes. A single-core box cannot overlap four processes' compute
 // with anything, so its document stays a structural record, not a

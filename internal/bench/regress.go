@@ -220,13 +220,6 @@ func CheckCommittedBaselines(dir string) error {
 	if err := CheckObsBench(obsRep); err != nil {
 		return fmt.Errorf("committed BENCH_obs.json fails its guard: %w", err)
 	}
-	scalingRep, err := LoadScalingBaseline(filepath.Join(dir, ScalingBaselineFile))
-	if err != nil {
-		return err
-	}
-	if err := CheckScalingBench(scalingRep); err != nil {
-		return fmt.Errorf("committed %s fails its guard: %w", ScalingBaselineFile, err)
-	}
 	pipelineRep, err := LoadPipelineBaseline(filepath.Join(dir, PipelineBaselineFile))
 	if err != nil {
 		return err

@@ -49,8 +49,6 @@ type JobSpec struct {
 	Sources []uint32 `json:"sources"`
 	// BatchSize is mrbcdist's k (0: its default).
 	BatchSize int `json:"batch_size,omitempty"`
-	// EngineWorkers is mrbcdist's intra-host worker count.
-	EngineWorkers int `json:"engine_workers,omitempty"`
 	// PipelineDepth is mrbcdist's software-pipelining window: how many
 	// source batches may be in flight at once (0/1: serial batches).
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
@@ -179,7 +177,6 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 			Trace:         trace,
 			Metrics:       metrics,
 			Transport:     transport,
-			EngineWorkers: spec.EngineWorkers,
 			PipelineDepth: spec.PipelineDepth,
 			Epoch:         spec.Epoch,
 		}

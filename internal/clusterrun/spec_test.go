@@ -148,36 +148,41 @@ func TestFaultRoundTrip(t *testing.T) {
 }
 
 // TestServeJobRejectsUnknownSpecField: a start spec carrying an option
-// this build does not know (here the removed candidate_sync) must be
-// answered with an error, not run under different settings and not
-// dropped as a bare EOF.
+// this build does not know (here the removed candidate_sync and
+// engine_workers) must be answered with an error naming it, not run
+// under different settings and not dropped as a bare EOF.
 func TestServeJobRejectsUnknownSpecField(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := serveJob(server, DaemonOptions{})
-		done <- err
-	}()
-	enc, dec := json.NewEncoder(client), json.NewDecoder(client)
-	var rep controlReply
-	if err := enc.Encode(controlRequest{Op: "prepare"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&rep); err != nil || !rep.OK {
-		t.Fatalf("prepare: %v, reply %+v", err, rep)
-	}
-	if _, err := client.Write([]byte(`{"op":"start","spec":{"hosts":1,"candidate_sync":true}}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	rep = controlReply{}
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("no reply to the undecodable start: %v", err)
-	}
-	if rep.OK || !strings.Contains(rep.Err, "candidate_sync") {
-		t.Fatalf("reply %+v, want an error naming the unknown field", rep)
-	}
-	if err := <-done; err == nil {
-		t.Fatal("serveJob reported success")
+	for _, field := range []string{`"candidate_sync":true`, `"engine_workers":4`} {
+		name, _, _ := strings.Cut(strings.Trim(field, `"`), `"`)
+		t.Run(name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			done := make(chan error, 1)
+			go func() {
+				_, err := serveJob(server, DaemonOptions{})
+				done <- err
+			}()
+			enc, dec := json.NewEncoder(client), json.NewDecoder(client)
+			var rep controlReply
+			if err := enc.Encode(controlRequest{Op: "prepare"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.Decode(&rep); err != nil || !rep.OK {
+				t.Fatalf("prepare: %v, reply %+v", err, rep)
+			}
+			if _, err := client.Write([]byte(`{"op":"start","spec":{"hosts":1,` + field + `}}` + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			rep = controlReply{}
+			if err := dec.Decode(&rep); err != nil {
+				t.Fatalf("no reply to the undecodable start: %v", err)
+			}
+			if rep.OK || !strings.Contains(rep.Err, name) {
+				t.Fatalf("reply %+v, want an error naming %s", rep, name)
+			}
+			if err := <-done; err == nil {
+				t.Fatal("serveJob reported success")
+			}
+		})
 	}
 }

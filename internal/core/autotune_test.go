@@ -1,52 +1,11 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/gen"
 )
-
-// TestAutotuneWorkersCrossover pins the crossover heuristic: worker
-// count grows with the per-batch label mass n·k, from 1 below the
-// crossover up to the GOMAXPROCS cap.
-func TestAutotuneWorkersCrossover(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	tiny := gen.RoadGrid(8, 8, 1) // 64 vertices × 8 = 512 labels
-	if w := AutotuneWorkers(tiny, 8); w != 1 {
-		t.Fatalf("tiny graph (512 labels): %d workers, want 1", w)
-	}
-	mid := gen.RoadGrid(100, 100, 1) // 10k vertices × 8 = 80k labels ≈ 2.4 crossovers
-	if w := AutotuneWorkers(mid, 8); w < 2 || w > 4 {
-		t.Fatalf("mid graph (80k labels): %d workers, want 2-4", w)
-	}
-	big := gen.RoadGrid(200, 200, 1) // 40k vertices × 32 = 1.28M labels
-	if w := AutotuneWorkers(big, 32); w != 8 {
-		t.Fatalf("big graph (1.28M labels): %d workers, want GOMAXPROCS cap 8", w)
-	}
-}
-
-// TestAutotunedTinyFrontierNeverFansOut pins the satellite property end
-// to end: with Workers unset (autotuned) on a tiny graph, the run picks
-// one worker and executes zero pool rounds — two independent guards
-// (the crossover and the inline gate) both keep tiny frontiers serial.
-func TestAutotunedTinyFrontierNeverFansOut(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	g := gen.RoadGrid(5, 5, 3)
-	sources := []uint32{0, 4, 8, 12, 16, 20, 24}
-	_, stats := BC(g, sources, Options{BatchSize: 8}) // Workers: 0 → autotune
-	if stats.ParallelRounds != 0 {
-		t.Fatalf("autotuned tiny run fanned out: %d parallel rounds", stats.ParallelRounds)
-	}
-	if stats.Steals != 0 || stats.FailedSteals != 0 {
-		t.Fatalf("autotuned tiny run touched the pool: %+v", stats)
-	}
-}
 
 func TestAutotuneReturnsACandidate(t *testing.T) {
 	g := gen.RMAT(8, 8, 2)

@@ -15,13 +15,9 @@ import (
 )
 
 // TestBatchParallelBitwise is the exactness pin of the batch-parallel
-// plan: for every (Parallelism, Workers) and every schedule the ordered
-// retire lets happen, each score has the bits the serial loop
-// (Parallelism: 1, Workers: 1) computes. The model-level counters equal
-// the serial loop's too, and every RunStats field except the
-// timing-dependent Steals equals the one-engine run at the same worker
-// count (the serial loop has no pool, so its scheduler counters are
-// zero at any Parallelism).
+// plan: for every Parallelism and every schedule the ordered retire lets
+// happen, each score has the bits the serial loop (Parallelism: 1)
+// computes, and RunStats equals the serial loop's.
 func TestBatchParallelBitwise(t *testing.T) {
 	old := runtime.GOMAXPROCS(4) // Parallelism: 0 must plan several engines
 	defer runtime.GOMAXPROCS(old)
@@ -57,26 +53,18 @@ func TestBatchParallelBitwise(t *testing.T) {
 			if d := maxAbsDiff(brandes.Sequential(in.g, sources), auto); d > 1e-9 {
 				t.Fatalf("default plan vs Brandes: max abs diff %g", d)
 			}
-			want, serial := BC(in.g, sources, Options{BatchSize: in.batch, Parallelism: 1, Workers: 1})
-			for _, workers := range []int{1, 2} {
-				_, wantStats := BC(in.g, sources, Options{BatchSize: in.batch, Parallelism: 1, Workers: workers})
-				wantStats.Steals = 0
-				for _, par := range []int{0, 1, 2, 3, 16} {
-					opts := Options{BatchSize: in.batch, Parallelism: par, Workers: workers}
-					for rep := 0; rep < repeats; rep++ {
-						got, stats := BC(in.g, sources, opts)
-						for v := range want {
-							if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-								t.Fatalf("%+v run %d: BC(%d) = %v, serial loop %v (not bitwise equal)", opts, rep, v, got[v], want[v])
-							}
+			want, serial := BC(in.g, sources, Options{BatchSize: in.batch, Parallelism: 1})
+			for _, par := range []int{0, 1, 2, 3, 16} {
+				opts := Options{BatchSize: in.batch, Parallelism: par}
+				for rep := 0; rep < repeats; rep++ {
+					got, stats := BC(in.g, sources, opts)
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("%+v run %d: BC(%d) = %v, serial loop %v (not bitwise equal)", opts, rep, v, got[v], want[v])
 						}
-						if stats.Steals = 0; stats != wantStats {
-							t.Fatalf("%+v run %d: stats %+v, one engine %+v", opts, rep, stats, wantStats)
-						}
-						if stats.Batches != serial.Batches || stats.ForwardRounds != serial.ForwardRounds ||
-							stats.BackwardRounds != serial.BackwardRounds || stats.LabelsSynced != serial.LabelsSynced {
-							t.Fatalf("%+v run %d: stats %+v, serial loop %+v", opts, rep, stats, serial)
-						}
+					}
+					if stats != serial {
+						t.Fatalf("%+v run %d: stats %+v, serial loop %+v", opts, rep, stats, serial)
 					}
 				}
 			}
@@ -84,41 +72,32 @@ func TestBatchParallelBitwise(t *testing.T) {
 	}
 }
 
-// TestPlanShared pins the plan: whole batches first, never more engines
-// than batches, cores or the label budget allow; intra-batch workers
-// autotuned over the cores that are left; explicit values kept.
+// TestPlanShared pins the plan: an engine per core, never more engines
+// than batches, cores or the label budget allow; an explicit value kept
+// up to the batch count.
 func TestPlanShared(t *testing.T) {
-	const small, big = 1 << 10, 1 << 16                        // n·32 at / 64× the autotune crossover
+	const big = 1 << 16
 	fills := int(sharedLabelBudget / (labelBytesPerPair * 64)) // n whose k = 64 engine is the whole budget
 	for _, c := range []struct {
-		name                string
-		procs, batches, n   int
-		k                   int
-		opts                Options
-		wantPar, wantWorker int
+		name              string
+		procs, batches, n int
+		k, par            int
+		want              int
 	}{
-		{"one cpu is the serial loop", 1, 8, big, 32, Options{}, 1, 1},
-		{"one batch keeps the runner, autotuned", 8, 1, big, 32, Options{}, 1, 8},
-		{"one small batch stays serial", 8, 1, small, 8, Options{}, 1, 1},
-		{"batches fill the machine", 2, 8, big, 32, Options{}, 2, 1},
-		{"never more engines than batches", 8, 3, big, 32, Options{}, 3, 2},
-		{"no sources", 4, 0, big, 0, Options{}, 1, 1},
-		{"explicit workers take their cores first", 2, 8, big, 32, Options{Workers: 2}, 1, 2},
-		{"explicit workers divide the machine", 8, 8, big, 32, Options{Workers: 2}, 4, 2},
-		{"more workers than cores", 2, 8, big, 32, Options{Workers: 4}, 1, 4},
-		{"explicit parallelism is kept", 2, 8, big, 32, Options{Parallelism: 4}, 4, 1},
-		{"explicit parallelism is clamped to batches", 8, 2, big, 32, Options{Parallelism: 16}, 2, 4},
-		{"both explicit", 2, 8, small, 32, Options{Parallelism: 3, Workers: 5}, 3, 5},
-		{"scan is single-threaded within a batch", 8, 2, big, 32, Options{Scheduler: ScanScheduler}, 2, 1},
-		{"scan ignores explicit workers", 8, 8, big, 32, Options{Workers: 4, Scheduler: ScanScheduler}, 8, 1},
-		{"over the budget: fewer engines, more workers", 8, 8, fills / 3 * 2, 64, Options{}, 1, 8},
-		{"two engines fit the budget", 8, 8, fills / 5 * 2, 64, Options{}, 2, 4},
-		{"the budget does not bind an explicit parallelism", 8, 8, fills, 64, Options{Parallelism: 4}, 4, 2},
+		{"one cpu is the serial loop", 1, 8, big, 32, 0, 1},
+		{"one batch is the serial loop", 8, 1, big, 32, 0, 1},
+		{"batches fill the machine", 2, 8, big, 32, 0, 2},
+		{"never more engines than batches", 8, 3, big, 32, 0, 3},
+		{"no sources", 4, 0, big, 0, 0, 1},
+		{"explicit parallelism is kept", 2, 8, big, 32, 4, 4},
+		{"explicit parallelism is clamped to batches", 8, 2, big, 32, 16, 2},
+		{"over the budget: one engine", 8, 8, fills / 3 * 2, 64, 0, 1},
+		{"two engines fit the budget", 8, 8, fills / 5 * 2, 64, 0, 2},
+		{"the budget does not bind an explicit parallelism", 8, 8, fills, 64, 4, 4},
 	} {
-		par, workers := planShared(c.procs, c.batches, c.n, c.k, c.opts)
-		if par != c.wantPar || workers != c.wantWorker {
-			t.Errorf("%s: planShared(%d cpus, %d batches, n=%d, k=%d, %+v) = (%d, %d), want (%d, %d)",
-				c.name, c.procs, c.batches, c.n, c.k, c.opts, par, workers, c.wantPar, c.wantWorker)
+		if got := planShared(c.procs, c.batches, c.n, c.k, c.par); got != c.want {
+			t.Errorf("%s: planShared(%d cpus, %d batches, n=%d, k=%d, par=%d) = %d, want %d",
+				c.name, c.procs, c.batches, c.n, c.k, c.par, got, c.want)
 		}
 	}
 }
@@ -132,14 +111,12 @@ func TestOrderedRetire(t *testing.T) {
 		const n = 12
 		var computed [n]atomic.Int32
 		var retired []int
-		var closed atomic.Int32
-		runOrdered(n, workers, func() (compute, retire func(int), done func()) {
+		runOrdered(n, workers, func() (compute, retire func(int)) {
 			return func(i int) {
 					time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
 					computed[i].Add(1)
 				},
-				func(i int) { retired = append(retired, i) }, // unsynchronized: -race checks the turn
-				func() { closed.Add(1) }
+				func(i int) { retired = append(retired, i) } // unsynchronized: -race checks the turn
 		})
 		for i := range computed {
 			if c := computed[i].Load(); c != 1 {
@@ -149,22 +126,17 @@ func TestOrderedRetire(t *testing.T) {
 		if fmt.Sprint(retired) != "[0 1 2 3 4 5 6 7 8 9 10 11]" {
 			t.Fatalf("workers=%d: retired in order %v", workers, retired)
 		}
-		if want := int32(min(workers, n)); closed.Load() != want {
-			t.Fatalf("workers=%d: %d workers closed, want %d", workers, closed.Load(), want)
-		}
 	}
 }
 
 // TestOrderedRetirePanic: an ordered retire that loses a task would
 // leave every later task waiting for a turn that never comes. A panic
 // in compute — or in retire — of batch 3 of 8 must instead reach the
-// caller as that panic value, promptly, with every worker closed and no
-// goroutine left behind.
+// caller as that panic value, promptly, with no goroutine left behind.
 func TestOrderedRetirePanic(t *testing.T) {
 	for _, where := range []string{"compute", "retire"} {
 		for _, workers := range []int{1, 2, 3, 8} {
 			before := runtime.NumGoroutine()
-			var opened, closed atomic.Int32
 			var retired []int
 			caught := make(chan any, 1)
 			go func() {
@@ -174,11 +146,9 @@ func TestOrderedRetirePanic(t *testing.T) {
 						panic(fmt.Sprintf("batch %d lost in %s", i, at))
 					}
 				}
-				runOrdered(8, workers, func() (compute, retire func(int), done func()) {
-					opened.Add(1)
+				runOrdered(8, workers, func() (compute, retire func(int)) {
 					return func(i int) { boom("compute", i) },
-						func(i int) { boom("retire", i); retired = append(retired, i) },
-						func() { closed.Add(1) }
+						func(i int) { boom("retire", i); retired = append(retired, i) }
 				})
 			}()
 			select {
@@ -192,9 +162,6 @@ func TestOrderedRetirePanic(t *testing.T) {
 			// Batches computed before the loss may or may not have retired.
 			if !strings.HasPrefix("[0 1 2]", strings.TrimSuffix(fmt.Sprint(retired), "]")) {
 				t.Fatalf("%s, workers=%d: retired %v around the lost batch, want a prefix of [0 1 2]", where, workers, retired)
-			}
-			if opened.Load() != closed.Load() {
-				t.Fatalf("%s, workers=%d: %d workers opened, %d closed", where, workers, opened.Load(), closed.Load())
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

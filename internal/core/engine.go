@@ -18,7 +18,7 @@ import (
 //   - Mv: the sorted distance -> source-set map of vertex v is the first
 //     mapLen entries of the region [v·k, (v+1)·k) of mvDist/mvSet. At
 //     k ≤ 64 an entry's source set is the mvSet word itself; above, it
-//     names a slot of ⌈k/64⌉ words in the owning shard's slab.
+//     names a slot of ⌈k/64⌉ words in the engine's set slab.
 //   - One 20-byte record per vertex carries the schedule: the number of
 //     sent entries, the first unsent entry, the Mv length and the round
 //     the vertex is enqueued for.
@@ -30,9 +30,7 @@ import (
 // sits at position sentCount+1 and is due in round dist + sentCount + 1.
 // Because that round is known the moment an entry is created or
 // improved, flag discovery is a round-indexed bucket scheduler (a
-// calendar queue with lazy deletion), sharded by vertex ownership into
-// contiguous ranges so the shared-memory runner can execute a round's
-// compute phase on several goroutines without locks (see parallel.go).
+// calendar queue with lazy deletion).
 //
 // An engine is built once and Reset between batches. It holds one
 // host's local view: internal/mrbcdist runs one per host with
@@ -66,9 +64,8 @@ type vertexSched struct {
 	fuDist    uint32 // first (lexicographically least) unsent entry
 	fuSrc     int32  // -1 when no unsent entry exists
 	mapLen    int32  // live Mv entries
-	// sched is the forward round the vertex is currently enqueued for
-	// (bucket mode), or -1 when it has no unsent entry / was collected
-	// this round. Only the vertex's owner mutates it.
+	// sched is the forward round the vertex is currently enqueued for,
+	// or -1 when it has no unsent entry / was collected this round.
 	sched int32
 }
 
@@ -88,76 +85,21 @@ func (rec *vertexSched) noteUnsent(s int, d uint32) {
 	}
 }
 
-// engineShard holds one ownership shard's scheduler state. A shard
-// owns a contiguous vertex range (see shardOf/shardRange) and each
-// shard's state is touched by exactly one worker per parallel phase, so
-// nothing here needs locks or atomics; the trailing pad keeps the
-// frequently-written pending counter of adjacent shards on different
-// cache lines.
-type engineShard struct {
-	// buckets[r-1] holds vertices tentatively due in forward round r.
-	// Deletion is lazy: a vertex is re-appended when its due round
-	// changes, and collection skips copies whose round no longer
-	// matches the vertex's sched.
-	buckets [][]uint32
-	// freeBuckets recycles the slices of collected rounds.
-	freeBuckets [][]uint32
-	// backByRound[r-1] holds the Algorithm 5 flags of backward round r as
-	// pair indices v·k+s, ascending, carved out of backArena — 4 bytes per
-	// reached pair; backCounts is the counting pass's scratch.
-	backByRound [][]uint32
-	backArena   []uint32
-	backCounts  []int32
-	// nextHint is a verified lower bound on the shard's next non-empty
-	// bucket round: every bucket strictly before it is empty. Lowered on
-	// insert, advanced by NextForwardRound's scan, it makes the per-round
-	// scan amortized O(1) per shard instead of O(round span) — the cost
-	// that would otherwise grow with the shard count.
-	nextHint int32
-	// setWords is the slab of Mv source sets for batches above 64
-	// sources: slot i is words [i·wps, (i+1)·wps). An emptied set's slot
-	// returns through freeSlots with all its words zero.
-	setWords  []uint64
-	setSlots  int
-	freeSlots []uint32
-	// pending counts (v,s) pairs inserted but not yet synchronized.
-	pending int64
-	_       [56]byte
-}
-
-// setSlabChunk is the number of set slots a shard's slab grows by.
+// setSlabChunk is the number of set slots the set slab grows by.
 const setSlabChunk = 256
 
-func (sh *engineShard) allocSlot(wps int) int {
-	if n := len(sh.freeSlots); n > 0 {
-		slot := sh.freeSlots[n-1]
-		sh.freeSlots = sh.freeSlots[:n-1]
+func (e *Engine) allocSlot() int {
+	if n := len(e.freeSlots); n > 0 {
+		slot := e.freeSlots[n-1]
+		e.freeSlots = e.freeSlots[:n-1]
 		return int(slot)
 	}
-	slot := sh.setSlots
-	sh.setSlots++
-	if sh.setSlots*wps > len(sh.setWords) {
-		sh.setWords = append(sh.setWords, make([]uint64, setSlabChunk*wps)...)
+	slot := e.setSlots
+	e.setSlots++
+	if e.setSlots*e.wps > len(e.setWords) {
+		e.setWords = append(e.setWords, make([]uint64, setSlabChunk*e.wps)...)
 	}
 	return slot
-}
-
-// reset empties the shard's scheduler and set slab, keeping every
-// slice's capacity. wps is the slot width the slab was used at.
-func (sh *engineShard) reset(wps int) {
-	for i, b := range sh.buckets {
-		if cap(b) > 0 {
-			sh.freeBuckets = append(sh.freeBuckets, b[:0])
-		}
-		sh.buckets[i] = nil
-	}
-	sh.buckets = sh.buckets[:0]
-	sh.backByRound = sh.backByRound[:0]
-	sh.nextHint = 0
-	clear(sh.setWords[:sh.setSlots*wps])
-	sh.setSlots = 0
-	sh.freeSlots = sh.freeSlots[:0]
-	sh.pending = 0
 }
 
 // Engine is one host's MRBC state over a local graph.
@@ -180,37 +122,41 @@ type Engine struct {
 	sent   []uint64 // v·wps + s/64: the pair has been synchronized
 	vs     []vertexSched
 
-	scan     bool          // legacy O(n)-scan flag discovery (baseline)
-	shards   []engineShard // ownership shards; len >= 1
-	fwdRound int           // last collected forward round, for schedule sanity checks
-	totalR   int           // forward termination round, set by StartBackward
+	// buckets[r-1] holds vertices tentatively due in forward round r.
+	// Deletion is lazy: a vertex is re-appended when its due round
+	// changes, and collection skips copies whose round no longer
+	// matches the vertex's sched.
+	buckets [][]uint32
+	// freeBuckets recycles the slices of collected rounds.
+	freeBuckets [][]uint32
+	// nextHint is a verified lower bound on the next non-empty bucket
+	// round: every bucket strictly before it is empty. Lowered on
+	// insert, advanced by NextForwardRound's scan, it makes that scan
+	// amortized O(1) per round instead of O(round span).
+	nextHint int32
+	// backByRound[r-1] holds the Algorithm 5 flags of backward round r as
+	// pair indices v·k+s, ascending, carved out of backArena — 4 bytes per
+	// reached pair; backCounts is the counting pass's scratch.
+	backByRound [][]uint32
+	backArena   []uint32
+	backCounts  []int32
+	// setWords is the slab of Mv source sets for batches above 64
+	// sources: slot i is words [i·wps, (i+1)·wps). An emptied set's slot
+	// returns through freeSlots with all its words zero.
+	setWords  []uint64
+	setSlots  int
+	freeSlots []uint32
+	// pending counts (v,s) pairs inserted but not yet synchronized.
+	pending int64
+
+	fwdRound int // last collected forward round, for schedule sanity checks
 }
 
-// EngineOpts configures optional Engine behavior.
-type EngineOpts struct {
-	// Shards partitions vertices by ownership into contiguous ranges so
-	// that the per-round compute phase can run on a worker pool with
-	// every label write, scheduler move, and pending-counter update
-	// staying inside the owning shard. 0 or 1 means a single shard
-	// (single-threaded use, e.g. one engine per simulated host).
-	// ParallelShards picks the fan-out the parallel runtime uses.
-	Shards int
-	// Scan selects the seed O(n)-per-round vertex scan for forward
-	// flag discovery instead of the bucket scheduler. Kept as the
-	// baseline for benchmarks and cross-engine equivalence tests.
-	Scan bool
-}
-
-// NewEngine creates an engine for k sources over the local graph g with
-// default options (bucket scheduler, one shard). The graph's in-edge
-// view is required for the backward phase and is built eagerly.
+// NewEngine creates an engine for k sources over the local graph g. k is
+// the largest batch the engine will run; Reset selects smaller ones. The
+// graph's in-edge view is required for the backward phase and is built
+// eagerly.
 func NewEngine(g *graph.Graph, k int) *Engine {
-	return NewEngineOpts(g, k, EngineOpts{})
-}
-
-// NewEngineOpts creates an engine with explicit scheduler options. k is
-// the largest batch the engine will run; Reset selects smaller ones.
-func NewEngineOpts(g *graph.Graph, k int, opts EngineOpts) *Engine {
 	if k <= 0 {
 		panic("core: batch size must be positive")
 	}
@@ -221,22 +167,13 @@ func NewEngineOpts(g *graph.Graph, k int, opts EngineOpts) *Engine {
 		// label slabs of such an engine would be over 150 GB.
 		panic(fmt.Sprintf("core: %d vertices × %d sources exceed 2^32 (vertex, source) pairs", n, k))
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n && n > 0 {
-		shards = n
-	}
 	e := &Engine{
-		g:      g,
-		n:      n,
-		kmax:   k,
-		dist:   make([]uint32, n*k),
-		sent:   make([]uint64, n*bitset.WordsFor(k)),
-		vs:     make([]vertexSched, n),
-		scan:   opts.Scan,
-		shards: make([]engineShard, shards),
+		g:    g,
+		n:    n,
+		kmax: k,
+		dist: make([]uint32, n*k),
+		sent: make([]uint64, n*bitset.WordsFor(k)),
+		vs:   make([]vertexSched, n),
 	}
 	e.blank()
 	e.setStride(k)
@@ -264,8 +201,7 @@ func (e *Engine) setStride(k int) {
 }
 
 // allocLabels makes the slabs construction deferred. Every entry point
-// that can create the engine's first finite entry calls it; they all run
-// before any parallel phase has work to do.
+// that can create the engine's first finite entry calls it.
 func (e *Engine) allocLabels() {
 	full, used := e.n*e.kmax, e.n*e.k
 	e.sigma = make([]float64, used, full)
@@ -275,9 +211,9 @@ func (e *Engine) allocLabels() {
 	e.mvSet = make([]uint64, used, full)
 }
 
-// Reset returns the engine to the state NewEngineOpts(g, k, opts) would
-// build, for a batch of k ≤ the construction-time batch size, keeping
-// every slab and scheduler slice. It is valid at any point of a batch,
+// Reset returns the engine to the state NewEngine(g, k) would build, for
+// a batch of k ≤ the construction-time batch size, keeping every slab
+// and scheduler slice. It is valid at any point of a batch,
 // including one abandoned mid-forward or mid-backward.
 func (e *Engine) Reset(k int) {
 	if k <= 0 || k > e.kmax {
@@ -288,10 +224,20 @@ func (e *Engine) Reset(k int) {
 	clear(e.delta)
 	clear(e.tau)
 	clear(e.sent[:e.n*e.wps])
-	for i := range e.shards {
-		e.shards[i].reset(e.wps)
+	for i, b := range e.buckets {
+		if cap(b) > 0 {
+			e.freeBuckets = append(e.freeBuckets, b[:0])
+		}
+		e.buckets[i] = nil
 	}
-	e.fwdRound, e.totalR = 0, 0
+	e.buckets = e.buckets[:0]
+	e.backByRound = e.backByRound[:0]
+	e.nextHint = 0
+	clear(e.setWords[:e.setSlots*e.wps])
+	e.setSlots = 0
+	e.freeSlots = e.freeSlots[:0]
+	e.pending = 0
+	e.fwdRound = 0
 	e.setStride(k)
 }
 
@@ -300,9 +246,6 @@ func (e *Engine) K() int { return e.k }
 
 // Graph returns the engine's local graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// NumShards returns the number of vertex-ownership shards.
-func (e *Engine) NumShards() int { return len(e.shards) }
 
 // idx returns the slab index of (v, s). Every public entry point goes
 // through it: in a flat slab an out-of-range source would silently alias
@@ -334,43 +277,6 @@ func (e *Engine) Get(v uint32, s int) SrcData {
 	return d
 }
 
-// ParallelShards is the ownership shard count runner-driven engines
-// use: a fixed fan-out (clamped to n) chosen independently of the
-// worker count, so the canonical shard-concatenation order — and with
-// it every float64 summation order — is the same for 1 worker as for
-// 16. 64 shards over-partition every worker count we target (≤16),
-// giving the stealing scheduler slack to rebalance skewed frontiers.
-func ParallelShards(n int) int {
-	const target = 64
-	if n < target {
-		if n < 1 {
-			return 1
-		}
-		return n
-	}
-	return target
-}
-
-// shardOf maps a vertex to its owning shard. Shards are contiguous
-// ranges (v·S/n), not interleaved residues: adjacent vertices share a
-// shard, so one worker's label writes stay in contiguous slab memory
-// (no false sharing between workers), and per-shard vertex order
-// concatenated in shard order equals global vertex order.
-func (e *Engine) shardOf(v uint32) int {
-	if len(e.shards) == 1 {
-		return 0
-	}
-	return int(uint64(v) * uint64(len(e.shards)) / uint64(e.n))
-}
-
-// shardRange returns the contiguous vertex range [lo, hi) owned by a
-// shard: the inverse of shardOf.
-func (e *Engine) shardRange(shard int) (lo, hi int) {
-	n := e.n
-	s := len(e.shards)
-	return (shard*n + s - 1) / s, ((shard+1)*n + s - 1) / s
-}
-
 // lowerBound returns the first index of ascending a holding a value >= d.
 func lowerBound(a []uint32, d uint32) int {
 	lo, hi := 0, len(a)
@@ -385,17 +291,17 @@ func lowerBound(a []uint32, d uint32) int {
 }
 
 // setOf returns the words of the Mv source set stored at entry ent.
-func (e *Engine) setOf(sh *engineShard, ent int) []uint64 {
+func (e *Engine) setOf(ent int) []uint64 {
 	if e.wps == 1 {
 		return e.mvSet[ent : ent+1]
 	}
 	off := int(e.mvSet[ent]) * e.wps
-	return sh.setWords[off : off+e.wps]
+	return e.setWords[off : off+e.wps]
 }
 
 // mvAdd files source s under distance d in v's ordered map Mv. A vertex
 // holds at most k distinct distances, so its region never overflows.
-func (e *Engine) mvAdd(sh *engineShard, v uint32, s int, d uint32) {
+func (e *Engine) mvAdd(v uint32, s int, d uint32) {
 	rec := &e.vs[v]
 	base, n := int(v)*e.k, int(rec.mapLen)
 	dists := e.mvDist[base : base+n]
@@ -408,7 +314,7 @@ func (e *Engine) mvAdd(sh *engineShard, v uint32, s int, d uint32) {
 			i = lowerBound(dists, d)
 		}
 		if dists[i] == d {
-			e.setOf(sh, base+i)[s>>6] |= 1 << (uint(s) & 63)
+			e.setOf(base + i)[s>>6] |= 1 << (uint(s) & 63)
 			return
 		}
 	}
@@ -422,14 +328,14 @@ func (e *Engine) mvAdd(sh *engineShard, v uint32, s int, d uint32) {
 		sets[i] = 1 << uint(s)
 		return
 	}
-	slot := sh.allocSlot(e.wps)
+	slot := e.allocSlot()
 	sets[i] = uint64(slot)
-	sh.setWords[slot*e.wps+s>>6] |= 1 << (uint(s) & 63)
+	e.setWords[slot*e.wps+s>>6] |= 1 << (uint(s) & 63)
 }
 
 // mvRemove takes source s out of distance d's set in v's Mv, dropping
 // the entry when its set empties.
-func (e *Engine) mvRemove(sh *engineShard, v uint32, s int, d uint32) {
+func (e *Engine) mvRemove(v uint32, s int, d uint32) {
 	rec := &e.vs[v]
 	base, n := int(v)*e.k, int(rec.mapLen)
 	dists := e.mvDist[base : base+n]
@@ -439,7 +345,7 @@ func (e *Engine) mvRemove(sh *engineShard, v uint32, s int, d uint32) {
 	}
 	var set []uint64
 	if i < n && dists[i] == d {
-		set = e.setOf(sh, base+i)
+		set = e.setOf(base + i)
 	}
 	bit := uint64(1) << (uint(s) & 63)
 	if set == nil || set[s>>6]&bit == 0 {
@@ -452,7 +358,7 @@ func (e *Engine) mvRemove(sh *engineShard, v uint32, s int, d uint32) {
 		}
 	}
 	if e.wps > 1 {
-		sh.freeSlots = append(sh.freeSlots, uint32(e.mvSet[base+i]))
+		e.freeSlots = append(e.freeSlots, uint32(e.mvSet[base+i]))
 	}
 	sets := e.mvSet[base : base+n]
 	copy(dists[i:], dists[i+1:])
@@ -466,13 +372,13 @@ func (e *Engine) mvRemove(sh *engineShard, v uint32, s int, d uint32) {
 // distance of the previous first-unsent entry instead of position 0,
 // and within each distance the first unsent source is one
 // set-difference away.
-func (e *Engine) advanceFU(sh *engineShard, v uint32) {
+func (e *Engine) advanceFU(v uint32) {
 	rec := &e.vs[v]
 	base, n := int(v)*e.k, int(rec.mapLen)
 	dists := e.mvDist[base : base+n]
 	sent := e.sent[int(v)*e.wps : (int(v)+1)*e.wps]
 	for i := lowerBound(dists, rec.fuDist); i < n; i++ {
-		for j, w := range e.setOf(sh, base+i) {
+		for j, w := range e.setOf(base + i) {
 			if w &^= sent[j]; w != 0 {
 				rec.fuDist, rec.fuSrc = dists[i], int32(j<<6+bits.TrailingZeros64(w))
 				return
@@ -490,36 +396,31 @@ func (e *Engine) isSent(v uint32, s int) bool {
 // insert creates the unsent entry (v, s) at distance d with σ partial
 // sigma and schedules it.
 func (e *Engine) insert(v uint32, s, i int, d uint32, sigma float64) {
-	sh := &e.shards[e.shardOf(v)]
 	e.dist[i] = d
 	e.sigma[i] = sigma
-	e.mvAdd(sh, v, s, d)
+	e.mvAdd(v, s, d)
 	e.vs[v].noteUnsent(s, d)
-	sh.pending++
-	e.reschedule(sh, v)
+	e.pending++
+	e.reschedule(v)
 }
 
 // improve lowers the unsent entry (v, s) from distance cur to d,
 // replacing its σ partial (partials at the stale distance are
 // discarded), and reschedules it.
 func (e *Engine) improve(v uint32, s, i int, cur, d uint32, sigma float64) {
-	sh := &e.shards[e.shardOf(v)]
-	e.mvRemove(sh, v, s, cur)
-	e.mvAdd(sh, v, s, d)
+	e.mvRemove(v, s, cur)
+	e.mvAdd(v, s, d)
 	e.dist[i] = d
 	e.sigma[i] = sigma
 	e.vs[v].noteUnsent(s, d)
-	e.reschedule(sh, v)
+	e.reschedule(v)
 }
 
-// reschedule records v's current due round in the bucket scheduler of
-// its shard sh after a mutation that may have changed it. Stale copies left in old
+// reschedule records v's current due round in the bucket scheduler
+// after a mutation that may have changed it. Stale copies left in old
 // buckets (lazy deletion) are skipped at collection because the
 // vertex's sched no longer names their round.
-func (e *Engine) reschedule(sh *engineShard, v uint32) {
-	if e.scan {
-		return
-	}
+func (e *Engine) reschedule(v uint32) {
 	rec := &e.vs[v]
 	if rec.fuSrc < 0 {
 		rec.sched = -1
@@ -538,20 +439,20 @@ func (e *Engine) reschedule(sh *engineShard, v uint32) {
 		panic(fmt.Sprintf("core: vertex %d scheduled into past round %d (current %d)", v, due, e.fwdRound))
 	}
 	rec.sched = due
-	if due < sh.nextHint {
-		sh.nextHint = due
+	if due < e.nextHint {
+		e.nextHint = due
 	}
-	for len(sh.buckets) < int(due) {
-		sh.buckets = append(sh.buckets, nil)
+	for len(e.buckets) < int(due) {
+		e.buckets = append(e.buckets, nil)
 	}
-	b := sh.buckets[due-1]
+	b := e.buckets[due-1]
 	if b == nil {
-		if n := len(sh.freeBuckets); n > 0 { // recycle a collected round's slice
-			b = sh.freeBuckets[n-1]
-			sh.freeBuckets = sh.freeBuckets[:n-1]
+		if n := len(e.freeBuckets); n > 0 { // recycle a collected round's slice
+			b = e.freeBuckets[n-1]
+			e.freeBuckets = e.freeBuckets[:n-1]
 		}
 	}
-	sh.buckets[due-1] = append(b, v)
+	e.buckets[due-1] = append(b, v)
 }
 
 // InitSource marks local vertex v as source s. withSigma controls the
@@ -586,39 +487,17 @@ func (e *Engine) nextDue(v uint32) (round int, src int) {
 
 // ForwardFlags appends to dst the (vertex, source) pairs scheduled to
 // synchronize in round r under this host's local view, implementing the
-// proxy synchronization rule. At most one flag per vertex per round.
+// proxy synchronization rule. At most one flag per vertex per round, in
+// the order the vertices were scheduled.
 //
-// In bucket mode collection consumes round r's buckets: call it (or
-// forwardFlagsShard for every shard) exactly once per round, in
-// nondecreasing round order.
+// Collection consumes round r's bucket: call it exactly once per round,
+// in nondecreasing round order.
 func (e *Engine) ForwardFlags(r int, dst []Flag) []Flag {
-	if e.scan {
-		for v := range e.vs {
-			due, src := e.nextDue(uint32(v))
-			if due == r {
-				dst = append(dst, Flag{V: uint32(v), Src: src})
-			} else if due > 0 && due < r {
-				panic(fmt.Sprintf("core: vertex %d missed its scheduled round %d (now %d)", v, due, r))
-			}
-		}
-		return dst
-	}
 	e.fwdRound = r
-	for sh := range e.shards {
-		dst = e.forwardFlagsShard(r, sh, dst)
-	}
-	return dst
-}
-
-// forwardFlagsShard collects the round-r flags of one ownership shard,
-// consuming the shard's round-r bucket. Safe to call concurrently for
-// distinct shards; e.fwdRound must have been set to r beforehand.
-func (e *Engine) forwardFlagsShard(r, shard int, dst []Flag) []Flag {
-	sh := &e.shards[shard]
-	if r > len(sh.buckets) {
+	if r > len(e.buckets) {
 		return dst
 	}
-	for _, v := range sh.buckets[r-1] {
+	for _, v := range e.buckets[r-1] {
 		if e.vs[v].sched != int32(r) {
 			continue // stale lazily-deleted copy
 		}
@@ -629,53 +508,27 @@ func (e *Engine) forwardFlagsShard(r, shard int, dst []Flag) []Flag {
 		e.vs[v].sched = -1
 		dst = append(dst, Flag{V: v, Src: src})
 	}
-	if b := sh.buckets[r-1]; cap(b) > 0 {
-		sh.freeBuckets = append(sh.freeBuckets, b[:0])
+	if b := e.buckets[r-1]; cap(b) > 0 {
+		e.freeBuckets = append(e.freeBuckets, b[:0])
 	}
-	sh.buckets[r-1] = nil
+	e.buckets[r-1] = nil
 	return dst
 }
 
-// NextForwardRound returns the next round after r in which any vertex
-// may be due, letting the caller jump over empty rounds. A scan-mode
-// engine advances one round at a time; a bucketed engine returns the
-// round of the next non-empty bucket (which may hold only stale
-// entries, yielding zero flags), or -1 when nothing is scheduled.
+// NextForwardRound returns the round of the next non-empty bucket after
+// r, letting the caller jump over empty rounds, or -1 when nothing is
+// scheduled. The bucket may hold only stale entries, yielding zero
+// flags.
 func (e *Engine) NextForwardRound(r int) int {
-	if e.scan {
-		return r + 1
+	h := max(int(e.nextHint), r+1)
+	for h <= len(e.buckets) && len(e.buckets[h-1]) == 0 {
+		h++
 	}
-	best := -1
-	for i := range e.shards {
-		sh := &e.shards[i]
-		h := int(sh.nextHint)
-		if h < r+1 {
-			h = r + 1
-		}
-		for h <= len(sh.buckets) && len(sh.buckets[h-1]) == 0 {
-			h++
-		}
-		sh.nextHint = int32(h)
-		if h <= len(sh.buckets) && (best < 0 || h < best) {
-			best = h
-		}
+	e.nextHint = int32(h)
+	if h > len(e.buckets) {
+		return -1
 	}
-	return best
-}
-
-// dueEstimate returns an upper bound on the number of flags forward
-// round r can yield: the total length of the shards' round-r buckets,
-// stale lazily-deleted copies included. The parallel runtime's inline
-// gate consumes it; being a pure function of scheduler state, it is
-// identical across worker counts.
-func (e *Engine) dueEstimate(r int) int {
-	total := 0
-	for i := range e.shards {
-		if b := e.shards[i].buckets; r <= len(b) {
-			total += len(b[r-1])
-		}
-	}
-	return total
+	return h
 }
 
 // ApplySync installs the reduced-and-broadcast final labels for (v, s)
@@ -686,16 +539,15 @@ func (e *Engine) ApplySync(v uint32, s int, dist uint32, sigma float64, r int) {
 	if e.sigma == nil {
 		e.allocLabels()
 	}
-	sh := &e.shards[e.shardOf(v)]
 	switch cur := e.dist[i]; {
 	case cur == graph.InfDist:
-		e.mvAdd(sh, v, s, dist)
-		sh.pending++
+		e.mvAdd(v, s, dist)
+		e.pending++
 	case cur < dist:
 		panic(fmt.Sprintf("core: sync for (%d,%d) with dist %d worse than local %d", v, s, dist, cur))
 	case cur > dist:
-		e.mvRemove(sh, v, s, cur)
-		e.mvAdd(sh, v, s, dist)
+		e.mvRemove(v, s, cur)
+		e.mvAdd(v, s, dist)
 	}
 	e.dist[i] = dist
 	e.sigma[i] = sigma
@@ -707,17 +559,16 @@ func (e *Engine) ApplySync(v uint32, s int, dist uint32, sigma float64, r int) {
 	rec := &e.vs[v]
 	rec.sentCount++
 	if rec.fuSrc == int32(s) {
-		e.advanceFU(sh, v)
+		e.advanceFU(v)
 	}
-	sh.pending--
-	e.reschedule(sh, v)
+	e.pending--
+	e.reschedule(v)
 }
 
 // applyRelax folds one relaxation contribution (distance cand, σ-part
 // sigma) from a just-synchronized in-neighbor into w's labels: the
-// target-vertex half of RelaxOutLocal (Steps 13-17 of Algorithm 3). It
-// touches only w's shard, so workers owning disjoint shards may call
-// it concurrently. s is in range: it comes from a validated flag.
+// target-vertex half of RelaxOutLocal (Steps 13-17 of Algorithm 3). s
+// is in range: it comes from a validated flag.
 func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) {
 	i := int(w)*e.k + s
 	cur := e.dist[i]
@@ -790,108 +641,62 @@ func (e *Engine) AddDeltaPartial(v uint32, s int, delta float64) {
 // PendingUnsent reports whether any finite-distance entry on this host
 // has not yet been synchronized; used for global termination detection
 // (Lemma 8).
-func (e *Engine) PendingUnsent() bool {
-	for i := range e.shards {
-		if e.shards[i].pending > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (e *Engine) PendingUnsent() bool { return e.pending > 0 }
 
 // StartBackward switches to the accumulation phase (Algorithm 5) given
 // the forward termination round R. The whole backward schedule is
 // known up front (source s synchronizes in round Asv = R - τsv + 1),
-// so it is bucketed by round once, per ownership shard; BackwardFlags
-// then costs O(|flags|) per round.
+// so it is bucketed by round once; BackwardFlags then costs O(|flags|)
+// per round. The slabs are scanned in ascending pair index, so each
+// round's flags are ascending (vertex, source).
 func (e *Engine) StartBackward(R int) {
-	e.totalR = R
-	for sh := range e.shards {
-		e.startBackwardShard(sh, R)
-	}
-}
-
-// startBackwardShard buckets one ownership shard's backward flags by
-// round: the level-synchronous sweep's per-shard setup. It touches only
-// the shard's own vertex range and bucket state, so the parallel
-// runtime calls it concurrently for distinct shards (with e.totalR set
-// by the caller beforehand). The shard's slab range is scanned in
-// ascending pair index, so each round's flags are ascending (vertex,
-// source) within the shard — and, ranges being contiguous, across
-// shards in shard order.
-func (e *Engine) startBackwardShard(shard, R int) {
-	lo, hi := e.shardRange(shard)
-	sh := &e.shards[shard]
-	sh.backByRound = sh.backByRound[:0]
+	e.backByRound = e.backByRound[:0]
 	if e.sigma == nil {
 		return // no label was ever written
 	}
-	dist, tau := e.dist[lo*e.k:hi*e.k], e.tau[lo*e.k:hi*e.k]
-	// Counting pass: exact per-round sizes, so the shard's flags live in
-	// one arena instead of append-grown round slices.
-	counts := sh.backCounts[:0]
+	// Counting pass: exact per-round sizes, so the flags live in one
+	// arena instead of append-grown round slices.
+	counts := e.backCounts[:0]
 	total := 0
-	for i, d := range dist {
+	for i, d := range e.dist {
 		if d == graph.InfDist {
 			continue
 		}
-		r := R - int(tau[i]) + 1
+		r := R - int(e.tau[i]) + 1
 		for len(counts) < r {
 			counts = append(counts, 0)
 		}
 		counts[r-1]++
 		total++
 	}
-	sh.backCounts = counts
-	if cap(sh.backArena) < total {
+	e.backCounts = counts
+	if cap(e.backArena) < total {
 		// Headroom: batches reach slightly different pair counts, and an
 		// arena re-made at every new maximum costs the sum of the maxima.
-		sh.backArena = make([]uint32, total+total/8)
+		e.backArena = make([]uint32, total+total/8)
 	}
-	arena := sh.backArena[:total]
+	arena := e.backArena[:total]
 	off := 0
 	for _, c := range counts {
-		sh.backByRound = append(sh.backByRound, arena[off:off:off+int(c)])
+		e.backByRound = append(e.backByRound, arena[off:off:off+int(c)])
 		off += int(c)
 	}
-	for i, d := range dist {
+	for i, d := range e.dist {
 		if d != graph.InfDist {
-			r := R - int(tau[i]) + 1
-			sh.backByRound[r-1] = append(sh.backByRound[r-1], uint32(lo*e.k+i))
+			r := R - int(e.tau[i]) + 1
+			e.backByRound[r-1] = append(e.backByRound[r-1], uint32(i))
 		}
 	}
-}
-
-// backDueCount returns the exact number of backward round-r flags
-// across all shards.
-func (e *Engine) backDueCount(r int) int {
-	total := 0
-	for i := range e.shards {
-		if b := e.shards[i].backByRound; r >= 1 && r <= len(b) {
-			total += len(b[r-1])
-		}
-	}
-	return total
 }
 
 // BackwardFlags appends the (vertex, source) pairs whose dependency
 // value synchronizes in backward round r.
 func (e *Engine) BackwardFlags(r int, dst []Flag) []Flag {
-	for sh := range e.shards {
-		dst = e.backwardFlagsShard(r, sh, dst)
-	}
-	return dst
-}
-
-// backwardFlagsShard appends one shard's backward round-r flags. Safe
-// to call concurrently for distinct shards.
-func (e *Engine) backwardFlagsShard(r, shard int, dst []Flag) []Flag {
-	sh := &e.shards[shard]
-	if r < 1 || r > len(sh.backByRound) {
+	if r < 1 || r > len(e.backByRound) {
 		return dst
 	}
 	k := uint32(e.k)
-	for _, p := range sh.backByRound[r-1] {
+	for _, p := range e.backByRound[r-1] {
 		dst = append(dst, Flag{V: p / k, Src: int(p % k)})
 	}
 	return dst
@@ -899,15 +704,7 @@ func (e *Engine) backwardFlagsShard(r, shard int, dst []Flag) []Flag {
 
 // BackwardRounds returns the number of rounds the backward phase needs:
 // the largest Asv across this host.
-func (e *Engine) BackwardRounds() int {
-	max := 0
-	for i := range e.shards {
-		if b := len(e.shards[i].backByRound); b > max {
-			max = b
-		}
-	}
-	return max
-}
+func (e *Engine) BackwardRounds() int { return len(e.backByRound) }
 
 // DeltaPartial returns this host's current δ partial for (v, s).
 func (e *Engine) DeltaPartial(v uint32, s int) float64 { return e.delta[e.idx(v, s)] }

@@ -147,21 +147,20 @@ func TestEngineZeroBatchSizePanics(t *testing.T) {
 }
 
 // mvEngine returns a labelled engine over a two-vertex graph for
-// driving the Mv primitives directly, plus its only shard.
-func mvEngine(k int) (*Engine, *engineShard) {
+// driving the Mv primitives directly.
+func mvEngine(k int) *Engine {
 	e := NewEngine(gen.Path(2), k)
 	e.allocLabels()
-	return e, &e.shards[0]
+	return e
 }
 
 // mvOf returns vertex v's Mv as parallel (distance, sources) lists.
 func mvOf(e *Engine, v uint32) (dists []uint32, srcs [][]int) {
-	sh := &e.shards[e.shardOf(v)]
 	base := int(v) * e.k
 	for i := 0; i < int(e.vs[v].mapLen); i++ {
 		dists = append(dists, e.mvDist[base+i])
 		var set []int
-		for j, w := range e.setOf(sh, base+i) {
+		for j, w := range e.setOf(base + i) {
 			for ; w != 0; w &= w - 1 {
 				set = append(set, j<<6+bits.TrailingZeros64(w))
 			}
@@ -173,22 +172,22 @@ func mvOf(e *Engine, v uint32) (dists []uint32, srcs [][]int) {
 
 func TestDistMapOrdering(t *testing.T) {
 	for _, k := range []int{8, 100} { // inline word, slab slots
-		e, sh := mvEngine(k)
-		e.mvAdd(sh, 1, 3, 5)
-		e.mvAdd(sh, 1, 1, 2)
-		e.mvAdd(sh, 1, 4, 5)
-		e.mvAdd(sh, 1, k-1, 9)
-		e.mvAdd(sh, 1, 2, 7) // lands between two live entries
+		e := mvEngine(k)
+		e.mvAdd(1, 3, 5)
+		e.mvAdd(1, 1, 2)
+		e.mvAdd(1, 4, 5)
+		e.mvAdd(1, k-1, 9)
+		e.mvAdd(1, 2, 7) // lands between two live entries
 		dists, srcs := mvOf(e, 1)
 		if !reflect.DeepEqual(dists, []uint32{2, 5, 7, 9}) ||
 			!reflect.DeepEqual(srcs, [][]int{{1}, {3, 4}, {2}, {k - 1}}) {
 			t.Fatalf("k=%d: Mv = %v %v", k, dists, srcs)
 		}
-		e.mvRemove(sh, 1, 3, 5)
+		e.mvRemove(1, 3, 5)
 		if _, srcs = mvOf(e, 1); !reflect.DeepEqual(srcs[1], []int{4}) {
 			t.Fatalf("k=%d: remove left %v at distance 5", k, srcs[1])
 		}
-		e.mvRemove(sh, 1, 4, 5)
+		e.mvRemove(1, 4, 5)
 		if dists, srcs = mvOf(e, 1); !reflect.DeepEqual(dists, []uint32{2, 7, 9}) ||
 			!reflect.DeepEqual(srcs, [][]int{{1}, {2}, {k - 1}}) {
 			t.Fatalf("k=%d: emptied distance not removed: %v %v", k, dists, srcs)
@@ -200,16 +199,16 @@ func TestDistMapOrdering(t *testing.T) {
 }
 
 func TestDistMapRecyclesSets(t *testing.T) {
-	e, sh := mvEngine(100)
-	e.mvAdd(sh, 0, 70, 3)
+	e := mvEngine(100)
+	e.mvAdd(0, 70, 3)
 	freed := e.mvSet[0]
-	e.mvRemove(sh, 0, 70, 3)
+	e.mvRemove(0, 70, 3)
 	if e.vs[0].mapLen != 0 {
 		t.Fatal("emptied distance not removed")
 	}
-	e.mvAdd(sh, 1, 2, 7)
-	if e.mvSet[e.k] != freed || sh.setSlots != 1 {
-		t.Fatalf("expected slot %d to be recycled, got %d of %d carved", freed, e.mvSet[e.k], sh.setSlots)
+	e.mvAdd(1, 2, 7)
+	if e.mvSet[e.k] != freed || e.setSlots != 1 {
+		t.Fatalf("expected slot %d to be recycled, got %d of %d carved", freed, e.mvSet[e.k], e.setSlots)
 	}
 	if _, srcs := mvOf(e, 1); !reflect.DeepEqual(srcs, [][]int{{2}}) {
 		t.Fatalf("recycled set has stale bits: %v", srcs)
@@ -217,20 +216,20 @@ func TestDistMapRecyclesSets(t *testing.T) {
 }
 
 func TestDistMapRemoveMissingPanics(t *testing.T) {
-	for name, remove := range map[string]func(e *Engine, sh *engineShard){
-		"source": func(e *Engine, sh *engineShard) { e.mvRemove(sh, 0, 2, 3) },
-		"dist":   func(e *Engine, sh *engineShard) { e.mvRemove(sh, 0, 1, 4) },
-		"empty":  func(e *Engine, sh *engineShard) { e.mvRemove(sh, 1, 1, 3) },
+	for name, remove := range map[string]func(e *Engine){
+		"source": func(e *Engine) { e.mvRemove(0, 2, 3) },
+		"dist":   func(e *Engine) { e.mvRemove(0, 1, 4) },
+		"empty":  func(e *Engine) { e.mvRemove(1, 1, 3) },
 	} {
-		e, sh := mvEngine(4)
-		e.mvAdd(sh, 0, 1, 3)
+		e := mvEngine(4)
+		e.mvAdd(0, 1, 3)
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%s: expected panic", name)
 				}
 			}()
-			remove(e, sh)
+			remove(e)
 		}()
 	}
 }
@@ -326,8 +325,8 @@ func TestEngineRoundsMatchExactCongest(t *testing.T) {
 func TestEngineParallelBatchesMatchSequential(t *testing.T) {
 	g := gen.RMAT(9, 8, 31)
 	sources := brandes.FirstKSources(g, 0, 64)
-	seq, seqStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1, Workers: 1})
-	par, parStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 4, Workers: 1})
+	seq, seqStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 1})
+	par, parStats := BC(g, sources, Options{BatchSize: 8, Parallelism: 4})
 	for v := range seq {
 		if math.Float64bits(seq[v]) != math.Float64bits(par[v]) {
 			t.Fatalf("parallel batches changed BC(%d): %v, sequential %v (not bitwise equal)", v, par[v], seq[v])

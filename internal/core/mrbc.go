@@ -9,111 +9,53 @@ import (
 	"mrbc/internal/graph"
 )
 
-// SchedulerKind selects the engine's forward flag-discovery structure.
-type SchedulerKind int
-
-const (
-	// BucketScheduler (default) indexes vertices by due round in a
-	// calendar queue with lazy deletion: ForwardFlags costs
-	// O(|flags| + stale entries) per round and empty rounds are
-	// skipped entirely.
-	BucketScheduler SchedulerKind = iota
-	// ScanScheduler is the seed behavior: every round scans all n
-	// vertices for due entries. Kept as a baseline for benchmarks and
-	// equivalence tests; forces Workers to 1.
-	ScanScheduler
-)
-
 // Options configures a batched MRBC run.
-//
-// Parallelism and Workers are the two levels of shared-memory
-// parallelism; planShared resolves whichever is left unset:
-//
-//   - Parallelism (batch-level, the first level) runs whole batches
-//     concurrently, each on its own serial-cost engine, and retires
-//     them in batch order into one score vector — the source-level
-//     parallelism of the paper's single-host runs, bit-identical to the
-//     serial loop.
-//   - Workers (intra-batch) splits each round's compute phase of one
-//     batch across goroutines by vertex ownership (see parallel.go) —
-//     for the cores that outnumber the batches.
 type Options struct {
 	// BatchSize is k, the number of sources processed simultaneously
 	// (Figure 1 studies its effect). Defaults to 32, the paper's
 	// small-graph setting.
 	BatchSize int
 	// Parallelism runs up to this many batches concurrently, each on
-	// its own engine. 0 fills the machine: GOMAXPROCS (divided by an
-	// explicit Workers) engines, at most one per batch and at most
+	// its own serial-cost engine, and retires them in batch order into
+	// one score vector — the source-level parallelism of the paper's
+	// single-host runs, bit-identical to the serial loop. 0 fills the
+	// machine: GOMAXPROCS engines, at most one per batch and at most
 	// sharedLabelBudget of label slabs.
 	Parallelism int
-	// Workers is the intra-batch worker count per batch. 0 autotunes
-	// over the cores Parallelism leaves (frontier-size crossover, capped
-	// at GOMAXPROCS/Parallelism so the two levels compose without
-	// oversubscribing); 1 disables intra-batch parallelism and runs
-	// the serial bucket path — no pool, no deques, no per-shard
-	// outboxes.
-	Workers int
-	// Scheduler selects the flag-discovery structure; defaults to
-	// BucketScheduler.
-	Scheduler SchedulerKind
 }
 
 const defaultBatchSize = 32
 
-// planShared resolves (Parallelism, Workers) for a run of the given
-// number of batches of k sources over n vertices on procs cores. Whole
-// batches come first: an engine per core, never more than there are
-// batches or than sharedLabelBudget holds; intra-batch workers get the
-// cores that are left, so a one-batch run is the staged Runner's and a
-// one-core run the serial loop.
-func planShared(procs, batches, n, k int, o Options) (par, workers int) {
-	if o.Scheduler == ScanScheduler {
-		// The scan path predates vertex-ownership sharding and is
-		// single-threaded within a batch.
-		o.Workers = 1
+// planShared resolves a Parallelism value par for a run of the given
+// number of batches of k sources over n vertices on procs cores: unset
+// (≤ 0), an engine per core, never more than sharedLabelBudget holds;
+// set or not, never more than there are batches. A one-batch or
+// one-core run is the serial loop.
+func planShared(procs, batches, n, k, par int) int {
+	if par <= 0 {
+		par = min(procs, int(sharedLabelBudget/(labelBytesPerPair*max(int64(n)*int64(k), 1))))
 	}
-	nk := max(int64(n)*int64(k), 1)
-	if par = o.Parallelism; par <= 0 {
-		par = min(procs/max(1, o.Workers), int(sharedLabelBudget/(labelBytesPerPair*nk)))
-	}
-	par = max(1, min(par, batches))
-	if workers = o.Workers; workers <= 0 {
-		workers = autotuneWorkers(nk, procs/par)
-	}
-	return par, workers
+	return max(1, min(par, batches))
 }
 
-// planned fills in BatchSize and the planShared levels for a run over
-// numSources sources of g.
+// planned fills in BatchSize and the planShared parallelism for a run
+// over numSources sources of g.
 func (o Options) planned(g *graph.Graph, numSources int) Options {
 	if o.BatchSize <= 0 {
 		o.BatchSize = defaultBatchSize
 	}
 	batches := (numSources + o.BatchSize - 1) / o.BatchSize
-	o.Parallelism, o.Workers = planShared(runtime.GOMAXPROCS(0), batches,
-		g.NumVertices(), min(o.BatchSize, numSources), o)
+	o.Parallelism = planShared(runtime.GOMAXPROCS(0), batches,
+		g.NumVertices(), min(o.BatchSize, numSources), o.Parallelism)
 	return o
 }
 
-// RunStats reports the model-level execution costs of a batched run,
-// plus the intra-batch runtime's scheduler counters (all zero on
-// serial runs: Workers=1 never touches the pool).
+// RunStats reports the model-level execution costs of a batched run.
 type RunStats struct {
 	Batches        int
 	ForwardRounds  int   // BSP rounds across all batches, forward phase
 	BackwardRounds int   // BSP rounds across all batches, backward phase
 	LabelsSynced   int64 // number of (vertex, source) label synchronizations
-
-	// InlineRounds / ParallelRounds split the rounds the parallel
-	// runtime executed by whether the inline gate kept them on the
-	// caller (tiny frontier) or fanned them out to the worker pool.
-	InlineRounds   int64
-	ParallelRounds int64
-	// Steals counts shard-tasks claimed from another worker's deque;
-	// FailedSteals counts sweeps that found every deque empty.
-	Steals       int64
-	FailedSteals int64
 }
 
 // add folds another run's counters into s.
@@ -122,10 +64,6 @@ func (s *RunStats) add(o RunStats) {
 	s.ForwardRounds += o.ForwardRounds
 	s.BackwardRounds += o.BackwardRounds
 	s.LabelsSynced += o.LabelsSynced
-	s.InlineRounds += o.InlineRounds
-	s.ParallelRounds += o.ParallelRounds
-	s.Steals += o.Steals
-	s.FailedSteals += o.FailedSteals
 }
 
 // Rounds returns the total BSP rounds across phases and batches.
@@ -164,28 +102,27 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, RunStats) {
 	// Batches are independent until they fold: each worker computes on
 	// an engine of its own, and the folds into the one score vector
 	// happen in batch order, so every float64 sum is the serial loop's.
-	runOrdered(len(batches), opts.Parallelism, func() (compute, retire func(int), done func()) {
-		loop := &batchLoop{g: g, kmax: kmax, opts: opts}
+	runOrdered(len(batches), opts.Parallelism, func() (compute, retire func(int)) {
+		loop := &batchLoop{g: g, kmax: kmax}
 		var own RunStats
 		compute = func(i int) { own = RunStats{}; loop.compute(batches[i], &own) }
 		retire = func(i int) { loop.fold(batches[i], scores); stats.add(own) }
-		return compute, retire, loop.close
+		return compute, retire
 	})
 	return scores, stats
 }
 
 // runOrdered runs tasks 0..n-1 on up to workers goroutines, each with
-// the compute/retire/done triple one newWorker call hands it. A worker
+// the compute/retire pair one newWorker call hands it. A worker
 // claims the next index, computes it concurrently with the others, then
 // retires it in its turn: retire(i) runs only after retire(i-1)
 // returned, never two at once. A panic anywhere stops further claims,
 // wakes every worker waiting for a turn the lost task would never pass
 // on, and is re-raised on the caller once all workers have exited. One
 // worker is a plain loop on the caller.
-func runOrdered(n, workers int, newWorker func() (compute, retire func(i int), done func())) {
+func runOrdered(n, workers int, newWorker func() (compute, retire func(i int))) {
 	if workers = min(workers, n); workers <= 1 {
-		compute, retire, done := newWorker()
-		defer done()
+		compute, retire := newWorker()
 		for i := 0; i < n; i++ {
 			compute(i)
 			retire(i)
@@ -215,8 +152,7 @@ func runOrdered(n, workers int, newWorker func() (compute, retire func(i int), d
 					passed.Broadcast()
 				}
 			}()
-			compute, retire, done := newWorker()
-			defer done()
+			compute, retire := newWorker()
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				compute(i)
 				mu.Lock()
@@ -242,50 +178,24 @@ func runOrdered(n, workers int, newWorker func() (compute, retire func(i int), d
 	}
 }
 
-// batchLoop runs a sequence of batches on one engine — and, with
-// Workers > 1, one Runner, so its pool and outboxes persist too. The
-// engine is built for the first batch and Reset for every later one.
+// batchLoop runs a sequence of batches on one engine, built for the
+// first batch and Reset for every later one.
 type batchLoop struct {
 	g     *graph.Graph
-	kmax  int     // largest batch the loop will see
-	opts  Options // with defaults applied
+	kmax  int // largest batch the loop will see
 	e     *Engine
-	r     *Runner // non-nil iff the engine is sharded
 	flags []Flag
-}
-
-func (l *batchLoop) close() {
-	if l.r != nil {
-		l.r.Close()
-	}
 }
 
 // engine returns the loop's engine, clean and at stride k.
 func (l *batchLoop) engine(k int) *Engine {
 	if l.e == nil {
-		eo := EngineOpts{Scan: l.opts.Scheduler == ScanScheduler}
-		if l.opts.Workers > 1 {
-			// The shard count comes from the graph (ParallelShards), not
-			// from Workers: over-partitioning gives the stealing scheduler
-			// slack, and a worker-independent fan-out keeps every
-			// application order — hence every float64 sum — identical
-			// across worker counts. A single-vertex graph collapses to one
-			// shard and runs sequentially.
-			eo.Shards = ParallelShards(l.g.NumVertices())
-		}
-		l.e = NewEngineOpts(l.g, l.kmax, eo)
-		if l.e.NumShards() > 1 {
-			l.r = NewRunner(l.e, l.opts.Workers)
-		}
+		l.e = NewEngine(l.g, l.kmax)
 		if k == l.kmax {
 			return l.e
 		}
 	}
-	if l.r != nil {
-		l.r.Reset(k)
-	} else {
-		l.e.Reset(k)
-	}
+	l.e.Reset(k)
 	return l.e
 }
 
@@ -297,13 +207,6 @@ func (l *batchLoop) compute(batch []uint32, stats *RunStats) {
 	e := l.engine(len(batch))
 	for i, s := range batch {
 		e.InitSource(s, i, true)
-	}
-	if run := l.r; run != nil {
-		R := run.forward(stats)
-		stats.ForwardRounds += R
-		stats.BackwardRounds += run.backward(R, stats)
-		run.flushRunStats(stats)
-		return
 	}
 
 	// Forward phase.
@@ -328,17 +231,20 @@ func (l *batchLoop) compute(batch []uint32, stats *RunStats) {
 // fold adds the dependencies of the batch compute just ran into the
 // scores (BC(w) += δs•(w), w ≠ s).
 func (l *batchLoop) fold(batch []uint32, scores []float64) {
-	if l.r != nil {
-		l.r.fold(batch, scores)
-		return
+	e := l.e
+	for v := range scores {
+		row := v * e.k
+		for i, s := range batch {
+			if e.dist[row+i] != graph.InfDist && uint32(v) != s {
+				scores[v] += e.delta[row+i]
+			}
+		}
 	}
-	foldRange(l.e, batch, scores, 0, l.g.NumVertices())
 }
 
 // forwardPhase runs the sequential forward loop on e to quiescence,
-// returning the termination round R. A bucketed engine jumps over
-// empty rounds via NextForwardRound; a scan engine advances one round
-// at a time and terminates on the first idle round.
+// returning the termination round R. It jumps over empty rounds via
+// NextForwardRound.
 func forwardPhase(e *Engine, flagsBuf *[]Flag, stats *RunStats) int {
 	flags := *flagsBuf
 	R := 0
@@ -348,7 +254,7 @@ func forwardPhase(e *Engine, flagsBuf *[]Flag, stats *RunStats) int {
 			if e.PendingUnsent() {
 				panic("core: forward phase terminated with pending unsent labels")
 			}
-			break // bucketed: nothing scheduled anywhere
+			break // nothing scheduled anywhere
 		}
 		flags = e.ForwardFlags(r, flags[:0])
 		if len(flags) == 0 {
@@ -373,43 +279,28 @@ func forwardPhase(e *Engine, flagsBuf *[]Flag, stats *RunStats) int {
 
 // APSPBatch exposes the forward phase only: distances and shortest-path
 // counts from each source in the batch, for library users who need
-// k-SSP rather than BC. It uses default Options (bucket scheduler,
-// autotuned intra-batch workers).
+// k-SSP rather than BC. The batch runs on one engine.
 func APSPBatch(g *graph.Graph, batch []uint32) (dist [][]uint32, sigma [][]float64, stats RunStats) {
 	return APSPBatchOpts(g, batch, Options{})
 }
 
-// APSPBatchOpts is APSPBatch with explicit scheduler/worker options.
-func APSPBatchOpts(g *graph.Graph, batch []uint32, opts Options) (dist [][]uint32, sigma [][]float64, stats RunStats) {
+// APSPBatchOpts is APSPBatch taking Options. A batch is one engine's
+// work, so neither BatchSize (it is the batch) nor Parallelism applies.
+func APSPBatchOpts(g *graph.Graph, batch []uint32, _ Options) (dist [][]uint32, sigma [][]float64, stats RunStats) {
 	if len(batch) == 0 {
 		return nil, nil, stats
 	}
-	opts.BatchSize = len(batch)
-	opts = opts.planned(g, len(batch))
 	for _, s := range batch {
 		if int(s) >= g.NumVertices() {
 			panic(fmt.Sprintf("core: source %d out of range", s))
 		}
 	}
-	var e *Engine
-	if opts.Workers > 1 {
-		e = NewEngineOpts(g, len(batch), EngineOpts{Shards: ParallelShards(g.NumVertices())})
-	} else {
-		e = NewEngineOpts(g, len(batch), EngineOpts{Scan: opts.Scheduler == ScanScheduler})
-	}
+	e := NewEngine(g, len(batch))
 	for i, s := range batch {
 		e.InitSource(s, i, true)
 	}
-	var R int
-	if e.NumShards() > 1 {
-		run := NewRunner(e, opts.Workers)
-		defer run.Close()
-		R = run.forward(&stats)
-		run.flushRunStats(&stats)
-	} else {
-		var flags []Flag
-		R = forwardPhase(e, &flags, &stats)
-	}
+	var flags []Flag
+	R := forwardPhase(e, &flags, &stats)
 	stats.Batches = 1
 	stats.ForwardRounds = R
 	n := g.NumVertices()

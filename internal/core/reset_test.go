@@ -78,18 +78,19 @@ type engineState struct {
 	Sent         []uint64
 	Sched        []vertexSched
 	MvSrcs       [][][]int
-	Pending      []int64
+	Pending      int64
 }
 
 func stateOf(e *Engine) engineState {
 	nk := e.n * e.k
 	st := engineState{
-		Dist:  append([]uint32(nil), e.dist...),
-		Sigma: make([]uint64, nk),
-		Delta: make([]uint64, nk),
-		Tau:   make([]int32, nk),
-		Sent:  append([]uint64(nil), e.sent[:e.n*e.wps]...),
-		Sched: append([]vertexSched(nil), e.vs...),
+		Dist:    append([]uint32(nil), e.dist...),
+		Sigma:   make([]uint64, nk),
+		Delta:   make([]uint64, nk),
+		Tau:     make([]int32, nk),
+		Sent:    append([]uint64(nil), e.sent[:e.n*e.wps]...),
+		Sched:   append([]vertexSched(nil), e.vs...),
+		Pending: e.pending,
 	}
 	// Slabs construction deferred read as what they will be made as: zero.
 	copy(st.Tau, e.tau)
@@ -101,9 +102,6 @@ func stateOf(e *Engine) engineState {
 		dists, srcs := mvOf(e, uint32(v))
 		st.MvDist = append(st.MvDist, dists...)
 		st.MvSrcs = append(st.MvSrcs, srcs)
-	}
-	for i := range e.shards {
-		st.Pending = append(st.Pending, e.shards[i].pending)
 	}
 	return st
 }
@@ -119,7 +117,7 @@ func randomBatch(rng *rand.Rand, n, k int) []uint32 {
 // TestEngineResetMatchesFresh is the reuse pin: whatever batch an
 // engine ran before — to completion, abandoned mid-forward, or abandoned
 // after StartBackward — Reset(k') leaves it indistinguishable from
-// NewEngineOpts(g, k', opts): the next batch emits the same flags in the
+// NewEngine(g, k'): the next batch emits the same flags in the
 // same order every round, and ends in the same label bits.
 func TestEngineResetMatchesFresh(t *testing.T) {
 	f := func(seed int64) bool {
@@ -130,9 +128,8 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 			b.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
 		}
 		g := b.Build()
-		opts := EngineOpts{Shards: 1 + rng.Intn(5), Scan: rng.Intn(6) == 0}
 		kmax := 1 + rng.Intn(n) // above 64 about one time in four: slab-slot sets
-		e := NewEngineOpts(g, kmax, opts)
+		e := NewEngine(g, kmax)
 
 		a := randomBatch(rng, n, 1+rng.Intn(kmax))
 		if len(a) < kmax || rng.Intn(2) == 0 {
@@ -149,7 +146,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 
 		bb := randomBatch(rng, n, 1+rng.Intn(kmax))
 		e.Reset(len(bb))
-		fresh := NewEngineOpts(g, len(bb), opts)
+		fresh := NewEngine(g, len(bb))
 		if gs, ws := stateOf(e), stateOf(fresh); !reflect.DeepEqual(gs, ws) {
 			t.Logf("seed %d: state after Reset differs\n reset %+v\n fresh %+v", seed, gs, ws)
 			return false
@@ -273,18 +270,15 @@ func footprint(e *Engine) (labels, schedule int) {
 	labels = size(cap(e.dist), 4) + size(cap(e.sigma), 8) + size(cap(e.delta), 8) +
 		size(cap(e.tau), 4) + size(cap(e.mvDist), 4) + size(cap(e.mvSet), 8)
 	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.sent), 8)
-	for i := range e.shards {
-		sh := &e.shards[i]
-		schedule += size(cap(sh.backArena), 4) +
-			size(cap(sh.backByRound), unsafe.Sizeof([]uint32(nil))) + size(cap(sh.backCounts), 4) +
-			size(cap(sh.setWords), 8) + size(cap(sh.freeSlots), 4) +
-			size(cap(sh.buckets)+cap(sh.freeBuckets), unsafe.Sizeof([]uint32(nil)))
-		for _, b := range sh.buckets[:cap(sh.buckets)] {
-			schedule += size(cap(b), 4)
-		}
-		for _, b := range sh.freeBuckets {
-			schedule += size(cap(b), 4)
-		}
+	schedule += size(cap(e.backArena), 4) +
+		size(cap(e.backByRound), unsafe.Sizeof([]uint32(nil))) + size(cap(e.backCounts), 4) +
+		size(cap(e.setWords), 8) + size(cap(e.freeSlots), 4) +
+		size(cap(e.buckets)+cap(e.freeBuckets), unsafe.Sizeof([]uint32(nil)))
+	for _, b := range e.buckets[:cap(e.buckets)] {
+		schedule += size(cap(b), 4)
+	}
+	for _, b := range e.freeBuckets {
+		schedule += size(cap(b), 4)
 	}
 	return labels, schedule
 }
@@ -322,13 +316,12 @@ func TestEngineMemoryBudget(t *testing.T) {
 }
 
 // TestParallelBatchesMergeEveryStat: BC with Parallelism > 1 must merge
-// every RunStats field of its per-worker loops, and a Runner that lives
-// across batches must contribute each batch's counters once. Steals
-// depend on timing; every other field is a function of the input.
+// every RunStats field of its per-worker loops, each batch's counters
+// once.
 func TestParallelBatchesMergeEveryStat(t *testing.T) {
 	g := gen.RMAT(10, 8, 17)
 	sources := brandes.FirstKSources(g, 0, 48)
-	opts := Options{BatchSize: 16, Parallelism: 1, Workers: 2}
+	opts := Options{BatchSize: 16, Parallelism: 2}
 
 	// Ground truth: every batch on a loop of its own, summed.
 	var want RunStats
@@ -336,34 +329,25 @@ func TestParallelBatchesMergeEveryStat(t *testing.T) {
 		_, s := BC(g, sources[start:start+opts.BatchSize], opts)
 		want.add(s)
 	}
-	if want.ParallelRounds == 0 || want.InlineRounds == 0 || want.FailedSteals == 0 {
-		t.Fatalf("pool counters not exercised: %+v", want)
-	}
-	want.Steals = 0
-	for _, par := range []int{1, 2} {
-		opts.Parallelism = par
-		_, got := BC(g, sources, opts)
-		got.Steals = 0
-		if got != want {
-			t.Errorf("Parallelism=%d: stats %+v, want %+v", par, got, want)
-		}
+	if _, got := BC(g, sources, opts); got != want {
+		t.Errorf("Parallelism=%d: stats %+v, want %+v", opts.Parallelism, got, want)
 	}
 }
 
 // BenchmarkSharedRMAT is the in-tree twin of the rmat_shared workload,
-// one row per design: the default plan, the serial loop, the staged
-// intra-batch Runner at two workers, and two whole-batch engines.
+// one row per plan: the default, the serial loop, and two whole-batch
+// engines.
 func BenchmarkSharedRMAT(b *testing.B) {
 	g := gen.RMAT(13, 14, 1)
 	sources := brandes.FirstKSources(g, 0, 256)
 	for _, row := range []struct {
-		name         string
-		par, workers int
-	}{{"plan=auto", 0, 0}, {"serial", 1, 1}, {"intra=2", 1, 2}, {"batch=2", 2, 1}} {
+		name string
+		par  int
+	}{{"plan=auto", 0}, {"serial", 1}, {"batch=2", 2}} {
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, _ = BC(g, sources, Options{BatchSize: 32, Parallelism: row.par, Workers: row.workers})
+				_, _ = BC(g, sources, Options{BatchSize: 32, Parallelism: row.par})
 			}
 		})
 	}
@@ -430,11 +414,6 @@ func TestEngineInvariantPanics(t *testing.T) {
 			e := synced()
 			e.ForwardFlags(5, nil)
 			e.MergePartial(1, 0, 1, 0) // due in round 2
-		}},
-		{"missed its scheduled round", func() {
-			e := NewEngineOpts(gen.Path(3), 2, EngineOpts{Scan: true})
-			e.InitSource(0, 0, true)
-			e.ForwardFlags(3, nil)
 		}},
 		{"scheduler desync", func() {
 			e := NewEngine(gen.Path(3), 2)

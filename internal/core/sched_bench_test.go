@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"mrbc/internal/brandes"
@@ -9,11 +8,9 @@ import (
 	"mrbc/internal/graph"
 )
 
-// Benchmarks comparing the scheduler variants on the two workload
-// shapes that matter: a road corridor (high diameter, many near-empty
-// rounds — the case the O(n) per-round scan hurts most) and an RMAT
-// power-law graph (low diameter, dense rounds). BENCH_engine.json is
-// generated from the same configurations by `bcbench -exp engine`.
+// Benchmarks on the two workload shapes that matter: a road corridor
+// (high diameter, many near-empty rounds) and an RMAT power-law graph
+// (low diameter, dense rounds).
 
 func benchmarkEngine(b *testing.B, g *graph.Graph, numSources int, opts Options) {
 	sources := brandes.FirstKSources(g, 0, numSources)
@@ -24,28 +21,10 @@ func benchmarkEngine(b *testing.B, g *graph.Graph, numSources int, opts Options)
 	}
 }
 
-func roadCorridor() *graph.Graph { return gen.RoadGrid(40000, 1, 104) }
-
-func BenchmarkMRBCRoadGridScan(b *testing.B) {
-	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Parallelism: 1, Scheduler: ScanScheduler})
+func BenchmarkMRBCRoadGrid(b *testing.B) {
+	benchmarkEngine(b, gen.RoadGrid(40000, 1, 104), 8, Options{BatchSize: 8, Parallelism: 1})
 }
 
-func BenchmarkMRBCRoadGridBucket(b *testing.B) {
-	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Parallelism: 1, Workers: 1})
-}
-
-func BenchmarkMRBCRoadGridBucketParallel(b *testing.B) {
-	benchmarkEngine(b, roadCorridor(), 8, Options{BatchSize: 8, Parallelism: 1, Workers: runtime.GOMAXPROCS(0)})
-}
-
-func BenchmarkMRBCRMATScan(b *testing.B) {
-	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1, Scheduler: ScanScheduler})
-}
-
-func BenchmarkMRBCRMATBucket(b *testing.B) {
-	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1, Workers: 1})
-}
-
-func BenchmarkMRBCRMATBucketParallel(b *testing.B) {
-	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1, Workers: runtime.GOMAXPROCS(0)})
+func BenchmarkMRBCRMAT(b *testing.B) {
+	benchmarkEngine(b, gen.RMAT(13, 8, 103), 32, Options{BatchSize: 32, Parallelism: 1})
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,36 +12,76 @@ import (
 	"mrbc/internal/graph"
 )
 
-// traceForward runs the forward phase on a fresh engine and records,
-// for every non-empty round, the set of forward flags (sorted by
-// (vertex, source) so engine-internal iteration order is irrelevant).
-func traceForward(g *graph.Graph, batch []uint32, scan bool) map[int][]Flag {
-	e := NewEngineOpts(g, len(batch), EngineOpts{Scan: scan})
-	for i, s := range batch {
-		e.InitSource(s, i, true)
-	}
-	trace := make(map[int][]Flag)
+// scanDue is the scan scheduler, kept as the oracle of the bucket one:
+// every vertex whose first unsent entry is due in round r, in vertex
+// order, read from nextDue alone. It errs on a vertex whose due round
+// has already passed, which no schedule may leave behind.
+func scanDue(e *Engine, r int) ([]Flag, error) {
 	var flags []Flag
-	for r := 0; ; {
-		r = e.NextForwardRound(r)
-		if r < 0 {
-			break
+	for v := range e.vs {
+		due, src := e.nextDue(uint32(v))
+		if due == r {
+			flags = append(flags, Flag{V: uint32(v), Src: src})
+		} else if due > 0 && due < r {
+			return nil, fmt.Errorf("vertex %d missed its scheduled round %d (now %d)", v, due, r)
 		}
-		flags = e.ForwardFlags(r, flags[:0])
+	}
+	return flags, nil
+}
+
+// oracleForward runs e's forward phase to quiescence the way
+// forwardPhase does, checking the bucket scheduler against scanDue: for
+// every round NextForwardRound skips the scan finds nothing due, and
+// before every round ForwardFlags collects, the scan finds exactly the
+// flags it returns. It returns the flags of every non-empty round
+// (vertex order) and the number of rounds skipped, or the first
+// disagreement.
+func oracleForward(e *Engine, stats *RunStats) (trace map[int][]Flag, skipped int, err error) {
+	trace = make(map[int][]Flag)
+	for r := 0; ; {
+		next := e.NextForwardRound(r)
+		if next < 0 {
+			// Nothing is scheduled: no vertex may have an unsent entry.
+			for v := range e.vs {
+				if due, _ := e.nextDue(uint32(v)); due >= 0 {
+					return nil, 0, fmt.Errorf("round %d: nothing scheduled but vertex %d due in round %d", r, v, due)
+				}
+			}
+			if e.PendingUnsent() {
+				return nil, 0, fmt.Errorf("round %d: nothing scheduled but labels pending", r)
+			}
+			return trace, skipped, nil
+		}
+		for skip := r + 1; skip < next; skip++ {
+			want, err := scanDue(e, skip)
+			if err != nil {
+				return nil, 0, fmt.Errorf("skipped round %d: %v", skip, err)
+			}
+			if len(want) > 0 {
+				return nil, 0, fmt.Errorf("round %d skipped with %d flags due: %v", skip, len(want), want)
+			}
+			skipped++
+		}
+		r = next
+		want, err := scanDue(e, r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("round %d: %v", r, err)
+		}
+		flags := e.ForwardFlags(r, nil)
+		got := append([]Flag(nil), flags...)
+		sort.Slice(got, func(i, j int) bool { return got[i].V < got[j].V })
+		if !slices.Equal(got, want) {
+			return nil, 0, fmt.Errorf("round %d: bucket scheduler flags %v, scan %v", r, got, want)
+		}
 		if len(flags) == 0 {
 			if !e.PendingUnsent() {
-				break
+				return trace, skipped, nil
 			}
 			continue
 		}
-		fs := append([]Flag(nil), flags...)
-		sort.Slice(fs, func(i, j int) bool {
-			if fs[i].V != fs[j].V {
-				return fs[i].V < fs[j].V
-			}
-			return fs[i].Src < fs[j].Src
-		})
-		trace[r] = fs
+		trace[r] = got
+		stats.ForwardRounds = r
+		stats.LabelsSynced += int64(len(flags))
 		for _, f := range flags {
 			d := e.Get(f.V, f.Src)
 			e.ApplySync(f.V, f.Src, d.Dist, d.Sigma, r)
@@ -47,7 +90,38 @@ func traceForward(g *graph.Graph, batch []uint32, scan bool) map[int][]Flag {
 			e.RelaxOutLocal(f.V, f.Src)
 		}
 	}
-	return trace
+}
+
+// oracleBC is BC's serial loop with every batch's forward phase run
+// through oracleForward, failing t at the first disagreement.
+func oracleBC(t *testing.T, g *graph.Graph, sources []uint32, k int) ([]float64, RunStats) {
+	t.Helper()
+	scores := make([]float64, g.NumVertices())
+	var stats RunStats
+	loop := &batchLoop{g: g, kmax: min(k, len(sources))}
+	for start := 0; start < len(sources); start += k {
+		batch := sources[start:min(start+k, len(sources))]
+		e := loop.engine(len(batch))
+		for i, s := range batch {
+			e.InitSource(s, i, true)
+		}
+		var own RunStats
+		if _, _, err := oracleForward(e, &own); err != nil {
+			t.Fatalf("batch at %d: %v", start, err)
+		}
+		e.StartBackward(own.ForwardRounds)
+		for r := 1; r <= e.BackwardRounds(); r++ {
+			flags := e.BackwardFlags(r, nil)
+			for _, f := range flags {
+				e.AccumulateIn(f.V, f.Src)
+			}
+			own.LabelsSynced += int64(len(flags))
+		}
+		own.Batches, own.BackwardRounds = 1, e.BackwardRounds()
+		stats.add(own)
+		loop.fold(batch, scores)
+	}
+	return scores, stats
 }
 
 // graphFromSeed derives a small random graph and source batch from a
@@ -83,36 +157,22 @@ func graphFromSeed(seed uint64) (*graph.Graph, []uint32) {
 
 // TestSchedulersProduceIdenticalRoundTraces is the property from the
 // paper's Lemma 6/7 machinery: the bucket scheduler is an indexing
-// optimization, so it must emit exactly the same (round → flag set)
-// trace as the naive per-round scan — not merely the same final BC.
+// optimization, so every round it collects must hold exactly the flags
+// a naive scan of the derived due rounds finds, every round it skips
+// must hold none, and no vertex may ever be overdue — the whole
+// (round → flag set) trace, not merely the final BC.
 func TestSchedulersProduceIdenticalRoundTraces(t *testing.T) {
 	prop := func(rawSeed uint32) bool {
 		seed := uint64(rawSeed)
 		g, batch := graphFromSeed(seed)
-		scanTrace := traceForward(g, batch, true)
-		bucketTrace := traceForward(g, batch, false)
-		if len(scanTrace) != len(bucketTrace) {
-			t.Logf("seed=%d: scan has %d non-empty rounds, bucket %d",
-				seed, len(scanTrace), len(bucketTrace))
-			return false
+		e := NewEngine(g, len(batch))
+		for i, s := range batch {
+			e.InitSource(s, i, true)
 		}
-		for r, sf := range scanTrace {
-			bf, ok := bucketTrace[r]
-			if !ok {
-				t.Logf("seed=%d: round %d present in scan trace only", seed, r)
-				return false
-			}
-			if len(sf) != len(bf) {
-				t.Logf("seed=%d round %d: %d vs %d flags", seed, r, len(sf), len(bf))
-				return false
-			}
-			for i := range sf {
-				if sf[i] != bf[i] {
-					t.Logf("seed=%d round %d: flag %d differs: %+v vs %+v",
-						seed, r, i, sf[i], bf[i])
-					return false
-				}
-			}
+		var stats RunStats
+		if _, _, err := oracleForward(e, &stats); err != nil {
+			t.Logf("seed=%d: %v", seed, err)
+			return false
 		}
 		return true
 	}
@@ -125,39 +185,29 @@ func TestSchedulersProduceIdenticalRoundTraces(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance checks the intra-batch parallel path
-// against the sequential one across worker counts, bitwise: distances
-// and σ counts are order-exact, and the runtime applies the backward δ
-// contributions in a canonical shard-concatenation order (see
-// parallel.go), so even the fractional dependency sums must be
-// bit-for-bit identical for Workers 1, 2, 4, and 8. The inline gate is
-// forced off so the pool path (with stealing) is what's being compared
-// on these small graphs.
+// TestWorkerCountInvariance checks batch-level parallelism against the
+// serial loop across worker counts, bitwise, on random topologies:
+// however the batch engines interleave, the ordered retire folds every
+// batch in index order, so even the fractional dependency sums must be
+// bit-for-bit identical for Parallelism 2, 4 and 8.
 func TestWorkerCountInvariance(t *testing.T) {
-	defer forceParallel()()
 	prop := func(rawSeed uint32) bool {
 		seed := uint64(rawSeed)
 		g, batch := graphFromSeed(seed)
-		refDist, refSigma, _ := APSPBatchOpts(g, batch, Options{BatchSize: len(batch), Workers: 1})
-		refBC, _ := BC(g, batch, Options{BatchSize: len(batch), Workers: 1})
+		opts := Options{BatchSize: 2, Parallelism: 1}
+		ref, refStats := BC(g, batch, opts)
 		for _, w := range []int{2, 4, 8} {
-			dist, sigma, _ := APSPBatchOpts(g, batch, Options{BatchSize: len(batch), Workers: w})
-			for i := range refDist {
-				for v := range refDist[i] {
-					if dist[i][v] != refDist[i][v] || sigma[i][v] != refSigma[i][v] {
-						t.Logf("seed=%d workers=%d: dist/sigma of (src %d, v %d) differ",
-							seed, w, i, v)
-						return false
-					}
-				}
-			}
-			bc, _ := BC(g, batch, Options{BatchSize: len(batch), Workers: w})
-			for v := range refBC {
-				if bc[v] != refBC[v] {
-					t.Logf("seed=%d workers=%d: BC(%d) = %v vs %v (not bitwise equal)",
-						seed, w, v, bc[v], refBC[v])
+			opts.Parallelism = w
+			bc, stats := BC(g, batch, opts)
+			for v := range ref {
+				if math.Float64bits(bc[v]) != math.Float64bits(ref[v]) {
+					t.Logf("seed=%d workers=%d: BC(%d) = %v vs %v (not bitwise equal)", seed, w, v, bc[v], ref[v])
 					return false
 				}
+			}
+			if stats != refStats {
+				t.Logf("seed=%d workers=%d: stats %+v vs %+v", seed, w, stats, refStats)
+				return false
 			}
 		}
 		return true

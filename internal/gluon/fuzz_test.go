@@ -114,9 +114,10 @@ func FuzzDecodeUpdates(f *testing.F) {
 // checksum has passed — handed over the way serveConn does: short ones in
 // the connection's control array, the rest in a free-list buffer. A
 // record is accepted (the sender's sequence advances) exactly when it is
-// a data record with a whole 17-byte header or an 18-byte reduce; a 9- to
-// 16-byte data body, whole under the header without the sum field, is
-// dropped and never indexed. An accepted data record's payload comes back
+// a data record with a whole 17-byte header or an 18-byte reduce with a
+// known op; a 9- to 16-byte data body, whole under the header without
+// the sum field, and a reduce with an unknown op are dropped and never
+// indexed. An accepted data record's payload comes back
 // from GatherFrom byte for byte, after the array it may have been read
 // into is overwritten.
 func FuzzReceiveRecord(f *testing.F) {
@@ -154,8 +155,8 @@ func FuzzReceiveRecord(f *testing.F) {
 	f.Cleanup(func() { tr.Close() })
 	var ctl [FrameOverhead + reduceLen]byte
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if len(body) == 0 || (body[0] == recRed && len(body) == reduceLen && body[5] != byte(ReduceSum) && body[5] != byte(ReduceMax)) {
-			return // serveConn skips empty bodies; an unknown reduce op panics by contract
+		if len(body) == 0 {
+			return // serveConn skips empty bodies
 		}
 		want := append([]byte(nil), body...)
 		var frame []byte
@@ -171,7 +172,8 @@ func FuzzReceiveRecord(f *testing.F) {
 		copy(rec, body)
 		kept := tr.receiveRecord(1, seq, rec, frame)
 
-		wellFormed := (want[0] == recData && len(want) >= dataHeadLen) || (want[0] == recRed && len(want) == reduceLen)
+		wellFormed := (want[0] == recData && len(want) >= dataHeadLen) ||
+			(want[0] == recRed && len(want) == reduceLen && ReduceOp(want[5]).known())
 		tr.mu.Lock()
 		accepted := tr.inSeq[1] == seq
 		tr.mu.Unlock()
@@ -193,4 +195,53 @@ func FuzzReceiveRecord(f *testing.F) {
 			t.Fatalf("record % x: sum %d, %v", want, sum, err)
 		}
 	})
+}
+
+// TestReceiveRecordRejectsUnknownReduceOp: a reduce record's op byte is
+// the peer's to set. One Apply does not know is refused like a short
+// data body — no panic, the sender's sequence does not advance, nothing
+// is folded — and the next well-formed reduce, sent under the same
+// sequence number, still folds into the cell.
+func TestReceiveRecordRejectsUnknownReduceOp(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Host 1 exists only as the sender named to receiveRecord.
+	tr, err := NewTCPTransport(0, []string{ln.Addr().String(), "127.0.0.1:1"}, ln, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	reduce := func(op ReduceOp, v int64) []byte {
+		b := make([]byte, reduceLen)
+		b[0] = recRed
+		binary.LittleEndian.PutUint32(b[1:], 9)
+		b[5] = byte(op)
+		binary.LittleEndian.PutUint64(b[6:], uint64(v))
+		return b
+	}
+	cell := func() reduceCell {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		if c := tr.reduces[9]; c != nil {
+			return *c
+		}
+		return reduceCell{}
+	}
+	tr.receiveRecord(1, 1, reduce(ReduceSum, 5), nil)
+	tr.receiveRecord(1, 2, reduce(7, 100), nil)
+	tr.mu.Lock()
+	inSeq := tr.inSeq[1]
+	tr.mu.Unlock()
+	if inSeq != 1 {
+		t.Fatalf("unknown op accepted: inSeq %d, want 1", inSeq)
+	}
+	if c := cell(); c != (reduceCell{acc: 5, n: 1}) {
+		t.Fatalf("unknown op folded: cell %+v", c)
+	}
+	tr.receiveRecord(1, 2, reduce(ReduceSum, 3), nil)
+	if c := cell(); c != (reduceCell{acc: 8, n: 2}) {
+		t.Fatalf("next reduce not folded: cell %+v, want {acc:8 n:2}", c)
+	}
 }

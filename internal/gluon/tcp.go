@@ -734,12 +734,14 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 // record (or the tick flush) to carry; a duplicate or out-of-order one
 // is re-acked at once, so a sender that missed an ack still converges.
 // frame is the free-list buffer body sits in, if any; kept reports that
-// a box took it over, as a malformed or unexpected record's is not.
+// a box took it over, as a malformed or unexpected record's is not. A
+// malformed record — a short data header, a reduce of the wrong length
+// or with an op Apply does not know — is neither accepted nor acked.
 func (t *TCPTransport) receiveRecord(from int, seq uint32, body, frame []byte) (kept bool) {
 	switch {
 	case body[0] == recData && len(body) >= dataHeadLen:
 		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[5:]))
-	case body[0] == recRed && len(body) == reduceLen:
+	case body[0] == recRed && len(body) == reduceLen && ReduceOp(body[5]).known():
 		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[reduceAckAt:]))
 	default:
 		return false

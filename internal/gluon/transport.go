@@ -149,6 +149,10 @@ const (
 	ReduceMax ReduceOp = 2
 )
 
+// known reports whether op is one Apply folds with. A peer's reduce
+// record carries the op byte, so the receive path checks it first.
+func (op ReduceOp) known() bool { return op == ReduceSum || op == ReduceMax }
+
 // Apply folds b into a.
 func (op ReduceOp) Apply(a, b int64) int64 {
 	switch op {

@@ -72,16 +72,6 @@ type Options struct {
 	// local host's master contributions (zero elsewhere) — the
 	// coordinator sums the per-process vectors elementwise.
 	Transport gluon.Transport
-	// EngineWorkers sets each host's intra-engine worker count for the
-	// compute phases: above 1 the relax/accumulate loops run on the
-	// work-stealing runner of internal/core over a sharded engine. 0 or
-	// 1 keeps the serial per-host engines. Scores and model-trace
-	// content are independent of this value — the runner's staged apply
-	// replays the serial contribution sequence per target — but runs
-	// with EngineWorkers > 1 additionally emit one obs.KindWorker event
-	// per (batch, host, worker) and feed the mrbc_worker_* registry
-	// counters behind /progressz and `bctrace imbalance -per-worker`.
-	EngineWorkers int
 	// PipelineDepth software-pipelines source batches: up to this many
 	// batches run concurrently, each handing the cluster to the next
 	// while its own exchange's bytes are on the wire (see pipeline.go).
@@ -149,7 +139,6 @@ const none = -1
 type hostState struct {
 	part   *partition.Part
 	engine *core.Engine
-	runner *core.Runner // non-nil iff Options.EngineWorkers > 1
 
 	flags  []core.Flag // this host's locally-detected flags
 	synced []core.Flag // (v,s) synchronized this round, to relax/accumulate
@@ -171,7 +160,7 @@ type hostState struct {
 	proposals []proposal // this round's mirror proposals, then the master's own
 }
 
-func newHostState(p *partition.Part, marks *gluon.Marks, eng *core.Engine, run *core.Runner) *hostState {
+func newHostState(p *partition.Part, marks *gluon.Marks, eng *core.Engine) *hostState {
 	n := p.NumProxies()
 	slab := make([]int32, 3*n)
 	for i := range slab {
@@ -180,7 +169,6 @@ func newHostState(p *partition.Part, marks *gluon.Marks, eng *core.Engine, run *
 	return &hostState{
 		part:    p,
 		engine:  eng,
-		runner:  run,
 		due:     slab[:n:n],
 		bcast:   slab[n : 2*n : 2*n],
 		head:    slab[2*n:],
@@ -312,7 +300,6 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	cluster.SetEncoding(opts.Encoding)
 	scores := make([]float64, n)
 	pool := &statePool{kmax: min(opts.BatchSize, len(sources))}
-	defer pool.close()
 	startBatch := 0
 	if rs := opts.Resume; rs != nil {
 		if rs.Hosts != pt.NumHosts {
@@ -381,14 +368,12 @@ func saveCheckpoint(cluster *dgalois.Cluster, scores []float64, next int, opts O
 
 // statePool keeps a run's per-host engine states between batches: a
 // batch takes a set, resets it and hands it back when it retires, so a
-// run builds one engine (and one worker pool) per host per in-flight
-// batch for its whole life. The serial loop calls it from one goroutine
-// and the pipelined one only while holding the turn, so it needs no
-// lock.
+// run builds one engine per host per in-flight batch for its whole life.
+// The serial loop calls it from one goroutine and the pipelined one only
+// while holding the turn, so it needs no lock.
 type statePool struct {
 	kmax int // the run's largest batch: what engines are built for
 	free [][]*hostState
-	all  [][]*hostState
 }
 
 // makeStates readies one batch's per-host engine state in a single BSP
@@ -396,7 +381,7 @@ type statePool struct {
 // built one when every set is in flight. The round-state slabs need no
 // reset of their own — the first round's resetRound undoes what the
 // previous batch's last round left, exactly as it does between rounds.
-func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, batch []uint32, opts Options) []*hostState {
+func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, batch []uint32) []*hostState {
 	pt := topo.Partitioning()
 	k := len(batch)
 	var states []*hostState
@@ -404,33 +389,17 @@ func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, b
 		states, p.free = p.free[n-1], p.free[:n-1]
 	} else {
 		states = make([]*hostState, pt.NumHosts)
-		p.all = append(p.all, states)
 	}
 	cluster.Compute(func(h int) {
 		st := states[h]
 		built := st == nil
 		if built {
 			part := pt.Parts[h]
-			var eo core.EngineOpts
-			if opts.EngineWorkers > 1 {
-				// The runner needs a sharded engine; contiguous sharding keeps
-				// flag emission in the serial ascending order, so the sync
-				// protocol above sees no difference.
-				eo.Shards = core.ParallelShards(part.Local.NumVertices())
-			}
-			eng := core.NewEngineOpts(part.Local, p.kmax, eo)
-			var run *core.Runner
-			if opts.EngineWorkers > 1 {
-				run = core.NewRunner(eng, opts.EngineWorkers)
-			}
-			st = newHostState(part, topo.NewMarks(h), eng, run)
+			st = newHostState(part, topo.NewMarks(h), core.NewEngine(part.Local, p.kmax))
 			states[h] = st
 		}
-		switch {
-		case built && k == p.kmax: // a new engine is clean at this stride
-		case st.runner != nil:
-			st.runner.Reset(k)
-		default:
+		// A new engine is clean at its construction stride.
+		if !built || k != p.kmax {
 			st.engine.Reset(k)
 		}
 		for i, s := range batch {
@@ -445,19 +414,6 @@ func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, b
 // release returns a retired batch's states to the pool.
 func (p *statePool) release(states []*hostState) {
 	p.free = append(p.free, states)
-}
-
-// close releases the worker pools of every set the run built, whether
-// it was returned or abandoned by a batch a fault plan panicked out of
-// its rounds.
-func (p *statePool) close() {
-	for _, states := range p.all {
-		for _, st := range states {
-			if st != nil && st.runner != nil {
-				st.runner.Close()
-			}
-		}
-	}
 }
 
 // forwardFlags is compute phase A of forward round b.r: reset the round
@@ -476,14 +432,9 @@ func (b *batchRun) forwardFlags(h int) {
 }
 
 // relax is compute phase B of a forward round: relax the synchronized
-// entries locally — through the host's work-stealing runner when
-// EngineWorkers fanned one out, serially otherwise.
+// entries locally.
 func (b *batchRun) relax(h int) {
 	st := b.states[h]
-	if st.runner != nil {
-		st.runner.RelaxAll(st.synced)
-		return
-	}
 	for _, f := range st.synced {
 		st.engine.RelaxOutLocal(f.V, f.Src)
 	}
@@ -502,48 +453,8 @@ func (b *batchRun) backwardFlags(h int) {
 // the predecessors' δ partials.
 func (b *batchRun) accumulate(h int) {
 	st := b.states[h]
-	if st.runner != nil {
-		st.runner.AccumulateAll(st.synced)
-		return
-	}
 	for _, f := range st.synced {
 		st.engine.AccumulateIn(f.V, f.Src)
-	}
-}
-
-// emitWorkerStats publishes the per-worker scheduler counters of one
-// finished batch: one worker event per (batch, host, worker) for
-// `bctrace imbalance -per-worker`, and cumulative registry counters
-// (flat index host·EngineWorkers+worker) for the live /progressz
-// intra-host skew view. A runner's counters restart at every batch's
-// reset, so WorkerStats here is exactly this batch's tally.
-func emitWorkerStats(states []*hostState, opts Options, bi int) {
-	if opts.EngineWorkers <= 1 {
-		return
-	}
-	tr := opts.Trace
-	var tasksVec, stealsVec *obs.CounterVec
-	if opts.Metrics != nil {
-		nw := len(states) * opts.EngineWorkers
-		tasksVec = opts.Metrics.CounterVec("mrbc_worker_tasks_total", "worker", nw)
-		stealsVec = opts.Metrics.CounterVec("mrbc_worker_steals_total", "worker", nw)
-	}
-	for h, st := range states {
-		if st == nil || st.runner == nil {
-			continue
-		}
-		for w, ws := range st.runner.WorkerStats() {
-			if tr.Enabled() {
-				tr.Emit(obs.Event{Kind: obs.KindWorker, Batch: int32(bi),
-					Host: int32(h), Worker: int32(w),
-					Tasks: ws.Tasks, Steals: ws.Steals,
-					FailedSteals: ws.FailedSteals, Flushes: ws.Flushes})
-			}
-			if tasksVec != nil {
-				tasksVec.At(h*opts.EngineWorkers + w).Add(ws.Tasks)
-				stealsVec.At(h*opts.EngineWorkers + w).Add(ws.Steals)
-			}
-		}
 	}
 }
 
@@ -626,7 +537,7 @@ func (b *batchRun) run() {
 	b.prog.batch.Set(int64(b.bi))
 	b.prog.round.Set(0)
 	b.prog.backward.Set(0)
-	b.states = b.pool.makeStates(b.cluster, b.topo, b.batch, b.opts)
+	b.states = b.pool.makeStates(b.cluster, b.topo, b.batch)
 
 	// ---- Forward phase (Algorithm 3 as BSP rounds). ----
 	for r := 1; b.forwardRound(r); r++ {
@@ -735,15 +646,14 @@ func (b *batchRun) backwardRound(r int) {
 
 // retire is the per-batch epilogue: one summary event (K sources and
 // the forward and backward round counts — the inputs of the Lemma 8
-// bound fwd + back + 1 ≤ 2(k+H) + 1 the trace harness checks), the
-// worker counters, the score fold. Batches retire in index order, which
+// bound fwd + back + 1 ≤ 2(k+H) + 1 the trace harness checks), then
+// the score fold. Batches retire in index order, which
 // fixes the floating-point fold order.
 func (b *batchRun) retire() {
 	if tr := b.opts.Trace; tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(b.bi), Host: -1,
 			K: int32(len(b.batch)), FwdRounds: int32(b.fwd), BackRounds: int32(b.back)})
 	}
-	emitWorkerStats(b.states, b.opts, b.bi)
 	foldScores(b.states, b.batch, b.scores)
 	b.pool.release(b.states)
 }

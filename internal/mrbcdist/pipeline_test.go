@@ -51,7 +51,6 @@ func TestPipelineDepthsBitwiseAgree(t *testing.T) {
 	}{
 		{"arb/edge-cut", Options{BatchSize: 8}, partition.EdgeCut(g, 4)},
 		{"arb/cartesian", Options{BatchSize: 8}, partition.CartesianCut(g, 4)},
-		{"arb/workers-4", Options{BatchSize: 8, EngineWorkers: 4}, partition.EdgeCut(g, 4)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -228,7 +228,7 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 		ref.proposals = append(ref.proposals, c.mirror...)
 		ref.arbitrate(r)
 
-		st := newHostState(c.part(), c.marks(), c.engine(), nil)
+		st := newHostState(c.part(), c.marks(), c.engine())
 		st.flags = append(st.flags, c.flags...)
 		st.markDue()
 		st.proposals = append(st.proposals, c.mirror...)
@@ -284,7 +284,7 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 		ref := c.ref()
 		ref.backUnion(received)
 
-		st := newHostState(c.part(), c.marks(), c.engine(), nil)
+		st := newHostState(c.part(), c.marks(), c.engine())
 		st.flags = append(st.flags, c.flags...)
 		st.markDue()
 		for _, f := range received {
@@ -337,7 +337,7 @@ func TestRoundStatePanics(t *testing.T) {
 	c := roundCase{n: 2, k: 3, isMaster: []bool{true, true}}
 	disagree := []proposal{{v: 1, src: 2, dist: 3, sigma: 1}, {v: 1, src: 2, dist: 4, sigma: 1}}
 
-	st := newHostState(c.part(), c.marks(), c.engine(), nil)
+	st := newHostState(c.part(), c.marks(), c.engine())
 	st.proposals = append(st.proposals, disagree...)
 	got := mustPanic(t, func() { oneHostRound(st, 1).arbitrate(0) })
 	ref := c.ref()
@@ -346,7 +346,7 @@ func TestRoundStatePanics(t *testing.T) {
 		t.Fatalf("slab panicked %q, oracle %q", got, want)
 	}
 
-	st = newHostState(c.part(), c.marks(), c.engine(), nil)
+	st = newHostState(c.part(), c.marks(), c.engine())
 	st.claimBackward(1, 0)
 	st.claimBackward(1, 0) // several mirrors claiming the same pair is the normal case
 	if got := mustPanic(t, func() { st.claimBackward(1, 2) }); !strings.Contains(got, "sources 0 and 2 both claim vertex 1") {
@@ -402,7 +402,7 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil),
 		sources: []uint32{0}, opts: Options{BatchSize: 1}}
 	b := j.newBatch(0, nil)
-	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch, Options{})
+	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch)
 	for _, st := range b.states {
 		for l, gid := range st.part.GlobalID {
 			if gid == 0 {

@@ -134,7 +134,7 @@ func TestBackwardDepthPanicsPastForwardDepth(t *testing.T) {
 	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil),
 		sources: []uint32{0}, opts: Options{BatchSize: 1}}
 	b := j.newBatch(0, nil)
-	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch, Options{})
+	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch)
 	// No forward round ran, so the source's own pair was never
 	// synchronized (τ = 0) and lands in backward round R − 0 + 1.
 	b.fwd = 3

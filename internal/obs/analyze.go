@@ -102,93 +102,6 @@ func (a *ImbalanceAccum) Report() ImbalanceReport {
 	return r
 }
 
-// WorkerLoad is one intra-host engine worker's totals over a trace.
-type WorkerLoad struct {
-	Host         int32
-	Worker       int32
-	Tasks        int64
-	Steals       int64
-	FailedSteals int64
-	Flushes      int64
-	Batches      int // worker events folded in
-}
-
-// WorkerReport aggregates per-worker intra-host scheduler load: the
-// complement of ImbalanceReport's inter-host view, fed by the worker
-// events the distributed runner emits once per (batch, host, worker).
-type WorkerReport struct {
-	// PerWorker lists totals ascending by (host, worker).
-	PerWorker []WorkerLoad
-	// MaxShare is the worst max/mean task ratio across any single
-	// host's workers (1.0 when no host had multi-worker activity):
-	// intra-host skew after stealing rebalanced it.
-	MaxShare float64
-}
-
-// WorkerAccum folds worker events into a WorkerReport.
-type WorkerAccum struct {
-	m map[int64]*WorkerLoad
-}
-
-// Observe folds one event (non-worker events are ignored).
-func (a *WorkerAccum) Observe(e Event) {
-	if e.Kind != KindWorker {
-		return
-	}
-	if a.m == nil {
-		a.m = make(map[int64]*WorkerLoad)
-	}
-	key := int64(e.Host)<<32 | int64(uint32(e.Worker))
-	w := a.m[key]
-	if w == nil {
-		w = &WorkerLoad{Host: e.Host, Worker: e.Worker}
-		a.m[key] = w
-	}
-	w.Tasks += e.Tasks
-	w.Steals += e.Steals
-	w.FailedSteals += e.FailedSteals
-	w.Flushes += e.Flushes
-	w.Batches++
-}
-
-// Report computes the aggregate.
-func (a *WorkerAccum) Report() WorkerReport {
-	r := WorkerReport{MaxShare: 1.0}
-	for _, w := range a.m {
-		r.PerWorker = append(r.PerWorker, *w)
-	}
-	sort.Slice(r.PerWorker, func(i, j int) bool {
-		if r.PerWorker[i].Host != r.PerWorker[j].Host {
-			return r.PerWorker[i].Host < r.PerWorker[j].Host
-		}
-		return r.PerWorker[i].Worker < r.PerWorker[j].Worker
-	})
-	// Per-host max/mean task skew, worst host wins.
-	byHost := make(map[int32][]int64)
-	for _, w := range r.PerWorker {
-		byHost[w.Host] = append(byHost[w.Host], w.Tasks)
-	}
-	for _, tasks := range byHost {
-		if len(tasks) < 2 {
-			continue
-		}
-		var sum, max int64
-		for _, t := range tasks {
-			sum += t
-			if t > max {
-				max = t
-			}
-		}
-		if sum == 0 {
-			continue
-		}
-		if share := float64(max) * float64(len(tasks)) / float64(sum); share > r.MaxShare {
-			r.MaxShare = share
-		}
-	}
-	return r
-}
-
 // RoundCost summarizes one BSP round's critical path.
 type RoundCost struct {
 	Round int32

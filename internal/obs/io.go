@@ -98,8 +98,8 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 // Canonical returns a copy of events in a deterministic total order
 // with the wall-clock fields (StartNs, DurNs, HiddenNs) stripped, the
 // Origin/Epoch stamps cleared (which host's file an event came from is
-// deployment shape, not model content), and worker, header, and link
-// events dropped entirely (worker steal/idle tallies are scheduling
+// deployment shape, not model content), and elastic, header, and link
+// events dropped entirely (checkpoint/restore marks are recovery
 // artifacts; headers are file metadata; links re-slice pack/unpack
 // volume by peer, which would multiply the fixture by hosts² without
 // adding model content — the conservation checker, not the golden
@@ -111,7 +111,7 @@ func Canonical(events []Event) []Event {
 	out := make([]Event, 0, len(events))
 	for _, e := range events {
 		switch e.Kind {
-		case KindWorker, KindElastic, KindHeader, KindLink:
+		case KindElastic, KindHeader, KindLink:
 		default:
 			out = append(out, e)
 		}
@@ -163,8 +163,8 @@ func WriteCanonical(w io.Writer, events []Event) error {
 
 // ModelEvents filters events down to the paper-model stream: transport
 // events (retries, framing, acks — artifacts of the fault layer),
-// worker events (steal counts — artifacts of the intra-host scheduler),
-// and headers (file metadata) are dropped, everything else kept — link
+// elastic events (recovery artifacts) and headers (file metadata) are
+// dropped, everything else kept — link
 // events stay, because per-peer paper-model volume is deterministic
 // content. The model stream of a faulty run is identical to the
 // fault-free run's, mirroring the Stats.Bytes/Messages invariant.
@@ -172,7 +172,7 @@ func ModelEvents(events []Event) []Event {
 	out := make([]Event, 0, len(events))
 	for _, e := range events {
 		switch e.Kind {
-		case KindTransport, KindWorker, KindElastic, KindHeader:
+		case KindTransport, KindElastic, KindHeader:
 		default:
 			out = append(out, e)
 		}

@@ -447,9 +447,6 @@ func mergeLess(a, b obs.Event) bool {
 	if a.Src != b.Src {
 		return a.Src < b.Src
 	}
-	if a.Worker != b.Worker {
-		return a.Worker < b.Worker
-	}
 	return a.Origin < b.Origin
 }
 

@@ -46,12 +46,6 @@ const (
 	KindTransport Kind = "transport"
 	// KindRound is a CONGEST simulator round (internal/congest).
 	KindRound Kind = "round"
-	// KindWorker summarizes one intra-host engine worker's scheduler
-	// counters for one batch: shard-tasks executed, tasks stolen from
-	// other workers' deques, idle sweeps, counter flushes. Like
-	// transport events, these are execution artifacts (stealing is
-	// timing-dependent), so Canonical and ModelEvents drop them.
-	KindWorker Kind = "worker"
 	// KindElastic marks checkpoint/restore transitions of the elastic
 	// runtime (Phase is PhaseCheckpoint or PhaseRestore, Batch the
 	// boundary). Recovery artifacts, not algorithm events: Canonical and
@@ -165,15 +159,6 @@ type Event struct {
 	Dense  int64 `json:"dense,omitempty"`
 	Sparse int64 `json:"sparse,omitempty"`
 	All    int64 `json:"all,omitempty"`
-
-	// Intra-host worker-scheduler counters (worker events): Worker is
-	// the worker index within Host's engine pool; Tasks/Steals/
-	// FailedSteals/Flushes mirror core.WorkerStats for one batch.
-	Worker       int32 `json:"worker,omitempty"`
-	Tasks        int64 `json:"tasks,omitempty"`
-	Steals       int64 `json:"steals,omitempty"`
-	FailedSteals int64 `json:"failed_steals,omitempty"`
-	Flushes      int64 `json:"flushes,omitempty"`
 
 	// Reliable-transport counters (transport events): deltas for one
 	// exchange.

@@ -18,19 +18,9 @@ type HostProgress struct {
 	Alive bool `json:"alive"`
 }
 
-// WorkerProgress is one intra-host engine worker's cumulative
-// scheduler counters (flat index host·EngineWorkers+worker, matching
-// the mrbc_worker_* counter vectors).
-type WorkerProgress struct {
-	Worker int   `json:"worker"`
-	Tasks  int64 `json:"tasks"`
-	Steals int64 `json:"steals"`
-}
-
 // Progress is the derived live-progress view /progressz serves: where
 // the run is (engine phase counters) and how the hosts are spread
-// across it (per-host rounds and volume, straggler lag), plus — when
-// the engine ran intra-host workers — how the work spread within hosts.
+// across it (per-host rounds and volume, straggler lag).
 type Progress struct {
 	// Engine identifies which engine's gauges were found: "mrbc",
 	// "sbbc", "vprog", or "" when only the cluster substrate reported.
@@ -61,13 +51,6 @@ type Progress struct {
 	// hosts are excluded — a killed host would otherwise report as an
 	// ever-growing lag for the rest of the run.
 	StragglerLag int64 `json:"straggler_lag"`
-	// Workers lists per-engine-worker scheduler totals, present only
-	// when the run used intra-host workers (mrbc EngineWorkers > 1).
-	Workers []WorkerProgress `json:"workers,omitempty"`
-	// WorkerSkew is the max/mean ratio of per-worker task counts: 1.0
-	// when balanced (or when fewer than two workers reported), larger
-	// when stealing left residual intra-host skew.
-	WorkerSkew float64 `json:"worker_skew,omitempty"`
 }
 
 // ProgressFrom derives the live-progress view from a registry
@@ -125,23 +108,6 @@ func ProgressFrom(s obs.Snapshot) Progress {
 		}
 	}
 	p.StragglerLag = hi - lo
-	wt := s.CounterVecs["mrbc_worker_tasks_total"]
-	wst := s.CounterVecs["mrbc_worker_steals_total"]
-	var sum, peak int64
-	for i, t := range wt.Values {
-		wp := WorkerProgress{Worker: i, Tasks: t}
-		if i < len(wst.Values) {
-			wp.Steals = wst.Values[i]
-		}
-		p.Workers = append(p.Workers, wp)
-		sum += t
-		peak = max(peak, t)
-	}
-	if len(wt.Values) >= 2 && sum > 0 {
-		p.WorkerSkew = float64(peak) * float64(len(wt.Values)) / float64(sum)
-	} else if len(wt.Values) > 0 {
-		p.WorkerSkew = 1.0
-	}
 	return p
 }
 
