@@ -141,10 +141,14 @@ type Cluster struct {
 	// (ExchangeSum).
 	transport gluon.Transport
 	mem       *gluon.MemTransport
-	streamer  gluon.Streamer // per-sender gather, remote backends only
-	localHost int            // the single local host in SPMD mode; -1 when all hosts are local
-	curEx     int            // exchange identifier the current pack/unpack tasks run under
+	localHost int  // the single local host in SPMD mode; -1 when all hosts are local
+	curEx     int  // exchange identifier the current pack/unpack tasks run under
+	curVote   bool // and whether it carries a vote, which needs every link
 	lastNet   gluon.ChannelStats
+	// partner[from*hosts+to]: the pair shares a proxy (Topology.Partners;
+	// every pair without a topology). Only partners exchange records,
+	// except on an exchange whose vote needs every link.
+	partner []bool
 
 	// Exchange-identifier streams. stream < 0 (the default) numbers
 	// exchanges 0,1,2,… globally; SetStream(batch) switches to per-batch
@@ -206,6 +210,7 @@ type PendingExchange struct {
 	c         *Cluster
 	inUse     bool
 	detached  bool  // true between BeginExchange and Complete
+	vote      bool  // begun by ExchangeSum / BeginExchangeSum: every link carries the term
 	empty     bool  // in-process, and no pack produced a buffer: nothing to unpack
 	sum       int64 // the caller's term, and once complete every host's (Sum)
 	ex        int
@@ -283,6 +288,10 @@ type ClusterOptions struct {
 	// recovery bumps it per restart attempt); published as the
 	// dgalois_epoch gauge so /progressz can surface it.
 	Epoch int
+	// Topology is the proxy topology the exchanges synchronize over. An
+	// exchange that carries no vote packs, sends and gathers only the
+	// pairs it makes partners; nil makes every pair one.
+	Topology *gluon.Topology
 }
 
 // NewCluster creates a cluster of the given number of hosts with a
@@ -391,11 +400,9 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 			}
 		}
 	}
-	if c.localHost >= 0 {
-		// Per-sender streaming unpack applies only to remote backends:
-		// the in-process transport's BSP barrier already sequenced every
-		// send, so gathering whole exchanges there stays byte-identical.
-		c.streamer, _ = c.transport.(gluon.Streamer)
+	c.partner = make([]bool, hosts*hosts)
+	for i := range c.partner {
+		c.partner[i] = opts.Topology == nil || opts.Topology.Partners(i/hosts, i%hosts)
 	}
 	c.tickets = make([]PendingExchange, c.maxInflight)
 	for k := range c.tickets {
@@ -695,7 +702,9 @@ func (c *Cluster) BeginRound() {
 // run in parallel on the worker pool, so the counters are atomics.
 func (c *Cluster) packTask(i int) {
 	from, to := i/c.hosts, i%c.hosts
-	if from == to {
+	// A pair that shares no proxy has nothing to pack, and without a vote
+	// to carry nothing to send: its receiver declares it silent.
+	if from == to || !c.partner[i] && !c.curVote {
 		return
 	}
 	w := c.curWriters[from][to]
@@ -751,24 +760,22 @@ func (c *Cluster) packTask(i int) {
 // receiver (receivers run in parallel with each other), in the fixed
 // sender order 0..hosts-1 — the deterministic apply order. A remote
 // transport blocks until the message arrived or the stall deadline makes
-// the wait a structured error. One that streams is gathered per sender:
-// early peers' deserialization overlaps late peers' wire time, and each
-// payload is consumed before the next is asked for, which ends its loan.
+// the wait a structured error. Gathered per sender, early peers'
+// deserialization overlaps late peers' wire time, and each payload is
+// consumed before the next is asked for, which ends its loan. A sender
+// packTask left silent is declared so: it reads as empty at once.
 func (c *Cluster) unpackTask(to int) {
-	var bufs [][]byte
 	var err error
-	if c.streamer == nil {
-		bufs, err = c.transport.Gather(c.curEx, to)
-	}
 	for from := 0; from < c.hosts && err == nil; from++ {
 		if from == to {
 			continue
 		}
+		if !c.partner[from*c.hosts+to] && !c.curVote {
+			err = c.transport.Silent(c.curEx, to, from)
+		}
 		var buf []byte
-		if c.streamer == nil {
-			buf = bufs[from]
-		} else {
-			buf, err = c.streamer.GatherFrom(c.curEx, to, from)
+		if err == nil {
+			buf, err = c.transport.GatherFrom(c.curEx, to, from)
 		}
 		if len(buf) > 0 {
 			c.unpackFn(to, from, buf, c.decoders[to])
@@ -953,7 +960,7 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 // (mirror lists of distinct pairs are disjoint, so per-vertex writes
 // are safe).
 func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
-	c.exchange(0, false, pack, unpack)
+	c.exchange(0, false, false, pack, unpack)
 }
 
 // ExchangeSum is Exchange carrying a BSP loop's global vote: it returns
@@ -968,7 +975,7 @@ func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writ
 	if c.localHost < 0 && local == 0 {
 		return 0
 	}
-	return c.exchange(local, false, pack, unpack).sum
+	return c.exchange(local, true, false, pack, unpack).sum
 }
 
 // BeginExchange starts a detached exchange: the pack phase runs and
@@ -983,7 +990,7 @@ func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writ
 // simulated network's wire time) and the returned ticket's Complete
 // only hands the ticket back.
 func (c *Cluster) BeginExchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	return c.exchange(0, true, pack, unpack)
+	return c.exchange(0, false, true, pack, unpack)
 }
 
 // BeginExchangeSum is ExchangeSum detached. In process a zero local
@@ -992,18 +999,20 @@ func (c *Cluster) BeginExchangeSum(local int64, pack func(from, to int, w *gluon
 	if c.localHost < 0 && local == 0 {
 		return nil
 	}
-	return c.exchange(local, true, pack, unpack)
+	return c.exchange(local, true, true, pack, unpack)
 }
 
-// exchange runs an exchange carrying local under a ticket, up to its
-// pack phase if detached. A fault plan's runs whole and at once, on a
-// ticket of its own: the one returned only carries the sum.
-func (c *Cluster) exchange(local int64, detached bool, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+// exchange runs an exchange carrying local (a vote: on every link)
+// under a ticket, up to its pack phase if detached. A fault plan's runs
+// whole and at once, on a ticket of its own: the one returned only
+// carries the sum.
+func (c *Cluster) exchange(local int64, vote, detached bool, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+	c.curVote = vote
 	if c.plan != nil {
 		c.exchangeReliable(pack, unpack)
 	}
 	t := c.claimTicket()
-	t.detached, t.sum = detached, local
+	t.detached, t.vote, t.sum = detached, vote, local
 	if c.plan == nil {
 		c.begin(t, pack, unpack)
 	}
@@ -1062,7 +1071,7 @@ func (c *Cluster) complete(t *PendingExchange) {
 	if t.empty {
 		c.mem.Reclaim(t.ex)
 	} else {
-		c.curEx = t.ex
+		c.curEx, c.curVote = t.ex, t.vote
 		c.curUnpack = t.hostUnpack
 		c.curPairUnpack = t.pairUnpack
 		c.unpackFn = t.unpack

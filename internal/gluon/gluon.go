@@ -50,8 +50,9 @@ type Topology struct {
 	// local ID l of host a occupies — a mirror's one position in
 	// MirrorList(a, master), a master's position in MasterList(b, a) for
 	// every host b that mirrors it. Marks.Mark walks it.
-	slotOff [][]uint32
-	slots   [][]listSlot
+	slotOff  [][]uint32
+	slots    [][]listSlot
+	partners []bool // [a*NumHosts+b]: a shared list links a and b, either way
 }
 
 // listSlot is one position of one shared list. set indexes the owning
@@ -116,8 +117,22 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	for a, off := range t.slotOff {
 		t.slotOff[a] = off[:len(off)-1]
 	}
+	t.partners = make([]bool, h*h)
+	for a := 0; a < h; a++ {
+		for b, list := range t.mirrorsByMaster[a] {
+			if len(list) > 0 {
+				t.partners[a*h+b], t.partners[b*h+a] = true, true
+			}
+		}
+	}
 	return t
 }
+
+// Partners reports whether hosts a and b share a proxy, so that a sync
+// exchange can move data between them. Other hosts never have anything
+// to reduce or broadcast to each other: on a Cartesian vertex-cut a
+// host's partners lie in its grid row and column.
+func (t *Topology) Partners(a, b int) bool { return t.partners[a*t.pt.NumHosts+b] }
 
 // MirrorList returns the local IDs on host a of the proxies mastered
 // by host b (the reduce-direction shared list). The returned slice

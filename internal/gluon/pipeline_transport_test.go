@@ -10,7 +10,7 @@ import (
 
 // Conformance for the pipelined exchange path: a windowed MemTransport
 // holding several exchanges open at once, and the TCP backend's
-// per-sender Streamer gather.
+// per-sender gather.
 
 func TestMemTransportWindowConcurrentExchanges(t *testing.T) {
 	const hosts, window = 3, 2
@@ -131,10 +131,10 @@ func TestMemTransportOpenClaimsTheSlot(t *testing.T) {
 	m.Open(4) // every receiver gathered: the slot is free again
 }
 
-// TestTCPGatherFromArbitraryOrder exercises the Streamer half of the
-// TCP backend the way the pipelined unpack path uses it: one GatherFrom
-// per remote sender, in whatever order the receiver likes, plus the
-// self-gather no-op.
+// TestTCPGatherFromArbitraryOrder exercises the per-sender gather of
+// the TCP backend the way the pipelined unpack path uses it: one
+// GatherFrom per remote sender, in whatever order the receiver likes,
+// plus the self-gather no-op.
 func TestTCPGatherFromArbitraryOrder(t *testing.T) {
 	const hosts, exchanges = 3, 4
 	c := tcpCluster(t, hosts, TCPOptions{})
@@ -147,11 +147,6 @@ func TestTCPGatherFromArbitraryOrder(t *testing.T) {
 		go func(h int) {
 			defer wg.Done()
 			tr := c.view(h)
-			st, ok := tr.(Streamer)
-			if !ok {
-				errCh <- fmt.Errorf("host %d: tcp transport does not implement Streamer", h)
-				return
-			}
 			for e := 0; e < exchanges; e++ {
 				for to := 0; to < hosts; to++ {
 					if to == h {
@@ -165,7 +160,7 @@ func TestTCPGatherFromArbitraryOrder(t *testing.T) {
 				// Descending sender order (the reverse of Gather's), with
 				// the self slot in the middle of the scan.
 				for from := hosts - 1; from >= 0; from-- {
-					buf, err := st.GatherFrom(e, h, from)
+					buf, err := tr.GatherFrom(e, h, from)
 					if err != nil {
 						errCh <- fmt.Errorf("host %d GatherFrom e=%d from=%d: %w", h, e, from, err)
 						return

@@ -39,7 +39,10 @@ import (
 // requires; it is counted as Control, not as a logical message, so
 // per-host Stats from a multi-process run sum to the in-process run's.
 // The sum field is the sender's term of the exchange's sum (Propose):
-// framing like the ack, outside Messages/Bytes.
+// framing like the ack, outside Messages/Bytes. A link the receiver
+// declares Silent carries no record: the box takes the sender as an
+// empty marker that has arrived, a record that still comes as a
+// duplicate.
 //
 // A record is read into a buffer from a bounded per-transport free list
 // and its payload lent to the gathering caller until its next gather
@@ -366,9 +369,9 @@ func (t *TCPTransport) expired(steps int) bool {
 }
 
 // Gather blocks until every peer's message for the exchange arrived
-// (empty markers included) or the stall deadline expires, then returns
-// the payloads indexed by sender. The caller owns them: each loan is
-// written off, its buffer never returns to the free list.
+// (empty markers and silent peers included) or the stall deadline
+// expires, then returns the payloads indexed by sender. The caller owns
+// them: each loan is written off, its buffer never returns to the free list.
 func (t *TCPTransport) Gather(exchange, to int) ([][]byte, error) {
 	bufs := make([][]byte, t.hosts)
 	for from := range bufs {
@@ -385,10 +388,10 @@ func (t *TCPTransport) Gather(exchange, to int) ([][]byte, error) {
 }
 
 // GatherFrom returns one sender's payload for the exchange as soon as
-// it arrives (the Streamer interface): the per-sender half of Gather,
-// letting the caller unpack early peers while late peers' bytes are
-// still in flight. The payload is on loan until the next gather call;
-// the exchange's box is released once every remote sender was consumed.
+// it arrives: the per-sender half of Gather, letting the caller unpack
+// early peers while late peers' bytes are still in flight. The payload
+// is on loan until the next gather call; the exchange's box is released
+// once every remote sender was taken.
 func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 	if to != t.self {
 		return nil, fmt.Errorf("gluon: tcp GatherFrom for non-local host %d (self %d)", to, t.self)
@@ -435,6 +438,18 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 				Reason: "stall deadline exceeded waiting for exchange message"}
 		}
 	}
+}
+
+// Silent marks from's record for the exchange arrived, as an empty
+// marker with a zero term: the gather takes it without a wait.
+func (t *TCPTransport) Silent(exchange, to, from int) error {
+	if to != t.self || from < 0 || from >= t.hosts {
+		return fmt.Errorf("gluon: tcp Silent(%d → %d) on host %d", from, to, t.self)
+	}
+	t.mu.Lock()
+	t.boxLocked(exchange).got[from] = true
+	t.mu.Unlock()
+	return nil
 }
 
 // AllReduce folds one value per host across the cluster: the local

@@ -135,7 +135,7 @@ func TestTCPPayloadLifetimeGatherOwns(t *testing.T) {
 		sendAll(e)
 		for h := 0; h < hosts; h++ {
 			for from := 0; from < hosts; from++ {
-				got, err := c.view(h).(Streamer).GatherFrom(e, h, from)
+				got, err := c.view(h).GatherFrom(e, h, from)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -157,45 +157,68 @@ func TestTCPPayloadLifetimeGatherOwns(t *testing.T) {
 // TestTCPWarmExchangeAllocatesNothing pins the steady state of both
 // sides together: a warm four-host exchange of 2 KiB payloads — twelve
 // records sent from acked frame buffers, read into free-list buffers and
-// gathered out of recycled boxes — allocates nothing. (AllocsPerRun
-// counts the reader goroutines' allocations too.)
+// gathered out of recycled boxes — allocates nothing. So does one whose
+// grid diagonals are silent: eight records, and four senders declared
+// rather than received. (AllocsPerRun counts the reader goroutines'
+// allocations too.)
 func TestTCPWarmExchangeAllocatesNothing(t *testing.T) {
 	const hosts = 4
-	c := tcpCluster(t, hosts, TCPOptions{})
-	defer c.done()
-	payload := bytes.Repeat([]byte{0xa5}, 2<<10)
-	e := 0
-	exchange := func() {
-		for h := 0; h < hosts; h++ {
-			tr := c.view(h)
-			if err := tr.Propose(e, h, int64(h)); err != nil {
-				t.Fatal(err)
-			}
-			for to := 0; to < hosts; to++ {
-				if to != h {
-					if err := tr.Send(e, h, to, payload); err != nil {
+	for _, silent := range []bool{false, true} {
+		name := "all links"
+		if silent {
+			name = "silent diagonals"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := tcpCluster(t, hosts, TCPOptions{})
+			defer c.done()
+			quiet := func(a, b int) bool { return silent && silentLink(a, b) }
+			payload := bytes.Repeat([]byte{0xa5}, 2<<10)
+			e := 0
+			exchange := func() {
+				for h := 0; h < hosts; h++ {
+					tr := c.view(h)
+					if err := tr.Propose(e, h, int64(h)); err != nil {
 						t.Fatal(err)
 					}
+					for to := 0; to < hosts; to++ {
+						if to != h && !quiet(h, to) {
+							if err := tr.Send(e, h, to, payload); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
 				}
-			}
-		}
-		for h := 0; h < hosts; h++ {
-			tr := c.view(h).(*TCPTransport)
-			for from := 0; from < hosts; from++ {
-				if got, err := tr.GatherFrom(e, h, from); err != nil || (from != h && len(got) != len(payload)) {
-					t.Fatalf("host %d: ex %d from %d: %d bytes, %v", h, e, from, len(got), err)
+				for h := 0; h < hosts; h++ {
+					tr := c.view(h).(*TCPTransport)
+					want := int64(hosts * (hosts - 1) / 2)
+					for from := 0; from < hosts; from++ {
+						if quiet(from, h) {
+							want -= int64(from)
+							if err := tr.Silent(e, h, from); err != nil {
+								t.Fatal(err)
+							}
+						}
+						got, err := tr.GatherFrom(e, h, from)
+						n := len(payload)
+						if from == h || quiet(from, h) {
+							n = 0
+						}
+						if err != nil || len(got) != n {
+							t.Fatalf("host %d: ex %d from %d: %d bytes, %v", h, e, from, len(got), err)
+						}
+					}
+					if sum, err := tr.Sum(e, h); err != nil || sum != want {
+						t.Fatalf("host %d: ex %d: sum %d, %v; want %d", h, e, sum, err, want)
+					}
 				}
+				e++
 			}
-			if sum, err := tr.Sum(e, h); err != nil || sum != hosts*(hosts-1)/2 {
-				t.Fatalf("host %d: ex %d: sum %d, %v", h, e, sum, err)
+			for e < 32 {
+				exchange()
 			}
-		}
-		e++
-	}
-	for e < 32 {
-		exchange()
-	}
-	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
-		t.Fatalf("a warm exchange allocates %.0f objects, want 0", allocs)
+			if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+				t.Fatalf("a warm exchange allocates %.0f objects, want 0", allocs)
+			}
+		})
 	}
 }

@@ -25,24 +25,28 @@ import (
 //   - Exchanges carry caller-chosen, pairwise-distinct int identifiers
 //     (the non-pipelined cluster numbers them 0,1,2,…; the pipelined
 //     cluster tags them with a per-batch stream). Within one exchange a
-//     host sends exactly one message to every other host (an empty
-//     buffer is the explicit "nothing this exchange" marker) and
-//     gathers the same exchange afterwards. Callers may hold a bounded
-//     window of exchanges open concurrently — sent but not yet fully
-//     gathered — and every host must observe the same window bound. The
-//     in-process backend's window is fixed at construction
-//     (NewMemTransportWindow); the TCP backend buffers per-exchange
-//     boxes on demand.
-//   - Send is only valid for local `from` hosts; Gather only for local
-//     `to` hosts. The buffer passed to Send must stay valid until the
-//     receiving side's Gather of the same exchange returns (remote
-//     backends copy on send; the in-process backend hands the slice
-//     through).
-//   - Gather returns the payloads indexed by sender (entry `to` and
-//     empty-marker entries have length 0); the returned slice is valid
-//     until the exchange's buffer slot is reused, which cannot happen
-//     before the caller opens a new exchange after every receiver of
-//     this one gathered. Remote backends
+//     host sends exactly one message to every other host on a link that
+//     is not silent (an empty buffer is the explicit "nothing this
+//     exchange" marker) and gathers the same exchange afterwards.
+//     Callers may hold a bounded window of exchanges open concurrently —
+//     sent but not yet fully gathered — and every host must observe the
+//     same window bound. The in-process backend's window is fixed at
+//     construction (NewMemTransportWindow); the TCP backend buffers
+//     per-exchange boxes on demand.
+//   - Silent(exchange, to, from) is the receiver's side of a link on
+//     which from sends nothing this exchange (the dgalois cluster's
+//     non-partner links of an exchange without a vote): from then reads
+//     as an empty marker that has arrived, with a term of 0.
+//   - Send is only valid for local `from` hosts; the gathers and Silent
+//     only for local `to` hosts. The buffer passed to Send must stay
+//     valid until the receiving side's gather of the same exchange
+//     returns (remote backends copy on send; the in-process backend
+//     hands the slice through).
+//   - Gather returns the payloads indexed by sender (entry `to`, empty
+//     markers and silent senders have length 0); the returned slice is
+//     valid until the exchange's buffer slot is reused, which cannot
+//     happen before the caller opens a new exchange after every receiver
+//     of this one gathered. Remote backends
 //     block until every peer's message arrived or the stall deadline
 //     expires; the in-process backend relies on the caller's BSP
 //     barrier instead (all Sends of the exchange complete before any
@@ -61,10 +65,10 @@ import (
 //     with its exchanges. It moves control bytes only: nothing it sends
 //     appears in data-channel stats' Messages/Bytes. No engine loop
 //     calls it; drivers use it as the barrier that brings a mesh up.
-//   - Concurrent use: Send for distinct (from, to) pairs, Gather for
-//     distinct receivers, and Propose, Sum and AllReduce for distinct
-//     hosts may run concurrently (the conformance suite runs them under
-//     -race).
+//   - Concurrent use: Send for distinct (from, to) pairs, the gathers
+//     and Silent for distinct receivers, and Propose, Sum and AllReduce
+//     for distinct hosts may run concurrently (the conformance suite
+//     runs them under -race).
 type Transport interface {
 	// Hosts returns the cluster size.
 	Hosts() int
@@ -80,6 +84,10 @@ type Transport interface {
 	// Gather returns the exchange's payloads addressed to local host
 	// `to`, indexed by sender.
 	Gather(exchange, to int) ([][]byte, error)
+	// GatherFrom returns one sender's payload (see Streamer).
+	GatherFrom(exchange, to, from int) ([]byte, error)
+	// Silent declares that from sends local host `to` nothing.
+	Silent(exchange, to, from int) error
 	// Propose sets local host's term of the sum its Sends will carry.
 	Propose(exchange, host int, local int64) error
 	// Sum returns the sum of the exchange local host gathered last.
@@ -96,20 +104,20 @@ type Transport interface {
 	Close() error
 }
 
-// Streamer is the optional per-sender gather a backend can offer: it
-// returns one sender's payload for an exchange as soon as that sender's
-// message arrives, instead of blocking for the whole exchange. The
-// cluster substrate uses it to start unpacking early-arriving peers
-// while slower peers' bytes are still in flight — the apply order stays
-// the deterministic sender order (the substrate always consumes senders
-// 0..hosts-1 in order), only the waiting overlaps.
+// Streamer is the per-sender gather every Transport has: it returns
+// one sender's payload for an exchange as soon as that sender's message
+// arrives, instead of blocking for the whole exchange. The cluster
+// substrate gathers with it, so a remote receiver starts unpacking
+// early-arriving peers while slower peers' bytes are still in flight —
+// the apply order stays the deterministic sender order (the substrate
+// always consumes senders 0..hosts-1 in order), only the waiting overlaps.
 //
 // For a given (exchange, to) a caller must use either Gather or
 // GatherFrom, never both, and must call GatherFrom exactly once per
-// remote sender. GatherFrom(e, to, to) returns (nil, nil) without
-// consuming anything. The returned payload is valid until the receiver's
-// next gather call (GatherFrom or Gather): a backend may receive into
-// buffers it reuses, so a caller consumes a payload before it asks again.
+// remote sender, silent ones included. GatherFrom(e, to, to) returns
+// (nil, nil) without consuming anything. The returned payload is valid
+// until the receiver's next gather call (GatherFrom or Gather): a backend
+// may receive into buffers it reuses, so consume a payload before asking again.
 type Streamer interface {
 	GatherFrom(exchange, to, from int) ([]byte, error)
 }
@@ -234,13 +242,14 @@ type memSum struct {
 // memSlot is one open exchange's preallocated inbox matrix. id is the
 // exchange identifier, -1 when free. A slot is released once every
 // receiver gathered (or the caller reclaimed the exchange); the inbox
-// cells are left in place — every remote channel is re-sent before the
-// next gather of a reusing exchange, and diagonal cells stay nil.
+// cells are left in place — every remote channel is re-sent or declared
+// silent before the next gather of a reusing exchange.
 type memSlot struct {
 	id atomic.Int64
 	// inbox[to][from]: the exchange's buffer on each channel.
 	inbox    [][][]byte
-	gathered []bool       // written by the receiver's Gather only, until the release
+	gathered []bool       // written by the receiver's gathers only, until the release
+	taken    []int        // senders the receiver gathered one by one, likewise
 	n        atomic.Int32 // receivers that gathered
 	sum      atomic.Int64 // the terms proposed so far
 }
@@ -272,6 +281,7 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 			s.inbox[to] = make([][]byte, hosts)
 		}
 		s.gathered = make([]bool, hosts)
+		s.taken = make([]int, hosts)
 	}
 	m.stats = make([]ChannelStats, hosts*hosts)
 	m.sums = make([]memSum, hosts)
@@ -318,9 +328,8 @@ func (m *MemTransport) Open(exchange int) { m.open(exchange) }
 
 // release returns the slot to the free pool.
 func (s *memSlot) release() {
-	for i := range s.gathered {
-		s.gathered[i] = false
-	}
+	clear(s.gathered)
+	clear(s.taken)
 	s.n.Store(0)
 	s.sum.Store(0)
 	s.id.Store(-1)
@@ -359,14 +368,43 @@ func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
 func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
 	slot := m.open(exchange)
 	bufs := slot.inbox[to]
-	if !slot.gathered[to] {
-		slot.gathered[to] = true
-		m.sums[to] = memSum{exchange + 1, slot.sum.Load()}
-		if int(slot.n.Add(1)) == m.hosts {
-			slot.release()
-		}
-	}
+	m.finish(slot, exchange, to)
 	return bufs, nil
+}
+
+// GatherFrom returns one inbox cell, with no wait and no allocation.
+// The receiver's last sender completes its gather, as Gather would (a
+// lone host has no sender: its self-gather does).
+func (m *MemTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
+	if from == to && m.hosts > 1 {
+		return nil, nil
+	}
+	slot := m.open(exchange)
+	buf := slot.inbox[to][from]
+	if slot.taken[to]++; slot.taken[to] >= m.hosts-1 {
+		m.finish(slot, exchange, to)
+	}
+	return buf, nil
+}
+
+// Silent empties the exchange's (from → to) cell, which still holds
+// whatever an earlier exchange of the slot left there.
+func (m *MemTransport) Silent(exchange, to, from int) error {
+	m.open(exchange).inbox[to][from] = nil
+	return nil
+}
+
+// finish records receiver to's gather: its sum, and the slot's release
+// after the last receiver.
+func (m *MemTransport) finish(slot *memSlot, exchange, to int) {
+	if slot.gathered[to] {
+		return
+	}
+	slot.gathered[to] = true
+	m.sums[to] = memSum{exchange + 1, slot.sum.Load()}
+	if int(slot.n.Add(1)) == m.hosts {
+		slot.release()
+	}
 }
 
 // Propose adds host's term to the exchange's sum. The caller's barrier

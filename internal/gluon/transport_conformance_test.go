@@ -419,7 +419,7 @@ func confTerm(e, h int) (term int64, proposes bool) {
 // exchanges open at once: every host proposes its term (or, every third
 // exchange, nothing), sends — in every other exchange only empty
 // markers — and after gathering reads the same sum of every host's term.
-// Backends that stream are gathered per sender in odd exchanges.
+// Odd exchanges are gathered per sender.
 func runConformanceSum(t *testing.T, hosts, window int, c *conformanceCluster) {
 	t.Helper()
 	defer c.done()
@@ -431,7 +431,6 @@ func runConformanceSum(t *testing.T, hosts, window int, c *conformanceCluster) {
 		go func(h int) {
 			defer wg.Done()
 			tr := c.view(h)
-			st, streams := tr.(Streamer)
 			for base := 0; base < rounds*window; base += window {
 				for e := base; e < base+window; e++ {
 					if term, ok := confTerm(e, h); ok {
@@ -456,9 +455,9 @@ func runConformanceSum(t *testing.T, hosts, window int, c *conformanceCluster) {
 				bar.wait() // the in-process backend's BSP barrier
 				for e := base; e < base+window; e++ {
 					var err error
-					if streams && e%2 == 1 {
+					if e%2 == 1 {
 						for from := 0; from < hosts && err == nil; from++ {
-							_, err = st.GatherFrom(e, h, from)
+							_, err = tr.GatherFrom(e, h, from)
 						}
 					} else {
 						_, err = tr.Gather(e, h)
@@ -520,5 +519,239 @@ func TestTransportConformanceExchangeSum(t *testing.T) {
 				runConformanceSum(t, hosts, window, tcpCluster(t, hosts, TCPOptions{}))
 			})
 		}
+	}
+}
+
+// silentLink reports whether the link between hosts a and b of a
+// four-host cluster carries nothing on an exchange without a vote: the
+// diagonals of a 2×2 grid, which share no proxy under a Cartesian cut.
+func silentLink(a, b int) bool { return a != b && a+b == 3 }
+
+// confVote reports whether exchange e carries a vote: every third does.
+func confVote(e int) bool { return e%3 == 0 }
+
+// linkPayload is confPayload on a partner link and the empty marker on a
+// silent one.
+func linkPayload(e, from, to int) []byte {
+	if from == to || silentLink(from, to) {
+		return nil
+	}
+	return confPayload(e, from, to)
+}
+
+// runConformanceSilent drives the exchange pattern of a partner-sparse
+// cluster with `window` exchanges open at once: a vote exchange
+// proposes every host's term and sends on every link, the silent links'
+// records being empty markers; any other exchange leaves the silent
+// links without a record, and their receivers declare them silent.
+// Even exchanges are gathered whole, odd ones per sender.
+func runConformanceSilent(t *testing.T, hosts, window, exchanges int, c *conformanceCluster) {
+	t.Helper()
+	defer c.done()
+	bar := newBarrier(hosts)
+	var wg sync.WaitGroup
+	for h := 0; h < hosts; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			tr := c.view(h)
+			for base := 0; base < exchanges; base += window {
+				for e := base; e < base+window; e++ {
+					if confVote(e) {
+						term, _ := confTerm(e, h)
+						if err := tr.Propose(e, h, term); err != nil {
+							t.Errorf("host %d: propose ex %d: %v", h, e, err)
+							return
+						}
+					}
+					for to := 0; to < hosts; to++ {
+						if to == h || silentLink(h, to) && !confVote(e) {
+							continue
+						}
+						if err := tr.Send(e, h, to, linkPayload(e, h, to)); err != nil {
+							t.Errorf("host %d: send ex %d to %d: %v", h, e, to, err)
+							return
+						}
+					}
+				}
+				bar.wait() // the in-process backend's BSP barrier
+				for e := base; e < base+window; e++ {
+					for from := 0; from < hosts; from++ {
+						if silentLink(from, h) && !confVote(e) {
+							if err := tr.Silent(e, h, from); err != nil {
+								t.Errorf("host %d: silent ex %d from %d: %v", h, e, from, err)
+								return
+							}
+						}
+					}
+					var bufs [][]byte
+					var err error
+					if e%2 == 0 {
+						bufs, err = tr.Gather(e, h)
+					}
+					for from := 0; from < hosts && err == nil; from++ {
+						var buf []byte
+						if e%2 == 0 {
+							buf = bufs[from]
+						} else if buf, err = tr.GatherFrom(e, h, from); err != nil {
+							break
+						}
+						if w := linkPayload(e, from, h); len(buf)+len(w) > 0 && !bytes.Equal(buf, w) {
+							err = fmt.Errorf("from %d: got %d bytes, want %d", from, len(buf), len(w))
+						}
+					}
+					if err != nil {
+						t.Errorf("host %d: gather ex %d: %v", h, e, err)
+						return
+					}
+					if !confVote(e) {
+						continue
+					}
+					var sum int64
+					for p := 0; p < hosts; p++ {
+						term, _ := confTerm(e, p)
+						sum += term
+					}
+					if got, err := tr.Sum(e, h); err != nil || got != sum {
+						t.Errorf("host %d: Sum(ex %d) = %d, %v; want %d", h, e, got, err, sum)
+						return
+					}
+				}
+				bar.wait()
+			}
+		}(h)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// A silent link's only records are the vote exchanges' empty markers
+	// (the run is too short for a tick to flush a standalone ack); every
+	// other link carries its payloads and markers as usual.
+	votes := int64((exchanges + 2) / 3)
+	for from := 0; from < hosts; from++ {
+		for to := 0; to < hosts; to++ {
+			var want ChannelStats
+			for e := 0; e < exchanges && from != to; e++ {
+				switch p := linkPayload(e, from, to); {
+				case silentLink(from, to):
+				case len(p) > 0:
+					want.Messages++
+					want.Bytes += int64(len(p))
+				default:
+					want.Control++
+				}
+			}
+			if silentLink(from, to) {
+				want.Control = votes
+			}
+			st := c.view(from).Stats(from, to)
+			if st.Messages != want.Messages || st.Bytes != want.Bytes || silentLink(from, to) && st.Control != want.Control {
+				t.Errorf("%s: stats[%d→%d] = %d msgs / %d B / %d control, want %d / %d / %d", c.name, from, to,
+					st.Messages, st.Bytes, st.Control, want.Messages, want.Bytes, want.Control)
+			}
+		}
+	}
+	for h := 0; h < hosts; h++ {
+		if n := openExchanges(c.view(h)); n != 0 {
+			t.Errorf("%s: host %d holds %d open exchanges after the run", c.name, h, n)
+		}
+	}
+}
+
+// openExchanges counts the exchanges a backend still holds open: TCP
+// boxes, in-process slots.
+func openExchanges(tr Transport) int {
+	switch tr := tr.(type) {
+	case *TCPTransport:
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.boxes)
+	case *MemTransport:
+		n := 0
+		for i := range tr.slots {
+			if tr.slots[i].id.Load() >= 0 {
+				n++
+			}
+		}
+		return n
+	}
+	panic(fmt.Sprintf("openExchanges: %T", tr))
+}
+
+// TestTransportConformanceSilent pins declared-silent links on both
+// backends, at strict BSP and with four exchanges open: 2 000 exchanges
+// in which a third carry a vote over every link and the rest leave the
+// grid diagonals without a record. Payloads, sums and the silent links'
+// Stats are exact, and no exchange stays open. The TCP step is long
+// enough that no tick falls inside the run, so no standalone ack blurs
+// the Control count, and short deadlines are not what the test relies
+// on: a receiver that waited for a silent sender would stall it outright.
+func TestTransportConformanceSilent(t *testing.T) {
+	const hosts = 4
+	exchanges := 2000
+	if testing.Short() {
+		exchanges = 240
+	}
+	for _, window := range []int{1, 4} {
+		window := window
+		t.Run(fmt.Sprintf("inproc/window%d", window), func(t *testing.T) {
+			m := NewMemTransportWindow(hosts, window)
+			runConformanceSilent(t, hosts, window, exchanges, &conformanceCluster{name: m.Backend(),
+				view: func(int) Transport { return m }, done: func() { m.Close() }})
+		})
+		t.Run(fmt.Sprintf("tcp/window%d", window), func(t *testing.T) {
+			runConformanceSilent(t, hosts, window, exchanges,
+				tcpCluster(t, hosts, TCPOptions{StepInterval: 10 * time.Second, DeadlineSteps: 3}))
+		})
+	}
+}
+
+// TestTransportSilentReadsEmptyAtOnce: a sender declared silent reads
+// as empty through Gather and through GatherFrom, without a wait — on
+// TCP a wait would trip the 50 ms stall deadline — and in process even
+// where the exchange's slot still holds an earlier exchange's payload
+// on that link.
+func TestTransportSilentReadsEmptyAtOnce(t *testing.T) {
+	for _, c := range []*conformanceCluster{
+		memCluster(t, 2),
+		tcpCluster(t, 2, TCPOptions{DeadlineSteps: 10, StepInterval: 5 * time.Millisecond}),
+	} {
+		a, b := c.view(0), c.view(1)
+		for e := 0; e < 3; e++ {
+			if err := a.Send(e, 0, 1, confPayload(1, 0, 1)); err != nil {
+				t.Fatalf("%s: send ex %d: %v", c.name, e, err)
+			}
+			if e == 0 {
+				if err := b.Send(e, 1, 0, confPayload(1, 1, 0)); err != nil {
+					t.Fatalf("%s: send ex %d: %v", c.name, e, err)
+				}
+			} else if err := a.Silent(e, 0, 1); err != nil {
+				t.Fatalf("%s: silent ex %d: %v", c.name, e, err)
+			}
+			var got []byte
+			var err error
+			switch e {
+			case 0, 1:
+				var bufs [][]byte
+				if bufs, err = a.Gather(e, 0); err == nil {
+					got = bufs[1]
+				}
+			case 2:
+				got, err = a.GatherFrom(e, 0, 1)
+			}
+			if want := confPayload(1, 1, 0); err != nil || e > 0 && len(got) != 0 || e == 0 && !bytes.Equal(got, want) {
+				t.Fatalf("%s: ex %d: host 0 read %d bytes from host 1, %v", c.name, e, len(got), err)
+			}
+			if got, err := b.GatherFrom(e, 1, 0); err != nil || !bytes.Equal(got, confPayload(1, 0, 1)) {
+				t.Fatalf("%s: ex %d: host 1 read %d bytes from host 0, %v", c.name, e, len(got), err)
+			}
+		}
+		for h := 0; h < 2; h++ {
+			if n := openExchanges(c.view(h)); n != 0 {
+				t.Errorf("%s: host %d holds %d open exchanges", c.name, h, n)
+			}
+		}
+		c.done()
 	}
 }

@@ -295,6 +295,7 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 		Transport:   opts.Transport,
 		MaxInflight: depth,
 		Epoch:       opts.Epoch,
+		Topology:    topo,
 	})
 	defer cluster.Close()
 	cluster.SetEncoding(opts.Encoding)

@@ -321,12 +321,23 @@ func TestPipelineUnrecoverableFaultErrors(t *testing.T) {
 // both ways) and closed outside the timer. With BenchmarkRunMemSameJob
 // it gives the TCP/in-process ratio without the harness:
 // `go test -run '^$' -bench 'RunTCP|RunMemSameJob' -cpuprofile cpu.out
-// ./internal/mrbcdist`.
+// ./internal/mrbcdist`. records/op is every record the run's mesh wrote:
+// data, empty markers and standalone acks, from the channel Stats.
 func benchRunTCP(b *testing.B, depth int) {
 	if testing.Short() {
 		b.Skip("whole-run benchmark over localhost TCP")
 	}
 	g, pt, sources := tcpBenchJob()
+	records := func(views []gluon.Transport) (n int64) {
+		for h, v := range views {
+			for to := range views {
+				st := v.Stats(h, to)
+				n += st.Messages + st.Control
+			}
+		}
+		return n
+	}
+	var total int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -343,12 +354,15 @@ func benchRunTCP(b *testing.B, depth int) {
 			}(h, v)
 		}
 		wg.Wait()
+		before := records(views)
 		b.StartTimer()
 		runSPMD(b, views, g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth})
 		b.StopTimer()
+		total += records(views) - before
 		closeViews(views)
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(total)/float64(b.N), "records/op")
 }
 
 func tcpBenchJob() (*graph.Graph, *partition.Partitioning, []uint32) {

@@ -181,6 +181,7 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 		Metrics:   opts.Metrics,
 		Workers:   opts.Workers,
 		Transport: opts.Transport,
+		Topology:  topo,
 	})
 	defer cluster.Close()
 	cluster.SetEncoding(opts.Encoding)

@@ -94,24 +94,25 @@ func RunPushOpts(g gview, pt *partition.Partitioning, prog PushProgram, opts Pus
 	if prog.Init == nil || prog.Relax == nil || prog.Better == nil {
 		panic("vprog: incomplete push program")
 	}
+	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
 		Plan:      opts.Plan,
 		Trace:     opts.Trace,
 		Metrics:   opts.Metrics,
 		Workers:   opts.Workers,
 		Transport: opts.Transport,
+		Topology:  topo,
 	})
 	defer cluster.Close()
 	// Live progress gauges, updated from the coordinator only (detached
 	// no-ops when opts.Metrics is nil).
 	roundG := opts.Metrics.Gauge("vprog_round")
 	activeG := opts.Metrics.Gauge("vprog_active")
-	err = dgalois.Capture(func() { labels = runPush(cluster, g, pt, prog, roundG, activeG) })
+	err = dgalois.Capture(func() { labels = runPush(cluster, topo, g, pt, prog, roundG, activeG) })
 	return labels, cluster.Stats(), err
 }
 
-func runPush(cluster *dgalois.Cluster, g gview, pt *partition.Partitioning, prog PushProgram, roundG, activeG *obs.Gauge) []uint64 {
-	topo := gluon.NewTopology(pt)
+func runPush(cluster *dgalois.Cluster, topo *gluon.Topology, g gview, pt *partition.Partitioning, prog PushProgram, roundG, activeG *obs.Gauge) []uint64 {
 	n := g.NumVertices()
 
 	type hostState struct {
