@@ -196,6 +196,12 @@ func run() error {
 		return err
 	}
 	elapsed := time.Since(start)
+	for _, res := range agg.PerHost {
+		if res.TraceDropped > 0 {
+			fmt.Fprintf(os.Stderr, "bcctl: warning: host %d's trace ring dropped %d events: merged-trace checks (conservation, pairing, round bound) are unsound\n",
+				res.Host, res.TraceDropped)
+		}
+	}
 
 	if *ctrace != "" {
 		if err := writeClusterTrace(*ctrace, shipped, *hosts); err != nil {

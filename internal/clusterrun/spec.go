@@ -115,6 +115,9 @@ type JobResult struct {
 	// Trace carries the host's obs events when the spec set ShipTrace —
 	// stamped with the host's origin and epoch, ready for merge.
 	Trace []obs.Event `json:"trace,omitempty"`
+	// TraceDropped counts the events the host's trace ring overwrote,
+	// which the merged-trace checks need.
+	TraceDropped int64 `json:"trace_dropped,omitempty"`
 }
 
 // Fault is the JSON projection of *dgalois.FaultError, relayed from a
@@ -217,12 +220,13 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 		return nil, fmt.Errorf("clusterrun: unknown engine %q", spec.Engine)
 	}
 	res := &JobResult{
-		Host:     spec.Host,
-		Rounds:   stats.Rounds,
-		Bytes:    stats.Bytes,
-		Messages: stats.Messages,
-		CommNs:   stats.CommTime.Nanoseconds(),
-		HiddenNs: stats.HiddenTime.Nanoseconds(),
+		Host:         spec.Host,
+		Rounds:       stats.Rounds,
+		Bytes:        stats.Bytes,
+		Messages:     stats.Messages,
+		CommNs:       stats.CommTime.Nanoseconds(),
+		HiddenNs:     stats.HiddenTime.Nanoseconds(),
+		TraceDropped: trace.Dropped(),
 	}
 	if transport != nil {
 		var agg gluon.ChannelStats

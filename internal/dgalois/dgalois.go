@@ -30,11 +30,13 @@
 // compute phase, the pack work parallel over (from, to) pairs —
 // finer-grained than one goroutine per sender, which matters when one
 // sender's pack work dwarfs the others' — and the receivers of an
-// unpack, without spawning a goroutine per phase.
+// unpack, without spawning a goroutine per phase — unless the phase is
+// too small to pay for waking the pool, and runs on the caller (dispatch).
 package dgalois
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -95,6 +97,7 @@ type Cluster struct {
 	hiddenWall     time.Duration // exchange wait hidden behind detached compute
 	perHostCompute []time.Duration
 	durations      []time.Duration // the current compute phase's per-host times
+	starts         []time.Duration // and their start offsets
 	imbalanceSum   float64
 	imbalanceN     int
 
@@ -180,6 +183,13 @@ type Cluster struct {
 	unpackTaskFn  func(i int)
 	closeOnce     sync.Once
 
+	// Where an in-process phase runs (dispatch). While the caller runs a
+	// compute phase's hosts, lap is the clock at the end of the last one.
+	costs                      []phaseCost
+	onCaller                   bool
+	lap                        time.Duration
+	callerC, pooledC, escapedC *obs.Counter
+
 	// Fault-tolerant transport state (reliable.go); plan == nil keeps
 	// the perfect-network fast path equivalent to the seed behavior.
 	plan      *FaultPlan
@@ -263,10 +273,11 @@ type ClusterOptions struct {
 	// the cluster a private registry (snapshot via Cluster.Metrics).
 	Metrics *obs.Registry
 	// Workers overrides the size of the worker pool (0: the default
-	// min(GOMAXPROCS, host pairs)). The pool runs every phase — the
-	// hosts of a compute phase as well as the packs and unpacks of an
-	// exchange — and the calling goroutine works alongside it, so at most
-	// Workers+1 hosts compute side by side. Event content is independent
+	// min(GOMAXPROCS, host pairs)). The pool runs every phase big enough
+	// to pay for waking it — the hosts of a compute phase as well as the
+	// packs and unpacks of an exchange — and the calling goroutine works
+	// alongside it, so at most Workers+1 hosts compute side by side; a
+	// smaller phase runs on the caller alone. Event content is independent
 	// of the worker count — golden-trace tests sweep this. Unused with a
 	// remote Transport: an SPMD cluster has one local host and no pool.
 	Workers int
@@ -319,6 +330,7 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		epoch:          time.Now(),
 		perHostCompute: make([]time.Duration, hosts),
 		durations:      make([]time.Duration, hosts),
+		starts:         make([]time.Duration, hosts),
 		plan:           opts.Plan,
 		trace:          opts.Trace,
 		metrics:        opts.Metrics,
@@ -337,6 +349,9 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 	c.encBAllC = c.metrics.Counter("dgalois_bytes_all_total")
 	c.computeHist = c.metrics.Histogram("dgalois_compute_phase_seconds", obs.DurationBuckets)
 	c.commHist = c.metrics.Histogram("dgalois_exchange_seconds", obs.DurationBuckets)
+	c.callerC = c.metrics.Counter("dgalois_phases_caller_total")
+	c.pooledC = c.metrics.Counter("dgalois_phases_pooled_total")
+	c.escapedC = c.metrics.Counter("dgalois_phases_escaped_total")
 	c.baseRounds = c.roundsC.Load()
 	c.baseBytes = c.bytesC.Load()
 	c.baseMessages = c.messagesC.Load()
@@ -444,7 +459,7 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		if workers < 1 {
 			workers = 1
 		}
-		c.pool = newWorkerPool(workers)
+		c.pool = newWorkerPool(workers, c.epoch)
 		c.computeTaskFn = c.computeTask
 		c.packTaskFn = c.packTask
 		c.unpackTaskFn = c.unpackTask
@@ -625,22 +640,25 @@ func (c *Cluster) now() time.Duration { return time.Since(c.epoch) }
 
 // Compute runs fn(host) on every local host as one BSP compute phase,
 // recording per-host compute time and the round's load imbalance.
-// In-process the hosts run on the worker pool, as many side by side as
-// it has workers; the single host of an SPMD cluster runs on the caller.
-// fn must not wait for another host's fn.
+// In-process the hosts run where dispatch puts them: on the worker pool,
+// as many side by side as it has workers, or in host order on the caller;
+// the single host of an SPMD cluster runs on the caller. fn must not wait
+// for another host's fn.
 func (c *Cluster) Compute(fn func(host int)) {
 	seq := c.nextSeq()
-	start := c.now()
 	round := c.roundsC.Load() - c.baseRounds
 	c.computeFn, c.computeRound = fn, round
+	start := c.now()
+	var end time.Duration
 	if h := c.localHost; h >= 0 {
 		// SPMD: one local host, nothing to run it side by side with.
 		c.computeTask(h)
+		end = c.now()
 	} else {
-		c.pool.runAll(c.hosts, c.computeTaskFn)
+		end = c.dispatch(fn, c.hosts, c.computeTaskFn, start, true)
 	}
 	c.computeFn = nil
-	wall := c.now() - start
+	wall := end - start
 	c.computeWall += wall
 	c.computeHist.Observe(wall.Seconds())
 
@@ -656,34 +674,37 @@ func (c *Cluster) Compute(fn func(host int)) {
 		c.imbalanceN++
 	}
 	if c.trace != nil {
-		base := start.Nanoseconds()
-		var maxD time.Duration
-		for _, d := range durations {
-			if d > maxD {
-				maxD = d
-			}
-		}
 		for h, d := range durations {
 			if !c.isLocal(h) {
 				continue
 			}
+			done := c.starts[h] + d
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: seq, Round: int32(round), Batch: c.eventBatch,
-				Host: int32(h), Phase: obs.PhaseCompute, StartNs: base, DurNs: d.Nanoseconds()})
-			// The barrier slice is the host's idle wait for the round's
-			// slowest host.
+				Host: int32(h), Phase: obs.PhaseCompute, StartNs: c.starts[h].Nanoseconds(), DurNs: d.Nanoseconds()})
+			// The barrier slice is the host's idle wait from its own end
+			// to the phase's: for the slowest host it is the join, and on
+			// the caller it is the hosts after it.
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: seq, Round: int32(round), Batch: c.eventBatch,
 				Host: int32(h), Phase: obs.PhaseBarrier,
-				StartNs: base + d.Nanoseconds(), DurNs: (maxD - d).Nanoseconds()})
+				StartNs: done.Nanoseconds(), DurNs: (end - done).Nanoseconds()})
 		}
 	}
 }
 
 // computeTask runs the current compute phase's function for host h and
-// times it.
+// times it. On the caller the previous host's end is this host's start,
+// so a phase of P hosts reads the clock P+1 times, its start included.
 func (c *Cluster) computeTask(h int) {
-	t0 := c.now()
+	t0 := c.lap
+	if !c.onCaller {
+		t0 = c.now()
+	}
 	c.computeFn(h)
-	c.durations[h] = c.now() - t0
+	end := c.now()
+	c.starts[h], c.durations[h] = t0, end-t0
+	if c.onCaller {
+		c.lap = end
+	}
 	// Published before the barrier: a telemetry scrape while other hosts
 	// still compute sees this host ahead, which is exactly the straggler
 	// signal /progressz derives.
@@ -842,26 +863,84 @@ func (c *Cluster) checkExchangeErr() {
 }
 
 // runPackPhase runs the pack loop for the current exchange (shared by
-// the perfect and reliable paths) and returns how many messages it
-// sent: pair-parallel on the worker pool in-process, where the
-// coordinator first opens the exchange's transport slot so that no Send
-// has to; the local host's hosts−1 destinations in order on the caller
-// in SPMD mode. The count is the cluster counter's rise, so another
-// cluster packing into a shared registry can only inflate it: an exchange
-// is never taken for empty when it is not.
-func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer)) (sent int64) {
+// the perfect and reliable paths), begun at clock start, and returns how
+// many messages it sent and the clock at its end: pair-parallel where
+// dispatch puts it in-process, where the coordinator first opens the
+// exchange's transport slot so that no Send has to; the local host's
+// hosts−1 destinations in order on the caller in SPMD mode. The count is
+// the cluster counter's rise, so another cluster packing into a shared
+// registry can only inflate it: an exchange is never taken for empty when
+// it is not.
+func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer), start time.Duration) (sent int64, end time.Duration) {
 	before := c.messagesC.Load()
 	c.packFn = pack
 	if c.localHost >= 0 {
 		for to := 0; to < c.hosts; to++ {
 			c.packTask(c.localHost*c.hosts + to)
 		}
+		end = c.now()
 	} else {
 		c.mem.Open(c.curEx)
-		c.pool.runAll(c.hosts*c.hosts, c.packTaskFn)
+		end = c.dispatch(pack, c.hosts*c.hosts, c.packTaskFn, start, false)
 	}
 	c.packFn = nil
-	return c.messagesC.Load() - before
+	return c.messagesC.Load() - before, end
+}
+
+// breakEven is the work, summed over a phase's tasks, below which the
+// caller runs an in-process phase alone rather than wake the pool, which
+// costs microseconds however little the phase does. 5, 20 and 50 µs
+// measured alike on web_sbbc_h4; 0 (every phase pooled) was 2× slower.
+const breakEven = 20 * time.Microsecond
+
+// phaseCost is the work its last dispatch measured for a phase body: the
+// sum of its task times, never the pooled wall, which includes the wake-up.
+type phaseCost struct {
+	body uintptr
+	work time.Duration
+}
+
+// dispatch runs task(0..n-1) as one in-process phase of body, begun at
+// clock start, and returns the clock at its end. A body (keyed by its
+// code, so one estimate serves every batch) whose last dispatch measured
+// less work than breakEven runs on the caller in index order: no wake-up,
+// no barrier; any other, and a new one, on the pool. With laps set the
+// tasks are compute hosts, each advancing c.lap on the caller, and the
+// one that passes breakEven hands the hosts after it to the pool.
+func (c *Cluster) dispatch(body any, n int, task func(i int), start time.Duration, laps bool) (end time.Duration) {
+	key := reflect.ValueOf(body).Pointer()
+	k := 0
+	for k < len(c.costs) && c.costs[k].body != key {
+		k++
+	}
+	if k == len(c.costs) {
+		c.costs = append(c.costs, phaseCost{body: key, work: breakEven})
+	}
+	if c.costs[k].work >= breakEven {
+		c.pooledC.Inc()
+		c.costs[k].work = c.pool.runAll(0, n, task)
+		return c.now()
+	}
+	c.onCaller, c.lap = laps, start
+	i := 0
+	for i < n && c.lap-start < breakEven {
+		task(i)
+		i++
+	}
+	c.onCaller = false
+	if i < n {
+		c.escapedC.Inc()
+		ran := c.lap - start
+		c.costs[k].work = ran + c.pool.runAll(i, n, task)
+		return c.now()
+	}
+	c.callerC.Inc()
+	end = c.lap
+	if !laps {
+		end = c.now()
+	}
+	c.costs[k].work = end - start
+	return end
 }
 
 // claimTicket hands out a free exchange ticket. The caller bound
@@ -1043,8 +1122,8 @@ func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Wri
 			c.noteTransportError(err)
 		}
 	}
-	sent := c.runPackPhase(pack)
-	t.packEnd = c.now()
+	sent, packEnd := c.runPackPhase(pack, t.start)
+	t.packEnd = packEnd
 	c.checkExchangeErr()
 	// In process, an exchange that sent no message has nothing to unpack:
 	// Complete frees its transport slot and runs no unpack phase. Remote
@@ -1082,11 +1161,11 @@ func (c *Cluster) complete(t *PendingExchange) {
 			if t.sum, err = c.transport.Sum(t.ex, h); err != nil {
 				c.noteTransportError(err)
 			}
+			end = c.now()
 		} else {
-			c.pool.runAll(c.hosts, c.unpackTaskFn)
+			end = c.dispatch(t.unpack, c.hosts, c.unpackTaskFn, completeStart, false)
 		}
 		c.unpackFn = nil
-		end = c.now()
 	}
 	t.unpack = nil
 	// The gap between the pack finishing and a detached exchange's
@@ -1239,22 +1318,27 @@ func (s *Stats) Add(o Stats) {
 // the goroutine dispatching a phase, execute indexed tasks claimed off a
 // shared atomic counter. Dispatching a phase costs one channel send per
 // woken worker, at most one receive, and zero allocations (a `go`
-// statement per phase would allocate). Only in-process clusters have
-// one: the pool runs hosts side by side, and an SPMD cluster (remote
-// transport, one local host) runs its phases on the caller instead.
+// statement per phase would allocate), but a woken worker takes
+// microseconds to come up, so dispatch sends it only phases with that
+// much work. Only in-process clusters have one: the pool runs hosts side
+// by side, and an SPMD cluster (remote transport, one local host) runs
+// its phases on the caller instead.
 type workerPool struct {
 	workers int
+	epoch   time.Time     // the cluster's, for the participants' clock reads
 	wake    chan struct{} // one token per woken worker per phase; closed to release the workers
 	done    chan struct{} // one token per phase, from whoever finishes last
 	next    atomic.Int64  // task cursor
 	pending atomic.Int32  // participants (woken workers and the caller) still in the phase
+	busy    atomic.Int64  // nanoseconds the phase's participants spent on its tasks
 	total   int64
 	run     func(i int) // current phase body; published via wake
 }
 
-func newWorkerPool(workers int) *workerPool {
+func newWorkerPool(workers int, epoch time.Time) *workerPool {
 	p := &workerPool{
 		workers: workers,
+		epoch:   epoch,
 		wake:    make(chan struct{}, workers),
 		done:    make(chan struct{}, 1),
 	}
@@ -1272,33 +1356,38 @@ func (p *workerPool) loop() {
 	}
 }
 
-// work claims and runs tasks until none is left, and reports whether the
-// caller was the phase's last participant to finish.
+// work claims and runs tasks until none is left, adds the time it spent
+// on them to busy, and reports whether the caller was the phase's last
+// participant to finish.
 func (p *workerPool) work() (last bool) {
+	t0 := time.Since(p.epoch)
 	for {
 		i := p.next.Add(1) - 1
 		if i >= p.total {
+			p.busy.Add(int64(time.Since(p.epoch) - t0))
 			return p.pending.Add(-1) == 0
 		}
 		p.run(int(i))
 	}
 }
 
-// runAll executes fn(0..total-1) across the pool and the calling
-// goroutine and returns when all tasks finished. It wakes every worker
-// the phase has a task for and then works itself: a phase of tiny tasks
-// is over before the workers are up and costs their wake-up only, and a
-// phase of long ones still has GOMAXPROCS workers on it (a pool one
-// short, with the caller as its last worker, leaves the one woken worker
-// in the caller's runnext, out of an idle P's reach, for as long as the
-// caller's own task runs). The channel send orders the writes to
+// runAll executes fn(from..total-1) across the pool and the calling
+// goroutine, returns when all tasks finished, and reports the phase's
+// work: the time its participants spent on its tasks, without the
+// wake-up. It wakes every worker the phase has a task for and then works
+// itself, so a phase of long tasks has GOMAXPROCS workers on it (a pool
+// one short, with the caller as its last worker, leaves the one woken
+// worker in the caller's runnext, out of an idle P's reach, for as long
+// as the caller's own task runs). The channel send orders the writes to
 // run/total before any worker reads them; the pending counter orders
-// every participant's task effects before the caller resumes.
-func (p *workerPool) runAll(total int, fn func(i int)) {
+// every participant's task effects and busy time before the caller
+// resumes.
+func (p *workerPool) runAll(from, total int, fn func(i int)) time.Duration {
 	p.run = fn
 	p.total = int64(total)
-	p.next.Store(0)
-	n := min(p.workers, total)
+	p.next.Store(int64(from))
+	p.busy.Store(0)
+	n := min(p.workers, total-from)
 	p.pending.Store(int32(n + 1))
 	for i := 0; i < n; i++ {
 		p.wake <- struct{}{}
@@ -1307,4 +1396,5 @@ func (p *workerPool) runAll(total int, fn func(i int)) {
 		<-p.done
 	}
 	p.run = nil
+	return time.Duration(p.busy.Load())
 }

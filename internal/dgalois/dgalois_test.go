@@ -274,22 +274,42 @@ func unpackDiscard(listLen int) func(int, int, []byte, *gluon.Decoder) {
 }
 
 // TestExchangeZeroAllocs pins the tentpole property: once writers,
-// decoders, and worker pool are warm, a full Exchange performs zero
-// heap allocations.
+// decoders, worker pool and cost table are warm, a full Exchange performs
+// zero heap allocations, whether its phases run on the caller or on the
+// pool.
 func TestExchangeZeroAllocs(t *testing.T) {
 	const hosts, listLen = 4, 2048
 	var sink int64
 	pack, unpack := fixedWorkload(listLen, &sink)
-	c := NewCluster(hosts)
-	defer c.Close()
-	for i := 0; i < 3; i++ { // warm the pools
-		c.Exchange(pack, unpack)
+	for _, pooled := range []bool{false, true} {
+		c := NewCluster(hosts)
+		for i := 0; i < 3; i++ { // warm the pools and the cost table
+			c.Exchange(pack, unpack)
+		}
+		before := phaseCounts(c)
+		allocs := testing.AllocsPerRun(10, func() {
+			place(c, pooled)
+			c.Exchange(pack, unpack)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Exchange (pooled %t) allocates %.1f objects/op, want 0", pooled, allocs)
+		}
+		if got := phaseCounts(c).sub(before); pooled && got.caller != 0 || !pooled && got.pooled != 0 {
+			t.Fatalf("pooled %t: the measured exchanges dispatched %+v", pooled, got)
+		}
+		c.Close()
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		c.Exchange(pack, unpack)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Exchange allocates %.1f objects/op, want 0", allocs)
+}
+
+// place pins where each body the cluster has dispatched runs next: on
+// the pool, or on the caller (with no work measured, so a compute phase
+// does not escape either).
+func place(c *Cluster, pooled bool) {
+	for i := range c.costs {
+		c.costs[i].work = 0
+		if pooled {
+			c.costs[i].work = breakEven
+		}
 	}
 }
 
@@ -577,20 +597,195 @@ func TestSharedRegistryStatsArePerRun(t *testing.T) {
 }
 
 // TestComputeZeroAllocs is TestExchangeZeroAllocs for the other phase
-// kind: a compute phase runs on the persistent pool through a bound task
-// func, so with the tracer off or on it allocates nothing.
+// kind: a compute phase runs on the caller or on the persistent pool
+// through a bound task func, so with the tracer off or on it allocates
+// nothing.
 func TestComputeZeroAllocs(t *testing.T) {
 	for _, tr := range []*obs.Trace{nil, obs.NewTrace(1<<10, obs.LevelPhase)} {
-		c := NewClusterOpts(4, ClusterOptions{Trace: tr})
-		var visits [4]int64
-		fn := func(h int) { visits[h]++ }
-		for i := 0; i < 3; i++ {
-			c.Compute(fn)
+		for _, pooled := range []bool{false, true} {
+			c := NewClusterOpts(4, ClusterOptions{Trace: tr})
+			var visits [4]int64
+			fn := func(h int) { visits[h]++ }
+			for i := 0; i < 3; i++ {
+				c.Compute(fn)
+			}
+			before := phaseCounts(c)
+			allocs := testing.AllocsPerRun(10, func() {
+				place(c, pooled)
+				c.Compute(fn)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Compute (tracing %t, pooled %t) allocates %.1f objects/op, want 0", tr != nil, pooled, allocs)
+			}
+			if got := phaseCounts(c).sub(before); pooled && got.caller != 0 || !pooled && got.pooled != 0 {
+				t.Fatalf("pooled %t: the measured phases dispatched %+v", pooled, got)
+			}
+			c.Close()
 		}
-		if allocs := testing.AllocsPerRun(10, func() { c.Compute(fn) }); allocs != 0 {
-			t.Fatalf("steady-state Compute (tracing %t) allocates %.1f objects/op, want 0", tr != nil, allocs)
+	}
+}
+
+// spin busy-waits for d: a phase body with a known amount of work.
+func spin(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
+	}
+}
+
+// dispatches counts where a cluster's in-process phases ran, read from
+// its registry.
+type dispatches struct{ caller, pooled, escaped int64 }
+
+func phaseCounts(c *Cluster) dispatches {
+	m := c.Metrics()
+	return dispatches{
+		caller:  m.Counter("dgalois_phases_caller_total").Load(),
+		pooled:  m.Counter("dgalois_phases_pooled_total").Load(),
+		escaped: m.Counter("dgalois_phases_escaped_total").Load(),
+	}
+}
+
+func (d dispatches) sub(o dispatches) dispatches {
+	return dispatches{d.caller - o.caller, d.pooled - o.pooled, d.escaped - o.escaped}
+}
+
+// TestDispatchTinyBodyRunsOnCaller pins where a small phase runs: its
+// body's first dispatch goes to the pool, which measures it, and the
+// later ones run on the caller, every host exactly once. Not every one:
+// a run that is preempted measures high and sends the next to the pool
+// (under the race detector, with other packages testing alongside, a
+// few in ten), so the test asks for most.
+func TestDispatchTinyBodyRunsOnCaller(t *testing.T) {
+	const hosts, phases = 4, 40
+	c := NewCluster(hosts)
+	defer c.Close()
+	var visits [hosts]int64
+	fn := func(h int) { atomic.AddInt64(&visits[h], 1) }
+	c.Compute(fn)
+	if got := phaseCounts(c); got != (dispatches{pooled: 1}) {
+		t.Fatalf("first dispatch: %+v, want it pooled", got)
+	}
+	for p := 1; p < phases; p++ {
+		c.Compute(fn)
+	}
+	if got := phaseCounts(c); got.caller < phases/2 {
+		t.Fatalf("after %d phases: %+v, want most on the caller", phases, got)
+	}
+	for h, n := range visits {
+		if n != phases {
+			t.Fatalf("host %d ran %d times in %d phases", h, n, phases)
+		}
+	}
+}
+
+// TestDispatchPlacementRunsEveryTask pins that the caller's path and the
+// pool's run the same phase: wherever compute, pack and unpack are
+// placed, every host computes once, every pair packs once and every
+// receiver unpacks its senders' buffers once.
+func TestDispatchPlacementRunsEveryTask(t *testing.T) {
+	const hosts, rounds = 4, 5
+	for _, pooled := range []bool{false, true} {
+		c := NewCluster(hosts)
+		var visits, unpacked [hosts]int64
+		compute := func(h int) { atomic.AddInt64(&visits[h], 1) }
+		pack := func(from, to int, w *gluon.Writer) { w.Byte(byte(from)); w.Byte(byte(to)) }
+		unpack := func(to, from int, data []byte, dec *gluon.Decoder) {
+			if int(data[0]) != from || int(data[1]) != to {
+				t.Error("misrouted buffer")
+			}
+			atomic.AddInt64(&unpacked[to], 1)
+		}
+		c.Compute(compute)
+		c.Exchange(pack, unpack)
+		before := phaseCounts(c)
+		for r := 0; r < rounds; r++ {
+			place(c, pooled)
+			c.Compute(compute)
+			place(c, pooled)
+			c.Exchange(pack, unpack)
+		}
+		if got := phaseCounts(c).sub(before); pooled && got.pooled != 3*rounds || !pooled && got.pooled != 0 {
+			t.Fatalf("pooled %t: %d phases dispatched %+v", pooled, 3*rounds, got)
+		}
+		for h := 0; h < hosts; h++ {
+			if visits[h] != rounds+1 || unpacked[h] != (rounds+1)*(hosts-1) {
+				t.Fatalf("pooled %t: host %d computed %d times and unpacked %d buffers, want %d and %d",
+					pooled, h, visits[h], unpacked[h], rounds+1, (rounds+1)*(hosts-1))
+			}
 		}
 		c.Close()
+	}
+}
+
+// TestDispatchGrowingBodyEscapes pins the escape: a compute body the
+// caller runs that grows past the break-even hands the hosts after the
+// one that crossed it to the pool — they start only once that host is
+// done — and the body's next dispatch goes to the pool directly.
+func TestDispatchGrowingBodyEscapes(t *testing.T) {
+	const hosts = 4
+	c := NewCluster(hosts)
+	defer c.Close()
+	var grown atomic.Bool
+	var starts, ends [hosts]atomic.Int64
+	epoch := time.Now()
+	fn := func(h int) {
+		starts[h].Store(int64(time.Since(epoch)))
+		if grown.Load() {
+			spin(2 * breakEven)
+		}
+		ends[h].Store(int64(time.Since(epoch)))
+	}
+	c.Compute(fn) // enters the body in the cost table
+	place(c, false)
+	grown.Store(true)
+	before := phaseCounts(c)
+	c.Compute(fn)
+	if got := phaseCounts(c).sub(before); got != (dispatches{escaped: 1}) {
+		t.Fatalf("grown phase: %+v, want it escaped", got)
+	}
+	for h := 1; h < hosts; h++ {
+		if starts[h].Load() < ends[0].Load() {
+			t.Fatalf("host %d started before host 0, which took the phase past the break-even, was done", h)
+		}
+	}
+	before = phaseCounts(c)
+	c.Compute(fn)
+	if got := phaseCounts(c).sub(before); got != (dispatches{pooled: 1}) {
+		t.Fatalf("phase after the escape: %+v, want it pooled", got)
+	}
+}
+
+// TestDispatchShrinkingBodyReturns pins the way back: a body measured
+// big on the pool that shrinks is measured small on its next pooled
+// dispatch, and runs on the caller from then on.
+func TestDispatchShrinkingBodyReturns(t *testing.T) {
+	c := NewCluster(4)
+	defer c.Close()
+	var big atomic.Bool
+	big.Store(true)
+	fn := func(h int) {
+		if big.Load() {
+			spin(breakEven)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c.Compute(fn)
+	}
+	if got := phaseCounts(c); got != (dispatches{pooled: 3}) {
+		t.Fatalf("big phases: %+v, want all pooled", got)
+	}
+	big.Store(false)
+	before := phaseCounts(c)
+	c.Compute(fn)
+	if got := phaseCounts(c).sub(before); got != (dispatches{pooled: 1}) {
+		t.Fatalf("first small phase: %+v, want it pooled on the big phase's estimate", got)
+	}
+	// Measured small on the pool (or, if preempted, on a later pooled
+	// dispatch), the body comes back to the caller.
+	for i := 0; phaseCounts(c).caller == 0; i++ {
+		if i == 50 {
+			t.Fatalf("a shrunk body never ran on the caller: %+v", phaseCounts(c))
+		}
+		c.Compute(fn)
 	}
 }
 

@@ -95,8 +95,7 @@ func (c *Cluster) exchangeReliable(pack func(from, to int, w *gluon.Writer), unp
 	// inbox matrix (a FaultPlan requires the MemTransport — enforced at
 	// construction), from which the delivery-step loop below picks them
 	// up for framed, faulted redelivery.
-	c.runPackPhase(pack)
-	packEnd := c.now()
+	_, packEnd := c.runPackPhase(pack, start)
 	t.packEnd = packEnd
 
 	// Frame every non-empty buffer. EncodeFrame copies the payload, so

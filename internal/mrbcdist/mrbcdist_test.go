@@ -9,6 +9,7 @@ import (
 	"mrbc/internal/brandes"
 	"mrbc/internal/gen"
 	"mrbc/internal/graph"
+	"mrbc/internal/obs"
 	"mrbc/internal/partition"
 )
 
@@ -178,18 +179,23 @@ func TestQuickAgainstBrandes(t *testing.T) {
 // benchRun times whole distributed runs on 4 in-process hosts. The two
 // shapes below are benchmark/'s rmat_mem_h4 and road_mem_h4 jobs at seed
 // 1, so `go test -run '^$' -bench Run -cpuprofile cpu.out
-// ./internal/mrbcdist` profiles what the harness measures.
+// ./internal/mrbcdist` profiles what the harness measures. pooled/op and
+// caller/op count the phases that woke the worker pool and those the
+// caller ran alone.
 func benchRun(b *testing.B, g *graph.Graph, numSources, batch int) {
 	if testing.Short() {
 		b.Skip("whole-run benchmark")
 	}
 	pt := partition.CartesianCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, numSources)
+	reg := obs.NewRegistry()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Run(g, pt, sources, Options{BatchSize: batch})
+		_, _ = Run(g, pt, sources, Options{BatchSize: batch, Metrics: reg})
 	}
+	b.ReportMetric(float64(reg.Counter("dgalois_phases_pooled_total").Load())/float64(b.N), "pooled/op")
+	b.ReportMetric(float64(reg.Counter("dgalois_phases_caller_total").Load())/float64(b.N), "caller/op")
 }
 
 // BenchmarkRunRMAT: power-law, few fat rounds — arbitration handles

@@ -87,8 +87,8 @@ const (
 	PhasePack     Phase = "pack"
 	PhaseExchange Phase = "exchange"
 	PhaseUnpack   Phase = "unpack"
-	// PhaseBarrier is the time a host idles at the compute barrier
-	// waiting for the slowest host (max duration − own duration).
+	// PhaseBarrier is the time a host idles at the compute barrier, from
+	// the end of its own compute slice to the end of the phase.
 	PhaseBarrier Phase = "barrier"
 	// PhaseCheckpoint/PhaseRestore tag KindElastic events: a boundary
 	// snapshot was persisted / a run resumed from one.

@@ -9,6 +9,7 @@ import (
 	"mrbc/internal/brandes"
 	"mrbc/internal/gen"
 	"mrbc/internal/graph"
+	"mrbc/internal/obs"
 	"mrbc/internal/partition"
 )
 
@@ -148,16 +149,21 @@ func BenchmarkDistributedSBBC(b *testing.B) {
 
 // BenchmarkWebSBBC is the in-tree twin of the benchmark's web_sbbc_h4
 // workload (seed 1): ~20000 one-source rounds of mostly empty exchanges,
-// where the fixed price of a round is the whole bill.
+// where the fixed price of a round is the whole bill. pooled/op and
+// caller/op count the phases that woke the worker pool and those the
+// caller ran alone.
 func BenchmarkWebSBBC(b *testing.B) {
 	g := gen.WebCrawl(11, 8, 3, 80, 1)
 	pt := partition.CartesianCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, 128)
+	reg := obs.NewRegistry()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Run(g, pt, sources)
+		_, _ = RunOpts(g, pt, sources, Options{Metrics: reg})
 	}
+	b.ReportMetric(float64(reg.Counter("dgalois_phases_pooled_total").Load())/float64(b.N), "pooled/op")
+	b.ReportMetric(float64(reg.Counter("dgalois_phases_caller_total").Load())/float64(b.N), "caller/op")
 }
 
 func TestDirectionOptimizingMatchesPush(t *testing.T) {
