@@ -4,7 +4,7 @@
 // an N-process localhost cluster, and a deterministic socket-level
 // fault proxy for chaos testing the TCP transport.
 //
-// The division of labor with the engine packages: mrbcdist/sbbc/vprog
+// The division of labor with the engine packages: mrbcdist and sbbc
 // already run SPMD when handed a remote gluon.Transport — every
 // process executes the same batch loop for its one host. This package
 // supplies everything around that: process lifecycle, the address
@@ -15,6 +15,7 @@
 package clusterrun
 
 import (
+	"errors"
 	"fmt"
 
 	"mrbc/internal/dgalois"
@@ -139,6 +140,27 @@ func (f *Fault) AsError() error {
 	return &dgalois.FaultError{Host: f.Host, Exchange: f.Exchange, Step: f.Step, Pending: f.Pending, Killed: f.Killed, Reason: f.Reason}
 }
 
+// check refuses a spec that the partitioner, the cluster or an engine
+// would panic on. A spec arrives from outside the process, so a bad one
+// must fail its job, not kill the daemon serving it.
+func (s *JobSpec) check(g *graph.Graph) error {
+	n := g.NumVertices()
+	switch {
+	case n == 0:
+		return errors.New("clusterrun: empty graph")
+	case s.Hosts < 1:
+		return fmt.Errorf("clusterrun: invalid host count %d", s.Hosts)
+	case len(s.Addrs) > 0 && len(s.Addrs) != s.Hosts:
+		return fmt.Errorf("clusterrun: %d addrs for %d hosts", len(s.Addrs), s.Hosts)
+	}
+	for _, src := range s.Sources {
+		if int(src) >= n {
+			return fmt.Errorf("clusterrun: source %d out of range [0,%d)", src, n)
+		}
+	}
+	return nil
+}
+
 // BuildPartitioning recomputes the job's deterministic partition plan.
 // Every process runs this on the same graph bytes, so the plans agree
 // without shipping them over the wire.
@@ -163,6 +185,9 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 	g, err := graph.Load(spec.GraphPath)
 	if err != nil {
 		return nil, fmt.Errorf("clusterrun: load graph: %w", err)
+	}
+	if err := spec.check(g); err != nil {
+		return nil, err
 	}
 	pt, err := BuildPartitioning(g, spec.Partition, spec.Hosts)
 	if err != nil {

@@ -113,6 +113,28 @@ func TestRunJobReportsTraceDrops(t *testing.T) {
 	}
 }
 
+// specRefusal is a spec edit RunJob must refuse, and the text its error
+// must name.
+type specRefusal struct {
+	want string
+	edit func(*JobSpec)
+}
+
+// malformedSpecs are the start specs a partitioner, cluster or engine
+// would panic on: a daemon handed one must refuse the job and live.
+func malformedSpecs(t *testing.T) []specRefusal {
+	empty := filepath.Join(t.TempDir(), "empty.bin")
+	if err := graph.FromEdges(0, nil).Save(empty); err != nil {
+		t.Fatal(err)
+	}
+	return []specRefusal{
+		{"source 1073741824 out of range", func(s *JobSpec) { s.Sources = []uint32{1 << 30} }},
+		{"invalid host count 0", func(s *JobSpec) { s.Hosts = 0 }},
+		{"addrs for", func(s *JobSpec) { s.Addrs = append(s.Addrs, "127.0.0.1:1") }},
+		{"empty graph", func(s *JobSpec) { s.GraphPath = empty }},
+	}
+}
+
 // TestRunJobRefusals: a spec RunJob cannot honour fails before any engine
 // starts — no result, nothing registered for a cluster, no checkpoint
 // directory created.
@@ -120,10 +142,7 @@ func TestRunJobRefusals(t *testing.T) {
 	_, path := savedGraph(t)
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
 	base := JobSpec{GraphPath: path, Hosts: 2, Sources: []uint32{0, 1}}
-	for _, c := range []struct {
-		want string
-		edit func(*JobSpec)
-	}{
+	for _, c := range append([]specRefusal{
 		{"load graph", func(s *JobSpec) { s.GraphPath = filepath.Join(ckpt, "missing.bin") }},
 		{`unknown engine "brandes"`, func(s *JobSpec) { s.Engine = "brandes" }},
 		{`unknown partition "vertexcut"`, func(s *JobSpec) { s.Partition = "vertexcut" }},
@@ -131,7 +150,7 @@ func TestRunJobRefusals(t *testing.T) {
 		{"requires serial batches", func(s *JobSpec) { s.CheckpointDir, s.PipelineDepth = ckpt, 2 }},
 		{"does not support checkpoint/resume", func(s *JobSpec) { s.Engine, s.CheckpointDir = "sbbc", ckpt }},
 		{"does not support checkpoint/resume", func(s *JobSpec) { s.Engine, s.ResumeBatch = "sbbc", 1 }},
-	} {
+	}, malformedSpecs(t)...) {
 		spec := base
 		c.edit(&spec)
 		reg := obs.NewRegistry()
@@ -148,6 +167,65 @@ func TestRunJobRefusals(t *testing.T) {
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("a refused job created the checkpoint directory (stat: %v)", err)
+	}
+}
+
+// TestServeControlSurvivesRefusedStart: a daemon answers each malformed
+// start spec with an error naming the problem, keeps serving, and runs
+// the next valid job — a one-host job over its own TCP transport — to
+// oracle-exact scores.
+func TestServeControlSurvivesRefusedStart(t *testing.T) {
+	g, path := savedGraph(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ServeControl(ln, DaemonOptions{}) }()
+	sources := []uint32{0, 1, 2, 3}
+	job := func(edit func(*JobSpec)) controlReply {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+		var rep controlReply
+		if err := enc.Encode(controlRequest{Op: "prepare"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&rep); err != nil || !rep.OK {
+			t.Fatalf("prepare: %v, reply %+v", err, rep)
+		}
+		spec := JobSpec{GraphPath: path, Hosts: 1, Addrs: []string{rep.Transport}, Sources: sources}
+		edit(&spec)
+		if err := enc.Encode(controlRequest{Op: "start", Spec: &spec}); err != nil {
+			t.Fatal(err)
+		}
+		rep = controlReply{}
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("no reply to start: %v", err)
+		}
+		return rep
+	}
+	for _, c := range malformedSpecs(t) {
+		if rep := job(c.edit); rep.OK || !strings.Contains(rep.Err, c.want) {
+			t.Errorf("reply %+v, want an error naming %q", rep, c.want)
+		}
+	}
+	rep := job(func(*JobSpec) {})
+	if !rep.OK || rep.Result == nil || rep.Result.Fault != nil {
+		t.Fatalf("valid job after the refusals: %+v", rep)
+	}
+	want := brandes.Sequential(g, sources)
+	for v, w := range want {
+		if math.Abs(rep.Result.Scores[v]-w) > 1e-9*(1+math.Abs(w)) {
+			t.Fatalf("score[%d] = %v, want %v", v, rep.Result.Scores[v], w)
+		}
+	}
+	ln.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("ServeControl: %v", err)
 	}
 }
 

@@ -269,8 +269,9 @@ type ClusterOptions struct {
 	// Trace receives one event per (round, host, phase) plus transport
 	// events; nil disables tracing at zero cost.
 	Trace *obs.Trace
-	// Metrics is the registry the cluster's counters live in; nil gives
-	// the cluster a private registry (snapshot via Cluster.Metrics).
+	// Metrics is the registry the cluster's counters live in, for a
+	// caller that reads or serves them; nil gives the cluster a private
+	// registry that only Stats reads.
 	Metrics *obs.Registry
 	// Workers overrides the size of the worker pool (0: the default
 	// min(GOMAXPROCS, host pairs)). The pool runs every phase big enough
@@ -309,15 +310,6 @@ type ClusterOptions struct {
 // perfect network (no fault plan, no framing).
 func NewCluster(hosts int) *Cluster {
 	return NewClusterOpts(hosts, ClusterOptions{})
-}
-
-// NewClusterWithPlan creates a cluster whose exchanges run through the
-// framed ack/retry transport under the given fault plan. A nil plan is
-// the perfect network; a non-nil plan with zero rates exercises the
-// full reliable protocol (sequence numbers, checksums, acks) without
-// injecting faults.
-func NewClusterWithPlan(hosts int, plan *FaultPlan) *Cluster {
-	return NewClusterOpts(hosts, ClusterOptions{Plan: plan})
 }
 
 // NewClusterOpts creates a cluster with explicit options.
@@ -502,10 +494,6 @@ func (c *Cluster) LocalHost() int { return c.localHost }
 // remote hosts.
 func (c *Cluster) IsLocal(h int) bool { return c.isLocal(h) }
 
-// Transport returns the byte-moving backend the cluster exchanges run
-// through.
-func (c *Cluster) Transport() gluon.Transport { return c.transport }
-
 // Cursor is the cluster's deterministic counter position: the phase
 // sequence number and the paper-model counters, as they stand. A
 // checkpoint stores the cursor at a batch boundary; Restore seeds a
@@ -557,10 +545,6 @@ func (c *Cluster) Restore(cur Cursor) {
 }
 
 func (c *Cluster) isLocal(h int) bool { return c.localHost < 0 || h == c.localHost }
-
-// Metrics returns the registry holding the cluster's counters (the one
-// injected via ClusterOptions.Metrics, or the private default).
-func (c *Cluster) Metrics() *obs.Registry { return c.metrics }
 
 // SetEncoding pins the sync-metadata format every pack writer uses
 // (gluon.FormatAuto, the default, selects the smallest per message).

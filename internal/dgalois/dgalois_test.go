@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc/internal/bitset"
 	"mrbc/internal/gluon"
 	"mrbc/internal/obs"
 )
@@ -162,15 +163,18 @@ func TestExchangeConcurrentSafety(t *testing.T) {
 
 // fixedWorkload packs a deterministic gluon-encoded message on every
 // pair: positions ≡ 0 mod (from+2) of a listLen-entry shared list, one
-// u64 payload each. Returns the pack and unpack funcs plus the number
-// of distinct (from, to) messages.
-func fixedWorkload(listLen int, sink *int64) (func(int, int, *gluon.Writer), func(int, int, []byte, *gluon.Decoder)) {
-	pack := func(from, to int, w *gluon.Writer) {
-		marked := w.Scratch(listLen)
+// u64 payload each. Each sender's marked set is built once, here, so a
+// pack allocates nothing. Returns the pack and unpack funcs.
+func fixedWorkload(hosts, listLen int, sink *int64) (func(int, int, *gluon.Writer), func(int, int, []byte, *gluon.Decoder)) {
+	marked := make([]*bitset.Set, hosts)
+	for from := range marked {
+		marked[from] = bitset.New(listLen)
 		for i := 0; i < listLen; i += from + 2 {
-			marked.Set(i)
+			marked[from].Set(i)
 		}
-		gluon.EncodeUpdates(w, listLen, marked, func(pos int, w *gluon.Writer) {
+	}
+	pack := func(from, to int, w *gluon.Writer) {
+		gluon.EncodeUpdates(w, listLen, marked[from], func(pos int, w *gluon.Writer) {
 			w.U64(uint64(pos))
 		})
 	}
@@ -190,7 +194,7 @@ func fixedWorkload(listLen int, sink *int64) (func(int, int, *gluon.Writer), fun
 func TestVolumeAccountingMatchesSerialRecount(t *testing.T) {
 	const hosts, listLen = 4, 500
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 
 	// Independent recount: serially pack each pair with a fresh writer.
 	var wantBytes, wantMessages int64
@@ -230,7 +234,7 @@ func TestVolumeAccountingMatchesSerialRecount(t *testing.T) {
 func TestEncodingStatsBreakdown(t *testing.T) {
 	const hosts, listLen = 3, 1024
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 
 	dense := NewCluster(hosts)
 	defer dense.Close()
@@ -241,22 +245,17 @@ func TestEncodingStatsBreakdown(t *testing.T) {
 		t.Fatalf("forced dense produced %+v over %d messages", ds.Encoding, ds.Messages)
 	}
 
+	marked := []*bitset.Set{bitset.New(listLen), bitset.New(listLen), bitset.New(listLen)}
+	marked[0].Set(listLen / 2) // one bit of 1024: sparse wins
+	marked[1].Fill()           // everything marked: all-marked wins
+	for i := 0; i < listLen; i += 2 {
+		marked[2].Set(i) // every other bit: dense wins
+	}
 	auto := NewCluster(hosts)
 	defer auto.Close()
 	auto.Exchange(
 		func(from, to int, w *gluon.Writer) {
-			marked := w.Scratch(listLen)
-			switch from {
-			case 0: // one bit of 1024: sparse wins
-				marked.Set(listLen / 2)
-			case 1: // everything marked: all-marked wins
-				marked.Fill()
-			default: // every other bit: dense wins
-				for i := 0; i < listLen; i += 2 {
-					marked.Set(i)
-				}
-			}
-			gluon.EncodeUpdates(w, listLen, marked, func(pos int, w *gluon.Writer) { w.Byte(1) })
+			gluon.EncodeUpdates(w, listLen, marked[from], func(pos int, w *gluon.Writer) { w.Byte(1) })
 		},
 		unpackDiscard(listLen),
 	)
@@ -280,7 +279,7 @@ func unpackDiscard(listLen int) func(int, int, []byte, *gluon.Decoder) {
 func TestExchangeZeroAllocs(t *testing.T) {
 	const hosts, listLen = 4, 2048
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 	for _, pooled := range []bool{false, true} {
 		c := NewCluster(hosts)
 		for i := 0; i < 3; i++ { // warm the pools and the cost table
@@ -320,7 +319,7 @@ func place(c *Cluster, pooled bool) {
 func TestExchangeZeroAllocsWithTracing(t *testing.T) {
 	const hosts, listLen = 4, 2048
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 	tr := obs.NewTrace(1<<10, obs.LevelPhase)
 	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr})
 	defer c.Close()
@@ -345,7 +344,7 @@ func TestExchangeZeroAllocsWithTracing(t *testing.T) {
 func TestExchangeZeroAllocsWithShipping(t *testing.T) {
 	const hosts, listLen = 4, 2048
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 	tr := obs.NewTrace(1<<12, obs.LevelPhase)
 	tr.SetStamp(2, 1)
 	tee := make(chan obs.Event, 1<<13)
@@ -382,7 +381,7 @@ func TestExchangeZeroAllocsWithShipping(t *testing.T) {
 func TestLinkEventsConserve(t *testing.T) {
 	const hosts, listLen, rounds = 4, 512, 3
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 	tr := obs.NewTrace(1<<12, obs.LevelPhase)
 	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr})
 	defer c.Close()
@@ -433,9 +432,10 @@ func TestLinkEventsConserve(t *testing.T) {
 func TestTraceEventsMatchStats(t *testing.T) {
 	const hosts, listLen, rounds = 4, 512, 3
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 	tr := obs.NewTrace(1<<12, obs.LevelPhase)
-	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr})
+	reg := obs.NewRegistry()
+	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, Metrics: reg})
 	defer c.Close()
 	for r := 0; r < rounds; r++ {
 		c.BeginRound()
@@ -473,7 +473,7 @@ func TestTraceEventsMatchStats(t *testing.T) {
 		t.Fatal("missing pack/unpack events")
 	}
 
-	snap := c.Metrics().Snapshot()
+	snap := reg.Snapshot()
 	if snap.Counters["dgalois_bytes_total"] != st.Bytes ||
 		snap.Counters["dgalois_messages_total"] != st.Messages ||
 		snap.Counters["dgalois_rounds_total"] != int64(st.Rounds) {
@@ -503,7 +503,7 @@ func TestReliableModelStreamMatchesFaultFree(t *testing.T) {
 	const hosts, listLen, rounds = 4, 256, 5
 	run := func(plan *FaultPlan) []obs.Event {
 		var sink int64
-		pack, unpack := fixedWorkload(listLen, &sink)
+		pack, unpack := fixedWorkload(hosts, listLen, &sink)
 		tr := obs.NewTrace(1<<12, obs.LevelPhase)
 		c := NewClusterOpts(hosts, ClusterOptions{Plan: plan, Trace: tr})
 		defer c.Close()
@@ -546,7 +546,7 @@ func TestReliableModelStreamMatchesFaultFree(t *testing.T) {
 func BenchmarkExchangeSteadyState(b *testing.B) {
 	const hosts, listLen = 4, 4096
 	var sink int64
-	pack, unpack := fixedWorkload(listLen, &sink)
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
 	c := NewCluster(hosts)
 	defer c.Close()
 	for i := 0; i < 3; i++ {
@@ -636,7 +636,7 @@ func spin(d time.Duration) {
 type dispatches struct{ caller, pooled, escaped int64 }
 
 func phaseCounts(c *Cluster) dispatches {
-	m := c.Metrics()
+	m := c.metrics
 	return dispatches{
 		caller:  m.Counter("dgalois_phases_caller_total").Load(),
 		pooled:  m.Counter("dgalois_phases_pooled_total").Load(),

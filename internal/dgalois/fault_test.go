@@ -61,7 +61,7 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 	// one delivery step per exchange.
 	raw := NewCluster(4)
 	ringExchange(t, raw)
-	framed := NewClusterWithPlan(4, &FaultPlan{Seed: 1})
+	framed := NewClusterOpts(4, ClusterOptions{Plan: &FaultPlan{Seed: 1}})
 	deliveries, mutated := ringExchange(t, framed)
 	assertExactlyOnce(t, deliveries, mutated)
 
@@ -101,7 +101,7 @@ func TestReliableExchangeSurvivesEachFaultKind(t *testing.T) {
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			c := NewClusterWithPlan(5, plan)
+			c := NewClusterOpts(5, ClusterOptions{Plan: plan})
 			for i := 0; i < 8; i++ { // several exchanges so seq numbers advance
 				deliveries, mutated := ringExchange(t, c)
 				assertExactlyOnce(t, deliveries, mutated)
@@ -143,7 +143,7 @@ func TestReliableExchangeSurvivesEachFaultKind(t *testing.T) {
 
 func TestReliableExchangeRecoversFromBoundedStall(t *testing.T) {
 	plan := &FaultPlan{Seed: 3, Stalls: []Stall{{Host: 1, Exchange: 0, Steps: 5}}}
-	c := NewClusterWithPlan(3, plan)
+	c := NewClusterOpts(3, ClusterOptions{Plan: plan})
 	deliveries, mutated := ringExchange(t, c)
 	assertExactlyOnce(t, deliveries, mutated)
 	f := c.Stats().Faults
@@ -160,7 +160,7 @@ func TestReliableExchangeRecoversFromBoundedStall(t *testing.T) {
 
 func TestPermanentStallFailsWithStructuredError(t *testing.T) {
 	plan := &FaultPlan{Seed: 3, DeadlineSteps: 10, Stalls: []Stall{{Host: 2, Exchange: 0, Steps: -1}}}
-	c := NewClusterWithPlan(4, plan)
+	c := NewClusterOpts(4, ClusterOptions{Plan: plan})
 	done := make(chan error, 1)
 	go func() {
 		done <- Capture(func() { ringExchange(t, c) })

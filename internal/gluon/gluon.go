@@ -298,17 +298,13 @@ func (c ByteCounts) Total() int64 { return c.Dense + c.Sparse + c.All }
 
 // Writer serializes payloads into a sync buffer. The zero value is
 // ready to use; Reset lets one Writer serve many messages without
-// reallocating, and Scratch hands out a reusable marked-bitvector so
-// the pack path of an exchange allocates nothing at steady state.
+// reallocating.
 type Writer struct {
 	buf   []byte
 	force Format // FormatAuto: adaptive selection
 
 	counts     EncodingCounts
 	byteCounts ByteCounts
-
-	scratchWords []uint64
-	scratch      bitset.Set
 }
 
 // Bytes returns the accumulated buffer.
@@ -342,23 +338,6 @@ func (w *Writer) TakeByteCounts() ByteCounts {
 	c := w.byteCounts
 	w.byteCounts = ByteCounts{}
 	return c
-}
-
-// Scratch returns an empty bit set of capacity n backed by
-// writer-owned storage, for building the marked set of an update
-// message without allocating. The set stays valid until the next
-// Scratch call on the same writer.
-func (w *Writer) Scratch(n int) *bitset.Set {
-	nw := bitset.WordsFor(n)
-	if cap(w.scratchWords) < nw {
-		w.scratchWords = make([]uint64, nw)
-	}
-	ws := w.scratchWords[:nw]
-	for i := range ws {
-		ws[i] = 0
-	}
-	w.scratch = bitset.FromWords(ws, n)
-	return &w.scratch
 }
 
 // U32 appends a uint32.

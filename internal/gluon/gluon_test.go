@@ -397,23 +397,6 @@ func TestEncodingCountsTick(t *testing.T) {
 	}
 }
 
-func TestScratchIsZeroedAndReused(t *testing.T) {
-	w := &Writer{}
-	m := w.Scratch(130)
-	m.Set(0)
-	m.Set(129)
-	m2 := w.Scratch(130)
-	if !m2.None() {
-		t.Fatal("Scratch returned a dirty set")
-	}
-	if &m2.Words()[0] != &m.Words()[0] {
-		t.Fatal("Scratch reallocated same-capacity storage")
-	}
-	if w.Scratch(64).Len() != 64 {
-		t.Fatal("Scratch capacity wrong after shrink")
-	}
-}
-
 func TestMetadataCompressionAmortizes(t *testing.T) {
 	// The §5.3 effect: syncing many proxies in one round costs fewer
 	// bytes than syncing them one per round — even with the adaptive
@@ -464,7 +447,6 @@ func benchMarked(listLen, stride int) *bitset.Set {
 func benchmarkEncode(b *testing.B, listLen, stride int) {
 	marked := benchMarked(listLen, stride)
 	w := &Writer{}
-	w.Scratch(listLen) // pre-size scratch like the pooled exchange writers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -503,7 +485,7 @@ func scanPack(w *Writer, list []uint32, marked *bitset.Set, emit func(lid uint32
 	if len(list) == 0 {
 		return
 	}
-	at := w.Scratch(len(list))
+	at := bitset.New(len(list))
 	for pos, lid := range list {
 		if marked.Test(int(lid)) {
 			at.Set(pos)

@@ -23,18 +23,18 @@ type HostProgress struct {
 // across it (per-host rounds and volume, straggler lag).
 type Progress struct {
 	// Engine identifies which engine's gauges were found: "mrbc",
-	// "sbbc", "vprog", or "" when only the cluster substrate reported.
+	// "sbbc", or "" when only the cluster substrate reported.
 	Engine string `json:"engine"`
 	// Round is the cluster's current BSP round (dgalois_round).
 	Round int64 `json:"round"`
 	// Batch is the engine's current batch (mrbc) or source index
 	// (sbbc); -1 when the engine doesn't batch.
 	Batch int64 `json:"batch"`
-	// EngineRound is the engine's phase-local round: mrbc_round,
-	// sbbc_level, or vprog_round.
+	// EngineRound is the engine's phase-local round: mrbc_round or
+	// sbbc_level.
 	EngineRound int64 `json:"engine_round"`
 	// Frontier is the engine's current activity measure: due pairs
-	// (mrbc), relaxed vertices (sbbc), or active vertices (vprog).
+	// (mrbc) or relaxed vertices (sbbc).
 	Frontier int64 `json:"frontier"`
 	// Backward is true while an mrbc batch runs its backward phase.
 	Backward bool `json:"backward"`
@@ -71,10 +71,6 @@ func ProgressFrom(s obs.Snapshot) Progress {
 		p.Batch = s.Gauges["sbbc_source"]
 		p.EngineRound = s.Gauges["sbbc_level"]
 		p.Frontier = s.Gauges["sbbc_frontier"]
-	case hasGauge(s, "vprog_round"):
-		p.Engine = "vprog"
-		p.EngineRound = s.Gauges["vprog_round"]
-		p.Frontier = s.Gauges["vprog_active"]
 	}
 	p.Epoch = s.Gauges["dgalois_epoch"]
 	rounds := s.GaugeVecs["dgalois_host_last_round"]

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc/internal/bitset"
 	"mrbc/internal/dgalois"
 	"mrbc/internal/gen"
 	"mrbc/internal/gluon"
@@ -325,12 +326,15 @@ func TestExchangeZeroAllocsWithServer(t *testing.T) {
 	defer srv.Close()
 
 	var sink int64
-	pack := func(from, to int, w *gluon.Writer) {
-		marked := w.Scratch(listLen)
+	marked := make([]*bitset.Set, hosts)
+	for from := range marked {
+		marked[from] = bitset.New(listLen)
 		for i := 0; i < listLen; i += from + 2 {
-			marked.Set(i)
+			marked[from].Set(i)
 		}
-		gluon.EncodeUpdates(w, listLen, marked, func(pos int, w *gluon.Writer) {
+	}
+	pack := func(from, to int, w *gluon.Writer) {
+		gluon.EncodeUpdates(w, listLen, marked[from], func(pos int, w *gluon.Writer) {
 			w.U64(uint64(pos))
 		})
 	}
