@@ -1,21 +1,20 @@
 // Command bcbench regenerates the paper's evaluation (Section 5):
 // every table and figure, on the synthetic input suite documented in
-// DESIGN.md §3, plus the substrate experiments (faults, comms, obs,
-// pipeline, regress) that guard the implementation.
+// DESIGN.md §3, the round-model check (model), and the exact
+// bytes/messages/rounds gate against the committed BENCH_regress.json
+// (regress). Timing is measured by the benchmark/ harness, not here.
 //
 // Usage:
 //
 //	bcbench -exp table1
 //	bcbench -exp table2 -scale tiny
-//	bcbench -exp obs -obs trace.jsonl
 //	bcbench -exp regress -scale tiny
-//	bcbench -exp pipeline -scale tiny
 //	bcbench -exp all -cpuprofile cpu.pprof
 //	bcbench -exp summary -serve 127.0.0.1:9464
 //
 // Profiling hooks (-cpuprofile, -memprofile, -trace) wrap whichever
-// experiment runs; -obs additionally writes a detail-level execution
-// trace and is only meaningful with -exp obs. -serve exposes live
+// experiment runs. -input applies to the paper experiments only;
+// -baseline to regress and regress-baseline only. -serve exposes live
 // telemetry (/metrics, /statz, /progressz, /debug/pprof) for the
 // duration of the run; -linger keeps the server up afterwards so a
 // scraper can collect the final state.
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
@@ -45,41 +43,7 @@ import (
 type runCtx struct {
 	inputs      []bench.Input
 	scale       bench.Scale
-	obsPath     string // -obs: detail-trace output (obs experiment only)
-	baselineDir string // -baseline: directory holding the BENCH_*.json documents
-	bcdPath     string // -bcd: bcd daemon binary (pipeline experiment only)
-}
-
-// resolveBcd returns the bcd binary for the pipeline experiment's TCP
-// cluster: the -bcd flag if given, else a fresh build of ./cmd/bcd into
-// a temp directory (requires a Go toolchain and running inside the
-// module, like the clustertest harness).
-func resolveBcd(ctx runCtx) (string, func(), error) {
-	if ctx.bcdPath != "" {
-		return ctx.bcdPath, func() {}, nil
-	}
-	dir, err := os.MkdirTemp("", "bcbench-bcd-*")
-	if err != nil {
-		return "", nil, err
-	}
-	path := filepath.Join(dir, "bcd")
-	cmd := exec.Command("go", "build", "-o", path, "mrbc/cmd/bcd")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		os.RemoveAll(dir)
-		return "", nil, fmt.Errorf("build bcd (pass -bcd to use a prebuilt binary): %v\n%s", err, out)
-	}
-	return path, func() { os.RemoveAll(dir) }, nil
-}
-
-// runPipelineBench resolves the daemon binary and measures the depth
-// sweep on both transports.
-func runPipelineBench(ctx runCtx) (bench.PipelineReport, error) {
-	bcd, cleanup, err := resolveBcd(ctx)
-	if err != nil {
-		return bench.PipelineReport{}, err
-	}
-	defer cleanup()
-	return bench.PipelineBench(ctx.scale, bcd)
+	baselineDir string // -baseline: directory holding BENCH_regress.json
 }
 
 // experiments maps every -exp value to its runner. Runners print to
@@ -118,37 +82,9 @@ var experiments = map[string]func(out io.Writer, ctx runCtx) error{
 		fmt.Fprintln(out, bench.FormatSummary(bench.Summarize(ctx.inputs, ctx.scale)))
 		return nil
 	},
-	// Reliable-transport overhead (JSON); not in "all".
-	"faults": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatFaultBench(bench.FaultBench(ctx.scale)))
-		return nil
-	},
-	// Sync-encoding volume comparison (JSON); not in "all". Errors if
-	// the adaptive encoding regresses past dense, so CI can use it as
-	// a smoke check.
-	"comms": func(out io.Writer, ctx runCtx) error {
-		report := bench.CommsBench(ctx.scale)
-		fmt.Fprintln(out, bench.FormatCommsBench(report))
-		return bench.CheckCommsBench(report)
-	},
-	// Tracing-overhead measurement (JSON, emitted as BENCH_obs.json);
-	// not in "all". Errors if tracing overhead exceeds the smoke
-	// guard. With -obs, also writes a detail-level execution trace.
-	"obs": func(out io.Writer, ctx runCtx) error {
-		report := bench.ObsBench(ctx.scale)
-		fmt.Fprintln(out, bench.FormatObsBench(report))
-		if err := bench.CheckObsBench(report); err != nil {
-			return err
-		}
-		if ctx.obsPath != "" {
-			return bench.WriteObsTrace(ctx.obsPath, ctx.scale)
-		}
-		return nil
-	},
-	// Perf-regression guard: re-run the guarded configurations against
-	// the committed BENCH_regress.json (and re-validate the other
-	// committed BENCH documents). Non-zero exit on any regression; not
-	// in "all".
+	// Volume-regression gate: re-run the guarded configurations against
+	// the committed BENCH_regress.json. Non-zero exit unless bytes,
+	// messages and rounds match exactly; not in "all".
 	"regress": func(out io.Writer, ctx runCtx) error {
 		report, err := bench.RegressGuard(ctx.scale, ctx.baselineDir)
 		if len(report.Rows) > 0 {
@@ -156,39 +92,8 @@ var experiments = map[string]func(out io.Writer, ctx runCtx) error{
 		}
 		return err
 	},
-	// Pipelined-exchange depth sweep on both transports (JSON, emitted
-	// as BENCH_pipeline.json); not in "all". Spawns a localhost bcd
-	// cluster for the TCP leg (building the daemon unless -bcd is
-	// given). Errors if the fresh measurement violates the pipeline
-	// guards for this machine.
-	"pipeline": func(out io.Writer, ctx runCtx) error {
-		report, err := runPipelineBench(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out, bench.FormatPipelineBench(report))
-		return bench.CheckPipelineBench(report)
-	},
-	// Regenerate BENCH_pipeline.json from the current build; not in
-	// "all".
-	"pipeline-baseline": func(out io.Writer, ctx runCtx) error {
-		report, err := runPipelineBench(ctx)
-		if err != nil {
-			return err
-		}
-		if err := bench.CheckPipelineBench(report); err != nil {
-			return err
-		}
-		path := filepath.Join(ctx.baselineDir, bench.PipelineBaselineFile)
-		if err := bench.WritePipelineBaseline(path, report); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, bench.FormatPipelineBench(report))
-		fmt.Fprintf(out, "wrote %s\n", path)
-		return nil
-	},
 	// Regenerate BENCH_regress.json from the current build (after an
-	// intentional perf or protocol change); not in "all".
+	// intentional protocol change); not in "all".
 	"regress-baseline": func(out io.Writer, ctx runCtx) error {
 		report := bench.RegressBench(ctx.scale)
 		path := filepath.Join(ctx.baselineDir, bench.RegressBaselineFile)
@@ -227,11 +132,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		tracePath   = fs.String("trace", "", "write a runtime/trace execution trace to this file")
-		obsPath     = fs.String("obs", "", "write a detail-level obs trace (JSONL) to this file; requires -exp obs")
 		serveAddr   = fs.String("serve", "", "serve live telemetry (/metrics, /statz, /progressz, pprof) on this address while experiments run")
 		linger      = fs.Duration("linger", 0, "keep the -serve endpoint up this long after the experiments finish")
-		baselineDir = fs.String("baseline", ".", "directory holding the committed BENCH_*.json baselines")
-		bcdPath     = fs.String("bcd", "", "prebuilt bcd daemon binary for -exp pipeline (default: build ./cmd/bcd)")
+		baselineDir = fs.String("baseline", ".", "directory holding the committed BENCH_regress.json; requires -exp regress or regress-baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -254,8 +157,18 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bcbench: unknown experiment %q (valid: %s)\n", *exp, validExperiments())
 		return 1
 	}
-	if *obsPath != "" && *exp != "obs" {
-		fmt.Fprintf(stderr, "bcbench: -obs only applies to -exp obs (got -exp %s)\n", *exp)
+	// The regress experiments run a fixed configuration set against a
+	// baseline; the paper experiments run the input suite. Refuse a
+	// flag the chosen experiment would silently ignore.
+	regress := *exp == "regress" || *exp == "regress-baseline"
+	if *only != "" && regress {
+		fmt.Fprintf(stderr, "bcbench: -input does not apply to -exp %s, which runs a fixed configuration set\n", *exp)
+		return 1
+	}
+	baselineSet := false
+	fs.Visit(func(f *flag.Flag) { baselineSet = baselineSet || f.Name == "baseline" })
+	if baselineSet && !regress {
+		fmt.Fprintf(stderr, "bcbench: -baseline only applies to -exp regress and regress-baseline (got -exp %s)\n", *exp)
 		return 1
 	}
 	if *linger != 0 && *serveAddr == "" {
@@ -279,7 +192,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ctx := runCtx{inputs: bench.Suite(scale), scale: scale, obsPath: *obsPath, baselineDir: *baselineDir, bcdPath: *bcdPath}
+	ctx := runCtx{inputs: bench.Suite(scale), scale: scale, baselineDir: *baselineDir}
 	if *only != "" {
 		in, err := bench.Find(ctx.inputs, *only)
 		if err != nil {

@@ -24,8 +24,9 @@ import (
 // FaultPlan configures the injected fault mix. The zero value (or a nil
 // plan pointer) injects nothing; a non-nil plan additionally routes the
 // exchange through the framed ack/retry transport even when all rates
-// are zero, which is how the fault-free protocol overhead is measured
-// (bcbench -exp faults).
+// are zero. Either way the paper-model Bytes/Messages equal the
+// fault-free run's; retries and framing land in FaultStats only
+// (TestFaultVolumeAccounting in internal/chaostest).
 type FaultPlan struct {
 	// Seed drives every pseudo-random decision.
 	Seed uint64

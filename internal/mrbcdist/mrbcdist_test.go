@@ -8,6 +8,7 @@ import (
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/gen"
+	"mrbc/internal/gluon"
 	"mrbc/internal/graph"
 	"mrbc/internal/obs"
 	"mrbc/internal/partition"
@@ -117,6 +118,39 @@ func TestCommunicationVolumeTracked(t *testing.T) {
 	_, solo := Run(g, partition.EdgeCut(g, 1), sources, Options{BatchSize: 16})
 	if solo.Bytes != 0 || solo.Messages != 0 {
 		t.Fatalf("single-host run recorded communication: %+v", solo)
+	}
+}
+
+// TestAdaptiveEncodingNeverExceedsDense checks the sync-metadata
+// picker end to end: per message it takes the smallest of dense,
+// sparse and all-marked, so a whole FormatAuto run is never larger
+// than the same run forced dense, sends the same messages over the
+// same rounds, and attributes every message to one format. The road
+// corridor is relabeled so its long shared lists carry a thin
+// wavefront (sparse wins); RMAT's bulk rounds favour dense or all.
+func TestAdaptiveEncodingNeverExceedsDense(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		g              *graph.Graph
+		sources, batch int
+	}{
+		{"road-corridor", gen.ShuffleIDs(gen.RoadGrid(60, 6, 104), 105), 4, 4},
+		{"rmat", gen.RMAT(9, 8, 103), 8, 8},
+	} {
+		pt := partition.CartesianCut(tc.g, 2)
+		sources := brandes.FirstKSources(tc.g, 0, tc.sources)
+		_, dense := Run(tc.g, pt, sources, Options{BatchSize: tc.batch, Encoding: gluon.FormatDense})
+		_, auto := Run(tc.g, pt, sources, Options{BatchSize: tc.batch, Encoding: gluon.FormatAuto})
+		if auto.Bytes > dense.Bytes {
+			t.Errorf("%s: adaptive volume %d B exceeds dense %d B", tc.name, auto.Bytes, dense.Bytes)
+		}
+		if auto.Messages != dense.Messages || auto.Rounds != dense.Rounds {
+			t.Errorf("%s: adaptive sent %d messages in %d rounds, dense %d in %d",
+				tc.name, auto.Messages, auto.Rounds, dense.Messages, dense.Rounds)
+		}
+		if got := auto.Encoding.Total(); got != auto.Messages {
+			t.Errorf("%s: format mix covers %d of %d messages", tc.name, got, auto.Messages)
+		}
 	}
 }
 
