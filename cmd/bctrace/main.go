@@ -168,13 +168,9 @@ func runSummary(er *obs.EventReader, out io.Writer) error {
 	fmt.Fprintf(out, "format.dense    %d\n", t.Dense)
 	fmt.Fprintf(out, "format.sparse   %d\n", t.Sparse)
 	fmt.Fprintf(out, "format.all      %d\n", t.All)
-	if t.Retries+t.FrameBytes+t.AckMessages > 0 {
+	if t.Retries > 0 {
 		fmt.Fprintf(out, "transport.retries       %d\n", t.Retries)
 		fmt.Fprintf(out, "transport.retry_bytes   %d\n", t.RetryBytes)
-		fmt.Fprintf(out, "transport.frame_bytes   %d\n", t.FrameBytes)
-		fmt.Fprintf(out, "transport.ack_messages  %d\n", t.AckMessages)
-		fmt.Fprintf(out, "transport.ack_bytes     %d\n", t.AckBytes)
-		fmt.Fprintf(out, "transport.max_steps     %d\n", t.MaxSteps)
 	}
 	if len(origins) > 0 {
 		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })

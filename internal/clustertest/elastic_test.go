@@ -165,6 +165,11 @@ func TestElasticSIGKILLAndReplace(t *testing.T) {
 		t.Fatalf("paper-model volume polluted: got %d B/%d msgs, kill-free %d B/%d msgs",
 			agg.Bytes, agg.Messages, clean.Bytes, clean.Messages)
 	}
+	// The killed attempt's traffic is recovery cost, and less than a
+	// whole clean run's: the kill landed before the run's end.
+	if rep.RecoveryBytes <= 0 || rep.RecoveryBytes >= clean.Bytes {
+		t.Fatalf("recovery bytes %d, want 0 < recovery < the kill-free run's %d", rep.RecoveryBytes, clean.Bytes)
+	}
 	// The membership bus saw the death, the replacement, and the resume.
 	seen := map[string]bool{}
 	for len(events) > 0 {

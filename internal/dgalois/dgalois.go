@@ -20,9 +20,10 @@
 // unless ClusterOptions.Metrics injects a shared one); Stats remains
 // the derived snapshot view. With ClusterOptions.Trace set, the
 // cluster additionally emits one obs event per (round, host, phase) —
-// compute, barrier, pack, exchange, unpack, plus transport events on
-// the reliable path. A nil trace costs a single predictable branch per
-// phase: the steady-state Exchange stays allocation-free either way.
+// compute, barrier, pack, exchange, unpack, plus one transport event
+// per exchange over a remote transport. A nil trace costs a single
+// predictable branch per phase: the steady-state Exchange stays
+// allocation-free either way.
 //
 // Every phase is allocation-free at steady state: the cluster keeps one
 // reusable gluon.Writer per ordered host pair and one gluon.Decoder per
@@ -190,13 +191,7 @@ type Cluster struct {
 	lap                        time.Duration
 	callerC, pooledC, escapedC *obs.Counter
 
-	// Fault-tolerant transport state (reliable.go); plan == nil keeps
-	// the perfect-network fast path equivalent to the seed behavior.
-	plan      *FaultPlan
-	exchanges int        // exchange index, for stall schedules
-	seqOut    [][]uint32 // last sequence number sent per channel
-	seqIn     [][]uint32 // last sequence number delivered per channel
-	faults    FaultStats
+	exchanges int // exchanges begun, numbering the identifiers outside streams
 }
 
 // exchangeTally accumulates one host's side of an exchange for trace
@@ -263,9 +258,6 @@ func (p *PendingExchange) Complete() {
 // ClusterOptions configures a cluster beyond its host count. The zero
 // value reproduces NewCluster exactly.
 type ClusterOptions struct {
-	// Plan routes every exchange through the framed ack/retry transport
-	// (nil: perfect network).
-	Plan *FaultPlan
 	// Trace receives one event per (round, host, phase) plus transport
 	// events; nil disables tracing at zero cost.
 	Trace *obs.Trace
@@ -283,13 +275,13 @@ type ClusterOptions struct {
 	// remote Transport: an SPMD cluster has one local host and no pool.
 	Workers int
 	// Transport overrides the byte-moving backend. Nil selects the
-	// in-process MemTransport (the default simulated cluster). A remote
-	// backend (gluon.TCPTransport) must own exactly one local host and
-	// puts the cluster in SPMD mode: every process of the job runs the
-	// same engine loop for its own host, and the cluster only computes,
-	// packs, and unpacks for the local one. A remote transport is
-	// incompatible with Plan — fault plans simulate a network the remote
-	// backend replaces (inject real socket faults with a proxy instead).
+	// in-process MemTransport, a perfect network. A remote backend
+	// (gluon.TCPTransport) must own exactly one local host and puts the
+	// cluster in SPMD mode: every process of the job runs the same engine
+	// loop for its own host, and the cluster only computes, packs, and
+	// unpacks for the local one. TCP is the only backend that retries,
+	// and so the only one faults are injected into (clusterrun.FaultProxy
+	// in front of its listeners).
 	Transport gluon.Transport
 	// MaxInflight is the number of exchanges that may be open
 	// concurrently (BeginExchange called, Complete pending). 0 or 1
@@ -307,7 +299,7 @@ type ClusterOptions struct {
 }
 
 // NewCluster creates a cluster of the given number of hosts with a
-// perfect network (no fault plan, no framing).
+// perfect in-process network.
 func NewCluster(hosts int) *Cluster {
 	return NewClusterOpts(hosts, ClusterOptions{})
 }
@@ -323,7 +315,6 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		perHostCompute: make([]time.Duration, hosts),
 		durations:      make([]time.Duration, hosts),
 		starts:         make([]time.Duration, hosts),
-		plan:           opts.Plan,
 		trace:          opts.Trace,
 		metrics:        opts.Metrics,
 	}
@@ -402,9 +393,6 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 			if nLocal != 1 {
 				panic(fmt.Sprintf("dgalois: remote transport must own exactly one local host, owns %d", nLocal))
 			}
-			if c.plan != nil {
-				panic("dgalois: FaultPlan simulates the network and requires the in-process transport; inject socket-level faults into a remote backend with a proxy instead")
-			}
 		}
 	}
 	c.partner = make([]bool, hosts*hosts)
@@ -460,15 +448,6 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		// releases its worker goroutines for callers that never call
 		// Close.
 		runtime.SetFinalizer(c, (*Cluster).Close)
-	}
-	if c.plan != nil {
-		c.seqOut = make([][]uint32, hosts)
-		c.seqIn = make([][]uint32, hosts)
-		for i := range c.seqOut {
-			c.seqOut[i] = make([]uint32, hosts)
-			c.seqIn[i] = make([]uint32, hosts)
-		}
-		c.faults.PerHost = make([]HostFaultStats, hosts)
 	}
 	return c
 }
@@ -814,25 +793,19 @@ func (c *Cluster) tallyUnpackPair(from, to int, bytes int64) {
 
 // noteTransportError records the first transport failure of the
 // current exchange; the coordinator converts it into an abortPanic
-// once the phase drains (checkExchangeErr).
+// once the phase drains (checkExchangeErr). The implicated host's
+// liveness gauge drops to 0, so /progressz stops treating its frozen
+// last round as straggler lag.
 func (c *Cluster) noteTransportError(err error) {
 	fe := faultErrorFrom(err)
-	c.markDead(fe.Host)
+	if fe.Host >= 0 && fe.Host < len(c.hostAliveG) {
+		c.hostAliveG[fe.Host].Set(0)
+	}
 	c.xmu.Lock()
 	if c.xerr == nil {
 		c.xerr = fe
 	}
 	c.xmu.Unlock()
-}
-
-// markDead flips a host's liveness gauge to 0 once the cluster has
-// evidence the host is gone (a kill tripped the delivery deadline, or a
-// remote backend reported a transport failure on its channels), so
-// /progressz stops treating its frozen last-round as straggler lag.
-func (c *Cluster) markDead(host int) {
-	if host >= 0 && host < len(c.hostAliveG) {
-		c.hostAliveG[host].Set(0)
-	}
 }
 
 // checkExchangeErr aborts the run with the recorded transport failure,
@@ -846,12 +819,12 @@ func (c *Cluster) checkExchangeErr() {
 	}
 }
 
-// runPackPhase runs the pack loop for the current exchange (shared by
-// the perfect and reliable paths), begun at clock start, and returns how
-// many messages it sent and the clock at its end: pair-parallel where
-// dispatch puts it in-process, where the coordinator first opens the
-// exchange's transport slot so that no Send has to; the local host's
-// hosts−1 destinations in order on the caller in SPMD mode. The count is
+// runPackPhase runs the pack loop for the current exchange, begun at
+// clock start, and returns how many messages it sent and the clock at
+// its end: pair-parallel where dispatch puts it in-process, where the
+// coordinator first opens the exchange's transport slot so that no Send
+// has to; the local host's hosts−1 destinations in order on the caller
+// in SPMD mode. The count is
 // the cluster counter's rise, so another cluster packing into a shared
 // registry can only inflate it: an exchange is never taken for empty when
 // it is not.
@@ -1047,11 +1020,7 @@ func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writ
 // the returned ticket's Complete. Compute that does not depend on the
 // exchange's incoming data may run between the two — the wire time it
 // covers is tallied as hidden exchange time. At most
-// ClusterOptions.MaxInflight exchanges may be open at once. Under a
-// fault plan the exchange runs synchronously through the reliable
-// delivery loop instead (its step-clocked retransmission is the
-// simulated network's wire time) and the returned ticket's Complete
-// only hands the ticket back.
+// ClusterOptions.MaxInflight exchanges may be open at once.
 func (c *Cluster) BeginExchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	return c.exchange(0, false, true, pack, unpack)
 }
@@ -1066,19 +1035,12 @@ func (c *Cluster) BeginExchangeSum(local int64, pack func(from, to int, w *gluon
 }
 
 // exchange runs an exchange carrying local (a vote: on every link)
-// under a ticket, up to its pack phase if detached. A fault plan's runs
-// whole and at once, on a ticket of its own: the one returned only
-// carries the sum.
+// under a ticket, up to its pack phase if detached.
 func (c *Cluster) exchange(local int64, vote, detached bool, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	c.curVote = vote
-	if c.plan != nil {
-		c.exchangeReliable(pack, unpack)
-	}
 	t := c.claimTicket()
 	t.detached, t.vote, t.sum = detached, vote, local
-	if c.plan == nil {
-		c.begin(t, pack, unpack)
-	}
+	c.begin(t, pack, unpack)
 	if !detached {
 		c.complete(t)
 	}
@@ -1121,10 +1083,6 @@ func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Wri
 // complete runs the unpack phase of a begun exchange and retires its
 // ticket.
 func (c *Cluster) complete(t *PendingExchange) {
-	if c.plan != nil { // the exchange ran inside BeginExchange
-		t.inUse = false
-		return
-	}
 	// An exchange completed in place resumes where its pack phase ended.
 	completeStart := t.packEnd
 	if t.detached {
@@ -1206,9 +1164,9 @@ func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.
 
 // Stats is a snapshot of execution costs. Bytes and Messages are the
 // paper-model communication volume: each logical sync payload counted
-// exactly once, regardless of framing, retransmissions, or acks — those
-// are tallied separately in Faults so volume numbers stay comparable
-// with and without the fault layer.
+// exactly once. A remote transport's framing, retransmissions and acks
+// are not in them (its ChannelStats count those), so the volume of a
+// run is the same over any backend, with or without faults.
 type Stats struct {
 	Hosts          int
 	Rounds         int
@@ -1225,10 +1183,6 @@ type Stats struct {
 	// produced by gluon.EncodeUpdates (raw payloads in tests) appear in
 	// Messages but in no Encoding bucket.
 	Encoding gluon.EncodingCounts
-	// Faults reports the reliable transport's activity (framing
-	// overhead, retries, acks, injected faults, per-host breakdown).
-	// Nil when the cluster runs without a fault plan.
-	Faults *FaultStats
 }
 
 // Stats returns the current statistics snapshot, derived from the
@@ -1264,9 +1218,6 @@ func (c *Cluster) Stats() Stats {
 		PerHostCompute: per,
 	}
 	s.ExecutionTime = s.ComputeTime + s.CommTime
-	if c.plan != nil {
-		s.Faults = c.faults.clone()
-	}
 	return s
 }
 
@@ -1289,12 +1240,6 @@ func (s *Stats) Add(o Stats) {
 	s.Encoding.Add(o.Encoding)
 	if s.Hosts == 0 {
 		s.Hosts = o.Hosts
-	}
-	if o.Faults != nil {
-		if s.Faults == nil {
-			s.Faults = &FaultStats{}
-		}
-		s.Faults.add(o.Faults)
 	}
 }
 

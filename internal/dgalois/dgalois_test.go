@@ -1,7 +1,6 @@
 package dgalois
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -495,54 +494,6 @@ func TestTraceEventsMatchStats(t *testing.T) {
 	}
 }
 
-// TestReliableModelStreamMatchesFaultFree pins the model-stream
-// invariant: under a seeded fault plan, transport events record the
-// retries/framing/acks, but filtering them out leaves a canonical
-// event stream byte-identical to the fault-free run's.
-func TestReliableModelStreamMatchesFaultFree(t *testing.T) {
-	const hosts, listLen, rounds = 4, 256, 5
-	run := func(plan *FaultPlan) []obs.Event {
-		var sink int64
-		pack, unpack := fixedWorkload(hosts, listLen, &sink)
-		tr := obs.NewTrace(1<<12, obs.LevelPhase)
-		c := NewClusterOpts(hosts, ClusterOptions{Plan: plan, Trace: tr})
-		defer c.Close()
-		for r := 0; r < rounds; r++ {
-			c.BeginRound()
-			c.Exchange(pack, unpack)
-		}
-		if tr.Dropped() != 0 {
-			t.Fatalf("trace dropped %d events", tr.Dropped())
-		}
-		return tr.Events()
-	}
-	perfect := run(nil)
-	faulty := run(RandomPlan(7, 0.2, hosts))
-
-	sawTransport := false
-	for _, e := range faulty {
-		if e.Kind == obs.KindTransport {
-			sawTransport = true
-			if e.FrameBytes == 0 {
-				t.Fatal("transport event carries no framing bytes")
-			}
-		}
-	}
-	if !sawTransport {
-		t.Fatal("faulty run emitted no transport events")
-	}
-	var a, b bytes.Buffer
-	if err := obs.WriteCanonical(&a, obs.ModelEvents(perfect)); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteCanonical(&b, obs.ModelEvents(faulty)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("paper-model event stream changed under the fault plan")
-	}
-}
-
 func BenchmarkExchangeSteadyState(b *testing.B) {
 	const hosts, listLen = 4, 4096
 	var sink int64
@@ -866,38 +817,35 @@ func BenchmarkEmptyCompute(b *testing.B) {
 // the caller's value is already the cluster's, so a zero opens no
 // exchange — no pack, no event, no sequence number, and from
 // BeginExchangeSum no ticket — and anything else runs exactly an
-// Exchange and comes back unchanged. A fault plan changes how the
-// exchange is delivered, not what it returns.
+// Exchange and comes back unchanged.
 func TestExchangeSumInProcess(t *testing.T) {
-	for _, plan := range []*FaultPlan{nil, {Seed: 1}} {
-		const hosts = 4
-		tr := obs.NewTrace(1<<10, obs.LevelPhase)
-		c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, Plan: plan, MaxInflight: 2})
-		var packed, unpacked int64
-		pack := func(from, to int, w *gluon.Writer) { atomic.AddInt64(&packed, 1); w.Byte(1) }
-		unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
+	const hosts = 4
+	tr := obs.NewTrace(1<<10, obs.LevelPhase)
+	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, MaxInflight: 2})
+	defer c.Close()
+	var packed, unpacked int64
+	pack := func(from, to int, w *gluon.Writer) { atomic.AddInt64(&packed, 1); w.Byte(1) }
+	unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
 
-		if got := c.ExchangeSum(0, pack, unpack); got != 0 {
-			t.Fatalf("ExchangeSum(0) = %d", got)
-		}
-		if p := c.BeginExchangeSum(0, pack, unpack); p != nil {
-			t.Fatal("BeginExchangeSum(0) opened an exchange in process")
-		}
-		if packed != 0 || len(tr.Events()) != 0 || c.Cursor().Seq != 0 {
-			t.Fatalf("a zero vote ran %d packs, emitted %d events, took %d sequence numbers", packed, len(tr.Events()), c.Cursor().Seq)
-		}
-
-		const pairs = hosts * (hosts - 1)
-		if got := c.ExchangeSum(-7, pack, unpack); got != -7 || packed != pairs || unpacked != pairs {
-			t.Fatalf("ExchangeSum(-7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
-		}
-		p, q := c.BeginExchangeSum(5, pack, unpack), c.BeginExchangeSum(6, pack, unpack)
-		q.Complete()
-		p.Complete()
-		if p.Sum() != 5 || q.Sum() != 6 || unpacked != 3*pairs {
-			t.Fatalf("detached sums %d and %d after %d unpacks, want 5, 6 and %d", p.Sum(), q.Sum(), unpacked, 3*pairs)
-		}
-		c.Exchange(pack, unpack) // both tickets came back
-		c.Close()
+	if got := c.ExchangeSum(0, pack, unpack); got != 0 {
+		t.Fatalf("ExchangeSum(0) = %d", got)
 	}
+	if p := c.BeginExchangeSum(0, pack, unpack); p != nil {
+		t.Fatal("BeginExchangeSum(0) opened an exchange in process")
+	}
+	if packed != 0 || len(tr.Events()) != 0 || c.Cursor().Seq != 0 {
+		t.Fatalf("a zero vote ran %d packs, emitted %d events, took %d sequence numbers", packed, len(tr.Events()), c.Cursor().Seq)
+	}
+
+	const pairs = hosts * (hosts - 1)
+	if got := c.ExchangeSum(-7, pack, unpack); got != -7 || packed != pairs || unpacked != pairs {
+		t.Fatalf("ExchangeSum(-7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
+	}
+	p, q := c.BeginExchangeSum(5, pack, unpack), c.BeginExchangeSum(6, pack, unpack)
+	q.Complete()
+	p.Complete()
+	if p.Sum() != 5 || q.Sum() != 6 || unpacked != 3*pairs {
+		t.Fatalf("detached sums %d and %d after %d unpacks, want 5, 6 and %d", p.Sum(), q.Sum(), unpacked, 3*pairs)
+	}
+	c.Exchange(pack, unpack) // both tickets came back
 }

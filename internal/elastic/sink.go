@@ -29,8 +29,8 @@ type Sink interface {
 	Latest() (batch int, data []byte, err error)
 }
 
-// MemSink is the in-memory sink tests and the in-process supervisor
-// use. Safe for concurrent use.
+// MemSink is the in-memory sink the engine's checkpoint and resume
+// tests use. Safe for concurrent use.
 type MemSink struct {
 	mu    sync.Mutex
 	snaps map[int][]byte

@@ -1,8 +1,8 @@
 // Package elastic is the host-loss recovery layer: checkpointing of
 // per-host engine state at source-batch boundaries, pluggable snapshot
-// sinks (in-memory for tests, per-host files for bcd daemons), a small
-// membership eventbus, and the in-process kill/restore supervisor the
-// host-kill chaos suite drives.
+// sinks (in-memory for tests, per-host files for bcd daemons) and a
+// small membership eventbus. The recovery loop that drives them is
+// clusterrun.RunElastic.
 //
 // The batched k-SSP structure of MRBC makes batch boundaries exact
 // recovery units: all per-batch engine state is rebuilt from scratch at

@@ -75,26 +75,21 @@ func TestMemTransportWindowOverflowPanics(t *testing.T) {
 	_ = m.Send(1, 0, 1, []byte{2})
 }
 
-func TestMemTransportBufferedAndReclaim(t *testing.T) {
+// TestMemTransportReclaim: an exchange that sent but will never be
+// gathered gives its slot back through Reclaim, so a fresh exchange fits
+// a window of 1; reclaiming an exchange that is not open is a no-op.
+func TestMemTransportReclaim(t *testing.T) {
 	m := NewMemTransportWindow(2, 1)
 	defer m.Close()
-	payload := []byte{7, 8, 9}
-	if err := m.Send(4, 0, 1, payload); err != nil {
+	if err := m.Send(4, 0, 1, []byte{7, 8, 9}); err != nil {
 		t.Fatal(err)
-	}
-	if got := m.Buffered(4, 0, 1); !bytes.Equal(got, payload) {
-		t.Fatalf("Buffered returned %x, want %x", got, payload)
-	}
-	if got := m.Buffered(5, 0, 1); got != nil {
-		t.Fatalf("Buffered for an unopened exchange returned %x", got)
 	}
 	m.Reclaim(4)
-	if got := m.Buffered(4, 0, 1); got != nil {
-		t.Fatalf("Buffered after Reclaim returned %x", got)
-	}
-	// The reclaimed slot is reusable: a fresh exchange fits the window.
 	if err := m.Send(5, 1, 0, []byte{1}); err != nil {
 		t.Fatal(err)
+	}
+	if got, _ := m.GatherFrom(5, 0, 1); !bytes.Equal(got, []byte{1}) {
+		t.Fatalf("GatherFrom returned %x from the reused slot, want 01", got)
 	}
 	m.Reclaim(5)
 	m.Reclaim(6) // unknown exchange: no-op
@@ -120,13 +115,11 @@ func TestMemTransportOpenClaimsTheSlot(t *testing.T) {
 	if err := m.Send(3, 0, 1, []byte{5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Buffered(3, 0, 1); !bytes.Equal(got, []byte{5}) {
-		t.Fatalf("Buffered returned %x after Open and Send", got)
+	if got, _ := m.GatherFrom(3, 1, 0); !bytes.Equal(got, []byte{5}) {
+		t.Fatalf("GatherFrom returned %x after Open and Send", got)
 	}
-	for to := 0; to < 2; to++ {
-		if _, err := m.Gather(3, to); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := m.Gather(3, 0); err != nil {
+		t.Fatal(err)
 	}
 	m.Open(4) // every receiver gathered: the slot is free again
 }

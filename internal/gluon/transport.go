@@ -422,20 +422,8 @@ func (m *MemTransport) Sum(exchange, host int) (int64, error) {
 	return 0, fmt.Errorf("gluon: Sum of exchange %d, which host %d did not gather last", exchange, host)
 }
 
-// Buffered returns the buffer held on the exchange's (from → to)
-// channel. The reliable (fault-plan) exchange path of internal/dgalois
-// uses it to pick up the packed payloads it frames and delivers through
-// its simulated lossy network; it pairs with Reclaim instead of Gather.
-func (m *MemTransport) Buffered(exchange, from, to int) []byte {
-	if slot := m.slot(exchange); slot != nil {
-		return slot.inbox[to][from]
-	}
-	return nil
-}
-
 // Reclaim releases an exchange's buffer slot without gathering it, for
-// callers (the reliable exchange path) that consume the buffers through
-// Buffered instead.
+// an exchange that sent nothing and so has nothing to unpack.
 func (m *MemTransport) Reclaim(exchange int) {
 	if s := m.slot(exchange); s != nil {
 		s.release()

@@ -38,11 +38,6 @@ type Options struct {
 	// BatchSize is k, the number of sources per batch. Defaults to 32
 	// (the paper's small-graph setting, §5.2).
 	BatchSize int
-	// Fault routes every exchange through the framed ack/retry
-	// transport under the given plan (nil: perfect network). Use
-	// RunChecked to receive the structured error an unrecoverable
-	// plan produces.
-	Fault *dgalois.FaultPlan
 	// Encoding pins the sync-metadata wire format (default
 	// gluon.FormatAuto: density-adaptive selection per message).
 	// gluon.FormatDense reproduces the seed's dense-bitvector volume
@@ -260,8 +255,8 @@ const maxBatch = 1 << 20
 
 // Run computes BC restricted to sources over the partitioned graph
 // using batched Min-Rounds BC, returning global scores and cluster
-// statistics. With an unrecoverable Options.Fault plan it panics; use
-// RunChecked when a fault plan may fail the run.
+// statistics. It panics when the transport fails an exchange; use
+// RunChecked over a transport that may fail.
 func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats) {
 	scores, stats, err := RunChecked(g, pt, sources, opts)
 	if err != nil {
@@ -271,9 +266,9 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 }
 
 // RunChecked is Run returning the transport's structured error when an
-// exchange under Options.Fault exceeds its deadline (e.g. a host
-// stalled past it). Every recoverable fault schedule yields err == nil
-// and oracle-exact scores; on error the partial scores are meaningless.
+// exchange exceeds its deadline (e.g. a peer stalled or severed past
+// it). Every fault the transport recovers from yields err == nil and
+// oracle-exact scores; on error the partial scores are meaningless.
 func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
@@ -288,7 +283,6 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	}
 	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Plan:        opts.Fault,
 		Trace:       opts.Trace,
 		Metrics:     opts.Metrics,
 		Workers:     opts.Workers,
@@ -573,9 +567,7 @@ func (b *batchRun) backwardDepth() int {
 // exchange is the one depth-dependent step. The serial loop runs the
 // exchange in place. A pipelined batch sends it, hands the turn to the
 // next batch while the bytes are on the wire, and completes it when the
-// turn comes back; under a fault plan the exchange already ran
-// synchronously inside BeginExchange (Complete is a no-op) but the turn
-// still rotates, so the global operation order stays the same
+// turn comes back. The turn rotation keeps the global operation order a
 // deterministic function of the batch schedule.
 func (b *batchRun) exchange(x syncStep) {
 	if b.pipe == nil {

@@ -1,12 +1,10 @@
 package mrbcdist
 
 import (
-	"errors"
 	"math"
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/dgalois"
@@ -251,67 +249,6 @@ func TestPipelineTCPSPMD(t *testing.T) {
 			t.Fatalf("vertex %d: depth-2 score %x != depth-1 score %x over TCP",
 				v, math.Float64bits(piped[v]), math.Float64bits(serial[v]))
 		}
-	}
-}
-
-// TestPipelineUnderFaultPlans drives the depth-2 runner through seeded
-// recoverable fault schedules: retransmission and ack machinery must
-// interleave correctly with the pipelined exchange streams, and scores
-// must stay oracle-exact.
-func TestPipelineUnderFaultPlans(t *testing.T) {
-	g := gen.RMAT(6, 8, 42)
-	pt := partition.EdgeCut(g, 4)
-	sources := brandes.FirstKSources(g, 0, 16)
-	oracle := brandes.Sequential(g, sources)
-
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := 0; seed < seeds; seed++ {
-		plan := dgalois.RandomPlan(uint64(seed), 0.20, pt.NumHosts)
-		got, stats, err := RunChecked(g, pt, sources, Options{BatchSize: 8, PipelineDepth: 2, Fault: plan})
-		if err != nil {
-			t.Fatalf("seed %d: recoverable plan errored: %v", seed, err)
-		}
-		if !approxEqual(got, oracle, 1e-9) {
-			t.Fatalf("seed %d: pipelined scores diverged from oracle under faults", seed)
-		}
-		if stats.Faults == nil {
-			t.Fatalf("seed %d: stats carry no fault accounting", seed)
-		}
-	}
-}
-
-// TestPipelineUnrecoverableFaultErrors pins the abort path of the
-// pipelined runner: a permanently stalled host must surface as the
-// structured *dgalois.FaultError on the coordinator (every batch
-// goroutine unwound, no hang, no panic escaping RunChecked).
-func TestPipelineUnrecoverableFaultErrors(t *testing.T) {
-	g := gen.RoadGrid(5, 5, 1)
-	pt := partition.EdgeCut(g, 4)
-	sources := brandes.FirstKSources(g, 0, 8)
-	plan := &dgalois.FaultPlan{
-		Seed:          1,
-		DeadlineSteps: 16,
-		Stalls:        []dgalois.Stall{{Host: 1, Exchange: 2, Steps: -1}},
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := RunChecked(g, pt, sources, Options{BatchSize: 4, PipelineDepth: 2, Fault: plan})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		var fe *dgalois.FaultError
-		if !errors.As(err, &fe) {
-			t.Fatalf("got %v, want *dgalois.FaultError", err)
-		}
-		if fe.Host != 1 {
-			t.Fatalf("error implicates host %d, want stalled host 1", fe.Host)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("pipelined runner hung on permanently stalled host")
 	}
 }
 

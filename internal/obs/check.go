@@ -18,15 +18,8 @@ type Totals struct {
 	Sparse         int64
 	All            int64
 
-	Retries       int64
-	RetryBytes    int64
-	FrameBytes    int64
-	AckMessages   int64
-	AckBytes      int64
-	DeliverySteps int64
-	MaxSteps      int64
-	Injected      int64
-	Stalled       int64
+	Retries    int64
+	RetryBytes int64
 }
 
 // Observe folds one event's counters into the totals. It is the
@@ -50,15 +43,6 @@ func (t *Totals) Observe(e Event) {
 	case KindTransport:
 		t.Retries += e.Retries
 		t.RetryBytes += e.RetryBytes
-		t.FrameBytes += e.FrameBytes
-		t.AckMessages += e.AckMessages
-		t.AckBytes += e.AckBytes
-		t.DeliverySteps += e.Steps
-		if e.Steps > t.MaxSteps {
-			t.MaxSteps = e.Steps
-		}
-		t.Injected += e.Injected
-		t.Stalled += e.Stalled
 	}
 }
 

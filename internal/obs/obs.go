@@ -40,9 +40,8 @@ const (
 	// KindBatch summarizes one source batch: k, forward rounds R,
 	// backward rounds.
 	KindBatch Kind = "batch"
-	// KindTransport reports the reliable transport's work for one
-	// exchange (retries, framing, acks, delivery steps). Not part of the
-	// paper-model stream.
+	// KindTransport reports a remote transport's work for one exchange
+	// (bytes, retries, redials). Not part of the paper-model stream.
 	KindTransport Kind = "transport"
 	// KindRound is a CONGEST simulator round (internal/congest).
 	KindRound Kind = "round"
@@ -160,20 +159,13 @@ type Event struct {
 	Sparse int64 `json:"sparse,omitempty"`
 	All    int64 `json:"all,omitempty"`
 
-	// Reliable-transport counters (transport events): deltas for one
+	// Transport recovery counters (transport events): deltas for one
 	// exchange.
-	Retries     int64 `json:"retries,omitempty"`
-	RetryBytes  int64 `json:"retry_bytes,omitempty"`
-	FrameBytes  int64 `json:"frame_bytes,omitempty"`
-	AckMessages int64 `json:"ack_messages,omitempty"`
-	AckBytes    int64 `json:"ack_bytes,omitempty"`
-	Steps       int64 `json:"steps,omitempty"`
-	Injected    int64 `json:"injected,omitempty"`
-	Stalled     int64 `json:"stalled,omitempty"`
+	Retries    int64 `json:"retries,omitempty"`
+	RetryBytes int64 `json:"retry_bytes,omitempty"`
 	// Backend labels a transport event with the gluon backend that moved
-	// the bytes ("tcp"). Empty — and therefore omitted, keeping the
-	// in-process canonical trace byte-identical — for the simulated
-	// in-process network.
+	// the bytes ("tcp"). The in-process backend emits no transport
+	// events.
 	Backend string `json:"backend,omitempty"`
 	// Redials counts connection re-establishments (remote backends).
 	Redials int64 `json:"redials,omitempty"`

@@ -88,11 +88,6 @@ type Options struct {
 	// Alpha is the push->pull switch threshold (default 4): pull when
 	// frontierOutEdges*Alpha > unvisitedInEdges.
 	Alpha int
-	// Fault routes every exchange through the framed ack/retry
-	// transport under the given plan (nil: perfect network). Use
-	// RunOptsChecked to receive the structured error an unrecoverable
-	// plan produces.
-	Fault *dgalois.FaultPlan
 	// Encoding pins the sync-metadata wire format (default
 	// gluon.FormatAuto: density-adaptive selection per message).
 	Encoding gluon.Format
@@ -151,9 +146,8 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32) ([]float6
 	return RunOpts(g, pt, sources, Options{})
 }
 
-// RunOpts is Run with explicit options. With an unrecoverable
-// Options.Fault plan it panics; use RunOptsChecked when a fault plan
-// may fail the run.
+// RunOpts is Run with explicit options. It panics when the transport
+// fails an exchange; use RunOptsChecked over a transport that may fail.
 func RunOpts(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats) {
 	scores, stats, err := RunOptsChecked(g, pt, sources, opts)
 	if err != nil {
@@ -163,9 +157,9 @@ func RunOpts(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts 
 }
 
 // RunOptsChecked is RunOpts returning the transport's structured error
-// when an exchange under Options.Fault exceeds its deadline. Every
-// recoverable fault schedule yields err == nil and oracle-exact scores;
-// on error the partial scores are meaningless.
+// when an exchange exceeds its deadline. Every fault the transport
+// recovers from yields err == nil and oracle-exact scores; on error the
+// partial scores are meaningless.
 func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
@@ -176,7 +170,6 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 	}
 	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Plan:      opts.Fault,
 		Trace:     opts.Trace,
 		Metrics:   opts.Metrics,
 		Workers:   opts.Workers,

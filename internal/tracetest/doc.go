@@ -2,7 +2,7 @@
 // recorded execution traces rather than aggregate counters: Lemma 8's
 // per-batch round bound and the backward-reversal symmetry of
 // Algorithm 5 are checked send-by-send on obs.LevelDetail traces of
-// every engine, golden canonical traces pin determinism across
-// worker-pool sizes, and seeded fault plans must leave the paper-model
-// event stream byte-identical to a fault-free run.
+// every engine, and golden canonical traces pin determinism across
+// worker-pool sizes. That faults on the TCP transport leave the
+// paper-model event stream byte-identical is internal/chaostest's.
 package tracetest

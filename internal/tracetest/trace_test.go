@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mrbc/internal/brandes"
-	"mrbc/internal/dgalois"
 	"mrbc/internal/gen"
 	"mrbc/internal/graph"
 	"mrbc/internal/mrbcdist"
@@ -47,14 +46,14 @@ func requireComplete(t *testing.T, tr *obs.Trace) []obs.Event {
 // and returns the recorded events.
 type tracedEngine struct {
 	name string
-	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int)
+	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int)
 }
 
-func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
-	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
+func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
+	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
 		t.Helper()
 		_, _, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
-			BatchSize: batch, Fault: plan, Trace: tr, Workers: workers,
+			BatchSize: batch, Trace: tr, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -62,11 +61,11 @@ func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Part
 	}
 }
 
-func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
-	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
+func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
+	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
 		t.Helper()
 		_, _, err := sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{
-			Fault: plan, Trace: tr, Workers: workers,
+			Trace: tr, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +95,7 @@ func TestLemma8RoundBounds(t *testing.T) {
 		}{{"edge-cut", partition.EdgeCut}, {"cartesian", partition.CartesianCut}} {
 			t.Run(eng.name+"/"+pc.name, func(t *testing.T) {
 				tr := obs.NewTrace(traceCap, obs.LevelDetail)
-				eng.run(t, g, pc.make(g, 4), sources, tr, nil, 0)
+				eng.run(t, g, pc.make(g, 4), sources, tr, 0)
 				events := requireComplete(t, tr)
 				if err := obs.CheckRoundBounds(events, h); err != nil {
 					t.Fatal(err)
@@ -116,7 +115,7 @@ func TestBackwardReversalSymmetry(t *testing.T) {
 	for _, eng := range tracedEngines {
 		t.Run(eng.name, func(t *testing.T) {
 			tr := obs.NewTrace(traceCap, obs.LevelDetail)
-			eng.run(t, g, partition.EdgeCut(g, 4), sources, tr, nil, 0)
+			eng.run(t, g, partition.EdgeCut(g, 4), sources, tr, 0)
 			if err := obs.CheckReversal(requireComplete(t, tr)); err != nil {
 				t.Fatal(err)
 			}
@@ -126,13 +125,13 @@ func TestBackwardReversalSymmetry(t *testing.T) {
 
 // goldenEvents produces the canonical reference trace: a fixed small
 // graph through the arbitration-mode engine.
-func goldenEvents(t *testing.T, workers int, plan *dgalois.FaultPlan) []obs.Event {
+func goldenEvents(t *testing.T, workers int) []obs.Event {
 	t.Helper()
 	g := gen.RMAT(5, 8, 3)
 	pt := partition.CartesianCut(g, 2)
 	sources := brandes.FirstKSources(g, 0, 8)
 	tr := obs.NewTrace(traceCap, obs.LevelDetail)
-	mrbcRunner(4)(t, g, pt, sources, tr, plan, workers)
+	mrbcRunner(4)(t, g, pt, sources, tr, workers)
 	return requireComplete(t, tr)
 }
 
@@ -150,9 +149,9 @@ func canonicalJSONL(t *testing.T, events []obs.Event) []byte {
 // equal to the checked-in fixture (regenerate with -update).
 func TestGoldenTraceDeterminism(t *testing.T) {
 	golden := filepath.Join("testdata", "golden_trace.jsonl")
-	base := canonicalJSONL(t, goldenEvents(t, 1, nil))
+	base := canonicalJSONL(t, goldenEvents(t, 1))
 	for _, workers := range []int{2, 4, 8} {
-		if got := canonicalJSONL(t, goldenEvents(t, workers, nil)); !bytes.Equal(got, base) {
+		if got := canonicalJSONL(t, goldenEvents(t, workers)); !bytes.Equal(got, base) {
 			t.Fatalf("canonical trace with %d workers differs from the 1-worker trace", workers)
 		}
 	}
@@ -171,30 +170,6 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultPlanPreservesModelStream runs the golden workload under a
-// seeded recoverable fault plan: the transport layer may retry and
-// reorder at will, but the paper-model event stream (everything except
-// transport events) must stay byte-identical to the fault-free run.
-func TestFaultPlanPreservesModelStream(t *testing.T) {
-	clean := goldenEvents(t, 0, nil)
-	plan := dgalois.RandomPlan(11, 0.2, 2)
-	faulty := goldenEvents(t, 0, plan)
-	transports := 0
-	for _, e := range faulty {
-		if e.Kind == obs.KindTransport {
-			transports++
-		}
-	}
-	if transports == 0 {
-		t.Fatal("faulty run recorded no transport events")
-	}
-	got := canonicalJSONL(t, obs.ModelEvents(faulty))
-	want := canonicalJSONL(t, obs.ModelEvents(clean))
-	if !bytes.Equal(got, want) {
-		t.Fatal("paper-model event stream changed under the fault plan")
-	}
-}
-
 // TestPerturbedTraceFixtureFails is the harness's negative control: a
 // checked-in trace with one forward send pushed past its batch's
 // forward span and one backward send shifted off its reversal round
@@ -203,7 +178,7 @@ func TestFaultPlanPreservesModelStream(t *testing.T) {
 func TestPerturbedTraceFixtureFails(t *testing.T) {
 	perturbed := filepath.Join("testdata", "perturbed_trace.jsonl")
 	if *update {
-		events := obs.Canonical(goldenEvents(t, 1, nil))
+		events := obs.Canonical(goldenEvents(t, 1))
 		brokeFwd, brokeBack := false, false
 		for i := range events {
 			if events[i].Kind != obs.KindSend {
@@ -264,7 +239,7 @@ func TestSyncModesShareRoundStructure(t *testing.T) {
 	h := maxFiniteDistance(g, sources)
 	pt := partition.EdgeCut(g, 4)
 	tr := obs.NewTrace(traceCap, obs.LevelDetail)
-	mrbcRunner(6)(t, g, pt, sources, tr, nil, 0)
+	mrbcRunner(6)(t, g, pt, sources, tr, 0)
 	events := requireComplete(t, tr)
 	if err := obs.CheckRoundBounds(events, h); err != nil {
 		t.Fatal(err)
