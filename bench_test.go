@@ -219,25 +219,6 @@ func BenchmarkAblationPartitionPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDirectionOptimization compares plain push SBBC with
-// the direction-optimizing (push/pull) variant on a dense power-law
-// input where large frontiers favor pulling.
-func BenchmarkAblationDirectionOptimization(b *testing.B) {
-	g := gen.RMAT(11, 16, 3)
-	pt := partition.CartesianCut(g, 4)
-	sources := brandes.FirstKSources(g, 0, 8)
-	b.Run("Push", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = sbbc.Run(g, pt, sources)
-		}
-	})
-	b.Run("DirectionOptimizing", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = sbbc.RunOpts(g, pt, sources, sbbc.Options{DirectionOptimizing: true})
-		}
-	})
-}
-
 // BenchmarkAblationCongestVsLenzenPeleg compares the message counts of
 // MRBC's forward phase against the reconstructed Lenzen-Peleg [38]
 // baseline — the improvement Theorem 1 claims ("while sending a

@@ -259,7 +259,7 @@ func writeClusterTrace(path string, shipped []obs.Event, hosts int) error {
 	if err := merge.CheckPairing(evs); err != nil {
 		return fmt.Errorf("cluster trace: %w", err)
 	}
-	if err := merge.CheckRoundBoundsGlobal(evs, 0); err != nil {
+	if err := obs.CheckRoundBounds(evs, 0); err != nil {
 		return fmt.Errorf("cluster trace: %w", err)
 	}
 	f, err := os.Create(path)

@@ -170,3 +170,58 @@ func TestSummaryMultiFilePerHost(t *testing.T) {
 		t.Fatalf("single-slice summary missing the note:\n%s", out)
 	}
 }
+
+// TestEverySubcommandReadsTornTraces runs each subcommand on host 0's
+// file three ways: intact; torn, with a partial line and no newline
+// after it, as a host killed mid-write leaves it; and corrupt, with a
+// malformed interior line. The torn file must give the intact file's
+// output, the corrupt one must fail naming the line.
+func TestEverySubcommandReadsTornTraces(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeHostFiles(t, dir, 2, 3)
+	intact, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, "torn.jsonl")
+	if err := os.WriteFile(torn, append(append([]byte(nil), intact...), `{"kind":"phase","seq":10,"ro`...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(intact), "\n")
+	corrupt := filepath.Join(dir, "corrupt.jsonl")
+	if err := os.WriteFile(corrupt, []byte(strings.Join(lines[:3], "")+"{\"kind\":\n"+strings.Join(lines[3:], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "merged.jsonl")
+	for _, tc := range []struct {
+		name string
+		args func(host0 string) []string
+	}{
+		{"summary", func(p string) []string { return []string{"summary", p, paths[1]} }},
+		{"imbalance", func(p string) []string { return []string{"imbalance", p, paths[1]} }},
+		{"rounds", func(p string) []string { return []string{"rounds", p} }},
+		{"check", func(p string) []string { return []string{"check", p} }},
+		{"diff", func(p string) []string { return []string{"diff", paths[0], p} }},
+		{"merge", func(p string) []string { return []string{"merge", "-check", "-o", out, p, paths[1]} }},
+		{"crit", func(p string) []string { return []string{"crit", p} }},
+		{"crit-files", func(p string) []string { return []string{"crit", p, paths[1]} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, want, errOut := run(t, tc.args(paths[0])...)
+			if code != 0 {
+				t.Fatalf("intact trace failed (%d): %s", code, errOut)
+			}
+			code, got, errOut := run(t, tc.args(torn)...)
+			if code != 0 {
+				t.Fatalf("torn trace failed (%d): %s", code, errOut)
+			}
+			if got != want {
+				t.Fatalf("torn trace output differs from the intact one:\n%s\nvs\n%s", got, want)
+			}
+			code, _, errOut = run(t, tc.args(corrupt)...)
+			if code != 1 || !strings.Contains(errOut, "line 4") {
+				t.Fatalf("corrupt interior line: exit %d, stderr %q; want exit 1 naming line 4", code, errOut)
+			}
+		})
+	}
+}

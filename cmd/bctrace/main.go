@@ -30,7 +30,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"mrbc/internal/obs"
@@ -107,12 +106,9 @@ func streamCmd(args []string, stdout, stderr io.Writer, run func(*obs.EventReade
 			return 1
 		}
 		defer f.Close()
-		// The separating newline keeps a file that lost its trailing
-		// newline (a host killed mid-run) from gluing its last line to
-		// the next file's first; blank lines are skipped by the reader.
-		readers = append(readers, f, strings.NewReader("\n"))
+		readers = append(readers, f)
 	}
-	if err := run(obs.NewEventReader(io.MultiReader(readers...)), stdout); err != nil {
+	if err := run(obs.NewEventReader(readers...), stdout); err != nil {
 		fmt.Fprintln(stderr, "bctrace:", err)
 		return 1
 	}
@@ -325,7 +321,7 @@ func runRounds(er *obs.EventReader, out io.Writer, overlap bool) error {
 func runCheck(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bctrace check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	h := fs.Int("H", 0, "maximum finite distance from any batched source; 0 infers the weakest consistent value from the trace")
+	h := fs.Int("H", 0, "maximum finite distance from any batched source; 0 infers, per epoch, the smallest value the forward spans admit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -337,25 +333,15 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 1
 	}
-	bound := *h
-	if bound == 0 {
-		// Without the graph there is no way to recover H, so infer the
-		// weakest value consistent with the trace: the largest recorded
-		// forward span. The per-batch 2(k+H)+1 bound then still rejects
-		// structural overruns (extra rounds, bogus spans), and the
-		// reversal check below is independent of H.
-		for _, e := range events {
-			if e.Kind == obs.KindBatch && int(e.FwdRounds) > bound {
-				bound = int(e.FwdRounds)
-			}
-		}
-		fmt.Fprintf(stdout, "H not given; inferred H=%d from the largest forward span\n", bound)
-	}
-	if err := obs.CheckRoundBounds(events, bound); err != nil {
+	if err := obs.CheckRoundBounds(events, *h); err != nil {
 		fmt.Fprintln(stderr, "bctrace: round bounds:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "round bounds ok (H=%d)\n", bound)
+	if *h > 0 {
+		fmt.Fprintf(stdout, "round bounds ok (H=%d)\n", *h)
+	} else {
+		fmt.Fprintln(stdout, "round bounds ok (H inferred per epoch as the largest forward span minus k)")
+	}
 	detail := false
 	for _, e := range events {
 		if e.Kind == obs.KindSend {
@@ -439,7 +425,7 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bctrace: pairing:", err)
 			return 1
 		}
-		if err := merge.CheckRoundBoundsGlobal(evs, 0); err != nil {
+		if err := obs.CheckRoundBounds(evs, 0); err != nil {
 			fmt.Fprintln(stderr, "bctrace: round bounds:", err)
 			return 1
 		}

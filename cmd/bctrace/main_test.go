@@ -130,6 +130,17 @@ func TestCheckAcceptsRealTraceAndRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsLemma8Fixture runs check on a batch with k=4, fwd=7,
+// back=12: without -H the forward spans admit H = 3, and 7+12+1 = 20
+// rounds exceed 2(4+3)+1 = 15.
+func TestCheckRejectsLemma8Fixture(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "obs", "testdata", "lemma8_k4_fwd7_back12.jsonl")
+	code, _, errOut := run(t, "check", fixture)
+	if code != 1 || !strings.Contains(errOut, "exceeding the Lemma 8 bound 2(k+H)+1 = 15 (H=3)") {
+		t.Fatalf("check on the k=4/7/12 fixture: exit %d, stderr %q", code, errOut)
+	}
+}
+
 // TestDiffFixtures drives diff over the committed golden/perturbed
 // tracetest fixtures: the golden trace matches itself, and the
 // perturbed one diverges with a localized first-event report.

@@ -41,11 +41,10 @@ func approxEqual(a, b []float64, tol float64) bool {
 }
 
 // job is what a test varies about one engine run. The zero value runs
-// in process, untraced, with the adaptive wire format.
+// in process, untraced.
 type job struct {
 	transport gluon.Transport
 	trace     *obs.Trace
-	enc       gluon.Format
 }
 
 // engine is one BC implementation under test, wrapped to a common shape.
@@ -57,26 +56,26 @@ type engine struct {
 var engines = []engine{
 	{"mrbc-arb", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, j job) ([]float64, dgalois.Stats, error) {
 		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8,
-			Transport: j.transport, Trace: j.trace, Encoding: j.enc})
+			Transport: j.transport, Trace: j.trace})
 	}},
 	// Software-pipelined batches (small batches so the 16-source jobs
 	// really keep two in flight): retransmission must compose with the
 	// per-batch exchange-ID streams.
 	{"mrbc-arb-pipe2", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, j job) ([]float64, dgalois.Stats, error) {
 		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 4, PipelineDepth: 2,
-			Transport: j.transport, Trace: j.trace, Encoding: j.enc})
+			Transport: j.transport, Trace: j.trace})
 	}},
 	{"sbbc", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, j job) ([]float64, dgalois.Stats, error) {
 		return sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{
-			Transport: j.transport, Trace: j.trace, Encoding: j.enc})
+			Transport: j.transport, Trace: j.trace})
 	}},
 }
 
 // overMesh adapts an engine run to mesh.run: host h runs over its own
 // endpoint, traced into traces[h] when traces is non-nil.
-func overMesh(eng engine, g *graph.Graph, pt *partition.Partitioning, sources []uint32, enc gluon.Format, traces []*obs.Trace) func(h int, tr gluon.Transport) ([]float64, dgalois.Stats, error) {
+func overMesh(eng engine, g *graph.Graph, pt *partition.Partitioning, sources []uint32, traces []*obs.Trace) func(h int, tr gluon.Transport) ([]float64, dgalois.Stats, error) {
 	return func(h int, tr gluon.Transport) ([]float64, dgalois.Stats, error) {
-		j := job{transport: tr, enc: enc}
+		j := job{transport: tr}
 		if traces != nil {
 			j.trace = traces[h]
 		}
@@ -131,7 +130,7 @@ func TestFaultScheduleSweep(t *testing.T) {
 		g := graphs[gi]
 		pt := pc.make(g, hosts)
 		m := newMesh(t, hosts, faultPlans(uint64(seed)*0x9e3779b9+1, hosts))
-		r := m.run(t, overMesh(eng, g, pt, sourceSets[gi], gluon.FormatAuto, nil))
+		r := m.run(t, overMesh(eng, g, pt, sourceSets[gi], nil))
 		m.close()
 		cell := fmt.Sprintf("seed=%d %s %s hosts=%d", seed, eng.name, pc.name, hosts)
 		r.requireOK(t, cell)
@@ -160,7 +159,7 @@ func TestFaultVolumeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newMesh(t, hosts, faultPlans(99, hosts))
-	r := m.run(t, overMesh(eng, g, pt, sources, gluon.FormatAuto, nil))
+	r := m.run(t, overMesh(eng, g, pt, sources, nil))
 	r.requireOK(t, "faulted run")
 	var faulty dgalois.Stats
 	var net gluon.ChannelStats
@@ -189,7 +188,7 @@ func TestUnrecoverablePlanErrorsNotHangs(t *testing.T) {
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			m := newMesh(t, hosts, clusterrun.SeverPlans(hosts, victim))
-			r := m.run(t, overMesh(eng, g, pt, sources, gluon.FormatAuto, nil))
+			r := m.run(t, overMesh(eng, g, pt, sources, nil))
 			if r.faults == 0 {
 				t.Fatal("the proxies severed nothing")
 			}
@@ -212,17 +211,16 @@ func TestUnrecoverablePlanErrorsNotHangs(t *testing.T) {
 // TestTraceAccountingOracle cross-checks the trace against the stats:
 // summing a complete phase-level trace's events must reproduce the
 // cluster's Stats exactly — paper-model bytes and messages (from both
-// the sender and receiver side) and the per-format encoding mix —
-// across engines and pinned wire formats, in process and over a faulted
-// TCP mesh. Over the mesh a host's traced retries are at most its
-// transport's: a retransmission after the host's last exchange event is
-// attributed to none.
+// the sender and receiver side) and the per-format encoding mix, of
+// which at least two formats must occur — across engines, in process
+// and over a faulted TCP mesh. Over the mesh a host's traced retries are
+// at most its transport's: a retransmission after the host's last
+// exchange event is attributed to none.
 func TestTraceAccountingOracle(t *testing.T) {
 	g := gen.RMAT(6, 8, 42)
 	sources := brandes.FirstKSources(g, 0, 16)
 	const hosts = 4
 	pt := partition.EdgeCut(g, hosts)
-	encodings := []gluon.Format{gluon.FormatAuto, gluon.FormatDense, gluon.FormatSparse}
 	check := func(what string, tot obs.Totals, stats dgalois.Stats) {
 		t.Helper()
 		if tot.PackBytes != stats.Bytes || tot.UnpackBytes != stats.Bytes {
@@ -235,54 +233,61 @@ func TestTraceAccountingOracle(t *testing.T) {
 			t.Fatalf("%s: trace format mix %d/%d/%d, stats %d/%d/%d", what, tot.Dense, tot.Sparse, tot.All,
 				stats.Encoding.Dense, stats.Encoding.Sparse, stats.Encoding.All)
 		}
+		formats := 0
+		for _, n := range []int64{tot.Dense, tot.Sparse, tot.All} {
+			if n > 0 {
+				formats++
+			}
+		}
+		if formats < 2 {
+			t.Fatalf("%s: format mix %d/%d/%d uses %d format(s), want at least 2", what, tot.Dense, tot.Sparse, tot.All, formats)
+		}
 	}
 	for _, eng := range []engine{engines[0], engines[2]} { // mrbc-arb, sbbc
-		for _, enc := range encodings {
-			what := eng.name + " enc=" + enc.String()
+		what := eng.name
 
-			tr := obs.NewTrace(1<<18, obs.LevelPhase)
-			_, stats, err := eng.run(g, pt, sources, job{trace: tr, enc: enc})
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if tr.Dropped() > 0 {
-				t.Fatalf("%s: trace dropped %d events", what, tr.Dropped())
-			}
-			tot := obs.Sum(tr.Events())
-			check(what, tot, stats)
-			if tot.Retries != 0 {
-				t.Fatalf("%s: perfect network produced transport activity: %+v", what, tot)
-			}
-
-			what += " over faulted TCP"
-			traces := make([]*obs.Trace, hosts)
-			for h := range traces {
-				traces[h] = obs.NewTrace(1<<18, obs.LevelPhase)
-			}
-			m := newMesh(t, hosts, faultPlans(5, hosts))
-			r := m.run(t, overMesh(eng, g, pt, sources, enc, traces))
-			m.close()
-			r.requireOK(t, what)
-			if r.faults == 0 {
-				t.Fatalf("%s: the proxies applied no fault", what)
-			}
-			var all []obs.Event
-			stats = dgalois.Stats{}
-			for h, tr := range traces {
-				if tr.Dropped() > 0 {
-					t.Fatalf("%s: host %d trace dropped %d events", what, h, tr.Dropped())
-				}
-				events := tr.Events()
-				if retries := obs.Sum(events).Retries; retries > r.net[h].Retries {
-					t.Fatalf("%s: host %d traced %d retries, its transport made %d", what, h, retries, r.net[h].Retries)
-				}
-				all = append(all, events...)
-				stats.Bytes += r.stats[h].Bytes
-				stats.Messages += r.stats[h].Messages
-				stats.Encoding.Add(r.stats[h].Encoding)
-			}
-			check(what, obs.Sum(all), stats)
+		tr := obs.NewTrace(1<<18, obs.LevelPhase)
+		_, stats, err := eng.run(g, pt, sources, job{trace: tr})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
+		if tr.Dropped() > 0 {
+			t.Fatalf("%s: trace dropped %d events", what, tr.Dropped())
+		}
+		tot := obs.Sum(tr.Events())
+		check(what, tot, stats)
+		if tot.Retries != 0 {
+			t.Fatalf("%s: perfect network produced transport activity: %+v", what, tot)
+		}
+
+		what += " over faulted TCP"
+		traces := make([]*obs.Trace, hosts)
+		for h := range traces {
+			traces[h] = obs.NewTrace(1<<18, obs.LevelPhase)
+		}
+		m := newMesh(t, hosts, faultPlans(5, hosts))
+		r := m.run(t, overMesh(eng, g, pt, sources, traces))
+		m.close()
+		r.requireOK(t, what)
+		if r.faults == 0 {
+			t.Fatalf("%s: the proxies applied no fault", what)
+		}
+		var all []obs.Event
+		stats = dgalois.Stats{}
+		for h, tr := range traces {
+			if tr.Dropped() > 0 {
+				t.Fatalf("%s: host %d trace dropped %d events", what, h, tr.Dropped())
+			}
+			events := tr.Events()
+			if retries := obs.Sum(events).Retries; retries > r.net[h].Retries {
+				t.Fatalf("%s: host %d traced %d retries, its transport made %d", what, h, retries, r.net[h].Retries)
+			}
+			all = append(all, events...)
+			stats.Bytes += r.stats[h].Bytes
+			stats.Messages += r.stats[h].Messages
+			stats.Encoding.Add(r.stats[h].Encoding)
+		}
+		check(what, obs.Sum(all), stats)
 	}
 }
 
@@ -305,7 +310,7 @@ func TestFaultsPreserveModelStream(t *testing.T) {
 			traces[h] = obs.NewTrace(1<<16, obs.LevelDetail)
 		}
 		m := newMesh(t, hosts, plans)
-		r := m.run(t, overMesh(golden, g, pt, sources, gluon.FormatAuto, traces))
+		r := m.run(t, overMesh(golden, g, pt, sources, traces))
 		m.close()
 		r.requireOK(t, "golden workload")
 		out := make([][]byte, hosts)

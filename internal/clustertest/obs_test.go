@@ -104,7 +104,7 @@ func TestClusterShipTraceMergeProves(t *testing.T) {
 	if err := merge.CheckPairing(m.Events); err != nil {
 		t.Fatalf("pairing: %v", err)
 	}
-	if err := merge.CheckRoundBoundsGlobal(m.Events, 0); err != nil {
+	if err := obs.CheckRoundBounds(m.Events, 0); err != nil {
 		t.Fatalf("global round bounds: %v", err)
 	}
 
@@ -209,7 +209,7 @@ func TestKilledHostLeavesParseablePartialTrace(t *testing.T) {
 	if _, err := merge.CheckConservation(evs); err != nil {
 		t.Fatalf("converged epoch conservation: %v", err)
 	}
-	if err := merge.CheckRoundBoundsGlobal(evs, 0); err != nil {
+	if err := obs.CheckRoundBounds(evs, 0); err != nil {
 		t.Fatalf("converged epoch round bounds: %v", err)
 	}
 }

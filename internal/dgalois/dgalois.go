@@ -265,15 +265,6 @@ type ClusterOptions struct {
 	// caller that reads or serves them; nil gives the cluster a private
 	// registry that only Stats reads.
 	Metrics *obs.Registry
-	// Workers overrides the size of the worker pool (0: the default
-	// min(GOMAXPROCS, host pairs)). The pool runs every phase big enough
-	// to pay for waking it — the hosts of a compute phase as well as the
-	// packs and unpacks of an exchange — and the calling goroutine works
-	// alongside it, so at most Workers+1 hosts compute side by side; a
-	// smaller phase runs on the caller alone. Event content is independent
-	// of the worker count — golden-trace tests sweep this. Unused with a
-	// remote Transport: an SPMD cluster has one local host and no pool.
-	Workers int
 	// Transport overrides the byte-moving backend. Nil selects the
 	// in-process MemTransport, a perfect network. A remote backend
 	// (gluon.TCPTransport) must own exactly one local host and puts the
@@ -429,17 +420,13 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		}
 	}
 	if c.localHost < 0 {
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-			if pairs := hosts * (hosts - 1); workers > pairs {
-				workers = pairs
-			}
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		c.pool = newWorkerPool(workers, c.epoch)
+		// The pool runs every phase big enough to pay for waking it — the
+		// hosts of a compute phase as well as the packs and unpacks of an
+		// exchange — with the calling goroutine working alongside it; a
+		// smaller phase runs on the caller alone. Event content is
+		// independent of the pool size, which golden-trace tests sweep
+		// through GOMAXPROCS.
+		c.pool = newWorkerPool(max(1, min(runtime.GOMAXPROCS(0), hosts*(hosts-1))), c.epoch)
 		c.computeTaskFn = c.computeTask
 		c.packTaskFn = c.packTask
 		c.unpackTaskFn = c.unpackTask
@@ -524,22 +511,6 @@ func (c *Cluster) Restore(cur Cursor) {
 }
 
 func (c *Cluster) isLocal(h int) bool { return c.localHost < 0 || h == c.localHost }
-
-// SetEncoding pins the sync-metadata format every pack writer uses
-// (gluon.FormatAuto, the default, selects the smallest per message).
-// Used by ablations to reproduce the seed dense-only wire format.
-func (c *Cluster) SetEncoding(f gluon.Format) {
-	for k := range c.tickets {
-		writers := c.tickets[k].writers
-		for i := range writers {
-			for j, w := range writers[i] {
-				if i != j && w != nil {
-					w.ForceFormat(f)
-				}
-			}
-		}
-	}
-}
 
 // SetStream switches exchange identifiers onto the given batch's
 // stream and tags subsequently emitted events with the batch. The

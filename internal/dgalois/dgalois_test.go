@@ -2,6 +2,7 @@ package dgalois
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,12 +13,14 @@ import (
 )
 
 // TestComputeRunsAllHosts pins the dispatch contract at every pool
-// size, the one-worker pool included: each host's function runs exactly
-// once per phase, whoever claims it.
+// size the GOMAXPROCS sweep yields, the one-worker pool included: each
+// host's function runs exactly once per phase, whoever claims it.
 func TestComputeRunsAllHosts(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 16} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
 		const hosts, phases = 8, 50
-		c := NewClusterOpts(hosts, ClusterOptions{Workers: workers})
+		c := NewCluster(hosts)
 		var visits [hosts]int64
 		for p := 0; p < phases; p++ {
 			c.Compute(func(h int) { atomic.AddInt64(&visits[h], 1) })
@@ -25,7 +28,7 @@ func TestComputeRunsAllHosts(t *testing.T) {
 		c.Close()
 		for h, n := range visits {
 			if n != phases {
-				t.Fatalf("workers=%d: host %d ran %d times in %d phases", workers, h, n, phases)
+				t.Fatalf("GOMAXPROCS=%d: host %d ran %d times in %d phases", procs, h, n, phases)
 			}
 		}
 		if st := c.Stats(); st.Hosts != hosts {
@@ -227,23 +230,10 @@ func TestVolumeAccountingMatchesSerialRecount(t *testing.T) {
 	}
 }
 
-// TestEncodingStatsBreakdown checks the per-format message tallies: a
-// forced-dense cluster reports only dense messages, the adaptive
-// default reports the formats the densities select.
+// TestEncodingStatsBreakdown checks the per-format message tallies:
+// the adaptive encoding reports the formats the densities select.
 func TestEncodingStatsBreakdown(t *testing.T) {
 	const hosts, listLen = 3, 1024
-	var sink int64
-	pack, unpack := fixedWorkload(hosts, listLen, &sink)
-
-	dense := NewCluster(hosts)
-	defer dense.Close()
-	dense.SetEncoding(gluon.FormatDense)
-	dense.Exchange(pack, unpack)
-	ds := dense.Stats()
-	if ds.Encoding.Dense != ds.Messages || ds.Encoding.Sparse != 0 || ds.Encoding.All != 0 {
-		t.Fatalf("forced dense produced %+v over %d messages", ds.Encoding, ds.Messages)
-	}
-
 	marked := []*bitset.Set{bitset.New(listLen), bitset.New(listLen), bitset.New(listLen)}
 	marked[0].Set(listLen / 2) // one bit of 1024: sparse wins
 	marked[1].Fill()           // everything marked: all-marked wins

@@ -43,7 +43,7 @@ func fuzzSeedMessage(f Format, listLen int, positions []int) []byte {
 		m.Set(p)
 	}
 	w := &Writer{}
-	w.ForceFormat(f)
+	w.force = f
 	EncodeUpdates(w, listLen, m, func(pos int, w *Writer) { w.U32(uint32(pos)) })
 	return append([]byte(nil), w.Bytes()...)
 }

@@ -301,7 +301,7 @@ func (c ByteCounts) Total() int64 { return c.Dense + c.Sparse + c.All }
 // reallocating.
 type Writer struct {
 	buf   []byte
-	force Format // FormatAuto: adaptive selection
+	force Format // FormatAuto: adaptive selection; the decoder tests pin a format here
 
 	counts     EncodingCounts
 	byteCounts ByteCounts
@@ -316,12 +316,6 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Reset empties the buffer, keeping its capacity (and the format
 // counters, which TakeCounts drains).
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// ForceFormat pins the metadata encoding EncodeUpdates uses through
-// this writer (FormatAuto restores adaptive selection). Forcing
-// FormatAll panics inside EncodeUpdates unless every position is
-// marked. Used to reproduce the seed dense-only volume in ablations.
-func (w *Writer) ForceFormat(f Format) { w.force = f }
 
 // TakeCounts returns the per-format message tallies accumulated since
 // the last call, and zeroes them.
@@ -457,7 +451,8 @@ func sparseMetaLen(marked *bitset.Set) int {
 // EncodeUpdates appends a sync message over a shared list of listLen
 // proxies to w: a one-byte format header, the list length, the marked
 // positions in the smallest of the three metadata encodings (or the
-// writer's forced format), then each marked position's payload in
+// format a test pinned in Writer.force; FormatAll then panics unless
+// every position is marked), then each marked position's payload in
 // ascending order (written by the emit callback). Nothing is appended
 // when no positions are marked, so the caller sends nothing — Gluon
 // "avoids resending labels that have not been updated".

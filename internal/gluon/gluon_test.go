@@ -93,7 +93,7 @@ func TestReaderTruncationPanics(t *testing.T) {
 // FormatAuto) with one u32 payload per marked position from payload.
 func encodeWith(f Format, listLen int, marked *bitset.Set, payload map[int]uint32) []byte {
 	w := &Writer{}
-	w.ForceFormat(f)
+	w.force = f
 	EncodeUpdates(w, listLen, marked, func(pos int, w *Writer) {
 		w.U32(payload[pos])
 	})
@@ -172,7 +172,7 @@ func TestTakeByteCountsMatchesWireLength(t *testing.T) {
 	w := &Writer{}
 	encode := func(f Format, n int, m *bitset.Set, p map[int]uint32) int {
 		before := w.Len()
-		w.ForceFormat(f)
+		w.force = f
 		EncodeUpdates(w, n, m, func(pos int, w *Writer) { w.U32(p[pos]) })
 		return w.Len() - before
 	}
@@ -227,7 +227,7 @@ func TestDecodeTrailingBytesPanics(t *testing.T) {
 			marked := bitset.New(10)
 			marked.Set(0)
 			w := &Writer{}
-			w.ForceFormat(f)
+			w.force = f
 			EncodeUpdates(w, 10, marked, func(pos int, wr *Writer) { wr.U32(1); wr.U32(2) })
 			defer func() {
 				if recover() == nil {
@@ -545,8 +545,8 @@ func TestMarksMatchListScanQuick(t *testing.T) {
 			for peer := 0; peer < hosts; peer++ {
 				for dir, list := range [][]uint32{topo.MirrorList(host, peer), topo.MasterList(peer, host)} {
 					got, want := &Writer{}, &Writer{}
-					got.ForceFormat(f)
-					want.ForceFormat(f)
+					got.force = f
+					want.force = f
 					scanPack(want, list, marked, emit)
 					if dir == 0 {
 						marks.EncodeReduce(got, peer, emit)

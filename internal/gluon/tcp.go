@@ -13,14 +13,14 @@ import (
 )
 
 // TCP backend: one process per host, full mesh of TCP connections. The
-// wire unit is the PR 2 gluon frame (magic, per-channel seq, CRC-32C),
+// wire unit is the gluon frame (magic, per-channel seq, CRC-32C),
 // read with length-prefixed framing straight off the header's len
-// field. Reliability mirrors the in-process fault-plan transport:
-// cumulative per-sender sequence numbers, cumulative acks, step-based
+// field. This is the one reliable-delivery protocol: cumulative
+// per-sender sequence numbers, cumulative acks, step-based
 // retransmission of unacked records, and connection re-dial on
 // transient failure. A peer that makes no progress for DeadlineSteps
 // consecutive steps surfaces as a structured *TransportError — never a
-// hang — exactly like DeadlineSteps does on the simulated network.
+// hang — which dgalois reports as a *FaultError naming the host.
 //
 // Connections are asymmetric: each host dials every other host once
 // and writes its hello/data/reduce records on that connection;
@@ -131,8 +131,6 @@ type TCPOptions struct {
 	// RetrySteps is how many steps without ack progress an unacked
 	// record waits before the sender retransmits its queue (default 8).
 	RetrySteps int
-	// DialTimeout bounds a single (re-)dial attempt (default 2 s).
-	DialTimeout time.Duration
 	// Epoch is the cluster membership epoch this transport belongs to.
 	// Hellos are epoch-stamped and a listener rejects connections whose
 	// epoch differs from its own, so after an elastic restart the stale
@@ -141,6 +139,9 @@ type TCPOptions struct {
 	// Epoch 0 accepts legacy 5-byte hellos as epoch 0.
 	Epoch int
 }
+
+// dialTimeout bounds a single (re-)dial attempt.
+const dialTimeout = 2 * time.Second
 
 func (o TCPOptions) withDefaults() TCPOptions {
 	if o.DeadlineSteps <= 0 {
@@ -151,9 +152,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.RetrySteps <= 0 {
 		o.RetrySteps = 8
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -1038,7 +1036,7 @@ func (p *tcpPeer) ensureConnLocked() bool {
 		return false
 	default:
 	}
-	conn, err := net.DialTimeout("tcp", p.addr, p.t.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 	if err != nil {
 		return false
 	}

@@ -38,11 +38,6 @@ type Options struct {
 	// BatchSize is k, the number of sources per batch. Defaults to 32
 	// (the paper's small-graph setting, §5.2).
 	BatchSize int
-	// Encoding pins the sync-metadata wire format (default
-	// gluon.FormatAuto: density-adaptive selection per message).
-	// gluon.FormatDense reproduces the seed's dense-bitvector volume
-	// for ablations.
-	Encoding gluon.Format
 	// Trace receives one event per (round, host, phase), plus — at
 	// obs.LevelDetail — one send event per synchronized (vertex, source)
 	// pair and one summary event per batch. Nil disables tracing.
@@ -53,11 +48,6 @@ type Options struct {
 	// gauges (mrbc_batch, mrbc_round, mrbc_frontier, mrbc_backward) that
 	// the telemetry endpoint's /progressz view derives from.
 	Metrics *obs.Registry
-	// Workers overrides the size of the cluster's worker pool, which
-	// runs the hosts' compute phases as well as their packs and unpacks
-	// (0: automatic). Trace content is independent of this value. Unused
-	// with a remote Transport (dgalois.ClusterOptions.Workers).
-	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend (gluon.TCPTransport)
 	// runs this process as one host of a multi-process SPMD cluster:
@@ -285,14 +275,12 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
 		Trace:       opts.Trace,
 		Metrics:     opts.Metrics,
-		Workers:     opts.Workers,
 		Transport:   opts.Transport,
 		MaxInflight: depth,
 		Epoch:       opts.Epoch,
 		Topology:    topo,
 	})
 	defer cluster.Close()
-	cluster.SetEncoding(opts.Encoding)
 	scores := make([]float64, n)
 	pool := &statePool{kmax: min(opts.BatchSize, len(sources))}
 	startBatch := 0

@@ -84,11 +84,42 @@ func batchSummaries(events []Event) (map[int32]Event, error) {
 //     the batch's recorded forward span, and every backward
 //     synchronization within the batch's backward span.
 //
-// Phase-level traces check only the per-batch bound.
+// Phase-level traces check only the per-batch bound. A merged cluster
+// trace keeps every membership epoch's batches, so each epoch is
+// checked on its own. Without the graph H is unknown: h ≤ 0 infers it
+// per epoch as the smallest value the forward bound admits, the
+// largest FwdRounds − K of the epoch's batches (at least 0).
 func CheckRoundBounds(events []Event, h int) error {
+	byEpoch := make(map[int32][]Event)
+	for _, e := range events {
+		byEpoch[e.Epoch] = append(byEpoch[e.Epoch], e)
+	}
+	if len(byEpoch) <= 1 {
+		return checkEpochRoundBounds(events, h)
+	}
+	epochs := make([]int32, 0, len(byEpoch))
+	for ep := range byEpoch {
+		epochs = append(epochs, ep)
+	}
+	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	for _, ep := range epochs {
+		if err := checkEpochRoundBounds(byEpoch[ep], h); err != nil {
+			return fmt.Errorf("epoch %d: %w", ep, err)
+		}
+	}
+	return nil
+}
+
+func checkEpochRoundBounds(events []Event, h int) error {
 	batches, err := batchSummaries(events)
 	if err != nil {
 		return err
+	}
+	if h <= 0 {
+		h = 0
+		for _, b := range batches {
+			h = max(h, int(b.FwdRounds)-int(b.K))
+		}
 	}
 	for bi, b := range batches {
 		bound := 2*(int(b.K)+h) + 1

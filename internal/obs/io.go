@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,18 +25,33 @@ func WriteJSONL(w io.Writer, events []Event) error {
 // EventReader streams a JSONL trace one event at a time, so multi-GB
 // detail traces from long runs are analyzable in constant memory (the
 // bctrace summary/imbalance/rounds pipelines consume it directly).
+//
+// A trace whose last line is torn — cut off without its newline, the
+// signature of a host killed mid-write — reads as the events before it:
+// the parseable partial trace. A malformed line anywhere else is an
+// error.
 type EventReader struct {
+	inputs []io.Reader // not yet opened, in order
+	input  int         // 1-based index of the input being read
 	sc     *bufio.Scanner
+	torn   bool // the scanner's latest line ended the input without a newline
 	line   int
 	header Event
 	hasHdr bool
 }
 
-// NewEventReader wraps a JSONL stream produced by WriteJSONL.
-func NewEventReader(r io.Reader) *EventReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &EventReader{sc: sc}
+// NewEventReader wraps JSONL streams produced by WriteJSONL, read one
+// after another as a single sequence (a cluster run's per-host files;
+// their headers are swallowed like the first).
+func NewEventReader(inputs ...io.Reader) *EventReader {
+	return &EventReader{inputs: inputs}
+}
+
+// scanLines is bufio.ScanLines, noting a final line without a newline.
+func (er *EventReader) scanLines(data []byte, atEOF bool) (int, []byte, error) {
+	advance, token, err := bufio.ScanLines(data, atEOF)
+	er.torn = atEOF && token != nil && bytes.IndexByte(data, '\n') < 0
+	return advance, token, err
 }
 
 // Next returns the next event in the stream. Blank lines are skipped,
@@ -45,38 +61,59 @@ func NewEventReader(r io.Reader) *EventReader {
 // always did. At end of input it returns io.EOF; a malformed line
 // returns an error naming the line number.
 func (er *EventReader) Next() (Event, error) {
-	for er.sc.Scan() {
-		er.line++
-		b := er.sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
-			return Event{}, fmt.Errorf("obs: trace line %d: %w", er.line, err)
-		}
-		if e.Kind == KindHeader {
-			if e.Schema > TraceSchema {
-				return Event{}, fmt.Errorf("obs: trace line %d: schema %d newer than supported %d",
-					er.line, e.Schema, TraceSchema)
+	for {
+		if er.sc == nil {
+			if len(er.inputs) == 0 {
+				return Event{}, io.EOF
 			}
-			er.header, er.hasHdr = e, true
-			continue
+			er.sc = bufio.NewScanner(er.inputs[0])
+			er.sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+			er.sc.Split(er.scanLines)
+			er.inputs = er.inputs[1:]
+			er.input++
+			er.line = 0
 		}
-		return e, nil
+		for er.sc.Scan() {
+			er.line++
+			b := er.sc.Bytes()
+			if len(b) == 0 {
+				continue
+			}
+			var e Event
+			if err := json.Unmarshal(b, &e); err != nil {
+				if er.torn {
+					break
+				}
+				return Event{}, er.errorf("%w", err)
+			}
+			if e.Kind == KindHeader {
+				if e.Schema > TraceSchema {
+					return Event{}, er.errorf("schema %d newer than supported %d", e.Schema, TraceSchema)
+				}
+				er.header, er.hasHdr = e, true
+				continue
+			}
+			return e, nil
+		}
+		if err := er.sc.Err(); err != nil {
+			return Event{}, err
+		}
+		er.sc = nil
 	}
-	if err := er.sc.Err(); err != nil {
-		return Event{}, err
+}
+
+// errorf prefixes an error with the position of the current line.
+func (er *EventReader) errorf(format string, args ...any) error {
+	where := fmt.Sprintf("obs: trace line %d: ", er.line)
+	if er.input > 1 || len(er.inputs) > 0 { // one of several inputs: name it
+		where = fmt.Sprintf("obs: trace %d line %d: ", er.input, er.line)
 	}
-	return Event{}, io.EOF
+	return fmt.Errorf(where+format, args...)
 }
 
 // Header returns the trace's header record, if one has been read so
 // far (headers lead the file, so after the first Next it is settled).
 func (er *EventReader) Header() (Event, bool) { return er.header, er.hasHdr }
-
-// Line returns the number of lines consumed so far.
-func (er *EventReader) Line() int { return er.line }
 
 // ReadEvents parses a whole JSONL stream into memory: a thin wrapper
 // over EventReader for traces known to be small (fixtures, ring dumps).

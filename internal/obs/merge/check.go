@@ -206,30 +206,6 @@ func CheckPairing(events []obs.Event) error {
 	return nil
 }
 
-// CheckRoundBoundsGlobal proves Lemma 8 over the merged cluster
-// timeline: per epoch, the deduplicated batch summaries and any send
-// events must respect the 2(k+H)+1 bound. H ≤ 0 infers the bound base
-// from the largest recorded forward span, mirroring bctrace check.
-func CheckRoundBoundsGlobal(events []obs.Event, h int) error {
-	for _, ep := range Epochs(events) {
-		evs := EpochEvents(events, ep)
-		bound := h
-		if bound <= 0 {
-			for _, e := range evs {
-				if e.Kind == obs.KindBatch {
-					if fh := int(e.FwdRounds) - int(e.K); fh > bound {
-						bound = fh
-					}
-				}
-			}
-		}
-		if err := obs.CheckRoundBounds(evs, bound); err != nil {
-			return fmt.Errorf("epoch %d: %w", ep, err)
-		}
-	}
-	return nil
-}
-
 // Epochs lists the distinct epochs of a stamped stream, ascending.
 func Epochs(events []obs.Event) []int {
 	seen := make(map[int32]bool)

@@ -2,8 +2,9 @@
 // a single, deterministically ordered cluster trace, and provides the
 // cross-host checkers that only make sense on the merged view:
 // conservation (bytes/messages host i sent to j equal what j received,
-// per round and per encoding), send/recv pairing across processes, the
-// global Lemma 8 round bound, and per-round critical-path attribution.
+// per round and per encoding), send/recv pairing across processes, and
+// per-round critical-path attribution. The Lemma 8 round bound is
+// obs.CheckRoundBounds, which checks a merged trace epoch by epoch.
 //
 // Clock model: each bcd process timestamps events against its own
 // monotonic epoch, so raw per-host timelines are mutually unaligned.
@@ -26,7 +27,6 @@
 package merge
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -48,29 +48,22 @@ type HostTrace struct {
 
 // Load reads one per-host trace file. Identity comes from the header
 // record when present, else from the first stamped event. A torn final
-// line — the signature of a host killed mid-write — is tolerated when
-// the file does not end in a newline: the events up to it are the
-// host's parseable partial trace.
+// line — a host killed mid-write — ends the host's parseable partial
+// trace (obs.EventReader).
 func Load(path string) (HostTrace, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return HostTrace{}, err
 	}
+	defer f.Close()
 	ht := HostTrace{Host: -1}
-	complete := len(raw) == 0 || raw[len(raw)-1] == '\n'
-	lines := bytes.Split(raw, []byte("\n"))
-	rd := obs.NewEventReader(bytes.NewReader(raw))
-	for i := 0; ; i++ {
+	rd := obs.NewEventReader(f)
+	for {
 		e, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			// Only the very last, newline-less line may be torn; any
-			// earlier parse failure is real corruption.
-			if !complete && rd.Line() == len(lines) {
-				break
-			}
 			return HostTrace{}, fmt.Errorf("%s: %w", path, err)
 		}
 		ht.Events = append(ht.Events, e)

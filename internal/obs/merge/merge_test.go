@@ -273,10 +273,12 @@ func TestRoundBoundsGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// k=4, fwd=back=3: H inferred as 0 would fail; bound base from
-	// fwd-k is negative, so pass explicit H.
-	if err := CheckRoundBoundsGlobal(m.Events, 3); err != nil {
-		t.Fatal(err)
+	// k=4, fwd=back=3: within the bound for an explicit H and for the
+	// inferred one (fwd−k is negative, so H = 0).
+	for _, h := range []int{3, 0} {
+		if err := obs.CheckRoundBounds(m.Events, h); err != nil {
+			t.Fatalf("H=%d: %v", h, err)
+		}
 	}
 	// A batch that blew the bound must be rejected.
 	traces := synthIdentRun(t, 2, 3)
@@ -292,8 +294,25 @@ func TestRoundBoundsGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckRoundBoundsGlobal(m2.Events, 3); err == nil {
+	if err := obs.CheckRoundBounds(m2.Events, 3); err == nil {
 		t.Fatal("blown round bound not caught")
+	}
+}
+
+// TestRoundBoundsRejectLemma8Fixture runs the round-bound half of
+// merge -check (which checks conservation first, and this fixture has
+// no links) on the committed k=4, fwd=7, back=12 batch: the H the
+// forward spans admit is 7−4 = 3, so 7+12+1 = 20 rounds exceed the
+// bound 2(4+3)+1 = 15.
+func TestRoundBoundsRejectLemma8Fixture(t *testing.T) {
+	m, err := MergeFiles([]string{filepath.Join("..", "testdata", "lemma8_k4_fwd7_back12.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := EpochEvents(m.Events, FinalEpoch(m.Events))
+	err = obs.CheckRoundBounds(evs, 0)
+	if err == nil || !strings.Contains(err.Error(), "bound 2(k+H)+1 = 15 (H=3)") {
+		t.Fatalf("fixture not rejected with the inferred H=3: %v", err)
 	}
 }
 

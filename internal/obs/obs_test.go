@@ -502,3 +502,62 @@ func TestEventReaderReportsLineNumber(t *testing.T) {
 		t.Fatalf("error does not name line 3: %v", err)
 	}
 }
+
+// TestCheckRoundBoundsInfersHPerEpoch pins the inference for h ≤ 0: H
+// is the largest FwdRounds − K among one epoch's batches, so a batch
+// that fits the H of an earlier, deeper epoch still fails in its own.
+func TestCheckRoundBoundsInfersHPerEpoch(t *testing.T) {
+	deep := Event{Kind: KindBatch, Host: -1, K: 4, FwdRounds: 10, BackRounds: 10}
+	flat := Event{Kind: KindBatch, Batch: 1, Host: -1, K: 4, FwdRounds: 7, BackRounds: 12}
+	long := flat
+	long.Epoch = 1
+	if err := CheckRoundBounds([]Event{deep}, 0); err != nil {
+		t.Fatalf("inferred H rejected a batch at its own bound: %v", err)
+	}
+	// One epoch: H = 6 admits 7+12+1 = 20 ≤ 2(4+6)+1.
+	if err := CheckRoundBounds([]Event{deep, flat}, 0); err != nil {
+		t.Fatalf("single epoch: %v", err)
+	}
+	// Two epochs: epoch 1 infers H = 3, and 20 > 2(4+3)+1 = 15.
+	err := CheckRoundBounds([]Event{deep, long}, 0)
+	if err == nil || !strings.HasPrefix(err.Error(), "epoch 1: ") {
+		t.Fatalf("epoch 1's batch not rejected under its own H: %v", err)
+	}
+	// An explicit H applies to every epoch.
+	if err := CheckRoundBounds([]Event{deep, long}, 6); err != nil {
+		t.Fatalf("explicit H=6: %v", err)
+	}
+}
+
+// TestEventReaderToleratesTornTail reads several inputs as one stream:
+// an input's last line cut off without a newline ends that input, while
+// a malformed line that ends in a newline is an error naming its input
+// and line.
+func TestEventReaderToleratesTornTail(t *testing.T) {
+	read := func(inputs ...string) ([]int64, error) {
+		readers := make([]io.Reader, len(inputs))
+		for i, s := range inputs {
+			readers[i] = strings.NewReader(s)
+		}
+		er := NewEventReader(readers...)
+		var seqs []int64
+		for {
+			e, err := er.Next()
+			if err == io.EOF {
+				return seqs, nil
+			}
+			if err != nil {
+				return seqs, err
+			}
+			seqs = append(seqs, e.Seq)
+		}
+	}
+	seqs, err := read("{\"kind\":\"phase\",\"seq\":1}\n{\"kind\":\"ph", "{\"kind\":\"phase\",\"seq\":2}")
+	if err != nil || len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 2 {
+		t.Fatalf("torn inputs read as %v, %v; want [1 2], nil", seqs, err)
+	}
+	_, err = read("{\"kind\":\"phase\",\"seq\":1}\n", "{\"kind\":\"phase\",\"seq\":2}\n{\"kind\":\"ph\n")
+	if err == nil || !strings.HasPrefix(err.Error(), "obs: trace 2 line 2: ") {
+		t.Fatalf("newline-terminated malformed last line: %v, want an error at trace 2 line 2", err)
+	}
+}

@@ -78,19 +78,6 @@ func (st *hostState) bucketLevels(levels uint32) {
 
 // Options configures SBBC.
 type Options struct {
-	// DirectionOptimizing enables Beamer-style push/pull switching in
-	// the forward phase: when the frontier's out-edges outnumber the
-	// unvisited vertices' in-edges (scaled by Alpha), each host scans
-	// unvisited proxies pulling from the frontier instead of pushing
-	// along it. Both directions produce identical label partials, so
-	// hosts decide independently per round.
-	DirectionOptimizing bool
-	// Alpha is the push->pull switch threshold (default 4): pull when
-	// frontierOutEdges*Alpha > unvisitedInEdges.
-	Alpha int
-	// Encoding pins the sync-metadata wire format (default
-	// gluon.FormatAuto: density-adaptive selection per message).
-	Encoding gluon.Format
 	// Trace receives one event per (round, host, phase), plus — at
 	// obs.LevelDetail — one send event per finalized (vertex, source)
 	// label and one summary event per source. Nil disables tracing.
@@ -101,11 +88,6 @@ type Options struct {
 	// (sbbc_source, sbbc_level, sbbc_frontier) the telemetry endpoint's
 	// /progressz view derives from.
 	Metrics *obs.Registry
-	// Workers overrides the size of the cluster's worker pool, which
-	// runs the hosts' compute phases as well as their packs and unpacks
-	// (0: automatic). Trace content is independent of this value. Unused
-	// with a remote Transport (dgalois.ClusterOptions.Workers).
-	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend runs this process
 	// as one host of a multi-process SPMD cluster: engine state exists
@@ -113,30 +95,6 @@ type Options struct {
 	// reduce exchange, and the returned scores hold only the local host's
 	// master contributions (the coordinator sums per-process vectors).
 	Transport gluon.Transport
-}
-
-func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 {
-		o.Alpha = 4
-	}
-	return o
-}
-
-// shouldPull applies the direction-optimization heuristic on this
-// host's local view.
-func (st *hostState) shouldPull(alpha int) bool {
-	local := st.part.Local
-	frontierOut := 0
-	for _, u := range st.frontier {
-		frontierOut += local.OutDegree(u)
-	}
-	unvisitedIn := 0
-	for w := 0; w < st.part.NumProxies(); w++ {
-		if st.dist[w] == graph.InfDist {
-			unvisitedIn += local.InDegree(uint32(w))
-		}
-	}
-	return frontierOut*alpha > unvisitedIn
 }
 
 // Run computes BC restricted to sources over the partitioned graph,
@@ -161,7 +119,6 @@ func RunOpts(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts 
 // recovers from yields err == nil and oracle-exact scores; on error the
 // partial scores are meaningless.
 func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
-	opts = opts.withDefaults()
 	n := g.NumVertices()
 	for _, s := range sources {
 		if int(s) >= n {
@@ -172,12 +129,10 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
 		Trace:     opts.Trace,
 		Metrics:   opts.Metrics,
-		Workers:   opts.Workers,
 		Transport: opts.Transport,
 		Topology:  topo,
 	})
 	defer cluster.Close()
-	cluster.SetEncoding(opts.Encoding)
 	states := make([]*hostState, pt.NumHosts)
 	for h, p := range pt.Parts {
 		if !cluster.IsLocal(h) {
@@ -257,39 +212,17 @@ func runSources(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSt
 		st.masterOut.Reset()
 		st.relaxed = 0
 		local := st.part.Local
-		if opts.DirectionOptimizing && st.shouldPull(opts.Alpha) {
-			// Pull: every unvisited proxy scans its local in-edges
-			// for frontier predecessors; yields the same partials
-			// as pushing along the frontier's out-edges.
-			for w := 0; w < st.part.NumProxies(); w++ {
-				if st.dist[w] != graph.InfDist {
-					continue
-				}
-				var acc float64
-				for _, u := range local.InNeighbors(uint32(w)) {
-					if st.dist[u] == level-1 {
-						acc += st.sigma[u]
-					}
-				}
-				if acc > 0 {
+		for _, u := range st.frontier {
+			su := st.sigma[u]
+			for _, w := range local.OutNeighbors(u) {
+				switch {
+				case st.dist[w] == graph.InfDist:
 					st.dist[w] = level
-					st.sigma[w] = acc
-					st.relax(uint32(w))
-				}
-			}
-		} else {
-			for _, u := range st.frontier {
-				su := st.sigma[u]
-				for _, w := range local.OutNeighbors(u) {
-					switch {
-					case st.dist[w] == graph.InfDist:
-						st.dist[w] = level
-						st.sigma[w] = su
-						st.relax(w)
-					case st.dist[w] == level: // relaxed, so marked, earlier in this loop
-						st.sigma[w] += su
-						st.relaxed++
-					}
+					st.sigma[w] = su
+					st.relax(w)
+				case st.dist[w] == level: // relaxed, so marked, earlier in this loop
+					st.sigma[w] += su
+					st.relaxed++
 				}
 			}
 		}

@@ -165,47 +165,3 @@ func BenchmarkWebSBBC(b *testing.B) {
 	b.ReportMetric(float64(reg.Counter("dgalois_phases_pooled_total").Load())/float64(b.N), "pooled/op")
 	b.ReportMetric(float64(reg.Counter("dgalois_phases_caller_total").Load())/float64(b.N), "caller/op")
 }
-
-func TestDirectionOptimizingMatchesPush(t *testing.T) {
-	inputs := map[string]*graph.Graph{
-		"rmat": gen.RMAT(9, 16, 17), // dense power-law: pull should trigger
-		"grid": gen.RoadGrid(10, 10, 17),
-		"er":   gen.ErdosRenyi(200, 2000, 17),
-	}
-	for name, g := range inputs {
-		sources := brandes.FirstKSources(g, 0, 8)
-		want := brandes.Sequential(g, sources)
-		for _, hosts := range []int{1, 3} {
-			pt := partition.CartesianCut(g, hosts)
-			got, _ := RunOpts(g, pt, sources, Options{DirectionOptimizing: true})
-			if !approxEqual(got, want, 1e-9) {
-				t.Fatalf("%s hosts=%d: direction-optimized BC mismatch", name, hosts)
-			}
-		}
-	}
-}
-
-func TestShouldPullHeuristic(t *testing.T) {
-	// On a dense power-law graph, once the frontier covers the hubs,
-	// pull must trigger; verify the heuristic fires at least once by
-	// instrumenting a single-host run.
-	g := gen.RMAT(9, 16, 23)
-	pt := partition.EdgeCut(g, 1)
-	st := &hostState{part: pt.Parts[0], dist: make([]uint32, pt.Parts[0].NumProxies())}
-	for i := range st.dist {
-		st.dist[i] = graph.InfDist
-	}
-	// Simulate a frontier holding the highest-degree vertex.
-	_, hub := g.MaxOutDegree()
-	lid, _ := pt.Parts[0].LocalID(hub)
-	st.frontier = []uint32{lid}
-	st.dist[lid] = 0
-	if !st.shouldPull(64) {
-		t.Fatal("heuristic with huge alpha should pull for a hub frontier")
-	}
-	if st.shouldPull(0 + 1) {
-		// alpha=1: hub out-degree must exceed all unvisited in-edges,
-		// which it does not on this graph.
-		t.Fatal("heuristic with alpha=1 should push for a single-vertex frontier")
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mrbc/internal/brandes"
@@ -46,14 +47,14 @@ func requireComplete(t *testing.T, tr *obs.Trace) []obs.Event {
 // and returns the recorded events.
 type tracedEngine struct {
 	name string
-	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int)
+	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace)
 }
 
-func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
-	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
+func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace) {
+	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace) {
 		t.Helper()
 		_, _, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
-			BatchSize: batch, Trace: tr, Workers: workers,
+			BatchSize: batch, Trace: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -61,12 +62,10 @@ func mrbcRunner(batch int) func(t *testing.T, g *graph.Graph, pt *partition.Part
 	}
 }
 
-func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
-	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, workers int) {
+func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace) {
+	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace) {
 		t.Helper()
-		_, _, err := sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{
-			Trace: tr, Workers: workers,
-		})
+		_, _, err := sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +94,7 @@ func TestLemma8RoundBounds(t *testing.T) {
 		}{{"edge-cut", partition.EdgeCut}, {"cartesian", partition.CartesianCut}} {
 			t.Run(eng.name+"/"+pc.name, func(t *testing.T) {
 				tr := obs.NewTrace(traceCap, obs.LevelDetail)
-				eng.run(t, g, pc.make(g, 4), sources, tr, 0)
+				eng.run(t, g, pc.make(g, 4), sources, tr)
 				events := requireComplete(t, tr)
 				if err := obs.CheckRoundBounds(events, h); err != nil {
 					t.Fatal(err)
@@ -115,7 +114,7 @@ func TestBackwardReversalSymmetry(t *testing.T) {
 	for _, eng := range tracedEngines {
 		t.Run(eng.name, func(t *testing.T) {
 			tr := obs.NewTrace(traceCap, obs.LevelDetail)
-			eng.run(t, g, partition.EdgeCut(g, 4), sources, tr, 0)
+			eng.run(t, g, partition.EdgeCut(g, 4), sources, tr)
 			if err := obs.CheckReversal(requireComplete(t, tr)); err != nil {
 				t.Fatal(err)
 			}
@@ -125,13 +124,13 @@ func TestBackwardReversalSymmetry(t *testing.T) {
 
 // goldenEvents produces the canonical reference trace: a fixed small
 // graph through the arbitration-mode engine.
-func goldenEvents(t *testing.T, workers int) []obs.Event {
+func goldenEvents(t *testing.T) []obs.Event {
 	t.Helper()
 	g := gen.RMAT(5, 8, 3)
 	pt := partition.CartesianCut(g, 2)
 	sources := brandes.FirstKSources(g, 0, 8)
 	tr := obs.NewTrace(traceCap, obs.LevelDetail)
-	mrbcRunner(4)(t, g, pt, sources, tr, workers)
+	mrbcRunner(4)(t, g, pt, sources, tr)
 	return requireComplete(t, tr)
 }
 
@@ -145,14 +144,17 @@ func canonicalJSONL(t *testing.T, events []obs.Event) []byte {
 }
 
 // TestGoldenTraceDeterminism pins the canonical trace of a fixed run:
-// byte-identical across exchange worker-pool sizes 1, 2, 4, 8 and
-// equal to the checked-in fixture (regenerate with -update).
+// byte-identical at GOMAXPROCS 1, 2, 4, 8 (which size the cluster's
+// worker pool) and equal to the checked-in fixture (regenerate with
+// -update).
 func TestGoldenTraceDeterminism(t *testing.T) {
 	golden := filepath.Join("testdata", "golden_trace.jsonl")
-	base := canonicalJSONL(t, goldenEvents(t, 1))
-	for _, workers := range []int{2, 4, 8} {
-		if got := canonicalJSONL(t, goldenEvents(t, workers)); !bytes.Equal(got, base) {
-			t.Fatalf("canonical trace with %d workers differs from the 1-worker trace", workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := canonicalJSONL(t, goldenEvents(t))
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := canonicalJSONL(t, goldenEvents(t)); !bytes.Equal(got, base) {
+			t.Fatalf("canonical trace at GOMAXPROCS=%d differs from the GOMAXPROCS=1 trace", procs)
 		}
 	}
 	if *update {
@@ -178,7 +180,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 func TestPerturbedTraceFixtureFails(t *testing.T) {
 	perturbed := filepath.Join("testdata", "perturbed_trace.jsonl")
 	if *update {
-		events := obs.Canonical(goldenEvents(t, 1))
+		events := obs.Canonical(goldenEvents(t))
 		brokeFwd, brokeBack := false, false
 		for i := range events {
 			if events[i].Kind != obs.KindSend {
@@ -239,7 +241,7 @@ func TestSyncModesShareRoundStructure(t *testing.T) {
 	h := maxFiniteDistance(g, sources)
 	pt := partition.EdgeCut(g, 4)
 	tr := obs.NewTrace(traceCap, obs.LevelDetail)
-	mrbcRunner(6)(t, g, pt, sources, tr, 0)
+	mrbcRunner(6)(t, g, pt, sources, tr)
 	events := requireComplete(t, tr)
 	if err := obs.CheckRoundBounds(events, h); err != nil {
 		t.Fatal(err)
