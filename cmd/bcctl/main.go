@@ -280,11 +280,12 @@ func writeClusterTrace(path string, shipped []obs.Event, hosts int) error {
 		fmt.Printf("  recovery (itemized separately): %d retry msgs, %d retry bytes, %d redials\n",
 			cons.RetryMessages, cons.RetryBytes, cons.Redials)
 	}
-	_, blame := merge.CriticalPath(m.Events)
-	for i, hb := range blame {
-		if i >= 3 {
-			break
-		}
+	var rounds obs.RoundAccum
+	for _, e := range m.Events {
+		rounds.Observe(e)
+	}
+	blame := rounds.Report().Blame
+	for _, hb := range blame[:min(3, len(blame))] {
 		fmt.Printf("critical path: host %d bounded %d rounds (%.0f%% of bounded time)\n",
 			hb.Host, hb.Rounds, 100*hb.Share)
 	}

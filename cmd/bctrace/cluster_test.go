@@ -120,33 +120,39 @@ func TestMergeCLIRejectsPerturbedLink(t *testing.T) {
 	}
 }
 
-func TestCritCLIBlamesSlowHost(t *testing.T) {
+// TestRoundsCLIBlamesSlowHost reads one cluster run's per-host files
+// and their merge: the two reports are byte-identical, and every round
+// is charged its one exchange and blamed on the slow host.
+func TestRoundsCLIBlamesSlowHost(t *testing.T) {
 	dir := t.TempDir()
 	paths := writeHostFiles(t, dir, 3, 4)
 	merged := filepath.Join(dir, "m.jsonl")
 	if code, _, errOut := run(t, "merge", "-o", merged, paths[0], paths[1], paths[2]); code != 0 {
 		t.Fatalf("merge failed: %s", errOut)
 	}
-	code, out, errOut := run(t, "crit", merged)
+	code, out, errOut := run(t, "rounds", merged)
 	if code != 0 {
-		t.Fatalf("crit failed (%d): %s", code, errOut)
-	}
-	if !strings.Contains(out, "rounds attributed: 4") {
-		t.Fatalf("crit did not attribute every round:\n%s", out)
+		t.Fatalf("rounds failed (%d): %s", code, errOut)
 	}
 	// Host 2's compute is the longest every round, so it must head the
-	// blame table with all 4 rounds.
-	if !strings.Contains(out, "host 2       4 rounds") {
-		t.Fatalf("crit did not blame the slow host:\n%s", out)
+	// blame table with all 4 rounds; each round's wall is host 2's
+	// 30µs compute plus the one 30µs exchange every host recorded.
+	for _, want := range []string{
+		"rounds     4\n",
+		"wall.total 240µs\n",
+		"host 2       4 rounds",
+		"exchange.total 120µs\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rounds output missing %q:\n%s", want, out)
+		}
 	}
-	// crit over the raw per-host files must agree with crit over the
-	// merged file.
-	code, out2, errOut := run(t, "crit", paths[0], paths[1], paths[2])
+	code, out2, errOut := run(t, "rounds", paths[0], paths[1], paths[2])
 	if code != 0 {
-		t.Fatalf("crit on host files failed (%d): %s", code, errOut)
+		t.Fatalf("rounds on host files failed (%d): %s", code, errOut)
 	}
 	if out != out2 {
-		t.Fatalf("crit(merged) != crit(host files):\n%s\nvs\n%s", out, out2)
+		t.Fatalf("rounds(merged) != rounds(host files):\n%s\nvs\n%s", out, out2)
 	}
 }
 
@@ -203,8 +209,7 @@ func TestEverySubcommandReadsTornTraces(t *testing.T) {
 		{"check", func(p string) []string { return []string{"check", p} }},
 		{"diff", func(p string) []string { return []string{"diff", paths[0], p} }},
 		{"merge", func(p string) []string { return []string{"merge", "-check", "-o", out, p, paths[1]} }},
-		{"crit", func(p string) []string { return []string{"crit", p} }},
-		{"crit-files", func(p string) []string { return []string{"crit", p, paths[1]} }},
+		{"rounds-files", func(p string) []string { return []string{"rounds", p, paths[1]} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, want, errOut := run(t, tc.args(paths[0])...)

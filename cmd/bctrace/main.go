@@ -1,26 +1,26 @@
 // Command bctrace analyzes recorded execution traces (the JSONL files
-// bcbench -obs and the obs.WriteJSONL API produce) offline: volume
-// accounting, load imbalance, per-round latency, invariant checking,
-// and canonical comparison of two runs.
+// the obs.WriteJSONL API and bcctl -trace/-cluster-trace produce)
+// offline: volume accounting, load imbalance, per-round latency and
+// critical-path blame, invariant checking, and canonical comparison of
+// two runs.
 //
 // Usage:
 //
 //	bctrace summary trace.jsonl [more.jsonl ...]
 //	bctrace imbalance trace.jsonl [more.jsonl ...]
-//	bctrace rounds [-overlap] trace.jsonl
+//	bctrace rounds trace.jsonl [more.jsonl ...]
 //	bctrace check [-H max-distance] trace.jsonl
 //	bctrace diff a.jsonl b.jsonl
 //	bctrace merge [-o merged.jsonl] [-check] host0.jsonl host1.jsonl ...
-//	bctrace crit [-top n] merged.jsonl   (or the per-host files)
 //
 // summary, imbalance, and rounds stream the traces through
 // obs.EventReader, so they handle detail traces far larger than
-// memory; check, diff, merge, and crit load whole files (their
-// invariants are global). summary and imbalance accept many per-host
-// files of one cluster run and report per-host breakdowns; merge
-// aligns per-host clocks on the exchange barriers and writes the one
-// deterministic cluster trace; crit attributes each round to the host
-// that bounded it.
+// memory; check, diff, and merge load whole files (their invariants
+// are global). All three streaming commands accept the per-host files
+// of one cluster run: summary and imbalance add per-host breakdowns,
+// and rounds reads a cluster run's per-host files exactly as it reads
+// their merge. merge aligns per-host clocks on the exchange barriers
+// and writes the one deterministic cluster trace.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"mrbc/internal/obs"
@@ -43,15 +44,15 @@ commands:
   summary    per-phase volume totals and encoding-format counts
              (many per-host files: adds a per-host breakdown)
   imbalance  per-host compute load and the max/mean imbalance ratio
-  rounds     per-round latency and the critical-path host
-             (-overlap adds exchange time vs. time hidden behind
-             pipelined compute per round)
+  rounds     per-round latency, critical-path blame, exchange time
+             vs. time hidden behind pipelined compute, and the
+             slowest rounds (a cluster run's per-host files or their
+             merge)
   check      verify the Lemma 8 round bounds and reversal symmetry
   diff       compare two traces canonically, report first divergence
   merge      align per-host trace clocks on the exchange barriers and
              write one deterministic cluster trace (-check proves
              conservation, pairing, and the global round bound)
-  crit       per-round critical-path attribution over a merged trace
 `)
 }
 
@@ -70,15 +71,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	case "imbalance":
 		return streamCmd(rest, stdout, stderr, runImbalance)
 	case "rounds":
-		return runRoundsCmd(rest, stdout, stderr)
+		return streamCmd(rest, stdout, stderr, runRounds)
 	case "check":
 		return runCheck(rest, stdout, stderr)
 	case "diff":
 		return runDiff(rest, stdout, stderr)
 	case "merge":
 		return runMerge(rest, stdout, stderr)
-	case "crit":
-		return runCrit(rest, stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stderr)
 		return 0
@@ -100,6 +99,10 @@ func streamCmd(args []string, stdout, stderr io.Writer, run func(*obs.EventReade
 	}
 	readers := make([]io.Reader, 0, len(args))
 	for _, path := range args {
+		if strings.HasPrefix(path, "-") {
+			fmt.Fprintf(stderr, "bctrace: unknown flag %s (this command takes only trace files)\n", path)
+			return 2
+		}
 		f, err := os.Open(path)
 		if err != nil {
 			fmt.Fprintln(stderr, "bctrace:", err)
@@ -219,20 +222,11 @@ func runImbalance(er *obs.EventReader, out io.Writer) error {
 	return nil
 }
 
-// runRoundsCmd parses rounds' flags and streams the trace.
-func runRoundsCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("bctrace rounds", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	overlap := fs.Bool("overlap", false, "additionally report per-round exchange time vs. the wait the pipelined exchange hid behind compute")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	return streamCmd(fs.Args(), stdout, stderr, func(er *obs.EventReader, out io.Writer) error {
-		return runRounds(er, out, *overlap)
-	})
-}
+// slowestRounds is how many rounds, ranked by bounding busy time,
+// rounds lists.
+const slowestRounds = 10
 
-func runRounds(er *obs.EventReader, out io.Writer, overlap bool) error {
+func runRounds(er *obs.EventReader, out io.Writer) error {
 	var a obs.RoundAccum
 	if _, err := drain(er, a.Observe); err != nil {
 		return err
@@ -242,28 +236,27 @@ func runRounds(er *obs.EventReader, out io.Writer, overlap bool) error {
 	// computes) carry round 0; they are work but not a BSP round, so
 	// report them separately and keep the round count aligned with
 	// Stats.Rounds.
-	if len(r.Rounds) > 0 && r.Rounds[0].Round == 0 {
-		setup := r.Rounds[0]
-		fmt.Fprintf(out, "setup      %s (outside any round)\n", time.Duration(setup.WallNs))
-		if setup.SlowHost >= 0 {
-			r.SlowestCount[setup.SlowHost]--
+	if len(r.Setup) > 0 {
+		var setupNs int64
+		for _, c := range r.Setup {
+			setupNs += c.WallNs
 		}
-		r.Rounds = r.Rounds[1:]
+		fmt.Fprintf(out, "setup      %s (outside any round)\n", time.Duration(setupNs))
 	}
 	if len(r.Rounds) == 0 {
 		return fmt.Errorf("trace carries no in-round phase events")
 	}
 	// Latency histogram over the standard duration buckets.
 	counts := make([]int, len(obs.DurationBuckets)+1)
-	var totalNs, maxNs int64
+	var totalNs, maxNs, exchNs, hiddenNs int64
 	for _, rc := range r.Rounds {
 		sec := float64(rc.WallNs) / 1e9
 		i := sort.SearchFloat64s(obs.DurationBuckets, sec)
 		counts[i]++
 		totalNs += rc.WallNs
-		if rc.WallNs > maxNs {
-			maxNs = rc.WallNs
-		}
+		maxNs = max(maxNs, rc.WallNs)
+		exchNs += rc.ExchangeNs
+		hiddenNs += rc.HiddenNs
 	}
 	fmt.Fprintf(out, "rounds     %d\n", len(r.Rounds))
 	fmt.Fprintf(out, "wall.total %s\n", time.Duration(totalNs))
@@ -280,34 +273,14 @@ func runRounds(er *obs.EventReader, out io.Writer, overlap bool) error {
 		}
 		fmt.Fprintf(out, "  le %-6s %d\n", bound+"s", c)
 	}
-	// Critical path: which host was slowest, how often.
-	hosts := make([]int32, 0, len(r.SlowestCount))
-	for h := range r.SlowestCount {
-		hosts = append(hosts, h)
+	fmt.Fprintln(out, "critical-path blame (rounds bounded):")
+	for _, hb := range r.Blame {
+		fmt.Fprintf(out, "  host %-4d %4d rounds  %-13s  %5.1f%%\n",
+			hb.Host, hb.Rounds, time.Duration(hb.BoundNs), 100*hb.Share)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	fmt.Fprintln(out, "critical-path host (rounds slowest):")
-	for _, h := range hosts {
-		fmt.Fprintf(out, "  host %-4d %d\n", h, r.SlowestCount[h])
-	}
-	if !overlap {
-		return nil
-	}
-	// Overlap: the exchange wall time each round kept on the critical
+	// Overlap: the exchange wall time the rounds kept on the critical
 	// path vs. the wait the pipelined exchange hid behind other batches'
-	// compute (HiddenNs; zero everywhere on non-pipelined traces).
-	fmt.Fprintln(out, "round  exchange      hidden        hidden-share")
-	var exchNs, hiddenNs int64
-	for _, rc := range r.Rounds {
-		exchNs += rc.ExchangeNs
-		hiddenNs += rc.HiddenNs
-		share := 0.0
-		if tot := rc.ExchangeNs + rc.HiddenNs; tot > 0 {
-			share = float64(rc.HiddenNs) / float64(tot)
-		}
-		fmt.Fprintf(out, "%-5d  %-12s  %-12s  %5.1f%%\n",
-			rc.Round, time.Duration(rc.ExchangeNs), time.Duration(rc.HiddenNs), 100*share)
-	}
+	// compute (zero on non-pipelined traces).
 	fmt.Fprintf(out, "exchange.total %s\n", time.Duration(exchNs))
 	fmt.Fprintf(out, "hidden.total   %s\n", time.Duration(hiddenNs))
 	eff := 0.0
@@ -315,6 +288,15 @@ func runRounds(er *obs.EventReader, out io.Writer, overlap bool) error {
 		eff = float64(hiddenNs) / float64(tot)
 	}
 	fmt.Fprintf(out, "overlap.efficiency %s\n", formatG(eff))
+	ranked := append([]obs.RoundCost(nil), r.Rounds...)
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].BoundNs > ranked[j].BoundNs })
+	ranked = ranked[:min(slowestRounds, len(ranked))]
+	fmt.Fprintln(out, "slowest rounds (epoch round host bound mean exchange hidden):")
+	for _, rc := range ranked {
+		fmt.Fprintf(out, "  %-3d %-5d %-4d %-13s %-13s %-13s %s\n",
+			rc.Epoch, rc.Round, rc.Host, time.Duration(rc.BoundNs),
+			time.Duration(rc.MeanNs), time.Duration(rc.ExchangeNs), time.Duration(rc.HiddenNs))
+	}
 	return nil
 }
 
@@ -350,7 +332,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if !detail {
-		fmt.Fprintln(stdout, "reversal skipped (phase-level trace; record with -obs for send events)")
+		fmt.Fprintln(stdout, "reversal skipped (phase-level trace; record at obs.LevelDetail through mrbcdist or sbbc Options.Trace for send events)")
 		return 0
 	}
 	if err := obs.CheckReversal(events); err != nil {
@@ -458,62 +440,6 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 	if err := m.Encode(w); err != nil {
 		fmt.Fprintln(stderr, "bctrace:", err)
 		return 1
-	}
-	return 0
-}
-
-// runCrit attributes each round of a merged cluster trace to the host
-// that bounded it. Given several files, they are merged in memory
-// first.
-func runCrit(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("bctrace crit", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	top := fs.Int("top", 10, "list the n slowest bounded rounds (0: none)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() < 1 {
-		fmt.Fprintln(stderr, "bctrace: crit expects a merged trace (or the per-host files)")
-		return 2
-	}
-	var events []obs.Event
-	if fs.NArg() == 1 {
-		evs, ok := loadTrace(fs.Arg(0), stderr)
-		if !ok {
-			return 1
-		}
-		events = evs
-	} else {
-		m, err := merge.MergeFiles(fs.Args())
-		if err != nil {
-			fmt.Fprintln(stderr, "bctrace:", err)
-			return 1
-		}
-		events = m.Events
-	}
-	rounds, blame := merge.CriticalPath(events)
-	if len(rounds) == 0 {
-		fmt.Fprintln(stderr, "bctrace: trace carries no per-host phase slices")
-		return 1
-	}
-	fmt.Fprintf(stdout, "rounds attributed: %d\n", len(rounds))
-	fmt.Fprintln(stdout, "critical-path blame (rounds bounded):")
-	for _, hb := range blame {
-		fmt.Fprintf(stdout, "  host %-4d %4d rounds  %-13s  %5.1f%%\n",
-			hb.Host, hb.Rounds, time.Duration(hb.BoundNs), 100*hb.Share)
-	}
-	if *top > 0 {
-		ranked := append([]merge.RoundBlame(nil), rounds...)
-		sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].HostNs > ranked[j].HostNs })
-		if *top < len(ranked) {
-			ranked = ranked[:*top]
-		}
-		fmt.Fprintln(stdout, "slowest rounds (epoch round host bound mean exchange):")
-		for _, rb := range ranked {
-			fmt.Fprintf(stdout, "  %-3d %-5d %-4d %-13s %-13s %s\n",
-				rb.Epoch, rb.Round, rb.Host, time.Duration(rb.HostNs),
-				time.Duration(rb.MeanNs), time.Duration(rb.ExchangeNs))
-		}
 	}
 	return 0
 }

@@ -96,7 +96,7 @@ func TestRoundsReportsEveryRound(t *testing.T) {
 	if !strings.Contains(out, fmt.Sprintf("rounds     %d\n", stats.Rounds)) {
 		t.Fatalf("rounds output disagrees with Stats.Rounds = %d:\n%s", stats.Rounds, out)
 	}
-	if !strings.Contains(out, "critical-path host") {
+	if !strings.Contains(out, "critical-path blame") {
 		t.Fatalf("rounds output lacks the critical-path table:\n%s", out)
 	}
 }
@@ -109,6 +109,13 @@ func TestCheckAcceptsRealTraceAndRejectsCorrupt(t *testing.T) {
 	}
 	if !strings.Contains(out, "round bounds ok") || !strings.Contains(out, "reversal symmetry ok") {
 		t.Fatalf("check output incomplete:\n%s", out)
+	}
+
+	// A phase-level trace carries no sends: check says how to record
+	// them.
+	code, out, errOut = run(t, "check", pipelineFixture)
+	if code != 0 || !strings.Contains(out, "reversal skipped (phase-level trace; record at obs.LevelDetail through mrbcdist or sbbc Options.Trace for send events)") {
+		t.Fatalf("check on a phase-level trace: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 
 	// Corrupt the trace: shrink one batch's recorded forward span so a
@@ -176,6 +183,9 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := run(t, "bogus"); code != 2 {
 		t.Fatal("unknown command did not exit 2")
+	}
+	if code, _, _ := run(t, "crit", "merged.jsonl"); code != 2 {
+		t.Fatal("the deleted crit command did not exit 2 as unknown")
 	}
 	if code, _, _ := run(t, "summary"); code != 2 {
 		t.Fatal("summary without a file did not exit 2")

@@ -36,16 +36,16 @@ func recordPipelineTrace(t *testing.T, path string) {
 	writeTrace(t, path, tr.Events())
 }
 
-// TestRoundsOverlapFixture drives `rounds -overlap` over the committed
-// pipelined fixture and checks the overlap table reproduces exactly
-// the totals a RoundAccum folds from the same file.
+// TestRoundsOverlapFixture drives `rounds` over the committed
+// pipelined fixture and checks its overlap totals and round count
+// reproduce exactly what a RoundAccum folds from the same file.
 func TestRoundsOverlapFixture(t *testing.T) {
 	if *update {
 		recordPipelineTrace(t, pipelineFixture)
 	}
-	code, out, errOut := run(t, "rounds", "-overlap", pipelineFixture)
+	code, out, errOut := run(t, "rounds", pipelineFixture)
 	if code != 0 {
-		t.Fatalf("rounds -overlap failed (%d): %s", code, errOut)
+		t.Fatalf("rounds failed (%d): %s", code, errOut)
 	}
 	var a obs.RoundAccum
 	for _, e := range mustLoad(t, pipelineFixture) {
@@ -54,25 +54,21 @@ func TestRoundsOverlapFixture(t *testing.T) {
 	r := a.Report()
 	var exchNs, hiddenNs int64
 	for _, rc := range r.Rounds {
-		if rc.Round == 0 {
-			continue // setup slice, trimmed from the table
-		}
 		exchNs += rc.ExchangeNs
 		hiddenNs += rc.HiddenNs
 	}
 	if hiddenNs <= 0 {
 		t.Fatal("pipelined fixture hid no exchange time; re-record it")
 	}
-	want := "overlap.efficiency " + formatG(float64(hiddenNs)/float64(exchNs+hiddenNs)) + "\n"
-	if !strings.Contains(out, want) {
-		t.Fatalf("overlap output missing %q:\n%s", want, out)
-	}
-	if !strings.Contains(out, "round  exchange      hidden") {
-		t.Fatalf("overlap output lacks the per-round table:\n%s", out)
-	}
-	// The plain rounds view on the same trace stays intact.
-	if !strings.Contains(out, "critical-path host") {
-		t.Fatalf("overlap mode dropped the base report:\n%s", out)
+	for _, want := range []string{
+		fmt.Sprintf("rounds     %d\n", len(r.Rounds)),
+		"overlap.efficiency " + formatG(float64(hiddenNs)/float64(exchNs+hiddenNs)) + "\n",
+		"critical-path blame (rounds bounded):\n",
+		"slowest rounds (epoch round host bound mean exchange hidden):\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rounds output missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -80,9 +76,9 @@ func TestRoundsOverlapFixture(t *testing.T) {
 // serial trace reports zero hidden time and zero overlap efficiency.
 func TestRoundsOverlapSerialTraceZero(t *testing.T) {
 	path, _ := recordRun(t)
-	code, out, errOut := run(t, "rounds", "-overlap", path)
+	code, out, errOut := run(t, "rounds", path)
 	if code != 0 {
-		t.Fatalf("rounds -overlap failed on a serial trace (%d): %s", code, errOut)
+		t.Fatalf("rounds failed on a serial trace (%d): %s", code, errOut)
 	}
 	if !strings.Contains(out, "hidden.total   0s\n") {
 		t.Fatalf("serial trace reported nonzero hidden time:\n%s", out)
@@ -92,34 +88,13 @@ func TestRoundsOverlapSerialTraceZero(t *testing.T) {
 	}
 }
 
-// TestRoundsWithoutOverlapFlagUnchanged guards the default view: no
-// overlap table unless asked for.
-func TestRoundsWithoutOverlapFlagUnchanged(t *testing.T) {
-	code, out, errOut := run(t, "rounds", pipelineFixture)
-	if code != 0 {
-		t.Fatalf("rounds failed (%d): %s", code, errOut)
-	}
-	for _, banned := range []string{"overlap.efficiency", "hidden.total"} {
-		if strings.Contains(out, banned) {
-			t.Fatalf("plain rounds output leaked %s:\n%s", banned, out)
+// TestRoundsTakesNoFlags: rounds always prints its whole report, so
+// the flags it once took are usage errors, not file names.
+func TestRoundsTakesNoFlags(t *testing.T) {
+	for _, flag := range []string{"-overlap", "-top"} {
+		code, _, errOut := run(t, "rounds", flag, pipelineFixture)
+		if code != 2 || !strings.Contains(errOut, "unknown flag "+flag) {
+			t.Fatalf("rounds %s: exit %d, stderr %q; want exit 2 naming the flag", flag, code, errOut)
 		}
 	}
-	if !strings.Contains(out, fmt.Sprintf("rounds     %d\n", countRounds(t))) {
-		t.Fatalf("rounds output disagrees with the fixture's own round count:\n%s", out)
-	}
-}
-
-func countRounds(t *testing.T) int {
-	t.Helper()
-	var a obs.RoundAccum
-	for _, e := range mustLoad(t, pipelineFixture) {
-		a.Observe(e)
-	}
-	n := 0
-	for _, rc := range a.Report().Rounds {
-		if rc.Round != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -29,9 +29,6 @@ type ElasticOptions struct {
 	// (the chaos suite interposes kill proxies on attempt 0 and passes
 	// later attempts through clean).
 	MapAddrs func(attempt int, addrs []string) ([]string, func(), error)
-	// Bus, when non-nil, receives membership events (host.down,
-	// host.replaced, cluster.rollback, cluster.resumed).
-	Bus *elastic.Bus
 }
 
 // ElasticReport describes how a RunElastic converged.
@@ -84,7 +81,6 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 				// the failed attempt's files are the postmortem artifact.
 				s.TracePath = fmt.Sprintf("%s.att%d", spec.TracePath, attempt)
 			}
-			opts.Bus.Publish(elastic.Event{Topic: elastic.TopicRollback, Batch: boundary, Epoch: s.Epoch})
 		}
 		runOpts := RunOptions{Timeout: opts.Timeout}
 		if opts.MapAddrs != nil {
@@ -111,9 +107,6 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 		}
 		victim, failed := identifyVictim(results, hostErrs)
 		if !failed {
-			if attempt > 0 {
-				opts.Bus.Publish(elastic.Event{Topic: elastic.TopicResumed, Batch: s.ResumeBatch, Epoch: s.Epoch})
-			}
 			agg, err := aggregate(results)
 			return agg, rep, err
 		}
@@ -123,14 +116,12 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 		rep.RecoveryBytes += db
 		rep.RecoveryMessages += dm
 		rep.Victims = append(rep.Victims, victim)
-		opts.Bus.Publish(elastic.Event{Topic: elastic.TopicHostDown, Host: victim, Epoch: s.Epoch})
 		if attempt+1 >= opts.MaxAttempts {
 			return nil, rep, fmt.Errorf("clusterrun: attempt %d lost host %d and no attempts remain", attempt+1, victim)
 		}
 		if _, err := c.ReplaceHost(victim); err != nil {
 			return nil, rep, fmt.Errorf("clusterrun: replace host %d: %w", victim, err)
 		}
-		opts.Bus.Publish(elastic.Event{Topic: elastic.TopicHostReplaced, Host: victim, Epoch: s.Epoch + 1})
 	}
 	return nil, rep, fmt.Errorf("clusterrun: no attempts remain") // unreachable
 }

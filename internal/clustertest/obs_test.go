@@ -110,20 +110,35 @@ func TestClusterShipTraceMergeProves(t *testing.T) {
 
 	// Critical-path attribution: every round names a real host, and the
 	// blame shares account for all bounded time.
-	rounds, blame := merge.CriticalPath(m.Events)
-	if len(rounds) == 0 {
+	var fold obs.RoundAccum
+	for _, e := range m.Events {
+		fold.Observe(e)
+	}
+	r := fold.Report()
+	if len(r.Rounds) == 0 {
 		t.Fatal("no rounds attributed")
 	}
-	for _, rb := range rounds {
-		if rb.Host < 0 || rb.Host >= hosts {
-			t.Fatalf("round %d blamed host %d (cluster has %d)", rb.Round, rb.Host, hosts)
+	for _, rc := range r.Rounds {
+		if rc.Host < 0 || int(rc.Host) >= hosts {
+			t.Fatalf("round %d blamed host %d (cluster has %d)", rc.Round, rc.Host, hosts)
 		}
-		if rb.HostNs < rb.MeanNs {
-			t.Fatalf("round %d: bound %d ns below the mean %d ns", rb.Round, rb.HostNs, rb.MeanNs)
+		if rc.BoundNs < rc.MeanNs {
+			t.Fatalf("round %d: bound %d ns below the mean %d ns", rc.Round, rc.BoundNs, rc.MeanNs)
 		}
 	}
+	// The unmerged per-host streams fold to the same rounds: each host's
+	// slice of an exchange is never added to another's.
+	var raw obs.RoundAccum
+	for _, ht := range traces {
+		for _, e := range ht.Events {
+			raw.Observe(e)
+		}
+	}
+	if n := len(raw.Report().Rounds); n != len(r.Rounds) {
+		t.Fatalf("per-host streams fold to %d rounds, the merge to %d", n, len(r.Rounds))
+	}
 	var share float64
-	for _, hb := range blame {
+	for _, hb := range r.Blame {
 		share += hb.Share
 	}
 	if math.Abs(share-1) > 1e-9 {

@@ -230,44 +230,3 @@ func TestFileSinkCorruptFileSurfacesError(t *testing.T) {
 		t.Fatalf("corrupt stored snapshot decoded with err=%v, want ErrCorrupt", err)
 	}
 }
-
-func TestBusPublishSubscribe(t *testing.T) {
-	bus := NewBus()
-	all, cancelAll := bus.Subscribe("", 8)
-	defer cancelAll()
-	down, cancelDown := bus.Subscribe(TopicHostDown, 8)
-	defer cancelDown()
-
-	bus.Publish(Event{Topic: TopicHostDown, Host: 2, Epoch: 1})
-	bus.Publish(Event{Topic: TopicResumed, Batch: 4, Epoch: 2})
-
-	if e := <-down; e.Host != 2 || e.Topic != TopicHostDown {
-		t.Fatalf("topic subscription got %+v", e)
-	}
-	if len(down) != 0 {
-		t.Fatal("topic subscription leaked a foreign event")
-	}
-	if e := <-all; e.Topic != TopicHostDown {
-		t.Fatalf("catch-all got %+v first", e)
-	}
-	if e := <-all; e.Topic != TopicResumed || e.Batch != 4 {
-		t.Fatalf("catch-all got %+v second", e)
-	}
-
-	cancelDown()
-	bus.Publish(Event{Topic: TopicHostDown, Host: 3})
-	if e := <-all; e.Host != 3 {
-		t.Fatalf("publish after unsubscribe lost the event for others: %+v", e)
-	}
-
-	// A nil bus and a full buffer must both be non-blocking.
-	var nilBus *Bus
-	nilBus.Publish(Event{Topic: TopicHostDown})
-	tiny, cancelTiny := bus.Subscribe(TopicCheckpoint, 1)
-	defer cancelTiny()
-	bus.Publish(Event{Topic: TopicCheckpoint, Batch: 1})
-	bus.Publish(Event{Topic: TopicCheckpoint, Batch: 2}) // dropped, not deadlocked
-	if e := <-tiny; e.Batch != 1 {
-		t.Fatalf("buffered event = %+v", e)
-	}
-}

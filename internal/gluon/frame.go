@@ -7,11 +7,11 @@ import (
 	"hash/crc32"
 )
 
-// Frame layer: the unit of transmission of the fault-tolerant exchange
-// path (internal/dgalois). Every sync buffer travels inside a frame
-// carrying a per-channel sequence number and a checksum, so the
-// transport can detect truncation and bit corruption, discard
-// duplicates, and acknowledge exactly the messages that arrived intact.
+// Frame layer: the record format of the TCP transport (tcp.go). Every
+// data and control record travels inside a frame carrying a
+// per-channel sequence number and a checksum, so the transport can
+// detect truncation and bit corruption, discard duplicates, and
+// acknowledge exactly the records that arrived intact.
 //
 // Wire layout (little-endian):
 //

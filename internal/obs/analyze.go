@@ -3,11 +3,11 @@ package obs
 import "sort"
 
 // This file holds the trace-analysis accumulators behind cmd/bctrace:
-// per-host load imbalance, per-round latency and critical path, and
-// canonical-trace comparison. The accumulators consume events one at a
-// time (feed them from an EventReader) so detail traces far larger
-// than memory stream through; their working state is bounded by
-// rounds × hosts, not by event count.
+// per-host load imbalance, per-round latency and critical-path blame,
+// and canonical-trace comparison. The accumulators consume events one
+// at a time (feed them from an EventReader) so detail traces far
+// larger than memory stream through; their working state is bounded
+// by rounds × hosts, not by event count.
 
 // HostLoad is one host's total compute time over a trace.
 type HostLoad struct {
@@ -102,42 +102,71 @@ func (a *ImbalanceAccum) Report() ImbalanceReport {
 	return r
 }
 
-// RoundCost summarizes one BSP round's critical path.
+// RoundCost summarizes one BSP round, keyed by (Epoch, Round).
+//
+// A cluster trace holds one slice of every exchange per recording
+// host (the event's origin), all measuring the same barrier interval,
+// so the round's wall time is taken per origin and never summed across
+// origins: the sum over the origin's compute dispatches of the slowest
+// host slice, plus the origin's exchange slices. WallNs is the largest
+// origin's value; ExchangeNs and HiddenNs come from that same origin.
+// An in-process trace has the one origin 0.
 type RoundCost struct {
-	Round int32
-	// WallNs approximates the round's wall time: the sum over its
-	// compute dispatches of the slowest host's slice, plus its exchange
-	// slices.
-	WallNs int64
-	// ExchangeNs sums the round's exchange slices; HiddenNs is the part
-	// of that wait the pipelined exchange hid behind compute (0 on
-	// non-pipelined traces).
+	Epoch, Round int32
+	WallNs       int64
+	// ExchangeNs sums the bounding origin's exchange slices; HiddenNs
+	// is the part of that wait the pipelined exchange hid behind
+	// compute (0 on non-pipelined traces).
 	ExchangeNs int64
 	HiddenNs   int64
-	// SlowHost is the host with the most compute time in the round
-	// (the round's critical-path host); SlowNs is that time.
-	SlowHost int32
-	SlowNs   int64
+	// Host bounded the round: it had the largest busy time
+	// (compute+pack+unpack), BoundNs; ties go to the lowest host, and
+	// -1 means no host recorded a slice. MeanNs is the mean busy time
+	// over the round's hosts; BoundNs/MeanNs is the round's imbalance.
+	Host    int32
+	BoundNs int64
+	MeanNs  int64
 }
 
-// RoundReport aggregates per-round latency.
+// HostBound aggregates one host's bounded rounds over a trace.
+type HostBound struct {
+	Host    int32
+	Rounds  int
+	BoundNs int64
+	// Share is BoundNs over every bounded round's BoundNs.
+	Share float64
+}
+
+// RoundReport aggregates per-round latency and critical-path blame.
 type RoundReport struct {
-	Rounds []RoundCost // ascending round order
-	// SlowestCount maps host -> number of rounds it was the
-	// critical-path host.
-	SlowestCount map[int32]int
+	// Setup holds each epoch's round 0: per-batch setup phases recorded
+	// before the first BSP round. It is work, but not a round, and is
+	// never blamed.
+	Setup []RoundCost
+	// Rounds lists rounds ≥ 1 in ascending (epoch, round) order.
+	Rounds []RoundCost
+	// Blame ranks hosts by rounds bounded, then bounded time, then
+	// host.
+	Blame []HostBound
 }
 
-type roundAgg struct {
+type roundKey struct{ epoch, round int32 }
+
+// originWall is one origin's view of a round's wall time.
+type originWall struct {
 	computeMax map[int64]int64 // seq -> max host slice
 	exchangeNs int64
 	hiddenNs   int64
-	hostNs     map[int32]int64
+}
+
+type roundAgg struct {
+	origins map[int32]*originWall
+	busyNs  map[int32]int64 // host -> compute+pack+unpack
 }
 
 // RoundAccum folds phase events into a RoundReport.
 type RoundAccum struct {
-	rounds map[int32]*roundAgg
+	rounds map[roundKey]*roundAgg
 }
 
 // Observe folds one event (non-phase events are ignored).
@@ -146,44 +175,113 @@ func (a *RoundAccum) Observe(e Event) {
 		return
 	}
 	if a.rounds == nil {
-		a.rounds = make(map[int32]*roundAgg)
+		a.rounds = make(map[roundKey]*roundAgg)
 	}
-	g := a.rounds[e.Round]
+	k := roundKey{e.Epoch, e.Round}
+	g := a.rounds[k]
 	if g == nil {
-		g = &roundAgg{computeMax: make(map[int64]int64), hostNs: make(map[int32]int64)}
-		a.rounds[e.Round] = g
+		g = &roundAgg{origins: make(map[int32]*originWall), busyNs: make(map[int32]int64)}
+		a.rounds[k] = g
+	}
+	o := g.origins[e.Origin]
+	if o == nil {
+		o = &originWall{computeMax: make(map[int64]int64)}
+		g.origins[e.Origin] = o
 	}
 	switch e.Phase {
 	case PhaseCompute:
-		g.computeMax[e.Seq] = max(g.computeMax[e.Seq], e.DurNs)
-		g.hostNs[e.Host] += e.DurNs
+		o.computeMax[e.Seq] = max(o.computeMax[e.Seq], e.DurNs)
 	case PhaseExchange:
-		g.exchangeNs += e.DurNs
-		g.hiddenNs += e.HiddenNs
+		o.exchangeNs += e.DurNs
+		o.hiddenNs += e.HiddenNs
+	}
+	switch e.Phase {
+	case PhaseCompute, PhasePack, PhaseUnpack:
+		if e.Host >= 0 {
+			g.busyNs[e.Host] += e.DurNs
+		}
 	}
 }
 
 // Report computes the aggregate.
 func (a *RoundAccum) Report() RoundReport {
-	r := RoundReport{SlowestCount: make(map[int32]int)}
-	for round, g := range a.rounds {
-		c := RoundCost{Round: round, WallNs: g.exchangeNs,
-			ExchangeNs: g.exchangeNs, HiddenNs: g.hiddenNs, SlowHost: -1}
-		for _, d := range g.computeMax {
-			c.WallNs += d
+	keys := make([]roundKey, 0, len(a.rounds))
+	for k := range a.rounds {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].epoch != keys[j].epoch {
+			return keys[i].epoch < keys[j].epoch
 		}
-		for h, ns := range g.hostNs {
-			if ns > c.SlowNs || (ns == c.SlowNs && (c.SlowHost == -1 || h < c.SlowHost)) {
-				c.SlowHost, c.SlowNs = h, ns
-			}
+		return keys[i].round < keys[j].round
+	})
+	var r RoundReport
+	blame := make(map[int32]*HostBound)
+	var totalBound int64
+	for _, k := range keys {
+		c := a.rounds[k].cost(k)
+		if k.round == 0 {
+			r.Setup = append(r.Setup, c)
+			continue
 		}
 		r.Rounds = append(r.Rounds, c)
-		if c.SlowHost >= 0 {
-			r.SlowestCount[c.SlowHost]++
+		if c.Host < 0 {
+			continue
+		}
+		hb := blame[c.Host]
+		if hb == nil {
+			hb = &HostBound{Host: c.Host}
+			blame[c.Host] = hb
+		}
+		hb.Rounds++
+		hb.BoundNs += c.BoundNs
+		totalBound += c.BoundNs
+	}
+	for _, hb := range blame {
+		if totalBound > 0 {
+			hb.Share = float64(hb.BoundNs) / float64(totalBound)
+		}
+		r.Blame = append(r.Blame, *hb)
+	}
+	sort.Slice(r.Blame, func(i, j int) bool {
+		x, y := r.Blame[i], r.Blame[j]
+		if x.Rounds != y.Rounds {
+			return x.Rounds > y.Rounds
+		}
+		if x.BoundNs != y.BoundNs {
+			return x.BoundNs > y.BoundNs
+		}
+		return x.Host < y.Host
+	})
+	return r
+}
+
+// cost folds one round: the bounding origin's wall time and the
+// bounding host's busy time, ties to the lowest origin and host.
+func (g *roundAgg) cost(k roundKey) RoundCost {
+	c := RoundCost{Epoch: k.epoch, Round: k.round, Host: -1}
+	best := int32(-1)
+	for origin, o := range g.origins {
+		wall := o.exchangeNs
+		for _, d := range o.computeMax {
+			wall += d
+		}
+		if best < 0 || wall > c.WallNs || (wall == c.WallNs && origin < best) {
+			best = origin
+			c.WallNs, c.ExchangeNs, c.HiddenNs = wall, o.exchangeNs, o.hiddenNs
 		}
 	}
-	sort.Slice(r.Rounds, func(i, j int) bool { return r.Rounds[i].Round < r.Rounds[j].Round })
-	return r
+	var sum int64
+	for h, ns := range g.busyNs {
+		sum += ns
+		if c.Host < 0 || ns > c.BoundNs || (ns == c.BoundNs && h < c.Host) {
+			c.Host, c.BoundNs = h, ns
+		}
+	}
+	if n := int64(len(g.busyNs)); n > 0 {
+		c.MeanNs = sum / n
+	}
+	return c
 }
 
 // Divergence is the result of comparing two canonical traces.

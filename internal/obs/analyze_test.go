@@ -51,12 +51,12 @@ func TestImbalanceAccumEmpty(t *testing.T) {
 func TestRoundAccumReport(t *testing.T) {
 	events := []Event{
 		// Round 1: one dispatch (max 30) + exchange 5 -> wall 35; host 0
-		// is the critical path.
+		// is the critical path, busy 30 against a mean of 20.
 		{Kind: KindPhase, Seq: 1, Round: 1, Host: 0, Phase: PhaseCompute, DurNs: 30},
 		{Kind: KindPhase, Seq: 1, Round: 1, Host: 1, Phase: PhaseCompute, DurNs: 10},
 		{Kind: KindPhase, Seq: 2, Round: 1, Host: -1, Phase: PhaseExchange, DurNs: 5},
 		// Round 2: two dispatches (max 10 and 20) -> wall 30; host 1 has
-		// the larger total (25 vs 5).
+		// the larger total (30 vs 5; mean 17).
 		{Kind: KindPhase, Seq: 3, Round: 2, Host: 0, Phase: PhaseCompute, DurNs: 5},
 		{Kind: KindPhase, Seq: 3, Round: 2, Host: 1, Phase: PhaseCompute, DurNs: 10},
 		{Kind: KindPhase, Seq: 4, Round: 2, Host: 1, Phase: PhaseCompute, DurNs: 20},
@@ -69,14 +69,101 @@ func TestRoundAccumReport(t *testing.T) {
 	if len(r.Rounds) != 2 {
 		t.Fatalf("rounds = %+v", r.Rounds)
 	}
-	if r.Rounds[0] != (RoundCost{Round: 1, WallNs: 35, ExchangeNs: 5, SlowHost: 0, SlowNs: 30}) {
+	if r.Rounds[0] != (RoundCost{Round: 1, WallNs: 35, ExchangeNs: 5, Host: 0, BoundNs: 30, MeanNs: 20}) {
 		t.Fatalf("round 1 = %+v", r.Rounds[0])
 	}
-	if r.Rounds[1] != (RoundCost{Round: 2, WallNs: 30, SlowHost: 1, SlowNs: 30}) {
+	if r.Rounds[1] != (RoundCost{Round: 2, WallNs: 30, Host: 1, BoundNs: 30, MeanNs: 17}) {
 		t.Fatalf("round 2 = %+v", r.Rounds[1])
 	}
-	if r.SlowestCount[0] != 1 || r.SlowestCount[1] != 1 {
-		t.Fatalf("slowest counts = %+v", r.SlowestCount)
+	if len(r.Blame) != 2 || r.Blame[0] != (HostBound{Host: 0, Rounds: 1, BoundNs: 30, Share: 0.5}) ||
+		r.Blame[1] != (HostBound{Host: 1, Rounds: 1, BoundNs: 30, Share: 0.5}) {
+		t.Fatalf("blame = %+v", r.Blame)
+	}
+}
+
+// TestRoundAccumCountsEachExchangeOnce folds three origins that each
+// recorded their slice of one exchange: the round's exchange is the
+// bounding origin's 30 ns, not the 60 ns sum.
+func TestRoundAccumCountsEachExchangeOnce(t *testing.T) {
+	var events []Event
+	for h, ex := range []int64{10, 20, 30} {
+		events = append(events,
+			Event{Kind: KindPhase, Seq: 1, Round: 1, Host: int32(h), Phase: PhaseCompute, DurNs: 5, Origin: int32(h) + 1},
+			Event{Kind: KindPhase, Seq: 2, Round: 1, Host: -1, Phase: PhaseExchange, DurNs: ex, HiddenNs: ex / 10, Origin: int32(h) + 1})
+	}
+	var a RoundAccum
+	feedAll(events, &a)
+	r := a.Report()
+	if len(r.Rounds) != 1 {
+		t.Fatalf("rounds = %+v", r.Rounds)
+	}
+	if c := r.Rounds[0]; c.WallNs != 35 || c.ExchangeNs != 30 || c.HiddenNs != 3 {
+		t.Fatalf("round = %+v, want wall 35, exchange 30, hidden 3 (origin 3's)", c)
+	}
+}
+
+// TestRoundAccumSeparatesEpochs folds two epochs that reuse round
+// numbers: each (epoch, round) is its own round, and each epoch's
+// round 0 is setup.
+func TestRoundAccumSeparatesEpochs(t *testing.T) {
+	var events []Event
+	for ep := int32(0); ep < 2; ep++ {
+		for round := int32(0); round < 3; round++ {
+			events = append(events, Event{Kind: KindPhase, Seq: int64(round), Round: round, Epoch: ep,
+				Host: 0, Phase: PhaseCompute, DurNs: int64(10*ep + round), Origin: 1})
+		}
+	}
+	var a RoundAccum
+	feedAll(events, &a)
+	r := a.Report()
+	if len(r.Setup) != 2 || len(r.Rounds) != 4 {
+		t.Fatalf("setup %+v, rounds %+v; want 2 setups and 4 rounds", r.Setup, r.Rounds)
+	}
+	for i, want := range []RoundCost{
+		{Epoch: 0, Round: 1, WallNs: 1, Host: 0, BoundNs: 1, MeanNs: 1},
+		{Epoch: 0, Round: 2, WallNs: 2, Host: 0, BoundNs: 2, MeanNs: 2},
+		{Epoch: 1, Round: 1, WallNs: 11, Host: 0, BoundNs: 11, MeanNs: 11},
+		{Epoch: 1, Round: 2, WallNs: 12, Host: 0, BoundNs: 12, MeanNs: 12},
+	} {
+		if r.Rounds[i] != want {
+			t.Fatalf("round %d = %+v, want %+v", i, r.Rounds[i], want)
+		}
+	}
+}
+
+// TestRoundAccumBusyTimeCountsPackAndUnpack blames the host whose
+// pack and unpack outweigh another host's larger compute.
+func TestRoundAccumBusyTimeCountsPackAndUnpack(t *testing.T) {
+	events := []Event{
+		{Kind: KindPhase, Seq: 1, Round: 1, Host: 0, Phase: PhaseCompute, DurNs: 30},
+		{Kind: KindPhase, Seq: 1, Round: 1, Host: 1, Phase: PhaseCompute, DurNs: 20},
+		{Kind: KindPhase, Seq: 2, Round: 1, Host: 1, Phase: PhasePack, DurNs: 8},
+		{Kind: KindPhase, Seq: 3, Round: 1, Host: 1, Phase: PhaseUnpack, DurNs: 8},
+		{Kind: KindPhase, Seq: 2, Round: 1, Host: -1, Phase: PhaseExchange, DurNs: 40},
+	}
+	var a RoundAccum
+	feedAll(events, &a)
+	c := a.Report().Rounds[0]
+	if c.Host != 1 || c.BoundNs != 36 || c.MeanNs != 33 || c.WallNs != 70 {
+		t.Fatalf("round = %+v, want host 1 bound 36, mean 33, wall 70", c)
+	}
+}
+
+// TestRoundAccumNeverBlamesSetup keeps round 0 out of the blame table.
+func TestRoundAccumNeverBlamesSetup(t *testing.T) {
+	events := []Event{
+		{Kind: KindPhase, Seq: 1, Round: 0, Host: 0, Phase: PhaseCompute, DurNs: 500},
+		{Kind: KindPhase, Seq: 2, Round: 1, Host: 0, Phase: PhaseCompute, DurNs: 5},
+		{Kind: KindPhase, Seq: 2, Round: 1, Host: 1, Phase: PhaseCompute, DurNs: 7},
+	}
+	var a RoundAccum
+	feedAll(events, &a)
+	r := a.Report()
+	if len(r.Setup) != 1 || r.Setup[0].WallNs != 500 || len(r.Rounds) != 1 {
+		t.Fatalf("setup %+v, rounds %+v", r.Setup, r.Rounds)
+	}
+	if len(r.Blame) != 1 || r.Blame[0] != (HostBound{Host: 1, Rounds: 1, BoundNs: 7, Share: 1}) {
+		t.Fatalf("blame = %+v, want host 1 alone", r.Blame)
 	}
 }
 

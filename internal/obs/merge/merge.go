@@ -2,9 +2,11 @@
 // a single, deterministically ordered cluster trace, and provides the
 // cross-host checkers that only make sense on the merged view:
 // conservation (bytes/messages host i sent to j equal what j received,
-// per round and per encoding), send/recv pairing across processes, and
-// per-round critical-path attribution. The Lemma 8 round bound is
-// obs.CheckRoundBounds, which checks a merged trace epoch by epoch.
+// per round and per encoding) and send/recv pairing across processes.
+// The Lemma 8 round bound is obs.CheckRoundBounds, which checks a
+// merged trace epoch by epoch; per-round latency and critical-path
+// blame are obs.RoundAccum, which reads a merged trace and the
+// per-host files it came from alike.
 //
 // Clock model: each bcd process timestamps events against its own
 // monotonic epoch, so raw per-host timelines are mutually unaligned.

@@ -366,31 +366,37 @@ func TestEpochRollbackAccounting(t *testing.T) {
 	}
 }
 
-func TestCriticalPathBlamesSlowHost(t *testing.T) {
+// TestRoundAccumBlamesSlowHostOnMerge folds a merged trace: every
+// round keeps its one exchange (each host recorded a slice of it) and
+// blames the slowest host.
+func TestRoundAccumBlamesSlowHostOnMerge(t *testing.T) {
 	// synthRun gives host h compute time ∝ (h+1): the last host always
 	// bounds every round.
 	m, err := Merge(synthIdentRun(t, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, blame := CriticalPath(m.Events)
-	if len(rounds) != 4 {
-		t.Fatalf("attributed %d rounds, want 4", len(rounds))
+	var a obs.RoundAccum
+	for _, e := range m.Events {
+		a.Observe(e)
 	}
-	for _, rb := range rounds {
-		if rb.Host != 2 {
-			t.Fatalf("round %d blamed host %d, want 2", rb.Round, rb.Host)
+	r := a.Report()
+	if len(r.Rounds) != 4 || len(r.Setup) != 0 {
+		t.Fatalf("folded %d rounds and %d setups, want 4 and 0", len(r.Rounds), len(r.Setup))
+	}
+	for _, rc := range r.Rounds {
+		if rc.Host != 2 {
+			t.Fatalf("round %d blamed host %d, want 2", rc.Round, rc.Host)
 		}
-		if rb.HostNs <= rb.MeanNs {
-			t.Fatalf("round %d: bound %dns not above mean %dns", rb.Round, rb.HostNs, rb.MeanNs)
+		if rc.BoundNs <= rc.MeanNs {
+			t.Fatalf("round %d: bound %dns not above mean %dns", rc.Round, rc.BoundNs, rc.MeanNs)
 		}
-		if rb.ExchangeNs <= 0 || rb.Hosts != 3 {
-			t.Fatalf("round %d: exchange=%dns hosts=%d", rb.Round, rb.ExchangeNs, rb.Hosts)
+		if rc.ExchangeNs != 30_000 {
+			t.Fatalf("round %d: exchange %dns, want the one 30000ns exchange", rc.Round, rc.ExchangeNs)
 		}
 	}
-	if len(blame) == 0 || blame[0].Host != 2 || blame[0].Rounds != 4 ||
-		blame[0].Share <= 0.33 {
-		t.Fatalf("blame ranking = %+v", blame)
+	if len(r.Blame) != 1 || r.Blame[0].Host != 2 || r.Blame[0].Rounds != 4 || r.Blame[0].Share != 1 {
+		t.Fatalf("blame ranking = %+v", r.Blame)
 	}
 }
 
