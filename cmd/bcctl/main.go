@@ -79,7 +79,7 @@ func run() error {
 		killAfter = flag.Duration("kill-after", 500*time.Millisecond, "chaos: delay before -kill-host fires")
 		deadline  = flag.Int("deadline-steps", 0, "transport stall deadline in reliability steps (0: gluon default)")
 		serveAddr = flag.String("serve", "", "serve live cluster progress (/clusterz) on this address while the job runs")
-		ctrace    = flag.String("cluster-trace", "", "ship every host's trace, merge + check them, and write the cluster trace here")
+		ctrace    = flag.String("cluster-trace", "", "merge + check every host's trace file, and write the cluster trace here")
 	)
 	flag.Parse()
 	if *killHost >= 0 {
@@ -146,12 +146,19 @@ func run() error {
 		Sources:       sources,
 		BatchSize:     *batch,
 		TracePath:     *tracePref,
-		ShipTrace:     *ctrace != "",
 		DeadlineSteps: *deadline,
+	}
+	if *ctrace != "" && spec.TracePath == "" {
+		dir, err := os.MkdirTemp("", "bcctl-trace-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		spec.TracePath = filepath.Join(dir, "trace")
 	}
 	start := time.Now()
 	var agg *clusterrun.Aggregate
-	var shipped []obs.Event
+	attempts := 1
 	if *elasticOn {
 		dir := *ckptDir
 		if dir == "" {
@@ -178,33 +185,20 @@ func run() error {
 		var rep *clusterrun.ElasticReport
 		agg, rep, err = cluster.RunElastic(spec, clusterrun.ElasticOptions{Timeout: *timeout})
 		if rep != nil && rep.Attempts > 1 {
+			attempts = rep.Attempts
 			fmt.Printf("elastic: %d attempts, victims %v, resumed from batches %v, %d recovery bytes / %d recovery msgs discarded\n",
 				rep.Attempts, rep.Victims, rep.ResumeBatches, rep.RecoveryBytes, rep.RecoveryMessages)
 		}
-		if rep != nil {
-			shipped = rep.ShippedTraces
-		}
 	} else {
 		agg, err = cluster.Run(spec, clusterrun.RunOptions{Timeout: *timeout})
-		if agg != nil {
-			for _, res := range agg.PerHost {
-				shipped = append(shipped, res.Trace...)
-			}
-		}
 	}
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	for _, res := range agg.PerHost {
-		if res.TraceDropped > 0 {
-			fmt.Fprintf(os.Stderr, "bcctl: warning: host %d's trace ring dropped %d events: merged-trace checks (conservation, pairing, round bound) are unsound\n",
-				res.Host, res.TraceDropped)
-		}
-	}
 
 	if *ctrace != "" {
-		if err := writeClusterTrace(*ctrace, shipped, *hosts); err != nil {
+		if err := writeClusterTrace(*ctrace, clusterrun.TraceFiles(spec.TracePath, attempts, *hosts)); err != nil {
 			return err
 		}
 	}
@@ -232,34 +226,21 @@ func run() error {
 	return nil
 }
 
-// writeClusterTrace merges the shipped per-host streams into one
-// cluster trace, proves it (conservation on the converged epoch,
+// writeClusterTrace merges the per-host trace files of every attempt
+// into one cluster trace, proves its final epoch (conservation,
 // send/recv pairing, the global Lemma 8 bound), writes it, and prints
-// the conservation totals and the critical-path attribution.
-func writeClusterTrace(path string, shipped []obs.Event, hosts int) error {
-	if len(shipped) == 0 {
-		return fmt.Errorf("-cluster-trace: no trace events shipped (did every host fail?)")
+// the conservation totals, the committed and discarded volume and the
+// critical-path attribution.
+func writeClusterTrace(path string, files []string) error {
+	if len(files) == 0 {
+		return fmt.Errorf("-cluster-trace: no host opened a trace file")
 	}
-	traces, err := merge.SplitEvents(shipped, hosts)
+	m, err := merge.MergeFiles(files)
 	if err != nil {
 		return err
 	}
-	m, err := merge.Merge(traces)
+	fin, cons, err := m.CheckFinalEpoch()
 	if err != nil {
-		return err
-	}
-	// The converged epoch must prove out exactly; earlier epochs died
-	// mid-exchange and legitimately carry unpaired links.
-	fin := merge.FinalEpoch(m.Events)
-	evs := merge.EpochEvents(m.Events, fin)
-	cons, err := merge.CheckConservation(evs)
-	if err != nil {
-		return fmt.Errorf("cluster trace: %w", err)
-	}
-	if err := merge.CheckPairing(evs); err != nil {
-		return fmt.Errorf("cluster trace: %w", err)
-	}
-	if err := obs.CheckRoundBounds(evs, 0); err != nil {
 		return fmt.Errorf("cluster trace: %w", err)
 	}
 	f, err := os.Create(path)
@@ -273,13 +254,14 @@ func writeClusterTrace(path string, shipped []obs.Event, hosts int) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("cluster trace: %d events over %d hosts -> %s\n", len(m.Events), m.Hosts, path)
+	fmt.Printf("cluster trace: %d events over %d hosts from %d files -> %s\n", len(m.Events), m.Hosts, len(files), path)
 	fmt.Printf("conservation: %d links, %d bytes, %d messages conserved exactly (epoch %d)\n",
 		cons.Links, cons.Bytes, cons.Messages, fin)
 	if cons.RetryBytes > 0 || cons.Redials > 0 {
 		fmt.Printf("  recovery (itemized separately): %d retry msgs, %d retry bytes, %d redials\n",
 			cons.RetryMessages, cons.RetryBytes, cons.Redials)
 	}
+	m.Report.WriteSummary(os.Stdout)
 	var rounds obs.RoundAccum
 	for _, e := range m.Events {
 		rounds.Observe(e)

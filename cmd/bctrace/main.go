@@ -396,19 +396,9 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *check {
-		fin := merge.FinalEpoch(m.Events)
-		evs := merge.EpochEvents(m.Events, fin)
-		cons, err := merge.CheckConservation(evs)
+		fin, cons, err := m.CheckFinalEpoch()
 		if err != nil {
-			fmt.Fprintln(stderr, "bctrace: conservation:", err)
-			return 1
-		}
-		if err := merge.CheckPairing(evs); err != nil {
-			fmt.Fprintln(stderr, "bctrace: pairing:", err)
-			return 1
-		}
-		if err := obs.CheckRoundBounds(evs, 0); err != nil {
-			fmt.Fprintln(stderr, "bctrace: round bounds:", err)
+			fmt.Fprintln(stderr, "bctrace:", err)
 			return 1
 		}
 		fmt.Fprintf(stderr, "check ok: %d links, %d bytes, %d messages conserved exactly (epoch %d)\n",
@@ -425,17 +415,7 @@ func runMerge(args []string, stdout, stderr io.Writer) int {
 		w = f
 		fmt.Fprintf(stdout, "merged %d events from %d hosts (epochs %v) -> %s\n",
 			len(m.Events), m.Report.Hosts, m.Report.Epochs, *out)
-		if m.Report.DedupedBatches > 0 {
-			fmt.Fprintf(stdout, "deduplicated %d SPMD batch summaries\n", m.Report.DedupedBatches)
-		}
-		for _, rb := range m.Report.Rollbacks {
-			fmt.Fprintf(stdout, "rollback: epoch %d resumed from batch %d\n", rb.Epoch, rb.Batch)
-		}
-		fmt.Fprintf(stdout, "committed %d bytes / %d messages", m.Report.CommittedBytes, m.Report.CommittedMessages)
-		if m.Report.DiscardedBytes > 0 || m.Report.DiscardedMessages > 0 {
-			fmt.Fprintf(stdout, "; discarded %d bytes / %d messages to rollbacks", m.Report.DiscardedBytes, m.Report.DiscardedMessages)
-		}
-		fmt.Fprintln(stdout)
+		m.Report.WriteSummary(stdout)
 	}
 	if err := m.Encode(w); err != nil {
 		fmt.Fprintln(stderr, "bctrace:", err)

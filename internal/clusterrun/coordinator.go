@@ -307,7 +307,7 @@ type RunOptions struct {
 // reconstructed *dgalois.FaultError; scores from faulted runs are
 // discarded.
 func (c *Cluster) Run(spec JobSpec, opts RunOptions) (*Aggregate, error) {
-	results, hostErrs, err := c.runAttempt(spec, opts)
+	results, hostErrs, err := c.runAttempt(spec, 0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +331,9 @@ func (c *Cluster) Run(spec JobSpec, opts RunOptions) (*Aggregate, error) {
 // carry a Fault), hostErrs[h] when host h's control channel broke — the
 // signature of a dead daemon, which the elastic recovery loop uses to
 // identify the victim. Setup failures (dial, prepare, start, proxy
-// interposition) return a cluster-level error instead.
-func (c *Cluster) runAttempt(spec JobSpec, opts RunOptions) ([]*JobResult, []error, error) {
+// interposition) return a cluster-level error instead. The attempt
+// index names the hosts' trace files (TraceFile).
+func (c *Cluster) runAttempt(spec JobSpec, attempt int, opts RunOptions) ([]*JobResult, []error, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 60 * time.Second
 	}
@@ -397,7 +398,7 @@ func (c *Cluster) runAttempt(spec JobSpec, opts RunOptions) ([]*JobResult, []err
 		s.Host = h
 		s.Addrs = book
 		if spec.TracePath != "" {
-			s.TracePath = fmt.Sprintf("%s.host%d.jsonl", spec.TracePath, h)
+			s.TracePath = TraceFile(spec.TracePath, attempt, h)
 		}
 		if err := encs[h].Encode(controlRequest{Op: "start", Spec: &s}); err != nil {
 			return nil, nil, fmt.Errorf("clusterrun: start %d: %w", h, err)

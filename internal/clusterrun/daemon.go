@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"mrbc/internal/dgalois"
@@ -141,41 +142,44 @@ func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 	defer transport.Close()
 
 	var trace *obs.Trace
-	if spec.TracePath != "" || spec.ShipTrace {
-		trace = obs.NewTrace(1<<16, obs.LevelPhase)
-		// Stamp every event with this process's host index and membership
-		// epoch so the files (and shipped streams) of different hosts can
-		// be merged without guessing provenance.
-		trace.SetStamp(spec.Host, spec.Epoch)
-	}
+	finishTrace := func() {}
 	if spec.TracePath != "" {
 		sink, serr := obs.NewStreamSink(spec.TracePath, obs.Header(spec.Host, spec.Hosts, spec.Epoch))
 		if serr != nil {
 			enc.Encode(controlReply{Err: serr.Error()})
 			return true, serr
 		}
+		// The file is the record: every event is teed to the sink, so the
+		// ring keeps only the last one. Stamping every event with this
+		// process's host index and membership epoch lets the files of
+		// different hosts and attempts merge without guessing provenance.
+		trace = obs.NewTrace(1, obs.LevelPhase)
+		trace.SetStamp(spec.Host, spec.Epoch)
 		trace.SetTee(sink.Chan())
 		registerSink(sink)
-		// The deferred close runs on every exit path — job error
-		// included — so the trace on disk is always complete up to the
-		// last event the engine emitted. SIGTERM is handled separately:
-		// the daemon's signal handler calls FlushActiveTraces, which
-		// reaches this sink through the registry.
-		defer func() {
-			unregisterSink(sink)
-			trace.SetTee(nil)
-			if cerr := sink.Close(); cerr != nil {
-				opts.logf("bcd: trace sink: %v", cerr)
-			}
-		}()
+		// Closing the sink drains and fsyncs the file. It runs before the
+		// reply, job error included, because the coordinator merges the
+		// files as soon as every host has replied; deferred, it also runs
+		// if the job panics. SIGTERM is handled separately: the daemon's
+		// signal handler calls FlushActiveTraces, which reaches this sink
+		// through the registry.
+		var once sync.Once
+		finishTrace = func() {
+			once.Do(func() {
+				unregisterSink(sink)
+				trace.SetTee(nil)
+				if cerr := sink.Close(); cerr != nil {
+					opts.logf("bcd: trace sink: %v", cerr)
+				}
+			})
+		}
+		defer finishTrace()
 	}
 	res, err := RunJob(spec, transport, trace, opts.Metrics)
+	finishTrace()
 	if err != nil {
 		enc.Encode(controlReply{Err: err.Error()})
 		return true, err
-	}
-	if spec.ShipTrace {
-		res.Trace = trace.Events()
 	}
 	if res.Fault != nil {
 		opts.logf("bcd: host %d aborted: %s", spec.Host, res.Fault.Reason)

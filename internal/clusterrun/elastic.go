@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mrbc/internal/elastic"
-	"mrbc/internal/obs"
 )
 
 // Elastic coordination: RunElastic wraps the plain Run flow in a
@@ -41,18 +40,13 @@ type ElasticReport struct {
 	// ResumeBatches lists each recovery attempt's rollback boundary (0:
 	// restarted from scratch — no common checkpoint existed).
 	ResumeBatches []int
-	// RecoveryBytes / RecoveryMessages total the paper-model volume of
-	// discarded attempts beyond their resume baselines — the price of
-	// the faults, kept out of the converged Aggregate's accounting.
+	// RecoveryBytes / RecoveryMessages total the paper-model volume the
+	// surviving hosts of failed attempts sent past the boundary the next
+	// attempt resumed from — the price of the faults, kept out of the
+	// converged Aggregate's accounting (which counts the work below that
+	// boundary through the restored snapshot).
 	RecoveryBytes    int64
 	RecoveryMessages int64
-	// ShippedTraces collects every shipped trace event across the run's
-	// attempts when the spec set ShipTrace: failed attempts contribute
-	// their survivors' streams (the victim's events died with it — its
-	// on-disk partial trace is the recourse), the converged attempt all
-	// hosts'. Events are stamped per host and per attempt epoch, so the
-	// whole pile merges into one multi-epoch cluster trace.
-	ShippedTraces []obs.Event
 }
 
 // RunElastic drives spec to completion across host deaths. The spec
@@ -68,35 +62,23 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 	}
 	rep := &ElasticReport{}
 	baseEpoch := spec.Epoch
+	resume := spec.ResumeBatch
 	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
 		rep.Attempts = attempt + 1
 		s := spec
 		s.Epoch = baseEpoch + attempt
+		s.ResumeBatch = resume
 		if attempt > 0 {
-			boundary := elastic.LatestCommonBoundary(spec.CheckpointDir, hosts)
-			s.ResumeBatch = boundary
-			rep.ResumeBatches = append(rep.ResumeBatches, boundary)
-			if s.TracePath != "" {
-				// Keep each recovery attempt's trace alongside the original —
-				// the failed attempt's files are the postmortem artifact.
-				s.TracePath = fmt.Sprintf("%s.att%d", spec.TracePath, attempt)
-			}
+			rep.ResumeBatches = append(rep.ResumeBatches, resume)
 		}
 		runOpts := RunOptions{Timeout: opts.Timeout}
 		if opts.MapAddrs != nil {
 			a := attempt
 			runOpts.MapAddrs = func(addrs []string) ([]string, func(), error) { return opts.MapAddrs(a, addrs) }
 		}
-		results, hostErrs, err := c.runAttempt(s, runOpts)
+		results, hostErrs, err := c.runAttempt(s, attempt, runOpts)
 		if err != nil {
 			return nil, rep, err
-		}
-		if spec.ShipTrace {
-			for _, res := range results {
-				if res != nil {
-					rep.ShippedTraces = append(rep.ShippedTraces, res.Trace...)
-				}
-			}
 		}
 		for h := range results {
 			if hostErrs[h] != nil {
@@ -110,9 +92,12 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 			agg, err := aggregate(results)
 			return agg, rep, err
 		}
-		// Account the discarded attempt's volume beyond its resume
-		// baseline before throwing it away.
-		db, dm := discardedVolume(spec.CheckpointDir, s.ResumeBatch, results)
+		// Roll back to the latest boundary every host has persisted: the
+		// failed attempt's work past it is discarded, and the next attempt
+		// resumes from it, so it is both the accounting baseline and the
+		// resume point.
+		resume = elastic.LatestCommonBoundary(spec.CheckpointDir, hosts)
+		db, dm := discardedVolume(spec.CheckpointDir, resume, results)
 		rep.RecoveryBytes += db
 		rep.RecoveryMessages += dm
 		rep.Victims = append(rep.Victims, victim)
@@ -167,20 +152,20 @@ func identifyVictim(results []*JobResult, hostErrs []error) (victim int, failed 
 	return victim, true
 }
 
-// discardedVolume totals the paper-model volume a failed attempt
-// accumulated past its resume baseline: each surviving host's reported
-// counters minus the cursor in the snapshot it resumed from. Hosts with
-// no result (the dead one) contribute nothing — their partial work was
-// never observed.
-func discardedVolume(dir string, resumeBatch int, results []*JobResult) (bytes, msgs int64) {
+// discardedVolume totals the paper-model volume a failed attempt sent
+// past the boundary the next attempt resumes from: each surviving
+// host's reported counters minus the cursor in its snapshot at that
+// boundary. Hosts with no result (the dead one) contribute nothing —
+// their partial work was never reported.
+func discardedVolume(dir string, boundary int, results []*JobResult) (bytes, msgs int64) {
 	for h, res := range results {
 		if res == nil {
 			continue
 		}
 		var baseB, baseM int64
-		if resumeBatch > 0 {
+		if boundary > 0 {
 			if sink, err := elastic.NewFileSink(dir, h); err == nil {
-				if data, err := sink.Get(resumeBatch); err == nil {
+				if data, err := sink.Get(boundary); err == nil {
 					if snap, err := elastic.Decode(data); err == nil {
 						baseB, baseM = snap.Bytes, snap.Messages
 					}

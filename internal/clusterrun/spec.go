@@ -17,6 +17,7 @@ package clusterrun
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"mrbc/internal/dgalois"
 	"mrbc/internal/elastic"
@@ -56,13 +57,10 @@ type JobSpec struct {
 	// TracePath, when non-empty, makes the daemon record a phase-level
 	// obs trace for the job and stream it as JSONL to this path while
 	// the job runs (one fsynced header up front, one complete line per
-	// event — a killed daemon leaves a parseable partial trace).
+	// event — a killed daemon leaves a parseable partial trace). The
+	// coordinator treats it as a prefix and hands each daemon its
+	// TraceFile.
 	TracePath string `json:"trace_path,omitempty"`
-	// ShipTrace makes the daemon return the job's trace events in its
-	// JobResult over the control connection, so the coordinator can
-	// merge every host's trace without touching the daemons' disks.
-	// Independent of TracePath; both may be set.
-	ShipTrace bool `json:"ship_trace,omitempty"`
 	// DeadlineSteps / StepMillis override the TCP transport's stall
 	// deadline (0: gluon defaults). Chaos tests shorten them so a
 	// severed host fails fast instead of after the full 3 s budget.
@@ -93,6 +91,32 @@ func (s *JobSpec) TCPOptions() gluon.TCPOptions {
 	return opts
 }
 
+// TraceFile names the file host streams its trace to in the given
+// attempt of a job whose TracePath is prefix: <prefix>.hostN.jsonl for
+// the first attempt, <prefix>.attA.hostN.jsonl for recovery attempt A.
+func TraceFile(prefix string, attempt, host int) string {
+	if attempt > 0 {
+		prefix = fmt.Sprintf("%s.att%d", prefix, attempt)
+	}
+	return fmt.Sprintf("%s.host%d.jsonl", prefix, host)
+}
+
+// TraceFiles lists the trace files of every host in attempts 0 to
+// attempts−1 of a job, skipping any a host never opened (a daemon that
+// died before its start, or an attempt that failed during setup).
+func TraceFiles(prefix string, attempts, hosts int) []string {
+	var paths []string
+	for a := 0; a < attempts; a++ {
+		for h := 0; h < hosts; h++ {
+			p := TraceFile(prefix, a, h)
+			if _, err := os.Stat(p); err == nil {
+				paths = append(paths, p)
+			}
+		}
+	}
+	return paths
+}
+
 // JobResult is one host's outcome: its share of the scores (zero
 // outside its masters), its paper-model stats, and a structured fault
 // if the run aborted.
@@ -102,10 +126,6 @@ type JobResult struct {
 	Rounds   int       `json:"rounds"`
 	Bytes    int64     `json:"bytes"`
 	Messages int64     `json:"messages"`
-	// CommNs/HiddenNs split the host's exchange wall time into waits on
-	// the critical path and waits hidden behind pipelined compute.
-	CommNs   int64 `json:"comm_ns,omitempty"`
-	HiddenNs int64 `json:"hidden_ns,omitempty"`
 	// Retries/RetryBytes/Redials are the host's transport recovery work
 	// (its outgoing channels only).
 	Retries    int64 `json:"retries,omitempty"`
@@ -113,12 +133,6 @@ type JobResult struct {
 	Redials    int64 `json:"redials,omitempty"`
 	// Fault carries the structured failure, nil on success.
 	Fault *Fault `json:"fault,omitempty"`
-	// Trace carries the host's obs events when the spec set ShipTrace —
-	// stamped with the host's origin and epoch, ready for merge.
-	Trace []obs.Event `json:"trace,omitempty"`
-	// TraceDropped counts the events the host's trace ring overwrote,
-	// which the merged-trace checks need.
-	TraceDropped int64 `json:"trace_dropped,omitempty"`
 }
 
 // Fault is the JSON projection of *dgalois.FaultError, relayed from a
@@ -245,13 +259,10 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 		return nil, fmt.Errorf("clusterrun: unknown engine %q", spec.Engine)
 	}
 	res := &JobResult{
-		Host:         spec.Host,
-		Rounds:       stats.Rounds,
-		Bytes:        stats.Bytes,
-		Messages:     stats.Messages,
-		CommNs:       stats.CommTime.Nanoseconds(),
-		HiddenNs:     stats.HiddenTime.Nanoseconds(),
-		TraceDropped: trace.Dropped(),
+		Host:     spec.Host,
+		Rounds:   stats.Rounds,
+		Bytes:    stats.Bytes,
+		Messages: stats.Messages,
 	}
 	if transport != nil {
 		var agg gluon.ChannelStats

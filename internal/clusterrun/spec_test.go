@@ -84,35 +84,6 @@ func TestRunJobMatchesEngines(t *testing.T) {
 	}
 }
 
-// TestRunJobReportsTraceDrops: a job whose trace ring overflowed says
-// by exactly how much, and one whose trace fits leaves the field out of
-// its JSON, so results from builds without it read the same.
-func TestRunJobReportsTraceDrops(t *testing.T) {
-	_, path := savedGraph(t)
-	spec := JobSpec{GraphPath: path, Hosts: 2, Sources: []uint32{0, 1, 2, 3}, BatchSize: 2}
-	for _, ring := range []int{64, 1 << 16} {
-		tr := obs.NewTrace(ring, obs.LevelPhase)
-		res, err := RunJob(&spec, nil, tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := tr.Emitted() - int64(ring)
-		if want < 0 {
-			want = 0
-		}
-		if res.TraceDropped != want || ring == 64 && want == 0 {
-			t.Fatalf("ring %d: trace_dropped %d, want %d of %d emitted", ring, res.TraceDropped, want, tr.Emitted())
-		}
-		data, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if has := strings.Contains(string(data), `"trace_dropped"`); has != (want > 0) {
-			t.Fatalf("ring %d: trace_dropped in the JSON is %t with %d dropped", ring, has, want)
-		}
-	}
-}
-
 // specRefusal is a spec edit RunJob must refuse, and the text its error
 // must name.
 type specRefusal struct {

@@ -2,7 +2,6 @@ package clustertest
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -14,11 +13,11 @@ import (
 	"mrbc/internal/obs/merge"
 )
 
-// mergeBytes merges host traces and renders the cluster trace, the
-// byte-identity currency of the determinism asserts.
-func mergeBytes(t *testing.T, traces []merge.HostTrace) (*merge.Merged, []byte) {
+// mergeFiles merges per-host trace files and renders the cluster
+// trace, the byte-identity currency of the determinism asserts.
+func mergeFiles(t *testing.T, paths []string) (*merge.Merged, []byte) {
 	t.Helper()
-	m, err := merge.Merge(traces)
+	m, err := merge.MergeFiles(paths)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -29,83 +28,49 @@ func mergeBytes(t *testing.T, traces []merge.HostTrace) (*merge.Merged, []byte) 
 	return m, buf.Bytes()
 }
 
-// TestClusterShipTraceMergeProves is the observability-plane end-to-end:
-// a real 4-process TCP run ships every host's trace over the control
-// connections, the merge is deterministic (shipped vs. on-disk, any
-// argument order — byte-identical), and the merged timeline proves the
+// TestClusterTraceFilesMergeProve is the observability-plane
+// end-to-end: a real 4-process TCP run streams every host's trace to
+// its file, the merge of the files is deterministic (any argument
+// order — byte-identical), and the merged timeline proves the
 // cross-host invariants exactly: conservation equal to the aggregate's
 // paper-model volume, send/recv pairing, the global Lemma 8 bound, and
 // a critical host attributed to every round.
-func TestClusterShipTraceMergeProves(t *testing.T) {
+func TestClusterTraceFilesMergeProve(t *testing.T) {
 	const hosts = 4
 	c := launch(t, hosts)
-	dir := t.TempDir()
 	spec := baseSpec(t)
-	spec.ShipTrace = true
-	spec.TracePath = filepath.Join(dir, "trace")
+	spec.TracePath = filepath.Join(t.TempDir(), "trace")
 
 	agg, err := runWithTimeout(t, c, spec, clusterrun.RunOptions{}, time.Minute)
 	if err != nil {
-		t.Fatalf("shipped run: %v", err)
+		t.Fatalf("traced run: %v", err)
 	}
 
-	var shipped []obs.Event
-	for _, res := range agg.PerHost {
-		if len(res.Trace) == 0 {
-			t.Fatalf("host %d shipped no trace events", res.Host)
-		}
-		shipped = append(shipped, res.Trace...)
+	paths := clusterrun.TraceFiles(spec.TracePath, 1, hosts)
+	if len(paths) != hosts {
+		t.Fatalf("found %d host trace files, want %d", len(paths), hosts)
 	}
-	traces, err := merge.SplitEvents(shipped, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != hosts {
-		t.Fatalf("shipped stream split into %d host traces, want %d", len(traces), hosts)
-	}
-	m, a := mergeBytes(t, traces)
+	m, a := mergeFiles(t, paths)
 
-	// Determinism 1: merging in a different order is byte-identical.
-	rev := make([]merge.HostTrace, len(traces))
-	for i, ht := range traces {
-		rev[len(traces)-1-i] = ht
+	// Determinism: merging in a different order is byte-identical.
+	rev := make([]string, len(paths))
+	for i, p := range paths {
+		rev[len(paths)-1-i] = p
 	}
-	if _, b := mergeBytes(t, rev); !bytes.Equal(a, b) {
+	if _, b := mergeFiles(t, rev); !bytes.Equal(a, b) {
 		t.Fatal("merged trace depends on input order")
 	}
-	// Determinism 2: the on-disk per-host streams (same events through
-	// the StreamSink tee) merge to the identical cluster trace.
-	paths := make([]string, hosts)
-	for h := range paths {
-		paths[h] = fmt.Sprintf("%s.host%d.jsonl", spec.TracePath, h)
-	}
-	mf, err := merge.MergeFiles(paths)
-	if err != nil {
-		t.Fatalf("merge files: %v", err)
-	}
-	var fbuf bytes.Buffer
-	if err := mf.Encode(&fbuf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, fbuf.Bytes()) {
-		t.Fatal("on-disk trace files merge differently than the shipped streams")
-	}
 
-	// Conservation: every link's sent tallies equal its received twin's,
-	// and the conserved totals are exactly the run's paper-model volume.
-	cons, err := merge.CheckConservation(m.Events)
+	// Conservation (every link's sent tallies equal its received
+	// twin's), pairing and the global round bound hold, and the conserved
+	// totals are exactly the run's paper-model volume.
+	_, cons, err := m.CheckFinalEpoch()
 	if err != nil {
-		t.Fatalf("conservation: %v", err)
+		t.Fatal(err)
 	}
 	if cons.Bytes != agg.Bytes || cons.Messages != agg.Messages {
 		t.Fatalf("conserved volume %d B/%d msgs != aggregate %d B/%d msgs",
 			cons.Bytes, cons.Messages, agg.Bytes, agg.Messages)
-	}
-	if err := merge.CheckPairing(m.Events); err != nil {
-		t.Fatalf("pairing: %v", err)
-	}
-	if err := obs.CheckRoundBounds(m.Events, 0); err != nil {
-		t.Fatalf("global round bounds: %v", err)
 	}
 
 	// Critical-path attribution: every round names a real host, and the
@@ -126,10 +91,14 @@ func TestClusterShipTraceMergeProves(t *testing.T) {
 			t.Fatalf("round %d: bound %d ns below the mean %d ns", rc.Round, rc.BoundNs, rc.MeanNs)
 		}
 	}
-	// The unmerged per-host streams fold to the same rounds: each host's
+	// The unmerged per-host files fold to the same rounds: each host's
 	// slice of an exchange is never added to another's.
 	var raw obs.RoundAccum
-	for _, ht := range traces {
+	for _, p := range paths {
+		ht, err := merge.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, e := range ht.Events {
 			raw.Observe(e)
 		}
@@ -149,16 +118,16 @@ func TestClusterShipTraceMergeProves(t *testing.T) {
 // TestKilledHostLeavesParseablePartialTrace pins the durability
 // contract of the streaming trace sink: a SIGKILLed daemon's partial
 // per-host trace survives on disk and parses (identity intact, torn
-// tail tolerated), and the survivors' shipped traces still merge into
-// a multi-epoch cluster trace whose converged epoch proves
-// conservation and whose report names the rollback.
+// tail tolerated), and every attempt's files merge into a multi-epoch
+// cluster trace that keeps the victim's events, proves the converged
+// epoch, names the rollback, and itemizes the rolled-back work the
+// coordinator charged as recovery.
 func TestKilledHostLeavesParseablePartialTrace(t *testing.T) {
 	const hosts, victim = 4, 1
 	c := launchElastic(t, hosts, 1)
 	dir := t.TempDir()
 	spec := elasticSpec(t, filepath.Join(dir, "ckpt"))
 	spec.TracePath = filepath.Join(dir, "trace")
-	spec.ShipTrace = true
 
 	killed := make(chan struct{})
 	go func() {
@@ -188,7 +157,7 @@ func TestKilledHostLeavesParseablePartialTrace(t *testing.T) {
 
 	// The victim was SIGKILLed mid-run: its attempt-0 stream must be on
 	// disk, identified, and parseable up to the torn tail.
-	ht, err := merge.Load(fmt.Sprintf("%s.host%d.jsonl", spec.TracePath, victim))
+	ht, err := merge.Load(clusterrun.TraceFile(spec.TracePath, 0, victim))
 	if err != nil {
 		t.Fatalf("victim's partial trace unreadable: %v", err)
 	}
@@ -199,18 +168,26 @@ func TestKilledHostLeavesParseablePartialTrace(t *testing.T) {
 		t.Fatal("victim's partial trace carries no events")
 	}
 
-	// The shipped streams span both epochs; the merge keeps them apart
-	// and its report names the rollback boundary the survivors resumed
-	// from.
-	traces, err := merge.SplitEvents(rep.ShippedTraces, hosts)
+	// Every attempt's files span both epochs; the merge keeps them
+	// apart, keeps the victim's partial epoch 0, and its report names
+	// the rollback boundary the survivors resumed from.
+	m, err := merge.MergeFiles(clusterrun.TraceFiles(spec.TracePath, rep.Attempts, hosts))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("merge every attempt's files: %v", err)
 	}
-	m, err := merge.Merge(traces)
+	var victimPacks int
+	for _, e := range m.Events {
+		if e.OriginHost() == victim && e.Epoch == 0 && e.Kind == obs.KindPhase && e.Phase == obs.PhasePack {
+			victimPacks++
+		}
+	}
+	if victimPacks == 0 {
+		t.Fatal("merged trace lost the victim's epoch-0 packs")
+	}
+	fin, _, err := m.CheckFinalEpoch()
 	if err != nil {
-		t.Fatalf("merge shipped epochs: %v", err)
+		t.Fatalf("converged epoch: %v", err)
 	}
-	fin := merge.FinalEpoch(m.Events)
 	if fin < 1 {
 		t.Fatalf("final epoch %d, want the recovery epoch", fin)
 	}
@@ -218,13 +195,14 @@ func TestKilledHostLeavesParseablePartialTrace(t *testing.T) {
 		t.Fatalf("merge report rollbacks %+v disagree with the coordinator's %v",
 			m.Report.Rollbacks, rep.ResumeBatches)
 	}
-	// The converged epoch proves out exactly; the killed epoch's torn
-	// links are legitimately unpaired and stay out of it.
-	evs := merge.EpochEvents(m.Events, fin)
-	if _, err := merge.CheckConservation(evs); err != nil {
-		t.Fatalf("converged epoch conservation: %v", err)
+	// The survivors' files are complete, so the coordinator's recovery
+	// volume is exactly their share of what the merge discarded; the
+	// victim's partial share makes up the rest.
+	if m.Report.DiscardedBytes <= 0 {
+		t.Fatalf("merge discarded no volume across a rollback: %+v", m.Report)
 	}
-	if err := obs.CheckRoundBounds(evs, 0); err != nil {
-		t.Fatalf("converged epoch round bounds: %v", err)
+	if rep.RecoveryBytes <= 0 || rep.RecoveryBytes > m.Report.DiscardedBytes {
+		t.Fatalf("recovery bytes %d outside (0, %d], the merge's discarded volume",
+			rep.RecoveryBytes, m.Report.DiscardedBytes)
 	}
 }

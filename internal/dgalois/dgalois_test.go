@@ -323,18 +323,19 @@ func TestExchangeZeroAllocsWithTracing(t *testing.T) {
 	}
 }
 
-// TestExchangeZeroAllocsWithShipping extends the pin to the
-// trace-shipping path: a stamped tracer with a tee channel attached —
-// exactly what bcd runs when shipping a trace to bcctl — still
-// performs zero heap allocations per Exchange. The tee is drained
-// after the measurement instead of by a concurrent goroutine because
+// TestExchangeZeroAllocsWithTee extends the pin to the streamed-trace
+// path: a stamped tracer with a tee channel attached — what bcd runs
+// when it streams a host's trace to its file — still performs zero
+// heap allocations per Exchange. The tee is drained after the
+// measurement instead of by a concurrent goroutine because
 // AllocsPerRun counts process-wide mallocs: the sink's own file writer
 // is asynchronous by design and not part of the Exchange op.
-func TestExchangeZeroAllocsWithShipping(t *testing.T) {
+func TestExchangeZeroAllocsWithTee(t *testing.T) {
 	const hosts, listLen = 4, 2048
 	var sink int64
 	pack, unpack := fixedWorkload(hosts, listLen, &sink)
-	tr := obs.NewTrace(1<<12, obs.LevelPhase)
+	// bcd's ring holds one event: the tee is the record.
+	tr := obs.NewTrace(1, obs.LevelPhase)
 	tr.SetStamp(2, 1)
 	tee := make(chan obs.Event, 1<<13)
 	tr.SetTee(tee)
@@ -347,7 +348,7 @@ func TestExchangeZeroAllocsWithShipping(t *testing.T) {
 		c.Exchange(pack, unpack)
 	})
 	if allocs != 0 {
-		t.Fatalf("shipping-enabled Exchange allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("teed Exchange allocates %.1f objects/op, want 0", allocs)
 	}
 	close(tee)
 	var n int

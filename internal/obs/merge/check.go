@@ -55,8 +55,8 @@ func (e *ConservationError) Error() string {
 // round) link of the event stream, per byte, message, and encoding
 // count, and aggregates the conserved totals. Run it on a complete
 // epoch (a killed epoch legitimately has sent-but-never-received
-// links; filter with EpochEvents/FinalEpoch first). Mismatched or
-// unpaired links are errors.
+// links; filter with EpochEvents, or use Merged.CheckFinalEpoch).
+// Mismatched or unpaired links are errors.
 func CheckConservation(events []obs.Event) (Conservation, error) {
 	var c Conservation
 	type side struct {
@@ -206,18 +206,24 @@ func CheckPairing(events []obs.Event) error {
 	return nil
 }
 
-// Epochs lists the distinct epochs of a stamped stream, ascending.
-func Epochs(events []obs.Event) []int {
-	seen := make(map[int32]bool)
-	var out []int
-	for _, e := range events {
-		if !seen[e.Epoch] {
-			seen[e.Epoch] = true
-			out = append(out, int(e.Epoch))
-		}
+// CheckFinalEpoch proves the cross-host invariants on the merged
+// trace's final epoch, the one that ran to completion: conservation
+// (sent == received per link, per encoding), send/recv pairing, and
+// the global Lemma 8 round bound. Earlier epochs ended in a host loss,
+// so their torn links are legitimately unpaired and stay out of it.
+func (m *Merged) CheckFinalEpoch() (epoch int, c Conservation, err error) {
+	epoch = m.Report.Epochs[len(m.Report.Epochs)-1]
+	evs := EpochEvents(m.Events, epoch)
+	if c, err = CheckConservation(evs); err != nil {
+		return epoch, c, fmt.Errorf("conservation: %w", err)
 	}
-	sort.Ints(out)
-	return out
+	if err := CheckPairing(evs); err != nil {
+		return epoch, c, fmt.Errorf("pairing: %w", err)
+	}
+	if err := obs.CheckRoundBounds(evs, 0); err != nil {
+		return epoch, c, fmt.Errorf("round bounds: %w", err)
+	}
+	return epoch, c, nil
 }
 
 // EpochEvents filters a stamped stream down to one epoch.
@@ -229,15 +235,4 @@ func EpochEvents(events []obs.Event, epoch int) []obs.Event {
 		}
 	}
 	return out
-}
-
-// FinalEpoch returns the highest epoch of the stream — the one that
-// ran to completion and must pass the strict checkers (earlier epochs
-// ended in a host loss, so their tails are legitimately torn).
-func FinalEpoch(events []obs.Event) int {
-	eps := Epochs(events)
-	if len(eps) == 0 {
-		return 0
-	}
-	return eps[len(eps)-1]
 }

@@ -89,36 +89,6 @@ func Load(path string) (HostTrace, error) {
 	return ht, nil
 }
 
-// FromEvents wraps an in-memory event stream (e.g. one shipped inside
-// a JobResult) as a HostTrace.
-func FromEvents(host, epoch, hosts int, events []obs.Event) HostTrace {
-	return HostTrace{Host: host, Epoch: epoch, Hosts: hosts, Events: events}
-}
-
-// SplitEvents groups one stamped flat stream — e.g. the shipped traces
-// an elastic run accumulated across attempts — into per-(host, epoch)
-// HostTraces ready to Merge. Unstamped events are an error: without an
-// origin there is no way to tell which process recorded them.
-func SplitEvents(events []obs.Event, hosts int) ([]HostTrace, error) {
-	type key struct{ origin, epoch int32 }
-	groups := make(map[key]int)
-	var out []HostTrace
-	for _, e := range events {
-		if e.Origin == 0 {
-			return nil, fmt.Errorf("merge: unstamped event (kind %s) in shipped stream", e.Kind)
-		}
-		k := key{e.Origin, e.Epoch}
-		i, ok := groups[k]
-		if !ok {
-			i = len(out)
-			groups[k] = i
-			out = append(out, HostTrace{Host: e.OriginHost(), Epoch: int(e.Epoch), Hosts: hosts})
-		}
-		out[i].Events = append(out[i].Events, e)
-	}
-	return out, nil
-}
-
 // Alignment is the clock correction applied to one (epoch, host):
 // aligned = OffsetNs + Skew·raw.
 type Alignment struct {
@@ -155,6 +125,23 @@ type Report struct {
 	DiscardedMessages int64 `json:"discarded_messages,omitempty"`
 
 	Alignments []Alignment `json:"alignments,omitempty"`
+}
+
+// WriteSummary prints what merging did and what the epochs committed:
+// the deduplicated batch summaries, each rollback, and the committed
+// and discarded volume.
+func (r *Report) WriteSummary(w io.Writer) {
+	if r.DedupedBatches > 0 {
+		fmt.Fprintf(w, "deduplicated %d SPMD batch summaries\n", r.DedupedBatches)
+	}
+	for _, rb := range r.Rollbacks {
+		fmt.Fprintf(w, "rollback: epoch %d resumed from batch %d\n", rb.Epoch, rb.Batch)
+	}
+	fmt.Fprintf(w, "committed %d bytes / %d messages", r.CommittedBytes, r.CommittedMessages)
+	if r.DiscardedBytes > 0 || r.DiscardedMessages > 0 {
+		fmt.Fprintf(w, "; discarded %d bytes / %d messages to rollbacks", r.DiscardedBytes, r.DiscardedMessages)
+	}
+	fmt.Fprintln(w)
 }
 
 // Merged is one cluster run's unified trace.
@@ -355,7 +342,8 @@ func dedupBatches(group []HostTrace) ([]obs.Event, int, error) {
 }
 
 // accountEpochs derives the rollback records and the committed vs
-// discarded volume split from the stamped event stream.
+// discarded volume split from the stamped event stream, which must
+// still hold each host's events in emission order.
 func (m *Merged) accountEpochs(events []obs.Event) error {
 	// boundary[e] = the batch boundary epoch e resumed from.
 	boundary := make(map[int]int)
@@ -366,6 +354,12 @@ func (m *Merged) accountEpochs(events []obs.Event) error {
 				return fmt.Errorf("merge: epoch %d restored from two boundaries (%d and %d)", ep, prev, b)
 			}
 			boundary[ep] = b
+		}
+	}
+	// A recovery epoch that restored nothing restarted from batch 0.
+	for _, ep := range m.Report.Epochs[1:] {
+		if _, ok := boundary[ep]; !ok {
+			boundary[ep] = 0
 		}
 	}
 	var rbEpochs []int
@@ -388,11 +382,26 @@ func (m *Merged) accountEpochs(events []obs.Event) error {
 			cut = int32(b)
 		}
 	}
+	// Only a serial run checkpoints, and it tags every pack with batch
+	// 0, so a pack's batch is the boundary of the last checkpoint or
+	// restore marker its host emitted before it. Each host's events are
+	// still in emission order here. A pipelined run emits no markers and
+	// tags its packs itself.
+	type hostEpoch struct{ origin, epoch int32 }
+	mark := make(map[hostEpoch]int32)
 	for _, e := range events {
+		k := hostEpoch{e.Origin, e.Epoch}
+		if e.Kind == obs.KindElastic {
+			mark[k] = e.Batch
+		}
 		if e.Kind != obs.KindPhase || e.Phase != obs.PhasePack {
 			continue
 		}
-		if e.Batch >= lowest[int(e.Epoch)] {
+		batch, ok := mark[k]
+		if !ok {
+			batch = e.Batch
+		}
+		if batch >= lowest[int(e.Epoch)] {
 			m.Report.DiscardedBytes += e.Bytes
 			m.Report.DiscardedMessages += e.Messages
 		} else {

@@ -65,7 +65,7 @@ func synthRun(t *testing.T, hosts, exchanges int, off, skew []float64) []HostTra
 		}
 		evs = append(evs, obs.Event{Kind: obs.KindBatch, Host: -1, Batch: 0,
 			K: 4, FwdRounds: int32(exchanges), BackRounds: int32(exchanges)})
-		traces[h] = FromEvents(h, 0, hosts, evs)
+		traces[h] = HostTrace{Host: h, Hosts: hosts, Events: evs}
 	}
 	return traces
 }
@@ -309,43 +309,44 @@ func TestRoundBoundsRejectLemma8Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := EpochEvents(m.Events, FinalEpoch(m.Events))
+	evs := EpochEvents(m.Events, m.Report.Epochs[len(m.Report.Epochs)-1])
 	err = obs.CheckRoundBounds(evs, 0)
 	if err == nil || !strings.Contains(err.Error(), "bound 2(k+H)+1 = 15 (H=3)") {
 		t.Fatalf("fixture not rejected with the inferred H=3: %v", err)
 	}
 }
 
+// TestEpochRollbackAccounting merges a serial run's recovery, shaped
+// as the serial batch loop records it: every pack is tagged batch 0,
+// and the batches are told apart only by the checkpoint markers
+// (carrying the next boundary) and the restore marker between them.
+// Epoch 0 packs batch 0, checkpoints boundary 1, packs batch 1 and
+// dies; epoch 1 restores from boundary 1 and repacks batch 1. Epoch
+// 0's batch-1 work is discarded, everything else committed, and
+// nothing is counted twice. A recovery without a restore marker
+// restarted from batch 0.
 func TestEpochRollbackAccounting(t *testing.T) {
-	// Epoch 0 packs batches 0 and 1 (100 bytes each per host per batch)
-	// and checkpoints batch 0; epoch 1 restores from boundary 1 and
-	// repacks batch 1. Epoch 0's batch-1 work is discarded, everything
-	// else committed — and nothing is counted twice.
-	mkEpoch := func(epoch int, batches []int32, restore bool) []HostTrace {
-		traces := make([]HostTrace, 2)
-		for h := 0; h < 2; h++ {
-			var evs []obs.Event
-			if restore {
-				evs = append(evs, obs.Event{Kind: obs.KindElastic,
-					Phase: obs.PhaseRestore, Batch: 1, Host: int32(h)})
-			}
-			for bi, b := range batches {
-				seq := int64(epoch*100 + bi*3 + 1)
-				evs = append(evs,
-					obs.Event{Kind: obs.KindPhase, Seq: seq, Round: int32(bi + 1), Batch: b,
-						Host: int32(h), Phase: obs.PhasePack, Bytes: 100, Messages: 1},
-					obs.Event{Kind: obs.KindPhase, Seq: seq, Round: int32(bi + 1), Batch: b,
-						Host: -1, Phase: obs.PhaseExchange, StartNs: int64(1000 * (bi + 1)), DurNs: 10})
-				if epoch == 0 && b == 0 {
-					evs = append(evs, obs.Event{Kind: obs.KindElastic,
-						Phase: obs.PhaseCheckpoint, Batch: 0, Host: int32(h)})
-				}
-			}
-			traces[h] = FromEvents(h, epoch, 2, evs)
-		}
-		return traces
+	marker := func(h int, phase obs.Phase, boundary int32) obs.Event {
+		return obs.Event{Kind: obs.KindElastic, Phase: phase, Batch: boundary, Host: int32(h)}
 	}
-	all := append(mkEpoch(0, []int32{0, 1}, false), mkEpoch(1, []int32{1}, true)...)
+	batch := func(h int, seq int64) []obs.Event {
+		return []obs.Event{
+			{Kind: obs.KindPhase, Seq: seq, Round: 1, Host: int32(h), Phase: obs.PhasePack,
+				Bytes: 100, Messages: 1},
+			{Kind: obs.KindPhase, Seq: seq, Round: 1, Host: -1, Phase: obs.PhaseExchange,
+				StartNs: 1000 * seq, DurNs: 10},
+		}
+	}
+	var all []HostTrace
+	for h := 0; h < 2; h++ {
+		ep0 := append(batch(h, 1), marker(h, obs.PhaseCheckpoint, 1))
+		ep0 = append(ep0, batch(h, 2)...)
+		ep1 := append([]obs.Event{marker(h, obs.PhaseRestore, 1)}, batch(h, 2)...)
+		ep1 = append(ep1, marker(h, obs.PhaseCheckpoint, 2))
+		all = append(all,
+			HostTrace{Host: h, Epoch: 0, Hosts: 2, Events: ep0},
+			HostTrace{Host: h, Epoch: 1, Hosts: 2, Events: ep1})
+	}
 	m, err := Merge(all)
 	if err != nil {
 		t.Fatal(err)
@@ -363,6 +364,25 @@ func TestEpochRollbackAccounting(t *testing.T) {
 	if m.Report.DiscardedMessages != 2 || m.Report.CommittedMessages != 4 {
 		t.Fatalf("discarded=%d committed=%d messages, want 2/4",
 			m.Report.DiscardedMessages, m.Report.CommittedMessages)
+	}
+
+	// A recovery that found no common checkpoint restarts from batch 0
+	// and restores nothing: all of epoch 0 is discarded.
+	all = nil
+	for h := 0; h < 2; h++ {
+		ep0 := batch(h, 1)
+		ep1 := append(batch(h, 1), marker(h, obs.PhaseCheckpoint, 1))
+		all = append(all,
+			HostTrace{Host: h, Epoch: 0, Hosts: 2, Events: ep0},
+			HostTrace{Host: h, Epoch: 1, Hosts: 2, Events: ep1})
+	}
+	if m, err = Merge(all); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Report.Rollbacks) != 1 || m.Report.Rollbacks[0] != (Rollback{Epoch: 1, Batch: 0}) ||
+		m.Report.DiscardedBytes != 200 || m.Report.CommittedBytes != 200 {
+		t.Fatalf("restart from scratch: rollbacks %+v, discarded=%d committed=%d, want batch 0, 200/200",
+			m.Report.Rollbacks, m.Report.DiscardedBytes, m.Report.CommittedBytes)
 	}
 }
 
