@@ -11,7 +11,7 @@ import (
 // planShared runs side by side: past it, fewer batches run at once.
 const (
 	sharedLabelBudget = 1 << 30
-	labelBytesPerPair = 36
+	labelBytesPerPair = 24
 )
 
 // AutotuneBatch picks a batch size for MRBC by probing: the paper

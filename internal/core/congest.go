@@ -7,8 +7,9 @@
 //     Lemma 6, and Lemma 8 by the package tests.
 //   - A batched shared-memory engine (engine.go) implementing the
 //     D-Galois data-structure optimizations of Section 4.3 (the dense
-//     per-source array Av and the flat sorted distance map Mv), reused
-//     by the distributed implementation in internal/mrbcdist.
+//     per-source array Av; the sorted distance map Mv is replaced by
+//     per-vertex unsent bit rows), reused by the distributed
+//     implementation in internal/mrbcdist.
 //
 // This file contains the CONGEST implementation.
 package core

@@ -15,13 +15,14 @@ import (
 //   - Av: the per-source labels live in four flat slabs — dist, sigma,
 //     delta, tau — indexed v·k+s, so one label read is one load and a
 //     vertex's k distances share two cache lines at k = 32.
-//   - Mv: the sorted distance -> source-set map of vertex v is the first
-//     mapLen entries of the region [v·k, (v+1)·k) of mvDist/mvSet. At
-//     k ≤ 64 an entry's source set is the mvSet word itself; above, it
-//     names a slot of ⌈k/64⌉ words in the engine's set slab.
-//   - One 20-byte record per vertex carries the schedule: the number of
-//     sent entries, the first unsent entry, the Mv length and the round
-//     the vertex is enqueued for.
+//   - Mv is not stored. The paper's sorted distance -> source-set map
+//     serves one query, the lexicographically least unsent (dist,
+//     source) entry of a vertex; here that entry is kept in the vertex
+//     record and, once sent, found again by a resumable scan of v's
+//     unsent bit row (⌈k/64⌉ words) and v's distance row (advanceFU).
+//   - One 16-byte record per vertex carries the schedule: the number of
+//     sent entries, the first unsent entry and the round the vertex is
+//     enqueued for.
 //
 // The send round is derived, not stored ("we can derive the round in
 // which the σsv is ready to be sent using dsv in the map, the current
@@ -63,7 +64,6 @@ type vertexSched struct {
 	sentCount int32
 	fuDist    uint32 // first (lexicographically least) unsent entry
 	fuSrc     int32  // -1 when no unsent entry exists
-	mapLen    int32  // live Mv entries
 	// sched is the forward round the vertex is currently enqueued for,
 	// or -1 when it has no unsent entry / was collected this round.
 	sched int32
@@ -85,41 +85,26 @@ func (rec *vertexSched) noteUnsent(s int, d uint32) {
 	}
 }
 
-// setSlabChunk is the number of set slots the set slab grows by.
-const setSlabChunk = 256
-
-func (e *Engine) allocSlot() int {
-	if n := len(e.freeSlots); n > 0 {
-		slot := e.freeSlots[n-1]
-		e.freeSlots = e.freeSlots[:n-1]
-		return int(slot)
-	}
-	slot := e.setSlots
-	e.setSlots++
-	if e.setSlots*e.wps > len(e.setWords) {
-		e.setWords = append(e.setWords, make([]uint64, setSlabChunk*e.wps)...)
-	}
-	return slot
-}
-
 // Engine is one host's MRBC state over a local graph.
 type Engine struct {
 	g    *graph.Graph
 	n    int
 	k    int // current batch size, and the stride of every label slab
 	kmax int // construction-time batch size: the largest k Reset accepts
-	wps  int // words per source set at the current stride: ⌈k/64⌉
+	wps  int // words per bit row at the current stride: ⌈k/64⌉
 
 	// Label slabs, indexed v·k+s. Each has length n·k and capacity
 	// n·kmax. dist is built with the engine; the rest are made on the
 	// first label write (allocLabels), which a run pays once.
-	dist   []uint32 // graph.InfDist: not reached
-	sigma  []float64
-	delta  []float64
-	tau    []int32  // round the pair's labels were synchronized (finalized)
-	mvDist []uint32 // Mv distances, ascending within a vertex's region
-	mvSet  []uint64 // Mv source sets: the word itself (wps == 1) or a slab slot
-	sent   []uint64 // v·wps + s/64: the pair has been synchronized
+	dist  []uint32 // graph.InfDist: not reached
+	sigma []float64
+	delta []float64
+	tau   []int32 // round the pair's labels were synchronized (finalized)
+	// Bit rows, v·wps + s/64, made for kmax: the pair has been
+	// synchronized (sent), or is reached and not yet synchronized
+	// (unsent, made with the labels).
+	sent   []uint64
+	unsent []uint64
 	vs     []vertexSched
 
 	// buckets[r-1] holds vertices tentatively due in forward round r.
@@ -140,12 +125,6 @@ type Engine struct {
 	backByRound [][]uint32
 	backArena   []uint32
 	backCounts  []int32
-	// setWords is the slab of Mv source sets for batches above 64
-	// sources: slot i is words [i·wps, (i+1)·wps). An emptied set's slot
-	// returns through freeSlots with all its words zero.
-	setWords  []uint64
-	setSlots  int
-	freeSlots []uint32
 	// pending counts (v,s) pairs inserted but not yet synchronized.
 	pending int64
 
@@ -196,7 +175,6 @@ func (e *Engine) setStride(k int) {
 	e.dist = e.dist[:e.n*k]
 	if e.sigma != nil {
 		e.sigma, e.delta, e.tau = e.sigma[:e.n*k], e.delta[:e.n*k], e.tau[:e.n*k]
-		e.mvDist, e.mvSet = e.mvDist[:e.n*k], e.mvSet[:e.n*k]
 	}
 }
 
@@ -207,8 +185,7 @@ func (e *Engine) allocLabels() {
 	e.sigma = make([]float64, used, full)
 	e.delta = make([]float64, used, full)
 	e.tau = make([]int32, used, full)
-	e.mvDist = make([]uint32, used, full)
-	e.mvSet = make([]uint64, used, full)
+	e.unsent = make([]uint64, len(e.sent))
 }
 
 // Reset returns the engine to the state NewEngine(g, k) would build, for
@@ -224,6 +201,7 @@ func (e *Engine) Reset(k int) {
 	clear(e.delta)
 	clear(e.tau)
 	clear(e.sent[:e.n*e.wps])
+	clear(e.unsent)
 	for i, b := range e.buckets {
 		if cap(b) > 0 {
 			e.freeBuckets = append(e.freeBuckets, b[:0])
@@ -233,9 +211,6 @@ func (e *Engine) Reset(k int) {
 	e.buckets = e.buckets[:0]
 	e.backByRound = e.backByRound[:0]
 	e.nextHint = 0
-	clear(e.setWords[:e.setSlots*e.wps])
-	e.setSlots = 0
-	e.freeSlots = e.freeSlots[:0]
 	e.pending = 0
 	e.fwdRound = 0
 	e.setStride(k)
@@ -277,115 +252,40 @@ func (e *Engine) Get(v uint32, s int) SrcData {
 	return d
 }
 
-// lowerBound returns the first index of ascending a holding a value >= d.
-func lowerBound(a []uint32, d uint32) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); a[mid] < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// setOf returns the words of the Mv source set stored at entry ent.
-func (e *Engine) setOf(ent int) []uint64 {
-	if e.wps == 1 {
-		return e.mvSet[ent : ent+1]
-	}
-	off := int(e.mvSet[ent]) * e.wps
-	return e.setWords[off : off+e.wps]
-}
-
-// mvAdd files source s under distance d in v's ordered map Mv. A vertex
-// holds at most k distinct distances, so its region never overflows.
-func (e *Engine) mvAdd(v uint32, s int, d uint32) {
-	rec := &e.vs[v]
-	base, n := int(v)*e.k, int(rec.mapLen)
-	dists := e.mvDist[base : base+n]
-	// Relaxations mostly reach a vertex at nondecreasing distances, so
-	// the entry is usually at (or appends past) the tail.
-	i := n
-	if n > 0 && dists[n-1] >= d {
-		i = n - 1
-		if dists[i] > d {
-			i = lowerBound(dists, d)
-		}
-		if dists[i] == d {
-			e.setOf(base + i)[s>>6] |= 1 << (uint(s) & 63)
-			return
-		}
-	}
-	rec.mapLen++
-	dists = e.mvDist[base : base+n+1]
-	sets := e.mvSet[base : base+n+1]
-	copy(dists[i+1:], dists[i:n])
-	copy(sets[i+1:], sets[i:n])
-	dists[i] = d
-	if e.wps == 1 {
-		sets[i] = 1 << uint(s)
-		return
-	}
-	slot := e.allocSlot()
-	sets[i] = uint64(slot)
-	e.setWords[slot*e.wps+s>>6] |= 1 << (uint(s) & 63)
-}
-
-// mvRemove takes source s out of distance d's set in v's Mv, dropping
-// the entry when its set empties.
-func (e *Engine) mvRemove(v uint32, s int, d uint32) {
-	rec := &e.vs[v]
-	base, n := int(v)*e.k, int(rec.mapLen)
-	dists := e.mvDist[base : base+n]
-	i := n - 1
-	if i < 0 || dists[i] != d { // tail fast path, else binary search
-		i = lowerBound(dists, d)
-	}
-	var set []uint64
-	if i < n && dists[i] == d {
-		set = e.setOf(base + i)
-	}
-	bit := uint64(1) << (uint(s) & 63)
-	if set == nil || set[s>>6]&bit == 0 {
-		panic(fmt.Sprintf("core: Mv entry missing (v=%d, d=%d, s=%d)", v, d, s))
-	}
-	set[s>>6] &^= bit
-	for _, w := range set {
-		if w != 0 {
-			return
-		}
-	}
-	if e.wps > 1 {
-		e.freeSlots = append(e.freeSlots, uint32(e.mvSet[base+i]))
-	}
-	sets := e.mvSet[base : base+n]
-	copy(dists[i:], dists[i+1:])
-	copy(sets[i:], sets[i+1:])
-	rec.mapLen--
-}
-
-// advanceFU finds v's new first unsent entry after the previous one was
-// synchronized. Sends are lexicographically monotone — every entry
-// below the one just sent is already sent — so the scan resumes at the
-// distance of the previous first-unsent entry instead of position 0,
-// and within each distance the first unsent source is one
-// set-difference away.
+// advanceFU finds v's new first unsent entry after the previous one,
+// (fuDist, fuSrc), was synchronized. That entry was the least unsent
+// one, so every unsent entry left is at fuDist with a larger source, or
+// at a larger distance: the scan first resumes at fuSrc+1 for the rest
+// of the distance level, and only when the level is exhausted takes the
+// lexicographic minimum over the whole row. Sources of one level are
+// sent in ascending order, so the resumes of a level together read the
+// row once.
 func (e *Engine) advanceFU(v uint32) {
 	rec := &e.vs[v]
-	base, n := int(v)*e.k, int(rec.mapLen)
-	dists := e.mvDist[base : base+n]
-	sent := e.sent[int(v)*e.wps : (int(v)+1)*e.wps]
-	for i := lowerBound(dists, rec.fuDist); i < n; i++ {
-		for j, w := range e.setOf(base + i) {
-			if w &^= sent[j]; w != 0 {
-				rec.fuDist, rec.fuSrc = dists[i], int32(j<<6+bits.TrailingZeros64(w))
+	unsent := e.unsent[int(v)*e.wps : (int(v)+1)*e.wps]
+	dist := e.dist[int(v)*e.k : (int(v)+1)*e.k]
+	d, s := rec.fuDist, int(rec.fuSrc)
+	for j := s >> 6; j < len(unsent); j++ {
+		w := unsent[j]
+		if j == s>>6 {
+			w &= ^uint64(0) << (uint(s) & 63) // s itself is no longer unsent
+		}
+		for ; w != 0; w &= w - 1 {
+			if t := j<<6 + bits.TrailingZeros64(w); dist[t] == d {
+				rec.fuSrc = int32(t)
 				return
 			}
 		}
 	}
-	rec.fuSrc = -1
+	rec.fuDist, rec.fuSrc = graph.InfDist, -1
+	for j, w := range unsent {
+		for ; w != 0; w &= w - 1 {
+			t := j<<6 + bits.TrailingZeros64(w)
+			if dist[t] < rec.fuDist {
+				rec.fuDist, rec.fuSrc = dist[t], int32(t)
+			}
+		}
+	}
 }
 
 // isSent reports whether (v, s) has been synchronized.
@@ -398,18 +298,16 @@ func (e *Engine) isSent(v uint32, s int) bool {
 func (e *Engine) insert(v uint32, s, i int, d uint32, sigma float64) {
 	e.dist[i] = d
 	e.sigma[i] = sigma
-	e.mvAdd(v, s, d)
+	e.unsent[int(v)*e.wps+s>>6] |= 1 << (uint(s) & 63)
 	e.vs[v].noteUnsent(s, d)
 	e.pending++
 	e.reschedule(v)
 }
 
-// improve lowers the unsent entry (v, s) from distance cur to d,
-// replacing its σ partial (partials at the stale distance are
-// discarded), and reschedules it.
-func (e *Engine) improve(v uint32, s, i int, cur, d uint32, sigma float64) {
-	e.mvRemove(v, s, cur)
-	e.mvAdd(v, s, d)
+// improve lowers the unsent entry (v, s) to distance d, replacing its
+// σ partial (partials at the stale distance are discarded), and
+// reschedules it.
+func (e *Engine) improve(v uint32, s, i int, d uint32, sigma float64) {
 	e.dist[i] = d
 	e.sigma[i] = sigma
 	e.vs[v].noteUnsent(s, d)
@@ -539,29 +437,26 @@ func (e *Engine) ApplySync(v uint32, s int, dist uint32, sigma float64, r int) {
 	if e.sigma == nil {
 		e.allocLabels()
 	}
-	switch cur := e.dist[i]; {
-	case cur == graph.InfDist:
-		e.mvAdd(v, s, dist)
-		e.pending++
-	case cur < dist:
+	if cur := e.dist[i]; cur < dist {
 		panic(fmt.Sprintf("core: sync for (%d,%d) with dist %d worse than local %d", v, s, dist, cur))
-	case cur > dist:
-		e.mvRemove(v, s, cur)
-		e.mvAdd(v, s, dist)
 	}
 	e.dist[i] = dist
 	e.sigma[i] = sigma
 	if e.isSent(v, s) {
 		panic(fmt.Sprintf("core: (%d,%d) synchronized twice", v, s))
 	}
-	e.sent[int(v)*e.wps+s>>6] |= 1 << (uint(s) & 63)
+	w, bit := int(v)*e.wps+s>>6, uint64(1)<<(uint(s)&63)
+	if e.unsent[w]&bit != 0 {
+		e.unsent[w] &^= bit
+		e.pending--
+	}
+	e.sent[w] |= bit
 	e.tau[i] = int32(r)
 	rec := &e.vs[v]
 	rec.sentCount++
 	if rec.fuSrc == int32(s) {
 		e.advanceFU(v)
 	}
-	e.pending--
 	e.reschedule(v)
 }
 
@@ -587,7 +482,7 @@ func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) {
 		if e.isSent(w, s) {
 			panic(fmt.Sprintf("core: improvement for sent entry (%d,%d)", w, s))
 		}
-		e.improve(w, s, i, cur, cand, sigma)
+		e.improve(w, s, i, cand, sigma)
 	}
 	// cur < cand: the contribution is to a non-shortest path.
 }
@@ -626,7 +521,7 @@ func (e *Engine) MergePartial(v uint32, s int, dist uint32, sigma float64) {
 		if e.isSent(v, s) {
 			panic(fmt.Sprintf("core: improvement for already-synchronized (%d,%d)", v, s))
 		}
-		e.improve(v, s, i, cur, dist, sigma)
+		e.improve(v, s, i, dist, sigma)
 	}
 	// cur < dist: the incoming partial is at a non-minimal distance and
 	// contributes nothing.

@@ -1,10 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -146,92 +145,170 @@ func TestEngineZeroBatchSizePanics(t *testing.T) {
 	NewEngine(gen.Path(3), 0)
 }
 
-// mvEngine returns a labelled engine over a two-vertex graph for
-// driving the Mv primitives directly.
-func mvEngine(k int) *Engine {
-	e := NewEngine(gen.Path(2), k)
-	e.allocLabels()
-	return e
-}
-
-// mvOf returns vertex v's Mv as parallel (distance, sources) lists.
-func mvOf(e *Engine, v uint32) (dists []uint32, srcs [][]int) {
-	base := int(v) * e.k
-	for i := 0; i < int(e.vs[v].mapLen); i++ {
-		dists = append(dists, e.mvDist[base+i])
-		var set []int
-		for j, w := range e.setOf(base + i) {
-			for ; w != 0; w &= w - 1 {
-				set = append(set, j<<6+bits.TrailingZeros64(w))
+// TestFirstUnsentMatchesScan pins advanceFU's resumed scan against
+// brute force: after every InitSource, MergePartial, ApplySync and
+// RelaxOutLocal, on every host of a simulated vertex-cut run, each
+// vertex's (fuDist, fuSrc) is the lexicographic minimum over its pairs
+// with a finite distance and no sent bit, and its unsent row holds
+// exactly those pairs. Mirrors lose arbitrations and masters merge
+// partials as in internal/mrbcdist, so entries are lowered and
+// synchronized out of local order; the masters' final labels must
+// still be Brandes'.
+func TestFirstUnsentMatchesScan(t *testing.T) {
+	var resumed, rescanned int
+	for _, k := range []int{1, 5, 63, 64, 65, 130} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n, hosts := 2+rng.Intn(19), 1+rng.Intn(3)
+			whole := graph.NewBuilder(n)
+			parts := make([]*graph.Builder, hosts)
+			for h := range parts {
+				parts[h] = graph.NewBuilder(n)
 			}
-		}
-		srcs = append(srcs, set)
-	}
-	return dists, srcs
-}
-
-func TestDistMapOrdering(t *testing.T) {
-	for _, k := range []int{8, 100} { // inline word, slab slots
-		e := mvEngine(k)
-		e.mvAdd(1, 3, 5)
-		e.mvAdd(1, 1, 2)
-		e.mvAdd(1, 4, 5)
-		e.mvAdd(1, k-1, 9)
-		e.mvAdd(1, 2, 7) // lands between two live entries
-		dists, srcs := mvOf(e, 1)
-		if !reflect.DeepEqual(dists, []uint32{2, 5, 7, 9}) ||
-			!reflect.DeepEqual(srcs, [][]int{{1}, {3, 4}, {2}, {k - 1}}) {
-			t.Fatalf("k=%d: Mv = %v %v", k, dists, srcs)
-		}
-		e.mvRemove(1, 3, 5)
-		if _, srcs = mvOf(e, 1); !reflect.DeepEqual(srcs[1], []int{4}) {
-			t.Fatalf("k=%d: remove left %v at distance 5", k, srcs[1])
-		}
-		e.mvRemove(1, 4, 5)
-		if dists, srcs = mvOf(e, 1); !reflect.DeepEqual(dists, []uint32{2, 7, 9}) ||
-			!reflect.DeepEqual(srcs, [][]int{{1}, {2}, {k - 1}}) {
-			t.Fatalf("k=%d: emptied distance not removed: %v %v", k, dists, srcs)
-		}
-		if d, _ := mvOf(e, 0); d != nil {
-			t.Fatalf("k=%d: vertex 0's region disturbed: %v", k, d)
-		}
-	}
-}
-
-func TestDistMapRecyclesSets(t *testing.T) {
-	e := mvEngine(100)
-	e.mvAdd(0, 70, 3)
-	freed := e.mvSet[0]
-	e.mvRemove(0, 70, 3)
-	if e.vs[0].mapLen != 0 {
-		t.Fatal("emptied distance not removed")
-	}
-	e.mvAdd(1, 2, 7)
-	if e.mvSet[e.k] != freed || e.setSlots != 1 {
-		t.Fatalf("expected slot %d to be recycled, got %d of %d carved", freed, e.mvSet[e.k], e.setSlots)
-	}
-	if _, srcs := mvOf(e, 1); !reflect.DeepEqual(srcs, [][]int{{2}}) {
-		t.Fatalf("recycled set has stale bits: %v", srcs)
-	}
-}
-
-func TestDistMapRemoveMissingPanics(t *testing.T) {
-	for name, remove := range map[string]func(e *Engine){
-		"source": func(e *Engine) { e.mvRemove(0, 2, 3) },
-		"dist":   func(e *Engine) { e.mvRemove(0, 1, 4) },
-		"empty":  func(e *Engine) { e.mvRemove(1, 1, 3) },
-	} {
-		e := mvEngine(4)
-		e.mvAdd(0, 1, 3)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
+			placed := make(map[[2]uint32]bool) // each edge on exactly one host
+			for i := rng.Intn(4 * n); i > 0; i-- {
+				e := [2]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))}
+				if !placed[e] {
+					placed[e] = true
+					whole.AddEdge(e[0], e[1])
+					parts[rng.Intn(hosts)].AddEdge(e[0], e[1])
 				}
-			}()
-			remove(e)
-		}()
+			}
+			engines := make([]*Engine, hosts)
+			for h := range engines {
+				engines[h] = NewEngine(parts[h].Build(), k)
+			}
+			master := func(v uint32) int { return int(v) % hosts }
+
+			failed := ""
+			check := func(h int, op string) {
+				e := engines[h]
+				for v := range e.vs {
+					bestD, bestS := graph.InfDist, int32(-1)
+					for s := 0; s < k; s++ {
+						i := v*k + s
+						live := e.dist[i] != graph.InfDist && !e.isSent(uint32(v), s)
+						if e.unsent != nil && (e.unsent[v*e.wps+s>>6]>>(s&63)&1 == 1) != live {
+							failed = fmt.Sprintf("k=%d seed %d host %d after %s: unsent bit of (%d,%d) is not %v", k, seed, h, op, v, s, live)
+						}
+						if live && e.dist[i] < bestD {
+							bestD, bestS = e.dist[i], int32(s)
+						}
+					}
+					rec := e.vs[v]
+					if rec.fuSrc != bestS || (bestS >= 0 && rec.fuDist != bestD) {
+						failed = fmt.Sprintf("k=%d seed %d host %d after %s: vertex %d first unsent (%d,%d), scan (%d,%d)",
+							k, seed, h, op, v, rec.fuDist, rec.fuSrc, bestD, bestS)
+					}
+				}
+			}
+			applySync := func(h int, v uint32, s int, d SrcData, r int) {
+				e := engines[h]
+				before := e.vs[v]
+				e.ApplySync(v, s, d.Dist, d.Sigma, r)
+				if after := e.vs[v]; before.fuSrc == int32(s) && after.fuSrc >= 0 {
+					if after.fuDist == before.fuDist {
+						resumed++
+					} else {
+						rescanned++
+					}
+				}
+				check(h, "ApplySync")
+			}
+
+			sources := make([]uint32, k)
+			for i := range sources {
+				sources[i] = uint32(rng.Intn(n))
+				for h, e := range engines {
+					e.InitSource(sources[i], i, master(sources[i]) == h)
+					check(h, "InitSource")
+				}
+			}
+			type proposal struct {
+				h   int
+				src int
+				d   SrcData
+			}
+			for r := 1; failed == ""; r++ {
+				if r > 2*(n+k)+2 {
+					failed = fmt.Sprintf("k=%d seed %d: no quiescence by round %d", k, seed, r)
+					break
+				}
+				props := make(map[uint32][]proposal)
+				active := false
+				for h, e := range engines {
+					for _, f := range e.ForwardFlags(r, nil) {
+						props[f.V] = append(props[f.V], proposal{h, f.Src, e.Get(f.V, f.Src)})
+					}
+					active = active || e.PendingUnsent()
+				}
+				if len(props) == 0 {
+					if !active {
+						break
+					}
+					continue
+				}
+				synced := make([]Flag, 0, len(props))
+				for v := uint32(0); v < uint32(n); v++ {
+					ps := props[v]
+					if len(ps) == 0 {
+						continue
+					}
+					w := ps[0]
+					for _, p := range ps[1:] {
+						if p.d.Dist < w.d.Dist || (p.d.Dist == w.d.Dist && p.src < w.src) {
+							w = p
+						}
+					}
+					m := master(v)
+					for _, p := range ps {
+						if p.src == w.src && p.h != m {
+							engines[m].MergePartial(v, p.src, p.d.Dist, p.d.Sigma)
+							check(m, "MergePartial")
+						}
+					}
+					d := engines[m].Get(v, w.src)
+					for h := range engines {
+						applySync(h, v, w.src, d, r)
+					}
+					synced = append(synced, Flag{V: v, Src: w.src})
+				}
+				for h, e := range engines {
+					for _, f := range synced {
+						e.RelaxOutLocal(f.V, f.Src)
+						check(h, "RelaxOutLocal")
+					}
+				}
+			}
+			if failed != "" {
+				t.Log(failed)
+				return false
+			}
+			g := whole.Build()
+			for i, s := range sources {
+				ref := brandes.SingleSource(g, s)
+				for v := uint32(0); v < uint32(n); v++ {
+					got := engines[master(v)].Get(v, i)
+					if got.Dist != ref.Dist[v] || math.Abs(got.Sigma-ref.Sigma[v]) > 1e-9 {
+						t.Logf("k=%d seed %d: (%d,%d) = %+v, Brandes dist %d sigma %v", k, seed, v, i, got, ref.Dist[v], ref.Sigma[v])
+						return false
+					}
+				}
+			}
+			return true
+		}
+		count := 25
+		if testing.Short() {
+			count = 8
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
 	}
+	if resumed == 0 || rescanned == 0 {
+		t.Fatalf("scan paths not both exercised: %d same-distance resumes, %d full scans", resumed, rescanned)
+	}
+	t.Logf("%d same-distance resumes, %d full scans", resumed, rescanned)
 }
 
 // Property: engine BC equals Brandes on random graphs with random

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"mrbc/internal/bitset"
 	"mrbc/internal/brandes"
 	"mrbc/internal/gen"
 	"mrbc/internal/graph"
@@ -72,12 +73,11 @@ func driveBatch(e *Engine, batch []uint32, fwdLimit, backLimit int) batchTrace {
 // engineState is the engine's whole label and schedule state, floats as
 // bits, for comparing a reset engine with a new one.
 type engineState struct {
-	Dist, MvDist []uint32
+	Dist         []uint32
 	Sigma, Delta []uint64
 	Tau          []int32
-	Sent         []uint64
+	Sent, Unsent []uint64
 	Sched        []vertexSched
-	MvSrcs       [][][]int
 	Pending      int64
 }
 
@@ -89,19 +89,16 @@ func stateOf(e *Engine) engineState {
 		Delta:   make([]uint64, nk),
 		Tau:     make([]int32, nk),
 		Sent:    append([]uint64(nil), e.sent[:e.n*e.wps]...),
+		Unsent:  make([]uint64, e.n*e.wps),
 		Sched:   append([]vertexSched(nil), e.vs...),
 		Pending: e.pending,
 	}
 	// Slabs construction deferred read as what they will be made as: zero.
 	copy(st.Tau, e.tau)
+	copy(st.Unsent, e.unsent)
 	for i := range e.sigma {
 		st.Sigma[i] = math.Float64bits(e.sigma[i])
 		st.Delta[i] = math.Float64bits(e.delta[i])
-	}
-	for v := range e.vs {
-		dists, srcs := mvOf(e, uint32(v))
-		st.MvDist = append(st.MvDist, dists...)
-		st.MvSrcs = append(st.MvSrcs, srcs)
 	}
 	return st
 }
@@ -128,7 +125,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 			b.AddEdge(uint32(rng.Intn(n)), uint32(rng.Intn(n)))
 		}
 		g := b.Build()
-		kmax := 1 + rng.Intn(n) // above 64 about one time in four: slab-slot sets
+		kmax := 1 + rng.Intn(n) // above 64 about one time in four: multi-word bit rows
 		e := NewEngine(g, kmax)
 
 		a := randomBatch(rng, n, 1+rng.Intn(kmax))
@@ -245,7 +242,7 @@ func runBatchNoAlloc(e *Engine, batch []uint32, flags *[]Flag) {
 }
 
 // TestEngineResetAllocs: a warm engine runs batch after batch without
-// allocating — Reset included — at both set representations.
+// allocating — Reset included — at one- and two-word bit rows.
 func TestEngineResetAllocs(t *testing.T) {
 	g := gen.RMAT(8, 8, 11)
 	for _, k := range []int{16, 80} {
@@ -268,11 +265,10 @@ func TestEngineResetAllocs(t *testing.T) {
 func footprint(e *Engine) (labels, schedule int) {
 	size := func(n int, elem uintptr) int { return n * int(elem) }
 	labels = size(cap(e.dist), 4) + size(cap(e.sigma), 8) + size(cap(e.delta), 8) +
-		size(cap(e.tau), 4) + size(cap(e.mvDist), 4) + size(cap(e.mvSet), 8)
-	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.sent), 8)
+		size(cap(e.tau), 4)
+	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.sent)+cap(e.unsent), 8)
 	schedule += size(cap(e.backArena), 4) +
 		size(cap(e.backByRound), unsafe.Sizeof([]uint32(nil))) + size(cap(e.backCounts), 4) +
-		size(cap(e.setWords), 8) + size(cap(e.freeSlots), 4) +
 		size(cap(e.buckets)+cap(e.freeBuckets), unsafe.Sizeof([]uint32(nil)))
 	for _, b := range e.buckets[:cap(e.buckets)] {
 		schedule += size(cap(b), 4)
@@ -284,31 +280,31 @@ func footprint(e *Engine) (labels, schedule int) {
 }
 
 // TestEngineMemoryBudget pins the engine's stated memory budget
-// (DESIGN.md §5, "Engine label layout"): 36 bytes of label slabs per
+// (DESIGN.md §5, "Engine label layout"): 24 bytes of label slabs per
 // (vertex · source), and — after a full batch — at most 4.5 more per
 // reached pair for the backward schedule (a 4-byte pair index in an
-// arena grown with one eighth of headroom) plus (20 + 8·⌈k/64⌉)/k for
-// the per-vertex record and sent bits, with one byte of slack for the
-// calendar queue.
+// arena grown with one eighth of headroom) plus (16 + 16·⌈k/64⌉)/k for
+// the per-vertex record and the sent and unsent bits, with one byte of
+// slack for the calendar queue.
 func TestEngineMemoryBudget(t *testing.T) {
-	if unsafe.Sizeof(vertexSched{}) != 20 {
-		t.Fatalf("vertex record is %d bytes, budget assumes 20", unsafe.Sizeof(vertexSched{}))
+	if unsafe.Sizeof(vertexSched{}) != 16 {
+		t.Fatalf("vertex record is %d bytes, budget assumes 16", unsafe.Sizeof(vertexSched{}))
 	}
 	g := gen.RMAT(10, 8, 3)
 	n := g.NumVertices()
 	for _, k := range []int{32, 64} {
 		e := NewEngine(g, k)
-		if labels, _ := footprint(e); labels != 4*n*k {
-			t.Errorf("k=%d: construction made %d label bytes, want dist alone (%d)", k, labels, 4*n*k)
+		if labels, _ := footprint(e); labels != 4*n*k || e.unsent != nil {
+			t.Errorf("k=%d: construction made %d label bytes and unsent %v, want dist alone (%d)", k, labels, e.unsent != nil, 4*n*k)
 		}
 		var flags []Flag
 		runBatchNoAlloc(e, brandes.FirstKSources(g, 0, k), &flags)
 		labels, schedule := footprint(e)
-		if labels != 36*n*k {
-			t.Errorf("k=%d: %d label bytes, want 36 per (vertex·source) = %d", k, labels, 36*n*k)
+		if labels != labelBytesPerPair*n*k {
+			t.Errorf("k=%d: %d label bytes, want %d per (vertex·source) = %d", k, labels, labelBytesPerPair, labelBytesPerPair*n*k)
 		}
 		perPair := float64(schedule) / float64(n*k)
-		if limit := 4.5 + 28/float64(k) + 1; perPair > limit {
+		if limit := 4.5 + float64(16+16*bitset.WordsFor(k))/float64(k) + 1; perPair > limit {
 			t.Errorf("k=%d: schedule state is %.2f bytes per (vertex·source), budget %.2f", k, perPair, limit)
 		}
 		t.Logf("k=%d: %.2f bytes per (vertex·source)", k, float64(labels+schedule)/float64(n*k))
@@ -348,6 +344,23 @@ func BenchmarkSharedRMAT(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, _ = BC(g, sources, Options{BatchSize: 32, Parallelism: row.par})
+			}
+		})
+	}
+}
+
+// BenchmarkSharedBatchSize runs the serial loop at three batch sizes,
+// 2k sources each: 32, the default; 128, the largest any product path
+// picks (AutotuneBatch, BatchSweep); and 512, where the first-unsent
+// scan reads eight-word bit rows.
+func BenchmarkSharedBatchSize(b *testing.B) {
+	g := gen.RMAT(12, 14, 1)
+	for _, k := range []int{32, 128, 512} {
+		sources := brandes.FirstKSources(g, 0, 2*k)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, _ = BC(g, sources, Options{BatchSize: k, Parallelism: 1})
 			}
 		})
 	}
