@@ -107,13 +107,14 @@ type Options struct {
 	Partition PartitionPolicy
 	// BatchSize is k for batched algorithms (MRBC, MFBC); default 32.
 	BatchSize int
-	// Workers bounds shared-memory parallelism. For ABBC, MFBC, and
-	// parallel Brandes it is the worker-goroutine count. For
-	// shared-memory MRBC it is the number of batches that run
-	// concurrently, each on a private engine; they retire in batch
-	// order, so scores do not depend on it (core.Options.Parallelism).
-	// Workers == 0 uses every core, one engine per core while there are
-	// batches to fill them.
+	// Workers bounds shared-memory parallelism. For ABBC it is the
+	// worker-goroutine count within each source; for Brandes and MFBC
+	// the number of sources computed concurrently. For shared-memory
+	// MRBC it is the number of batches that run concurrently, each on a
+	// private engine (core.Options.Parallelism). Sources (batches, for
+	// MRBC) fold into the scores in order, so scores do not depend on
+	// it. Workers == 0 uses every core, for MRBC one engine per core
+	// while there are batches to fill them.
 	Workers int
 	// ChunkSize is the ABBC worklist chunk size; default 8 (the paper
 	// uses 64 for road networks).
@@ -153,11 +154,7 @@ func Betweenness(g *Graph, sources []uint32, opts Options) (*Result, error) {
 	res := &Result{}
 	switch opts.Algorithm {
 	case Brandes:
-		if opts.Workers > 1 {
-			res.Scores = brandes.Parallel(g, sources, opts.Workers)
-		} else {
-			res.Scores = brandes.Sequential(g, sources)
-		}
+		res.Scores = brandes.Parallel(g, sources, opts.Workers)
 	case ABBC:
 		res.Scores = brandes.Async(g, sources, brandes.AsyncConfig{
 			Workers:   opts.Workers,

@@ -1,10 +1,10 @@
 // Package bitset provides a dense, fixed-capacity bit vector.
 //
-// It backs two performance-sensitive structures from the paper's
-// D-Galois implementation (Section 4.3): the flat distance map on each
-// vertex, which maps a distance to the set of sources currently at that
-// distance, and the Gluon metadata that identifies which proxies carry
-// updated labels in a communication round.
+// It backs the Gluon metadata of the paper's D-Galois implementation
+// (Section 4.3) that identifies which proxies carry updated labels in a
+// communication round, and the per-round vertex sets of the MRBC and
+// SBBC hosts. WordsFor sizes the bit rows the MRBC engine slab-allocates
+// for its sent and unsent (vertex, source) labels.
 package bitset
 
 import (
@@ -55,12 +55,6 @@ func (s *Set) Len() int { return s.n }
 func (s *Set) Set(i int) {
 	s.check(i)
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
-}
-
-// Clear clears bit i.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
 // Test reports whether bit i is set.
@@ -119,79 +113,6 @@ func (s *Set) trim() {
 	}
 }
 
-// Clone returns a deep copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
-
-// CopyFrom overwrites s with the contents of o. The sets must have the
-// same capacity.
-func (s *Set) CopyFrom(o *Set) {
-	s.mustMatch(o)
-	copy(s.words, o.words)
-}
-
-// Union sets s = s ∪ o.
-func (s *Set) Union(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// Intersect sets s = s ∩ o.
-func (s *Set) Intersect(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// Difference sets s = s \ o.
-func (s *Set) Difference(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
-// FirstAndNot returns the smallest index set in s but not in o, or -1
-// if s \ o is empty. It allocates nothing; o may have any capacity
-// (bits beyond o's capacity are treated as clear).
-func (s *Set) FirstAndNot(o *Set) int {
-	for i, w := range s.words {
-		if i < len(o.words) {
-			w &^= o.words[i]
-		}
-		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// Equal reports whether s and o contain exactly the same bits. Sets of
-// different capacity are never equal.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Set) mustMatch(o *Set) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: capacity mismatch %d vs %d", s.n, o.n))
-	}
-}
-
 // NextSet returns the index of the first set bit at position >= i, and
 // whether one exists.
 func (s *Set) NextSet(i int) (int, bool) {
@@ -236,25 +157,6 @@ func (s *Set) Slice() []int {
 		return true
 	})
 	return out
-}
-
-// Rank returns the number of set bits strictly below position i.
-func (s *Set) Rank(i int) int {
-	if i <= 0 {
-		return 0
-	}
-	if i > s.n {
-		i = s.n
-	}
-	c := 0
-	full := i / wordBits
-	for w := 0; w < full; w++ {
-		c += bits.OnesCount64(s.words[w])
-	}
-	if rem := i % wordBits; rem != 0 {
-		c += bits.OnesCount64(s.words[full] & ((1 << uint(rem)) - 1))
-	}
-	return c
 }
 
 // Words exposes the raw backing words (read-only by convention); used

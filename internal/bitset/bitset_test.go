@@ -46,12 +46,9 @@ func TestSetTestClear(t *testing.T) {
 	if got := s.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
 	}
-	s.Clear(64)
-	if s.Test(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if got := s.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
+	s.Reset()
+	if s.Test(64) || s.Any() {
+		t.Fatal("bits still set after Reset")
 	}
 }
 
@@ -60,7 +57,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Set":    func() { s.Set(10) },
 		"Test":   func() { s.Test(-1) },
-		"Clear":  func() { s.Clear(11) },
 		"SetNeg": func() { s.Set(-5) },
 	} {
 		func() {
@@ -98,85 +94,13 @@ func TestFillExactWordBoundary(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	s := New(50)
-	s.Set(3)
-	c := s.Clone()
-	c.Set(4)
-	if s.Test(4) {
-		t.Fatal("mutating clone changed original")
-	}
-	if !c.Test(3) {
-		t.Fatal("clone missing original bit")
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a, b := New(40), New(40)
-	a.Set(1)
-	b.Set(2)
-	b.CopyFrom(a)
-	if !b.Test(1) || b.Test(2) {
-		t.Fatalf("CopyFrom result wrong: %v", b.Slice())
-	}
-}
-
-func TestSetAlgebra(t *testing.T) {
-	a, b := New(100), New(100)
-	a.Set(1)
-	a.Set(2)
-	a.Set(70)
-	b.Set(2)
-	b.Set(3)
-	b.Set(70)
-
-	u := a.Clone()
-	u.Union(b)
-	if got, want := u.Slice(), []int{1, 2, 3, 70}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Union = %v, want %v", got, want)
-	}
-
-	i := a.Clone()
-	i.Intersect(b)
-	if got, want := i.Slice(), []int{2, 70}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Intersect = %v, want %v", got, want)
-	}
-
-	d := a.Clone()
-	d.Difference(b)
-	if got, want := d.Slice(), []int{1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Difference = %v, want %v", got, want)
-	}
-}
-
 func TestCapacityMismatchPanics(t *testing.T) {
-	a, b := New(10), New(20)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on capacity mismatch")
+			t.Fatal("expected panic on backing words that do not match the capacity")
 		}
 	}()
-	a.Union(b)
-}
-
-func TestEqual(t *testing.T) {
-	a, b := New(65), New(65)
-	if !a.Equal(b) {
-		t.Fatal("empty sets should be equal")
-	}
-	a.Set(64)
-	if a.Equal(b) {
-		t.Fatal("unequal sets reported equal")
-	}
-	b.Set(64)
-	if !a.Equal(b) {
-		t.Fatal("equal sets reported unequal")
-	}
-	c := New(66)
-	c.Set(64)
-	if a.Equal(c) {
-		t.Fatal("sets of different capacity reported equal")
-	}
+	FromWords(make([]uint64, 1), 70)
 }
 
 func TestNextSet(t *testing.T) {
@@ -256,50 +180,6 @@ func TestQuickSliceMatchesModel(t *testing.T) {
 	}
 }
 
-// Property: De Morgan-ish identity |A∪B| + |A∩B| == |A| + |B|.
-func TestQuickInclusionExclusion(t *testing.T) {
-	f := func(aIdx, bIdx []uint8) bool {
-		a, b := New(256), New(256)
-		for _, i := range aIdx {
-			a.Set(int(i))
-		}
-		for _, i := range bIdx {
-			b.Set(int(i))
-		}
-		u := a.Clone()
-		u.Union(b)
-		x := a.Clone()
-		x.Intersect(b)
-		return u.Count()+x.Count() == a.Count()+b.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Difference then Union with the same operand restores a
-// superset relationship: (A\B) ∪ (A∩B) == A.
-func TestQuickDifferencePartition(t *testing.T) {
-	f := func(aIdx, bIdx []uint8) bool {
-		a, b := New(256), New(256)
-		for _, i := range aIdx {
-			a.Set(int(i))
-		}
-		for _, i := range bIdx {
-			b.Set(int(i))
-		}
-		diff := a.Clone()
-		diff.Difference(b)
-		inter := a.Clone()
-		inter.Intersect(b)
-		diff.Union(inter)
-		return diff.Equal(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRandomizedAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := New(500)
@@ -311,8 +191,10 @@ func TestRandomizedAgainstMap(t *testing.T) {
 			s.Set(i)
 			model[i] = true
 		case 1:
-			s.Clear(i)
-			delete(model, i)
+			if rng.Intn(100) == 0 {
+				s.Reset()
+				clear(model)
+			}
 		case 2:
 			if s.Test(i) != model[i] {
 				t.Fatalf("op %d: Test(%d) = %v, model %v", op, i, s.Test(i), model[i])
@@ -349,53 +231,12 @@ func BenchmarkForEach(b *testing.B) {
 	_ = sum
 }
 
-func TestRank(t *testing.T) {
-	s := New(200)
-	for _, i := range []int{0, 5, 63, 64, 130} {
-		s.Set(i)
-	}
-	cases := map[int]int{0: 0, 1: 1, 5: 1, 6: 2, 64: 3, 65: 4, 131: 5, 200: 5, 500: 5, -3: 0}
-	for i, want := range cases {
-		if got := s.Rank(i); got != want {
-			t.Errorf("Rank(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestWordsExposesBacking(t *testing.T) {
 	s := New(70)
 	s.Set(64)
 	w := s.Words()
 	if len(w) != 2 || w[1] != 1 {
 		t.Fatalf("Words = %v", w)
-	}
-}
-
-func TestFirstAndNot(t *testing.T) {
-	s := New(200)
-	o := New(200)
-	if got := s.FirstAndNot(o); got != -1 {
-		t.Fatalf("empty FirstAndNot = %d, want -1", got)
-	}
-	s.Set(5)
-	s.Set(64)
-	s.Set(130)
-	if got := s.FirstAndNot(o); got != 5 {
-		t.Fatalf("FirstAndNot = %d, want 5", got)
-	}
-	o.Set(5)
-	if got := s.FirstAndNot(o); got != 64 {
-		t.Fatalf("FirstAndNot = %d, want 64", got)
-	}
-	o.Set(64)
-	o.Set(130)
-	if got := s.FirstAndNot(o); got != -1 {
-		t.Fatalf("fully covered FirstAndNot = %d, want -1", got)
-	}
-	// o may be shorter than s: bits beyond its capacity read as clear.
-	short := New(10)
-	if got := s.FirstAndNot(short); got != 5 {
-		t.Fatalf("short-other FirstAndNot = %d, want 5", got)
 	}
 }
 

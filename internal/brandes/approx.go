@@ -70,15 +70,7 @@ func ApproximateBC(g *graph.Graph, opts ApproxOptions) ([]float64, int) {
 		for i := range sources {
 			sources[i] = uint32(perm[used+i])
 		}
-		if opts.Workers > 1 {
-			for v, x := range Parallel(g, sources, opts.Workers) {
-				scores[v] += x
-			}
-		} else {
-			for _, s := range sources {
-				SingleSource(g, s).Accumulate(g, scores)
-			}
-		}
+		foldSources(g, sources, opts.Workers, scores)
 		used += batch
 		if !opts.Adaptive {
 			break

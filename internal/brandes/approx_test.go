@@ -101,8 +101,8 @@ func TestApproximateParallelMatchesSerial(t *testing.T) {
 	if usedA != usedB {
 		t.Fatalf("sample counts differ: %d vs %d", usedA, usedB)
 	}
-	if !approxEqual(a, b, 1e-9) {
-		t.Fatal("parallel approximation differs from serial")
+	if !bitsEqual(a, b) {
+		t.Fatal("parallel approximation differs from serial in some bit")
 	}
 }
 

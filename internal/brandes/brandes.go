@@ -3,10 +3,14 @@
 //
 //   - Sequential: the textbook algorithm, used as the correctness
 //     oracle for every other BC implementation in this repository.
-//   - Parallel: shared-memory source-parallel Brandes.
+//   - Parallel: shared-memory source-parallel Brandes on
+//     worklist.RunOrdered, with Sequential's bits at any worker count.
 //   - Async (ABBC): the asynchronous shared-memory baseline of
 //     Prountzos & Pingali evaluated by the paper, built on a chunked
 //     worklist with no level barriers in the forward phase.
+//
+// Their weighted modes (Dijkstra, and ABBC's label-correcting forward)
+// share one σ/δ back end, WeightedBC, with weighted MFBC.
 //
 // All functions compute the k-source approximation of BC (Bader et
 // al.), summing the betweenness score over the given sources only, as
@@ -16,8 +20,10 @@ package brandes
 
 import (
 	"fmt"
+	"runtime"
 
 	"mrbc/internal/graph"
+	"mrbc/internal/worklist"
 )
 
 // SourceData holds the per-source state of Brandes' algorithm: BFS
@@ -69,11 +75,17 @@ func SingleSource(g *graph.Graph, s uint32) *SourceData {
 	return d
 }
 
-// Accumulate runs the backward phase (Algorithm 2): dependencies are
-// accumulated from the BFS frontier inward and added into scores for
-// every vertex other than the source.
+// Accumulate runs the backward phase (Algorithm 2) and adds the
+// dependencies into scores for every vertex other than the source.
 func (d *SourceData) Accumulate(g *graph.Graph, scores []float64) {
 	g.EnsureInEdges()
+	d.dependencies(g)
+	fold(scores, d.Source, d.Order, d.Delta)
+}
+
+// dependencies accumulates δ from the BFS frontier inward. g's in-edge
+// view must exist.
+func (d *SourceData) dependencies(g *graph.Graph) {
 	for i := len(d.Order) - 1; i >= 0; i-- {
 		w := d.Order[i]
 		coeff := (1 + d.Delta[w]) / d.Sigma[w]
@@ -82,20 +94,53 @@ func (d *SourceData) Accumulate(g *graph.Graph, scores []float64) {
 				d.Delta[v] += d.Sigma[v] * coeff
 			}
 		}
-		if w != d.Source {
-			scores[w] += d.Delta[w]
+	}
+}
+
+// fold adds one source's dependencies into scores: BC(w) += δs•(w) for
+// every vertex w ≠ s in order, the vertices s reaches.
+func fold(scores []float64, s uint32, order []uint32, delta []float64) {
+	for _, w := range order {
+		if w != s {
+			scores[w] += delta[w]
 		}
 	}
 }
 
 // Sequential computes BC scores restricted to the given sources.
 func Sequential(g *graph.Graph, sources []uint32) []float64 {
-	scores := make([]float64, g.NumVertices())
-	for _, s := range sources {
-		validateSource(g, s)
-		SingleSource(g, s).Accumulate(g, scores)
+	return Parallel(g, sources, 1)
+}
+
+// Parallel computes BC scores restricted to the given sources with
+// source-level parallelism, the standard shared-memory parallelization
+// of Brandes (Bader & Madduri style) and the single-host configuration
+// in Table 2: up to workers goroutines (GOMAXPROCS when workers <= 0)
+// each compute whole sources. The sources fold into the scores in
+// source order, so every worker count gives Sequential's bits.
+func Parallel(g *graph.Graph, sources []uint32, workers int) []float64 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	scores := make([]float64, g.NumVertices())
+	foldSources(g, sources, workers, scores)
 	return scores
+}
+
+// foldSources computes the dependencies of every source on up to
+// workers goroutines and folds them into scores in source order.
+func foldSources(g *graph.Graph, sources []uint32, workers int, scores []float64) {
+	g.EnsureInEdges() // build once, before workers share the graph
+	worklist.RunOrdered(len(sources), workers, func() (compute, retire func(int)) {
+		var d *SourceData
+		compute = func(i int) {
+			validateSource(g, sources[i])
+			d = SingleSource(g, sources[i])
+			d.dependencies(g)
+		}
+		retire = func(int) { fold(scores, d.Source, d.Order, d.Delta) }
+		return compute, retire
+	})
 }
 
 // SequentialAll computes exact BC using every vertex as a source.

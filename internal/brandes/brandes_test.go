@@ -78,6 +78,19 @@ func allSources(g *graph.Graph) []uint32 {
 	return out
 }
 
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func approxEqual(a, b []float64, tol float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -221,8 +234,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	seq := Sequential(g, sources)
 	for _, workers := range []int{1, 2, 4, 8} {
 		par := Parallel(g, sources, workers)
-		if !approxEqual(seq, par, 1e-9) {
-			t.Fatalf("workers=%d: parallel differs from sequential", workers)
+		if !bitsEqual(seq, par) {
+			t.Fatalf("workers=%d: parallel differs from sequential in some bit", workers)
 		}
 	}
 }

@@ -2,135 +2,96 @@ package brandes
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
-	"sync"
 
 	"mrbc/internal/graph"
+	"mrbc/internal/worklist"
 )
 
 // Weighted Brandes: Algorithm 1 with Dijkstra instead of BFS, as the
 // paper's Algorithm 1 listing describes ("run Dijkstra SSSP from s (or
 // BFS if G is unweighted)"). Used as the oracle for the weighted MFBC
-// and weighted-ABBC engines.
+// and weighted-ABBC engines, which share its back end: each settles a
+// source's distances its own way and hands them to WeightedBC.
 
-// WeightedSourceData is the weighted analogue of SourceData.
-type WeightedSourceData struct {
-	Source uint32
-	Dist   []uint64
-	Sigma  []float64
-	Delta  []float64
-	Order  []uint32 // reachable vertices in non-decreasing distance
+// WeightedSequential computes weighted BC restricted to sources.
+func WeightedSequential(g *graph.Weighted, sources []uint32) []float64 {
+	return WeightedBC(g, sources, 1, g.Dijkstra)
 }
 
-// WeightedSingleSource runs Dijkstra with shortest-path counting.
-func WeightedSingleSource(g *graph.Weighted, s uint32) *WeightedSourceData {
-	n := g.NumVertices()
-	d := &WeightedSourceData{
-		Source: s,
-		Dist:   g.Dijkstra(s),
-		Sigma:  make([]float64, n),
-		Delta:  make([]float64, n),
+// WeightedParallel computes weighted BC with source-level parallelism;
+// every worker count gives WeightedSequential's bits.
+func WeightedParallel(g *graph.Weighted, sources []uint32, workers int) []float64 {
+	return WeightedBC(g, sources, workers, g.Dijkstra)
+}
+
+// WeightedBC is the settle-then-count back end of every weighted BC in
+// the repository. settle(s) returns the final shortest-path distances
+// from s (graph.InfWeightedDist when unreachable) in a fresh slice;
+// WeightedBC then counts σ in a sweep in distance order (σ(v) sums σ(u)
+// over in-edges with dist(u)+w == dist(v)), accumulates δ in the
+// reverse sweep, and folds each source into the scores in source
+// order. Up to workers goroutines (GOMAXPROCS when workers <= 0) settle
+// and sweep whole sources, so every worker count gives the same bits.
+func WeightedBC(g *graph.Weighted, sources []uint32, workers int, settle func(s uint32) []uint64) []float64 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	// With final distances in hand, σ follows from a sweep in distance
-	// order: σ(v) sums σ(u) over in-edges with dist(u)+w == dist(v).
+	scores := make([]float64, g.NumVertices())
+	worklist.RunOrdered(len(sources), workers, func() (compute, retire func(int)) {
+		var s uint32
+		var order []uint32
+		var delta []float64
+		compute = func(i int) {
+			s = sources[i]
+			validateWeightedSource(g, s)
+			order, delta = weightedDependencies(g, s, settle(s))
+		}
+		retire = func(int) { fold(scores, s, order, delta) }
+		return compute, retire
+	})
+	return scores
+}
+
+// weightedDependencies runs the σ and δ sweeps of source s over its
+// settled distances, returning the vertices s reaches in non-decreasing
+// distance and their dependencies.
+func weightedDependencies(g *graph.Weighted, s uint32, dist []uint64) (order []uint32, delta []float64) {
+	n := g.NumVertices()
 	for v := 0; v < n; v++ {
-		if d.Dist[v] != graph.InfWeightedDist {
-			d.Order = append(d.Order, uint32(v))
+		if dist[v] != graph.InfWeightedDist {
+			order = append(order, uint32(v))
 		}
 	}
-	sort.Slice(d.Order, func(i, j int) bool { return d.Dist[d.Order[i]] < d.Dist[d.Order[j]] })
-	d.Sigma[s] = 1
-	for _, v := range d.Order {
+	sort.Slice(order, func(i, j int) bool { return dist[order[i]] < dist[order[j]] })
+	sigma := make([]float64, n)
+	sigma[s] = 1
+	for _, v := range order {
 		if v == s {
 			continue
 		}
 		srcs, ws := g.InEdges(v)
 		var acc float64
 		for i, u := range srcs {
-			if du := d.Dist[u]; du != graph.InfWeightedDist && du+uint64(ws[i]) == d.Dist[v] {
-				acc += d.Sigma[u]
+			if du := dist[u]; du != graph.InfWeightedDist && du+uint64(ws[i]) == dist[v] {
+				acc += sigma[u]
 			}
 		}
-		d.Sigma[v] = acc
+		sigma[v] = acc
 	}
-	return d
-}
-
-// Accumulate runs the backward dependency phase and adds results to
-// scores.
-func (d *WeightedSourceData) Accumulate(g *graph.Weighted, scores []float64) {
-	for i := len(d.Order) - 1; i >= 0; i-- {
-		w := d.Order[i]
-		coeff := (1 + d.Delta[w]) / d.Sigma[w]
+	delta = make([]float64, n)
+	for i := len(order) - 1; i >= 0; i-- {
+		w := order[i]
+		coeff := (1 + delta[w]) / sigma[w]
 		srcs, ws := g.InEdges(w)
 		for j, v := range srcs {
-			if dv := d.Dist[v]; dv != graph.InfWeightedDist && dv+uint64(ws[j]) == d.Dist[w] {
-				d.Delta[v] += d.Sigma[v] * coeff
+			if dv := dist[v]; dv != graph.InfWeightedDist && dv+uint64(ws[j]) == dist[w] {
+				delta[v] += sigma[v] * coeff
 			}
 		}
-		if w != d.Source {
-			scores[w] += d.Delta[w]
-		}
 	}
-}
-
-// WeightedSequential computes weighted BC restricted to sources.
-func WeightedSequential(g *graph.Weighted, sources []uint32) []float64 {
-	scores := make([]float64, g.NumVertices())
-	for _, s := range sources {
-		validateWeightedSource(g, s)
-		WeightedSingleSource(g, s).Accumulate(g, scores)
-	}
-	return scores
-}
-
-// WeightedParallel computes weighted BC with source-level parallelism.
-func WeightedParallel(g *graph.Weighted, sources []uint32, workers int) []float64 {
-	if workers <= 1 || len(sources) <= 1 {
-		return WeightedSequential(g, sources)
-	}
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	n := g.NumVertices()
-	partials := make([][]float64, workers)
-	var mu sync.Mutex
-	next := 0
-	take := func() (uint32, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(sources) {
-			return 0, false
-		}
-		s := sources[next]
-		next++
-		return s, true
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]float64, n)
-			partials[w] = local
-			for {
-				s, ok := take()
-				if !ok {
-					return
-				}
-				validateWeightedSource(g, s)
-				WeightedSingleSource(g, s).Accumulate(g, local)
-			}
-		}(w)
-	}
-	wg.Wait()
-	scores := make([]float64, n)
-	for _, p := range partials {
-		for i, v := range p {
-			scores[i] += v
-		}
-	}
-	return scores
+	return order, delta
 }
 
 func validateWeightedSource(g *graph.Weighted, s uint32) {

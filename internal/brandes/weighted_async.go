@@ -2,7 +2,6 @@ package brandes
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,71 +10,26 @@ import (
 	"mrbc/internal/worklist"
 )
 
-// WeightedAsync is the weighted mode of the ABBC baseline: chaotic
-// asynchronous shortest-path relaxation (no rounds, no priority order —
-// the worklist serves vertices in arbitrary order and distances settle
-// at the fixpoint), followed by distance-ordered σ and dependency
-// sweeps. Weighted graphs are where asynchrony helps most: a
-// label-correcting run wastes some relaxations but never waits at a
-// barrier.
+// WeightedAsync is the weighted mode of the ABBC baseline: asynchronous
+// label-correcting shortest-path relaxation with no rounds and no
+// barrier — cfg.Workers goroutines serve an OBIM-style ordered worklist
+// keyed by tentative distance, so relaxations run in near-Dijkstra
+// order and distances settle at the fixpoint — followed by WeightedBC's
+// distance-ordered σ and dependency sweeps. Sources run one at a time.
+// Weighted graphs are where asynchrony helps most: a label-correcting
+// run wastes some relaxations but never waits at a barrier.
 func WeightedAsync(g *graph.Weighted, sources []uint32, cfg AsyncConfig) []float64 {
 	cfg = cfg.withDefaults()
-	n := g.NumVertices()
-	scores := make([]float64, n)
-	dist := make([]uint64, n)
-	for _, s := range sources {
-		validateWeightedSource(g, s)
-		weightedAsyncForward(g, s, dist, cfg)
-
-		// Distance-ordered sweeps, reusing the final distances.
-		order := make([]uint32, 0, n)
-		for v := 0; v < n; v++ {
-			if dist[v] != graph.InfWeightedDist {
-				order = append(order, uint32(v))
-			}
-		}
-		sort.Slice(order, func(i, j int) bool { return dist[order[i]] < dist[order[j]] })
-
-		sigma := make([]float64, n)
-		sigma[s] = 1
-		for _, v := range order {
-			if v == s {
-				continue
-			}
-			srcs, ws := g.InEdges(v)
-			var acc float64
-			for i, u := range srcs {
-				if du := dist[u]; du != graph.InfWeightedDist && du+uint64(ws[i]) == dist[v] {
-					acc += sigma[u]
-				}
-			}
-			sigma[v] = acc
-		}
-
-		delta := make([]float64, n)
-		for i := len(order) - 1; i >= 0; i-- {
-			w := order[i]
-			coeff := (1 + delta[w]) / sigma[w]
-			srcs, ws := g.InEdges(w)
-			for j, v := range srcs {
-				if dv := dist[v]; dv != graph.InfWeightedDist && dv+uint64(ws[j]) == dist[w] {
-					delta[v] += sigma[v] * coeff
-				}
-			}
-			if w != s {
-				scores[w] += delta[w]
-			}
-		}
-	}
-	return scores
+	return WeightedBC(g, sources, 1, func(s uint32) []uint64 { return weightedAsyncForward(g, s, cfg) })
 }
 
-// weightedAsyncForward fills dist via asynchronous label-correcting
-// relaxation over an ordered (OBIM-style) worklist: tentative
+// weightedAsyncForward returns the distances from s, settled by
+// asynchronous label-correcting relaxation over an ordered (OBIM-style) worklist: tentative
 // distances serve as priorities, so work proceeds in near-Dijkstra
 // order without any global barrier, bounding re-relaxations the way
 // the Lonestar scheduler does.
-func weightedAsyncForward(g *graph.Weighted, s uint32, dist []uint64, cfg AsyncConfig) {
+func weightedAsyncForward(g *graph.Weighted, s uint32, cfg AsyncConfig) []uint64 {
+	dist := make([]uint64, g.NumVertices())
 	for i := range dist {
 		dist[i] = graph.InfWeightedDist
 	}
@@ -133,4 +87,5 @@ func weightedAsyncForward(g *graph.Weighted, s uint32, dist []uint64, cfg AsyncC
 		}()
 	}
 	wg.Wait()
+	return dist
 }

@@ -149,8 +149,8 @@ func TestWeightedParallelMatchesSequential(t *testing.T) {
 	want := WeightedSequential(g, sources)
 	for _, workers := range []int{2, 4, 8} {
 		got := WeightedParallel(g, sources, workers)
-		if !approxEqual(got, want, 1e-9) {
-			t.Fatalf("workers=%d: mismatch", workers)
+		if !bitsEqual(got, want) {
+			t.Fatalf("workers=%d: differs from sequential in some bit", workers)
 		}
 	}
 }

@@ -3,69 +3,18 @@
 // paper evaluates against (§5: "MFBC is a sparse-matrix based BC
 // algorithm implemented in Cyclops Tensor Framework"). CTF itself is a
 // distributed tensor framework; per DESIGN.md §3 the substitution here
-// is a shared-memory sparse-matrix library with user-defined semirings
-// (monoids + extension maps), which is the part of CTF MFBC actually
-// exercises: masked SpMV/SpMM-style frontier products over a
-// (min, +, count) algebra.
+// is shared-memory products with user-defined semirings (monoids +
+// extension maps) over the graph's own CSR — graph.Graph's out-edge
+// rows are the rows of the adjacency matrix, its in-edge view the
+// transpose — which is the part of CTF MFBC actually exercises: masked
+// SpMV/SpMM-style frontier products over a (min, +, count) algebra.
 package matrix
 
 import (
 	"fmt"
-	"sync"
 
 	"mrbc/internal/graph"
 )
-
-// Pattern is the sparsity pattern of an unweighted adjacency matrix in
-// CSR form: Pattern[i][j] != 0 iff edge (i, j) exists. Values are
-// implicit ones, as appropriate for unweighted graphs.
-type Pattern struct {
-	n       int
-	offsets []int64
-	cols    []uint32
-}
-
-// FromGraph builds the adjacency pattern of g (row u holds u's
-// out-neighbors).
-func FromGraph(g *graph.Graph) *Pattern {
-	n := g.NumVertices()
-	p := &Pattern{n: n, offsets: make([]int64, n+1)}
-	p.cols = make([]uint32, 0, g.NumEdges())
-	for u := 0; u < n; u++ {
-		p.cols = append(p.cols, g.OutNeighbors(uint32(u))...)
-		p.offsets[u+1] = int64(len(p.cols))
-	}
-	return p
-}
-
-// Dim returns the matrix dimension n.
-func (p *Pattern) Dim() int { return p.n }
-
-// NNZ returns the number of stored entries.
-func (p *Pattern) NNZ() int64 { return int64(len(p.cols)) }
-
-// Row returns the column indices of row i.
-func (p *Pattern) Row(i uint32) []uint32 { return p.cols[p.offsets[i]:p.offsets[i+1]] }
-
-// Transpose returns the transposed pattern.
-func (p *Pattern) Transpose() *Pattern {
-	counts := make([]int64, p.n+1)
-	for _, c := range p.cols {
-		counts[c+1]++
-	}
-	for i := 1; i <= p.n; i++ {
-		counts[i] += counts[i-1]
-	}
-	cols := make([]uint32, len(p.cols))
-	cursor := append([]int64(nil), counts[:p.n]...)
-	for i := 0; i < p.n; i++ {
-		for _, j := range p.Row(uint32(i)) {
-			cols[cursor[j]] = uint32(i)
-			cursor[j]++
-		}
-	}
-	return &Pattern{n: p.n, offsets: counts, cols: cols}
-}
 
 // Semiring defines the algebra of a frontier product over element type
 // T: y[j] = ⊕_{i : A[i][j]} extend(x[i]). Identity is the ⊕-identity
@@ -94,13 +43,13 @@ func NewVec[T any](n int, sr Semiring[T]) Vec[T] {
 // It appends to touched every j updated at least once (with possible
 // duplicates) and returns it; the caller may deduplicate. This is the
 // masked SpMV the frontier loop of MFBC performs each iteration.
-func PushProduct[T any](a *Pattern, x Vec[T], active []uint32, sr Semiring[T], y Vec[T], touched []uint32) []uint32 {
-	if len(x) != a.n || len(y) != a.n {
-		panic(fmt.Sprintf("matrix: dimension mismatch: A is %d, |x|=%d, |y|=%d", a.n, len(x), len(y)))
+func PushProduct[T any](a *graph.Graph, x Vec[T], active []uint32, sr Semiring[T], y Vec[T], touched []uint32) []uint32 {
+	if n := a.NumVertices(); len(x) != n || len(y) != n {
+		panic(fmt.Sprintf("matrix: dimension mismatch: A is %d, |x|=%d, |y|=%d", n, len(x), len(y)))
 	}
 	for _, i := range active {
 		xi := sr.Extend(x[i])
-		for _, j := range a.Row(i) {
+		for _, j := range a.OutNeighbors(i) {
 			y[j] = sr.Plus(y[j], xi)
 			touched = append(touched, j)
 		}
@@ -109,44 +58,13 @@ func PushProduct[T any](a *Pattern, x Vec[T], active []uint32, sr Semiring[T], y
 }
 
 // Product computes the full y = Aᵀ·x over the semiring.
-func Product[T any](a *Pattern, x Vec[T], sr Semiring[T]) Vec[T] {
-	y := NewVec(a.n, sr)
-	for i := 0; i < a.n; i++ {
+func Product[T any](a *graph.Graph, x Vec[T], sr Semiring[T]) Vec[T] {
+	y := NewVec(a.NumVertices(), sr)
+	for i := range y {
 		xi := sr.Extend(x[i])
-		for _, j := range a.Row(uint32(i)) {
+		for _, j := range a.OutNeighbors(uint32(i)) {
 			y[j] = sr.Plus(y[j], xi)
 		}
 	}
 	return y
-}
-
-// ParallelOverSources runs fn(j) for j in [0, k) on up to workers
-// goroutines; the batched MFBC loops use it to process sources
-// independently, mirroring CTF's data-parallel execution.
-func ParallelOverSources(k, workers int, fn func(j int)) {
-	if workers <= 1 || k <= 1 {
-		for j := 0; j < k; j++ {
-			fn(j)
-		}
-		return
-	}
-	if workers > k {
-		workers = k
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, k)
-	for j := 0; j < k; j++ {
-		next <- j
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range next {
-				fn(j)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -3,7 +3,6 @@ package matrix
 import (
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"mrbc/internal/gen"
@@ -18,66 +17,16 @@ var plusSemiring = Semiring[int]{
 	Extend:   func(a int) int { return a },
 }
 
-func TestFromGraphRows(t *testing.T) {
-	g := graph.FromEdges(4, [][2]uint32{{0, 1}, {0, 2}, {2, 3}})
-	p := FromGraph(g)
-	if p.Dim() != 4 || p.NNZ() != 3 {
-		t.Fatalf("dim=%d nnz=%d", p.Dim(), p.NNZ())
-	}
-	if !reflect.DeepEqual(p.Row(0), []uint32{1, 2}) {
-		t.Fatalf("Row(0) = %v", p.Row(0))
-	}
-	if len(p.Row(1)) != 0 {
-		t.Fatalf("Row(1) = %v", p.Row(1))
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	g := gen.RMAT(7, 8, 3)
-	p := FromGraph(g)
-	pt := p.Transpose()
-	if pt.NNZ() != p.NNZ() {
-		t.Fatalf("transpose nnz %d vs %d", pt.NNZ(), p.NNZ())
-	}
-	// (i,j) in p iff (j,i) in pt.
-	for i := 0; i < p.Dim(); i++ {
-		for _, j := range p.Row(uint32(i)) {
-			found := false
-			for _, back := range pt.Row(j) {
-				if back == uint32(i) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("edge (%d,%d) missing from transpose", i, j)
-			}
-		}
-	}
-	// Double transpose restores rows.
-	ptt := pt.Transpose()
-	for i := 0; i < p.Dim(); i++ {
-		a := append([]uint32(nil), p.Row(uint32(i))...)
-		b := append([]uint32(nil), ptt.Row(uint32(i))...)
-		sort.Slice(a, func(x, y int) bool { return a[x] < a[y] })
-		sort.Slice(b, func(x, y int) bool { return b[x] < b[y] })
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("row %d changed after double transpose", i)
-		}
-	}
-}
-
 func TestProductCountsWalks(t *testing.T) {
 	// Path 0->1->2: x = e0; Aᵀx puts mass on 1; (Aᵀ)²x on 2.
 	g := graph.FromEdges(3, [][2]uint32{{0, 1}, {1, 2}})
-	p := FromGraph(g)
 	x := NewVec(3, plusSemiring)
 	x[0] = 1
-	y := Product(p, x, plusSemiring)
+	y := Product(g, x, plusSemiring)
 	if !reflect.DeepEqual([]int(y), []int{0, 1, 0}) {
 		t.Fatalf("Aᵀx = %v", y)
 	}
-	z := Product(p, y, plusSemiring)
+	z := Product(g, y, plusSemiring)
 	if !reflect.DeepEqual([]int(z), []int{0, 0, 1}) {
 		t.Fatalf("(Aᵀ)²x = %v", z)
 	}
@@ -85,16 +34,15 @@ func TestProductCountsWalks(t *testing.T) {
 
 func TestPushProductMatchesFullProduct(t *testing.T) {
 	g := gen.ErdosRenyi(50, 300, 9)
-	p := FromGraph(g)
 	x := NewVec(50, plusSemiring)
 	active := []uint32{}
 	for i := 0; i < 50; i += 3 {
 		x[i] = i + 1
 		active = append(active, uint32(i))
 	}
-	full := Product(p, x, plusSemiring)
+	full := Product(g, x, plusSemiring)
 	y := NewVec(50, plusSemiring)
-	PushProduct(p, x, active, plusSemiring, y, nil)
+	PushProduct(g, x, active, plusSemiring, y, nil)
 	if !reflect.DeepEqual(full, y) {
 		t.Fatal("push product with full active set differs from full product")
 	}
@@ -102,11 +50,10 @@ func TestPushProductMatchesFullProduct(t *testing.T) {
 
 func TestPushProductTouched(t *testing.T) {
 	g := graph.FromEdges(4, [][2]uint32{{0, 1}, {0, 2}, {3, 2}})
-	p := FromGraph(g)
 	x := NewVec(4, plusSemiring)
 	x[0] = 1
 	y := NewVec(4, plusSemiring)
-	touched := PushProduct(p, x, []uint32{0}, plusSemiring, y, nil)
+	touched := PushProduct(g, x, []uint32{0}, plusSemiring, y, nil)
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 	if !reflect.DeepEqual(touched, []uint32{1, 2}) {
 		t.Fatalf("touched = %v", touched)
@@ -114,42 +61,24 @@ func TestPushProductTouched(t *testing.T) {
 }
 
 func TestDimensionMismatchPanics(t *testing.T) {
-	p := FromGraph(gen.Path(3))
+	g := gen.Path(3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	PushProduct(p, NewVec(2, plusSemiring), nil, plusSemiring, NewVec(3, plusSemiring), nil)
-}
-
-func TestParallelOverSources(t *testing.T) {
-	var count int64
-	seen := make([]int64, 100)
-	ParallelOverSources(100, 8, func(j int) {
-		atomic.AddInt64(&count, 1)
-		atomic.AddInt64(&seen[j], 1)
-	})
-	if count != 100 {
-		t.Fatalf("ran %d tasks", count)
-	}
-	for j, c := range seen {
-		if c != 1 {
-			t.Fatalf("source %d ran %d times", j, c)
-		}
-	}
+	PushProduct(g, NewVec(2, plusSemiring), nil, plusSemiring, NewVec(3, plusSemiring), nil)
 }
 
 func BenchmarkProduct(b *testing.B) {
 	g := gen.RMAT(12, 8, 1)
-	p := FromGraph(g)
-	x := NewVec(p.Dim(), plusSemiring)
+	x := NewVec(g.NumVertices(), plusSemiring)
 	for i := range x {
 		x[i] = 1
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Product(p, x, plusSemiring)
+		_ = Product(g, x, plusSemiring)
 	}
 }

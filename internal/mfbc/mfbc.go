@@ -5,13 +5,13 @@
 //
 //   - Forward: a Bellman-Ford-style sweep over the (min, +) semiring on
 //     (distance, path-count) pairs. Each iteration multiplies the
-//     adjacency pattern by the current frontier; entries whose tentative
+//     adjacency matrix by the current frontier; entries whose tentative
 //     distance improves (or whose count grows at an equal distance) form
 //     the next frontier. On unweighted graphs the sweep settles one BFS
 //     level per iteration.
 //   - Backward: dependency accumulation over a (+, ·) algebra on the
-//     transposed pattern, masked by distance so contributions flow from
-//     the deepest frontier inward.
+//     transpose (the graph's in-edge view), masked by distance so
+//     contributions flow from the deepest frontier inward.
 //
 // Sources are processed in batches of k, like MRBC and the original
 // MFBC ("MFBC performs best when k is the highest power-of-2 for which
@@ -24,6 +24,7 @@ import (
 
 	"mrbc/internal/graph"
 	"mrbc/internal/matrix"
+	"mrbc/internal/worklist"
 )
 
 // pathElem is an element of the forward (min, +, count) algebra.
@@ -84,7 +85,10 @@ type Stats struct {
 	BackwardIterations int
 }
 
-// BC computes betweenness centrality restricted to sources.
+// BC computes betweenness centrality restricted to sources. Within a
+// batch, up to opts.Workers goroutines each run whole sources' forward
+// and backward sweeps, and the sources fold into the scores and Stats
+// in source order, so every worker count gives the same bits.
 func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, Stats) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
@@ -93,105 +97,112 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, Stats) {
 			panic(fmt.Sprintf("mfbc: source %d out of range [0,%d)", s, n))
 		}
 	}
-	a := matrix.FromGraph(g)
-	at := a.Transpose()
+	g.EnsureInEdges() // the backward sweeps read Aᵀ; build it before workers share g
 	scores := make([]float64, n)
 	var stats Stats
 	for start := 0; start < len(sources); start += opts.BatchSize {
-		end := start + opts.BatchSize
-		if end > len(sources) {
-			end = len(sources)
-		}
-		runBatch(a, at, sources[start:end], scores, opts, &stats)
+		batch := sources[start:min(start+opts.BatchSize, len(sources))]
+		stats.Batches++
+		worklist.RunOrdered(len(batch), opts.Workers, func() (compute, retire func(int)) {
+			sw := &sweeper{g: g, tent: make(matrix.Vec[pathElem], n),
+				prod: matrix.NewVec(n, forwardSemiring), deps: make(matrix.Vec[float64], n)}
+			compute = func(j int) { sw.forward(batch[j]); sw.backward() }
+			retire = func(j int) { sw.fold(batch[j], scores, &stats) }
+			return compute, retire
+		})
 	}
 	return scores, stats
 }
 
-func runBatch(a, at *matrix.Pattern, batch []uint32, scores []float64, opts Options, stats *Stats) {
-	stats.Batches++
-	n := a.Dim()
-	k := len(batch)
+// sweeper holds one worker's vectors for the sweeps of one source at a
+// time.
+type sweeper struct {
+	g          *graph.Graph
+	tent, prod matrix.Vec[pathElem] // prod is all identity between products
+	deps       matrix.Vec[float64]
+	touched    []uint32
+	iters      int    // forward frontier iterations of the last source
+	maxDist    uint32 // its deepest reached level
+}
 
-	// Forward sweeps, one independent tentative vector per source.
-	tent := make([]matrix.Vec[pathElem], k)
-	iters := make([]int, k)
-	maxDist := make([]uint32, k)
-	matrix.ParallelOverSources(k, opts.Workers, func(j int) {
-		tent[j] = matrix.NewVec(n, forwardSemiring)
-		tent[j][batch[j]] = pathElem{dist: 0, count: 1}
-		frontier := []uint32{batch[j]}
-		prod := matrix.NewVec(n, forwardSemiring)
-		var touched []uint32
-		for len(frontier) > 0 {
-			iters[j]++
-			touched = matrix.PushProduct(a, tent[j], frontier, forwardSemiring, prod, touched[:0])
-			frontier = frontier[:0]
-			for _, v := range touched {
-				cand := prod[v]
-				prod[v] = forwardSemiring.Identity
-				cur := tent[j][v]
-				merged := forwardSemiring.Plus(cur, cand)
-				// The frontier advances where the product changed the
-				// tentative element (improved distance or new counts at
-				// the frontier distance).
-				if merged.dist != cur.dist {
-					tent[j][v] = merged
-					frontier = append(frontier, v)
-					if merged.dist != graph.InfDist && merged.dist > maxDist[j] {
-						maxDist[j] = merged.dist
-					}
-				} else if merged.dist == cand.dist && merged.count != cur.count {
-					// On an unweighted graph every count contribution
-					// to a vertex arrives in the iteration that settles
-					// its distance; a later equal-distance contribution
-					// would require re-pushing deltas (the weighted
-					// MFBC machinery, out of scope here).
-					panic("mfbc: late count contribution; input must be unweighted")
+// forward runs the frontier sweep from s: masked products over A until
+// no tentative element changes.
+func (sw *sweeper) forward(s uint32) {
+	tent := sw.tent
+	for v := range tent {
+		tent[v] = forwardSemiring.Identity
+	}
+	tent[s] = pathElem{dist: 0, count: 1}
+	sw.iters, sw.maxDist = 0, 0
+	frontier := []uint32{s}
+	for len(frontier) > 0 {
+		sw.iters++
+		sw.touched = matrix.PushProduct(sw.g, tent, frontier, forwardSemiring, sw.prod, sw.touched[:0])
+		frontier = frontier[:0]
+		for _, v := range sw.touched {
+			cand := sw.prod[v]
+			sw.prod[v] = forwardSemiring.Identity
+			cur := tent[v]
+			merged := forwardSemiring.Plus(cur, cand)
+			// The frontier advances where the product changed the
+			// tentative element (improved distance or new counts at
+			// the frontier distance).
+			if merged.dist != cur.dist {
+				tent[v] = merged
+				frontier = append(frontier, v)
+				if merged.dist != graph.InfDist && merged.dist > sw.maxDist {
+					sw.maxDist = merged.dist
+				}
+			} else if merged.dist == cand.dist && merged.count != cur.count {
+				// On an unweighted graph every count contribution
+				// to a vertex arrives in the iteration that settles
+				// its distance; a later equal-distance contribution
+				// would require re-pushing deltas (the weighted
+				// MFBC machinery, out of scope here).
+				panic("mfbc: late count contribution; input must be unweighted")
+			}
+		}
+		frontier = dedup(frontier)
+	}
+}
+
+// backward runs the dependency sweep of the source forward last ran
+// from: masked products over Aᵀ, one distance level per iteration.
+func (sw *sweeper) backward() {
+	tent, deps := sw.tent, sw.deps
+	clear(deps)
+	if sw.maxDist == 0 {
+		return
+	}
+	// Bucket vertices by distance once.
+	buckets := make([][]uint32, sw.maxDist+1)
+	for v := range tent {
+		if d := tent[v].dist; d != graph.InfDist && d > 0 {
+			buckets[d] = append(buckets[d], uint32(v))
+		}
+	}
+	for level := int(sw.maxDist); level >= 1; level-- {
+		// coeff vector: (1+δ)/σ masked to the current level, then a
+		// masked product over Aᵀ accumulates σu · coeff into
+		// predecessors one level up.
+		for _, w := range buckets[level] {
+			coeff := (1 + deps[w]) / tent[w].count
+			for _, u := range sw.g.InNeighbors(w) {
+				if tent[u].dist != graph.InfDist && tent[u].dist+1 == uint32(level) {
+					deps[u] += tent[u].count * coeff
 				}
 			}
-			frontier = dedup(frontier)
 		}
-	})
+	}
+}
 
-	// Backward sweeps: masked products over the transpose, one distance
-	// level per iteration.
-	deps := make([]matrix.Vec[float64], k)
-	matrix.ParallelOverSources(k, opts.Workers, func(j int) {
-		deps[j] = make(matrix.Vec[float64], n)
-		if maxDist[j] == 0 {
-			return
-		}
-		// Bucket vertices by distance once.
-		buckets := make([][]uint32, maxDist[j]+1)
-		for v := 0; v < n; v++ {
-			if d := tent[j][v].dist; d != graph.InfDist && d > 0 {
-				buckets[d] = append(buckets[d], uint32(v))
-			}
-		}
-		buckets[0] = append(buckets[0], batch[j])
-		for level := int(maxDist[j]); level >= 1; level-- {
-			// coeff vector: (1+δ)/σ masked to the current level, then a
-			// masked product over Aᵀ accumulates σu · coeff into
-			// predecessors one level up.
-			for _, w := range buckets[level] {
-				coeff := (1 + deps[j][w]) / tent[j][w].count
-				for _, u := range at.Row(w) {
-					if tent[j][u].dist != graph.InfDist && tent[j][u].dist+1 == uint32(level) {
-						deps[j][u] += tent[j][u].count * coeff
-					}
-				}
-			}
-		}
-	})
-
-	// Serial reduction into shared scores.
-	for j := 0; j < k; j++ {
-		stats.ForwardIterations += iters[j]
-		stats.BackwardIterations += int(maxDist[j])
-		for v := 0; v < n; v++ {
-			if uint32(v) != batch[j] && tent[j][v].dist != graph.InfDist {
-				scores[v] += deps[j][v]
-			}
+// fold adds the swept source s into scores and stats.
+func (sw *sweeper) fold(s uint32, scores []float64, stats *Stats) {
+	stats.ForwardIterations += sw.iters
+	stats.BackwardIterations += int(sw.maxDist)
+	for v := range scores {
+		if uint32(v) != s && sw.tent[v].dist != graph.InfDist {
+			scores[v] += sw.deps[v]
 		}
 	}
 }

@@ -2,11 +2,9 @@ package mfbc
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 
+	"mrbc/internal/brandes"
 	"mrbc/internal/graph"
-	"mrbc/internal/matrix"
 )
 
 // Weighted MFBC. The original system's selling point is weighted
@@ -26,36 +24,24 @@ type WeightedOptions struct {
 }
 
 // WeightedBC computes weighted betweenness centrality restricted to
-// sources.
+// sources: the Bellman-Ford frontier loop settles each source's
+// distances, and brandes.WeightedBC sweeps σ and δ and folds the
+// sources in source order.
 func WeightedBC(g *graph.Weighted, sources []uint32, opts WeightedOptions) []float64 {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	n := g.NumVertices()
 	for _, s := range sources {
 		if int(s) >= n {
 			panic(fmt.Sprintf("mfbc: source %d out of range [0,%d)", s, n))
 		}
 	}
-	partials := make([][]float64, len(sources))
-	matrix.ParallelOverSources(len(sources), opts.Workers, func(j int) {
-		partials[j] = weightedSingleSource(g, sources[j])
-	})
-	scores := make([]float64, n)
-	for _, p := range partials {
-		for v, x := range p {
-			scores[v] += x
-		}
-	}
-	return scores
+	return brandes.WeightedBC(g, sources, opts.Workers, func(s uint32) []uint64 { return bellmanFord(g, s) })
 }
 
-func weightedSingleSource(g *graph.Weighted, s uint32) []float64 {
+// bellmanFord settles the distances from s with a frontier (the masked
+// min-plus product). A vertex re-enters the frontier whenever its
+// distance improves.
+func bellmanFord(g *graph.Weighted, s uint32) []uint64 {
 	n := g.NumVertices()
-
-	// Forward: Bellman-Ford with a frontier (the masked min-plus
-	// product). A vertex re-enters the frontier whenever its distance
-	// improves.
 	dist := make([]uint64, n)
 	for i := range dist {
 		dist[i] = graph.InfWeightedDist
@@ -84,46 +70,5 @@ func weightedSingleSource(g *graph.Weighted, s uint32) []float64 {
 		}
 		frontier = next
 	}
-
-	// Distance-ordered σ sweep.
-	order := make([]uint32, 0, n)
-	for v := 0; v < n; v++ {
-		if dist[v] != graph.InfWeightedDist {
-			order = append(order, uint32(v))
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return dist[order[i]] < dist[order[j]] })
-	sigma := make([]float64, n)
-	sigma[s] = 1
-	for _, v := range order {
-		if v == s {
-			continue
-		}
-		srcs, ws := g.InEdges(v)
-		var acc float64
-		for i, u := range srcs {
-			if du := dist[u]; du != graph.InfWeightedDist && du+uint64(ws[i]) == dist[v] {
-				acc += sigma[u]
-			}
-		}
-		sigma[v] = acc
-	}
-
-	// Reverse-ordered dependency sweep.
-	delta := make([]float64, n)
-	deps := make([]float64, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		w := order[i]
-		coeff := (1 + delta[w]) / sigma[w]
-		srcs, ws := g.InEdges(w)
-		for j, v := range srcs {
-			if dv := dist[v]; dv != graph.InfWeightedDist && dv+uint64(ws[j]) == dist[w] {
-				delta[v] += sigma[v] * coeff
-			}
-		}
-		if w != s {
-			deps[w] = delta[w]
-		}
-	}
-	return deps
+	return dist
 }

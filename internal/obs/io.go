@@ -216,66 +216,3 @@ func ModelEvents(events []Event) []Event {
 	}
 	return out
 }
-
-// chromeEvent is one entry of the Chrome trace-event format
-// (chrome://tracing, Perfetto): a duration-begin ("B") or
-// duration-end ("E") mark on one host's timeline.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Pid  int            `json:"pid"`
-	Tid  int32          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace renders the phase events as a Chrome trace-event
-// JSON array: one timeline row per host, one B/E duration pair per
-// (round, host, phase), with the volume counters attached as args on
-// the begin mark. Non-phase events are skipped (they carry no
-// wall-clock extent). Within each tid the phase slices are sequential
-// by construction (a host finishes its compute slice before idling at
-// the barrier, and the exchange phases start only after every host
-// passed it), so the emitted pairs balance and timestamps are
-// monotone per tid — the property the nesting regression test pins.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	// One slice list per tid, sorted by start time (zero-duration
-	// slices first on ties so B/E pairs stay adjacent and closed in
-	// order).
-	byTid := make(map[int32][]Event)
-	var tids []int32
-	for _, e := range events {
-		if e.Kind != KindPhase {
-			continue
-		}
-		if _, ok := byTid[e.Host]; !ok {
-			tids = append(tids, e.Host)
-		}
-		byTid[e.Host] = append(byTid[e.Host], e)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	var ces []chromeEvent
-	for _, tid := range tids {
-		slices := byTid[tid]
-		sort.SliceStable(slices, func(i, j int) bool {
-			if slices[i].StartNs != slices[j].StartNs {
-				return slices[i].StartNs < slices[j].StartNs
-			}
-			return slices[i].DurNs < slices[j].DurNs
-		})
-		for _, e := range slices {
-			args := map[string]any{"round": e.Round}
-			if e.Bytes > 0 || e.Messages > 0 {
-				args["bytes"] = e.Bytes
-				args["messages"] = e.Messages
-			}
-			ces = append(ces,
-				chromeEvent{Name: string(e.Phase), Ph: "B",
-					Ts: float64(e.StartNs) / 1e3, Tid: tid, Args: args},
-				chromeEvent{Name: string(e.Phase), Ph: "E",
-					Ts: float64(e.StartNs+e.DurNs) / 1e3, Tid: tid})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(ces)
-}

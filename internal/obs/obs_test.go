@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math/rand"
 	"strings"
@@ -226,26 +225,6 @@ func TestModelEventsDropsTransport(t *testing.T) {
 	for _, e := range model {
 		if e.Kind == KindTransport {
 			t.Fatal("transport event survived the model filter")
-		}
-	}
-}
-
-func TestWriteChromeTraceIsValidJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, sampleEvents()); err != nil {
-		t.Fatal(err)
-	}
-	var ces []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &ces); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	// 3 phase slices render as 3 B/E duration pairs.
-	if len(ces) != 6 {
-		t.Fatalf("chrome trace has %d marks, want 6 (3 B/E pairs)", len(ces))
-	}
-	for _, ce := range ces {
-		if ph := ce["ph"]; ph != "B" && ph != "E" {
-			t.Fatalf("chrome trace mark has ph=%v, want B or E", ph)
 		}
 	}
 }

@@ -1,13 +1,22 @@
-// Package worklist provides a chunked concurrent FIFO worklist in the
-// style of the Galois runtime, used by the Asynchronous Brandes BC
-// baseline (ABBC, Prountzos & Pingali). Producers push items into
-// per-worker chunks; full chunks move to a shared queue served oldest
-// first. The approximate-FIFO order matters: for label-correcting
-// relaxations it keeps processing close to breadth-first order, which
-// bounds re-relaxations — a LIFO order can re-relax long paths
-// quadratically often on high-diameter graphs. The chunk size trades
-// contention against load balance, matching the paper's per-input
-// tuning (§5.2: 64 for road-europe, 8 for the rest).
+// Package worklist holds the shared-memory schedulers of the BC
+// baselines and the shared-memory MRBC loop:
+//
+//   - List, a chunked concurrent FIFO worklist in the style of the
+//     Galois runtime, used by the Asynchronous Brandes BC baseline
+//     (ABBC, Prountzos & Pingali) on unweighted graphs;
+//   - Ordered, an OBIM-style priority worklist, used by weighted ABBC;
+//   - RunOrdered, the one source- (or batch-) parallel loop: tasks
+//     compute concurrently and retire in index order, so a sum over
+//     tasks has the serial loop's bits. core.BC, brandes.Parallel,
+//     brandes.WeightedBC, brandes.ApproximateBC and mfbc.BC run on it.
+//
+// List: producers push items into per-worker chunks; full chunks move
+// to a shared queue served oldest first. The approximate-FIFO order
+// matters: for label-correcting relaxations it keeps processing close
+// to breadth-first order, which bounds re-relaxations — a LIFO order
+// can re-relax long paths quadratically often on high-diameter graphs.
+// The chunk size trades contention against load balance, matching the
+// paper's per-input tuning (§5.2: 64 for road-europe, 8 for the rest).
 package worklist
 
 import (

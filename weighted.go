@@ -68,11 +68,7 @@ func BetweennessWeighted(g *WeightedGraph, sources []uint32, opts Options) (*Res
 	res := &Result{}
 	switch opts.Algorithm {
 	case Brandes:
-		if opts.Workers > 1 {
-			res.Scores = brandes.WeightedParallel(g, sources, opts.Workers)
-		} else {
-			res.Scores = brandes.WeightedSequential(g, sources)
-		}
+		res.Scores = brandes.WeightedParallel(g, sources, opts.Workers)
 	case ABBC:
 		res.Scores = brandes.WeightedAsync(g, sources, brandes.AsyncConfig{
 			Workers:   opts.Workers,
