@@ -25,6 +25,9 @@ const readyPrefix = "BCD READY control="
 // (before its ready line); the remainder is the daemon's telemetry URL.
 const metricsPrefix = "BCD METRICS "
 
+// startTimeout bounds each daemon's time to print its ready line.
+const startTimeout = 10 * time.Second
+
 // ClusterOptions configures Launch.
 type ClusterOptions struct {
 	// BcdPath is the bcd binary to spawn.
@@ -35,9 +38,6 @@ type ClusterOptions struct {
 	// ReplaceHost adopts one from the pool (fast path for elastic
 	// recovery) and falls back to spawning fresh when the pool is empty.
 	Spares int
-	// StartTimeout bounds each daemon's time to print its ready line
-	// (default 10 s).
-	StartTimeout time.Duration
 	// Metrics spawns every daemon with a live telemetry endpoint
 	// (-metrics 127.0.0.1:0) and records the URL each prints, so the
 	// coordinator can fan /progressz in across the cluster (bcctl's
@@ -90,9 +90,6 @@ func Launch(opts ClusterOptions) (*Cluster, error) {
 	if opts.Hosts <= 0 {
 		return nil, fmt.Errorf("clusterrun: invalid host count %d", opts.Hosts)
 	}
-	if opts.StartTimeout <= 0 {
-		opts.StartTimeout = 10 * time.Second
-	}
 	c := &Cluster{opts: opts, hosts: make([]*daemon, opts.Hosts)}
 	for h := 0; h < opts.Hosts; h++ {
 		d, err := c.spawnDaemon(fmt.Sprintf("bcd[%d]", h))
@@ -129,7 +126,7 @@ func (c *Cluster) spawnDaemon(tag string) (*daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("clusterrun: spawn %s: %w", tag, err)
 	}
-	addr, metrics, err := awaitReady(stdout, c.opts.StartTimeout)
+	addr, metrics, err := awaitReady(stdout, startTimeout)
 	if err != nil {
 		cmd.Process.Kill()
 		cmd.Wait()

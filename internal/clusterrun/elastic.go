@@ -21,9 +21,6 @@ import (
 type ElasticOptions struct {
 	// Timeout bounds each attempt (default 60 s).
 	Timeout time.Duration
-	// MaxAttempts caps total attempts, first run included (default:
-	// hosts + 1 — tolerates losing every host once).
-	MaxAttempts int
 	// MapAddrs, when non-nil, rewrites the address book per attempt
 	// (the chaos suite interposes kill proxies on attempt 0 and passes
 	// later attempts through clean).
@@ -57,13 +54,12 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 		return nil, nil, fmt.Errorf("clusterrun: RunElastic requires a CheckpointDir")
 	}
 	hosts := len(c.hosts)
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = hosts + 1
-	}
+	// Attempts, first run included: losing every host once is tolerated.
+	maxAttempts := hosts + 1
 	rep := &ElasticReport{}
 	baseEpoch := spec.Epoch
 	resume := spec.ResumeBatch
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		rep.Attempts = attempt + 1
 		s := spec
 		s.Epoch = baseEpoch + attempt
@@ -101,7 +97,7 @@ func (c *Cluster) RunElastic(spec JobSpec, opts ElasticOptions) (*Aggregate, *El
 		rep.RecoveryBytes += db
 		rep.RecoveryMessages += dm
 		rep.Victims = append(rep.Victims, victim)
-		if attempt+1 >= opts.MaxAttempts {
+		if attempt+1 >= maxAttempts {
 			return nil, rep, fmt.Errorf("clusterrun: attempt %d lost host %d and no attempts remain", attempt+1, victim)
 		}
 		if _, err := c.ReplaceHost(victim); err != nil {

@@ -16,14 +16,15 @@
 //     the load-imbalance estimate of Table 1,
 //   - non-overlapped communication wall time (exchange phases).
 //
-// All counters live in an obs.Registry (one private to the cluster
-// unless ClusterOptions.Metrics injects a shared one); Stats remains
-// the derived snapshot view. With ClusterOptions.Trace set, the
-// cluster additionally emits one obs event per (round, host, phase) —
-// compute, barrier, pack, exchange, unpack, plus one transport event
-// per exchange over a remote transport. A nil trace costs a single
-// predictable branch per phase: the steady-state Exchange stays
-// allocation-free either way.
+// The cluster owns its round counter and volume; every exchange tallies
+// each directed link once, and Stats, the checkpoint Cursor, the trace's
+// pack, unpack and link events, and the registry behind /metrics
+// (ClusterOptions.Metrics, mirrored once per exchange) all fold from
+// those link tallies. With ClusterOptions.Trace set, the cluster
+// additionally emits one obs event per (round, host, phase) — compute,
+// barrier, pack, exchange, unpack, plus one transport event per exchange
+// over a remote transport. A nil trace costs a single predictable branch
+// per phase: the steady-state Exchange stays allocation-free either way.
 //
 // Every phase is allocation-free at steady state: the cluster keeps one
 // reusable gluon.Writer per ordered host pair and one gluon.Decoder per
@@ -53,11 +54,16 @@ type Cluster struct {
 	hosts int
 	epoch time.Time // trace timestamps are monotonic offsets from here
 
-	// Registry-backed counters, resolved once at construction so the
-	// hot path is a plain atomic add (identical cost to the ad-hoc
-	// int64 fields they superseded). Stats() derives its snapshot from
-	// these.
-	metrics     *obs.Registry
+	// The paper-model counts: BSP rounds begun, and the volume every
+	// exchange's sent links settled into (settle). Stats, Cursor, round
+	// numbers and Restore read and write these, coordinator-serial.
+	rounds int64
+	vol    tally
+
+	// The registry mirror (ClusterOptions.Metrics; detached instruments
+	// when nil), resolved once at construction. settle publishes an
+	// exchange's volume once; a registry shared across clusters (bcbench
+	// -serve runs every experiment against one) stays cumulative.
 	roundsC     *obs.Counter
 	bytesC      *obs.Counter
 	messagesC   *obs.Counter
@@ -69,15 +75,6 @@ type Cluster struct {
 	encBAllC    *obs.Counter
 	computeHist *obs.Histogram
 	commHist    *obs.Histogram
-
-	// Counter values at construction. A shared registry (bcbench
-	// -serve runs every experiment against one registry) keeps its
-	// counters cumulative across clusters — correct for /metrics — so
-	// per-run Stats and round numbering subtract these baselines.
-	baseRounds   int64
-	baseBytes    int64
-	baseMessages int64
-	baseEnc      gluon.EncodingCounts
 
 	// Live progress instruments for the telemetry endpoint
 	// (internal/obs/serve /progressz): the current BSP round, each
@@ -93,7 +90,6 @@ type Cluster struct {
 	hostMsgsC  []*obs.Counter
 	hostAliveG []*obs.Gauge // 1 while the host is believed alive, 0 once dead
 
-	computeWall    time.Duration
 	commWall       time.Duration
 	hiddenWall     time.Duration // exchange wait hidden behind detached compute
 	perHostCompute []time.Duration
@@ -103,30 +99,19 @@ type Cluster struct {
 	imbalanceN     int
 
 	// Tracing state. trace == nil is the disabled path: every emission
-	// site is behind one branch and no tally work happens. seq is the
-	// coordinator-assigned phase counter — serial, hence deterministic
-	// across worker counts.
+	// site is behind one branch. seq is the coordinator-assigned phase
+	// counter — serial, hence deterministic across worker counts.
 	trace *obs.Trace
 	seq   int64
 
 	// Exchange tickets: one per concurrently-open exchange. Each ticket
-	// owns a full writer matrix and (when tracing) its own pack/unpack
-	// tallies, so a detached exchange's buffers survive until its
-	// Complete while later exchanges pack into their own. curWriters/
-	// curPack/curUnpack point at the ticket whose pack or unpack phase
-	// the pool is currently running. With MaxInflight=1 there is exactly
-	// one ticket and the hot path is identical to the pre-pipeline code.
+	// owns a full writer matrix and its own link tallies, so a detached
+	// exchange's buffers survive until its Complete while later exchanges
+	// pack into their own. cur is the ticket whose pack or unpack phase
+	// is running. With MaxInflight=1 there is exactly one ticket.
 	maxInflight int
 	tickets     []PendingExchange
-	curWriters  [][]*gluon.Writer
-	curPack     []exchangeTally // per-sender pack tallies, atomics (pairs share a sender)
-	curUnpack   []exchangeTally // per-receiver unpack tallies, receiver-serial
-	// curPairPack/curPairUnpack are the per-(from,to) link tallies,
-	// indexed from*hosts+to. A pack pair is one exclusive pool task and
-	// an unpack pair is touched only by its receiver's serial task, so
-	// neither needs atomics.
-	curPairPack   []exchangeTally
-	curPairUnpack []exchangeTally
+	cur         *PendingExchange
 
 	// Reusable communication state. Decoders own the per-receiver parse
 	// scratch; they are shared across tickets because unpack phases of
@@ -145,23 +130,19 @@ type Cluster struct {
 	// (ExchangeSum).
 	transport gluon.Transport
 	mem       *gluon.MemTransport
-	localHost int  // the single local host in SPMD mode; -1 when all hosts are local
-	curEx     int  // exchange identifier the current pack/unpack tasks run under
-	curVote   bool // and whether it carries a vote, which needs every link
+	localHost int // the single local host in SPMD mode; -1 when all hosts are local
 	lastNet   gluon.ChannelStats
 	// partner[from*hosts+to]: the pair shares a proxy (Topology.Partners;
 	// every pair without a topology). Only partners exchange records,
 	// except on an exchange whose vote needs every link.
 	partner []bool
 
-	// Exchange-identifier streams. stream < 0 (the default) numbers
-	// exchanges 0,1,2,… globally; SetStream(batch) switches to per-batch
-	// identifiers (slot<<20 | counter) so pipelined batches' exchanges
-	// stay distinct per stream on the wire and in transport buffers.
-	// eventBatch tags emitted phase/transport events with the active
-	// batch; 0 outside streams, so non-pipelined traces are unchanged.
-	stream     int32
-	streamN    map[int32]int
+	// exchanges numbers the exchanges begun, 0,1,2,…: every SPMD process
+	// issues the same operation sequence, pipelined or not, so the count
+	// names the same exchange in every process. eventBatch tags emitted
+	// phase/transport events with the batch that holds the turn (SetBatch);
+	// 0 outside a pipelined run, so non-pipelined traces are unchanged.
+	exchanges  int
 	eventBatch int32
 
 	// xerr carries a transport failure out of the pool workers to the
@@ -190,18 +171,33 @@ type Cluster struct {
 	onCaller                   bool
 	lap                        time.Duration
 	callerC, pooledC, escapedC *obs.Counter
-
-	exchanges int // exchanges begun, numbering the identifiers outside streams
 }
 
-// exchangeTally accumulates one host's side of an exchange for trace
-// emission; reset per exchange, touched only when tracing is enabled.
-type exchangeTally struct {
+// tally is the volume of one directed link of an exchange, of a host's
+// side of one, or of a whole run: the non-empty buffers and their bytes,
+// by sync-metadata wire format. A receiver's decoder sees the per-format
+// message counts but not the bytes.
+type tally struct {
 	bytes    int64
 	messages int64
-	dense    int64
-	sparse   int64
-	all      int64
+	enc      gluon.EncodingCounts
+	encBytes gluon.ByteCounts
+}
+
+func (t *tally) add(o *tally) {
+	t.bytes += o.bytes
+	t.messages += o.messages
+	t.enc.Add(o.enc)
+	t.encBytes.Add(o.encBytes)
+}
+
+// sumLinks folds n link tallies of links, stride apart from first: a
+// sender's row (stride 1) or a receiver's column (stride hosts).
+func sumLinks(links []tally, first, stride, n int) (s tally) {
+	for k := 0; k < n; k++ {
+		s.add(&links[first+k*stride])
+	}
+	return s
 }
 
 // PendingExchange is one exchange's in-flight state: the ticket
@@ -225,17 +221,19 @@ type PendingExchange struct {
 	batch     int32
 	// start and packEnd bracket the pack phase, as offsets from the
 	// cluster's epoch (Cluster.now).
-	start      time.Duration
-	packEnd    time.Duration
-	writers    [][]*gluon.Writer
-	hostPack   []exchangeTally
-	hostUnpack []exchangeTally
-	// pairPack/pairUnpack tally each directed (from, to) link of the
-	// exchange (indexed from*hosts+to), feeding the KindLink events the
-	// cross-host conservation checker matches sender against receiver.
-	pairPack   []exchangeTally
-	pairUnpack []exchangeTally
-	unpack     func(to, from int, data []byte, dec *gluon.Decoder)
+	start   time.Duration
+	packEnd time.Duration
+	writers [][]*gluon.Writer
+	// sent and recv tally each directed (from, to) link of the exchange,
+	// indexed from*hosts+to, on its sending and its receiving side. A
+	// pack pair is one exclusive task and a receiver's links are touched
+	// only by its serial unpack task, so neither needs atomics. settle
+	// folds sent into the cluster's volume; the trace's pack and unpack
+	// events are sent's rows and recv's columns, its link events the
+	// cells the cross-host conservation checker matches.
+	sent   []tally
+	recv   []tally
+	unpack func(to, from int, data []byte, dec *gluon.Decoder)
 }
 
 // Sum returns the sum an exchange begun with BeginExchangeSum carried:
@@ -261,9 +259,9 @@ type ClusterOptions struct {
 	// Trace receives one event per (round, host, phase) plus transport
 	// events; nil disables tracing at zero cost.
 	Trace *obs.Trace
-	// Metrics is the registry the cluster's counters live in, for a
-	// caller that reads or serves them; nil gives the cluster a private
-	// registry that only Stats reads.
+	// Metrics is the registry the cluster mirrors its counts and progress
+	// into, for a caller that serves or reads them; nil publishes no
+	// telemetry. Stats never reads it.
 	Metrics *obs.Registry
 	// Transport overrides the byte-moving backend. Nil selects the
 	// in-process MemTransport, a perfect network. A remote backend
@@ -307,41 +305,30 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		durations:      make([]time.Duration, hosts),
 		starts:         make([]time.Duration, hosts),
 		trace:          opts.Trace,
-		metrics:        opts.Metrics,
 	}
-	if c.metrics == nil {
-		c.metrics = obs.NewRegistry()
-	}
-	c.roundsC = c.metrics.Counter("dgalois_rounds_total")
-	c.bytesC = c.metrics.Counter("dgalois_bytes_total")
-	c.messagesC = c.metrics.Counter("dgalois_messages_total")
-	c.encDenseC = c.metrics.Counter("dgalois_messages_dense_total")
-	c.encSparseC = c.metrics.Counter("dgalois_messages_sparse_total")
-	c.encAllC = c.metrics.Counter("dgalois_messages_all_total")
-	c.encBDenseC = c.metrics.Counter("dgalois_bytes_dense_total")
-	c.encBSparseC = c.metrics.Counter("dgalois_bytes_sparse_total")
-	c.encBAllC = c.metrics.Counter("dgalois_bytes_all_total")
-	c.computeHist = c.metrics.Histogram("dgalois_compute_phase_seconds", obs.DurationBuckets)
-	c.commHist = c.metrics.Histogram("dgalois_exchange_seconds", obs.DurationBuckets)
-	c.callerC = c.metrics.Counter("dgalois_phases_caller_total")
-	c.pooledC = c.metrics.Counter("dgalois_phases_pooled_total")
-	c.escapedC = c.metrics.Counter("dgalois_phases_escaped_total")
-	c.baseRounds = c.roundsC.Load()
-	c.baseBytes = c.bytesC.Load()
-	c.baseMessages = c.messagesC.Load()
-	c.baseEnc = gluon.EncodingCounts{
-		Dense:  c.encDenseC.Load(),
-		Sparse: c.encSparseC.Load(),
-		All:    c.encAllC.Load(),
-	}
-	c.metrics.Gauge("dgalois_hosts").Set(int64(hosts))
-	c.roundG = c.metrics.Gauge("dgalois_round")
+	m := opts.Metrics
+	c.roundsC = m.Counter("dgalois_rounds_total")
+	c.bytesC = m.Counter("dgalois_bytes_total")
+	c.messagesC = m.Counter("dgalois_messages_total")
+	c.encDenseC = m.Counter("dgalois_messages_dense_total")
+	c.encSparseC = m.Counter("dgalois_messages_sparse_total")
+	c.encAllC = m.Counter("dgalois_messages_all_total")
+	c.encBDenseC = m.Counter("dgalois_bytes_dense_total")
+	c.encBSparseC = m.Counter("dgalois_bytes_sparse_total")
+	c.encBAllC = m.Counter("dgalois_bytes_all_total")
+	c.computeHist = m.Histogram("dgalois_compute_phase_seconds", obs.DurationBuckets)
+	c.commHist = m.Histogram("dgalois_exchange_seconds", obs.DurationBuckets)
+	c.callerC = m.Counter("dgalois_phases_caller_total")
+	c.pooledC = m.Counter("dgalois_phases_pooled_total")
+	c.escapedC = m.Counter("dgalois_phases_escaped_total")
+	m.Gauge("dgalois_hosts").Set(int64(hosts))
+	c.roundG = m.Gauge("dgalois_round")
 	c.roundG.Set(0)
-	c.metrics.Gauge("dgalois_epoch").Set(int64(opts.Epoch))
-	hostRoundV := c.metrics.GaugeVec("dgalois_host_last_round", "host", hosts)
-	hostBytesV := c.metrics.CounterVec("dgalois_host_bytes_total", "host", hosts)
-	hostMsgsV := c.metrics.CounterVec("dgalois_host_messages_total", "host", hosts)
-	hostAliveV := c.metrics.GaugeVec("dgalois_host_alive", "host", hosts)
+	m.Gauge("dgalois_epoch").Set(int64(opts.Epoch))
+	hostRoundV := m.GaugeVec("dgalois_host_last_round", "host", hosts)
+	hostBytesV := m.CounterVec("dgalois_host_bytes_total", "host", hosts)
+	hostMsgsV := m.CounterVec("dgalois_host_messages_total", "host", hosts)
+	hostAliveV := m.GaugeVec("dgalois_host_alive", "host", hosts)
 	c.hostRoundG = make([]*obs.Gauge, hosts)
 	c.hostBytesC = make([]*obs.Counter, hosts)
 	c.hostMsgsC = make([]*obs.Counter, hosts)
@@ -358,7 +345,6 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 	if c.maxInflight < 1 {
 		c.maxInflight = 1
 	}
-	c.stream = -1
 	c.localHost = -1
 	c.transport = opts.Transport
 	if c.transport == nil {
@@ -406,12 +392,8 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 				}
 			}
 		}
-		if c.trace != nil {
-			t.hostPack = make([]exchangeTally, hosts)
-			t.hostUnpack = make([]exchangeTally, hosts)
-			t.pairPack = make([]exchangeTally, hosts*hosts)
-			t.pairUnpack = make([]exchangeTally, hosts*hosts)
-		}
+		t.sent = make([]tally, hosts*hosts)
+		t.recv = make([]tally, hosts*hosts)
 	}
 	c.decoders = make([]*gluon.Decoder, hosts)
 	for i := 0; i < hosts; i++ {
@@ -461,10 +443,11 @@ func (c *Cluster) LocalHost() int { return c.localHost }
 func (c *Cluster) IsLocal(h int) bool { return c.isLocal(h) }
 
 // Cursor is the cluster's deterministic counter position: the phase
-// sequence number and the paper-model counters, as they stand. A
-// checkpoint stores the cursor at a batch boundary; Restore seeds a
-// fresh cluster with it so the resumed run's event numbering, round
-// counter, and Stats continue the pre-restore sequence exactly —
+// sequence number and the cluster's own paper-model counts (never the
+// registry mirror's, which a shared registry accumulates), as they
+// stand. A checkpoint stores the cursor at a batch boundary; Restore
+// seeds a fresh cluster with it so the resumed run's event numbering,
+// round counter, and Stats continue the pre-restore sequence exactly —
 // which is what makes resumed canonical traces byte-identical to
 // uninterrupted ones.
 type Cursor struct {
@@ -475,90 +458,32 @@ type Cursor struct {
 	Encoding gluon.EncodingCounts
 }
 
-// Cursor returns the cluster's current counter position (counters
-// relative to this cluster's construction baselines, like Stats).
+// Cursor returns the cluster's current counter position.
 func (c *Cluster) Cursor() Cursor {
-	return Cursor{
-		Seq:      c.seq,
-		Rounds:   c.roundsC.Load() - c.baseRounds,
-		Bytes:    c.bytesC.Load() - c.baseBytes,
-		Messages: c.messagesC.Load() - c.baseMessages,
-		Encoding: gluon.EncodingCounts{
-			Dense:  c.encDenseC.Load() - c.baseEnc.Dense,
-			Sparse: c.encSparseC.Load() - c.baseEnc.Sparse,
-			All:    c.encAllC.Load() - c.baseEnc.All,
-		},
-	}
+	return Cursor{Seq: c.seq, Rounds: c.rounds, Bytes: c.vol.bytes, Messages: c.vol.messages, Encoding: c.vol.enc}
 }
 
-// Restore seeds the cluster's counters from a checkpointed cursor.
-// Must be called before the first phase runs: it advances the phase
-// sequence and the registry counters (leaving the construction
-// baselines untouched), after which Stats(), trace round numbers, and
-// later Cursor() calls all continue from the restored position with no
-// further arithmetic by the caller.
+// Restore seeds the cluster's counts from a checkpointed cursor. Must be
+// called before the first phase runs; after it Stats(), trace round
+// numbers, and later Cursor() calls all continue from the restored
+// position with no further arithmetic by the caller. The registry
+// mirror is left alone: /metrics counts only the work this process did.
 func (c *Cluster) Restore(cur Cursor) {
-	if c.seq != 0 || c.roundsC.Load() != c.baseRounds {
+	if c.seq != 0 || c.rounds != 0 {
 		panic("dgalois: Restore must run before the cluster's first phase")
 	}
-	c.seq = cur.Seq
-	c.roundsC.Add(cur.Rounds)
-	c.bytesC.Add(cur.Bytes)
-	c.messagesC.Add(cur.Messages)
-	c.encDenseC.Add(cur.Encoding.Dense)
-	c.encSparseC.Add(cur.Encoding.Sparse)
-	c.encAllC.Add(cur.Encoding.All)
+	c.seq, c.rounds = cur.Seq, cur.Rounds
+	c.vol = tally{bytes: cur.Bytes, messages: cur.Messages, enc: cur.Encoding}
 }
 
 func (c *Cluster) isLocal(h int) bool { return c.localHost < 0 || h == c.localHost }
 
-// SetStream switches exchange identifiers onto the given batch's
-// stream and tags subsequently emitted events with the batch. The
-// pipelined batch runner calls it whenever a batch's segment takes the
-// turn, so concurrently-open exchanges of different batches use
-// disjoint identifier spaces (per-batch channel IDs on the wire) and
-// trace events of interleaved batches stay attributable. A negative
-// batch restores the global sequential numbering (and untagged
-// events) — the state every cluster starts in, which the non-pipelined
-// path never leaves.
-func (c *Cluster) SetStream(batch int) {
-	if batch < 0 {
-		c.stream = -1
-		c.eventBatch = 0
-		return
-	}
-	c.stream = int32(batch % streamSlots)
-	c.eventBatch = int32(batch)
-	if c.streamN == nil {
-		c.streamN = make(map[int32]int, 8)
-	}
-}
-
-// EndStream retires a finished batch's identifier stream. Safe to call
-// for streams that never opened an exchange.
-func (c *Cluster) EndStream(batch int) {
-	if batch >= 0 && c.streamN != nil {
-		delete(c.streamN, int32(batch%streamSlots))
-	}
-}
-
-// streamSlots is how many batch streams the identifier space
-// distinguishes: exchange IDs are slot<<20 | counter, fitting the TCP
-// wire's u32 exchange field with 20 bits of per-stream counter. Safe
-// because at most MaxInflight (≪ 4096) batches are ever open at once,
-// and a batch's exchanges are all consumed before its slot recurs.
-const streamSlots = 4096
-
-// nextExchangeID assigns the next exchange identifier: globally
-// sequential outside streams, slot-tagged within one.
-func (c *Cluster) nextExchangeID() int {
-	c.exchanges++
-	if c.stream < 0 {
-		return c.exchanges - 1
-	}
-	n := c.streamN[c.stream]
-	c.streamN[c.stream] = n + 1
-	return int(c.stream)<<20 | n
+// SetBatch tags subsequently emitted events with the batch; a negative
+// batch untags them, the state every cluster starts in. The pipelined
+// batch runner calls it whenever a batch's segment takes the turn, so
+// trace events of interleaved batches stay attributable.
+func (c *Cluster) SetBatch(batch int) {
+	c.eventBatch = int32(max(batch, 0))
 }
 
 // nextSeq hands out the coordinator-serial phase sequence number.
@@ -580,7 +505,7 @@ func (c *Cluster) now() time.Duration { return time.Since(c.epoch) }
 // for another host's fn.
 func (c *Cluster) Compute(fn func(host int)) {
 	seq := c.nextSeq()
-	round := c.roundsC.Load() - c.baseRounds
+	round := c.rounds
 	c.computeFn, c.computeRound = fn, round
 	start := c.now()
 	var end time.Duration
@@ -592,9 +517,7 @@ func (c *Cluster) Compute(fn func(host int)) {
 		end = c.dispatch(fn, c.hosts, c.computeTaskFn, start, true)
 	}
 	c.computeFn = nil
-	wall := end - start
-	c.computeWall += wall
-	c.computeHist.Observe(wall.Seconds())
+	c.computeHist.Observe((end - start).Seconds())
 
 	durations := c.durations
 	for h, d := range durations {
@@ -648,21 +571,22 @@ func (c *Cluster) computeTask(h int) {
 // BeginRound marks the start of a BSP round (for the round counter and
 // the live round gauge).
 func (c *Cluster) BeginRound() {
-	c.roundG.Set(c.roundsC.Load() - c.baseRounds + 1)
+	c.rounds++
+	c.roundG.Set(c.rounds)
 	c.roundsC.Inc()
 }
 
-// packTask packs one (from, to) pair into its pooled writer and folds
-// the pair's volume and format tallies into the cluster counters; pairs
-// run in parallel on the worker pool, so the counters are atomics.
+// packTask packs one (from, to) pair into its pooled writer and tallies
+// a message on the pair's sent link, which no other task touches.
 func (c *Cluster) packTask(i int) {
 	from, to := i/c.hosts, i%c.hosts
+	t := c.cur
 	// A pair that shares no proxy has nothing to pack, and without a vote
 	// to carry nothing to send: its receiver declares it silent.
-	if from == to || !c.partner[i] && !c.curVote {
+	if from == to || !c.partner[i] && !t.vote {
 		return
 	}
-	w := c.curWriters[from][to]
+	w := t.writers[from][to]
 	w.Reset()
 	c.packFn(from, to, w)
 	buf := w.Bytes()
@@ -670,45 +594,20 @@ func (c *Cluster) packTask(i int) {
 	// into the inbox matrix; remote: copied into a reliable record).
 	// Empty buffers travel too — they are the explicit
 	// nothing-this-exchange marker remote receivers synchronize on.
-	if err := c.transport.Send(c.curEx, from, to, buf); err != nil {
+	if err := c.transport.Send(t.ex, from, to, buf); err != nil {
 		c.noteTransportError(err)
 		return
 	}
-	if len(buf) > 0 {
-		c.bytesC.Add(int64(len(buf)))
-		c.messagesC.Add(1)
-		c.hostBytesC[from].Add(int64(len(buf)))
-		c.hostMsgsC[from].Add(1)
-		if c.trace != nil {
-			t := &c.curPack[from]
-			atomic.AddInt64(&t.bytes, int64(len(buf)))
-			atomic.AddInt64(&t.messages, 1)
-			// The pair tally is exclusive to this task: plain adds.
-			pt := &c.curPairPack[i]
-			pt.bytes += int64(len(buf))
-			pt.messages++
-		}
+	// An empty buffer is no message, and counted no format: the writer
+	// counts a format only as it writes one.
+	if len(buf) == 0 {
+		return
 	}
-	if enc := w.TakeCounts(); enc != (gluon.EncodingCounts{}) {
-		c.encDenseC.Add(enc.Dense)
-		c.encSparseC.Add(enc.Sparse)
-		c.encAllC.Add(enc.All)
-		if c.trace != nil {
-			t := &c.curPack[from]
-			atomic.AddInt64(&t.dense, enc.Dense)
-			atomic.AddInt64(&t.sparse, enc.Sparse)
-			atomic.AddInt64(&t.all, enc.All)
-			pt := &c.curPairPack[i]
-			pt.dense += enc.Dense
-			pt.sparse += enc.Sparse
-			pt.all += enc.All
-		}
-	}
-	if eb := w.TakeByteCounts(); eb != (gluon.ByteCounts{}) {
-		c.encBDenseC.Add(eb.Dense)
-		c.encBSparseC.Add(eb.Sparse)
-		c.encBAllC.Add(eb.All)
-	}
+	l := &t.sent[i]
+	l.bytes += int64(len(buf))
+	l.messages++
+	l.enc.Add(w.TakeCounts())
+	l.encBytes.Add(w.TakeByteCounts())
 }
 
 // unpackTask consumes every buffer addressed to host to, serially per
@@ -719,46 +618,36 @@ func (c *Cluster) packTask(i int) {
 // deserialization overlaps late peers' wire time, and each payload is
 // consumed before the next is asked for, which ends its loan. A sender
 // packTask left silent is declared so: it reads as empty at once.
+//
+// Each delivered buffer is tallied on its received link, with the
+// per-format message counts the receiver's decoder saw while the engine
+// unpacked it — the receive side the cross-host conservation checker
+// matches against the sender's link.
 func (c *Cluster) unpackTask(to int) {
+	t := c.cur
+	dec := c.decoders[to]
 	var err error
 	for from := 0; from < c.hosts && err == nil; from++ {
 		if from == to {
 			continue
 		}
-		if !c.partner[from*c.hosts+to] && !c.curVote {
-			err = c.transport.Silent(c.curEx, to, from)
+		if !c.partner[from*c.hosts+to] && !t.vote {
+			err = c.transport.Silent(t.ex, to, from)
 		}
 		var buf []byte
 		if err == nil {
-			buf, err = c.transport.GatherFrom(c.curEx, to, from)
+			buf, err = c.transport.GatherFrom(t.ex, to, from)
 		}
 		if len(buf) > 0 {
-			c.unpackFn(to, from, buf, c.decoders[to])
-			if c.trace != nil {
-				c.curUnpack[to].bytes += int64(len(buf))
-				c.curUnpack[to].messages++
-				c.tallyUnpackPair(from, to, int64(len(buf)))
-			}
+			c.unpackFn(to, from, buf, dec)
+			l := &t.recv[from*c.hosts+to]
+			l.bytes += int64(len(buf))
+			l.messages++
+			l.enc.Add(dec.TakeCounts())
 		}
 	}
 	if err != nil {
 		c.noteTransportError(err)
-	}
-}
-
-// tallyUnpackPair folds one delivered buffer into the (from, to) link
-// tally, including the per-format message counts the receiver's decoder
-// saw while the engine unpacked it — the receive-side data the
-// cross-host conservation checker matches against the sender's link.
-// Called only with tracing on, from the receiver's serial context.
-func (c *Cluster) tallyUnpackPair(from, to int, bytes int64) {
-	pt := &c.curPairUnpack[from*c.hosts+to]
-	pt.bytes += bytes
-	pt.messages++
-	if enc := c.decoders[to].TakeCounts(); enc != (gluon.EncodingCounts{}) {
-		pt.dense += enc.Dense
-		pt.sparse += enc.Sparse
-		pt.all += enc.All
 	}
 }
 
@@ -791,16 +680,11 @@ func (c *Cluster) checkExchangeErr() {
 }
 
 // runPackPhase runs the pack loop for the current exchange, begun at
-// clock start, and returns how many messages it sent and the clock at
-// its end: pair-parallel where dispatch puts it in-process, where the
-// coordinator first opens the exchange's transport slot so that no Send
-// has to; the local host's hosts−1 destinations in order on the caller
-// in SPMD mode. The count is
-// the cluster counter's rise, so another cluster packing into a shared
-// registry can only inflate it: an exchange is never taken for empty when
-// it is not.
-func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer), start time.Duration) (sent int64, end time.Duration) {
-	before := c.messagesC.Load()
+// clock start, and returns the clock at its end: pair-parallel where
+// dispatch puts it in-process, where the coordinator first opens the
+// exchange's transport slot so that no Send has to; the local host's
+// hosts−1 destinations in order on the caller in SPMD mode.
+func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer), start time.Duration) (end time.Duration) {
 	c.packFn = pack
 	if c.localHost >= 0 {
 		for to := 0; to < c.hosts; to++ {
@@ -808,11 +692,45 @@ func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer), start t
 		}
 		end = c.now()
 	} else {
-		c.mem.Open(c.curEx)
+		c.mem.Open(c.cur.ex)
 		end = c.dispatch(pack, c.hosts*c.hosts, c.packTaskFn, start, false)
 	}
 	c.packFn = nil
-	return c.messagesC.Load() - before, end
+	return end
+}
+
+// settle folds an exchange's sent links into the cluster's volume and
+// publishes them to the registry mirror — the totals, the per-format
+// counts and each sender's row — and returns how many messages the
+// exchange sent. It runs once per exchange, on the coordinator after the
+// pack phase; an exchange that sent nothing touches no instrument.
+func (c *Cluster) settle(t *PendingExchange) int64 {
+	var sent int64
+	for i := range t.sent {
+		sent += t.sent[i].messages
+	}
+	if sent == 0 {
+		return 0
+	}
+	var ex tally
+	for from := 0; from < c.hosts; from++ {
+		row := sumLinks(t.sent, from*c.hosts, 1, c.hosts)
+		if row.messages > 0 {
+			c.hostBytesC[from].Add(row.bytes)
+			c.hostMsgsC[from].Add(row.messages)
+		}
+		ex.add(&row)
+	}
+	c.vol.add(&ex)
+	c.bytesC.Add(ex.bytes)
+	c.messagesC.Add(ex.messages)
+	c.encDenseC.Add(ex.enc.Dense)
+	c.encSparseC.Add(ex.enc.Sparse)
+	c.encAllC.Add(ex.enc.All)
+	c.encBDenseC.Add(ex.encBytes.Dense)
+	c.encBSparseC.Add(ex.encBytes.Sparse)
+	c.encBAllC.Add(ex.encBytes.All)
+	return ex.messages
 }
 
 // breakEven is the work, summed over a phase's tasks, below which the
@@ -884,38 +802,28 @@ func (c *Cluster) claimTicket() *PendingExchange {
 	panic(fmt.Sprintf("dgalois: more than %d exchanges in flight (raise ClusterOptions.MaxInflight)", c.maxInflight))
 }
 
-// resetTallies clears the ticket's per-host and per-pair trace tallies.
-func (t *PendingExchange) resetTallies() {
-	for i := range t.hostPack {
-		t.hostPack[i] = exchangeTally{}
-		t.hostUnpack[i] = exchangeTally{}
-	}
-	for i := range t.pairPack {
-		t.pairPack[i] = exchangeTally{}
-		t.pairUnpack[i] = exchangeTally{}
-	}
-}
-
-// emitExchangeEvents publishes the per-host pack/unpack phase events
-// plus the cluster-wide exchange slice. Only hosts that moved data
-// appear, so event content mirrors the message-level accounting.
+// emitExchangeEvents publishes the per-host pack/unpack phase events —
+// a sender's row of sent links, a receiver's column of received ones —
+// plus the link events and the cluster-wide exchange slice. Only hosts
+// that moved data appear, so event content mirrors the message-level
+// accounting.
 func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hidden time.Duration) {
 	round := int32(t.round)
 	packBase := t.start.Nanoseconds()
 	packDur := (t.packEnd - t.start).Nanoseconds()
 	unpackBase := completeStart.Nanoseconds()
 	unpackDur := (end - completeStart).Nanoseconds()
-	for h := range t.hostPack {
-		if ht := &t.hostPack[h]; ht.messages > 0 {
+	for h := 0; h < c.hosts; h++ {
+		if ht := sumLinks(t.sent, h*c.hosts, 1, c.hosts); ht.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.packSeq, Round: round, Batch: t.batch,
 				Host: int32(h), Phase: obs.PhasePack,
 				Bytes: ht.bytes, Messages: ht.messages,
-				Dense: ht.dense, Sparse: ht.sparse, All: ht.all,
+				Dense: ht.enc.Dense, Sparse: ht.enc.Sparse, All: ht.enc.All,
 				StartNs: packBase, DurNs: packDur})
 		}
 	}
-	for h := range t.hostUnpack {
-		if ht := &t.hostUnpack[h]; ht.messages > 0 {
+	for h := 0; h < c.hosts; h++ {
+		if ht := sumLinks(t.recv, h, c.hosts, c.hosts); ht.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.unpackSeq, Round: round, Batch: t.batch,
 				Host: int32(h), Phase: obs.PhaseUnpack,
 				Bytes: ht.bytes, Messages: ht.messages,
@@ -928,20 +836,20 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 	// (epoch, seq, from, to) even across different hosts' trace files.
 	// No timings: link content is a pure function of the model, which is
 	// what lets merged traces compare them byte-exactly.
-	for i := range t.pairPack {
-		if pt := &t.pairPack[i]; pt.messages > 0 {
+	for i := range t.sent {
+		if pt := &t.sent[i]; pt.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindLink, Seq: t.packSeq, Round: round, Batch: t.batch,
 				Host: int32(i / c.hosts), Peer: int32(i % c.hosts), Phase: obs.PhasePack,
 				Bytes: pt.bytes, Messages: pt.messages,
-				Dense: pt.dense, Sparse: pt.sparse, All: pt.all})
+				Dense: pt.enc.Dense, Sparse: pt.enc.Sparse, All: pt.enc.All})
 		}
 	}
-	for i := range t.pairUnpack {
-		if pt := &t.pairUnpack[i]; pt.messages > 0 {
+	for i := range t.recv {
+		if pt := &t.recv[i]; pt.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindLink, Seq: t.packSeq, Round: round, Batch: t.batch,
 				Host: int32(i % c.hosts), Peer: int32(i / c.hosts), Phase: obs.PhaseUnpack,
 				Bytes: pt.bytes, Messages: pt.messages,
-				Dense: pt.dense, Sparse: pt.sparse, All: pt.all})
+				Dense: pt.enc.Dense, Sparse: pt.enc.Sparse, All: pt.enc.All})
 		}
 	}
 	c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.packSeq, Round: round, Batch: t.batch,
@@ -1008,7 +916,6 @@ func (c *Cluster) BeginExchangeSum(local int64, pack func(from, to int, w *gluon
 // exchange runs an exchange carrying local (a vote: on every link)
 // under a ticket, up to its pack phase if detached.
 func (c *Cluster) exchange(local int64, vote, detached bool, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	c.curVote = vote
 	t := c.claimTicket()
 	t.detached, t.vote, t.sum = detached, vote, local
 	c.begin(t, pack, unpack)
@@ -1023,24 +930,19 @@ func (c *Cluster) exchange(local int64, vote, detached bool, pack func(from, to 
 func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
 	t.packSeq = c.nextSeq()
 	t.unpackSeq = c.nextSeq()
-	if c.trace != nil {
-		t.resetTallies()
-	}
-	t.ex = c.nextExchangeID()
-	t.round = c.roundsC.Load() - c.baseRounds
+	t.ex = c.exchanges
+	c.exchanges++
+	t.round = c.rounds
 	t.batch = c.eventBatch
-	c.curEx = t.ex
-	c.curWriters = t.writers
-	c.curPack = t.hostPack
-	c.curPairPack = t.pairPack
+	c.cur = t
 	t.start = c.now()
 	if c.localHost >= 0 {
 		if err := c.transport.Propose(t.ex, c.localHost, t.sum); err != nil {
 			c.noteTransportError(err)
 		}
 	}
-	sent, packEnd := c.runPackPhase(pack, t.start)
-	t.packEnd = packEnd
+	t.packEnd = c.runPackPhase(pack, t.start)
+	sent := c.settle(t)
 	c.checkExchangeErr()
 	// In process, an exchange that sent no message has nothing to unpack:
 	// Complete frees its transport slot and runs no unpack phase. Remote
@@ -1063,9 +965,7 @@ func (c *Cluster) complete(t *PendingExchange) {
 	if t.empty {
 		c.mem.Reclaim(t.ex)
 	} else {
-		c.curEx, c.curVote = t.ex, t.vote
-		c.curUnpack = t.hostUnpack
-		c.curPairUnpack = t.pairUnpack
+		c.cur = t
 		c.unpackFn = t.unpack
 		if h := c.localHost; h >= 0 {
 			c.unpackTask(h)
@@ -1093,6 +993,12 @@ func (c *Cluster) complete(t *PendingExchange) {
 	if c.trace != nil {
 		c.emitExchangeEvents(t, completeStart, end, hidden)
 		c.emitNetTransportEvent(t.unpackSeq, t.batch, t.start, end)
+	}
+	// A ticket's links are zero between exchanges; an empty one never
+	// wrote them.
+	if !t.empty {
+		clear(t.sent)
+		clear(t.recv)
 	}
 	t.detached = false
 	t.inUse = false
@@ -1122,7 +1028,7 @@ func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.
 	d.RetryBytes -= last.RetryBytes
 	d.Redials -= last.Redials
 	c.trace.Emit(obs.Event{Kind: obs.KindTransport, Seq: seq, Batch: batch,
-		Round: int32(c.roundsC.Load() - c.baseRounds), Host: int32(c.localHost),
+		Round: int32(c.rounds), Host: int32(c.localHost),
 		Backend:    c.transport.Backend(),
 		Bytes:      d.Bytes,
 		Messages:   d.Messages,
@@ -1156,10 +1062,10 @@ type Stats struct {
 	Encoding gluon.EncodingCounts
 }
 
-// Stats returns the current statistics snapshot, derived from the
-// registry counters (pinned byte-identical to the pre-registry ad-hoc
-// fields by TestVolumeAccountingMatchesSerialRecount and the chaostest
-// volume sweep).
+// Stats returns the current statistics snapshot: the cluster's own
+// counts, which a Restore seeds (pinned against an independent recount
+// by TestVolumeAccountingMatchesSerialRecount and the chaostest volume
+// sweep).
 func (c *Cluster) Stats() Stats {
 	var maxCompute time.Duration
 	for _, d := range c.perHostCompute {
@@ -1173,19 +1079,15 @@ func (c *Cluster) Stats() Stats {
 	}
 	per := append([]time.Duration(nil), c.perHostCompute...)
 	s := Stats{
-		Hosts:         c.hosts,
-		Rounds:        int(c.roundsC.Load() - c.baseRounds),
-		Bytes:         c.bytesC.Load() - c.baseBytes,
-		Messages:      c.messagesC.Load() - c.baseMessages,
-		ComputeTime:   maxCompute,
-		CommTime:      c.commWall,
-		HiddenTime:    c.hiddenWall,
-		LoadImbalance: imb,
-		Encoding: gluon.EncodingCounts{
-			Dense:  c.encDenseC.Load() - c.baseEnc.Dense,
-			Sparse: c.encSparseC.Load() - c.baseEnc.Sparse,
-			All:    c.encAllC.Load() - c.baseEnc.All,
-		},
+		Hosts:          c.hosts,
+		Rounds:         int(c.rounds),
+		Bytes:          c.vol.bytes,
+		Messages:       c.vol.messages,
+		ComputeTime:    maxCompute,
+		CommTime:       c.commWall,
+		HiddenTime:     c.hiddenWall,
+		LoadImbalance:  imb,
+		Encoding:       c.vol.enc,
 		PerHostCompute: per,
 	}
 	s.ExecutionTime = s.ComputeTime + s.CommTime

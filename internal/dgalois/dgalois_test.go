@@ -302,9 +302,9 @@ func place(c *Cluster, pooled bool) {
 }
 
 // TestExchangeZeroAllocsWithTracing extends the pin to the enabled
-// path: the ring tracer holds events inline and tallies live in
-// preallocated per-host slots, so even a traced Exchange allocates
-// nothing at steady state.
+// path: the ring tracer holds events inline and the link tallies the
+// events fold from are preallocated per ticket, so even a traced
+// Exchange allocates nothing at steady state.
 func TestExchangeZeroAllocsWithTracing(t *testing.T) {
 	const hosts, listLen = 4, 2048
 	var sink int64
@@ -418,7 +418,7 @@ func TestLinkEventsConserve(t *testing.T) {
 // TestTraceEventsMatchStats pins the trace-accounting invariant at the
 // substrate level: summing the pack/unpack phase events reproduces the
 // Stats volume exactly, the expected phases appear per round, and the
-// registry counters agree with the derived Stats view.
+// registry mirror agrees with Stats.
 func TestTraceEventsMatchStats(t *testing.T) {
 	const hosts, listLen, rounds = 4, 512, 3
 	var sink int64
@@ -501,11 +501,11 @@ func BenchmarkExchangeSteadyState(b *testing.B) {
 	}
 }
 
-// TestSharedRegistryStatsArePerRun pins the two-audience contract of
-// the registry-backed counters: a registry reused across clusters
-// (bcbench -serve runs every experiment against one) accumulates its
-// counters monotonically for /metrics, while each cluster's Stats and
-// trace round numbers stay relative to its own construction.
+// TestSharedRegistryStatsArePerRun pins the two audiences of the
+// cluster's counts: a registry reused across clusters (bcbench -serve
+// runs every experiment against one) accumulates the mirrored counters
+// monotonically for /metrics, while each cluster's Stats and trace round
+// numbers are its own.
 func TestSharedRegistryStatsArePerRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	runOnce := func() Stats {
@@ -535,6 +535,50 @@ func TestSharedRegistryStatsArePerRun(t *testing.T) {
 	}
 	if got := snap.Counters["dgalois_bytes_total"]; got != 2*first.Bytes {
 		t.Fatalf("registry bytes_total = %d, want cumulative %d", got, 2*first.Bytes)
+	}
+}
+
+// TestRestoreLeavesMirrorConsistent pins what a restored cluster reports:
+// Stats continue from the checkpointed cursor, while the registry mirror
+// counts only the exchanges this cluster ran, so its totals agree with
+// its per-host vectors and its per-format byte counters.
+func TestRestoreLeavesMirrorConsistent(t *testing.T) {
+	const hosts, listLen = 4, 512
+	var sink int64
+	pack, unpack := fixedWorkload(hosts, listLen, &sink)
+	reg := obs.NewRegistry()
+	c := NewClusterOpts(hosts, ClusterOptions{Metrics: reg})
+	defer c.Close()
+	restored := Cursor{Seq: 7, Rounds: 3, Bytes: 1000, Messages: 10, Encoding: gluon.EncodingCounts{Dense: 4, Sparse: 6}}
+	c.Restore(restored)
+	c.BeginRound()
+	c.Exchange(pack, unpack)
+
+	st := c.Stats()
+	snap := reg.Snapshot()
+	ran := snap.Counters["dgalois_bytes_total"]
+	if ran == 0 || st.Bytes != restored.Bytes+ran || st.Rounds != 4 {
+		t.Fatalf("Stats = %d B over %d rounds, want the restored %d B + %d B over 4 rounds", st.Bytes, st.Rounds, restored.Bytes, ran)
+	}
+	if got := c.Cursor(); got.Messages != restored.Messages+snap.Counters["dgalois_messages_total"] || got.Seq != restored.Seq+2 {
+		t.Fatalf("Cursor = %+v after restoring %+v and one exchange", got, restored)
+	}
+	sum := func(name string) (s int64) {
+		for _, v := range snap.CounterVecs[name].Values {
+			s += v
+		}
+		return s
+	}
+	if host := sum("dgalois_host_bytes_total"); host != ran {
+		t.Fatalf("dgalois_bytes_total = %d, per-host bytes sum to %d", ran, host)
+	}
+	if msgs, host := snap.Counters["dgalois_messages_total"], sum("dgalois_host_messages_total"); msgs != host {
+		t.Fatalf("dgalois_messages_total = %d, per-host messages sum to %d", msgs, host)
+	}
+	fmtBytes := snap.Counters["dgalois_bytes_dense_total"] + snap.Counters["dgalois_bytes_sparse_total"] +
+		snap.Counters["dgalois_bytes_all_total"]
+	if fmtBytes != ran {
+		t.Fatalf("dgalois_bytes_total = %d, per-format bytes sum to %d", ran, fmtBytes)
 	}
 }
 
@@ -574,16 +618,11 @@ func spin(d time.Duration) {
 }
 
 // dispatches counts where a cluster's in-process phases ran, read from
-// its registry.
+// its instruments (detached ones without a registry count all the same).
 type dispatches struct{ caller, pooled, escaped int64 }
 
 func phaseCounts(c *Cluster) dispatches {
-	m := c.metrics
-	return dispatches{
-		caller:  m.Counter("dgalois_phases_caller_total").Load(),
-		pooled:  m.Counter("dgalois_phases_pooled_total").Load(),
-		escaped: m.Counter("dgalois_phases_escaped_total").Load(),
-	}
+	return dispatches{caller: c.callerC.Load(), pooled: c.pooledC.Load(), escaped: c.escapedC.Load()}
 }
 
 func (d dispatches) sub(o dispatches) dispatches {

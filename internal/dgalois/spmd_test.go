@@ -8,15 +8,15 @@ import (
 	"mrbc/internal/gluon"
 )
 
-// spmdStub is a remote transport owning one host: it records the order
-// of Sends and answers GatherFrom with a one-byte payload naming the
+// spmdStub is a remote transport owning one host: it records the
+// destination and exchange identifier of every Send and answers GatherFrom with a one-byte payload naming the
 // sender, and sums an exchange as if every peer proposed 1. Everything
 // else a Cluster may call on a transport is left to the nil embedded
 // interface — the SPMD phases must not need it.
 type spmdStub struct {
 	gluon.Transport
 	hosts, self int
-	sent        []int
+	sent, ids   []int
 	mine        int64
 }
 
@@ -25,6 +25,7 @@ func (s *spmdStub) Local(h int) bool { return h == s.self }
 
 func (s *spmdStub) Send(exchange, from, to int, buf []byte) error {
 	s.sent = append(s.sent, to)
+	s.ids = append(s.ids, exchange)
 	return nil
 }
 
@@ -95,5 +96,48 @@ func TestSPMDPhasesRunInline(t *testing.T) {
 	}
 	if st := c.Stats(); st.Messages != hosts-1 || st.Bytes != 4*(hosts-1) {
 		t.Fatalf("stats = %d messages / %d bytes, want %d / %d", st.Messages, st.Bytes, hosts-1, 4*(hosts-1))
+	}
+}
+
+// TestPipelinedExchangeIDsAreOneCounter pins the identifiers an SPMD
+// process puts on the wire while batches interleave their exchanges the
+// way the pipelined runner's turnstile does: each batch takes the turn,
+// completes its open exchange and begins its next. Every process issues
+// that same sequence, so numbering the exchanges 0,1,2,… in the order
+// they begin names the same exchange everywhere, whichever batch began it.
+func TestPipelinedExchangeIDsAreOneCounter(t *testing.T) {
+	const hosts, self, batches, turns = 4, 2, 3, 4
+	stub := &spmdStub{hosts: hosts, self: self}
+	c := NewClusterOpts(hosts, ClusterOptions{Transport: stub, MaxInflight: batches})
+	defer c.Close()
+	pack := func(from, to int, w *gluon.Writer) { w.Byte(byte(from)) }
+	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {}
+	open := make([]*PendingExchange, batches)
+	for turn := 0; turn < turns; turn++ {
+		for b := range open {
+			c.SetBatch(b)
+			open[b].Complete()
+			open[b] = c.BeginExchange(pack, unpack)
+		}
+	}
+	for _, p := range open {
+		p.Complete()
+	}
+	c.SetBatch(-1)
+	var ids []int
+	for i, id := range stub.ids {
+		if i%(hosts-1) == 0 {
+			ids = append(ids, id)
+		} else if id != ids[len(ids)-1] {
+			t.Fatalf("one exchange's sends carried identifiers %d and %d", ids[len(ids)-1], id)
+		}
+	}
+	if len(ids) != batches*turns {
+		t.Fatalf("%d exchanges sent, want %d", len(ids), batches*turns)
+	}
+	for n, id := range ids {
+		if id != n {
+			t.Fatalf("exchange %d went out as identifier %d; identifiers %v, want 0..%d", n, id, ids, batches*turns-1)
+		}
 	}
 }

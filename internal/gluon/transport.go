@@ -23,8 +23,8 @@ import (
 // transport_conformance_test.go):
 //
 //   - Exchanges carry caller-chosen, pairwise-distinct int identifiers
-//     (the non-pipelined cluster numbers them 0,1,2,…; the pipelined
-//     cluster tags them with a per-batch stream). Within one exchange a
+//     (the cluster numbers them 0,1,2,… in the order it begins them,
+//     pipelined or not). Within one exchange a
 //     host sends exactly one message to every other host on a link that
 //     is not silent (an empty buffer is the explicit "nothing this
 //     exchange" marker) and gathers the same exchange afterwards.

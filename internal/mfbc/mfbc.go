@@ -23,7 +23,6 @@ import (
 	"runtime"
 
 	"mrbc/internal/graph"
-	"mrbc/internal/matrix"
 	"mrbc/internal/worklist"
 )
 
@@ -36,7 +35,7 @@ type pathElem struct {
 // forwardSemiring combines tentative shortest-path elements: Plus takes
 // the smaller distance and sums counts on ties; Extend lengthens a path
 // by one unit edge.
-var forwardSemiring = matrix.Semiring[pathElem]{
+var forwardSemiring = semiring[pathElem]{
 	Identity: pathElem{dist: graph.InfDist},
 	Plus: func(a, b pathElem) pathElem {
 		switch {
@@ -104,8 +103,8 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, Stats) {
 		batch := sources[start:min(start+opts.BatchSize, len(sources))]
 		stats.Batches++
 		worklist.RunOrdered(len(batch), opts.Workers, func() (compute, retire func(int)) {
-			sw := &sweeper{g: g, tent: make(matrix.Vec[pathElem], n),
-				prod: matrix.NewVec(n, forwardSemiring), deps: make(matrix.Vec[float64], n)}
+			sw := &sweeper{g: g, tent: make(vec[pathElem], n),
+				prod: newVec(n, forwardSemiring), deps: make(vec[float64], n)}
 			compute = func(j int) { sw.forward(batch[j]); sw.backward() }
 			retire = func(j int) { sw.fold(batch[j], scores, &stats) }
 			return compute, retire
@@ -118,8 +117,8 @@ func BC(g *graph.Graph, sources []uint32, opts Options) ([]float64, Stats) {
 // time.
 type sweeper struct {
 	g          *graph.Graph
-	tent, prod matrix.Vec[pathElem] // prod is all identity between products
-	deps       matrix.Vec[float64]
+	tent, prod vec[pathElem] // prod is all identity between products
+	deps       vec[float64]
 	touched    []uint32
 	iters      int    // forward frontier iterations of the last source
 	maxDist    uint32 // its deepest reached level
@@ -137,7 +136,7 @@ func (sw *sweeper) forward(s uint32) {
 	frontier := []uint32{s}
 	for len(frontier) > 0 {
 		sw.iters++
-		sw.touched = matrix.PushProduct(sw.g, tent, frontier, forwardSemiring, sw.prod, sw.touched[:0])
+		sw.touched = pushProduct(sw.g, tent, frontier, forwardSemiring, sw.prod, sw.touched[:0])
 		frontier = frontier[:0]
 		for _, v := range sw.touched {
 			cand := sw.prod[v]

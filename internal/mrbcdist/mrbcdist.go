@@ -42,11 +42,11 @@ type Options struct {
 	// obs.LevelDetail — one send event per synchronized (vertex, source)
 	// pair and one summary event per batch. Nil disables tracing.
 	Trace *obs.Trace
-	// Metrics is the registry the cluster populates; nil gives the run
-	// a private registry reachable through the returned Stats only.
-	// A non-nil registry additionally carries the engine's live progress
-	// gauges (mrbc_batch, mrbc_round, mrbc_frontier, mrbc_backward) that
-	// the telemetry endpoint's /progressz view derives from.
+	// Metrics is the registry the cluster mirrors its counts into, with
+	// the engine's live progress gauges (mrbc_batch, mrbc_round,
+	// mrbc_frontier, mrbc_backward) the telemetry endpoint's /progressz
+	// view derives from; nil publishes no telemetry. The returned Stats
+	// never read it.
 	Metrics *obs.Registry
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend (gluon.TCPTransport)

@@ -35,11 +35,10 @@ package mrbcdist
 //     every batch < b retired, replaying the serial fold order
 //     exactly.
 //
-// Exchange identifiers come from per-batch streams
-// (dgalois.SetStream), so concurrently-open exchanges of different
-// batches occupy disjoint identifier spaces on the wire and in
-// transport buffers, and the reliable transport's seq/ack machinery
-// stays per-stream.
+// Exchange identifiers come from the cluster's one counter: the
+// operation sequence is the same on every SPMD process, so the n-th
+// exchange begun names the same exchange everywhere, whichever batch
+// began it. dgalois.SetBatch only tags the events a batch's turn emits.
 
 import "sync"
 
@@ -156,7 +155,7 @@ func runPipelined(j *job, depth int) {
 		r.spawn(bi)
 	}
 	r.wg.Wait()
-	r.cluster.SetStream(-1)
+	r.cluster.SetBatch(-1)
 	if r.t.cause != nil {
 		// Re-raise the first failure on the coordinator goroutine: a
 		// fault abort unwinds to dgalois.Capture, anything else is a bug
@@ -184,18 +183,17 @@ func (r *pipeRunner) spawn(bi int) {
 	}()
 }
 
-// take blocks until it is batch bi's turn, then routes the cluster's
-// exchange identifiers and event tags onto the batch's stream.
+// take blocks until it is batch bi's turn, then tags the cluster's
+// events with the batch.
 func (r *pipeRunner) take(bi int) {
 	r.t.acquire(bi)
-	r.cluster.SetStream(bi)
+	r.cluster.SetBatch(bi)
 }
 
 // finish runs in batch b's final turn: stash the completed batch,
 // retire every batch whose predecessors are all retired (in index
-// order — the serial score-fold and summary-event order), release the
-// batch's identifier stream, and hand its rotation slot to the next
-// unstarted batch.
+// order — the serial score-fold and summary-event order), and hand its
+// rotation slot to the next unstarted batch.
 func (r *pipeRunner) finish(b *batchRun) {
 	r.finished[b.bi] = b
 	for {
@@ -207,7 +205,6 @@ func (r *pipeRunner) finish(b *batchRun) {
 		r.retireNext++
 		d.retire()
 	}
-	r.cluster.EndStream(b.bi)
 	next := -1
 	if r.nextStart < r.nBatches {
 		next = r.nextStart

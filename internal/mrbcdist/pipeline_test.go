@@ -227,9 +227,9 @@ func runSPMD(t testing.TB, views []gluon.Transport, g *graph.Graph, pt *partitio
 // TestPipelineTCPSPMD runs the pipelined engine as a real 4-process
 // SPMD cluster over localhost TCP: depth 2 must agree bit for bit with
 // the depth-1 run on the same transport and match the Brandes oracle.
-// This exercises the per-batch exchange-identifier streams on the
-// wire: concurrently-open exchanges of different batches must land in
-// the right transport boxes regardless of arrival order.
+// This exercises the cluster's one exchange counter on the wire:
+// concurrently-open exchanges of different batches must land in the
+// right transport boxes regardless of arrival order.
 func TestPipelineTCPSPMD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("localhost TCP cluster; skipped in -short")

@@ -82,11 +82,10 @@ type Options struct {
 	// obs.LevelDetail — one send event per finalized (vertex, source)
 	// label and one summary event per source. Nil disables tracing.
 	Trace *obs.Trace
-	// Metrics is the registry the cluster populates; nil gives the run
-	// a private registry reachable through the returned Stats only.
-	// A non-nil registry additionally carries the live progress gauges
-	// (sbbc_source, sbbc_level, sbbc_frontier) the telemetry endpoint's
-	// /progressz view derives from.
+	// Metrics is the registry the cluster mirrors its counts into, with
+	// the live progress gauges (sbbc_source, sbbc_level, sbbc_frontier)
+	// the telemetry endpoint's /progressz view derives from; nil
+	// publishes no telemetry. The returned Stats never read it.
 	Metrics *obs.Registry
 	// Transport overrides the cluster's byte-moving backend (nil: the
 	// in-process simulated network). A remote backend runs this process
