@@ -8,7 +8,6 @@
 //
 //	bcd -listen 127.0.0.1:0              # ephemeral control port
 //	bcd -listen 127.0.0.1:7001 -metrics 127.0.0.1:9464
-//	bcd -listen 127.0.0.1:0 -once        # exit after one job
 //
 // On startup the daemon prints
 //
@@ -38,7 +37,6 @@ func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:0", "control listen address")
 		metrics = flag.String("metrics", "", "serve live telemetry on this address (empty: off)")
-		once    = flag.Bool("once", false, "exit after serving one job")
 		quiet   = flag.Bool("quiet", false, "suppress per-job log lines on stderr")
 	)
 	flag.Parse()
@@ -49,7 +47,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := clusterrun.DaemonOptions{Once: *once}
+	var opts clusterrun.DaemonOptions
 	if !*quiet {
 		logger := log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)
 		opts.Logf = logger.Printf

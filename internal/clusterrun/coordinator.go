@@ -301,7 +301,7 @@ type RunOptions struct {
 // Run drives one job across the cluster: prepare every daemon (fresh
 // transport listeners), distribute the address book, start every host,
 // and gather results. A structured per-host fault is returned as the
-// reconstructed *dgalois.FaultError; scores from faulted runs are
+// *dgalois.FaultError the host sent; scores from faulted runs are
 // discarded.
 func (c *Cluster) Run(spec JobSpec, opts RunOptions) (*Aggregate, error) {
 	results, hostErrs, err := c.runAttempt(spec, 0, opts)
@@ -313,11 +313,11 @@ func (c *Cluster) Run(spec JobSpec, opts RunOptions) (*Aggregate, error) {
 			return nil, fmt.Errorf("clusterrun: %w", err)
 		}
 	}
-	// A fault on any host fails the job with the reconstructed engine
-	// error (the first faulting host's).
+	// A fault on any host fails the job with the first faulting host's
+	// engine error.
 	for _, res := range results {
 		if res.Fault != nil {
-			return nil, res.Fault.AsError()
+			return nil, res.Fault
 		}
 	}
 	return aggregate(results)

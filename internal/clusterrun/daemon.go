@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mrbc/internal/dgalois"
 	"mrbc/internal/gluon"
 	"mrbc/internal/obs"
 )
@@ -51,8 +50,6 @@ type controlReply struct {
 
 // DaemonOptions configures ServeControl.
 type DaemonOptions struct {
-	// Once exits after serving a single job (for one-shot invocations).
-	Once bool
 	// Metrics, when non-nil, receives every job's live engine gauges —
 	// the registry behind the daemon's /metrics endpoint.
 	Metrics *obs.Registry
@@ -68,8 +65,7 @@ func (o DaemonOptions) logf(format string, args ...any) {
 
 // ServeControl runs the daemon loop on the given control listener:
 // accept a connection, serve one job through the prepare/start
-// protocol, repeat. Returns when the listener closes or, with
-// opts.Once, after the first job.
+// protocol, repeat. Returns when the listener closes.
 func ServeControl(ln net.Listener, opts DaemonOptions) error {
 	for {
 		conn, err := ln.Accept()
@@ -79,20 +75,14 @@ func ServeControl(ln net.Listener, opts DaemonOptions) error {
 			}
 			return err
 		}
-		served, err := serveJob(conn, opts)
-		if err != nil {
+		if err := serveJob(conn, opts); err != nil {
 			opts.logf("bcd: job failed: %v", err)
-		}
-		if opts.Once && served {
-			return err
 		}
 	}
 }
 
 // serveJob drives one control connection through prepare and start.
-// The returned bool reports whether a start was attempted (a
-// connection that only probed prepare does not consume a -once slot).
-func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
+func serveJob(conn net.Conn, opts DaemonOptions) error {
 	defer conn.Close()
 	dec := json.NewDecoder(conn)
 	// SPMD processes must agree on every option that shapes the exchange
@@ -105,31 +95,31 @@ func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 	if err := dec.Decode(&req); err != nil {
 		err = fmt.Errorf("decode request: %w", err)
 		enc.Encode(controlReply{Err: err.Error()})
-		return false, err
+		return err
 	}
 	if req.Op != "prepare" {
 		enc.Encode(controlReply{Err: fmt.Sprintf("expected prepare, got %q", req.Op)})
-		return false, fmt.Errorf("protocol: expected prepare, got %q", req.Op)
+		return fmt.Errorf("protocol: expected prepare, got %q", req.Op)
 	}
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		enc.Encode(controlReply{Err: err.Error()})
-		return false, err
+		return err
 	}
 	defer tln.Close()
 	if err := enc.Encode(controlReply{OK: true, Transport: tln.Addr().String()}); err != nil {
-		return false, err
+		return err
 	}
 
 	req = controlRequest{}
 	if err := dec.Decode(&req); err != nil {
 		err = fmt.Errorf("decode start: %w", err)
 		enc.Encode(controlReply{Err: err.Error()})
-		return false, err
+		return err
 	}
 	if req.Op != "start" || req.Spec == nil {
 		enc.Encode(controlReply{Err: "expected start with a spec"})
-		return false, fmt.Errorf("protocol: expected start with a spec, got %q", req.Op)
+		return fmt.Errorf("protocol: expected start with a spec, got %q", req.Op)
 	}
 	spec := req.Spec
 	opts.logf("bcd: host %d/%d starting %s on %s", spec.Host, spec.Hosts, spec.Engine, spec.GraphPath)
@@ -137,7 +127,7 @@ func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 	transport, err := gluon.NewTCPTransport(spec.Host, spec.Addrs, tln, spec.TCPOptions())
 	if err != nil {
 		enc.Encode(controlReply{Err: err.Error()})
-		return true, err
+		return err
 	}
 	defer transport.Close()
 
@@ -147,7 +137,7 @@ func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 		sink, serr := obs.NewStreamSink(spec.TracePath, obs.Header(spec.Host, spec.Hosts, spec.Epoch))
 		if serr != nil {
 			enc.Encode(controlReply{Err: serr.Error()})
-			return true, serr
+			return serr
 		}
 		// The file is the record: every event is teed to the sink, so the
 		// ring keeps only the last one. Stamping every event with this
@@ -179,17 +169,12 @@ func serveJob(conn net.Conn, opts DaemonOptions) (bool, error) {
 	finishTrace()
 	if err != nil {
 		enc.Encode(controlReply{Err: err.Error()})
-		return true, err
+		return err
 	}
 	if res.Fault != nil {
 		opts.logf("bcd: host %d aborted: %s", spec.Host, res.Fault.Reason)
 	}
-	return true, enc.Encode(controlReply{OK: true, Result: res})
-}
-
-// asFault reports whether err carries a *dgalois.FaultError.
-func asFault(err error, out **dgalois.FaultError) bool {
-	return errors.As(err, out)
+	return enc.Encode(controlReply{OK: true, Result: res})
 }
 
 func millis(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }

@@ -6,11 +6,11 @@ import (
 	"mrbc/internal/obs"
 )
 
-// Process-wide registry of the live per-job trace sinks. A bcd daemon
-// may serve jobs concurrently (one control connection each), and its
-// SIGTERM handler must be able to force every in-flight trace to disk
-// without knowing which jobs are running — the registry is that
-// rendezvous.
+// Process-wide registry of the live per-job trace sinks. ServeControl
+// serves one control connection, and so one job, at a time; bcd's
+// SIGTERM handler must be able to force that job's trace to disk
+// without reaching into the loop — the registry is that rendezvous. A
+// process running several ServeControl loops has one live sink each.
 
 var (
 	sinkMu sync.Mutex

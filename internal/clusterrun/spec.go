@@ -132,26 +132,7 @@ type JobResult struct {
 	RetryBytes int64 `json:"retry_bytes,omitempty"`
 	Redials    int64 `json:"redials,omitempty"`
 	// Fault carries the structured failure, nil on success.
-	Fault *Fault `json:"fault,omitempty"`
-}
-
-// Fault is the JSON projection of *dgalois.FaultError, relayed from a
-// daemon to the coordinator.
-type Fault struct {
-	Host     int    `json:"host"`
-	Exchange int    `json:"exchange"`
-	Step     int    `json:"step"`
-	Pending  int    `json:"pending"`
-	Killed   bool   `json:"killed,omitempty"`
-	Reason   string `json:"reason"`
-}
-
-// AsError reconstructs the engine-level error, nil for a nil fault.
-func (f *Fault) AsError() error {
-	if f == nil {
-		return nil
-	}
-	return &dgalois.FaultError{Host: f.Host, Exchange: f.Exchange, Step: f.Step, Pending: f.Pending, Killed: f.Killed, Reason: f.Reason}
+	Fault *dgalois.FaultError `json:"fault,omitempty"`
 }
 
 // check refuses a spec that the partitioner, the cluster or an engine
@@ -274,11 +255,9 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 		res.Redials = agg.Redials
 	}
 	if runErr != nil {
-		var fe *dgalois.FaultError
-		if !asFault(runErr, &fe) {
+		if !errors.As(runErr, &res.Fault) {
 			return nil, runErr
 		}
-		res.Fault = &Fault{Host: fe.Host, Exchange: fe.Exchange, Step: fe.Step, Pending: fe.Pending, Killed: fe.Killed, Reason: fe.Reason}
 		return res, nil
 	}
 	res.Scores = scores

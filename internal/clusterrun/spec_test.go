@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -200,28 +199,28 @@ func TestServeControlSurvivesRefusedStart(t *testing.T) {
 	}
 }
 
-// TestFaultRoundTrip: every FaultError field survives the JSON
-// projection a daemon relays to the coordinator.
+// TestFaultRoundTrip: a JobResult's *dgalois.FaultError crosses the
+// control connection's JSON whole, under the field names daemons send.
 func TestFaultRoundTrip(t *testing.T) {
-	if err := (*Fault)(nil).AsError(); err != nil {
-		t.Fatalf("nil fault gave %v", err)
-	}
-	want := dgalois.FaultError{Host: 3, Exchange: 17, Step: 40, Pending: 5, Killed: true, Reason: "host 3 stalled"}
-	if n := reflect.TypeOf(want).NumField(); n != reflect.TypeOf(Fault{}).NumField() {
-		t.Fatalf("FaultError has %d fields, Fault %d", n, reflect.TypeOf(Fault{}).NumField())
-	}
-	data, err := json.Marshal(Fault{Host: want.Host, Exchange: want.Exchange, Step: want.Step,
-		Pending: want.Pending, Killed: want.Killed, Reason: want.Reason})
+	want := dgalois.FaultError{Host: 3, Exchange: 17, Step: 40, Pending: 5, Reason: "host 3 stalled"}
+	data, err := json.Marshal(JobResult{Host: 1, Fault: &want})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f Fault
-	if err := json.Unmarshal(data, &f); err != nil {
+	const wire = `"fault":{"host":3,"exchange":17,"step":40,"pending":5,"reason":"host 3 stalled"}`
+	if !strings.Contains(string(data), wire) {
+		t.Fatalf("JobResult encodes as %s, want it to carry %s", data, wire)
+	}
+	var res JobResult
+	if err := json.Unmarshal(data, &res); err != nil {
 		t.Fatal(err)
 	}
-	var got *dgalois.FaultError
-	if !errors.As(f.AsError(), &got) || *got != want {
-		t.Fatalf("round trip gave %+v, want %+v", got, want)
+	if res.Fault == nil || *res.Fault != want {
+		t.Fatalf("round trip gave %+v, want %+v", res.Fault, want)
+	}
+	var clean JobResult
+	if err := json.Unmarshal([]byte(`{"host":1}`), &clean); err != nil || clean.Fault != nil {
+		t.Fatalf("a result without a fault decodes with fault %+v, %v", clean.Fault, err)
 	}
 }
 
@@ -236,10 +235,7 @@ func TestServeJobRejectsUnknownSpecField(t *testing.T) {
 			client, server := net.Pipe()
 			defer client.Close()
 			done := make(chan error, 1)
-			go func() {
-				_, err := serveJob(server, DaemonOptions{})
-				done <- err
-			}()
+			go func() { done <- serveJob(server, DaemonOptions{}) }()
 			enc, dec := json.NewEncoder(client), json.NewDecoder(client)
 			var rep controlReply
 			if err := enc.Encode(controlRequest{Op: "prepare"}); err != nil {

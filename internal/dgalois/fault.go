@@ -12,14 +12,14 @@ import (
 // transport gives up on it (a peer stalled or severed past the
 // transport's deadline). It aborts the run cleanly instead of
 // deadlocking the BSP barrier; consumers surface it through their
-// *Checked run variants.
+// *Checked run variants, and a bcd daemon sends it to its coordinator as
+// this JSON.
 type FaultError struct {
-	Host     int  // implicated host, -1 if none identified
-	Exchange int  // exchange index that failed, -1 if the failure belongs to none
-	Step     int  // idle transport steps elapsed without progress when the deadline expired
-	Pending  int  // messages still undelivered or unacknowledged
-	Killed   bool // the implicated host is known dead, not merely slow
-	Reason   string
+	Host     int    `json:"host"`     // implicated host, -1 if none identified
+	Exchange int    `json:"exchange"` // exchange index that failed, -1 if the failure belongs to none
+	Step     int    `json:"step"`     // idle transport steps elapsed without progress when the deadline expired
+	Pending  int    `json:"pending"`  // messages still undelivered or unacknowledged
+	Reason   string `json:"reason"`
 }
 
 func (e *FaultError) Error() string {
@@ -28,9 +28,6 @@ func (e *FaultError) Error() string {
 		host = fmt.Sprintf("host %d", e.Host)
 	}
 	what := "stalled on " + host
-	if e.Killed {
-		what = "lost " + host
-	}
 	if e.Exchange >= 0 {
 		what += fmt.Sprintf(" in exchange %d", e.Exchange)
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // TestFaultErrorText pins how a failure reads: in idle transport steps,
-// naming the exchange only when the failure belongs to one, and saying
-// "lost" for a host known dead.
+// naming the exchange only when the failure belongs to one, and the host
+// only when one is implicated.
 func TestFaultErrorText(t *testing.T) {
 	for _, c := range []struct {
 		err  FaultError
@@ -22,10 +22,8 @@ func TestFaultErrorText(t *testing.T) {
 			"dgalois: transport stalled on host 1 in exchange 17 after 40 idle steps (3 messages pending): peer silent"},
 		{FaultError{Host: 1, Exchange: -1, Step: 1501, Pending: 0, Reason: "connection refused"},
 			"dgalois: transport stalled on host 1 after 1501 idle steps (0 messages pending): connection refused"},
-		{FaultError{Host: 3, Exchange: 17, Step: 40, Pending: 5, Killed: true, Reason: "host 3 stalled"},
-			"dgalois: transport lost host 3 in exchange 17 after 40 idle steps (5 messages pending): host 3 stalled"},
-		{FaultError{Host: -1, Exchange: -1, Step: 0, Pending: 0, Killed: true, Reason: "closed"},
-			"dgalois: transport lost unknown host after 0 idle steps (0 messages pending): closed"},
+		{FaultError{Host: -1, Exchange: -1, Step: 0, Pending: 0, Reason: "closed"},
+			"dgalois: transport stalled on unknown host after 0 idle steps (0 messages pending): closed"},
 	} {
 		if got := c.err.Error(); got != c.want {
 			t.Errorf("%+v:\n got %q\nwant %q", c.err, got, c.want)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"mrbc/internal/dgalois"
 )
 
 // FuzzDecodeCheckpoint drives Decode with arbitrary bytes: it must
@@ -17,8 +19,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte("MRCK"))
 	f.Add(snapMagic[:])
 	f.Add(Encode(&Snapshot{Host: -1, Hosts: 1}))
-	f.Add(Encode(&Snapshot{Host: 2, Hosts: 4, Epoch: 3, NextBatch: 7, Seq: 99,
-		Rounds: 1, Bytes: 2, Messages: 3, Scores: []float64{0, math.Inf(1), -0.0, 1.5}}))
+	f.Add(Encode(&Snapshot{Host: 2, Hosts: 4, Epoch: 3, NextBatch: 7,
+		Cursor: dgalois.Cursor{Seq: 99, Rounds: 1, Bytes: 2, Messages: 3},
+		Scores: []float64{0, math.Inf(1), -0.0, 1.5}}))
 	long := Encode(&Snapshot{Hosts: 8, Scores: make([]float64, 200)})
 	f.Add(long)
 	f.Add(long[:len(long)-1])

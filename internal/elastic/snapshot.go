@@ -7,7 +7,7 @@
 // recovery units: all per-batch engine state is rebuilt from scratch at
 // the top of every batch, so the only state a resumed run needs is the
 // scores folded so far (bit-exact), the batch cursor, and the
-// deterministic counter cursors (phase sequence numbers, rounds, and
+// cluster's dgalois.Cursor (phase sequence number, rounds, and
 // paper-model volume). A depth-1 run resumed from any boundary
 // therefore replays the uninterrupted run's canonical trace exactly —
 // the invariant the determinism tests pin.
@@ -20,15 +20,16 @@ import (
 	"hash/crc32"
 	"math"
 
+	"mrbc/internal/dgalois"
 	"mrbc/internal/gluon"
 )
 
 // Snapshot is one host's engine-independent state at a source-batch
 // boundary. Scores holds the host's master contributions folded so far
 // (the full vector in an in-process run); NextBatch is the first batch
-// index not yet folded; Seq/Rounds/Bytes/Messages/Encoding are the
-// deterministic cursors a resumed cluster is seeded with so its event
-// numbering and stats continue the pre-restore sequence exactly.
+// index not yet folded; the Cursor is the cluster's, which a resumed
+// cluster is restored to so its event numbering and stats continue the
+// pre-restore sequence exactly.
 type Snapshot struct {
 	// Host is the owning host (-1 for an in-process whole-cluster run);
 	// Hosts is the cluster size the snapshot belongs to.
@@ -39,14 +40,9 @@ type Snapshot struct {
 	// NextBatch is the batch cursor: the first batch index whose work is
 	// not included in Scores.
 	NextBatch int
-	// Seq is the cluster's phase sequence counter at the boundary.
-	Seq int64
-	// Rounds/Bytes/Messages/Encoding are the paper-model counters at the
-	// boundary (cumulative from batch 0, across prior restores).
-	Rounds   int64
-	Bytes    int64
-	Messages int64
-	Encoding gluon.EncodingCounts
+	// Cursor is the cluster's counter position at the boundary: its
+	// counts are cumulative from batch 0, across prior restores.
+	dgalois.Cursor
 	// Scores are the folded BC scores, restored bitwise.
 	Scores []float64
 }
@@ -164,14 +160,16 @@ func Decode(data []byte) (*Snapshot, error) {
 		Hosts:     int(binary.LittleEndian.Uint32(data[16:])),
 		Epoch:     int(binary.LittleEndian.Uint32(data[20:])),
 		NextBatch: int(binary.LittleEndian.Uint32(data[24:])),
-		Seq:       int64(binary.LittleEndian.Uint64(data[28:])),
-		Rounds:    int64(binary.LittleEndian.Uint64(data[36:])),
-		Bytes:     int64(binary.LittleEndian.Uint64(data[44:])),
-		Messages:  int64(binary.LittleEndian.Uint64(data[52:])),
-		Encoding: gluon.EncodingCounts{
-			Dense:  int64(binary.LittleEndian.Uint64(data[60:])),
-			Sparse: int64(binary.LittleEndian.Uint64(data[68:])),
-			All:    int64(binary.LittleEndian.Uint64(data[76:])),
+		Cursor: dgalois.Cursor{
+			Seq:      int64(binary.LittleEndian.Uint64(data[28:])),
+			Rounds:   int64(binary.LittleEndian.Uint64(data[36:])),
+			Bytes:    int64(binary.LittleEndian.Uint64(data[44:])),
+			Messages: int64(binary.LittleEndian.Uint64(data[52:])),
+			Encoding: gluon.EncodingCounts{
+				Dense:  int64(binary.LittleEndian.Uint64(data[60:])),
+				Sparse: int64(binary.LittleEndian.Uint64(data[68:])),
+				All:    int64(binary.LittleEndian.Uint64(data[76:])),
+			},
 		},
 	}
 	if n > 0 {

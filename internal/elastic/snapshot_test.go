@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mrbc/internal/dgalois"
 	"mrbc/internal/gluon"
 )
 
@@ -26,12 +27,14 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 		Hosts:     1 + rng.Intn(16),
 		Epoch:     rng.Intn(1 << 16),
 		NextBatch: rng.Intn(1 << 20),
-		Seq:       rng.Int63(),
-		Rounds:    rng.Int63(),
-		Bytes:     rng.Int63(),
-		Messages:  rng.Int63(),
-		Encoding:  gluon.EncodingCounts{Dense: rng.Int63(), Sparse: rng.Int63(), All: rng.Int63()},
-		Scores:    scores,
+		Cursor: dgalois.Cursor{
+			Seq:      rng.Int63(),
+			Rounds:   rng.Int63(),
+			Bytes:    rng.Int63(),
+			Messages: rng.Int63(),
+			Encoding: gluon.EncodingCounts{Dense: rng.Int63(), Sparse: rng.Int63(), All: rng.Int63()},
+		},
+		Scores: scores,
 	}
 }
 
@@ -40,8 +43,7 @@ func randomSnapshot(rng *rand.Rand) *Snapshot {
 // matter.
 func snapEqual(a, b *Snapshot) bool {
 	if a.Host != b.Host || a.Hosts != b.Hosts || a.Epoch != b.Epoch || a.NextBatch != b.NextBatch ||
-		a.Seq != b.Seq || a.Rounds != b.Rounds || a.Bytes != b.Bytes || a.Messages != b.Messages ||
-		a.Encoding != b.Encoding || len(a.Scores) != len(b.Scores) {
+		a.Cursor != b.Cursor || len(a.Scores) != len(b.Scores) {
 		return false
 	}
 	for i := range a.Scores {

@@ -114,12 +114,12 @@ func FuzzDecodeUpdates(f *testing.F) {
 // checksum has passed — handed over the way serveConn does: short ones in
 // the connection's control array, the rest in a free-list buffer. A
 // record is accepted (the sender's sequence advances) exactly when it is
-// a data record with a whole 17-byte header or an 18-byte reduce with a
-// known op; a 9- to 16-byte data body, whole under the header without
-// the sum field, and a reduce with an unknown op are dropped and never
-// indexed. An accepted data record's payload comes back
-// from GatherFrom byte for byte, after the array it may have been read
-// into is overwritten.
+// a data record with a whole 17-byte header; a 9- to 16-byte data body,
+// whole under the header without the sum field, and any other kind — the
+// reduce record (kind 4) older builds sent among them — are dropped and
+// never indexed. An accepted record's payload comes back from GatherFrom
+// byte for byte, after the array it may have been read into is
+// overwritten, and its term from Sum.
 func FuzzReceiveRecord(f *testing.F) {
 	data := func(exchange, ack uint32, sum uint64, payload []byte) []byte {
 		b := make([]byte, dataHeadLen, dataHeadLen+len(payload))
@@ -136,8 +136,8 @@ func FuzzReceiveRecord(f *testing.F) {
 	f.Add(data(7, 0, 0, nil)[:9])
 	f.Add(data(8, 0, 0, nil)[:16])
 	f.Add([]byte{recData})
-	f.Add([]byte{recRed, 1, 0, 0, 0, byte(ReduceSum), 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{recRed, 1, 0, 0, 0, 9, 5})
+	f.Add(data(0xffffffff, 0, 3, nil))
+	f.Add([]byte{4, 1, 0, 0, 0, byte(ReduceSum), 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{recAck, 1, 0, 0, 0})
 	f.Add([]byte{recHello, 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0xff})
@@ -153,7 +153,7 @@ func FuzzReceiveRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { tr.Close() })
-	var ctl [FrameOverhead + reduceLen]byte
+	var ctl [FrameOverhead + dataHeadLen]byte
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) == 0 {
 			return // serveConn skips empty bodies
@@ -172,76 +172,29 @@ func FuzzReceiveRecord(f *testing.F) {
 		copy(rec, body)
 		kept := tr.receiveRecord(1, seq, rec, frame)
 
-		wellFormed := (want[0] == recData && len(want) >= dataHeadLen) ||
-			(want[0] == recRed && len(want) == reduceLen && ReduceOp(want[5]).known())
+		wellFormed := want[0] == recData && len(want) >= dataHeadLen
 		tr.mu.Lock()
 		accepted := tr.inSeq[1] == seq
 		tr.mu.Unlock()
 		if accepted != wellFormed {
 			t.Fatalf("record % x: accepted %v, well-formed %v", want, accepted, wellFormed)
 		}
-		if kept != (wellFormed && want[0] == recData) {
+		if kept != wellFormed {
 			t.Fatalf("record % x: buffer kept %v", want, kept)
 		}
 		if !kept {
 			return
 		}
 		clear(ctl[:])
-		got, err := tr.GatherFrom(int(binary.LittleEndian.Uint32(want[1:])), 0, 1)
+		// The transport keys boxes by the field's 32 bits, so an exchange
+		// read back as a uint32 finds the box a negative identifier opens.
+		exchange := int(binary.LittleEndian.Uint32(want[1:]))
+		got, err := tr.GatherFrom(exchange, 0, 1)
 		if err != nil || !bytes.Equal(got, want[dataHeadLen:]) {
 			t.Fatalf("record % x: gathered % x, %v", want, got, err)
 		}
-		if sum, err := tr.Sum(int(binary.LittleEndian.Uint32(want[1:])), 0); err != nil || uint64(sum) != binary.LittleEndian.Uint64(want[9:]) {
+		if sum, err := tr.Sum(exchange, 0); err != nil || uint64(sum) != binary.LittleEndian.Uint64(want[9:]) {
 			t.Fatalf("record % x: sum %d, %v", want, sum, err)
 		}
 	})
-}
-
-// TestReceiveRecordRejectsUnknownReduceOp: a reduce record's op byte is
-// the peer's to set. One Apply does not know is refused like a short
-// data body — no panic, the sender's sequence does not advance, nothing
-// is folded — and the next well-formed reduce, sent under the same
-// sequence number, still folds into the cell.
-func TestReceiveRecordRejectsUnknownReduceOp(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Host 1 exists only as the sender named to receiveRecord.
-	tr, err := NewTCPTransport(0, []string{ln.Addr().String(), "127.0.0.1:1"}, ln, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	reduce := func(op ReduceOp, v int64) []byte {
-		b := make([]byte, reduceLen)
-		b[0] = recRed
-		binary.LittleEndian.PutUint32(b[1:], 9)
-		b[5] = byte(op)
-		binary.LittleEndian.PutUint64(b[6:], uint64(v))
-		return b
-	}
-	cell := func() reduceCell {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		if c := tr.reduces[9]; c != nil {
-			return *c
-		}
-		return reduceCell{}
-	}
-	tr.receiveRecord(1, 1, reduce(ReduceSum, 5), nil)
-	tr.receiveRecord(1, 2, reduce(7, 100), nil)
-	tr.mu.Lock()
-	inSeq := tr.inSeq[1]
-	tr.mu.Unlock()
-	if inSeq != 1 {
-		t.Fatalf("unknown op accepted: inSeq %d, want 1", inSeq)
-	}
-	if c := cell(); c != (reduceCell{acc: 5, n: 1}) {
-		t.Fatalf("unknown op folded: cell %+v", c)
-	}
-	tr.receiveRecord(1, 2, reduce(ReduceSum, 3), nil)
-	if c := cell(); c != (reduceCell{acc: 8, n: 2}) {
-		t.Fatalf("next reduce not folded: cell %+v, want {acc:8 n:2}", c)
-	}
 }

@@ -23,36 +23,35 @@ import (
 // hang — which dgalois reports as a *FaultError naming the host.
 //
 // Connections are asymmetric: each host dials every other host once
-// and writes its hello/data/reduce records on that connection;
-// standalone acks travel back on the same connection. The reverse
-// direction is the peer's own dialed connection. Record payloads inside
-// the frame:
+// and writes its hello and data records on that connection; standalone
+// acks travel back on the same connection. The reverse direction is the
+// peer's own dialed connection. Record payloads inside the frame:
 //
 //	hello  [1][u32 host][u32 epoch]                           frame seq 0, sent once per connection
 //	data   [2][u32 exchange][u32 ack][u64 sum][sync payload]  frame seq = channel seq (1-based)
 //	ack    [3][u32 cumulative seq]                            frame seq 0
-//	reduce [4][u32 rseq][op][u64 value][u32 ack]              frame seq = channel seq
 //
-// Data and reduce records share one per-peer sequence space, so a
-// single cumulative ack covers both. An empty data payload is the
-// explicit nothing-this-exchange marker the Transport contract
-// requires; it is counted as Control, not as a logical message, so
-// per-host Stats from a multi-process run sum to the in-process run's.
-// The sum field is the sender's term of the exchange's sum (Propose):
-// framing like the ack, outside Messages/Bytes. A link the receiver
-// declares Silent carries no record: the box takes the sender as an
-// empty marker that has arrived, a record that still comes as a
+// An empty data payload is the explicit nothing-this-exchange marker
+// the Transport contract requires; it is counted as Control, not as a
+// logical message, so per-host Stats from a multi-process run sum to
+// the in-process run's. The sum field is the sender's term of the
+// exchange (Propose): framing like the ack, outside Messages/Bytes.
+// AllReduce is an exchange of empty markers on a negative identifier,
+// its value the term. The exchange field is the identifier's low 32
+// bits, and boxes are keyed the same way on both sides. A link the
+// receiver declares Silent carries no record: the box takes the sender
+// as an empty marker that has arrived, a record that still comes as a
 // duplicate.
 //
 // A record is read into a buffer from a bounded per-transport free list
 // and its payload lent to the gathering caller until its next gather
 // call, when the buffer returns to the list: a warm exchange allocates
-// nothing on either side. Reduces and empty markers are read into a
-// fixed array per connection instead.
+// nothing on either side. Empty markers are read into a fixed array per
+// connection instead.
 //
-// Acks ride on reverse traffic. Every data and reduce record carries,
-// in its ack field, the highest seq its sender has accepted from the
-// record's destination — stamped at first transmission and stale on a
+// Acks ride on reverse traffic. Every data record carries, in its ack
+// field, the highest seq its sender has accepted from the record's
+// destination — stamped at first transmission and stale on a
 // retransmission, which is harmless because acks are monotone. A
 // standalone ack record is written only when nothing carried it:
 //
@@ -74,11 +73,8 @@ const (
 	recHello byte = 1
 	recData  byte = 2
 	recAck   byte = 3
-	recRed   byte = 4
 
 	dataHeadLen = 17 // [2][u32 exchange][u32 ack][u64 sum]
-	reduceLen   = 18 // [4][u32 rseq][op][u64 value][u32 ack]
-	reduceAckAt = 14
 
 	// recvBufSize is the read buffer on a connection's record side:
 	// large enough that header and payload of a typical record (and a
@@ -121,7 +117,7 @@ func keepFrame(free *[][]byte, max int, f []byte) {
 // TCPOptions tunes the TCP backend's reliability loop. The zero value
 // selects the defaults noted on each field.
 type TCPOptions struct {
-	// DeadlineSteps aborts an exchange, reduce, or send queue that makes
+	// DeadlineSteps aborts an exchange or send queue that makes
 	// no progress for this many consecutive steps (default 120). With
 	// the default StepInterval this is a 3 s stall budget.
 	DeadlineSteps int
@@ -136,7 +132,6 @@ type TCPOptions struct {
 	// epoch differs from its own, so after an elastic restart the stale
 	// retransmissions of a killed host's socket (or of a survivor that
 	// has not been restarted yet) cannot leak into the new attempt.
-	// Epoch 0 accepts legacy 5-byte hellos as epoch 0.
 	Epoch int
 }
 
@@ -167,19 +162,18 @@ type TCPTransport struct {
 	ln    net.Listener
 	peers []*tcpPeer // nil at index self
 
-	mu        sync.Mutex
-	inSeq     []uint32               // highest accepted seq per sender
-	ackOwed   []uint8                // per sender: ackNone, ackFresh or ackStale
-	closing   bool                   // Close has begun: ack every record at once
-	inConns   []net.Conn             // current accepted conn per sender (ack path)
-	boxes     map[int]*exchangeBox   // keyed by exchange index
-	freeBoxes []*exchangeBox         // fully consumed boxes, reset for reuse
-	recv      [][]byte               // free buffers to read records into
-	lent      []byte                 // recv buffer behind the payload GatherFrom returned last
-	sumEx     int                    // exchange gathered last, -1 before the first
-	sum       int64                  // and the sum of its terms
-	reduces   map[uint32]*reduceCell // keyed by reduce round
-	rseq      uint32                 // local reduce round counter
+	mu         sync.Mutex
+	inSeq      []uint32                // highest accepted seq per sender
+	ackOwed    []uint8                 // per sender: ackNone, ackFresh or ackStale
+	closing    bool                    // Close has begun: ack every record at once
+	inConns    []net.Conn              // current accepted conn per sender (ack path)
+	boxes      map[uint32]*exchangeBox // keyed by the exchange field: the identifier's low 32 bits
+	freeBoxes  []*exchangeBox          // fully consumed boxes, reset for reuse
+	recv       [][]byte                // free buffers to read records into
+	lent       []byte                  // recv buffer behind the payload GatherFrom returned last
+	sumEx      int                     // exchange gathered last, -1 before the first
+	terms      []int64                 // and every host's term of it
+	allReduces int                     // AllReduce calls so far: call r is exchange −r
 
 	ticker      *time.Ticker  // one StepInterval clock for every wait loop
 	progress    chan struct{} // nudged on any receive progress
@@ -209,13 +203,7 @@ type exchangeBox struct {
 	got    []bool
 	taken  []bool // consumed by GatherFrom
 	nTaken int
-	mine   int64 // the local host's term of the exchange's sum
-	sum    int64 // mine plus the terms of the peers heard from
-}
-
-type reduceCell struct {
-	acc int64
-	n   int // peers folded in
+	terms  []int64 // per host, its term of the exchange: Propose's, or the one its record carried
 }
 
 // NewTCPTransport starts the backend for local host self in a cluster
@@ -242,9 +230,9 @@ func NewTCPTransport(self int, addrs []string, ln net.Listener, opts TCPOptions)
 		inSeq:       make([]uint32, hosts),
 		ackOwed:     make([]uint8, hosts),
 		inConns:     make([]net.Conn, hosts),
-		boxes:       make(map[int]*exchangeBox),
+		boxes:       make(map[uint32]*exchangeBox),
 		sumEx:       -1,
-		reduces:     make(map[uint32]*reduceCell),
+		terms:       make([]int64, hosts),
 		progress:    make(chan struct{}, 1),
 		ackProgress: make(chan struct{}, 1),
 		stats:       make([]ChannelStats, hosts*hosts),
@@ -293,8 +281,8 @@ func (t *TCPTransport) Send(exchange, from, to int, buf []byte) error {
 		s.Control++
 	}
 	ack := t.takeAckLocked(to)
-	if box := t.boxes[exchange]; box != nil {
-		binary.LittleEndian.PutUint64(head[9:], uint64(box.mine))
+	if box := t.boxes[uint32(exchange)]; box != nil {
+		binary.LittleEndian.PutUint64(head[9:], uint64(box.terms[t.self]))
 	}
 	t.mu.Unlock()
 	binary.LittleEndian.PutUint32(head[5:], ack)
@@ -309,8 +297,7 @@ func (t *TCPTransport) Propose(exchange, host int, local int64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	box := t.boxLocked(exchange)
-	box.mine, box.sum = local, box.sum+local
+	t.boxLocked(exchange).terms[t.self] = local
 	return nil
 }
 
@@ -325,7 +312,16 @@ func (t *TCPTransport) Sum(exchange, host int) (int64, error) {
 	if host != t.self || exchange != t.sumEx {
 		return 0, fmt.Errorf("gluon: tcp Sum of exchange %d for host %d: host %d gathered exchange %d last", exchange, host, t.self, t.sumEx)
 	}
-	return t.sum, nil
+	return fold(t.terms, ReduceSum), nil
+}
+
+// fold combines terms with op.
+func fold(terms []int64, op ReduceOp) int64 {
+	acc := terms[0]
+	for _, v := range terms[1:] {
+		acc = op.Apply(acc, v)
+	}
+	return acc
 }
 
 // takeAckLocked returns the cumulative ack owed to peer h for the
@@ -334,36 +330,6 @@ func (t *TCPTransport) Sum(exchange, host int) (int64, error) {
 func (t *TCPTransport) takeAckLocked(h int) uint32 {
 	t.ackOwed[h] = ackNone
 	return t.inSeq[h]
-}
-
-// waitStep is the wait shared by GatherFrom and AllReduce: it
-// blocks until receive progress, the next reliability tick, or Close,
-// keeps *steps as the count of consecutive ticks without progress, and
-// reports false once the transport is closed. All waits share the
-// transport's one ticker, so a tick that fired with nobody waiting is
-// seen by the next wait at once; that skews a stall count by at most
-// one step.
-func (t *TCPTransport) waitStep(steps *int) bool {
-	select {
-	case <-t.progress:
-		*steps = 0
-	case <-t.ticker.C:
-		*steps++
-	case <-t.closed:
-		return false
-	}
-	return true
-}
-
-// expired reports whether a wait has used up the stall budget, and
-// notes that it has: the caller is about to fail its run, and Close
-// need not linger for acks on the run's behalf.
-func (t *TCPTransport) expired(steps int) bool {
-	if steps <= t.opts.DeadlineSteps {
-		return false
-	}
-	t.stalled.Store(true)
-	return true
 }
 
 // Gather blocks until every peer's message for the exchange arrived
@@ -406,7 +372,7 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 		// The previous call's payload is dead, its buffer free again.
 		keepFrame(&t.recv, maxFreeFrames*(t.hosts-1), t.lent)
 		t.lent = nil
-		box := t.boxes[exchange]
+		box := t.boxes[uint32(exchange)]
 		if box != nil && box.got[from] && !box.taken[from] {
 			var buf []byte
 			if t.lent = box.frames[from]; t.lent != nil {
@@ -424,10 +390,22 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 		if err := t.peerError(); err != nil {
 			return nil, err
 		}
-		if !t.waitStep(&steps) {
+		// Wait for receive progress, the next reliability tick, or Close.
+		// Waits share the transport's one ticker, so a tick that fired
+		// with nobody waiting is seen by the next wait at once; that skews
+		// a stall count by at most one step.
+		select {
+		case <-t.progress:
+			steps = 0
+		case <-t.ticker.C:
+			steps++
+		case <-t.closed:
 			return nil, &TransportError{Host: from, Exchange: exchange, Steps: steps, Reason: "transport closed"}
 		}
-		if t.expired(steps) {
+		if steps > t.opts.DeadlineSteps {
+			// The run is about to fail: Close need not linger for acks
+			// on its behalf.
+			t.stalled.Store(true)
 			host := from
 			if stalled := t.mostStalledPeer(); stalled >= 0 {
 				host = stalled
@@ -450,65 +428,41 @@ func (t *TCPTransport) Silent(exchange, to, from int) error {
 	return nil
 }
 
-// AllReduce folds one value per host across the cluster: the local
-// value is broadcast as a reliable reduce record and the call blocks
-// until every peer's record for the same reduce round arrived.
+// AllReduce folds one value per host across the cluster. Call r is
+// exchange −r, of empty markers whose term is the value: it gathers
+// every peer, so it counts as a gather call, and a stall surfaces as
+// GatherFrom's *TransportError on that exchange.
 func (t *TCPTransport) AllReduce(host int, local int64, op ReduceOp) (int64, error) {
 	if host != t.self {
 		return 0, fmt.Errorf("gluon: tcp AllReduce for non-local host %d (self %d)", host, t.self)
+	}
+	if !op.known() {
+		return 0, fmt.Errorf("gluon: tcp AllReduce with unknown op %d", byte(op))
 	}
 	if t.hosts == 1 {
 		return local, nil
 	}
 	t.mu.Lock()
-	t.rseq++
-	r := t.rseq
+	t.allReduces++
+	exchange := -t.allReduces
+	t.boxLocked(exchange).terms[t.self] = local
 	t.mu.Unlock()
-	var rec [reduceLen]byte
-	rec[0] = recRed
-	binary.LittleEndian.PutUint32(rec[1:], r)
-	rec[5] = byte(op)
-	binary.LittleEndian.PutUint64(rec[6:], uint64(local))
-	for h, p := range t.peers {
-		if p == nil {
+	for h := range t.peers {
+		if h == t.self {
 			continue
 		}
-		t.mu.Lock()
-		t.stats[t.self*t.hosts+h].Control++
-		ack := t.takeAckLocked(h)
-		t.mu.Unlock()
-		binary.LittleEndian.PutUint32(rec[reduceAckAt:], ack)
-		if err := p.enqueue(rec[:], nil); err != nil {
+		if err := t.Send(exchange, t.self, h, nil); err != nil {
 			return 0, err
 		}
 	}
-	steps := 0
-	for {
-		t.mu.Lock()
-		cell := t.reduces[r]
-		if cell != nil && cell.n == t.hosts-1 {
-			delete(t.reduces, r)
-			t.mu.Unlock()
-			return op.Apply(cell.acc, local), nil
-		}
-		t.mu.Unlock()
-		if err := t.peerError(); err != nil {
+	for h := range t.peers {
+		if _, err := t.GatherFrom(exchange, t.self, h); err != nil {
 			return 0, err
 		}
-		if !t.waitStep(&steps) {
-			return 0, &TransportError{Host: -1, Exchange: -1, Steps: steps, Reason: "transport closed"}
-		}
-		if t.expired(steps) {
-			t.mu.Lock()
-			pending := t.hosts - 1
-			if cell := t.reduces[r]; cell != nil {
-				pending -= cell.n
-			}
-			t.mu.Unlock()
-			return 0, &TransportError{Host: t.mostStalledPeer(), Exchange: -1, Pending: pending, Steps: steps,
-				Reason: fmt.Sprintf("stall deadline exceeded waiting for reduce round %d", r)}
-		}
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return fold(t.terms, op), nil
 }
 
 // Stats returns the channel's cumulative tallies. Only channels whose
@@ -668,7 +622,7 @@ func nudge(ch chan struct{}) {
 
 // acceptLoop owns the listener: every accepted connection gets a
 // reader goroutine that identifies the sender from its hello record
-// and then feeds data/reduce records through the dedup filter.
+// and then feeds data records through the dedup filter.
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -693,24 +647,17 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, recvBufSize)
-	// First frame must be the hello identifying the dialing host: 9
-	// bytes [recHello][u32 host][u32 epoch], or the legacy 5-byte form
-	// without the epoch (treated as epoch 0). A dialer from another
-	// membership epoch — a killed host's socket still retransmitting, or
-	// a survivor not yet rolled over — is dropped at the door.
+	// First frame must be the hello identifying the dialing host:
+	// [recHello][u32 host][u32 epoch]. A dialer from another membership
+	// epoch — a killed host's socket still retransmitting, or a survivor
+	// not yet rolled over — is dropped at the door.
 	_, body, _, err := readFrame(br, nil, newFrame)
-	if err != nil || (len(body) != 5 && len(body) != 9) || body[0] != recHello {
+	if err != nil || len(body) != 9 || body[0] != recHello {
 		return
 	}
 	from := int(binary.LittleEndian.Uint32(body[1:]))
-	if from < 0 || from >= t.hosts || from == t.self {
-		return
-	}
-	epoch := 0
-	if len(body) == 9 {
-		epoch = int(binary.LittleEndian.Uint32(body[5:]))
-	}
-	if epoch != t.opts.Epoch {
+	if from < 0 || from >= t.hosts || from == t.self ||
+		int(binary.LittleEndian.Uint32(body[5:])) != t.opts.Epoch {
 		return
 	}
 	t.mu.Lock()
@@ -719,9 +666,8 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	}
 	t.inConns[from] = conn
 	t.mu.Unlock()
-	// Control records — reduces, empty markers — are read here and never
-	// touch the free list.
-	var ctl [FrameOverhead + reduceLen]byte
+	// Empty markers are read here and never touch the free list.
+	var ctl [FrameOverhead + dataHeadLen]byte
 	grow := func(n int) []byte {
 		t.mu.Lock()
 		defer t.mu.Unlock()
@@ -747,18 +693,14 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 // record (or the tick flush) to carry; a duplicate or out-of-order one
 // is re-acked at once, so a sender that missed an ack still converges.
 // frame is the free-list buffer body sits in, if any; kept reports that
-// a box took it over, as a malformed or unexpected record's is not. A
-// malformed record — a short data header, a reduce of the wrong length
-// or with an op Apply does not know — is neither accepted nor acked.
+// a box took it over, as a malformed or unexpected record's is not.
+// Anything but a data record with a whole header is neither accepted
+// nor acked.
 func (t *TCPTransport) receiveRecord(from int, seq uint32, body, frame []byte) (kept bool) {
-	switch {
-	case body[0] == recData && len(body) >= dataHeadLen:
-		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[5:]))
-	case body[0] == recRed && len(body) == reduceLen && ReduceOp(body[5]).known():
-		t.peers[from].ackTo(binary.LittleEndian.Uint32(body[reduceAckAt:]))
-	default:
+	if body[0] != recData || len(body) < dataHeadLen {
 		return false
 	}
+	t.peers[from].ackTo(binary.LittleEndian.Uint32(body[5:]))
 	t.mu.Lock()
 	fresh := seq == t.inSeq[from]+1
 	if fresh {
@@ -809,41 +751,27 @@ func (t *TCPTransport) writeAck(h int, minAge uint8) {
 	_ = writeFrame(conn, 0, []byte{recAck, byte(ack), byte(ack >> 8), byte(ack >> 16), byte(ack >> 24)})
 }
 
+// dispatchLocked files a fresh data record in its exchange's box.
 func (t *TCPTransport) dispatchLocked(from int, body, frame []byte) (kept bool) {
-	switch body[0] {
-	case recData:
-		box := t.boxLocked(int(binary.LittleEndian.Uint32(body[1:])))
-		if box.got[from] {
-			return false
-		}
-		if len(body) > dataHeadLen && frame == nil {
-			// A payload short enough to have been read into the
-			// connection's array, which the next record overwrites.
-			frame = takeFrame(&t.recv, FrameOverhead+len(body))
-			copy(frame[FrameOverhead:], body)
-		}
-		box.got[from] = true
-		box.frames[from] = frame
-		box.sum += int64(binary.LittleEndian.Uint64(body[9:]))
-		return true
-	case recRed:
-		r := binary.LittleEndian.Uint32(body[1:])
-		op := ReduceOp(body[5])
-		v := int64(binary.LittleEndian.Uint64(body[6:]))
-		cell := t.reduces[r]
-		if cell == nil {
-			t.reduces[r] = &reduceCell{acc: v, n: 1}
-			return false
-		}
-		cell.acc = op.Apply(cell.acc, v)
-		cell.n++
+	box := t.boxLocked(int(binary.LittleEndian.Uint32(body[1:])))
+	if box.got[from] {
+		return false
 	}
-	return false
+	if len(body) > dataHeadLen && frame == nil {
+		// A payload short enough to have been read into the
+		// connection's array, which the next record overwrites.
+		frame = takeFrame(&t.recv, FrameOverhead+len(body))
+		copy(frame[FrameOverhead:], body)
+	}
+	box.got[from] = true
+	box.frames[from] = frame
+	box.terms[from] = int64(binary.LittleEndian.Uint64(body[9:]))
+	return true
 }
 
 // boxLocked returns the exchange's box, opening it if there is none yet.
 func (t *TCPTransport) boxLocked(exchange int) *exchangeBox {
-	box := t.boxes[exchange]
+	box := t.boxes[uint32(exchange)]
 	if box != nil {
 		return box
 	}
@@ -851,22 +779,25 @@ func (t *TCPTransport) boxLocked(exchange int) *exchangeBox {
 		box = t.freeBoxes[k]
 		t.freeBoxes = t.freeBoxes[:k]
 	} else {
-		box = &exchangeBox{frames: make([][]byte, t.hosts), got: make([]bool, t.hosts), taken: make([]bool, t.hosts)}
+		box = &exchangeBox{frames: make([][]byte, t.hosts), got: make([]bool, t.hosts),
+			taken: make([]bool, t.hosts), terms: make([]int64, t.hosts)}
 	}
-	t.boxes[exchange] = box
+	t.boxes[uint32(exchange)] = box
 	return box
 }
 
 // finishLocked retires the box of an exchange gathered from every peer —
 // the payloads were handed out one by one, nothing refers to it — keeping
-// the sum, and the box for a later exchange.
+// the terms, and the box for a later exchange.
 func (t *TCPTransport) finishLocked(exchange int, box *exchangeBox) {
-	delete(t.boxes, exchange)
-	t.sumEx, t.sum = exchange, box.sum
+	delete(t.boxes, uint32(exchange))
+	t.sumEx = exchange
+	copy(t.terms, box.terms)
 	clear(box.frames)
 	clear(box.got)
 	clear(box.taken)
-	box.nTaken, box.mine, box.sum = 0, 0, 0
+	clear(box.terms)
+	box.nTaken = 0
 	t.freeBoxes = append(t.freeBoxes, box)
 }
 

@@ -79,11 +79,11 @@ func TestTCPEpochMismatchIsRejected(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyHelloAcceptedAtEpochZero pins wire compatibility: an
-// epoch-0 listener still accepts the pre-epoch 5-byte hello (treated
-// as epoch 0), and a non-zero-epoch listener closes on it.
-func TestTCPLegacyHelloAcceptedAtEpochZero(t *testing.T) {
-	dialLegacy := func(epoch int) error {
+// TestTCPLegacyHelloRefused pins the one hello form: a listener closes
+// on the pre-epoch 5-byte hello whatever its own epoch, and holds the
+// 9-byte [1][u32 host][u32 epoch] of its epoch open.
+func TestTCPLegacyHelloRefused(t *testing.T) {
+	dial := func(epoch, helloLen int) error {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -99,10 +99,11 @@ func TestTCPLegacyHelloAcceptedAtEpochZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello := make([]byte, 5)
+		hello := make([]byte, 9)
 		hello[0] = recHello
 		binary.LittleEndian.PutUint32(hello[1:], 1)
-		if err := writeFrame(conn, 0, hello); err != nil {
+		binary.LittleEndian.PutUint32(hello[5:], uint32(epoch))
+		if err := writeFrame(conn, 0, hello[:helloLen]); err != nil {
 			t.Fatal(err)
 		}
 		// An accepted hello leaves the connection open (the read blocks
@@ -111,11 +112,13 @@ func TestTCPLegacyHelloAcceptedAtEpochZero(t *testing.T) {
 		_, err = conn.Read(make([]byte, 1))
 		return err
 	}
-	if err := dialLegacy(0); !isTimeout(err) {
-		t.Fatalf("epoch-0 server should hold a legacy hello open, got %v", err)
-	}
-	if err := dialLegacy(3); isTimeout(err) {
-		t.Fatal("epoch-3 server held a legacy (epoch-0) hello open; want rejection")
+	for _, epoch := range []int{0, 3} {
+		if err := dial(epoch, 9); !isTimeout(err) {
+			t.Fatalf("epoch-%d server should hold its own epoch's hello open, got %v", epoch, err)
+		}
+		if err := dial(epoch, 5); isTimeout(err) {
+			t.Fatalf("epoch-%d server held a 5-byte hello open; want rejection", epoch)
+		}
 	}
 }
 

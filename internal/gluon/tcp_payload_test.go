@@ -42,7 +42,7 @@ func lifetimePayload(e, sender int) []byte {
 func (t *TCPTransport) arrived(exchange, from int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	box := t.boxes[exchange]
+	box := t.boxes[uint32(exchange)]
 	return box != nil && box.got[from]
 }
 

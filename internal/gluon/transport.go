@@ -62,9 +62,12 @@ import (
 //     each) until its next gather call, and an error outside that span.
 //   - AllReduce folds one int64 per host with a commutative operation;
 //     every host must call it the same number of times, in lockstep
-//     with its exchanges. It moves control bytes only: nothing it sends
-//     appears in data-channel stats' Messages/Bytes. No engine loop
-//     calls it; drivers use it as the barrier that brings a mesh up.
+//     with its exchanges. Remote backends run it as an exchange of empty
+//     markers on a negative identifier (call r is exchange −r), the
+//     value as the term, so it moves control records only and counts as
+//     a gather call: for Sum, and for the loan of a payload GatherFrom
+//     returned. No engine loop calls it; drivers use it as the barrier
+//     that brings a mesh up.
 //   - Concurrent use: Send for distinct (from, to) pairs, the gathers
 //     and Silent for distinct receivers, and Propose, Sum and AllReduce
 //     for distinct hosts may run concurrently (the conformance suite
@@ -124,8 +127,8 @@ type Streamer interface {
 
 // ChannelStats counts one directed channel's transport activity.
 // Messages/Bytes are logical sync payloads (the paper-model volume the
-// dgalois Stats also track); Control counts empty-marker and all-reduce
-// records; Retries/RetryBytes and Redials are remote-backend recovery
+// dgalois Stats also track); Control counts empty markers, AllReduce's
+// included; Retries/RetryBytes and Redials are remote-backend recovery
 // work (always zero in-process).
 type ChannelStats struct {
 	Messages   int64 `json:"messages"`
@@ -146,8 +149,7 @@ func (c *ChannelStats) Add(o ChannelStats) {
 	c.Redials += o.Redials
 }
 
-// ReduceOp is the fold applied by Transport.AllReduce. The byte values
-// are fixed: they appear on the TCP wire.
+// ReduceOp is the fold applied by Transport.AllReduce.
 type ReduceOp byte
 
 const (
@@ -157,8 +159,8 @@ const (
 	ReduceMax ReduceOp = 2
 )
 
-// known reports whether op is one Apply folds with. A peer's reduce
-// record carries the op byte, so the receive path checks it first.
+// known reports whether op is one Apply folds with: TCP AllReduce
+// refuses any other before it sends.
 func (op ReduceOp) known() bool { return op == ReduceSum || op == ReduceMax }
 
 // Apply folds b into a.
@@ -186,14 +188,14 @@ func (op ReduceOp) String() string {
 }
 
 // TransportError is the structured failure a remote backend raises when
-// an exchange or reduce cannot complete within its stall deadline (a
-// peer severed past recovery, or the transport was closed under it). It
-// is the transport-level analogue of the dgalois *FaultError, which the
+// an exchange cannot complete within its stall deadline (a peer severed
+// past recovery, or the transport was closed under it). It is the
+// transport-level analogue of the dgalois *FaultError, which the
 // cluster substrate converts it into at the exchange boundary — a dead
 // peer therefore surfaces as a structured error, never a hang.
 type TransportError struct {
 	Host     int    // implicated peer, -1 if none identified
-	Exchange int    // exchange index, -1 for reduces / lifecycle errors
+	Exchange int    // exchange identifier, −r for AllReduce call r; -1 also for lifecycle errors
 	Pending  int    // messages still missing when the deadline expired
 	Steps    int    // stall steps elapsed without progress
 	Reason   string // human-readable cause

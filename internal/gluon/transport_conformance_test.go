@@ -2,6 +2,7 @@ package gluon
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -197,7 +198,7 @@ func runConformance(t *testing.T, hosts, exchanges int, c *conformanceCluster) {
 	}
 
 	// Stats: Messages/Bytes count exactly the non-empty logical
-	// payloads; markers and reduce traffic land in Control; recovery
+	// payloads; markers, AllReduce's included, land in Control; recovery
 	// counters never leak into the logical tallies.
 	for from := 0; from < hosts; from++ {
 		tr := c.view(from)
@@ -287,6 +288,106 @@ func TestTCPTransportRunAhead(t *testing.T) {
 		if _, err := fast.Gather(e, 0); err != nil {
 			t.Fatalf("fast gather ex %d: %v", e, err)
 		}
+	}
+}
+
+// TestTCPAllReduceInOpenWindow: AllReduce is an exchange of empty
+// markers on a negative identifier, filed in the box map the data
+// exchanges use. Run while exchange e is sent but not yet gathered, it
+// must fold right (max over negative values included) and leave e's
+// payloads and sum intact; one a peer never joins names that peer and
+// its exchange. At the record level, a data record whose exchange field
+// has the top bit set lands in the box AllReduce gathers.
+func TestTCPAllReduceInOpenWindow(t *testing.T) {
+	const hosts, e = 3, 5
+	c := tcpCluster(t, hosts, TCPOptions{DeadlineSteps: 10, StepInterval: 5 * time.Millisecond})
+	defer c.done()
+	errCh := make(chan error, hosts)
+	for h := 0; h < hosts; h++ {
+		go func(h int) {
+			errCh <- func() error {
+				tr := c.view(h)
+				if err := tr.Propose(e, h, int64(10*h+1)); err != nil {
+					return err
+				}
+				for to := 0; to < hosts; to++ {
+					if to != h {
+						if err := tr.Send(e, h, to, confPayload(e, h, to)); err != nil {
+							return err
+						}
+					}
+				}
+				// Values −3, −2, 1: sum −4, max 1.
+				for _, r := range []struct {
+					op   ReduceOp
+					want int64
+				}{{ReduceSum, -4}, {ReduceMax, 1}} {
+					got, err := tr.AllReduce(h, int64(h*h-3), r.op)
+					if err != nil {
+						return fmt.Errorf("host %d: allreduce %s: %w", h, r.op, err)
+					}
+					if got != r.want {
+						return fmt.Errorf("host %d: allreduce %s = %d, want %d", h, r.op, got, r.want)
+					}
+				}
+				for from := 0; from < hosts; from++ {
+					buf, err := tr.GatherFrom(e, h, from)
+					if err != nil {
+						return fmt.Errorf("host %d: gather ex %d from %d: %w", h, e, from, err)
+					}
+					if want := confPayload(e, from, h); from != h && !bytes.Equal(buf, want) {
+						return fmt.Errorf("host %d: ex %d from %d: got % x, want % x", h, e, from, buf, want)
+					}
+				}
+				if sum, err := tr.Sum(e, h); err != nil || sum != 1+11+21 {
+					return fmt.Errorf("host %d: sum of ex %d = %d, %v; want 33", h, e, sum, err)
+				}
+				return nil
+			}()
+		}(h)
+	}
+	for h := 0; h < hosts; h++ {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Call 3 without host 2: hosts 0 and 1 stall on exchange −3.
+	for h := 0; h < 2; h++ {
+		go func(h int) {
+			_, err := c.view(h).AllReduce(h, 0, ReduceSum)
+			errCh <- err
+		}(h)
+	}
+	for h := 0; h < 2; h++ {
+		var te *TransportError
+		if err := <-errCh; !errors.As(err, &te) || te.Host != 2 || te.Exchange != -3 {
+			t.Fatalf("stalled allreduce: %v, want a *TransportError naming host 2 in exchange -3", err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Host 1 exists only as the sender named to receiveRecord.
+	tr, err := NewTCPTransport(0, []string{ln.Addr().String(), "127.0.0.1:1"}, ln,
+		TCPOptions{DeadlineSteps: 4, StepInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	rec := make([]byte, dataHeadLen)
+	rec[0] = recData
+	binary.LittleEndian.PutUint32(rec[1:], 0xffffffff) // exchange −1: AllReduce call 1
+	binary.LittleEndian.PutUint64(rec[9:], 9)
+	if !tr.receiveRecord(1, 1, rec, nil) {
+		t.Fatal("record for exchange −1 refused")
+	}
+	if got, err := tr.AllReduce(0, 4, ReduceSum); err != nil || got != 13 {
+		t.Fatalf("allreduce over the filed record = %d, %v; want 13", got, err)
+	}
+	if _, err := tr.AllReduce(0, 4, 7); err == nil {
+		t.Fatal("allreduce with an unknown op accepted")
 	}
 }
 

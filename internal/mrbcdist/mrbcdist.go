@@ -293,8 +293,7 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 		}
 		copy(scores, rs.Scores)
 		startBatch = rs.NextBatch
-		cluster.Restore(dgalois.Cursor{Seq: rs.Seq, Rounds: rs.Rounds,
-			Bytes: rs.Bytes, Messages: rs.Messages, Encoding: rs.Encoding})
+		cluster.Restore(rs.Cursor)
 		if opts.Trace.Enabled() {
 			opts.Trace.Emit(obs.Event{Kind: obs.KindElastic, Phase: obs.PhaseRestore,
 				Batch: int32(startBatch), Host: int32(cluster.LocalHost())})
@@ -326,17 +325,12 @@ func saveCheckpoint(cluster *dgalois.Cluster, scores []float64, next int, opts O
 	if opts.Checkpoint == nil {
 		return
 	}
-	cur := cluster.Cursor()
 	data := elastic.Encode(&elastic.Snapshot{
 		Host:      cluster.LocalHost(),
 		Hosts:     cluster.NumHosts(),
 		Epoch:     opts.Epoch,
 		NextBatch: next,
-		Seq:       cur.Seq,
-		Rounds:    cur.Rounds,
-		Bytes:     cur.Bytes,
-		Messages:  cur.Messages,
-		Encoding:  cur.Encoding,
+		Cursor:    cluster.Cursor(),
 		Scores:    scores,
 	})
 	if err := opts.Checkpoint.Put(next, data); err != nil {
