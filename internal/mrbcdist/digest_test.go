@@ -71,41 +71,45 @@ func digestConfigs() []digestConfig {
 	return out
 }
 
-// digest hashes everything a run may not change: the score bits and the
-// paper-model volume (rounds, bytes, messages, per-encoding counts).
-func (c digestConfig) digest() string {
-	scores, stats := Run(c.g, c.pt, c.sources, c.opts)
-	h := fnv.New64a()
-	put := func(x uint64) {
+// digest hashes everything a run may not change, as two columns: the
+// score bits, and the paper-model volume (rounds, bytes, messages,
+// per-encoding counts). A change meant to send less moves only the
+// second.
+func (c digestConfig) digest() (scores, volume string) {
+	sc, stats := Run(c.g, c.pt, c.sources, c.opts)
+	sum := func(xs ...uint64) string {
+		h := fnv.New64a()
 		var b [8]byte
-		for i := range b {
-			b[i] = byte(x >> (8 * i))
+		for _, x := range xs {
+			for i := range b {
+				b[i] = byte(x >> (8 * i))
+			}
+			h.Write(b[:])
 		}
-		h.Write(b[:])
+		return fmt.Sprintf("%016x", h.Sum64())
 	}
-	for _, s := range scores {
-		put(math.Float64bits(s))
+	bits := make([]uint64, len(sc))
+	for i, s := range sc {
+		bits[i] = math.Float64bits(s)
 	}
-	put(uint64(stats.Rounds))
-	put(uint64(stats.Bytes))
-	put(uint64(stats.Messages))
-	put(uint64(stats.Encoding.Dense))
-	put(uint64(stats.Encoding.Sparse))
-	put(uint64(stats.Encoding.All))
-	return fmt.Sprintf("%016x", h.Sum64())
+	return sum(bits...), sum(uint64(stats.Rounds), uint64(stats.Bytes), uint64(stats.Messages),
+		uint64(stats.Encoding.Dense), uint64(stats.Encoding.Sparse), uint64(stats.Encoding.All))
 }
 
-func readDigestGolden(t *testing.T) map[string]string {
+// digestLine is one configuration's golden line.
+type digestLine struct{ scores, volume string }
+
+func readDigestGolden(t *testing.T) map[string]digestLine {
 	f, err := os.Open(digestGolden)
 	if err != nil {
 		t.Fatalf("%v (record it with -update)", err)
 	}
 	defer f.Close()
-	want := map[string]string{}
+	want := map[string]digestLine{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		if name, sum, ok := strings.Cut(sc.Text(), " "); ok {
-			want[name] = sum
+		if fields := strings.Fields(sc.Text()); len(fields) == 3 {
+			want[fields[0]] = digestLine{fields[1], fields[2]}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -117,14 +121,18 @@ func readDigestGolden(t *testing.T) map[string]string {
 // TestDigestGrid pins distributed MRBC bit for bit across the
 // 60-configuration grid against a golden recorded before the engine's
 // label layout was rebuilt: an engine change that moves any score bit,
-// round, byte or message fails here with the configuration's name.
-// -short runs every seventh configuration; -update rewrites the golden.
+// round, byte or message fails here with the configuration's name and
+// the column that moved. Each line is "name scores volume"; a change
+// that only sends less re-records the volume column and must leave the
+// score column byte-identical. -short runs every seventh configuration;
+// -update rewrites the golden.
 func TestDigestGrid(t *testing.T) {
 	configs := digestConfigs()
 	if *update {
 		var b strings.Builder
 		for _, c := range configs {
-			fmt.Fprintf(&b, "%s %s\n", c.name, c.digest())
+			scores, volume := c.digest()
+			fmt.Fprintf(&b, "%s %s %s\n", c.name, scores, volume)
 		}
 		if err := os.MkdirAll(filepath.Dir(digestGolden), 0o755); err != nil {
 			t.Fatal(err)
@@ -144,8 +152,11 @@ func TestDigestGrid(t *testing.T) {
 		if testing.Short() && i%7 != 0 {
 			continue
 		}
-		if got := c.digest(); got != want[c.name] {
-			t.Errorf("%s: digest %s, golden %s", c.name, got, want[c.name])
+		scores, volume := c.digest()
+		if w := want[c.name]; scores != w.scores {
+			t.Errorf("%s: score digest %s, golden %s", c.name, scores, w.scores)
+		} else if volume != w.volume {
+			t.Errorf("%s: volume digest %s, golden %s", c.name, volume, w.volume)
 		}
 	}
 }
