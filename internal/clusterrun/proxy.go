@@ -408,12 +408,13 @@ func readProxyFrame(br *bufio.Reader) ([]byte, error) {
 	return frame, nil
 }
 
-// helloSender extracts the dialing host from a hello frame
-// ([1][u32 host] or the epoch-stamped [1][u32 host][u32 epoch] inside
-// the frame payload), -1 if the first frame is not a well-formed hello.
+// helloSender extracts the dialing host from a hello frame, whose
+// payload starts [1][u32 host] (epoch and wire version follow; the
+// listener behind the proxy judges those), -1 if the first frame is not
+// a hello.
 func helloSender(frame []byte) int {
 	_, payload, err := gluon.DecodeFrame(frame)
-	if err != nil || (len(payload) != 5 && len(payload) != 9) || payload[0] != 1 {
+	if err != nil || len(payload) < 5 || payload[0] != 1 {
 		return -1
 	}
 	return int(binary.LittleEndian.Uint32(payload[1:]))

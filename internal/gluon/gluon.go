@@ -35,7 +35,9 @@ import (
 )
 
 // Topology precomputes, for a partitioning, the shared-vertex lists
-// every ordered host pair synchronizes over, and their inverse.
+// every ordered host pair synchronizes over, their inverse, and which
+// broadcast positions name a mirror with local in-edges (a reader of a
+// value pulled back along in-edges, Marks.MarkReaders).
 type Topology struct {
 	pt *partition.Partitioning
 	// mirrorsByMaster[a][b]: local IDs (on host a) of proxies whose
@@ -49,7 +51,8 @@ type Topology struct {
 	// slots[a][slotOff[a][l]:slotOff[a][l+1]] are the list positions
 	// local ID l of host a occupies — a mirror's one position in
 	// MirrorList(a, master), a master's position in MasterList(b, a) for
-	// every host b that mirrors it. Marks.Mark walks it.
+	// every host b that mirrors it. Marks.Mark and Marks.MarkReaders
+	// walk it.
 	slotOff  [][]uint32
 	slots    [][]listSlot
 	partners []bool // [a*NumHosts+b]: a shared list links a and b, either way
@@ -57,10 +60,12 @@ type Topology struct {
 
 // listSlot is one position of one shared list. set indexes the owning
 // host's Marks.sets: the peer for a mirror's reduce-direction list,
-// NumHosts + the peer for a master's broadcast-direction list.
+// NumHosts + the peer for a master's broadcast-direction list. reads is
+// set on a broadcast-direction slot whose mirror has local in-edges.
 type listSlot struct {
-	set uint32
-	pos uint32
+	set   uint32
+	pos   uint32
+	reads bool
 }
 
 // NewTopology builds the proxy topology for a partitioning.
@@ -103,13 +108,14 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	}
 	// One pass over the shared lists fills both sides' slots.
 	for a := 0; a < h; a++ {
+		local := pt.Parts[a].Local
 		for m := 0; m < h; m++ {
 			masters := t.masterSide[a][m]
 			for pos, l := range t.mirrorsByMaster[a][m] {
 				ml := masters[pos]
 				t.slots[a][t.slotOff[a][l+1]] = listSlot{set: uint32(m), pos: uint32(pos)}
 				t.slotOff[a][l+1]++
-				t.slots[m][t.slotOff[m][ml+1]] = listSlot{set: uint32(h + a), pos: uint32(pos)}
+				t.slots[m][t.slotOff[m][ml+1]] = listSlot{set: uint32(h + a), pos: uint32(pos), reads: local.InDegree(l) > 0}
 				t.slotOff[m][ml+1]++
 			}
 		}
@@ -191,11 +197,26 @@ func (t *Topology) NewMarks(host int) *Marks {
 // does nothing.
 func (m *Marks) Mark(lid uint32) {
 	for _, sl := range m.slots[m.slotOff[lid]:m.slotOff[lid+1]] {
-		s := &m.sets[sl.set]
-		if w, bit := &s.words[sl.pos/64], uint64(1)<<(sl.pos%64); *w&bit == 0 {
-			*w |= bit
-			s.n++
+		m.sets[sl.set].mark(sl.pos)
+	}
+}
+
+// MarkReaders is Mark for a master whose value only its in-edges read:
+// it marks lid's broadcast to the hosts whose mirror of lid has local
+// in-edges and skips the rest, which would receive a value they never
+// read. On a mirror it does nothing.
+func (m *Marks) MarkReaders(lid uint32) {
+	for _, sl := range m.slots[m.slotOff[lid]:m.slotOff[lid+1]] {
+		if sl.reads {
+			m.sets[sl.set].mark(sl.pos)
 		}
+	}
+}
+
+func (s *markSet) mark(pos uint32) {
+	if w, bit := &s.words[pos/64], uint64(1)<<(pos%64); *w&bit == 0 {
+		*w |= bit
+		s.n++
 	}
 }
 

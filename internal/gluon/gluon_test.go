@@ -577,3 +577,72 @@ func TestMarksMatchListScanQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMarkReadersMatchInEdgeScanQuick is the property behind the backward
+// broadcast: MarkReaders on a random set of masters packs, pair by pair,
+// the list scan restricted to the positions whose mirror has local
+// in-edges, and marks nothing in the reduce direction. The Cartesian cut
+// has mirrors without in-edges; under the edge cut every mirror has one.
+func TestMarkReadersMatchInEdgeScanQuick(t *testing.T) {
+	emit := func(lid uint32, w *Writer) { w.U32(lid ^ 0x9e3779b9) }
+	skipped := 0 // marked masters some peer's mirror does not read
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := gen.ErdosRenyi(20+rng.Intn(200), 40+rng.Intn(900), seed)
+		hosts := 2 + rng.Intn(4)
+		pt := partition.EdgeCut(g, hosts)
+		if rng.Intn(2) == 0 {
+			pt = partition.CartesianCut(g, hosts)
+		}
+		topo := NewTopology(pt)
+		host := rng.Intn(hosts)
+		np := pt.Parts[host].NumProxies()
+		marked := bitset.New(np)
+		density := []float64{0.05, 0.5, 1}[rng.Intn(3)]
+		for l := 0; l < np; l++ {
+			if rng.Float64() < density {
+				marked.Set(l)
+			}
+		}
+		marks := topo.NewMarks(host)
+		marked.ForEach(func(l int) bool {
+			marks.MarkReaders(uint32(l))
+			return true
+		})
+		for peer := 0; peer < hosts; peer++ {
+			reduce := &Writer{}
+			marks.EncodeReduce(reduce, peer, emit)
+			if reduce.Len() != 0 {
+				t.Logf("seed %d: MarkReaders marked host %d's reduce to %d", seed, host, peer)
+				return false
+			}
+			// The masters whose mirror on peer reads.
+			readers := bitset.New(np)
+			mirrors := topo.MirrorList(peer, host)
+			for pos, ml := range topo.MasterList(peer, host) {
+				if !marked.Test(int(ml)) {
+					continue
+				}
+				if pt.Parts[peer].Local.InDegree(mirrors[pos]) > 0 {
+					readers.Set(int(ml))
+				} else {
+					skipped++
+				}
+			}
+			got, want := &Writer{}, &Writer{}
+			scanPack(want, topo.MasterList(peer, host), readers, emit)
+			marks.EncodeBroadcast(got, peer, emit)
+			if string(got.Bytes()) != string(want.Bytes()) {
+				t.Logf("seed %d, host %d -> %d: %d bytes from the marks, %d from the scan", seed, host, peer, got.Len(), want.Len())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if skipped == 0 {
+		t.Fatal("no marked master had a mirror without in-edges: the property checked nothing")
+	}
+}

@@ -27,9 +27,13 @@ import (
 // acks travel back on the same connection. The reverse direction is the
 // peer's own dialed connection. Record payloads inside the frame:
 //
-//	hello  [1][u32 host][u32 epoch]                           frame seq 0, sent once per connection
+//	hello  [1][u32 host][u32 epoch][u32 wire]                 frame seq 0, sent once per connection
 //	data   [2][u32 exchange][u32 ack][u64 sum][sync payload]  frame seq = channel seq (1-based)
 //	ack    [3][u32 cumulative seq]                            frame seq 0
+//
+// wire is wireVersion, the layout of every record and sync payload; a
+// listener drops a hello of another epoch or version, or of another
+// length, at the door.
 //
 // An empty data payload is the explicit nothing-this-exchange marker
 // the Transport contract requires; it is counted as Control, not as a
@@ -75,6 +79,15 @@ const (
 	recAck   byte = 3
 
 	dataHeadLen = 17 // [2][u32 exchange][u32 ack][u64 sum]
+	helloLen    = 13 // [1][u32 host][u32 epoch][u32 wire]
+
+	// wireVersion is the layout of the records above and of the sync
+	// payloads every engine packs into a data record. Bump it with any
+	// change to either, so that processes of two builds refuse each
+	// other's connections instead of misreading them. Version 1 is the
+	// first versioned hello, with 8-byte MRBC backward records (δ only,
+	// no source index).
+	wireVersion = 1
 
 	// recvBufSize is the read buffer on a connection's record side:
 	// large enough that header and payload of a typical record (and a
@@ -648,16 +661,18 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, recvBufSize)
 	// First frame must be the hello identifying the dialing host:
-	// [recHello][u32 host][u32 epoch]. A dialer from another membership
-	// epoch — a killed host's socket still retransmitting, or a survivor
-	// not yet rolled over — is dropped at the door.
+	// [recHello][u32 host][u32 epoch][u32 wire]. A dialer from another
+	// membership epoch — a killed host's socket still retransmitting, or
+	// a survivor not yet rolled over — or of another wire version — a
+	// process of another build — is dropped at the door.
 	_, body, _, err := readFrame(br, nil, newFrame)
-	if err != nil || len(body) != 9 || body[0] != recHello {
+	if err != nil || len(body) != helloLen || body[0] != recHello {
 		return
 	}
 	from := int(binary.LittleEndian.Uint32(body[1:]))
 	if from < 0 || from >= t.hosts || from == t.self ||
-		int(binary.LittleEndian.Uint32(body[5:])) != t.opts.Epoch {
+		int(binary.LittleEndian.Uint32(body[5:])) != t.opts.Epoch ||
+		binary.LittleEndian.Uint32(body[9:]) != wireVersion {
 		return
 	}
 	t.mu.Lock()
@@ -971,10 +986,11 @@ func (p *tcpPeer) ensureConnLocked() bool {
 	if err != nil {
 		return false
 	}
-	hello := make([]byte, 9)
+	hello := make([]byte, helloLen)
 	hello[0] = recHello
 	binary.LittleEndian.PutUint32(hello[1:], uint32(p.t.self))
 	binary.LittleEndian.PutUint32(hello[5:], uint32(p.t.opts.Epoch))
+	binary.LittleEndian.PutUint32(hello[9:], wireVersion)
 	if err := writeFrame(conn, 0, hello); err != nil {
 		conn.Close()
 		return false

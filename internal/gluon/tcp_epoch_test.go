@@ -79,11 +79,13 @@ func TestTCPEpochMismatchIsRejected(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyHelloRefused pins the one hello form: a listener closes
-// on the pre-epoch 5-byte hello whatever its own epoch, and holds the
-// 9-byte [1][u32 host][u32 epoch] of its epoch open.
+// TestTCPLegacyHelloRefused pins the one hello form: a listener holds
+// the 13-byte [1][u32 host][u32 epoch][u32 wire] of its own epoch and
+// wire version open, and closes, whatever its own epoch, on the
+// pre-epoch 5-byte hello, on the pre-version 9-byte one, and on a
+// 13-byte hello of another wire version.
 func TestTCPLegacyHelloRefused(t *testing.T) {
-	dial := func(epoch, helloLen int) error {
+	dial := func(epoch, helloLen int, wire uint32) error {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -99,10 +101,11 @@ func TestTCPLegacyHelloRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello := make([]byte, 9)
+		hello := make([]byte, 13)
 		hello[0] = recHello
 		binary.LittleEndian.PutUint32(hello[1:], 1)
 		binary.LittleEndian.PutUint32(hello[5:], uint32(epoch))
+		binary.LittleEndian.PutUint32(hello[9:], wire)
 		if err := writeFrame(conn, 0, hello[:helloLen]); err != nil {
 			t.Fatal(err)
 		}
@@ -113,11 +116,16 @@ func TestTCPLegacyHelloRefused(t *testing.T) {
 		return err
 	}
 	for _, epoch := range []int{0, 3} {
-		if err := dial(epoch, 9); !isTimeout(err) {
-			t.Fatalf("epoch-%d server should hold its own epoch's hello open, got %v", epoch, err)
+		if err := dial(epoch, 13, wireVersion); !isTimeout(err) {
+			t.Fatalf("epoch-%d server should hold its own epoch's and version's hello open, got %v", epoch, err)
 		}
-		if err := dial(epoch, 5); isTimeout(err) {
-			t.Fatalf("epoch-%d server held a 5-byte hello open; want rejection", epoch)
+		for _, n := range []int{5, 9} {
+			if err := dial(epoch, n, wireVersion); isTimeout(err) {
+				t.Fatalf("epoch-%d server held a %d-byte hello open; want rejection", epoch, n)
+			}
+		}
+		if err := dial(epoch, 13, wireVersion+1); isTimeout(err) {
+			t.Fatalf("epoch-%d server held a wire-version-%d hello open; want rejection", epoch, wireVersion+1)
 		}
 	}
 }

@@ -136,10 +136,9 @@ type hostState struct {
 	marks *gluon.Marks
 
 	// Per-vertex proposal chains. head[v] is the first element of v's
-	// chain in proposals; touched holds every vertex with a chain or a
-	// backward claim in bcast. Walking touched visits vertices in
-	// ascending index order, which fixes the order of synced — the relax
-	// and δ-accumulation order — run to run.
+	// chain in proposals; touched holds every vertex with a chain.
+	// Walking touched visits vertices in ascending index order, which
+	// fixes the order of synced — the relax order — run to run.
 	head      []int32
 	touched   *bitset.Set
 	proposals []proposal // this round's mirror proposals, then the master's own
@@ -164,8 +163,7 @@ func newHostState(p *partition.Part, marks *gluon.Marks, eng *core.Engine) *host
 
 // resetRound returns the slabs to all-none by undoing exactly what the
 // previous round set: O(flags + broadcasts), never a pass over the
-// proxies. Arbitration and the backward union drain head and touched
-// themselves.
+// proxies. Arbitration drains head and touched itself.
 func (st *hostState) resetRound() {
 	for _, f := range st.flags {
 		st.due[f.V] = none
@@ -193,6 +191,20 @@ func (st *hostState) markDue() {
 	for _, f := range st.flags {
 		st.due[f.V] = int32(f.Src)
 		if !st.part.IsMaster[f.V] {
+			st.marks.Mark(f.V)
+		}
+	}
+}
+
+// markDuePartials is markDue for a backward round: a due mirror is
+// marked for the reduce only when its δ partial is nonzero. The partial
+// is final once its flag is due, and only a proxy with local out-edges
+// can hold a nonzero one; δ is never −0.0, so the master's sum without
+// the +0.0 terms is the same float, bit for bit.
+func (st *hostState) markDuePartials() {
+	for _, f := range st.flags {
+		st.due[f.V] = int32(f.Src)
+		if !st.part.IsMaster[f.V] && st.engine.DeltaPartial(f.V, f.Src) != 0 {
 			st.marks.Mark(f.V)
 		}
 	}
@@ -260,6 +272,12 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 // it). Every fault the transport recovers from yields err == nil and
 // oracle-exact scores; on error the partial scores are meaningless.
 func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
+	return run(g, pt, sources, opts, nil)
+}
+
+// run is RunChecked with a hook that sees every batch before it runs
+// (nil: none); tests use it to wrap a batch's phases with cross-checks.
+func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
 	for _, s := range sources {
@@ -300,7 +318,7 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 		}
 	}
 	j := &job{cluster: cluster, topo: topo, pool: pool, sources: sources,
-		scores: scores, opts: opts, prog: newProgressGauges(opts.Metrics)}
+		scores: scores, opts: opts, prog: newProgressGauges(opts.Metrics), instrument: instrument}
 	err := dgalois.Capture(func() {
 		if depth > 1 {
 			runPipelined(j, depth)
@@ -423,7 +441,7 @@ func (b *batchRun) backwardFlags(h int) {
 	st := b.states[h]
 	st.resetRound()
 	st.flags = st.engine.BackwardFlags(b.r, st.flags[:0])
-	st.markDue()
+	st.markDuePartials()
 }
 
 // accumulate folds one backward round's synchronized dependencies into
@@ -468,6 +486,8 @@ type job struct {
 	scores  []float64
 	opts    Options
 	prog    progressGauges
+
+	instrument func(*batchRun) // see run
 }
 
 // batchRun is one source batch's pass over the cluster. The round body
@@ -505,6 +525,9 @@ func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	b.phases = phases{b.forwardFlags, b.arbitrate, b.relax, b.backwardFlags, b.union, b.accumulate,
 		syncStep{b.packDueLabels, b.unpackProposals}, syncStep{b.packBcastLabels, b.unpackLabels},
 		syncStep{b.packDueDeltas, b.unpackDeltaPartials}, syncStep{b.packBcastDeltas, b.unpackDeltas}}
+	if j.instrument != nil {
+		j.instrument(b)
+	}
 	return b
 }
 
@@ -748,19 +771,25 @@ func (b *batchRun) unpackLabels(to, from int, data []byte, dec *gluon.Decoder) {
 	})
 }
 
+// The backward records carry only δ (8 B): Algorithm 5 schedules (v, s)
+// in round R − τ + 1 on every proxy of v alike, τ being the forward
+// round that synchronized it at all of them, so each side of an exchange
+// reads the source from its own due flag for v (DESIGN.md §5, "Backward
+// sync sends only what the receiver lacks").
+
 // packDueDeltas and unpackDeltaPartials are the backward reduce step:
-// due mirrors hand their δ partials to the masters (and reset them
-// locally).
+// due mirrors with a nonzero δ partial hand it to the master (and reset
+// it locally).
 func (b *batchRun) packDueDeltas(from, to int, w *gluon.Writer) {
 	st := b.states[from]
 	st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
 		src := int(st.due[lid])
-		w.U32(uint32(src))
 		w.F64(st.engine.DeltaPartial(lid, src))
 		// Hand the partial to the master; the broadcast below
-		// restores the final value. Each mirror vertex appears
-		// in exactly one (from, to) shared list, so this write
-		// is safe under the pair-parallel pack loop.
+		// restores the final value where an in-edge reads it. Each
+		// mirror vertex appears in exactly one (from, to) shared
+		// list, so this write is safe under the pair-parallel pack
+		// loop.
 		st.engine.ApplyDeltaSync(lid, src, 0)
 	})
 }
@@ -770,61 +799,45 @@ func (b *batchRun) unpackDeltaPartials(to, from int, data []byte, dec *gluon.Dec
 	list := b.topo.MasterList(from, to)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]
-		src := rd.U32()
-		st.engine.AddDeltaPartial(lid, int(src), rd.F64())
-		st.claimBackward(lid, int32(src))
+		st.engine.AddDeltaPartial(lid, int(st.due[lid]), rd.F64())
 	})
 }
 
-// claimBackward records that (v, src) synchronizes at this host's
-// master this round. Algorithm 5 schedules one source per vertex per
-// round on every proxy alike (round R − τ + 1, τ being the common
-// forward sync round), so a second source claiming the slot means the
-// proxies' schedules diverged.
-func (st *hostState) claimBackward(v uint32, src int32) {
-	if cur := st.bcast[v]; cur != none && cur != src {
-		panic(fmt.Sprintf("mrbcdist: sources %d and %d both claim vertex %d's backward slot", cur, src, v))
-	}
-	st.bcast[v] = src
-	st.touched.Set(int(v))
-}
-
-// union is the master-side compute of backward round b.r: the host's own
-// flags plus the mirror partials just received.
+// union is the master-side compute of backward round b.r: every vertex
+// this host masters and flagged is synchronized — the mirrors' partials
+// are already summed in — and broadcast to the mirrors whose in-edges
+// read it.
 func (b *batchRun) union(h int) {
 	st, r, tr := b.states[h], b.r, b.opts.Trace
+	// The flags ascend by vertex: st.synced's order is the
+	// δ-accumulation order at the predecessors.
 	for _, f := range st.flags {
-		if st.part.IsMaster[f.V] {
-			st.claimBackward(f.V, int32(f.Src))
+		v := f.V
+		if !st.part.IsMaster[v] {
+			continue
 		}
-	}
-	// Ascending vertex order: st.synced's order is the δ-accumulation
-	// order at the predecessors.
-	st.drainTouched(func(v uint32) {
-		src := int(st.bcast[v])
-		st.synced = append(st.synced, core.Flag{V: v, Src: src})
-		st.marks.Mark(v)
-		// The claims are the master-side union of this round's due pairs
-		// (its own flags plus mirror partials), so each (v, src)
-		// appears at its master in exactly one backward round — the
-		// round Algorithm 5 schedules as A = R − τ + 1.
+		st.synced = append(st.synced, f)
+		st.bcast[v] = int32(f.Src)
+		st.marks.MarkReaders(v)
+		// Each (v, src) is flagged at its master in exactly one
+		// backward round — the round Algorithm 5 schedules as
+		// A = R − τ + 1.
 		if tr.Detail() {
 			tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirBackward,
 				Batch: int32(b.bi), Round: int32(r), Host: int32(h),
-				V: int32(st.part.GlobalID[v]), Src: int32(src)})
+				V: int32(st.part.GlobalID[v]), Src: int32(f.Src)})
 		}
-	})
+	}
 	st.nBcast = len(st.synced)
 }
 
 // packBcastDeltas and unpackDeltas are the backward broadcast step:
-// masters push the summed dependency back to every mirror.
+// masters push the summed dependency back to every mirror with local
+// in-edges.
 func (b *batchRun) packBcastDeltas(from, to int, w *gluon.Writer) {
 	st := b.states[from]
 	st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
-		src := int(st.bcast[lid])
-		w.U32(uint32(src))
-		w.F64(st.engine.DeltaPartial(lid, src))
+		w.F64(st.engine.DeltaPartial(lid, int(st.bcast[lid])))
 	})
 }
 
@@ -833,7 +846,7 @@ func (b *batchRun) unpackDeltas(to, from int, data []byte, dec *gluon.Decoder) {
 	list := b.topo.MirrorList(to, from)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]
-		src := int(rd.U32())
+		src := int(st.due[lid])
 		st.engine.ApplyDeltaSync(lid, src, rd.F64())
 		st.synced = append(st.synced, core.Flag{V: lid, Src: src})
 	})

@@ -259,22 +259,27 @@ func TestPipelineTCPSPMD(t *testing.T) {
 // it gives the TCP/in-process ratio without the harness:
 // `go test -run '^$' -bench 'RunTCP|RunMemSameJob' -cpuprofile cpu.out
 // ./internal/mrbcdist`. records/op is every record the run's mesh wrote:
-// data, empty markers and standalone acks, from the channel Stats.
+// data, empty markers and standalone acks, from the channel Stats;
+// data/op is the data records alone. Records less standalone acks are
+// fixed by the exchange count and the partner links, so records/op less
+// data/op is the empty markers in a run that wrote no standalone ack —
+// which only a slow run does, an owed ack aging into a tick flush.
 func benchRunTCP(b *testing.B, depth int) {
 	if testing.Short() {
 		b.Skip("whole-run benchmark over localhost TCP")
 	}
 	g, pt, sources := tcpBenchJob()
-	records := func(views []gluon.Transport) (n int64) {
+	records := func(views []gluon.Transport) (n, data int64) {
 		for h, v := range views {
 			for to := range views {
 				st := v.Stats(h, to)
 				n += st.Messages + st.Control
+				data += st.Messages
 			}
 		}
-		return n
+		return n, data
 	}
-	var total int64
+	var total, totalData int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -291,15 +296,18 @@ func benchRunTCP(b *testing.B, depth int) {
 			}(h, v)
 		}
 		wg.Wait()
-		before := records(views)
+		before, beforeData := records(views)
 		b.StartTimer()
 		runSPMD(b, views, g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth})
 		b.StopTimer()
-		total += records(views) - before
+		after, afterData := records(views)
+		total += after - before
+		totalData += afterData - beforeData
 		closeViews(views)
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "records/op")
+	b.ReportMetric(float64(totalData)/float64(b.N), "data/op")
 }
 
 func tcpBenchJob() (*graph.Graph, *partition.Partitioning, []uint32) {
