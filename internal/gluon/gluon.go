@@ -53,19 +53,20 @@ type Topology struct {
 	// MirrorList(a, master), a master's position in MasterList(b, a) for
 	// every host b that mirrors it. Marks.Mark and Marks.MarkReaders
 	// walk it.
-	slotOff  [][]uint32
-	slots    [][]listSlot
+	slotOff [][]uint32
+	slots   [][]listSlot
+	// reads[a] has bit i set when slots[a][i] is a broadcast position
+	// whose mirror has local in-edges.
+	reads    []*bitset.Set
 	partners []bool // [a*NumHosts+b]: a shared list links a and b, either way
 }
 
 // listSlot is one position of one shared list. set indexes the owning
 // host's Marks.sets: the peer for a mirror's reduce-direction list,
-// NumHosts + the peer for a master's broadcast-direction list. reads is
-// set on a broadcast-direction slot whose mirror has local in-edges.
+// NumHosts + the peer for a master's broadcast-direction list.
 type listSlot struct {
-	set   uint32
-	pos   uint32
-	reads bool
+	set uint32
+	pos uint32
 }
 
 // NewTopology builds the proxy topology for a partitioning.
@@ -76,6 +77,7 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	t.masterSide = make([][][]uint32, h)
 	t.slotOff = make([][]uint32, h)
 	t.slots = make([][]listSlot, h)
+	t.reads = make([]*bitset.Set, h)
 	for a := 0; a < h; a++ {
 		t.mirrorsByMaster[a] = make([][]uint32, h)
 		t.masterSide[a] = make([][]uint32, h)
@@ -105,6 +107,7 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 			off[l] += off[l-1]
 		}
 		t.slots[a] = make([]listSlot, off[len(off)-1])
+		t.reads[a] = bitset.New(len(t.slots[a]))
 	}
 	// One pass over the shared lists fills both sides' slots.
 	for a := 0; a < h; a++ {
@@ -115,7 +118,10 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 				ml := masters[pos]
 				t.slots[a][t.slotOff[a][l+1]] = listSlot{set: uint32(m), pos: uint32(pos)}
 				t.slotOff[a][l+1]++
-				t.slots[m][t.slotOff[m][ml+1]] = listSlot{set: uint32(h + a), pos: uint32(pos), reads: local.InDegree(l) > 0}
+				t.slots[m][t.slotOff[m][ml+1]] = listSlot{set: uint32(h + a), pos: uint32(pos)}
+				if local.InDegree(l) > 0 {
+					t.reads[m].Set(int(t.slotOff[m][ml+1]))
+				}
 				t.slotOff[m][ml+1]++
 			}
 		}
@@ -166,6 +172,7 @@ func (t *Topology) Partitioning() *partition.Partitioning { return t.pt }
 type Marks struct {
 	slotOff []uint32 // the host's share of the topology's inverse index
 	slots   []listSlot
+	reads   *bitset.Set
 	sets    []markSet // reduce-direction sets by peer, then broadcast-direction
 }
 
@@ -180,7 +187,7 @@ type markSet struct {
 // NewMarks returns host's empty mark structure.
 func (t *Topology) NewMarks(host int) *Marks {
 	h := t.pt.NumHosts
-	m := &Marks{slotOff: t.slotOff[host], slots: t.slots[host], sets: make([]markSet, 2*h)}
+	m := &Marks{slotOff: t.slotOff[host], slots: t.slots[host], reads: t.reads[host], sets: make([]markSet, 2*h)}
 	for peer := 0; peer < h; peer++ {
 		m.sets[peer].list = t.MirrorList(host, peer)
 		m.sets[h+peer].list = t.MasterList(peer, host)
@@ -206,8 +213,9 @@ func (m *Marks) Mark(lid uint32) {
 // in-edges and skips the rest, which would receive a value they never
 // read. On a mirror it does nothing.
 func (m *Marks) MarkReaders(lid uint32) {
-	for _, sl := range m.slots[m.slotOff[lid]:m.slotOff[lid+1]] {
-		if sl.reads {
+	for i := m.slotOff[lid]; i < m.slotOff[lid+1]; i++ {
+		if m.reads.Test(int(i)) {
+			sl := m.slots[i]
 			m.sets[sl.set].mark(sl.pos)
 		}
 	}
