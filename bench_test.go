@@ -1,17 +1,14 @@
 package mrbc
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation (Section 5). Each benchmark executes the corresponding
-// experiment from internal/bench on the Tiny suite (so `go test
-// -bench=.` completes in minutes) and reports the paper's headline
-// quantities as custom metrics. The Full-scale runs are produced by
-// `go run ./cmd/bcbench`; EXPERIMENTS.md records their output against
-// the paper's numbers.
+// The CONGEST execution of Theorem 1 and the ablation benches: each
+// engine on one fixed workload. The paper's tables and figures are
+// regenerated by `go run ./cmd/bcbench` (TestTable*Runs and friends in
+// internal/bench run them at Tiny scale); EXPERIMENTS.md records their
+// output against the paper's numbers.
 
 import (
 	"testing"
 
-	"mrbc/internal/bench"
 	"mrbc/internal/brandes"
 	"mrbc/internal/core"
 	"mrbc/internal/gen"
@@ -20,108 +17,6 @@ import (
 	"mrbc/internal/partition"
 	"mrbc/internal/sbbc"
 )
-
-// BenchmarkTable1Rounds regenerates Table 1's rounds-per-source and
-// load-imbalance columns.
-func BenchmarkTable1Rounds(b *testing.B) {
-	inputs := bench.Suite(bench.Tiny)
-	b.ReportAllocs()
-	var rows []bench.Table1Row
-	for i := 0; i < b.N; i++ {
-		rows = bench.Table1(inputs, bench.Tiny)
-	}
-	var sbbcR, mrbcR float64
-	for _, r := range rows {
-		sbbcR += r.SBBCRounds
-		mrbcR += r.MRBCRounds
-	}
-	b.ReportMetric(sbbcR/float64(len(rows)), "SBBC-rounds/src")
-	b.ReportMetric(mrbcR/float64(len(rows)), "MRBC-rounds/src")
-}
-
-// BenchmarkTable2SmallInputs regenerates the small-input half of
-// Table 2 (ABBC, MFBC, SBBC, MRBC at the best host count).
-func BenchmarkTable2SmallInputs(b *testing.B) {
-	var inputs []bench.Input
-	for _, in := range bench.Suite(bench.Tiny) {
-		if in.Class == "small" {
-			inputs = append(inputs, in)
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		_ = bench.Table2(inputs, bench.Tiny)
-	}
-}
-
-// BenchmarkTable2LargeInputs regenerates the large-input half of
-// Table 2 (SBBC vs MRBC at scale).
-func BenchmarkTable2LargeInputs(b *testing.B) {
-	var inputs []bench.Input
-	for _, in := range bench.Suite(bench.Tiny) {
-		if in.Class == "large" {
-			inputs = append(inputs, in)
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		_ = bench.Table2(inputs, bench.Tiny)
-	}
-}
-
-// BenchmarkFig1BatchSize regenerates Figure 1: MRBC time and rounds
-// across batch sizes on the large inputs.
-func BenchmarkFig1BatchSize(b *testing.B) {
-	inputs := bench.Suite(bench.Tiny)
-	var points []bench.Fig1Point
-	for i := 0; i < b.N; i++ {
-		points = bench.Figure1(inputs, bench.Tiny)
-	}
-	if len(points) > 0 {
-		b.ReportMetric(float64(points[0].Rounds), "rounds-smallest-k")
-		b.ReportMetric(float64(points[len(points)-1].Rounds), "rounds-largest-k")
-	}
-}
-
-// BenchmarkFig2Breakdown regenerates Figure 2a/2b: the computation vs
-// communication breakdown with volumes.
-func BenchmarkFig2Breakdown(b *testing.B) {
-	inputs := bench.Suite(bench.Tiny)
-	var small, large []bench.Fig2Bar
-	for i := 0; i < b.N; i++ {
-		small = bench.Figure2(inputs, "small", bench.Tiny)
-		large = bench.Figure2(inputs, "large", bench.Tiny)
-	}
-	var sbbcBytes, mrbcBytes int64
-	for _, bar := range append(small, large...) {
-		if bar.Algorithm == "SBBC" {
-			sbbcBytes += bar.CommBytes
-		} else {
-			mrbcBytes += bar.CommBytes
-		}
-	}
-	b.ReportMetric(float64(sbbcBytes), "SBBC-bytes")
-	b.ReportMetric(float64(mrbcBytes), "MRBC-bytes")
-}
-
-// BenchmarkFig3Scaling regenerates Figure 3: strong scaling of the
-// large inputs across the host sweep.
-func BenchmarkFig3Scaling(b *testing.B) {
-	inputs := bench.Suite(bench.Tiny)
-	for i := 0; i < b.N; i++ {
-		_ = bench.Figure3(inputs, bench.Tiny)
-	}
-}
-
-// BenchmarkSummaryHeadline regenerates the §5.3 headline aggregates
-// (round and communication reduction of MRBC over SBBC).
-func BenchmarkSummaryHeadline(b *testing.B) {
-	inputs := bench.Suite(bench.Tiny)
-	var s bench.Summary
-	for i := 0; i < b.N; i++ {
-		s = bench.Summarize(inputs, bench.Tiny)
-	}
-	b.ReportMetric(s.RoundReduction, "round-reduction-x")
-	b.ReportMetric(s.CommReduction, "commtime-reduction-x")
-}
 
 // BenchmarkCongestTheory measures the exact CONGEST execution
 // (Theorem 1): APSP and BC rounds/messages on a strongly connected

@@ -1,23 +1,17 @@
 // Command bcbench regenerates the paper's evaluation (Section 5):
 // every table and figure, on the synthetic input suite documented in
-// DESIGN.md §3, the round-model check (model), and the exact
-// bytes/messages/rounds gate against the committed BENCH_regress.json
-// (regress). Timing is measured by the benchmark/ harness, not here.
+// DESIGN.md §3, plus the round-model check (model). Timing is measured
+// by the benchmark/ harness; the exact volume gate is the tier-1 test
+// TestCommittedRegressBaselineCurrent in internal/bench.
 //
 // Usage:
 //
 //	bcbench -exp table1
 //	bcbench -exp table2 -scale tiny
-//	bcbench -exp regress -scale tiny
 //	bcbench -exp all -cpuprofile cpu.pprof
-//	bcbench -exp summary -serve 127.0.0.1:9464
 //
 // Profiling hooks (-cpuprofile, -memprofile, -trace) wrap whichever
-// experiment runs. -input applies to the paper experiments only;
-// -baseline to regress and regress-baseline only. -serve exposes live
-// telemetry (/metrics, /statz, /progressz, /debug/pprof) for the
-// duration of the run; -linger keeps the server up afterwards so a
-// scraper can collect the final state.
+// experiment runs; -input restricts the suite to one input.
 package main
 
 import (
@@ -25,84 +19,41 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
 	"sort"
 	"strings"
-	"time"
 
 	"mrbc/internal/bench"
-	"mrbc/internal/obs"
-	"mrbc/internal/obs/serve"
 )
 
-// runCtx carries every experiment's shared inputs, so adding a new
-// knob does not ripple through each runner's signature.
-type runCtx struct {
-	inputs      []bench.Input
-	scale       bench.Scale
-	baselineDir string // -baseline: directory holding BENCH_regress.json
-}
-
-// experiments maps every -exp value to its runner. Runners print to
-// out and return an error for regression-guard failures (which turn
-// into a non-zero exit without a usage message).
-var experiments = map[string]func(out io.Writer, ctx runCtx) error{
-	"table1": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatTable1(bench.Table1(ctx.inputs, ctx.scale)))
-		return nil
+// experiments maps every -exp value to its runner, which renders its
+// table or figure for the given inputs.
+var experiments = map[string]func(inputs []bench.Input, scale bench.Scale) string{
+	"table1": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatTable1(bench.Table1(inputs, scale))
 	},
-	"table2": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatTable2(bench.Table2(ctx.inputs, ctx.scale)))
-		return nil
+	"table2": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatTable2(bench.Table2(inputs, scale))
 	},
-	"fig1": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatFigure1(bench.Figure1(ctx.inputs, ctx.scale)))
-		return nil
+	"fig1": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatFigure1(bench.Figure1(inputs, scale))
 	},
-	"fig2a": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatFigure2(bench.Figure2(ctx.inputs, "small", ctx.scale), "a"))
-		return nil
+	"fig2a": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatFigure2(bench.Figure2(inputs, "small", scale), "a")
 	},
-	"fig2b": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatFigure2(bench.Figure2(ctx.inputs, "large", ctx.scale), "b"))
-		return nil
+	"fig2b": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatFigure2(bench.Figure2(inputs, "large", scale), "b")
 	},
-	"fig3": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatFigure3(bench.Figure3(ctx.inputs, ctx.scale)))
-		return nil
+	"fig3": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatFigure3(bench.Figure3(inputs, scale))
 	},
-	"model": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatModel(bench.ModelCheck(ctx.inputs, ctx.scale)))
-		return nil
+	"model": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatModel(bench.ModelCheck(inputs, scale))
 	},
-	"summary": func(out io.Writer, ctx runCtx) error {
-		fmt.Fprintln(out, bench.FormatSummary(bench.Summarize(ctx.inputs, ctx.scale)))
-		return nil
-	},
-	// Volume-regression gate: re-run the guarded configurations against
-	// the committed BENCH_regress.json. Non-zero exit unless bytes,
-	// messages and rounds match exactly; not in "all".
-	"regress": func(out io.Writer, ctx runCtx) error {
-		report, err := bench.RegressGuard(ctx.scale, ctx.baselineDir)
-		if len(report.Rows) > 0 {
-			fmt.Fprintln(out, bench.FormatRegressBench(report))
-		}
-		return err
-	},
-	// Regenerate BENCH_regress.json from the current build (after an
-	// intentional protocol change); not in "all".
-	"regress-baseline": func(out io.Writer, ctx runCtx) error {
-		report := bench.RegressBench(ctx.scale)
-		path := filepath.Join(ctx.baselineDir, bench.RegressBaselineFile)
-		if err := bench.WriteRegressBaseline(path, report); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, bench.FormatRegressBench(report))
-		fmt.Fprintf(out, "wrote %s\n", path)
-		return nil
+	"summary": func(inputs []bench.Input, scale bench.Scale) string {
+		return bench.FormatSummary(bench.Summarize(inputs, scale))
 	},
 }
 
@@ -126,15 +77,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp         = fs.String("exp", "all", "experiment: "+validExperiments())
-		scaleName   = fs.String("scale", "full", "workload scale: full | tiny")
-		only        = fs.String("input", "", "restrict to a single input by name")
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		tracePath   = fs.String("trace", "", "write a runtime/trace execution trace to this file")
-		serveAddr   = fs.String("serve", "", "serve live telemetry (/metrics, /statz, /progressz, pprof) on this address while experiments run")
-		linger      = fs.Duration("linger", 0, "keep the -serve endpoint up this long after the experiments finish")
-		baselineDir = fs.String("baseline", ".", "directory holding the committed BENCH_regress.json; requires -exp regress or regress-baseline")
+		exp        = fs.String("exp", "all", "experiment: "+validExperiments())
+		scaleName  = fs.String("scale", "full", "workload scale: full | tiny")
+		only       = fs.String("input", "", "restrict to a single input by name")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		tracePath  = fs.String("trace", "", "write a runtime/trace execution trace to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -157,49 +105,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bcbench: unknown experiment %q (valid: %s)\n", *exp, validExperiments())
 		return 1
 	}
-	// The regress experiments run a fixed configuration set against a
-	// baseline; the paper experiments run the input suite. Refuse a
-	// flag the chosen experiment would silently ignore.
-	regress := *exp == "regress" || *exp == "regress-baseline"
-	if *only != "" && regress {
-		fmt.Fprintf(stderr, "bcbench: -input does not apply to -exp %s, which runs a fixed configuration set\n", *exp)
-		return 1
-	}
-	baselineSet := false
-	fs.Visit(func(f *flag.Flag) { baselineSet = baselineSet || f.Name == "baseline" })
-	if baselineSet && !regress {
-		fmt.Fprintf(stderr, "bcbench: -baseline only applies to -exp regress and regress-baseline (got -exp %s)\n", *exp)
-		return 1
-	}
-	if *linger != 0 && *serveAddr == "" {
-		fmt.Fprintln(stderr, "bcbench: -linger requires -serve")
-		return 1
-	}
 
-	if *serveAddr != "" {
-		reg := obs.NewRegistry()
-		srv := serve.New(reg)
-		bound, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "bcbench: -serve:", err)
-			return 1
-		}
-		bench.Telemetry = reg
-		fmt.Fprintf(stderr, "bcbench: serving telemetry on http://%s\n", bound)
-		defer srv.Close()
-		if *linger > 0 {
-			defer time.Sleep(*linger)
-		}
-	}
-
-	ctx := runCtx{inputs: bench.Suite(scale), scale: scale, baselineDir: *baselineDir}
+	inputs := bench.Suite(scale)
 	if *only != "" {
-		in, err := bench.Find(ctx.inputs, *only)
+		in, err := bench.Find(inputs, *only)
 		if err != nil {
 			fmt.Fprintln(stderr, "bcbench:", err)
 			return 1
 		}
-		ctx.inputs = []bench.Input{in}
+		inputs = []bench.Input{in}
 	}
 
 	if *cpuprofile != "" {
@@ -244,10 +158,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, name := range names {
-		if err := experiments[name](stdout, ctx); err != nil {
-			fmt.Fprintln(stderr, "bcbench:", err)
-			return 1
-		}
+		fmt.Fprintln(stdout, experiments[name](inputs, scale))
 	}
 	return 0
 }

@@ -41,8 +41,8 @@ func Table1(inputs []Input, scale Scale) []Table1Row {
 		hosts := HostsAtScale(in.Class, scale)
 		pt := partition.CartesianCut(g, hosts)
 
-		_, sbbcStats := sbbc.RunOpts(g, pt, sources, sbbc.Options{Metrics: Telemetry})
-		_, mrbcStats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch, Metrics: Telemetry})
+		_, sbbcStats := sbbc.Run(g, pt, sources)
+		_, mrbcStats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch})
 
 		maxOut, _ := g.MaxOutDegree()
 		maxIn, _ := g.MaxInDegree()
@@ -123,12 +123,12 @@ func runMFBC(g *graph.Graph, sources []uint32, in Input) Table2Cell {
 }
 
 func runSBBCOnce(g *graph.Graph, pt *partition.Partitioning, sources []uint32, in Input) dgalois.Stats {
-	_, stats := sbbc.RunOpts(g, pt, sources, sbbc.Options{Metrics: Telemetry})
+	_, stats := sbbc.Run(g, pt, sources)
 	return stats
 }
 
 func runMRBCOnce(g *graph.Graph, pt *partition.Partitioning, sources []uint32, in Input) dgalois.Stats {
-	_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch, Metrics: Telemetry})
+	_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch})
 	return stats
 }
 
@@ -179,7 +179,7 @@ func Figure1(inputs []Input, scale Scale) []Fig1Point {
 		pt := partition.CartesianCut(g, hosts)
 		for _, k := range BatchSweep(scale) {
 			start := time.Now()
-			_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: k, Metrics: Telemetry})
+			_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: k})
 			points = append(points, Fig1Point{
 				Input: in, Batch: k,
 				Execution: time.Since(start),
@@ -218,11 +218,11 @@ func Figure2(inputs []Input, class string, scale Scale) []Fig2Bar {
 		hosts := HostsAtScale(in.Class, scale)
 		pt := partition.CartesianCut(g, hosts)
 
-		_, s := sbbc.RunOpts(g, pt, sources, sbbc.Options{Metrics: Telemetry})
+		_, s := sbbc.Run(g, pt, sources)
 		bars = append(bars, Fig2Bar{Input: in, Algorithm: "SBBC",
 			Computation: s.ComputeTime, CommTime: s.CommTime, CommBytes: s.Bytes, Rounds: s.Rounds})
 
-		_, m := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch, Metrics: Telemetry})
+		_, m := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch})
 		bars = append(bars, Fig2Bar{Input: in, Algorithm: "MRBC",
 			Computation: m.ComputeTime, CommTime: m.CommTime, CommBytes: m.Bytes, Rounds: m.Rounds})
 	}
@@ -256,12 +256,12 @@ func Figure3(inputs []Input, scale Scale) []Fig3Point {
 			pt := partition.CartesianCut(g, hosts)
 
 			start := time.Now()
-			_, s := sbbc.RunOpts(g, pt, sources, sbbc.Options{Metrics: Telemetry})
+			_, s := sbbc.Run(g, pt, sources)
 			points = append(points, Fig3Point{Input: in, Algorithm: "SBBC", Hosts: hosts,
 				Execution: time.Since(start), Computation: s.ComputeTime})
 
 			start = time.Now()
-			_, m := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch, Metrics: Telemetry})
+			_, m := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch})
 			points = append(points, Fig3Point{Input: in, Algorithm: "MRBC", Hosts: hosts,
 				Execution: time.Since(start), Computation: m.ComputeTime})
 		}
@@ -291,8 +291,8 @@ func Summarize(inputs []Input, scale Scale) Summary {
 		g := in.Build()
 		sources := brandes.FirstKSources(g, 0, in.NumSources)
 		pt := partition.CartesianCut(g, HostsAtScale(in.Class, scale))
-		_, s := sbbc.RunOpts(g, pt, sources, sbbc.Options{Metrics: Telemetry})
-		_, m := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch, Metrics: Telemetry})
+		_, s := sbbc.Run(g, pt, sources)
+		_, m := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: in.Batch})
 		if m.Rounds == 0 || m.Bytes == 0 || m.CommTime == 0 {
 			continue
 		}

@@ -20,7 +20,7 @@ type Scale int
 const (
 	// Tiny runs in seconds; used by the test suite.
 	Tiny Scale = iota
-	// Full is the default for cmd/bcbench and bench_test.go.
+	// Full is cmd/bcbench's default.
 	Full
 )
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/gen"
@@ -15,12 +14,14 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Volume-regression gate: `bcbench -exp regress` re-runs a small fixed
-// configuration set and compares against the committed
-// BENCH_regress.json baseline. Communication volume and round counts
-// are deterministic functions of (graph, seed, options), so they must
-// match the baseline exactly. Wall time is not gated here: the
-// benchmark/ harness bounds every workload's timing end to end.
+// Volume-regression gate: TestCommittedRegressBaselineCurrent re-runs a
+// small fixed configuration set and compares it against the committed
+// BENCH_regress.json (`go test ./internal/bench -run
+// TestCommittedRegressBaselineCurrent -update` re-records it).
+// Communication volume and round counts are deterministic functions of
+// (graph, seed, options), so they must match the baseline exactly. Wall
+// time is not gated here: the benchmark/ harness bounds every
+// workload's timing end to end.
 // ---------------------------------------------------------------------------
 
 // RegressBaselineFile is the committed baseline's file name.
@@ -57,12 +58,12 @@ type regressConfig struct {
 }
 
 func runMRBC(g *graph.Graph, pt *partition.Partitioning, sources []uint32, batch int) (int64, int64, int) {
-	_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: batch, Metrics: Telemetry})
+	_, stats := mrbcdist.Run(g, pt, sources, mrbcdist.Options{BatchSize: batch})
 	return stats.Bytes, stats.Messages, stats.Rounds
 }
 
 func runSBBC(g *graph.Graph, pt *partition.Partitioning, sources []uint32, _ int) (int64, int64, int) {
-	_, stats := sbbc.RunOpts(g, pt, sources, sbbc.Options{Metrics: Telemetry})
+	_, stats := sbbc.Run(g, pt, sources)
 	return stats.Bytes, stats.Messages, stats.Rounds
 }
 
@@ -70,13 +71,9 @@ func runSBBC(g *graph.Graph, pt *partition.Partitioning, sources []uint32, _ int
 // baseline, and both structural input classes (high-diameter grid,
 // low-diameter power law) — small enough for CI, wide enough that a
 // regression in any engine or either traversal regime trips it.
-func regressConfigs(s Scale) []regressConfig {
+func regressConfigs() []regressConfig {
 	grid := func() *graph.Graph { return gen.RoadGrid(24, 24, 104) }
 	rmat := func() *graph.Graph { return gen.RMAT(9, 8, 103) }
-	if s != Tiny {
-		grid = func() *graph.Graph { return gen.RoadGrid(64, 64, 104) }
-		rmat = func() *graph.Graph { return gen.RMAT(11, 8, 103) }
-	}
 	return []regressConfig{
 		{"mrbc-arb/roadgrid/2h", grid, 8, 8, 2, runMRBC},
 		{"mrbc-arb/rmat/2h", rmat, 8, 8, 2, runMRBC},
@@ -87,13 +84,11 @@ func regressConfigs(s Scale) []regressConfig {
 // RegressBench measures every guarded configuration twice; the repeat
 // must report the identical volume, or the exact gate would be
 // comparing noise.
-func RegressBench(scale Scale) RegressReport {
-	name := "full"
-	if scale == Tiny {
-		name = "tiny"
-	}
-	report := RegressReport{Scale: name}
-	for _, cfg := range regressConfigs(scale) {
+func RegressBench() RegressReport {
+	// The guarded set is the tiny one; the document names its scale,
+	// which CheckRegress compares.
+	report := RegressReport{Scale: "tiny"}
+	for _, cfg := range regressConfigs() {
 		g := cfg.build()
 		sources := brandes.FirstKSources(g, 0, cfg.sources)
 		pt := partition.EdgeCut(g, cfg.hosts)
@@ -157,27 +152,12 @@ func LoadRegressBaseline(path string) (RegressReport, error) {
 	return r, nil
 }
 
-// WriteRegressBaseline writes report as the committed baseline format.
+// WriteRegressBaseline writes report as the committed baseline format:
+// indented JSON with a trailing newline.
 func WriteRegressBaseline(path string, report RegressReport) error {
-	return os.WriteFile(path, []byte(FormatRegressBench(report)+"\n"), 0o644)
-}
-
-// FormatRegressBench renders the report as indented JSON.
-func FormatRegressBench(r RegressReport) string {
-	out, err := json.MarshalIndent(r, "", "  ")
+	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
-		panic(err) // the report is plain data; marshal cannot fail
+		return err
 	}
-	return string(out)
-}
-
-// RegressGuard is the `bcbench -exp regress` entry point: re-run the
-// guarded configurations and compare against dir's committed baseline.
-func RegressGuard(scale Scale, dir string) (RegressReport, error) {
-	baseline, err := LoadRegressBaseline(filepath.Join(dir, RegressBaselineFile))
-	if err != nil {
-		return RegressReport{}, err
-	}
-	current := RegressBench(scale)
-	return current, CheckRegress(baseline, current)
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

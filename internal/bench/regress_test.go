@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"errors"
+	"flag"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the committed BENCH_regress.json from a fresh run")
 
 // syntheticReport builds a baseline-shaped report without running the
 // engines, for pure-unit guard tests.
@@ -64,9 +69,9 @@ func TestCheckRegressDetectsShapeMismatch(t *testing.T) {
 // (RegressBench panics internally if a repeat diverges) and the report
 // must round-trip through the baseline file format.
 func TestRegressBenchSelfConsistent(t *testing.T) {
-	report := RegressBench(Tiny)
-	if len(report.Rows) != len(regressConfigs(Tiny)) {
-		t.Fatalf("rows = %d, want %d", len(report.Rows), len(regressConfigs(Tiny)))
+	report := RegressBench()
+	if len(report.Rows) != len(regressConfigs()) {
+		t.Fatalf("rows = %d, want %d", len(report.Rows), len(regressConfigs()))
 	}
 	for _, row := range report.Rows {
 		if row.Bytes == 0 || row.Messages == 0 || row.Rounds == 0 {
@@ -90,16 +95,33 @@ func TestRegressBenchSelfConsistent(t *testing.T) {
 	}
 }
 
-// TestCommittedRegressBaselineCurrent re-runs the guarded set against
-// the repo's committed baseline — the same comparison CI makes. If
-// this fails after an intentional perf or protocol change, regenerate
-// with `bcbench -exp regress-baseline`.
-func TestCommittedRegressBaselineCurrent(t *testing.T) {
-	baseline, err := LoadRegressBaseline(filepath.Join("..", "..", RegressBaselineFile))
-	if err != nil {
-		t.Fatalf("committed baseline unreadable (regenerate with bcbench -exp regress-baseline): %v", err)
+func TestLoadRegressBaselineMissingFile(t *testing.T) {
+	_, err := LoadRegressBaseline(filepath.Join(t.TempDir(), RegressBaselineFile))
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing baseline: err = %v, want a not-exist error", err)
 	}
-	if err := CheckRegress(baseline, RegressBench(Tiny)); err != nil {
+}
+
+// TestCommittedRegressBaselineCurrent is the volume gate: it re-runs
+// the guarded set against the repo's committed baseline and requires
+// bytes, messages and rounds to match exactly. After an intentional
+// protocol change, re-record the baseline with -update.
+func TestCommittedRegressBaselineCurrent(t *testing.T) {
+	path := filepath.Join("..", "..", RegressBaselineFile)
+	current := RegressBench()
+	if *update {
+		if err := WriteRegressBaseline(path, current); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline, err := LoadRegressBaseline(path)
+	if err != nil {
+		t.Fatalf("committed baseline unreadable (re-record with -update): %v", err)
+	}
+	if err := CheckRegress(baseline, current); err != nil {
 		t.Fatalf("run diverges from committed baseline: %v", err)
+	}
+	for _, row := range current.Rows {
+		t.Logf("%s: %d B, %d msgs, %d rounds", row.Name, row.Bytes, row.Messages, row.Rounds)
 	}
 }

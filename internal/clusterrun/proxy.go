@@ -2,7 +2,6 @@ package clusterrun
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -320,11 +319,11 @@ func (p *FaultProxy) handle(client net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(client, 64<<10)
-	hello, err := readProxyFrame(br)
+	hello, err := gluon.ReadFrame(br)
 	if err != nil {
 		return
 	}
-	from := helloSender(hello)
+	from := gluon.HelloHost(hello)
 	p.mu.Lock()
 	attempt := p.attempts[from]
 	p.attempts[from] = attempt + 1
@@ -344,7 +343,7 @@ func (p *FaultProxy) handle(client net.Conn) {
 		return
 	}
 	for frame := 0; ; frame++ {
-		buf, err := readProxyFrame(br)
+		buf, err := gluon.ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -387,37 +386,6 @@ func (p *FaultProxy) killEligible(from int) bool {
 		}
 	}
 	return false
-}
-
-// readProxyFrame reads one length-prefixed gluon frame off the stream
-// using the header's len field, returning the full frame bytes.
-func readProxyFrame(br *bufio.Reader) ([]byte, error) {
-	hdr := make([]byte, gluon.FrameOverhead)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, err
-	}
-	plen := binary.LittleEndian.Uint32(hdr[8:12])
-	if plen > 1<<30 {
-		return nil, fmt.Errorf("clusterrun: implausible frame length %d", plen)
-	}
-	frame := make([]byte, gluon.FrameOverhead+int(plen))
-	copy(frame, hdr)
-	if _, err := io.ReadFull(br, frame[gluon.FrameOverhead:]); err != nil {
-		return nil, err
-	}
-	return frame, nil
-}
-
-// helloSender extracts the dialing host from a hello frame, whose
-// payload starts [1][u32 host] (epoch and wire version follow; the
-// listener behind the proxy judges those), -1 if the first frame is not
-// a hello.
-func helloSender(frame []byte) int {
-	_, payload, err := gluon.DecodeFrame(frame)
-	if err != nil || len(payload) < 5 || payload[0] != 1 {
-		return -1
-	}
-	return int(binary.LittleEndian.Uint32(payload[1:]))
 }
 
 // ProxySet owns the proxies interposed for one job.

@@ -62,8 +62,9 @@ type Cluster struct {
 
 	// The registry mirror (ClusterOptions.Metrics; detached instruments
 	// when nil), resolved once at construction. settle publishes an
-	// exchange's volume once; a registry shared across clusters (bcbench
-	// -serve runs every experiment against one) stays cumulative.
+	// exchange's volume once; a registry shared across clusters (a bcd
+	// daemon's -metrics registry serves every job it runs) stays
+	// cumulative.
 	roundsC     *obs.Counter
 	bytesC      *obs.Counter
 	messagesC   *obs.Counter

@@ -502,10 +502,10 @@ func BenchmarkExchangeSteadyState(b *testing.B) {
 }
 
 // TestSharedRegistryStatsArePerRun pins the two audiences of the
-// cluster's counts: a registry reused across clusters (bcbench -serve
-// runs every experiment against one) accumulates the mirrored counters
-// monotonically for /metrics, while each cluster's Stats and trace round
-// numbers are its own.
+// cluster's counts: a registry reused across clusters (a bcd daemon's
+// -metrics registry serves every job it runs) accumulates the mirrored
+// counters monotonically for /metrics, while each cluster's Stats and
+// trace round numbers are its own.
 func TestSharedRegistryStatsArePerRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	runOnce := func() Stats {

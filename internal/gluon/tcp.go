@@ -666,13 +666,12 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	// a survivor not yet rolled over — or of another wire version — a
 	// process of another build — is dropped at the door.
 	_, body, _, err := readFrame(br, nil, newFrame)
-	if err != nil || len(body) != helloLen || body[0] != recHello {
+	if err != nil {
 		return
 	}
-	from := int(binary.LittleEndian.Uint32(body[1:]))
-	if from < 0 || from >= t.hosts || from == t.self ||
-		int(binary.LittleEndian.Uint32(body[5:])) != t.opts.Epoch ||
-		binary.LittleEndian.Uint32(body[9:]) != wireVersion {
+	from, epoch, wire, ok := parseHello(body)
+	if !ok || from < 0 || from >= t.hosts || from == t.self ||
+		epoch != t.opts.Epoch || wire != wireVersion {
 		return
 	}
 	t.mu.Lock()
@@ -700,6 +699,42 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// helloRecord is the record a dialer writes first on a connection:
+// [recHello][u32 host][u32 epoch][u32 wire].
+func helloRecord(host, epoch int) []byte {
+	hello := make([]byte, helloLen)
+	hello[0] = recHello
+	binary.LittleEndian.PutUint32(hello[1:], uint32(host))
+	binary.LittleEndian.PutUint32(hello[5:], uint32(epoch))
+	binary.LittleEndian.PutUint32(hello[9:], wireVersion)
+	return hello
+}
+
+// parseHello reads a hello record body as helloRecord lays it out; ok
+// is false for any other record or length.
+func parseHello(body []byte) (host, epoch int, wire uint32, ok bool) {
+	if len(body) != helloLen || body[0] != recHello {
+		return 0, 0, 0, false
+	}
+	return int(binary.LittleEndian.Uint32(body[1:])), int(binary.LittleEndian.Uint32(body[5:])),
+		binary.LittleEndian.Uint32(body[9:]), true
+}
+
+// HelloHost returns the dialing host a connection's first frame names,
+// or -1 if the frame is not an intact hello. It judges neither epoch
+// nor wire version; the listener does.
+func HelloHost(frame []byte) int {
+	_, body, err := DecodeFrame(frame)
+	if err != nil {
+		return -1
+	}
+	host, _, _, ok := parseHello(body)
+	if !ok {
+		return -1
+	}
+	return host
 }
 
 // receiveRecord hands the record's piggybacked ack to the sender's
@@ -986,12 +1021,7 @@ func (p *tcpPeer) ensureConnLocked() bool {
 	if err != nil {
 		return false
 	}
-	hello := make([]byte, helloLen)
-	hello[0] = recHello
-	binary.LittleEndian.PutUint32(hello[1:], uint32(p.t.self))
-	binary.LittleEndian.PutUint32(hello[5:], uint32(p.t.opts.Epoch))
-	binary.LittleEndian.PutUint32(hello[9:], wireVersion)
-	if err := writeFrame(conn, 0, hello); err != nil {
+	if err := writeFrame(conn, 0, helloRecord(p.t.self, p.t.opts.Epoch)); err != nil {
 		conn.Close()
 		return false
 	}
@@ -1081,6 +1111,17 @@ func readFrame(br *bufio.Reader, small []byte, grow func(n int) []byte) (seq uin
 	}
 	seq, payload, err = DecodeFrame(small[:n])
 	return seq, payload, grown, err
+}
+
+// ReadFrame reads one frame off a buffered stream and returns its bytes
+// exactly as they arrived, in a buffer of its own, after checking the
+// header and checksum: what a relay needs to forward frames unchanged.
+func ReadFrame(br *bufio.Reader) ([]byte, error) {
+	_, _, frame, err := readFrame(br, nil, newFrame)
+	if err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // newFrame is readFrame's grow for callers that keep no buffers.

@@ -1,6 +1,8 @@
 package gluon
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -133,4 +135,36 @@ func TestTCPLegacyHelloRefused(t *testing.T) {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// TestReadFrameAndHelloHost pins what a relay reads off a dialed
+// connection: ReadFrame returns each frame's bytes as written, HelloHost
+// names the dialer of the hello a transport writes and nothing else,
+// and a corrupted frame is an error.
+func TestReadFrameAndHelloHost(t *testing.T) {
+	hello := EncodeFrame(0, helloRecord(3, 7))
+	record := append(make([]byte, dataHeadLen), 1, 2, 3)
+	record[0] = recData
+	data := EncodeFrame(1, record)
+	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), hello...), data...)))
+	for _, want := range [][]byte{hello, data} {
+		got, err := ReadFrame(br)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("ReadFrame = %x, %v; want %x", got, err, want)
+		}
+	}
+	if h := HelloHost(hello); h != 3 {
+		t.Fatalf("HelloHost(hello of host 3) = %d", h)
+	}
+	legacy := EncodeFrame(0, helloRecord(3, 7)[:5])
+	for name, frame := range map[string][]byte{"data": data, "5-byte hello": legacy, "truncated": hello[:len(hello)-1]} {
+		if h := HelloHost(frame); h != -1 {
+			t.Errorf("HelloHost(%s) = %d, want -1", name, h)
+		}
+	}
+	corrupt := append([]byte(nil), hello...)
+	corrupt[FrameOverhead+1] ^= 1
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(corrupt))); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("ReadFrame of a corrupted frame: err = %v, want ErrBadFrame", err)
+	}
 }

@@ -91,11 +91,10 @@ func (r *relay) serve(client net.Conn) {
 	br := bufio.NewReader(client)
 	var held []byte
 	for hello := true; ; hello = false {
-		seq, payload, _, err := readFrame(br, nil, newFrame)
+		frame, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
-		frame := EncodeFrame(seq, payload)
 		if !hello && r.fault == faultLossy {
 			switch x, aux := r.roll(); {
 			case x < 10:

@@ -270,6 +270,9 @@ func TestServerEndpointsAgainstRealRun(t *testing.T) {
 	if v := fams["dgalois_bytes_total"].Samples[0].Value; int64(v) != stats.Bytes {
 		t.Fatalf("dgalois_bytes_total = %v, want %d", v, stats.Bytes)
 	}
+	if v := fams["dgalois_messages_total"].Samples[0].Value; int64(v) != stats.Messages {
+		t.Fatalf("dgalois_messages_total = %v, want %d", v, stats.Messages)
+	}
 	var hostBytes, hostMsgs int64
 	for _, s := range fams["dgalois_host_bytes_total"].Samples {
 		hostBytes += int64(s.Value)
