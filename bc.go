@@ -219,14 +219,15 @@ func makePartition(g *Graph, opts Options) (*partition.Partitioning, error) {
 }
 
 func makePartitionN(g *Graph, opts Options, hosts int) (*partition.Partitioning, error) {
-	switch opts.Partition {
-	case EdgeCut:
-		return partition.EdgeCut(g, hosts), nil
-	case CartesianCut, "":
-		return partition.CartesianCut(g, hosts), nil
-	default:
-		return nil, fmt.Errorf("mrbc: unknown partition policy %q", opts.Partition)
+	policy := opts.Partition
+	if policy == "" {
+		policy = CartesianCut
 	}
+	pt, err := partition.ByName(g, string(policy), hosts)
+	if err != nil {
+		return nil, fmt.Errorf("mrbc: %w", err)
+	}
+	return pt, nil
 }
 
 // ShortestPaths runs the forward k-SSP phase of MRBC: for each source,
@@ -266,7 +267,7 @@ type Ranked struct {
 }
 
 // TopK returns the k highest-scoring vertices in descending score
-// order (ties broken by vertex ID).
+// order (ties broken by vertex ID); none when k <= 0.
 func TopK(scores []float64, k int) []Ranked {
 	all := make([]Ranked, len(scores))
 	for v, s := range scores {
@@ -278,9 +279,7 @@ func TopK(scores []float64, k int) []Ranked {
 		}
 		return all[i].Vertex < all[j].Vertex
 	})
-	if k > len(all) {
-		k = len(all)
-	}
+	k = min(max(k, 0), len(all))
 	return all[:k]
 }
 

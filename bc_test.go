@@ -113,6 +113,24 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestPartitionPolicyNames: the root API's policy names are the ones
+// partition.ByName takes and Partitioning.Policy reports, and an unset
+// policy is the Cartesian cut.
+func TestPartitionPolicyNames(t *testing.T) {
+	g := pathGraph(8)
+	for policy, want := range map[PartitionPolicy]PartitionPolicy{
+		EdgeCut: EdgeCut, CartesianCut: CartesianCut, "": CartesianCut,
+	} {
+		pt, err := makePartitionN(g, Options{Partition: policy}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if PartitionPolicy(pt.Policy) != want {
+			t.Fatalf("policy %q: partition reports %q, want %q", policy, pt.Policy, want)
+		}
+	}
+}
+
 func TestTopK(t *testing.T) {
 	ranked := TopK([]float64{1, 5, 5, 0}, 3)
 	if len(ranked) != 3 {
@@ -120,6 +138,9 @@ func TestTopK(t *testing.T) {
 	}
 	if ranked[0].Vertex != 1 || ranked[1].Vertex != 2 || ranked[2].Vertex != 0 {
 		t.Fatalf("order = %v", ranked)
+	}
+	if got := TopK([]float64{1}, -1); len(got) != 0 {
+		t.Fatal("TopK with negative k should return nothing")
 	}
 	if got := TopK([]float64{1}, 5); len(got) != 1 {
 		t.Fatal("TopK should clamp k")

@@ -31,7 +31,7 @@ func main() {
 		batch     = flag.Int("batch", 32, "batch size k for mrbc/mfbc")
 		workers   = flag.Int("workers", 0, "shared-memory workers (0 = GOMAXPROCS)")
 		srcStart  = flag.Int("source-start", 0, "first source vertex")
-		srcCount  = flag.Int("sources", 32, "number of sources (0 = all vertices, exact BC)")
+		srcCount  = flag.Int("sources", 32, "number of sources (0 = all from -source-start, exact BC at the default start)")
 		topK      = flag.Int("top", 10, "print the k most central vertices")
 		dimacs    = flag.String("dimacs", "", "weighted DIMACS .gr file (uses the weighted engines)")
 		approxN   = flag.Int("approx", 0, "approximate exact BC from this many sampled sources instead")
@@ -64,15 +64,10 @@ func main() {
 		return
 	}
 
-	var sources []uint32
-	if *srcCount <= 0 {
-		sources = mrbc.AllSources(g)
-	} else {
-		count := *srcCount
-		if *srcStart+count > g.NumVertices() {
-			count = g.NumVertices() - *srcStart
-		}
-		sources = mrbc.Sources(g, *srcStart, count)
+	sources, err := sourceRange(g.NumVertices(), *srcStart, *srcCount)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bc:", err)
+		os.Exit(1)
 	}
 
 	res, err := mrbc.Betweenness(g, sources, mrbc.Options{
@@ -114,13 +109,9 @@ func runWeighted(path, alg string, workers, srcStart, srcCount, topK int) error 
 		// back to the Dijkstra-based reference.
 		alg = "brandes"
 	}
-	count := srcCount
-	if count <= 0 || srcStart+count > g.NumVertices() {
-		count = g.NumVertices() - srcStart
-	}
-	sources := make([]uint32, count)
-	for i := range sources {
-		sources[i] = uint32(srcStart + i)
+	sources, err := sourceRange(g.NumVertices(), srcStart, srcCount)
+	if err != nil {
+		return err
 	}
 	res, err := mrbc.BetweennessWeighted(g, sources, mrbc.Options{
 		Algorithm: mrbc.Algorithm(alg),
@@ -134,6 +125,23 @@ func runWeighted(path, alg string, workers, srcStart, srcCount, topK int) error 
 		fmt.Printf("vertex %8d  bc %.4f\n", r.Vertex, r.Score)
 	}
 	return nil
+}
+
+// sourceRange returns the sources [start, start+count) clamped to the
+// n vertices; count <= 0 takes every vertex from start on, so the
+// default start gives exact BC.
+func sourceRange(n, start, count int) ([]uint32, error) {
+	if start < 0 || start >= n {
+		return nil, fmt.Errorf("no sources in [%d, %d)", start, n)
+	}
+	if count <= 0 || count > n-start {
+		count = n - start
+	}
+	sources := make([]uint32, count)
+	for i := range sources {
+		sources[i] = uint32(start + i)
+	}
+	return sources, nil
 }
 
 func loadOrGenerate(path, genName string, scale, edgeFac, rows, cols int, seed int64) (*mrbc.Graph, error) {

@@ -32,9 +32,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"time"
 
+	"mrbc"
 	"mrbc/internal/brandes"
 	"mrbc/internal/clusterrun"
 	"mrbc/internal/gen"
@@ -63,7 +63,7 @@ func run() error {
 		cols      = flag.Int("cols", 64, "grid cols for -gen road")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		engine    = flag.String("engine", "mrbcdist", "engine: mrbcdist | sbbc")
-		partName  = flag.String("partition", "edgecut", "partition policy: edgecut | cartesian")
+		partName  = flag.String("partition", "edge-cut", "partition policy: edge-cut | cartesian")
 		batch     = flag.Int("batch", 0, "batch size k for mrbcdist (0: engine default)")
 		srcStart  = flag.Int("source-start", 0, "first source vertex")
 		srcCount  = flag.Int("sources", 32, "number of sources (0 = all vertices)")
@@ -222,7 +222,12 @@ func run() error {
 		}
 	}
 
-	printTop(agg.Scores, *topK)
+	if top := mrbc.TopK(agg.Scores, *topK); len(top) > 0 {
+		fmt.Printf("top %d vertices:\n", len(top))
+		for _, r := range top {
+			fmt.Printf("  %8d  %.6f\n", r.Vertex, r.Score)
+		}
+	}
 	return nil
 }
 
@@ -289,6 +294,9 @@ func materializeGraph(path, genName string, scale, edgeFac, rows, cols int, seed
 	case "road":
 		g = gen.RoadGrid(rows, cols, seed)
 	case "webcrawl":
+		if scale < 2 {
+			return "", nil, nop, fmt.Errorf("-gen webcrawl needs -scale >= 2, got %d", scale)
+		}
 		g = gen.WebCrawl(scale, edgeFac, 1<<(scale-2), 3, seed)
 	case "":
 		return "", nil, nop, fmt.Errorf("need -graph or -gen")
@@ -305,31 +313,4 @@ func materializeGraph(path, genName string, scale, edgeFac, rows, cols int, seed
 		return "", nil, nop, err
 	}
 	return p, g, func() { os.RemoveAll(dir) }, nil
-}
-
-func printTop(scores []float64, k int) {
-	if k <= 0 || len(scores) == 0 {
-		return
-	}
-	type vs struct {
-		v int
-		s float64
-	}
-	ranked := make([]vs, len(scores))
-	for v, s := range scores {
-		ranked[v] = vs{v, s}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].s != ranked[j].s {
-			return ranked[i].s > ranked[j].s
-		}
-		return ranked[i].v < ranked[j].v
-	})
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	fmt.Printf("top %d vertices:\n", k)
-	for _, r := range ranked[:k] {
-		fmt.Printf("  %8d  %.6f\n", r.v, r.s)
-	}
 }

@@ -1,7 +1,6 @@
 package brandes
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mrbc/internal/graph"
@@ -109,18 +108,4 @@ func relDiff(a, b float64) float64 {
 		return 0
 	}
 	return d / m
-}
-
-// SampleSources returns k distinct uniformly random source vertices.
-func SampleSources(g *graph.Graph, k int, seed int64) []uint32 {
-	n := g.NumVertices()
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("brandes: cannot sample %d sources from %d vertices", k, n))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]uint32, k)
-	for i, v := range rng.Perm(n)[:k] {
-		out[i] = uint32(v)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package brandes
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"mrbc/internal/gen"
@@ -112,25 +111,4 @@ func TestApproximateEmptyGraph(t *testing.T) {
 	if scores != nil || used != 0 {
 		t.Fatal("empty graph should return nothing")
 	}
-}
-
-func TestSampleSources(t *testing.T) {
-	g := gen.Path(50)
-	s := SampleSources(g, 10, 3)
-	if len(s) != 10 {
-		t.Fatalf("len = %d", len(s))
-	}
-	sorted := append([]uint32(nil), s...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			t.Fatal("duplicate sampled source")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for oversized sample")
-		}
-	}()
-	SampleSources(g, 51, 1)
 }

@@ -75,14 +75,6 @@ func SingleSource(g *graph.Graph, s uint32) *SourceData {
 	return d
 }
 
-// Accumulate runs the backward phase (Algorithm 2) and adds the
-// dependencies into scores for every vertex other than the source.
-func (d *SourceData) Accumulate(g *graph.Graph, scores []float64) {
-	g.EnsureInEdges()
-	d.dependencies(g)
-	fold(scores, d.Source, d.Order, d.Delta)
-}
-
 // dependencies accumulates δ from the BFS frontier inward. g's in-edge
 // view must exist.
 func (d *SourceData) dependencies(g *graph.Graph) {

@@ -39,7 +39,8 @@ type JobSpec struct {
 	// GraphPath is the canonical binary graph file every host loads.
 	GraphPath string `json:"graph_path"`
 	// Partition names the deterministic partitioning every process
-	// recomputes identically: "edgecut" (default) or "cartesian".
+	// recomputes identically: "edge-cut" (default) or "cartesian"
+	// (partition.ByName).
 	Partition string `json:"partition"`
 	// Hosts is the cluster size; Host is this daemon's host index.
 	Hosts int `json:"hosts"`
@@ -160,13 +161,14 @@ func (s *JobSpec) check(g *graph.Graph) error {
 // Every process runs this on the same graph bytes, so the plans agree
 // without shipping them over the wire.
 func BuildPartitioning(g *graph.Graph, name string, hosts int) (*partition.Partitioning, error) {
-	switch name {
-	case "", "edgecut":
-		return partition.EdgeCut(g, hosts), nil
-	case "cartesian":
-		return partition.CartesianCut(g, hosts), nil
+	if name == "" {
+		name = "edge-cut"
 	}
-	return nil, fmt.Errorf("clusterrun: unknown partition %q", name)
+	pt, err := partition.ByName(g, name, hosts)
+	if err != nil {
+		return nil, fmt.Errorf("clusterrun: %w", err)
+	}
+	return pt, nil
 }
 
 // RunJob executes the spec's engine over the given transport and

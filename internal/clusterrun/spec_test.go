@@ -39,7 +39,7 @@ func TestRunJobMatchesEngines(t *testing.T) {
 	g, path := savedGraph(t)
 	sources := brandes.FirstKSources(g, 0, 24)
 	const hosts = 4
-	for _, part := range []string{"edgecut", "cartesian"} {
+	for _, part := range []string{"edge-cut", "cartesian"} {
 		pt, err := BuildPartitioning(g, part, hosts)
 		if err != nil {
 			t.Fatal(err)
@@ -116,6 +116,7 @@ func TestRunJobRefusals(t *testing.T) {
 		{"load graph", func(s *JobSpec) { s.GraphPath = filepath.Join(ckpt, "missing.bin") }},
 		{`unknown engine "brandes"`, func(s *JobSpec) { s.Engine = "brandes" }},
 		{`unknown partition "vertexcut"`, func(s *JobSpec) { s.Partition = "vertexcut" }},
+		{`unknown partition "edgecut"`, func(s *JobSpec) { s.Partition = "edgecut" }},
 		{"resume_batch 2 without checkpoint_dir", func(s *JobSpec) { s.ResumeBatch = 2 }},
 		{"requires serial batches", func(s *JobSpec) { s.CheckpointDir, s.PipelineDepth = ckpt, 2 }},
 		{"does not support checkpoint/resume", func(s *JobSpec) { s.Engine, s.CheckpointDir = "sbbc", ckpt }},

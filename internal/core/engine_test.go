@@ -423,14 +423,6 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Graph() != g {
 		t.Fatal("Graph accessor wrong")
 	}
-	var stats RunStats
-	stats.ForwardRounds, stats.BackwardRounds = 6, 4
-	if stats.RoundsPerSource(5) != 2 {
-		t.Fatalf("RoundsPerSource = %v", stats.RoundsPerSource(5))
-	}
-	if stats.RoundsPerSource(0) != 0 {
-		t.Fatal("RoundsPerSource(0) should be 0")
-	}
 }
 
 func TestEngineMergePrimitivesDirect(t *testing.T) {

@@ -68,15 +68,6 @@ func (s *RunStats) add(o RunStats) {
 // Rounds returns the total BSP rounds across phases and batches.
 func (s RunStats) Rounds() int { return s.ForwardRounds + s.BackwardRounds }
 
-// RoundsPerSource returns the average number of rounds per source, the
-// quantity Table 1 reports.
-func (s RunStats) RoundsPerSource(numSources int) float64 {
-	if numSources == 0 {
-		return 0
-	}
-	return float64(s.Rounds()) / float64(numSources)
-}
-
 // BC computes betweenness centrality restricted to the given sources
 // using the batched Min-Rounds engine on shared memory (a single-host
 // run of the Section 4 algorithm: one BSP round per CONGEST round,

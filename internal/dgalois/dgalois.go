@@ -1046,16 +1046,14 @@ func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.
 // are not in them (its ChannelStats count those), so the volume of a
 // run is the same over any backend, with or without faults.
 type Stats struct {
-	Hosts          int
-	Rounds         int
-	Bytes          int64         // total communication volume (paper model)
-	Messages       int64         // inter-host buffers exchanged (paper model)
-	ComputeTime    time.Duration // max total compute time across hosts
-	CommTime       time.Duration // non-overlapped communication wall time
-	HiddenTime     time.Duration // exchange wait hidden behind pipelined compute
-	ExecutionTime  time.Duration // ComputeTime + CommTime
-	LoadImbalance  float64       // mean over rounds of max/mean over participating hosts
-	PerHostCompute []time.Duration
+	Hosts         int
+	Rounds        int
+	Bytes         int64         // total communication volume (paper model)
+	Messages      int64         // inter-host buffers exchanged (paper model)
+	ComputeTime   time.Duration // max total compute time across hosts
+	CommTime      time.Duration // non-overlapped communication wall time
+	HiddenTime    time.Duration // exchange wait hidden behind pipelined compute
+	LoadImbalance float64       // mean over rounds of max/mean over participating hosts
 	// Encoding breaks Messages down by sync-metadata wire format
 	// (dense bitvector / sparse index list / all-marked). Messages not
 	// produced by gluon.EncodeUpdates (raw payloads in tests) appear in
@@ -1078,42 +1076,16 @@ func (c *Cluster) Stats() Stats {
 	if c.imbalanceN > 0 {
 		imb = c.imbalanceSum / float64(c.imbalanceN)
 	}
-	per := append([]time.Duration(nil), c.perHostCompute...)
-	s := Stats{
-		Hosts:          c.hosts,
-		Rounds:         int(c.rounds),
-		Bytes:          c.vol.bytes,
-		Messages:       c.vol.messages,
-		ComputeTime:    maxCompute,
-		CommTime:       c.commWall,
-		HiddenTime:     c.hiddenWall,
-		LoadImbalance:  imb,
-		Encoding:       c.vol.enc,
-		PerHostCompute: per,
-	}
-	s.ExecutionTime = s.ComputeTime + s.CommTime
-	return s
-}
-
-// Add accumulates another run's statistics into s (used when iterating
-// over sources or batches).
-func (s *Stats) Add(o Stats) {
-	// Weighted-by-rounds mean of imbalance, computed before the round
-	// counters merge.
-	if s.Rounds+o.Rounds > 0 {
-		tot := float64(s.Rounds + o.Rounds)
-		s.LoadImbalance = (s.LoadImbalance*float64(s.Rounds) + o.LoadImbalance*float64(o.Rounds)) / tot
-	}
-	s.Rounds += o.Rounds
-	s.Bytes += o.Bytes
-	s.Messages += o.Messages
-	s.ComputeTime += o.ComputeTime
-	s.CommTime += o.CommTime
-	s.HiddenTime += o.HiddenTime
-	s.ExecutionTime += o.ExecutionTime
-	s.Encoding.Add(o.Encoding)
-	if s.Hosts == 0 {
-		s.Hosts = o.Hosts
+	return Stats{
+		Hosts:         c.hosts,
+		Rounds:        int(c.rounds),
+		Bytes:         c.vol.bytes,
+		Messages:      c.vol.messages,
+		ComputeTime:   maxCompute,
+		CommTime:      c.commWall,
+		HiddenTime:    c.hiddenWall,
+		LoadImbalance: imb,
+		Encoding:      c.vol.enc,
 	}
 }
 

@@ -117,27 +117,6 @@ func TestRoundCounterAndImbalance(t *testing.T) {
 	if st.ComputeTime < 10*time.Millisecond {
 		t.Fatalf("compute time %v too small", st.ComputeTime)
 	}
-	if len(st.PerHostCompute) != 4 {
-		t.Fatal("missing per-host compute times")
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Hosts: 4, Rounds: 10, Bytes: 100, Messages: 5, LoadImbalance: 2.0,
-		Encoding: gluon.EncodingCounts{Dense: 1, Sparse: 2}}
-	b := Stats{Hosts: 4, Rounds: 30, Bytes: 300, Messages: 15, LoadImbalance: 1.0,
-		Encoding: gluon.EncodingCounts{Sparse: 3, All: 4}}
-	a.Add(b)
-	if a.Rounds != 40 || a.Bytes != 400 || a.Messages != 20 {
-		t.Fatalf("Add totals wrong: %+v", a)
-	}
-	// Weighted mean: (2*10 + 1*30)/40 = 1.25.
-	if a.LoadImbalance != 1.25 {
-		t.Fatalf("imbalance = %v, want 1.25", a.LoadImbalance)
-	}
-	if a.Encoding != (gluon.EncodingCounts{Dense: 1, Sparse: 5, All: 4}) {
-		t.Fatalf("encoding merge wrong: %+v", a.Encoding)
-	}
 }
 
 func TestExchangeConcurrentSafety(t *testing.T) {

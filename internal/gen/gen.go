@@ -147,38 +147,6 @@ func ErdosRenyi(n int, m int, seed int64) *graph.Graph {
 	return bld.Build()
 }
 
-// PreferentialAttachment generates a Barabási–Albert-style directed
-// graph: each new vertex attaches k out-edges to earlier vertices
-// chosen proportionally to degree (implemented with the repeated-
-// endpoint trick). Gives a heavy-tailed in-degree distribution.
-func PreferentialAttachment(n, k int, seed int64) *graph.Graph {
-	if k <= 0 || n <= 0 {
-		panic("gen: n and k must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	bld := graph.NewBuilder(n)
-	// endpoints records one entry per edge endpoint; sampling an entry
-	// uniformly samples a vertex proportionally to its degree.
-	endpoints := make([]uint32, 0, 2*n*k)
-	endpoints = append(endpoints, 0)
-	for v := 1; v < n; v++ {
-		for e := 0; e < k; e++ {
-			var tgt uint32
-			if rng.Intn(4) == 0 || len(endpoints) == 0 {
-				tgt = uint32(rng.Intn(v)) // uniform mixing keeps it connected-ish
-			} else {
-				tgt = endpoints[rng.Intn(len(endpoints))]
-			}
-			if tgt == uint32(v) {
-				continue
-			}
-			bld.AddEdge(uint32(v), tgt)
-			endpoints = append(endpoints, uint32(v), tgt)
-		}
-	}
-	return bld.Build()
-}
-
 // Cycle generates the directed n-cycle 0->1->...->n-1->0, the
 // worst-case diameter strongly connected graph; used by CONGEST bound
 // tests.

@@ -113,17 +113,6 @@ func TestErdosRenyi(t *testing.T) {
 	}
 }
 
-func TestPreferentialAttachment(t *testing.T) {
-	g := PreferentialAttachment(500, 3, 9)
-	if g.NumVertices() != 500 {
-		t.Fatalf("n = %d", g.NumVertices())
-	}
-	maxIn, _ := g.MaxInDegree()
-	if maxIn < 10 {
-		t.Fatalf("expected a hub, max in-degree %d", maxIn)
-	}
-}
-
 func TestFixedShapes(t *testing.T) {
 	if g := Cycle(10); !g.IsStronglyConnected() || g.NumEdges() != 10 {
 		t.Fatal("bad cycle")

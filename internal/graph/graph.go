@@ -65,9 +65,6 @@ func (g *Graph) InDegree(v uint32) int {
 	return int(g.inOffsets[v+1] - g.inOffsets[v])
 }
 
-// HasInEdges reports whether the CSC view has been constructed.
-func (g *Graph) HasInEdges() bool { return g.inOffsets != nil }
-
 // EnsureInEdges builds the in-edge (CSC) view if absent.
 func (g *Graph) EnsureInEdges() {
 	if g.inOffsets != nil {
@@ -191,10 +188,6 @@ func (b *Builder) AddEdge(u, v uint32) {
 	}
 	b.edges = append(b.edges, edge{u, v})
 }
-
-// NumPendingEdges reports how many edges (including duplicates) have
-// been added so far.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build sorts, deduplicates, drops self-loops, and produces the CSR
 // graph with its in-edge view.

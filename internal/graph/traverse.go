@@ -29,39 +29,6 @@ func (g *Graph) BFS(src uint32) []uint32 {
 	return dist
 }
 
-// BFSTree computes a BFS tree rooted at src: parent[v] is the BFS
-// parent (parent[src] == src; InfDist-marked parents are encoded as
-// the sentinel NoParent for unreachable vertices). Returned alongside
-// distances. The CONGEST Algorithm 4 uses such a tree rooted at the
-// smallest-ID vertex.
-func (g *Graph) BFSTree(src uint32) (dist []uint32, parent []uint32) {
-	n := g.NumVertices()
-	dist = make([]uint32, n)
-	parent = make([]uint32, n)
-	for i := range dist {
-		dist[i] = InfDist
-		parent[i] = NoParent
-	}
-	dist[src] = 0
-	parent[src] = src
-	queue := []uint32{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.OutNeighbors(u) {
-			if dist[v] == InfDist {
-				dist[v] = dist[u] + 1
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist, parent
-}
-
-// NoParent marks a vertex with no BFS parent.
-const NoParent = ^uint32(0)
-
 // Eccentricity returns the largest finite BFS distance from src and
 // the number of vertices reached.
 func (g *Graph) Eccentricity(src uint32) (ecc uint32, reached int) {
@@ -141,131 +108,4 @@ func (g *Graph) IsStronglyConnected() bool {
 		return false
 	}
 	return g.Transpose().ReachableFrom(0) == n
-}
-
-// StronglyConnectedComponents returns a component ID per vertex and the
-// number of components, using an iterative Tarjan algorithm.
-func (g *Graph) StronglyConnectedComponents() (comp []int32, count int) {
-	n := g.NumVertices()
-	comp = make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []uint32
-	var next int32
-
-	type frame struct {
-		v  uint32
-		ei int
-	}
-	var frames []frame
-
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		frames = frames[:0]
-		frames = append(frames, frame{uint32(start), 0})
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, uint32(start))
-		onStack[start] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			nb := g.OutNeighbors(f.v)
-			if f.ei < len(nb) {
-				w := nb[f.ei]
-				f.ei++
-				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
-				}
-				continue
-			}
-			// Finished v.
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = int32(count)
-					if w == v {
-						break
-					}
-				}
-				count++
-			}
-		}
-	}
-	return comp, count
-}
-
-// LargestSCC returns the vertices of the largest strongly connected
-// component, in increasing order.
-func (g *Graph) LargestSCC() []uint32 {
-	comp, count := g.StronglyConnectedComponents()
-	if count == 0 {
-		return nil
-	}
-	sizes := make([]int, count)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	best := 0
-	for c, s := range sizes {
-		if s > sizes[best] {
-			best = c
-		}
-	}
-	out := make([]uint32, 0, sizes[best])
-	for v, c := range comp {
-		if int(c) == best {
-			out = append(out, uint32(v))
-		}
-	}
-	return out
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertices
-// (relabeled 0..len-1 in the given order) plus the mapping from new to
-// old IDs.
-func (g *Graph) InducedSubgraph(vertices []uint32) (*Graph, []uint32) {
-	remap := make(map[uint32]uint32, len(vertices))
-	for i, v := range vertices {
-		remap[v] = uint32(i)
-	}
-	b := NewBuilder(len(vertices))
-	for i, v := range vertices {
-		for _, w := range g.OutNeighbors(v) {
-			if nw, ok := remap[w]; ok {
-				b.AddEdge(uint32(i), nw)
-			}
-		}
-	}
-	oldIDs := append([]uint32(nil), vertices...)
-	return b.Build(), oldIDs
 }

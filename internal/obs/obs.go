@@ -310,14 +310,6 @@ func (t *Trace) Dropped() int64 {
 	return 0
 }
 
-// Cap returns the ring capacity.
-func (t *Trace) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
 // Reset discards all recorded events, keeping the ring storage. Not
 // safe to call concurrently with Emit.
 func (t *Trace) Reset() {

@@ -16,7 +16,7 @@ func TestNilTraceIsSafeAndDisabled(t *testing.T) {
 	}
 	tr.Emit(Event{Kind: KindPhase})
 	tr.Reset()
-	if tr.Emitted() != 0 || tr.Dropped() != 0 || tr.Cap() != 0 || tr.Events() != nil {
+	if tr.Emitted() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil trace retained state")
 	}
 }

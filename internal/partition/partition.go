@@ -54,20 +54,8 @@ type Partitioning struct {
 	Parts    []*Part
 	// MasterOf maps every global vertex to its master host.
 	MasterOf []int32
-	// Policy names the strategy, for reports.
+	// Policy names the strategy, as ByName takes it.
 	Policy string
-}
-
-// HostsOf returns every host holding a proxy of global vertex v, in
-// ascending order.
-func (pt *Partitioning) HostsOf(v uint32) []int {
-	var out []int
-	for _, p := range pt.Parts {
-		if _, ok := p.LocalID(v); ok {
-			out = append(out, p.Host)
-		}
-	}
-	return out
 }
 
 // blocks splits vertices into `hosts` contiguous ranges with roughly
@@ -174,7 +162,7 @@ func EdgeCut(g *graph.Graph, hosts int) *Partitioning {
 	}
 	return assemble(g, hosts, masterOf, func(u, v uint32) int {
 		return int(masterOf[u])
-	}, "edge-cut")
+	}, edgeCutName)
 }
 
 // CartesianCut partitions g across hosts with a 2D Cartesian
@@ -194,7 +182,25 @@ func CartesianCut(g *graph.Graph, hosts int) *Partitioning {
 		c := int(masterOf[v]) % cols
 		_ = rows
 		return r*cols + c
-	}, "cartesian-vertex-cut")
+	}, cartesianName)
+}
+
+// The policy names ByName takes and Partitioning.Policy reports.
+const (
+	edgeCutName   = "edge-cut"
+	cartesianName = "cartesian"
+)
+
+// ByName partitions g across hosts with the policy named name:
+// "edge-cut" (EdgeCut) or "cartesian" (CartesianCut).
+func ByName(g *graph.Graph, name string, hosts int) (*Partitioning, error) {
+	switch name {
+	case edgeCutName:
+		return EdgeCut(g, hosts), nil
+	case cartesianName:
+		return CartesianCut(g, hosts), nil
+	}
+	return nil, fmt.Errorf("unknown partition %q (want %s or %s)", name, edgeCutName, cartesianName)
 }
 
 // gridShape returns the most square rows×cols factorization of hosts.

@@ -31,6 +31,11 @@ func checkInvariants(t *testing.T, g *graph.Graph, pt *Partitioning) {
 		if c != 1 {
 			t.Fatalf("vertex %d has %d masters", v, c)
 		}
+		// The master host holds a proxy of v, flagged as the master.
+		m := pt.Parts[pt.MasterOf[v]]
+		if l, ok := m.LocalID(uint32(v)); !ok || !m.IsMaster[l] {
+			t.Fatalf("vertex %d: master host %d holds no master proxy", v, pt.MasterOf[v])
+		}
 	}
 
 	// Every edge appears on exactly one host, and local graphs contain
@@ -116,26 +121,6 @@ func TestSingleHostIsWholeGraph(t *testing.T) {
 			if !m {
 				t.Fatal("single host must master every vertex")
 			}
-		}
-	}
-}
-
-func TestHostsOf(t *testing.T) {
-	g := gen.RMAT(7, 8, 5)
-	pt := CartesianCut(g, 4)
-	for v := 0; v < g.NumVertices(); v += 7 {
-		hosts := pt.HostsOf(uint32(v))
-		if len(hosts) == 0 {
-			t.Fatalf("vertex %d has no proxies", v)
-		}
-		foundMaster := false
-		for _, h := range hosts {
-			if int32(h) == pt.MasterOf[v] {
-				foundMaster = true
-			}
-		}
-		if !foundMaster {
-			t.Fatalf("vertex %d: master host %d not among proxies %v", v, pt.MasterOf[v], hosts)
 		}
 	}
 }
