@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"mrbc"
+	"mrbc/internal/brandes"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func main() {
 		return
 	}
 
-	sources, err := sourceRange(g.NumVertices(), *srcStart, *srcCount)
+	sources, err := brandes.SourceRange(g.NumVertices(), *srcStart, *srcCount)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bc:", err)
 		os.Exit(1)
@@ -109,7 +110,7 @@ func runWeighted(path, alg string, workers, srcStart, srcCount, topK int) error 
 		// back to the Dijkstra-based reference.
 		alg = "brandes"
 	}
-	sources, err := sourceRange(g.NumVertices(), srcStart, srcCount)
+	sources, err := brandes.SourceRange(g.NumVertices(), srcStart, srcCount)
 	if err != nil {
 		return err
 	}
@@ -125,23 +126,6 @@ func runWeighted(path, alg string, workers, srcStart, srcCount, topK int) error 
 		fmt.Printf("vertex %8d  bc %.4f\n", r.Vertex, r.Score)
 	}
 	return nil
-}
-
-// sourceRange returns the sources [start, start+count) clamped to the
-// n vertices; count <= 0 takes every vertex from start on, so the
-// default start gives exact BC.
-func sourceRange(n, start, count int) ([]uint32, error) {
-	if start < 0 || start >= n {
-		return nil, fmt.Errorf("no sources in [%d, %d)", start, n)
-	}
-	if count <= 0 || count > n-start {
-		count = n - start
-	}
-	sources := make([]uint32, count)
-	for i := range sources {
-		sources[i] = uint32(start + i)
-	}
-	return sources, nil
 }
 
 func loadOrGenerate(path, genName string, scale, edgeFac, rows, cols int, seed int64) (*mrbc.Graph, error) {

@@ -42,46 +42,57 @@ import (
 	"mrbc/internal/obs"
 	"mrbc/internal/obs/merge"
 	"mrbc/internal/obs/serve"
+	"mrbc/internal/partition"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "bcctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("bcctl", flag.ExitOnError)
 	var (
-		bcdPath   = flag.String("bcd", "bcd", "bcd daemon binary")
-		hosts     = flag.Int("hosts", 4, "number of host processes")
-		graphPath = flag.String("graph", "", "graph file every host loads (text edge list, or .gr/.bin CSR)")
-		genName   = flag.String("gen", "", "generate input instead: rmat | road | webcrawl")
-		scale     = flag.Int("scale", 10, "log2 vertex count for rmat/webcrawl")
-		edgeFac   = flag.Int("edgefactor", 8, "edges per vertex for generators")
-		rows      = flag.Int("rows", 64, "grid rows for -gen road")
-		cols      = flag.Int("cols", 64, "grid cols for -gen road")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		engine    = flag.String("engine", "mrbcdist", "engine: mrbcdist | sbbc")
-		partName  = flag.String("partition", "edge-cut", "partition policy: edge-cut | cartesian")
-		batch     = flag.Int("batch", 0, "batch size k for mrbcdist (0: engine default)")
-		srcStart  = flag.Int("source-start", 0, "first source vertex")
-		srcCount  = flag.Int("sources", 32, "number of sources (0 = all vertices)")
-		topK      = flag.Int("top", 10, "print the k most central vertices")
-		verify    = flag.Bool("verify", false, "compare against the sequential Brandes oracle")
-		tracePref = flag.String("trace", "", "per-host trace path prefix (writes <prefix>.hostN.jsonl)")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "whole-job timeout")
-		verbose   = flag.Bool("v", false, "forward daemon stderr")
-		spares    = flag.Int("spares", 0, "standby bcd daemons kept warm for elastic host replacement")
-		elasticOn = flag.Bool("elastic", false, "checkpoint at batch boundaries and recover from host deaths")
-		ckptDir   = flag.String("checkpoint", "", "shared checkpoint directory for -elastic (default: a temp dir)")
-		killHost  = flag.Int("kill-host", -1, "chaos: SIGKILL this host's daemon mid-run (implies -elastic)")
-		killAfter = flag.Duration("kill-after", 500*time.Millisecond, "chaos: delay before -kill-host fires")
-		deadline  = flag.Int("deadline-steps", 0, "transport stall deadline in reliability steps (0: gluon default)")
-		serveAddr = flag.String("serve", "", "serve live cluster progress (/clusterz) on this address while the job runs")
-		ctrace    = flag.String("cluster-trace", "", "merge + check every host's trace file, and write the cluster trace here")
+		bcdPath   = fs.String("bcd", "bcd", "bcd daemon binary")
+		hosts     = fs.Int("hosts", 4, "number of host processes")
+		graphPath = fs.String("graph", "", "graph file every host loads (text edge list, or .gr/.bin CSR)")
+		genName   = fs.String("gen", "", "generate input instead: rmat | road | webcrawl")
+		scale     = fs.Int("scale", 10, "log2 vertex count for rmat/webcrawl")
+		edgeFac   = fs.Int("edgefactor", 8, "edges per vertex for generators")
+		rows      = fs.Int("rows", 64, "grid rows for -gen road")
+		cols      = fs.Int("cols", 64, "grid cols for -gen road")
+		seed      = fs.Int64("seed", 1, "generator seed")
+		engine    = fs.String("engine", "mrbcdist", "engine: mrbcdist | sbbc")
+		partName  = fs.String("partition", "edge-cut", "partition policy: edge-cut | cartesian")
+		batch     = fs.Int("batch", 0, "batch size k for mrbcdist (0: engine default)")
+		srcStart  = fs.Int("source-start", 0, "first source vertex")
+		srcCount  = fs.Int("sources", 32, "number of sources (0 = all vertices)")
+		topK      = fs.Int("top", 10, "print the k most central vertices")
+		verify    = fs.Bool("verify", false, "compare against the sequential Brandes oracle")
+		tracePref = fs.String("trace", "", "per-host trace path prefix (writes <prefix>.hostN.jsonl)")
+		timeout   = fs.Duration("timeout", 2*time.Minute, "whole-job timeout")
+		verbose   = fs.Bool("v", false, "forward daemon stderr")
+		spares    = fs.Int("spares", 0, "standby bcd daemons kept warm for elastic host replacement")
+		elasticOn = fs.Bool("elastic", false, "checkpoint at batch boundaries and recover from host deaths")
+		ckptDir   = fs.String("checkpoint", "", "shared checkpoint directory for -elastic (default: a temp dir)")
+		killHost  = fs.Int("kill-host", -1, "chaos: SIGKILL this host's daemon mid-run (implies -elastic)")
+		killAfter = fs.Duration("kill-after", 500*time.Millisecond, "chaos: delay before -kill-host fires")
+		deadline  = fs.Int("deadline-steps", 0, "transport stall deadline in reliability steps (0: gluon default)")
+		serveAddr = fs.String("serve", "", "serve live cluster progress (/clusterz) on this address while the job runs")
+		ctrace    = fs.String("cluster-trace", "", "merge + check every host's trace file, and write the cluster trace here")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	// Every flag is checked before any bcd is spawned: a partition the
+	// daemons would refuse, a host to kill that is not in the cluster,
+	// and (once the graph is known) a source range bc would refuse.
+	if err := partition.CheckName(*partName); err != nil {
+		return fmt.Errorf("-partition: %w", err)
+	}
+	if *killHost >= *hosts {
+		return fmt.Errorf("-kill-host %d out of range for %d hosts", *killHost, *hosts)
+	}
 	if *killHost >= 0 {
 		*elasticOn = true
 	}
@@ -96,17 +107,9 @@ func run() error {
 	defer cleanup()
 	fmt.Printf("graph: %d vertices, %d edges (%s)\n", g.NumVertices(), g.NumEdges(), path)
 
-	n := g.NumVertices()
-	count := *srcCount
-	if count == 0 || *srcStart+count > n {
-		count = n - *srcStart
-	}
-	if count <= 0 {
-		return fmt.Errorf("no sources in [%d, %d)", *srcStart, n)
-	}
-	sources := make([]uint32, count)
-	for i := range sources {
-		sources[i] = uint32(*srcStart + i)
+	sources, err := brandes.SourceRange(g.NumVertices(), *srcStart, *srcCount)
+	if err != nil {
+		return err
 	}
 
 	bcd, err := exec.LookPath(*bcdPath)
@@ -170,9 +173,6 @@ func run() error {
 		}
 		spec.CheckpointDir = dir
 		if *killHost >= 0 {
-			if *killHost >= *hosts {
-				return fmt.Errorf("-kill-host %d out of range for %d hosts", *killHost, *hosts)
-			}
 			h := *killHost
 			time.AfterFunc(*killAfter, func() {
 				if err := cluster.KillHost(h); err != nil {

@@ -164,3 +164,22 @@ func FirstKSources(g *graph.Graph, start, k int) []uint32 {
 	}
 	return out
 }
+
+// SourceRange returns the sources [start, start+count) clamped to the
+// n vertices; count <= 0 takes every vertex from start on, so start 0
+// gives exact BC. A start outside [0, n) is an error, never a wrapped
+// vertex ID. The bc and bcctl commands select their -source-start and
+// -sources with it.
+func SourceRange(n, start, count int) ([]uint32, error) {
+	if start < 0 || start >= n {
+		return nil, fmt.Errorf("no sources in [%d, %d)", start, n)
+	}
+	if count <= 0 || count > n-start {
+		count = n - start
+	}
+	sources := make([]uint32, count)
+	for i := range sources {
+		sources[i] = uint32(start + i)
+	}
+	return sources, nil
+}

@@ -86,8 +86,8 @@ func TestBlameWithoutDirectLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := gluon.NewTopology(pt)
-	if topo.Partners(victim, diagonal) || !topo.Partners(victim, 1) || !topo.Partners(victim, 2) {
+	partners := gluon.NewTopology(pt).PartnerLinks()
+	if partners.Has(victim, diagonal) || !partners.Has(victim, 1) || !partners.Has(victim, 2) {
 		t.Fatal("the 2×2 grid's partner sets are not row ∪ column")
 	}
 

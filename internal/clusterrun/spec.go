@@ -149,6 +149,11 @@ func (s *JobSpec) check(g *graph.Graph) error {
 	case len(s.Addrs) > 0 && len(s.Addrs) != s.Hosts:
 		return fmt.Errorf("clusterrun: %d addrs for %d hosts", len(s.Addrs), s.Hosts)
 	}
+	if s.Partition != "" {
+		if err := partition.CheckName(s.Partition); err != nil {
+			return fmt.Errorf("clusterrun: %w", err)
+		}
+	}
 	for _, src := range s.Sources {
 		if int(src) >= n {
 			return fmt.Errorf("clusterrun: source %d out of range [0,%d)", src, n)

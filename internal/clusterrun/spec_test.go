@@ -102,6 +102,8 @@ func malformedSpecs(t *testing.T) []specRefusal {
 		{"invalid host count 0", func(s *JobSpec) { s.Hosts = 0 }},
 		{"addrs for", func(s *JobSpec) { s.Addrs = append(s.Addrs, "127.0.0.1:1") }},
 		{"empty graph", func(s *JobSpec) { s.GraphPath = empty }},
+		{`unknown partition "vertexcut"`, func(s *JobSpec) { s.Partition = "vertexcut" }},
+		{`unknown partition "edgecut"`, func(s *JobSpec) { s.Partition = "edgecut" }},
 	}
 }
 
@@ -115,8 +117,6 @@ func TestRunJobRefusals(t *testing.T) {
 	for _, c := range append([]specRefusal{
 		{"load graph", func(s *JobSpec) { s.GraphPath = filepath.Join(ckpt, "missing.bin") }},
 		{`unknown engine "brandes"`, func(s *JobSpec) { s.Engine = "brandes" }},
-		{`unknown partition "vertexcut"`, func(s *JobSpec) { s.Partition = "vertexcut" }},
-		{`unknown partition "edgecut"`, func(s *JobSpec) { s.Partition = "edgecut" }},
 		{"resume_batch 2 without checkpoint_dir", func(s *JobSpec) { s.ResumeBatch = 2 }},
 		{"requires serial batches", func(s *JobSpec) { s.CheckpointDir, s.PipelineDepth = ckpt, 2 }},
 		{"does not support checkpoint/resume", func(s *JobSpec) { s.Engine, s.CheckpointDir = "sbbc", ckpt }},

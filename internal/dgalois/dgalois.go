@@ -133,10 +133,11 @@ type Cluster struct {
 	mem       *gluon.MemTransport
 	localHost int // the single local host in SPMD mode; -1 when all hosts are local
 	lastNet   gluon.ChannelStats
-	// partner[from*hosts+to]: the pair shares a proxy (Topology.Partners;
-	// every pair without a topology). Only partners exchange records,
-	// except on an exchange whose vote needs every link.
-	partner []bool
+	// partners is the links Exchange moves records on: the pairs that
+	// share a proxy (Topology.PartnerLinks; nil, every link, without a
+	// topology). ExchangeOn names a narrower set, and a vote needs every
+	// link.
+	partners *gluon.Links
 
 	// exchanges numbers the exchanges begun, 0,1,2,…: every SPMD process
 	// issues the same operation sequence, pipelined or not, so the count
@@ -211,10 +212,10 @@ func sumLinks(links []tally, first, stride, n int) (s tally) {
 type PendingExchange struct {
 	c         *Cluster
 	inUse     bool
-	detached  bool  // true between BeginExchange and Complete
-	vote      bool  // begun by ExchangeSum / BeginExchangeSum: every link carries the term
-	empty     bool  // in-process, and no pack produced a buffer: nothing to unpack
-	sum       int64 // the caller's term, and once complete every host's (Sum)
+	detached  bool         // true between BeginExchange and Complete
+	links     *gluon.Links // the links that carry a record; nil, every one, as a vote needs
+	empty     bool         // in-process, and no pack produced a buffer: nothing to unpack
+	sum       int64        // the caller's term, and once complete every host's (Sum)
 	ex        int
 	packSeq   int64
 	unpackSeq int64
@@ -282,9 +283,9 @@ type ClusterOptions struct {
 	// recovery bumps it per restart attempt); published as the
 	// dgalois_epoch gauge so /progressz can surface it.
 	Epoch int
-	// Topology is the proxy topology the exchanges synchronize over. An
-	// exchange that carries no vote packs, sends and gathers only the
-	// pairs it makes partners; nil makes every pair one.
+	// Topology is the proxy topology the exchanges synchronize over.
+	// Exchange and BeginExchange pack, send and gather only the pairs it
+	// makes partners; nil makes every pair one.
 	Topology *gluon.Topology
 }
 
@@ -373,9 +374,8 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 			}
 		}
 	}
-	c.partner = make([]bool, hosts*hosts)
-	for i := range c.partner {
-		c.partner[i] = opts.Topology == nil || opts.Topology.Partners(i/hosts, i%hosts)
+	if opts.Topology != nil {
+		c.partners = opts.Topology.PartnerLinks()
 	}
 	c.tickets = make([]PendingExchange, c.maxInflight)
 	for k := range c.tickets {
@@ -582,9 +582,10 @@ func (c *Cluster) BeginRound() {
 func (c *Cluster) packTask(i int) {
 	from, to := i/c.hosts, i%c.hosts
 	t := c.cur
-	// A pair that shares no proxy has nothing to pack, and without a vote
-	// to carry nothing to send: its receiver declares it silent.
-	if from == to || !c.partner[i] && !t.vote {
+	// A pair outside the exchange's links has nothing to pack, and
+	// without a vote to carry nothing to send: its receiver declares it
+	// silent.
+	if from == to || !t.links.Has(from, to) {
 		return
 	}
 	w := t.writers[from][to]
@@ -632,7 +633,7 @@ func (c *Cluster) unpackTask(to int) {
 		if from == to {
 			continue
 		}
-		if !c.partner[from*c.hosts+to] && !t.vote {
+		if !t.links.Has(from, to) {
 			err = c.transport.Silent(t.ex, to, from)
 		}
 		var buf []byte
@@ -876,7 +877,16 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 // (mirror lists of distinct pairs are disjoint, so per-vertex writes
 // are safe).
 func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
-	c.exchange(0, false, false, pack, unpack)
+	c.exchange(0, false, c.partners, pack, unpack)
+}
+
+// ExchangeOn is Exchange over the given links (nil: every link): a pair
+// outside them is neither packed nor sent, and its receiver declares it
+// silent. Every host must pass the same set for the same exchange, as
+// one derived from a shared gluon.Topology is; a pack that would write
+// on a link outside it is the caller's bug.
+func (c *Cluster) ExchangeOn(links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
+	c.exchange(0, false, links, pack, unpack)
 }
 
 // ExchangeSum is Exchange carrying a BSP loop's global vote: it returns
@@ -891,7 +901,7 @@ func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writ
 	if c.localHost < 0 && local == 0 {
 		return 0
 	}
-	return c.exchange(local, true, false, pack, unpack).sum
+	return c.exchange(local, false, nil, pack, unpack).sum
 }
 
 // BeginExchange starts a detached exchange: the pack phase runs and
@@ -902,7 +912,12 @@ func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writ
 // covers is tallied as hidden exchange time. At most
 // ClusterOptions.MaxInflight exchanges may be open at once.
 func (c *Cluster) BeginExchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	return c.exchange(0, false, true, pack, unpack)
+	return c.exchange(0, true, c.partners, pack, unpack)
+}
+
+// BeginExchangeOn is ExchangeOn detached.
+func (c *Cluster) BeginExchangeOn(links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+	return c.exchange(0, true, links, pack, unpack)
 }
 
 // BeginExchangeSum is ExchangeSum detached. In process a zero local
@@ -911,14 +926,15 @@ func (c *Cluster) BeginExchangeSum(local int64, pack func(from, to int, w *gluon
 	if c.localHost < 0 && local == 0 {
 		return nil
 	}
-	return c.exchange(local, true, true, pack, unpack)
+	return c.exchange(local, true, nil, pack, unpack)
 }
 
-// exchange runs an exchange carrying local (a vote: on every link)
-// under a ticket, up to its pack phase if detached.
-func (c *Cluster) exchange(local int64, vote, detached bool, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+// exchange runs an exchange over links, carrying local (a vote passes
+// nil links: every link carries its term), under a ticket, up to its
+// pack phase if detached.
+func (c *Cluster) exchange(local int64, detached bool, links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	t := c.claimTicket()
-	t.detached, t.vote, t.sum = detached, vote, local
+	t.detached, t.links, t.sum = detached, links, local
 	c.begin(t, pack, unpack)
 	if !detached {
 		c.complete(t)

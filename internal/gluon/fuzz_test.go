@@ -111,8 +111,8 @@ func FuzzDecodeUpdates(f *testing.F) {
 
 // FuzzReceiveRecord asserts the TCP receive path is memory-safe on
 // arbitrary record bodies — what a peer's frame can carry once its
-// checksum has passed — handed over the way serveConn does: short ones in
-// the connection's control array, the rest in a free-list buffer. A
+// checksum has passed — handed over the way a connection's reader does:
+// short ones in place in its read buffer, the rest in a free-list buffer. A
 // record is accepted (the sender's sequence advances) exactly when it is
 // a data record with a whole 17-byte header; a 9- to 16-byte data body,
 // whole under the header without the sum field, and any other kind — the
@@ -156,7 +156,7 @@ func FuzzReceiveRecord(f *testing.F) {
 	var ctl [FrameOverhead + dataHeadLen]byte
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) == 0 {
-			return // serveConn skips empty bodies
+			return // a connection's reader skips empty bodies
 		}
 		want := append([]byte(nil), body...)
 		var frame []byte

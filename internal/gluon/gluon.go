@@ -35,9 +35,10 @@ import (
 )
 
 // Topology precomputes, for a partitioning, the shared-vertex lists
-// every ordered host pair synchronizes over, their inverse, and which
+// every ordered host pair synchronizes over, their inverse, which
 // broadcast positions name a mirror with local in-edges (a reader of a
-// value pulled back along in-edges, Marks.MarkReaders).
+// value pulled back along in-edges, Marks.MarkReaders), and the links
+// each kind of sync phase can carry data on.
 type Topology struct {
 	pt *partition.Partitioning
 	// mirrorsByMaster[a][b]: local IDs (on host a) of proxies whose
@@ -58,7 +59,34 @@ type Topology struct {
 	// reads[a] has bit i set when slots[a][i] is a broadcast position
 	// whose mirror has local in-edges.
 	reads    []*bitset.Set
-	partners []bool // [a*NumHosts+b]: a shared list links a and b, either way
+	partners *Links // a shared list links a and b, either way
+	partials *Links // a → b: a mirror on a mastered by b has local out-edges
+	readers  *Links // b → a: a mirror on a mastered by b has local in-edges
+}
+
+// Links is a set of directed host links (from, to): those a sync phase
+// can ever mark a position on. Both ends of an exchange derive it from
+// the same topology, so a link outside the set carries no record, not
+// even an empty marker. A nil *Links holds every link.
+type Links struct {
+	hosts int
+	on    []bool // [from*hosts+to]
+}
+
+func newLinks(hosts int) *Links { return &Links{hosts: hosts, on: make([]bool, hosts*hosts)} }
+
+// Has reports whether the link from → to is in the set.
+func (l *Links) Has(from, to int) bool { return l == nil || l.on[from*l.hosts+to] }
+
+// Len returns the number of links in the set.
+func (l *Links) Len() int {
+	n := 0
+	for _, on := range l.on {
+		if on {
+			n++
+		}
+	}
+	return n
 }
 
 // listSlot is one position of one shared list. set indexes the owning
@@ -78,6 +106,7 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	t.slotOff = make([][]uint32, h)
 	t.slots = make([][]listSlot, h)
 	t.reads = make([]*bitset.Set, h)
+	t.partners, t.partials, t.readers = newLinks(h), newLinks(h), newLinks(h)
 	for a := 0; a < h; a++ {
 		t.mirrorsByMaster[a] = make([][]uint32, h)
 		t.masterSide[a] = make([][]uint32, h)
@@ -121,7 +150,12 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 				t.slots[m][t.slotOff[m][ml+1]] = listSlot{set: uint32(h + a), pos: uint32(pos)}
 				if local.InDegree(l) > 0 {
 					t.reads[m].Set(int(t.slotOff[m][ml+1]))
+					t.readers.on[m*h+a] = true
 				}
+				if local.OutDegree(l) > 0 {
+					t.partials.on[a*h+m] = true
+				}
+				t.partners.on[a*h+m], t.partners.on[m*h+a] = true, true
 				t.slotOff[m][ml+1]++
 			}
 		}
@@ -129,22 +163,25 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	for a, off := range t.slotOff {
 		t.slotOff[a] = off[:len(off)-1]
 	}
-	t.partners = make([]bool, h*h)
-	for a := 0; a < h; a++ {
-		for b, list := range t.mirrorsByMaster[a] {
-			if len(list) > 0 {
-				t.partners[a*h+b], t.partners[b*h+a] = true, true
-			}
-		}
-	}
 	return t
 }
 
-// Partners reports whether hosts a and b share a proxy, so that a sync
-// exchange can move data between them. Other hosts never have anything
-// to reduce or broadcast to each other: on a Cartesian vertex-cut a
-// host's partners lie in its grid row and column.
-func (t *Topology) Partners(a, b int) bool { return t.partners[a*t.pt.NumHosts+b] }
+// PartnerLinks is the links between hosts that share a proxy, either
+// way: the links any sync exchange can move data on. Other hosts never
+// have anything to reduce or broadcast to each other: on a Cartesian
+// vertex-cut a host's partners lie in its grid row and column.
+func (t *Topology) PartnerLinks() *Links { return t.partners }
+
+// PartialLinks is the links a → b on which host a has a mirror mastered
+// by b with local out-edges: the only mirrors that can hold a nonzero
+// partial pulled back along out-edges, so the only reduce positions a
+// phase that skips zero partials ever marks. Under an outgoing edge-cut
+// no mirror has a local out-edge and the set is empty.
+func (t *Topology) PartialLinks() *Links { return t.partials }
+
+// ReaderLinks is the links b → a on which a mirror on a mastered by b has
+// local in-edges: the broadcast positions Marks.MarkReaders marks.
+func (t *Topology) ReaderLinks() *Links { return t.readers }
 
 // MirrorList returns the local IDs on host a of the proxies mastered
 // by host b (the reduce-direction shared list). The returned slice

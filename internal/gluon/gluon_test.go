@@ -646,3 +646,111 @@ func TestMarkReadersMatchInEdgeScanQuick(t *testing.T) {
 		t.Fatal("no marked master had a mirror without in-edges: the property checked nothing")
 	}
 }
+
+// TestPhaseLinksCoverTheirMarksQuick is the property behind the
+// per-phase link sets: over random graphs under both cuts, no phase marks
+// a position on a link outside its set, so an exchange that sends and
+// gathers only on that set loses nothing. The backward reduce marks
+// mirrors with local out-edges (only they can hold a nonzero partial,
+// which mrbcdist's TestBackwardSyncReachesEveryReader pins), the
+// backward broadcast marks through MarkReaders, and both forward phases
+// mark any proxy and stay on the partner links. The sets are also
+// tight: marking every candidate marks every link of the set. Under the
+// Cartesian cut some partner links fall outside a backward set, and
+// under the edge cut the backward reduce has no link at all.
+func TestPhaseLinksCoverTheirMarksQuick(t *testing.T) {
+	emit := func(lid uint32, w *Writer) { w.U32(lid) }
+	excluded, edgeCuts := 0, 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := gen.ErdosRenyi(20+rng.Intn(200), 40+rng.Intn(900), seed)
+		hosts := 2 + rng.Intn(4)
+		pt := partition.EdgeCut(g, hosts)
+		cartesian := rng.Intn(2) == 0
+		if cartesian {
+			pt = partition.CartesianCut(g, hosts)
+		}
+		topo := NewTopology(pt)
+		partners, partials, readers := topo.PartnerLinks(), topo.PartialLinks(), topo.ReaderLinks()
+		if !cartesian {
+			edgeCuts++
+			if n := partials.Len(); n != 0 {
+				t.Logf("seed %d: the edge cut's backward reduce has %d links, want none", seed, n)
+				return false
+			}
+		}
+		for a := 0; a < hosts; a++ {
+			for b := 0; b < hosts; b++ {
+				if a == b && (partners.Has(a, b) || partials.Has(a, b) || readers.Has(a, b)) {
+					t.Logf("seed %d: host %d links to itself", seed, a)
+					return false
+				}
+				if partners.Has(a, b) && (!partials.Has(a, b) || !readers.Has(a, b)) {
+					excluded++
+				}
+			}
+		}
+		// sent reports which peers host's marks reach in one direction,
+		// and empties them.
+		sent := func(marks *Marks, reduce bool) []bool {
+			out := make([]bool, hosts)
+			for peer := range out {
+				w := &Writer{}
+				if reduce {
+					marks.EncodeReduce(w, peer, emit)
+				} else {
+					marks.EncodeBroadcast(w, peer, emit)
+				}
+				out[peer] = w.Len() > 0
+			}
+			return out
+		}
+		for host := 0; host < hosts; host++ {
+			p := pt.Parts[host]
+			for _, all := range []bool{false, true} {
+				pick := func() bool { return all || rng.Intn(3) == 0 }
+				fwd, back, bcast := topo.NewMarks(host), topo.NewMarks(host), topo.NewMarks(host)
+				for l := 0; l < p.NumProxies(); l++ {
+					if !pick() {
+						continue
+					}
+					fwd.Mark(uint32(l))
+					if p.IsMaster[l] {
+						bcast.MarkReaders(uint32(l))
+					} else if p.Local.OutDegree(uint32(l)) > 0 {
+						back.Mark(uint32(l))
+					}
+				}
+				for _, c := range []struct {
+					name  string
+					got   []bool
+					links *Links
+					tight bool // every link of the set is some candidate's
+				}{
+					{"forward reduce", sent(fwd, true), partners, false},
+					{"forward broadcast", sent(fwd, false), partners, false},
+					{"backward reduce", sent(back, true), partials, true},
+					{"backward broadcast", sent(bcast, false), readers, true},
+				} {
+					for peer, on := range c.got {
+						if on && !c.links.Has(host, peer) {
+							t.Logf("seed %d: %s marks %d → %d outside its links", seed, c.name, host, peer)
+							return false
+						}
+						if all && c.tight && !on && c.links.Has(host, peer) {
+							t.Logf("seed %d: %s link %d → %d is in the set but nothing marks it", seed, c.name, host, peer)
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if excluded == 0 || edgeCuts == 0 {
+		t.Fatalf("%d partner links outside a backward set over %d edge cuts: the property checked nothing", excluded, edgeCuts)
+	}
+}

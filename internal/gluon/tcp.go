@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -47,17 +49,41 @@ import (
 // as an empty marker that has arrived, a record that still comes as a
 // duplicate.
 //
+// Who reads a connection. No goroutine sits on an accepted connection:
+// a short-lived one reads its hello and registers it as its sender's,
+// and from then on whoever holds the sender's read lock reads it. That
+// is GatherFrom, on the goroutine that waits: it reads from's
+// connection itself, one step's deadline at a time, filing every record
+// it meets in its exchange's box, until the one it wants is there. The
+// sender's step loop drains the connection once per tick without
+// blocking (skipping it while a gatherer holds the lock), so a host busy
+// elsewhere still files and acks records within a step, and Close
+// drains every connection while it lingers. A frame is read into the
+// connection's buffer — one larger than the buffer into a free-list
+// buffer of its own — and stays there, partly read, across a read that
+// times out: a timeout never consumes part of a frame.
+//
+// Writes never block the caller. A record is written with one
+// non-blocking write through the socket's syscall.RawConn; what the
+// socket does not take goes to the peer's flusher goroutine, which
+// writes it in order, and so does every record after it until the
+// flusher has caught up. Only the flusher sets a write deadline (the
+// stall budget). So no socket write blocks a gathering goroutine, and
+// two hosts sending each other records larger than the socket buffers
+// cannot deadlock: each one's flusher waits only on the other's reads,
+// which its gather or its tick drain performs.
+//
 // A record is read into a buffer from a bounded per-transport free list
 // and its payload lent to the gathering caller until its next gather
 // call, when the buffer returns to the list: a warm exchange allocates
-// nothing on either side. Empty markers are read into a fixed array per
-// connection instead.
+// nothing on either side.
 //
 // Acks ride on reverse traffic. Every data record carries, in its ack
 // field, the highest seq its sender has accepted from the record's
 // destination — stamped at first transmission and stale on a
 // retransmission, which is harmless because acks are monotone. A
-// standalone ack record is written only when nothing carried it:
+// standalone ack record is written only when nothing carried it, and
+// never by a gathering goroutine (the step loop writes it):
 //
 //   - tick flush: an ack owed across one full StepInterval with no
 //     outbound record to that peer (an idle or one-directional link),
@@ -69,9 +95,10 @@ import (
 //     with the ack Close is waiting for — and records that arrive while
 //     closing are acked at once (no later record will).
 //
-// So a BSP exchange costs one write and one read per record, and the
+// So a BSP exchange costs one write per record and, when the record is
+// not in yet, one read that finds nothing and one that finds it; the
 // frames a host writes on its dialed connection are exactly its hello,
-// records and retransmissions — what they were before acks moved.
+// records and retransmissions.
 
 const (
 	recHello byte = 1
@@ -80,6 +107,7 @@ const (
 
 	dataHeadLen = 17 // [2][u32 exchange][u32 ack][u64 sum]
 	helloLen    = 13 // [1][u32 host][u32 epoch][u32 wire]
+	ackLen      = 5  // [3][u32 cumulative seq]
 
 	// wireVersion is the layout of the records above and of the sync
 	// payloads every engine packs into a data record. Bump it with any
@@ -89,14 +117,14 @@ const (
 	// no source index).
 	wireVersion = 1
 
-	// recvBufSize is the read buffer on a connection's record side:
-	// large enough that header and payload of a typical record (and a
-	// few queued ones) come out of one read, small enough that a mesh's
-	// worth of them does not show in the resident set. Payloads larger
-	// than the buffer are read straight into their own slice.
+	// recvBufSize is a connection's read buffer: large enough that header
+	// and payload of a typical record (and a few queued ones) come out of
+	// one read, small enough that a mesh's worth of them does not show in
+	// the resident set. Frames larger than the buffer are read straight
+	// into their own slice.
 	recvBufSize = 8 << 10
-	// ackBufSize is the read buffer on the ack side, where only 21-byte
-	// standalone acks arrive.
+	// ackBufSize is the read buffer on the ack side of a dialed
+	// connection, where only 21-byte standalone acks arrive.
 	ackBufSize = 64
 
 	// A peer keeps up to maxFreeFrames acked frame buffers of at most
@@ -148,7 +176,8 @@ type TCPOptions struct {
 	Epoch int
 }
 
-// dialTimeout bounds a single (re-)dial attempt.
+// dialTimeout bounds a single (re-)dial attempt, and the wait for an
+// accepted connection's hello.
 const dialTimeout = 2 * time.Second
 
 func (o TCPOptions) withDefaults() TCPOptions {
@@ -164,6 +193,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
+// budget is the stall budget: DeadlineSteps steps.
+func (o TCPOptions) budget() time.Duration { return time.Duration(o.DeadlineSteps) * o.StepInterval }
+
 // TCPTransport is the multi-process Transport backend. Each process
 // owns exactly one host; NewTCPTransport wires it to the rest of the
 // cluster through the address list.
@@ -175,11 +207,15 @@ type TCPTransport struct {
 	ln    net.Listener
 	peers []*tcpPeer // nil at index self
 
+	// reading[h] is sender h's read lock: whoever holds it reads h's
+	// connection, in[h], and owns its reader's state.
+	reading []sync.Mutex
+
 	mu         sync.Mutex
 	inSeq      []uint32                // highest accepted seq per sender
 	ackOwed    []uint8                 // per sender: ackNone, ackFresh or ackStale
 	closing    bool                    // Close has begun: ack every record at once
-	inConns    []net.Conn              // current accepted conn per sender (ack path)
+	in         []*connReader           // current accepted connection per sender
 	boxes      map[uint32]*exchangeBox // keyed by the exchange field: the identifier's low 32 bits
 	freeBoxes  []*exchangeBox          // fully consumed boxes, reset for reuse
 	recv       [][]byte                // free buffers to read records into
@@ -188,8 +224,8 @@ type TCPTransport struct {
 	terms      []int64                 // and every host's term of it
 	allReduces int                     // AllReduce calls so far: call r is exchange −r
 
-	ticker      *time.Ticker  // one StepInterval clock for every wait loop
-	progress    chan struct{} // nudged on any receive progress
+	ticker      *time.Ticker  // one StepInterval clock for every wait that reads no socket
+	connUp      chan struct{} // nudged when a hello registers a sender's connection
 	ackProgress chan struct{} // nudged on any ack progress; only Close listens
 
 	stats []ChannelStats // [from*hosts+to], self row live, others zero
@@ -240,13 +276,14 @@ func NewTCPTransport(self int, addrs []string, ln net.Listener, opts TCPOptions)
 		ticker:      time.NewTicker(opts.StepInterval),
 		ln:          ln,
 		peers:       make([]*tcpPeer, hosts),
+		reading:     make([]sync.Mutex, hosts),
 		inSeq:       make([]uint32, hosts),
 		ackOwed:     make([]uint8, hosts),
-		inConns:     make([]net.Conn, hosts),
+		in:          make([]*connReader, hosts),
 		boxes:       make(map[uint32]*exchangeBox),
 		sumEx:       -1,
 		terms:       make([]int64, hosts),
-		progress:    make(chan struct{}, 1),
+		connUp:      make(chan struct{}, 1),
 		ackProgress: make(chan struct{}, 1),
 		stats:       make([]ChannelStats, hosts*hosts),
 		closed:      make(chan struct{}),
@@ -273,8 +310,9 @@ func (t *TCPTransport) Backend() string { return "tcp" }
 
 // Send enqueues host self's message to `to` for the exchange. The
 // payload is copied into the record, so the caller's buffer is free
-// for reuse immediately. Delivery is asynchronous; loss is detected
-// and reported by the eventual Gather or a later Send's queue check.
+// for reuse immediately. Delivery is asynchronous and Send never waits
+// on the socket; loss is detected and reported by the eventual Gather
+// or a later Send's queue check.
 func (t *TCPTransport) Send(exchange, from, to int, buf []byte) error {
 	if from != t.self {
 		return fmt.Errorf("gluon: tcp Send from non-local host %d (self %d)", from, t.self)
@@ -366,9 +404,10 @@ func (t *TCPTransport) Gather(exchange, to int) ([][]byte, error) {
 
 // GatherFrom returns one sender's payload for the exchange as soon as
 // it arrives: the per-sender half of Gather, letting the caller unpack
-// early peers while late peers' bytes are still in flight. The payload
-// is on loan until the next gather call; the exchange's box is released
-// once every remote sender was taken.
+// early peers while late peers' bytes are still in flight. It reads
+// from's connection itself (await). The payload is on loan until the
+// next gather call; the exchange's box is released once every remote
+// sender was taken.
 func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 	if to != t.self {
 		return nil, fmt.Errorf("gluon: tcp GatherFrom for non-local host %d (self %d)", to, t.self)
@@ -403,17 +442,15 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 		if err := t.peerError(); err != nil {
 			return nil, err
 		}
-		// Wait for receive progress, the next reliability tick, or Close.
-		// Waits share the transport's one ticker, so a tick that fired
-		// with nobody waiting is seen by the next wait at once; that skews
-		// a stall count by at most one step.
 		select {
-		case <-t.progress:
-			steps = 0
-		case <-t.ticker.C:
-			steps++
 		case <-t.closed:
 			return nil, &TransportError{Host: from, Exchange: exchange, Steps: steps, Reason: "transport closed"}
+		default:
+		}
+		if t.await(exchange, from) {
+			steps = 0
+		} else {
+			steps++
 		}
 		if steps > t.opts.DeadlineSteps {
 			// The run is about to fail: Close need not linger for acks
@@ -427,6 +464,121 @@ func (t *TCPTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 				Reason: "stall deadline exceeded waiting for exchange message"}
 		}
 	}
+}
+
+// arrived reports whether from's record for the exchange is in its box.
+func (t *TCPTransport) arrived(exchange, from int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	box := t.boxes[uint32(exchange)]
+	return box != nil && box.got[from]
+}
+
+// await waits up to one step for from's record of the exchange, reading
+// from's connection under its read lock, and reports progress: some
+// bytes read off it — a frame longer than a step's worth of wire time
+// is progress too —, or the connection just registered. A sender whose
+// connection is not up yet is waited for on the shared ticker, and read
+// as soon as its hello registers it.
+func (t *TCPTransport) await(exchange, from int) (progress bool) {
+	lock := &t.reading[from]
+	lock.Lock()
+	defer lock.Unlock()
+	t.mu.Lock()
+	c := t.in[from]
+	t.mu.Unlock()
+	// A drain may have filed the record while this waited for the lock.
+	if t.arrived(exchange, from) {
+		return true
+	}
+	for c == nil {
+		// Not registered yet: wait out the step for from's hello (a
+		// registration of any sender nudges connUp).
+		select {
+		case <-t.connUp:
+		case <-t.ticker.C:
+			return false
+		case <-t.closed:
+			return false
+		}
+		t.mu.Lock()
+		c = t.in[from]
+		t.mu.Unlock()
+		progress = c != nil
+	}
+	c.until(time.Now().Add(t.opts.StepInterval))
+	partial := c.partial()
+	for {
+		seq, body, frame, err := c.next(t.grow, true)
+		if err != nil {
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				// A dead connection: the sender re-dials and retransmits.
+				t.dropIn(from, c)
+			}
+			return progress || c.partial() != partial
+		}
+		t.receive(from, seq, body, frame)
+		progress = true
+		if t.arrived(exchange, from) {
+			return true
+		}
+	}
+}
+
+// drain files every whole record from's connection holds without
+// blocking, unless another goroutine holds the read lock — it is reading
+// the connection already.
+func (t *TCPTransport) drain(from int) {
+	lock := &t.reading[from]
+	if !lock.TryLock() {
+		return
+	}
+	defer lock.Unlock()
+	t.mu.Lock()
+	c := t.in[from]
+	t.mu.Unlock()
+	if c == nil {
+		return
+	}
+	for {
+		seq, body, frame, err := c.next(t.grow, false)
+		if err != nil {
+			if err != errWouldBlock {
+				t.dropIn(from, c)
+			}
+			return
+		}
+		t.receive(from, seq, body, frame)
+	}
+}
+
+// receive hands a frame read off from's connection to receiveRecord,
+// and its free-list buffer back to the list unless a box kept it.
+func (t *TCPTransport) receive(from int, seq uint32, body, frame []byte) {
+	kept := len(body) > 0 && t.receiveRecord(from, seq, body, frame)
+	if frame != nil && !kept {
+		t.mu.Lock()
+		keepFrame(&t.recv, maxFreeFrames*(t.hosts-1), frame)
+		t.mu.Unlock()
+	}
+}
+
+// grow returns an n-byte buffer from the receive free list, for a frame
+// that does not fit a connection's read buffer.
+func (t *TCPTransport) grow(n int) []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return takeFrame(&t.recv, n)
+}
+
+// dropIn closes c, from's connection until it failed; the sender re-dials.
+func (t *TCPTransport) dropIn(from int, c *connReader) {
+	c.conn.Close()
+	t.mu.Lock()
+	if t.in[from] == c {
+		t.in[from] = nil
+	}
+	t.mu.Unlock()
 }
 
 // Silent marks from's record for the exchange arrived, as an empty
@@ -504,33 +656,40 @@ func (t *TCPTransport) Stats(from, to int) ChannelStats {
 }
 
 // Close tears the backend down: the listener, every connection, and
-// the retry goroutines. In-flight Gather/AllReduce calls return a
-// structured transport-closed error. Before tearing down, Close
-// sends every peer a standalone ack — no later record will carry what
-// it owes, and the peers answer with what they owe — and lingers
-// (bounded by the stall budget) until every outbound record has been
-// acked: hosts finish the final exchange at different times,
-// and a fast host quitting immediately would strip the retransmission
-// machinery out from under a last frame the network dropped — turning
-// a recoverable loss into a peer's stall. Peers already in permanent
-// error are not waited for, and a transport whose own wait already hit
-// the stall deadline does not linger at all: its run has failed, and
-// the records still unacked are the ones the dead peer never will.
+// the step, flusher and ack-reader goroutines. In-flight Gather/AllReduce
+// calls return a structured transport-closed error. Before tearing down,
+// Close files what every connection holds and sends every peer a
+// standalone ack — no later record will carry what it owes, and the
+// peers answer with what they owe — and lingers (bounded by the stall
+// budget) until every outbound record has been acked, draining the
+// connections meanwhile: hosts finish the final exchange at different
+// times, and a fast host quitting immediately would strip the
+// retransmission machinery out from under a last frame the network
+// dropped — turning a recoverable loss into a peer's stall. Peers
+// already in permanent error are not waited for, and a transport whose
+// own wait already hit the stall deadline does not linger at all: its
+// run has failed, and the records still unacked are the ones the dead
+// peer never will.
 func (t *TCPTransport) Close() error {
 	t.closeOnce.Do(func() {
 		t.mu.Lock()
 		t.closing = true
 		t.mu.Unlock()
-		// Owed or not: a standalone ack is answered in kind (readAcks),
-		// which brings this side's last acks in without waiting for the
-		// peers' next tick.
+		// File what each connection holds, then ack it, owed or not: a
+		// standalone ack is answered in kind (readAcks), which brings this
+		// side's last acks in without waiting for the peers' next tick.
 		for h := range t.peers {
-			t.writeAck(h, ackNone)
+			if h != t.self {
+				t.drain(h)
+				t.writeAck(h, ackNone)
+			}
 		}
 		if !t.stalled.Load() {
-			t.drainOutbound()
+			t.linger()
 		}
+		t.mu.Lock()
 		close(t.closed)
+		t.mu.Unlock()
 		t.ticker.Stop()
 		t.ln.Close()
 		for _, p := range t.peers {
@@ -539,10 +698,10 @@ func (t *TCPTransport) Close() error {
 			}
 		}
 		t.mu.Lock()
-		for i, c := range t.inConns {
+		for h, c := range t.in {
 			if c != nil {
-				c.Close()
-				t.inConns[i] = nil
+				c.conn.Close()
+				t.in[h] = nil
 			}
 		}
 		t.mu.Unlock()
@@ -551,16 +710,23 @@ func (t *TCPTransport) Close() error {
 	return nil
 }
 
-// drainOutbound blocks until every peer's unacked queue is empty or in
+// linger blocks until every peer's unacked queue is empty or in
 // permanent error, or one stall budget elapses. It wakes on ack
-// progress rather than polling; the step loops are still running, so
-// stale queues keep being retransmitted meanwhile.
-func (t *TCPTransport) drainOutbound() {
-	budget := time.NewTimer(time.Duration(t.opts.DeadlineSteps) * t.opts.StepInterval)
+// progress rather than polling, and drains every connection once a
+// step; the step loops are still running, so stale queues keep being
+// retransmitted meanwhile.
+func (t *TCPTransport) linger() {
+	budget := time.NewTimer(t.opts.budget())
 	defer budget.Stop()
 	for t.outboundPending() {
 		select {
 		case <-t.ackProgress:
+		case <-t.ticker.C:
+			for h := range t.peers {
+				if h != t.self {
+					t.drain(h)
+				}
+			}
 		case <-budget.C:
 			return
 		}
@@ -606,8 +772,8 @@ func (t *TCPTransport) peerError() error {
 // stronger evidence than a missing payload, which any upstream stall
 // can explain — and the elastic coordinator's survivor vote needs every
 // host to name the true victim, not the first casualty it noticed. A
-// live but idle peer never qualifies: its tick flush acks within two
-// steps.
+// live peer never qualifies, gathering or not: its tick drain files
+// the records and its tick flush acks them within two steps.
 func (t *TCPTransport) mostStalledPeer() (host int) {
 	host = -1
 	best := 0
@@ -634,8 +800,7 @@ func nudge(ch chan struct{}) {
 }
 
 // acceptLoop owns the listener: every accepted connection gets a
-// reader goroutine that identifies the sender from its hello record
-// and then feeds data records through the dedup filter.
+// goroutine that reads its hello and registers it (admit).
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -652,53 +817,45 @@ func (t *TCPTransport) acceptLoop() {
 			continue
 		}
 		t.wg.Add(1)
-		go t.serveConn(conn)
+		go t.admit(conn)
 	}
 }
 
-func (t *TCPTransport) serveConn(conn net.Conn) {
+// admit reads an accepted connection's hello and registers the
+// connection as its sender's, replacing (and closing) the one before.
+// The first frame must be the hello identifying the dialing host:
+// [recHello][u32 host][u32 epoch][u32 wire]. A dialer from another
+// membership epoch — a killed host's socket still retransmitting, or a
+// survivor not yet rolled over — or of another wire version — a process
+// of another build — is dropped at the door, and so is one that sends no
+// hello within dialTimeout. Records that follow the hello in the same
+// read stay in the connection's buffer for its readers.
+func (t *TCPTransport) admit(conn net.Conn) {
 	defer t.wg.Done()
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, recvBufSize)
-	// First frame must be the hello identifying the dialing host:
-	// [recHello][u32 host][u32 epoch][u32 wire]. A dialer from another
-	// membership epoch — a killed host's socket still retransmitting, or
-	// a survivor not yet rolled over — or of another wire version — a
-	// process of another build — is dropped at the door.
-	_, body, _, err := readFrame(br, nil, newFrame)
-	if err != nil {
-		return
-	}
+	c := newConnReader(conn, recvBufSize)
+	c.until(time.Now().Add(dialTimeout))
+	_, body, _, err := c.next(nil, true)
 	from, epoch, wire, ok := parseHello(body)
-	if !ok || from < 0 || from >= t.hosts || from == t.self ||
+	if err != nil || !ok || from < 0 || from >= t.hosts || from == t.self ||
 		epoch != t.opts.Epoch || wire != wireVersion {
+		conn.Close()
 		return
 	}
 	t.mu.Lock()
-	if old := t.inConns[from]; old != nil {
-		old.Close()
+	select {
+	case <-t.closed:
+		t.mu.Unlock()
+		conn.Close()
+		return
+	default:
 	}
-	t.inConns[from] = conn
+	old := t.in[from]
+	t.in[from] = c
 	t.mu.Unlock()
-	// Empty markers are read here and never touch the free list.
-	var ctl [FrameOverhead + dataHeadLen]byte
-	grow := func(n int) []byte {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return takeFrame(&t.recv, n)
+	if old != nil {
+		old.conn.Close()
 	}
-	for {
-		seq, body, frame, err := readFrame(br, ctl[:], grow)
-		kept := err == nil && len(body) > 0 && t.receiveRecord(from, seq, body, frame)
-		if frame != nil && !kept {
-			t.mu.Lock()
-			keepFrame(&t.recv, maxFreeFrames*(t.hosts-1), frame)
-			t.mu.Unlock()
-		}
-		if err != nil {
-			return
-		}
-	}
+	nudge(t.connUp)
 }
 
 // helloRecord is the record a dialer writes first on a connection:
@@ -741,16 +898,18 @@ func HelloHost(frame []byte) int {
 // peer, runs the cumulative-seq dedup filter and dispatches an accepted
 // record. The ack a fresh record earns is left for the next outbound
 // record (or the tick flush) to carry; a duplicate or out-of-order one
-// is re-acked at once, so a sender that missed an ack still converges.
-// frame is the free-list buffer body sits in, if any; kept reports that
-// a box took it over, as a malformed or unexpected record's is not.
-// Anything but a data record with a whole header is neither accepted
-// nor acked.
+// — and, once Close has begun, every one — is re-acked at once by the
+// sender's step loop, so a sender that missed an ack still converges and
+// the goroutine reading never writes. frame is the free-list buffer body
+// sits in, if any; kept reports that a box took it over, as a malformed
+// or unexpected record's is not. Anything but a data record with a whole
+// header is neither accepted nor acked.
 func (t *TCPTransport) receiveRecord(from int, seq uint32, body, frame []byte) (kept bool) {
 	if body[0] != recData || len(body) < dataHeadLen {
 		return false
 	}
-	t.peers[from].ackTo(binary.LittleEndian.Uint32(body[5:]))
+	p := t.peers[from]
+	p.ackTo(binary.LittleEndian.Uint32(body[5:]))
 	t.mu.Lock()
 	fresh := seq == t.inSeq[from]+1
 	if fresh {
@@ -762,11 +921,8 @@ func (t *TCPTransport) receiveRecord(from int, seq uint32, body, frame []byte) (
 	}
 	ackNow := !fresh || t.closing
 	t.mu.Unlock()
-	if fresh {
-		nudge(t.progress)
-	}
 	if ackNow {
-		t.writeAck(from, ackNone)
+		nudge(p.ackDue)
 	}
 	return kept
 }
@@ -785,11 +941,12 @@ func (t *TCPTransport) ageAck(h int) {
 // writeAck sends a standalone cumulative ack to peer h, on the
 // connection h dialed, if the ack owed has reached minAge (ackNone:
 // unconditionally). Receiver-side acks are control traffic on the
-// return channel.
+// return channel. Only the step loop, the ack reader and Close write
+// them, never a gathering goroutine.
 func (t *TCPTransport) writeAck(h int, minAge uint8) {
 	t.mu.Lock()
-	conn := t.inConns[h]
-	if t.ackOwed[h] < minAge || conn == nil {
+	c := t.in[h]
+	if t.ackOwed[h] < minAge || c == nil {
 		t.mu.Unlock()
 		return
 	}
@@ -798,7 +955,7 @@ func (t *TCPTransport) writeAck(h int, minAge uint8) {
 	t.mu.Unlock()
 	// A failed write is a dead connection: the peer re-dials,
 	// retransmits, and the duplicate is re-acked.
-	_ = writeFrame(conn, 0, []byte{recAck, byte(ack), byte(ack >> 8), byte(ack >> 16), byte(ack >> 24)})
+	_ = writeFrame(c.conn, 0, []byte{recAck, byte(ack), byte(ack >> 8), byte(ack >> 16), byte(ack >> 24)})
 }
 
 // dispatchLocked files a fresh data record in its exchange's box.
@@ -808,8 +965,8 @@ func (t *TCPTransport) dispatchLocked(from int, body, frame []byte) (kept bool) 
 		return false
 	}
 	if len(body) > dataHeadLen && frame == nil {
-		// A payload short enough to have been read into the
-		// connection's array, which the next record overwrites.
+		// A payload short enough to have been read into the connection's
+		// buffer, which the next record overwrites.
 		frame = takeFrame(&t.recv, FrameOverhead+len(body))
 		copy(frame[FrameOverhead:], body)
 	}
@@ -852,9 +1009,10 @@ func (t *TCPTransport) finishLocked(exchange int, box *exchangeBox) {
 }
 
 // tcpPeer is the sender side of one outbound channel: it owns the
-// dialed connection, the unacked queue, and the step loop that
-// retransmits, re-dials, flushes the acks owed to the peer, and
-// declares it dead after the stall deadline.
+// dialed connection, the unacked queue, the flusher that writes what the
+// socket did not take at once, and the step loop that drains the peer's
+// inbound connection, flushes the acks owed to the peer, retransmits,
+// re-dials, and declares it dead after the stall deadline.
 type tcpPeer struct {
 	t    *TCPTransport
 	host int
@@ -863,17 +1021,18 @@ type tcpPeer struct {
 	// ackIn is the highest cumulative ack the peer has sent, by either
 	// route. Readers only raise it; whoever next holds mu trims the
 	// queue to it (trimLocked). The receive path therefore never waits
-	// on mu, which a sender holds across a blocking socket write — two
-	// hosts writing large records to each other would otherwise each
-	// stop reading to wait for the other's write.
+	// on mu, which a re-dial holds for up to dialTimeout.
 	ackIn atomic.Uint32
 
 	mu         sync.Mutex
 	conn       net.Conn
-	seq        uint32 // last assigned channel seq
-	acked      uint32 // ackIn as of the last trim
+	raw        syscall.RawConn // conn's, for the non-blocking write
+	seq        uint32          // last assigned channel seq
+	acked      uint32          // ackIn as of the last trim
 	unacked    []tcpRecord
 	free       [][]byte // acked frame buffers for reuse
+	backlog    []byte   // bytes for conn the socket did not take, in order
+	flushing   bool     // the flusher owns conn's next bytes: backlog is non-empty or being written
 	idleSteps  int      // steps without ack progress since the last (re)transmission
 	waitSteps  int      // steps without ack progress
 	retries    int64
@@ -882,6 +1041,15 @@ type tcpPeer struct {
 	everConn   bool
 	err        *TransportError
 
+	// The non-blocking write's operands, set around each raw.Write call;
+	// probe is bound once, so the call allocates nothing.
+	src   []byte
+	wrote int
+	werr  error
+	probe func(fd uintptr) bool
+
+	kick   chan struct{} // the backlog has bytes for the flusher
+	ackDue chan struct{} // a received record wants its ack now
 	closed chan struct{}
 	once   sync.Once
 }
@@ -892,14 +1060,17 @@ type tcpRecord struct {
 }
 
 func newTCPPeer(t *TCPTransport, host int, addr string) *tcpPeer {
-	p := &tcpPeer{t: t, host: host, addr: addr, closed: make(chan struct{})}
-	t.wg.Add(1)
+	p := &tcpPeer{t: t, host: host, addr: addr, kick: make(chan struct{}, 1),
+		ackDue: make(chan struct{}, 1), closed: make(chan struct{})}
+	p.probe = p.writeNow
+	t.wg.Add(2)
 	go p.stepLoop()
+	go p.flushLoop()
 	return p
 }
 
 // enqueue frames head∥payload as the channel's next record, appends it
-// to the unacked queue, and attempts an immediate transmission.
+// to the unacked queue, and transmits it without blocking (sendLocked).
 // Transmission failures are left to the step loop's re-dial/retry
 // machinery.
 func (p *tcpPeer) enqueue(head, payload []byte) error {
@@ -916,11 +1087,88 @@ func (p *tcpPeer) enqueue(head, payload []byte) error {
 	sealFrame(frame, p.seq)
 	p.unacked = append(p.unacked, tcpRecord{seq: p.seq, frame: frame})
 	if p.ensureConnLocked() {
-		if err := p.writeLocked(frame); err != nil {
-			p.dropConnLocked()
-		}
+		p.sendLocked(frame)
 	}
 	return nil
+}
+
+// sendLocked puts frame on the connection without blocking: one
+// non-blocking write, and whatever the socket does not take is copied to
+// the backlog for the flusher — as is all of frame while the flusher
+// owns the connection, so bytes reach the socket in order.
+func (p *tcpPeer) sendLocked(frame []byte) {
+	if !p.flushing {
+		p.src = frame
+		err := p.raw.Write(p.probe)
+		n, werr := p.wrote, p.werr
+		p.src, p.werr = nil, nil
+		if err == nil {
+			err = werr
+		}
+		if err != nil {
+			p.dropConnLocked()
+			return
+		}
+		if frame = frame[n:]; len(frame) == 0 {
+			return
+		}
+		p.flushing = true
+		nudge(p.kick)
+	}
+	p.backlog = append(p.backlog, frame...)
+}
+
+// writeNow is the non-blocking write: as much of p.src as the socket
+// takes now. It always returns true, so RawConn.Write never waits.
+func (p *tcpPeer) writeNow(fd uintptr) bool {
+	p.wrote = 0
+	for p.wrote < len(p.src) {
+		n, err := syscall.Write(int(fd), p.src[p.wrote:])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil {
+			if err != syscall.EAGAIN {
+				p.werr = err
+			}
+			break
+		}
+		p.wrote += n
+	}
+	return true
+}
+
+// flushLoop writes the backlog in order, blocking, with the stall budget
+// as its write deadline; a write that fails or times out drops the
+// connection, and the step loop re-dials and retransmits.
+func (p *tcpPeer) flushLoop() {
+	defer p.t.wg.Done()
+	var out []byte
+	for {
+		select {
+		case <-p.closed:
+			return
+		case <-p.kick:
+		}
+		p.mu.Lock()
+		for len(p.backlog) > 0 && p.conn != nil {
+			conn := p.conn
+			out, p.backlog = p.backlog, out[:0]
+			p.mu.Unlock()
+			conn.SetWriteDeadline(time.Now().Add(p.t.opts.budget()))
+			_, err := conn.Write(out)
+			conn.SetWriteDeadline(time.Time{})
+			if cap(out) > maxPooledFrame {
+				out = nil
+			}
+			p.mu.Lock()
+			if err != nil && p.conn == conn {
+				p.dropConnLocked()
+			}
+		}
+		p.flushing = false
+		p.mu.Unlock()
+	}
 }
 
 // ackTo records a cumulative ack from the peer. Lock-free: see ackIn.
@@ -957,10 +1205,11 @@ func (p *tcpPeer) trimLocked() {
 	p.unacked = p.unacked[:n]
 }
 
-// stepLoop is the reliability clock: every StepInterval it flushes an
-// ack nothing carried, checks ack progress, retransmits a stale queue,
-// re-dials a dead connection, and converts DeadlineSteps of no
-// progress into a permanent peer error.
+// stepLoop is the reliability clock: every StepInterval it drains the
+// peer's inbound connection, flushes an ack nothing carried, checks ack
+// progress, retransmits a stale queue, re-dials a dead connection, and
+// converts DeadlineSteps of no progress into a permanent peer error.
+// Between ticks it writes the acks a received record wants at once.
 func (p *tcpPeer) stepLoop() {
 	defer p.t.wg.Done()
 	ticker := time.NewTicker(p.t.opts.StepInterval)
@@ -969,8 +1218,12 @@ func (p *tcpPeer) stepLoop() {
 		select {
 		case <-p.closed:
 			return
+		case <-p.ackDue:
+			p.t.writeAck(p.host, ackNone)
+			continue
 		case <-ticker.C:
 		}
+		p.t.drain(p.host)
 		p.t.ageAck(p.host)
 		p.mu.Lock()
 		p.trimLocked()
@@ -986,17 +1239,16 @@ func (p *tcpPeer) stepLoop() {
 			p.err = &TransportError{Host: p.host, Exchange: -1, Pending: len(p.unacked), Steps: p.waitSteps,
 				Reason: fmt.Sprintf("no ack progress from peer %d", p.host)}
 			p.mu.Unlock()
-			nudge(p.t.progress)
 			continue
 		}
-		if p.idleSteps >= p.t.opts.RetrySteps {
+		// A queue the flusher is still writing is on its way already.
+		if p.idleSteps >= p.t.opts.RetrySteps && !p.flushing {
 			p.idleSteps = 0
 			if p.ensureConnLocked() {
 				for _, rec := range p.unacked {
 					p.retries++
 					p.retryBytes += int64(len(rec.frame))
-					if err := p.writeLocked(rec.frame); err != nil {
-						p.dropConnLocked()
+					if p.sendLocked(rec.frame); p.conn == nil {
 						break
 					}
 				}
@@ -1021,11 +1273,17 @@ func (p *tcpPeer) ensureConnLocked() bool {
 	if err != nil {
 		return false
 	}
+	raw, err := conn.(syscall.Conn).SyscallConn()
+	if err != nil {
+		conn.Close()
+		return false
+	}
+	// A fresh socket's buffer takes the hello whole.
 	if err := writeFrame(conn, 0, helloRecord(p.t.self, p.t.opts.Epoch)); err != nil {
 		conn.Close()
 		return false
 	}
-	p.conn = conn
+	p.conn, p.raw = conn, raw
 	// The first dial is normal startup; only reconnections count as
 	// recovery work.
 	if p.everConn {
@@ -1037,27 +1295,25 @@ func (p *tcpPeer) ensureConnLocked() bool {
 	return true
 }
 
-func (p *tcpPeer) writeLocked(frame []byte) error {
-	p.conn.SetWriteDeadline(time.Now().Add(time.Duration(p.t.opts.DeadlineSteps) * p.t.opts.StepInterval))
-	_, err := p.conn.Write(frame)
-	return err
-}
-
+// dropConnLocked closes the dialed connection and discards its backlog:
+// the bytes were for that stream, and the unacked queue is retransmitted
+// on the next one.
 func (p *tcpPeer) dropConnLocked() {
 	if p.conn != nil {
 		p.conn.Close()
-		p.conn = nil
+		p.conn, p.raw = nil, nil
 	}
+	p.backlog = p.backlog[:0]
+	p.flushing = false
 }
 
 // readAcks consumes standalone cumulative acks from the dialed
 // connection. Exits when the connection dies; the step loop re-dials.
 func (p *tcpPeer) readAcks(conn net.Conn) {
 	defer p.t.wg.Done()
-	br := bufio.NewReaderSize(conn, ackBufSize)
-	var ctl [FrameOverhead + 5]byte
+	c := newConnReader(conn, ackBufSize)
 	for {
-		_, body, _, err := readFrame(br, ctl[:], newFrame)
+		_, body, _, err := c.next(nil, true)
 		if err != nil {
 			p.mu.Lock()
 			if p.conn == conn {
@@ -1066,12 +1322,14 @@ func (p *tcpPeer) readAcks(conn net.Conn) {
 			p.mu.Unlock()
 			return
 		}
-		if len(body) != 5 || body[0] != recAck {
+		if len(body) != ackLen || body[0] != recAck {
 			continue
 		}
 		p.ackTo(binary.LittleEndian.Uint32(body[1:]))
 		// A peer acking standalone has nothing on its way here for an
-		// ack to come back on, and may be waiting for ours in Close.
+		// ack to come back on, and may be waiting in Close for ours —
+		// for records this host may not have read yet.
+		p.t.drain(p.host)
 		p.t.writeAck(p.host, ackFresh)
 	}
 }
@@ -1083,53 +1341,181 @@ func (p *tcpPeer) close() {
 	p.mu.Unlock()
 }
 
-// readFrame reads one gluon frame off a buffered stream: it peeks at
-// the fixed header, then reads header and exactly the payload length
-// the (checksum-protected) header declares — into small if the frame
-// fits, else into a buffer from grow, also returned as grown — which the
-// returned payload aliases. Any decode failure is returned as an error —
-// the caller treats the connection as dead and the retry path recovers.
-func readFrame(br *bufio.Reader, small []byte, grow func(n int) []byte) (seq uint32, payload, grown []byte, err error) {
-	hdr, err := br.Peek(FrameOverhead)
-	if err != nil {
-		return 0, nil, nil, err
+// connReader is one connection and the frame being read off it: an
+// accepted one, which once registered only the holder of its sender's
+// read lock touches, or the ack side of a dialed one. Reads block until
+// the deadline until set, or not at all; either way an incomplete frame
+// stays where it is, in buf or big, for the next read to finish.
+type connReader struct {
+	conn net.Conn
+	raw  syscall.RawConn // for the non-blocking read; nil if conn has none
+	buf  []byte          // buf[r:w] is read and not yet parsed
+	r, w int
+	big  []byte // a frame longer than buf, filled up to bigN
+	bigN int
+
+	timed bool // a read deadline is set, which a non-blocking read clears
+
+	// The non-blocking read's operands, set around each raw.Read call;
+	// probe is bound once, so the call allocates nothing.
+	dst   []byte
+	got   int
+	rerr  error
+	probe func(fd uintptr) bool
+}
+
+// errWouldBlock is a non-blocking read's answer when no whole frame is
+// in yet.
+var errWouldBlock = errors.New("gluon: no whole frame buffered")
+
+func newConnReader(conn net.Conn, bufSize int) *connReader {
+	c := &connReader{conn: conn, buf: make([]byte, bufSize)}
+	if sc, ok := conn.(syscall.Conn); ok {
+		c.raw, _ = sc.SyscallConn()
 	}
-	if [4]byte(hdr[:4]) != frameMagic {
-		return 0, nil, nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+	c.probe = c.readNow
+	return c
+}
+
+// partial is how many bytes of frames not yet returned are read.
+func (c *connReader) partial() int { return c.w - c.r + c.bigN }
+
+// until makes the blocking reads give up at d.
+func (c *connReader) until(d time.Time) {
+	c.conn.SetReadDeadline(d)
+	c.timed = true
+}
+
+// next returns the connection's next frame: its seq and body, and the
+// free-list buffer from grow it was read into if it did not fit buf
+// (grow nil refuses such a frame). A body in buf is valid until the next
+// call. Any decode failure is returned as an error — the caller treats
+// the connection as dead and the retry path recovers — and so is a
+// blocking read's timeout, or errWouldBlock, which leave the partial
+// frame in place.
+func (c *connReader) next(grow func(n int) []byte, block bool) (seq uint32, body, frame []byte, err error) {
+	for {
+		if c.big != nil {
+			if c.bigN == len(c.big) {
+				frame, c.big, c.bigN = c.big, nil, 0
+				seq, body, err = DecodeFrame(frame)
+				return seq, body, frame, err
+			}
+			n, err := c.read(c.big[c.bigN:], block)
+			c.bigN += n
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			continue
+		}
+		if c.w-c.r >= FrameOverhead {
+			hdr := c.buf[c.r:c.w]
+			if [4]byte(hdr[:4]) != frameMagic {
+				return 0, nil, nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+			}
+			plen := binary.LittleEndian.Uint32(hdr[8:])
+			if plen > 1<<30 {
+				return 0, nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
+			}
+			n := FrameOverhead + int(plen)
+			if n <= len(hdr) {
+				c.r += n
+				seq, body, err = DecodeFrame(hdr[:n])
+				return seq, body, nil, err
+			}
+			if n > len(c.buf) {
+				if grow == nil {
+					return 0, nil, nil, fmt.Errorf("%w: %d-byte frame where a short one belongs", ErrBadFrame, n)
+				}
+				c.big = grow(n)
+				c.bigN = copy(c.big, hdr)
+				c.r, c.w = 0, 0
+				continue
+			}
+		}
+		if c.r > 0 {
+			c.w = copy(c.buf, c.buf[c.r:c.w])
+			c.r = 0
+		}
+		n, err := c.read(c.buf[c.w:], block)
+		c.w += n
+		if err != nil {
+			return 0, nil, nil, err
+		}
 	}
-	plen := binary.LittleEndian.Uint32(hdr[8:])
-	if plen > 1<<30 {
-		return 0, nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
+}
+
+// read reads into p: blocking until the deadline, or taking only what
+// the socket holds now (errWouldBlock: nothing).
+func (c *connReader) read(p []byte, block bool) (int, error) {
+	if block {
+		return c.conn.Read(p)
 	}
-	n := FrameOverhead + int(plen)
-	if n > len(small) {
-		grown = grow(n)
-		small = grown
+	if c.raw == nil {
+		return 0, errWouldBlock
 	}
-	if _, err := io.ReadFull(br, small[:n]); err != nil {
-		return 0, nil, grown, err
+	if c.timed {
+		// RawConn.Read fails at once on an expired deadline.
+		c.conn.SetReadDeadline(time.Time{})
+		c.timed = false
 	}
-	seq, payload, err = DecodeFrame(small[:n])
-	return seq, payload, grown, err
+	c.dst = p
+	err := c.raw.Read(c.probe)
+	n, rerr := c.got, c.rerr
+	c.dst, c.rerr = nil, nil
+	switch {
+	case err != nil:
+		return 0, err
+	case rerr == syscall.EAGAIN:
+		return 0, errWouldBlock
+	case rerr != nil:
+		return 0, rerr
+	case n == 0:
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// readNow is the non-blocking read. It always returns true, so
+// RawConn.Read never waits.
+func (c *connReader) readNow(fd uintptr) bool {
+	for {
+		n, err := syscall.Read(int(fd), c.dst)
+		if err == syscall.EINTR {
+			continue
+		}
+		c.got, c.rerr = max(n, 0), err
+		return true
+	}
 }
 
 // ReadFrame reads one frame off a buffered stream and returns its bytes
 // exactly as they arrived, in a buffer of its own, after checking the
 // header and checksum: what a relay needs to forward frames unchanged.
 func ReadFrame(br *bufio.Reader) ([]byte, error) {
-	_, _, frame, err := readFrame(br, nil, newFrame)
+	hdr, err := br.Peek(FrameOverhead)
 	if err != nil {
+		return nil, err
+	}
+	if [4]byte(hdr[:4]) != frameMagic {
+		return nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+	}
+	plen := binary.LittleEndian.Uint32(hdr[8:])
+	if plen > 1<<30 {
+		return nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
+	}
+	frame := make([]byte, FrameOverhead+int(plen))
+	if _, err := io.ReadFull(br, frame); err != nil {
+		return nil, err
+	}
+	if _, _, err := DecodeFrame(frame); err != nil {
 		return nil, err
 	}
 	return frame, nil
 }
 
-// newFrame is readFrame's grow for callers that keep no buffers.
-func newFrame(n int) []byte { return make([]byte, n) }
-
-// writeFrame frames and writes one record. Safe for use from the
-// receiver path (acks); senders go through tcpPeer so retries reuse
-// the already-encoded frame.
+// writeFrame frames and writes one record. For the hello and standalone
+// acks; records go through tcpPeer so retries reuse the encoded frame.
 func writeFrame(w io.Writer, seq uint32, body []byte) error {
 	_, err := w.Write(EncodeFrame(seq, body))
 	return err

@@ -13,8 +13,8 @@ import (
 
 // lifetimePayload is the message sender puts on exchange e: 0 B to
 // 100 KiB of a pattern seeded by (e, sender). One-byte payloads are
-// common on purpose: their records fit the connection's control array
-// and must be copied out of it.
+// common on purpose: their records are parsed in the connection's read
+// buffer and must be copied out of it.
 func lifetimePayload(e, sender int) []byte {
 	x := uint32(e*2+sender)*2654435761 + 1
 	next := func() uint32 { x = x*1664525 + 1013904223; return x >> 8 }
@@ -38,21 +38,13 @@ func lifetimePayload(e, sender int) []byte {
 	return buf
 }
 
-// arrived reports whether from's record for the exchange is in its box.
-func (t *TCPTransport) arrived(exchange, from int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	box := t.boxes[uint32(exchange)]
-	return box != nil && box.got[from]
-}
-
 // TestTCPPayloadLifetimeUnderLoss runs a pair with four exchanges open
 // over relays that drop, duplicate, reorder and corrupt record frames.
 // Every payload is checked byte for byte at the point the cluster would
 // unpack it — after GatherFrom returned it and after the records of the
 // later exchanges of the window have arrived and taken their buffers —
 // so a buffer recycled while on loan, handed to two records, or returned
-// from the connection's control array shows as a mismatch.
+// from the connection's read buffer shows as a mismatch.
 func TestTCPPayloadLifetimeUnderLoss(t *testing.T) {
 	const window = 4
 	exchanges := 2000
@@ -159,8 +151,8 @@ func TestTCPPayloadLifetimeGatherOwns(t *testing.T) {
 // records sent from acked frame buffers, read into free-list buffers and
 // gathered out of recycled boxes — allocates nothing. So does one whose
 // grid diagonals are silent: eight records, and four senders declared
-// rather than received. (AllocsPerRun counts the reader goroutines'
-// allocations too.)
+// rather than received. (AllocsPerRun counts the step loops' and
+// flushers' allocations too.)
 func TestTCPWarmExchangeAllocatesNothing(t *testing.T) {
 	const hosts = 4
 	for _, silent := range []bool{false, true} {

@@ -512,19 +512,26 @@ type phases struct {
 	fwdReduce, fwdBroadcast, backReduce, backBroadcast               syncStep
 }
 
-// syncStep is the two halves of one exchange.
+// syncStep is the two halves of one exchange and the links its pack can
+// write on (the vote's, every link, is not a syncStep's to choose).
 type syncStep struct {
 	pack   func(from, to int, w *gluon.Writer)
 	unpack func(to, from int, data []byte, dec *gluon.Decoder)
+	links  *gluon.Links
 }
 
 func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	start := bi * j.opts.BatchSize
 	end := min(start+j.opts.BatchSize, len(j.sources))
 	b := &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
+	// A backward reduce marks only mirrors with a nonzero δ partial, which
+	// only local out-edges produce; the backward broadcast only mirrors
+	// with local in-edges (MarkReaders).
 	b.phases = phases{b.forwardFlags, b.arbitrate, b.relax, b.backwardFlags, b.union, b.accumulate,
-		syncStep{b.packDueLabels, b.unpackProposals}, syncStep{b.packBcastLabels, b.unpackLabels},
-		syncStep{b.packDueDeltas, b.unpackDeltaPartials}, syncStep{b.packBcastDeltas, b.unpackDeltas}}
+		syncStep{b.packDueLabels, b.unpackProposals, nil},
+		syncStep{b.packBcastLabels, b.unpackLabels, j.topo.PartnerLinks()},
+		syncStep{b.packDueDeltas, b.unpackDeltaPartials, j.topo.PartialLinks()},
+		syncStep{b.packBcastDeltas, b.unpackDeltas, j.topo.ReaderLinks()}}
 	if j.instrument != nil {
 		j.instrument(b)
 	}
@@ -576,10 +583,10 @@ func (b *batchRun) backwardDepth() int {
 // deterministic function of the batch schedule.
 func (b *batchRun) exchange(x syncStep) {
 	if b.pipe == nil {
-		b.cluster.Exchange(x.pack, x.unpack)
+		b.cluster.ExchangeOn(x.links, x.pack, x.unpack)
 		return
 	}
-	b.overlap(b.cluster.BeginExchange(x.pack, x.unpack))
+	b.overlap(b.cluster.BeginExchangeOn(x.links, x.pack, x.unpack))
 }
 
 // exchangeSum is exchange carrying the round's quiescence vote: it

@@ -261,9 +261,13 @@ func TestPipelineTCPSPMD(t *testing.T) {
 // ./internal/mrbcdist`. records/op is every record the run's mesh wrote:
 // data, empty markers and standalone acks, from the channel Stats;
 // data/op is the data records alone. Records less standalone acks are
-// fixed by the exchange count and the partner links, so records/op less
-// data/op is the empty markers in a run that wrote no standalone ack —
-// which only a slow run does, an owed ack aging into a tick flush.
+// fixed by the exchange count and each exchange's link set (votes on
+// every link, forward broadcasts on the partners, backward reduces and
+// broadcasts on their own sets), so records/op less data/op is the empty
+// markers in a run that wrote no standalone ack — which only a slow run
+// does, an owed ack aging into a tick flush. On the 2×2 Cartesian cut
+// that is 17 036 records/op and 9 152 data/op: 7 884 markers, where
+// sending every backward exchange on all partner links wrote 21 684.
 func benchRunTCP(b *testing.B, depth int) {
 	if testing.Short() {
 		b.Skip("whole-run benchmark over localhost TCP")

@@ -34,19 +34,6 @@ func (c *countingTransport) AllReduce(host int, local int64, op gluon.ReduceOp) 
 	return c.Transport.AllReduce(host, local, op)
 }
 
-// partnerLinks counts the ordered host pairs that share a proxy.
-func partnerLinks(topo *gluon.Topology, hosts int) int64 {
-	var n int64
-	for a := 0; a < hosts; a++ {
-		for b := 0; b < hosts; b++ {
-			if a != b && topo.Partners(a, b) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TestSPMDMatchesInProcess runs a job as four SPMD processes over a
 // loopback TCP mesh, strictly BSP and with four batches in flight, and
 // holds the result against the in-process run: the same score bits and
@@ -56,9 +43,13 @@ func partnerLinks(topo *gluon.Topology, hosts int) int64 {
 // and every backward round is two exchanges and each batch's idle last
 // forward round one, 2·Rounds − batches in all; the forward reduces,
 // (Rounds + batches)/2 of them, carry the vote and send one record per
-// ordered pair, every other exchange one per ordered pair of partners —
-// 8 of 12 on the 2×2 Cartesian grid, where a host shares no proxy with
-// its diagonal, and all 12 under the edge cut. The mesh's Control tally
+// ordered pair. Each of the other (Rounds − batches)/2 round numbers has
+// a forward broadcast, a backward reduce and a backward broadcast, and
+// each sends one record per link of its own set: the partners — 8 of 12
+// on the 2×2 Cartesian grid, where a host shares no proxy with its
+// diagonal, and all 12 under the edge cut —, the links a mirror with
+// local out-edges reduces on — none under the edge cut —, and the links
+// a mirror with local in-edges is broadcast to. The mesh's Control tally
 // is the records among them that were empty markers plus the standalone
 // acks — the few that no record carried.
 func TestSPMDMatchesInProcess(t *testing.T) {
@@ -72,14 +63,16 @@ func TestSPMDMatchesInProcess(t *testing.T) {
 	for _, c := range []struct {
 		name  string // subtest prefix, empty for the Cartesian cut
 		pt    *partition.Partitioning
-		links int64
+		links [3]int // partner, partial and reader links
 	}{
-		{"", partition.CartesianCut(g, hosts), 8},
-		{"edgecut/", partition.EdgeCut(g, hosts), hosts * (hosts - 1)},
+		{"", partition.CartesianCut(g, hosts), [3]int{8, 4, 4}},
+		{"edgecut/", partition.EdgeCut(g, hosts), [3]int{hosts * (hosts - 1), 0, hosts * (hosts - 1)}},
 	} {
 		pt := c.pt
-		if links := partnerLinks(gluon.NewTopology(pt), hosts); links != c.links {
-			t.Fatalf("%q: %d partner links, want %d", c.name, links, c.links)
+		topo := gluon.NewTopology(pt)
+		links := [3]int{topo.PartnerLinks().Len(), topo.PartialLinks().Len(), topo.ReaderLinks().Len()}
+		if links != c.links {
+			t.Fatalf("%q: %v partner, partial and reader links, want %v", c.name, links, c.links)
 		}
 		want, wantStats := Run(g, pt, sources, Options{BatchSize: batch})
 		for _, depth := range []int{1, 4} {
@@ -138,9 +131,11 @@ func TestSPMDMatchesInProcess(t *testing.T) {
 				}
 				exchanges := int64(2*wantStats.Rounds - batches)
 				votes := int64(wantStats.Rounds+batches) / 2
-				if want := votes*hosts*(hosts-1) + (exchanges-votes)*c.links; sends != want {
-					t.Errorf("the mesh sent %d records, want %d votes × %d pairs + %d other exchanges × %d partner links = %d",
-						sends, votes, hosts*(hosts-1), exchanges-votes, c.links, want)
+				others := int64(wantStats.Rounds-batches) / 2
+				perRound := int64(links[0] + links[1] + links[2])
+				if want := votes*hosts*(hosts-1) + others*perRound; sends != want {
+					t.Errorf("the mesh sent %d records, want %d votes × %d pairs + %d rounds × (%d + %d + %d) links = %d",
+						sends, votes, hosts*(hosts-1), others, links[0], links[1], links[2], want)
 				}
 				markers := sends - sum.Messages
 				if acks := control - markers; acks < 0 || acks > exchanges/4 {

@@ -194,13 +194,22 @@ const (
 // ByName partitions g across hosts with the policy named name:
 // "edge-cut" (EdgeCut) or "cartesian" (CartesianCut).
 func ByName(g *graph.Graph, name string, hosts int) (*Partitioning, error) {
-	switch name {
-	case edgeCutName:
-		return EdgeCut(g, hosts), nil
-	case cartesianName:
+	if err := CheckName(name); err != nil {
+		return nil, err
+	}
+	if name == cartesianName {
 		return CartesianCut(g, hosts), nil
 	}
-	return nil, fmt.Errorf("unknown partition %q (want %s or %s)", name, edgeCutName, cartesianName)
+	return EdgeCut(g, hosts), nil
+}
+
+// CheckName reports an error unless ByName knows the policy name, so a
+// caller can refuse a bad name before it has a graph to cut.
+func CheckName(name string) error {
+	if name != edgeCutName && name != cartesianName {
+		return fmt.Errorf("unknown partition %q (want %s or %s)", name, edgeCutName, cartesianName)
+	}
+	return nil
 }
 
 // gridShape returns the most square rows×cols factorization of hosts.
