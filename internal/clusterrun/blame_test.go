@@ -11,15 +11,16 @@ import (
 )
 
 // stallTransport stalls its host at the first record of the backward
-// phase — the first Send after a vote came back zero, which ends the
-// first batch's forward phase — until release is closed, and then fails
-// that Send naming the host itself. Its transport keeps reading and
-// acking meanwhile: the host is stuck, not dead. Forward rounds
-// alternate the reduce that carries the vote with the broadcast, so the
-// votes are the even-numbered sums.
+// phase — the first Send after the deciding sum came back zero, which
+// ends the first batch's forward phase — until release is closed, and
+// then fails that Send naming the host itself. Its transport keeps
+// reading and acking meanwhile: the host is stuck, not dead. On the
+// Cartesian cut the forward broadcast relays the reduce's partial sum
+// and decides: a zero partial is followed by a nonzero decision while
+// some host is active, so the deciding zero is the second zero in a row.
 type stallTransport struct {
 	gluon.Transport
-	sums     int
+	zero     bool // the last sum was zero
 	backward bool
 	once     sync.Once
 	at       time.Time // when the stall began; read after stalled is closed
@@ -29,8 +30,9 @@ type stallTransport struct {
 
 func (s *stallTransport) Sum(exchange, host int) (int64, error) {
 	sum, err := s.Transport.Sum(exchange, host)
-	s.backward = s.backward || err == nil && sum == 0 && s.sums%2 == 0
-	s.sums++
+	zero := err == nil && sum == 0
+	s.backward = s.backward || s.zero && zero
+	s.zero = zero
 	return sum, err
 }
 

@@ -128,15 +128,14 @@ type Cluster struct {
 	// SPMD mode: this process runs exactly one host (localHost ≥ 0),
 	// Compute/pack/unpack touch only that host, inline on the calling
 	// goroutine, and cross-process control decisions ride an exchange
-	// (ExchangeSum).
+	// (ExchangeSumOn).
 	transport gluon.Transport
 	mem       *gluon.MemTransport
 	localHost int // the single local host in SPMD mode; -1 when all hosts are local
 	lastNet   gluon.ChannelStats
 	// partners is the links Exchange moves records on: the pairs that
 	// share a proxy (Topology.PartnerLinks; nil, every link, without a
-	// topology). ExchangeOn names a narrower set, and a vote needs every
-	// link.
+	// topology). ExchangeOn and ExchangeSumOn name their own set.
 	partners *gluon.Links
 
 	// exchanges numbers the exchanges begun, 0,1,2,…: every SPMD process
@@ -213,7 +212,7 @@ type PendingExchange struct {
 	c         *Cluster
 	inUse     bool
 	detached  bool         // true between BeginExchange and Complete
-	links     *gluon.Links // the links that carry a record; nil, every one, as a vote needs
+	links     *gluon.Links // the links that carry a record and its term; nil, every one
 	empty     bool         // in-process, and no pack produced a buffer: nothing to unpack
 	sum       int64        // the caller's term, and once complete every host's (Sum)
 	ex        int
@@ -238,7 +237,7 @@ type PendingExchange struct {
 	unpack func(to, from int, data []byte, dec *gluon.Decoder)
 }
 
-// Sum returns the sum an exchange begun with BeginExchangeSum carried:
+// Sum returns the sum an exchange begun with BeginExchangeSumOn carried:
 // valid after Complete, until the cluster's next exchange.
 func (p *PendingExchange) Sum() int64 { return p.sum }
 
@@ -889,19 +888,24 @@ func (c *Cluster) ExchangeOn(links *gluon.Links, pack func(from, to int, w *gluo
 	c.exchange(0, false, links, pack, unpack)
 }
 
-// ExchangeSum is Exchange carrying a BSP loop's global vote: it returns
-// the sum of local over the cluster, the loop's quiescence test being
-// `if c.ExchangeSum(activity, pack, unpack) == 0 { break }`. In process
-// the caller has summed over every host already, and a zero returns at
-// once without opening an exchange. An SPMD process sends its term in
-// the header of every message and adds its peers' as they arrive: the
-// idle round costs one exchange of empty markers — a wait a pipelined
-// batch can overlap — and no round pays a standalone all-reduce.
-func (c *Cluster) ExchangeSum(local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) int64 {
+// ExchangeSumOn is ExchangeOn carrying a BSP loop's vote: it returns
+// local plus the terms of the hosts whose links to this one are in links
+// — with nil links every host's, the cluster-wide sum, and the loop's
+// quiescence test is `if c.ExchangeSumOn(nil, activity, pack, unpack) ==
+// 0 { break }`. In process the caller has summed over every host
+// already: local comes back as it is, whatever the links, and a zero
+// returns at once without opening an exchange. An SPMD process sends its
+// term in the header of every record on its links and adds its
+// senders' as they arrive: the idle round costs one exchange of empty
+// markers — a wait a pipelined batch can overlap — and no round pays a
+// standalone all-reduce. A narrower set reaches fewer hosts; a caller
+// that passes one relays the partial sum in a later exchange until it
+// has reached every host (gluon.Topology.VoteLegs).
+func (c *Cluster) ExchangeSumOn(links *gluon.Links, local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) int64 {
 	if c.localHost < 0 && local == 0 {
 		return 0
 	}
-	return c.exchange(local, false, nil, pack, unpack).sum
+	return c.exchange(local, false, links, pack, unpack).sum
 }
 
 // BeginExchange starts a detached exchange: the pack phase runs and
@@ -920,18 +924,17 @@ func (c *Cluster) BeginExchangeOn(links *gluon.Links, pack func(from, to int, w 
 	return c.exchange(0, true, links, pack, unpack)
 }
 
-// BeginExchangeSum is ExchangeSum detached. In process a zero local
+// BeginExchangeSumOn is ExchangeSumOn detached. In process a zero local
 // opens nothing and returns nil.
-func (c *Cluster) BeginExchangeSum(local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
+func (c *Cluster) BeginExchangeSumOn(links *gluon.Links, local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	if c.localHost < 0 && local == 0 {
 		return nil
 	}
-	return c.exchange(local, true, nil, pack, unpack)
+	return c.exchange(local, true, links, pack, unpack)
 }
 
-// exchange runs an exchange over links, carrying local (a vote passes
-// nil links: every link carries its term), under a ticket, up to its
-// pack phase if detached.
+// exchange runs an exchange over links, carrying local on each of
+// them, under a ticket, up to its pack phase if detached.
 func (c *Cluster) exchange(local int64, detached bool, links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	t := c.claimTicket()
 	t.detached, t.links, t.sum = detached, links, local

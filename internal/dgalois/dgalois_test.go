@@ -825,7 +825,7 @@ func BenchmarkEmptyCompute(b *testing.B) {
 // TestExchangeSumInProcess pins the in-process half of the primitive:
 // the caller's value is already the cluster's, so a zero opens no
 // exchange — no pack, no event, no sequence number, and from
-// BeginExchangeSum no ticket — and anything else runs exactly an
+// BeginExchangeSumOn no ticket — and anything else runs exactly an
 // Exchange and comes back unchanged.
 func TestExchangeSumInProcess(t *testing.T) {
 	const hosts = 4
@@ -836,21 +836,21 @@ func TestExchangeSumInProcess(t *testing.T) {
 	pack := func(from, to int, w *gluon.Writer) { atomic.AddInt64(&packed, 1); w.Byte(1) }
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
 
-	if got := c.ExchangeSum(0, pack, unpack); got != 0 {
-		t.Fatalf("ExchangeSum(0) = %d", got)
+	if got := c.ExchangeSumOn(nil, 0, pack, unpack); got != 0 {
+		t.Fatalf("ExchangeSumOn(nil, 0) = %d", got)
 	}
-	if p := c.BeginExchangeSum(0, pack, unpack); p != nil {
-		t.Fatal("BeginExchangeSum(0) opened an exchange in process")
+	if p := c.BeginExchangeSumOn(nil, 0, pack, unpack); p != nil {
+		t.Fatal("BeginExchangeSumOn(nil, 0) opened an exchange in process")
 	}
 	if packed != 0 || len(tr.Events()) != 0 || c.Cursor().Seq != 0 {
 		t.Fatalf("a zero vote ran %d packs, emitted %d events, took %d sequence numbers", packed, len(tr.Events()), c.Cursor().Seq)
 	}
 
 	const pairs = hosts * (hosts - 1)
-	if got := c.ExchangeSum(-7, pack, unpack); got != -7 || packed != pairs || unpacked != pairs {
-		t.Fatalf("ExchangeSum(-7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
+	if got := c.ExchangeSumOn(nil, -7, pack, unpack); got != -7 || packed != pairs || unpacked != pairs {
+		t.Fatalf("ExchangeSumOn(nil, -7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
 	}
-	p, q := c.BeginExchangeSum(5, pack, unpack), c.BeginExchangeSum(6, pack, unpack)
+	p, q := c.BeginExchangeSumOn(nil, 5, pack, unpack), c.BeginExchangeSumOn(nil, 6, pack, unpack)
 	q.Complete()
 	p.Complete()
 	if p.Sum() != 5 || q.Sum() != 6 || unpacked != 3*pairs {

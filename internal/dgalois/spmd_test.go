@@ -86,11 +86,11 @@ func TestSPMDPhasesRunInline(t *testing.T) {
 	// An SPMD process cannot take its own zero for the cluster's: the
 	// exchange runs and returns every host's sum.
 	ran := false
-	if got := c.ExchangeSum(0, func(from, to int, w *gluon.Writer) { ran = true }, func(to, from int, data []byte, dec *gluon.Decoder) {}); got != hosts-1 || !ran {
-		t.Fatalf("ExchangeSum(0) = %d (packed: %v), want %d from an exchange that ran", got, ran, hosts-1)
+	if got := c.ExchangeSumOn(nil, 0, func(from, to int, w *gluon.Writer) { ran = true }, func(to, from int, data []byte, dec *gluon.Decoder) {}); got != hosts-1 || !ran {
+		t.Fatalf("ExchangeSumOn(nil, 0) = %d (packed: %v), want %d from an exchange that ran", got, ran, hosts-1)
 	}
-	if p := c.BeginExchangeSum(5, func(from, to int, w *gluon.Writer) {}, func(to, from int, data []byte, dec *gluon.Decoder) {}); p == nil {
-		t.Fatal("BeginExchangeSum returned the nil ticket in SPMD mode")
+	if p := c.BeginExchangeSumOn(nil, 5, func(from, to int, w *gluon.Writer) {}, func(to, from int, data []byte, dec *gluon.Decoder) {}); p == nil {
+		t.Fatal("BeginExchangeSumOn returned the nil ticket in SPMD mode")
 	} else if p.Complete(); p.Sum() != 5+hosts-1 {
 		t.Fatalf("detached sum = %d, want %d", p.Sum(), 5+hosts-1)
 	}

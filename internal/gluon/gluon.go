@@ -37,8 +37,9 @@ import (
 // Topology precomputes, for a partitioning, the shared-vertex lists
 // every ordered host pair synchronizes over, their inverse, which
 // broadcast positions name a mirror with local in-edges (a reader of a
-// value pulled back along in-edges, Marks.MarkReaders), and the links
-// each kind of sync phase can carry data on.
+// value pulled back along in-edges, Marks.MarkReaders), the links
+// each kind of sync phase can carry data on, and how a vote reaches
+// every host over them (VoteLegs).
 type Topology struct {
 	pt *partition.Partitioning
 	// mirrorsByMaster[a][b]: local IDs (on host a) of proxies whose
@@ -58,10 +59,12 @@ type Topology struct {
 	slots   [][]listSlot
 	// reads[a] has bit i set when slots[a][i] is a broadcast position
 	// whose mirror has local in-edges.
-	reads    []*bitset.Set
-	partners *Links // a shared list links a and b, either way
-	partials *Links // a → b: a mirror on a mastered by b has local out-edges
-	readers  *Links // b → a: a mirror on a mastered by b has local in-edges
+	reads     []*bitset.Set
+	partners  *Links // a shared list links a and b, either way
+	partials  *Links // a → b: a mirror on a mastered by b has local out-edges
+	readers   *Links // b → a: a mirror on a mastered by b has local in-edges
+	proposals *Links // a → b: the same mirrors, toward their master
+	voteLegs  int
 }
 
 // Links is a set of directed host links (from, to): those a sync phase
@@ -106,7 +109,7 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	t.slotOff = make([][]uint32, h)
 	t.slots = make([][]listSlot, h)
 	t.reads = make([]*bitset.Set, h)
-	t.partners, t.partials, t.readers = newLinks(h), newLinks(h), newLinks(h)
+	t.partners, t.partials, t.readers, t.proposals = newLinks(h), newLinks(h), newLinks(h), newLinks(h)
 	for a := 0; a < h; a++ {
 		t.mirrorsByMaster[a] = make([][]uint32, h)
 		t.masterSide[a] = make([][]uint32, h)
@@ -151,6 +154,7 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 				if local.InDegree(l) > 0 {
 					t.reads[m].Set(int(t.slotOff[m][ml+1]))
 					t.readers.on[m*h+a] = true
+					t.proposals.on[a*h+m] = true
 				}
 				if local.OutDegree(l) > 0 {
 					t.partials.on[a*h+m] = true
@@ -163,7 +167,32 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 	for a, off := range t.slotOff {
 		t.slotOff[a] = off[:len(off)-1]
 	}
+	t.voteLegs = voteLegs(h, t.proposals, t.partners)
 	return t
+}
+
+// voteLegs decides VoteLegs: 1 when proposals is every link, 2 when every
+// host z reaches every other host x directly over partners or through
+// some y with z → y in proposals and y → x in partners, else 0.
+func voteLegs(h int, proposals, partners *Links) int {
+	if proposals.Len() == h*(h-1) {
+		return 1
+	}
+	for z := 0; z < h; z++ {
+		for x := 0; x < h; x++ {
+			if z == x || partners.Has(z, x) {
+				continue
+			}
+			y := 0
+			for y < h && !(proposals.Has(z, y) && partners.Has(y, x)) {
+				y++
+			}
+			if y == h {
+				return 0
+			}
+		}
+	}
+	return 2
 }
 
 // PartnerLinks is the links between hosts that share a proxy, either
@@ -182,6 +211,25 @@ func (t *Topology) PartialLinks() *Links { return t.partials }
 // ReaderLinks is the links b → a on which a mirror on a mastered by b has
 // local in-edges: the broadcast positions Marks.MarkReaders marks.
 func (t *Topology) ReaderLinks() *Links { return t.readers }
+
+// ProposalLinks is the links a → b on which a mirror on a mastered by b
+// has local in-edges, the transpose of ReaderLinks: once a batch's
+// sources have proposed, only a local in-edge gives a mirror a label
+// of its own to propose, so these are the only reduce positions a
+// forward phase after its first round marks.
+func (t *Topology) ProposalLinks() *Links { return t.proposals }
+
+// VoteLegs is how many exchanges a vote needs to reach every host when
+// each exchange carries a host's running sum on its links only, the
+// first over ProposalLinks and the second over PartnerLinks: 1 when
+// ProposalLinks is every link (as under an outgoing edge-cut), 2 when
+// the two legs together carry every host's term to every host (as on a
+// Cartesian cut, whose partner graph has diameter 2), and 0 when they do
+// not, and the vote needs one exchange on every link. Every host derives
+// the same answer from the same partitioning. A relayed sum counts some
+// terms more than once: it is a vote only as a test against zero, for
+// nonnegative terms.
+func (t *Topology) VoteLegs() int { return t.voteLegs }
 
 // MirrorList returns the local IDs on host a of the proxies mastered
 // by host b (the reduce-direction shared list). The returned slice

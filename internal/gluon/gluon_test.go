@@ -647,17 +647,49 @@ func TestMarkReadersMatchInEdgeScanQuick(t *testing.T) {
 	}
 }
 
+// TestVoteLegs pins the topology's vote route on the cases it must
+// tell apart: a Cartesian cut of a power-law graph relays over two legs
+// at every host count, an edge cut whose every mirror has local
+// in-edges proposes on every link, and a small road grid, where some
+// mirrors have no local in-edge, needs the vote on every link under
+// either cut.
+func TestVoteLegs(t *testing.T) {
+	rmat, road := gen.RMAT(11, 7, 1), gen.RoadGrid(5, 5, 1)
+	for _, c := range []struct {
+		name string
+		pt   *partition.Partitioning
+		want int
+	}{
+		{"cartesian/rmat/2", partition.CartesianCut(rmat, 2), 2},
+		{"cartesian/rmat/4", partition.CartesianCut(rmat, 4), 2},
+		{"cartesian/rmat/6", partition.CartesianCut(rmat, 6), 2},
+		{"cartesian/rmat/8", partition.CartesianCut(rmat, 8), 2},
+		{"edgecut/rmat/4", partition.EdgeCut(gen.RMAT(7, 8, 1), 4), 1},
+		{"cartesian/road/4", partition.CartesianCut(road, 4), 0},
+		{"edgecut/road/4", partition.EdgeCut(road, 4), 0},
+	} {
+		topo := NewTopology(c.pt)
+		if got := topo.VoteLegs(); got != c.want {
+			t.Errorf("%s: VoteLegs = %d, want %d (%d proposal of %d partner links)",
+				c.name, got, c.want, topo.ProposalLinks().Len(), topo.PartnerLinks().Len())
+		}
+	}
+}
+
 // TestPhaseLinksCoverTheirMarksQuick is the property behind the
 // per-phase link sets: over random graphs under both cuts, no phase marks
 // a position on a link outside its set, so an exchange that sends and
 // gathers only on that set loses nothing. The backward reduce marks
 // mirrors with local out-edges (only they can hold a nonzero partial,
 // which mrbcdist's TestBackwardSyncReachesEveryReader pins), the
-// backward broadcast marks through MarkReaders, and both forward phases
-// mark any proxy and stay on the partner links. The sets are also
-// tight: marking every candidate marks every link of the set. Under the
-// Cartesian cut some partner links fall outside a backward set, and
-// under the edge cut the backward reduce has no link at all.
+// backward broadcast marks through MarkReaders, a forward reduce after
+// round 1 marks mirrors with local in-edges (the only ones a relax can
+// give a label of their own), and the first forward reduce and every
+// forward broadcast mark any proxy and stay on the partner links. The
+// sets are also tight: marking every candidate marks every link of the
+// set. ProposalLinks is ReaderLinks transposed. Under the Cartesian cut
+// some partner links fall outside a backward set, and under the edge cut
+// the backward reduce has no link at all.
 func TestPhaseLinksCoverTheirMarksQuick(t *testing.T) {
 	emit := func(lid uint32, w *Writer) { w.U32(lid) }
 	excluded, edgeCuts := 0, 0
@@ -671,7 +703,7 @@ func TestPhaseLinksCoverTheirMarksQuick(t *testing.T) {
 			pt = partition.CartesianCut(g, hosts)
 		}
 		topo := NewTopology(pt)
-		partners, partials, readers := topo.PartnerLinks(), topo.PartialLinks(), topo.ReaderLinks()
+		partners, partials, readers, proposals := topo.PartnerLinks(), topo.PartialLinks(), topo.ReaderLinks(), topo.ProposalLinks()
 		if !cartesian {
 			edgeCuts++
 			if n := partials.Len(); n != 0 {
@@ -681,11 +713,15 @@ func TestPhaseLinksCoverTheirMarksQuick(t *testing.T) {
 		}
 		for a := 0; a < hosts; a++ {
 			for b := 0; b < hosts; b++ {
-				if a == b && (partners.Has(a, b) || partials.Has(a, b) || readers.Has(a, b)) {
+				if a == b && (partners.Has(a, b) || partials.Has(a, b) || readers.Has(a, b) || proposals.Has(a, b)) {
 					t.Logf("seed %d: host %d links to itself", seed, a)
 					return false
 				}
-				if partners.Has(a, b) && (!partials.Has(a, b) || !readers.Has(a, b)) {
+				if proposals.Has(a, b) != readers.Has(b, a) {
+					t.Logf("seed %d: proposal link %d → %d is not reader link %d → %d transposed", seed, a, b, b, a)
+					return false
+				}
+				if partners.Has(a, b) && (!partials.Has(a, b) || !readers.Has(a, b) || !proposals.Has(a, b)) {
 					excluded++
 				}
 			}
@@ -709,12 +745,15 @@ func TestPhaseLinksCoverTheirMarksQuick(t *testing.T) {
 			p := pt.Parts[host]
 			for _, all := range []bool{false, true} {
 				pick := func() bool { return all || rng.Intn(3) == 0 }
-				fwd, back, bcast := topo.NewMarks(host), topo.NewMarks(host), topo.NewMarks(host)
+				fwd, later, back, bcast := topo.NewMarks(host), topo.NewMarks(host), topo.NewMarks(host), topo.NewMarks(host)
 				for l := 0; l < p.NumProxies(); l++ {
 					if !pick() {
 						continue
 					}
 					fwd.Mark(uint32(l))
+					if p.Local.InDegree(uint32(l)) > 0 {
+						later.Mark(uint32(l))
+					}
 					if p.IsMaster[l] {
 						bcast.MarkReaders(uint32(l))
 					} else if p.Local.OutDegree(uint32(l)) > 0 {
@@ -728,6 +767,7 @@ func TestPhaseLinksCoverTheirMarksQuick(t *testing.T) {
 					tight bool // every link of the set is some candidate's
 				}{
 					{"forward reduce", sent(fwd, true), partners, false},
+					{"forward reduce after round 1", sent(later, true), proposals, true},
 					{"forward broadcast", sent(fwd, false), partners, false},
 					{"backward reduce", sent(back, true), partials, true},
 					{"backward broadcast", sent(bcast, false), readers, true},

@@ -110,12 +110,16 @@ const (
 	ackLen      = 5  // [3][u32 cumulative seq]
 
 	// wireVersion is the layout of the records above and of the sync
-	// payloads every engine packs into a data record. Bump it with any
-	// change to either, so that processes of two builds refuse each
-	// other's connections instead of misreading them. Version 1 is the
-	// first versioned hello, with 8-byte MRBC backward records (δ only,
-	// no source index).
-	wireVersion = 1
+	// payloads every engine packs into a data record, and which links
+	// each exchange of an engine's round sends a record on. Bump it with
+	// any change to either, so that processes of two builds refuse each
+	// other's connections instead of misreading them or waiting for a
+	// record the other never sends. Version 1 is the first versioned
+	// hello, with 8-byte MRBC backward records (δ only, no source index).
+	// Version 2 sends MRBC's forward reduce on the proposal links after
+	// round 1 and, where the topology relays the vote, the forward
+	// broadcast in the idle round too (gluon.Topology.VoteLegs).
+	wireVersion = 2
 
 	// recvBufSize is a connection's read buffer: large enough that header
 	// and payload of a typical record (and a few queued ones) come out of
@@ -480,6 +484,12 @@ func (t *TCPTransport) arrived(exchange, from int) bool {
 // is progress too —, or the connection just registered. A sender whose
 // connection is not up yet is waited for on the shared ticker, and read
 // as soon as its hello registers it.
+//
+// Setting a read deadline resets a runtime timer, which a wait whose
+// record is already in costs for nothing: a deadline set by an earlier
+// wait and still at least half a step away is reused, and only a read it
+// cuts short sets the step's own end, so a step without progress still
+// lasts StepInterval.
 func (t *TCPTransport) await(exchange, from int) (progress bool) {
 	lock := &t.reading[from]
 	lock.Lock()
@@ -506,7 +516,11 @@ func (t *TCPTransport) await(exchange, from int) (progress bool) {
 		t.mu.Unlock()
 		progress = c != nil
 	}
-	c.until(time.Now().Add(t.opts.StepInterval))
+	step := t.opts.StepInterval
+	end := time.Now().Add(step)
+	if early := end.Sub(c.deadline); early < 0 || early > step/2 {
+		c.until(end)
+	}
 	partial := c.partial()
 	for {
 		seq, body, frame, err := c.next(t.grow, true)
@@ -514,6 +528,9 @@ func (t *TCPTransport) await(exchange, from int) (progress bool) {
 			if !errors.Is(err, os.ErrDeadlineExceeded) {
 				// A dead connection: the sender re-dials and retransmits.
 				t.dropIn(from, c)
+			} else if c.deadline.Before(end) {
+				c.until(end)
+				continue
 			}
 			return progress || c.partial() != partial
 		}
@@ -1354,7 +1371,7 @@ type connReader struct {
 	big  []byte // a frame longer than buf, filled up to bigN
 	bigN int
 
-	timed bool // a read deadline is set, which a non-blocking read clears
+	deadline time.Time // the read deadline set, zero for none; a non-blocking read clears it
 
 	// The non-blocking read's operands, set around each raw.Read call;
 	// probe is bound once, so the call allocates nothing.
@@ -1383,7 +1400,7 @@ func (c *connReader) partial() int { return c.w - c.r + c.bigN }
 // until makes the blocking reads give up at d.
 func (c *connReader) until(d time.Time) {
 	c.conn.SetReadDeadline(d)
-	c.timed = true
+	c.deadline = d
 }
 
 // next returns the connection's next frame: its seq and body, and the
@@ -1454,10 +1471,10 @@ func (c *connReader) read(p []byte, block bool) (int, error) {
 	if c.raw == nil {
 		return 0, errWouldBlock
 	}
-	if c.timed {
+	if !c.deadline.IsZero() {
 		// RawConn.Read fails at once on an expired deadline.
 		c.conn.SetReadDeadline(time.Time{})
-		c.timed = false
+		c.deadline = time.Time{}
 	}
 	c.dst = p
 	err := c.raw.Read(c.probe)

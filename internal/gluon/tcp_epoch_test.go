@@ -85,7 +85,7 @@ func TestTCPEpochMismatchIsRejected(t *testing.T) {
 // the 13-byte [1][u32 host][u32 epoch][u32 wire] of its own epoch and
 // wire version open, and closes, whatever its own epoch, on the
 // pre-epoch 5-byte hello, on the pre-version 9-byte one, and on a
-// 13-byte hello of another wire version.
+// 13-byte hello of another wire version, the one before included.
 func TestTCPLegacyHelloRefused(t *testing.T) {
 	dial := func(epoch, helloLen int, wire uint32) error {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -126,8 +126,11 @@ func TestTCPLegacyHelloRefused(t *testing.T) {
 				t.Fatalf("epoch-%d server held a %d-byte hello open; want rejection", epoch, n)
 			}
 		}
-		if err := dial(epoch, 13, wireVersion+1); isTimeout(err) {
-			t.Fatalf("epoch-%d server held a wire-version-%d hello open; want rejection", epoch, wireVersion+1)
+		// The previous build's and a later one's.
+		for _, wire := range []uint32{wireVersion - 1, wireVersion + 1} {
+			if err := dial(epoch, 13, wire); isTimeout(err) {
+				t.Fatalf("epoch-%d server held a wire-version-%d hello open; want rejection", epoch, wire)
+			}
 		}
 	}
 }

@@ -53,7 +53,7 @@ type Options struct {
 	// runs this process as one host of a multi-process SPMD cluster:
 	// every process executes the same batch loop, engine state exists
 	// only for the local host, the termination vote rides each round's
-	// reduce exchange, and the returned scores hold only the
+	// forward exchanges, and the returned scores hold only the
 	// local host's master contributions (zero elsewhere) — the
 	// coordinator sums the per-process vectors elementwise.
 	Transport gluon.Transport
@@ -215,9 +215,12 @@ func (st *hostState) markDuePartials() {
 // nil) and updated from the coordinator only — never inside a compute
 // phase — so they cost nothing on the hot path.
 type progressGauges struct {
-	batch    *obs.Gauge // current batch index
-	round    *obs.Gauge // current phase-local round (forward or backward)
-	frontier *obs.Gauge // due pairs + pending entries across hosts this round
+	batch *obs.Gauge // current batch index
+	round *obs.Gauge // current phase-local round (forward or backward)
+	// frontier is the round's due pairs + pending entries over the local
+	// hosts: the cluster's count in process, this host's share in SPMD,
+	// where a relayed vote leaves no host the cluster's exact sum.
+	frontier *obs.Gauge
 	backward *obs.Gauge // 1 while the batch's backward phase runs
 }
 
@@ -502,6 +505,7 @@ type batchRun struct {
 	fwd, back int         // rounds each phase took
 	r         int         // the round in progress, forward or backward
 	activity  int64       // forward: due pairs + pending entries over the local hosts
+	relay     bool        // the forward broadcast relays the reduce's partial vote (newBatch)
 	phases    phases
 }
 
@@ -509,11 +513,11 @@ type batchRun struct {
 // b.r: bound once per batch, so that a round builds no closure.
 type phases struct {
 	forwardFlags, arbitrate, relax, backwardFlags, union, accumulate func(h int)
-	fwdReduce, fwdBroadcast, backReduce, backBroadcast               syncStep
+	firstReduce, fwdReduce, fwdBroadcast, backReduce, backBroadcast  syncStep
 }
 
-// syncStep is the two halves of one exchange and the links its pack can
-// write on (the vote's, every link, is not a syncStep's to choose).
+// syncStep is the two halves of one exchange and the links it sends and
+// gathers on (nil: every link).
 type syncStep struct {
 	pack   func(from, to int, w *gluon.Writer)
 	unpack func(to, from int, data []byte, dec *gluon.Decoder)
@@ -524,11 +528,29 @@ func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	start := bi * j.opts.BatchSize
 	end := min(start+j.opts.BatchSize, len(j.sources))
 	b := &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
+	// In round 1 every proxy of a source proposes; after it only a mirror
+	// with local in-edges has a label of its own to propose. The forward
+	// reduce carries the round's vote on those links. In process the
+	// caller's sum is every host's already. An SPMD host relays its partial
+	// sum over the forward broadcast where two legs reach every host, and
+	// votes on every link where they do not; where the proposal links are
+	// every link, the reduce alone reaches every host.
+	reduce := syncStep{b.packDueLabels, b.unpackProposals, j.topo.ProposalLinks()}
+	first := reduce
+	first.links = j.topo.PartnerLinks()
+	if j.cluster.LocalHost() >= 0 {
+		switch j.topo.VoteLegs() {
+		case 0:
+			first.links, reduce.links = nil, nil
+		case 2:
+			b.relay = true
+		}
+	}
 	// A backward reduce marks only mirrors with a nonzero δ partial, which
 	// only local out-edges produce; the backward broadcast only mirrors
 	// with local in-edges (MarkReaders).
 	b.phases = phases{b.forwardFlags, b.arbitrate, b.relax, b.backwardFlags, b.union, b.accumulate,
-		syncStep{b.packDueLabels, b.unpackProposals, nil},
+		first, reduce,
 		syncStep{b.packBcastLabels, b.unpackLabels, j.topo.PartnerLinks()},
 		syncStep{b.packDueDeltas, b.unpackDeltaPartials, j.topo.PartialLinks()},
 		syncStep{b.packBcastDeltas, b.unpackDeltas, j.topo.ReaderLinks()}}
@@ -590,13 +612,14 @@ func (b *batchRun) exchange(x syncStep) {
 }
 
 // exchangeSum is exchange carrying the round's quiescence vote: it
-// returns the cluster-wide sum of local (dgalois.ExchangeSum). In
-// process a zero opens no exchange, and the turn does not rotate.
+// returns local plus the terms its links carried in
+// (dgalois.ExchangeSumOn). In process a zero opens no exchange, and the
+// turn does not rotate.
 func (b *batchRun) exchangeSum(local int64, x syncStep) int64 {
 	if b.pipe == nil {
-		return b.cluster.ExchangeSum(local, x.pack, x.unpack)
+		return b.cluster.ExchangeSumOn(x.links, local, x.pack, x.unpack)
 	}
-	p := b.cluster.BeginExchangeSum(local, x.pack, x.unpack)
+	p := b.cluster.BeginExchangeSumOn(x.links, local, x.pack, x.unpack)
 	if p == nil {
 		return 0
 	}
@@ -617,20 +640,34 @@ func (b *batchRun) overlap(p *dgalois.PendingExchange) {
 // lexicographically smallest proposal), merge the winner's σ partials,
 // apply the finalized value, and broadcast (src, dist, σ) to every
 // mirror.
+//
+// Global quiescence: in SPMD mode b.activity is only this host's share,
+// so the reduce exchange carries it. Without a relay it returns every
+// host's sum. With one it returns the share plus those of the hosts
+// that propose to this one, and the broadcast carries that partial sum
+// on: the sum it returns counts every host's share at least once, so
+// every host reads zero in the same round, after the broadcast, and an
+// idle round costs both exchanges.
 func (b *batchRun) forwardRound(r int) (active bool) {
 	b.cluster.BeginRound()
 	b.r, b.activity = r, 0
 	b.cluster.Compute(b.phases.forwardFlags)
-	// Global quiescence: in SPMD mode the local sum is only this host's
-	// share, so the reduce exchange carries it and returns every host's.
-	activity := b.exchangeSum(b.activity, b.phases.fwdReduce)
+	reduce := b.phases.fwdReduce
+	if r == 1 {
+		reduce = b.phases.firstReduce
+	}
+	vote := b.exchangeSum(b.activity, reduce)
 	b.prog.round.Set(int64(r))
-	b.prog.frontier.Set(activity)
-	if activity == 0 {
+	b.prog.frontier.Set(b.activity)
+	if !b.relay && vote == 0 {
 		return false
 	}
 	b.cluster.Compute(b.phases.arbitrate)
-	b.exchange(b.phases.fwdBroadcast)
+	if !b.relay {
+		b.exchange(b.phases.fwdBroadcast)
+	} else if b.exchangeSum(vote, b.phases.fwdBroadcast) == 0 {
+		return false
+	}
 	b.cluster.Compute(b.phases.relax)
 	return true
 }

@@ -261,13 +261,17 @@ func TestPipelineTCPSPMD(t *testing.T) {
 // ./internal/mrbcdist`. records/op is every record the run's mesh wrote:
 // data, empty markers and standalone acks, from the channel Stats;
 // data/op is the data records alone. Records less standalone acks are
-// fixed by the exchange count and each exchange's link set (votes on
-// every link, forward broadcasts on the partners, backward reduces and
-// broadcasts on their own sets), so records/op less data/op is the empty
-// markers in a run that wrote no standalone ack — which only a slow run
-// does, an owed ack aging into a tick flush. On the 2×2 Cartesian cut
-// that is 17 036 records/op and 9 152 data/op: 7 884 markers, where
-// sending every backward exchange on all partner links wrote 21 684.
+// fixed by the exchange count and each exchange's link set (forward
+// reduces on the partners in round 1 and on the proposal links after
+// it, forward broadcasts — which relay the vote, so the idle round has
+// one too — on the partners, backward reduces and broadcasts on their
+// own sets). On the 2×2 Cartesian cut that is 12 644 records and 9 152
+// data/op: 3 492 markers, where voting on every link wrote 17 036 and
+// sending every backward exchange on all partner links 21 684 as well.
+// records/op reads 12 648: four standalone acks, one each way on the two
+// diagonal links, answer the bring-up all-reduce's records there, which
+// no data record crosses to carry them back. A slow run, an owed ack
+// aging into a tick flush elsewhere too, reads more.
 func benchRunTCP(b *testing.B, depth int) {
 	if testing.Short() {
 		b.Skip("whole-run benchmark over localhost TCP")

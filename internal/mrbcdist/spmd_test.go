@@ -12,6 +12,7 @@ import (
 	"mrbc/internal/dgalois"
 	"mrbc/internal/gen"
 	"mrbc/internal/gluon"
+	"mrbc/internal/graph"
 	"mrbc/internal/partition"
 )
 
@@ -38,41 +39,54 @@ func (c *countingTransport) AllReduce(host int, local int64, op gluon.ReduceOp) 
 // loopback TCP mesh, strictly BSP and with four batches in flight, and
 // holds the result against the in-process run: the same score bits and
 // the same Rounds, Bytes, Messages and Encoding. An MRBC batch makes no
-// all-reduce: its quiescence vote rides the forward reduce exchange and
-// its backward depth is its forward depth. Every active forward round
-// and every backward round is two exchanges and each batch's idle last
-// forward round one, 2·Rounds − batches in all; the forward reduces,
-// (Rounds + batches)/2 of them, carry the vote and send one record per
-// ordered pair. Each of the other (Rounds − batches)/2 round numbers has
-// a forward broadcast, a backward reduce and a backward broadcast, and
-// each sends one record per link of its own set: the partners — 8 of 12
-// on the 2×2 Cartesian grid, where a host shares no proxy with its
-// diagonal, and all 12 under the edge cut —, the links a mirror with
-// local out-edges reduces on — none under the edge cut —, and the links
-// a mirror with local in-edges is broadcast to. The mesh's Control tally
-// is the records among them that were empty markers plus the standalone
-// acks — the few that no record carried.
+// all-reduce: its quiescence vote rides the forward exchanges and its
+// backward depth is its forward depth. Of Rounds, F = (Rounds −
+// batches)/2 are active forward rounds, as many are backward rounds,
+// and each batch has one idle last forward round; a forward round's
+// reduce carries the vote, votes = F + batches of them. Every exchange
+// sends one record per link of its own set: for the backward reduce the
+// links a mirror with local out-edges reduces on (none under the edge
+// cut), for the backward broadcast the links a mirror with local
+// in-edges is broadcast to, and for the forward broadcast the partners
+// (8 of 12 on the 2×2 Cartesian grid, where a host shares no proxy with
+// its diagonal). Where the topology relays the vote (gluon's VoteLegs 2,
+// the Cartesian cut), round 1's reduce sends on the partner links and
+// later reduces on the proposal links (ReaderLinks transposed), and the
+// forward broadcast runs in the idle round too, to carry the vote on:
+// batches·partners + F·proposals + votes·partners + F·(partial + reader)
+// records in 2·Rounds exchanges. Otherwise every reduce sends on all 12
+// links — one leg under the RMAT edge cut, whose proposal links are every
+// link, and the every-link fallback on the road grid's edge cut, whose
+// four hosts form a chain that two legs do not span —, and only active
+// rounds broadcast: votes·12 + F·(partners + partial + reader) records
+// in 2·Rounds − batches exchanges. The mesh's Control tally is the
+// records among them that were empty markers plus the standalone acks —
+// the few that no record carried.
 func TestSPMDMatchesInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("localhost TCP cluster; skipped in -short")
 	}
 	const hosts, batch = 4, 4
-	g := gen.RMAT(7, 8, 1)
-	sources := brandes.FirstKSources(g, 0, 32)
-	batches := (len(sources) + batch - 1) / batch
+	rmat, road := gen.RMAT(7, 8, 1), gen.RoadGrid(5, 5, 1)
 	for _, c := range []struct {
 		name  string // subtest prefix, empty for the Cartesian cut
+		g     *graph.Graph
 		pt    *partition.Partitioning
-		links [3]int // partner, partial and reader links
+		links [4]int // partner, partial, reader and proposal links
+		legs  int
 	}{
-		{"", partition.CartesianCut(g, hosts), [3]int{8, 4, 4}},
-		{"edgecut/", partition.EdgeCut(g, hosts), [3]int{hosts * (hosts - 1), 0, hosts * (hosts - 1)}},
+		{"", rmat, partition.CartesianCut(rmat, hosts), [4]int{8, 4, 4, 4}, 2},
+		{"edgecut/", rmat, partition.EdgeCut(rmat, hosts), [4]int{12, 0, 12, 12}, 1},
+		{"road/", road, partition.EdgeCut(road, hosts), [4]int{6, 0, 6, 6}, 0},
 	} {
-		pt := c.pt
+		g, pt := c.g, c.pt
+		sources := brandes.FirstKSources(g, 0, min(32, g.NumVertices()))
+		batches := (len(sources) + batch - 1) / batch
 		topo := gluon.NewTopology(pt)
-		links := [3]int{topo.PartnerLinks().Len(), topo.PartialLinks().Len(), topo.ReaderLinks().Len()}
-		if links != c.links {
-			t.Fatalf("%q: %v partner, partial and reader links, want %v", c.name, links, c.links)
+		links := [4]int{topo.PartnerLinks().Len(), topo.PartialLinks().Len(), topo.ReaderLinks().Len(), topo.ProposalLinks().Len()}
+		if links != c.links || topo.VoteLegs() != c.legs {
+			t.Fatalf("%q: %v partner, partial, reader and proposal links and %d vote legs, want %v and %d",
+				c.name, links, topo.VoteLegs(), c.links, c.legs)
 		}
 		want, wantStats := Run(g, pt, sources, Options{BatchSize: batch})
 		for _, depth := range []int{1, 4} {
@@ -129,13 +143,17 @@ func TestSPMDMatchesInProcess(t *testing.T) {
 					t.Errorf("SPMD volume %d B / %d msgs / %+v, in-process %d / %d / %+v",
 						sum.Bytes, sum.Messages, sum.Encoding, wantStats.Bytes, wantStats.Messages, wantStats.Encoding)
 				}
-				exchanges := int64(2*wantStats.Rounds - batches)
-				votes := int64(wantStats.Rounds+batches) / 2
-				others := int64(wantStats.Rounds-batches) / 2
-				perRound := int64(links[0] + links[1] + links[2])
-				if want := votes*hosts*(hosts-1) + others*perRound; sends != want {
-					t.Errorf("the mesh sent %d records, want %d votes × %d pairs + %d rounds × (%d + %d + %d) links = %d",
-						sends, votes, hosts*(hosts-1), others, links[0], links[1], links[2], want)
+				nb := int64(batches)
+				F := (int64(wantStats.Rounds) - nb) / 2
+				votes := F + nb
+				partners, partials, readers, proposals := int64(links[0]), int64(links[1]), int64(links[2]), int64(links[3])
+				exchanges, want := 2*int64(wantStats.Rounds)-nb, votes*hosts*(hosts-1)+F*(partners+partials+readers)
+				if c.legs == 2 {
+					exchanges, want = 2*int64(wantStats.Rounds), nb*partners+F*proposals+votes*partners+F*(partials+readers)
+				}
+				if sends != want {
+					t.Errorf("the mesh sent %d records, want %d (%d batches, %d active and %d vote rounds, links %v, %d vote legs)",
+						sends, want, nb, F, votes, links, c.legs)
 				}
 				markers := sends - sum.Messages
 				if acks := control - markers; acks < 0 || acks > exchanges/4 {

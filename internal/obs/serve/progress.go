@@ -33,8 +33,12 @@ type Progress struct {
 	// EngineRound is the engine's phase-local round: mrbc_round or
 	// sbbc_level.
 	EngineRound int64 `json:"engine_round"`
-	// Frontier is the engine's current activity measure: due pairs
-	// (mrbc) or relaxed vertices (sbbc).
+	// Frontier is the engine's current activity measure: due pairs and
+	// pending entries (mrbc) or relaxed vertices (sbbc). In process it
+	// counts every host. Each bcd of a multi-process run serves its own
+	// /progressz: sbbc's frontier is still the cluster's, from its vote;
+	// mrbc's is the local host's share, because a relayed vote leaves no
+	// host the cluster's exact sum.
 	Frontier int64 `json:"frontier"`
 	// Backward is true while an mrbc batch runs its backward phase.
 	Backward bool `json:"backward"`

@@ -383,7 +383,7 @@ func runSources(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSt
 			cluster.BeginRound()
 			active = 0
 			cluster.Compute(expand)
-			relaxed := cluster.ExchangeSum(active, packLabels, reduceLabels)
+			relaxed := cluster.ExchangeSumOn(nil, active, packLabels, reduceLabels)
 			prog.level.Set(int64(level))
 			prog.frontier.Set(relaxed)
 			if relaxed == 0 {
