@@ -178,11 +178,10 @@ func BuildPartitioning(g *graph.Graph, name string, hosts int) (*partition.Parti
 
 // RunJob executes the spec's engine over the given transport and
 // returns this host's result. The transport decides the execution
-// shape: a remote backend runs the spec's one host (SPMD); the
-// in-process MemTransport (or nil) runs the whole simulated cluster —
-// the coordinator uses that for its reference run. A non-nil metrics
-// registry receives the engine's live gauges (the daemon exposes it
-// on /metrics).
+// shape: a remote backend runs the spec's one host (SPMD); nil runs the
+// whole simulated cluster in process — the coordinator uses that for its
+// reference run. A non-nil metrics registry receives the engine's live
+// gauges (the daemon exposes it on /metrics).
 func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics *obs.Registry) (*JobResult, error) {
 	g, err := graph.Load(spec.GraphPath)
 	if err != nil {

@@ -26,14 +26,15 @@
 // over a remote transport. A nil trace costs a single predictable branch
 // per phase: the steady-state Exchange stays allocation-free either way.
 //
-// Every phase is allocation-free at steady state: the cluster keeps one
-// reusable gluon.Writer per ordered host pair and one gluon.Decoder per
-// receiving host, and one persistent worker pool runs the hosts of a
-// compute phase, the pack work parallel over (from, to) pairs —
-// finer-grained than one goroutine per sender, which matters when one
-// sender's pack work dwarfs the others' — and the receivers of an
-// unpack, without spawning a goroutine per phase — unless the phase is
-// too small to pay for waking the pool, and runs on the caller (dispatch).
+// Every phase is allocation-free at steady state: an exchange ticket
+// keeps one reusable gluon.Writer per ordered host pair, the cluster one
+// gluon.Decoder per receiving host, and one persistent worker pool runs
+// the hosts of a compute phase, the pack work parallel over (from, to)
+// pairs — finer-grained than one goroutine per sender, which matters
+// when one sender's pack work dwarfs the others' — and the receivers of
+// an unpack, without spawning a goroutine per phase — unless the phase
+// is too small to pay for waking the pool, and runs on the caller
+// (dispatch).
 package dgalois
 
 import (
@@ -105,14 +106,13 @@ type Cluster struct {
 	trace *obs.Trace
 	seq   int64
 
-	// Exchange tickets: one per concurrently-open exchange. Each ticket
-	// owns a full writer matrix and its own link tallies, so a detached
-	// exchange's buffers survive until its Complete while later exchanges
-	// pack into their own. cur is the ticket whose pack or unpack phase
-	// is running. With MaxInflight=1 there is exactly one ticket.
-	maxInflight int
-	tickets     []PendingExchange
-	cur         *PendingExchange
+	// Exchange tickets, as many as were ever open at once (claimTicket).
+	// Each owns a full writer matrix and its own link tallies, so a
+	// detached exchange's buffers survive until its Complete while later
+	// exchanges pack into their own. cur is the ticket whose pack or
+	// unpack phase is running.
+	tickets []*PendingExchange
+	cur     *PendingExchange
 
 	// Reusable communication state. Decoders own the per-receiver parse
 	// scratch; they are shared across tickets because unpack phases of
@@ -120,23 +120,14 @@ type Cluster struct {
 	// coordinator-serial).
 	decoders []*gluon.Decoder
 
-	// transport moves the packed buffers. The default is the in-process
-	// MemTransport (mem aliases it, non-nil), whose Send is a slice
-	// hand-off into a preallocated inbox matrix — the refactored form of
-	// the original buffer matrix, byte- and accounting-identical. A
-	// remote transport (ClusterOptions.Transport) puts the cluster in
-	// SPMD mode: this process runs exactly one host (localHost ≥ 0),
-	// Compute/pack/unpack touch only that host, inline on the calling
-	// goroutine, and cross-process control decisions ride an exchange
-	// (ExchangeSumOn).
+	// transport moves the packed buffers between processes; nil in
+	// process. It puts the cluster in SPMD mode: this process runs exactly
+	// one host (localHost ≥ 0), Compute/pack/unpack touch only that host,
+	// inline on the calling goroutine, and cross-process control
+	// decisions ride an exchange (Sync.Vote).
 	transport gluon.Transport
-	mem       *gluon.MemTransport
 	localHost int // the single local host in SPMD mode; -1 when all hosts are local
 	lastNet   gluon.ChannelStats
-	// partners is the links Exchange moves records on: the pairs that
-	// share a proxy (Topology.PartnerLinks; nil, every link, without a
-	// topology). ExchangeOn and ExchangeSumOn name their own set.
-	partners *gluon.Links
 
 	// exchanges numbers the exchanges begun, 0,1,2,…: every SPMD process
 	// issues the same operation sequence, pipelined or not, so the count
@@ -202,16 +193,16 @@ func sumLinks(links []tally, first, stride, n int) (s tally) {
 }
 
 // PendingExchange is one exchange's in-flight state: the ticket
-// BeginExchange returns and Complete consumes. Tickets are preallocated
-// at construction (one per MaxInflight slot) and recycled, so the
+// BeginSync returns and Complete consumes. A ticket is made the first
+// time every existing one is open and recycled from then on, so the
 // pipelined exchange path allocates nothing at steady state. All
-// Begin/Complete calls must come from the cluster's coordinating
+// BeginSync/Complete calls must come from the cluster's coordinating
 // goroutine (or be externally serialized, as the pipelined batch
 // turnstile does) — the Cluster is not a thread-safe object.
 type PendingExchange struct {
 	c         *Cluster
 	inUse     bool
-	detached  bool         // true between BeginExchange and Complete
+	detached  bool         // true between BeginSync and Complete
 	links     *gluon.Links // the links that carry a record and its term; nil, every one
 	empty     bool         // in-process, and no pack produced a buffer: nothing to unpack
 	sum       int64        // the caller's term, and once complete every host's (Sum)
@@ -224,7 +215,9 @@ type PendingExchange struct {
 	// cluster's epoch (Cluster.now).
 	start   time.Duration
 	packEnd time.Duration
-	writers [][]*gluon.Writer
+	// writers[from*hosts+to] is the exchange's buffer on a local sender's
+	// link: what the transport sends, or in process what unpack reads.
+	writers []gluon.Writer
 	// sent and recv tally each directed (from, to) link of the exchange,
 	// indexed from*hosts+to, on its sending and its receiving side. A
 	// pack pair is one exclusive task and a receiver's links are touched
@@ -237,14 +230,14 @@ type PendingExchange struct {
 	unpack func(to, from int, data []byte, dec *gluon.Decoder)
 }
 
-// Sum returns the sum an exchange begun with BeginExchangeSumOn carried:
-// valid after Complete, until the cluster's next exchange.
+// Sum returns the sum an exchange begun with BeginSync carried (see
+// Cluster.Sync): valid after Complete, until the cluster's next exchange.
 func (p *PendingExchange) Sum() int64 { return p.sum }
 
 // Complete finishes a detached exchange: it blocks until every peer's
 // buffer arrived (remote backends), runs the unpack phase, and folds
 // the exchange's timing into the cluster statistics. The wait that
-// elapsed between BeginExchange's return and this call was hidden
+// elapsed between BeginSync's return and this call was hidden
 // behind the caller's compute and is tallied as such. Calling Complete
 // more than once is a no-op.
 func (p *PendingExchange) Complete() {
@@ -264,8 +257,9 @@ type ClusterOptions struct {
 	// into, for a caller that serves or reads them; nil publishes no
 	// telemetry. Stats never reads it.
 	Metrics *obs.Registry
-	// Transport overrides the byte-moving backend. Nil selects the
-	// in-process MemTransport, a perfect network. A remote backend
+	// Transport moves the buffers between processes. Nil runs every host
+	// in this process over a perfect network: a receiver reads its
+	// senders' buffers where they were packed. A transport
 	// (gluon.TCPTransport) must own exactly one local host and puts the
 	// cluster in SPMD mode: every process of the job runs the same engine
 	// loop for its own host, and the cluster only computes, packs, and
@@ -273,19 +267,10 @@ type ClusterOptions struct {
 	// and so the only one faults are injected into (clusterrun.FaultProxy
 	// in front of its listeners).
 	Transport gluon.Transport
-	// MaxInflight is the number of exchanges that may be open
-	// concurrently (BeginExchange called, Complete pending). 0 or 1
-	// reproduce the strictly synchronous BSP exchange. A provided
-	// in-process Transport must have a window of at least this size.
-	MaxInflight int
 	// Epoch is the membership epoch this cluster runs under (elastic
 	// recovery bumps it per restart attempt); published as the
 	// dgalois_epoch gauge so /progressz can surface it.
 	Epoch int
-	// Topology is the proxy topology the exchanges synchronize over.
-	// Exchange and BeginExchange pack, send and gather only the pairs it
-	// makes partners; nil makes every pair one.
-	Topology *gluon.Topology
 }
 
 // NewCluster creates a cluster of the given number of hosts with a
@@ -342,58 +327,22 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		c.hostAliveG[h] = hostAliveV.At(h)
 		c.hostAliveG[h].Set(1)
 	}
-	c.maxInflight = opts.MaxInflight
-	if c.maxInflight < 1 {
-		c.maxInflight = 1
-	}
 	c.localHost = -1
 	c.transport = opts.Transport
-	if c.transport == nil {
-		c.mem = gluon.NewMemTransportWindow(hosts, c.maxInflight)
-		c.transport = c.mem
-	} else {
+	if c.transport != nil {
 		if c.transport.Hosts() != hosts {
 			panic(fmt.Sprintf("dgalois: transport spans %d hosts, cluster has %d", c.transport.Hosts(), hosts))
 		}
-		if m, ok := c.transport.(*gluon.MemTransport); ok {
-			c.mem = m
-			if m.Window() < c.maxInflight {
-				panic(fmt.Sprintf("dgalois: MaxInflight %d exceeds the transport's %d-exchange window", c.maxInflight, m.Window()))
-			}
-		} else {
-			nLocal := 0
-			for h := 0; h < hosts; h++ {
-				if c.transport.Local(h) {
-					c.localHost = h
-					nLocal++
-				}
-			}
-			if nLocal != 1 {
-				panic(fmt.Sprintf("dgalois: remote transport must own exactly one local host, owns %d", nLocal))
+		nLocal := 0
+		for h := 0; h < hosts; h++ {
+			if c.transport.Local(h) {
+				c.localHost = h
+				nLocal++
 			}
 		}
-	}
-	if opts.Topology != nil {
-		c.partners = opts.Topology.PartnerLinks()
-	}
-	c.tickets = make([]PendingExchange, c.maxInflight)
-	for k := range c.tickets {
-		t := &c.tickets[k]
-		t.c = c
-		t.writers = make([][]*gluon.Writer, hosts)
-		for i := 0; i < hosts; i++ {
-			t.writers[i] = make([]*gluon.Writer, hosts)
-			if !c.isLocal(i) {
-				continue
-			}
-			for j := range t.writers[i] {
-				if i != j {
-					t.writers[i][j] = &gluon.Writer{}
-				}
-			}
+		if nLocal != 1 {
+			panic(fmt.Sprintf("dgalois: a transport must own exactly one local host, owns %d", nLocal))
 		}
-		t.sent = make([]tally, hosts*hosts)
-		t.recv = make([]tally, hosts*hosts)
 	}
 	c.decoders = make([]*gluon.Decoder, hosts)
 	for i := 0; i < hosts; i++ {
@@ -587,17 +536,18 @@ func (c *Cluster) packTask(i int) {
 	if from == to || !t.links.Has(from, to) {
 		return
 	}
-	w := t.writers[from][to]
+	w := &t.writers[i]
 	w.Reset()
 	c.packFn(from, to, w)
 	buf := w.Bytes()
-	// Hand the buffer to the transport (in-process: a slice hand-off
-	// into the inbox matrix; remote: copied into a reliable record).
-	// Empty buffers travel too — they are the explicit
-	// nothing-this-exchange marker remote receivers synchronize on.
-	if err := c.transport.Send(t.ex, from, to, buf); err != nil {
-		c.noteTransportError(err)
-		return
+	// In process the buffer stays in the writer for its receiver to read.
+	// A transport copies it into a reliable record; empty buffers travel
+	// too, the nothing-this-exchange marker remote receivers wait for.
+	if c.localHost >= 0 {
+		if err := c.transport.Send(t.ex, from, to, buf); err != nil {
+			c.noteTransportError(err)
+			return
+		}
 	}
 	// An empty buffer is no message, and counted no format: the writer
 	// counts a format only as it writes one.
@@ -613,7 +563,8 @@ func (c *Cluster) packTask(i int) {
 
 // unpackTask consumes every buffer addressed to host to, serially per
 // receiver (receivers run in parallel with each other), in the fixed
-// sender order 0..hosts-1 — the deterministic apply order. A remote
+// sender order 0..hosts-1 — the deterministic apply order. In process it
+// reads each sender's writer on the exchange's links. In SPMD mode the
 // transport blocks until the message arrived or the stall deadline makes
 // the wait a structured error. Gathered per sender, early peers'
 // deserialization overlaps late peers' wire time, and each payload is
@@ -632,12 +583,18 @@ func (c *Cluster) unpackTask(to int) {
 		if from == to {
 			continue
 		}
-		if !t.links.Has(from, to) {
-			err = c.transport.Silent(t.ex, to, from)
-		}
 		var buf []byte
-		if err == nil {
-			buf, err = c.transport.GatherFrom(t.ex, to, from)
+		if c.localHost < 0 {
+			if t.links.Has(from, to) {
+				buf = t.writers[from*c.hosts+to].Bytes()
+			}
+		} else {
+			if !t.links.Has(from, to) {
+				err = c.transport.Silent(t.ex, to, from)
+			}
+			if err == nil {
+				buf, err = c.transport.GatherFrom(t.ex, to, from)
+			}
 		}
 		if len(buf) > 0 {
 			c.unpackFn(to, from, buf, dec)
@@ -682,9 +639,8 @@ func (c *Cluster) checkExchangeErr() {
 
 // runPackPhase runs the pack loop for the current exchange, begun at
 // clock start, and returns the clock at its end: pair-parallel where
-// dispatch puts it in-process, where the coordinator first opens the
-// exchange's transport slot so that no Send has to; the local host's
-// hosts−1 destinations in order on the caller in SPMD mode.
+// dispatch puts it in-process; the local host's hosts−1 destinations in
+// order on the caller in SPMD mode.
 func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer), start time.Duration) (end time.Duration) {
 	c.packFn = pack
 	if c.localHost >= 0 {
@@ -693,7 +649,6 @@ func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer), start t
 		}
 		end = c.now()
 	} else {
-		c.mem.Open(c.cur.ex)
 		end = c.dispatch(pack, c.hosts*c.hosts, c.packTaskFn, start, false)
 	}
 	c.packFn = nil
@@ -790,17 +745,20 @@ func (c *Cluster) dispatch(body any, n int, task func(i int), start time.Duratio
 	return end
 }
 
-// claimTicket hands out a free exchange ticket. The caller bound
-// (Exchange and Complete are coordinator-serial, and at most
-// MaxInflight exchanges are open) guarantees one is free.
+// claimTicket hands out a free exchange ticket, and makes one when every
+// ticket is open: as many exist as the caller ever held open at once.
 func (c *Cluster) claimTicket() *PendingExchange {
-	for k := range c.tickets {
-		if t := &c.tickets[k]; !t.inUse {
+	for _, t := range c.tickets {
+		if !t.inUse {
 			t.inUse = true
 			return t
 		}
 	}
-	panic(fmt.Sprintf("dgalois: more than %d exchanges in flight (raise ClusterOptions.MaxInflight)", c.maxInflight))
+	links := c.hosts * c.hosts
+	t := &PendingExchange{c: c, inUse: true,
+		writers: make([]gluon.Writer, links), sent: make([]tally, links), recv: make([]tally, links)}
+	c.tickets = append(c.tickets, t)
+	return t
 }
 
 // emitExchangeEvents publishes the per-host pack/unpack phase events —
@@ -859,16 +817,16 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 		HiddenNs: hidden.Nanoseconds()})
 }
 
-// Exchange performs one communication step: every host produces a
-// buffer for every other host (pack, parallel over (from, to) pairs on
-// the worker pool, writing into the pair's pooled writer; a pack that
-// writes nothing sends nothing), buffers are "transmitted" (counted
-// inside the pack loop), and consumed on the receiver's task (unpack,
-// one receiver at a time per host, with the host's pooled decoder).
-// Serialization and deserialization run inside the communication
-// phase, matching the paper's accounting ("non-overlapped
+// Exchange performs one communication step on every link: every host
+// produces a buffer for every other host (pack, parallel over (from, to)
+// pairs on the worker pool, writing into the pair's pooled writer; a
+// pack that writes nothing sends nothing), buffers are "transmitted"
+// (counted inside the pack loop), and consumed on the receiver's task
+// (unpack, one receiver at a time per host, with the host's pooled
+// decoder). Serialization and deserialization run inside the
+// communication phase, matching the paper's accounting ("non-overlapped
 // communication time ... includes data structure access time to
-// (de)serialize messages").
+// (de)serialize messages"). It is Sync with no links named and no vote.
 //
 // Pack callbacks for distinct pairs run concurrently, including pairs
 // sharing the sender: a pack must only read sender state shared across
@@ -876,69 +834,60 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 // (mirror lists of distinct pairs are disjoint, so per-vertex writes
 // are safe).
 func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
-	c.exchange(0, false, c.partners, pack, unpack)
+	c.exchange(Sync{Pack: pack, Unpack: unpack}, 0, false)
 }
 
-// ExchangeOn is Exchange over the given links (nil: every link): a pair
-// outside them is neither packed nor sent, and its receiver declares it
-// silent. Every host must pass the same set for the same exchange, as
-// one derived from a shared gluon.Topology is; a pack that would write
-// on a link outside it is the caller's bug.
-func (c *Cluster) ExchangeOn(links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
-	c.exchange(0, false, links, pack, unpack)
+// Sync is one exchange of a BSP loop: the links it moves records on, its
+// two halves (see Exchange) and whether it carries the loop's vote.
+type Sync struct {
+	// Links carry a record and its term (nil: every link); a pair
+	// outside them is neither packed nor sent. Every host must pass the
+	// same set, as one derived from a shared gluon.Topology is.
+	Links  *gluon.Links
+	Pack   func(from, to int, w *gluon.Writer)
+	Unpack func(to, from int, data []byte, dec *gluon.Decoder)
+	// Vote marks a term that is a BSP loop's activity (the quiescence
+	// test is `if c.Sync(s, activity) == 0 { break }`): in process a zero
+	// one is every host's, nothing is to be sent, and nothing is opened.
+	Vote bool
 }
 
-// ExchangeSumOn is ExchangeOn carrying a BSP loop's vote: it returns
-// local plus the terms of the hosts whose links to this one are in links
-// — with nil links every host's, the cluster-wide sum, and the loop's
-// quiescence test is `if c.ExchangeSumOn(nil, activity, pack, unpack) ==
-// 0 { break }`. In process the caller has summed over every host
-// already: local comes back as it is, whatever the links, and a zero
-// returns at once without opening an exchange. An SPMD process sends its
-// term in the header of every record on its links and adds its
-// senders' as they arrive: the idle round costs one exchange of empty
-// markers — a wait a pipelined batch can overlap — and no round pays a
-// standalone all-reduce. A narrower set reaches fewer hosts; a caller
-// that passes one relays the partial sum in a later exchange until it
-// has reached every host (gluon.Topology.VoteLegs).
-func (c *Cluster) ExchangeSumOn(links *gluon.Links, local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) int64 {
-	if c.localHost < 0 && local == 0 {
-		return 0
+// Sync runs s in place and returns local plus the terms of the hosts
+// whose links to this one are in s.Links — with nil links every host's,
+// the cluster-wide sum. In process the caller has summed over every host
+// already: local comes back as it is, whatever the links. An SPMD
+// process sends its term in the header of every record on its links and
+// adds its senders' as they arrive: an idle round costs one exchange of
+// empty markers — a wait a pipelined batch can overlap — and no round
+// pays a standalone all-reduce. A narrower set reaches fewer hosts; a
+// caller that passes one relays the partial sum in a later exchange
+// until it has reached every host (gluon.Topology.VoteLegs).
+func (c *Cluster) Sync(s Sync, local int64) int64 {
+	if t := c.exchange(s, local, false); t != nil {
+		return t.sum
 	}
-	return c.exchange(local, false, links, pack, unpack).sum
+	return 0
 }
 
-// BeginExchange starts a detached exchange: the pack phase runs and
-// every buffer is handed to the transport (remote backends put the
-// bytes on the wire immediately), but the unpack phase is deferred to
-// the returned ticket's Complete. Compute that does not depend on the
-// exchange's incoming data may run between the two — the wire time it
-// covers is tallied as hidden exchange time. At most
-// ClusterOptions.MaxInflight exchanges may be open at once.
-func (c *Cluster) BeginExchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	return c.exchange(0, true, c.partners, pack, unpack)
+// BeginSync starts s detached: the pack phase runs and the buffers go on
+// the wire, but unpack waits for the ticket's Complete, after which its
+// Sum is what Sync would have returned. Compute that does not depend on
+// the incoming data may run in between; the wire time it covers is
+// tallied as hidden. A vote that opens nothing returns nil.
+func (c *Cluster) BeginSync(s Sync, local int64) *PendingExchange {
+	return c.exchange(s, local, true)
 }
 
-// BeginExchangeOn is ExchangeOn detached.
-func (c *Cluster) BeginExchangeOn(links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	return c.exchange(0, true, links, pack, unpack)
-}
-
-// BeginExchangeSumOn is ExchangeSumOn detached. In process a zero local
-// opens nothing and returns nil.
-func (c *Cluster) BeginExchangeSumOn(links *gluon.Links, local int64, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	if c.localHost < 0 && local == 0 {
+// exchange runs s under a ticket, carrying local on each of its links,
+// up to its pack phase if detached; nil for a vote in process that has
+// nothing to move.
+func (c *Cluster) exchange(s Sync, local int64, detached bool) *PendingExchange {
+	if s.Vote && local == 0 && c.localHost < 0 {
 		return nil
 	}
-	return c.exchange(local, true, links, pack, unpack)
-}
-
-// exchange runs an exchange over links, carrying local on each of
-// them, under a ticket, up to its pack phase if detached.
-func (c *Cluster) exchange(local int64, detached bool, links *gluon.Links, pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
 	t := c.claimTicket()
-	t.detached, t.links, t.sum = detached, links, local
-	c.begin(t, pack, unpack)
+	t.detached, t.links, t.sum = detached, s.Links, local
+	c.begin(t, s.Pack, s.Unpack)
 	if !detached {
 		c.complete(t)
 	}
@@ -965,10 +914,10 @@ func (c *Cluster) begin(t *PendingExchange, pack func(from, to int, w *gluon.Wri
 	sent := c.settle(t)
 	c.checkExchangeErr()
 	// In process, an exchange that sent no message has nothing to unpack:
-	// Complete frees its transport slot and runs no unpack phase. Remote
-	// receivers still synchronize on their peers' empty markers. The
-	// paper-model Stats cannot tell the difference — an empty buffer was
-	// never a message — and the trace still gets its exchange event.
+	// Complete runs no unpack phase. Remote receivers still synchronize
+	// on their peers' empty markers. The paper-model Stats cannot tell
+	// the difference — an empty buffer was never a message — and the
+	// trace still gets its exchange event.
 	t.empty = sent == 0 && c.localHost < 0
 	t.unpack = unpack
 }
@@ -982,9 +931,7 @@ func (c *Cluster) complete(t *PendingExchange) {
 		completeStart = c.now()
 	}
 	end := completeStart
-	if t.empty {
-		c.mem.Reclaim(t.ex)
-	} else {
+	if !t.empty {
 		c.cur = t
 		c.unpackFn = t.unpack
 		if h := c.localHost; h >= 0 {

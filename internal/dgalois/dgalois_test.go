@@ -749,28 +749,31 @@ func TestDispatchShrinkingBodyReturns(t *testing.T) {
 	}
 }
 
-// TestEmptyExchangeSkipsUnpack pins the skip rule: an in-process exchange
-// whose packs wrote nothing runs no unpack callback and gives its
-// transport slot back (a window of w admits w open exchanges, so a slot
-// that leaked would overflow it on the second pass), yet still emits its
-// exchange event and counts as an exchange; the next non-empty exchange
-// is delivered as ever.
+// TestEmptyExchangeSkipsUnpack pins the skip rule and ticket reuse: an
+// in-process exchange whose packs wrote nothing runs no unpack callback,
+// yet still emits its exchange event and counts as an exchange; the next
+// non-empty exchange is delivered as ever. A cluster holds as many
+// tickets as it ever had exchanges open at once: w for a window of w
+// detached ones, however many passes, and no more for serial ones.
 func TestEmptyExchangeSkipsUnpack(t *testing.T) {
 	for _, window := range []int{1, 4} {
 		const hosts, passes = 4, 3
 		tr := obs.NewTrace(1<<10, obs.LevelPhase)
-		c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, MaxInflight: window,
-			Transport: gluon.NewMemTransportWindow(hosts, window)})
+		c := NewClusterOpts(hosts, ClusterOptions{Trace: tr})
 		var unpacked int64
 		unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
+		empty := Sync{Pack: func(from, to int, w *gluon.Writer) {}, Unpack: unpack}
 		pending := make([]*PendingExchange, window)
 		for p := 0; p < passes; p++ {
 			for k := range pending {
-				pending[k] = c.BeginExchange(func(from, to int, w *gluon.Writer) {}, unpack)
+				pending[k] = c.BeginSync(empty, 0)
 			}
 			for _, t := range pending {
 				t.Complete()
 			}
+		}
+		if len(c.tickets) != window {
+			t.Fatalf("window %d: %d tickets after %d passes", window, len(c.tickets), passes)
 		}
 		if unpacked != 0 {
 			t.Fatalf("window %d: %d unpack callbacks ran for exchanges that sent nothing", window, unpacked)
@@ -787,9 +790,14 @@ func TestEmptyExchangeSkipsUnpack(t *testing.T) {
 		if st := c.Stats(); st.Messages != 0 || st.Bytes != 0 {
 			t.Fatalf("window %d: empty exchanges counted %d messages, %d bytes", window, st.Messages, st.Bytes)
 		}
-		c.Exchange(func(from, to int, w *gluon.Writer) { w.Byte(1) }, unpack)
-		if unpacked != hosts*(hosts-1) {
-			t.Fatalf("window %d: %d buffers delivered after the empty exchanges, want %d", window, unpacked, hosts*(hosts-1))
+		for p := 0; p < passes; p++ {
+			c.Exchange(func(from, to int, w *gluon.Writer) { w.Byte(1) }, unpack)
+		}
+		if unpacked != passes*hosts*(hosts-1) {
+			t.Fatalf("window %d: %d buffers delivered after the empty exchanges, want %d", window, unpacked, passes*hosts*(hosts-1))
+		}
+		if len(c.tickets) != window {
+			t.Fatalf("window %d: serial exchanges grew the cluster to %d tickets", window, len(c.tickets))
 		}
 		c.Close()
 	}
@@ -822,39 +830,46 @@ func BenchmarkEmptyCompute(b *testing.B) {
 	}
 }
 
-// TestExchangeSumInProcess pins the in-process half of the primitive:
-// the caller's value is already the cluster's, so a zero opens no
-// exchange — no pack, no event, no sequence number, and from
-// BeginExchangeSumOn no ticket — and anything else runs exactly an
-// Exchange and comes back unchanged.
+// TestExchangeSumInProcess pins the in-process half of the vote: the
+// caller's value is already the cluster's, so a zero opens no exchange —
+// no pack, no event, no sequence number, and from BeginSync no ticket —
+// and anything else runs exactly an Exchange and comes back unchanged.
+// Without Vote a zero term still runs the exchange.
 func TestExchangeSumInProcess(t *testing.T) {
 	const hosts = 4
 	tr := obs.NewTrace(1<<10, obs.LevelPhase)
-	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr, MaxInflight: 2})
+	c := NewClusterOpts(hosts, ClusterOptions{Trace: tr})
 	defer c.Close()
 	var packed, unpacked int64
 	pack := func(from, to int, w *gluon.Writer) { atomic.AddInt64(&packed, 1); w.Byte(1) }
 	unpack := func(to, from int, data []byte, dec *gluon.Decoder) { atomic.AddInt64(&unpacked, 1) }
+	vote := Sync{Pack: pack, Unpack: unpack, Vote: true}
 
-	if got := c.ExchangeSumOn(nil, 0, pack, unpack); got != 0 {
-		t.Fatalf("ExchangeSumOn(nil, 0) = %d", got)
+	if got := c.Sync(vote, 0); got != 0 {
+		t.Fatalf("Sync(vote, 0) = %d", got)
 	}
-	if p := c.BeginExchangeSumOn(nil, 0, pack, unpack); p != nil {
-		t.Fatal("BeginExchangeSumOn(nil, 0) opened an exchange in process")
+	if p := c.BeginSync(vote, 0); p != nil {
+		t.Fatal("BeginSync(vote, 0) opened an exchange in process")
 	}
 	if packed != 0 || len(tr.Events()) != 0 || c.Cursor().Seq != 0 {
 		t.Fatalf("a zero vote ran %d packs, emitted %d events, took %d sequence numbers", packed, len(tr.Events()), c.Cursor().Seq)
 	}
 
 	const pairs = hosts * (hosts - 1)
-	if got := c.ExchangeSumOn(nil, -7, pack, unpack); got != -7 || packed != pairs || unpacked != pairs {
-		t.Fatalf("ExchangeSumOn(nil, -7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
+	if got := c.Sync(vote, -7); got != -7 || packed != pairs || unpacked != pairs {
+		t.Fatalf("Sync(vote, -7) = %d after %d packs and %d unpacks, want -7 and %d of each", got, packed, unpacked, pairs)
 	}
-	p, q := c.BeginExchangeSumOn(nil, 5, pack, unpack), c.BeginExchangeSumOn(nil, 6, pack, unpack)
+	p, q := c.BeginSync(vote, 5), c.BeginSync(vote, 6)
 	q.Complete()
 	p.Complete()
 	if p.Sum() != 5 || q.Sum() != 6 || unpacked != 3*pairs {
 		t.Fatalf("detached sums %d and %d after %d unpacks, want 5, 6 and %d", p.Sum(), q.Sum(), unpacked, 3*pairs)
 	}
-	c.Exchange(pack, unpack) // both tickets came back
+	vote.Vote = false
+	if got := c.Sync(vote, 0); got != 0 || unpacked != 4*pairs {
+		t.Fatalf("Sync without a vote = %d after %d unpacks, want 0 and %d", got, unpacked, 4*pairs)
+	}
+	if len(c.tickets) != 2 {
+		t.Fatalf("%d tickets after two open exchanges at most, want 2", len(c.tickets))
+	}
 }

@@ -1,8 +1,10 @@
 package dgalois
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mrbc/internal/gluon"
@@ -86,11 +88,12 @@ func TestSPMDPhasesRunInline(t *testing.T) {
 	// An SPMD process cannot take its own zero for the cluster's: the
 	// exchange runs and returns every host's sum.
 	ran := false
-	if got := c.ExchangeSumOn(nil, 0, func(from, to int, w *gluon.Writer) { ran = true }, func(to, from int, data []byte, dec *gluon.Decoder) {}); got != hosts-1 || !ran {
-		t.Fatalf("ExchangeSumOn(nil, 0) = %d (packed: %v), want %d from an exchange that ran", got, ran, hosts-1)
+	vote := Sync{Pack: func(from, to int, w *gluon.Writer) { ran = true }, Unpack: func(to, from int, data []byte, dec *gluon.Decoder) {}, Vote: true}
+	if got := c.Sync(vote, 0); got != hosts-1 || !ran {
+		t.Fatalf("Sync(vote, 0) = %d (packed: %v), want %d from an exchange that ran", got, ran, hosts-1)
 	}
-	if p := c.BeginExchangeSumOn(nil, 5, func(from, to int, w *gluon.Writer) {}, func(to, from int, data []byte, dec *gluon.Decoder) {}); p == nil {
-		t.Fatal("BeginExchangeSumOn returned the nil ticket in SPMD mode")
+	if p := c.BeginSync(vote, 5); p == nil {
+		t.Fatal("BeginSync returned the nil ticket in SPMD mode")
 	} else if p.Complete(); p.Sum() != 5+hosts-1 {
 		t.Fatalf("detached sum = %d, want %d", p.Sum(), 5+hosts-1)
 	}
@@ -108,16 +111,15 @@ func TestSPMDPhasesRunInline(t *testing.T) {
 func TestPipelinedExchangeIDsAreOneCounter(t *testing.T) {
 	const hosts, self, batches, turns = 4, 2, 3, 4
 	stub := &spmdStub{hosts: hosts, self: self}
-	c := NewClusterOpts(hosts, ClusterOptions{Transport: stub, MaxInflight: batches})
+	c := NewClusterOpts(hosts, ClusterOptions{Transport: stub})
 	defer c.Close()
-	pack := func(from, to int, w *gluon.Writer) { w.Byte(byte(from)) }
-	unpack := func(to, from int, data []byte, dec *gluon.Decoder) {}
+	step := Sync{Pack: func(from, to int, w *gluon.Writer) { w.Byte(byte(from)) }, Unpack: func(to, from int, data []byte, dec *gluon.Decoder) {}}
 	open := make([]*PendingExchange, batches)
 	for turn := 0; turn < turns; turn++ {
 		for b := range open {
 			c.SetBatch(b)
 			open[b].Complete()
-			open[b] = c.BeginExchange(pack, unpack)
+			open[b] = c.BeginSync(step, 0)
 		}
 	}
 	for _, p := range open {
@@ -140,4 +142,26 @@ func TestPipelinedExchangeIDsAreOneCounter(t *testing.T) {
 			t.Fatalf("exchange %d went out as identifier %d; identifiers %v, want 0..%d", n, id, ids, batches*turns-1)
 		}
 	}
+}
+
+// ownsAll is a transport that claims every host as local, as an
+// in-process backend does.
+type ownsAll struct {
+	gluon.Transport
+	hosts int
+}
+
+func (o ownsAll) Hosts() int       { return o.hosts }
+func (o ownsAll) Local(h int) bool { return true }
+
+// TestTransportMustOwnOneHost: a transport always means SPMD mode, so one
+// that owns every host is refused at construction — an in-process
+// cluster takes no transport.
+func TestTransportMustOwnOneHost(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "must own exactly one local host, owns 4") {
+			t.Fatalf("NewClusterOpts over a transport owning every host: panic %q", msg)
+		}
+	}()
+	NewClusterOpts(4, ClusterOptions{Transport: ownsAll{hosts: 4}})
 }

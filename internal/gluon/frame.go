@@ -57,6 +57,19 @@ func sealFrame(frame []byte, seq uint32) {
 	binary.LittleEndian.PutUint32(frame[12:], crc)
 }
 
+// frameLen checks the header of a stream's next frame (the magic, and a
+// payload of at most 1 GiB) and returns the whole frame's length.
+func frameLen(hdr []byte) (int, error) {
+	if [4]byte(hdr[:4]) != frameMagic {
+		return 0, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+	}
+	plen := binary.LittleEndian.Uint32(hdr[8:])
+	if plen > 1<<30 {
+		return 0, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
+	}
+	return FrameOverhead + int(plen), nil
+}
+
 // DecodeFrame parses a frame, returning its sequence number and
 // payload (a sub-slice of data, not a copy). It rejects short input,
 // wrong magic, length mismatches (truncation or trailing garbage), and

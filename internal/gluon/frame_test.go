@@ -1,7 +1,9 @@
 package gluon
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -43,5 +45,29 @@ func TestFrameDetectsDamage(t *testing.T) {
 	// Trailing garbage must be detected.
 	if _, _, err := DecodeFrame(append(append([]byte(nil), fr...), 0)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("trailing byte undetected (err=%v)", err)
+	}
+}
+
+// TestStreamReadersRefuseTheSameHeaders: the transport's connection
+// reader and ReadFrame, the relay's, check a stream's next frame header
+// with one rule — the magic, and a declared payload of at most 1 GiB —
+// and refuse a bad one with the same error.
+func TestStreamReadersRefuseTheSameHeaders(t *testing.T) {
+	good := EncodeFrame(9, []byte("payload"))
+	badMagic := append([]byte(nil), good...)
+	badMagic[0] = 'X'
+	tooLong := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(tooLong[8:], 1<<30+1)
+	for name, frame := range map[string][]byte{"bad magic": badMagic, "too long": tooLong} {
+		_, relayErr := ReadFrame(bufio.NewReader(bytes.NewReader(frame)))
+		c := &connReader{buf: append([]byte(nil), frame...), w: len(frame)}
+		_, _, _, connErr := c.next(nil, false)
+		if !errors.Is(relayErr, ErrBadFrame) || !errors.Is(connErr, ErrBadFrame) || relayErr.Error() != connErr.Error() {
+			t.Errorf("%s: ReadFrame: %v; connection reader: %v; want one ErrBadFrame", name, relayErr, connErr)
+		}
+	}
+	c := &connReader{buf: append([]byte(nil), good...), w: len(good)}
+	if seq, body, _, err := c.next(nil, false); err != nil || seq != 9 || string(body) != "payload" {
+		t.Fatalf("connection reader on a good frame: seq %d, body %q, %v", seq, body, err)
 	}
 }

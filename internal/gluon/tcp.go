@@ -1427,14 +1427,10 @@ func (c *connReader) next(grow func(n int) []byte, block bool) (seq uint32, body
 		}
 		if c.w-c.r >= FrameOverhead {
 			hdr := c.buf[c.r:c.w]
-			if [4]byte(hdr[:4]) != frameMagic {
-				return 0, nil, nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+			n, err := frameLen(hdr)
+			if err != nil {
+				return 0, nil, nil, err
 			}
-			plen := binary.LittleEndian.Uint32(hdr[8:])
-			if plen > 1<<30 {
-				return 0, nil, nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
-			}
-			n := FrameOverhead + int(plen)
 			if n <= len(hdr) {
 				c.r += n
 				seq, body, err = DecodeFrame(hdr[:n])
@@ -1514,14 +1510,11 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if [4]byte(hdr[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic on stream", ErrBadFrame)
+	n, err := frameLen(hdr)
+	if err != nil {
+		return nil, err
 	}
-	plen := binary.LittleEndian.Uint32(hdr[8:])
-	if plen > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrBadFrame, plen)
-	}
-	frame := make([]byte, FrameOverhead+int(plen))
+	frame := make([]byte, n)
 	if _, err := io.ReadFull(br, frame); err != nil {
 		return nil, err
 	}

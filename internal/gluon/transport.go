@@ -11,10 +11,10 @@ import (
 // the one int64 per host whose sum the SPMD engine loops read as their
 // global termination vote. Two backends exist:
 //
-//   - MemTransport: the in-process delivery the simulated cluster has
-//     always used — every host lives in one address space and a "send"
-//     is a slice hand-off. Byte- and accounting-identical to the
-//     pre-interface substrate, and allocation-free at steady state.
+//   - MemTransport: the contract's in-process reference — every host
+//     lives in one address space and a "send" is a slice hand-off. (An
+//     in-process dgalois cluster needs no transport: its receivers read
+//     the senders' writers.)
 //   - TCPTransport (tcp.go): a real network backend for multi-process
 //     clusters — one process per host, framed messages with per-channel
 //     sequence numbers, acks, retransmission, and re-dial over TCP.
@@ -34,9 +34,9 @@ import (
 //     construction (NewMemTransportWindow); the TCP backend buffers
 //     per-exchange boxes on demand.
 //   - Silent(exchange, to, from) is the receiver's side of a link on
-//     which from sends nothing this exchange (the dgalois cluster's
-//     non-partner links of an exchange without a vote): from then reads
-//     as an empty marker that has arrived, with a term of 0.
+//     which from sends nothing this exchange (a link outside a dgalois
+//     exchange's set): from then reads as an empty marker that has
+//     arrived, with a term of 0.
 //   - Send is only valid for local `from` hosts; the gathers and Silent
 //     only for local `to` hosts. The buffer passed to Send must stay
 //     valid until the receiving side's gather of the same exchange
@@ -49,17 +49,18 @@ import (
 //     of this one gathered. Remote backends
 //     block until every peer's message arrived or the stall deadline
 //     expires; the in-process backend relies on the caller's BSP
-//     barrier instead (all Sends of the exchange complete before any
-//     Gather — the dgalois worker-pool handshake provides exactly
-//     this), so it never waits.
+//     barrier instead (all Sends and Proposes of the exchange complete
+//     before any Gather), so it never waits.
 //   - Propose gives an exchange a host's term of its sum, before the
 //     host's first Send of the exchange: remote backends carry the term
 //     in the header of every message, empty markers included, outside
 //     Messages/Bytes. A host that does not propose contributes 0.
-//   - Sum returns the sum of every host's term for the exchange the
-//     host gathered last. It never blocks: it is defined from when the
-//     host has gathered every peer of the exchange (Gather, or GatherFrom
-//     each) until its next gather call, and an error outside that span.
+//   - Sum returns the host's own term plus those of the senders it did
+//     not declare silent, for the exchange the host gathered last (with
+//     no silent sender, every host's). It never blocks: it is defined
+//     from when the host has gathered every peer of the exchange
+//     (Gather, or GatherFrom each) until its next gather call, and an
+//     error outside that span.
 //   - AllReduce folds one int64 per host with a commutative operation;
 //     every host must call it the same number of times, in lockstep
 //     with its exchanges. Remote backends run it as an exchange of empty
@@ -210,21 +211,19 @@ func (e *TransportError) Error() string {
 		host, e.Exchange, e.Pending, e.Steps, e.Reason)
 }
 
-// MemTransport is the in-process backend: every host is local and a
-// send is a slice hand-off into a preallocated inbox matrix. It is the
-// refactored form of the substrate's original buffer matrix, so the
-// steady-state exchange path performs zero heap allocations and the
-// accounting the cluster derives from it is byte-identical to the
-// pre-interface code.
+// MemTransport is the in-process reference backend of the Transport
+// contract: every host is local and a send is a slice hand-off into a
+// preallocated inbox matrix, so the steady-state exchange path performs
+// zero heap allocations.
 type MemTransport struct {
 	hosts  int
 	window int
 	// slots hold the inbox matrices of the concurrently-open exchanges.
 	// Claiming a slot takes mu; finding an open exchange's slot and
 	// freeing it are atomic reads and writes of the slot's id, so once an
-	// exchange is open (Open, or its first Send) no Send or Gather of it
-	// locks. The inbox cells themselves are plain writes (distinct
-	// (from, to) pairs never share a cell).
+	// exchange is open (its first call) no Send or Gather of it locks.
+	// The inbox cells themselves are plain writes (distinct (from, to)
+	// pairs never share a cell).
 	mu    sync.Mutex
 	slots []memSlot
 	// stats[from*hosts+to], written only by the (from, to) pack task —
@@ -243,17 +242,21 @@ type memSum struct {
 
 // memSlot is one open exchange's preallocated inbox matrix. id is the
 // exchange identifier, -1 when free. A slot is released once every
-// receiver gathered (or the caller reclaimed the exchange); the inbox
-// cells are left in place — every remote channel is re-sent or declared
-// silent before the next gather of a reusing exchange.
+// receiver gathered; the inbox cells are left in place — every remote
+// channel is re-sent or declared silent before the next gather of a
+// reusing exchange.
 type memSlot struct {
 	id atomic.Int64
 	// inbox[to][from]: the exchange's buffer on each channel.
-	inbox    [][][]byte
+	inbox [][][]byte
+	// terms[h] is host h's term of the exchange's sum (Propose; 0 if none),
+	// silent[to*hosts+from] whether receiver to declared from silent: to's
+	// sum leaves that term out.
+	terms    []int64
+	silent   []bool
 	gathered []bool       // written by the receiver's gathers only, until the release
 	taken    []int        // senders the receiver gathered one by one, likewise
 	n        atomic.Int32 // receivers that gathered
-	sum      atomic.Int64 // the terms proposed so far
 }
 
 // NewMemTransport returns an in-process transport for the given host
@@ -282,6 +285,8 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 		for to := range s.inbox {
 			s.inbox[to] = make([][]byte, hosts)
 		}
+		s.terms = make([]int64, hosts)
+		s.silent = make([]bool, hosts*hosts)
 		s.gathered = make([]bool, hosts)
 		s.taken = make([]int, hosts)
 	}
@@ -290,10 +295,6 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 	m.reduce.init(hosts)
 	return m
 }
-
-// Window returns the number of exchanges the transport can hold open
-// concurrently.
-func (m *MemTransport) Window() int { return m.window }
 
 // slot returns the slot holding exchange, nil if it is not open.
 func (m *MemTransport) slot(exchange int) *memSlot {
@@ -322,18 +323,13 @@ func (m *MemTransport) open(exchange int) *memSlot {
 	panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, m.window))
 }
 
-// Open claims exchange's slot ahead of its Sends. A caller that opens
-// each exchange from one goroutine before fanning out its Sends (the
-// dgalois coordinator) keeps every Send off the lock; an exchange nobody
-// opened is opened by whichever Send or Gather comes first.
-func (m *MemTransport) Open(exchange int) { m.open(exchange) }
-
 // release returns the slot to the free pool.
 func (s *memSlot) release() {
+	clear(s.terms)
+	clear(s.silent)
 	clear(s.gathered)
 	clear(s.taken)
 	s.n.Store(0)
-	s.sum.Store(0)
 	s.id.Store(-1)
 }
 
@@ -390,9 +386,12 @@ func (m *MemTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
 }
 
 // Silent empties the exchange's (from → to) cell, which still holds
-// whatever an earlier exchange of the slot left there.
+// whatever an earlier exchange of the slot left there, and leaves from's
+// term out of to's sum.
 func (m *MemTransport) Silent(exchange, to, from int) error {
-	m.open(exchange).inbox[to][from] = nil
+	s := m.open(exchange)
+	s.inbox[to][from] = nil
+	s.silent[to*m.hosts+from] = true
 	return nil
 }
 
@@ -403,16 +402,22 @@ func (m *MemTransport) finish(slot *memSlot, exchange, to int) {
 		return
 	}
 	slot.gathered[to] = true
-	m.sums[to] = memSum{exchange + 1, slot.sum.Load()}
+	var sum int64
+	for from, term := range slot.terms {
+		if !slot.silent[to*m.hosts+from] {
+			sum += term
+		}
+	}
+	m.sums[to] = memSum{exchange + 1, sum}
 	if int(slot.n.Add(1)) == m.hosts {
 		slot.release()
 	}
 }
 
-// Propose adds host's term to the exchange's sum. The caller's barrier
+// Propose sets host's term of the exchange's sum. The caller's barrier
 // puts every host's Propose, like its Sends, before the first Gather.
 func (m *MemTransport) Propose(exchange, host int, local int64) error {
-	m.open(exchange).sum.Add(local)
+	m.open(exchange).terms[host] = local
 	return nil
 }
 
@@ -424,20 +429,10 @@ func (m *MemTransport) Sum(exchange, host int) (int64, error) {
 	return 0, fmt.Errorf("gluon: Sum of exchange %d, which host %d did not gather last", exchange, host)
 }
 
-// Reclaim releases an exchange's buffer slot without gathering it, for
-// an exchange that sent nothing and so has nothing to unpack.
-func (m *MemTransport) Reclaim(exchange int) {
-	if s := m.slot(exchange); s != nil {
-		s.release()
-	}
-}
-
 // AllReduce folds one value per host across all hosts. Unlike Send and
 // Gather it is a genuine rendezvous — callers block until every host
 // contributed — because concurrent drivers (the conformance suite) have
-// no outer barrier to lean on. The lockstep in-process cluster never
-// calls it: with every host local, the coordinator's own accumulator is
-// already the global value.
+// no outer barrier to lean on.
 func (m *MemTransport) AllReduce(host int, local int64, op ReduceOp) (int64, error) {
 	if host < 0 || host >= m.hosts {
 		return 0, fmt.Errorf("gluon: AllReduce host %d out of range [0,%d)", host, m.hosts)

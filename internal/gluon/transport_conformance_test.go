@@ -628,8 +628,13 @@ func TestTransportConformanceExchangeSum(t *testing.T) {
 // diagonals of a 2×2 grid, which share no proxy under a Cartesian cut.
 func silentLink(a, b int) bool { return a != b && a+b == 3 }
 
-// confVote reports whether exchange e carries a vote: every third does.
+// confVote reports whether exchange e carries a vote on every link:
+// every third does.
 func confVote(e int) bool { return e%3 == 0 }
+
+// confSubsetVote reports whether exchange e carries a vote on its partner
+// links alone, leaving the silent links without a record: one in three.
+func confSubsetVote(e int) bool { return e%3 == 1 }
 
 // linkPayload is confPayload on a partner link and the empty marker on a
 // silent one.
@@ -644,8 +649,10 @@ func linkPayload(e, from, to int) []byte {
 // cluster with `window` exchanges open at once: a vote exchange
 // proposes every host's term and sends on every link, the silent links'
 // records being empty markers; any other exchange leaves the silent
-// links without a record, and their receivers declare them silent.
-// Even exchanges are gathered whole, odd ones per sender.
+// links without a record, and their receivers declare them silent. A
+// subset vote proposes too, but its sum leaves out the terms of the
+// senders its receiver declared silent. Even exchanges are gathered
+// whole, odd ones per sender.
 func runConformanceSilent(t *testing.T, hosts, window, exchanges int, c *conformanceCluster) {
 	t.Helper()
 	defer c.done()
@@ -658,7 +665,7 @@ func runConformanceSilent(t *testing.T, hosts, window, exchanges int, c *conform
 			tr := c.view(h)
 			for base := 0; base < exchanges; base += window {
 				for e := base; e < base+window; e++ {
-					if confVote(e) {
+					if confVote(e) || confSubsetVote(e) {
 						term, _ := confTerm(e, h)
 						if err := tr.Propose(e, h, term); err != nil {
 							t.Errorf("host %d: propose ex %d: %v", h, e, err)
@@ -705,13 +712,14 @@ func runConformanceSilent(t *testing.T, hosts, window, exchanges int, c *conform
 						t.Errorf("host %d: gather ex %d: %v", h, e, err)
 						return
 					}
-					if !confVote(e) {
+					if !confVote(e) && !confSubsetVote(e) {
 						continue
 					}
 					var sum int64
 					for p := 0; p < hosts; p++ {
-						term, _ := confTerm(e, p)
-						sum += term
+						if term, _ := confTerm(e, p); confVote(e) || !silentLink(p, h) {
+							sum += term
+						}
 					}
 					if got, err := tr.Sum(e, h); err != nil || got != sum {
 						t.Errorf("host %d: Sum(ex %d) = %d, %v; want %d", h, e, got, err, sum)
@@ -783,8 +791,9 @@ func openExchanges(tr Transport) int {
 // TestTransportConformanceSilent pins declared-silent links on both
 // backends, at strict BSP and with four exchanges open: 2 000 exchanges
 // in which a third carry a vote over every link and the rest leave the
-// grid diagonals without a record. Payloads, sums and the silent links'
-// Stats are exact, and no exchange stays open. The TCP step is long
+// grid diagonals without a record, half of those with a vote on the
+// other links. Payloads, sums and the silent links' Stats are exact, and
+// no exchange stays open. The TCP step is long
 // enough that no tick falls inside the run, so no standalone ack blurs
 // the Control count, and short deadlines are not what the test relies
 // on: a receiver that waited for a silent sender would stall it outright.

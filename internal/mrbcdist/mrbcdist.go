@@ -64,10 +64,8 @@ type Options struct {
 	// traces and stats byte-identical to prior releases. Scores and the
 	// model-event stream are independent of the depth: batches retire
 	// in index order, replaying the serial floating-point fold exactly.
-	// The depth is clamped to the number of batches. A caller-provided
-	// in-process Transport must have a window of at least this depth
-	// (gluon.NewMemTransportWindow); SPMD processes of one job must
-	// agree on the depth.
+	// The depth is clamped to the number of batches. SPMD processes of
+	// one job must agree on the depth.
 	PipelineDepth int
 	// Checkpoint, when non-nil, persists a boundary snapshot into the
 	// sink after every source batch: the scores folded so far plus the
@@ -294,12 +292,10 @@ func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 	}
 	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Trace:       opts.Trace,
-		Metrics:     opts.Metrics,
-		Transport:   opts.Transport,
-		MaxInflight: depth,
-		Epoch:       opts.Epoch,
-		Topology:    topo,
+		Trace:     opts.Trace,
+		Metrics:   opts.Metrics,
+		Transport: opts.Transport,
+		Epoch:     opts.Epoch,
 	})
 	defer cluster.Close()
 	scores := make([]float64, n)
@@ -513,15 +509,7 @@ type batchRun struct {
 // b.r: bound once per batch, so that a round builds no closure.
 type phases struct {
 	forwardFlags, arbitrate, relax, backwardFlags, union, accumulate func(h int)
-	firstReduce, fwdReduce, fwdBroadcast, backReduce, backBroadcast  syncStep
-}
-
-// syncStep is the two halves of one exchange and the links it sends and
-// gathers on (nil: every link).
-type syncStep struct {
-	pack   func(from, to int, w *gluon.Writer)
-	unpack func(to, from int, data []byte, dec *gluon.Decoder)
-	links  *gluon.Links
+	firstReduce, fwdReduce, fwdBroadcast, backReduce, backBroadcast  dgalois.Sync
 }
 
 func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
@@ -535,13 +523,14 @@ func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	// sum over the forward broadcast where two legs reach every host, and
 	// votes on every link where they do not; where the proposal links are
 	// every link, the reduce alone reaches every host.
-	reduce := syncStep{b.packDueLabels, b.unpackProposals, j.topo.ProposalLinks()}
+	reduce := dgalois.Sync{Links: j.topo.ProposalLinks(), Pack: b.packDueLabels, Unpack: b.unpackProposals, Vote: true}
 	first := reduce
-	first.links = j.topo.PartnerLinks()
+	first.Links = j.topo.PartnerLinks()
+	broadcast := dgalois.Sync{Links: j.topo.PartnerLinks(), Pack: b.packBcastLabels, Unpack: b.unpackLabels}
 	if j.cluster.LocalHost() >= 0 {
 		switch j.topo.VoteLegs() {
 		case 0:
-			first.links, reduce.links = nil, nil
+			first.Links, reduce.Links = nil, nil
 		case 2:
 			b.relay = true
 		}
@@ -550,10 +539,9 @@ func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	// only local out-edges produce; the backward broadcast only mirrors
 	// with local in-edges (MarkReaders).
 	b.phases = phases{b.forwardFlags, b.arbitrate, b.relax, b.backwardFlags, b.union, b.accumulate,
-		first, reduce,
-		syncStep{b.packBcastLabels, b.unpackLabels, j.topo.PartnerLinks()},
-		syncStep{b.packDueDeltas, b.unpackDeltaPartials, j.topo.PartialLinks()},
-		syncStep{b.packBcastDeltas, b.unpackDeltas, j.topo.ReaderLinks()}}
+		first, reduce, broadcast,
+		dgalois.Sync{Links: j.topo.PartialLinks(), Pack: b.packDueDeltas, Unpack: b.unpackDeltaPartials},
+		dgalois.Sync{Links: j.topo.ReaderLinks(), Pack: b.packBcastDeltas, Unpack: b.unpackDeltas}}
 	if j.instrument != nil {
 		j.instrument(b)
 	}
@@ -598,39 +586,26 @@ func (b *batchRun) backwardDepth() int {
 	return b.fwd
 }
 
-// exchange is the one depth-dependent step. The serial loop runs the
-// exchange in place. A pipelined batch sends it, hands the turn to the
-// next batch while the bytes are on the wire, and completes it when the
-// turn comes back. The turn rotation keeps the global operation order a
-// deterministic function of the batch schedule.
-func (b *batchRun) exchange(x syncStep) {
+// exchange is the one depth-dependent step: it runs s carrying local
+// and returns the sum its links carried in (dgalois.Cluster.Sync). The
+// serial loop runs the exchange in place. A pipelined batch sends it,
+// hands the turn to the next batch while the bytes are on the wire, and
+// completes it when the turn comes back; a vote that opens no exchange
+// (in process, a zero) does not rotate the turn. The turn rotation keeps
+// the global operation order a deterministic function of the batch
+// schedule.
+func (b *batchRun) exchange(s dgalois.Sync, local int64) int64 {
 	if b.pipe == nil {
-		b.cluster.ExchangeOn(x.links, x.pack, x.unpack)
-		return
+		return b.cluster.Sync(s, local)
 	}
-	b.overlap(b.cluster.BeginExchangeOn(x.links, x.pack, x.unpack))
-}
-
-// exchangeSum is exchange carrying the round's quiescence vote: it
-// returns local plus the terms its links carried in
-// (dgalois.ExchangeSumOn). In process a zero opens no exchange, and the
-// turn does not rotate.
-func (b *batchRun) exchangeSum(local int64, x syncStep) int64 {
-	if b.pipe == nil {
-		return b.cluster.ExchangeSumOn(x.links, local, x.pack, x.unpack)
-	}
-	p := b.cluster.BeginExchangeSumOn(x.links, local, x.pack, x.unpack)
+	p := b.cluster.BeginSync(s, local)
 	if p == nil {
 		return 0
 	}
-	b.overlap(p)
-	return p.Sum()
-}
-
-func (b *batchRun) overlap(p *dgalois.PendingExchange) {
 	b.pipe.t.yield()
 	b.pipe.take(b.bi)
 	p.Complete()
+	return p.Sum()
 }
 
 // forwardRound runs forward round r and reports whether any host had
@@ -656,7 +631,7 @@ func (b *batchRun) forwardRound(r int) (active bool) {
 	if r == 1 {
 		reduce = b.phases.firstReduce
 	}
-	vote := b.exchangeSum(b.activity, reduce)
+	vote := b.exchange(reduce, b.activity)
 	b.prog.round.Set(int64(r))
 	b.prog.frontier.Set(b.activity)
 	if !b.relay && vote == 0 {
@@ -664,8 +639,8 @@ func (b *batchRun) forwardRound(r int) (active bool) {
 	}
 	b.cluster.Compute(b.phases.arbitrate)
 	if !b.relay {
-		b.exchange(b.phases.fwdBroadcast)
-	} else if b.exchangeSum(vote, b.phases.fwdBroadcast) == 0 {
+		b.exchange(b.phases.fwdBroadcast, 0)
+	} else if b.exchange(b.phases.fwdBroadcast, vote) == 0 {
 		return false
 	}
 	b.cluster.Compute(b.phases.relax)
@@ -680,9 +655,9 @@ func (b *batchRun) backwardRound(r int) {
 	b.r = r
 	b.prog.round.Set(int64(r))
 	b.cluster.Compute(b.phases.backwardFlags)
-	b.exchange(b.phases.backReduce)
+	b.exchange(b.phases.backReduce, 0)
 	b.cluster.Compute(b.phases.union)
-	b.exchange(b.phases.backBroadcast)
+	b.exchange(b.phases.backBroadcast, 0)
 	b.cluster.Compute(b.phases.accumulate)
 }
 

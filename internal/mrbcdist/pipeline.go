@@ -8,7 +8,7 @@ package mrbcdist
 // wait sits on the critical path. Here up to `depth` batches run the
 // same batchRun body (mrbcdist.go) as coroutines over the one shared
 // cluster; the difference is confined to batchRun.exchange, which packs
-// and sends (dgalois.BeginExchange), hands the cluster to the next
+// and sends (dgalois.BeginSync), hands the cluster to the next
 // batch while the bytes are on the wire, and unpacks
 // (PendingExchange.Complete) when its turn comes back. The compute the
 // other batches do in between hides the wire wait — that hidden time

@@ -174,7 +174,7 @@ type Event struct {
 	// Stripped by Canonical: wall time is the one nondeterministic
 	// field an event carries. HiddenNs, on exchange phase events, is
 	// the slice of the exchange's wire wait that elapsed between
-	// BeginExchange and Complete — time the pipeline hid behind
+	// BeginSync and Complete — time the pipeline hid behind
 	// compute (always 0 on synchronous exchanges).
 	StartNs  int64 `json:"start_ns,omitempty"`
 	DurNs    int64 `json:"dur_ns,omitempty"`

@@ -97,26 +97,20 @@ type Options struct {
 }
 
 // Run computes BC restricted to sources over the partitioned graph,
-// one source at a time, returning the scores (indexed by global vertex
-// ID) and the cluster execution statistics.
+// one source at a time, in process, returning the scores (indexed by
+// global vertex ID) and the cluster execution statistics.
 func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32) ([]float64, dgalois.Stats) {
-	return RunOpts(g, pt, sources, Options{})
-}
-
-// RunOpts is Run with explicit options. It panics when the transport
-// fails an exchange; use RunOptsChecked over a transport that may fail.
-func RunOpts(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats) {
-	scores, stats, err := RunOptsChecked(g, pt, sources, opts)
+	scores, stats, err := RunOptsChecked(g, pt, sources, Options{})
 	if err != nil {
-		panic(err)
+		panic(err) // no transport, so no exchange can fail
 	}
 	return scores, stats
 }
 
-// RunOptsChecked is RunOpts returning the transport's structured error
-// when an exchange exceeds its deadline. Every fault the transport
-// recovers from yields err == nil and oracle-exact scores; on error the
-// partial scores are meaningless.
+// RunOptsChecked is Run with explicit options, returning the transport's
+// structured error when an exchange exceeds its deadline. Every fault
+// the transport recovers from yields err == nil and oracle-exact scores;
+// on error the partial scores are meaningless.
 func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
 	n := g.NumVertices()
 	for _, s := range sources {
@@ -129,7 +123,6 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 		Trace:     opts.Trace,
 		Metrics:   opts.Metrics,
 		Transport: opts.Transport,
-		Topology:  topo,
 	})
 	defer cluster.Close()
 	states := make([]*hostState, pt.NumHosts)
@@ -371,6 +364,10 @@ func runSources(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSt
 		})
 	}
 
+	// The forward reduce carries the vote on every link; the other
+	// exchanges move records between partners only.
+	partners := topo.PartnerLinks()
+
 	for si, src = range sources {
 		prog.source.Set(int64(si))
 		cluster.Compute(initSource)
@@ -383,14 +380,14 @@ func runSources(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSt
 			cluster.BeginRound()
 			active = 0
 			cluster.Compute(expand)
-			relaxed := cluster.ExchangeSumOn(nil, active, packLabels, reduceLabels)
+			relaxed := cluster.Sync(dgalois.Sync{Pack: packLabels, Unpack: reduceLabels, Vote: true}, active)
 			prog.level.Set(int64(level))
 			prog.frontier.Set(relaxed)
 			if relaxed == 0 {
 				break
 			}
 			cluster.Compute(buildFrontier)
-			cluster.Exchange(packFinalLabels, applyLabels)
+			cluster.Sync(dgalois.Sync{Links: partners, Pack: packFinalLabels, Unpack: applyLabels}, 0)
 		}
 		forwardLevels = level - 1
 
@@ -401,8 +398,8 @@ func runSources(cluster *dgalois.Cluster, topo *gluon.Topology, states []*hostSt
 			cluster.BeginRound()
 			prog.level.Set(int64(level))
 			cluster.Compute(accumulate)
-			cluster.Exchange(packDeltas, reduceDeltas)
-			cluster.Exchange(packFinalDeltas, applyDeltas)
+			cluster.Sync(dgalois.Sync{Links: partners, Pack: packDeltas, Unpack: reduceDeltas}, 0)
+			cluster.Sync(dgalois.Sync{Links: partners, Pack: packFinalDeltas, Unpack: applyDeltas}, 0)
 		}
 
 		// One summary event per source (a batch of K = 1): eccentricity

@@ -160,7 +160,9 @@ func BenchmarkWebSBBC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = RunOpts(g, pt, sources, Options{Metrics: reg})
+		if _, _, err := RunOptsChecked(g, pt, sources, Options{Metrics: reg}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(reg.Counter("dgalois_phases_pooled_total").Load())/float64(b.N), "pooled/op")
 	b.ReportMetric(float64(reg.Counter("dgalois_phases_caller_total").Load())/float64(b.N), "caller/op")
