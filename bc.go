@@ -30,6 +30,7 @@ package mrbc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -298,19 +299,15 @@ func AutotuneBatchSize(g *Graph, sources []uint32, candidates []int) int {
 func Undirected(g *Graph) *Graph { return g.Undirected() }
 
 // MaxAbsDifference returns the largest absolute difference between two
-// score vectors; handy for validating one engine against another.
+// score vectors, or +Inf when their lengths differ; handy for
+// validating one engine against another.
 func MaxAbsDifference(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	if len(a) != len(b) {
+		return math.Inf(1)
 	}
 	var max float64
-	for i := 0; i < n; i++ {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > max {
 			max = d
 		}
 	}

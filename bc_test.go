@@ -194,7 +194,7 @@ func TestMaxAbsDifference(t *testing.T) {
 	if d := MaxAbsDifference([]float64{1, 2, 3}, []float64{1, 4, 2.5}); d != 2 {
 		t.Fatalf("diff = %v", d)
 	}
-	if d := MaxAbsDifference(nil, []float64{5}); d != 0 {
-		t.Fatalf("diff over empty overlap = %v", d)
+	if d := MaxAbsDifference(nil, []float64{5}); !math.IsInf(d, 1) {
+		t.Fatalf("diff over a length mismatch = %v, want +Inf", d)
 	}
 }

@@ -215,7 +215,7 @@ func run(args []string) error {
 
 	if *verify {
 		oracle := brandes.Sequential(g, sources)
-		diff := clusterrun.MaxScoreDiff(agg.Scores, oracle)
+		diff := mrbc.MaxAbsDifference(agg.Scores, oracle)
 		fmt.Printf("verify: max |score - brandes| = %.3g\n", diff)
 		if diff > 1e-9 {
 			return fmt.Errorf("verification failed: deviation %.3g exceeds 1e-9", diff)

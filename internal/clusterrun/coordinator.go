@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os/exec"
 	"strings"
@@ -449,22 +448,6 @@ func aggregate(results []*JobResult) (*Aggregate, error) {
 		}
 	}
 	return agg, nil
-}
-
-// MaxScoreDiff returns the largest absolute elementwise difference
-// between two score vectors (∞ on length mismatch) — the oracle
-// comparison the harness asserts ≤ 1e-9.
-func MaxScoreDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	var max float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // logWriter forwards child stderr lines to the coordinator's logger.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc"
 	"mrbc/internal/clusterrun"
 )
 
@@ -51,13 +52,13 @@ func checkClusterAgainstReference(t *testing.T, hosts int, spec clusterrun.JobSp
 		t.Fatalf("%d-host run: %v", hosts, err)
 	}
 
-	if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+	if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 		t.Errorf("%d-host scores deviate from Brandes oracle by %g (budget 1e-9)", hosts, diff)
 	}
 
 	spec.Hosts = hosts
 	ref := refRun(t, spec)
-	if diff := clusterrun.MaxScoreDiff(agg.Scores, ref.Scores); diff > 1e-12 {
+	if diff := mrbc.MaxAbsDifference(agg.Scores, ref.Scores); diff > 1e-12 {
 		t.Errorf("summed distributed scores deviate from in-process run by %g", diff)
 	}
 	if agg.Rounds != ref.Rounds {
@@ -85,7 +86,7 @@ func TestClusterReusesDaemons(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d on reused cluster: %v", i, err)
 		}
-		if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+		if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 			t.Fatalf("job %d: scores deviate by %g", i, diff)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc"
 	"mrbc/internal/clusterrun"
 	"mrbc/internal/elastic"
 )
@@ -98,7 +99,7 @@ func TestElasticHostKillSweep(t *testing.T) {
 		if len(rep.Victims) != 1 || rep.Victims[0] != victim {
 			t.Fatalf("seed=%d: survivor vote misidentified the victim: want %d, got %v", seed, victim, rep.Victims)
 		}
-		if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+		if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 			t.Fatalf("seed=%d: scores deviate from oracle by %g after recovery", seed, diff)
 		}
 		if agg.Bytes != clean.Bytes || agg.Messages != clean.Messages {
@@ -158,7 +159,7 @@ func TestElasticSIGKILLAndReplace(t *testing.T) {
 	if rep.ResumeBatches[0] < 1 {
 		t.Fatalf("kill landed after a persisted boundary, yet rollback restarted from scratch: %+v", rep)
 	}
-	if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+	if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 		t.Fatalf("scores deviate from oracle by %g after SIGKILL recovery", diff)
 	}
 	if agg.Bytes != clean.Bytes || agg.Messages != clean.Messages {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc"
 	"mrbc/internal/clusterrun"
 	"mrbc/internal/dgalois"
 )
@@ -61,7 +62,7 @@ func TestSeededFaultSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: recoverable schedule failed: %v", seed, err)
 		}
-		if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+		if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 			t.Fatalf("seed %d: scores deviate from oracle by %g under faults", seed, diff)
 		}
 
@@ -152,7 +153,7 @@ func TestPermanentSeverFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean job after severed job: %v", err)
 	}
-	if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+	if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 		t.Fatalf("post-sever scores deviate by %g", diff)
 	}
 }

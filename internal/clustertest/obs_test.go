@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc"
 	"mrbc/internal/clusterrun"
 	"mrbc/internal/elastic"
 	"mrbc/internal/obs"
@@ -151,7 +152,7 @@ func TestKilledHostLeavesParseablePartialTrace(t *testing.T) {
 	if rep.Attempts < 2 || rep.Victims[0] != victim {
 		t.Fatalf("expected a recovery from host %d's death, got %+v", victim, rep)
 	}
-	if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+	if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 		t.Fatalf("scores deviate from oracle by %g after recovery", diff)
 	}
 

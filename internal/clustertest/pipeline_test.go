@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mrbc"
 	"mrbc/internal/clusterrun"
 )
 
@@ -46,7 +47,7 @@ func TestPipelinedFaultSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: recoverable schedule failed under pipelining: %v", seed, err)
 		}
-		if diff := clusterrun.MaxScoreDiff(agg.Scores, oracle()); diff > 1e-9 {
+		if diff := mrbc.MaxAbsDifference(agg.Scores, oracle()); diff > 1e-9 {
 			t.Fatalf("seed %d: pipelined scores deviate from oracle by %g under faults", seed, diff)
 		}
 	}

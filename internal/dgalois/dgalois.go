@@ -173,7 +173,7 @@ type tally struct {
 	bytes    int64
 	messages int64
 	enc      gluon.EncodingCounts
-	encBytes gluon.ByteCounts
+	encBytes gluon.EncodingCounts
 }
 
 func (t *tally) add(o *tally) {

@@ -374,7 +374,8 @@ func (f Format) String() string {
 	return fmt.Sprintf("Format(%d)", byte(f))
 }
 
-// EncodingCounts tallies sync messages by wire format.
+// EncodingCounts tallies sync messages, or their bytes (header +
+// metadata + payload), by wire format.
 type EncodingCounts struct {
 	Dense  int64 `json:"dense"`
 	Sparse int64 `json:"sparse"`
@@ -388,27 +389,8 @@ func (c *EncodingCounts) Add(o EncodingCounts) {
 	c.All += o.All
 }
 
-// Total returns the number of messages across all formats.
+// Total returns the tally across all formats.
 func (c EncodingCounts) Total() int64 { return c.Dense + c.Sparse + c.All }
-
-// ByteCounts tallies sync-message bytes (header + metadata + payload)
-// by wire format — the byte-level companion of EncodingCounts, surfaced
-// through the dgalois metrics registry.
-type ByteCounts struct {
-	Dense  int64 `json:"dense"`
-	Sparse int64 `json:"sparse"`
-	All    int64 `json:"all"`
-}
-
-// Add accumulates o into c.
-func (c *ByteCounts) Add(o ByteCounts) {
-	c.Dense += o.Dense
-	c.Sparse += o.Sparse
-	c.All += o.All
-}
-
-// Total returns the byte count across all formats.
-func (c ByteCounts) Total() int64 { return c.Dense + c.Sparse + c.All }
 
 // Writer serializes payloads into a sync buffer. The zero value is
 // ready to use; Reset lets one Writer serve many messages without
@@ -418,7 +400,7 @@ type Writer struct {
 	force Format // FormatAuto: adaptive selection; the decoder tests pin a format here
 
 	counts     EncodingCounts
-	byteCounts ByteCounts
+	byteCounts EncodingCounts
 }
 
 // Bytes returns the accumulated buffer.
@@ -442,9 +424,9 @@ func (w *Writer) TakeCounts() EncodingCounts {
 // TakeByteCounts returns the per-format byte tallies (full message
 // size: header, metadata, and payload) accumulated since the last
 // call, and zeroes them.
-func (w *Writer) TakeByteCounts() ByteCounts {
+func (w *Writer) TakeByteCounts() EncodingCounts {
 	c := w.byteCounts
-	w.byteCounts = ByteCounts{}
+	w.byteCounts = EncodingCounts{}
 	return c
 }
 

@@ -498,7 +498,7 @@ func scanPack(w *Writer, list []uint32, marked *bitset.Set, emit func(lid uint32
 // for random shared lists (random graphs, cuts and host counts) and
 // random mark sets — empty, one proxy, all, dense, sparse — packing from
 // the mark structure yields, pair by pair and direction by direction, the
-// bytes, EncodingCounts and ByteCounts of the list scan, under the
+// bytes, message counts and byte counts of the list scan, under the
 // adaptive picker and every forced format, and leaves the structure
 // empty.
 func TestMarksMatchListScanQuick(t *testing.T) {
