@@ -1,10 +1,17 @@
 package mrbcdist
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"net"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/dgalois"
@@ -60,7 +67,7 @@ func TestPipelineDepthsBitwiseAgree(t *testing.T) {
 			for _, depth := range []int{1, 2, 4} {
 				opts := tc.opts
 				opts.PipelineDepth = depth
-				opts.Trace = obs.NewTrace(1<<20, obs.LevelDetail)
+				opts.Trace = obs.NewTrace(1<<16, obs.LevelDetail) // about 12 000 events
 				scores, stats := Run(g, tc.pt, sources, opts)
 				if opts.Trace.Dropped() > 0 {
 					t.Fatalf("depth %d: trace dropped %d events", depth, opts.Trace.Dropped())
@@ -337,5 +344,144 @@ func BenchmarkRunMemSameJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = Run(g, pt, sources, Options{BatchSize: 4})
+	}
+}
+
+// rotationGolden holds one hash per (cut, depth) of the pipelined
+// schedule; TestPipelineRotationPinned compares against it.
+const rotationGolden = "testdata/rotation.golden"
+
+// rotationHash folds, in emission order, every event of a trace except
+// the per-pair sends into one FNV-64a hash over (Kind, Seq, Batch,
+// Round, Host, Phase, Bytes). Send events are left out: the pool's
+// workers emit them, so two runs of the same schedule may interleave
+// them differently.
+func rotationHash(events []obs.Event) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, e := range events {
+		if e.Kind == obs.KindSend {
+			continue
+		}
+		h.Write([]byte(e.Kind))
+		h.Write([]byte(e.Phase))
+		put(e.Seq)
+		put(int64(e.Batch))
+		put(int64(e.Round))
+		put(int64(e.Host))
+		put(e.Bytes)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestPipelineRotationPinned pins the pipelined schedule itself, which
+// TestPipelineDepthsBitwiseAgree cannot see (it compares only
+// depth-invariant events): the order in which batches take the turn,
+// refill a finished batch's slot and retire shows in the sequence of
+// phase, transport and batch events. 37 sources at k = 4 make ten
+// batches, the last of one source, so every depth refills slots and
+// drains an uneven tail. -update rewrites the golden.
+func TestPipelineRotationPinned(t *testing.T) {
+	g := gen.RMAT(8, 8, 3)
+	sources := brandes.FirstKSources(g, 0, 37)
+	cuts := []struct {
+		name string
+		pt   *partition.Partitioning
+	}{
+		{"edge-cut", partition.EdgeCut(g, 4)},
+		{"cartesian", partition.CartesianCut(g, 4)},
+	}
+	got := map[string]string{}
+	var names []string
+	for _, cut := range cuts {
+		for _, depth := range []int{2, 3, 4} {
+			// LevelPhase records every event but the sends (about 10 000).
+			tr := obs.NewTrace(1<<16, obs.LevelPhase)
+			Run(g, cut.pt, sources, Options{BatchSize: 4, PipelineDepth: depth, Trace: tr})
+			if tr.Dropped() > 0 {
+				t.Fatalf("%s depth %d: trace dropped %d events", cut.name, depth, tr.Dropped())
+			}
+			name := fmt.Sprintf("%s/depth%d", cut.name, depth)
+			names = append(names, name)
+			got[name] = rotationHash(tr.Events())
+		}
+	}
+	if *update {
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.WriteFile(rotationGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(rotationGolden)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			want[f[0]] = f[1]
+		}
+	}
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s: rotation hash %s, golden %s", name, got[name], want[name])
+		}
+	}
+}
+
+// pipelineFault is the value TestPipelineBatchPanicReachesCaller
+// raises inside a batch.
+type pipelineFault struct{ batch, round int }
+
+// TestPipelineBatchPanicReachesCaller drives the in-process pipelined
+// failure path: batch 3 panics in its second forward round while other
+// batches are parked mid-exchange. run must re-raise exactly that value
+// on the caller's goroutine, and every batch goroutine must be gone
+// soon after. The panic is raised by host 0's task: a phase whose last
+// run measured below the dispatch break-even runs host 0 on the
+// caller, which is the batch's goroutine, and round 1's relax on this
+// small grid is far below it.
+func TestPipelineBatchPanicReachesCaller(t *testing.T) {
+	g := gen.RoadGrid(6, 6, 5)
+	pt := partition.EdgeCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 24) // k = 4: six batches
+	want := pipelineFault{batch: 3, round: 2}
+	instrument := func(b *batchRun) {
+		if b.bi != want.batch {
+			return
+		}
+		relax := b.phases.relax
+		b.phases.relax = func(h int) {
+			if h == 0 && b.r == want.round {
+				panic(want)
+			}
+			relax(h)
+		}
+	}
+	for _, depth := range []int{2, 4} {
+		base := runtime.NumGoroutine()
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			run(g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth}, instrument)
+			return nil
+		}()
+		if got != want {
+			t.Fatalf("depth %d: run raised %v, want %v", depth, got, want)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("depth %d: %d goroutines 2 s after the failure, %d before the run", depth, n, base)
+		}
 	}
 }
