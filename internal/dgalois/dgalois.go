@@ -197,8 +197,8 @@ func sumLinks(links []tally, first, stride, n int) (s tally) {
 // time every existing one is open and recycled from then on, so the
 // pipelined exchange path allocates nothing at steady state. All
 // BeginSync/Complete calls must come from the cluster's coordinating
-// goroutine (or be externally serialized, as the pipelined batch
-// turnstile does) — the Cluster is not a thread-safe object.
+// goroutine (or be externally serialized, as the pipelined batches'
+// turn is) — the Cluster is not a thread-safe object.
 type PendingExchange struct {
 	c         *Cluster
 	inUse     bool

@@ -497,11 +497,13 @@ type batchRun struct {
 	bi        int
 	batch     []uint32
 	states    []*hostState
-	pipe      *pipeRunner // nil: the serial loop, every exchange completes in place
-	fwd, back int         // rounds each phase took
-	r         int         // the round in progress, forward or backward
-	activity  int64       // forward: due pairs + pending entries over the local hosts
-	relay     bool        // the forward broadcast relays the reduce's partial vote (newBatch)
+	pipe      *pipeRunner   // nil: the serial loop, every exchange completes in place
+	wake      chan struct{} // pipelined: the turn arrives here (pipeline.go)
+	done      bool          // pipelined: finished, awaiting retirement in index order
+	fwd, back int           // rounds each phase took
+	r         int           // the round in progress, forward or backward
+	activity  int64         // forward: due pairs + pending entries over the local hosts
+	relay     bool          // the forward broadcast relays the reduce's partial vote (newBatch)
 	phases    phases
 }
 
@@ -602,8 +604,7 @@ func (b *batchRun) exchange(s dgalois.Sync, local int64) int64 {
 	if p == nil {
 		return 0
 	}
-	b.pipe.t.yield()
-	b.pipe.take(b.bi)
+	b.pipe.yield(b)
 	p.Complete()
 	return p.Sum()
 }

@@ -18,13 +18,14 @@ package mrbcdist
 // Determinism. Output must be bitwise identical to the serial loop,
 // which pins three things:
 //
-//   - Cluster operations are serialized by a turnstile: exactly one
-//     batch at a time may touch the cluster, and the rotation evolves
-//     as a pure function of the batch schedule (each batch's round
-//     counts come out of its reduce exchanges' sums, the same on every
-//     SPMD process, so all compute the same rotation and issue the same
-//     operation sequence — which keeps the TCP transport's per-exchange
-//     identifier matching sound).
+//   - Cluster operations are serialized by a baton, the turn: exactly
+//     one batch at a time holds it and may touch the cluster, and it
+//     passes from batch to batch in a rotation that evolves as a pure
+//     function of the batch schedule (each batch's round counts come out
+//     of its reduce exchanges' sums, the same on every SPMD process, so
+//     all compute the same rotation and issue the same operation
+//     sequence — which keeps the TCP transport's per-exchange identifier
+//     matching sound).
 //   - Within a batch, operations run in exactly the serial order; the
 //     only transformation is that an exchange's unpack is deferred
 //     across other batches' turns. Apply order inside an exchange is
@@ -40,176 +41,111 @@ package mrbcdist
 // exchange begun names the same exchange everywhere, whichever batch
 // began it. dgalois.SetBatch only tags the events a batch's turn emits.
 
-import "sync"
+import "runtime"
 
-// turnstile serializes cluster access across batch goroutines. order
-// holds the batch indices currently in rotation; order[pos] owns the
-// cluster. All rotation changes happen while holding the turn, so the
-// schedule is deterministic.
-type turnstile struct {
-	mu    sync.Mutex
-	turn  *sync.Cond
-	order []int
-	pos   int
-	// failed flips once, when any batch panics; cause keeps the first
-	// panic value so the coordinator can re-raise it after the
-	// goroutines drain. Waiters unblock by panicking pipeAbort.
-	failed bool
-	cause  any
-}
-
-// pipeAbort is the secondary-panic sentinel: raised out of acquire on
-// every batch goroutine once one of them failed, so they all unwind
-// (running their cleanup defers) without overwriting the first cause.
-type pipeAbort struct{}
-
-func newTurnstile(order []int) *turnstile {
-	t := &turnstile{order: order}
-	t.turn = sync.NewCond(&t.mu)
-	return t
-}
-
-// acquire blocks until it is batch bi's turn (or the pipeline failed,
-// which it reports by panicking pipeAbort).
-func (t *turnstile) acquire(bi int) {
-	t.mu.Lock()
-	for !t.failed && t.order[t.pos] != bi {
-		t.turn.Wait()
-	}
-	failed := t.failed
-	t.mu.Unlock()
-	if failed {
-		panic(pipeAbort{})
-	}
-}
-
-// yield passes the turn to the next batch in rotation.
-func (t *turnstile) yield() {
-	t.mu.Lock()
-	t.pos = (t.pos + 1) % len(t.order)
-	t.turn.Broadcast()
-	t.mu.Unlock()
-}
-
-// leave retires the calling batch's rotation slot (it must hold the
-// turn). replacement >= 0 installs that batch in the slot and hands it
-// the turn; -1 shrinks the rotation and passes the turn onward.
-func (t *turnstile) leave(replacement int) {
-	t.mu.Lock()
-	if replacement >= 0 {
-		t.order[t.pos] = replacement
-	} else {
-		t.order = append(t.order[:t.pos], t.order[t.pos+1:]...)
-		if len(t.order) > 0 {
-			t.pos %= len(t.order)
-		} else {
-			t.pos = 0
-		}
-	}
-	t.turn.Broadcast()
-	t.mu.Unlock()
-}
-
-// fail records the first panic cause and unblocks every waiter.
-func (t *turnstile) fail(cause any) {
-	t.mu.Lock()
-	if !t.failed {
-		t.failed = true
-		t.cause = cause
-	}
-	t.turn.Broadcast()
-	t.mu.Unlock()
-}
-
-// pipeRunner owns one pipelined run. The retire-in-order fields are
-// touched only while holding the turn (plus the post-Wait cleanup,
-// which wg.Wait orders after every goroutine).
+// pipeRunner is one pipelined run's rotation. Only the batch holding the
+// turn reads or writes it, and the turn passes over the batches' wake
+// channels, whose send orders the giver's writes before the taker's
+// reads: no lock guards it.
 type pipeRunner struct {
 	*job
-	t  *turnstile
-	wg sync.WaitGroup
-
-	nBatches   int
-	nextStart  int               // next batch index to enter the rotation
-	retireNext int               // next batch index to fold into scores
-	finished   map[int]*batchRun // done but awaiting in-order retirement
+	ring      []*batchRun // batches started and not finished; ring[pos] holds the turn
+	pos       int
+	next      int         // the next batch index to enter the rotation
+	unretired []*batchRun // batches started and not retired, in index order
+	end       chan any    // the run's outcome: nil, or the first panic value
 }
 
 // runPipelined executes the batch loop software-pipelined at the given
-// depth (≥ 2, already clamped to the batch count). Panics — fault
-// aborts included — propagate to the caller exactly as the serial
-// loop's would, after every batch goroutine unwound.
+// depth (≥ 2, already clamped to the batch count). A panic in a batch —
+// a fault abort included — reaches the caller as the serial loop's
+// would: a fault abort unwinds to dgalois.Capture, anything else is a
+// bug and propagates as the original panic value.
 func runPipelined(j *job, depth int) {
-	order := make([]int, depth)
-	for i := range order {
-		order[i] = i
+	r := &pipeRunner{job: j, end: make(chan any, 1)}
+	for r.next < depth {
+		r.ring = append(r.ring, r.start())
 	}
-	r := &pipeRunner{
-		job:       j,
-		t:         newTurnstile(order),
-		nBatches:  (len(j.sources) + j.opts.BatchSize - 1) / j.opts.BatchSize,
-		nextStart: depth,
-		finished:  make(map[int]*batchRun, depth),
-	}
-	for bi := 0; bi < depth; bi++ {
-		r.spawn(bi)
-	}
-	r.wg.Wait()
+	r.ring[0].wake <- struct{}{}
+	v := <-r.end
 	r.cluster.SetBatch(-1)
-	if r.t.cause != nil {
-		// Re-raise the first failure on the coordinator goroutine: a
-		// fault abort unwinds to dgalois.Capture, anything else is a bug
-		// and propagates as the original panic value.
-		panic(r.t.cause)
+	if v != nil {
+		panic(v)
 	}
 }
 
-// spawn starts batch bi's coroutine. The recover funnel sends any
-// panic — a fault abort, a pipeAbort echo, or a genuine bug — through
-// turnstile.fail, which keeps only the first cause.
-func (r *pipeRunner) spawn(bi int) {
-	b := r.newBatch(bi, r)
-	r.wg.Add(1)
+// start makes batch r.next and its goroutine, which parks until the
+// turn reaches it. A panic on the goroutine goes to fail.
+func (r *pipeRunner) start() *batchRun {
+	b := r.newBatch(r.next, r)
+	b.wake = make(chan struct{}, 1)
+	r.next++
+	r.unretired = append(r.unretired, b)
 	go func() {
-		defer r.wg.Done()
 		defer func() {
 			if v := recover(); v != nil {
-				r.t.fail(v)
+				r.fail(b, v)
 			}
 		}()
-		r.take(bi)
+		r.wait(b)
 		b.run()
 		r.finish(b)
 	}()
+	return b
 }
 
-// take blocks until it is batch bi's turn, then tags the cluster's
-// events with the batch.
-func (r *pipeRunner) take(bi int) {
-	r.t.acquire(bi)
-	r.cluster.SetBatch(bi)
+// wait parks b until the turn reaches it, then tags the cluster's events
+// with the batch. A closed channel means another batch failed, and b's
+// goroutine exits without touching the cluster again.
+func (r *pipeRunner) wait(b *batchRun) {
+	if _, ok := <-b.wake; !ok {
+		runtime.Goexit()
+	}
+	r.cluster.SetBatch(b.bi)
 }
 
-// finish runs in batch b's final turn: stash the completed batch,
-// retire every batch whose predecessors are all retired (in index
-// order — the serial score-fold and summary-event order), and hand its
-// rotation slot to the next unstarted batch.
+// yield hands the turn straight to the next batch in the rotation and
+// waits for it to come back; a rotation of one keeps the turn.
+func (r *pipeRunner) yield(b *batchRun) {
+	r.pos = (r.pos + 1) % len(r.ring)
+	if next := r.ring[r.pos]; next != b {
+		next.wake <- struct{}{}
+		r.wait(b)
+	}
+}
+
+// finish runs in batch b's last turn: retire every finished batch whose
+// predecessors all retired (in index order — the serial score-fold and
+// summary-event order), then give b's slot to the next batch index,
+// which takes the turn at once, or drop the slot and pass the turn on.
+// The last batch to finish reports the run's end.
 func (r *pipeRunner) finish(b *batchRun) {
-	r.finished[b.bi] = b
-	for {
-		d := r.finished[r.retireNext]
-		if d == nil {
-			break
+	b.done = true
+	for len(r.unretired) > 0 && r.unretired[0].done {
+		r.unretired[0].retire()
+		r.unretired = r.unretired[1:]
+	}
+	if r.next*r.opts.BatchSize < len(r.sources) {
+		r.ring[r.pos] = r.start()
+	} else {
+		r.ring = append(r.ring[:r.pos], r.ring[r.pos+1:]...)
+		if len(r.ring) == 0 {
+			r.end <- nil
+			return
 		}
-		delete(r.finished, r.retireNext)
-		r.retireNext++
-		d.retire()
+		r.pos %= len(r.ring)
 	}
-	next := -1
-	if r.nextStart < r.nBatches {
-		next = r.nextStart
-		r.nextStart++
-		r.spawn(next)
+	r.ring[r.pos].wake <- struct{}{}
+}
+
+// fail runs on the goroutine of batch b, which panicked holding the
+// turn: it releases every parked batch, whose goroutine then exits, and
+// hands the panic value to runPipelined.
+func (r *pipeRunner) fail(b *batchRun, v any) {
+	for _, o := range r.ring {
+		if o != b {
+			close(o.wake)
+		}
 	}
-	r.t.leave(next)
+	r.end <- v
 }
