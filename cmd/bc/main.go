@@ -15,6 +15,7 @@ import (
 
 	"mrbc"
 	"mrbc/internal/brandes"
+	"mrbc/internal/gen"
 )
 
 func main() {
@@ -47,7 +48,8 @@ func main() {
 		return
 	}
 
-	g, err := loadOrGenerate(*graphPath, *genName, *scale, *edgeFac, *rows, *cols, *seed)
+	g, err := loadOrGenerate(*graphPath, *genName, gen.Params{Scale: *scale, EdgeFactor: *edgeFac,
+		Rows: *rows, Cols: *cols, Tails: gen.DefaultTails, TailLen: gen.DefaultTailLen, Seed: *seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bc:", err)
 		os.Exit(1)
@@ -128,21 +130,12 @@ func runWeighted(path, alg string, workers, srcStart, srcCount, topK int) error 
 	return nil
 }
 
-func loadOrGenerate(path, genName string, scale, edgeFac, rows, cols int, seed int64) (*mrbc.Graph, error) {
+func loadOrGenerate(path, genName string, p gen.Params) (*mrbc.Graph, error) {
 	switch {
 	case path != "":
 		return mrbc.Load(path)
-	case genName == "rmat":
-		return mrbc.GenerateRMAT(scale, edgeFac, seed), nil
-	case genName == "kron":
-		return mrbc.GenerateKronecker(scale, edgeFac, seed), nil
-	case genName == "road":
-		return mrbc.GenerateRoadGrid(rows, cols, seed), nil
-	case genName == "webcrawl":
-		return mrbc.GenerateWebCrawl(scale, edgeFac, 8, 50, seed), nil
-	case genName != "":
-		return nil, fmt.Errorf("unknown generator %q", genName)
-	default:
+	case genName == "":
 		return nil, fmt.Errorf("provide -graph FILE or -gen NAME")
 	}
+	return gen.ByName(genName, p)
 }

@@ -58,8 +58,8 @@ func run(args []string) error {
 		bcdPath   = fs.String("bcd", "bcd", "bcd daemon binary")
 		hosts     = fs.Int("hosts", 4, "number of host processes")
 		graphPath = fs.String("graph", "", "graph file every host loads (text edge list, or .gr/.bin CSR)")
-		genName   = fs.String("gen", "", "generate input instead: rmat | road | webcrawl")
-		scale     = fs.Int("scale", 10, "log2 vertex count for rmat/webcrawl")
+		genName   = fs.String("gen", "", "generate input instead: rmat | kron | road | webcrawl")
+		scale     = fs.Int("scale", 10, "log2 vertex count for rmat/kron/webcrawl")
 		edgeFac   = fs.Int("edgefactor", 8, "edges per vertex for generators")
 		rows      = fs.Int("rows", 64, "grid rows for -gen road")
 		cols      = fs.Int("cols", 64, "grid cols for -gen road")
@@ -100,7 +100,8 @@ func run(args []string) error {
 		return fmt.Errorf("-elastic requires the mrbcdist engine (checkpointing), not %q", *engine)
 	}
 
-	path, g, cleanup, err := materializeGraph(*graphPath, *genName, *scale, *edgeFac, *rows, *cols, *seed)
+	path, g, cleanup, err := materializeGraph(*graphPath, *genName, gen.Params{Scale: *scale, EdgeFactor: *edgeFac,
+		Rows: *rows, Cols: *cols, Tails: gen.DefaultTails, TailLen: gen.DefaultTailLen, Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -281,36 +282,27 @@ func writeClusterTrace(path string, files []string) error {
 
 // materializeGraph loads -graph, or generates the requested input and
 // saves it to a temporary binary file every daemon can load.
-func materializeGraph(path, genName string, scale, edgeFac, rows, cols int, seed int64) (string, *graph.Graph, func(), error) {
+func materializeGraph(path, genName string, p gen.Params) (string, *graph.Graph, func(), error) {
 	nop := func() {}
 	if path != "" {
 		g, err := graph.Load(path)
 		return path, g, nop, err
 	}
-	var g *graph.Graph
-	switch genName {
-	case "rmat":
-		g = gen.RMAT(scale, edgeFac, seed)
-	case "road":
-		g = gen.RoadGrid(rows, cols, seed)
-	case "webcrawl":
-		if scale < 2 {
-			return "", nil, nop, fmt.Errorf("-gen webcrawl needs -scale >= 2, got %d", scale)
-		}
-		g = gen.WebCrawl(scale, edgeFac, 1<<(scale-2), 3, seed)
-	case "":
+	if genName == "" {
 		return "", nil, nop, fmt.Errorf("need -graph or -gen")
-	default:
-		return "", nil, nop, fmt.Errorf("unknown generator %q", genName)
+	}
+	g, err := gen.ByName(genName, p)
+	if err != nil {
+		return "", nil, nop, err
 	}
 	dir, err := os.MkdirTemp("", "bcctl-*")
 	if err != nil {
 		return "", nil, nop, err
 	}
-	p := filepath.Join(dir, fmt.Sprintf("%s-%d.gr", genName, seed))
-	if err := g.Save(p); err != nil {
+	file := filepath.Join(dir, fmt.Sprintf("%s-%d.gr", genName, p.Seed))
+	if err := g.Save(file); err != nil {
 		os.RemoveAll(dir)
 		return "", nil, nop, err
 	}
-	return p, g, func() { os.RemoveAll(dir) }, nil
+	return file, g, func() { os.RemoveAll(dir) }, nil
 }

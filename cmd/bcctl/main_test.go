@@ -3,28 +3,60 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mrbc/internal/gen"
+	"mrbc/internal/graph"
 )
 
 // TestMaterializeGraphRefusals: a generator request that cannot be
 // honoured is an error before anything is generated or written.
 func TestMaterializeGraphRefusals(t *testing.T) {
 	for _, c := range []struct {
-		gen   string
-		scale int
-		want  string
+		gen  string
+		p    gen.Params
+		want string
 	}{
-		{"webcrawl", 1, "-scale >= 2"},
-		{"kron", 4, `unknown generator "kron"`},
+		{"webcrawl", gen.Params{Scale: -1, EdgeFactor: 8}, "-scale in [0, 30]"},
+		{"road", gen.Params{Rows: 0, Cols: 4}, "positive -rows and -cols"},
+		{"bogus", gen.Params{Scale: 4}, `unknown generator "bogus"`},
+		{"", gen.Params{Scale: 4}, "need -graph or -gen"},
 	} {
-		path, g, _, err := materializeGraph("", c.gen, c.scale, 8, 4, 4, 1)
+		path, g, _, err := materializeGraph("", c.gen, c.p)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Fatalf("-gen %s -scale %d: err = %v, want %q", c.gen, c.scale, err, c.want)
+			t.Fatalf("-gen %q %+v: err = %v, want %q", c.gen, c.p, err, c.want)
 		}
 		if path != "" || g != nil {
-			t.Fatalf("-gen %s -scale %d: produced %q", c.gen, c.scale, path)
+			t.Fatalf("-gen %q %+v: produced %q", c.gen, c.p, path)
 		}
+	}
+}
+
+// TestMaterializeGraphMatchesBC: bcctl builds the graph bc builds from
+// the same flags, kron included, so -verify checks the graph the
+// daemons cut. -gen webcrawl -scale 10 has 8 tails of 50 vertices.
+func TestMaterializeGraphMatchesBC(t *testing.T) {
+	p := gen.Params{Scale: 10, EdgeFactor: 8, Rows: 4, Cols: 4,
+		Tails: gen.DefaultTails, TailLen: gen.DefaultTailLen, Seed: 1}
+	for _, name := range []string{"webcrawl", "kron"} {
+		path, g, cleanup, err := materializeGraph("", name, p)
+		if err != nil {
+			t.Fatalf("-gen %s: %v", name, err)
+		}
+		defer cleanup()
+		want, _ := gen.ByName(name, p)
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("-gen %s: bcctl's graph differs from gen.ByName's", name)
+		}
+		saved, err := graph.Load(path)
+		if err != nil || saved.NumEdges() != g.NumEdges() {
+			t.Fatalf("-gen %s: saved file %s: %v", name, path, err)
+		}
+	}
+	if g, _ := gen.ByName("webcrawl", p); g.NumVertices() != 1<<10+8*50 {
+		t.Fatalf("-gen webcrawl -scale 10: %d vertices, want %d", g.NumVertices(), 1<<10+8*50)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"mrbc"
+	"mrbc/internal/gen"
 )
 
 func main() {
@@ -24,8 +25,8 @@ func main() {
 		edgeFac = flag.Int("edgefactor", 8, "edges per vertex")
 		rows    = flag.Int("rows", 64, "grid rows (road)")
 		cols    = flag.Int("cols", 64, "grid cols (road)")
-		tails   = flag.Int("tails", 8, "pendant chains (webcrawl)")
-		tailLen = flag.Int("taillen", 50, "chain length (webcrawl)")
+		tails   = flag.Int("tails", gen.DefaultTails, "pendant chains (webcrawl)")
+		tailLen = flag.Int("taillen", gen.DefaultTailLen, "chain length (webcrawl)")
 		seed    = flag.Int64("seed", 1, "seed")
 		out     = flag.String("out", "", "output path (.gr/.bin binary, else text)")
 		dimacs  = flag.String("dimacs", "", "also write a weighted DIMACS .gr copy (random weights 1..maxweight)")
@@ -44,18 +45,10 @@ func main() {
 		return
 	}
 
-	var g *mrbc.Graph
-	switch *genName {
-	case "rmat":
-		g = mrbc.GenerateRMAT(*scale, *edgeFac, *seed)
-	case "kron":
-		g = mrbc.GenerateKronecker(*scale, *edgeFac, *seed)
-	case "road":
-		g = mrbc.GenerateRoadGrid(*rows, *cols, *seed)
-	case "webcrawl":
-		g = mrbc.GenerateWebCrawl(*scale, *edgeFac, *tails, *tailLen, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "graphgen: unknown generator %q\n", *genName)
+	g, err := gen.ByName(*genName, gen.Params{Scale: *scale, EdgeFactor: *edgeFac,
+		Rows: *rows, Cols: *cols, Tails: *tails, TailLen: *tailLen, Seed: *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
 	}
 	describe(g)

@@ -16,10 +16,53 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mrbc/internal/graph"
 )
+
+// DefaultTails and DefaultTailLen shape "webcrawl" in the command-line
+// tools unless graphgen's -tails and -taillen say otherwise.
+const DefaultTails, DefaultTailLen = 8, 50
+
+// Params are a generator's parameters as the command-line tools take
+// them; each generator reads its own.
+type Params struct {
+	Scale, EdgeFactor int // rmat, kron, and webcrawl's core
+	Rows, Cols        int // road
+	Tails, TailLen    int // webcrawl
+	Seed              int64
+}
+
+// ByName generates the input named name from p: "rmat" (RMAT), "kron"
+// (Kronecker), "road" (RoadGrid) or "webcrawl" (WebCrawl). An unknown
+// name, or parameters the generator would panic on, is an error.
+func ByName(name string, p Params) (*graph.Graph, error) {
+	switch name {
+	case "road":
+		if p.Rows <= 0 || p.Cols <= 0 || p.Rows > math.MaxInt32/p.Cols {
+			return nil, fmt.Errorf("road needs positive -rows and -cols under 2^31 vertices, got %d x %d", p.Rows, p.Cols)
+		}
+		return RoadGrid(p.Rows, p.Cols, p.Seed), nil
+	case "rmat", "kron", "webcrawl":
+	default:
+		return nil, fmt.Errorf("unknown generator %q (want rmat, kron, road or webcrawl)", name)
+	}
+	if p.Scale < 0 || p.Scale > 30 || p.EdgeFactor < 0 {
+		return nil, fmt.Errorf("%s needs -scale in [0, 30] and -edgefactor >= 0, got %d and %d", name, p.Scale, p.EdgeFactor)
+	}
+	switch name {
+	case "rmat":
+		return RMAT(p.Scale, p.EdgeFactor, p.Seed), nil
+	case "kron":
+		return Kronecker(p.Scale, p.EdgeFactor, p.Seed), nil
+	}
+	if p.Tails < 0 || p.TailLen < 0 || (p.TailLen > 0 && p.Tails > math.MaxInt32/p.TailLen) {
+		return nil, fmt.Errorf("webcrawl needs non-negative tails under 2^31 vertices, got %d of length %d", p.Tails, p.TailLen)
+	}
+	return WebCrawl(p.Scale, p.EdgeFactor, p.Tails, p.TailLen, p.Seed), nil
+}
 
 // RMAT generates a directed R-MAT graph (Chakrabarti et al.) with 2^scale
 // vertices and approximately edgeFactor*2^scale edges, using the usual

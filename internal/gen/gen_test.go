@@ -220,3 +220,42 @@ func TestShuffleIDsIsAnIsomorphicRelabeling(t *testing.T) {
 		t.Fatal("different seeds produced the identical relabeling")
 	}
 }
+
+// TestByName: each name builds exactly its generator's graph, and a
+// request the generator would panic on is an error instead.
+func TestByName(t *testing.T) {
+	p := Params{Scale: 6, EdgeFactor: 4, Rows: 5, Cols: 7, Tails: 3, TailLen: 9, Seed: 2}
+	for name, want := range map[string]*graph.Graph{
+		"rmat":     RMAT(6, 4, 2),
+		"kron":     Kronecker(6, 4, 2),
+		"road":     RoadGrid(5, 7, 2),
+		"webcrawl": WebCrawl(6, 4, 3, 9, 2),
+	} {
+		g, err := ByName(name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s: ByName built another graph than its generator", name)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"", p},
+		{"bogus", p},
+		{"rmat", Params{Scale: 31}},
+		{"kron", Params{Scale: -1}},
+		{"webcrawl", Params{Scale: 4, EdgeFactor: -1}},
+		{"webcrawl", Params{Scale: 4, Tails: -1, TailLen: 3}},
+		{"webcrawl", Params{Scale: 4, Tails: 1 << 20, TailLen: 1 << 12}},
+		{"road", Params{Rows: 0, Cols: 4}},
+		{"road", Params{Rows: 4, Cols: -4}},
+		{"road", Params{Rows: 1 << 16, Cols: 1 << 16}},
+	} {
+		if g, err := ByName(c.name, c.p); err == nil || g != nil {
+			t.Errorf("ByName(%q, %+v) = %v, %v; want an error", c.name, c.p, g, err)
+		}
+	}
+}
