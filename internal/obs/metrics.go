@@ -159,19 +159,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // detached vector.
 func (r *Registry) CounterVec(name, label string, n int) *CounterVec {
 	if r == nil {
-		return newCounterVec(label, n)
+		return newVec[Counter](label, n)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkName(name, "counter vector")
-	v, ok := r.cvecs[name]
-	if !ok {
-		v = newCounterVec(label, n)
-		r.cvecs[name] = v
-	} else {
-		v.grow(n)
-	}
-	return v
+	return vecOf(r, r.cvecs, "counter vector", name, label, n)
 }
 
 // GaugeVec returns the named gauge vector with at least n indexed
@@ -179,50 +169,69 @@ func (r *Registry) CounterVec(name, label string, n int) *CounterVec {
 // returns a detached vector.
 func (r *Registry) GaugeVec(name, label string, n int) *GaugeVec {
 	if r == nil {
-		return newGaugeVec(label, n)
+		return newVec[Gauge](label, n)
 	}
+	return vecOf(r, r.gvecs, "gauge vector", name, label, n)
+}
+
+// vecOf returns vecs[name] with at least n entries, creating it under
+// r's lock and naming rules.
+func vecOf[T any, P vecElem[T]](r *Registry, vecs map[string]*Vec[T, P], kind, name, label string, n int) *Vec[T, P] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.checkName(name, "gauge vector")
-	v, ok := r.gvecs[name]
+	r.checkName(name, kind)
+	v, ok := vecs[name]
 	if !ok {
-		v = newGaugeVec(label, n)
-		r.gvecs[name] = v
+		v = newVec[T, P](label, n)
+		vecs[name] = v
 	} else {
 		v.grow(n)
 	}
 	return v
 }
 
-// CounterVec is an indexed family of counters reported as one metric
-// with an integer-valued label (e.g. per-host byte totals). At is for
-// setup time — components resolve each index's *Counter once and hold
-// the pointer on the hot path.
-type CounterVec struct {
+// Vec is an indexed family of instruments reported as one metric with
+// an integer-valued label: a CounterVec (e.g. per-host byte totals) or
+// a GaugeVec (e.g. per-host last-completed round). At is for setup
+// time — components resolve each index's instrument once and hold the
+// pointer on the hot path.
+type Vec[T any, P vecElem[T]] struct {
 	mu    sync.Mutex
 	label string
-	vals  []*Counter
+	vals  []P
 }
 
-func newCounterVec(label string, n int) *CounterVec {
+// vecElem is what a Vec holds: a pointer to a Counter or a Gauge.
+type vecElem[T any] interface {
+	*T
+	Load() int64
+}
+
+// CounterVec and GaugeVec are the two kinds of Vec a Registry makes.
+type (
+	CounterVec = Vec[Counter, *Counter]
+	GaugeVec   = Vec[Gauge, *Gauge]
+)
+
+func newVec[T any, P vecElem[T]](label string, n int) *Vec[T, P] {
 	if !validLabelName(label) {
 		panic(fmt.Sprintf("obs: invalid label name %q (want [a-zA-Z_][a-zA-Z0-9_]*)", label))
 	}
-	v := &CounterVec{label: label}
+	v := &Vec[T, P]{label: label}
 	v.grow(n)
 	return v
 }
 
-func (v *CounterVec) grow(n int) {
+func (v *Vec[T, P]) grow(n int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for len(v.vals) < n {
-		v.vals = append(v.vals, &Counter{})
+		v.vals = append(v.vals, P(new(T)))
 	}
 }
 
-// At returns the counter at index i, growing the vector if needed.
-func (v *CounterVec) At(i int) *Counter {
+// At returns the instrument at index i, growing the vector if needed.
+func (v *Vec[T, P]) At(i int) P {
 	v.grow(i + 1)
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -230,50 +239,28 @@ func (v *CounterVec) At(i int) *Counter {
 }
 
 // Len returns the current vector length.
-func (v *CounterVec) Len() int {
+func (v *Vec[T, P]) Len() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return len(v.vals)
 }
 
-// GaugeVec is an indexed family of gauges reported as one metric with
-// an integer-valued label (e.g. per-host last-completed round).
-type GaugeVec struct {
-	mu    sync.Mutex
-	label string
-	vals  []*Gauge
-}
-
-func newGaugeVec(label string, n int) *GaugeVec {
-	if !validLabelName(label) {
-		panic(fmt.Sprintf("obs: invalid label name %q (want [a-zA-Z_][a-zA-Z0-9_]*)", label))
+// snapshotVecs copies every vector's values (nil when there are none).
+func snapshotVecs[T any, P vecElem[T]](vecs map[string]*Vec[T, P]) map[string]VecSnapshot {
+	if len(vecs) == 0 {
+		return nil
 	}
-	v := &GaugeVec{label: label}
-	v.grow(n)
-	return v
-}
-
-func (v *GaugeVec) grow(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for len(v.vals) < n {
-		v.vals = append(v.vals, &Gauge{})
+	out := make(map[string]VecSnapshot, len(vecs))
+	for name, v := range vecs {
+		v.mu.Lock()
+		vs := VecSnapshot{Label: v.label, Values: make([]int64, len(v.vals))}
+		for i, x := range v.vals {
+			vs.Values[i] = x.Load()
+		}
+		v.mu.Unlock()
+		out[name] = vs
 	}
-}
-
-// At returns the gauge at index i, growing the vector if needed.
-func (v *GaugeVec) At(i int) *Gauge {
-	v.grow(i + 1)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.vals[i]
-}
-
-// Len returns the current vector length.
-func (v *GaugeVec) Len() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.vals)
+	return out
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -391,29 +378,7 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Histograms[name] = hs
 		}
 	}
-	if len(r.cvecs) > 0 {
-		s.CounterVecs = make(map[string]VecSnapshot, len(r.cvecs))
-		for name, v := range r.cvecs {
-			v.mu.Lock()
-			vs := VecSnapshot{Label: v.label, Values: make([]int64, len(v.vals))}
-			for i, c := range v.vals {
-				vs.Values[i] = c.Load()
-			}
-			v.mu.Unlock()
-			s.CounterVecs[name] = vs
-		}
-	}
-	if len(r.gvecs) > 0 {
-		s.GaugeVecs = make(map[string]VecSnapshot, len(r.gvecs))
-		for name, v := range r.gvecs {
-			v.mu.Lock()
-			vs := VecSnapshot{Label: v.label, Values: make([]int64, len(v.vals))}
-			for i, g := range v.vals {
-				vs.Values[i] = g.Load()
-			}
-			v.mu.Unlock()
-			s.GaugeVecs[name] = vs
-		}
-	}
+	s.CounterVecs = snapshotVecs(r.cvecs)
+	s.GaugeVecs = snapshotVecs(r.gvecs)
 	return s
 }
