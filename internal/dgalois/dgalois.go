@@ -1074,6 +1074,10 @@ type workerPool struct {
 	busy    atomic.Int64  // nanoseconds the phase's participants spent on its tasks
 	total   int64
 	run     func(i int) // current phase body; published via wake
+	// panicked is set by the first participant whose task panicked,
+	// which stores the value in panicVal for runAll to re-raise.
+	panicked atomic.Bool
+	panicVal any
 }
 
 func newWorkerPool(workers int, epoch time.Time) *workerPool {
@@ -1099,14 +1103,26 @@ func (p *workerPool) loop() {
 
 // work claims and runs tasks until none is left, adds the time it spent
 // on them to busy, and reports whether the caller was the phase's last
-// participant to finish.
+// participant to finish. A task that panics ends the phase: the first
+// such value is kept for runAll to re-raise, no task is claimed after
+// it, and the participant still counts itself out, so the phase ends
+// and a pool worker survives.
 func (p *workerPool) work() (last bool) {
 	t0 := time.Since(p.epoch)
+	defer func() {
+		if v := recover(); v != nil {
+			if p.panicked.CompareAndSwap(false, true) {
+				p.panicVal = v
+			}
+			p.next.Store(p.total)
+		}
+		p.busy.Add(int64(time.Since(p.epoch) - t0))
+		last = p.pending.Add(-1) == 0
+	}()
 	for {
 		i := p.next.Add(1) - 1
 		if i >= p.total {
-			p.busy.Add(int64(time.Since(p.epoch) - t0))
-			return p.pending.Add(-1) == 0
+			return
 		}
 		p.run(int(i))
 	}
@@ -1122,7 +1138,8 @@ func (p *workerPool) work() (last bool) {
 // as the caller's own task runs). The channel send orders the writes to
 // run/total before any worker reads them; the pending counter orders
 // every participant's task effects and busy time before the caller
-// resumes.
+// resumes, the first panic value of a task included, which runAll
+// re-raises on the caller once every participant is out.
 func (p *workerPool) runAll(from, total int, fn func(i int)) time.Duration {
 	p.run = fn
 	p.total = int64(total)
@@ -1137,5 +1154,11 @@ func (p *workerPool) runAll(from, total int, fn func(i int)) time.Duration {
 		<-p.done
 	}
 	p.run = nil
+	if p.panicked.Load() {
+		v := p.panicVal
+		p.panicVal = nil
+		p.panicked.Store(false)
+		panic(v)
+	}
 	return time.Duration(p.busy.Load())
 }

@@ -749,6 +749,56 @@ func TestDispatchShrinkingBodyReturns(t *testing.T) {
 	}
 }
 
+// TestPooledTaskPanicReachesCaller pins the pool's failure path: a
+// compute body dispatched to the pool that panics on host 3, whichever
+// participant runs that host, ends its phase and Compute re-raises the
+// value on the caller, as the caller's own path does. The pool keeps
+// every worker, so the next phase runs each host once, and once the
+// cluster is closed none of its goroutines is left.
+func TestPooledTaskPanicReachesCaller(t *testing.T) {
+	type sentinel struct{ host int }
+	const hosts = 4
+	base := runtime.NumGoroutine()
+	c := NewCluster(hosts)
+	fn := func(h int) {
+		spin(breakEven)
+		if h == 3 {
+			panic(sentinel{h})
+		}
+	}
+	for round := 0; round < 10; round++ {
+		place(c, true)
+		before := phaseCounts(c)
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			c.Compute(fn)
+			return nil
+		}()
+		if got != (sentinel{3}) {
+			t.Fatalf("round %d: Compute raised %v, want host 3's sentinel", round, got)
+		}
+		if d := phaseCounts(c).sub(before); d != (dispatches{pooled: 1}) {
+			t.Fatalf("round %d: the panicking phase dispatched %+v, want it pooled", round, d)
+		}
+	}
+	var visits [hosts]atomic.Int64
+	for i := 0; i < 3; i++ {
+		place(c, true)
+		c.Compute(func(h int) { visits[h].Add(1) })
+	}
+	for h := range visits {
+		if n := visits[h].Load(); n != 3 {
+			t.Fatalf("after the panics, host %d ran %d times in 3 phases", h, n)
+		}
+	}
+	c.Close()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before the cluster", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
 // TestEmptyExchangeSkipsUnpack pins the skip rule and ticket reuse: an
 // in-process exchange whose packs wrote nothing runs no unpack callback,
 // yet still emits its exchange event and counts as an exchange; the next

@@ -124,10 +124,7 @@ func NewTopology(pt *partition.Partitioning) *Topology {
 			if m == a {
 				continue
 			}
-			ml, ok := pt.Parts[m].LocalID(gid)
-			if !ok {
-				panic(fmt.Sprintf("gluon: master host %d lacks proxy for vertex %d", m, gid))
-			}
+			ml := pt.MasterLocal[gid]
 			t.mirrorsByMaster[a][m] = append(t.mirrorsByMaster[a][m], uint32(l))
 			t.masterSide[a][m] = append(t.masterSide[a][m], ml)
 			t.slotOff[a][l+2]++

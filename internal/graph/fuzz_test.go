@@ -40,16 +40,24 @@ func declaresHugeN(data []byte) bool {
 	return false
 }
 
-// checkGraph walks the parsed graph's CSR to catch out-of-range or
-// inconsistent structure the parser let through.
+// checkGraph walks the parsed graph's CSR to catch out-of-range,
+// inconsistent or non-canonical structure the parser let through:
+// every row must be strictly increasing and free of self-loops.
 func checkGraph(t *testing.T, g *Graph) {
 	t.Helper()
 	n := g.NumVertices()
 	var m int64
 	for u := 0; u < n; u++ {
-		for _, v := range g.OutNeighbors(uint32(u)) {
+		row := g.OutNeighbors(uint32(u))
+		for i, v := range row {
 			if int(v) >= n {
 				t.Fatalf("parser admitted edge target %d with n=%d", v, n)
+			}
+			if v == uint32(u) {
+				t.Fatalf("parser admitted self-loop at %d", u)
+			}
+			if i > 0 && v <= row[i-1] {
+				t.Fatalf("parser admitted row %d out of order: %v", u, row)
 			}
 			m++
 		}

@@ -10,11 +10,16 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Graph is an immutable directed graph in CSR form. Build one with a
-// Builder or FromEdges; the zero value is an empty graph.
+// Builder, FromEdges or FromCSR; the zero value is an empty graph.
+//
+// Every Graph is canonical: each out-neighbor row is strictly
+// increasing and holds no self-loop. HasEdge's binary search and the
+// partitioner's linear-time assembly rely on it.
 type Graph struct {
 	offsets []int64  // len N+1; out-edges of v are dsts[offsets[v]:offsets[v+1]]
 	dsts    []uint32 // destination vertex of each out-edge
@@ -167,11 +172,11 @@ func (g *Graph) String() string {
 // graphs are insensitive to parallel edges, and removing them keeps σ
 // counts well-defined in the same way the paper's inputs do.
 type Builder struct {
-	n     int
-	edges []edge
+	n int
+	// edges holds each edge (u, v) as the key u<<32 | v, so that sorting
+	// the keys orders the edges by (u, v).
+	edges []uint64
 }
-
-type edge struct{ u, v uint32 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int) *Builder {
@@ -186,32 +191,22 @@ func (b *Builder) AddEdge(u, v uint32) {
 	if int(u) >= b.n || int(v) >= b.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n))
 	}
-	b.edges = append(b.edges, edge{u, v})
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 }
 
 // Build sorts, deduplicates, drops self-loops, and produces the CSR
 // graph with its in-edge view.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	})
+	slices.Sort(b.edges)
 	offsets := make([]int64, b.n+1)
 	dsts := make([]uint32, 0, len(b.edges))
-	var prev edge
-	first := true
-	for _, e := range b.edges {
-		if e.u == e.v {
-			continue // self-loop
+	for i, e := range b.edges {
+		u, v := uint32(e>>32), uint32(e)
+		if u == v || i > 0 && e == b.edges[i-1] {
+			continue // self-loop or duplicate
 		}
-		if !first && e == prev {
-			continue // duplicate
-		}
-		prev, first = e, false
-		dsts = append(dsts, e.v)
-		offsets[e.u+1]++
+		dsts = append(dsts, v)
+		offsets[u+1]++
 	}
 	for i := 1; i <= b.n; i++ {
 		offsets[i] += offsets[i-1]
@@ -228,4 +223,39 @@ func FromEdges(n int, edges [][2]uint32) *Graph {
 		b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
+}
+
+// FromCSR returns the graph whose out-edges of v are
+// dsts[offsets[v]:offsets[v+1]], with its in-edge view. It takes
+// ownership of both slices and checks in O(n+m) that they form a
+// canonical CSR: offsets start at 0, never decrease and end at
+// len(dsts); every target is below n; every row is strictly increasing
+// and holds no self-loop.
+func FromCSR(offsets []int64, dsts []uint32) (*Graph, error) {
+	if len(offsets) == 0 || offsets[0] != 0 || offsets[len(offsets)-1] != int64(len(dsts)) {
+		return nil, fmt.Errorf("graph: offsets must run from 0 to %d", len(dsts))
+	}
+	n := len(offsets) - 1
+	for u := 0; u < n; u++ {
+		if offsets[u] > offsets[u+1] {
+			return nil, fmt.Errorf("graph: decreasing offsets at %d", u)
+		}
+	}
+	for u := 0; u < n; u++ {
+		lo, hi := offsets[u], offsets[u+1]
+		for i := lo; i < hi; i++ {
+			v := dsts[i]
+			switch {
+			case int(v) >= n:
+				return nil, fmt.Errorf("graph: edge target %d out of range", v)
+			case v == uint32(u):
+				return nil, fmt.Errorf("graph: self-loop at %d", u)
+			case i > lo && v <= dsts[i-1]:
+				return nil, fmt.Errorf("graph: row %d not strictly increasing", u)
+			}
+		}
+	}
+	g := &Graph{offsets: offsets, dsts: dsts}
+	g.EnsureInEdges()
+	return g, nil
 }

@@ -138,7 +138,8 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the compact CSR dump and validates its structure.
+// ReadBinary parses the compact CSR dump and validates its structure:
+// the rows must form a canonical CSR, as FromCSR checks.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -187,28 +188,18 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 		offsets = append(offsets, int64(o))
 	}
-	if offsets[0] != 0 || offsets[n] != m {
-		return nil, fmt.Errorf("%w: inconsistent offsets", ErrBadFormat)
-	}
-	for i := 0; i < n; i++ {
-		if offsets[i] > offsets[i+1] {
-			return nil, fmt.Errorf("%w: decreasing offsets at %d", ErrBadFormat, i)
-		}
-	}
 	dsts := make([]uint32, 0, capHint(m))
 	var b4 [4]byte
 	for i := int64(0); i < m; i++ {
 		if _, err := io.ReadFull(br, b4[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated edges", ErrBadFormat)
 		}
-		d := le.Uint32(b4[:])
-		if int(d) >= n {
-			return nil, fmt.Errorf("%w: edge target %d out of range", ErrBadFormat, d)
-		}
-		dsts = append(dsts, d)
+		dsts = append(dsts, le.Uint32(b4[:]))
 	}
-	g := &Graph{offsets: offsets, dsts: dsts}
-	g.EnsureInEdges()
+	g, err := FromCSR(offsets, dsts)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
 	return g, nil
 }
 

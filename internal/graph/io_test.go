@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -107,6 +108,67 @@ func TestReadBinaryErrors(t *testing.T) {
 	bad[dstOff+1] = 0xFF
 	if _, err := ReadBinary(bytes.NewReader(bad)); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("bad edge target: err = %v", err)
+	}
+}
+
+// TestReadBinaryRejectsNonCanonicalRows pins the canonical-row check:
+// a well-formed dump whose row is unsorted, repeats a target or holds a
+// self-loop is refused, as FromCSR refuses it in memory.
+func TestReadBinaryRejectsNonCanonicalRows(t *testing.T) {
+	for name, row := range map[string][]uint32{
+		"unsorted":  {2, 1},
+		"duplicate": {1, 1},
+		"self-loop": {0, 1},
+	} {
+		offsets := []int64{0, 2, 2, 2}
+		var buf bytes.Buffer
+		buf.Write(binaryMagic[:])
+		le := binary.LittleEndian
+		buf.Write(le.AppendUint64(nil, 3))
+		buf.Write(le.AppendUint64(nil, 2))
+		for _, o := range offsets {
+			buf.Write(le.AppendUint64(nil, uint64(o)))
+		}
+		for _, d := range row {
+			buf.Write(le.AppendUint32(nil, d))
+		}
+		if _, err := ReadBinary(&buf); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: err = %v, want ErrBadFormat", name, err)
+		}
+		if _, err := FromCSR(offsets, row); err == nil {
+			t.Errorf("%s: FromCSR accepted %v", name, row)
+		}
+	}
+}
+
+// TestFromCSR pins the constructor: a canonical CSR becomes the graph
+// the Builder makes of the same edges, in-edge view included, and each
+// kind of malformed offsets is refused.
+func TestFromCSR(t *testing.T) {
+	g, err := FromCSR([]int64{0, 2, 3, 3}, []uint32{1, 2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FromEdges(3, [][2]uint32{{0, 1}, {0, 2}, {1, 0}})
+	if !sameGraph(g, want) || g.InDegree(0) != 1 || g.InNeighbors(2)[0] != 0 {
+		t.Fatalf("FromCSR built %v", g)
+	}
+	if g, err := FromCSR([]int64{0}, nil); err != nil || g.NumVertices() != 0 {
+		t.Fatalf("empty CSR: %v, %v", g, err)
+	}
+	for name, c := range map[string]struct {
+		offsets []int64
+		dsts    []uint32
+	}{
+		"no offsets":   {nil, nil},
+		"offset start": {[]int64{1, 1}, []uint32{0}},
+		"offset end":   {[]int64{0, 1}, []uint32{1, 0}},
+		"decreasing":   {[]int64{0, 2, 1, 2}, []uint32{1, 2}},
+		"out of range": {[]int64{0, 1, 1}, []uint32{2}},
+	} {
+		if _, err := FromCSR(c.offsets, c.dsts); err == nil {
+			t.Errorf("%s: FromCSR accepted %v %v", name, c.offsets, c.dsts)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mrbc/internal/graph"
 )
@@ -34,15 +34,13 @@ type Part struct {
 	// IsMaster reports, per local ID, whether this host holds the
 	// vertex's master proxy.
 	IsMaster []bool
-
-	localID map[uint32]uint32
 }
 
 // LocalID returns the local ID of global vertex g and whether the
-// vertex has a proxy on this host.
+// vertex has a proxy on this host: a binary search of GlobalID.
 func (p *Part) LocalID(g uint32) (uint32, bool) {
-	l, ok := p.localID[g]
-	return l, ok
+	l, ok := slices.BinarySearch(p.GlobalID, g)
+	return uint32(l), ok
 }
 
 // NumProxies returns the number of proxies (local vertices) on the host.
@@ -54,115 +52,145 @@ type Partitioning struct {
 	Parts    []*Part
 	// MasterOf maps every global vertex to its master host.
 	MasterOf []int32
+	// MasterLocal maps every global vertex to its local ID on its
+	// master host.
+	MasterLocal []uint32
 	// Policy names the strategy, as ByName takes it.
 	Policy string
 }
 
-// blocks splits vertices into `hosts` contiguous ranges with roughly
-// equal total out-degree (the usual degree-balanced block partition).
-// Returns the exclusive upper bound of each block.
-func blocks(g *graph.Graph, hosts int) []uint32 {
+// masters splits vertices into `hosts` contiguous blocks with roughly
+// equal total out-degree (the usual degree-balanced block partition)
+// and returns each vertex's block: its master host.
+func masters(g *graph.Graph, hosts int) []int32 {
 	n := g.NumVertices()
 	total := g.NumEdges() + int64(n) // +1 per vertex so empty vertices spread too
-	bounds := make([]uint32, hosts)
 	target := total / int64(hosts)
+	masterOf := make([]int32, n)
 	var acc int64
 	b := 0
-	for v := 0; v < n && b < hosts-1; v++ {
+	for v := range masterOf {
+		masterOf[v] = int32(b)
 		acc += int64(g.OutDegree(uint32(v))) + 1
-		if acc >= target*int64(b+1) {
-			bounds[b] = uint32(v + 1)
+		if b < hosts-1 && acc >= target*int64(b+1) {
 			b++
 		}
 	}
-	for ; b < hosts; b++ {
-		bounds[b] = uint32(n)
-	}
-	return bounds
+	return masterOf
 }
 
-func blockOf(bounds []uint32, v uint32) int {
-	lo, hi := 0, len(bounds)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v < bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// assemble builds Parts from an edge->host assignment.
-func assemble(g *graph.Graph, hosts int, masterOf []int32, hostOf func(u, v uint32) int, policy string) *Partitioning {
+// assemble builds Parts from an edge->host assignment: edge (u, v)
+// goes to host row[u] + col[v]. A vertex has a proxy on its master host
+// and on the host of every edge it touches. Three linear passes build
+// every part:
+//  1. sweeping v upward, count each host's proxies;
+//  2. sweep again, appending v once to each of its hosts' GlobalID,
+//     which therefore comes out ascending (the append on v's master
+//     gives MasterLocal); count each proxy's local out-degree and,
+//     meeting edge (u, v) among v's in-edges, record v's local ID on
+//     the edge's host;
+//  3. walk the edges in CSR order and deal those IDs to their hosts.
+//
+// Local IDs rise with global IDs, so each host's edges, taken in g's
+// CSR order, already form a canonical local CSR: no sort, no map and no
+// graph.Builder.
+func assemble(g *graph.Graph, hosts int, masterOf, row, col []int32, policy string) *Partitioning {
 	n := g.NumVertices()
-	edgeLists := make([][][2]uint32, hosts)
-	g.Edges(func(u, v uint32) {
-		h := hostOf(u, v)
-		edgeLists[h] = append(edgeLists[h], [2]uint32{u, v})
-	})
-
-	// Proxy sets: endpoints of local edges plus the host's masters (so
-	// every vertex has at least one proxy even when isolated).
-	proxySets := make([]map[uint32]bool, hosts)
-	for h := range proxySets {
-		proxySets[h] = make(map[uint32]bool)
-		for _, e := range edgeLists[h] {
-			proxySets[h][e[0]] = true
-			proxySets[h][e[1]] = true
+	count := make([]int, hosts)
+	seen := make([]uint32, hosts) // 1 + the last vertex counted on h
+	for v := range n {
+		mark := uint32(v) + 1
+		if h := masterOf[v]; seen[h] != mark {
+			seen[h] = mark
+			count[h]++
+		}
+		for _, w := range g.OutNeighbors(uint32(v)) {
+			if h := row[v] + col[w]; seen[h] != mark {
+				seen[h] = mark
+				count[h]++
+			}
+		}
+		for _, u := range g.InNeighbors(uint32(v)) {
+			if h := row[u] + col[v]; seen[h] != mark {
+				seen[h] = mark
+				count[h]++
+			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		proxySets[masterOf[v]][uint32(v)] = true
+	ids := make([][]uint32, hosts)
+	// offsets[h] holds a leading 0, then each proxy's local out-degree,
+	// summed into the local CSR offsets after the second pass.
+	offsets := make([][]int64, hosts)
+	for h, c := range count {
+		ids[h] = make([]uint32, 0, c)
+		offsets[h] = make([]int64, 1, c+1)
+	}
+	proxy := func(h int32, v uint32) uint32 {
+		if k := len(ids[h]); k > 0 && ids[h][k-1] == v {
+			return uint32(k - 1)
+		}
+		ids[h] = append(ids[h], v)
+		offsets[h] = append(offsets[h], 0)
+		return uint32(len(ids[h]) - 1)
+	}
+	// next[u] is the CSR index of u's first out-edge the sweep has not
+	// reached: u's targets rise, so the sweep meets them in row order.
+	next := make([]int64, n)
+	for u := 1; u < n; u++ {
+		next[u] = next[u-1] + int64(g.OutDegree(uint32(u-1)))
+	}
+	target := make([]uint32, g.NumEdges()) // per CSR edge: its target's local ID on its host
+	masterLocal := make([]uint32, n)
+	for v := range n {
+		gv := uint32(v)
+		masterLocal[v] = proxy(masterOf[v], gv)
+		for _, w := range g.OutNeighbors(gv) {
+			h := row[v] + col[w]
+			offsets[h][proxy(h, gv)+1]++
+		}
+		for _, u := range g.InNeighbors(gv) {
+			target[next[u]] = proxy(row[u]+col[v], gv)
+			next[u]++
+		}
 	}
 
-	pt := &Partitioning{NumHosts: hosts, MasterOf: masterOf, Policy: policy}
+	dsts := make([][]uint32, hosts)
+	for h, off := range offsets {
+		for l := 1; l < len(off); l++ {
+			off[l] += off[l-1]
+		}
+		dsts[h] = make([]uint32, 0, off[len(off)-1])
+	}
+	e := 0
+	for u := range n {
+		for _, w := range g.OutNeighbors(uint32(u)) {
+			h := row[u] + col[w]
+			dsts[h] = append(dsts[h], target[e])
+			e++
+		}
+	}
+
+	pt := &Partitioning{NumHosts: hosts, MasterOf: masterOf, MasterLocal: masterLocal, Policy: policy}
 	for h := 0; h < hosts; h++ {
-		ids := make([]uint32, 0, len(proxySets[h]))
-		for v := range proxySets[h] {
-			ids = append(ids, v)
+		local, err := graph.FromCSR(offsets[h], dsts[h])
+		if err != nil {
+			panic(fmt.Sprintf("partition: host %d: %v", h, err))
 		}
-		sortU32(ids)
-		localID := make(map[uint32]uint32, len(ids))
-		for l, v := range ids {
-			localID[v] = uint32(l)
-		}
-		b := graph.NewBuilder(len(ids))
-		for _, e := range edgeLists[h] {
-			b.AddEdge(localID[e[0]], localID[e[1]])
-		}
-		isMaster := make([]bool, len(ids))
-		for l, v := range ids {
+		isMaster := make([]bool, len(ids[h]))
+		for l, v := range ids[h] {
 			isMaster[l] = masterOf[v] == int32(h)
 		}
-		pt.Parts = append(pt.Parts, &Part{
-			Host:     h,
-			Local:    b.Build(),
-			GlobalID: ids,
-			IsMaster: isMaster,
-			localID:  localID,
-		})
+		pt.Parts = append(pt.Parts, &Part{Host: h, Local: local, GlobalID: ids[h], IsMaster: isMaster})
 	}
 	return pt
-}
-
-func sortU32(a []uint32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }
 
 // EdgeCut partitions g across hosts with a 1D outgoing edge-cut.
 func EdgeCut(g *graph.Graph, hosts int) *Partitioning {
 	validate(g, hosts)
-	bounds := blocks(g, hosts)
-	n := g.NumVertices()
-	masterOf := make([]int32, n)
-	for v := 0; v < n; v++ {
-		masterOf[v] = int32(blockOf(bounds, uint32(v)))
-	}
-	return assemble(g, hosts, masterOf, func(u, v uint32) int {
-		return int(masterOf[u])
-	}, edgeCutName)
+	masterOf := masters(g, hosts)
+	// Edge (u, v) goes to u's master.
+	return assemble(g, hosts, masterOf, masterOf, make([]int32, len(masterOf)), edgeCutName)
 }
 
 // CartesianCut partitions g across hosts with a 2D Cartesian
@@ -170,19 +198,16 @@ func EdgeCut(g *graph.Graph, hosts int) *Partitioning {
 // chosen as close to square as possible.
 func CartesianCut(g *graph.Graph, hosts int) *Partitioning {
 	validate(g, hosts)
-	rows, cols := gridShape(hosts)
-	bounds := blocks(g, hosts)
-	n := g.NumVertices()
-	masterOf := make([]int32, n)
-	for v := 0; v < n; v++ {
-		masterOf[v] = int32(blockOf(bounds, uint32(v)))
+	_, cols := gridShape(hosts)
+	masterOf := masters(g, hosts)
+	// Edge (u, v) goes to the host in the row of u's master and the
+	// column of v's.
+	row := make([]int32, len(masterOf))
+	col := make([]int32, len(masterOf))
+	for v, m := range masterOf {
+		row[v], col[v] = m/int32(cols)*int32(cols), m%int32(cols)
 	}
-	return assemble(g, hosts, masterOf, func(u, v uint32) int {
-		r := int(masterOf[u]) / cols
-		c := int(masterOf[v]) % cols
-		_ = rows
-		return r*cols + c
-	}, cartesianName)
+	return assemble(g, hosts, masterOf, row, col, cartesianName)
 }
 
 // The policy names ByName takes and Partitioning.Policy reports.
