@@ -27,8 +27,9 @@
 // per phase: the steady-state Exchange stays allocation-free either way.
 //
 // Every phase is allocation-free at steady state: an exchange ticket
-// keeps one reusable gluon.Writer per ordered host pair, the cluster one
-// gluon.Decoder per receiving host, and one persistent worker pool runs
+// keeps one reusable gluon.Writer per host pair it packs (an in-process
+// mesh lends its own), the cluster one gluon.Decoder per receiving host,
+// and one persistent worker pool runs
 // the hosts of a compute phase, the pack work parallel over (from, to)
 // pairs — finer-grained than one goroutine per sender, which matters
 // when one sender's pack work dwarfs the others' — and the receivers of
@@ -107,7 +108,7 @@ type Cluster struct {
 	seq   int64
 
 	// Exchange tickets, as many as were ever open at once (claimTicket).
-	// Each owns a full writer matrix and its own link tallies, so a
+	// Each owns its writers and its own link tallies, so a
 	// detached exchange's buffers survive until its Complete while later
 	// exchanges pack into their own. cur is the ticket whose pack or
 	// unpack phase is running.
@@ -128,6 +129,16 @@ type Cluster struct {
 	transport gluon.Transport
 	localHost int // the single local host in SPMD mode; -1 when all hosts are local
 	lastNet   gluon.ChannelStats
+	// mesh is the transport when it is a view of an in-process mesh
+	// (gluon.MemView): every host is a goroutine of this process, packs
+	// write into the mesh's buffers, and only the lead (host 0) reports
+	// what belongs to the whole run — the round counter, the phase
+	// histograms, the exchange slices — so that the run reports it once.
+	// phaseCompute keeps the local host's time in every compute phase, for
+	// FoldStats's load imbalance, in chunks that never move.
+	mesh         *gluon.MemView
+	lead         bool
+	phaseCompute [][]time.Duration
 
 	// exchanges numbers the exchanges begun, 0,1,2,…: every SPMD process
 	// issues the same operation sequence, pipelined or not, so the count
@@ -184,7 +195,8 @@ func (t *tally) add(o *tally) {
 }
 
 // sumLinks folds n link tallies of links, stride apart from first: a
-// sender's row (stride 1) or a receiver's column (stride hosts).
+// sender's row (stride 1) or, in process, a receiver's column (stride
+// hosts).
 func sumLinks(links []tally, first, stride, n int) (s tally) {
 	for k := 0; k < n; k++ {
 		s.add(&links[first+k*stride])
@@ -215,16 +227,19 @@ type PendingExchange struct {
 	// cluster's epoch (Cluster.now).
 	start   time.Duration
 	packEnd time.Duration
-	// writers[from*hosts+to] is the exchange's buffer on a local sender's
-	// link: what the transport sends, or in process what unpack reads.
+	// writers[c.link(from, to)] is the exchange's buffer on a local
+	// sender's link: what the transport sends, or in process what unpack
+	// reads. A mesh host packs into the mesh's own buffers instead.
 	writers []gluon.Writer
-	// sent and recv tally each directed (from, to) link of the exchange,
-	// indexed from*hosts+to, on its sending and its receiving side. A
-	// pack pair is one exclusive task and a receiver's links are touched
-	// only by its serial unpack task, so neither needs atomics. settle
-	// folds sent into the cluster's volume; the trace's pack and unpack
-	// events are sent's rows and recv's columns, its link events the
-	// cells the cross-host conservation checker matches.
+	// sent and recv tally each directed (from, to) link of the exchange on
+	// its sending and its receiving side: the whole matrix in process,
+	// indexed from*hosts+to, and in SPMD only the local host's row and
+	// column, indexed by the remote end (Cluster.link). A pack pair is one
+	// exclusive task and a receiver's links are touched only by its serial
+	// unpack task, so neither needs atomics. settle folds sent into the
+	// cluster's volume; the trace's pack and unpack events are sent's rows
+	// and recv's columns, its link events the cells the cross-host
+	// conservation checker matches.
 	sent   []tally
 	recv   []tally
 	unpack func(to, from int, data []byte, dec *gluon.Decoder)
@@ -260,12 +275,13 @@ type ClusterOptions struct {
 	// Transport moves the buffers between processes. Nil runs every host
 	// in this process over a perfect network: a receiver reads its
 	// senders' buffers where they were packed. A transport
-	// (gluon.TCPTransport) must own exactly one local host and puts the
-	// cluster in SPMD mode: every process of the job runs the same engine
-	// loop for its own host, and the cluster only computes, packs, and
-	// unpacks for the local one. TCP is the only backend that retries,
-	// and so the only one faults are injected into (clusterrun.FaultProxy
-	// in front of its listeners).
+	// (gluon.TCPTransport, or a gluon.MemView of an in-process mesh) must
+	// own exactly one local host and puts the cluster in SPMD mode: every
+	// process — or every goroutine of a mesh — runs the same engine loop
+	// for its own host, and the cluster only computes, packs, and unpacks
+	// for the local one. TCP is the only backend that retries, and so the
+	// only one faults are injected into (clusterrun.FaultProxy in front of
+	// its listeners).
 	Transport gluon.Transport
 	// Epoch is the membership epoch this cluster runs under (elastic
 	// recovery bumps it per restart attempt); published as the
@@ -292,8 +308,16 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		starts:         make([]time.Duration, hosts),
 		trace:          opts.Trace,
 	}
+	c.mesh, _ = opts.Transport.(*gluon.MemView)
+	c.lead = c.mesh == nil || c.mesh.Local(0)
 	m := opts.Metrics
-	c.roundsC = m.Counter("dgalois_rounds_total")
+	// The run-wide instruments: a mesh host other than the lead resolves
+	// them detached.
+	wide := m
+	if !c.lead {
+		wide = nil
+	}
+	c.roundsC = wide.Counter("dgalois_rounds_total")
 	c.bytesC = m.Counter("dgalois_bytes_total")
 	c.messagesC = m.Counter("dgalois_messages_total")
 	c.encDenseC = m.Counter("dgalois_messages_dense_total")
@@ -302,13 +326,13 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 	c.encBDenseC = m.Counter("dgalois_bytes_dense_total")
 	c.encBSparseC = m.Counter("dgalois_bytes_sparse_total")
 	c.encBAllC = m.Counter("dgalois_bytes_all_total")
-	c.computeHist = m.Histogram("dgalois_compute_phase_seconds", obs.DurationBuckets)
-	c.commHist = m.Histogram("dgalois_exchange_seconds", obs.DurationBuckets)
+	c.computeHist = wide.Histogram("dgalois_compute_phase_seconds", obs.DurationBuckets)
+	c.commHist = wide.Histogram("dgalois_exchange_seconds", obs.DurationBuckets)
 	c.callerC = m.Counter("dgalois_phases_caller_total")
 	c.pooledC = m.Counter("dgalois_phases_pooled_total")
 	c.escapedC = m.Counter("dgalois_phases_escaped_total")
 	m.Gauge("dgalois_hosts").Set(int64(hosts))
-	c.roundG = m.Gauge("dgalois_round")
+	c.roundG = wide.Gauge("dgalois_round")
 	c.roundG.Set(0)
 	m.Gauge("dgalois_epoch").Set(int64(opts.Epoch))
 	hostRoundV := m.GaugeVec("dgalois_host_last_round", "host", hosts)
@@ -427,6 +451,51 @@ func (c *Cluster) Restore(cur Cursor) {
 
 func (c *Cluster) isLocal(h int) bool { return c.localHost < 0 || h == c.localHost }
 
+// link indexes link (from, to) in a ticket's writers and tallies: the
+// host matrix in process; in SPMD, where one end is the local host, the
+// other end.
+func (c *Cluster) link(from, to int) int {
+	switch c.localHost {
+	case -1:
+		return from*c.hosts + to
+	case from:
+		return to
+	}
+	return from
+}
+
+// ends inverts link for a sent (or, with sent false, a received) link.
+func (c *Cluster) ends(i int, sent bool) (from, to int) {
+	switch {
+	case c.localHost < 0:
+		return i / c.hosts, i % c.hosts
+	case sent:
+		return c.localHost, i
+	}
+	return i, c.localHost
+}
+
+// sentRow folds sender h's links of a ticket, recvCol receiver h's.
+func (c *Cluster) sentRow(t *PendingExchange, h int) tally {
+	return sumLinks(t.sent, c.link(h, 0), 1, c.hosts)
+}
+
+func (c *Cluster) recvCol(t *PendingExchange, h int) tally {
+	if c.localHost >= 0 {
+		return sumLinks(t.recv, 0, 1, c.hosts)
+	}
+	return sumLinks(t.recv, h, c.hosts, c.hosts)
+}
+
+// locals returns the range of hosts whose rows and columns this cluster
+// holds: every host in process, the local one in SPMD.
+func (c *Cluster) locals() (lo, hi int) {
+	if c.localHost < 0 {
+		return 0, c.hosts
+	}
+	return c.localHost, c.localHost + 1
+}
+
 // SetBatch tags subsequently emitted events with the batch; a negative
 // batch untags them, the state every cluster starts in. The pipelined
 // batch runner calls it whenever a batch's segment takes the turn, so
@@ -471,6 +540,13 @@ func (c *Cluster) Compute(fn func(host int)) {
 	durations := c.durations
 	for h, d := range durations {
 		c.perHostCompute[h] += d
+	}
+	if c.mesh != nil {
+		if n := len(c.phaseCompute); n == 0 || len(c.phaseCompute[n-1]) == phaseChunk {
+			c.phaseCompute = append(c.phaseCompute, make([]time.Duration, 0, phaseChunk))
+		}
+		last := &c.phaseCompute[len(c.phaseCompute)-1]
+		*last = append(*last, durations[c.localHost])
 	}
 	// Load imbalance is max/mean over the hosts that computed this
 	// round (see roundImbalance); rounds where no host computed
@@ -536,8 +612,13 @@ func (c *Cluster) packTask(i int) {
 	if from == to || !t.links.Has(from, to) {
 		return
 	}
-	w := &t.writers[i]
-	w.Reset()
+	var w *gluon.Writer
+	if c.mesh != nil {
+		w = c.mesh.Writer(t.ex, to)
+	} else {
+		w = &t.writers[c.link(from, to)]
+		w.Reset()
+	}
 	c.packFn(from, to, w)
 	buf := w.Bytes()
 	// In process the buffer stays in the writer for its receiver to read.
@@ -554,7 +635,7 @@ func (c *Cluster) packTask(i int) {
 	if len(buf) == 0 {
 		return
 	}
-	l := &t.sent[i]
+	l := &t.sent[c.link(from, to)]
 	l.bytes += int64(len(buf))
 	l.messages++
 	l.enc.Add(w.TakeCounts())
@@ -598,7 +679,7 @@ func (c *Cluster) unpackTask(to int) {
 		}
 		if len(buf) > 0 {
 			c.unpackFn(to, from, buf, dec)
-			l := &t.recv[from*c.hosts+to]
+			l := &t.recv[c.link(from, to)]
 			l.bytes += int64(len(buf))
 			l.messages++
 			l.enc.Add(dec.TakeCounts())
@@ -669,8 +750,9 @@ func (c *Cluster) settle(t *PendingExchange) int64 {
 		return 0
 	}
 	var ex tally
-	for from := 0; from < c.hosts; from++ {
-		row := sumLinks(t.sent, from*c.hosts, 1, c.hosts)
+	lo, hi := c.locals()
+	for from := lo; from < hi; from++ {
+		row := c.sentRow(t, from)
 		if row.messages > 0 {
 			c.hostBytesC[from].Add(row.bytes)
 			c.hostMsgsC[from].Add(row.messages)
@@ -746,7 +828,9 @@ func (c *Cluster) dispatch(body any, n int, task func(i int), start time.Duratio
 }
 
 // claimTicket hands out a free exchange ticket, and makes one when every
-// ticket is open: as many exist as the caller ever held open at once.
+// ticket is open: as many exist as the caller ever held open at once. An
+// SPMD ticket holds the local host's row and column alone, so its size
+// is linear in the hosts; a mesh host packs into the mesh, not a writer.
 func (c *Cluster) claimTicket() *PendingExchange {
 	for _, t := range c.tickets {
 		if !t.inUse {
@@ -754,9 +838,15 @@ func (c *Cluster) claimTicket() *PendingExchange {
 			return t
 		}
 	}
-	links := c.hosts * c.hosts
+	links, writers := c.hosts*c.hosts, c.hosts*c.hosts
+	if c.localHost >= 0 {
+		links, writers = c.hosts, c.hosts
+		if c.mesh != nil {
+			writers = 0
+		}
+	}
 	t := &PendingExchange{c: c, inUse: true,
-		writers: make([]gluon.Writer, links), sent: make([]tally, links), recv: make([]tally, links)}
+		writers: make([]gluon.Writer, writers), sent: make([]tally, links), recv: make([]tally, links)}
 	c.tickets = append(c.tickets, t)
 	return t
 }
@@ -772,8 +862,9 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 	packDur := (t.packEnd - t.start).Nanoseconds()
 	unpackBase := completeStart.Nanoseconds()
 	unpackDur := (end - completeStart).Nanoseconds()
-	for h := 0; h < c.hosts; h++ {
-		if ht := sumLinks(t.sent, h*c.hosts, 1, c.hosts); ht.messages > 0 {
+	lo, hi := c.locals()
+	for h := lo; h < hi; h++ {
+		if ht := c.sentRow(t, h); ht.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.packSeq, Round: round, Batch: t.batch,
 				Host: int32(h), Phase: obs.PhasePack,
 				Bytes: ht.bytes, Messages: ht.messages,
@@ -781,8 +872,8 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 				StartNs: packBase, DurNs: packDur})
 		}
 	}
-	for h := 0; h < c.hosts; h++ {
-		if ht := sumLinks(t.recv, h, c.hosts, c.hosts); ht.messages > 0 {
+	for h := lo; h < hi; h++ {
+		if ht := c.recvCol(t, h); ht.messages > 0 {
 			c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.unpackSeq, Round: round, Batch: t.batch,
 				Host: int32(h), Phase: obs.PhaseUnpack,
 				Bytes: ht.bytes, Messages: ht.messages,
@@ -797,19 +888,24 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end, hid
 	// what lets merged traces compare them byte-exactly.
 	for i := range t.sent {
 		if pt := &t.sent[i]; pt.messages > 0 {
+			from, to := c.ends(i, true)
 			c.trace.Emit(obs.Event{Kind: obs.KindLink, Seq: t.packSeq, Round: round, Batch: t.batch,
-				Host: int32(i / c.hosts), Peer: int32(i % c.hosts), Phase: obs.PhasePack,
+				Host: int32(from), Peer: int32(to), Phase: obs.PhasePack,
 				Bytes: pt.bytes, Messages: pt.messages,
 				Dense: pt.enc.Dense, Sparse: pt.enc.Sparse, All: pt.enc.All})
 		}
 	}
 	for i := range t.recv {
 		if pt := &t.recv[i]; pt.messages > 0 {
+			from, to := c.ends(i, false)
 			c.trace.Emit(obs.Event{Kind: obs.KindLink, Seq: t.packSeq, Round: round, Batch: t.batch,
-				Host: int32(i % c.hosts), Peer: int32(i / c.hosts), Phase: obs.PhaseUnpack,
+				Host: int32(to), Peer: int32(from), Phase: obs.PhaseUnpack,
 				Bytes: pt.bytes, Messages: pt.messages,
 				Dense: pt.enc.Dense, Sparse: pt.enc.Sparse, All: pt.enc.All})
 		}
+	}
+	if !c.lead {
+		return // the run's exchange slice is the lead's
 	}
 	c.trace.Emit(obs.Event{Kind: obs.KindPhase, Seq: t.packSeq, Round: round, Batch: t.batch,
 		Host: -1, Phase: obs.PhaseExchange,
@@ -975,10 +1071,10 @@ func (c *Cluster) complete(t *PendingExchange) {
 // emitNetTransportEvent publishes one transport event per exchange for
 // remote backends: the backend label plus the exchange's logical volume
 // and recovery-work deltas aggregated over the local host's outgoing
-// channels. The in-process backend emits nothing here, keeping the
-// canonical golden trace byte-identical to the pre-transport substrate.
+// channels. The in-process backends, a mesh included, emit nothing here:
+// a mesh's wire is memory, with no framing or recovery to report.
 func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.Duration) {
-	if c.localHost < 0 {
+	if c.localHost < 0 || c.mesh != nil {
 		return
 	}
 	var agg gluon.ChannelStats
@@ -1025,6 +1121,47 @@ type Stats struct {
 	// produced by gluon.EncodeUpdates (raw payloads in tests) appear in
 	// Messages but in no Encoding bucket.
 	Encoding gluon.EncodingCounts
+}
+
+// phaseChunk is how many compute phases one chunk of a mesh host's
+// phaseCompute holds: a road run has thousands, and chunks grow the
+// record without copying it.
+const phaseChunk = 512
+
+// FoldStats folds the Stats of an in-process mesh's clusters, one per
+// host in host order, into the run's: the rounds every host ran, the
+// volume all of them sent, the busiest host's compute time, the lead's
+// communication and hidden time — the times its exchange slices carry —
+// and the load imbalance over each compute phase's hosts with the
+// in-process cluster's arithmetic (roundImbalance), which
+// obs.ImbalanceAccum replays from the hosts' compute events.
+func FoldStats(hosts []*Cluster) Stats {
+	s := hosts[0].Stats()
+	durations := make([]time.Duration, len(hosts))
+	var imbSum float64
+	imbN := 0
+	for k, chunk := range hosts[0].phaseCompute {
+		for i := range chunk {
+			for h, c := range hosts {
+				durations[h] = c.phaseCompute[k][i]
+			}
+			if imb, ok := roundImbalance(durations); ok {
+				imbSum += imb
+				imbN++
+			}
+		}
+	}
+	if imbN > 0 {
+		s.LoadImbalance = imbSum / float64(imbN)
+	}
+	for _, c := range hosts[1:] {
+		o := c.Stats()
+		s.Bytes += o.Bytes
+		s.Messages += o.Messages
+		s.Encoding.Add(o.Encoding)
+		s.ComputeTime = max(s.ComputeTime, o.ComputeTime)
+	}
+	return s
 }
 
 // Stats returns the current statistics snapshot: the cluster's own

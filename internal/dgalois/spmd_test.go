@@ -165,3 +165,28 @@ func TestTransportMustOwnOneHost(t *testing.T) {
 	}()
 	NewClusterOpts(4, ClusterOptions{Transport: ownsAll{hosts: 4}})
 }
+
+// TestSPMDFirstExchangeAllocatesLinearly pins the size of an SPMD
+// ticket: it holds the local host's row of writers and its row and
+// column of link tallies, not the host matrix, so the first exchange of
+// a one-host cluster allocates in proportion to the cluster size — with
+// H such clusters in one process (an in-process mesh), H², not H³.
+func TestSPMDFirstExchangeAllocatesLinearly(t *testing.T) {
+	first := func(hosts int) uint64 {
+		stub := &spmdStub{hosts: hosts, self: 1, sent: make([]int, 0, hosts), ids: make([]int, 0, hosts)}
+		c := NewClusterOpts(hosts, ClusterOptions{Transport: stub})
+		defer c.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.Exchange(func(from, to int, w *gluon.Writer) { w.U32(uint32(to)) },
+			func(to, from int, data []byte, dec *gluon.Decoder) {})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := first(32), first(256)
+	// Eight times the hosts: about eight times the bytes for a row, 64
+	// times for a matrix.
+	if ratio := float64(large) / float64(small); ratio > 12 {
+		t.Fatalf("first exchange allocated %d B at 32 hosts and %d B at 256 (%.1f×): not linear in the hosts", small, large, ratio)
+	}
+}

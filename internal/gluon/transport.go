@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Transport is the byte-moving boundary of the BSP exchange: it carries
@@ -11,9 +12,11 @@ import (
 // the one int64 per host whose sum the SPMD engine loops read as their
 // global termination vote. Two backends exist:
 //
-//   - MemTransport: the contract's in-process reference — every host
-//     lives in one address space and a "send" is a slice hand-off. (An
-//     in-process dgalois cluster needs no transport: its receivers read
+//   - MemTransport: the in-process backend — every host lives in one
+//     address space and a "send" is a slice hand-off. Its per-host views
+//     (MemTransport.View) are the mesh an in-process MRBC run's hosts,
+//     SPMD goroutines, exchange over. (An in-process dgalois cluster that
+//     owns every host — SBBC's — needs no transport: its receivers read
 //     the senders' writers.)
 //   - TCPTransport (tcp.go): a real network backend for multi-process
 //     clusters — one process per host, framed messages with per-channel
@@ -38,19 +41,21 @@ import (
 //     exchange's set): from then reads as an empty marker that has
 //     arrived, with a term of 0.
 //   - Send is only valid for local `from` hosts; the gathers and Silent
-//     only for local `to` hosts. The buffer passed to Send must stay
-//     valid until the receiving side's gather of the same exchange
-//     returns (remote backends copy on send; the in-process backend
-//     hands the slice through).
+//     only for local `to` hosts. The buffer passed to Send is the
+//     caller's again when Send returns: remote backends copy it into a
+//     record, a mesh view copies it into the exchange's own buffer unless
+//     it is that buffer (MemView.Writer), and the shared in-process
+//     backend hands the slice through to a caller whose barrier keeps it
+//     alive until the gathers.
 //   - Gather returns the payloads indexed by sender (entry `to`, empty
 //     markers and silent senders have length 0); the returned slice is
 //     valid until the exchange's buffer slot is reused, which cannot
 //     happen before the caller opens a new exchange after every receiver
 //     of this one gathered. Remote backends
 //     block until every peer's message arrived or the stall deadline
-//     expires; the in-process backend relies on the caller's BSP
-//     barrier instead (all Sends and Proposes of the exchange complete
-//     before any Gather), so it never waits.
+//     expires; the in-process backend blocks until every sender sent or
+//     was declared silent, and wakes a waiting gather with a
+//     *TransportError when it is closed.
 //   - Propose gives an exchange a host's term of its sum, before the
 //     host's first Send of the exchange: remote backends carry the term
 //     in the header of every message, empty markers included, outside
@@ -60,7 +65,8 @@ import (
 //     no silent sender, every host's). It never blocks: it is defined
 //     from when the host has gathered every peer of the exchange
 //     (Gather, or GatherFrom each) until its next gather call, and an
-//     error outside that span.
+//     error outside that span. It ends the loan of the payloads the
+//     gathers returned, as a gather call does (Streamer).
 //   - AllReduce folds one int64 per host with a commutative operation;
 //     every host must call it the same number of times, in lockstep
 //     with its exchanges. Remote backends run it as an exchange of empty
@@ -120,8 +126,9 @@ type Transport interface {
 // GatherFrom, never both, and must call GatherFrom exactly once per
 // remote sender, silent ones included. GatherFrom(e, to, to) returns
 // (nil, nil) without consuming anything. The returned payload is valid
-// until the receiver's next gather call (GatherFrom or Gather): a backend
-// may receive into buffers it reuses, so consume a payload before asking again.
+// until the receiver's next gather call (GatherFrom or Gather) or its Sum:
+// a backend may receive into buffers it reuses, so consume a payload
+// before asking again.
 type Streamer interface {
 	GatherFrom(exchange, to, from int) ([]byte, error)
 }
@@ -211,52 +218,119 @@ func (e *TransportError) Error() string {
 		host, e.Exchange, e.Pending, e.Steps, e.Reason)
 }
 
-// MemTransport is the in-process reference backend of the Transport
-// contract: every host is local and a send is a slice hand-off into a
-// preallocated inbox matrix, so the steady-state exchange path performs
-// zero heap allocations.
+// MemTransport is the in-process backend of the Transport contract, used
+// two ways:
+//
+//   - shared: the object itself owns every host, for a driver that puts
+//     a barrier between an exchange's sends and its gathers (the
+//     conformance suite, benchmark probes). Its window of open exchanges
+//     is fixed at construction.
+//   - mesh: View(h) is host h's own Transport, for SPMD hosts that run
+//     as goroutines of one process (mrbcdist's in-process runs). A gather
+//     blocks only on the sender it names, a host may run ahead of its
+//     peers by as many exchanges as the data lets it (the window grows on
+//     demand), and Close wakes every waiting gather with a
+//     *TransportError.
+//
+// A send is a slice hand-off: the shared backend passes the caller's
+// slice through, and a view's host that packs into the buffer the mesh
+// lends it (MemView.Writer) hands its receiver the very bytes it wrote.
+// A view copies any other buffer into one of the mesh's, so a caller that
+// keeps reusing its own is safe too. Each channel keeps its buffers —
+// about two, one its receiver still reads and one its sender packs — for
+// the whole run: the steady-state exchange path allocates nothing.
 type MemTransport struct {
-	hosts  int
-	window int
-	// slots hold the inbox matrices of the concurrently-open exchanges.
-	// Claiming a slot takes mu; finding an open exchange's slot and
-	// freeing it are atomic reads and writes of the slot's id, so once an
-	// exchange is open (its first call) no Send or Gather of it locks.
-	// The inbox cells themselves are plain writes (distinct (from, to)
-	// pairs never share a cell).
+	hosts int
+	mesh  atomic.Bool // View was called: gathers may precede sends
+	// slots hold the concurrently-open exchanges. Claiming a slot takes mu;
+	// finding an open exchange's slot and freeing it are atomic reads and
+	// writes of the slot's id, so once an exchange is open (its first
+	// call) no Send or Gather of it locks. A mesh appends slots under mu
+	// and publishes the grown list atomically.
 	mu    sync.Mutex
-	slots []memSlot
-	// stats[from*hosts+to], written only by the (from, to) pack task —
-	// distinct channels never share a slot, so plain fields race-free
-	// under the caller's BSP barrier.
+	slots atomic.Pointer[[]*memSlot]
+	// stats[from*hosts+to], written only by the (from, to) sender.
 	stats []ChannelStats
-	sums  []memSum // per host: the exchange it gathered last and its sum
+	host  []memHost
+	chans []memChan // [from*hosts+to], a mesh's buffers
 
-	reduce memReduce
+	reduce    memReduce
+	done      chan struct{} // closed by Close
+	closeOnce sync.Once
 }
 
-type memSum struct {
+// memHost is one host's receiving side: the exchange it gathered last
+// and its sum, the buffers it still reads (mesh only), and the channel a
+// peer wakes it on while it waits.
+type memHost struct {
 	gathered int // 1 + the exchange, so that the zero value names none
 	sum      int64
+	// loans are the buffers the host's last gather returned; they go back
+	// to their senders at its next gather call or Sum.
+	loans []*memBuf
+	wake  chan struct{}
 }
 
-// memSlot is one open exchange's preallocated inbox matrix. id is the
-// exchange identifier, -1 when free. A slot is released once every
-// receiver gathered; the inbox cells are left in place — every remote
-// channel is re-sent or declared silent before the next gather of a
-// reusing exchange.
+// memBuf is one of a mesh channel's buffers. busy: its sender packed it
+// and its receiver has not handed it back.
+type memBuf struct {
+	w    Writer
+	busy atomic.Bool
+}
+
+// memChan is a mesh channel's buffers. Only the sender appends to bufs;
+// the receiver reaches a buffer through the cell that carried it.
+type memChan struct {
+	bufs []*memBuf
+}
+
+// Cell states.
+const (
+	cellEmpty  int32 = iota
+	cellSent         // the sender's buffer is in buf
+	cellSilent       // the receiver declared the sender silent
+)
+
+// memCell is one (from → to) channel of an open exchange.
+type memCell struct {
+	buf   []byte
+	own   *memBuf // a mesh's: the channel buffer buf lies in
+	state atomic.Int32
+	// waiting: the receiver is parked until state leaves cellEmpty.
+	waiting atomic.Bool
+}
+
+// memSlot is one open exchange. id is the exchange identifier, -1 when
+// free. A slot is released once every receiver gathered.
 type memSlot struct {
-	id atomic.Int64
-	// inbox[to][from]: the exchange's buffer on each channel.
+	id    atomic.Int64
+	cells []memCell // [from*hosts+to]
+	// inbox[to] is the row Gather returns, indexed by sender.
 	inbox [][][]byte
-	// terms[h] is host h's term of the exchange's sum (Propose; 0 if none),
-	// silent[to*hosts+from] whether receiver to declared from silent: to's
-	// sum leaves that term out.
+	// terms[h] is host h's term of the exchange's sum (Propose; 0 if
+	// none), silent[to*hosts+from] whether receiver to declared from
+	// silent: to's sum leaves that term out.
 	terms    []int64
 	silent   []bool
 	gathered []bool       // written by the receiver's gathers only, until the release
 	taken    []int        // senders the receiver gathered one by one, likewise
 	n        atomic.Int32 // receivers that gathered
+}
+
+func newMemSlot(hosts int) *memSlot {
+	s := &memSlot{
+		cells:    make([]memCell, hosts*hosts),
+		inbox:    make([][][]byte, hosts),
+		terms:    make([]int64, hosts),
+		silent:   make([]bool, hosts*hosts),
+		gathered: make([]bool, hosts),
+		taken:    make([]int, hosts),
+	}
+	s.id.Store(-1)
+	for to := range s.inbox {
+		s.inbox[to] = make([][]byte, hosts)
+	}
+	return s
 }
 
 // NewMemTransport returns an in-process transport for the given host
@@ -267,8 +341,9 @@ func NewMemTransport(hosts int) *MemTransport {
 
 // NewMemTransportWindow returns an in-process transport that can hold
 // up to window exchanges open (sent but not yet fully gathered) at
-// once. All slot storage is preallocated: the steady-state exchange
-// path stays allocation-free at any window.
+// once; a mesh of views grows past it on demand. All slot storage is
+// preallocated: the steady-state exchange path stays allocation-free at
+// any window.
 func NewMemTransportWindow(hosts, window int) *MemTransport {
 	if hosts <= 0 {
 		panic(fmt.Sprintf("gluon: invalid host count %d", hosts))
@@ -276,30 +351,87 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 	if window <= 0 {
 		panic(fmt.Sprintf("gluon: invalid exchange window %d", window))
 	}
-	m := &MemTransport{hosts: hosts, window: window}
-	m.slots = make([]memSlot, window)
-	for i := range m.slots {
-		s := &m.slots[i]
-		s.id.Store(-1)
-		s.inbox = make([][][]byte, hosts)
-		for to := range s.inbox {
-			s.inbox[to] = make([][]byte, hosts)
-		}
-		s.terms = make([]int64, hosts)
-		s.silent = make([]bool, hosts*hosts)
-		s.gathered = make([]bool, hosts)
-		s.taken = make([]int, hosts)
+	m := &MemTransport{hosts: hosts, done: make(chan struct{})}
+	slots := make([]*memSlot, window)
+	for i := range slots {
+		slots[i] = newMemSlot(hosts)
 	}
+	m.slots.Store(&slots)
 	m.stats = make([]ChannelStats, hosts*hosts)
-	m.sums = make([]memSum, hosts)
+	m.host = make([]memHost, hosts)
+	for h := range m.host {
+		m.host[h].wake = make(chan struct{}, 1)
+		m.host[h].loans = make([]*memBuf, 0, hosts)
+	}
+	m.chans = make([]memChan, hosts*hosts)
 	m.reduce.init(hosts)
 	return m
 }
 
+// View returns host h's own view of the transport, the one an SPMD host
+// running as a goroutine of this process is handed: Local reports h
+// alone, and every other method is the transport's. Taking a view makes
+// the transport a mesh (see MemTransport).
+func (m *MemTransport) View(h int) *MemView {
+	if h < 0 || h >= m.hosts {
+		panic(fmt.Sprintf("gluon: view of host %d in a %d-host transport", h, m.hosts))
+	}
+	m.mesh.Store(true)
+	return &MemView{MemTransport: m, self: h}
+}
+
+// MemView is one host's view of an in-process mesh. A dgalois cluster
+// recognizes it by type: its hosts are goroutines of one process, whose
+// job-level facts host 0 reports once, and its packs write straight into
+// the exchange's buffers.
+type MemView struct {
+	*MemTransport
+	self int
+}
+
+// Local reports whether h is the view's host.
+func (v *MemView) Local(h int) bool { return h == v.self }
+
+// Writer lends the view's host an empty buffer of its channel to `to`
+// for the exchange, one no receiver still reads: a message packed into
+// it and sent travels without a copy.
+func (v *MemView) Writer(exchange, to int) *Writer {
+	c := &v.open(exchange).cells[v.self*v.hosts+to]
+	c.own = v.acquire(v.self, to)
+	return &c.own.w
+}
+
+// acquire marks an idle buffer of the (from → to) channel busy and
+// returns it empty, adding one when every buffer is busy. The buffer
+// handed out has at least the capacity of the channel's largest: its
+// payloads have reached that size, and growing a second buffer to it by
+// appends would allocate several times over.
+func (m *MemTransport) acquire(from, to int) *memBuf {
+	ch := &m.chans[from*m.hosts+to]
+	var idle *memBuf
+	size := 0
+	for _, b := range ch.bufs {
+		if idle == nil && !b.busy.Load() {
+			idle = b
+		}
+		size = max(size, cap(b.w.buf))
+	}
+	if idle == nil {
+		idle = &memBuf{}
+		ch.bufs = append(ch.bufs, idle)
+	}
+	idle.busy.Store(true)
+	if cap(idle.w.buf) < size {
+		idle.w.buf = make([]byte, 0, size)
+	}
+	idle.w.Reset()
+	return idle
+}
+
 // slot returns the slot holding exchange, nil if it is not open.
 func (m *MemTransport) slot(exchange int) *memSlot {
-	for i := range m.slots {
-		if s := &m.slots[i]; s.id.Load() == int64(exchange) {
+	for _, s := range *m.slots.Load() {
+		if s.id.Load() == int64(exchange) {
 			return s
 		}
 	}
@@ -307,6 +439,7 @@ func (m *MemTransport) slot(exchange int) *memSlot {
 }
 
 // open returns exchange's slot, claiming a free one if it has none yet.
+// A mesh grows when no slot is free.
 func (m *MemTransport) open(exchange int) *memSlot {
 	if s := m.slot(exchange); s != nil {
 		return s
@@ -316,15 +449,31 @@ func (m *MemTransport) open(exchange int) *memSlot {
 	if s := m.slot(exchange); s != nil {
 		return s
 	}
-	if free := m.slot(-1); free != nil {
-		free.id.Store(int64(exchange))
-		return free
+	slots := *m.slots.Load()
+	for _, s := range slots {
+		if s.id.Load() < 0 {
+			s.id.Store(int64(exchange))
+			return s
+		}
 	}
-	panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, m.window))
+	if !m.mesh.Load() {
+		panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, len(slots)))
+	}
+	s := newMemSlot(m.hosts)
+	s.id.Store(int64(exchange))
+	grown := append(slots[:len(slots):len(slots)], s)
+	m.slots.Store(&grown)
+	return s
 }
 
-// release returns the slot to the free pool.
+// release returns the slot to the free pool; the buffers its receivers
+// still read stay theirs until their next gather or Sum.
 func (s *memSlot) release() {
+	for i := range s.cells {
+		c := &s.cells[i]
+		c.buf, c.own = nil, nil
+		c.state.Store(cellEmpty)
+	}
 	clear(s.terms)
 	clear(s.silent)
 	clear(s.gathered)
@@ -337,18 +486,30 @@ func (s *memSlot) release() {
 func (m *MemTransport) Hosts() int { return m.hosts }
 
 // Local reports true for every host: the whole cluster shares this
-// address space.
+// address space. A view reports its own host alone.
 func (m *MemTransport) Local(h int) bool { return h >= 0 && h < m.hosts }
 
 // Backend returns "inproc".
 func (m *MemTransport) Backend() string { return "inproc" }
 
-// Send stores the buffer on the (from → to) channel. The slice is
-// handed through, not copied: it must stay valid until the receiver's
-// Gather of this exchange returns (the BSP barrier guarantees the
-// writer is not reused before then).
+// Send stores the buffer on the (from → to) channel and wakes the
+// receiver if it waits for it. The shared backend hands the slice
+// through; a mesh hands through only the channel's own buffer
+// (MemView.Writer) and copies any other into it.
 func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
-	m.open(exchange).inbox[to][from] = buf
+	c := &m.open(exchange).cells[from*m.hosts+to]
+	if m.mesh.Load() {
+		if c.own == nil {
+			c.own = m.acquire(from, to)
+		}
+		if w := &c.own.w; unsafe.SliceData(buf) != unsafe.SliceData(w.Bytes()) {
+			w.Reset()
+			w.Raw(buf)
+		}
+		buf = c.own.w.Bytes()
+	}
+	c.buf = buf
+	m.post(c, to, cellSent)
 	s := &m.stats[from*m.hosts+to]
 	if len(buf) > 0 {
 		s.Messages++
@@ -359,39 +520,118 @@ func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
 	return nil
 }
 
+// post moves a cell out of cellEmpty and wakes its receiver if it is
+// parked on it.
+func (m *MemTransport) post(c *memCell, to int, state int32) {
+	c.state.Store(state)
+	if c.waiting.Load() {
+		select {
+		case m.host[to].wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// await parks receiver to until from's cell of the slot is sent or
+// declared silent, or the transport closes.
+func (m *MemTransport) await(s *memSlot, exchange, to, from int) (*memCell, error) {
+	c := &s.cells[from*m.hosts+to]
+	for c.state.Load() == cellEmpty {
+		c.waiting.Store(true)
+		if c.state.Load() != cellEmpty {
+			c.waiting.Store(false)
+			break
+		}
+		select {
+		case <-m.host[to].wake:
+		case <-m.done:
+		}
+		c.waiting.Store(false)
+		if m.closed() && c.state.Load() == cellEmpty {
+			return nil, &TransportError{Host: from, Exchange: exchange, Pending: 1, Reason: "transport closed"}
+		}
+	}
+	return c, nil
+}
+
+// endLoan hands host to's loans back to their senders.
+func (m *MemTransport) endLoan(to int) {
+	h := &m.host[to]
+	for _, b := range h.loans {
+		b.busy.Store(false)
+	}
+	h.loans = h.loans[:0]
+}
+
+// take hands receiver to a sent cell's payload: a mesh buffer that holds
+// one stays busy until to's next gather or Sum, an empty one is idle at
+// once.
+func (m *MemTransport) take(c *memCell, to int) []byte {
+	if b := c.own; b != nil {
+		if len(c.buf) > 0 {
+			m.host[to].loans = append(m.host[to].loans, b)
+		} else {
+			b.busy.Store(false)
+		}
+	}
+	return c.buf
+}
+
 // Gather returns the exchange's buffers addressed to host `to`, indexed
-// by sender. It never blocks: the in-process caller's BSP barrier has
-// already sequenced every Send before the first Gather. Once every
-// receiver gathered, the exchange's slot returns to the free pool.
+// by sender, once every sender's is there. Once every receiver gathered,
+// the exchange's slot returns to the free pool.
 func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
+	m.endLoan(to)
 	slot := m.open(exchange)
 	bufs := slot.inbox[to]
+	for from := range bufs {
+		bufs[from] = nil
+		if from == to {
+			continue
+		}
+		c, err := m.await(slot, exchange, to, from)
+		if err != nil {
+			return nil, err
+		}
+		if c.state.Load() == cellSent {
+			bufs[from] = m.take(c, to)
+		}
+	}
 	m.finish(slot, exchange, to)
 	return bufs, nil
 }
 
-// GatherFrom returns one inbox cell, with no wait and no allocation.
-// The receiver's last sender completes its gather, as Gather would (a
-// lone host has no sender: its self-gather does).
+// GatherFrom returns one sender's buffer once it is there, with no
+// allocation. The receiver's last sender completes its gather, as Gather
+// would (a lone host has no sender: its self-gather does).
 func (m *MemTransport) GatherFrom(exchange, to, from int) ([]byte, error) {
+	m.endLoan(to)
 	if from == to && m.hosts > 1 {
 		return nil, nil
 	}
 	slot := m.open(exchange)
-	buf := slot.inbox[to][from]
+	var buf []byte
+	if from != to {
+		c, err := m.await(slot, exchange, to, from)
+		if err != nil {
+			return nil, err
+		}
+		if c.state.Load() == cellSent {
+			buf = m.take(c, to)
+		}
+	}
 	if slot.taken[to]++; slot.taken[to] >= m.hosts-1 {
 		m.finish(slot, exchange, to)
 	}
 	return buf, nil
 }
 
-// Silent empties the exchange's (from → to) cell, which still holds
-// whatever an earlier exchange of the slot left there, and leaves from's
-// term out of to's sum.
+// Silent marks the exchange's (from → to) channel as carrying nothing
+// and leaves from's term out of to's sum.
 func (m *MemTransport) Silent(exchange, to, from int) error {
 	s := m.open(exchange)
-	s.inbox[to][from] = nil
 	s.silent[to*m.hosts+from] = true
+	m.post(&s.cells[from*m.hosts+to], to, cellSilent)
 	return nil
 }
 
@@ -403,41 +643,49 @@ func (m *MemTransport) finish(slot *memSlot, exchange, to int) {
 	}
 	slot.gathered[to] = true
 	var sum int64
-	for from, term := range slot.terms {
+	for from := range slot.terms {
 		if !slot.silent[to*m.hosts+from] {
-			sum += term
+			sum += slot.terms[from]
 		}
 	}
-	m.sums[to] = memSum{exchange + 1, sum}
+	m.host[to].gathered, m.host[to].sum = exchange+1, sum
 	if int(slot.n.Add(1)) == m.hosts {
 		slot.release()
 	}
 }
 
-// Propose sets host's term of the exchange's sum. The caller's barrier
-// puts every host's Propose, like its Sends, before the first Gather.
+// Propose sets host's term of the exchange's sum, before its sends.
 func (m *MemTransport) Propose(exchange, host int, local int64) error {
 	m.open(exchange).terms[host] = local
 	return nil
 }
 
 // Sum returns the sum of the exchange as host's Gather of it found it.
+// A lone host has no sender to gather: its Sum completes the exchange.
 func (m *MemTransport) Sum(exchange, host int) (int64, error) {
-	if s := m.sums[host]; s.gathered == exchange+1 {
-		return s.sum, nil
+	m.endLoan(host)
+	if s := m.slot(exchange); m.hosts == 1 && s != nil {
+		m.finish(s, exchange, host)
+	}
+	if h := &m.host[host]; h.gathered == exchange+1 {
+		return h.sum, nil
 	}
 	return 0, fmt.Errorf("gluon: Sum of exchange %d, which host %d did not gather last", exchange, host)
 }
 
-// AllReduce folds one value per host across all hosts. Unlike Send and
-// Gather it is a genuine rendezvous — callers block until every host
-// contributed — because concurrent drivers (the conformance suite) have
-// no outer barrier to lean on.
+// AllReduce folds one value per host across all hosts. It is a genuine
+// rendezvous — callers block until every host contributed — and counts
+// as a gather call. Close wakes a waiting caller with a *TransportError.
 func (m *MemTransport) AllReduce(host int, local int64, op ReduceOp) (int64, error) {
 	if host < 0 || host >= m.hosts {
 		return 0, fmt.Errorf("gluon: AllReduce host %d out of range [0,%d)", host, m.hosts)
 	}
-	return m.reduce.join(local, op), nil
+	m.endLoan(host)
+	v, ok := m.reduce.join(local, op)
+	if !ok {
+		return 0, &TransportError{Host: -1, Exchange: -1, Reason: "transport closed during AllReduce"}
+	}
+	return v, nil
 }
 
 // Stats returns the channel's cumulative tallies.
@@ -445,8 +693,25 @@ func (m *MemTransport) Stats(from, to int) ChannelStats {
 	return m.stats[from*m.hosts+to]
 }
 
-// Close is a no-op: the in-process backend holds no external resources.
-func (m *MemTransport) Close() error { return nil }
+// Close wakes every waiting gather and all-reduce with a
+// *TransportError; later waits fail at once. Safe to call more than
+// once, on the transport or any view.
+func (m *MemTransport) Close() error {
+	m.closeOnce.Do(func() {
+		close(m.done)
+		m.reduce.close()
+	})
+	return nil
+}
+
+func (m *MemTransport) closed() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
+}
 
 // memReduce is a reusable all-reduce rendezvous: hosts of one round
 // block until all N contributed, every caller receives the fold, and
@@ -460,6 +725,7 @@ type memReduce struct {
 	acc     int64
 	gen     uint64
 	out     int64
+	closed  bool
 }
 
 func (r *memReduce) init(hosts int) {
@@ -467,9 +733,14 @@ func (r *memReduce) init(hosts int) {
 	r.cond = sync.NewCond(&r.mu)
 }
 
-func (r *memReduce) join(local int64, op ReduceOp) int64 {
+// join contributes local to the current round and returns the fold;
+// false if the rendezvous was closed before the round completed.
+func (r *memReduce) join(local int64, op ReduceOp) (int64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return 0, false
+	}
 	gen := r.gen
 	if r.arrived == 0 {
 		r.acc = local
@@ -482,10 +753,17 @@ func (r *memReduce) join(local int64, op ReduceOp) int64 {
 		r.arrived = 0
 		r.gen++
 		r.cond.Broadcast()
-		return r.out
+		return r.out, true
 	}
-	for r.gen == gen {
+	for r.gen == gen && !r.closed {
 		r.cond.Wait()
 	}
-	return r.out
+	return r.out, r.gen != gen
+}
+
+func (r *memReduce) close() {
+	r.mu.Lock()
+	r.closed = true
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }

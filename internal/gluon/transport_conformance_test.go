@@ -24,6 +24,10 @@ type conformanceCluster struct {
 	name string
 	view func(h int) Transport
 	done func()
+	// free: the backend needs no barrier between an exchange's sends and
+	// its gathers, nor between exchanges, so the drivers run without one
+	// and every gather waits on the wire alone.
+	free bool
 }
 
 func memCluster(t *testing.T, hosts int) *conformanceCluster {
@@ -33,6 +37,30 @@ func memCluster(t *testing.T, hosts int) *conformanceCluster {
 		name: m.Backend(),
 		view: func(h int) Transport { return m },
 		done: func() { m.Close() },
+	}
+}
+
+// viewCluster is the in-process mesh: one MemTransport view per host,
+// driven without barriers.
+func viewCluster(t *testing.T, hosts, window int) *conformanceCluster {
+	t.Helper()
+	m := NewMemTransportWindow(hosts, window)
+	views := make([]Transport, hosts)
+	for h := range views {
+		views[h] = m.View(h)
+	}
+	return &conformanceCluster{
+		name: "views",
+		view: func(h int) Transport { return views[h] },
+		done: func() { m.Close() },
+		free: true,
+	}
+}
+
+// sync is the drivers' barrier, skipped on a backend that needs none.
+func (c *conformanceCluster) sync(b *barrier) {
+	if !c.free {
+		b.wait()
 	}
 }
 
@@ -141,10 +169,10 @@ func runConformance(t *testing.T, hosts, exchanges int, c *conformanceCluster) {
 						return
 					}
 				}
-				// The in-process backend relies on the caller's BSP barrier
-				// between the send and gather phases; remote backends don't
-				// need it but must tolerate it.
-				bar.wait()
+				// The shared in-process backend relies on the caller's BSP
+				// barrier between the send and gather phases; remote backends
+				// and views don't need it, and the TCP mesh tolerates it.
+				c.sync(bar)
 				bufs, err := tr.Gather(e, h)
 				if err != nil {
 					errCh <- fmt.Errorf("host %d: gather ex %d: %w", h, e, err)
@@ -183,9 +211,9 @@ func runConformance(t *testing.T, hosts, exchanges int, c *conformanceCluster) {
 					return
 				}
 				// Full barrier before the next exchange: the contract lets a
-				// host run one exchange ahead, but the in-process inbox is
-				// single-buffered and the dgalois driver never runs ahead.
-				bar.wait()
+				// host run one exchange ahead, but the shared in-process
+				// inbox is single-buffered.
+				c.sync(bar)
 			}
 			errCh <- nil
 		}(h)
@@ -240,6 +268,9 @@ func TestTransportConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("tcp/%d", hosts), func(t *testing.T) {
 			runConformance(t, hosts, 12, tcpCluster(t, hosts, TCPOptions{}))
 		})
+		t.Run(fmt.Sprintf("views/%d", hosts), func(t *testing.T) {
+			runConformance(t, hosts, 12, viewCluster(t, hosts, 1))
+		})
 	}
 }
 
@@ -249,6 +280,7 @@ func TestTransportConformanceClose(t *testing.T) {
 	for _, c := range []*conformanceCluster{
 		memCluster(t, 2),
 		tcpCluster(t, 2, TCPOptions{}),
+		viewCluster(t, 2, 1),
 	} {
 		tr := c.view(0)
 		if err := tr.Close(); err != nil {
@@ -553,7 +585,7 @@ func runConformanceSum(t *testing.T, hosts, window int, c *conformanceCluster) {
 						}
 					}
 				}
-				bar.wait() // the in-process backend's BSP barrier
+				c.sync(bar) // the shared in-process backend's BSP barrier
 				for e := base; e < base+window; e++ {
 					var err error
 					if e%2 == 1 {
@@ -584,7 +616,7 @@ func runConformanceSum(t *testing.T, hosts, window int, c *conformanceCluster) {
 						}
 					}
 				}
-				bar.wait()
+				c.sync(bar)
 			}
 		}(h)
 	}
@@ -618,6 +650,9 @@ func TestTransportConformanceExchangeSum(t *testing.T) {
 			})
 			t.Run(fmt.Sprintf("tcp/%d/window%d", hosts, window), func(t *testing.T) {
 				runConformanceSum(t, hosts, window, tcpCluster(t, hosts, TCPOptions{}))
+			})
+			t.Run(fmt.Sprintf("views/%d/window%d", hosts, window), func(t *testing.T) {
+				runConformanceSum(t, hosts, window, viewCluster(t, hosts, window))
 			})
 		}
 	}
@@ -682,7 +717,7 @@ func runConformanceSilent(t *testing.T, hosts, window, exchanges int, c *conform
 						}
 					}
 				}
-				bar.wait() // the in-process backend's BSP barrier
+				c.sync(bar) // the shared in-process backend's BSP barrier
 				for e := base; e < base+window; e++ {
 					for from := 0; from < hosts; from++ {
 						if silentLink(from, h) && !confVote(e) {
@@ -726,7 +761,7 @@ func runConformanceSilent(t *testing.T, hosts, window, exchanges int, c *conform
 						return
 					}
 				}
-				bar.wait()
+				c.sync(bar)
 			}
 		}(h)
 	}
@@ -776,10 +811,12 @@ func openExchanges(tr Transport) int {
 		tr.mu.Lock()
 		defer tr.mu.Unlock()
 		return len(tr.boxes)
+	case *MemView:
+		return openExchanges(tr.MemTransport)
 	case *MemTransport:
 		n := 0
-		for i := range tr.slots {
-			if tr.slots[i].id.Load() >= 0 {
+		for _, s := range *tr.slots.Load() {
+			if s.id.Load() >= 0 {
 				n++
 			}
 		}
@@ -814,6 +851,9 @@ func TestTransportConformanceSilent(t *testing.T) {
 			runConformanceSilent(t, hosts, window, exchanges,
 				tcpCluster(t, hosts, TCPOptions{StepInterval: 10 * time.Second, DeadlineSteps: 3}))
 		})
+		t.Run(fmt.Sprintf("views/window%d", window), func(t *testing.T) {
+			runConformanceSilent(t, hosts, window, exchanges, viewCluster(t, hosts, window))
+		})
 	}
 }
 
@@ -826,6 +866,7 @@ func TestTransportSilentReadsEmptyAtOnce(t *testing.T) {
 	for _, c := range []*conformanceCluster{
 		memCluster(t, 2),
 		tcpCluster(t, 2, TCPOptions{DeadlineSteps: 10, StepInterval: 5 * time.Millisecond}),
+		viewCluster(t, 2, 1),
 	} {
 		a, b := c.view(0), c.view(1)
 		for e := 0; e < 3; e++ {
@@ -863,5 +904,49 @@ func TestTransportSilentReadsEmptyAtOnce(t *testing.T) {
 			}
 		}
 		c.done()
+	}
+}
+
+// TestViewsCloseWakesBlockedGather: on the in-process mesh a gather
+// waits for the sender it names and nothing else — host 0 reads host 2's
+// record while host 1 has sent nothing — and Close wakes a gather and an
+// all-reduce that wait on a host that never comes, each with a
+// *TransportError naming what it waited for; later calls fail at once.
+func TestViewsCloseWakesBlockedGather(t *testing.T) {
+	c := viewCluster(t, 3, 1)
+	a, b, z := c.view(0), c.view(1), c.view(2)
+	if err := z.Send(0, 2, 0, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := a.GatherFrom(0, 0, 2); err != nil || !bytes.Equal(got, []byte{7}) {
+		t.Fatalf("gather from the host that sent: %v, %v", got, err)
+	}
+	gathered, reduced := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := a.GatherFrom(0, 0, 1)
+		gathered <- err
+	}()
+	go func() {
+		_, err := b.AllReduce(1, 1, ReduceSum)
+		reduced <- err
+	}()
+	select {
+	case err := <-gathered:
+		t.Fatalf("gather returned before its sender sent or the mesh closed: %v", err)
+	case err := <-reduced:
+		t.Fatalf("all-reduce returned before every host joined: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.done()
+	for name, ch := range map[string]chan error{"gather": gathered, "all-reduce": reduced} {
+		var te *TransportError
+		if err := <-ch; !errors.As(err, &te) {
+			t.Fatalf("%s after Close: %v, want a *TransportError", name, err)
+		} else if name == "gather" && (te.Host != 1 || te.Exchange != 0) {
+			t.Fatalf("gather after Close blames host %d in exchange %d, want host 1 in exchange 0", te.Host, te.Exchange)
+		}
+	}
+	if _, err := z.GatherFrom(1, 2, 0); err == nil {
+		t.Fatal("a gather after Close succeeded")
 	}
 }

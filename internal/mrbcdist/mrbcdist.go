@@ -17,10 +17,16 @@
 // body as coroutines (pipeline.go): while one batch's exchange is on
 // the wire, another batch computes — scores and the model trace stay
 // bitwise identical to the serial loop.
+//
+// Every host runs that loop as an SPMD process of its own, waiting only
+// for the records it reads: one host per process over TCP (bcd), or
+// every host a goroutine of this process over an in-memory mesh
+// (runMesh), which is what RunChecked does without a transport.
 package mrbcdist
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"mrbc/internal/bitset"
@@ -48,14 +54,15 @@ type Options struct {
 	// view derives from; nil publishes no telemetry. The returned Stats
 	// never read it.
 	Metrics *obs.Registry
-	// Transport overrides the cluster's byte-moving backend (nil: the
-	// in-process simulated network). A remote backend (gluon.TCPTransport)
-	// runs this process as one host of a multi-process SPMD cluster:
-	// every process executes the same batch loop, engine state exists
-	// only for the local host, the termination vote rides each round's
-	// forward exchanges, and the returned scores hold only the
-	// local host's master contributions (zero elsewhere) — the
-	// coordinator sums the per-process vectors elementwise.
+	// Transport runs this process as one host of a multi-process SPMD
+	// cluster (gluon.TCPTransport): every process executes the same batch
+	// loop, engine state exists only for the local host, the termination
+	// vote rides each round's forward exchanges, and the returned scores
+	// hold only the local host's master contributions (zero elsewhere) —
+	// the coordinator sums the per-process vectors elementwise. Nil runs
+	// every host here, each the same SPMD loop on a goroutine of its own
+	// over an in-memory mesh, and returns the whole cluster's scores and
+	// Stats.
 	Transport gluon.Transport
 	// PipelineDepth software-pipelines source batches: up to this many
 	// batches run concurrently, each handing the cluster to the next
@@ -210,14 +217,16 @@ func (st *hostState) markDuePartials() {
 
 // progressGauges are the engine's live-progress instruments, resolved
 // once per run from Options.Metrics (detached no-op gauges when it is
-// nil) and updated from the coordinator only — never inside a compute
-// phase — so they cost nothing on the hot path.
+// nil, and on an in-process run's hosts other than 0) and updated
+// between phases only — never inside a compute phase — so they cost
+// nothing on the hot path.
 type progressGauges struct {
 	batch *obs.Gauge // current batch index
 	round *obs.Gauge // current phase-local round (forward or backward)
 	// frontier is the round's due pairs + pending entries over the local
-	// hosts: the cluster's count in process, this host's share in SPMD,
-	// where a relayed vote leaves no host the cluster's exact sum.
+	// hosts: the cluster's count on the coordinator, the reporting host's
+	// share in SPMD, where a relayed vote leaves no host the cluster's
+	// exact sum.
 	frontier *obs.Gauge
 	backward *obs.Gauge // 1 while the batch's backward phase runs
 }
@@ -273,12 +282,15 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 // it). Every fault the transport recovers from yields err == nil and
 // oracle-exact scores; on error the partial scores are meaningless.
 func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
+	if opts.Transport == nil {
+		return runMesh(g, pt, sources, opts, nil)
+	}
 	return run(g, pt, sources, opts, nil)
 }
 
-// run is RunChecked with a hook that sees every batch before it runs
-// (nil: none); tests use it to wrap a batch's phases with cross-checks.
-func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
+// setup checks a run's arguments and returns its options with the
+// defaults filled in and its pipeline depth.
+func setup(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) (Options, int) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
 	for _, s := range sources {
@@ -290,17 +302,6 @@ func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 	if (opts.Checkpoint != nil || opts.Resume != nil) && depth > 1 {
 		panic("mrbcdist: checkpoint/resume requires the serial batch loop (PipelineDepth <= 1)")
 	}
-	topo := gluon.NewTopology(pt)
-	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Trace:     opts.Trace,
-		Metrics:   opts.Metrics,
-		Transport: opts.Transport,
-		Epoch:     opts.Epoch,
-	})
-	defer cluster.Close()
-	scores := make([]float64, n)
-	pool := &statePool{kmax: min(opts.BatchSize, len(sources))}
-	startBatch := 0
 	if rs := opts.Resume; rs != nil {
 		if rs.Hosts != pt.NumHosts {
 			panic(fmt.Sprintf("mrbcdist: snapshot belongs to a %d-host cluster, partitioning has %d", rs.Hosts, pt.NumHosts))
@@ -308,55 +309,197 @@ func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 		if len(rs.Scores) != n {
 			panic(fmt.Sprintf("mrbcdist: snapshot carries %d scores, graph has %d vertices", len(rs.Scores), n))
 		}
-		copy(scores, rs.Scores)
-		startBatch = rs.NextBatch
-		cluster.Restore(rs.Cursor)
-		if opts.Trace.Enabled() {
-			opts.Trace.Emit(obs.Event{Kind: obs.KindElastic, Phase: obs.PhaseRestore,
-				Batch: int32(startBatch), Host: int32(cluster.LocalHost())})
-		}
 	}
-	j := &job{cluster: cluster, topo: topo, pool: pool, sources: sources,
-		scores: scores, opts: opts, prog: newProgressGauges(opts.Metrics), instrument: instrument}
-	err := dgalois.Capture(func() {
-		if depth > 1 {
-			runPipelined(j, depth)
-			return
-		}
-		for bi := startBatch; bi*opts.BatchSize < len(sources); bi++ {
-			b := j.newBatch(bi, nil)
-			b.run()
-			b.retire()
-			saveCheckpoint(cluster, scores, bi+1, opts)
-		}
-	})
-	return scores, cluster.Stats(), err
+	return opts, depth
 }
 
-// saveCheckpoint persists the batch-boundary snapshot into
+// run is one host of an SPMD job over opts.Transport or, with none, the
+// coordinator: one cluster that owns every host and runs each phase of
+// all of them before the next. RunChecked never takes the coordinator
+// path; tests that cross-check a batch over every host at once
+// (backsync_test.go, pipeline_test.go) do, through the hook that sees
+// every batch before it runs (nil: none).
+func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
+	opts, depth := setup(g, pt, sources, opts)
+	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
+		Trace:     opts.Trace,
+		Metrics:   opts.Metrics,
+		Transport: opts.Transport,
+		Epoch:     opts.Epoch,
+	})
+	defer cluster.Close()
+	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), pool: &statePool{kmax: min(opts.BatchSize, len(sources))},
+		sources: sources, scores: make([]float64, g.NumVertices()), opts: opts,
+		prog: newProgressGauges(opts.Metrics), instrument: instrument, lead: true, host: cluster.LocalHost()}
+	start := 0
+	if rs := opts.Resume; rs != nil {
+		copy(j.scores, rs.Scores)
+		cluster.Restore(rs.Cursor)
+		start = rs.NextBatch
+		j.emitRestore(start)
+	}
+	err := dgalois.Capture(func() { j.loop(start, depth) })
+	return j.scores, cluster.Stats(), err
+}
+
+// runMesh runs the job in this process the way a bcd cluster runs it:
+// every host an SPMD process of its own — host 0 on the caller, the
+// others on goroutines — each running the whole batch loop over its view
+// of an in-memory mesh (gluon.MemView), and waiting only for the records
+// it reads. The hosts share one Topology and one score vector, into
+// which each folds its own masters, so the vector is the run's. What
+// belongs to the whole run — batch summaries, exchange slices, elastic
+// events, the round counter, progress gauges and checkpoints — host 0
+// reports once; Stats folds every host's (dgalois.FoldStats), and the
+// trace joins the hosts' events in a deterministic order (obs.Trace.Join).
+//
+// The first host to fail closes the mesh, which wakes every peer's
+// pending gather with an error; runMesh waits for every host and then
+// re-raises that host's panic value, or returns its fault. The hook sees
+// every host's batches (see run).
+func runMesh(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
+	opts, depth := setup(g, pt, sources, opts)
+	hosts := pt.NumHosts
+	topo := gluon.NewTopology(pt)
+	mesh := gluon.NewMemTransportWindow(hosts, depth)
+	defer mesh.Close()
+	traces := opts.Trace.Split(hosts)
+	scores := make([]float64, g.NumVertices())
+	clusters := make([]*dgalois.Cluster, hosts)
+	jobs := make([]*job, hosts)
+	for h := range jobs {
+		view := mesh.View(h)
+		o := opts
+		o.Trace = traces[h]
+		clusters[h] = dgalois.NewClusterOpts(hosts, dgalois.ClusterOptions{
+			Trace: o.Trace, Metrics: o.Metrics, Transport: view, Epoch: o.Epoch})
+		var reg *obs.Registry
+		if h == 0 {
+			reg = o.Metrics
+		}
+		jobs[h] = &job{cluster: clusters[h], topo: topo, pool: &statePool{kmax: min(o.BatchSize, len(sources))},
+			sources: sources, scores: scores, opts: o, prog: newProgressGauges(reg), instrument: instrument,
+			view: view, lead: h == 0, host: -1}
+	}
+	start := 0
+	if rs := opts.Resume; rs != nil {
+		copy(scores, rs.Scores)
+		for h, c := range clusters {
+			cur := rs.Cursor
+			if h > 0 {
+				// The snapshot's volume is the cluster's; host 0 carries it.
+				cur = dgalois.Cursor{Seq: cur.Seq, Rounds: cur.Rounds}
+			}
+			c.Restore(cur)
+		}
+		start = rs.NextBatch
+		jobs[0].emitRestore(start)
+	}
+
+	var (
+		mu     sync.Mutex
+		failed bool
+		value  any
+		fault  error
+	)
+	fail := func(v any, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !failed {
+			failed, value, fault = true, v, err
+			mesh.Close()
+		}
+	}
+	host := func(h int) {
+		defer func() {
+			if v := recover(); v != nil {
+				fail(v, nil)
+			}
+		}()
+		if err := dgalois.Capture(func() { jobs[h].loop(start, depth) }); err != nil {
+			fail(nil, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for h := 1; h < hosts; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			host(h)
+		}(h)
+	}
+	host(0)
+	wg.Wait()
+	opts.Trace.Join(traces)
+	if value != nil {
+		panic(value)
+	}
+	return scores, dgalois.FoldStats(clusters), fault
+}
+
+// emitRestore records that the run resumed at batch next.
+func (j *job) emitRestore(next int) {
+	if j.opts.Trace.Enabled() {
+		j.opts.Trace.Emit(obs.Event{Kind: obs.KindElastic, Phase: obs.PhaseRestore,
+			Batch: int32(next), Host: int32(j.host)})
+	}
+}
+
+// loop runs the batches from start on, pipelined at depth > 1.
+func (j *job) loop(start, depth int) {
+	if depth > 1 {
+		runPipelined(j, depth)
+		return
+	}
+	for bi := start; bi*j.opts.BatchSize < len(j.sources); bi++ {
+		b := j.newBatch(bi, nil)
+		b.run()
+		b.retire()
+		j.checkpoint(bi + 1)
+	}
+}
+
+// checkpoint persists the batch-boundary snapshot into
 // Options.Checkpoint (no-op when checkpointing is off). It runs inside
 // the run's Capture, so a sink failure aborts the run through the same
 // structured-fault path as a transport failure — a checkpoint that
-// silently failed would turn a later restore into data loss.
-func saveCheckpoint(cluster *dgalois.Cluster, scores []float64, next int, opts Options) {
-	if opts.Checkpoint == nil {
+// silently failed would turn a later restore into data loss. A mesh's
+// hosts all-reduce their volume at the boundary, which also orders every
+// host's fold of the batch before host 0 reads the scores; host 0 writes
+// the whole run's snapshot.
+func (j *job) checkpoint(next int) {
+	if j.opts.Checkpoint == nil {
 		return
 	}
+	cur := j.cluster.Cursor()
+	if j.view != nil {
+		h := j.cluster.LocalHost()
+		for _, x := range []*int64{&cur.Bytes, &cur.Messages, &cur.Encoding.Dense, &cur.Encoding.Sparse, &cur.Encoding.All} {
+			sum, err := j.view.AllReduce(h, *x, gluon.ReduceSum)
+			if err != nil {
+				dgalois.Abort(&dgalois.FaultError{Host: -1, Exchange: -1, Reason: "checkpoint: " + err.Error()})
+			}
+			*x = sum
+		}
+		if !j.lead {
+			return
+		}
+	}
 	data := elastic.Encode(&elastic.Snapshot{
-		Host:      cluster.LocalHost(),
-		Hosts:     cluster.NumHosts(),
-		Epoch:     opts.Epoch,
+		Host:      j.host,
+		Hosts:     j.cluster.NumHosts(),
+		Epoch:     j.opts.Epoch,
 		NextBatch: next,
-		Cursor:    cluster.Cursor(),
-		Scores:    scores,
+		Cursor:    cur,
+		Scores:    j.scores,
 	})
-	if err := opts.Checkpoint.Put(next, data); err != nil {
-		dgalois.Abort(&dgalois.FaultError{Host: cluster.LocalHost(), Exchange: -1,
+	if err := j.opts.Checkpoint.Put(next, data); err != nil {
+		dgalois.Abort(&dgalois.FaultError{Host: j.host, Exchange: -1,
 			Reason: "checkpoint: " + err.Error()})
 	}
-	if opts.Trace.Enabled() {
-		opts.Trace.Emit(obs.Event{Kind: obs.KindElastic, Phase: obs.PhaseCheckpoint,
-			Batch: int32(next), Host: int32(cluster.LocalHost())})
+	if j.opts.Trace.Enabled() {
+		j.opts.Trace.Emit(obs.Event{Kind: obs.KindElastic, Phase: obs.PhaseCheckpoint,
+			Batch: int32(next), Host: int32(j.host)})
 	}
 }
 
@@ -453,8 +596,9 @@ func (b *batchRun) accumulate(h int) {
 }
 
 // foldScores folds one finished batch's master dependencies into the
-// global scores (only the local hosts' masters in SPMD mode: the
-// per-process vectors are disjoint and sum to the full scores). The
+// global scores (only the local host's masters in SPMD mode: the
+// per-process vectors are disjoint and sum to the full scores, and the
+// hosts of an in-process mesh write disjoint entries of one vector). The
 // iteration order — hosts ascending, then local vertices, then batch
 // index — is the floating-point fold order at every pipeline depth.
 func foldScores(states []*hostState, batch []uint32, scores []float64) {
@@ -487,6 +631,13 @@ type job struct {
 	prog    progressGauges
 
 	instrument func(*batchRun) // see run
+	// view is the host's view of an in-process mesh (runMesh), nil
+	// otherwise. lead: this host reports what belongs to the whole run
+	// (always, but for mesh hosts other than 0); host is the Host its
+	// job-level events and checkpoints carry, −1 for the whole cluster.
+	view *gluon.MemView
+	lead bool
+	host int
 }
 
 // batchRun is one source batch's pass over the cluster. The round body
@@ -668,7 +819,7 @@ func (b *batchRun) backwardRound(r int) {
 // the score fold. Batches retire in index order, which
 // fixes the floating-point fold order.
 func (b *batchRun) retire() {
-	if tr := b.opts.Trace; tr.Enabled() {
+	if tr := b.opts.Trace; tr.Enabled() && b.lead {
 		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(b.bi), Host: -1,
 			K: int32(len(b.batch)), FwdRounds: int32(b.fwd), BackRounds: int32(b.back)})
 	}

@@ -2,6 +2,7 @@ package mrbcdist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -15,6 +16,7 @@ import (
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/dgalois"
+	"mrbc/internal/elastic"
 	"mrbc/internal/gen"
 	"mrbc/internal/gluon"
 	"mrbc/internal/graph"
@@ -441,47 +443,104 @@ func TestPipelineRotationPinned(t *testing.T) {
 // raises inside a batch.
 type pipelineFault struct{ batch, round int }
 
-// TestPipelineBatchPanicReachesCaller drives the in-process pipelined
-// failure path: batch 3 panics in its second forward round while other
-// batches are parked mid-exchange. run must re-raise exactly that value
-// on the caller's goroutine, and every batch goroutine must be gone
-// soon after. The panic is raised by host 0's task: a phase whose last
-// run measured below the dispatch break-even runs host 0 on the
-// caller, which is the batch's goroutine, and round 1's relax on this
-// small grid is far below it.
+// TestPipelineBatchPanicReachesCaller drives the in-process failure
+// path: batch 3 panics in its second forward round, mid-round (in
+// arbitration, between the reduce and the broadcast), while other
+// batches — and, in an SPMD run, other hosts — are parked mid-exchange.
+// The run must re-raise exactly that value on the caller's goroutine,
+// and every batch and host goroutine must be gone soon after. It runs
+// in process the way RunChecked does (runMesh: every host an SPMD
+// goroutine, host 0 the caller) at depths 1, 2 and 4, with the panic on
+// host 0 and on host 2, and on the coordinator at depths 2 and 4 with
+// the panic on host 0, whose task a phase below the dispatch break-even
+// runs on the caller, the batch's goroutine.
 func TestPipelineBatchPanicReachesCaller(t *testing.T) {
 	g := gen.RoadGrid(6, 6, 5)
 	pt := partition.EdgeCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, 24) // k = 4: six batches
-	want := pipelineFault{batch: 3, round: 2}
-	instrument := func(b *batchRun) {
-		if b.bi != want.batch {
-			return
-		}
-		relax := b.phases.relax
-		b.phases.relax = func(h int) {
-			if h == 0 && b.r == want.round {
-				panic(want)
+	type runner func(*graph.Graph, *partition.Partitioning, []uint32, Options, func(*batchRun)) ([]float64, dgalois.Stats, error)
+	for _, c := range []struct {
+		name   string
+		run    runner
+		host   int
+		depths []int
+	}{
+		{"spmd/host0", runMesh, 0, []int{1, 2, 4}},
+		{"spmd/host2", runMesh, 2, []int{1, 2, 4}},
+		{"coordinator", run, 0, []int{2, 4}},
+	} {
+		want := pipelineFault{batch: 3, round: 2}
+		instrument := func(b *batchRun) {
+			if b.bi != want.batch {
+				return
 			}
-			relax(h)
+			arbitrate := b.phases.arbitrate
+			b.phases.arbitrate = func(h int) {
+				if h == c.host && b.r == want.round {
+					panic(want)
+				}
+				arbitrate(h)
+			}
+		}
+		for _, depth := range c.depths {
+			base := runtime.NumGoroutine()
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				c.run(g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth}, instrument)
+				return nil
+			}()
+			if got != want {
+				t.Fatalf("%s depth %d: run raised %v, want %v", c.name, depth, got, want)
+			}
+			waitGoroutines(t, base, fmt.Sprintf("%s depth %d", c.name, depth))
 		}
 	}
-	for _, depth := range []int{2, 4} {
-		base := runtime.NumGoroutine()
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			run(g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth}, instrument)
-			return nil
-		}()
-		if got != want {
-			t.Fatalf("depth %d: run raised %v, want %v", depth, got, want)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			t.Fatalf("depth %d: %d goroutines 2 s after the failure, %d before the run", depth, n, base)
-		}
+}
+
+// waitGoroutines fails unless the goroutine count falls back to base
+// within 2 s.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%s: %d goroutines 2 s after the failure, %d before the run", what, n, base)
+	}
+}
+
+// failingSink refuses the checkpoint of one boundary.
+type failingSink struct {
+	*elastic.MemSink
+	at int
+}
+
+func (s *failingSink) Put(batch int, data []byte) error {
+	if batch == s.at {
+		return errors.New("disk full")
+	}
+	return s.MemSink.Put(batch, data)
+}
+
+// TestCheckpointSinkFailureReachesCaller: host 0 of an in-process SPMD
+// run writes the checkpoints, and when the sink refuses one, RunChecked
+// returns the *dgalois.FaultError that names it — not the error the
+// other hosts see when the mesh closes under them — with every host
+// goroutine gone.
+func TestCheckpointSinkFailureReachesCaller(t *testing.T) {
+	g := gen.RMAT(6, 8, 42)
+	pt := partition.CartesianCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 16)
+	base := runtime.NumGoroutine()
+	sink := &failingSink{MemSink: elastic.NewMemSink(), at: 2}
+	_, _, err := RunChecked(g, pt, sources, Options{BatchSize: 4, Checkpoint: sink})
+	var fe *dgalois.FaultError
+	if !errors.As(err, &fe) || !strings.Contains(fe.Reason, "checkpoint: disk full") {
+		t.Fatalf("RunChecked returned %v, want the sink's failure as a *dgalois.FaultError", err)
+	}
+	if got := sink.Boundaries(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("sink holds boundaries %v, want [1]", got)
+	}
+	waitGoroutines(t, base, "checkpoint failure")
 }

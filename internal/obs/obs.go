@@ -335,3 +335,58 @@ func (t *Trace) Events() []Event {
 	out = append(out, t.events[start:]...)
 	return append(out, t.events[:start]...)
 }
+
+// Split returns n traces that record like t — same level, same capacity —
+// for n hosts of one process that emit concurrently, each into its own;
+// Join then emits their events into t in a deterministic order. A nil
+// trace splits into nil traces.
+func (t *Trace) Split(n int) []*Trace {
+	parts := make([]*Trace, n)
+	if t != nil {
+		for i := range parts {
+			parts[i] = NewTrace(len(t.events), t.level)
+		}
+	}
+	return parts
+}
+
+// Join emits the events parts (from Split) recorded into t, in an order
+// that depends on their contents alone: each part's events in its own
+// emission order, interleaved by the largest Seq the part had emitted up
+// to the event, ties going to the lower part index. The cluster phases of
+// one Seq thus appear host by host, and an event without a Seq (a send, a
+// batch summary) right after its host's last phase. Events a part's ring
+// dropped count as dropped by t.
+func (t *Trace) Join(parts []*Trace) {
+	if t == nil {
+		return
+	}
+	type stream struct {
+		events []Event
+		anchor int64 // the largest Seq emitted up to events[0]
+	}
+	streams := make([]stream, len(parts))
+	for i, p := range parts {
+		t.next.Add(p.Dropped())
+		streams[i].events = p.Events()
+	}
+	for {
+		pick := -1
+		for i := range streams {
+			s := &streams[i]
+			if len(s.events) == 0 {
+				continue
+			}
+			s.anchor = max(s.anchor, s.events[0].Seq)
+			if pick < 0 || s.anchor < streams[pick].anchor {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			return
+		}
+		s := &streams[pick]
+		t.Emit(s.events[0])
+		s.events = s.events[1:]
+	}
+}
