@@ -10,9 +10,11 @@ import (
 
 	"mrbc/internal/brandes"
 	"mrbc/internal/dgalois"
+	"mrbc/internal/elastic"
 	"mrbc/internal/gen"
 	"mrbc/internal/gluon"
 	"mrbc/internal/graph"
+	"mrbc/internal/obs"
 	"mrbc/internal/partition"
 )
 
@@ -188,4 +190,84 @@ func TestBackwardDepthPanicsPastForwardDepth(t *testing.T) {
 		}
 	}()
 	t.Fatalf("backwardDepth returned %d", b.backwardDepth())
+}
+
+// TestInProcessRunReportsOnce pins what an in-process run — four SPMD
+// host goroutines over the mesh — reports for the whole run: one batch
+// summary per batch, one checkpoint event per boundary, one exchange
+// slice per exchange, every one of them cluster-wide (Host −1), no
+// transport event, and the run-wide counters and histograms once (host
+// 0's), while every host emits its own compute slice in every compute
+// phase and its own volume.
+func TestInProcessRunReportsOnce(t *testing.T) {
+	g := gen.RMAT(6, 8, 42)
+	pt := partition.CartesianCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 16)
+	tr := obs.NewTrace(1<<16, obs.LevelPhase)
+	reg := obs.NewRegistry()
+	_, stats, err := RunChecked(g, pt, sources, Options{BatchSize: 4, Trace: tr, Metrics: reg, Checkpoint: elastic.NewMemSink()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() > 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped())
+	}
+	batches, checkpoints := map[int32]int{}, map[int32]int{}
+	exchanges := map[int64]int{}
+	compute := map[int64]map[int32]bool{}
+	for _, e := range tr.Events() {
+		switch {
+		case e.Kind == obs.KindTransport:
+			t.Fatalf("transport event %+v in an in-process run", e)
+		case e.Kind == obs.KindBatch:
+			batches[e.Batch]++
+		case e.Kind == obs.KindElastic && e.Phase == obs.PhaseCheckpoint:
+			checkpoints[e.Batch]++
+		case e.Kind == obs.KindPhase && e.Phase == obs.PhaseExchange:
+			exchanges[e.Seq]++
+		case e.Kind == obs.KindPhase && e.Phase == obs.PhaseCompute:
+			if compute[e.Seq] == nil {
+				compute[e.Seq] = map[int32]bool{}
+			}
+			compute[e.Seq][e.Host] = true
+		default:
+			continue
+		}
+		if e.Kind != obs.KindPhase || e.Phase != obs.PhaseCompute {
+			if e.Host != -1 {
+				t.Errorf("run-wide event %+v names host %d", e, e.Host)
+			}
+		}
+	}
+	for b := int32(0); b < 4; b++ {
+		if batches[b] != 1 || checkpoints[b+1] != 1 {
+			t.Errorf("batch %d: %d summaries and %d checkpoint events, want 1 each", b, batches[b], checkpoints[b+1])
+		}
+	}
+	if len(batches) != 4 || len(checkpoints) != 4 {
+		t.Errorf("%d batch summaries and %d checkpoint events, want 4 each", len(batches), len(checkpoints))
+	}
+	for seq, n := range exchanges {
+		if n != 1 {
+			t.Errorf("exchange %d has %d slices, want 1", seq, n)
+		}
+	}
+	for seq, hosts := range compute {
+		if len(hosts) != pt.NumHosts {
+			t.Errorf("compute phase %d: slices from %d hosts, want %d", seq, len(hosts), pt.NumHosts)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["dgalois_rounds_total"]; got != int64(stats.Rounds) {
+		t.Errorf("dgalois_rounds_total = %d, want the run's %d rounds", got, stats.Rounds)
+	}
+	if got := snap.Counters["dgalois_bytes_total"]; got != stats.Bytes {
+		t.Errorf("dgalois_bytes_total = %d, want the run's %d bytes", got, stats.Bytes)
+	}
+	if got := snap.Histograms["dgalois_compute_phase_seconds"].Count; got != int64(len(compute)) {
+		t.Errorf("dgalois_compute_phase_seconds counted %d phases, want %d", got, len(compute))
+	}
+	if got := snap.Histograms["dgalois_exchange_seconds"].Count; got != int64(len(exchanges)) {
+		t.Errorf("dgalois_exchange_seconds counted %d exchanges, want %d", got, len(exchanges))
+	}
 }
