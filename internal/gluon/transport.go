@@ -221,7 +221,7 @@ func (e *TransportError) Error() string {
 // MemTransport is the in-process backend of the Transport contract, used
 // two ways:
 //
-//   - shared: the object itself owns every host, for a driver that puts
+//   - shared: the object itself owns every host, for a caller that puts
 //     a barrier between an exchange's sends and its gathers (the
 //     conformance suite, benchmark probes). Its window of open exchanges
 //     is fixed at construction.

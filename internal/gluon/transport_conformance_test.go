@@ -25,8 +25,8 @@ type conformanceCluster struct {
 	view func(h int) Transport
 	done func()
 	// free: the backend needs no barrier between an exchange's sends and
-	// its gathers, nor between exchanges, so the drivers run without one
-	// and every gather waits on the wire alone.
+	// its gathers, nor between exchanges, so the host goroutines run
+	// without one and every gather waits on the wire alone.
 	free bool
 }
 
@@ -57,7 +57,8 @@ func viewCluster(t *testing.T, hosts, window int) *conformanceCluster {
 	}
 }
 
-// sync is the drivers' barrier, skipped on a backend that needs none.
+// sync is the host goroutines' barrier, skipped on a backend that needs
+// none.
 func (c *conformanceCluster) sync(b *barrier) {
 	if !c.free {
 		b.wait()
