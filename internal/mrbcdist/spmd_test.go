@@ -3,6 +3,7 @@ package mrbcdist
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -198,17 +199,19 @@ func TestBackwardDepthPanicsPastForwardDepth(t *testing.T) {
 // slice per exchange, every one of them cluster-wide (Host −1), no
 // transport event, and the run-wide counters and histograms once (host
 // 0's), while every host emits its own compute slice in every compute
-// phase and its own volume.
+// phase and its own volume; and no host goroutine outlives the run.
 func TestInProcessRunReportsOnce(t *testing.T) {
 	g := gen.RMAT(6, 8, 42)
 	pt := partition.CartesianCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, 16)
 	tr := obs.NewTrace(1<<16, obs.LevelPhase)
 	reg := obs.NewRegistry()
+	base := runtime.NumGoroutine()
 	_, stats, err := RunChecked(g, pt, sources, Options{BatchSize: 4, Trace: tr, Metrics: reg, Checkpoint: elastic.NewMemSink()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitGoroutines(t, base, "a successful run")
 	if tr.Dropped() > 0 {
 		t.Fatalf("trace dropped %d events", tr.Dropped())
 	}
