@@ -13,11 +13,11 @@ import (
 // global termination vote. Two backends exist:
 //
 //   - MemTransport: the in-process backend — every host lives in one
-//     address space and a "send" is a slice hand-off. Its per-host views
-//     (MemTransport.View) are the mesh an in-process MRBC run's hosts,
-//     SPMD goroutines, exchange over. (An in-process dgalois cluster that
-//     owns every host — SBBC's — needs no transport: its receivers read
-//     the senders' writers.)
+//     address space and a "send" is a copy into memory the receiver
+//     reads. Its per-host views (MemTransport.View) are the mesh an
+//     in-process MRBC run's hosts, SPMD goroutines, exchange over. (An
+//     in-process dgalois cluster that owns every host — SBBC's — needs no
+//     transport: its receivers read the senders' writers.)
 //   - TCPTransport (tcp.go): a real network backend for multi-process
 //     clusters — one process per host, framed messages with per-channel
 //     sequence numbers, acks, retransmission, and re-dial over TCP.
@@ -31,22 +31,18 @@ import (
 //     host sends exactly one message to every other host on a link that
 //     is not silent (an empty buffer is the explicit "nothing this
 //     exchange" marker) and gathers the same exchange afterwards.
-//     Callers may hold a bounded window of exchanges open concurrently —
-//     sent but not yet fully gathered — and every host must observe the
-//     same window bound. The in-process backend's window is fixed at
-//     construction (NewMemTransportWindow); the TCP backend buffers
-//     per-exchange boxes on demand.
+//     Callers may hold several exchanges open concurrently — sent but
+//     not yet fully gathered —, and every host must observe the same
+//     bound; both backends make room for an exchange on demand.
 //   - Silent(exchange, to, from) is the receiver's side of a link on
 //     which from sends nothing this exchange (a link outside a dgalois
 //     exchange's set): from then reads as an empty marker that has
 //     arrived, with a term of 0.
 //   - Send is only valid for local `from` hosts; the gathers and Silent
 //     only for local `to` hosts. The buffer passed to Send is the
-//     caller's again when Send returns: remote backends copy it into a
-//     record, a mesh view copies it into the exchange's own buffer unless
-//     it is that buffer (MemView.Writer), and the shared in-process
-//     backend hands the slice through to a caller whose barrier keeps it
-//     alive until the gathers.
+//     caller's again when Send returns: the TCP backend copies it into a
+//     record, the in-process one into the channel's own buffer unless it
+//     is that buffer (MemView.Writer).
 //   - Gather returns the payloads indexed by sender (entry `to`, empty
 //     markers and silent senders have length 0); the returned slice is
 //     valid until the exchange's buffer slot is reused, which cannot
@@ -218,41 +214,35 @@ func (e *TransportError) Error() string {
 		host, e.Exchange, e.Pending, e.Steps, e.Reason)
 }
 
-// MemTransport is the in-process backend of the Transport contract, used
-// two ways:
+// MemTransport is the in-process backend of the Transport contract: a
+// mesh whose View(h) is host h's own Transport, for SPMD hosts that run
+// as goroutines of one process (mrbcdist's in-process runs). The object
+// itself may stand for every host, for a caller that drives them all
+// (the conformance suite, benchmark probes). A gather blocks only on the
+// sender it names, a host may run ahead of its peers by as many
+// exchanges as the data lets it, and Close wakes every waiting gather
+// with a *TransportError.
 //
-//   - shared: the object itself owns every host, for a caller that puts
-//     a barrier between an exchange's sends and its gathers (the
-//     conformance suite, benchmark probes). Its window of open exchanges
-//     is fixed at construction.
-//   - mesh: View(h) is host h's own Transport, for SPMD hosts that run
-//     as goroutines of one process (mrbcdist's in-process runs). A gather
-//     blocks only on the sender it names, a host may run ahead of its
-//     peers by as many exchanges as the data lets it (the window grows on
-//     demand), and Close wakes every waiting gather with a
-//     *TransportError.
-//
-// A send is a slice hand-off: the shared backend passes the caller's
-// slice through, and a view's host that packs into the buffer the mesh
-// lends it (MemView.Writer) hands its receiver the very bytes it wrote.
-// A view copies any other buffer into one of the mesh's, so a caller that
-// keeps reusing its own is safe too. Each channel keeps its buffers —
-// about two, one its receiver still reads and one its sender packs — for
-// the whole run: the steady-state exchange path allocates nothing.
+// A host that packs into the buffer the mesh lends it (MemView.Writer)
+// hands its receiver the very bytes it wrote; Send copies any other
+// buffer into one of the channel's, so a caller that keeps reusing its
+// own is safe too. A receiver reads a payload in place until its next
+// gather call or Sum. Each channel keeps its buffers — about two, one its
+// receiver still reads and one its sender packs — for the whole run: the
+// steady-state exchange path allocates nothing.
 type MemTransport struct {
 	hosts int
-	mesh  atomic.Bool // View was called: gathers may precede sends
 	// slots hold the concurrently-open exchanges. Claiming a slot takes mu;
 	// finding an open exchange's slot and freeing it are atomic reads and
 	// writes of the slot's id, so once an exchange is open (its first
-	// call) no Send or Gather of it locks. A mesh appends slots under mu
+	// call) no Send or Gather of it locks. Growing appends a slot under mu
 	// and publishes the grown list atomically.
 	mu    sync.Mutex
 	slots atomic.Pointer[[]*memSlot]
 	// stats[from*hosts+to], written only by the (from, to) sender.
 	stats []ChannelStats
 	host  []memHost
-	chans []memChan // [from*hosts+to], a mesh's buffers
+	chans []memChan // [from*hosts+to], the channels' buffers
 
 	reduce    memReduce
 	done      chan struct{} // closed by Close
@@ -260,8 +250,8 @@ type MemTransport struct {
 }
 
 // memHost is one host's receiving side: the exchange it gathered last
-// and its sum, the buffers it still reads (mesh only), and the channel a
-// peer wakes it on while it waits.
+// and its sum, the buffers it still reads, and the channel a peer wakes
+// it on while it waits.
 type memHost struct {
 	gathered int // 1 + the exchange, so that the zero value names none
 	sum      int64
@@ -271,14 +261,14 @@ type memHost struct {
 	wake  chan struct{}
 }
 
-// memBuf is one of a mesh channel's buffers. busy: its sender packed it
+// memBuf is one of a channel's buffers. busy: its sender packed it
 // and its receiver has not handed it back.
 type memBuf struct {
 	w    Writer
 	busy atomic.Bool
 }
 
-// memChan is a mesh channel's buffers. Only the sender appends to bufs;
+// memChan is a channel's buffers. Only the sender appends to bufs;
 // the receiver reaches a buffer through the cell that carried it.
 type memChan struct {
 	bufs []*memBuf
@@ -294,7 +284,7 @@ const (
 // memCell is one (from → to) channel of an open exchange.
 type memCell struct {
 	buf   []byte
-	own   *memBuf // a mesh's: the channel buffer buf lies in
+	own   *memBuf // the channel buffer buf lies in
 	state atomic.Int32
 	// waiting: the receiver is parked until state leaves cellEmpty.
 	waiting atomic.Bool
@@ -339,11 +329,9 @@ func NewMemTransport(hosts int) *MemTransport {
 	return NewMemTransportWindow(hosts, 1)
 }
 
-// NewMemTransportWindow returns an in-process transport that can hold
-// up to window exchanges open (sent but not yet fully gathered) at
-// once; a mesh of views grows past it on demand. All slot storage is
-// preallocated: the steady-state exchange path stays allocation-free at
-// any window.
+// NewMemTransportWindow returns an in-process transport with slots for
+// window open exchanges (sent but not yet fully gathered) made up front;
+// it adds a slot whenever more are open.
 func NewMemTransportWindow(hosts, window int) *MemTransport {
 	if hosts <= 0 {
 		panic(fmt.Sprintf("gluon: invalid host count %d", hosts))
@@ -370,13 +358,11 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 
 // View returns host h's own view of the transport, the one an SPMD host
 // running as a goroutine of this process is handed: Local reports h
-// alone, and every other method is the transport's. Taking a view makes
-// the transport a mesh (see MemTransport).
+// alone, and every other method is the transport's.
 func (m *MemTransport) View(h int) *MemView {
 	if h < 0 || h >= m.hosts {
 		panic(fmt.Sprintf("gluon: view of host %d in a %d-host transport", h, m.hosts))
 	}
-	m.mesh.Store(true)
 	return &MemView{MemTransport: m, self: h}
 }
 
@@ -438,8 +424,8 @@ func (m *MemTransport) slot(exchange int) *memSlot {
 	return nil
 }
 
-// open returns exchange's slot, claiming a free one if it has none yet.
-// A mesh grows when no slot is free.
+// open returns exchange's slot, claiming a free one if it has none yet,
+// or a new one when no slot is free.
 func (m *MemTransport) open(exchange int) *memSlot {
 	if s := m.slot(exchange); s != nil {
 		return s
@@ -455,9 +441,6 @@ func (m *MemTransport) open(exchange int) *memSlot {
 			s.id.Store(int64(exchange))
 			return s
 		}
-	}
-	if !m.mesh.Load() {
-		panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, len(slots)))
 	}
 	s := newMemSlot(m.hosts)
 	s.id.Store(int64(exchange))
@@ -493,21 +476,19 @@ func (m *MemTransport) Local(h int) bool { return h >= 0 && h < m.hosts }
 func (m *MemTransport) Backend() string { return "inproc" }
 
 // Send stores the buffer on the (from → to) channel and wakes the
-// receiver if it waits for it. The shared backend hands the slice
-// through; a mesh hands through only the channel's own buffer
-// (MemView.Writer) and copies any other into it.
+// receiver if it waits for it. It hands through only the channel's own
+// buffer (MemView.Writer) and copies any other into one.
 func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
 	c := &m.open(exchange).cells[from*m.hosts+to]
-	if m.mesh.Load() {
-		if c.own == nil {
-			c.own = m.acquire(from, to)
-		}
-		if w := &c.own.w; unsafe.SliceData(buf) != unsafe.SliceData(w.Bytes()) {
-			w.Reset()
-			w.Raw(buf)
-		}
-		buf = c.own.w.Bytes()
+	if c.own == nil {
+		c.own = m.acquire(from, to)
 	}
+	w := &c.own.w
+	if unsafe.SliceData(buf) != unsafe.SliceData(w.Bytes()) {
+		w.Reset()
+		w.Raw(buf)
+	}
+	buf = w.Bytes()
 	c.buf = buf
 	m.post(c, to, cellSent)
 	s := &m.stats[from*m.hosts+to]
@@ -563,16 +544,13 @@ func (m *MemTransport) endLoan(to int) {
 	h.loans = h.loans[:0]
 }
 
-// take hands receiver to a sent cell's payload: a mesh buffer that holds
-// one stays busy until to's next gather or Sum, an empty one is idle at
-// once.
+// take hands receiver to a sent cell's payload: a buffer that holds one
+// stays busy until to's next gather or Sum, an empty one is idle at once.
 func (m *MemTransport) take(c *memCell, to int) []byte {
-	if b := c.own; b != nil {
-		if len(c.buf) > 0 {
-			m.host[to].loans = append(m.host[to].loans, b)
-		} else {
-			b.busy.Store(false)
-		}
+	if len(c.buf) > 0 {
+		m.host[to].loans = append(m.host[to].loans, c.own)
+	} else {
+		c.own.busy.Store(false)
 	}
 	return c.buf
 }

@@ -20,14 +20,13 @@
 //
 // Every host runs that loop as an SPMD process of its own, waiting only
 // for the records it reads: one host per process over TCP (bcd), or
-// every host a goroutine of this process over an in-memory mesh
-// (runMesh), which is what RunChecked does without a transport.
+// every host a goroutine of this process over an in-memory mesh, which
+// is what RunChecked does without a transport (run).
 package mrbcdist
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"mrbc/internal/bitset"
 	"mrbc/internal/core"
@@ -88,7 +87,9 @@ type Options struct {
 	// phase-sequence and paper-model counters are seeded from the
 	// snapshot's cursor, so trace numbering and Stats continue the
 	// pre-restore sequence exactly. The snapshot's cluster size must
-	// match the partitioning. Requires PipelineDepth ≤ 1.
+	// match the partitioning, and its host this run's: the transport's
+	// local host, or −1 (the whole cluster) in process. Requires
+	// PipelineDepth ≤ 1.
 	Resume *elastic.Snapshot
 	// Epoch is the membership epoch the run executes under (elastic
 	// recovery bumps it per attempt); stamped into checkpoints and the
@@ -123,9 +124,8 @@ const none = -1
 
 // hostState is one host's engine plus its round state for one batch.
 // The round state is a set of flat slabs indexed by local proxy ID
-// (DESIGN.md §5, "Host round state"): compute phases and unpack calls —
-// both serial per host — write them, and the pack calls, which run in
-// parallel across destination pairs, only read them.
+// (DESIGN.md §5, "Host round state"), which the host's compute phases,
+// packs and unpacks read and write one at a time.
 type hostState struct {
 	part   *partition.Part
 	engine *core.Engine
@@ -223,10 +223,9 @@ func (st *hostState) markDuePartials() {
 type progressGauges struct {
 	batch *obs.Gauge // current batch index
 	round *obs.Gauge // current phase-local round (forward or backward)
-	// frontier is the round's due pairs + pending entries over the local
-	// hosts: the cluster's count on the coordinator, the reporting host's
-	// share in SPMD, where a relayed vote leaves no host the cluster's
-	// exact sum.
+	// frontier is the reporting host's share of the round's due pairs +
+	// pending entries: a relayed vote leaves no host the cluster's exact
+	// sum.
 	frontier *obs.Gauge
 	backward *obs.Gauge // 1 while the batch's backward phase runs
 }
@@ -282,9 +281,6 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 // it). Every fault the transport recovers from yields err == nil and
 // oracle-exact scores; on error the partial scores are meaningless.
 func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
-	if opts.Transport == nil {
-		return runMesh(g, pt, sources, opts, nil)
-	}
 	return run(g, pt, sources, opts, nil)
 }
 
@@ -313,80 +309,70 @@ func setup(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Op
 	return opts, depth
 }
 
-// run is one host of an SPMD job over opts.Transport or, with none, the
-// coordinator: one cluster that owns every host and runs each phase of
-// all of them before the next. RunChecked never takes the coordinator
-// path; tests that cross-check a batch over every host at once
-// (backsync_test.go, pipeline_test.go) do, through the hook that sees
-// every batch before it runs (nil: none).
-func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
-	opts, depth := setup(g, pt, sources, opts)
-	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Trace:     opts.Trace,
-		Metrics:   opts.Metrics,
-		Transport: opts.Transport,
-		Epoch:     opts.Epoch,
-	})
-	defer cluster.Close()
-	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), pool: &statePool{kmax: min(opts.BatchSize, len(sources))},
-		sources: sources, scores: make([]float64, g.NumVertices()), opts: opts,
-		prog: newProgressGauges(opts.Metrics), instrument: instrument, lead: true, host: cluster.LocalHost()}
-	start := 0
-	if rs := opts.Resume; rs != nil {
-		copy(j.scores, rs.Scores)
-		cluster.Restore(rs.Cursor)
-		start = rs.NextBatch
-		j.emitRestore(start)
-	}
-	err := dgalois.Capture(func() { j.loop(start, depth) })
-	return j.scores, cluster.Stats(), err
-}
-
-// runMesh runs the job in this process the way a bcd cluster runs it:
-// every host an SPMD process of its own — host 0 on the caller, the
-// others on goroutines — each running the whole batch loop over its view
-// of an in-memory mesh (gluon.MemView), and waiting only for the records
-// it reads. The hosts share one Topology and one score vector, into
-// which each folds its own masters, so the vector is the run's. What
-// belongs to the whole run — batch summaries, exchange slices, elastic
-// events, the round counter, progress gauges and checkpoints — host 0
-// reports once; Stats folds every host's (dgalois.FoldStats), and the
-// trace joins the hosts' events in a deterministic order (obs.Trace.Join).
+// run runs the job the way a bcd cluster runs it: every host an SPMD
+// process of its own, running the whole batch loop over its own
+// transport and waiting only for the records it reads. With
+// opts.Transport this process is that transport's one host. Without one,
+// every host runs here over its view of an in-memory mesh
+// (gluon.MemView) — host 0 on the caller, the others on goroutines —
+// sharing one Topology and one score vector, into which each folds its
+// own masters, so the vector is the run's. What belongs to the whole run
+// — batch summaries, exchange slices, elastic events, the round counter,
+// progress gauges and checkpoints — host 0 reports once; Stats folds
+// every host's (dgalois.FoldStats), and the trace joins the hosts'
+// events in a deterministic order (obs.Trace.Join).
 //
 // The first host to fail closes the mesh, which wakes every peer's
-// pending gather with an error; runMesh waits for every host and then
-// re-raises that host's panic value, or returns its fault. The hook sees
-// every host's batches (see run).
-func runMesh(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
+// pending gather with an error; run waits for every host and then
+// re-raises that host's panic value, or returns its fault. instrument,
+// when non-nil, sees every host's batches before they run (tests).
+func run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options, instrument func(*batchRun)) ([]float64, dgalois.Stats, error) {
 	opts, depth := setup(g, pt, sources, opts)
 	hosts := pt.NumHosts
+	transports := []gluon.Transport{opts.Transport}
+	traces := []*obs.Trace{opts.Trace}
+	var mesh *gluon.MemTransport
+	if opts.Transport == nil {
+		mesh = gluon.NewMemTransportWindow(hosts, depth)
+		defer mesh.Close()
+		transports = make([]gluon.Transport, hosts)
+		for h := range transports {
+			transports[h] = mesh.View(h)
+		}
+		traces = opts.Trace.Split(hosts)
+	}
 	topo := gluon.NewTopology(pt)
-	mesh := gluon.NewMemTransportWindow(hosts, depth)
-	defer mesh.Close()
-	traces := opts.Trace.Split(hosts)
 	scores := make([]float64, g.NumVertices())
-	clusters := make([]*dgalois.Cluster, hosts)
-	jobs := make([]*job, hosts)
-	for h := range jobs {
-		view := mesh.View(h)
+	clusters := make([]*dgalois.Cluster, len(transports))
+	jobs := make([]*job, len(transports))
+	for i, tr := range transports {
 		o := opts
-		o.Trace = traces[h]
-		clusters[h] = dgalois.NewClusterOpts(hosts, dgalois.ClusterOptions{
-			Trace: o.Trace, Metrics: o.Metrics, Transport: view, Epoch: o.Epoch})
+		o.Trace = traces[i]
+		clusters[i] = dgalois.NewClusterOpts(hosts, dgalois.ClusterOptions{
+			Trace: o.Trace, Metrics: o.Metrics, Transport: tr, Epoch: o.Epoch})
 		var reg *obs.Registry
-		if h == 0 {
+		if i == 0 {
 			reg = o.Metrics
 		}
-		jobs[h] = &job{cluster: clusters[h], topo: topo, pool: &statePool{kmax: min(o.BatchSize, len(sources))},
+		view, _ := tr.(*gluon.MemView)
+		jobs[i] = &job{cluster: clusters[i], topo: topo, pool: &statePool{kmax: min(o.BatchSize, len(sources))},
 			sources: sources, scores: scores, opts: o, prog: newProgressGauges(reg), instrument: instrument,
-			view: view, lead: h == 0, host: -1}
+			view: view, lead: i == 0, host: clusters[i].LocalHost()}
+		if view != nil {
+			jobs[i].host = -1
+		}
 	}
 	start := 0
 	if rs := opts.Resume; rs != nil {
+		// A TCP host's snapshot holds its own masters' scores and volume,
+		// an in-process run's (host −1) the whole cluster's.
+		if rs.Host != jobs[0].host {
+			panic(fmt.Sprintf("mrbcdist: snapshot belongs to host %d, this run is host %d (-1: every host in process)", rs.Host, jobs[0].host))
+		}
 		copy(scores, rs.Scores)
-		for h, c := range clusters {
+		for i, c := range clusters {
 			cur := rs.Cursor
-			if h > 0 {
+			if i > 0 {
 				// The snapshot's volume is the cluster's; host 0 carries it.
 				cur = dgalois.Cursor{Seq: cur.Seq, Rounds: cur.Rounds}
 			}
@@ -407,30 +393,34 @@ func runMesh(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts 
 		defer mu.Unlock()
 		if !failed {
 			failed, value, fault = true, v, err
-			mesh.Close()
+			if mesh != nil {
+				mesh.Close()
+			}
 		}
 	}
-	host := func(h int) {
+	host := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {
 				fail(v, nil)
 			}
 		}()
-		if err := dgalois.Capture(func() { jobs[h].loop(start, depth) }); err != nil {
+		if err := dgalois.Capture(func() { jobs[i].loop(start, depth) }); err != nil {
 			fail(nil, err)
 		}
 	}
 	var wg sync.WaitGroup
-	for h := 1; h < hosts; h++ {
+	for i := 1; i < len(jobs); i++ {
 		wg.Add(1)
-		go func(h int) {
+		go func(i int) {
 			defer wg.Done()
-			host(h)
-		}(h)
+			host(i)
+		}(i)
 	}
 	host(0)
 	wg.Wait()
-	opts.Trace.Join(traces)
+	if mesh != nil {
+		opts.Trace.Join(traces)
+	}
 	if value != nil {
 		panic(value)
 	}
@@ -503,41 +493,35 @@ func (j *job) checkpoint(next int) {
 	}
 }
 
-// statePool keeps a run's per-host engine states between batches: a
-// batch takes a set, resets it and hands it back when it retires, so a
-// run builds one engine per host per in-flight batch for its whole life.
-// The serial loop calls it from one goroutine and the pipelined one only
-// while holding the turn, so it needs no lock.
+// statePool keeps a host's engine states between batches: a batch takes
+// one, resets it and hands it back when it retires, so a host builds one
+// engine per in-flight batch for the run's whole life. The serial loop
+// calls it from one goroutine and the pipelined one only while holding
+// the turn, so it needs no lock.
 type statePool struct {
 	kmax int // the run's largest batch: what engines are built for
-	free [][]*hostState
+	free []*hostState
 }
 
-// makeStates readies one batch's per-host engine state in a single BSP
-// compute phase: a pooled set reset to the batch's size, or a newly
-// built one when every set is in flight. The round-state slabs need no
-// reset of their own — the first round's resetRound undoes what the
-// previous batch's last round left, exactly as it does between rounds.
-func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, batch []uint32) []*hostState {
-	pt := topo.Partitioning()
-	k := len(batch)
-	var states []*hostState
+// makeState readies one batch's engine state in a single BSP compute
+// phase: a pooled state reset to the batch's size, or a newly built one
+// when every state is in flight. The round-state slabs need no reset of
+// their own — the first round's resetRound undoes what the previous
+// batch's last round left, exactly as it does between rounds.
+func (p *statePool) makeState(cluster *dgalois.Cluster, topo *gluon.Topology, batch []uint32) *hostState {
+	var st *hostState
 	if n := len(p.free); n > 0 {
-		states, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		states = make([]*hostState, pt.NumHosts)
+		st, p.free = p.free[n-1], p.free[:n-1]
 	}
 	cluster.Compute(func(h int) {
-		st := states[h]
 		built := st == nil
 		if built {
-			part := pt.Parts[h]
+			part := topo.Partitioning().Parts[h]
 			st = newHostState(part, topo.NewMarks(h), core.NewEngine(part.Local, p.kmax))
-			states[h] = st
 		}
 		// A new engine is clean at its construction stride.
-		if !built || k != p.kmax {
-			st.engine.Reset(k)
+		if !built || len(batch) != p.kmax {
+			st.engine.Reset(len(batch))
 		}
 		for i, s := range batch {
 			if l, ok := st.part.LocalID(s); ok {
@@ -545,33 +529,32 @@ func (p *statePool) makeStates(cluster *dgalois.Cluster, topo *gluon.Topology, b
 			}
 		}
 	})
-	return states
+	return st
 }
 
-// release returns a retired batch's states to the pool.
-func (p *statePool) release(states []*hostState) {
-	p.free = append(p.free, states)
+// release returns a retired batch's state to the pool.
+func (p *statePool) release(st *hostState) {
+	p.free = append(p.free, st)
 }
 
 // forwardFlags is compute phase A of forward round b.r: reset the round
-// state, collect the round's due flags for the pack calls, and fold this
-// host's activity (due pairs + pending entries) into b.activity.
-func (b *batchRun) forwardFlags(h int) {
-	st := b.states[h]
+// state, collect the round's due flags for the pack calls, and count
+// this host's activity (due pairs + pending entries) in b.activity.
+func (b *batchRun) forwardFlags(int) {
+	st := b.st
 	st.resetRound()
 	st.flags = st.engine.ForwardFlags(b.r, st.flags[:0])
 	st.markDue()
-	p := int64(len(st.flags))
+	b.activity += int64(len(st.flags))
 	if st.engine.PendingUnsent() {
-		p++
+		b.activity++
 	}
-	atomic.AddInt64(&b.activity, p)
 }
 
 // relax is compute phase B of a forward round: relax the synchronized
 // entries locally.
-func (b *batchRun) relax(h int) {
-	st := b.states[h]
+func (b *batchRun) relax(int) {
+	st := b.st
 	for _, f := range st.synced {
 		st.engine.RelaxOutLocal(f.V, f.Src)
 	}
@@ -579,8 +562,8 @@ func (b *batchRun) relax(h int) {
 
 // backwardFlags resets the round state and collects backward round
 // b.r's due flags for the pack calls.
-func (b *batchRun) backwardFlags(h int) {
-	st := b.states[h]
+func (b *batchRun) backwardFlags(int) {
+	st := b.st
 	st.resetRound()
 	st.flags = st.engine.BackwardFlags(b.r, st.flags[:0])
 	st.markDuePartials()
@@ -588,33 +571,28 @@ func (b *batchRun) backwardFlags(h int) {
 
 // accumulate folds one backward round's synchronized dependencies into
 // the predecessors' δ partials.
-func (b *batchRun) accumulate(h int) {
-	st := b.states[h]
+func (b *batchRun) accumulate(int) {
+	st := b.st
 	for _, f := range st.synced {
 		st.engine.AccumulateIn(f.V, f.Src)
 	}
 }
 
 // foldScores folds one finished batch's master dependencies into the
-// global scores (only the local host's masters in SPMD mode: the
-// per-process vectors are disjoint and sum to the full scores, and the
-// hosts of an in-process mesh write disjoint entries of one vector). The
-// iteration order — hosts ascending, then local vertices, then batch
-// index — is the floating-point fold order at every pipeline depth.
-func foldScores(states []*hostState, batch []uint32, scores []float64) {
-	for _, st := range states {
-		if st == nil {
+// scores: only the host's own masters, so the per-process vectors of a
+// TCP job are disjoint and sum to the full scores, and the hosts of an
+// in-process mesh write disjoint entries of one vector. The iteration
+// order — local vertices, then batch index — is the floating-point fold
+// order at every pipeline depth.
+func foldScores(st *hostState, batch []uint32, scores []float64) {
+	for l, gid := range st.part.GlobalID {
+		if !st.part.IsMaster[l] {
 			continue
 		}
-		for l, gid := range st.part.GlobalID {
-			if !st.part.IsMaster[l] {
-				continue
-			}
-			for i, s := range batch {
-				d := st.engine.Get(uint32(l), i)
-				if d.Dist != graph.InfDist && gid != s {
-					scores[gid] += d.Delta
-				}
+		for i, s := range batch {
+			d := st.engine.Get(uint32(l), i)
+			if d.Dist != graph.InfDist && gid != s {
+				scores[gid] += d.Delta
 			}
 		}
 	}
@@ -631,10 +609,10 @@ type job struct {
 	prog    progressGauges
 
 	instrument func(*batchRun) // see run
-	// view is the host's view of an in-process mesh (runMesh), nil
-	// otherwise. lead: this host reports what belongs to the whole run
-	// (always, but for mesh hosts other than 0); host is the Host its
-	// job-level events and checkpoints carry, −1 for the whole cluster.
+	// view is the host's view of an in-process mesh, nil over TCP. lead:
+	// this host reports what belongs to the whole run (always, but for
+	// mesh hosts other than 0); host is the Host its job-level events and
+	// checkpoints carry, −1 for the whole cluster.
 	view *gluon.MemView
 	lead bool
 	host int
@@ -647,13 +625,13 @@ type batchRun struct {
 	*job
 	bi        int
 	batch     []uint32
-	states    []*hostState
+	st        *hostState
 	pipe      *pipeRunner   // nil: the serial loop, every exchange completes in place
 	wake      chan struct{} // pipelined: the turn arrives here (pipeline.go)
 	done      bool          // pipelined: finished, awaiting retirement in index order
 	fwd, back int           // rounds each phase took
 	r         int           // the round in progress, forward or backward
-	activity  int64         // forward: due pairs + pending entries over the local hosts
+	activity  int64         // forward: this host's due pairs + pending entries
 	relay     bool          // the forward broadcast relays the reduce's partial vote (newBatch)
 	phases    phases
 }
@@ -671,22 +649,19 @@ func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	b := &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
 	// In round 1 every proxy of a source proposes; after it only a mirror
 	// with local in-edges has a label of its own to propose. The forward
-	// reduce carries the round's vote on those links. In process the
-	// caller's sum is every host's already. An SPMD host relays its partial
-	// sum over the forward broadcast where two legs reach every host, and
-	// votes on every link where they do not; where the proposal links are
-	// every link, the reduce alone reaches every host.
+	// reduce carries the round's vote on those links. A host relays its
+	// partial sum over the forward broadcast where two legs reach every
+	// host, and votes on every link where they do not; where the proposal
+	// links are every link, the reduce alone reaches every host.
 	reduce := dgalois.Sync{Links: j.topo.ProposalLinks(), Pack: b.packDueLabels, Unpack: b.unpackProposals, Vote: true}
 	first := reduce
 	first.Links = j.topo.PartnerLinks()
 	broadcast := dgalois.Sync{Links: j.topo.PartnerLinks(), Pack: b.packBcastLabels, Unpack: b.unpackLabels}
-	if j.cluster.LocalHost() >= 0 {
-		switch j.topo.VoteLegs() {
-		case 0:
-			first.Links, reduce.Links = nil, nil
-		case 2:
-			b.relay = true
-		}
+	switch j.topo.VoteLegs() {
+	case 0:
+		first.Links, reduce.Links = nil, nil
+	case 2:
+		b.relay = true
 	}
 	// A backward reduce marks only mirrors with a nonzero δ partial, which
 	// only local out-edges produce; the backward broadcast only mirrors
@@ -707,7 +682,7 @@ func (b *batchRun) run() {
 	b.prog.batch.Set(int64(b.bi))
 	b.prog.round.Set(0)
 	b.prog.backward.Set(0)
-	b.states = b.pool.makeStates(b.cluster, b.topo, b.batch)
+	b.st = b.pool.makeState(b.cluster, b.topo, b.batch)
 
 	// ---- Forward phase (Algorithm 3 as BSP rounds). ----
 	for r := 1; b.forwardRound(r); r++ {
@@ -715,7 +690,7 @@ func (b *batchRun) run() {
 	}
 
 	// ---- Backward phase (Algorithm 5 as BSP rounds). ----
-	b.cluster.Compute(func(h int) { b.states[h].engine.StartBackward(b.fwd) })
+	b.cluster.Compute(func(int) { b.st.engine.StartBackward(b.fwd) })
 	b.back = b.backwardDepth()
 	b.prog.backward.Set(1)
 	for r := 1; r <= b.back; r++ {
@@ -728,13 +703,11 @@ func (b *batchRun) run() {
 // forward round τ is due in backward round R − τ + 1 (R = b.fwd), so no
 // host goes deeper than R, and a source's own pair, lexicographically
 // first in its vertex's list, synchronized in round τ = 1 (Lemma 8's
-// schedule), so some host goes exactly that deep. A local host deeper
-// than R means the schedules diverged.
+// schedule), so some host goes exactly that deep. A host deeper than R
+// means the schedules diverged.
 func (b *batchRun) backwardDepth() int {
-	for h, st := range b.states {
-		if st != nil && st.engine.BackwardRounds() > b.fwd {
-			panic(fmt.Sprintf("mrbcdist: batch %d: host %d has %d backward rounds after %d forward rounds", b.bi, h, st.engine.BackwardRounds(), b.fwd))
-		}
+	if n := b.st.engine.BackwardRounds(); n > b.fwd {
+		panic(fmt.Sprintf("mrbcdist: batch %d: host %d has %d backward rounds after %d forward rounds", b.bi, b.st.part.Host, n, b.fwd))
 	}
 	return b.fwd
 }
@@ -743,18 +716,13 @@ func (b *batchRun) backwardDepth() int {
 // and returns the sum its links carried in (dgalois.Cluster.Sync). The
 // serial loop runs the exchange in place. A pipelined batch sends it,
 // hands the turn to the next batch while the bytes are on the wire, and
-// completes it when the turn comes back; a vote that opens no exchange
-// (in process, a zero) does not rotate the turn. The turn rotation keeps
-// the global operation order a deterministic function of the batch
-// schedule.
+// completes it when the turn comes back. The turn rotation keeps the
+// global operation order a deterministic function of the batch schedule.
 func (b *batchRun) exchange(s dgalois.Sync, local int64) int64 {
 	if b.pipe == nil {
 		return b.cluster.Sync(s, local)
 	}
 	p := b.cluster.BeginSync(s, local)
-	if p == nil {
-		return 0
-	}
 	b.pipe.yield(b)
 	p.Complete()
 	return p.Sum()
@@ -768,8 +736,8 @@ func (b *batchRun) exchange(s dgalois.Sync, local int64) int64 {
 // apply the finalized value, and broadcast (src, dist, σ) to every
 // mirror.
 //
-// Global quiescence: in SPMD mode b.activity is only this host's share,
-// so the reduce exchange carries it. Without a relay it returns every
+// Global quiescence: b.activity is only this host's share, so the reduce
+// exchange carries it. Without a relay it returns every
 // host's sum. With one it returns the share plus those of the hosts
 // that propose to this one, and the broadcast carries that partial sum
 // on: the sum it returns counts every host's share at least once, so
@@ -823,8 +791,8 @@ func (b *batchRun) retire() {
 		tr.Emit(obs.Event{Kind: obs.KindBatch, Batch: int32(b.bi), Host: -1,
 			K: int32(len(b.batch)), FwdRounds: int32(b.fwd), BackRounds: int32(b.back)})
 	}
-	foldScores(b.states, b.batch, b.scores)
-	b.pool.release(b.states)
+	foldScores(b.st, b.batch, b.scores)
+	b.pool.release(b.st)
 }
 
 // emitLabels writes the forward payload of (lid, src): this host's
@@ -840,12 +808,12 @@ func (st *hostState) emitLabels(lid uint32, src int32, w *gluon.Writer) {
 // mirror proxies -> master (proposals are buffered; nothing is merged
 // until arbitration picks the winners).
 func (b *batchRun) packDueLabels(from, to int, w *gluon.Writer) {
-	st := b.states[from]
+	st := b.st
 	st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.due[lid], w) })
 }
 
 func (b *batchRun) unpackProposals(to, from int, data []byte, dec *gluon.Decoder) {
-	st := b.states[to]
+	st := b.st
 	list := b.topo.MasterList(from, to)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		st.proposals = append(st.proposals, proposal{
@@ -864,7 +832,7 @@ func (b *batchRun) unpackProposals(to, from int, data []byte, dec *gluon.Decoder
 // the label finalized. One pass chains the proposals per vertex, one
 // pass over the touched vertices picks each chain's winner and folds it.
 func (b *batchRun) arbitrate(h int) {
-	st, r, tr := b.states[h], b.r, b.opts.Trace
+	st, r, tr := b.st, b.r, b.opts.Trace
 	for _, f := range st.flags {
 		if st.part.IsMaster[f.V] {
 			d := st.engine.Get(f.V, f.Src)
@@ -925,12 +893,12 @@ func (b *batchRun) arbitrate(h int) {
 // packBcastLabels and unpackLabels are the forward broadcast step:
 // masters -> all mirrors.
 func (b *batchRun) packBcastLabels(from, to int, w *gluon.Writer) {
-	st := b.states[from]
+	st := b.st
 	st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) { st.emitLabels(lid, st.bcast[lid], w) })
 }
 
 func (b *batchRun) unpackLabels(to, from int, data []byte, dec *gluon.Decoder) {
-	st, r := b.states[to], b.r
+	st, r := b.st, b.r
 	list := b.topo.MirrorList(to, from)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]
@@ -952,21 +920,20 @@ func (b *batchRun) unpackLabels(to, from int, data []byte, dec *gluon.Decoder) {
 // due mirrors with a nonzero δ partial hand it to the master (and reset
 // it locally).
 func (b *batchRun) packDueDeltas(from, to int, w *gluon.Writer) {
-	st := b.states[from]
+	st := b.st
 	st.marks.EncodeReduce(w, to, func(lid uint32, w *gluon.Writer) {
 		src := int(st.due[lid])
 		w.F64(st.engine.DeltaPartial(lid, src))
 		// Hand the partial to the master; the broadcast below
 		// restores the final value where an in-edge reads it. Each
-		// mirror vertex appears in exactly one (from, to) shared
-		// list, so this write is safe under the pair-parallel pack
-		// loop.
+		// mirror vertex appears in exactly one (from, to) shared list,
+		// so its partial is handed over once.
 		st.engine.ApplyDeltaSync(lid, src, 0)
 	})
 }
 
 func (b *batchRun) unpackDeltaPartials(to, from int, data []byte, dec *gluon.Decoder) {
-	st := b.states[to]
+	st := b.st
 	list := b.topo.MasterList(from, to)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]
@@ -979,7 +946,7 @@ func (b *batchRun) unpackDeltaPartials(to, from int, data []byte, dec *gluon.Dec
 // are already summed in — and broadcast to the mirrors whose in-edges
 // read it.
 func (b *batchRun) union(h int) {
-	st, r, tr := b.states[h], b.r, b.opts.Trace
+	st, r, tr := b.st, b.r, b.opts.Trace
 	// The flags ascend by vertex: st.synced's order is the
 	// δ-accumulation order at the predecessors.
 	for _, f := range st.flags {
@@ -1006,14 +973,14 @@ func (b *batchRun) union(h int) {
 // masters push the summed dependency back to every mirror with local
 // in-edges.
 func (b *batchRun) packBcastDeltas(from, to int, w *gluon.Writer) {
-	st := b.states[from]
+	st := b.st
 	st.marks.EncodeBroadcast(w, to, func(lid uint32, w *gluon.Writer) {
 		w.F64(st.engine.DeltaPartial(lid, int(st.bcast[lid])))
 	})
 }
 
 func (b *batchRun) unpackDeltas(to, from int, data []byte, dec *gluon.Decoder) {
-	st := b.states[to]
+	st := b.st
 	list := b.topo.MirrorList(to, from)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]

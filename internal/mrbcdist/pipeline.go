@@ -6,7 +6,7 @@ package mrbcdist
 // The serial loop in RunChecked finishes batch b's backward pass
 // before batch b+1's forward pass starts, so every exchange's wire
 // wait sits on the critical path. Here up to `depth` batches run the
-// same batchRun body (mrbcdist.go) as coroutines over the one shared
+// same batchRun body (mrbcdist.go) as coroutines over the host's one
 // cluster; the difference is confined to batchRun.exchange, which packs
 // and sends (dgalois.BeginSync), hands the cluster to the next
 // batch while the bytes are on the wire, and unpacks

@@ -27,7 +27,7 @@ import (
 // modelStream projects a trace onto the depth-invariant model events:
 // the per-(vertex, source) send events and the per-batch summaries,
 // both tagged with batch-relative rounds. Phase events carry the
-// coordinator's global round/seq numbering, which legitimately differs
+// clusters' global round/seq numbering, which legitimately differs
 // between pipeline depths (rounds of concurrent batches interleave),
 // so they are excluded from the cross-depth comparison.
 func modelStream(events []obs.Event) []obs.Event {
@@ -164,6 +164,12 @@ func TestPipelineHiddenTimeAccounted(t *testing.T) {
 // address book is complete before any transport dials).
 func tcpViews(t testing.TB, hosts int) []gluon.Transport {
 	t.Helper()
+	return tcpViewsOpts(t, hosts, gluon.TCPOptions{})
+}
+
+// tcpViewsOpts is tcpViews with the transports' options.
+func tcpViewsOpts(t testing.TB, hosts int, opts gluon.TCPOptions) []gluon.Transport {
+	t.Helper()
 	lns := make([]net.Listener, hosts)
 	addrs := make([]string, hosts)
 	for h := range lns {
@@ -176,7 +182,7 @@ func tcpViews(t testing.TB, hosts int) []gluon.Transport {
 	}
 	views := make([]gluon.Transport, hosts)
 	for h := range views {
-		tr, err := gluon.NewTCPTransport(h, addrs, lns[h], gluon.TCPOptions{})
+		tr, err := gluon.NewTCPTransport(h, addrs, lns[h], opts)
 		if err != nil {
 			t.Fatalf("transport host %d: %v", h, err)
 		}
@@ -443,57 +449,88 @@ func TestPipelineRotationPinned(t *testing.T) {
 // raises inside a batch.
 type pipelineFault struct{ batch, round int }
 
-// TestPipelineBatchPanicReachesCaller drives the in-process failure
-// path: batch 3 panics in its second forward round, mid-round (in
-// arbitration, between the reduce and the broadcast), while other
-// batches — and, in an SPMD run, other hosts — are parked mid-exchange.
-// The run must re-raise exactly that value on the caller's goroutine,
-// and every batch and host goroutine must be gone soon after. It runs
-// in process the way RunChecked does (runMesh: every host an SPMD
-// goroutine, host 0 the caller) at depths 1, 2 and 4, with the panic on
-// host 0 and on host 2, and on the coordinator at depths 2 and 4 with
-// the panic on host 0, whose task a phase below the dispatch break-even
-// runs on the caller, the batch's goroutine.
+// TestPipelineBatchPanicReachesCaller drives the failure path: batch 3
+// panics in its second forward round, mid-round (in arbitration, between
+// the reduce and the broadcast), while other batches and other hosts are
+// parked mid-exchange, at depths 1, 2 and 4. In process (every host an
+// SPMD goroutine over the mesh, host 0 the caller), with the panic on
+// host 0 and on host 2, the run must re-raise exactly that value on the
+// caller's goroutine, and every batch and host goroutine must be gone
+// soon after. Over loopback TCP (four hosts, each its own run over its
+// own transport) with the panic on host 2, host 2's run must re-raise
+// that value, every peer's run must return a *dgalois.FaultError within
+// its short stall budget instead of hanging, and no goroutine may be
+// left once every transport is closed.
 func TestPipelineBatchPanicReachesCaller(t *testing.T) {
 	g := gen.RoadGrid(6, 6, 5)
 	pt := partition.EdgeCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, 24) // k = 4: six batches
-	type runner func(*graph.Graph, *partition.Partitioning, []uint32, Options, func(*batchRun)) ([]float64, dgalois.Stats, error)
-	for _, c := range []struct {
-		name   string
-		run    runner
-		host   int
-		depths []int
-	}{
-		{"spmd/host0", runMesh, 0, []int{1, 2, 4}},
-		{"spmd/host2", runMesh, 2, []int{1, 2, 4}},
-		{"coordinator", run, 0, []int{2, 4}},
-	} {
-		want := pipelineFault{batch: 3, round: 2}
-		instrument := func(b *batchRun) {
+	want := pipelineFault{batch: 3, round: 2}
+	panicOn := func(host int) func(*batchRun) {
+		return func(b *batchRun) {
 			if b.bi != want.batch {
 				return
 			}
 			arbitrate := b.phases.arbitrate
 			b.phases.arbitrate = func(h int) {
-				if h == c.host && b.r == want.round {
+				if h == host && b.r == want.round {
 					panic(want)
 				}
 				arbitrate(h)
 			}
 		}
-		for _, depth := range c.depths {
+	}
+	// raised runs the job and returns the value it raised, or its error.
+	raised := func(opts Options, instrument func(*batchRun)) (v any, err error) {
+		defer func() { v = recover() }()
+		_, _, err = run(g, pt, sources, opts, instrument)
+		return nil, err
+	}
+	for _, host := range []int{0, 2} {
+		for _, depth := range []int{1, 2, 4} {
+			what := fmt.Sprintf("in process, host %d, depth %d", host, depth)
 			base := runtime.NumGoroutine()
-			got := func() (v any) {
-				defer func() { v = recover() }()
-				c.run(g, pt, sources, Options{BatchSize: 4, PipelineDepth: depth}, instrument)
-				return nil
-			}()
-			if got != want {
-				t.Fatalf("%s depth %d: run raised %v, want %v", c.name, depth, got, want)
+			if got, _ := raised(Options{BatchSize: 4, PipelineDepth: depth}, panicOn(host)); got != want {
+				t.Fatalf("%s: run raised %v, want %v", what, got, want)
 			}
-			waitGoroutines(t, base, fmt.Sprintf("%s depth %d", c.name, depth))
+			waitGoroutines(t, base, what)
 		}
+	}
+	for _, depth := range []int{1, 2, 4} {
+		what := fmt.Sprintf("TCP, host 2, depth %d", depth)
+		base := runtime.NumGoroutine()
+		views := tcpViewsOpts(t, pt.NumHosts, gluon.TCPOptions{DeadlineSteps: 40})
+		vals := make([]any, len(views))
+		errs := make([]error, len(views))
+		var wg sync.WaitGroup
+		for h := range views {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				vals[h], errs[h] = raised(Options{BatchSize: 4, PipelineDepth: depth, Transport: views[h]}, panicOn(2))
+			}(h)
+		}
+		finished := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: a host's run has not returned after 30 s", what)
+		}
+		closeViews(views)
+		for h := range views {
+			var fe *dgalois.FaultError
+			switch {
+			case h == 2 && vals[h] != want:
+				t.Fatalf("%s: host 2's run raised %v, want %v", what, vals[h], want)
+			case h != 2 && (vals[h] != nil || !errors.As(errs[h], &fe)):
+				t.Fatalf("%s: host %d's run raised %v and returned %v, want a *dgalois.FaultError", what, h, vals[h], errs[h])
+			}
+		}
+		waitGoroutines(t, base, what)
 	}
 }
 

@@ -2,6 +2,8 @@ package mrbcdist
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"mrbc/internal/brandes"
@@ -26,7 +28,7 @@ func canonicalBytes(t *testing.T, events []obs.Event) []byte {
 // tailFrom filters the uninterrupted run's events to those a run
 // resumed at boundary b would emit: engine events (KindSend/KindBatch,
 // which carry Seq 0 and an explicit Batch) from batch b on, and
-// coordinator phase events (which carry a nonzero Seq and, on the
+// cluster phase events (which carry a nonzero Seq and, on the
 // serial path, Batch 0) past the snapshot's sequence cursor.
 func tailFrom(events []obs.Event, b int, seq int64) []obs.Event {
 	out := make([]obs.Event, 0, len(events))
@@ -142,4 +144,24 @@ func TestCheckpointSnapshotsAreDeterministic(t *testing.T) {
 			t.Fatalf("boundary %d: snapshots of identical runs differ", bd)
 		}
 	}
+}
+
+// TestResumeRefusesAnotherHostsSnapshot: a snapshot holds the scores and
+// volume of the host that wrote it — a TCP host's own masters, or the
+// whole cluster's in process (Host −1) — so an in-process run handed a
+// host's snapshot refuses it, naming both hosts, instead of resuming
+// with a partial score vector.
+func TestResumeRefusesAnotherHostsSnapshot(t *testing.T) {
+	g := gen.RoadGrid(6, 6, 7)
+	pt := partition.CartesianCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 12)
+	snap := &elastic.Snapshot{Host: 2, Hosts: pt.NumHosts, NextBatch: 1, Scores: make([]float64, g.NumVertices())}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "snapshot belongs to host 2") || !strings.Contains(msg, "this run is host -1") {
+			t.Fatalf("resuming another host's snapshot panicked %q", msg)
+		}
+	}()
+	RunChecked(g, pt, sources, Options{BatchSize: 4, Resume: snap})
+	t.Fatal("an in-process run resumed host 2's snapshot")
 }

@@ -197,7 +197,7 @@ func bcastSet(st *hostState) map[uint32]int32 {
 // oneHostRound is a batch of one host in round r, for calling a round's
 // master-side phase on st directly.
 func oneHostRound(st *hostState, r int) *batchRun {
-	return &batchRun{job: &job{}, states: []*hostState{st}, r: r}
+	return &batchRun{job: &job{}, st: st, r: r}
 }
 
 // checkClean fails unless resetRound left every slab at none.
@@ -379,24 +379,39 @@ func steadyAllocs(round func()) float64 {
 // roundAllocs returns the steady-state heap allocations of one forward
 // and one backward round of a single-source batch on layeredGraph(width,
 // layers) over 4 in-process hosts — the shipped round body, driven at
-// depth 1 — and the proposals a forward round arbitrates. Every proxy
-// that can hold a forward entry in a real run — a master, or a mirror
-// with local in-edges, the only kind a relax reaches — is told its
-// vertex's distance up front, so each round synchronizes exactly one
-// layer at all of those proxies and the engines' own slab allocator —
-// which carves storage the first time a vertex is reached — stays out of
-// the measured rounds: what is left is the handlers and the cluster.
+// depth 1, each host a goroutine over its view of one mesh that runs the
+// round it is sent over a channel — and the proposals a forward round
+// arbitrates. Every proxy that can hold a forward entry in a real run —
+// a master, or a mirror with local in-edges, the only kind a relax
+// reaches — is told its vertex's distance up front, so each round
+// synchronizes exactly one layer at all of those proxies and the
+// engines' own slab allocator — which carves storage the first time a
+// vertex is reached — stays out of the measured rounds: what is left is
+// the handlers, the clusters and the mesh.
 func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	const layers, warm = 12, 3
+	// The steps the host goroutines are sent.
+	const (
+		stepForward = iota
+		stepStartBackward
+		stepBackward
+	)
 	g := layeredGraph(width, layers)
 	pt := partition.CartesianCut(g, 4)
-	cluster := dgalois.NewCluster(pt.NumHosts)
-	defer cluster.Close()
-	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil),
-		sources: []uint32{0}, opts: Options{BatchSize: 1}}
-	b := j.newBatch(0, nil)
-	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch)
-	for _, st := range b.states {
+	topo := gluon.NewTopology(pt)
+	mesh := gluon.NewMemTransport(pt.NumHosts)
+	defer mesh.Close()
+	// A host answers each step with the pairs it synchronized, or −1 for
+	// a forward round the vote found idle.
+	steps := make([]chan int, pt.NumHosts)
+	done := make(chan int, pt.NumHosts)
+	for h := range steps {
+		cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{Transport: mesh.View(h)})
+		j := &job{cluster: cluster, topo: topo, prog: newProgressGauges(nil),
+			sources: []uint32{0}, opts: Options{BatchSize: 1}}
+		b := j.newBatch(0, nil)
+		b.st = (&statePool{kmax: 1}).makeState(cluster, topo, b.batch)
+		st := b.st
 		for l, gid := range st.part.GlobalID {
 			if gid == 0 || !st.part.IsMaster[l] && st.part.Local.InDegree(uint32(l)) == 0 {
 				continue
@@ -407,11 +422,49 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 				proposals++
 			}
 		}
+		steps[h] = make(chan int)
+		go func() {
+			r := 0
+			for step := range steps[h] {
+				switch step {
+				case stepForward:
+					r++
+					if !b.forwardRound(r) {
+						done <- -1
+						continue
+					}
+				case stepStartBackward:
+					st.engine.StartBackward(r)
+					r = 0
+				case stepBackward:
+					r++
+					b.backwardRound(r)
+				}
+				done <- len(st.synced)
+			}
+		}()
+	}
+	defer func() {
+		for _, s := range steps {
+			close(s)
+		}
+	}()
+	// all sends every host the step and sums their answers.
+	all := func(step int) (synced int, idle bool) {
+		for _, s := range steps {
+			s <- step
+		}
+		for range steps {
+			n := <-done
+			idle = idle || n < 0
+			synced += max(n, 0)
+		}
+		return synced, idle
 	}
 	r := 0
 	forward := func() {
 		r++
-		if !b.forwardRound(r) {
+		if _, idle := all(stepForward); idle {
 			t.Fatalf("forward round %d is empty", r)
 		}
 	}
@@ -422,17 +475,11 @@ func roundAllocs(t *testing.T, width int) (fwd, back float64, proposals int) {
 	for r < layers+1 { // the source, then one layer per round
 		forward()
 	}
-	R := r
-	cluster.Compute(func(h int) { b.states[h].engine.StartBackward(R) })
+	all(stepStartBackward)
 	r = 0
 	backward := func() {
 		r++
-		b.backwardRound(r)
-		synced := 0
-		for _, st := range b.states {
-			synced += len(st.synced)
-		}
-		if synced == 0 {
+		if synced, _ := all(stepBackward); synced == 0 {
 			t.Fatalf("backward round %d is empty", r)
 		}
 	}

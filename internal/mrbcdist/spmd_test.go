@@ -169,22 +169,22 @@ func TestSPMDMatchesInProcess(t *testing.T) {
 
 // TestBackwardDepthPanicsPastForwardDepth injects the one state the
 // derived backward depth rules out: a host scheduled deeper than the
-// forward phase ran.
+// forward phase ran. The host is the source's master, one SPMD host over
+// its view of a mesh whose peers never run: no exchange happens.
 func TestBackwardDepthPanicsPastForwardDepth(t *testing.T) {
 	g := gen.RMAT(5, 4, 1)
 	pt := partition.CartesianCut(g, 2)
-	cluster := dgalois.NewCluster(pt.NumHosts)
-	defer cluster.Close()
+	mesh := gluon.NewMemTransport(pt.NumHosts)
+	defer mesh.Close()
+	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{Transport: mesh.View(int(pt.MasterOf[0]))})
 	j := &job{cluster: cluster, topo: gluon.NewTopology(pt), prog: newProgressGauges(nil),
 		sources: []uint32{0}, opts: Options{BatchSize: 1}}
 	b := j.newBatch(0, nil)
-	b.states = (&statePool{kmax: 1}).makeStates(cluster, b.topo, b.batch)
+	b.st = (&statePool{kmax: 1}).makeState(cluster, b.topo, b.batch)
 	// No forward round ran, so the source's own pair was never
 	// synchronized (τ = 0) and lands in backward round R − 0 + 1.
 	b.fwd = 3
-	for _, st := range b.states {
-		st.engine.StartBackward(b.fwd)
-	}
+	b.st.engine.StartBackward(b.fwd)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "4 backward rounds after 3 forward rounds") {
 			t.Fatalf("backwardDepth panicked %q", msg)
