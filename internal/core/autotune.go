@@ -7,11 +7,13 @@ import (
 )
 
 // sharedLabelBudget bounds the label slabs (labelBytesPerPair per
-// vertex·source per engine, TestEngineMemoryBudget) of the engines
-// planShared runs side by side: past it, fewer batches run at once.
+// vertex·source per engine: dist, σ and δ, TestEngineMemoryBudget) of
+// the engines planShared runs side by side: past it, fewer batches run
+// at once. The schedule state beside the slabs — chiefly the 4-byte sync
+// log entry per pair — is not counted.
 const (
 	sharedLabelBudget = 1 << 30
-	labelBytesPerPair = 24
+	labelBytesPerPair = 20
 )
 
 // AutotuneBatch picks a batch size for MRBC by probing: the paper

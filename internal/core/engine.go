@@ -12,8 +12,8 @@ import (
 // of Section 4.3 laid out as structure-of-arrays (DESIGN.md §5, "Engine
 // label layout"):
 //
-//   - Av: the per-source labels live in four flat slabs — dist, sigma,
-//     delta, tau — indexed v·k+s, so one label read is one load and a
+//   - Av: the per-source labels live in three flat slabs — dist, sigma,
+//     delta — indexed v·k+s, so one label read is one load and a
 //     vertex's k distances share two cache lines at k = 32.
 //   - Mv is not stored. The paper's sorted distance -> source-set map
 //     serves one query, the lexicographically least unsent (dist,
@@ -33,6 +33,11 @@ import (
 // improved, flag discovery is a round-indexed bucket scheduler (a
 // calendar queue with lazy deletion).
 //
+// τsv is not stored either. Algorithm 5 re-sends (v, s) in backward
+// round R − τsv + 1, the forward synchronizations replayed in reverse
+// round order, so the backward schedule is the forward pass's sync log
+// read back to front, each round's run put in pair order.
+//
 // An engine is built once and Reset between batches. It holds one
 // host's local view: internal/mrbcdist runs one per host with
 // Gluon-style reductions between rounds, mrbc.go runs a single one over
@@ -51,7 +56,7 @@ type SrcData struct {
 // synchronization rule of Section 4.3).
 type Flag struct {
 	V   uint32
-	Src int
+	Src int32
 }
 
 // vertexSched is the per-vertex schedule record. Per vertex,
@@ -99,32 +104,40 @@ type Engine struct {
 	dist  []uint32 // graph.InfDist: not reached
 	sigma []float64
 	delta []float64
-	tau   []int32 // round the pair's labels were synchronized (finalized)
-	// Bit rows, v·wps + s/64, made for kmax: the pair has been
-	// synchronized (sent), or is reached and not yet synchronized
-	// (unsent, made with the labels).
-	sent   []uint64
+	// unsent holds bit rows, v·wps + s/64, made with the labels for
+	// kmax: the pair is reached and not yet synchronized. A reached pair
+	// whose bit is clear has been synchronized (sent).
 	unsent []uint64
 	vs     []vertexSched
 
-	// buckets[r-1] holds vertices tentatively due in forward round r.
-	// Deletion is lazy: a vertex is re-appended when its due round
-	// changes, and collection skips copies whose round no longer
-	// matches the vertex's sched.
-	buckets [][]uint32
-	// freeBuckets recycles the slices of collected rounds.
-	freeBuckets [][]uint32
+	// buckets[r-1] holds vertices tentatively due in forward round r, as
+	// a chain of fixed-size chunks in append order. Deletion is lazy: a
+	// vertex is re-appended when its due round changes, and collection
+	// skips copies whose round no longer matches the vertex's sched.
+	buckets []bucket
+	// freeChunks is the pool chunks come from and collected rounds'
+	// chunks go back to: a bucket never moves once written.
+	freeChunks *chunk
 	// nextHint is a verified lower bound on the next non-empty bucket
 	// round: every bucket strictly before it is empty. Lowered on
 	// insert, advanced by NextForwardRound's scan, it makes that scan
 	// amortized O(1) per round instead of O(round span).
 	nextHint int32
-	// backByRound[r-1] holds the Algorithm 5 flags of backward round r as
-	// pair indices v·k+s, ascending, carved out of backArena — 4 bytes per
-	// reached pair; backCounts is the counting pass's scratch.
-	backByRound [][]uint32
-	backArena   []uint32
-	backCounts  []int32
+
+	// syncLog holds the pair index v·k+s of every synchronization in the
+	// order ApplySync saw them, made with the labels at capacity n·kmax:
+	// a pair synchronizes once. logEnd[τ-1] is the end of forward round
+	// τ's run. StartBackward sorts each run in place, and backward round
+	// R − τ + 1 then reads round τ's run (Algorithm 5's Asv).
+	syncLog []uint32
+	logEnd  []int32
+	// backR is the forward termination round StartBackward was given;
+	// backRounds the backward rounds it derived.
+	backR, backRounds int
+	// sortSlot and sortMark are StartBackward's sort buffers: per vertex, the
+	// pair a run holds for it, and the vertices a run holds.
+	sortSlot []uint32
+	sortMark []uint64
 	// pending counts (v,s) pairs inserted but not yet synchronized.
 	pending int64
 
@@ -159,7 +172,6 @@ func NewEngine(g *graph.Graph, k int) *Engine {
 		n:    n,
 		kmax: k,
 		dist: make([]uint32, n*k),
-		sent: make([]uint64, n*bitset.WordsFor(k)),
 		vs:   make([]vertexSched, n),
 	}
 	e.blank()
@@ -182,7 +194,7 @@ func (e *Engine) setStride(k int) {
 	e.k, e.wps = k, bitset.WordsFor(k)
 	e.dist = e.dist[:e.n*k]
 	if e.sigma != nil {
-		e.sigma, e.delta, e.tau = e.sigma[:e.n*k], e.delta[:e.n*k], e.tau[:e.n*k]
+		e.sigma, e.delta = e.sigma[:e.n*k], e.delta[:e.n*k]
 	}
 }
 
@@ -192,8 +204,10 @@ func (e *Engine) allocLabels() {
 	full, used := e.n*e.kmax, e.n*e.k
 	e.sigma = make([]float64, used, full)
 	e.delta = make([]float64, used, full)
-	e.tau = make([]int32, used, full)
-	e.unsent = make([]uint64, len(e.sent))
+	e.unsent = make([]uint64, e.n*bitset.WordsFor(e.kmax))
+	e.syncLog = make([]uint32, 0, full)
+	e.sortSlot = make([]uint32, e.n)
+	e.sortMark = make([]uint64, bitset.WordsFor(e.n))
 }
 
 // Reset returns the engine to the state NewEngine(g, k) would build, for
@@ -207,17 +221,15 @@ func (e *Engine) Reset(k int) {
 	e.blank()
 	clear(e.sigma)
 	clear(e.delta)
-	clear(e.tau)
-	clear(e.sent[:e.n*e.wps])
 	clear(e.unsent)
-	for i, b := range e.buckets {
-		if cap(b) > 0 {
-			e.freeBuckets = append(e.freeBuckets, b[:0])
-		}
-		e.buckets[i] = nil
+	for i := range e.buckets {
+		e.buckets[i].release(&e.freeChunks)
 	}
 	e.buckets = e.buckets[:0]
-	e.backByRound = e.backByRound[:0]
+	e.syncLog = e.syncLog[:0]
+	e.logEnd = e.logEnd[:0]
+	e.backR, e.backRounds = 0, 0
+	clear(e.sortMark)
 	e.nextHint = 0
 	e.pending = 0
 	e.fwdRound = 0
@@ -296,9 +308,10 @@ func (e *Engine) advanceFU(v uint32) {
 	}
 }
 
-// isSent reports whether (v, s) has been synchronized.
-func (e *Engine) isSent(v uint32, s int) bool {
-	return e.sent[int(v)*e.wps+s>>6]&(1<<(uint(s)&63)) != 0
+// isUnsent reports whether (v, s)'s unsent bit is set. For a reached
+// pair that is: not yet synchronized.
+func (e *Engine) isUnsent(v uint32, s int) bool {
+	return e.unsent[int(v)*e.wps+s>>6]&(1<<(uint(s)&63)) != 0
 }
 
 // insert creates the unsent entry (v, s) at distance d with σ partial
@@ -349,16 +362,56 @@ func (e *Engine) reschedule(v uint32) {
 		e.nextHint = due
 	}
 	for len(e.buckets) < int(due) {
-		e.buckets = append(e.buckets, nil)
+		e.buckets = append(e.buckets, bucket{})
 	}
-	b := e.buckets[due-1]
-	if b == nil {
-		if n := len(e.freeBuckets); n > 0 { // recycle a collected round's slice
-			b = e.freeBuckets[n-1]
-			e.freeBuckets = e.freeBuckets[:n-1]
+	e.buckets[due-1].push(v, &e.freeChunks)
+}
+
+// chunkLen is the number of vertices one calendar chunk holds.
+const chunkLen = 120
+
+// chunk is one fixed-size block of a bucket's chain, or of the free
+// pool (linked through next).
+type chunk struct {
+	next *chunk
+	n    int32
+	v    [chunkLen]uint32
+}
+
+// bucket is one forward round's calendar entry: a chain of chunks, head
+// first, in append order.
+type bucket struct{ head, tail *chunk }
+
+// push appends v to b, taking a chunk from the pool when the tail is
+// full.
+func (b *bucket) push(v uint32, pool **chunk) {
+	c := b.tail
+	if c == nil || c.n == chunkLen {
+		next := *pool
+		if next != nil {
+			*pool = next.next
+			next.next, next.n = nil, 0
+		} else {
+			next = new(chunk)
 		}
+		if c == nil {
+			b.head = next
+		} else {
+			c.next = next
+		}
+		b.tail, c = next, next
 	}
-	e.buckets[due-1] = append(b, v)
+	c.v[c.n] = v
+	c.n++
+}
+
+// release hands b's chunks back to the pool and empties b.
+func (b *bucket) release(pool **chunk) {
+	if b.head != nil {
+		b.tail.next = *pool
+		*pool = b.head
+	}
+	*b = bucket{}
 }
 
 // InitSource marks local vertex v as source s. withSigma controls the
@@ -383,12 +436,12 @@ func (e *Engine) InitSource(v uint32, s int, withSigma bool) {
 // entry, or (-1, -1) if all entries are sent. Scheduled round =
 // distance + lexicographic position (1-based), the send rule of
 // Algorithm 3; the position is sentCount+1 (see vertexSched).
-func (e *Engine) nextDue(v uint32) (round int, src int) {
+func (e *Engine) nextDue(v uint32) (round int, src int32) {
 	rec := &e.vs[v]
 	if rec.fuSrc < 0 {
 		return -1, -1
 	}
-	return int(rec.fuDist) + int(rec.sentCount) + 1, int(rec.fuSrc)
+	return int(rec.fuDist) + int(rec.sentCount) + 1, rec.fuSrc
 }
 
 // ForwardFlags appends to dst the (vertex, source) pairs scheduled to
@@ -403,21 +456,21 @@ func (e *Engine) ForwardFlags(r int, dst []Flag) []Flag {
 	if r > len(e.buckets) {
 		return dst
 	}
-	for _, v := range e.buckets[r-1] {
-		if e.vs[v].sched != int32(r) {
-			continue // stale lazily-deleted copy
+	b := &e.buckets[r-1]
+	for c := b.head; c != nil; c = c.next {
+		for _, v := range c.v[:c.n] {
+			if e.vs[v].sched != int32(r) {
+				continue // stale lazily-deleted copy
+			}
+			due, src := e.nextDue(v)
+			if due != r {
+				panic(fmt.Sprintf("core: scheduler desync: vertex %d in bucket %d but due %d", v, r, due))
+			}
+			e.vs[v].sched = -1
+			dst = append(dst, Flag{V: v, Src: src})
 		}
-		due, src := e.nextDue(v)
-		if due != r {
-			panic(fmt.Sprintf("core: scheduler desync: vertex %d in bucket %d but due %d", v, r, due))
-		}
-		e.vs[v].sched = -1
-		dst = append(dst, Flag{V: v, Src: src})
 	}
-	if b := e.buckets[r-1]; cap(b) > 0 {
-		e.freeBuckets = append(e.freeBuckets, b[:0])
-	}
-	e.buckets[r-1] = nil
+	b.release(&e.freeChunks)
 	return dst
 }
 
@@ -427,7 +480,7 @@ func (e *Engine) ForwardFlags(r int, dst []Flag) []Flag {
 // flags.
 func (e *Engine) NextForwardRound(r int) int {
 	h := max(int(e.nextHint), r+1)
-	for h <= len(e.buckets) && len(e.buckets[h-1]) == 0 {
+	for h <= len(e.buckets) && e.buckets[h-1].head == nil {
 		h++
 	}
 	e.nextHint = int32(h)
@@ -438,28 +491,38 @@ func (e *Engine) NextForwardRound(r int) int {
 }
 
 // ApplySync installs the reduced-and-broadcast final labels for (v, s)
-// synchronized in round r, marking the entry sent. Safe to call on
-// hosts that had no local entry, a stale entry, or the final entry.
+// synchronized in round r, marking the entry sent and logging it for
+// the backward schedule. Safe to call on hosts that had no local entry,
+// a stale entry, or the final entry. Rounds never decrease.
 func (e *Engine) ApplySync(v uint32, s int, dist uint32, sigma float64, r int) {
 	i := e.idx(v, s)
 	if e.sigma == nil {
 		e.allocLabels()
 	}
-	if cur := e.dist[i]; cur < dist {
+	cur := e.dist[i]
+	if cur < dist {
 		panic(fmt.Sprintf("core: sync for (%d,%d) with dist %d worse than local %d", v, s, dist, cur))
 	}
-	e.dist[i] = dist
-	e.sigma[i] = sigma
-	if e.isSent(v, s) {
-		panic(fmt.Sprintf("core: (%d,%d) synchronized twice", v, s))
+	if dist == graph.InfDist {
+		panic(fmt.Sprintf("core: sync for (%d,%d) without a distance", v, s))
 	}
 	w, bit := int(v)*e.wps+s>>6, uint64(1)<<(uint(s)&63)
 	if e.unsent[w]&bit != 0 {
 		e.unsent[w] &^= bit
 		e.pending--
+	} else if cur != graph.InfDist {
+		panic(fmt.Sprintf("core: (%d,%d) synchronized twice", v, s))
 	}
-	e.sent[w] |= bit
-	e.tau[i] = int32(r)
+	if r < len(e.logEnd) || r < 1 {
+		panic(fmt.Sprintf("core: sync of (%d,%d) in round %d after round %d", v, s, r, len(e.logEnd)))
+	}
+	for len(e.logEnd) < r {
+		e.logEnd = append(e.logEnd, int32(len(e.syncLog)))
+	}
+	e.syncLog = append(e.syncLog, uint32(i))
+	e.logEnd[r-1]++
+	e.dist[i] = dist
+	e.sigma[i] = sigma
 	rec := &e.vs[v]
 	rec.sentCount++
 	if rec.fuSrc == int32(s) {
@@ -479,7 +542,7 @@ func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) {
 	case cur == graph.InfDist:
 		e.insert(w, s, i, cand, sigma)
 	case cur == cand:
-		if e.isSent(w, s) {
+		if !e.isUnsent(w, s) {
 			// A σ contribution arriving after (w,s) synchronized
 			// would mean a predecessor finalized after its
 			// successor, violating the pipelining invariant.
@@ -487,7 +550,7 @@ func (e *Engine) applyRelax(w uint32, s int, cand uint32, sigma float64) {
 		}
 		e.sigma[i] += sigma
 	case cur > cand:
-		if e.isSent(w, s) {
+		if !e.isUnsent(w, s) {
 			panic(fmt.Sprintf("core: improvement for sent entry (%d,%d)", w, s))
 		}
 		e.improve(w, s, i, cand, sigma)
@@ -521,12 +584,12 @@ func (e *Engine) MergePartial(v uint32, s int, dist uint32, sigma float64) {
 	case cur == graph.InfDist:
 		e.insert(v, s, i, dist, sigma)
 	case cur == dist:
-		if e.isSent(v, s) {
+		if !e.isUnsent(v, s) {
 			panic(fmt.Sprintf("core: partial for already-synchronized (%d,%d)", v, s))
 		}
 		e.sigma[i] += sigma
 	case cur > dist:
-		if e.isSent(v, s) {
+		if !e.isUnsent(v, s) {
 			panic(fmt.Sprintf("core: improvement for already-synchronized (%d,%d)", v, s))
 		}
 		e.improve(v, s, i, dist, sigma)
@@ -548,66 +611,84 @@ func (e *Engine) PendingUnsent() bool { return e.pending > 0 }
 
 // StartBackward switches to the accumulation phase (Algorithm 5) given
 // the forward termination round R. The whole backward schedule is
-// known up front (source s synchronizes in round Asv = R - τsv + 1),
-// so it is bucketed by round once; BackwardFlags then costs O(|flags|)
-// per round. The slabs are scanned in ascending pair index, so each
-// round's flags are ascending (vertex, source).
+// known up front: a pair synchronized in forward round τ is due in
+// backward round Asv = R − τ + 1, so backward round r replays forward
+// round R − r + 1's run of the sync log. Each run is put in ascending
+// pair index — (vertex, source) — order once, here; BackwardFlags then
+// costs O(|flags|) per round.
 func (e *Engine) StartBackward(R int) {
-	e.backByRound = e.backByRound[:0]
-	if e.sigma == nil {
-		return // no label was ever written
+	if len(e.logEnd) > R {
+		panic(fmt.Sprintf("core: backward phase after %d forward rounds, but a pair synchronized in round %d", R, len(e.logEnd)))
 	}
-	// Counting pass: exact per-round sizes, so the flags live in one
-	// arena instead of append-grown round slices.
-	counts := e.backCounts[:0]
-	total := 0
-	for i, d := range e.dist {
-		if d == graph.InfDist {
-			continue
+	e.backR, e.backRounds = R, 0
+	start := int32(0)
+	for t, end := range e.logEnd {
+		if end > start && e.backRounds == 0 {
+			e.backRounds = R - t // the earliest round τ = t+1 is due last
 		}
-		r := R - int(e.tau[i]) + 1
-		for len(counts) < r {
-			counts = append(counts, 0)
+		e.sortRun(e.syncLog[start:end], t+1)
+		start = end
+	}
+}
+
+// sortRun puts forward round tau's run of the sync log in ascending pair
+// order in O(len(run) + span/64), span the run's vertex range. A round
+// synchronizes at most one source per vertex (the proxy synchronization
+// rule), so a vertex bitset orders the run and sortSlot recalls each
+// vertex's pair. A run already in order is left as it is.
+func (e *Engine) sortRun(run []uint32, tau int) {
+	k := uint32(e.k)
+	i := 1
+	for i < len(run) && run[i-1]/k < run[i]/k {
+		i++
+	}
+	if i >= len(run) {
+		return
+	}
+	lo, hi := uint32(e.n), uint32(0)
+	for _, p := range run {
+		v := p / k
+		w, bit := v>>6, uint64(1)<<(v&63)
+		if e.sortMark[w]&bit != 0 {
+			clear(e.sortMark)
+			panic(fmt.Sprintf("core: vertex %d synchronized twice in round %d", v, tau))
 		}
-		counts[r-1]++
-		total++
+		e.sortMark[w] |= bit
+		e.sortSlot[v] = p
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	e.backCounts = counts
-	if cap(e.backArena) < total {
-		// Headroom: batches reach slightly different pair counts, and an
-		// arena re-made at every new maximum costs the sum of the maxima.
-		e.backArena = make([]uint32, total+total/8)
-	}
-	arena := e.backArena[:total]
-	off := 0
-	for _, c := range counts {
-		e.backByRound = append(e.backByRound, arena[off:off:off+int(c)])
-		off += int(c)
-	}
-	for i, d := range e.dist {
-		if d != graph.InfDist {
-			r := R - int(e.tau[i]) + 1
-			e.backByRound[r-1] = append(e.backByRound[r-1], uint32(i))
+	i = 0
+	for w := lo >> 6; w <= hi>>6; w++ {
+		for m := e.sortMark[w]; m != 0; m &= m - 1 {
+			run[i] = e.sortSlot[w<<6+uint32(bits.TrailingZeros64(m))]
+			i++
 		}
+		e.sortMark[w] = 0
 	}
 }
 
 // BackwardFlags appends the (vertex, source) pairs whose dependency
-// value synchronizes in backward round r.
+// value synchronizes in backward round r, in ascending (vertex, source)
+// order.
 func (e *Engine) BackwardFlags(r int, dst []Flag) []Flag {
-	if r < 1 || r > len(e.backByRound) {
+	tau := e.backR - r + 1
+	if r < 1 || r > e.backRounds || tau > len(e.logEnd) {
 		return dst
 	}
+	start := int32(0)
+	if tau > 1 {
+		start = e.logEnd[tau-2]
+	}
 	k := uint32(e.k)
-	for _, p := range e.backByRound[r-1] {
-		dst = append(dst, Flag{V: p / k, Src: int(p % k)})
+	for _, p := range e.syncLog[start:e.logEnd[tau-1]] {
+		dst = append(dst, Flag{V: p / k, Src: int32(p % k)})
 	}
 	return dst
 }
 
 // BackwardRounds returns the number of rounds the backward phase needs:
 // the largest Asv across this host.
-func (e *Engine) BackwardRounds() int { return len(e.backByRound) }
+func (e *Engine) BackwardRounds() int { return e.backRounds }
 
 // DeltaPartial returns this host's current δ partial for (v, s).
 func (e *Engine) DeltaPartial(v uint32, s int) float64 { return e.delta[e.idx(v, s)] }

@@ -145,6 +145,12 @@ func TestEngineZeroBatchSizePanics(t *testing.T) {
 	NewEngine(gen.Path(3), 0)
 }
 
+// isSent reports whether (v, s) has been synchronized: it is reached
+// and its unsent bit is clear.
+func (e *Engine) isSent(v uint32, s int) bool {
+	return e.dist[int(v)*e.k+s] != graph.InfDist && !e.isUnsent(v, s)
+}
+
 // TestFirstUnsentMatchesScan pins advanceFU's resumed scan against
 // brute force: after every InitSource, MergePartial, ApplySync and
 // RelaxOutLocal, on every host of a simulated vertex-cut run, each
@@ -238,7 +244,7 @@ func TestFirstUnsentMatchesScan(t *testing.T) {
 				active := false
 				for h, e := range engines {
 					for _, f := range e.ForwardFlags(r, nil) {
-						props[f.V] = append(props[f.V], proposal{h, f.Src, e.Get(f.V, f.Src)})
+						props[f.V] = append(props[f.V], proposal{h, int(f.Src), e.Get(f.V, int(f.Src))})
 					}
 					active = active || e.PendingUnsent()
 				}
@@ -271,11 +277,11 @@ func TestFirstUnsentMatchesScan(t *testing.T) {
 					for h := range engines {
 						applySync(h, v, w.src, d, r)
 					}
-					synced = append(synced, Flag{V: v, Src: w.src})
+					synced = append(synced, Flag{V: v, Src: int32(w.src)})
 				}
 				for h, e := range engines {
 					for _, f := range synced {
-						e.RelaxOutLocal(f.V, f.Src)
+						e.RelaxOutLocal(f.V, int(f.Src))
 						check(h, "RelaxOutLocal")
 					}
 				}

@@ -144,7 +144,7 @@ func (l *batchLoop) compute(batch []uint32, stats *RunStats) {
 	for r := 1; r <= back; r++ {
 		flags = e.BackwardFlags(r, flags[:0])
 		for _, f := range flags {
-			e.AccumulateIn(f.V, f.Src)
+			e.AccumulateIn(f.V, int(f.Src))
 		}
 		stats.LabelsSynced += int64(len(flags))
 	}
@@ -189,11 +189,11 @@ func forwardPhase(e *Engine, flagsBuf *[]Flag, stats *RunStats) int {
 		}
 		R = r
 		for _, f := range flags {
-			d := e.Get(f.V, f.Src)
-			e.ApplySync(f.V, f.Src, d.Dist, d.Sigma, r)
+			d := e.Get(f.V, int(f.Src))
+			e.ApplySync(f.V, int(f.Src), d.Dist, d.Sigma, r)
 		}
 		for _, f := range flags {
-			e.RelaxOutLocal(f.V, f.Src)
+			e.RelaxOutLocal(f.V, int(f.Src))
 		}
 		stats.LabelsSynced += int64(len(flags))
 	}

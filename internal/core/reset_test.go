@@ -17,12 +17,14 @@ import (
 )
 
 // batchTrace is everything a driver can observe of one batch: the flags
-// of every forward and backward round, in emission order, and the round
-// counts.
+// of every forward and backward round, in emission order, the round
+// counts, and τ, the forward round each pair v·k+s synchronized in (0:
+// never), which the engine itself does not keep.
 type batchTrace struct {
 	FwdRounds []int
 	Fwd, Back [][]Flag
 	R         int
+	Tau       []int32
 }
 
 // driveBatch runs batch on e through the serial shared-memory protocol,
@@ -30,7 +32,7 @@ type batchTrace struct {
 // (abandoning the batch mid-forward) or backLimit backward rounds; a
 // negative limit means none.
 func driveBatch(e *Engine, batch []uint32, fwdLimit, backLimit int) batchTrace {
-	var tr batchTrace
+	tr := batchTrace{Tau: make([]int32, e.n*len(batch))}
 	for i, s := range batch {
 		e.InitSource(s, i, true)
 	}
@@ -49,11 +51,12 @@ func driveBatch(e *Engine, batch []uint32, fwdLimit, backLimit int) batchTrace {
 		tr.FwdRounds = append(tr.FwdRounds, r)
 		tr.Fwd = append(tr.Fwd, flags)
 		for _, f := range flags {
-			d := e.Get(f.V, f.Src)
-			e.ApplySync(f.V, f.Src, d.Dist, d.Sigma, r)
+			d := e.Get(f.V, int(f.Src))
+			e.ApplySync(f.V, int(f.Src), d.Dist, d.Sigma, r)
+			tr.Tau[int(f.V)*len(batch)+int(f.Src)] = int32(r)
 		}
 		for _, f := range flags {
-			e.RelaxOutLocal(f.V, f.Src)
+			e.RelaxOutLocal(f.V, int(f.Src))
 		}
 	}
 	if fwdLimit >= 0 && backLimit < 0 {
@@ -64,41 +67,62 @@ func driveBatch(e *Engine, batch []uint32, fwdLimit, backLimit int) batchTrace {
 		flags := e.BackwardFlags(r, nil)
 		tr.Back = append(tr.Back, flags)
 		for _, f := range flags {
-			e.AccumulateIn(f.V, f.Src)
+			e.AccumulateIn(f.V, int(f.Src))
 		}
 	}
 	return tr
 }
 
 // engineState is the engine's whole label and schedule state, floats as
-// bits, for comparing a reset engine with a new one.
+// bits, for comparing a reset engine with a new one: the labels, the
+// unsent bits, the vertex records, the calendar's rounds in collection
+// order, the sync log with its run ends, the backward schedule and the
+// counters. The chunk pool and the sort's slots are storage, not state.
 type engineState struct {
-	Dist         []uint32
-	Sigma, Delta []uint64
-	Tau          []int32
-	Sent, Unsent []uint64
-	Sched        []vertexSched
-	Pending      int64
+	Dist              []uint32
+	Sigma, Delta      []uint64
+	Unsent            []uint64
+	Sched             []vertexSched
+	Calendar          [][]uint32
+	NextHint          int32
+	Log               []uint32
+	LogEnd            []int32
+	BackR, BackRounds int
+	SortMark          []uint64
+	Pending           int64
+	FwdRound          int
 }
 
 func stateOf(e *Engine) engineState {
 	nk := e.n * e.k
 	st := engineState{
-		Dist:    append([]uint32(nil), e.dist...),
-		Sigma:   make([]uint64, nk),
-		Delta:   make([]uint64, nk),
-		Tau:     make([]int32, nk),
-		Sent:    append([]uint64(nil), e.sent[:e.n*e.wps]...),
-		Unsent:  make([]uint64, e.n*e.wps),
-		Sched:   append([]vertexSched(nil), e.vs...),
-		Pending: e.pending,
+		Dist:       append([]uint32(nil), e.dist...),
+		Sigma:      make([]uint64, nk),
+		Delta:      make([]uint64, nk),
+		Unsent:     make([]uint64, e.n*e.wps),
+		Sched:      append([]vertexSched(nil), e.vs...),
+		NextHint:   e.nextHint,
+		Log:        append([]uint32(nil), e.syncLog...),
+		LogEnd:     append([]int32(nil), e.logEnd...),
+		BackR:      e.backR,
+		BackRounds: e.backRounds,
+		SortMark:   make([]uint64, bitset.WordsFor(e.n)),
+		Pending:    e.pending,
+		FwdRound:   e.fwdRound,
 	}
 	// Slabs construction deferred read as what they will be made as: zero.
-	copy(st.Tau, e.tau)
 	copy(st.Unsent, e.unsent)
+	copy(st.SortMark, e.sortMark)
 	for i := range e.sigma {
 		st.Sigma[i] = math.Float64bits(e.sigma[i])
 		st.Delta[i] = math.Float64bits(e.delta[i])
+	}
+	for _, b := range e.buckets {
+		var round []uint32
+		for c := b.head; c != nil; c = c.next {
+			round = append(round, c.v[:c.n]...)
+		}
+		st.Calendar = append(st.Calendar, round)
 	}
 	return st
 }
@@ -236,7 +260,7 @@ func runBatchNoAlloc(e *Engine, batch []uint32, flags *[]Flag) {
 	for r := 1; r <= e.BackwardRounds(); r++ {
 		*flags = e.BackwardFlags(r, (*flags)[:0])
 		for _, f := range *flags {
-			e.AccumulateIn(f.V, f.Src)
+			e.AccumulateIn(f.V, int(f.Src))
 		}
 	}
 }
@@ -261,34 +285,39 @@ func TestEngineResetAllocs(t *testing.T) {
 }
 
 // footprint returns the bytes the engine owns: every slab and scheduler
-// slice at its capacity.
+// slice at its capacity, and every calendar chunk, pooled or in a
+// bucket.
 func footprint(e *Engine) (labels, schedule int) {
 	size := func(n int, elem uintptr) int { return n * int(elem) }
-	labels = size(cap(e.dist), 4) + size(cap(e.sigma), 8) + size(cap(e.delta), 8) +
-		size(cap(e.tau), 4)
-	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.sent)+cap(e.unsent), 8)
-	schedule += size(cap(e.backArena), 4) +
-		size(cap(e.backByRound), unsafe.Sizeof([]uint32(nil))) + size(cap(e.backCounts), 4) +
-		size(cap(e.buckets)+cap(e.freeBuckets), unsafe.Sizeof([]uint32(nil)))
-	for _, b := range e.buckets[:cap(e.buckets)] {
-		schedule += size(cap(b), 4)
+	labels = size(cap(e.dist), 4) + size(cap(e.sigma), 8) + size(cap(e.delta), 8)
+	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.unsent), 8) +
+		size(cap(e.syncLog), 4) + size(cap(e.logEnd), 4) + size(cap(e.sortSlot), 4) + size(cap(e.sortMark), 8) +
+		size(cap(e.buckets), unsafe.Sizeof(bucket{}))
+	chunks := func(c *chunk) {
+		for ; c != nil; c = c.next {
+			schedule += int(unsafe.Sizeof(chunk{}))
+		}
 	}
-	for _, b := range e.freeBuckets {
-		schedule += size(cap(b), 4)
+	chunks(e.freeChunks)
+	for _, b := range e.buckets {
+		chunks(b.head)
 	}
 	return labels, schedule
 }
 
 // TestEngineMemoryBudget pins the engine's stated memory budget
-// (DESIGN.md §5, "Engine label layout"): 24 bytes of label slabs per
-// (vertex · source), and — after a full batch — at most 4.5 more per
-// reached pair for the backward schedule (a 4-byte pair index in an
-// arena grown with one eighth of headroom) plus (16 + 16·⌈k/64⌉)/k for
-// the per-vertex record and the sent and unsent bits, with one byte of
-// slack for the calendar queue.
+// (DESIGN.md §5, "Engine label layout"): 20 bytes of label slabs per
+// (vertex · source), and — after a full batch — at most 4 more per
+// (vertex · source) for the sync log (a 4-byte pair index, made for
+// every pair) plus (20 + 8·⌈k/64⌉)/k for the per-vertex record, the
+// sort slot and the unsent bits, with one byte of slack for the
+// calendar's chunks, the run ends and the sort's vertex bits.
 func TestEngineMemoryBudget(t *testing.T) {
 	if unsafe.Sizeof(vertexSched{}) != 16 {
 		t.Fatalf("vertex record is %d bytes, budget assumes 16", unsafe.Sizeof(vertexSched{}))
+	}
+	if labelBytesPerPair != 20 {
+		t.Fatalf("labelBytesPerPair is %d, the slabs hold 20 bytes per (vertex·source)", labelBytesPerPair)
 	}
 	g := gen.RMAT(10, 8, 3)
 	n := g.NumVertices()
@@ -304,10 +333,10 @@ func TestEngineMemoryBudget(t *testing.T) {
 			t.Errorf("k=%d: %d label bytes, want %d per (vertex·source) = %d", k, labels, labelBytesPerPair, labelBytesPerPair*n*k)
 		}
 		perPair := float64(schedule) / float64(n*k)
-		if limit := 4.5 + float64(16+16*bitset.WordsFor(k))/float64(k) + 1; perPair > limit {
+		if limit := 4 + float64(20+8*bitset.WordsFor(k))/float64(k) + 1; perPair > limit {
 			t.Errorf("k=%d: schedule state is %.2f bytes per (vertex·source), budget %.2f", k, perPair, limit)
 		}
-		t.Logf("k=%d: %.2f bytes per (vertex·source)", k, float64(labels+schedule)/float64(n*k))
+		t.Logf("k=%d: %.2f bytes per (vertex·source), %.2f of them schedule", k, float64(labels+schedule)/float64(n*k), perPair)
 	}
 }
 
@@ -395,6 +424,31 @@ func BenchmarkEngineReset(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineStartBackward times the per-batch build of the
+// backward schedule (n = 8 192, k = 32): sorting every forward round's
+// run of the sync log. The forward phase runs once; each iteration
+// restores the log as ApplySync left it, with the timer stopped.
+func BenchmarkEngineStartBackward(b *testing.B) {
+	g := gen.RMAT(13, 14, 1)
+	e := NewEngine(g, 32)
+	for i, s := range brandes.FirstKSources(g, 0, 32) {
+		e.InitSource(s, i, true)
+	}
+	var flags []Flag
+	var stats RunStats
+	R := forwardPhase(e, &flags, &stats)
+	unsorted := append([]uint32(nil), e.syncLog...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(e.syncLog, unsorted)
+		b.StartTimer()
+		e.StartBackward(R)
+	}
+	b.ReportMetric(float64(len(unsorted)), "pairs")
+}
+
 // TestEngineInvariantPanics drives each label-protocol violation the
 // engine guards against through the public API and checks it is still
 // refused, by name, on the flat layout.
@@ -428,6 +482,17 @@ func TestEngineInvariantPanics(t *testing.T) {
 			e.ForwardFlags(5, nil)
 			e.MergePartial(1, 0, 1, 0) // due in round 2
 		}},
+		{"without a distance", func() { e := synced(); e.ApplySync(1, 0, graph.InfDist, 0, 2) }},
+		{"in round 2 after round 3", func() { e := synced(); e.ApplySync(1, 0, 1, 1, 3); e.ApplySync(2, 0, 2, 1, 2) }},
+		{"vertex 0 synchronized twice in round 1", func() {
+			e := NewEngine(gen.Path(3), 2)
+			e.InitSource(0, 0, true)
+			e.InitSource(0, 1, true)
+			e.ApplySync(0, 1, 0, 1, 1)
+			e.ApplySync(0, 0, 0, 1, 1)
+			e.StartBackward(1)
+		}},
+		{"backward phase after 0 forward rounds", func() { e := synced(); e.StartBackward(0) }},
 		{"scheduler desync", func() {
 			e := NewEngine(gen.Path(3), 2)
 			e.InitSource(0, 0, true)

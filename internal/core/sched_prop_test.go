@@ -83,11 +83,11 @@ func oracleForward(e *Engine, stats *RunStats) (trace map[int][]Flag, skipped in
 		stats.ForwardRounds = r
 		stats.LabelsSynced += int64(len(flags))
 		for _, f := range flags {
-			d := e.Get(f.V, f.Src)
-			e.ApplySync(f.V, f.Src, d.Dist, d.Sigma, r)
+			d := e.Get(f.V, int(f.Src))
+			e.ApplySync(f.V, int(f.Src), d.Dist, d.Sigma, r)
 		}
 		for _, f := range flags {
-			e.RelaxOutLocal(f.V, f.Src)
+			e.RelaxOutLocal(f.V, int(f.Src))
 		}
 	}
 }
@@ -113,7 +113,7 @@ func oracleBC(t *testing.T, g *graph.Graph, sources []uint32, k int) ([]float64,
 		for r := 1; r <= e.BackwardRounds(); r++ {
 			flags := e.BackwardFlags(r, nil)
 			for _, f := range flags {
-				e.AccumulateIn(f.V, f.Src)
+				e.AccumulateIn(f.V, int(f.Src))
 			}
 			own.LabelsSynced += int64(len(flags))
 		}

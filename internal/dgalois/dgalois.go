@@ -1134,21 +1134,25 @@ const phaseChunk = 512
 // communication and hidden time — the times its exchange slices carry —
 // and the load imbalance over each compute phase's hosts with the
 // in-process cluster's arithmetic (roundImbalance), which
-// obs.ImbalanceAccum replays from the hosts' compute events.
+// obs.ImbalanceAccum replays from the hosts' compute events. A failed
+// run's hosts stop at different phases; only the phases every host
+// completed fold.
 func FoldStats(hosts []*Cluster) Stats {
 	s := hosts[0].Stats()
 	durations := make([]time.Duration, len(hosts))
 	var imbSum float64
 	imbN := 0
-	for k, chunk := range hosts[0].phaseCompute {
-		for i := range chunk {
-			for h, c := range hosts {
-				durations[h] = c.phaseCompute[k][i]
-			}
-			if imb, ok := roundImbalance(durations); ok {
-				imbSum += imb
-				imbN++
-			}
+	phases := hosts[0].phases()
+	for _, c := range hosts[1:] {
+		phases = min(phases, c.phases())
+	}
+	for p := 0; p < phases; p++ {
+		for h, c := range hosts {
+			durations[h] = c.phaseCompute[p/phaseChunk][p%phaseChunk]
+		}
+		if imb, ok := roundImbalance(durations); ok {
+			imbSum += imb
+			imbN++
 		}
 	}
 	if imbN > 0 {
@@ -1162,6 +1166,15 @@ func FoldStats(hosts []*Cluster) Stats {
 		s.ComputeTime = max(s.ComputeTime, o.ComputeTime)
 	}
 	return s
+}
+
+// phases returns how many compute phases phaseCompute holds.
+func (c *Cluster) phases() int {
+	last := len(c.phaseCompute) - 1
+	if last < 0 {
+		return 0
+	}
+	return last*phaseChunk + len(c.phaseCompute[last])
 }
 
 // Stats returns the current statistics snapshot: the cluster's own

@@ -97,8 +97,8 @@ func (c *backwardCheck) afterFlags(b *batchRun, h int) {
 	st := b.st
 	rec := &seenRound{flags: make(map[uint32]seenFlag, len(st.flags))}
 	for _, f := range st.flags {
-		p := st.engine.DeltaPartial(f.V, f.Src)
-		rec.flags[st.part.GlobalID[f.V]] = seenFlag{src: f.Src, due: int(st.due[f.V]), pre: p}
+		p := st.engine.DeltaPartial(f.V, int(f.Src))
+		rec.flags[st.part.GlobalID[f.V]] = seenFlag{src: int(f.Src), due: int(st.due[f.V]), pre: p}
 		if math.Signbit(p) {
 			c.errorf("batch %d round %d host %d: (%d,%d) holds δ partial %v", b.bi, b.r, h, f.V, f.Src, p)
 		}
@@ -118,7 +118,7 @@ func (c *backwardCheck) beforeUnion(b *batchRun, h int) {
 	rec.summed = map[uint32]float64{}
 	for _, f := range st.flags {
 		if st.part.IsMaster[f.V] {
-			rec.summed[st.part.GlobalID[f.V]] = st.engine.DeltaPartial(f.V, f.Src)
+			rec.summed[st.part.GlobalID[f.V]] = st.engine.DeltaPartial(f.V, int(f.Src))
 		}
 	}
 }
@@ -127,7 +127,7 @@ func (c *backwardCheck) afterUnion(b *batchRun, h int) {
 	st, rec := b.st, c.round(b, h)
 	rec.final = make(map[uint32]float64, len(st.synced))
 	for _, f := range st.synced {
-		rec.final[st.part.GlobalID[f.V]] = st.engine.DeltaPartial(f.V, f.Src)
+		rec.final[st.part.GlobalID[f.V]] = st.engine.DeltaPartial(f.V, int(f.Src))
 	}
 }
 
@@ -136,8 +136,8 @@ func (c *backwardCheck) beforeAccumulate(b *batchRun, h int) {
 	synced := make(map[uint32]bool, len(st.synced))
 	for _, f := range st.synced {
 		synced[f.V] = true
-		rec.reads = append(rec.reads, seenRead{gid: st.part.GlobalID[f.V], src: f.Src, due: int(st.due[f.V]),
-			delta: st.engine.DeltaPartial(f.V, f.Src)})
+		rec.reads = append(rec.reads, seenRead{gid: st.part.GlobalID[f.V], src: int(f.Src), due: int(st.due[f.V]),
+			delta: st.engine.DeltaPartial(f.V, int(f.Src))})
 	}
 	// (c), second half: every flagged proxy with local in-edges reads.
 	for _, f := range st.flags {

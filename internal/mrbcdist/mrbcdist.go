@@ -146,7 +146,10 @@ type hostState struct {
 	// fixes the order of synced — the relax order — run to run.
 	head      []int32
 	touched   *bitset.Set
-	proposals []proposal // this round's mirror proposals, then the master's own
+	proposals []proposal // this round's mirror proposals
+	// lost counts the proposals of this round's arbitration whose
+	// source lost, the masters' own flags included.
+	lost int
 }
 
 func newHostState(p *partition.Part, marks *gluon.Marks, eng *core.Engine) *hostState {
@@ -194,7 +197,7 @@ func (st *hostState) drainTouched(visit func(v uint32)) {
 // emits at most one flag per vertex per round.
 func (st *hostState) markDue() {
 	for _, f := range st.flags {
-		st.due[f.V] = int32(f.Src)
+		st.due[f.V] = f.Src
 		if !st.part.IsMaster[f.V] {
 			st.marks.Mark(f.V)
 		}
@@ -208,8 +211,8 @@ func (st *hostState) markDue() {
 // the +0.0 terms is the same float, bit for bit.
 func (st *hostState) markDuePartials() {
 	for _, f := range st.flags {
-		st.due[f.V] = int32(f.Src)
-		if !st.part.IsMaster[f.V] && st.engine.DeltaPartial(f.V, f.Src) != 0 {
+		st.due[f.V] = f.Src
+		if !st.part.IsMaster[f.V] && st.engine.DeltaPartial(f.V, int(f.Src)) != 0 {
 			st.marks.Mark(f.V)
 		}
 	}
@@ -247,7 +250,6 @@ type proposal struct {
 	src   int32
 	next  int32 // next proposal for v in arrival order, or none
 	sigma float64
-	own   bool // the master's own proposal: its σ partial is already in the engine
 }
 
 // less orders proposals for the same vertex lexicographically by
@@ -556,7 +558,7 @@ func (b *batchRun) forwardFlags(int) {
 func (b *batchRun) relax(int) {
 	st := b.st
 	for _, f := range st.synced {
-		st.engine.RelaxOutLocal(f.V, f.Src)
+		st.engine.RelaxOutLocal(f.V, int(f.Src))
 	}
 }
 
@@ -574,7 +576,7 @@ func (b *batchRun) backwardFlags(int) {
 func (b *batchRun) accumulate(int) {
 	st := b.st
 	for _, f := range st.synced {
-		st.engine.AccumulateIn(f.V, f.Src)
+		st.engine.AccumulateIn(f.V, int(f.Src))
 	}
 }
 
@@ -633,7 +635,10 @@ type batchRun struct {
 	r         int           // the round in progress, forward or backward
 	activity  int64         // forward: this host's due pairs + pending entries
 	relay     bool          // the forward broadcast relays the reduce's partial vote (newBatch)
-	phases    phases
+	// lost is mrbc_proposals_lost_total: every host adds the proposals
+	// its arbitration dropped, once per forward round.
+	lost   *obs.Counter
+	phases phases
 }
 
 // phases are a batch's compute functions and exchange steps, which read
@@ -646,7 +651,8 @@ type phases struct {
 func (j *job) newBatch(bi int, pipe *pipeRunner) *batchRun {
 	start := bi * j.opts.BatchSize
 	end := min(start+j.opts.BatchSize, len(j.sources))
-	b := &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe}
+	b := &batchRun{job: j, bi: bi, batch: j.sources[start:end], pipe: pipe,
+		lost: j.opts.Metrics.Counter("mrbc_proposals_lost_total")}
 	// In round 1 every proxy of a source proposes; after it only a mirror
 	// with local in-edges has a label of its own to propose. The forward
 	// reduce carries the round's vote on those links. A host relays its
@@ -701,13 +707,15 @@ func (b *batchRun) run() {
 // backwardDepth is the number of backward rounds every process must run,
 // the deepest host's, known without an all-reduce: a pair synchronized in
 // forward round τ is due in backward round R − τ + 1 (R = b.fwd), so no
-// host goes deeper than R, and a source's own pair, lexicographically
-// first in its vertex's list, synchronized in round τ = 1 (Lemma 8's
-// schedule), so some host goes exactly that deep. A host deeper than R
-// means the schedules diverged.
+// host goes deeper than R (StartBackward refuses a later τ), and a
+// source's own pair, lexicographically first in its vertex's list,
+// synchronized in round τ = 1 (Lemma 8's schedule), so some host goes
+// exactly that deep. Only synchronized pairs are scheduled: a host that
+// still holds an unsynchronized pair would leave its dependency out, so
+// the forward phase ended while the schedules diverged.
 func (b *batchRun) backwardDepth() int {
-	if n := b.st.engine.BackwardRounds(); n > b.fwd {
-		panic(fmt.Sprintf("mrbcdist: batch %d: host %d has %d backward rounds after %d forward rounds", b.bi, b.st.part.Host, n, b.fwd))
+	if b.st.engine.PendingUnsent() {
+		panic(fmt.Sprintf("mrbcdist: batch %d: host %d holds unsynchronized pairs after %d forward rounds", b.bi, b.st.part.Host, b.fwd))
 	}
 	return b.fwd
 }
@@ -758,6 +766,7 @@ func (b *batchRun) forwardRound(r int) (active bool) {
 		return false
 	}
 	b.cluster.Compute(b.phases.arbitrate)
+	b.lost.Add(int64(b.st.lost))
 	if !b.relay {
 		b.exchange(b.phases.fwdBroadcast, 0)
 	} else if b.exchange(b.phases.fwdBroadcast, vote) == 0 {
@@ -828,17 +837,14 @@ func (b *batchRun) unpackProposals(to, from int, data []byte, dec *gluon.Decoder
 // arbitrate is the master-side compute of forward round b.r: per vertex,
 // the lexicographically smallest proposal wins; losers are dropped (their
 // hosts keep the entry unsent, and the winner's broadcast pushes their
-// schedule to a later round). The winner's σ partials are merged and
-// the label finalized. One pass chains the proposals per vertex, one
-// pass over the touched vertices picks each chain's winner and folds it.
+// schedule to a later round). A due master proposes to itself: its
+// source is its due slot and its σ partial is already in the engine.
+// The winner's σ partials are merged and the label finalized. One pass
+// chains the mirror proposals per vertex, one pass over the touched
+// vertices picks each vertex's winner and folds it, counting in
+// st.lost the proposals, the master's own included, whose source lost.
 func (b *batchRun) arbitrate(h int) {
 	st, r, tr := b.st, b.r, b.opts.Trace
-	for _, f := range st.flags {
-		if st.part.IsMaster[f.V] {
-			d := st.engine.Get(f.V, f.Src)
-			st.proposals = append(st.proposals, proposal{v: f.V, src: int32(f.Src), dist: d.Dist, own: true})
-		}
-	}
 	// Newest first: pushing each proposal onto the front of its
 	// vertex's chain leaves every chain in arrival order.
 	for i := len(st.proposals) - 1; i >= 0; i-- {
@@ -847,33 +853,45 @@ func (b *batchRun) arbitrate(h int) {
 		st.head[p.v] = int32(i)
 		st.touched.Set(int(p.v))
 	}
+	for _, f := range st.flags {
+		if st.part.IsMaster[f.V] {
+			st.touched.Set(int(f.V))
+		}
+	}
+	st.lost = 0
 	// Ascending vertex order: st.synced's order is the relax order, and
 	// with it the order σ partials accumulate downstream.
 	st.drainTouched(func(v uint32) {
 		first := st.head[v]
 		st.head[v] = none
-		w := &st.proposals[first]
-		for i := w.next; i != none; i = st.proposals[i].next {
-			if p := &st.proposals[i]; p.less(w) {
-				w = p
+		w, own := proposal{src: none}, st.due[v]
+		if own != none {
+			w = proposal{src: own, dist: st.engine.Get(v, int(own)).Dist}
+		}
+		for i := first; i != none; i = st.proposals[i].next {
+			if p := &st.proposals[i]; w.src == none || p.less(&w) {
+				w = *p
 			}
 		}
-		src := int(w.src)
+		if own != none && own != w.src {
+			st.lost++
+		}
 		// The winner's partials fold in arrival order: sender host
 		// ascending, the fixed floating-point order of the σ sum.
 		for i := first; i != none; i = st.proposals[i].next {
 			p := &st.proposals[i]
-			if p.src != w.src || p.own {
+			if p.src != w.src {
+				st.lost++
 				continue
 			}
 			if p.dist != w.dist {
-				panic(fmt.Sprintf("mrbcdist: proposals for (%d,%d) disagree on distance", v, src))
+				panic(fmt.Sprintf("mrbcdist: proposals for (%d,%d) disagree on distance", v, w.src))
 			}
-			st.engine.MergePartial(v, src, p.dist, p.sigma)
+			st.engine.MergePartial(v, int(p.src), p.dist, p.sigma)
 		}
-		d := st.engine.Get(v, src)
-		st.engine.ApplySync(v, src, d.Dist, d.Sigma, r)
-		st.synced = append(st.synced, core.Flag{V: v, Src: src})
+		d := st.engine.Get(v, int(w.src))
+		st.engine.ApplySync(v, int(w.src), d.Dist, d.Sigma, r)
+		st.synced = append(st.synced, core.Flag{V: v, Src: w.src})
 		st.bcast[v] = w.src
 		st.marks.Mark(v)
 		// Every winner is master-owned and ApplySync rejects double
@@ -883,7 +901,7 @@ func (b *batchRun) arbitrate(h int) {
 		if tr.Detail() {
 			tr.Emit(obs.Event{Kind: obs.KindSend, Dir: obs.DirForward,
 				Batch: int32(b.bi), Round: int32(r), Host: int32(h),
-				V: int32(st.part.GlobalID[v]), Src: int32(src)})
+				V: int32(st.part.GlobalID[v]), Src: w.src})
 		}
 	})
 	st.nBcast = len(st.synced)
@@ -902,10 +920,10 @@ func (b *batchRun) unpackLabels(to, from int, data []byte, dec *gluon.Decoder) {
 	list := b.topo.MirrorList(to, from)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]
-		src := int(rd.U32())
+		src := int32(rd.U32())
 		dist := rd.U32()
 		sigma := rd.F64()
-		st.engine.ApplySync(lid, src, dist, sigma, r)
+		st.engine.ApplySync(lid, int(src), dist, sigma, r)
 		st.synced = append(st.synced, core.Flag{V: lid, Src: src})
 	})
 }
@@ -955,7 +973,7 @@ func (b *batchRun) union(h int) {
 			continue
 		}
 		st.synced = append(st.synced, f)
-		st.bcast[v] = int32(f.Src)
+		st.bcast[v] = f.Src
 		st.marks.MarkReaders(v)
 		// Each (v, src) is flagged at its master in exactly one
 		// backward round — the round Algorithm 5 schedules as
@@ -984,8 +1002,8 @@ func (b *batchRun) unpackDeltas(to, from int, data []byte, dec *gluon.Decoder) {
 	list := b.topo.MirrorList(to, from)
 	dec.DecodeUpdates(len(list), data, func(pos int, rd *gluon.Reader) {
 		lid := list[pos]
-		src := int(st.due[lid])
-		st.engine.ApplyDeltaSync(lid, src, rd.F64())
+		src := st.due[lid]
+		st.engine.ApplyDeltaSync(lid, int(src), rd.F64())
 		st.synced = append(st.synced, core.Flag{V: lid, Src: src})
 	})
 }

@@ -227,7 +227,8 @@ func TestQuickAgainstBrandes(t *testing.T) {
 // 1, so `go test -run '^$' -bench Run -cpuprofile cpu.out
 // ./internal/mrbcdist` profiles what the harness measures. pooled/op and
 // caller/op count the phases that woke the worker pool and those the
-// caller ran alone.
+// caller ran alone, lost/op the proposals that lost arbitration
+// (mrbc_proposals_lost_total).
 func benchRun(b *testing.B, g *graph.Graph, numSources, batch int) {
 	if testing.Short() {
 		b.Skip("whole-run benchmark")
@@ -242,6 +243,7 @@ func benchRun(b *testing.B, g *graph.Graph, numSources, batch int) {
 	}
 	b.ReportMetric(float64(reg.Counter("dgalois_phases_pooled_total").Load())/float64(b.N), "pooled/op")
 	b.ReportMetric(float64(reg.Counter("dgalois_phases_caller_total").Load())/float64(b.N), "caller/op")
+	b.ReportMetric(float64(reg.Counter("mrbc_proposals_lost_total").Load())/float64(b.N), "lost/op")
 }
 
 // BenchmarkRunRMAT: power-law, few fat rounds — arbitration handles

@@ -581,3 +581,42 @@ func TestCheckpointSinkFailureReachesCaller(t *testing.T) {
 	}
 	waitGoroutines(t, base, "checkpoint failure")
 }
+
+// TestComputeFaultOnLateHostReachesCaller: host 3 of an in-process SPMD
+// run aborts inside round 2's arbitration, so its cluster never records
+// that compute phase, while host 0, which needs nothing from host 3
+// before it, may already have finished it. RunChecked must return host
+// 3's *dgalois.FaultError — folding the hosts' Stats over the phases
+// every host completed, not host 0's — without a panic, and with every
+// host goroutine gone.
+func TestComputeFaultOnLateHostReachesCaller(t *testing.T) {
+	g := gen.RMAT(8, 8, 1)
+	pt := partition.CartesianCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 8)
+	abort := func(b *batchRun) {
+		arbitrate := b.phases.arbitrate
+		b.phases.arbitrate = func(h int) {
+			if h == 3 && b.r == 2 {
+				dgalois.Abort(&dgalois.FaultError{Host: 3, Exchange: -1, Reason: "injected compute fault"})
+			}
+			arbitrate(h)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		base := runtime.NumGoroutine()
+		var err error
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("run %d panicked: %v", i, v)
+				}
+			}()
+			_, _, err = run(g, pt, sources, Options{BatchSize: 4}, abort)
+		}()
+		var fe *dgalois.FaultError
+		if !errors.As(err, &fe) || fe.Host != 3 || !strings.Contains(fe.Reason, "injected compute fault") {
+			t.Fatalf("run %d returned %v, want host 3's injected *dgalois.FaultError", i, err)
+		}
+		waitGoroutines(t, base, "a compute fault on host 3")
+	}
+}

@@ -20,31 +20,45 @@ import (
 // refState is the map-based round state the slabs replaced, kept as the
 // oracle for the per-round handlers: arbitration through a winners map
 // walked in sorted vertex order with a full proposal rescan per winner,
-// and the backward union through a (vertex, source) set walked in sorted
-// key order.
+// the master's own flags copied in as proposals marked own, and the
+// backward union through a (vertex, source) set walked in sorted key
+// order.
 type refState struct {
 	isMaster  []bool
 	engine    *core.Engine
 	flags     []core.Flag
-	proposals []proposal
+	proposals []refProposal
 	synced    []core.Flag
 	flagSet   map[uint64]bool
 	bcastByV  map[uint32]int32
+	lost      int // proposals whose source lost arbitration, own ones included
 }
 
-func refKey(v uint32, s int) uint64 { return uint64(v)<<20 | uint64(s) }
+// refProposal is a proposal as the oracle holds it: own marks the
+// master's own, whose σ partial is already in the engine.
+type refProposal struct {
+	proposal
+	own bool
+}
+
+func refKey(v uint32, s int32) uint64 { return uint64(v)<<20 | uint64(s) }
 
 func (st *refState) arbitrate(r int) {
 	for _, f := range st.flags {
 		if st.isMaster[f.V] {
-			d := st.engine.Get(f.V, f.Src)
-			st.proposals = append(st.proposals, proposal{v: f.V, src: int32(f.Src), dist: d.Dist, own: true})
+			d := st.engine.Get(f.V, int(f.Src))
+			st.proposals = append(st.proposals, refProposal{proposal{v: f.V, src: f.Src, dist: d.Dist}, true})
 		}
 	}
 	winners := make(map[uint32]proposal, len(st.proposals))
 	for _, p := range st.proposals {
 		if cur, ok := winners[p.v]; !ok || p.less(&cur) {
-			winners[p.v] = p
+			winners[p.v] = p.proposal
+		}
+	}
+	for _, p := range st.proposals {
+		if p.src != winners[p.v].src {
+			st.lost++
 		}
 	}
 	order := make([]uint32, 0, len(winners))
@@ -65,8 +79,8 @@ func (st *refState) arbitrate(r int) {
 		}
 		d := st.engine.Get(w.v, int(w.src))
 		st.engine.ApplySync(w.v, int(w.src), d.Dist, d.Sigma, r)
-		st.synced = append(st.synced, core.Flag{V: w.v, Src: int(w.src)})
-		st.flagSet[refKey(w.v, int(w.src))] = true
+		st.synced = append(st.synced, core.Flag{V: w.v, Src: w.src})
+		st.flagSet[refKey(w.v, w.src)] = true
 		st.bcastByV[w.v] = w.src
 	}
 	st.proposals = st.proposals[:0]
@@ -90,9 +104,9 @@ func (st *refState) backUnion(received []core.Flag) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, kk := range keys {
 		v := uint32(kk >> 20)
-		s := int(kk & (1<<20 - 1))
+		s := int32(kk & (1<<20 - 1))
 		st.synced = append(st.synced, core.Flag{V: v, Src: s})
-		st.bcastByV[v] = int32(s)
+		st.bcastByV[v] = s
 	}
 }
 
@@ -139,7 +153,7 @@ func newRoundCase(rng *rand.Rand) roundCase {
 		}
 		// The engine flags a vertex's lexicographically least unsent entry.
 		if least != nil && rng.Intn(3) != 0 {
-			c.flags = append(c.flags, core.Flag{V: least.v, Src: int(least.src)})
+			c.flags = append(c.flags, core.Flag{V: least.v, Src: least.src})
 		}
 		if c.isMaster[v] {
 			for m := rng.Intn(5); m > 0; m-- {
@@ -220,12 +234,15 @@ func checkClean(t *testing.T, st *hostState) {
 // MergePartial sequence, the later rounds' flag order pins the order
 // vertices were folded in (every engine call reschedules its vertex).
 func TestSlabHandlersMatchMapOracle(t *testing.T) {
+	lost := 0 // over every forward case: the draws must make losers
 	forward := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := newRoundCase(rng)
 		r := 1 + rng.Intn(4)
 		ref := c.ref()
-		ref.proposals = append(ref.proposals, c.mirror...)
+		for _, p := range c.mirror {
+			ref.proposals = append(ref.proposals, refProposal{proposal: p})
+		}
 		ref.arbitrate(r)
 
 		st := newHostState(c.part(), c.marks(), c.engine())
@@ -242,6 +259,11 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 			t.Logf("seed %d: broadcasts %v (n %d), oracle %v", seed, got, st.nBcast, ref.bcastByV)
 			return false
 		}
+		if st.lost != ref.lost {
+			t.Logf("seed %d: %d proposals lost, oracle %d", seed, st.lost, ref.lost)
+			return false
+		}
+		lost += ref.lost
 		for v := 0; v < c.n; v++ {
 			for s := 0; s < c.k; s++ {
 				a, b := st.engine.Get(uint32(v), s), ref.engine.Get(uint32(v), s)
@@ -309,6 +331,9 @@ func TestSlabHandlersMatchMapOracle(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	if lost == 0 {
+		t.Fatal("no forward case lost a proposal")
+	}
 }
 
 // mustPanic runs f and returns its panic message, failing if it returns.
@@ -339,7 +364,9 @@ func TestRoundStatePanics(t *testing.T) {
 	st.proposals = append(st.proposals, disagree...)
 	got := mustPanic(t, func() { oneHostRound(st, 1).arbitrate(0) })
 	ref := c.ref()
-	ref.proposals = append(ref.proposals, disagree...)
+	for _, p := range disagree {
+		ref.proposals = append(ref.proposals, refProposal{proposal: p})
+	}
 	if want := mustPanic(t, func() { ref.arbitrate(1) }); got != want || !strings.Contains(got, "(1,2) disagree on distance") {
 		t.Fatalf("slab panicked %q, oracle %q", got, want)
 	}

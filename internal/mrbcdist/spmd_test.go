@@ -167,11 +167,13 @@ func TestSPMDMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestBackwardDepthPanicsPastForwardDepth injects the one state the
-// derived backward depth rules out: a host scheduled deeper than the
-// forward phase ran. The host is the source's master, one SPMD host over
-// its view of a mesh whose peers never run: no exchange happens.
-func TestBackwardDepthPanicsPastForwardDepth(t *testing.T) {
+// TestBackwardDepthRefusesUnsyncedPairs injects the one state the
+// derived backward depth rules out: a host that still holds a reached
+// pair no forward round synchronized. The backward schedule is the
+// forward sync log, so that pair would silently drop out of it. The
+// host is the source's master, one SPMD host over its view of a mesh
+// whose peers never run: no exchange happens.
+func TestBackwardDepthRefusesUnsyncedPairs(t *testing.T) {
 	g := gen.RMAT(5, 4, 1)
 	pt := partition.CartesianCut(g, 2)
 	mesh := gluon.NewMemTransport(pt.NumHosts)
@@ -182,11 +184,14 @@ func TestBackwardDepthPanicsPastForwardDepth(t *testing.T) {
 	b := j.newBatch(0, nil)
 	b.st = (&statePool{kmax: 1}).makeState(cluster, b.topo, b.batch)
 	// No forward round ran, so the source's own pair was never
-	// synchronized (τ = 0) and lands in backward round R − 0 + 1.
+	// synchronized and is not in the schedule.
 	b.fwd = 3
 	b.st.engine.StartBackward(b.fwd)
+	if n := b.st.engine.BackwardRounds(); n != 0 {
+		t.Fatalf("an engine that synchronized nothing has %d backward rounds", n)
+	}
 	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "4 backward rounds after 3 forward rounds") {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "holds unsynchronized pairs after 3 forward rounds") {
 			t.Fatalf("backwardDepth panicked %q", msg)
 		}
 	}()
@@ -272,5 +277,39 @@ func TestInProcessRunReportsOnce(t *testing.T) {
 	}
 	if got := snap.Histograms["dgalois_exchange_seconds"].Count; got != int64(len(exchanges)) {
 		t.Errorf("dgalois_exchange_seconds counted %d exchanges, want %d", got, len(exchanges))
+	}
+}
+
+// TestProposalsLostCountsEveryHost: mrbc_proposals_lost_total is the sum
+// of what every host's arbitration dropped — each mesh host publishes
+// its own count once per forward round, not only the lead — and, being
+// a property of the schedule, it reads the same at every pipeline depth.
+func TestProposalsLostCountsEveryHost(t *testing.T) {
+	g := gen.RMAT(8, 8, 3)
+	pt := partition.CartesianCut(g, 4)
+	sources := brandes.FirstKSources(g, 0, 32)
+	var first int64
+	for _, depth := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		var seen atomic.Int64
+		count := func(b *batchRun) {
+			arbitrate := b.phases.arbitrate
+			b.phases.arbitrate = func(h int) {
+				arbitrate(h)
+				seen.Add(int64(b.st.lost))
+			}
+		}
+		if _, _, err := run(g, pt, sources, Options{BatchSize: 8, PipelineDepth: depth, Metrics: reg}, count); err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Counter("mrbc_proposals_lost_total").Load()
+		if got != seen.Load() || got == 0 {
+			t.Fatalf("depth %d: mrbc_proposals_lost_total = %d, the hosts' arbitrations dropped %d", depth, got, seen.Load())
+		}
+		if depth == 1 {
+			first = got
+		} else if got != first {
+			t.Fatalf("depth %d: %d proposals lost, depth 1 lost %d", depth, got, first)
+		}
 	}
 }
