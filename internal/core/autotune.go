@@ -6,14 +6,13 @@ import (
 	"mrbc/internal/graph"
 )
 
-// sharedLabelBudget bounds the label slabs (labelBytesPerPair per
-// vertex·source per engine: dist, σ and δ, TestEngineMemoryBudget) of
-// the engines planShared runs side by side: past it, fewer batches run
-// at once. The schedule state beside the slabs — chiefly the 4-byte sync
-// log entry per pair — is not counted.
+// sharedLabelBudget bounds the fixed per-pair slabs (labelBytesPerPair
+// per vertex·source per engine: dist, σ, δ and the sync log,
+// TestEngineMemoryBudget) of the engines planShared runs side by side:
+// past it, fewer batches run at once.
 const (
 	sharedLabelBudget = 1 << 30
-	labelBytesPerPair = 20
+	labelBytesPerPair = 24
 )
 
 // AutotuneBatch picks a batch size for MRBC by probing: the paper

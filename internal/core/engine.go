@@ -635,16 +635,9 @@ func (e *Engine) StartBackward(R int) {
 // order in O(len(run) + span/64), span the run's vertex range. A round
 // synchronizes at most one source per vertex (the proxy synchronization
 // rule), so a vertex bitset orders the run and sortSlot recalls each
-// vertex's pair. A run already in order is left as it is.
+// vertex's pair.
 func (e *Engine) sortRun(run []uint32, tau int) {
 	k := uint32(e.k)
-	i := 1
-	for i < len(run) && run[i-1]/k < run[i]/k {
-		i++
-	}
-	if i >= len(run) {
-		return
-	}
 	lo, hi := uint32(e.n), uint32(0)
 	for _, p := range run {
 		v := p / k
@@ -657,7 +650,7 @@ func (e *Engine) sortRun(run []uint32, tau int) {
 		e.sortSlot[v] = p
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	i = 0
+	i := 0
 	for w := lo >> 6; w <= hi>>6; w++ {
 		for m := e.sortMark[w]; m != 0; m &= m - 1 {
 			run[i] = e.sortSlot[w<<6+uint32(bits.TrailingZeros64(m))]

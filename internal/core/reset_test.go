@@ -289,9 +289,9 @@ func TestEngineResetAllocs(t *testing.T) {
 // bucket.
 func footprint(e *Engine) (labels, schedule int) {
 	size := func(n int, elem uintptr) int { return n * int(elem) }
-	labels = size(cap(e.dist), 4) + size(cap(e.sigma), 8) + size(cap(e.delta), 8)
+	labels = size(cap(e.dist), 4) + size(cap(e.sigma), 8) + size(cap(e.delta), 8) + size(cap(e.syncLog), 4)
 	schedule = size(cap(e.vs), unsafe.Sizeof(vertexSched{})) + size(cap(e.unsent), 8) +
-		size(cap(e.syncLog), 4) + size(cap(e.logEnd), 4) + size(cap(e.sortSlot), 4) + size(cap(e.sortMark), 8) +
+		size(cap(e.logEnd), 4) + size(cap(e.sortSlot), 4) + size(cap(e.sortMark), 8) +
 		size(cap(e.buckets), unsafe.Sizeof(bucket{}))
 	chunks := func(c *chunk) {
 		for ; c != nil; c = c.next {
@@ -306,18 +306,18 @@ func footprint(e *Engine) (labels, schedule int) {
 }
 
 // TestEngineMemoryBudget pins the engine's stated memory budget
-// (DESIGN.md §5, "Engine label layout"): 20 bytes of label slabs per
-// (vertex · source), and — after a full batch — at most 4 more per
-// (vertex · source) for the sync log (a 4-byte pair index, made for
-// every pair) plus (20 + 8·⌈k/64⌉)/k for the per-vertex record, the
-// sort slot and the unsent bits, with one byte of slack for the
-// calendar's chunks, the run ends and the sort's vertex bits.
+// (DESIGN.md §5, "Engine label layout"): 24 bytes of fixed slabs per
+// (vertex · source) — dist, σ, δ and the sync log (a 4-byte pair index,
+// made for every pair) — and, after a full batch, at most
+// (20 + 8·⌈k/64⌉)/k more for the per-vertex record, the sort slot and
+// the unsent bits, with one byte of slack for the calendar's chunks, the
+// run ends and the sort's vertex bits.
 func TestEngineMemoryBudget(t *testing.T) {
 	if unsafe.Sizeof(vertexSched{}) != 16 {
 		t.Fatalf("vertex record is %d bytes, budget assumes 16", unsafe.Sizeof(vertexSched{}))
 	}
-	if labelBytesPerPair != 20 {
-		t.Fatalf("labelBytesPerPair is %d, the slabs hold 20 bytes per (vertex·source)", labelBytesPerPair)
+	if labelBytesPerPair != 24 {
+		t.Fatalf("labelBytesPerPair is %d, the fixed slabs hold 24 bytes per (vertex·source)", labelBytesPerPair)
 	}
 	g := gen.RMAT(10, 8, 3)
 	n := g.NumVertices()
@@ -333,7 +333,7 @@ func TestEngineMemoryBudget(t *testing.T) {
 			t.Errorf("k=%d: %d label bytes, want %d per (vertex·source) = %d", k, labels, labelBytesPerPair, labelBytesPerPair*n*k)
 		}
 		perPair := float64(schedule) / float64(n*k)
-		if limit := 4 + float64(20+8*bitset.WordsFor(k))/float64(k) + 1; perPair > limit {
+		if limit := float64(20+8*bitset.WordsFor(k))/float64(k) + 1; perPair > limit {
 			t.Errorf("k=%d: schedule state is %.2f bytes per (vertex·source), budget %.2f", k, perPair, limit)
 		}
 		t.Logf("k=%d: %.2f bytes per (vertex·source), %.2f of them schedule", k, float64(labels+schedule)/float64(n*k), perPair)
